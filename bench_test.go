@@ -528,7 +528,7 @@ func BenchmarkExtensionPipeline(b *testing.B) {
 			var mean time.Duration
 			for i := 0; i < b.N; i++ {
 				s := harness.Build(harness.AlgoA2, harness.Options{
-					Groups: 2, PerGroup: 3, A2Pipeline: depth,
+					Groups: 2, PerGroup: 3, Pipeline: depth,
 				})
 				all := s.Topo.AllGroups()
 				for g := 0; g < 2; g++ {

@@ -5,6 +5,8 @@
 //     messages for [4], [10], [5], A1, Skeen [2], and [1];
 //   - Figure 1(b): atomic broadcast — the same for [12], [13], A2, [1];
 //   - Theorems 4.1, 5.1, 5.2: the witness runs and their latency degrees;
+//   - Proposition A.9: A2 falls silent after a finite burst, and the next
+//     cast pays the restart hop;
 //   - the §5.3 broadcast-frequency regime of A2.
 //
 // Usage:
@@ -28,12 +30,8 @@ func main() {
 	flag.Parse()
 	// A bad flag must die with a usage message (exit 2), not as a
 	// topology panic or a mid-run fatal.
-	if *d < 1 {
-		harness.Usagef("figures", "-d must be at least 1 (got %d)", *d)
-	}
-	opts := harness.Options{PerGroup: *d, Inter: *inter}
-	if err := opts.Validate(); err != nil {
-		harness.Usagef("figures", "%v", err)
+	if *d < 1 || *inter < 0 {
+		harness.Usagef("figures", "-d must be at least 1 and -inter non-negative (got %d, %v)", *d, *inter)
 	}
 
 	figure1a(*d, *inter)
@@ -41,6 +39,8 @@ func main() {
 	figure1b(*d, *inter)
 	fmt.Println()
 	theorems(*d, *inter)
+	fmt.Println()
+	burst(*d, *inter)
 	fmt.Println()
 	frequency(*d, *inter)
 }
@@ -208,6 +208,36 @@ func theorems(d int, inter time.Duration) {
 	// Proposition 3.1 cross-check: no genuine multicast measured below 2
 	// for multi-group messages.
 	fmt.Println("  Prop. 3.1 : no genuine multicast run measured Δ<2 for multi-group messages (see Figure 1a rows)")
+}
+
+// burst casts a finite burst of broadcasts, reports when the system stops
+// sending messages, then casts once more after quiescence and shows the
+// latency-degree penalty.
+func burst(d int, inter time.Duration) {
+	fmt.Println("Proposition A.9 — quiescence after a finite burst")
+	s := harness.Build(harness.AlgoA2, harness.Options{Groups: 2, PerGroup: d, Inter: inter})
+	all := s.Topo.AllGroups()
+	s.CastAt(0, s.Topo.Members(0)[0], "warm0", all)
+	s.CastAt(0, s.Topo.Members(1)[0], "warm1", all)
+	lastCast := time.Duration(0)
+	for i := 1; i <= 5; i++ {
+		lastCast = time.Duration(i) * 30 * time.Millisecond
+		s.CastAt(lastCast, s.Topo.Members(0)[i%d], i, all)
+	}
+	s.Run()
+	lastSend, _ := s.Col.LastSend()
+	fmt.Printf("  last cast at             %v\n", lastCast)
+	fmt.Printf("  last message sent at     %v (then silence — quiescent)\n", lastSend)
+	fmt.Printf("  virtual time at drain    %v\n", s.RT.Now())
+
+	late := s.Cast(s.Topo.Members(1)[0], "late", all)
+	s.Run()
+	mustClean(s)
+	deg, ok := s.DegreeOf(late)
+	if !ok {
+		fatal("late message not delivered")
+	}
+	fmt.Printf("  cast after quiescence    Δ=%d (Theorem 5.2: the restart costs one extra hop)\n", deg)
 }
 
 func frequency(d int, inter time.Duration) {

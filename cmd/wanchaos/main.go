@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"wanamcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/metrics"
@@ -49,149 +50,147 @@ import (
 	"wanamcast/internal/workload"
 )
 
-func main() { os.Exit(run()) }
-
-func run() int {
-	var (
-		mode     = flag.String("mode", "live", "live (real TCP + KV service under load) or sim (deterministic virtual time)")
-		scn      = flag.String("scenario", "suite", "scenario name (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery, lease-partition) or \"suite\" for all")
-		groups   = flag.Int("groups", 2, "number of groups/shards")
-		d        = flag.Int("d", 3, "processes per group")
-		basePort = flag.Int("port", 27000, "cluster base port (live)")
-		svcPort  = flag.Int("svcport", 28000, "client-facing base port (live)")
-		wan      = flag.Duration("wan", 5*time.Millisecond, "one-way inter-group delay")
-		lan      = flag.Duration("lan", 0, "intra-group delay")
-		maxBatch = flag.Int("maxbatch", 64, "max messages per consensus instance")
-		pipeline = flag.Int("pipeline", 2, "consensus instances in flight")
-		clients  = flag.Int("clients", 100, "closed-loop KV clients (live)")
-		ops      = flag.Int("ops", 4, "operations per client (live)")
-		timeout  = flag.Duration("timeout", 250*time.Millisecond, "client first-attempt reply timeout (doubles per retry)")
-		unit     = flag.Duration("unit", 500*time.Millisecond, "scenario time step: faults start at 1×unit, last heal by ~3.5×unit")
-		spike    = flag.Duration("spike", 0, "delay-spike override (0 = max(unit, 8×wan))")
-		algoName = flag.String("algo", "a1", "sim mode: algorithm under chaos (a1 or a2)")
-		seed     = flag.Int64("seed", 1, "workload/sim seed")
-		suspAft  = flag.Duration("suspectafter", 250*time.Millisecond, "failure detector suspicion timeout (live)")
-		hbEvery  = flag.Duration("heartbeat", 50*time.Millisecond, "failure detector heartbeat period (live)")
-		measure  = flag.Bool("measure", false, "measure re-election/trust-restore/resume latencies instead of running a scenario")
-		lanes    = flag.Int("lanes", 0, "shard processes across this many ordering lane goroutines by group (0 = one per process)")
-		inbox    = flag.Int("inbox", 0, "per-lane inbox ring size, live mode (0 = default 4096)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC, live objects) to this file")
-		mtxProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
-		verbose  = flag.Bool("v", false, "log every scenario event and delivery progress")
-		telem    = flag.String("telemetry", "", "live mode: serve the introspection plane (/metrics, /spans, /healthz) on this host:port; enables lifecycle tracing")
-		spanBuf  = flag.Int("spanbuf", 0, "per-lane lifecycle span ring size (0 = default 4096; >0 enables tracing)")
-		flightD  = flag.String("flightdump", "", "dump recent spans as JSONL here on a property violation, failed state transfer, or restart; enables tracing")
-	)
-	flag.Parse()
-
-	fail := func(format string, args ...any) {
-		harness.Usagef("wanchaos", format, args...)
-	}
-	if *mode != "live" && *mode != "sim" {
-		fail("-mode must be live or sim (got %q)", *mode)
-	}
-	if *groups < 2 {
-		fail("-groups must be at least 2 (nothing to partition with %d)", *groups)
-	}
-	if *d < 3 {
-		fail("-d must be at least 3 (crash recovery needs a surviving majority per group)")
-	}
-	if *wan < 0 || *lan < 0 {
-		fail("-wan and -lan must be non-negative")
-	}
-	if *maxBatch < 0 || *pipeline < 1 {
-		fail("-maxbatch must be non-negative and -pipeline at least 1")
-	}
-	if *clients < 1 || *ops < 1 {
-		fail("-clients and -ops must be at least 1")
-	}
-	if *timeout <= 0 || *unit <= 0 || *spike < 0 {
-		fail("-timeout and -unit must be positive, -spike non-negative")
-	}
-	if *suspAft <= 0 || *hbEvery <= 0 || *hbEvery >= *suspAft {
-		fail("need 0 < -heartbeat < -suspectafter (got %v, %v)", *hbEvery, *suspAft)
-	}
-	if *lanes < 0 || *inbox < 0 {
-		fail("-lanes and -inbox must be non-negative")
-	}
-	// The telemetry flags share the harness validation with every command.
-	tOpts := harness.Options{TelemetryAddr: *telem, SpanBuf: *spanBuf, FlightDump: *flightD}
-	if err := tOpts.Validate(); err != nil {
-		fail("%v", err)
-	}
-	if tOpts.TraceLifecycle() && *mode != "live" {
-		fail("-telemetry, -spanbuf, and -flightdump need live mode")
-	}
-	n := *groups * *d
-	// Each live scenario gets a disjoint port block so a fresh cluster
-	// never binds a port the previous one just released: the stride must
-	// cover the cluster itself, not just a fixed 64.
-	stride := 64
-	if n > stride {
-		stride = n
-	}
-	if *mode == "live" {
-		if err := harness.ValidatePortRange(*basePort, stride*len(scenario.Names())); err != nil {
-			fail("-port: %v", err)
-		}
-		if err := harness.ValidatePortRange(*svcPort, stride*len(scenario.Names())); err != nil {
-			fail("-svcport: %v", err)
-		}
-	}
-	algo := harness.Algo(*algoName)
-	if algo != harness.AlgoA1 && algo != harness.AlgoA2 {
-		fail("-algo must be a1 or a2 (got %q)", *algoName)
-	}
-
-	if *spike == 0 {
-		*spike = *unit
-		if s := 8 * *wan; s > *spike {
-			*spike = s
-		}
-	}
-	topo := types.NewTopology(*groups, *d)
-	suiteCfg := scenario.SuiteConfig{Unit: *unit, Spike: *spike}
-	var scenarios []scenario.Scenario
-	if *scn == "suite" {
-		scenarios = scenario.Suite(topo, suiteCfg)
-	} else {
-		sc, ok := scenario.ByName(topo, suiteCfg, *scn)
-		if !ok {
-			fail("unknown -scenario %q (have %v and \"suite\")", *scn, scenario.Names())
-		}
-		scenarios = []scenario.Scenario{sc}
-	}
-
-	stopProf, err := harness.StartProfiles(*cpuProf, *memProf, *mtxProf)
+func main() {
+	f, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		fail("%v", err)
+		harness.Usagef("wanchaos", "%v", err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "wanchaos: profile:", err)
-		}
-	}()
+	os.Exit(run(f))
+}
 
-	if *measure {
-		return measureLatencies(*groups, *d, *basePort, *wan, *lan, *hbEvery, *suspAft, *verbose)
+// flags is wanchaos's command line: the shared cluster knobs plus its own
+// scenario and workload flags.
+type flags struct {
+	cfg       config.Config
+	telemetry *string                // -telemetry address
+	startProf func() (func(), error) // starts the -*profile outputs
+	mode      string
+	scenario  string
+	scenarios []scenario.Scenario // resolved scenario, or the whole suite
+	svcPort   int
+	clients   int
+	ops       int
+	timeout   time.Duration
+	unit      time.Duration
+	spike     time.Duration
+	algo      string
+	seed      int64
+	measure   bool
+	verbose   bool
+}
+
+// portStride is how far apart consecutive live scenarios sit in port
+// space: each gets a disjoint block so a fresh cluster never binds a port
+// the previous one just released, and the block must cover the cluster
+// itself, not just a fixed 64.
+func (f *flags) portStride() int {
+	if n := f.cfg.Groups * f.cfg.PerGroup; n > 64 {
+		return n
+	}
+	return 64
+}
+
+// parseFlags registers wanchaos's flags on fs, parses args, and validates
+// everything before anything is built.
+func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
+	f := &flags{cfg: config.Config{Groups: 2, PerGroup: 3, BasePort: 27000,
+		WANDelay: 5 * time.Millisecond, MaxBatch: 64, Pipeline: 2,
+		HeartbeatEvery: 50 * time.Millisecond, SuspectAfter: 250 * time.Millisecond}}
+	// wanchaos picks the lease per scenario and restarts replicas from
+	// in-memory stores, so it has no lease or disk flags.
+	f.cfg.Bind(fs, "leasems", "skewms", "datadir", "nofsync", "snapevery")
+	f.telemetry = harness.TelemetryFlag(fs, &f.cfg.TraceSpans)
+	f.startProf = harness.ProfileFlags(fs)
+	fs.StringVar(&f.mode, "mode", "live", "live (real TCP + KV service under load) or sim (deterministic virtual time)")
+	fs.StringVar(&f.scenario, "scenario", "suite", "scenario name (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery, lease-partition) or \"suite\" for all")
+	fs.IntVar(&f.svcPort, "svcport", 28000, "client-facing base port (live)")
+	fs.IntVar(&f.clients, "clients", 100, "closed-loop KV clients (live)")
+	fs.IntVar(&f.ops, "ops", 4, "operations per client (live)")
+	fs.DurationVar(&f.timeout, "timeout", 250*time.Millisecond, "client first-attempt reply timeout (doubles per retry)")
+	fs.DurationVar(&f.unit, "unit", 500*time.Millisecond, "scenario time step: faults start at 1×unit, last heal by ~3.5×unit")
+	fs.DurationVar(&f.spike, "spike", 0, "delay-spike override (0 = max(unit, 8×wan))")
+	fs.StringVar(&f.algo, "algo", "a1", "sim mode: algorithm under chaos (a1 or a2)")
+	fs.Int64Var(&f.seed, "seed", 1, "workload/sim seed")
+	fs.BoolVar(&f.measure, "measure", false, "measure re-election/trust-restore/resume latencies instead of running a scenario")
+	fs.BoolVar(&f.verbose, "v", false, "log every scenario event and delivery progress")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := f.cfg.Validate(); err != nil {
+		return nil, err
+	}
+	switch {
+	case f.mode != "live" && f.mode != "sim":
+		return nil, fmt.Errorf("-mode must be live or sim (got %q)", f.mode)
+	case f.cfg.Groups < 2:
+		return nil, fmt.Errorf("-groups must be at least 2 (nothing to partition with %d)", f.cfg.Groups)
+	case f.cfg.PerGroup < 3:
+		return nil, fmt.Errorf("-d must be at least 3 (crash recovery needs a surviving majority per group)")
+	case f.clients < 1 || f.ops < 1:
+		return nil, fmt.Errorf("-clients and -ops must be at least 1")
+	case f.timeout <= 0 || f.unit <= 0 || f.spike < 0:
+		return nil, fmt.Errorf("-timeout and -unit must be positive, -spike non-negative")
+	case f.algo != string(harness.AlgoA1) && f.algo != string(harness.AlgoA2):
+		return nil, fmt.Errorf("-algo must be a1 or a2 (got %q)", f.algo)
+	case f.cfg.TraceSpans && f.mode != "live":
+		return nil, fmt.Errorf("-telemetry, -spanbuf, and -flightdump need live mode")
+	}
+	if f.mode == "live" {
+		span := f.portStride() * len(scenario.Names())
+		if err := config.PortRange(f.cfg.BasePort, span); err != nil {
+			return nil, fmt.Errorf("-port: %v", err)
+		}
+		if err := config.PortRange(f.svcPort, span); err != nil {
+			return nil, fmt.Errorf("-svcport: %v", err)
+		}
+	}
+	if f.spike == 0 {
+		f.spike = f.unit
+		if s := 8 * f.cfg.WANDelay; s > f.spike {
+			f.spike = s
+		}
+	}
+	topo := types.NewTopology(f.cfg.Groups, f.cfg.PerGroup)
+	suiteCfg := scenario.SuiteConfig{Unit: f.unit, Spike: f.spike}
+	if f.scenario == "suite" {
+		f.scenarios = scenario.Suite(topo, suiteCfg)
+	} else {
+		sc, ok := scenario.ByName(topo, suiteCfg, f.scenario)
+		if !ok {
+			return nil, fmt.Errorf("unknown -scenario %q (have %v and \"suite\")", f.scenario, scenario.Names())
+		}
+		f.scenarios = []scenario.Scenario{sc}
+	}
+	return f, nil
+}
+
+func run(f *flags) int {
+	cfg := f.cfg
+	stopProf, err := f.startProf()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wanchaos:", err)
+		return 1
+	}
+	defer stopProf()
+
+	if f.measure {
+		return measureLatencies(cfg, f.verbose)
 	}
 
 	failures := 0
-	for i, sc := range scenarios {
-		fmt.Printf("=== scenario %s (%s mode) ===\n", sc.Name, *mode)
-		if *verbose {
+	for i, sc := range f.scenarios {
+		fmt.Printf("=== scenario %s (%s mode) ===\n", sc.Name, f.mode)
+		if f.verbose {
 			fmt.Println("   ", sc)
 		}
 		var ok bool
-		if *mode == "sim" {
-			ok = runSim(algo, sc, *groups, *d, *wan, *lan, *maxBatch, *pipeline, *lanes, *seed, *verbose)
+		if f.mode == "sim" {
+			ok = runSim(sc, f)
 		} else {
 			// Fresh ports per scenario: listeners of the previous cluster
 			// are closed, but lingering TIME_WAIT sockets must not flake
 			// the next bind.
-			ok = runLive(sc, *groups, *d, *basePort+i*stride, *svcPort+i*stride, *wan, *lan,
-				*hbEvery, *suspAft, *maxBatch, *pipeline, *lanes, *inbox, *clients, *ops, *timeout, *seed, *verbose, tOpts)
+			ok = runLive(sc, f, i*f.portStride())
 		}
 		if ok {
 			fmt.Printf("=== %s: OK ===\n\n", sc.Name)
@@ -201,20 +200,18 @@ func run() int {
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("wanchaos: %d of %d scenarios FAILED\n", failures, len(scenarios))
+		fmt.Printf("wanchaos: %d of %d scenarios FAILED\n", failures, len(f.scenarios))
 		return 1
 	}
-	fmt.Printf("wanchaos: all %d scenarios passed (§2.2 clean, post-heal delivery resumed)\n", len(scenarios))
+	fmt.Printf("wanchaos: all %d scenarios passed (§2.2 clean, post-heal delivery resumed)\n", len(f.scenarios))
 	return 0
 }
 
 // runLive runs one scenario against a real TCP cluster serving the KV
-// service under closed-loop client load. Replicas persist to in-memory
-// stores so crash/restart scenarios work without disk.
-func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
-	hbEvery, suspAft time.Duration, maxBatch, pipeline, lanes, inbox, clients, ops int,
-	timeout time.Duration, seed int64, verbose bool, tOpts harness.Options) bool {
-
+// service under closed-loop client load, on ports portOff past the base
+// ports. Replicas persist to in-memory stores so crash/restart scenarios
+// work without disk.
+func runLive(sc scenario.Scenario, f *flags, portOff int) bool {
 	// Scenarios that isolate a process exercise the lease hand-off: enable
 	// leader leases and serve part of the load as lease-consistent reads so
 	// the fenced window is actually crossed by read traffic.
@@ -224,27 +221,13 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 			leasing = true
 		}
 	}
-	cfg := wanamcast.LiveConfig{
-		Groups:         groups,
-		PerGroup:       d,
-		BasePort:       basePort,
-		WANDelay:       wan,
-		LANDelay:       lan,
-		HeartbeatEvery: hbEvery,
-		SuspectAfter:   suspAft,
-		MaxBatch:       maxBatch,
-		Pipeline:       pipeline,
-		Lanes:          lanes,
-		InboxSize:      inbox,
-		Check:          true,
-		TraceSpans:     tOpts.TraceLifecycle(),
-		SpanBuf:        tOpts.SpanBuf,
-		FlightDump:     tOpts.FlightDump,
-	}
+	cfg := f.cfg.WithDefaults()
+	cfg.BasePort += portOff
+	cfg.Check = true
 	if leasing {
-		cfg.LeaseDuration = suspAft
+		cfg.LeaseDuration = cfg.SuspectAfter
 	}
-	stores := make([]storage.Store, groups*d)
+	stores := make([]storage.Store, cfg.Groups*cfg.PerGroup)
 	for i := range stores {
 		stores[i] = storage.NewMem()
 	}
@@ -257,10 +240,10 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 	defer cluster.Stop()
 
 	topo := cluster.Topology()
-	route := svc.PrefixRoute(groups)
+	route := svc.PrefixRoute(cfg.Groups)
 	stats := &metrics.Service{}
 	svcCfg := svc.ServiceConfig{
-		BasePort: svcPort,
+		BasePort: f.svcPort + portOff,
 		NewMachine: func(p types.ProcessID, g types.GroupID) svc.StateMachine {
 			return svc.NewKVMachine(g, route)
 		},
@@ -277,8 +260,8 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 	}
 	defer service.Stop()
 
-	if tOpts.TelemetryAddr != "" {
-		tsrv, err := harness.ServeTelemetry(tOpts.TelemetryAddr, cluster.TelemetrySource("wanchaos", stats))
+	if *f.telemetry != "" {
+		tsrv, err := harness.ServeTelemetry(*f.telemetry, cluster.TelemetrySource("wanchaos", stats))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wanchaos:", err)
 			return false
@@ -289,7 +272,7 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 
 	funcs := cluster.Chaos()
 	funcs.RestartFn = service.RestartReplica // reincarnate the replica's server too
-	if verbose {
+	if f.verbose {
 		funcs.Logf = func(format string, args ...any) {
 			fmt.Printf("  chaos: "+format+"\n", args...)
 		}
@@ -302,17 +285,17 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 	// slack has passed. Waves that span a partition stall on their
 	// cross-shard commands and complete after the heal via client retries.
 	fmt.Printf("  load: %d clients x %d ops per wave under %s (horizon %v)\n",
-		clients, ops, sc.Name, sc.Horizon())
+		f.clients, f.ops, sc.Name, sc.Horizon())
 	begin := time.Now()
 	totalOps, totalErrs, waves := 0, 0, 0
 	for {
 		spec := svc.LoadSpec{
-			Clients:     clients,
-			Ops:         ops,
+			Clients:     f.clients,
+			Ops:         f.ops,
 			Mix:         workload.DefaultMix(),
-			Timeout:     timeout,
-			Seed:        seed + int64(waves),
-			SessionBase: uint64(waves * (clients + 1)),
+			Timeout:     f.timeout,
+			Seed:        f.seed + int64(waves),
+			SessionBase: uint64(waves * (f.clients + 1)),
 		}
 		if leasing {
 			spec.ReadFraction = 0.5
@@ -322,7 +305,7 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 		totalOps += res.Ops
 		totalErrs += res.Errors
 		waves++
-		if time.Since(begin) > sc.Horizon()+suspAft {
+		if time.Since(begin) > sc.Horizon()+cfg.SuspectAfter {
 			break
 		}
 	}
@@ -348,9 +331,9 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 		good = false
 	}
 	mid := cluster.Multicast(probeFrom, "post-heal-probe-a1", 0, 1)
-	if !cluster.WaitDelivered(mid, 2*d, 30*time.Second) {
+	if !cluster.WaitDelivered(mid, 2*cfg.PerGroup, 30*time.Second) {
 		fmt.Printf("  FAIL: post-heal multicast reached %d/%d processes\n",
-			cluster.DeliveredCount(mid), 2*d)
+			cluster.DeliveredCount(mid), 2*cfg.PerGroup)
 		good = false
 	}
 
@@ -400,16 +383,15 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 
 // runSim replays one scenario deterministically on the simulated runtime
 // under a Poisson workload.
-func runSim(algo harness.Algo, sc scenario.Scenario, groups, d int, wan, lan time.Duration,
-	maxBatch, pipeline, lanes int, seed int64, verbose bool) bool {
-
-	s := harness.Build(algo, harness.Options{
-		Groups: groups, PerGroup: d, Inter: wan, Intra: lan, Seed: seed,
-		MaxBatch: maxBatch, A1Pipeline: pipeline, A2Pipeline: pipeline,
-		Lanes: lanes,
+func runSim(sc scenario.Scenario, f *flags) bool {
+	cfg, seed := f.cfg, f.seed
+	s := harness.Build(harness.Algo(f.algo), harness.Options{
+		Groups: cfg.Groups, PerGroup: cfg.PerGroup, Inter: cfg.WANDelay, Intra: cfg.LANDelay, Seed: seed,
+		MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline,
+		Bandwidth: cfg.Bandwidth, Lanes: cfg.Lanes,
 	})
 	funcs := s.Chaos()
-	if verbose {
+	if f.verbose {
 		funcs.Logf = func(format string, args ...any) {
 			fmt.Printf("  chaos: "+format+"\n", args...)
 		}
@@ -479,18 +461,11 @@ func runSim(algo harness.Algo, sc scenario.Scenario, groups, d int, wan, lan tim
 // long after the heal trust (and leadership) is restored, and how long
 // after healing a full inter-group partition a stalled broadcast resumes
 // and completes delivery.
-func measureLatencies(groups, d, basePort int, wan, lan, hbEvery, suspAft time.Duration, verbose bool) int {
-	cluster := wanamcast.NewLiveCluster(wanamcast.LiveConfig{
-		Groups:         groups,
-		PerGroup:       d,
-		BasePort:       basePort,
-		WANDelay:       wan,
-		LANDelay:       lan,
-		HeartbeatEvery: hbEvery,
-		SuspectAfter:   suspAft,
-		MaxBatch:       64,
-		Pipeline:       2,
-	})
+func measureLatencies(cfg config.Config, verbose bool) int {
+	cfg = cfg.WithDefaults()
+	groups, d := cfg.Groups, cfg.PerGroup
+	hbEvery, suspAft, wan := cfg.HeartbeatEvery, cfg.SuspectAfter, cfg.WANDelay
+	cluster := wanamcast.NewLiveCluster(cfg)
 	leader := cluster.Process(0, 0)
 	watcher := cluster.Process(0, 1)
 	changes := make(chan wanamcast.ProcessID, 16)

@@ -29,6 +29,7 @@ import (
 
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/amcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/durable"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/rmcast"
@@ -45,77 +46,55 @@ func snapshotNode(n *durable.Node) {
 	}
 }
 
+// flags is wannode's command line: the shared cluster knobs plus its own.
+type flags struct {
+	cfg   config.Config
+	id    int
+	trace bool
+}
+
+// parseFlags registers wannode's flags on fs, parses args, and validates
+// everything up front: a bad flag must die with a usage message, not as a
+// topology panic or socket error mid-run.
+func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
+	f := &flags{cfg: config.Config{Groups: 2, PerGroup: 2, BasePort: 19000, WANDelay: 100 * time.Millisecond}}
+	// wannode builds its own endpoints, the paper's sequential ones, and
+	// keeps no tracer.
+	f.cfg.Bind(fs, "maxbatch", "pipeline", "spanbuf", "flightdump")
+	fs.IntVar(&f.id, "id", 0, "this process's ID (0..groups*d-1)")
+	fs.BoolVar(&f.trace, "trace", false, "print transport trace lines to stderr")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := f.cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if n := f.cfg.Groups * f.cfg.PerGroup; f.id < 0 || f.id >= n {
+		return nil, fmt.Errorf("-id must be in [0,%d) (got %d)", n, f.id)
+	}
+	return f, nil
+}
+
 func main() {
-	var (
-		id       = flag.Int("id", 0, "this process's ID (0..groups*d-1)")
-		groups   = flag.Int("groups", 2, "number of groups")
-		d        = flag.Int("d", 2, "processes per group")
-		basePort = flag.Int("port", 19000, "base port (process p listens on port+p)")
-		wan      = flag.Duration("wan", 100*time.Millisecond, "injected one-way inter-group delay")
-		sendq    = flag.Int("sendqueue", 0, "per-connection send queue depth (0 = default 4096)")
-		flush    = flag.Duration("flush", 0, "max frame-coalescing latency before a flush (0 = default 200µs)")
-		gobWire  = flag.Bool("gobwire", false, "use the legacy gob codec instead of the wire codec (all instances must agree)")
-		trace    = flag.Bool("trace", false, "print transport trace lines to stderr")
-		dataDir  = flag.String("datadir", "", "persist WAL+snapshots under this directory and recover from it at startup (empty = volatile)")
-		noFsync  = flag.Bool("nofsync", false, "with -datadir: write the WAL without fsync barriers (benchmark knob; OS-process crashes may lose the tail)")
-		snapEvry = flag.Int("snapevery", 0, "with -datadir: snapshot every N deliveries (0 = default 512)")
-	)
-	flag.Parse()
+	f, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		harness.Usagef("wannode", "%v", err)
+	}
+	cfg, id := f.cfg, f.id
+	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
+	self := types.ProcessID(id)
 
-	// Validate everything up front: a bad flag must die with a usage
-	// message here, not as a topology panic or socket error mid-run.
-	fail := func(format string, args ...any) {
-		harness.Usagef("wannode", format, args...)
-	}
-	if *groups < 1 || *d < 1 {
-		fail("-groups and -d must be at least 1 (got %d x %d)", *groups, *d)
-	}
-	if err := harness.ValidatePortRange(*basePort, *groups**d); err != nil {
-		fail("-port: %v", err)
-	}
-	if *wan < 0 {
-		fail("-wan must be non-negative (got %v)", *wan)
-	}
-	if *sendq < 0 {
-		fail("-sendqueue must be non-negative (got %d)", *sendq)
-	}
-	if *flush < 0 {
-		fail("-flush must be non-negative (got %v)", *flush)
-	}
-	if (*noFsync || *snapEvry != 0) && *dataDir == "" {
-		fail("-nofsync and -snapevery need -datadir")
-	}
-	topo := types.NewTopology(*groups, *d)
-	if *id < 0 || *id >= topo.N() {
-		fail("-id must be in [0,%d) (got %d)", topo.N(), *id)
-	}
-	self := types.ProcessID(*id)
-
-	tcp.RegisterWireTypes()
-	codec := tcp.CodecWire
-	if *gobWire {
-		codec = tcp.CodecGob
-	}
 	var tracer func(format string, args ...any)
-	if *trace {
+	if f.trace {
 		tracer = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "TRACE "+format+"\n", args...)
 		}
 	}
-	rt := tcp.New(tcp.Config{
-		Topo:       topo,
-		Local:      []types.ProcessID{self},
-		BasePort:   *basePort,
-		WANDelay:   *wan,
-		SendQueue:  *sendq,
-		FlushEvery: *flush,
-		Codec:      codec,
-		Trace:      tracer,
-	})
+	rt := tcp.New(tcp.Config{Config: cfg, Topo: topo, Local: []types.ProcessID{self}, Trace: tracer})
 
 	var store storage.Store
-	if *dataDir != "" {
-		d, err := storage.OpenDisk(*dataDir, storage.DiskOptions{NoFsync: *noFsync})
+	if cfg.DataDir != "" {
+		d, err := storage.OpenDisk(cfg.DataDir, storage.DiskOptions{NoFsync: cfg.NoFsync})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wannode:", err)
 			os.Exit(1)
@@ -124,10 +103,7 @@ func main() {
 		defer store.Close()
 	}
 	log := storage.NewLog(store)
-	snapEvery := *snapEvry
-	if snapEvery == 0 {
-		snapEvery = 512
-	}
+	snapEvery := cfg.WithDefaults().SnapshotEvery
 
 	var seq uint64
 	nextID := func() types.MessageID {
@@ -227,11 +203,11 @@ func main() {
 		})
 		if recovered {
 			fmt.Printf("[%v] recovered from %s (a1 deliveries=%d, a2 round=%d); syncing with group peers\n",
-				self, *dataDir, a1.Delivered(), a2.Round())
+				self, cfg.DataDir, a1.Delivered(), a2.Round())
 		}
 	}
 	fmt.Printf("[%v] up: group %v, listening on %d, peers on %d..%d\n",
-		self, topo.GroupOf(self), *basePort+*id, *basePort, *basePort+topo.N()-1)
+		self, topo.GroupOf(self), cfg.BasePort+id, cfg.BasePort, cfg.BasePort+topo.N()-1)
 
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
@@ -259,7 +235,7 @@ func main() {
 			ok := true
 			for _, s := range strings.Split(parts[0], ",") {
 				g, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || g < 0 || g >= *groups {
+				if err != nil || g < 0 || g >= cfg.Groups {
 					ok = false
 					break
 				}

@@ -4,57 +4,32 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"time"
 
 	"wanamcast"
 	"wanamcast/internal/harness"
-	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
 )
 
 // runLive drives the wansim workload over a real TCP cluster on localhost
 // (algorithms a1 and a2 only) instead of the simulator, and prints wall
-// throughput. The transport knobs ride in on harness.Options: SendQueue,
-// FlushEvery, and GobWire map straight onto the live transport's queue
-// depth, flush coalescing window, and codec.
-func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate float64, spread int, seed int64, verbose bool) {
+// throughput.
+func runLive(algo harness.Algo, f *flags) {
 	if algo != harness.AlgoA1 && algo != harness.AlgoA2 {
 		fmt.Fprintf(os.Stderr, "wansim: -live supports a1 and a2 only (got %s)\n", algo)
 		os.Exit(1)
 	}
-	cfg := wanamcast.LiveConfig{
-		Groups:      opts.Groups,
-		PerGroup:    opts.PerGroup,
-		BasePort:    basePort,
-		WANDelay:    opts.Inter,
-		LANDelay:    opts.Intra,
-		MaxBatch:    opts.MaxBatch,
-		Pipeline:    opts.A1Pipeline,
-		Lanes:       opts.Lanes,
-		InboxSize:   opts.InboxSize,
-		SendQueue:   opts.SendQueue,
-		FlushEvery:  opts.FlushEvery,
-		GobCodec:    opts.GobWire,
-		Bandwidth:   opts.BandwidthBytes(),
-		Uncoalesced: opts.Uncoalesced,
-		CompressMin: opts.CompressMin,
-		TraceSpans:  opts.TraceLifecycle(),
-		SpanBuf:     opts.SpanBuf,
-		FlightDump:  opts.FlightDump,
-	}
-	if algo == harness.AlgoA2 {
-		cfg.Pipeline = opts.A2Pipeline
-	}
-	l := wanamcast.NewLiveCluster(cfg)
+	casts, spread := f.casts, f.spread
+	l := wanamcast.NewLiveCluster(f.cfg)
 	if err := l.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "wansim:", err)
 		os.Exit(1)
 	}
 	defer l.Stop()
 
-	if opts.TelemetryAddr != "" {
-		tsrv, err := harness.ServeTelemetry(opts.TelemetryAddr, l.TelemetrySource("wansim", nil))
+	cfg := f.cfg.WithDefaults()
+	if *f.telemetry != "" {
+		tsrv, err := harness.ServeTelemetry(*f.telemetry, l.TelemetrySource("wansim", nil))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wansim:", err)
 			os.Exit(1)
@@ -63,33 +38,15 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		fmt.Printf("telemetry: http://%s/metrics\n", tsrv.Addr())
 	}
 
-	codec := "wire"
-	if opts.GobWire {
-		codec = "gob"
-	}
-	sendq, flush := opts.SendQueue, opts.FlushEvery
-	if sendq <= 0 {
-		sendq = tcp.DefaultSendQueue
-	}
-	if flush <= 0 {
-		flush = tcp.DefaultFlushEvery
-	}
-	n := opts.Groups * opts.PerGroup
-	laneDesc := fmt.Sprintf("%d", opts.Lanes)
-	if opts.Lanes == 0 {
-		laneDesc = "per-process"
-	}
-	if opts.Uncoalesced {
-		codec += " (uncoalesced)"
-	}
-	fmt.Printf("live %s: %d groups x %d processes over TCP, wan=%v lan=%v codec=%s lanes=%s sendqueue=%d flush=%v\n",
-		algo, opts.Groups, opts.PerGroup, opts.Inter, opts.Intra, codec, laneDesc, sendq, flush)
-	if opts.Bandwidth != "" {
-		fmt.Printf("bandwidth      %s per link (heartbeats exempt)\n", opts.Bandwidth)
+	n := cfg.Groups * cfg.PerGroup
+	fmt.Printf("live %s: %d groups x %d processes over TCP, wan=%v lan=%v lanes=%d sendqueue=%d flush=%v\n",
+		algo, cfg.Groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, cfg.Lanes, cfg.SendQueue, cfg.FlushEvery)
+	if cfg.Bandwidth > 0 {
+		fmt.Printf("bandwidth      %d B/s per link (heartbeats exempt)\n", cfg.Bandwidth)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	period := time.Duration(float64(time.Second) / rate)
+	rng := rand.New(rand.NewSource(f.seed))
+	period := time.Duration(float64(time.Second) / f.rate)
 	begin := time.Now()
 	ids := make([]wanamcast.MessageID, 0, casts)
 	expected := 0
@@ -99,9 +56,9 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 			ids = append(ids, l.Broadcast(from, fmt.Sprintf("msg-%d", i)))
 			expected += n
 		} else {
-			dest := pickDest(rng, opts.Groups, spread)
+			dest := pickDest(rng, cfg.Groups, spread)
 			ids = append(ids, l.Multicast(from, fmt.Sprintf("msg-%d", i), dest...))
-			expected += spread * opts.PerGroup
+			expected += spread * cfg.PerGroup
 		}
 		if period > 0 {
 			time.Sleep(period)
@@ -127,7 +84,7 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		time.Sleep(5 * time.Millisecond)
 	}
 	elapsed := time.Since(begin)
-	if verbose {
+	if f.verbose {
 		for _, d := range l.Deliveries() {
 			fmt.Printf("deliver %v at %v t=%v\n", d.ID, d.Process, d.At)
 		}
@@ -144,36 +101,12 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		}
 		fmt.Println()
 	}
-	if opts.BenchJSON != "" {
-		st := l.Stats()
-		fs := l.FsyncStats()
-		r := harness.BenchResult{
-			Name:           "wansim-live-" + string(algo),
-			Topology:       fmt.Sprintf("%dx%d", opts.Groups, opts.PerGroup),
-			Lanes:          opts.Lanes,
-			Cores:          runtime.NumCPU(),
-			Casts:          casts,
-			OrderedPerSec:  float64(casts) / elapsed.Seconds(),
-			P50Ms:          float64(st.P50Wall) / float64(time.Millisecond),
-			P99Ms:          float64(st.P99Wall) / float64(time.Millisecond),
-			Fsyncs:         fs.Fsyncs,
-			GCBarriers:     fs.Barriers,
-			GCWindows:      fs.Windows,
-			BatchesDecided: st.BatchesDecided,
-			StartedAt:      begin.UTC().Format(time.RFC3339),
-		}
-		if r.BatchesDecided > 0 {
-			r.FsyncsPerBatch = float64(r.Fsyncs) / float64(r.BatchesDecided)
-		}
-		r.WanHops = harness.WanHopHist(st.DegreeHist)
-		r.SetWire(st.Wire, opts.Bandwidth, opts.Uncoalesced)
-		if tr := l.Tracer(); tr != nil {
-			r.Stages = harness.StageBreakdown(tr.Stats().Snapshot())
-		}
-		if err := harness.AppendBenchJSON(opts.BenchJSON, r); err != nil {
+	if *f.benchJSON != "" {
+		r := l.BenchResult("wansim-live-"+string(algo), casts, elapsed)
+		if err := harness.AppendBenchJSON(*f.benchJSON, r); err != nil {
 			fmt.Fprintln(os.Stderr, "wansim: benchjson:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson      appended to %s\n", opts.BenchJSON)
+		fmt.Printf("benchjson      appended to %s\n", *f.benchJSON)
 	}
 }

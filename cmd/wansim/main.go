@@ -18,195 +18,177 @@ import (
 	"os"
 	"time"
 
+	"wanamcast/internal/config"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
 )
 
 func main() {
-	var (
-		algoName  = flag.String("algo", "a1", "algorithm: a1, a2, skeen, fritzke, delporte, rodrigues, detmerge, sousa, vicente")
-		groups    = flag.Int("groups", 3, "number of groups")
-		d         = flag.Int("d", 3, "processes per group")
-		procs     = flag.Int("procs", 0, "processes per group (alias of -d; 0 defers to -d)")
-		sweepSpec = flag.String("sweep", "", "run a scale sweep over these topology shapes instead of one run, e.g. 50x3,100x3,200x5 (sim only)")
-		inter     = flag.Duration("inter", 100*time.Millisecond, "inter-group one-way delay")
-		intra     = flag.Duration("intra", time.Millisecond, "intra-group one-way delay")
-		jitter    = flag.Duration("jitter", 0, "uniform extra delay in [0,jitter)")
-		casts     = flag.Int("casts", 20, "number of messages to cast")
-		rate      = flag.Float64("rate", 10, "casts per second (virtual time)")
-		spread    = flag.Int("spread", 2, "destination groups per multicast (ignored by broadcasts)")
-		crash     = flag.Int("crash", 0, "crash this many processes (one per group, minority) mid-run")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		maxBatch  = flag.Int("maxbatch", 0, "max messages per consensus instance (0 = unbounded, the paper's rule)")
-		pipeline  = flag.Int("pipeline", 1, "consensus instances/rounds in flight (1 = the paper's sequential engine)")
-		live      = flag.Bool("live", false, "run over real TCP sockets on localhost instead of the simulator (a1/a2 only)")
-		basePort  = flag.Int("port", 22000, "base TCP port for -live (process p listens on port+p)")
-		sendq     = flag.Int("sendqueue", 0, "live transport: per-connection send queue depth (0 = default 4096)")
-		flush     = flag.Duration("flush", 0, "live transport: max frame-coalescing latency before a flush (0 = default 200µs)")
-		gobWire   = flag.Bool("gobwire", false, "live transport: use the legacy gob codec instead of the wire codec")
-		bandwidth = flag.String("bandwidth", "", "per-link bandwidth cap, e.g. 50mbit, 6.25MB, 1gbit (empty = uncapped; heartbeats are exempt)")
-		uncoal    = flag.Bool("uncoalesced", false, "live transport: disable batch envelopes (one frame per message; baseline codec)")
-		compMin   = flag.Int("compressmin", 0, "live transport: compress batch envelopes at or above this many bytes (0 = default 1500, negative = off)")
-		lanes     = flag.Int("lanes", 0, "ordering lanes: shard processes across this many goroutines by group (0 = one per process); sim runs only account lanes")
-		inbox     = flag.Int("inbox", 0, "live transport: per-lane inbox ring size (0 = default 4096)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (post-GC, live objects) to this file")
-		mtxProf   = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
-		benchOut  = flag.String("benchjson", "", "with -live: append a machine-readable result record to this JSON file")
-		telem     = flag.String("telemetry", "", "with -live: serve /metrics, /spans, and /healthz on this host:port (empty = off)")
-		spanBuf   = flag.Int("spanbuf", 0, "with -live: per-lane span ring capacity for lifecycle tracing (0 = default)")
-		flightD   = flag.String("flightdump", "", "with -live: write a JSONL span dump here on a property violation or sync failure")
-		scn       = flag.String("scenario", "", "chaos scenario to run under the workload (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery); sim only")
-		scnUnit   = flag.Duration("scnunit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
-		verbose   = flag.Bool("v", false, "print every delivery")
-	)
-	flag.Parse()
-
-	// Validate all flags before building anything: exit 2 with a usage
-	// message instead of panicking mid-run on a bad topology or workload.
-	fail := func(format string, args ...any) {
-		harness.Usagef("wansim", format, args...)
-	}
-	if *procs != 0 {
-		if *procs < 1 {
-			fail("-procs must be at least 1 (got %d)", *procs)
-		}
-		dSet := false
-		flag.Visit(func(f *flag.Flag) { dSet = dSet || f.Name == "d" })
-		if dSet && *d != *procs {
-			fail("-procs is an alias of -d; got conflicting values %d and %d", *procs, *d)
-		}
-		*d = *procs
-	}
-	if *groups < 1 || *d < 1 {
-		fail("-groups and -d must be at least 1 (got %d x %d)", *groups, *d)
-	}
-	if *casts < 0 {
-		fail("-casts must be non-negative (got %d)", *casts)
-	}
-	if *rate <= 0 {
-		fail("-rate must be positive (got %g)", *rate)
-	}
-	if *spread < 1 {
-		fail("-spread must be at least 1 (got %d)", *spread)
-	}
-	if *crash < 0 {
-		fail("-crash must be non-negative (got %d)", *crash)
-	}
-	if *pipeline < 1 {
-		fail("-pipeline must be at least 1 (got %d)", *pipeline)
-	}
-	if *live {
-		if err := harness.ValidatePortRange(*basePort, *groups**d); err != nil {
-			fail("-port: %v", err)
-		}
-		if *scn != "" {
-			fail("-scenario runs on the simulator only (cmd/wanchaos drives live chaos)")
-		}
-	}
-	if *scn != "" {
-		if *groups < 2 {
-			fail("-scenario needs at least 2 groups to partition")
-		}
-		if *scnUnit <= 0 {
-			fail("-scnunit must be positive")
-		}
-	}
-	if *spread > *groups {
-		*spread = *groups
-	}
-	if *algoName == "all" {
-		compareAll(*groups, *d, *inter, *intra, *jitter, *casts, *rate, *spread, *seed)
-		return
-	}
-	algo := harness.Algo(*algoName)
-	if !algo.Known() {
-		fail("unknown -algo %q", *algoName)
-	}
-	if *benchOut != "" && !*live && *sweepSpec == "" {
-		fail("-benchjson records live benchmark or -sweep runs only")
-	}
-	var sweepShapes []harness.Shape
-	if *sweepSpec != "" {
-		if *live {
-			fail("-sweep runs on the simulator only")
-		}
-		if *scn != "" {
-			fail("-sweep and -scenario are mutually exclusive")
-		}
-		var err error
-		sweepShapes, err = harness.ParseSweep(*sweepSpec)
-		if err != nil {
-			fail("-sweep: %v", err)
-		}
-	}
-	opts := harness.Options{
-		Groups: *groups, PerGroup: *d,
-		Inter: *inter, Intra: *intra, Jitter: *jitter, Seed: *seed,
-		MaxBatch: *maxBatch, A1Pipeline: *pipeline, A2Pipeline: *pipeline,
-		SendQueue: *sendq, FlushEvery: *flush, GobWire: *gobWire,
-		Bandwidth: *bandwidth, Uncoalesced: *uncoal, CompressMin: *compMin,
-		Lanes: *lanes, InboxSize: *inbox,
-		CPUProfile: *cpuProf, MemProfile: *memProf, MutexProfile: *mtxProf,
-		BenchJSON:     *benchOut,
-		TelemetryAddr: *telem, SpanBuf: *spanBuf, FlightDump: *flightD,
-	}
-	if err := opts.Validate(); err != nil {
-		fail("%v", err)
-	}
-	// Every sweep point must validate as a full Options value too, so a bad
-	// shape dies here with a usage message, not mid-sweep.
-	for _, sh := range sweepShapes {
-		o := opts
-		o.Groups, o.PerGroup = sh.Groups, sh.PerGroup
-		if err := o.Validate(); err != nil {
-			fail("-sweep %v: %v", sh, err)
-		}
-	}
-	if opts.TraceLifecycle() && !*live {
-		fail("-telemetry, -spanbuf, and -flightdump instrument live runs only (add -live)")
-	}
-	if (*uncoal || *compMin != 0) && !*live {
-		fail("-uncoalesced and -compressmin tune the live transport only (add -live)")
-	}
-	stopProf, err := harness.StartProfiles(opts.CPUProfile, opts.MemProfile, opts.MutexProfile)
+	f, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		fail("%v", err)
+		harness.Usagef("wansim", "%v", err)
 	}
-	flushProf := func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "wansim: profile:", err)
+	run(f)
+}
+
+// flags is wansim's command line: the shared cluster knobs (the simulator
+// reads the topology, delays, batching, bandwidth and lane count from
+// them; -live reads them all) plus its own workload flags.
+type flags struct {
+	cfg       config.Config
+	telemetry *string                // -telemetry address
+	benchJSON *string                // -benchjson file
+	startProf func() (func(), error) // starts the -*profile outputs
+	algo      string
+	procs     int
+	shapes    []harness.Shape // -sweep
+	jitter    time.Duration
+	casts     int
+	rate      float64
+	spread    int
+	crash     int
+	seed      int64
+	live      bool
+	scenario  string
+	sc        scenario.Scenario // resolved scenario, when one is named
+	scnUnit   time.Duration
+	verbose   bool
+}
+
+// parseFlags registers wansim's flags on fs, parses args, and validates
+// everything before anything is built: a bad topology or workload is a
+// usage error, not a mid-run panic.
+func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
+	f := &flags{cfg: config.Config{Groups: 3, PerGroup: 3, BasePort: 22000,
+		WANDelay: 100 * time.Millisecond, LANDelay: time.Millisecond, Pipeline: 1}}
+	f.cfg.Bind(fs)
+	f.telemetry = harness.TelemetryFlag(fs, &f.cfg.TraceSpans)
+	f.benchJSON = harness.BenchJSONFlag(fs)
+	f.startProf = harness.ProfileFlags(fs)
+	fs.Var(fs.Lookup("wan").Value, "inter", "inter-group one-way delay (alias of -wan)")
+	fs.Var(fs.Lookup("lan").Value, "intra", "intra-group one-way delay (alias of -lan)")
+	fs.IntVar(&f.procs, "procs", 0, "processes per group (alias of -d; 0 defers to -d)")
+	fs.StringVar(&f.algo, "algo", "a1", "algorithm: a1, a2, skeen, fritzke, delporte, rodrigues, detmerge, sousa, vicente, or all for one comparison table")
+	fs.Func("sweep", "run a scale sweep over these topology `shapes` instead of one run, e.g. 50x3,100x3,200x5 (sim only)",
+		func(s string) (err error) { f.shapes, err = harness.ParseSweep(s); return err })
+	fs.DurationVar(&f.jitter, "jitter", 0, "uniform extra delay in [0,jitter) (sim only)")
+	fs.IntVar(&f.casts, "casts", 20, "number of messages to cast")
+	fs.Float64Var(&f.rate, "rate", 10, "casts per second (virtual time)")
+	fs.IntVar(&f.spread, "spread", 2, "destination groups per multicast (ignored by broadcasts)")
+	fs.IntVar(&f.crash, "crash", 0, "crash this many processes (one per group, minority) mid-run")
+	fs.Int64Var(&f.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&f.live, "live", false, "run over real TCP sockets on localhost instead of the simulator (a1/a2 only)")
+	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the workload (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery); sim only")
+	fs.DurationVar(&f.scnUnit, "scnunit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
+	fs.BoolVar(&f.verbose, "v", false, "print every delivery")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if f.procs != 0 {
+		dSet := false
+		fs.Visit(func(fl *flag.Flag) { dSet = dSet || fl.Name == "d" })
+		if dSet && f.cfg.PerGroup != f.procs {
+			return nil, fmt.Errorf("-procs is an alias of -d; got conflicting values %d and %d", f.procs, f.cfg.PerGroup)
+		}
+		f.cfg.PerGroup = f.procs
+	}
+	// Only -live opens sockets, runs a failure detector and keeps stores: a
+	// simulated 15000x3 must not be refused for want of 45000 ports.
+	validate := f.cfg.ValidateModel
+	if f.live {
+		validate = f.cfg.Validate
+	}
+	if err := validate(); err != nil {
+		return nil, err
+	}
+	switch {
+	case f.jitter < 0:
+		return nil, fmt.Errorf("-jitter must be non-negative (got %v)", f.jitter)
+	case f.casts < 0:
+		return nil, fmt.Errorf("-casts must be non-negative (got %d)", f.casts)
+	case f.rate <= 0:
+		return nil, fmt.Errorf("-rate must be positive (got %g)", f.rate)
+	case f.spread < 1:
+		return nil, fmt.Errorf("-spread must be at least 1 (got %d)", f.spread)
+	case f.crash < 0:
+		return nil, fmt.Errorf("-crash must be non-negative (got %d)", f.crash)
+	case f.algo != "all" && !harness.Algo(f.algo).Known():
+		return nil, fmt.Errorf("unknown -algo %q", f.algo)
+	case f.live && f.scenario != "":
+		return nil, fmt.Errorf("-scenario runs on the simulator only (cmd/wanchaos drives live chaos)")
+	case f.live && len(f.shapes) > 0:
+		return nil, fmt.Errorf("-sweep runs on the simulator only")
+	case len(f.shapes) > 0 && f.scenario != "":
+		return nil, fmt.Errorf("-sweep and -scenario are mutually exclusive")
+	case *f.benchJSON != "" && !f.live && len(f.shapes) == 0:
+		return nil, fmt.Errorf("-benchjson records live benchmark or -sweep runs only")
+	case f.cfg.TraceSpans && !f.live:
+		return nil, fmt.Errorf("-telemetry, -spanbuf, and -flightdump instrument live runs only (add -live)")
+	case f.cfg.CompressMin != 0 && !f.live:
+		return nil, fmt.Errorf("-compressmin tunes the live transport only (add -live)")
+	}
+	if f.scenario != "" {
+		switch {
+		case f.cfg.Groups < 2:
+			return nil, fmt.Errorf("-scenario needs at least 2 groups to partition")
+		case f.scnUnit <= 0:
+			return nil, fmt.Errorf("-scnunit must be positive")
+		}
+		var ok bool
+		topo := types.NewTopology(f.cfg.Groups, f.cfg.PerGroup)
+		if f.sc, ok = scenario.ByName(topo, scenario.SuiteConfig{Unit: f.scnUnit}, f.scenario); !ok {
+			return nil, fmt.Errorf("unknown -scenario %q (have %v)", f.scenario, scenario.Names())
 		}
 	}
-	if len(sweepShapes) > 0 {
-		runSweep(algo, opts, sweepShapes, *casts, *benchOut)
-		flushProf()
+	if f.spread > f.cfg.Groups {
+		f.spread = f.cfg.Groups
+	}
+	return f, nil
+}
+
+func run(f *flags) {
+	cfg, groups := f.cfg, f.cfg.Groups
+	if f.algo == "all" {
+		compareAll(groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, f.jitter, f.casts, f.rate, f.spread, f.seed)
 		return
 	}
-	if *live {
-		runLive(algo, opts, *basePort, *casts, *rate, *spread, *seed, *verbose)
-		flushProf()
+	algo := harness.Algo(f.algo)
+	opts := harness.Options{
+		Groups: groups, PerGroup: cfg.PerGroup,
+		Inter: cfg.WANDelay, Intra: cfg.LANDelay, Jitter: f.jitter, Seed: f.seed,
+		MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline,
+		Bandwidth: cfg.Bandwidth, Lanes: cfg.Lanes,
+	}
+	stopProf, err := f.startProf()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wansim:", err)
+		os.Exit(1)
+	}
+	if len(f.shapes) > 0 {
+		runSweep(algo, opts, f.shapes, f.casts, *f.benchJSON)
+		stopProf()
+		return
+	}
+	if f.live {
+		runLive(algo, f)
+		stopProf()
 		return
 	}
 	s := harness.Build(algo, opts)
-	rng := rand.New(rand.NewSource(*seed))
-	period := time.Duration(float64(time.Second) / *rate)
+	rng := rand.New(rand.NewSource(f.seed))
+	period := time.Duration(float64(time.Second) / f.rate)
 
 	crashed := make(map[types.ProcessID]bool)
-	if *scn != "" {
-		sc, ok := scenario.ByName(s.Topo, scenario.SuiteConfig{Unit: *scnUnit}, *scn)
-		if !ok {
-			fail("unknown -scenario %q (have %v)", *scn, scenario.Names())
-		}
+	if f.scenario != "" {
 		funcs := s.Chaos()
 		funcs.Logf = func(format string, args ...any) {
 			fmt.Printf("chaos: "+format+"\n", args...)
 		}
-		scenario.Apply(funcs, sc)
+		scenario.Apply(funcs, f.sc)
 		// The simulator cannot restart, so scenario crash victims stay
 		// down: stop scheduling casts from them.
-		for _, e := range sc.Events {
+		for _, e := range f.sc.Events {
 			if e.Kind == scenario.Crash {
 				for _, p := range e.Procs {
 					crashed[p] = true
@@ -217,12 +199,12 @@ func main() {
 
 	// Warm A2's rounds so the steady-state latency is measured.
 	if algo == harness.AlgoA2 {
-		for g := 0; g < *groups; g++ {
+		for g := 0; g < groups; g++ {
 			s.CastAt(0, s.Topo.Members(types.GroupID(g))[0], "warm", s.Topo.AllGroups())
 		}
 	}
 
-	for i := 0; i < *crash && i < *groups; i++ {
+	for i := 0; i < f.crash && i < groups; i++ {
 		// Crash the last member of group i (never the consensus leader's
 		// whole majority).
 		members := s.Topo.Members(types.GroupID(i))
@@ -238,10 +220,10 @@ func main() {
 	}
 
 	var ids []types.MessageID
-	for i := 0; i < *casts; i++ {
+	for i := 0; i < f.casts; i++ {
 		i := i
 		from := types.ProcessID(rng.Intn(s.Topo.N()))
-		dest := pickDest(rng, *groups, *spread)
+		dest := pickDest(rng, groups, f.spread)
 		at := time.Duration(i+1) * period
 		s.RT.Scheduler().At(at, func() {
 			if crashed[from] {
@@ -252,9 +234,9 @@ func main() {
 	}
 
 	s.Run()
-	flushProf()
+	stopProf()
 
-	if *verbose {
+	if f.verbose {
 		for _, del := range s.Deliveries {
 			fmt.Printf("deliver %v at %v t=%v\n", del.ID, del.Process, del.At)
 		}
@@ -262,7 +244,7 @@ func main() {
 
 	st := s.Col.Snapshot()
 	fmt.Printf("\nalgorithm      %s\n", algo)
-	fmt.Printf("topology       %d groups x %d processes, inter=%v intra=%v jitter=%v\n", *groups, *d, *inter, *intra, *jitter)
+	fmt.Printf("topology       %d groups x %d processes, inter=%v intra=%v jitter=%v\n", groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, f.jitter)
 	fmt.Printf("casts          %d (plus warm-ups where applicable)\n", len(ids))
 	fmt.Printf("virtual time   %v\n", s.RT.Now())
 	fmt.Printf("stats          %v\n", st)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"wanamcast/internal/abcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/node"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
@@ -48,14 +49,12 @@ func main() {
 	period := flag.Duration("period", 50*time.Millisecond, "time between broadcasts")
 	flag.Parse()
 
-	tcp.RegisterWireTypes()
 	topo := types.NewTopology(2, 3)
 	counter := &a2Counter{}
 
 	rt := tcp.New(tcp.Config{
+		Config:   config.Config{BasePort: 23000, WANDelay: *wan},
 		Topo:     topo,
-		BasePort: 23000,
-		WANDelay: *wan,
 		Recorder: counter,
 	})
 

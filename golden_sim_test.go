@@ -38,7 +38,7 @@ func goldenRun(algo harness.Algo, withChaos bool) string {
 		Groups: 3, PerGroup: 3,
 		Inter: 20 * time.Millisecond, Intra: time.Millisecond,
 		Jitter: 3 * time.Millisecond, Seed: 11,
-		MaxBatch: 4, A1Pipeline: 2, A2Pipeline: 2,
+		MaxBatch: 4, Pipeline: 2,
 		Trace: func(format string, args ...any) {
 			fmt.Fprintf(&buf, format+"\n", args...)
 		},

@@ -51,7 +51,7 @@ func (p *skPend) less(q *skPend) bool {
 	return p.msg.ID.Less(q.msg.ID)
 }
 
-// Skeen wire messages, exported for gob registration.
+// Skeen wire messages; wire.go registers their codecs.
 type (
 	// SkeenData carries the multicast message to its destinations.
 	SkeenData struct{ M rmcast.Message }

@@ -47,8 +47,7 @@ import (
 // box; clients of this package propose message sets.
 type Value any
 
-// Wire message bodies. They are exported so the live transport can register
-// them with encoding/gob.
+// Wire message bodies; wire.go registers their codecs.
 type (
 	// ForwardMsg carries a proposal from a group member to the leader.
 	ForwardMsg struct {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -16,7 +17,7 @@ import (
 type BenchResult struct {
 	Name     string `json:"name"`     // benchmark identifier, e.g. "live-kv"
 	Topology string `json:"topology"` // "GxP", e.g. "8x3"
-	Lanes    int    `json:"lanes"`    // configured lane count (0 = per-process)
+	Lanes    int    `json:"lanes"`    // configured lane count (0 = one per group)
 	Cores    int    `json:"cores"`    // runtime.NumCPU() at run time
 	Casts    int    `json:"casts"`    // messages offered
 
@@ -30,7 +31,6 @@ type BenchResult struct {
 	FramesPerWrite   float64 `json:"frames_per_write,omitempty"`  // protocol messages / envelope write
 	CompressionRatio float64 `json:"compression_ratio,omitempty"` // raw/compressed payload over compressed envelopes
 	Bandwidth        string  `json:"bandwidth,omitempty"`         // configured per-link cap, ParseBandwidth form
-	Uncoalesced      bool    `json:"wire_uncoalesced,omitempty"`  // plain per-message frames (baseline codec)
 
 	// Simulation scale-sweep accounting (zero on live runs): throughput
 	// and allocation behavior of the discrete-event runtime itself at one
@@ -75,10 +75,11 @@ type BenchResult struct {
 }
 
 // SetWire fills the wire-traffic fields from a recorded WireStats
-// snapshot. Runs with no wire accounting (sim without bandwidth modeling,
-// gob codec) leave the fields zero so JSON omits them. WireBytesPerOp
-// divides by Casts, so set Casts first.
-func (r *BenchResult) SetWire(w metrics.WireStats, bandwidth string, uncoalesced bool) {
+// snapshot; bandwidth is the configured per-link cap in bytes per second.
+// Runs with no wire accounting (sim without bandwidth modeling) leave the
+// fields zero so JSON omits them. WireBytesPerOp divides by Casts, so set
+// Casts first.
+func (r *BenchResult) SetWire(w metrics.WireStats, bandwidth int64) {
 	if w.BytesOut == 0 {
 		return
 	}
@@ -88,8 +89,9 @@ func (r *BenchResult) SetWire(w metrics.WireStats, bandwidth string, uncoalesced
 	}
 	r.FramesPerWrite = w.FramesPerEnvelope()
 	r.CompressionRatio = w.CompressionRatio()
-	r.Bandwidth = bandwidth
-	r.Uncoalesced = uncoalesced
+	if bandwidth > 0 {
+		r.Bandwidth = strconv.FormatInt(bandwidth, 10) + "B/s"
+	}
 }
 
 // StageBreakdown converts the tracer's per-stage summaries into the
@@ -123,6 +125,12 @@ func WanHopHist(h map[int64]int) map[string]int {
 		out[strconv.FormatInt(d, 10)] = n
 	}
 	return out
+}
+
+// BenchJSONFlag registers -benchjson on fs: the file AppendBenchJSON
+// appends the run's record to.
+func BenchJSONFlag(fs *flag.FlagSet) *string {
+	return fs.String("benchjson", "", "append a machine-readable result record of the benchmark run to this JSON file")
 }
 
 // AppendBenchJSON appends r to the JSON array in path, creating the file

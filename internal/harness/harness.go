@@ -9,21 +9,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/baseline"
 	"wanamcast/internal/check"
+	"wanamcast/internal/config"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
-	"wanamcast/internal/wire"
 )
 
 // Algo names an algorithm the harness can build.
@@ -67,73 +65,9 @@ func Usagef(cmd, format string, args ...any) {
 	os.Exit(2)
 }
 
-// ValidatePortRange checks that n consecutive TCP ports starting at base
-// fit within 1..65535 — the live transport's process-p-listens-on-base+p
-// scheme, shared by every command that opens a live cluster.
-func ValidatePortRange(base, n int) error {
-	if base < 1 || base+n > 65536 {
-		return fmt.Errorf("base port %d leaves no room for %d processes (need ports %d..%d within 1..65535)",
-			base, n, base, base+n-1)
-	}
-	return nil
-}
-
-// ParseBandwidth parses a link-rate string into bytes per second. The
-// number may be fractional; the unit suffix (case-insensitive, optional
-// "/s") selects bits or bytes with decimal (1000-based) prefixes, the
-// networking convention: "50Mbit" = 50·10⁶ bit/s = 6.25·10⁶ B/s.
-// Accepted units: bit, kbit, Mbit, Gbit, B, kB, MB, GB; a bare number
-// means bytes per second. Zero or empty means uncapped; negative rates
-// and rates that round below one byte per second are rejected.
-func ParseBandwidth(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	num := strings.TrimRight(s, "/sS")
-	i := len(num)
-	for i > 0 {
-		c := num[i-1]
-		if c >= '0' && c <= '9' || c == '.' {
-			break
-		}
-		i--
-	}
-	unit, num := num[i:], num[:i]
-	val, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bandwidth %q: %q is not a number", s, num)
-	}
-	var scale float64 // bytes per unit
-	switch strings.ToLower(unit) {
-	case "", "b":
-		scale = 1
-	case "kb":
-		scale = 1e3
-	case "mb":
-		scale = 1e6
-	case "gb":
-		scale = 1e9
-	case "bit":
-		scale = 1.0 / 8
-	case "kbit":
-		scale = 1e3 / 8
-	case "mbit":
-		scale = 1e6 / 8
-	case "gbit":
-		scale = 1e9 / 8
-	default:
-		return 0, fmt.Errorf("bandwidth %q: unknown unit %q (want bit, kbit, Mbit, Gbit, B, kB, MB, or GB)", s, unit)
-	}
-	bytesPerSec := val * scale
-	if bytesPerSec < 0 {
-		return 0, fmt.Errorf("bandwidth %q: rate must be non-negative", s)
-	}
-	if val > 0 && bytesPerSec < 1 {
-		return 0, fmt.Errorf("bandwidth %q: rounds below one byte per second", s)
-	}
-	return int64(bytesPerSec), nil
-}
+// ParseBandwidth parses a link-rate string ("50Mbit", "6.25MB/s", a bare
+// bytes-per-second number) into bytes per second; see config.ParseBandwidth.
+func ParseBandwidth(s string) (int64, error) { return config.ParseBandwidth(s) }
 
 // MulticastAlgos lists the Figure 1(a) contenders in the paper's row order.
 func MulticastAlgos() []Algo {
@@ -145,7 +79,9 @@ func BroadcastAlgos() []Algo {
 	return []Algo{AlgoSousa, AlgoVicente, AlgoA2, AlgoDetMerge}
 }
 
-// Options configures a harness system.
+// Options configures a simulated harness system: the topology, the
+// network model, and the protocol engines' tuning. The live cluster's knobs
+// live in config.Config.
 type Options struct {
 	Groups   int
 	PerGroup int
@@ -167,180 +103,22 @@ type Options struct {
 	// A2KeepAlive sets A2's quiescence-predictor patience in rounds
 	// (0 means the paper's default of 1).
 	A2KeepAlive int
-	// A2Pipeline sets A2's rounds-in-flight limit (0 means the paper's
-	// sequential 1).
-	A2Pipeline int
-	// A1Pipeline sets A1's consensus-instances-in-flight limit (0 means
-	// the paper's sequential 1).
-	A1Pipeline int
+	// Pipeline sets the consensus-instances-in-flight limit of A1 and the
+	// rounds-in-flight limit of A2 (0 means the paper's sequential 1).
+	Pipeline int
 	// MaxBatch caps how many messages one consensus instance may order in
 	// A1 and A2 (0 means unbounded, the paper's rule).
 	MaxBatch int
-	// SendQueue and FlushEvery tune the live TCP transport when the same
-	// workload options drive a real cluster (cmd/wansim -live, cmd/wannode):
-	// SendQueue bounds each connection's outbound frame queue and
-	// FlushEvery caps write coalescing latency. The simulated runtime has
-	// no transport and ignores both.
-	SendQueue  int
-	FlushEvery time.Duration
-	// GobWire reverts the live transport to the legacy encoding/gob codec
-	// (benchmark baseline); ignored by the simulated runtime.
-	GobWire bool
-	// Bandwidth caps every link at this rate (ParseBandwidth forms, e.g.
-	// "50Mbit", "6.25MB"; empty or "0" = uncapped). The simulator adds the
-	// transmission delay and per-link FIFO queueing to its delay model; the
-	// live transport paces each connection's writer. Heartbeats are exempt
-	// on the live path — a saturated link must not look like a crash.
-	Bandwidth string
-	// Uncoalesced reverts the live transport to one plain frame per
-	// protocol message (no batch envelopes, no compression) — the
-	// bandwidth-efficiency baseline. Ignored by the simulated runtime,
-	// which sizes each message as its own frame either way.
-	Uncoalesced bool
-	// CompressMin is the live transport's batch compression threshold in
-	// bytes (0 = default wire.MinCompress, negative = compression off).
-	// Positive values below wire.MinCompress (one MTU) are rejected.
-	CompressMin int
-	// DataDir enables durability on a live cluster: each process persists
-	// its WAL and snapshots under DataDir/p<N> and can be crash-recovered
-	// (LiveCluster.Restart; wannode recovers at startup). Empty disables
-	// persistence. The simulated runtime has no crashes to recover from
-	// and ignores it.
-	DataDir string
-	// NoFsync keeps writing the WAL but skips the fsync barriers: the
-	// "fsync=off" benchmark configuration. Ignored without DataDir.
-	NoFsync bool
-	// SnapshotEvery is the live cluster's snapshot cadence in deliveries
-	// per process (0 = default 512, negative disables automatic
-	// snapshots). Ignored without DataDir.
-	SnapshotEvery int
-	// Lanes shards a live cluster's processes across exactly this many
-	// ordering lane goroutines by group (0 = one goroutine per process,
-	// the historical layout), and routes WAL barriers through the
-	// group-commit syncer. The simulated runtime executes single-threaded
-	// regardless; there Lanes only configures the lane accounting
-	// (node.Runtime.SetLanes), preserving byte-identical traces.
+	// Bandwidth caps every link at this many bytes per second (0 =
+	// uncapped): the simulator adds the transmission delay and per-link
+	// FIFO queueing to its delay model.
+	Bandwidth int64
+	// Lanes configures the lane accounting (node.Runtime.SetLanes). The
+	// simulated runtime executes single-threaded regardless, so traces stay
+	// byte-identical.
 	Lanes int
-	// InboxSize bounds each live lane's lock-free inbox ring (default
-	// 4096); a full ring parks events, never drops. Ignored by the
-	// simulated runtime.
-	InboxSize int
-	// CPUProfile, MemProfile, and MutexProfile are file paths for pprof
-	// output; empty disables each. Commands wire them to -cpuprofile,
-	// -memprofile, and -mutexprofile and call StartProfiles around the
-	// run.
-	CPUProfile   string
-	MemProfile   string
-	MutexProfile string
-	// BenchJSON, when set, appends a machine-readable BenchResult record
-	// to this file after a live benchmark run (see AppendBenchJSON).
-	BenchJSON string
-	// ReadFraction is the read share of a KV load in [0,1] (0 = the
-	// historical write-only load). Only live KV commands consume it.
-	ReadFraction float64
-	// Consistency names the read mode of a KV load: "ordered" (full
-	// total-order round), "lease" (leader-local linearizable), or
-	// "watermark" (any-replica monotonic). Empty means ordered.
-	Consistency string
-	// LeaseDuration enables leader leases on a live cluster (0 disables);
-	// MaxClockSkew is the drift guard subtracted from every lease window
-	// (default 10 ms when leases are on).
-	LeaseDuration time.Duration
-	MaxClockSkew  time.Duration
-	// TelemetryAddr, when non-empty, serves the live introspection plane
-	// (Prometheus-text /metrics, recent spans on /spans, /healthz) on this
-	// host:port while the command runs. Setting it also enables lifecycle
-	// span tracing — see TraceLifecycle. Ignored by the pure simulator.
-	TelemetryAddr string
-	// SpanBuf bounds each ordering lane's lifecycle-span ring (0 =
-	// default 4096 events). A positive value enables span tracing.
-	SpanBuf int
-	// FlightDump arms the live cluster's flight recorder: the retained
-	// spans dump as JSONL to this path on a §2.2 checker violation, an
-	// abandoned state transfer, or a crash-restart. Enables span tracing.
-	FlightDump string
 	// Trace receives debug lines if non-nil.
 	Trace func(format string, args ...any)
-}
-
-// BandwidthBytes returns the parsed Options.Bandwidth in bytes per second
-// (0 = uncapped). Call Validate first; a malformed rate parses as uncapped
-// here.
-func (o Options) BandwidthBytes() int64 {
-	bw, err := ParseBandwidth(o.Bandwidth)
-	if err != nil {
-		return 0
-	}
-	return bw
-}
-
-// TraceLifecycle reports whether the options ask for lifecycle span
-// tracing: any of the telemetry plane, a span buffer size, or a flight
-// dump path implies it.
-func (o Options) TraceLifecycle() bool {
-	return o.TelemetryAddr != "" || o.SpanBuf > 0 || o.FlightDump != ""
-}
-
-// Validate rejects option values that would panic deep inside a run —
-// non-positive topologies, negative delays or queue sizes. Commands
-// validate flags through it so a bad invocation dies with a usage message
-// instead of a mid-run panic. Zero values are fine (fill() defaults them).
-func (o Options) Validate() error {
-	switch {
-	case o.Groups < 0 || o.PerGroup < 0:
-		return fmt.Errorf("topology must be positive: %d groups x %d processes", o.Groups, o.PerGroup)
-	case o.Inter < 0 || o.Intra < 0 || o.Jitter < 0:
-		return fmt.Errorf("delays must be non-negative: inter=%v intra=%v jitter=%v", o.Inter, o.Intra, o.Jitter)
-	case o.MaxBatch < 0:
-		return fmt.Errorf("max batch must be non-negative: %d", o.MaxBatch)
-	case o.A1Pipeline < 0 || o.A2Pipeline < 0:
-		return fmt.Errorf("pipeline depth must be non-negative: a1=%d a2=%d", o.A1Pipeline, o.A2Pipeline)
-	case o.A2KeepAlive < 0:
-		return fmt.Errorf("keep-alive rounds must be non-negative: %d", o.A2KeepAlive)
-	case o.SendQueue < 0:
-		return fmt.Errorf("send queue depth must be non-negative: %d", o.SendQueue)
-	case o.FlushEvery < 0:
-		return fmt.Errorf("flush interval must be non-negative: %v", o.FlushEvery)
-	case o.ConsensusRetry < 0:
-		return fmt.Errorf("consensus retry must be non-negative: %v", o.ConsensusRetry)
-	case o.Lanes < 0:
-		return fmt.Errorf("lane count must be non-negative: %d", o.Lanes)
-	case o.InboxSize < 0:
-		return fmt.Errorf("inbox size must be non-negative: %d", o.InboxSize)
-	case o.NoFsync && o.DataDir == "":
-		return fmt.Errorf("fsync=off is meaningless without a data dir")
-	case o.SnapshotEvery != 0 && o.DataDir == "":
-		return fmt.Errorf("snapshot cadence is meaningless without a data dir")
-	case o.ReadFraction < 0 || o.ReadFraction > 1:
-		return fmt.Errorf("read fraction must be within [0,1]: %v", o.ReadFraction)
-	case o.LeaseDuration < 0 || o.MaxClockSkew < 0:
-		return fmt.Errorf("lease duration and clock skew must be non-negative: %v, %v", o.LeaseDuration, o.MaxClockSkew)
-	case o.MaxClockSkew > 0 && o.LeaseDuration == 0:
-		return fmt.Errorf("a clock-skew guard is meaningless without leases (set a lease duration)")
-	case o.LeaseDuration > 0 && o.MaxClockSkew >= o.LeaseDuration:
-		return fmt.Errorf("the clock-skew guard %v consumes the whole lease window %v", o.MaxClockSkew, o.LeaseDuration)
-	case o.SpanBuf < 0:
-		return fmt.Errorf("span buffer size must be non-negative: %d", o.SpanBuf)
-	case o.CompressMin > 0 && o.CompressMin < wire.MinCompress:
-		return fmt.Errorf("compression threshold %d is below one MTU (%d): compressing sub-packet payloads burns CPU for nothing", o.CompressMin, wire.MinCompress)
-	}
-	if _, err := ParseBandwidth(o.Bandwidth); err != nil {
-		return err
-	}
-	if o.TelemetryAddr != "" {
-		if err := ValidateTelemetryAddr(o.TelemetryAddr); err != nil {
-			return err
-		}
-	}
-	switch o.Consistency {
-	case "", "ordered", "lease", "watermark":
-	default:
-		return fmt.Errorf("consistency must be ordered, lease, or watermark: %q", o.Consistency)
-	}
-	if o.Consistency == "lease" && o.LeaseDuration == 0 {
-		return fmt.Errorf("lease-consistent reads need leader leases enabled (set a lease duration)")
-	}
-	return nil
 }
 
 func (o *Options) fill() {
@@ -402,7 +180,7 @@ func Build(algo Algo, opts Options) *System {
 	topo := types.NewTopology(opts.Groups, opts.PerGroup)
 	col := &metrics.Collector{LogSends: opts.LogSends}
 	model := network.Model{IntraGroup: opts.Intra, InterGroup: opts.Inter, Jitter: opts.Jitter,
-		Bandwidth: opts.BandwidthBytes()}
+		Bandwidth: opts.Bandwidth}
 	rt := node.NewRuntime(topo, model, opts.Seed, col)
 	rt.Trace = opts.Trace
 	rt.SetLanes(opts.Lanes)
@@ -426,7 +204,7 @@ func Build(algo Algo, opts Options) *System {
 			a := amcast.New(amcast.Config{
 				Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliver,
 				SkipStages: true, ConsensusRetry: opts.ConsensusRetry,
-				MaxBatch: opts.MaxBatch, Pipeline: opts.A1Pipeline,
+				MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline,
 			})
 			s.casters[id] = castFunc(a.AMCast)
 		case AlgoFritzke:
@@ -436,7 +214,7 @@ func Build(algo Algo, opts Options) *System {
 			b := abcast.New(abcast.Config{
 				Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliverKV,
 				ConsensusRetry: opts.ConsensusRetry, AlwaysOn: opts.A2AlwaysOn,
-				KeepAliveRounds: opts.A2KeepAlive, Pipeline: opts.A2Pipeline,
+				KeepAliveRounds: opts.A2KeepAlive, Pipeline: opts.Pipeline,
 				MaxBatch: opts.MaxBatch,
 			})
 			s.casters[id] = castFunc(func(payload any, dest types.GroupSet) types.MessageID {

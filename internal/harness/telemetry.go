@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -50,6 +51,28 @@ func (t *TelemetryServer) Addr() string { return t.ln.Addr().String() }
 
 // Close shuts the plane down. Idempotent.
 func (t *TelemetryServer) Close() { _ = t.srv.Close() }
+
+// TelemetryFlag registers -telemetry on fs and returns where its value
+// lands: the host:port (":9090", "127.0.0.1:0", ...; an empty host binds
+// all interfaces) the command hands to ServeTelemetry while its cluster
+// runs. Giving the flag also sets *traceSpans — the plane's stage
+// histograms and /spans are the tracer's output.
+func TelemetryFlag(fs *flag.FlagSet, traceSpans *bool) *string {
+	addr := new(string)
+	fs.Func("telemetry", "serve the introspection plane (/metrics, /spans, /healthz) on this `host:port`; enables lifecycle tracing",
+		func(s string) error {
+			_, port, err := net.SplitHostPort(s)
+			if err != nil {
+				return fmt.Errorf("must be host:port")
+			}
+			if p, err := strconv.Atoi(port); err != nil || p < 0 || p > 65535 {
+				return fmt.Errorf("port must be 0..65535: %q", port)
+			}
+			*addr, *traceSpans = s, true
+			return nil
+		})
+	return addr
+}
 
 // ServeTelemetry binds addr and serves the introspection plane on it:
 // Prometheus-text metrics on /metrics, the recent span dump (JSONL) on
@@ -155,18 +178,4 @@ func writeMetrics(w io.Writer, t Telemetry) {
 		}
 	}
 	fmt.Fprintf(w, "wanamcast_scrape_time_seconds %g\n", float64(time.Now().UnixNano())/1e9)
-}
-
-// ValidateTelemetryAddr rejects -telemetry values that cannot be
-// listened on: the flag takes a host:port (":9090", "127.0.0.1:0", ...).
-func ValidateTelemetryAddr(addr string) error {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return fmt.Errorf("telemetry address must be host:port: %q", addr)
-	}
-	_ = host // empty host (":9090") binds all interfaces — fine
-	if p, err := strconv.Atoi(port); err != nil || p < 0 || p > 65535 {
-		return fmt.Errorf("telemetry port must be 0..65535: %q", port)
-	}
-	return nil
 }

@@ -147,7 +147,7 @@ func (rt *Runtime) Fabric() *network.Fabric { return rt.fabric }
 func (rt *Runtime) Scheduler() *sim.Scheduler { return rt.sched }
 
 // SetLanes configures the lane accounting to mirror a live runtime with
-// the given lane count (0 = one lane per process, the live default).
+// the given lane count (0 = one lane per process).
 // Call before Run; execution is unaffected — see the field docs.
 func (rt *Runtime) SetLanes(n int) {
 	rt.lanes = n

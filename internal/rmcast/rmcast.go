@@ -61,8 +61,7 @@ type Message struct {
 	Payload any
 }
 
-// DataMsg is the wire envelope. Exported for gob registration by the live
-// transport.
+// DataMsg is the wire envelope; wire.go registers its codec.
 type DataMsg struct {
 	M Message
 }

@@ -16,7 +16,6 @@ package svc
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 
 	"wanamcast/internal/types"
@@ -131,8 +130,6 @@ func (r *KeyRing) VerifyCertificate(c Certificate, members []types.ProcessID) er
 }
 
 func init() {
-	gob.Register(CertReq{})
-	gob.Register(CertShare{})
 	wire.Register(wire.KindSvcCertReq, appendCertReq, decodeCertReq)
 	wire.Register(wire.KindSvcCertShare, appendCertShare, decodeCertShare)
 }

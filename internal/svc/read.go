@@ -9,8 +9,6 @@
 package svc
 
 import (
-	"encoding/gob"
-
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
@@ -49,8 +47,6 @@ type ReadResp struct {
 }
 
 func init() {
-	gob.Register(ReadReq{})
-	gob.Register(ReadResp{})
 	wire.Register(wire.KindSvcReadReq, appendReadReq, decodeReadReq)
 	wire.Register(wire.KindSvcReadResp, appendReadResp, decodeReadResp)
 }

@@ -1,8 +1,6 @@
 package svc
 
 import (
-	"encoding/gob"
-
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
@@ -53,13 +51,6 @@ type Redirect struct {
 }
 
 func init() {
-	// The gob registrations keep the CodecGob transport and the gob
-	// fallback path working for service payloads.
-	gob.Register(Command{})
-	gob.Register(Request{})
-	gob.Register(Reply{})
-	gob.Register(Redirect{})
-
 	wire.Register(wire.KindSvcCommand, appendCommand, decodeCommand)
 	wire.Register(wire.KindSvcRequest, appendRequest, decodeRequest)
 	wire.Register(wire.KindSvcReply, appendReply, decodeReply)

@@ -18,7 +18,6 @@ func TestReceiveEnvelopeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin holds without it")
 	}
-	RegisterWireTypes()
 	var bw wire.BatchWriter
 	bw.Begin(3)
 	for i := 0; i < 16; i++ {
@@ -66,7 +65,6 @@ func TestReceiveEnvelopeZeroAllocs(t *testing.T) {
 }
 
 func BenchmarkReceiveEnvelope(b *testing.B) {
-	RegisterWireTypes()
 	var bw wire.BatchWriter
 	bw.Begin(3)
 	for i := 0; i < 16; i++ {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wanamcast/internal/abcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
 )
@@ -42,7 +43,6 @@ func (s *sinkProto) count() int {
 // burst of sends from the process loop must return immediately, and a
 // frame to a live peer must still arrive promptly.
 func TestDeadPeerDoesNotStallLoop(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 4) // p0 sender, p1 live, p2 wedged, p3 dead
 	const basePort = 21700
 
@@ -75,8 +75,8 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	// p3's port is simply never opened: dials fail outright.
 
 	flush := 5 * time.Millisecond
-	rtA := New(Config{Topo: topo, Local: []types.ProcessID{0}, BasePort: basePort, FlushEvery: flush, DialTimeout: 200 * time.Millisecond})
-	rtB := New(Config{Topo: topo, Local: []types.ProcessID{1}, BasePort: basePort, FlushEvery: flush})
+	rtA := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: basePort, FlushEvery: flush, DialTimeout: 200 * time.Millisecond}})
+	rtB := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: config.Config{BasePort: basePort, FlushEvery: flush}})
 	sink := &sinkProto{name: "t"}
 	rtB.Proc(1).Register(sink)
 	// Start the receiver first so p0's link to p1 connects on its first
@@ -139,9 +139,8 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 // Later must not fire once its owning process has crashed — the same
 // guarantee node.Runtime.Later gives the simulator.
 func TestLaterDropsCrashedOwnerTimers(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 2)
-	rt := New(Config{Topo: topo, BasePort: 21850})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 21850}})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +172,12 @@ func TestLaterDropsCrashedOwnerTimers(t *testing.T) {
 // TestTraceCapturesTransportEvents: Config.Trace receives receive-path
 // trace lines, so live tracing behaves like the simulator's.
 func TestTraceCapturesTransportEvents(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 2)
 	var mu sync.Mutex
 	var lines []string
 	rt := New(Config{
-		Topo:     topo,
-		BasePort: 21800,
+		Topo:   topo,
+		Config: config.Config{BasePort: 21800},
 		Trace: func(format string, args ...any) {
 			mu.Lock()
 			lines = append(lines, format)
@@ -216,37 +214,6 @@ func TestTraceCapturesTransportEvents(t *testing.T) {
 	if !found {
 		t.Fatalf("no receive trace lines captured (got %d lines)", len(lines))
 	}
-}
-
-// TestGobCodecStillWorks: the legacy gob stream remains a working
-// transport configuration (it is the benchmark baseline).
-func TestGobCodecStillWorks(t *testing.T) {
-	RegisterWireTypes()
-	topo := types.NewTopology(2, 2)
-	rt := New(Config{Topo: topo, BasePort: 21900, WANDelay: 10 * time.Millisecond, Codec: CodecGob})
-	log := newLog()
-	eps := make([]*abcast.Bcast, topo.N())
-	for _, id := range topo.AllProcesses() {
-		id := id
-		eps[id] = abcast.New(abcast.Config{
-			Host:      rt.Proc(id),
-			Detector:  rt.Detector(id),
-			OnDeliver: func(mid types.MessageID, _ any) { log.add(id, mid) },
-		})
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	rt.Run(0, func() { eps[0].ABCast("via-gob") })
-	waitFor(t, 10*time.Second, func() bool {
-		for _, p := range topo.AllProcesses() {
-			if len(log.seq(p)) < 1 {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 var _ node.Protocol = (*sinkProto)(nil)

@@ -6,24 +6,30 @@ import (
 	"time"
 
 	"wanamcast/internal/abcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/types"
 )
 
-// TestLaneLayout pins the lane-assignment contract: Lanes=0 keeps the
-// historical one-lane-per-process layout, Lanes=N shards by group mod N,
-// and Lanes=1 serialises everything onto a single goroutine.
+// TestLaneLayout pins the lane-assignment contract: Lanes=0 means one lane
+// per hosted group, Lanes=N shards by group mod N, and Lanes=1 serialises
+// everything onto a single goroutine.
 func TestLaneLayout(t *testing.T) {
 	topo := types.NewTopology(4, 2) // groups {0,1},{2,3},{4,5},{6,7}
 
-	legacy := New(Config{Topo: topo, BasePort: 22000})
-	if got := legacy.LaneCount(); got != topo.N() {
-		t.Fatalf("Lanes=0: %d lanes, want %d (one per process)", got, topo.N())
+	def := New(Config{Topo: topo, Config: config.Config{BasePort: 22000}})
+	if got := def.LaneCount(); got != topo.NumGroups() {
+		t.Fatalf("Lanes=0: %d lanes, want %d (one per group)", got, topo.NumGroups())
 	}
-	if legacy.SameLane(0, 1) {
-		t.Fatal("Lanes=0: group peers must not share a lane")
+	if !def.SameLane(0, 1) || def.SameLane(1, 2) {
+		t.Fatal("Lanes=0: group peers must share a lane, different groups must not")
+	}
+	// Hosting a subset starts lanes for the hosted groups only.
+	part := New(Config{Topo: topo, Local: []types.ProcessID{2, 6, 7}, Config: config.Config{BasePort: 22000}})
+	if got := part.LaneCount(); got != 2 {
+		t.Fatalf("Lanes=0 hosting groups 1 and 3: %d lanes, want 2", got)
 	}
 
-	two := New(Config{Topo: topo, BasePort: 22000, Lanes: 2})
+	two := New(Config{Topo: topo, Config: config.Config{BasePort: 22000, Lanes: 2}})
 	if got := two.LaneCount(); got != 2 {
 		t.Fatalf("Lanes=2: %d lanes, want 2", got)
 	}
@@ -43,7 +49,7 @@ func TestLaneLayout(t *testing.T) {
 		t.Fatal("Lanes=2: groups 0 and 1 must be on different lanes")
 	}
 
-	one := New(Config{Topo: topo, BasePort: 22000, Lanes: 1})
+	one := New(Config{Topo: topo, Config: config.Config{BasePort: 22000, Lanes: 1}})
 	if got := one.LaneCount(); got != 1 {
 		t.Fatalf("Lanes=1: %d lanes, want 1", got)
 	}
@@ -58,7 +64,7 @@ func TestLaneLayout(t *testing.T) {
 // parked, never dropped.
 func TestLaneInboxOverflowParks(t *testing.T) {
 	topo := types.NewTopology(1, 2)
-	rt := New(Config{Topo: topo, BasePort: 22010, Lanes: 1, InboxSize: 8})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 22010, Lanes: 1, InboxSize: 8}})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +117,10 @@ func TestLaneInboxOverflowParks(t *testing.T) {
 // four processes multiplexed onto two lanes over real sockets: sharing a
 // lane must be invisible to the protocols.
 func TestLiveBroadcastLanesShared(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 2)
 	rt := New(Config{
-		Topo:     topo,
-		BasePort: 22020,
-		WANDelay: 5 * time.Millisecond,
-		Lanes:    2,
+		Topo:   topo,
+		Config: config.Config{BasePort: 22020, WANDelay: 5 * time.Millisecond, Lanes: 2},
 	})
 	log := newLog()
 	eps := make([]*abcast.Bcast, topo.N())

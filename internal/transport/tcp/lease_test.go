@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/config"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
@@ -13,7 +14,6 @@ import (
 // codec exactly, including negative and large beats, and truncations
 // error instead of panicking.
 func TestLeaseWireRoundTrip(t *testing.T) {
-	RegisterWireTypes()
 	for _, v := range []any{
 		&heartbeatMsg{Beat: 0},
 		&heartbeatMsg{Beat: -5},
@@ -52,14 +52,10 @@ func TestLeaseWireRoundTrip(t *testing.T) {
 // holder's lease lapses strictly before the successor's activates, which
 // is the whole safety argument for serving reads under it.
 func TestLeaderLeaseAcquireAndFence(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 3)
 	rt := New(Config{
-		Topo:           topo,
-		BasePort:       27200,
-		HeartbeatEvery: 10 * time.Millisecond,
-		SuspectAfter:   60 * time.Millisecond,
-		LeaseDuration:  80 * time.Millisecond,
+		Topo:   topo,
+		Config: config.Config{BasePort: 27200, HeartbeatEvery: 10 * time.Millisecond, SuspectAfter: 60 * time.Millisecond, LeaseDuration: 80 * time.Millisecond},
 	})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wanamcast/internal/abcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/types"
 )
 
@@ -13,16 +14,14 @@ import (
 // and checks that a broadcast crosses the runtime boundary and totally
 // orders everywhere.
 func TestMultiRuntimeBroadcast(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 2)
 	log := newLog()
 
 	mk := func(local []types.ProcessID) (*Runtime, map[types.ProcessID]*abcast.Bcast) {
 		rt := New(Config{
-			Topo:     topo,
-			Local:    local,
-			BasePort: 21500,
-			WANDelay: 15 * time.Millisecond,
+			Topo:   topo,
+			Local:  local,
+			Config: config.Config{BasePort: 21500, WANDelay: 15 * time.Millisecond},
 		})
 		eps := make(map[types.ProcessID]*abcast.Bcast)
 		for _, id := range local {
@@ -77,7 +76,7 @@ func TestMultiRuntimeBroadcast(t *testing.T) {
 // is a wiring bug and must panic.
 func TestProcPanicsForRemote(t *testing.T) {
 	topo := types.NewTopology(2, 1)
-	rt := New(Config{Topo: topo, Local: []types.ProcessID{0}, BasePort: 21600})
+	rt := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: 21600}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for non-local process")

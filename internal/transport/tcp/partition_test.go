@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/config"
 	"wanamcast/internal/types"
 )
 
@@ -33,9 +34,8 @@ func (s *sink) snapshot() []string {
 // real partition) and delivered after the heal — without any further
 // traffic on the link, so this also pins the heal wake-up path.
 func TestPartitionHoldsFramesUntilHeal(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 1)
-	rt := New(Config{Topo: topo, BasePort: 26000, WANDelay: time.Millisecond})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 26000, WANDelay: time.Millisecond}})
 	s := &sink{}
 	rt.Proc(0).Register(&sink{})
 	rt.Proc(1).Register(s)
@@ -60,9 +60,8 @@ func TestPartitionHoldsFramesUntilHeal(t *testing.T) {
 
 // TestPartitionIsDirectional: severing 0→1 leaves 1→0 delivering.
 func TestPartitionIsDirectional(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 1)
-	rt := New(Config{Topo: topo, BasePort: 26010, WANDelay: time.Millisecond})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 26010, WANDelay: time.Millisecond}})
 	s0 := &sink{}
 	rt.Proc(0).Register(s0)
 	rt.Proc(1).Register(&sink{})
@@ -81,13 +80,10 @@ func TestPartitionIsDirectional(t *testing.T) {
 // heal lets beats resume, trust is restored, and the old leader is
 // re-elected — subscribers see both changes.
 func TestPartitionSuspicionAndTrustRestore(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 2)
 	rt := New(Config{
-		Topo:           topo,
-		BasePort:       26020,
-		HeartbeatEvery: 10 * time.Millisecond,
-		SuspectAfter:   60 * time.Millisecond,
+		Topo:   topo,
+		Config: config.Config{BasePort: 26020, HeartbeatEvery: 10 * time.Millisecond, SuspectAfter: 60 * time.Millisecond},
 	})
 	for _, id := range topo.AllProcesses() {
 		rt.Proc(id).Register(&sink{})
@@ -129,9 +125,8 @@ func TestPartitionSuspicionAndTrustRestore(t *testing.T) {
 // TestDelaySpikeOverride: a per-link fabric delay override replaces the
 // static injected delay at dispatch time.
 func TestDelaySpikeOverride(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 1)
-	rt := New(Config{Topo: topo, BasePort: 26030, WANDelay: time.Millisecond})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 26030, WANDelay: time.Millisecond}})
 	s := &sink{}
 	rt.Proc(0).Register(&sink{})
 	rt.Proc(1).Register(s)

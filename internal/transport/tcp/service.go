@@ -43,7 +43,7 @@ func NewSvcConn(c net.Conn) *SvcConn {
 // SvcDial connects to a service listener.
 func SvcDial(addr string, timeout time.Duration) (*SvcConn, error) {
 	if timeout <= 0 {
-		timeout = DefaultDialTimeout
+		timeout = time.Second
 	}
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {

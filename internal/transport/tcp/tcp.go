@@ -7,12 +7,11 @@
 // frames, timers, and local hand-offs are funneled through the lane's
 // lock-free inbox ring and executed by the lane goroutine, so protocol
 // code keeps the paper's "each line executes atomically" semantics
-// without internal locking. By default each hosted process gets its own
-// lane (the historical one-goroutine-per-process layout); Config.Lanes
-// shards processes across exactly N lane goroutines by group
-// (lane = group mod Lanes), so a replica hosting many groups can pin its
-// parallelism — the paper's genuine multicast coordinates groups only
-// through messages, which cross lanes as ordinary inbox events. The
+// without internal locking. Processes shard across Config.Lanes lane
+// goroutines by group (lane = group mod Lanes; by default one lane per
+// group), so a replica hosting many groups can pin its parallelism — the
+// paper's genuine multicast coordinates groups only through messages,
+// which cross lanes as ordinary inbox events. The
 // receive path demultiplexes decoded frames straight into the
 // destination process's lane ring (no intermediate closure, no global
 // inbox hop), and the decoded wire body is handed to the protocol
@@ -40,16 +39,14 @@
 // processes, and the protocols' retry timers recover any frame dropped
 // toward a live one.
 //
-// The default wire format is the zero-allocation internal/wire codec;
-// Config.Codec can revert to the legacy encoding/gob stream (the benchmark
-// baseline). Either way, call RegisterWireTypes (or gob-register your
-// payload types) before Start: non-basic application payloads always ride
-// the gob path.
+// The wire format is the zero-allocation internal/wire codec. Every
+// protocol message has a registered codec there; only application payloads
+// of non-basic types ride its gob fallback, so gob-register those before
+// Start.
 package tcp
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -58,51 +55,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wanamcast/internal/abcast"
-	"wanamcast/internal/amcast"
-	"wanamcast/internal/baseline"
-	"wanamcast/internal/consensus"
+	"wanamcast/internal/config"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/ring"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
-
-// RegisterWireTypes registers every protocol message of this repository
-// with encoding/gob (the legacy codec and the fallback payload path).
-// Application payloads beyond the basic types must be registered separately
-// by the caller.
-func RegisterWireTypes() {
-	gob.Register(types.MessageID{})
-	gob.Register(types.GroupSet{})
-	gob.Register(consensus.ForwardMsg{})
-	gob.Register(consensus.PrepareMsg{})
-	gob.Register(consensus.PromiseMsg{})
-	gob.Register(consensus.AcceptMsg{})
-	gob.Register(consensus.AcceptedMsg{})
-	gob.Register(consensus.DecideMsg{})
-	gob.Register(consensus.LearnMsg{})
-	gob.Register(rmcast.DataMsg{})
-	gob.Register(rmcast.Message{})
-	gob.Register(amcast.TSMsg{})
-	gob.Register(amcast.Descriptor{})
-	gob.Register([]amcast.Descriptor{})
-	gob.Register(amcast.SyncReq{})
-	gob.Register(amcast.SyncResp{})
-	gob.Register(abcast.BundleMsg{})
-	gob.Register(abcast.Record{})
-	gob.Register([]abcast.Record{})
-	gob.Register(abcast.SyncReq{})
-	gob.Register(abcast.SyncResp{})
-	gob.Register(baseline.SkeenData{})
-	gob.Register(baseline.SkeenProp{})
-	gob.Register(&heartbeatMsg{})
-	gob.Register(&leaseGrantMsg{})
-}
 
 // The failure detector's messages are the highest-frequency frames a quiet
 // deployment receives, so their decoded bodies come from free-lists: the
@@ -139,143 +100,31 @@ func init() {
 		})
 }
 
-// gobFrame is the legacy gob wire envelope (Config.Codec = CodecGob).
-type gobFrame struct {
-	From  types.ProcessID
-	Proto string
-	TS    int64
-	Body  any
-}
-
-// Codec selects the transport's wire format.
-type Codec int
-
-const (
-	// CodecWire is the zero-allocation length-prefixed binary codec
-	// (internal/wire). The default.
-	CodecWire Codec = iota
-	// CodecGob is the legacy encoding/gob stream, kept as the benchmark
-	// baseline and as an escape hatch for exotic payloads.
-	CodecGob
-)
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	switch c {
-	case CodecWire:
-		return "wire"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", int(c))
-	}
-}
-
-// Default values for the transport knobs (see Config).
-const (
-	DefaultSendQueue   = 4096
-	DefaultInboxSize   = 4096
-	DefaultFlushEvery  = 200 * time.Microsecond
-	DefaultDialTimeout = time.Second
-)
-
 // Config configures a live runtime. By default it hosts every process of
 // topo in one OS process (each on its own localhost TCP port); set Local
 // to host only a subset and run the rest of Π in other OS processes (see
 // cmd/wannode) — the wire protocol is identical either way.
 type Config struct {
+	// Config holds the knobs (ports, delays, detector, lanes, queues, …).
+	// Topo, not its Groups and PerGroup, is the authority on the shape.
+	config.Config
 	Topo *types.Topology
 	// Local lists the processes this runtime hosts. Nil means all of Π.
 	Local []types.ProcessID
-	// BasePort: process p listens on BasePort+p (default 19000).
-	BasePort int
-	// WANDelay is the injected one-way delay for inter-group frames
-	// (default 100 ms). LANDelay applies within a group (default 0: the
-	// loopback's real latency).
-	WANDelay time.Duration
-	LANDelay time.Duration
-	// Bandwidth caps every link at this many bytes per second (0 =
-	// uncapped): each connection's writer paces itself so a flushed burst
-	// occupies the link for its transmission time before further protocol
-	// frames go out. Builds into the private fabric's base model; with an
-	// injected Config.Fabric the fabric's own base (plus per-link
-	// SetBandwidth overrides) governs instead. fd frames are exempt — see
-	// fdProto.
-	Bandwidth int64
-	// HeartbeatEvery and SuspectAfter tune the failure detector
-	// (defaults 50 ms and 250 ms).
-	HeartbeatEvery time.Duration
-	SuspectAfter   time.Duration
-	// LeaseDuration enables leader leases: each beat a group's leader
-	// sends doubles as a lease request its followers countersign, and a
-	// majority of countersignatures lets the leader serve linearizable
-	// reads locally until (beat + LeaseDuration − MaxClockSkew). 0 (the
-	// default) disables leases; Lease(id) then stays permanently invalid.
-	// Must comfortably exceed HeartbeatEvery so grants renew the lease
-	// before it expires.
-	LeaseDuration time.Duration
-	// MaxClockSkew is the lease safety margin: the holder shortens its
-	// claim by it while granters lengthen their fencing promise by it, so
-	// clock RATE drift up to MaxClockSkew per lease window cannot overlap
-	// an old holder with a successor (offsets cancel — see leaseGrantMsg).
-	// Defaults to 10 ms when leases are enabled.
-	MaxClockSkew time.Duration
-	// Lanes shards the hosted processes across exactly this many ordering
-	// lane goroutines, by group: process p runs on lane
-	// group(p) mod Lanes, so a group's whole protocol state stays
-	// confined to one lane while different groups order in parallel on
-	// different cores. 0 (the default) keeps the historical layout — one
-	// lane per hosted process. Lanes=1 serialises every hosted process
-	// onto a single goroutine (the single-core baseline the lane-scaling
-	// benchmark measures against).
-	Lanes int
-	// InboxSize bounds each lane's lock-free inbox ring (default 4096).
-	// A full ring PARKS further events in an unbounded overflow list —
-	// inbox events (consensus replies, timers, deliveries) are never
-	// dropped, unlike SendQueue's frames, whose loss is retry-safe.
-	InboxSize int
-	// SendQueue bounds each connection's outbound frame queue (default
-	// 4096). A full queue drops the frame instead of blocking the sender's
-	// process loop; protocol retry timers recover drops toward live peers.
-	SendQueue int
-	// FlushEvery caps how long an encoded frame may sit in a connection's
-	// write buffer before it is flushed (default 200 µs). Within the
-	// window the writer coalesces every queued frame into one syscall.
-	FlushEvery time.Duration
-	// DialTimeout bounds each connect attempt (default 1 s). Dials run on
-	// writer goroutines, never on process loops; after a failed dial the
-	// connection backs off for DialTimeout before trying again, dropping
-	// frames meanwhile.
-	DialTimeout time.Duration
-	// Codec selects the wire format (default CodecWire). Both ends of a
-	// deployment must agree.
-	Codec Codec
-	// Uncoalesced disables batch envelopes: every protocol message goes out
-	// as its own length-prefixed frame, one preamble per message, never
-	// compressed. This is the pre-envelope wire format, kept as the
-	// bandwidth-efficiency baseline the WAN benchmarks compare against.
-	// Receivers always understand both forms.
-	Uncoalesced bool
-	// CompressMin is the batch compression threshold: an envelope whose
-	// payload reaches this many bytes is deflated (compress/flate,
-	// BestSpeed) unless compression fails to shrink it. 0 means the default
-	// (wire.MinCompress, one MTU); negative disables compression entirely.
-	// Thresholds in (0, wire.MinCompress) are rejected by harness
-	// validation — compressing sub-packet payloads burns CPU for nothing.
-	CompressMin int
 	// Fabric, when non-nil, is the mutable link table chaos scenarios
 	// drive: a severed (from, to) link kills the outbound connection,
 	// rejects dials, and parks outbound frames (heartbeats excepted) until
 	// the link heals — the transport-level analogue of TCP retransmission
 	// carrying data across a partition, so partitions stay admissible
 	// quasi-reliable runs. Per-link delay overrides replace the static
-	// WANDelay/LANDelay injection. When nil, a private fabric is built
-	// from WANDelay/LANDelay; Fabric() exposes it either way. All hosted
-	// processes consult the same fabric, which assumes one Runtime per
-	// deployment or an external fabric shared between them. An injected
-	// fabric's BASE model must have zero Jitter (per-link jitter overrides
-	// are fine): base jitter would need the shared rng on the lock-free
-	// receive fast path.
+	// WANDelay/LANDelay injection, and the fabric's own base (plus per-link
+	// SetBandwidth overrides) replaces Bandwidth. When nil, a private
+	// fabric is built from WANDelay/LANDelay/Bandwidth; Fabric() exposes it
+	// either way. All hosted processes consult the same fabric, which
+	// assumes one Runtime per deployment or an external fabric shared
+	// between them. An injected fabric's BASE model must have zero Jitter
+	// (per-link jitter overrides are fine): base jitter would need the
+	// shared rng on the lock-free receive fast path.
 	Fabric *network.Fabric
 	// Recorder receives measurement events; it is locked internally.
 	// Nil discards.
@@ -287,8 +136,8 @@ type Config struct {
 	// Tracer, when non-nil, is the structured lifecycle tracer: every
 	// hosted Proc records its protocol spans into it, received frames get
 	// a span ID and a StageLaneDeq queue-delay span, and the Tracef debug
-	// path (Config.Trace / WANAMCAST_TCP_DEBUG) switches from %+v body
-	// dumps to compact span-ID lines that join against /spans output.
+	// path (Trace / WANAMCAST_TCP_DEBUG) switches from %+v body dumps to
+	// compact span-ID lines that join against /spans output.
 	Tracer *trace.Tracer
 }
 
@@ -339,33 +188,8 @@ func New(cfg Config) *Runtime {
 	if cfg.Topo == nil {
 		panic("tcp: Config.Topo is required")
 	}
-	if cfg.BasePort == 0 {
-		cfg.BasePort = 19000
-	}
-	if cfg.WANDelay == 0 {
-		cfg.WANDelay = 100 * time.Millisecond
-	}
-	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = 50 * time.Millisecond
-	}
-	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = 250 * time.Millisecond
-	}
-	if cfg.LeaseDuration > 0 && cfg.MaxClockSkew == 0 {
-		cfg.MaxClockSkew = 10 * time.Millisecond
-	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = DefaultSendQueue
-	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = DefaultInboxSize
-	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = DefaultFlushEvery
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
+	cfg.Groups = cfg.Topo.NumGroups() // the lane default derives from it
+	cfg.Config = cfg.Config.WithDefaults()
 	rec := cfg.Recorder
 	if rec == nil {
 		rec = node.NopRecorder{}
@@ -440,22 +264,17 @@ func New(cfg Config) *Runtime {
 		local = cfg.Topo.AllProcesses()
 	}
 	rt.local = local
-	// Lane layout: one lane per hosted process by default; with
-	// Config.Lanes > 0, lane index group(p) mod Lanes — every member of a
-	// group a runtime hosts shares that group's lane, and groups spread
-	// round-robin across the N goroutines.
+	// Lane layout: lane index group(p) mod Lanes — every member of a group
+	// a runtime hosts shares that group's lane, and groups spread
+	// round-robin across the N goroutines. A lane starts only once a hosted
+	// group maps to it.
 	byIdx := make(map[int]*lane)
 	for _, id := range local {
-		var ln *lane
-		if cfg.Lanes <= 0 {
+		idx := int(cfg.Topo.GroupOf(id)) % cfg.Lanes
+		ln := byIdx[idx]
+		if ln == nil {
 			ln = rt.newLane()
-		} else {
-			idx := int(cfg.Topo.GroupOf(id)) % cfg.Lanes
-			ln = byIdx[idx]
-			if ln == nil {
-				ln = rt.newLane()
-				byIdx[idx] = ln
-			}
+			byIdx[idx] = ln
 		}
 		rt.laneOf[id] = ln
 		rt.procs[id] = node.NewProc(id, cfg.Topo, rt)
@@ -826,21 +645,6 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 		_ = conn.Close()
 		rt.untrack(conn)
 	}()
-	if rt.cfg.Codec == CodecGob {
-		dec := gob.NewDecoder(bufio.NewReaderSize(conn, 64<<10))
-		for {
-			var f gobFrame
-			if err := dec.Decode(&f); err != nil {
-				rt.Tracef("decode error at %v: %v", to, err)
-				return // connection closed or corrupt; peers redial
-			}
-			if !rt.validFrom(f.From) {
-				rt.Tracef("drop frame at %v: sender %d outside topology", to, int(f.From))
-				return
-			}
-			rt.dispatch(to, wire.Frame{From: f.From, Proto: f.Proto, TS: f.TS, Body: f.Body})
-		}
-	}
 	// The wire read path reuses all of its storage across envelopes: the
 	// frame scratch, the inflate scratch, and the Batch (whose Msgs slice is
 	// recycled). Decoded bodies never alias the scratch buffers — every
@@ -1106,7 +910,6 @@ func (l *link) writeLoop() {
 	var (
 		conn     net.Conn
 		bw       *bufio.Writer
-		genc     *gob.Encoder
 		buf      []byte // reused wire-encode buffer; zero-alloc steady state
 		nextDial time.Time
 		held     []outFrame // frames parked while the fabric severs the link
@@ -1121,7 +924,7 @@ func (l *link) writeLoop() {
 			_ = conn.Close()
 			rt.untrack(conn)
 		}
-		conn, bw, genc = nil, nil, nil
+		conn, bw = nil, nil
 	}
 	defer func() {
 		if conn != nil {
@@ -1187,28 +990,20 @@ func (l *link) writeLoop() {
 			conn = c
 			rt.track(conn)
 			bw = bufio.NewWriterSize(conn, 64<<10)
-			if rt.cfg.Codec == CodecGob {
-				genc = gob.NewEncoder(bw)
-			}
 		}
 		// Coalesce: gather the held frames (usually just the one received
 		// above; more after a heal) plus whatever the queue yields within
-		// FlushEvery, and write them as one flush. On the wire codec the
-		// gathered protocol frames pack into a single batch envelope — one
-		// length header and one sender preamble for the whole burst, one
-		// syscall — while fd frames are written immediately as plain
-		// frames (see fdProto). The legacy gob codec encodes frame by
-		// frame, exactly as before.
+		// FlushEvery, and write them as one flush. The gathered protocol
+		// frames pack into a single batch envelope — one length header and
+		// one sender preamble for the whole burst, one syscall — while fd
+		// frames are written immediately as plain frames (see fdProto).
 		deadline := time.Now().Add(rt.cfg.FlushEvery)
 		var err error
 		pend := l.pend[:0]
 		take := func(f outFrame) {
-			switch {
-			case genc != nil:
-				err = genc.Encode(gobFrame{From: l.from, Proto: f.proto, TS: f.ts, Body: f.body})
-			case f.proto == fdProto:
+			if f.proto == fdProto {
 				_, err = l.writePlain(bw, &buf, f)
-			default:
+			} else {
 				pend = append(pend, f)
 			}
 		}
@@ -1239,7 +1034,7 @@ func (l *link) writeLoop() {
 			take(f)
 		}
 		// Write the gathered protocol frames. On an uncapped link the whole
-		// cycle goes out as one burst (one envelope on the wire codec). On a
+		// cycle goes out as one burst (one envelope). On a
 		// bandwidth-capped link it goes out in paceChunkBytes chunks with the
 		// transmission debt paid between them — modeling the burst draining
 		// through a rate-limited pipe, and keeping the peer's receive rate at
@@ -1270,7 +1065,7 @@ func (l *link) writeLoop() {
 		}
 		l.pend = pend[:0]
 		if err == nil {
-			err = bw.Flush() // fd and gob frames written outside writePending
+			err = bw.Flush() // fd frames written outside writePending
 		}
 		if err != nil {
 			// Unwritten held frames stay parked for the next attempt (a
@@ -1283,8 +1078,7 @@ func (l *link) writeLoop() {
 }
 
 // writePending encodes the cycle's gathered protocol frames: one batch
-// envelope when two or more coalesced (unless Config.Uncoalesced reverts to
-// the plain per-message format), and also when a lone frame reaches the
+// envelope when two or more coalesced, and also when a lone frame reaches the
 // compression threshold — the envelope is the unit of compression, and on a
 // payload that size its preamble is noise next to the deflate win. A lone
 // frame below the threshold goes out plain: there the preamble costs more
@@ -1296,21 +1090,6 @@ func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limi
 	rt := l.rt
 	if len(pend) == 0 {
 		return 0, 0, nil
-	}
-	if rt.cfg.Uncoalesced {
-		total := 0
-		for i := range pend {
-			n, werr := l.writePlain(bw, buf, pend[i])
-			total += n
-			used = i + 1
-			if werr != nil {
-				return total, used, werr
-			}
-			if limit > 0 && total >= limit {
-				break
-			}
-		}
-		return total, used, nil
 	}
 	l.bat.Begin(l.from)
 	solo := -1

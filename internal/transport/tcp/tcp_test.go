@@ -7,6 +7,7 @@ import (
 
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/amcast"
+	"wanamcast/internal/config"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
@@ -47,14 +48,12 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestLiveBroadcastTotalOrder(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 2)
 	col := &metrics.Collector{}
 	rt := New(Config{
 		Topo:     topo,
-		BasePort: 21100,
-		WANDelay: 20 * time.Millisecond,
 		Recorder: col,
+		Config:   config.Config{BasePort: 21100, WANDelay: 20 * time.Millisecond},
 	})
 	log := newLog()
 	eps := make([]*abcast.Bcast, topo.N())
@@ -100,14 +99,12 @@ func TestLiveBroadcastTotalOrder(t *testing.T) {
 }
 
 func TestLiveMulticastGenuine(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(3, 2)
 	col := &metrics.Collector{LogSends: true}
 	rt := New(Config{
 		Topo:     topo,
-		BasePort: 21200,
-		WANDelay: 20 * time.Millisecond,
 		Recorder: col,
+		Config:   config.Config{BasePort: 21200, WANDelay: 20 * time.Millisecond},
 	})
 	log := newLog()
 	eps := make([]*amcast.Mcast, topo.N())
@@ -154,14 +151,10 @@ func TestLiveMulticastGenuine(t *testing.T) {
 }
 
 func TestLiveLeaderCrashRecovers(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 3)
 	rt := New(Config{
-		Topo:           topo,
-		BasePort:       21300,
-		WANDelay:       10 * time.Millisecond,
-		HeartbeatEvery: 20 * time.Millisecond,
-		SuspectAfter:   100 * time.Millisecond,
+		Topo:   topo,
+		Config: config.Config{BasePort: 21300, WANDelay: 10 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond, SuspectAfter: 100 * time.Millisecond},
 	})
 	log := newLog()
 	eps := make([]*abcast.Bcast, topo.N())

@@ -185,8 +185,9 @@ func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 	return GroupSet{groups: groups}, data, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler so GroupSets survive
-// gob encoding on the live TCP transport despite the unexported field.
+// MarshalBinary implements encoding.BinaryMarshaler so a GroupSet inside
+// an application payload survives the wire codec's gob fallback despite the
+// unexported field.
 func (s GroupSet) MarshalBinary() ([]byte, error) {
 	return s.AppendTo(make([]byte, 0, 2+4*len(s.groups))), nil
 }

@@ -3,12 +3,14 @@ package wanamcast
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/check"
+	"wanamcast/internal/config"
 	"wanamcast/internal/durable"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/harness"
@@ -25,138 +27,9 @@ import (
 )
 
 // LiveConfig describes a cluster running over real TCP sockets on
-// localhost, with an injected one-way WAN delay between groups.
-type LiveConfig struct {
-	// Groups and PerGroup shape the topology (defaults 2 × 3).
-	Groups   int
-	PerGroup int
-	// BasePort: process p listens on BasePort+p (default 19000).
-	BasePort int
-	// WANDelay is the injected inter-group one-way delay (default 100 ms);
-	// LANDelay applies within groups (default 0: raw loopback).
-	WANDelay time.Duration
-	LANDelay time.Duration
-	// HeartbeatEvery and SuspectAfter tune the heartbeat failure detector
-	// (defaults 50 ms and 250 ms): a peer silent for SuspectAfter is
-	// suspected — and trusted again the moment its beats resume.
-	HeartbeatEvery time.Duration
-	SuspectAfter   time.Duration
-	// LeaseDuration enables leader leases: each group's rank-0 replica
-	// collects time-bounded grants over the heartbeat traffic and, while a
-	// majority's grants are live, publishes a lease (ReadLease) that lets
-	// it serve linearizable single-shard reads locally — zero WAN round
-	// trips. 0 (the default) disables leases. Safety holds as long as
-	// clock RATE drift over one lease window stays under MaxClockSkew;
-	// clock offsets don't matter (see the tcp lease protocol).
-	LeaseDuration time.Duration
-	// MaxClockSkew guards the lease windows against clock drift (default
-	// 10 ms when leases are enabled).
-	MaxClockSkew time.Duration
-	// KeepAliveRounds tunes A2's quiescence predictor (default 1, the
-	// paper's Algorithm A2).
-	KeepAliveRounds int
-	// Pipeline sets the consensus-instances-in-flight limit for both A1
-	// and A2 (default 1, the paper's sequential algorithms).
-	Pipeline int
-	// MaxBatch caps how many messages one consensus instance may order,
-	// for both A1 and A2 (default 0: unbounded, the paper's rule).
-	MaxBatch int
-	// ConsensusRetry overrides the re-drive period for undecided consensus
-	// proposals (default 40 ms). Raise it on bandwidth-capped clusters:
-	// re-driving faster than the links drain only multiplies the queued
-	// bytes the retries are waiting behind.
-	ConsensusRetry time.Duration
-	// Lanes shards the cluster's processes across exactly this many
-	// ordering lane goroutines, by group (lane = group mod Lanes): each
-	// group's protocol state stays confined to one lane while different
-	// groups order in parallel on different cores. Lanes > 0 also routes
-	// every durable store's fsync barriers through a single group-commit
-	// syncer, so one fsync covers every lane's promises in a window. 0
-	// (the default) keeps the historical layout — one goroutine per
-	// process, synchronous Commit barriers.
-	Lanes int
-	// InboxSize bounds each lane's lock-free inbox ring (default 4096).
-	// A full ring parks further events in an unbounded overflow list —
-	// lane events are never dropped.
-	InboxSize int
-	// SendQueue bounds each TCP connection's outbound frame queue
-	// (default 4096); a full queue drops frames instead of blocking a
-	// process loop, and protocol retries recover the drops.
-	SendQueue int
-	// FlushEvery caps how long the TCP writer may coalesce frames before
-	// flushing them in one syscall (default 200 µs).
-	FlushEvery time.Duration
-	// GobCodec reverts the transport to the legacy encoding/gob stream
-	// (the benchmark baseline). The default is the zero-allocation
-	// internal/wire codec.
-	GobCodec bool
-	// Bandwidth caps every link at this many bytes per second (0 =
-	// uncapped): each TCP connection's writer paces itself to the rate.
-	// Heartbeats are exempt, so a saturated link cannot look like a crash.
-	// Commands parse human-readable rates via harness.ParseBandwidth.
-	Bandwidth int64
-	// Uncoalesced reverts the wire codec to one plain frame per protocol
-	// message — no batch envelopes, no compression. The WAN-efficiency
-	// baseline the bandwidth benchmarks compare against.
-	Uncoalesced bool
-	// CompressMin is the batch compression threshold in bytes (0 = default
-	// wire.MinCompress, negative = compression off).
-	CompressMin int
-	// RetainDeliveries bounds the cluster's delivery bookkeeping: only the
-	// most recent RetainDeliveries entries of the Deliveries() log are
-	// kept, and the per-message counts behind WaitDelivered and
-	// DeliveredCount are evicted for all but the most recent
-	// max(8×RetainDeliveries, 4096) messages — wait only on recent casts.
-	// 0 keeps everything forever (the historical behavior — beware that
-	// it grows without bound in long runs).
-	RetainDeliveries int
-	// Check records every cast and delivery into a §2.2 property checker
-	// so CheckProperties can verify uniform integrity, validity, uniform
-	// agreement, and uniform prefix order over the live run. The checker
-	// retains the full run (unaffected by RetainDeliveries): leave it off
-	// for unbounded benchmarks.
-	Check bool
-	// DataDir enables durability: process p persists its WAL and
-	// snapshots under DataDir/p<N>, and Crash(p) can be undone with
-	// Restart(p) — the replica recovers its Paxos, clock, and session
-	// state from disk and catches up missed instances from live peers.
-	// Empty means no persistence (the historical behavior).
-	DataDir string
-	// StoreFor overrides DataDir with an explicit store per process
-	// (tests use storage.NewMem). When it returns nil for a process, that
-	// process runs without persistence.
-	StoreFor func(p ProcessID) storage.Store
-	// NoFsync makes Commit barriers flush without fsyncing: crashes of
-	// the whole OS process lose the tail, in-process Crash/Restart does
-	// not. The "fsync=off" benchmark knob.
-	NoFsync bool
-	// SnapshotEvery is how many A-Deliveries a process accumulates before
-	// its state is snapshotted and the WAL truncated (default 512;
-	// negative disables automatic snapshots).
-	SnapshotEvery int
-	// SyncArchive bounds the per-process archives (recent deliveries for
-	// A1, completed rounds for A2) that serve restarted peers' catch-up.
-	// Default 4096: a replica that missed more than this cannot rejoin by
-	// log transfer.
-	SyncArchive int
-	// TraceSpans enables the end-to-end message lifecycle tracer: every
-	// process records causal spans (submit, rmcast send/admit, cast,
-	// consensus propose/promise/accept/learn, fsync barriers, lane
-	// dequeues, A-Deliver, reply) into bounded per-lane rings, and the
-	// duration-carrying stages feed per-stage latency histograms
-	// (Tracer().Stats()). Off by default; disabled it costs one atomic
-	// load per potential span.
-	TraceSpans bool
-	// SpanBuf bounds each lane's span ring (default 4096 events, rounded
-	// up to a power of two). Older spans are overwritten — the tracer is
-	// a flight recorder, not a complete log.
-	SpanBuf int
-	// FlightDump arms the flight recorder (requires TraceSpans): on a
-	// §2.2 checker violation, an abandoned state transfer (SyncFailed),
-	// or a crash-restart, the retained spans are dumped as JSONL to this
-	// path (overwritten per trigger — the last incident wins).
-	FlightDump string
-}
+// localhost, with an injected one-way WAN delay between groups. Every knob
+// is declared, documented, defaulted and validated in internal/config.
+type LiveConfig = config.Config
 
 // LiveCluster runs Algorithms A1 and A2 on every process over TCP.
 // Construct with NewLiveCluster, then Start; deliveries arrive on the
@@ -172,7 +45,7 @@ type LiveCluster struct {
 	a2     []*abcast.Bcast
 
 	stores   []storage.Store      // per process; nil = no persistence
-	gc       *storage.GroupCommit // cross-lane fsync batcher; nil when Lanes == 0
+	gc       *storage.GroupCommit // cross-lane fsync batcher; nil when no store can split its barrier
 	castSeqs []uint64             // per-process cast allocators (loop-confined)
 
 	mu         sync.Mutex
@@ -193,33 +66,20 @@ type LiveCluster struct {
 	closeOnce  sync.Once
 }
 
-// NewLiveCluster builds (but does not start) a live cluster. Protocol wire
-// types are registered with gob; register your own payload types before
-// casting non-basic values. It panics if a configured data directory
-// cannot be opened: a cluster asked to be durable must not silently run
-// volatile.
+// NewLiveCluster builds (but does not start) a live cluster. Payloads of
+// the basic types and every protocol message have wire codecs; gob-register
+// your own payload types before casting other values. It panics if a
+// configured data directory cannot be opened: a cluster asked to be durable
+// must not silently run volatile.
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
-	if cfg.Groups == 0 {
-		cfg.Groups = 2
-	}
-	if cfg.PerGroup == 0 {
-		cfg.PerGroup = 3
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 512
-	}
-	tcp.RegisterWireTypes()
+	cfg = cfg.WithDefaults()
 	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
-	codec := tcp.CodecWire
-	if cfg.GobCodec {
-		codec = tcp.CodecGob
-	}
 	col := &metrics.LockedCollector{}
 	// The collector's per-cast records (each holding its deliveries) must
 	// not grow forever on a long-lived cluster: bound them like the
 	// delivery-count map — generously past RetainDeliveries when that is
-	// set, and at 64k casts otherwise (a serve-mode cluster with the
-	// historical keep-everything delivery log still gets bounded metrics).
+	// set, and at 64k casts otherwise (a serve-mode cluster that keeps its
+	// whole delivery log still gets bounded metrics).
 	if cfg.RetainDeliveries > 0 {
 		col.SetCastWindow(8 * cfg.RetainDeliveries)
 	} else {
@@ -227,35 +87,10 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	}
 	var tr *trace.Tracer
 	if cfg.TraceSpans {
-		// One span ring per ordering lane: with Lanes unset every process
-		// runs its own lane, so size the tracer to the process count.
-		lanes := cfg.Lanes
-		if lanes <= 0 {
-			lanes = topo.N()
-		}
-		tr = trace.New(lanes, cfg.SpanBuf)
+		tr = trace.New(cfg.Lanes, cfg.SpanBuf) // one span ring per ordering lane
 		tr.SetEnabled(true)
 	}
-	rt := tcp.New(tcp.Config{
-		Topo:           topo,
-		BasePort:       cfg.BasePort,
-		WANDelay:       cfg.WANDelay,
-		LANDelay:       cfg.LANDelay,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		SuspectAfter:   cfg.SuspectAfter,
-		LeaseDuration:  cfg.LeaseDuration,
-		MaxClockSkew:   cfg.MaxClockSkew,
-		Lanes:          cfg.Lanes,
-		InboxSize:      cfg.InboxSize,
-		SendQueue:      cfg.SendQueue,
-		FlushEvery:     cfg.FlushEvery,
-		Codec:          codec,
-		Bandwidth:      cfg.Bandwidth,
-		Uncoalesced:    cfg.Uncoalesced,
-		CompressMin:    cfg.CompressMin,
-		Recorder:       col,
-		Tracer:         tr,
-	})
+	rt := tcp.New(tcp.Config{Config: cfg, Topo: topo, Recorder: col, Tracer: tr})
 	l := &LiveCluster{
 		rt:         rt,
 		col:        col,
@@ -280,17 +115,15 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	for _, id := range topo.AllProcesses() {
 		l.stores[id] = l.openStore(id)
 	}
-	// With lanes sharing goroutines, Commit barriers batch through one
+	// Lanes share goroutines, so Commit barriers batch through one
 	// group-commit syncer instead of fsyncing inline (see
 	// storage.GroupCommit). Only worth starting when some store can
 	// actually split its barrier.
-	if cfg.Lanes > 0 {
-		for _, s := range l.stores {
-			if _, ok := s.(storage.SyncStore); ok {
-				l.gc = storage.NewGroupCommit()
-				l.gc.SetTracer(tr)
-				break
-			}
+	for _, s := range l.stores {
+		if _, ok := s.(storage.SyncStore); ok {
+			l.gc = storage.NewGroupCommit()
+			l.gc.SetTracer(tr)
+			break
 		}
 	}
 	for _, id := range topo.AllProcesses() {
@@ -617,7 +450,7 @@ func (l *LiveCluster) Stats() Stats { return l.col.Snapshot() }
 
 // FsyncStats reports the cluster's durability-barrier accounting:
 // Fsyncs is the total fsyncs issued across every durable store, and the
-// group-commit counters (zero when Lanes == 0) show the batching — with
+// group-commit counters (zero without a durable store) show the batching — with
 // B barriers amortised over W windows, B/W lane barriers shared each
 // fsync.
 type FsyncStats struct {
@@ -672,6 +505,40 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 		t.Spans = tr.WriteJSONL
 	}
 	return t
+}
+
+// BenchResult assembles the machine-readable record of a benchmark run
+// over this cluster for harness.AppendBenchJSON: ops operations ordered in
+// elapsed, with the latency, wire, durability, and (when traced) stage
+// measurements read off the cluster. Callers add their workload-specific
+// fields before appending.
+func (l *LiveCluster) BenchResult(name string, ops int, elapsed time.Duration) harness.BenchResult {
+	st := l.Stats()
+	fs := l.FsyncStats()
+	r := harness.BenchResult{
+		Name:           name,
+		Topology:       fmt.Sprintf("%dx%d", l.cfg.Groups, l.cfg.PerGroup),
+		Lanes:          l.cfg.Lanes,
+		Cores:          runtime.NumCPU(),
+		Casts:          ops,
+		OrderedPerSec:  float64(ops) / elapsed.Seconds(),
+		P50Ms:          float64(st.P50Wall) / float64(time.Millisecond),
+		P99Ms:          float64(st.P99Wall) / float64(time.Millisecond),
+		Fsyncs:         fs.Fsyncs,
+		GCBarriers:     fs.Barriers,
+		GCWindows:      fs.Windows,
+		BatchesDecided: st.BatchesDecided,
+		WanHops:        harness.WanHopHist(st.DegreeHist),
+		StartedAt:      time.Now().Add(-elapsed).UTC().Format(time.RFC3339),
+	}
+	if r.BatchesDecided > 0 {
+		r.FsyncsPerBatch = float64(r.Fsyncs) / float64(r.BatchesDecided)
+	}
+	r.SetWire(st.Wire, l.cfg.Bandwidth)
+	if l.tracer != nil {
+		r.Stages = harness.StageBreakdown(l.tracer.Stats().Snapshot())
+	}
+	return r
 }
 
 // flightRecord dumps the retained spans to LiveConfig.FlightDump — the

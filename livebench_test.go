@@ -1,8 +1,7 @@
 package wanamcast
 
-// Live-cluster throughput benchmark: the same saturating A2 workload over
-// real TCP sockets with the zero-allocation wire codec versus the legacy
-// gob baseline, at the batched engine's MaxBatch=64 setting. Run:
+// Live-cluster throughput benchmark: a saturating A2 workload over real
+// TCP sockets at the batched engine's MaxBatch=64 setting. Run:
 //
 //	go test -bench BenchmarkLiveThroughput -benchtime 3x
 //
@@ -15,7 +14,7 @@ import (
 	"time"
 )
 
-func liveThroughputRun(tb testing.TB, gobCodec bool, basePort int) float64 {
+func liveThroughputRun(tb testing.TB, basePort int) float64 {
 	tb.Helper()
 	l := NewLiveCluster(LiveConfig{
 		Groups:           2,
@@ -24,7 +23,6 @@ func liveThroughputRun(tb testing.TB, gobCodec bool, basePort int) float64 {
 		WANDelay:         2 * time.Millisecond,
 		MaxBatch:         64,
 		Pipeline:         4,
-		GobCodec:         gobCodec,
 		RetainDeliveries: 256,
 	})
 	if err := l.Start(); err != nil {
@@ -59,43 +57,11 @@ func liveThroughputRun(tb testing.TB, gobCodec bool, basePort int) float64 {
 	return float64(casts) / time.Since(start).Seconds()
 }
 
-func benchLiveThroughput(b *testing.B, gobCodec bool, basePort int) {
+func BenchmarkLiveThroughputWire(b *testing.B) {
 	var perSec float64
 	for i := 0; i < b.N; i++ {
-		perSec = liveThroughputRun(b, gobCodec, basePort)
+		perSec = liveThroughputRun(b, 26000)
 	}
 	b.ReportMetric(perSec, "ordered/s")
 	b.ReportMetric(perSec*6, "deliveries/s")
-}
-
-func BenchmarkLiveThroughputWire(b *testing.B) { benchLiveThroughput(b, false, 26000) }
-func BenchmarkLiveThroughputGob(b *testing.B)  { benchLiveThroughput(b, true, 26100) }
-
-// TestLiveWireBeatsGobThroughput is the acceptance check that the codec
-// change is a measured end-to-end win: at MaxBatch=64 the wire codec must
-// order at least as many messages per second as the gob baseline (the
-// margin is deliberately conservative — localhost runs are noisy; the
-// recorded EXPERIMENTS.md numbers show the typical gap).
-func TestLiveWireBeatsGobThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live throughput comparison in -short mode")
-	}
-	if raceEnabled {
-		// A wall-clock performance ratio is meaningless (and flaky) under
-		// the race detector's instrumentation; CI runs tests with -race.
-		t.Skip("live throughput comparison under the race detector")
-	}
-	// Best-of-two per codec to damp scheduler noise.
-	gob := liveThroughputRun(t, true, 26200)
-	if g2 := liveThroughputRun(t, true, 26200); g2 > gob {
-		gob = g2
-	}
-	wire := liveThroughputRun(t, false, 26300)
-	if w2 := liveThroughputRun(t, false, 26300); w2 > wire {
-		wire = w2
-	}
-	t.Logf("live ordered/sec at MaxBatch=64: wire %.0f, gob %.0f (%.2fx)", wire, gob, wire/gob)
-	if wire < gob*0.9 {
-		t.Fatalf("wire codec slower than gob baseline: %.0f vs %.0f ordered/sec", wire, gob)
-	}
 }

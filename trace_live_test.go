@@ -54,7 +54,7 @@ func TestFlightDumpOnViolation(t *testing.T) {
 		Pipeline:   2,
 		Check:      true,
 		TraceSpans: true,
-		SpanBuf:    512,
+		SpanBuf:    2048, // per lane, and a lane hosts a whole group: room for all 20 casts' spans
 		FlightDump: dump,
 	})
 	if err := l.Start(); err != nil {
