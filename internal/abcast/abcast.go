@@ -24,11 +24,22 @@
 // exclusion, and in-order consumption of out-of-order decisions. The
 // quiescence logic stays here, expressed as the engine's Gate: a round
 // past the Barrier with nothing to propose is not started.
+//
+// With Pipeline P > 1 the proactivity covers the whole window: a useful
+// round K raises the Barrier to K+P (the paper: K+1), and every process opens
+// the next round on its own clock, D/P after the previous one, D being its
+// running estimate of a round's open→complete time. All groups so open the
+// same rounds at one cadence without first hearing a remote bundle for them;
+// a cast waits at most D/P for a round open everywhere, then one WAN delay.
+// The price is rounds: up to P per round time while traffic is live, and P
+// empty ones before quiescence. The cadence is derived, not configured, and
+// soft state: none of it is logged or snapshotted.
 package abcast
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -54,6 +65,10 @@ func (r Record) ItemID() types.MessageID { return r.ID }
 type BundleMsg struct {
 	Round uint64
 	Set   []Record
+	// enc stands in for Set on a bundle decoded from the wire (see Records):
+	// every member of a group ships the group's bundle, so a receiver drops
+	// two copies in three, and only the kept one should pay for decoding.
+	enc []byte
 }
 
 // Config configures an A2 endpoint on one process.
@@ -83,6 +98,8 @@ type Config struct {
 	// elaborate prediction strategies" §5.3 suggests for bursty traffic:
 	// a cast arriving within the patience window still enjoys latency
 	// degree one, at the price of extra empty-round traffic. Zero means 1.
+	// Pipeline adds Pipeline−1 to it: a useful round keeps the whole
+	// window live, so KeepAliveRounds+Pipeline−1 empty rounds end a burst.
 	KeepAliveRounds int
 	// Pipeline is the maximum number of rounds in flight. The paper's
 	// Algorithm A2 is strictly sequential (Pipeline 1, the default): the
@@ -91,8 +108,11 @@ type Config struct {
 	// Higher values are an extension: a group may propose and ship rounds
 	// K+1..K+Pipeline−1 while earlier bundles are still in flight;
 	// A-Delivery still happens strictly in round order, so every §2.2
-	// property is preserved, and a message never waits a full WAN delay
-	// for the next proposable round. Messages decided in an in-flight
+	// property is preserved. While traffic is live every group opens the
+	// window's rounds at a derived pace of one per (round time / Pipeline),
+	// so a message waits that long, not a WAN delay, for a round already
+	// open everywhere (package doc: Barrier rule, price in rounds).
+	// Messages decided in an in-flight
 	// round are excluded from later proposals, but that exclusion is
 	// local to each proposer: with Pipeline >= 2 two members can decide
 	// the same record into two rounds' bundles, so bundle shipping is
@@ -129,8 +149,10 @@ type Bcast struct {
 	alwaysOn  bool
 	keepAlive uint64
 
-	rm     *rmcast.RMcast
-	engine *consensus.Batcher[Record]
+	rm      *rmcast.RMcast
+	engine  *consensus.Batcher[Record]
+	others  []types.GroupID   // every group but this one, ascending
+	outside []types.ProcessID // their members: line 15's addressees
 
 	// wm counts this endpoint's A-Deliveries, readable lock-free off the
 	// event loop (the read tier's delivery watermark).
@@ -147,6 +169,17 @@ type Bcast struct {
 	castSeq    uint64
 	nextID     func() types.MessageID
 	rdAt       map[types.MessageID]time.Duration // R-Delivery times, kept only while tracing
+
+	// Round pacing (Pipeline > 1; see mayPropose). Soft state, reset by state
+	// transfer: a restarted endpoint runs unpaced until it has timed a round.
+	pipeline time.Duration // Config.Pipeline, at least 1
+	paceD    time.Duration // estimated open→complete time of a round; 0 = none yet
+	opened   uint64        // highest round known open in this group
+	openedAt time.Duration // when opened last advanced
+	probe    uint64        // round being timed for paceD; 0 = none
+	probeAt  time.Duration // when the probe round opened
+	paceAt   time.Duration // deadline of the armed pace timer; 0 = none
+	paceFn   func()        // the pace timer's callback, built once
 
 	// Durability & recovery state (see Config.Log).
 	log        *storage.Log
@@ -193,12 +226,15 @@ func New(cfg Config) *Bcast {
 	if archCap <= 0 {
 		archCap = 4096
 	}
+	pipeline := max(cfg.Pipeline, 1)
+	keepAlive += uint64(pipeline - 1) // a useful round keeps the whole window live
 	b := &Bcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
 		label:      prefix,
 		alwaysOn:   cfg.AlwaysOn,
 		keepAlive:  keepAlive,
+		pipeline:   time.Duration(pipeline),
 		k:          1,
 		rdelivered: make(map[types.MessageID]Record),
 		adelivered: make(map[types.MessageID]bool),
@@ -211,6 +247,17 @@ func New(cfg Config) *Bcast {
 		archCap:    archCap,
 		onSynced:   cfg.OnSynced,
 		onFailed:   cfg.OnSyncFailed,
+	}
+	topo := cfg.Host.Topo()
+	for _, g := range topo.AllGroups().Groups() {
+		if g != cfg.Host.Group() {
+			b.others = append(b.others, g)
+			b.outside = append(b.outside, topo.Members(g)...)
+		}
+	}
+	b.paceFn = func() {
+		b.paceAt = 0
+		b.engine.Pump()
 	}
 	if b.nextID == nil {
 		b.nextID = func() types.MessageID {
@@ -293,7 +340,16 @@ func (b *Bcast) onRDeliver(m rmcast.Message) {
 func (b *Bcast) Receive(from types.ProcessID, body any) {
 	switch m := body.(type) {
 	case BundleMsg:
-		b.handleBundle(b.api.Topo().GroupOf(from), m.Round, m.Set, false)
+		g := b.api.Topo().GroupOf(from)
+		if _, seen := b.bundles[m.Round][g]; seen || m.Round < b.k {
+			return // a repeated or late copy changes nothing: drop it undecoded
+		}
+		set, err := m.Records()
+		if err != nil {
+			b.api.Tracef("a2: dropping undecodable round-%d bundle from %v: %v", m.Round, from, err)
+			return
+		}
+		b.handleBundle(g, m.Round, set, false)
 	case SyncReq:
 		b.onSyncReq(from, m)
 	case SyncResp:
@@ -306,6 +362,14 @@ func (b *Bcast) Receive(from types.ProcessID, body any) {
 // handleBundle records one remote group's round bundle. replay marks WAL
 // replay: state advances identically but nothing is re-logged.
 func (b *Bcast) handleBundle(g types.GroupID, round uint64, set []Record, replay bool) {
+	b.storeBundle(g, round, set, replay)
+	b.engine.Pump()
+	b.tryCompleteRound()
+}
+
+// storeBundle is lines 9–10: file the bundle under its round and raise the
+// Barrier to it. State transfer and snapshot restore use it directly.
+func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay bool) {
 	if round < b.k {
 		// The round already completed here: every member of the sender
 		// group ships its group's bundle, so late copies keep arriving
@@ -332,8 +396,6 @@ func (b *Bcast) handleBundle(g types.GroupID, round uint64, set []Record, replay
 	if round > b.barrier {
 		b.barrier = round
 	}
-	b.engine.Pump()
-	b.tryCompleteRound()
 }
 
 // fillBundle is the engine's Fill hook (Task 4, line 12's msgSet):
@@ -359,9 +421,38 @@ func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int) []Reco
 
 // mayPropose is the engine's Gate (line 11's guard, generalized): a round
 // is started if it is within the Barrier (keepalive), there is something
-// to propose, or quiescence prediction is off.
+// to propose, or quiescence prediction is off — and, when pipelining, no
+// sooner than a Pipeline-th of a round time after the previous round, so
+// the window's rounds spread over the round time instead of bunching at
+// its start. A round held back arms the pace timer: it is never forgotten.
 func (b *Bcast) mayPropose(inst uint64, batch []Record) bool {
-	return b.alwaysOn || inst <= b.barrier || len(batch) > 0
+	if !b.alwaysOn && inst > b.barrier && len(batch) == 0 {
+		return false
+	}
+	if b.pipeline > 1 {
+		now := b.api.Now()
+		if due := b.openedAt + b.paceD/b.pipeline; inst > b.opened && due > now {
+			if b.paceAt == 0 || b.paceAt > due {
+				b.paceAt = due
+				b.api.After(due-now, b.paceFn)
+			}
+			return false
+		}
+		b.noteOpen(inst, now)
+	}
+	return true
+}
+
+// noteOpen records that round inst is open in this group — proposed here or
+// learned decided — and starts timing it if no round is being timed.
+func (b *Bcast) noteOpen(inst uint64, now time.Duration) {
+	if inst <= b.opened || inst < b.k {
+		return
+	}
+	b.opened, b.openedAt = inst, now
+	if b.probe == 0 {
+		b.probe, b.probeAt = inst, now
+	}
 }
 
 // shipBundle is the engine's OnDecide hook (line 14's "When Decided" and
@@ -372,15 +463,10 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 	for _, rec := range set {
 		b.inDecided[rec.ID] = true
 	}
-	myGroup := b.api.Group()
-	topo := b.api.Topo()
-	var tos []types.ProcessID
-	for _, q := range topo.AllProcesses() {
-		if topo.GroupOf(q) != myGroup {
-			tos = append(tos, q)
-		}
+	if b.pipeline > 1 {
+		b.noteOpen(inst, b.api.Now())
 	}
-	b.api.Multicast(tos, b.label, BundleMsg{Round: inst, Set: set})
+	b.api.Multicast(b.outside, b.label, BundleMsg{Round: inst, Set: set})
 }
 
 // applyRound is the engine's OnApply hook: decisions arrive here in dense
@@ -404,27 +490,40 @@ func (b *Bcast) tryCompleteRound() {
 	if !ok {
 		return
 	}
-	topo := b.api.Topo()
-	myGroup := b.api.Group()
 	perGroup := b.bundles[b.k]
-	for _, g := range topo.AllGroups().Groups() {
-		if g == myGroup {
-			continue
-		}
-		if _, have := perGroup[g]; !have {
-			return
-		}
+	if len(perGroup) < len(b.others) {
+		return
 	}
 	// Lines 17–18: the round's delivery set is the union of all bundles.
-	union := make([]Record, 0, len(own))
-	union = append(union, own...)
-	for _, g := range topo.AllGroups().Groups() {
-		if g != myGroup {
-			union = append(union, perGroup[g]...)
-		}
+	union := slices.Clone(own)
+	for _, g := range b.others {
+		union = append(union, perGroup[g]...)
 	}
 	// Line 19: deterministic order — ascending message ID.
-	sort.Slice(union, func(i, j int) bool { return union[i].ID.Less(union[j].ID) })
+	slices.SortFunc(union, func(x, y Record) int {
+		return cmp.Or(cmp.Compare(x.ID.Origin, y.ID.Origin), cmp.Compare(x.ID.Seq, y.ID.Seq))
+	})
+	b.deliverRound(union, "")
+	if b.probe == b.k-1 {
+		// The timed round completed: fold its open→complete time into the
+		// estimate. It falls at once and rises slowly — one stalled round
+		// must not slow the cadence of the rounds after it.
+		if d := b.api.Now() - b.probeAt; b.paceD == 0 || d < b.paceD {
+			b.paceD = d
+		} else {
+			b.paceD += (d - b.paceD) / 4
+		}
+		b.probe = 0
+	}
+	// An already-received decision or bundle may complete the next round.
+	b.engine.Pump()
+	b.tryCompleteRound()
+}
+
+// deliverRound executes lines 19–23 for round K's union, already in delivery
+// order: A-Deliver what is new, close the round, move to the next. State
+// transfer and its replay repeat the group's rounds through it (how says so).
+func (b *Bcast) deliverRound(union []Record, how string) {
 	for _, rec := range union {
 		delete(b.inDecided, rec.ID)
 		delete(b.rdelivered, rec.ID)
@@ -440,7 +539,9 @@ func (b *Bcast) tryCompleteRound() {
 			delete(b.rdAt, rec.ID)
 		}
 		b.api.RecordDeliver(rec.ID)
-		b.api.Tracef("a2: A-Deliver %v in round %d", rec.ID, b.k)
+		if b.api.TraceOn() {
+			b.api.Tracef("a2: A-Deliver %v in round %d%s", rec.ID, b.k, how)
+		}
 		if b.onDeliver != nil {
 			b.onDeliver(rec.ID, rec.Payload)
 		}
@@ -448,13 +549,7 @@ func (b *Bcast) tryCompleteRound() {
 	// Compact the R-Delivery working set: fillBundle walks rdOrder on
 	// every Pump, so delivered entries must not accumulate across rounds.
 	if len(union) > 0 {
-		kept := b.rdOrder[:0]
-		for _, id := range b.rdOrder {
-			if _, ok := b.rdelivered[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		b.rdOrder = kept
+		b.compactRDOrder()
 	}
 	delete(b.bundles, b.k)
 	delete(b.decided, b.k)
@@ -467,7 +562,4 @@ func (b *Bcast) tryCompleteRound() {
 	if len(union) > 0 && b.k+b.keepAlive-1 > b.barrier {
 		b.barrier = b.k + b.keepAlive - 1
 	}
-	// An already-received decision or bundle may complete the next round.
-	b.engine.Pump()
-	b.tryCompleteRound()
 }

@@ -20,6 +20,9 @@ type rig struct {
 	checker *check.Checker
 	eps     []*Bcast
 	crashed map[types.ProcessID]bool
+	// lastUseful is the highest round that delivered anything (rigs built
+	// by newRigPipe only).
+	lastUseful uint64
 }
 
 func newRig(t *testing.T, groups, per int, seed int64) *rig {

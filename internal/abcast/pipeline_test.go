@@ -1,6 +1,8 @@
 package abcast
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -33,6 +35,7 @@ func newRigPipe(t *testing.T, groups, per, pipeline int) *rig {
 			Pipeline: pipeline,
 			OnDeliver: func(mid types.MessageID, payload any) {
 				r.checker.RecordDeliver(id, mid)
+				r.lastUseful = max(r.lastUseful, r.eps[id].Round())
 			},
 		})
 	}
@@ -86,17 +89,36 @@ func TestPipelineImprovesLatencyUnderLoad(t *testing.T) {
 	if pipe >= seq {
 		t.Fatalf("pipelining did not help: sequential mean %v, pipelined mean %v", seq, pipe)
 	}
+	// Both groups cast steadily here, so every round was already being
+	// opened everywhere before rounds were paced (mean 108 ms then): the
+	// pace may cost such a cast at most a Pipeline-th of a round.
+	if limit := 108 * time.Millisecond * 105 / 100; pipe > limit {
+		t.Fatalf("pacing holds casts back: pipelined mean %v, want <= %v", pipe, limit)
+	}
 	t.Logf("mean wall latency: sequential %v, pipeline-8 %v", seq, pipe)
 }
 
-// TestPipelineStillQuiescent: Prop. A.9 must survive the extension.
+// TestPipelineStillQuiescent: Prop. A.9 must survive the extension — after
+// the last useful round at most Pipeline empty rounds run, then nothing is
+// sent and no timer stays armed.
 func TestPipelineStillQuiescent(t *testing.T) {
-	r := newRigPipe(t, 2, 2, 4)
+	const pipeline = 4
+	r := newRigPipe(t, 2, 2, pipeline)
 	r.warm()
-	r.castAt(50*time.Millisecond, 1)
+	for i := 1; i <= 40; i++ { // long enough for the pace estimate to settle
+		r.castAt(time.Duration(i)*30*time.Millisecond, types.ProcessID(i%4))
+	}
 	r.rt.Scheduler().MaxSteps = 5_000_000
-	r.rt.Run() // termination is the assertion
+	r.rt.Run() // termination is the assertion: no pace timer re-arms forever
 	r.verify(t)
+	for p, ep := range r.eps {
+		if ep.paceD == 0 {
+			t.Errorf("p%d never measured a round: the run did not exercise pacing", p)
+		}
+		if trailing := ep.Round() - 1 - r.lastUseful; trailing > pipeline {
+			t.Errorf("p%d ran %d empty rounds after the last useful one (round %d), want <= %d", p, trailing, r.lastUseful, pipeline)
+		}
+	}
 	end := r.rt.Now()
 	before := r.col.Snapshot().TotalMessages
 	r.rt.RunUntil(end + 5*time.Second)
@@ -138,4 +160,115 @@ func TestPipelineNoDuplicateShipping(t *testing.T) {
 		}
 	}
 	_ = count
+}
+
+// poissonProbe is the §5.3-style open-load probe: 3 groups of 3, WAN 100 ms,
+// LAN 1 ms, a seed-fixed Poisson stream of 40 casts/s from random processes
+// for 20 s of virtual time, §2.2 checker on. It returns the mean wall
+// latency and the price paid for it: rounds and inter-group messages per
+// cast.
+func poissonProbe(t *testing.T, pipeline int) (mean time.Duration, roundsPerCast, wanMsgsPerCast float64) {
+	t.Helper()
+	r := newRigPipe(t, 3, 3, pipeline)
+	rng := rand.New(rand.NewSource(7))
+	var ids []types.MessageID
+	for at := time.Duration(0); at < 20*time.Second; at += time.Duration(rng.ExpFloat64() * float64(time.Second) / 40) {
+		from := types.ProcessID(rng.Intn(r.topo.N()))
+		r.rt.Scheduler().At(at, func() { ids = append(ids, r.cast(from)) })
+	}
+	r.rt.Scheduler().MaxSteps = 50_000_000
+	r.rt.Run()
+	r.verify(t)
+	var sum time.Duration
+	for _, id := range ids {
+		w, ok := r.col.WallLatency(id)
+		if !ok {
+			t.Fatalf("%v not delivered", id)
+		}
+		sum += w
+	}
+	st := r.col.Snapshot()
+	n := float64(len(ids))
+	return sum / time.Duration(len(ids)), float64(r.eps[0].Round()-1) / n, float64(st.InterGroupMessages) / n
+}
+
+// TestPipelinedRoundsAreWarm: with Pipeline > 1 every group opens the
+// window's rounds on the same derived cadence, so a cast rides a round that
+// is already open everywhere and is delivered one WAN delay later. Before
+// rounds were paced a cast waited for the other groups to hear of its round
+// first, and Pipeline 4 measured 160.2 ms here — no better than sequential.
+func TestPipelinedRoundsAreWarm(t *testing.T) {
+	// The logged rows are EXPERIMENTS.md's "A2 latency over the floor vs
+	// Pipeline" table.
+	for _, p := range []int{1, 2, 4, 8} {
+		mean, rounds, msgs := poissonProbe(t, p)
+		t.Logf("| %d | %.1f | %.1f | %.2f | %.1f |", p, float64(mean)/1e6, float64(mean)/1e6-100, rounds, msgs)
+		switch want := 155588446 * time.Nanosecond; {
+		case p == 1 && mean != want:
+			t.Errorf("Pipeline=1 mean %v, want %v: the sequential algorithm must not change", mean, want)
+		case p == 4 && mean > 135*time.Millisecond:
+			t.Errorf("Pipeline=4 mean %v, want <= 135ms (floor 100ms)", mean)
+		}
+	}
+}
+
+// TestPacedRoundsSurviveLeaderCrash: a group's leader crashes mid-run under
+// Pipeline 4. Its pace timer dies with it (the runtime drops a crashed
+// owner's timers), the survivors keep the cadence once the next leader takes
+// over, and §2.2 holds.
+func TestPacedRoundsSurviveLeaderCrash(t *testing.T) {
+	r := newRigPipe(t, 3, 3, 4)
+	const crashAt, settled = time.Second, 1500 * time.Millisecond
+	r.crash(0, crashAt) // p0 leads group 0
+	rng := rand.New(rand.NewSource(7))
+	var late []types.MessageID
+	for at := time.Duration(0); at < 4*time.Second; at += time.Duration(rng.ExpFloat64() * float64(time.Second) / 40) {
+		from := types.ProcessID(1 + rng.Intn(r.topo.N()-1))
+		r.rt.Scheduler().At(at, func() {
+			if id := r.cast(from); r.rt.Now() > settled {
+				late = append(late, id)
+			}
+		})
+	}
+	var openedAtCrash uint64
+	r.rt.Scheduler().At(crashAt, func() { openedAtCrash = r.eps[0].opened })
+	r.rt.Scheduler().MaxSteps = 50_000_000
+	r.rt.Run()
+	r.verify(t)
+	if got := r.eps[0].opened; got != openedAtCrash || got == 0 {
+		t.Errorf("crashed p0 opened rounds up to %d after crashing at round %d", got, openedAtCrash)
+	}
+	var sum time.Duration
+	for _, id := range late {
+		w, ok := r.col.WallLatency(id)
+		if !ok {
+			t.Fatalf("%v not delivered", id)
+		}
+		sum += w
+	}
+	mean := sum / time.Duration(len(late))
+	if mean > 135*time.Millisecond {
+		t.Errorf("mean latency after the crash %v, want <= 135ms: survivors lost the cadence", mean)
+	}
+	t.Logf("%d casts after the crash settled: mean %v", len(late), mean)
+}
+
+// TestPacingIsSoftState: nothing about the cadence reaches a snapshot, and
+// a state transfer ends with no estimate.
+func TestPacingIsSoftState(t *testing.T) {
+	r := newRigPipe(t, 2, 3, 4)
+	highRate(t, r, 30)
+	ep := r.eps[1]
+	if ep.paceD == 0 {
+		t.Fatal("no pace estimate after a loaded run")
+	}
+	before := ep.AppendSnapshot(nil)
+	ep.paceD, ep.opened, ep.openedAt, ep.probe, ep.probeAt, ep.paceAt = 7, 7, 7, 7, 7, 7
+	if after := ep.AppendSnapshot(nil); !bytes.Equal(before, after) {
+		t.Error("the snapshot depends on pacing state")
+	}
+	ep.finishSync()
+	if ep.paceD != 0 || ep.probe != 0 {
+		t.Errorf("after state transfer: estimate %v, probe %d, want none", ep.paceD, ep.probe)
+	}
 }

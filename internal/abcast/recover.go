@@ -16,6 +16,8 @@
 package abcast
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,7 +56,6 @@ type SyncResp struct {
 	Base    uint64     // first round in Rounds
 	Rounds  []RoundSet // consecutive completed rounds [Base, Base+len)
 	Next    uint64     // responder's current round K
-	Applied uint64     // responder's applied consensus instances
 	Barrier uint64
 	// Bundles (remote bundles for rounds >= Next) ride only the response
 	// that completes the catch-up; chunked responses omit them.
@@ -88,26 +89,8 @@ func (b *Bcast) AppendSnapshot(buf []byte) []byte {
 	for _, id := range b.rdOrder {
 		buf = b.rdelivered[id].AppendTo(buf)
 	}
-	// ADELIVERED ids, sorted.
-	ids := make([]types.MessageID, 0, len(b.adelivered))
-	for id := range b.adelivered {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = id.AppendTo(buf)
-	}
-	// inDecided ids, sorted.
-	ids = ids[:0]
-	for id := range b.inDecided {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = id.AppendTo(buf)
-	}
+	buf = appendIDSet(buf, b.adelivered)
+	buf = appendIDSet(buf, b.inDecided)
 	// Own decided bundles for uncompleted rounds.
 	rounds := make([]uint64, 0, len(b.decided))
 	for r := range b.decided {
@@ -162,25 +145,11 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 		b.rdelivered[r.ID] = r
 		b.rdOrder = append(b.rdOrder, r.ID)
 	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = decodeIDSet(data, b.adelivered); err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
-		var id types.MessageID
-		if id, data, err = types.DecodeMessageID(data); err != nil {
-			return err
-		}
-		b.adelivered[id] = true
-	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = decodeIDSet(data, b.inDecided); err != nil {
 		return err
-	}
-	for i := 0; i < n; i++ {
-		var id types.MessageID
-		if id, data, err = types.DecodeMessageID(data); err != nil {
-			return err
-		}
-		b.inDecided[id] = true
 	}
 	if n, data, err = wire.SliceLen(data); err != nil {
 		return err
@@ -201,12 +170,7 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 		return err
 	}
 	for _, gb := range gbs {
-		perGroup := b.bundles[gb.Round]
-		if perGroup == nil {
-			perGroup = make(map[types.GroupID][]Record)
-			b.bundles[gb.Round] = perGroup
-		}
-		perGroup[gb.Group] = gb.Set
+		b.storeBundle(gb.Group, gb.Round, gb.Set, true)
 	}
 	if n, data, err = wire.SliceLen(data); err != nil {
 		return err
@@ -317,8 +281,7 @@ func (b *Bcast) armSyncRetry() {
 // responder that is itself syncing answers Busy: archived rounds are
 // immutable facts, but its in-flight state must not be adopted.
 func (b *Bcast) onSyncReq(from types.ProcessID, m SyncReq) {
-	resp := SyncResp{Base: m.From, Next: b.k, Applied: b.engine.AppliedInstances(),
-		Barrier: b.barrier, Busy: b.syncing}
+	resp := SyncResp{Base: m.From, Next: b.k, Barrier: b.barrier, Busy: b.syncing}
 	if m.From < b.archBase {
 		resp.TooFar = true
 		b.api.Send(from, b.label, resp)
@@ -370,12 +333,15 @@ func (b *Bcast) onSyncResp(from types.ProcessID, m SyncResp) {
 		// Caught up with a serving peer: adopt its in-flight bundles and
 		// horizon.
 		for _, gb := range m.Bundles {
-			b.adoptBundle(gb)
+			b.storeBundle(gb.Group, gb.Round, gb.Set, false)
 		}
 		if m.Barrier > b.barrier {
 			b.barrier = m.Barrier
 		}
-		b.engine.SkipTo(m.Applied + 1)
+		// Round r is instance r, and only completed rounds were handed over:
+		// the group's bundles of rounds decided but not yet completed must
+		// still be learned here, or round K waits for its own bundle forever.
+		b.engine.SkipTo(b.k)
 		b.finishSync()
 	case progressed:
 		b.sendSyncReq()
@@ -402,27 +368,6 @@ func (b *Bcast) maybeFinishGroupRestart() {
 	b.finishSync()
 }
 
-// adoptBundle installs one in-flight remote bundle learned via sync.
-func (b *Bcast) adoptBundle(gb GroupBundle) {
-	if gb.Round < b.k {
-		return
-	}
-	perGroup := b.bundles[gb.Round]
-	if perGroup == nil {
-		perGroup = make(map[types.GroupID][]Record)
-		b.bundles[gb.Round] = perGroup
-	}
-	if _, seen := perGroup[gb.Group]; seen {
-		return
-	}
-	perGroup[gb.Group] = gb.Set
-	b.log.Append(storage.Record{Kind: storage.KindBundle, Proto: b.label,
-		Inst: gb.Round, Aux: uint64(gb.Group), Value: gb.Set})
-	if gb.Round > b.barrier {
-		b.barrier = gb.Round
-	}
-}
-
 // applySyncRound repeats one round the group completed while this process
 // was down: deliver its union's undelivered records in the deterministic
 // order and advance K. replay marks WAL replay (no re-logging).
@@ -433,30 +378,7 @@ func (b *Bcast) applySyncRound(round uint64, union []Record, replay bool) {
 	if !replay {
 		b.log.Append(storage.Record{Kind: storage.KindRound, Proto: b.label, Inst: round, Value: union})
 	}
-	for _, rec := range union {
-		delete(b.inDecided, rec.ID)
-		if _, ok := b.rdelivered[rec.ID]; ok {
-			delete(b.rdelivered, rec.ID)
-			b.compactRDOrder()
-		}
-		if b.adelivered[rec.ID] {
-			continue
-		}
-		b.adelivered[rec.ID] = true
-		b.wm.Add(1)
-		b.api.RecordDeliver(rec.ID)
-		b.api.Tracef("a2: A-Deliver %v in round %d (state transfer)", rec.ID, round)
-		if b.onDeliver != nil {
-			b.onDeliver(rec.ID, rec.Payload)
-		}
-	}
-	delete(b.bundles, round)
-	delete(b.decided, round)
-	b.archiveRound(round, union)
-	b.k++
-	if len(union) > 0 && b.k+b.keepAlive-1 > b.barrier {
-		b.barrier = b.k + b.keepAlive - 1
-	}
+	b.deliverRound(union, " (state transfer)")
 }
 
 // compactRDOrder drops R-Delivery order entries whose records are gone.
@@ -475,6 +397,8 @@ func (b *Bcast) compactRDOrder() {
 func (b *Bcast) finishSync() {
 	b.syncing = false
 	b.syncHeard = nil
+	// Rounds adopted from peers were not timed here: start unpaced.
+	b.paceD, b.probe = 0, 0
 	b.engine.Pump()
 	b.tryCompleteRound()
 	if b.onSynced != nil {
@@ -484,12 +408,35 @@ func (b *Bcast) finishSync() {
 
 // --- helpers ----------------------------------------------------------------
 
-func sortGroupBundles(gbs []GroupBundle) {
-	sort.Slice(gbs, func(i, j int) bool {
-		if gbs[i].Round != gbs[j].Round {
-			return gbs[i].Round < gbs[j].Round
+// appendIDSet appends set's ids in ascending order, their count first.
+func appendIDSet(buf []byte, set map[types.MessageID]bool) []byte {
+	ids := make([]types.MessageID, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
+		buf = id.AppendTo(buf)
+	}
+	return buf
+}
+
+// decodeIDSet reads appendIDSet's encoding into set.
+func decodeIDSet(data []byte, set map[types.MessageID]bool) ([]byte, error) {
+	n, data, err := wire.SliceLen(data)
+	for i := 0; i < n && err == nil; i++ {
+		var id types.MessageID
+		if id, data, err = types.DecodeMessageID(data); err == nil {
+			set[id] = true
 		}
-		return gbs[i].Group < gbs[j].Group
+	}
+	return data, err
+}
+
+func sortGroupBundles(gbs []GroupBundle) {
+	slices.SortFunc(gbs, func(x, y GroupBundle) int {
+		return cmp.Or(cmp.Compare(x.Round, y.Round), cmp.Compare(x.Group, y.Group))
 	})
 }
 

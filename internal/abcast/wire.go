@@ -41,7 +41,6 @@ func (m SyncResp) AppendTo(buf []byte) []byte {
 		buf = AppendRecords(buf, rs.Set)
 	}
 	buf = wire.AppendUvarint(buf, m.Next)
-	buf = wire.AppendUvarint(buf, m.Applied)
 	buf = wire.AppendUvarint(buf, m.Barrier)
 	buf = appendGroupBundles(buf, m.Bundles)
 	flags := byte(0)
@@ -76,9 +75,6 @@ func (m *SyncResp) DecodeFrom(data []byte) (rest []byte, err error) {
 	if m.Next, data, err = wire.Uvarint(data); err != nil {
 		return nil, err
 	}
-	if m.Applied, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
 	if m.Barrier, data, err = wire.Uvarint(data); err != nil {
 		return nil, err
 	}
@@ -110,16 +106,40 @@ func (r *Record) DecodeFrom(data []byte) (rest []byte, err error) {
 // AppendTo appends m's wire encoding.
 func (m BundleMsg) AppendTo(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, m.Round)
+	if m.enc != nil {
+		return append(buf, m.enc...)
+	}
 	return AppendRecords(buf, m.Set)
 }
 
-// DecodeFrom decodes m from data and returns the remainder.
+// DecodeFrom decodes m from data and returns the remainder. A non-empty
+// Set is only stepped over and kept encoded; Records decodes it.
 func (m *BundleMsg) DecodeFrom(data []byte) (rest []byte, err error) {
 	if m.Round, data, err = wire.Uvarint(data); err != nil {
 		return nil, err
 	}
-	m.Set, data, err = DecodeRecords(data)
-	return data, err
+	n, rest, err := wire.SliceLen(data)
+	for i := 0; i < n && err == nil; i++ {
+		// A record is two varints — the ID, or its delta — and the payload.
+		if _, rest, err = wire.Varint(rest); err == nil {
+			if _, rest, err = wire.Varint(rest); err == nil {
+				rest, err = wire.SkipValue(rest)
+			}
+		}
+	}
+	if n > 0 && err == nil {
+		m.enc = append([]byte(nil), data[:len(data)-len(rest)]...)
+	}
+	return rest, err
+}
+
+// Records returns m's record set, decoding it if m came off the wire.
+func (m BundleMsg) Records() ([]Record, error) {
+	if m.enc == nil {
+		return m.Set, nil
+	}
+	set, _, err := DecodeRecords(m.enc)
+	return set, err
 }
 
 // AppendRecords appends a record batch (an A2 consensus value and the body

@@ -553,7 +553,9 @@ func (a *Mcast) adeliveryTest() {
 		delete(a.pending, min.id)
 		delete(a.tsProps, min.id)
 		a.recordDelivered(DeliverRec{ID: min.id, Dest: min.dest, TS: min.ts, Payload: min.payload})
-		a.api.Tracef("a1: A-Deliver %v ts=%d", min.id, min.ts)
+		if a.api.TraceOn() {
+			a.api.Tracef("a1: A-Deliver %v ts=%d", min.id, min.ts)
+		}
 		if a.onDeliver != nil {
 			a.onDeliver(rmcast.Message{ID: min.id, Dest: min.dest, Payload: min.payload})
 		}

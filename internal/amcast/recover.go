@@ -441,7 +441,9 @@ func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
 	}
 	a.api.RecordDeliver(dr.ID)
 	a.recordDelivered(dr)
-	a.api.Tracef("a1: A-Deliver %v ts=%d (state transfer)", dr.ID, dr.TS)
+	if a.api.TraceOn() {
+		a.api.Tracef("a1: A-Deliver %v ts=%d (state transfer)", dr.ID, dr.TS)
+	}
 	if a.onDeliver != nil {
 		a.onDeliver(rmcast.Message{ID: dr.ID, Dest: dr.Dest, Payload: dr.Payload})
 	}

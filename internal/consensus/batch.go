@@ -100,6 +100,7 @@ type Batcher[T Item] struct {
 	pipeline uint64
 
 	fill     func(exclude func(types.MessageID) bool, limit int) []T
+	exclude  func(types.MessageID) bool // b.InFlight, bound once: Pump runs per event
 	gate     func(inst uint64, batch []T) bool
 	base     func() uint64
 	onDecide func(inst uint64, batch []T)
@@ -150,6 +151,7 @@ func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 		inFlight:  make(map[types.MessageID]uint64),
 		healEvery: healEvery,
 	}
+	b.exclude = b.InFlight
 	if b.base == nil {
 		b.base = func() uint64 { return b.applyNext }
 	}
@@ -188,7 +190,7 @@ func (b *Batcher[T]) InFlight(id types.MessageID) bool {
 // idempotent and safe to call reentrantly from OnApply/OnDecide.
 func (b *Batcher[T]) Pump() {
 	for b.next < b.base()+b.pipeline {
-		batch := b.fill(b.InFlight, b.maxBatch)
+		batch := b.fill(b.exclude, b.maxBatch)
 		if b.maxBatch > 0 && len(batch) > b.maxBatch {
 			batch = batch[:b.maxBatch]
 		}

@@ -50,6 +50,7 @@ func (f *fakeAPI) RecordDeliver(types.MessageID)             {}
 func (f *fakeAPI) RecordConsensus()                          {}
 func (f *fakeAPI) RecordBatch(size int)                      { f.batches = append(f.batches, size) }
 func (f *fakeAPI) Tracef(string, ...any)                     {}
+func (f *fakeAPI) TraceOn() bool                             { return false }
 func (f *fakeAPI) Trace(trace.Stage, types.MessageID, int64) {}
 func (f *fakeAPI) Tracing() bool                             { return false }
 

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,5 +98,33 @@ func TestTracefDisarmedCostsNothing(t *testing.T) {
 	rt.Run()
 	if lines == 0 {
 		t.Fatal("armed trace hook saw no SEND line; guard silenced tracing")
+	}
+}
+
+// TestProcTracefOffZeroAllocs pins Proc.Tracef with no sink attached: the
+// guarded form protocols use on per-delivery paths (TraceOn first) boxes
+// nothing, and Tracef itself builds no prefixed argument list before it
+// has looked for a sink. An armed sink still gets the prefixed line.
+func TestProcTracefOffZeroAllocs(t *testing.T) {
+	rt := NewRuntime(types.NewTopology(1, 1), network.Model{}, 1, nil)
+	var api API = rt.Proc(0)
+	id := types.MessageID{Origin: 0, Seq: 1 << 40}
+	round := uint64(1 << 40)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if api.TraceOn() {
+			api.Tracef("a2: A-Deliver %v in round %d", id, round)
+		}
+	}); allocs != 0 {
+		t.Fatalf("guarded Tracef call allocated %.2f/call with tracing off, want 0", allocs)
+	}
+	args := []any{id, round}
+	if allocs := testing.AllocsPerRun(1000, func() { api.Tracef("a2: A-Deliver %v in round %d", args...) }); allocs != 0 {
+		t.Fatalf("Proc.Tracef allocated %.2f/call with tracing off, want 0", allocs)
+	}
+	var line string
+	rt.Trace = func(format string, a ...any) { line = fmt.Sprintf(format, a...) }
+	api.Tracef("a2: A-Deliver %v in round %d", args...)
+	if want := "p0 t=0s lc=0 a2: A-Deliver"; !strings.HasPrefix(line, want) {
+		t.Fatalf("armed sink got %q, want prefix %q", line, want)
 	}
 }

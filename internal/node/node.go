@@ -72,6 +72,9 @@ type API interface {
 	RecordBatch(size int)
 	// Tracef emits a debug trace line when tracing is enabled.
 	Tracef(format string, args ...any)
+	// TraceOn reports whether Tracef lines go anywhere. Call sites that run
+	// per message check it first: building Tracef's args boxes every operand.
+	TraceOn() bool
 	// Trace records a lifecycle span for message id at the given stage
 	// when a tracer is attached (see internal/trace). aux carries the
 	// stage-specific payload: the Lamport clock at cast/deliver, a
@@ -126,6 +129,8 @@ type Env interface {
 	Later(owner *Proc, d time.Duration, fn func())
 	Recorder() Recorder
 	Tracef(format string, args ...any)
+	// TraceOn reports whether a Tracef sink is attached.
+	TraceOn() bool
 }
 
 // Proc is one process: a Lamport clock, a crash flag, and a protocol
@@ -310,8 +315,14 @@ func (p *Proc) Tracing() bool {
 	return p.tracer.Enabled() && !p.recovering
 }
 
+// TraceOn implements API.
+func (p *Proc) TraceOn() bool { return p.env.TraceOn() }
+
 // Tracef implements API.
 func (p *Proc) Tracef(format string, args ...any) {
+	if !p.env.TraceOn() {
+		return
+	}
 	p.env.Tracef("%v t=%v lc=%d "+format, append([]any{p.id, p.env.Now(), p.clock}, args...)...)
 }
 

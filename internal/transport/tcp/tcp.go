@@ -51,6 +51,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,6 +295,8 @@ func (rt *Runtime) newLane() *lane {
 		in:   ring.NewMPSC[laneEvent](rt.cfg.InboxSize),
 		wake: make(chan struct{}, 1),
 	}
+	ln.dlTimer = time.AfterFunc(time.Hour, ln.releaseDue)
+	ln.dlTimer.Stop() // armed by the first delayed frame
 	rt.lanes = append(rt.lanes, ln)
 	return ln
 }
@@ -520,6 +523,54 @@ type lane struct {
 	ovOn atomic.Bool
 
 	depth atomic.Int64 // posted-but-unexecuted events; the telemetry gauge
+
+	// The delay line: received frames waiting out their injected link
+	// delay, in ascending due order (equal dues in arrival order), released
+	// by one timer armed for the head.
+	dlMu    sync.Mutex
+	dlQ     []delayedEvent
+	dlTimer *time.Timer
+}
+
+type delayedEvent struct {
+	due time.Time
+	ev  laneEvent
+}
+
+// delay queues ev for posting once d has passed. A frame never overtakes an
+// earlier frame of its own link — every protocol here assumes FIFO links —
+// even when the fabric shortens the link's delay between the two.
+func (ln *lane) delay(ev laneEvent, d time.Duration) {
+	due := time.Now().Add(d)
+	ln.dlMu.Lock()
+	defer ln.dlMu.Unlock()
+	i := len(ln.dlQ)
+	for ; i > 0 && ln.dlQ[i-1].due.After(due); i-- {
+		if q := &ln.dlQ[i-1]; q.ev.from == ev.from && q.ev.to == ev.to {
+			due = q.due
+			break
+		}
+	}
+	ln.dlQ = slices.Insert(ln.dlQ, i, delayedEvent{due, ev})
+	if i == 0 {
+		ln.dlTimer.Reset(d)
+	}
+}
+
+// releaseDue posts every frame whose delay has passed. It posts under dlMu:
+// a later firing must not overtake this one.
+func (ln *lane) releaseDue() {
+	ln.dlMu.Lock()
+	defer ln.dlMu.Unlock()
+	n, now := 0, time.Now()
+	for ; n < len(ln.dlQ) && !ln.dlQ[n].due.After(now); n++ {
+		ln.post(ln.dlQ[n].ev)
+	}
+	// Delete keeps the backing array and clears the vacated tail, so the
+	// line is reused and pins no delivered bodies.
+	if ln.dlQ = slices.Delete(ln.dlQ, 0, n); len(ln.dlQ) > 0 {
+		ln.dlTimer.Reset(time.Until(ln.dlQ[0].due))
+	}
 }
 
 // post hands an event to the lane. It never blocks and never drops:
@@ -749,8 +800,7 @@ func (rt *Runtime) dispatch(to types.ProcessID, f wire.Frame) {
 		}
 	}
 	if delay > 0 {
-		ln := rt.laneOf[to]
-		time.AfterFunc(delay, func() { ln.post(ev) })
+		rt.laneOf[to].delay(ev, delay)
 	} else {
 		rt.laneOf[to].post(ev)
 	}
@@ -761,6 +811,9 @@ func (rt *Runtime) Now() time.Duration { return time.Since(rt.start) }
 
 // Recorder implements node.Env.
 func (rt *Runtime) Recorder() node.Recorder { return rt.rec }
+
+// TraceOn implements node.Env.
+func (rt *Runtime) TraceOn() bool { return rt.trace != nil }
 
 // Tracef implements node.Env: trace lines go to Config.Trace (or stderr
 // under WANAMCAST_TCP_DEBUG), serialised across the runtime's goroutines,
@@ -1007,15 +1060,13 @@ func (l *link) writeLoop() {
 				pend = append(pend, f)
 			}
 		}
-		for len(held) > 0 && err == nil {
-			take(held[0])
-			if err == nil {
-				held = held[1:]
+		n := 0
+		for n < len(held) && err == nil {
+			if take(held[n]); err == nil {
+				n++
 			}
 		}
-		if len(held) == 0 {
-			held = nil // release the backing array
-		}
+		held = slices.Delete(held, 0, n) // keeps the backing array for the next cycle
 		for err == nil && len(pend) < maxEnvelopeFrames && time.Now().Before(deadline) {
 			var more bool
 			select {

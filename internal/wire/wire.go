@@ -383,6 +383,18 @@ func DecodeValue(data []byte) (any, []byte, error) {
 	return nil, nil, corrupt(fmt.Sprintf("unknown kind %d", kind))
 }
 
+// SkipValue returns what follows one tagged value. The length-prefixed
+// kinds are stepped over without building them; any other kind is decoded
+// and dropped.
+func SkipValue(data []byte) ([]byte, error) {
+	if len(data) > 0 && (Kind(data[0]) == KindString || Kind(data[0]) == KindBytes || Kind(data[0]) == KindGob) {
+		_, rest, err := Bytes(data[1:])
+		return rest, err
+	}
+	_, rest, err := DecodeValue(data)
+	return rest, err
+}
+
 // --- frames ---------------------------------------------------------------
 
 // Frame is the decoded transport envelope.

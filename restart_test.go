@@ -12,6 +12,11 @@ import (
 // cluster with fast timing for crash/restart tests.
 func restartCluster(t *testing.T, basePort int) (*LiveCluster, []storage.Store) {
 	t.Helper()
+	return restartClusterPipe(t, basePort, 2)
+}
+
+func restartClusterPipe(t *testing.T, basePort, pipeline int) (*LiveCluster, []storage.Store) {
+	t.Helper()
 	stores := make([]storage.Store, 6)
 	for i := range stores {
 		stores[i] = storage.NewMem()
@@ -23,7 +28,7 @@ func restartCluster(t *testing.T, basePort int) (*LiveCluster, []storage.Store) 
 		WANDelay: 5 * time.Millisecond,
 		Check:    true,
 		MaxBatch: 64,
-		Pipeline: 2,
+		Pipeline: pipeline,
 		StoreFor: func(p ProcessID) storage.Store { return stores[p] },
 	})
 	if err := cl.Start(); err != nil {
@@ -128,6 +133,51 @@ func TestRestartRecoversAndCatchesUpA2(t *testing.T) {
 	}
 	if v := cl.WaitPropertiesClean(15 * time.Second); len(v) != 0 {
 		t.Fatalf("post-restart violations: %v", v)
+	}
+}
+
+// TestRestartUnderPacedBroadcastLoad crashes and restarts a replica while
+// Pipeline 4 broadcasts keep flowing, so its peers are mid-window — pacing
+// their rounds, with rounds decided but not yet completed — at the moment
+// they serve its state transfer. The restarted replica comes back with no
+// pace estimate (none is in its WAL or snapshot): it must open every
+// proposable round at once until it has timed one of its own, and it must
+// learn the bundles of the rounds its group had in flight; a round held
+// back or left without its bundle here stalls every later delivery.
+func TestRestartUnderPacedBroadcastLoad(t *testing.T) {
+	cl, _ := restartClusterPipe(t, 21400, 4)
+	victim := cl.Process(0, 1)
+	stop, done := make(chan struct{}), make(chan []MessageID)
+	go func() {
+		var ids []MessageID
+		for tick := time.NewTicker(2 * time.Millisecond); ; {
+			select {
+			case <-tick.C:
+				from := cl.Process(GroupID(len(ids)%2), 2*(len(ids)%2)) // never the victim
+				ids = append(ids, cl.Broadcast(from, fmt.Sprintf("b%d", len(ids))))
+			case <-stop:
+				tick.Stop()
+				done <- ids
+				return
+			}
+		}
+	}()
+	time.Sleep(300 * time.Millisecond)
+	cl.Crash(victim)
+	time.Sleep(300 * time.Millisecond)
+	if err := cl.Restart(victim); err != nil {
+		t.Errorf("Restart(%v): %v", victim, err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	ids := <-done
+	for _, id := range ids {
+		if !cl.WaitDelivered(id, 6, 15*time.Second) {
+			t.Fatalf("%v reached %d of 6 replicas (%d casts in all)", id, cl.DeliveredCount(id), len(ids))
+		}
+	}
+	if v := cl.WaitPropertiesClean(15 * time.Second); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
 	}
 }
 
