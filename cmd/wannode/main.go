@@ -19,7 +19,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -27,24 +26,13 @@ import (
 	"strings"
 	"time"
 
-	"wanamcast/internal/abcast"
-	"wanamcast/internal/amcast"
 	"wanamcast/internal/config"
 	"wanamcast/internal/durable"
 	"wanamcast/internal/harness"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
 )
-
-// snapshotNode persists one snapshot, reporting failure without dying:
-// a failed snapshot costs replay time, not correctness.
-func snapshotNode(n *durable.Node) {
-	if err := n.Snapshot(); err != nil {
-		fmt.Fprintln(os.Stderr, "wannode: snapshot:", err)
-	}
-}
 
 // flags is wannode's command line: the shared cluster knobs plus its own.
 type flags struct {
@@ -58,8 +46,7 @@ type flags struct {
 // topology panic or socket error mid-run.
 func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	f := &flags{cfg: config.Config{Groups: 2, PerGroup: 2, BasePort: 19000, WANDelay: 100 * time.Millisecond}}
-	// wannode builds its own endpoints, the paper's sequential ones, and
-	// keeps no tracer.
+	// wannode runs the paper's sequential endpoints and keeps no tracer.
 	f.cfg.Bind(fs, "maxbatch", "pipeline", "spanbuf", "flightdump")
 	fs.IntVar(&f.id, "id", 0, "this process's ID (0..groups*d-1)")
 	fs.BoolVar(&f.trace, "trace", false, "print transport trace lines to stderr")
@@ -102,86 +89,32 @@ func main() {
 		store = d
 		defer store.Close()
 	}
-	log := storage.NewLog(store)
-	snapEvery := cfg.WithDefaults().SnapshotEvery
-
-	var seq uint64
-	nextID := func() types.MessageID {
-		seq++
-		return types.MessageID{Origin: self, Seq: seq}
-	}
-	var dnode *durable.Node
-	var sinceSnap int
-	deliver := func(kind string) func(mid types.MessageID, payload any) {
-		return func(mid types.MessageID, payload any) {
-			if !rt.Proc(self).Recovering() {
-				fmt.Printf("[%v] A-Deliver %s %v: %v\n", self, kind, mid, payload)
+	proc := rt.Proc(self)
+	kinds := map[string]string{"a1": "mcast", "a2": "bcast"}
+	host := durable.New(durable.Config{
+		Proc:     proc,
+		Detector: rt.Detector(self),
+		Store:    store,
+		Knobs:    cfg.WithDefaults(),
+		Async:    func(fn func()) { rt.Async(self, fn) },
+		Deliver: func(proto string, mid types.MessageID, payload any) {
+			if !proc.Recovering() {
+				fmt.Printf("[%v] A-Deliver %s %v: %v\n", self, kinds[proto], mid, payload)
 			}
-			if store != nil && snapEvery > 0 {
-				sinceSnap++
-				if sinceSnap >= snapEvery {
-					sinceSnap = 0
-					rt.Async(self, func() { snapshotNode(dnode) })
-				}
-			}
-		}
-	}
-	var onSynced func()
-	if store != nil {
-		onSynced = func() { rt.Async(self, func() { snapshotNode(dnode) }) }
-	}
-	a1 := amcast.New(amcast.Config{
-		Host:       rt.Proc(self),
-		Detector:   rt.Detector(self),
-		SkipStages: true,
-		NextID:     nextID,
-		Log:        log,
-		OnSynced:   onSynced,
-		OnDeliver:  func(m rmcast.Message) { deliver("mcast")(m.ID, m.Payload) },
-	})
-	a2 := abcast.New(abcast.Config{
-		Host:      rt.Proc(self),
-		Detector:  rt.Detector(self),
-		NextID:    nextID,
-		Log:       log,
-		OnSynced:  onSynced,
-		OnDeliver: deliver("bcast"),
-	})
-	dnode = &durable.Node{Store: store, A1: a1, A2: a2, Extra: []durable.Section{{
-		Name: "wannode",
-		Save: func() ([]byte, error) { return binary.AppendUvarint(nil, seq), nil },
-		Restore: func(data []byte) error {
-			s, n := binary.Uvarint(data)
-			if n <= 0 {
-				// A silent seq=0 here could re-issue MessageIDs the old
-				// incarnation already used: fail the recovery instead.
-				return fmt.Errorf("corrupt wannode section")
-			}
-			seq = s
-			return nil
 		},
-	}}}
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "wannode: "+format+"\n", args...)
+		},
+	})
+	a1, a2 := host.A1, host.A2
 
-	// Recover durable state before the transport starts: the acceptor must
-	// never answer a Prepare or Accept with amnesia. Runs with sends and
-	// prints suppressed; the loops are not running yet, so this is safe on
-	// the main goroutine.
-	recovered := false
-	if store != nil {
-		proc := rt.Proc(self)
-		proc.SetRecovering(true)
-		if err := dnode.Recover(); err != nil {
-			fmt.Fprintln(os.Stderr, "wannode: recovery:", err)
-			os.Exit(1)
-		}
-		proc.SetRecovering(false)
-		recovered = a1.Delivered() > 0 || a2.Round() > 1 || seq > 0
-		if recovered {
-			// A fresh incarnation must never reuse a MessageID: casts
-			// since the last snapshot are not individually logged.
-			seq += 1 << 20
-		}
+	// Recover before the transport starts; the loops are not running yet, so
+	// this is safe on the main goroutine (see package durable for the order).
+	if err := host.Recover(); err != nil {
+		fmt.Fprintln(os.Stderr, "wannode: recovery:", err)
+		os.Exit(1)
 	}
+	delivered, round := a1.Delivered(), a2.Round()
 
 	if err := rt.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "wannode:", err)
@@ -189,21 +122,10 @@ func main() {
 	}
 	defer rt.Stop()
 	if store != nil {
-		// Catch up whatever the group ordered while this instance was
-		// down. This must run for a COLD start too: recovery leaves
-		// delivery gated until the state transfer confirms the group's
-		// prefix (a wiped data dir on a running cluster is just "very far
-		// behind"), and on a cluster-wide cold start every member answers
-		// Busy-with-nothing-newer, so the group concludes nobody holds
-		// more and resumes — skipping the sync here would leave the gate
-		// armed forever.
-		rt.Run(self, func() {
-			a1.StartSync()
-			a2.StartSync()
-		})
-		if recovered {
+		rt.Run(self, host.StartSync)
+		if delivered > 0 || round > 1 {
 			fmt.Printf("[%v] recovered from %s (a1 deliveries=%d, a2 round=%d); syncing with group peers\n",
-				self, cfg.DataDir, a1.Delivered(), a2.Round())
+				self, cfg.DataDir, delivered, round)
 		}
 	}
 	fmt.Printf("[%v] up: group %v, listening on %d, peers on %d..%d\n",
@@ -215,11 +137,13 @@ func main() {
 		switch {
 		case line == "":
 		case line == "quit":
-			if store != nil {
-				// Parting snapshot: the next incarnation recovers from it
-				// instead of replaying the whole WAL tail.
-				rt.Run(self, func() { snapshotNode(dnode) })
-			}
+			// Parting snapshot: the next incarnation recovers from it instead
+			// of replaying the whole WAL tail.
+			rt.Run(self, func() {
+				if err := host.Snapshot(); err != nil {
+					fmt.Fprintln(os.Stderr, "wannode: snapshot:", err)
+				}
+			})
 			return
 		case strings.HasPrefix(line, "bcast "):
 			text := strings.TrimPrefix(line, "bcast ")

@@ -47,6 +47,7 @@ import (
 	"wanamcast/internal/fd"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
@@ -128,17 +129,8 @@ type Config struct {
 	// remote bundles are appended for replay, and state transfer
 	// (StartSync) records the rounds it adopts from peers.
 	Log *storage.Log
-	// SyncArchive bounds how many recent completed rounds (with their
-	// delivered unions) are retained to serve restarted group peers'
-	// state transfer. Default 4096.
-	SyncArchive int
-	// OnSynced, when non-nil, fires once a StartSync state transfer has
-	// caught this endpoint up with its group.
-	OnSynced func()
-	// OnSyncFailed, when non-nil, fires the moment a state transfer is
-	// abandoned as unrecoverable (see SyncFailed). The host's flight
-	// recorder hangs its span dump here.
-	OnSyncFailed func()
+	// Sync sets the state-transfer archive bound and completion hooks.
+	Sync statesync.Options
 }
 
 // Bcast is the per-process Algorithm A2 endpoint.
@@ -181,29 +173,9 @@ type Bcast struct {
 	paceAt   time.Duration // deadline of the armed pace timer; 0 = none
 	paceFn   func()        // the pace timer's callback, built once
 
-	// Durability & recovery state (see Config.Log).
-	log        *storage.Log
-	archive    []roundUnion // completed rounds [archBase, k)
-	archBase   uint64       // first archived round (rounds start at 1)
-	archCap    int
-	syncing    bool // state transfer in progress: round completion gated
-	syncFailed bool // transfer abandoned (peers' archives rotated past us)
-	syncHeard  map[types.ProcessID]syncPeerInfo
-	onSynced   func()
-	onFailed   func() // OnSyncFailed
-}
-
-// syncPeerInfo is the latest sync answer seen from one group peer.
-type syncPeerInfo struct {
-	next uint64
-	busy bool
-}
-
-// roundUnion is one completed round's delivered union, archived for
-// restarted peers.
-type roundUnion struct {
-	round uint64
-	set   []Record
+	// Durability & recovery state (see Config.Log). The sync position is k.
+	log  *storage.Log
+	sync *statesync.Engine[RoundSet, SyncTail]
 }
 
 var _ node.Protocol = (*Bcast)(nil)
@@ -222,10 +194,6 @@ func New(cfg Config) *Bcast {
 	if keepAlive == 0 {
 		keepAlive = 1
 	}
-	archCap := cfg.SyncArchive
-	if archCap <= 0 {
-		archCap = 4096
-	}
 	pipeline := max(cfg.Pipeline, 1)
 	keepAlive += uint64(pipeline - 1) // a useful round keeps the whole window live
 	b := &Bcast{
@@ -243,11 +211,19 @@ func New(cfg Config) *Bcast {
 		inDecided:  make(map[types.MessageID]bool),
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
-		archBase:   1,
-		archCap:    archCap,
-		onSynced:   cfg.OnSynced,
-		onFailed:   cfg.OnSyncFailed,
 	}
+	b.sync = statesync.New(statesync.Config[RoundSet, SyncTail]{
+		API:     cfg.Host,
+		Label:   prefix,
+		Batch:   syncBatch,
+		Codec:   syncCodec,
+		Pos:     b.Round,
+		Apply:   func(rs RoundSet) { b.applySyncRound(rs, false) },
+		Tail:    b.syncTail,
+		Adopt:   b.adoptState,
+		Resume:  b.resumeRounds,
+		Options: cfg.Sync,
+	})
 	topo := cfg.Host.Topo()
 	for _, g := range topo.AllGroups().Groups() {
 		if g != cfg.Host.Group() {
@@ -350,12 +326,10 @@ func (b *Bcast) Receive(from types.ProcessID, body any) {
 			return
 		}
 		b.handleBundle(g, m.Round, set, false)
-	case SyncReq:
-		b.onSyncReq(from, m)
-	case SyncResp:
-		b.onSyncResp(from, m)
 	default:
-		panic(fmt.Sprintf("abcast: unexpected message %T", body))
+		if !b.sync.Receive(from, body) {
+			panic(fmt.Sprintf("abcast: unexpected message %T", body))
+		}
 	}
 }
 
@@ -481,7 +455,7 @@ func (b *Bcast) applyRound(inst uint64, set []Record) {
 // our own round-K bundle is decided and a bundle from every other group has
 // arrived, execute lines 17–23.
 func (b *Bcast) tryCompleteRound() {
-	if b.syncing {
+	if b.sync.Gated() {
 		// State transfer in progress: rounds this process missed must be
 		// adopted (in order) before any new round may deliver.
 		return
@@ -553,7 +527,7 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 	}
 	delete(b.bundles, b.k)
 	delete(b.decided, b.k)
-	b.archiveRound(b.k, union)
+	b.sync.Record(RoundSet{Round: b.k, Set: union})
 	// Line 21.
 	b.k++
 	// Lines 22–23: keep rounds running only if this one was useful. The

@@ -267,7 +267,7 @@ func TestPacingIsSoftState(t *testing.T) {
 	if after := ep.AppendSnapshot(nil); !bytes.Equal(before, after) {
 		t.Error("the snapshot depends on pacing state")
 	}
-	ep.finishSync()
+	ep.resumeRounds()
 	if ep.paceD != 0 || ep.probe != 0 {
 		t.Errorf("after state transfer: estimate %v, probe %d, want none", ep.paceD, ep.probe)
 	}

@@ -1,42 +1,32 @@
-// Crash recovery and restart state transfer for Algorithm A2.
+// Crash recovery for Algorithm A2: what is A2's own in a restart.
 //
-// Recovery mirrors amcast's: RestoreSnapshot rebuilds the endpoint (round,
-// Barrier, the R-Delivered working set, received remote bundles, the
+// Local recovery mirrors amcast's: RestoreSnapshot rebuilds the endpoint
+// (round, Barrier, the R-Delivered working set, received remote bundles, the
 // completed-round archive, and the ordering engine), Recover re-fires the
 // apply cascade for decisions the snapshot knew, and ReplayRecord replays
 // the WAL tail — decisions, remote-bundle receipts, adopted rounds —
 // through the same code paths that produced them.
 //
-// State transfer is round shipping: every group member completes the same
-// rounds with the same unions, so a restarted process asks its same-group
-// peers for the archived unions from its round onward, applies them in
-// order (delivering what it had not delivered), then adopts the peer's
-// engine horizon, Barrier, and in-flight remote bundles. Until then round
-// completion is gated.
+// Catch-up from the group is internal/statesync's protocol. A2 plugs in:
+// the position is the round K; the record is one completed round's union
+// (RoundSet), applied by delivering what it had not delivered; the tail is
+// the Barrier and the in-flight remote bundles (SyncTail), adopted together
+// with skipping the engine to K. While the gate is shut no round completes.
 package abcast
 
 import (
 	"cmp"
 	"slices"
 	"sort"
-	"time"
 
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
-// syncBatch bounds the rounds one SyncResp carries.
+// syncBatch bounds the rounds one state-transfer answer carries.
 const syncBatch = 128
-
-// syncRetryEvery is the re-request period while a state transfer is
-// outstanding.
-const syncRetryEvery = 100 * time.Millisecond
-
-// SyncReq asks a group peer for completed rounds from From onward.
-type SyncReq struct {
-	From uint64
-}
 
 // RoundSet is one completed round's delivered union.
 type RoundSet struct {
@@ -51,29 +41,12 @@ type GroupBundle struct {
 	Set   []Record
 }
 
-// SyncResp is the bounded state-transfer answer.
-type SyncResp struct {
-	Base    uint64     // first round in Rounds
-	Rounds  []RoundSet // consecutive completed rounds [Base, Base+len)
-	Next    uint64     // responder's current round K
+// SyncTail is A2's in-flight state, adopted by a requester that has caught
+// up with the responder's rounds: the Barrier and the remote bundles of
+// rounds not yet completed.
+type SyncTail struct {
 	Barrier uint64
-	// Bundles (remote bundles for rounds >= Next) ride only the response
-	// that completes the catch-up; chunked responses omit them.
 	Bundles []GroupBundle
-	TooFar  bool
-	// Busy marks a responder that is itself recovering; see the amcast
-	// counterpart — when EVERY group peer is Busy with nothing newer, the
-	// whole group is restarting together and the requester resumes.
-	Busy bool
-}
-
-// archiveRound retains one completed round for restarted peers.
-func (b *Bcast) archiveRound(round uint64, union []Record) {
-	if b.archCap <= 0 {
-		return
-	}
-	b.archive, _ = storage.TrimTail(append(b.archive, roundUnion{round: round, set: union}), b.archCap)
-	b.archBase = b.archive[0].round
 }
 
 // --- snapshot ---------------------------------------------------------------
@@ -89,8 +62,8 @@ func (b *Bcast) AppendSnapshot(buf []byte) []byte {
 	for _, id := range b.rdOrder {
 		buf = b.rdelivered[id].AppendTo(buf)
 	}
-	buf = appendIDSet(buf, b.adelivered)
-	buf = appendIDSet(buf, b.inDecided)
+	buf = statesync.AppendIDSet(buf, b.adelivered)
+	buf = statesync.AppendIDSet(buf, b.inDecided)
 	// Own decided bundles for uncompleted rounds.
 	rounds := make([]uint64, 0, len(b.decided))
 	for r := range b.decided {
@@ -112,11 +85,7 @@ func (b *Bcast) AppendSnapshot(buf []byte) []byte {
 	sortGroupBundles(gbs)
 	buf = appendGroupBundles(buf, gbs)
 	// Completed-round archive.
-	buf = wire.AppendUvarint(buf, uint64(len(b.archive)))
-	for _, ru := range b.archive {
-		buf = wire.AppendUvarint(buf, ru.round)
-		buf = AppendRecords(buf, ru.set)
-	}
+	buf = b.sync.AppendArchive(buf)
 	// The ordering engine, length-prefixed.
 	return wire.AppendBytes(buf, b.engine.AppendSnapshot(nil))
 }
@@ -145,10 +114,10 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 		b.rdelivered[r.ID] = r
 		b.rdOrder = append(b.rdOrder, r.ID)
 	}
-	if data, err = decodeIDSet(data, b.adelivered); err != nil {
+	if data, err = statesync.DecodeIDSet(data, b.adelivered); err != nil {
 		return err
 	}
-	if data, err = decodeIDSet(data, b.inDecided); err != nil {
+	if data, err = statesync.DecodeIDSet(data, b.inDecided); err != nil {
 		return err
 	}
 	if n, data, err = wire.SliceLen(data); err != nil {
@@ -172,24 +141,8 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 	for _, gb := range gbs {
 		b.storeBundle(gb.Group, gb.Round, gb.Set, true)
 	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = b.sync.RestoreArchive(data); err != nil {
 		return err
-	}
-	b.archive = b.archive[:0]
-	for i := 0; i < n; i++ {
-		var ru roundUnion
-		if ru.round, data, err = wire.Uvarint(data); err != nil {
-			return err
-		}
-		if ru.set, data, err = DecodeRecords(data); err != nil {
-			return err
-		}
-		b.archive = append(b.archive, ru)
-	}
-	if len(b.archive) > 0 {
-		b.archBase = b.archive[0].round
-	} else {
-		b.archBase = b.k
 	}
 	var engineBlob []byte
 	if engineBlob, _, err = wire.Bytes(data); err != nil {
@@ -205,8 +158,13 @@ func (b *Bcast) Recover() {
 	b.engine.Recover()
 }
 
-// EndRecovery leaves replay mode once the WAL tail has been replayed.
-func (b *Bcast) EndRecovery() { b.engine.EndRecovery() }
+// EndRecovery leaves replay mode once the WAL tail has been replayed, and
+// shuts the round-completion gate until StartSync's transfer finishes (see
+// statesync.Engine.Arm).
+func (b *Bcast) EndRecovery() {
+	b.engine.EndRecovery()
+	b.sync.Arm()
+}
 
 // ReplayRecord replays one WAL record belonging to this endpoint.
 func (b *Bcast) ReplayRecord(rec storage.Record) error {
@@ -219,7 +177,7 @@ func (b *Bcast) ReplayRecord(rec storage.Record) error {
 		b.handleBundle(types.GroupID(rec.Aux), rec.Inst, set, true)
 	case storage.KindRound:
 		set, _ := rec.Value.([]Record)
-		b.applySyncRound(rec.Inst, set, true)
+		b.applySyncRound(RoundSet{Round: rec.Inst, Set: set}, true)
 	default:
 		b.api.Tracef("a2: ignoring unexpected WAL record kind %d", rec.Kind)
 	}
@@ -232,11 +190,9 @@ func (b *Bcast) ReplayRecord(rec storage.Record) error {
 // of the endpoint's consensus records).
 func (b *Bcast) EngineLabel() string { return b.engine.Label() }
 
-// Syncing reports whether a state transfer is in progress.
-func (b *Bcast) Syncing() bool { return b.syncing }
-
-// SyncFailed reports an abandoned state transfer (see amcast.SyncFailed).
-func (b *Bcast) SyncFailed() bool { return b.syncFailed }
+// Syncing reports whether round completion is gated: recovery has ended or
+// a state transfer has started, and the transfer has not finished.
+func (b *Bcast) Syncing() bool { return b.sync.Gated() }
 
 // Watermark returns how many messages this endpoint has A-Delivered,
 // readable lock-free from any goroutine (the read tier's delivery
@@ -244,141 +200,45 @@ func (b *Bcast) SyncFailed() bool { return b.syncFailed }
 func (b *Bcast) Watermark() uint64 { return b.wm.Load() }
 
 // StartSync begins catch-up from the same-group peers after a restart.
-func (b *Bcast) StartSync() {
-	if len(b.api.Topo().Members(b.api.Group())) <= 1 {
-		b.finishSync()
-		return
+func (b *Bcast) StartSync() { b.sync.Start() }
+
+// syncTail captures the in-flight state a caught-up requester adopts.
+func (b *Bcast) syncTail() SyncTail {
+	t := SyncTail{Barrier: b.barrier}
+	for r, perGroup := range b.bundles {
+		for g, set := range perGroup {
+			t.Bundles = append(t.Bundles, GroupBundle{Round: r, Group: g, Set: set})
+		}
 	}
-	b.syncing = true
-	b.syncFailed = false
-	b.syncHeard = make(map[types.ProcessID]syncPeerInfo)
-	b.sendSyncReq()
-	b.armSyncRetry()
+	sortGroupBundles(t.Bundles)
+	return t
 }
 
-func (b *Bcast) sendSyncReq() {
-	self := b.api.Self()
-	var tos []types.ProcessID
-	for _, q := range b.api.Topo().Members(b.api.Group()) {
-		if q != self {
-			tos = append(tos, q)
-		}
+// adoptState takes over a caught-up peer's in-flight bundles and horizon.
+func (b *Bcast) adoptState(t SyncTail) {
+	for _, gb := range t.Bundles {
+		b.storeBundle(gb.Group, gb.Round, gb.Set, false)
 	}
-	b.api.Multicast(tos, b.label, SyncReq{From: b.k})
-}
-
-func (b *Bcast) armSyncRetry() {
-	b.api.After(syncRetryEvery, func() {
-		if !b.syncing || b.syncFailed {
-			return
-		}
-		b.sendSyncReq()
-		b.armSyncRetry()
-	})
-}
-
-// onSyncReq serves a restarted peer from the completed-round archive. A
-// responder that is itself syncing answers Busy: archived rounds are
-// immutable facts, but its in-flight state must not be adopted.
-func (b *Bcast) onSyncReq(from types.ProcessID, m SyncReq) {
-	resp := SyncResp{Base: m.From, Next: b.k, Barrier: b.barrier, Busy: b.syncing}
-	if m.From < b.archBase {
-		resp.TooFar = true
-		b.api.Send(from, b.label, resp)
-		return
+	if t.Barrier > b.barrier {
+		b.barrier = t.Barrier
 	}
-	end := m.From + syncBatch
-	if end > b.k {
-		end = b.k
-	}
-	for r := m.From; r < end; r++ {
-		resp.Rounds = append(resp.Rounds, RoundSet{Round: r, Set: b.archive[r-b.archBase].set})
-	}
-	// In-flight bundles ride only the response that completes the catch-up.
-	if !resp.Busy && end == b.k {
-		for r, perGroup := range b.bundles {
-			for g, set := range perGroup {
-				resp.Bundles = append(resp.Bundles, GroupBundle{Round: r, Group: g, Set: set})
-			}
-		}
-		sortGroupBundles(resp.Bundles)
-	}
-	b.api.Send(from, b.label, resp)
-}
-
-// onSyncResp consumes one state-transfer answer.
-func (b *Bcast) onSyncResp(from types.ProcessID, m SyncResp) {
-	if !b.syncing {
-		return
-	}
-	if m.TooFar {
-		// Terminal; see the amcast counterpart.
-		b.api.Tracef("a2: peer archive no longer covers round %d; cannot catch up by log transfer (sync abandoned)", b.k)
-		b.syncFailed = true
-		if b.onFailed != nil {
-			b.onFailed()
-		}
-		return
-	}
-	progressed := false
-	for _, rs := range m.Rounds {
-		if rs.Round == b.k {
-			b.applySyncRound(rs.Round, rs.Set, false)
-			progressed = true
-		}
-	}
-	b.syncHeard[from] = syncPeerInfo{next: m.Next, busy: m.Busy}
-	switch {
-	case !m.Busy && b.k >= m.Next:
-		// Caught up with a serving peer: adopt its in-flight bundles and
-		// horizon.
-		for _, gb := range m.Bundles {
-			b.storeBundle(gb.Group, gb.Round, gb.Set, false)
-		}
-		if m.Barrier > b.barrier {
-			b.barrier = m.Barrier
-		}
-		// Round r is instance r, and only completed rounds were handed over:
-		// the group's bundles of rounds decided but not yet completed must
-		// still be learned here, or round K waits for its own bundle forever.
-		b.engine.SkipTo(b.k)
-		b.finishSync()
-	case progressed:
-		b.sendSyncReq()
-	default:
-		b.maybeFinishGroupRestart()
-	}
-}
-
-// maybeFinishGroupRestart resumes when every group peer has answered Busy
-// with no round newer than ours — the full-group restart case; see the
-// amcast counterpart.
-func (b *Bcast) maybeFinishGroupRestart() {
-	self := b.api.Self()
-	for _, q := range b.api.Topo().Members(b.api.Group()) {
-		if q == self {
-			continue
-		}
-		info, ok := b.syncHeard[q]
-		if !ok || !info.busy || info.next > b.k {
-			return
-		}
-	}
-	b.api.Tracef("a2: whole group restarting, no peer ahead of round %d; resuming", b.k)
-	b.finishSync()
+	// Round r is instance r, and only completed rounds were handed over:
+	// the group's bundles of rounds decided but not yet completed must
+	// still be learned here, or round K waits for its own bundle forever.
+	b.engine.SkipTo(b.k)
 }
 
 // applySyncRound repeats one round the group completed while this process
 // was down: deliver its union's undelivered records in the deterministic
 // order and advance K. replay marks WAL replay (no re-logging).
-func (b *Bcast) applySyncRound(round uint64, union []Record, replay bool) {
-	if round != b.k {
+func (b *Bcast) applySyncRound(rs RoundSet, replay bool) {
+	if rs.Round != b.k {
 		return
 	}
 	if !replay {
-		b.log.Append(storage.Record{Kind: storage.KindRound, Proto: b.label, Inst: round, Value: union})
+		b.log.Append(storage.Record{Kind: storage.KindRound, Proto: b.label, Inst: rs.Round, Value: rs.Set})
 	}
-	b.deliverRound(union, " (state transfer)")
+	b.deliverRound(rs.Set, " (state transfer)")
 }
 
 // compactRDOrder drops R-Delivery order entries whose records are gone.
@@ -392,47 +252,16 @@ func (b *Bcast) compactRDOrder() {
 	b.rdOrder = kept
 }
 
-// finishSync ends the transfer: round completion resumes and the engine
-// pumps; the host is told so it can snapshot the synced state.
-func (b *Bcast) finishSync() {
-	b.syncing = false
-	b.syncHeard = nil
+// resumeRounds runs when the state transfer ends: round completion is live
+// again and the engine pumps.
+func (b *Bcast) resumeRounds() {
 	// Rounds adopted from peers were not timed here: start unpaced.
 	b.paceD, b.probe = 0, 0
 	b.engine.Pump()
 	b.tryCompleteRound()
-	if b.onSynced != nil {
-		b.onSynced()
-	}
 }
 
 // --- helpers ----------------------------------------------------------------
-
-// appendIDSet appends set's ids in ascending order, their count first.
-func appendIDSet(buf []byte, set map[types.MessageID]bool) []byte {
-	ids := make([]types.MessageID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = id.AppendTo(buf)
-	}
-	return buf
-}
-
-// decodeIDSet reads appendIDSet's encoding into set.
-func decodeIDSet(data []byte, set map[types.MessageID]bool) ([]byte, error) {
-	n, data, err := wire.SliceLen(data)
-	for i := 0; i < n && err == nil; i++ {
-		var id types.MessageID
-		if id, data, err = types.DecodeMessageID(data); err == nil {
-			set[id] = true
-		}
-	}
-	return data, err
-}
 
 func sortGroupBundles(gbs []GroupBundle) {
 	slices.SortFunc(gbs, func(x, y GroupBundle) int {

@@ -47,3 +47,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredEndpointIsGated is the A2 twin of the gate assertion in
+// amcast's TestReplayMatchesPreCrashDeliveries: with group peers present, an
+// endpoint that has finished local recovery completes no round until its
+// state transfer confirms the group's prefix (EndRecovery shuts the gate,
+// the transfer's finish lifts it).
+func TestRecoveredEndpointIsGated(t *testing.T) {
+	topo := types.NewTopology(2, 3)
+	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
+	ep := New(Config{Host: rt.Proc(1), Detector: rt.Oracle()})
+	if ep.Syncing() {
+		t.Fatal("a fresh endpoint is gated")
+	}
+	rt.Proc(1).SetRecovering(true)
+	ep.Recover()
+	ep.EndRecovery()
+	rt.Proc(1).SetRecovering(false)
+	if !ep.Syncing() {
+		t.Fatal("recovered endpoint not round-gated before state transfer")
+	}
+}

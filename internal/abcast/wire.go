@@ -1,11 +1,10 @@
 // Wire codecs for Algorithm A2's messages (see internal/wire): the
-// (K, msgSet) bundle and the []Record batches that travel as consensus
-// values.
+// (K, msgSet) bundle, the []Record batches that travel as consensus
+// values, and the record and tail of its state-transfer answers.
 package abcast
 
 import (
-	"fmt"
-
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
@@ -15,77 +14,32 @@ func init() {
 		func(buf []byte, m BundleMsg) []byte { return m.AppendTo(buf) },
 		func(data []byte) (m BundleMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
 	wire.Register(wire.KindABcastRecords, AppendRecords, DecodeRecords)
-	wire.Register(wire.KindA2SyncReq,
-		func(buf []byte, m SyncReq) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m SyncReq, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
-	wire.Register(wire.KindA2SyncResp,
-		func(buf []byte, m SyncResp) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m SyncResp, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
+	statesync.RegisterResp(wire.KindA2SyncResp, syncCodec)
 }
 
-// AppendTo appends m's wire encoding.
-func (m SyncReq) AppendTo(buf []byte) []byte { return wire.AppendUvarint(buf, m.From) }
-
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *SyncReq) DecodeFrom(data []byte) (rest []byte, err error) {
-	m.From, data, err = wire.Uvarint(data)
-	return data, err
-}
-
-// AppendTo appends m's wire encoding.
-func (m SyncResp) AppendTo(buf []byte) []byte {
-	buf = wire.AppendUvarint(buf, m.Base)
-	buf = wire.AppendUvarint(buf, uint64(len(m.Rounds)))
-	for _, rs := range m.Rounds {
-		buf = wire.AppendUvarint(buf, rs.Round)
-		buf = AppendRecords(buf, rs.Set)
-	}
-	buf = wire.AppendUvarint(buf, m.Next)
-	buf = wire.AppendUvarint(buf, m.Barrier)
-	buf = appendGroupBundles(buf, m.Bundles)
-	flags := byte(0)
-	if m.TooFar {
-		flags |= 1
-	}
-	if m.Busy {
-		flags |= 2
-	}
-	return append(buf, flags)
-}
-
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *SyncResp) DecodeFrom(data []byte) (rest []byte, err error) {
-	if m.Base, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	var n int
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var rs RoundSet
+// syncCodec encodes A2's archive records (a round number and its union, in
+// snapshots and on the wire) and its state-transfer tail.
+var syncCodec = statesync.Codec[RoundSet, SyncTail]{
+	AppendRec: func(buf []byte, rs RoundSet) []byte {
+		return AppendRecords(wire.AppendUvarint(buf, rs.Round), rs.Set)
+	},
+	DecodeRec: func(data []byte) (rs RoundSet, rest []byte, err error) {
 		if rs.Round, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
+			return rs, nil, err
 		}
-		if rs.Set, data, err = DecodeRecords(data); err != nil {
-			return nil, err
+		rs.Set, rest, err = DecodeRecords(data)
+		return rs, rest, err
+	},
+	AppendTail: func(buf []byte, t SyncTail) []byte {
+		return appendGroupBundles(wire.AppendUvarint(buf, t.Barrier), t.Bundles)
+	},
+	DecodeTail: func(data []byte) (t SyncTail, rest []byte, err error) {
+		if t.Barrier, data, err = wire.Uvarint(data); err != nil {
+			return t, nil, err
 		}
-		m.Rounds = append(m.Rounds, rs)
-	}
-	if m.Next, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.Barrier, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.Bundles, data, err = decodeGroupBundles(data); err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: sync resp flags", wire.ErrCorrupt)
-	}
-	m.TooFar, m.Busy, data = data[0]&1 != 0, data[0]&2 != 0, data[1:]
-	return data, nil
+		t.Bundles, rest, err = decodeGroupBundles(data)
+		return t, rest, err
+	},
 }
 
 // AppendTo appends r's wire encoding.

@@ -40,6 +40,7 @@ import (
 	"wanamcast/internal/fd"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
@@ -121,20 +122,8 @@ type Config struct {
 	// process reconstructs the exact pre-crash ordering state from disk
 	// plus a bounded catch-up from live peers.
 	Log *storage.Log
-	// SyncArchive bounds how many recent deliveries this endpoint retains
-	// (with payloads) to serve restarted group peers' state transfer.
-	// Default 4096; a peer further behind than this cannot catch up by
-	// log transfer and reports "too far behind". Ignored without Log.
-	SyncArchive int
-	// OnSynced, when non-nil, fires once a StartSync state transfer has
-	// caught this endpoint up with its group (the natural moment for the
-	// host to take a fresh snapshot).
-	OnSynced func()
-	// OnSyncFailed, when non-nil, fires the moment a state transfer is
-	// abandoned as unrecoverable (the group's archives no longer cover
-	// this process's position). The host's flight recorder hangs its
-	// span dump here.
-	OnSyncFailed func()
+	// Sync sets the state-transfer archive bound and completion hooks.
+	Sync statesync.Options
 }
 
 // pend is the local state of a message in PENDING.
@@ -179,22 +168,9 @@ type Mcast struct {
 	nextID     func() types.MessageID
 
 	// Durability & recovery state (see Config.Log).
-	log        *storage.Log
-	delivered  uint64       // total A-Deliveries at this process
-	archive    []DeliverRec // recent deliveries [archiveBase, delivered)
-	archBase   uint64
-	archCap    int
-	syncing    bool // state transfer in progress: organic delivery gated
-	syncFailed bool // transfer abandoned (peers' archives rotated past us)
-	syncHeard  map[types.ProcessID]syncPeerInfo
-	onSynced   func()
-	onFailed   func() // OnSyncFailed
-}
-
-// syncPeerInfo is the latest sync answer seen from one group peer.
-type syncPeerInfo struct {
-	next uint64
-	busy bool
+	log       *storage.Log
+	delivered uint64 // total A-Deliveries at this process: the sync position
+	sync      *statesync.Engine[DeliverRec, SyncTail]
 }
 
 var _ node.Protocol = (*Mcast)(nil)
@@ -213,10 +189,6 @@ func New(cfg Config) *Mcast {
 	if mode == 0 {
 		mode = rmcast.ModeDirect
 	}
-	archCap := cfg.SyncArchive
-	if archCap <= 0 {
-		archCap = 4096
-	}
 	a := &Mcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
@@ -228,10 +200,19 @@ func New(cfg Config) *Mcast {
 		tsProps:    make(map[types.MessageID]map[types.GroupID]uint64),
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
-		archCap:    archCap,
-		onSynced:   cfg.OnSynced,
-		onFailed:   cfg.OnSyncFailed,
 	}
+	a.sync = statesync.New(statesync.Config[DeliverRec, SyncTail]{
+		API:     cfg.Host,
+		Label:   prefix,
+		Batch:   syncBatch,
+		Codec:   syncCodec,
+		Pos:     a.Delivered,
+		Apply:   func(dr DeliverRec) { a.applySyncDeliver(dr, false) },
+		Tail:    a.syncTail,
+		Adopt:   a.adoptState,
+		Resume:  a.resumeDelivery,
+		Options: cfg.Sync,
+	})
 	if a.nextID == nil {
 		a.nextID = func() types.MessageID {
 			a.castSeq++
@@ -292,12 +273,10 @@ func (a *Mcast) Receive(from types.ProcessID, body any) {
 	switch m := body.(type) {
 	case TSMsg:
 		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
-	case SyncReq:
-		a.onSyncReq(from, m)
-	case SyncResp:
-		a.onSyncResp(from, m)
 	default:
-		panic(fmt.Sprintf("amcast: unexpected message %T", body))
+		if !a.sync.Receive(from, body) {
+			panic(fmt.Sprintf("amcast: unexpected message %T", body))
+		}
 	}
 }
 
@@ -531,7 +510,7 @@ func (a *Mcast) checkStage1(id types.MessageID) {
 // process missed must land first (in the group's order), or the local
 // sequence would diverge from the group's.
 func (a *Mcast) adeliveryTest() {
-	if a.syncing {
+	if a.sync.Gated() {
 		return
 	}
 	for {
@@ -567,11 +546,7 @@ func (a *Mcast) adeliveryTest() {
 func (a *Mcast) recordDelivered(dr DeliverRec) {
 	a.delivered++
 	a.wm.Store(a.delivered)
-	if a.archCap <= 0 {
-		return
-	}
-	a.archive, _ = storage.TrimTail(append(a.archive, dr), a.archCap)
-	a.archBase = a.delivered - uint64(len(a.archive))
+	a.sync.Record(dr)
 }
 
 // sortDescriptors orders a proposal deterministically by message ID.

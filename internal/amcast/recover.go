@@ -1,43 +1,35 @@
-// Crash recovery and restart state transfer for Algorithm A1.
+// Crash recovery for Algorithm A1: what is A1's own in a restart.
 //
-// Recovery is two-phase. Phase one is local: RestoreSnapshot rebuilds the
-// endpoint (clock, PENDING, received proposals, delivered set, delivery
-// archive, and the ordering engine) from the last snapshot, Recover
-// re-fires the apply cascade for decisions the snapshot knew, and
-// ReplayRecord replays the WAL tail — decisions, (TS, m) receipts, and
-// previously adopted deliveries — through the very same code paths that
-// produced them, so the reconstructed state is byte-identical to the
-// pre-crash state the log covers.
+// Local recovery: RestoreSnapshot rebuilds the endpoint (clock, PENDING,
+// received proposals, delivered set, delivery archive, and the ordering
+// engine) from the last snapshot, Recover re-fires the apply cascade for
+// decisions the snapshot knew, and ReplayRecord replays the WAL tail —
+// decisions, admissions, (TS, m) receipts, and previously adopted
+// deliveries — through the very same code paths that produced them, so the
+// reconstructed state is byte-identical to the pre-crash state the log
+// covers.
 //
-// Phase two is remote: StartSync asks the same-group peers for everything
-// that happened while the process was down. Same-group members A-Deliver
-// identical sequences (they apply the same decisions and receive the same
-// proposals), so catch-up is log shipping: the peer streams its archived
-// deliveries from the requester's count, in bounded batches, and finishes
-// with its current PENDING/proposal tables and engine horizon, which the
-// requester adopts. Until the transfer completes, organic delivery is
-// gated — missed messages must land first or the local sequence would
-// diverge from the group's.
+// Catch-up from the group is internal/statesync's protocol. A1 plugs in:
+// the position is the A-Delivery count; the record is one delivery
+// (DeliverRec); the tail is PENDING, the received proposals, the group
+// clock and the engine horizon (SyncTail). While the gate is shut the
+// ADeliveryTest does not run.
 package amcast
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"wanamcast/internal/rmcast"
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
-// syncBatch bounds the deliveries one SyncResp carries; a farther-behind
-// requester iterates.
+// syncBatch bounds the deliveries one state-transfer answer carries; a
+// farther-behind requester iterates.
 const syncBatch = 256
-
-// syncRetryEvery is the re-request period while a state transfer is
-// outstanding (responses can be dropped like any frame).
-const syncRetryEvery = 100 * time.Millisecond
 
 // DeliverRec is one archived A-Delivery: what a peer needs to repeat it.
 type DeliverRec struct {
@@ -47,34 +39,13 @@ type DeliverRec struct {
 	Payload any
 }
 
-// SyncReq asks a group peer for the deliveries from index From onward.
-type SyncReq struct {
-	From uint64
-}
-
-// SyncResp is the bounded state-transfer answer: the archived deliveries
-// [Base, Base+len(Deliveries)), the responder's delivery count, engine
-// horizon, clock, and — for adoption once the requester is caught up —
-// its current PENDING descriptors and received proposals.
-type SyncResp struct {
-	Base       uint64
-	Deliveries []DeliverRec
-	Next       uint64 // responder's delivery count
-	Applied    uint64 // responder's applied consensus instances
-	K          uint64 // responder's group clock
-	// Pending and Props are populated only on a response that brings the
-	// requester fully up to date (they are adopted, not merged chunkwise,
-	// so shipping them in every chunk would be pure overhead).
+// SyncTail is A1's in-flight state, adopted by a requester that has caught
+// up with the responder's deliveries.
+type SyncTail struct {
+	Applied uint64 // responder's applied consensus instances
+	K       uint64 // responder's group clock
 	Pending []Descriptor
 	Props   []PropEntry
-	TooFar  bool // requester predates the archive: log transfer impossible
-	// Busy marks a responder that is itself recovering: its archive
-	// entries are valid facts, but its in-flight state must not be
-	// adopted. When EVERY group peer answers Busy with nothing newer, the
-	// whole group is restarting together and there is nothing left to
-	// catch up from — the requester resumes (the full-group power-event
-	// case).
-	Busy bool
 }
 
 // PropEntry is one received (TS, m) proposal: message, proposing group,
@@ -107,7 +78,7 @@ func (a *Mcast) AppendSnapshot(buf []byte) []byte {
 		buf = wire.AppendUvarint(buf, p.seq)
 	}
 	// ADELIVERED ids, sorted.
-	buf = appendIDSet(buf, a.adelivered)
+	buf = statesync.AppendIDSet(buf, a.adelivered)
 	// Received proposals, sorted by (id, group).
 	buf = wire.AppendUvarint(buf, uint64(len(a.tsProps)))
 	ids := make([]types.MessageID, 0, len(a.tsProps))
@@ -129,12 +100,9 @@ func (a *Mcast) AppendSnapshot(buf []byte) []byte {
 			buf = wire.AppendUvarint(buf, props[g])
 		}
 	}
-	// Delivery archive (payload-bearing, bounded).
-	buf = wire.AppendUvarint(buf, a.archBase)
-	buf = wire.AppendUvarint(buf, uint64(len(a.archive)))
-	for _, dr := range a.archive {
-		buf = appendDeliverRec(buf, dr)
-	}
+	// Delivery archive (payload-bearing, bounded), its first index in front.
+	buf = wire.AppendUvarint(buf, a.sync.Base())
+	buf = a.sync.AppendArchive(buf)
 	// The ordering engine, length-prefixed.
 	return wire.AppendBytes(buf, a.engine.AppendSnapshot(nil))
 }
@@ -170,7 +138,7 @@ func (a *Mcast) RestoreSnapshot(data []byte) error {
 		}
 		a.pending[d.ID] = &pend{id: d.ID, dest: d.Dest, payload: d.Payload, ts: d.TS, stage: d.Stage, seq: seq}
 	}
-	if data, err = restoreIDSet(data, a.adelivered); err != nil {
+	if data, err = statesync.DecodeIDSet(data, a.adelivered); err != nil {
 		return err
 	}
 	if n, data, err = wire.SliceLen(data); err != nil {
@@ -199,19 +167,15 @@ func (a *Mcast) RestoreSnapshot(data []byte) error {
 		}
 		a.tsProps[id] = props
 	}
-	if a.archBase, data, err = wire.Uvarint(data); err != nil {
+	var archBase uint64
+	if archBase, data, err = wire.Uvarint(data); err != nil {
 		return err
 	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = a.sync.RestoreArchive(data); err != nil {
 		return err
 	}
-	a.archive = a.archive[:0]
-	for i := 0; i < n; i++ {
-		var dr DeliverRec
-		if dr, data, err = decodeDeliverRec(data); err != nil {
-			return err
-		}
-		a.archive = append(a.archive, dr)
+	if a.sync.Base() != archBase {
+		return fmt.Errorf("%w: a1 archive starts at %d, not %d", wire.ErrCorrupt, a.sync.Base(), archBase)
 	}
 	var engineBlob []byte
 	if engineBlob, _, err = wire.Bytes(data); err != nil {
@@ -228,18 +192,12 @@ func (a *Mcast) Recover() {
 	a.engine.Recover()
 }
 
-// EndRecovery leaves replay mode once the WAL tail has been replayed. If
-// the group has peers, organic delivery is gated from here on: the
-// replayed state is a consistent cut of the pre-crash state, but the group
-// may have delivered past that cut while the process was down, and an
-// organic event (a frame arriving before the host gets around to
-// StartSync) must not let the ADeliveryTest run ahead of the missed
-// prefix. StartSync's completion (finishSync) lifts the gate.
+// EndRecovery leaves replay mode once the WAL tail has been replayed, and
+// shuts the delivery gate until StartSync's transfer finishes (see
+// statesync.Engine.Arm).
 func (a *Mcast) EndRecovery() {
 	a.engine.EndRecovery()
-	if len(a.api.Topo().Members(a.api.Group())) > 1 {
-		a.syncing = true
-	}
+	a.sync.Arm()
 }
 
 // ReplayRecord replays one WAL record belonging to this endpoint (its own
@@ -269,13 +227,10 @@ func (a *Mcast) ReplayRecord(rec storage.Record) error {
 // of the endpoint's consensus records).
 func (a *Mcast) EngineLabel() string { return a.engine.Label() }
 
-// Syncing reports whether a state transfer is in progress (delivery gated).
-func (a *Mcast) Syncing() bool { return a.syncing }
-
-// SyncFailed reports an abandoned state transfer: the group's archives no
-// longer cover this process's position, so it cannot rejoin by log
-// shipping (delivery stays gated).
-func (a *Mcast) SyncFailed() bool { return a.syncFailed }
+// Syncing reports whether organic delivery is gated: recovery has ended or a
+// state transfer has started, and the transfer has not finished (an
+// abandoned one never does).
+func (a *Mcast) Syncing() bool { return a.sync.Gated() }
 
 // Delivered returns the process's total A-Delivery count. It runs on the
 // event loop; off-loop readers use Watermark.
@@ -286,144 +241,29 @@ func (a *Mcast) Delivered() uint64 { return a.delivered }
 // samples it to decide whether a replica can serve a session's read).
 func (a *Mcast) Watermark() uint64 { return a.wm.Load() }
 
-// StartSync begins catch-up from the same-group peers after a restart:
-// organic delivery is gated until a peer confirms this process has seen
-// every delivery the group made while it was down. With no group peers
-// there is nobody to have diverged from, so sync completes immediately.
-func (a *Mcast) StartSync() {
-	if len(a.api.Topo().Members(a.api.Group())) <= 1 {
-		a.finishSync()
-		return
-	}
-	a.syncing = true
-	a.syncFailed = false
-	a.syncHeard = make(map[types.ProcessID]syncPeerInfo)
-	a.sendSyncReq()
-	a.armSyncRetry()
-}
+// StartSync begins catch-up from the same-group peers after a restart.
+func (a *Mcast) StartSync() { a.sync.Start() }
 
-func (a *Mcast) sendSyncReq() {
-	self := a.api.Self()
-	var tos []types.ProcessID
-	for _, q := range a.api.Topo().Members(a.api.Group()) {
-		if q != self {
-			tos = append(tos, q)
+// syncTail captures the in-flight state a caught-up requester adopts.
+func (a *Mcast) syncTail() SyncTail {
+	t := SyncTail{Applied: a.engine.AppliedInstances(), K: a.k}
+	for _, p := range a.pending {
+		t.Pending = append(t.Pending,
+			Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage})
+	}
+	sortDescriptors(t.Pending)
+	for id, props := range a.tsProps {
+		for g, ts := range props {
+			t.Props = append(t.Props, PropEntry{ID: id, Group: g, TS: ts})
 		}
 	}
-	a.api.Multicast(tos, a.label, SyncReq{From: a.delivered})
-}
-
-func (a *Mcast) armSyncRetry() {
-	a.api.After(syncRetryEvery, func() {
-		if !a.syncing || a.syncFailed {
-			return
+	sort.Slice(t.Props, func(i, j int) bool {
+		if t.Props[i].ID != t.Props[j].ID {
+			return t.Props[i].ID.Less(t.Props[j].ID)
 		}
-		a.sendSyncReq()
-		a.armSyncRetry()
+		return t.Props[i].Group < t.Props[j].Group
 	})
-}
-
-// onSyncReq serves a restarted peer. A responder that is itself syncing
-// answers Busy: its archived deliveries are immutable facts and safe to
-// ship, but its in-flight state is not yet the group's and must not be
-// adopted.
-func (a *Mcast) onSyncReq(from types.ProcessID, m SyncReq) {
-	resp := SyncResp{Base: m.From, Next: a.delivered, Applied: a.engine.AppliedInstances(),
-		K: a.k, Busy: a.syncing}
-	if m.From < a.archBase {
-		resp.TooFar = true
-		a.api.Send(from, a.label, resp)
-		return
-	}
-	end := m.From + syncBatch
-	if end > a.delivered {
-		end = a.delivered
-	}
-	for i := m.From; i < end; i++ {
-		resp.Deliveries = append(resp.Deliveries, a.archive[i-a.archBase])
-	}
-	// In-flight state rides only the response that completes the catch-up.
-	if !resp.Busy && end == a.delivered {
-		for _, p := range a.pending {
-			resp.Pending = append(resp.Pending,
-				Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage})
-		}
-		sortDescriptors(resp.Pending)
-		for id, props := range a.tsProps {
-			for g, ts := range props {
-				resp.Props = append(resp.Props, PropEntry{ID: id, Group: g, TS: ts})
-			}
-		}
-		sort.Slice(resp.Props, func(i, j int) bool {
-			if resp.Props[i].ID != resp.Props[j].ID {
-				return resp.Props[i].ID.Less(resp.Props[j].ID)
-			}
-			return resp.Props[i].Group < resp.Props[j].Group
-		})
-	}
-	a.api.Send(from, a.label, resp)
-}
-
-// onSyncResp consumes one state-transfer answer.
-func (a *Mcast) onSyncResp(from types.ProcessID, m SyncResp) {
-	if !a.syncing {
-		return
-	}
-	if m.TooFar {
-		// Terminal: the peers' archives will never again cover our index.
-		// Stop the request loop but keep delivery gated — resuming with a
-		// hole would diverge from the group order. The operator remedy is
-		// a larger SyncArchive (or fresh state); Syncing() stays true as
-		// the visible symptom.
-		a.api.Tracef("a1: peer archive no longer covers delivery %d; cannot catch up by log transfer (sync abandoned)", a.delivered)
-		a.syncFailed = true
-		if a.onFailed != nil {
-			a.onFailed()
-		}
-		return
-	}
-	idx := m.Base
-	for _, dr := range m.Deliveries {
-		if idx == a.delivered {
-			a.applySyncDeliver(dr, false)
-		}
-		idx++
-	}
-	a.syncHeard[from] = syncPeerInfo{next: m.Next, busy: m.Busy}
-	switch {
-	case !m.Busy && a.delivered >= m.Next:
-		// Caught up with a serving peer: adopt its in-flight state and
-		// resume.
-		a.adoptState(m)
-		a.finishSync()
-	case a.delivered > m.Base:
-		// Progress was made but more remains: ask for the next batch now
-		// rather than waiting for the retry timer.
-		a.sendSyncReq()
-	default:
-		a.maybeFinishGroupRestart()
-	}
-}
-
-// maybeFinishGroupRestart resumes when every group peer has answered Busy
-// with nothing newer than we already have: the whole group is restarting
-// together, each member recovered from its own disk, and the archives have
-// been cross-shipped — nobody holds anything more to transfer. In-flight
-// state needs no adoption (each member replayed its own); any instance
-// gap between members heals through the consensus LearnMsg path.
-func (a *Mcast) maybeFinishGroupRestart() {
-	self := a.api.Self()
-	for _, q := range a.api.Topo().Members(a.api.Group()) {
-		if q == self {
-			continue
-		}
-		info, ok := a.syncHeard[q]
-		if !ok || !info.busy || info.next > a.delivered {
-			return
-		}
-	}
-	a.api.Tracef("a1: whole group restarting, no peer ahead of delivery %d; resuming", a.delivered)
-	a.finishSync()
+	return t
 }
 
 // applySyncDeliver repeats one delivery the group made while this process
@@ -453,8 +293,8 @@ func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
 // timestamps, received proposals, the group clock, and the engine horizon.
 // Entries this process has and the peer lacks are kept — they re-propose
 // through the normal path.
-func (a *Mcast) adoptState(m SyncResp) {
-	for _, d := range m.Pending {
+func (a *Mcast) adoptState(t SyncTail) {
+	for _, d := range t.Pending {
 		if a.adelivered[d.ID] {
 			continue
 		}
@@ -470,7 +310,7 @@ func (a *Mcast) adoptState(m SyncResp) {
 			p.ts = d.TS
 		}
 	}
-	for _, pr := range m.Props {
+	for _, pr := range t.Props {
 		if a.adelivered[pr.ID] {
 			continue
 		}
@@ -483,10 +323,10 @@ func (a *Mcast) adoptState(m SyncResp) {
 			props[pr.Group] = pr.TS
 		}
 	}
-	if m.K > a.k {
-		a.k = m.K
+	if t.K > a.k {
+		a.k = t.K
 	}
-	a.engine.SkipTo(m.Applied + 1)
+	a.engine.SkipTo(t.Applied + 1)
 	// Merged proposals may complete stage 1 for adopted messages.
 	for id, p := range a.pending {
 		if p.stage == Stage1 {
@@ -495,80 +335,9 @@ func (a *Mcast) adoptState(m SyncResp) {
 	}
 }
 
-// finishSync ends the transfer: delivery resumes, the engine pumps, and
-// the host is told (it typically snapshots the freshly synced state).
-func (a *Mcast) finishSync() {
-	a.syncing = false
-	a.syncHeard = nil
+// resumeDelivery runs when the state transfer ends: the ADeliveryTest is
+// live again and the engine pumps.
+func (a *Mcast) resumeDelivery() {
 	a.adeliveryTest()
 	a.engine.Pump()
-	if a.onSynced != nil {
-		a.onSynced()
-	}
-}
-
-// --- small helpers ----------------------------------------------------------
-
-func appendIDSet(buf []byte, set map[types.MessageID]bool) []byte {
-	ids := make([]types.MessageID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = id.AppendTo(buf)
-	}
-	return buf
-}
-
-func restoreIDSet(data []byte, set map[types.MessageID]bool) ([]byte, error) {
-	n, data, err := wire.SliceLen(data)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var id types.MessageID
-		if id, data, err = types.DecodeMessageID(data); err != nil {
-			return nil, err
-		}
-		set[id] = true
-	}
-	return data, nil
-}
-
-func appendDeliverRec(buf []byte, dr DeliverRec) []byte {
-	buf = dr.ID.AppendTo(buf)
-	buf = dr.Dest.AppendTo(buf)
-	buf = wire.AppendUvarint(buf, dr.TS)
-	return wire.AppendValue(buf, dr.Payload)
-}
-
-func decodeDeliverRec(data []byte) (dr DeliverRec, rest []byte, err error) {
-	if dr.ID, data, err = types.DecodeMessageID(data); err != nil {
-		return dr, nil, err
-	}
-	if dr.Dest, data, err = types.DecodeGroupSet(data); err != nil {
-		return dr, nil, err
-	}
-	if dr.TS, data, err = wire.Uvarint(data); err != nil {
-		return dr, nil, err
-	}
-	dr.Payload, data, err = wire.DecodeValue(data)
-	return dr, data, err
-}
-
-// PendingIDs summarises the PENDING table — one "id@stage/ts" string per
-// message, in admission order (restart and chaos diagnostics).
-func (a *Mcast) PendingIDs() []string {
-	pends := make([]*pend, 0, len(a.pending))
-	for _, p := range a.pending {
-		pends = append(pends, p)
-	}
-	sort.Slice(pends, func(i, j int) bool { return pends[i].seq < pends[j].seq })
-	out := make([]string, 0, len(pends))
-	for _, p := range pends {
-		out = append(out, fmt.Sprintf("%v@s%d/%d", p.id, p.stage, p.ts))
-	}
-	return out
 }

@@ -144,7 +144,7 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 	}
 	// And the gate: with group peers present, a recovered endpoint must
 	// stay delivery-gated until its state transfer confirms the group
-	// prefix (EndRecovery arms it, finishSync lifts it).
+	// prefix (EndRecovery shuts it, the transfer's finish lifts it).
 	if !shadow.Syncing() {
 		t.Fatal("recovered endpoint not delivery-gated before state transfer")
 	}

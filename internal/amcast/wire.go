@@ -1,11 +1,12 @@
 // Wire codecs for Algorithm A1's messages (see internal/wire): the (TS, m)
-// descriptor message and the []Descriptor batches that travel as consensus
-// values.
+// descriptor message, the []Descriptor batches that travel as consensus
+// values, and the record and tail of its state-transfer answers.
 package amcast
 
 import (
 	"fmt"
 
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
@@ -15,12 +16,15 @@ func init() {
 		func(buf []byte, m TSMsg) []byte { return m.AppendTo(buf) },
 		func(data []byte) (m TSMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
 	wire.Register(wire.KindAMcastDescriptors, AppendDescriptors, DecodeDescriptors)
-	wire.Register(wire.KindA1SyncReq,
-		func(buf []byte, m SyncReq) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m SyncReq, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
-	wire.Register(wire.KindA1SyncResp,
-		func(buf []byte, m SyncResp) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m SyncResp, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
+	statesync.RegisterResp(wire.KindA1SyncResp, syncCodec)
+}
+
+// syncCodec encodes A1's archive records and state-transfer tail.
+var syncCodec = statesync.Codec[DeliverRec, SyncTail]{
+	AppendRec:  appendDeliverRec,
+	DecodeRec:  decodeDeliverRec,
+	AppendTail: appendSyncTail,
+	DecodeTail: decodeSyncTail,
 }
 
 // AppendTo appends d's wire encoding.
@@ -57,93 +61,70 @@ func (m TSMsg) AppendTo(buf []byte) []byte { return m.Desc.AppendTo(buf) }
 // DecodeFrom decodes m from data and returns the remainder.
 func (m *TSMsg) DecodeFrom(data []byte) ([]byte, error) { return m.Desc.DecodeFrom(data) }
 
-// AppendTo appends m's wire encoding.
-func (m SyncReq) AppendTo(buf []byte) []byte { return wire.AppendUvarint(buf, m.From) }
-
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *SyncReq) DecodeFrom(data []byte) (rest []byte, err error) {
-	m.From, data, err = wire.Uvarint(data)
-	return data, err
+func appendDeliverRec(buf []byte, dr DeliverRec) []byte {
+	buf = dr.ID.AppendTo(buf)
+	buf = dr.Dest.AppendTo(buf)
+	buf = wire.AppendUvarint(buf, dr.TS)
+	return wire.AppendValue(buf, dr.Payload)
 }
 
-// AppendTo appends m's wire encoding.
-func (m SyncResp) AppendTo(buf []byte) []byte {
-	buf = wire.AppendUvarint(buf, m.Base)
-	buf = wire.AppendUvarint(buf, uint64(len(m.Deliveries)))
-	for _, dr := range m.Deliveries {
-		buf = appendDeliverRec(buf, dr)
+func decodeDeliverRec(data []byte) (dr DeliverRec, rest []byte, err error) {
+	if dr.ID, data, err = types.DecodeMessageID(data); err != nil {
+		return dr, nil, err
 	}
-	buf = wire.AppendUvarint(buf, m.Next)
-	buf = wire.AppendUvarint(buf, m.Applied)
-	buf = wire.AppendUvarint(buf, m.K)
-	buf = AppendDescriptors(buf, m.Pending)
-	buf = wire.AppendUvarint(buf, uint64(len(m.Props)))
-	for _, pr := range m.Props {
+	if dr.Dest, data, err = types.DecodeGroupSet(data); err != nil {
+		return dr, nil, err
+	}
+	if dr.TS, data, err = wire.Uvarint(data); err != nil {
+		return dr, nil, err
+	}
+	dr.Payload, data, err = wire.DecodeValue(data)
+	return dr, data, err
+}
+
+func appendSyncTail(buf []byte, t SyncTail) []byte {
+	buf = wire.AppendUvarint(buf, t.Applied)
+	buf = wire.AppendUvarint(buf, t.K)
+	buf = AppendDescriptors(buf, t.Pending)
+	buf = wire.AppendUvarint(buf, uint64(len(t.Props)))
+	for _, pr := range t.Props {
 		buf = pr.ID.AppendTo(buf)
 		buf = wire.AppendVarint(buf, int64(pr.Group))
 		buf = wire.AppendUvarint(buf, pr.TS)
 	}
-	flags := byte(0)
-	if m.TooFar {
-		flags |= 1
-	}
-	if m.Busy {
-		flags |= 2
-	}
-	return append(buf, flags)
+	return buf
 }
 
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *SyncResp) DecodeFrom(data []byte) (rest []byte, err error) {
-	if m.Base, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
+func decodeSyncTail(data []byte) (t SyncTail, rest []byte, err error) {
+	if t.Applied, data, err = wire.Uvarint(data); err != nil {
+		return t, nil, err
+	}
+	if t.K, data, err = wire.Uvarint(data); err != nil {
+		return t, nil, err
+	}
+	if t.Pending, data, err = DecodeDescriptors(data); err != nil {
+		return t, nil, err
 	}
 	var n int
 	if n, data, err = wire.SliceLen(data); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var dr DeliverRec
-		if dr, data, err = decodeDeliverRec(data); err != nil {
-			return nil, err
-		}
-		m.Deliveries = append(m.Deliveries, dr)
-	}
-	if m.Next, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.Applied, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.K, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.Pending, data, err = DecodeDescriptors(data); err != nil {
-		return nil, err
-	}
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return nil, err
+		return t, nil, err
 	}
 	for i := 0; i < n; i++ {
 		var pr PropEntry
 		if pr.ID, data, err = types.DecodeMessageID(data); err != nil {
-			return nil, err
+			return t, nil, err
 		}
 		var g int64
 		if g, data, err = wire.Varint(data); err != nil {
-			return nil, err
+			return t, nil, err
 		}
 		pr.Group = types.GroupID(g)
 		if pr.TS, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
+			return t, nil, err
 		}
-		m.Props = append(m.Props, pr)
+		t.Props = append(t.Props, pr)
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: sync resp flags", wire.ErrCorrupt)
-	}
-	m.TooFar, m.Busy, data = data[0]&1 != 0, data[0]&2 != 0, data[1:]
-	return data, nil
+	return t, data, nil
 }
 
 // AppendDescriptors appends a descriptor batch (an A1 consensus value).

@@ -1,17 +1,26 @@
-// Package durable orchestrates one process's crash recovery: it owns the
-// wiring between a storage.Store and the process's protocol endpoints
-// (Algorithm A1, Algorithm A2, and any extra sections such as the service
-// layer's state machine), building snapshots from their sections and
-// recovering them in the right order.
+// Package durable hosts one process's ordering endpoints: it builds
+// Algorithm A1 and Algorithm A2 on a node.Proc, hands them the one cast-ID
+// allocator they must share, and — given a storage.Store — makes the
+// process durable: snapshots on a delivery cadence and after every state
+// transfer, crash recovery, and the restart catch-up. The simulated
+// cluster (no store), the live cluster and wannode all construct their
+// processes here.
 //
-// The order matters. On recovery, every section restores its snapshot
-// state first — so the layers agree on one consistent cut — then the
-// ordering engines re-fire decisions the snapshot knew but had not applied
-// (their delivery effects post-date the cut and must reach the restored
-// state machine), and finally the WAL tail replays through the same code
-// paths that wrote it. The host process must be in recovering mode
-// throughout (sends and metrics suppressed); liveness is restored
-// afterwards by the endpoints' StartSync state transfer.
+// Recovery order matters, and this is the one place it is written down.
+// Every snapshot section restores first — A1, A2, the allocator, then the
+// caller's sections (the service layer's state machine) — so the layers
+// agree on one consistent cut. Then the ordering engines re-fire decisions
+// the snapshot knew but had not applied: their delivery effects post-date
+// the cut and must reach the restored state machine. Finally the WAL tail
+// replays through the same code paths that wrote it. The process is in
+// recovering mode throughout (sends and metrics suppressed) and must not
+// handle a live event before Recover returns: an acceptor must never answer
+// a Prepare or Accept with amnesia. Recovery leaves delivery gated;
+// StartSync, called on the live event loop once the process may send again,
+// lifts the gate by catching up from the group peers (internal/statesync).
+// It must run after a cold start too — a wiped data dir on a running
+// cluster is just "very far behind", and on a cluster-wide cold start every
+// member answers Busy with nothing newer, so the group resumes at once.
 package durable
 
 import (
@@ -19,133 +28,285 @@ import (
 
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/amcast"
+	"wanamcast/internal/config"
+	"wanamcast/internal/fd"
+	"wanamcast/internal/node"
+	"wanamcast/internal/rmcast"
+	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
+	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
-// Section is one extra named snapshot contributor (beyond A1/A2), e.g.
-// the service layer's replica state.
+// Section is one extra named snapshot contributor (beyond A1, A2 and the
+// allocator), e.g. the service layer's replica state.
 type Section struct {
 	Name    string
 	Save    func() ([]byte, error)
 	Restore func(data []byte) error
 }
 
-// Node drives snapshots and recovery for one process.
-type Node struct {
+// Config describes one process.
+type Config struct {
+	Proc     *node.Proc
+	Detector fd.Detector
+	// Store makes the process durable; nil runs it volatile (Snapshot and
+	// Recover are then no-ops).
 	Store storage.Store
-	A1    *amcast.Mcast
-	A2    *abcast.Bcast
-	// Extra sections, restored in slice order AFTER the cluster/A1/A2
-	// sections and BEFORE decision re-fire and WAL replay.
-	Extra []Section
+	// GroupCommit, when non-nil, batches the store's fsync barriers with
+	// other processes' (see storage.GroupCommit).
+	GroupCommit *storage.GroupCommit
+	// Knobs supplies the ordering and snapshot knobs, defaults applied:
+	// MaxBatch, Pipeline, KeepAliveRounds, ConsensusRetry, SyncArchive,
+	// SnapshotEvery.
+	Knobs config.Config
+	// NoSkip disables A1's stage skipping (the Fritzke et al. ablation).
+	NoSkip bool
+	// Async runs fn as an event of its own on the process's loop. Snapshots
+	// and group-commit continuations go through it: engine state is only
+	// consistent between events. Required with a Store.
+	Async func(fn func())
+	// Deliver receives every A-Delivery in order; proto is the delivering
+	// endpoint's label ("a1" or "a2"). Replayed deliveries arrive too, while
+	// Proc.Recovering() is true.
+	Deliver func(proto string, id types.MessageID, payload any)
+	// Sections lists the caller's snapshot sections at each Snapshot and
+	// Recover; nil means none.
+	Sections func() []Section
+	// OnSyncFailed, when non-nil, fires when proto's state transfer is
+	// abandoned (the group's archives no longer cover this process).
+	OnSyncFailed func(proto string)
+	// Logf reports a failed automatic snapshot: it costs replay time, not
+	// correctness. Nil traces through the process.
+	Logf func(format string, args ...any)
 }
 
-// Section names of the built-in contributors.
-const (
-	sectionA1 = "a1"
-	sectionA2 = "a2"
-)
+// sectionAlloc names the allocator's snapshot section. (The name is the one
+// the live cluster has always written.)
+const sectionAlloc = "cluster"
+
+// restartSeqGap is how far a recovered process's cast allocator jumps past
+// its recovered value: casts made after the last snapshot are not
+// individually logged, so the jump guarantees a fresh incarnation can never
+// re-issue a MessageID the old one already used.
+const restartSeqGap = 1 << 20
+
+// endpoint is what the host needs of an ordering endpoint it built.
+type endpoint interface {
+	Proto() string
+	EngineLabel() string
+	AppendSnapshot(buf []byte) []byte
+	RestoreSnapshot(data []byte) error
+	Recover()
+	EndRecovery()
+	ReplayRecord(rec storage.Record) error
+	StartSync()
+}
+
+// Node is one hosted process. Its methods, like its endpoints, belong to the
+// process's event loop.
+type Node struct {
+	A1 *amcast.Mcast
+	A2 *abcast.Bcast
+
+	cfg       Config
+	eps       []endpoint
+	castSeq   uint64 // the shared cast-ID allocator
+	sinceSnap int    // deliveries since the last automatic snapshot
+}
+
+// New builds the process's endpoints and registers them on cfg.Proc.
+func New(cfg Config) *Node {
+	n := &Node{cfg: cfg}
+	if n.cfg.Logf == nil {
+		n.cfg.Logf = cfg.Proc.Tracef
+	}
+	log := storage.NewLog(cfg.Store)
+	log.AttachGroupCommit(cfg.GroupCommit, cfg.Async)
+	syncOpts := func(proto string) statesync.Options {
+		o := statesync.Options{Archive: cfg.Knobs.SyncArchive}
+		if cfg.Store != nil {
+			// A completed state transfer is the natural snapshot point: the
+			// adopted deliveries live only in the WAL until one is taken.
+			o.OnSynced = n.snapshotSoon
+		}
+		if cfg.OnSyncFailed != nil {
+			o.OnSyncFailed = func() { cfg.OnSyncFailed(proto) }
+		}
+		return o
+	}
+	// One allocator per process: A1 and A2 IDs must not collide.
+	nextID := func() types.MessageID {
+		n.castSeq++
+		return types.MessageID{Origin: cfg.Proc.Self(), Seq: n.castSeq}
+	}
+	k := cfg.Knobs
+	n.A1 = amcast.New(amcast.Config{
+		Host:           cfg.Proc,
+		Detector:       cfg.Detector,
+		SkipStages:     !cfg.NoSkip,
+		NextID:         nextID,
+		MaxBatch:       k.MaxBatch,
+		Pipeline:       k.Pipeline,
+		ConsensusRetry: k.ConsensusRetry,
+		Log:            log,
+		Sync:           syncOpts("a1"),
+		OnDeliver:      func(m rmcast.Message) { n.deliver("a1", m.ID, m.Payload) },
+	})
+	n.A2 = abcast.New(abcast.Config{
+		Host:            cfg.Proc,
+		Detector:        cfg.Detector,
+		KeepAliveRounds: k.KeepAliveRounds,
+		NextID:          nextID,
+		MaxBatch:        k.MaxBatch,
+		Pipeline:        k.Pipeline,
+		ConsensusRetry:  k.ConsensusRetry,
+		Log:             log,
+		Sync:            syncOpts("a2"),
+		OnDeliver:       func(id types.MessageID, payload any) { n.deliver("a2", id, payload) },
+	})
+	n.eps = []endpoint{n.A1, n.A2}
+	return n
+}
+
+// deliver passes one A-Delivery on and keeps the snapshot cadence.
+func (n *Node) deliver(proto string, id types.MessageID, payload any) {
+	n.cfg.Deliver(proto, id, payload)
+	if n.cfg.Store == nil || n.cfg.Knobs.SnapshotEvery <= 0 || n.cfg.Proc.Recovering() {
+		return
+	}
+	if n.sinceSnap++; n.sinceSnap >= n.cfg.Knobs.SnapshotEvery {
+		n.sinceSnap = 0
+		n.snapshotSoon()
+	}
+}
+
+// snapshotSoon snapshots as an event of its own: never in the middle of a
+// delivery cascade.
+func (n *Node) snapshotSoon() {
+	n.cfg.Async(func() {
+		if err := n.Snapshot(); err != nil {
+			n.cfg.Logf("snapshot %v failed: %v", n.cfg.Proc.Self(), err)
+		}
+	})
+}
+
+// sections lists every snapshot contributor in snapshot (and restore)
+// order: the endpoints, the allocator, then the caller's.
+func (n *Node) sections() []Section {
+	var secs []Section
+	for _, ep := range n.eps {
+		secs = append(secs, Section{
+			Name:    ep.Proto(),
+			Save:    func() ([]byte, error) { return ep.AppendSnapshot(nil), nil },
+			Restore: ep.RestoreSnapshot,
+		})
+	}
+	secs = append(secs, Section{
+		Name: sectionAlloc,
+		Save: func() ([]byte, error) { return wire.AppendUvarint(nil, n.castSeq), nil },
+		Restore: func(data []byte) (err error) {
+			n.castSeq, _, err = wire.Uvarint(data)
+			return err
+		},
+	})
+	if n.cfg.Sections != nil {
+		secs = append(secs, n.cfg.Sections()...)
+	}
+	return secs
+}
 
 // Snapshot captures every section into one blob and atomically replaces
-// the store's snapshot with it (pruning covered WAL segments).
+// the store's snapshot with it (pruning covered WAL segments). A crashed
+// incarnation and one still recovering have nothing consistent to save.
 func (n *Node) Snapshot() error {
-	if n.Store == nil {
+	if n.cfg.Store == nil || n.cfg.Proc.Crashed() || n.cfg.Proc.Recovering() {
 		return nil
 	}
 	var blob []byte
-	if n.A1 != nil {
-		blob = storage.AppendSection(blob, sectionA1, n.A1.AppendSnapshot(nil))
-	}
-	if n.A2 != nil {
-		blob = storage.AppendSection(blob, sectionA2, n.A2.AppendSnapshot(nil))
-	}
-	for _, s := range n.Extra {
+	for _, s := range n.sections() {
 		body, err := s.Save()
 		if err != nil {
 			return fmt.Errorf("durable: snapshot section %q: %w", s.Name, err)
 		}
 		blob = storage.AppendSection(blob, s.Name, body)
 	}
-	return n.Store.SaveSnapshot(blob)
+	return n.cfg.Store.SaveSnapshot(blob)
 }
 
-// Recover rebuilds the endpoints from the store: snapshot sections, then
-// decision re-fire, then the WAL tail. Call with the host process in
-// recovering mode, before it handles any live event.
+// Recover rebuilds the process from its store, in the order the package
+// comment gives. Call it on a freshly built Node, before the process handles
+// any live event; on an error the Node is half-restored and must be
+// discarded.
 func (n *Node) Recover() error {
-	if n.Store == nil {
+	if n.cfg.Store == nil {
 		return nil
 	}
-	snap, from, err := n.Store.Load()
+	n.cfg.Proc.SetRecovering(true)
+	defer n.cfg.Proc.SetRecovering(false)
+	snap, from, err := n.cfg.Store.Load()
 	if err != nil {
-		return err
+		return fmt.Errorf("durable: load: %w", err)
 	}
 	if snap != nil {
-		secs, err := storage.Sections(snap)
-		if err != nil {
-			return fmt.Errorf("durable: snapshot: %w", err)
+		if err := n.restore(snap); err != nil {
+			return err
 		}
-		for _, sec := range secs {
-			if err := n.restoreSection(sec); err != nil {
+	}
+	n.castSeq += restartSeqGap
+	byLabel := make(map[string]endpoint)
+	for _, ep := range n.eps {
+		byLabel[ep.Proto()], byLabel[ep.EngineLabel()] = ep, ep
+		ep.Recover()
+		defer ep.EndRecovery()
+	}
+	err = n.cfg.Store.Replay(from, func(rec storage.Record) error {
+		if ep := byLabel[rec.Proto]; ep != nil {
+			return ep.ReplayRecord(rec)
+		}
+		return nil // a layer this incarnation does not run
+	})
+	if err != nil {
+		return fmt.Errorf("durable: replay: %w", err)
+	}
+	return nil
+}
+
+// restore hands every snapshot section to its owner. A section nobody owns
+// belongs to a layer this incarnation does not run and is skipped: the
+// snapshot stays usable.
+func (n *Node) restore(snap []byte) error {
+	secs, err := storage.Sections(snap)
+	if err != nil {
+		return fmt.Errorf("durable: snapshot: %w", err)
+	}
+	owners := n.sections()
+	seen := make(map[string]bool)
+	for _, sec := range secs {
+		seen[sec.Name] = true
+		for _, own := range owners {
+			if own.Name != sec.Name {
+				continue
+			}
+			if err := own.Restore(sec.Data); err != nil {
 				return fmt.Errorf("durable: restore section %q: %w", sec.Name, err)
 			}
 		}
 	}
-	// Re-fire decisions the snapshot knew but had not applied: their
-	// delivery effects post-date the snapshot cut.
-	if n.A1 != nil {
-		n.A1.Recover()
-		defer n.A1.EndRecovery()
-	}
-	if n.A2 != nil {
-		n.A2.Recover()
-		defer n.A2.EndRecovery()
-	}
-	// The WAL tail, through the same paths that wrote it.
-	return n.Store.Replay(from, n.dispatch)
-}
-
-func (n *Node) restoreSection(sec storage.Section) error {
-	switch sec.Name {
-	case sectionA1:
-		if n.A1 != nil {
-			return n.A1.RestoreSnapshot(sec.Data)
+	for _, ep := range n.eps {
+		if seen[ep.Proto()] && !seen[sectionAlloc] {
+			// Skipping the allocator like an unknown layer's section would
+			// restart it at zero and re-issue MessageIDs the ordering state
+			// already knows.
+			return fmt.Errorf("durable: snapshot has ordering state but no %q section (written by an older wannode?)", sectionAlloc)
 		}
-	case sectionA2:
-		if n.A2 != nil {
-			return n.A2.RestoreSnapshot(sec.Data)
-		}
-	default:
-		for _, s := range n.Extra {
-			if s.Name == sec.Name {
-				return s.Restore(sec.Data)
-			}
-		}
-		// An unknown section (a layer this incarnation does not run) is
-		// skipped, not fatal: the snapshot remains usable.
 	}
 	return nil
 }
 
-// dispatch routes one WAL record to its owning endpoint by label prefix.
-func (n *Node) dispatch(rec storage.Record) error {
-	if n.A1 != nil && (rec.Proto == n.A1.Proto() || rec.Proto == n.A1.EngineLabel()) {
-		return n.A1.ReplayRecord(rec)
-	}
-	if n.A2 != nil && (rec.Proto == n.A2.Proto() || rec.Proto == n.A2.EngineLabel()) {
-		return n.A2.ReplayRecord(rec)
-	}
-	// Records of layers this incarnation does not run are skipped.
-	return nil
-}
-
-// StartSync begins both endpoints' peer state transfer (call on the live
-// event loop once recovery finished and the process may send again).
+// StartSync begins the endpoints' catch-up from their group peers.
 func (n *Node) StartSync() {
-	if n.A1 != nil {
-		n.A1.StartSync()
-	}
-	if n.A2 != nil {
-		n.A2.StartSync()
+	for _, ep := range n.eps {
+		ep.StartSync()
 	}
 }

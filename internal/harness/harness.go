@@ -15,7 +15,6 @@ import (
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/baseline"
 	"wanamcast/internal/check"
-	"wanamcast/internal/config"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
@@ -64,10 +63,6 @@ func Usagef(cmd, format string, args ...any) {
 	flag.Usage()
 	os.Exit(2)
 }
-
-// ParseBandwidth parses a link-rate string ("50Mbit", "6.25MB/s", a bare
-// bytes-per-second number) into bytes per second; see config.ParseBandwidth.
-func ParseBandwidth(s string) (int64, error) { return config.ParseBandwidth(s) }
 
 // MulticastAlgos lists the Figure 1(a) contenders in the paper's row order.
 func MulticastAlgos() []Algo {

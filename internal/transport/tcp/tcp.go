@@ -451,8 +451,11 @@ func (rt *Runtime) Crash(id types.ProcessID) {
 // Afterwards the new incarnation is swapped in, recovering mode ends, and
 // every protocol's Start runs. Timers, delivery closures, and sockets of
 // the old incarnation keep pointing at the old (crashed, inert) Proc;
-// outbound links are reused.
-func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det fd.Detector)) error {
+// outbound links are reused. When rebuild fails, its error is returned and
+// nothing is swapped in: the half-restored incarnation is crashed (the
+// timers its replay armed die with it) and the old one stays in place, so
+// the process answers nobody from partial state and can be restarted again.
+func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det fd.Detector) error) error {
 	var err error
 	rt.Run(id, func() {
 		old := rt.procs[id]
@@ -474,7 +477,10 @@ func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det
 			rt.leases[id], rt.cfg.LeaseDuration, rt.cfg.MaxClockSkew)
 		proc.Register(hfd)
 		proc.SetRecovering(true)
-		rebuild(proc, hfd)
+		if err = rebuild(proc, hfd); err != nil {
+			proc.Crash()
+			return
+		}
 		rt.procs[id] = proc
 		rt.fds[id] = hfd
 		proc.SetRecovering(false)

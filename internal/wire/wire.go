@@ -87,10 +87,9 @@ const (
 	KindSvcReply          Kind = 45 // svc.Reply (server → client)
 	KindSvcRedirect       Kind = 46 // svc.Redirect (server → client)
 	KindSvcCommand        Kind = 47 // svc.Command (the multicast payload)
-	KindA1SyncReq         Kind = 50 // amcast.SyncReq (restart state transfer)
-	KindA1SyncResp        Kind = 51 // amcast.SyncResp
-	KindA2SyncReq         Kind = 52 // abcast.SyncReq (restart state transfer)
-	KindA2SyncResp        Kind = 53 // abcast.SyncResp
+	KindSyncReq           Kind = 50 // statesync.Req (restart state transfer, both algorithms)
+	KindA1SyncResp        Kind = 51 // statesync.Resp[amcast.DeliverRec, amcast.SyncTail]
+	KindA2SyncResp        Kind = 53 // statesync.Resp[abcast.RoundSet, abcast.SyncTail]
 	KindLeaseGrant        Kind = 54 // tcp leaseGrantMsg (follower → leader lease vote)
 	KindSvcReadReq        Kind = 55 // svc.ReadReq (client → server, read tier)
 	KindSvcReadResp       Kind = 56 // svc.ReadResp (server → client)

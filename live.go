@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
-	"wanamcast/internal/abcast"
-	"wanamcast/internal/amcast"
 	"wanamcast/internal/check"
 	"wanamcast/internal/config"
 	"wanamcast/internal/durable"
@@ -17,13 +16,11 @@ import (
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
-	"wanamcast/internal/wire"
 )
 
 // LiveConfig describes a cluster running over real TCP sockets on
@@ -40,20 +37,16 @@ type LiveCluster struct {
 	topo   *types.Topology
 	cfg    LiveConfig
 	col    *metrics.LockedCollector
-	tracer *trace.Tracer // nil unless LiveConfig.TraceSpans
-	a1     []*amcast.Mcast
-	a2     []*abcast.Bcast
+	tracer *trace.Tracer   // nil unless LiveConfig.TraceSpans
+	hosts  []*durable.Node // per process: its current incarnation's endpoints (loop-confined)
 
-	stores   []storage.Store      // per process; nil = no persistence
-	gc       *storage.GroupCommit // cross-lane fsync batcher; nil when no store can split its barrier
-	castSeqs []uint64             // per-process cast allocators (loop-confined)
+	stores []storage.Store      // per process; nil = no persistence
+	gc     *storage.GroupCommit // cross-lane fsync batcher; nil when no store can split its barrier
 
 	mu         sync.Mutex
 	onDeliver  func(p ProcessID, id MessageID, payload any)
 	hooks      [][]func(id MessageID, payload any) // per-process delivery hooks
 	extras     [][]durable.Section                 // registered snapshot sections
-	recovering []bool                              // per process: replaying its log
-	snapCount  []int                               // deliveries since last snapshot
 	deliveries []Delivery
 	retain     int
 	counts     map[MessageID]int
@@ -92,22 +85,18 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	}
 	rt := tcp.New(tcp.Config{Config: cfg, Topo: topo, Recorder: col, Tracer: tr})
 	l := &LiveCluster{
-		rt:         rt,
-		col:        col,
-		tracer:     tr,
-		topo:       topo,
-		cfg:        cfg,
-		a1:         make([]*amcast.Mcast, topo.N()),
-		a2:         make([]*abcast.Bcast, topo.N()),
-		stores:     make([]storage.Store, topo.N()),
-		castSeqs:   make([]uint64, topo.N()),
-		retain:     cfg.RetainDeliveries,
-		counts:     make(map[MessageID]int),
-		hooks:      make([][]func(id MessageID, payload any), topo.N()),
-		extras:     make([][]durable.Section, topo.N()),
-		recovering: make([]bool, topo.N()),
-		snapCount:  make([]int, topo.N()),
-		crashed:    make(map[ProcessID]bool),
+		rt:      rt,
+		col:     col,
+		tracer:  tr,
+		topo:    topo,
+		cfg:     cfg,
+		hosts:   make([]*durable.Node, topo.N()),
+		stores:  make([]storage.Store, topo.N()),
+		retain:  cfg.RetainDeliveries,
+		counts:  make(map[MessageID]int),
+		hooks:   make([][]func(id MessageID, payload any), topo.N()),
+		extras:  make([][]durable.Section, topo.N()),
+		crashed: make(map[ProcessID]bool),
 	}
 	if cfg.Check {
 		l.checker = check.New(topo)
@@ -127,7 +116,7 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		}
 	}
 	for _, id := range topo.AllProcesses() {
-		l.buildEndpoints(id, rt.Proc(id), rt.Detector(id))
+		l.hosts[id] = l.newHost(id, rt.Proc(id), rt.Detector(id))
 	}
 	return l
 }
@@ -149,67 +138,35 @@ func (l *LiveCluster) openStore(id ProcessID) storage.Store {
 	return d
 }
 
-// buildEndpoints wires one process's A1 and A2 endpoints onto proc. It
-// runs at construction and again, on the process's own event loop, when
-// Restart builds a fresh incarnation.
-func (l *LiveCluster) buildEndpoints(id ProcessID, proc *node.Proc, det fd.Detector) {
-	// One allocator per process: A1 and A2 IDs must not collide. The
-	// counter is only touched on the process's own event loop (and is
-	// snapshot-restored with a safety gap across restarts).
-	nextID := func() MessageID {
-		l.castSeqs[id]++
-		return MessageID{Origin: id, Seq: l.castSeqs[id]}
-	}
-	log := storage.NewLog(l.stores[id])
-	if l.gc != nil {
-		// Barrier continuations (the parked Promise/Accepted replies) run
-		// back on the process's own lane, where protocol state is safe to
-		// touch.
-		log.AttachGroupCommit(l.gc, func(fn func()) { l.rt.Async(id, fn) })
-	}
-	var onSynced func()
-	if l.stores[id] != nil {
-		// A completed state transfer is the natural snapshot point: the
-		// adopted deliveries live only in the WAL until one is taken.
-		onSynced = func() { l.rt.Async(id, func() { l.snapshot(id) }) }
-	}
-	l.a1[id] = amcast.New(amcast.Config{
-		Host:           proc,
-		Detector:       det,
-		SkipStages:     true,
-		NextID:         nextID,
-		MaxBatch:       l.cfg.MaxBatch,
-		Pipeline:       l.cfg.Pipeline,
-		ConsensusRetry: l.cfg.ConsensusRetry,
-		Log:            log,
-		SyncArchive:    l.cfg.SyncArchive,
-		OnSynced:       onSynced,
-		OnSyncFailed: func() {
-			l.flightRecord(fmt.Sprintf("a1 state transfer abandoned at %v", id))
+// newHost builds one incarnation of process id on proc. It runs at
+// construction and again, on the process's own event loop, when Restart
+// builds a fresh incarnation.
+func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det fd.Detector) *durable.Node {
+	return durable.New(durable.Config{
+		Proc:        proc,
+		Detector:    det,
+		Store:       l.stores[id],
+		GroupCommit: l.gc,
+		Knobs:       l.cfg,
+		Async:       func(fn func()) { l.rt.Async(id, fn) },
+		Deliver: func(_ string, mid MessageID, payload any) {
+			l.recordDelivery(id, proc.Recovering(), mid, payload)
 		},
-		OnDeliver: func(m rmcast.Message) { l.recordDelivery(id, m.ID, m.Payload) },
-	})
-	l.a2[id] = abcast.New(abcast.Config{
-		Host:            proc,
-		Detector:        det,
-		KeepAliveRounds: l.cfg.KeepAliveRounds,
-		Pipeline:        l.cfg.Pipeline,
-		MaxBatch:        l.cfg.MaxBatch,
-		ConsensusRetry:  l.cfg.ConsensusRetry,
-		NextID:          nextID,
-		Log:             log,
-		SyncArchive:     l.cfg.SyncArchive,
-		OnSynced:        onSynced,
-		OnSyncFailed: func() {
-			l.flightRecord(fmt.Sprintf("a2 state transfer abandoned at %v", id))
+		Sections: func() []durable.Section {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return slices.Clone(l.extras[id])
 		},
-		OnDeliver: func(mid MessageID, payload any) { l.recordDelivery(id, mid, payload) },
+		OnSyncFailed: func(proto string) {
+			l.flightRecord(fmt.Sprintf("%s state transfer abandoned at %v", proto, id))
+		},
+		Logf: l.rt.Tracef,
 	})
 }
 
-func (l *LiveCluster) recordDelivery(p ProcessID, id MessageID, payload any) {
+func (l *LiveCluster) recordDelivery(p ProcessID, replay bool, id MessageID, payload any) {
 	l.mu.Lock()
-	if l.recovering[p] {
+	if replay {
 		// Log replay re-emits deliveries the cluster already recorded
 		// before the crash: the checker, counts, and the delivery log must
 		// not see them twice. The per-process hooks DO run — they rebuild
@@ -223,14 +180,6 @@ func (l *LiveCluster) recordDelivery(p ProcessID, id MessageID, payload any) {
 	}
 	fn := l.onDeliver
 	hooks := l.hooks[p]
-	snapDue := false
-	if l.stores[p] != nil && l.cfg.SnapshotEvery > 0 {
-		l.snapCount[p]++
-		if l.snapCount[p] >= l.cfg.SnapshotEvery {
-			l.snapCount[p] = 0
-			snapDue = true
-		}
-	}
 	if l.checker != nil {
 		l.checker.RecordDeliver(p, id)
 	}
@@ -262,11 +211,6 @@ func (l *LiveCluster) recordDelivery(p ProcessID, id MessageID, payload any) {
 	// its deliveries sequentially, in A-Delivery order.
 	for _, h := range hooks {
 		h(id, payload)
-	}
-	if snapDue {
-		// Snapshots must not run mid-delivery-cascade (the engine state is
-		// only consistent between loop events): enqueue as its own event.
-		l.rt.Async(p, func() { l.snapshot(p) })
 	}
 }
 
@@ -371,7 +315,7 @@ func (l *LiveCluster) Broadcast(from ProcessID, payload any) MessageID {
 			return
 		}
 		if l.checker == nil {
-			id = l.a2[from].ABCast(payload)
+			id = l.hosts[from].A2.ABCast(payload)
 			return
 		}
 		l.mu.Lock()
@@ -379,7 +323,7 @@ func (l *LiveCluster) Broadcast(from ProcessID, payload any) MessageID {
 			l.mu.Unlock()
 			return
 		}
-		id = l.a2[from].ABCast(payload)
+		id = l.hosts[from].A2.ABCast(payload)
 		l.checker.RecordCast(id, l.topo.AllGroups())
 		l.mu.Unlock()
 	})
@@ -401,7 +345,7 @@ func (l *LiveCluster) Multicast(from ProcessID, payload any, groups ...GroupID) 
 			return
 		}
 		if l.checker == nil {
-			id = l.a1[from].AMCast(payload, dest)
+			id = l.hosts[from].A1.AMCast(payload, dest)
 			return
 		}
 		l.mu.Lock()
@@ -409,7 +353,7 @@ func (l *LiveCluster) Multicast(from ProcessID, payload any, groups ...GroupID) 
 			l.mu.Unlock()
 			return
 		}
-		id = l.a1[from].AMCast(payload, dest)
+		id = l.hosts[from].A1.AMCast(payload, dest)
 		l.checker.RecordCast(id, dest)
 		l.mu.Unlock()
 	})
@@ -653,12 +597,6 @@ func (l *LiveCluster) Chaos() scenario.Funcs {
 	}
 }
 
-// restartSeqGap is how far a restarted process's cast allocator jumps past
-// its recovered value: casts made after the last snapshot are not
-// individually logged, so the jump guarantees a fresh incarnation can
-// never re-issue a MessageID the old one already used.
-const restartSeqGap = 1 << 20
-
 // Restart brings a crashed process back as a fresh incarnation: it
 // recovers Paxos acceptor state, the group clock, delivery rounds, and
 // every registered snapshot section (e.g. the service layer's state
@@ -689,86 +627,34 @@ func (l *LiveCluster) Restart(p ProcessID) error {
 	// whatever led to the crash is about to age out.
 	l.flightRecord(fmt.Sprintf("restart %v", p))
 
-	var recErr error
-	err := l.rt.Restart(p, func(proc *node.Proc, det fd.Detector) {
-		l.buildEndpoints(p, proc, det)
-		l.mu.Lock()
-		l.recovering[p] = true
-		l.mu.Unlock()
-		recErr = l.node(p).Recover()
-		// Casts since the last snapshot are not individually logged: jump
-		// the allocator so the new incarnation cannot reuse an ID.
-		l.castSeqs[p] += restartSeqGap
-		l.mu.Lock()
-		l.recovering[p] = false
-		l.mu.Unlock()
+	err := l.rt.Restart(p, func(proc *node.Proc, det fd.Detector) error {
+		h := l.newHost(p, proc, det)
+		if err := h.Recover(); err != nil {
+			return err
+		}
+		l.hosts[p] = h
+		return nil
 	})
-	if err == nil {
-		err = recErr
-	}
 	if err != nil {
+		// The crashed incarnation stays in place (see tcp.Runtime.Restart).
 		return err
 	}
 	l.mu.Lock()
 	delete(l.crashed, p)
 	l.mu.Unlock()
 	// Liveness: fetch everything missed while down from the group peers.
-	l.rt.Run(p, func() {
-		l.a1[p].StartSync()
-		l.a2[p].StartSync()
-	})
+	l.rt.Run(p, func() { l.hosts[p].StartSync() })
 	return nil
-}
-
-// node assembles process p's durable orchestration view: A1, A2, the
-// cluster's own section (the cast allocator), and every registered extra
-// section, in registration order.
-func (l *LiveCluster) node(p ProcessID) *durable.Node {
-	l.mu.Lock()
-	extra := make([]durable.Section, 0, 1+len(l.extras[p]))
-	extra = append(extra, l.clusterSection(p))
-	extra = append(extra, l.extras[p]...)
-	l.mu.Unlock()
-	return &durable.Node{Store: l.stores[p], A1: l.a1[p], A2: l.a2[p], Extra: extra}
-}
-
-// clusterSection persists cluster-level per-process state: the cast
-// allocator.
-func (l *LiveCluster) clusterSection(p ProcessID) durable.Section {
-	return durable.Section{
-		Name: "cluster",
-		Save: func() ([]byte, error) {
-			return wire.AppendUvarint(nil, l.castSeqs[p]), nil
-		},
-		Restore: func(data []byte) error {
-			seq, _, err := wire.Uvarint(data)
-			if err != nil {
-				return err
-			}
-			l.castSeqs[p] = seq
-			return nil
-		},
-	}
-}
-
-// snapshot captures process p's full durable state and truncates its WAL.
-// It must run as its own event on p's loop (between protocol events).
-func (l *LiveCluster) snapshot(p ProcessID) {
-	l.mu.Lock()
-	skip := l.crashed[p] || l.recovering[p] || l.stores[p] == nil
-	l.mu.Unlock()
-	if skip {
-		return
-	}
-	if err := l.node(p).Snapshot(); err != nil {
-		l.rt.Tracef("snapshot %v failed: %v", p, err)
-	}
 }
 
 // Snapshot forces an immediate snapshot of process p (tests, graceful
 // shutdown). It blocks until the snapshot completes.
 func (l *LiveCluster) Snapshot(p ProcessID) {
-	l.rt.Run(p, func() { l.snapshot(p) })
+	l.rt.Run(p, func() {
+		if err := l.hosts[p].Snapshot(); err != nil {
+			l.rt.Tracef("snapshot %v failed: %v", p, err)
+		}
+	})
 }
 
 // RegisterSnapshot adds (or, by name, replaces) a snapshot section for

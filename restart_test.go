@@ -1,7 +1,9 @@
 package wanamcast
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,5 +240,108 @@ func TestRestartRequiresDurableStore(t *testing.T) {
 	cl.Crash(p)
 	if err := cl.Restart(p); err == nil {
 		t.Fatal("Restart without a durable store must fail")
+	}
+}
+
+// flakyStore is a Mem store whose next Load, or next Replay after a few
+// records, fails once when armed.
+type flakyStore struct {
+	*storage.Mem
+	failLoad, failReplay atomic.Bool
+}
+
+var errInjected = errors.New("injected store fault")
+
+func (f *flakyStore) Load() ([]byte, uint64, error) {
+	if f.failLoad.CompareAndSwap(true, false) {
+		return nil, 0, errInjected
+	}
+	return f.Mem.Load()
+}
+
+func (f *flakyStore) Replay(from uint64, fn func(rec storage.Record) error) error {
+	if !f.failReplay.CompareAndSwap(true, false) {
+		return f.Mem.Replay(from, fn)
+	}
+	n := 0
+	return f.Mem.Replay(from, func(rec storage.Record) error {
+		if n++; n > 3 {
+			return errInjected
+		}
+		return fn(rec)
+	})
+}
+
+// TestFailedRecoveryLeavesProcessCrashed: when recovery fails — the store
+// cannot load, or the WAL replay breaks off partway — Restart reports it and
+// installs nothing: no half-restored acceptor answers the group from partial
+// state, the crashed incarnation stays in place, the group keeps ordering,
+// and a second Restart on the healed store succeeds and catches up.
+func TestFailedRecoveryLeavesProcessCrashed(t *testing.T) {
+	for i, fault := range []string{"load", "replay"} {
+		t.Run(fault, func(t *testing.T) {
+			const victim = ProcessID(1)
+			flaky := &flakyStore{Mem: storage.NewMem()}
+			cl := NewLiveCluster(LiveConfig{
+				Groups: 2, PerGroup: 3, BasePort: 21700 + 200*i, WANDelay: 5 * time.Millisecond,
+				Check: true, MaxBatch: 64, Pipeline: 2,
+				StoreFor: func(p ProcessID) storage.Store {
+					if p == victim {
+						return flaky
+					}
+					return storage.NewMem()
+				},
+			})
+			if err := cl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Stop)
+			g01 := []GroupID{0, 1}
+			for i := 0; i < 5; i++ {
+				cl.Multicast(cl.Process(0, i%3), fmt.Sprintf("pre-%d", i), g01...)
+			}
+			if v := cl.WaitPropertiesClean(10 * time.Second); len(v) != 0 {
+				t.Fatalf("pre-crash violations: %v", v)
+			}
+			cl.Crash(victim)
+			dead := cl.rt.Proc(victim)
+
+			if fault == "load" {
+				flaky.failLoad.Store(true)
+			} else {
+				flaky.failReplay.Store(true)
+			}
+			if err := cl.Restart(victim); !errors.Is(err, errInjected) {
+				t.Fatalf("Restart on a failing store = %v, want the injected fault", err)
+			}
+			if cl.rt.Proc(victim) != dead || !dead.Crashed() {
+				t.Fatal("a failed recovery installed a new incarnation")
+			}
+			if id := cl.Broadcast(victim, "from the dead"); !id.IsZero() {
+				t.Fatalf("the still-crashed process cast %v", id)
+			}
+			// The group orders on without it.
+			mid := cl.Multicast(cl.Process(0, 0), "mid", g01...)
+			if !cl.WaitDelivered(mid, 5, 10*time.Second) {
+				t.Fatal("the group stopped ordering after the failed restart")
+			}
+			if n := cl.DeliveredCount(mid); n != 5 {
+				t.Fatalf("%d deliveries of a message the crashed process missed, want 5", n)
+			}
+
+			if err := cl.Restart(victim); err != nil {
+				t.Fatalf("Restart on the healed store: %v", err)
+			}
+			if !cl.WaitDelivered(mid, 6, 15*time.Second) {
+				t.Fatal("the restarted process never caught up")
+			}
+			post := cl.Multicast(victim, "post", g01...)
+			if !cl.WaitDelivered(post, 6, 10*time.Second) {
+				t.Fatal("the restarted process cannot originate multicasts")
+			}
+			if v := cl.WaitPropertiesClean(15 * time.Second); len(v) != 0 {
+				t.Fatalf("post-restart violations: %v", v)
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"wanamcast/internal/harness"
+	"wanamcast/internal/config"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/scenario"
 )
@@ -122,7 +122,7 @@ func TestBandwidthCapThroughputMultiplier(t *testing.T) {
 		t.Skip("wall-clock throughput floor under the race detector")
 	}
 	const plainFrameOrderedPerSec = 283 // retired baseline, frozen at f8da32c
-	rate, err := harness.ParseBandwidth("50mbit")
+	rate, err := config.ParseBandwidth("50mbit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSaturatedLinkKeepsTrust(t *testing.T) {
 	if raceEnabled {
 		t.Skip("zero-suspicion bound is a wall-clock assertion; race instrumentation slows beats past SuspectAfter")
 	}
-	rate, err := harness.ParseBandwidth("2mb")
+	rate, err := config.ParseBandwidth("2mb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestBandwidthCappedChaosPropertiesClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live chaos run")
 	}
-	rate, err := harness.ParseBandwidth("50mbit")
+	rate, err := config.ParseBandwidth("50mbit")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,12 @@ import (
 	"fmt"
 	"time"
 
-	"wanamcast/internal/abcast"
-	"wanamcast/internal/amcast"
 	"wanamcast/internal/check"
+	"wanamcast/internal/config"
+	"wanamcast/internal/durable"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
 )
@@ -143,8 +142,7 @@ type Cluster struct {
 	rt      *node.Runtime
 	col     *metrics.Collector
 	checker *check.Checker
-	a1      []*amcast.Mcast
-	a2      []*abcast.Bcast
+	hosts   []*durable.Node
 
 	deliveries []Delivery
 	onDeliver  func(p ProcessID, id MessageID, payload any)
@@ -168,38 +166,17 @@ func NewCluster(cfg Config) *Cluster {
 		rt:      rt,
 		col:     col,
 		checker: check.New(topo),
-		a1:      make([]*amcast.Mcast, topo.N()),
-		a2:      make([]*abcast.Bcast, topo.N()),
+		hosts:   make([]*durable.Node, topo.N()),
 		crashed: make(map[ProcessID]bool),
 	}
 	for _, id := range topo.AllProcesses() {
 		id := id
-		proc := rt.Proc(id)
-		// A1 and A2 share one cast-ID allocator per process so their
-		// message identifiers never collide.
-		var castSeq uint64
-		nextID := func() MessageID {
-			castSeq++
-			return MessageID{Origin: id, Seq: castSeq}
-		}
-		c.a1[id] = amcast.New(amcast.Config{
-			Host:       proc,
-			Detector:   rt.Oracle(),
-			SkipStages: !cfg.DisableSkipping,
-			NextID:     nextID,
-			MaxBatch:   cfg.MaxBatch,
-			Pipeline:   cfg.Pipeline,
-			OnDeliver: func(m rmcast.Message) {
-				c.recordDelivery(id, m.ID, m.Payload)
-			},
-		})
-		c.a2[id] = abcast.New(abcast.Config{
-			Host:     proc,
+		c.hosts[id] = durable.New(durable.Config{
+			Proc:     rt.Proc(id),
 			Detector: rt.Oracle(),
-			NextID:   nextID,
-			MaxBatch: cfg.MaxBatch,
-			Pipeline: cfg.Pipeline,
-			OnDeliver: func(mid MessageID, payload any) {
+			Knobs:    config.Config{MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline},
+			NoSkip:   cfg.DisableSkipping,
+			Deliver: func(_ string, mid MessageID, payload any) {
 				c.recordDelivery(id, mid, payload)
 			},
 		})
@@ -235,7 +212,7 @@ func (c *Cluster) Multicast(from ProcessID, payload any, groups ...GroupID) Mess
 		panic("wanamcast: Multicast needs at least one destination group")
 	}
 	dest := types.NewGroupSet(groups...)
-	id := c.a1[from].AMCast(payload, dest)
+	id := c.hosts[from].A1.AMCast(payload, dest)
 	c.checker.RecordCast(id, dest)
 	return id
 }
@@ -243,7 +220,7 @@ func (c *Cluster) Multicast(from ProcessID, payload any, groups ...GroupID) Mess
 // Broadcast atomically broadcasts payload from process from to all groups
 // using Algorithm A2, and returns the message ID.
 func (c *Cluster) Broadcast(from ProcessID, payload any) MessageID {
-	id := c.a2[from].ABCast(payload)
+	id := c.hosts[from].A2.ABCast(payload)
 	c.checker.RecordCast(id, c.rt.Topo().AllGroups())
 	return id
 }
