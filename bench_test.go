@@ -350,9 +350,12 @@ func BenchmarkTradeoffLatencyVsMessages(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationStageSkip measures what A1's stage skipping saves over
-// the full Fritzke pipeline: consensus instances and total messages, at
-// equal latency degree.
+// BenchmarkAblationStageSkip measures A1 against the full Fritzke pipeline
+// on a multi-group cast, at equal latency degree: A1 saves messages (direct
+// instead of eager reliable multicast) but no consensus instance — every
+// multi-group message takes an s2 decision in each group. The instance A1
+// does save, on single-group messages, is pinned by
+// amcast's TestStageSkippingSavesConsensus.
 func BenchmarkAblationStageSkip(b *testing.B) {
 	run := func(b *testing.B, algo harness.Algo) {
 		var learns, msgs uint64

@@ -89,12 +89,14 @@ func TestClusterWallLatency(t *testing.T) {
 func TestClusterDisableSkipping(t *testing.T) {
 	on := NewCluster(Config{Groups: 2, PerGroup: 2})
 	off := NewCluster(Config{Groups: 2, PerGroup: 2, DisableSkipping: true})
-	on.Multicast(on.Process(0, 0), "x", 0, 1)
-	off.Multicast(off.Process(0, 0), "x", 0, 1)
+	// Skipping saves the second consensus of a single-group message only: a
+	// multi-group one takes two instances per group either way.
+	on.Multicast(on.Process(0, 0), "x", 0)
+	off.Multicast(off.Process(0, 0), "x", 0)
 	on.Run()
 	off.Run()
-	if onN, offN := on.Stats().ConsensusInstances, off.Stats().ConsensusInstances; onN >= offN {
-		t.Errorf("skipping on: %d consensus learns, off: %d — expected fewer with skipping", onN, offN)
+	if onN, offN := on.Stats().ConsensusInstances, off.Stats().ConsensusInstances; onN != 2 || offN != 4 {
+		t.Errorf("single-group cast: skipping on %d consensus learns, off %d — want 2 and 4 (one vs two instances x two members)", onN, offN)
 	}
 }
 

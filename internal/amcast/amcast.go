@@ -1,38 +1,55 @@
 // Package amcast implements Algorithm A1 of the paper: a genuine,
 // fault-tolerant atomic multicast with the optimal latency degree of two
-// for messages addressed to multiple groups (§4).
-//
-// The implementation is a line-by-line transcription of Algorithm A1.
-// Every multicast message progresses through four stages:
+// for messages addressed to multiple groups (§4). Every message progresses
+// through four stages:
 //
 //	s0: each destination group runs consensus to fix its timestamp proposal;
 //	s1: destination groups exchange proposals via (TS, m) messages;
-//	s2: groups whose proposal was below the maximum re-run consensus to
-//	    advance their clock past the final timestamp;
-//	s3: m is deliverable; it is A-Delivered once (m.ts, m.id) is minimal
-//	    among all pending messages.
+//	s2: each group runs a second consensus on a payload-free (id, final
+//	    timestamp) item, advancing its clock past the maximum proposal;
+//	s3: m is deliverable.
 //
-// Two optimizations distinguish A1 from Fritzke et al. [5] (§4.1): messages
-// addressed to a single group jump from s0 to s3, and a group whose
-// proposal equals the final timestamp skips s2. Both are controlled by
-// Config.SkipStages so the [5] baseline can reuse this engine verbatim.
+// It follows the paper's listing with ONE deviation: lines 35–37, which let
+// the group whose proposal is the maximum enter s3 on the arrival of the
+// last (TS, m), are gone — every multi-group message reaches s3 through a
+// decision of its group (an intra-group instance: the latency degree stays
+// two). That buys the invariant: a process's A-Delivery sequence is a
+// function of its group's decision sequence and of nothing else. The
+// delivery test runs only when a decision is applied and reads only what
+// decisions fixed — the entries at stage >= s1, under the group's proposal
+// until their s2 decision and the final timestamp after it; never an s0
+// entry (members hold different ones) or a maximum adopted on a message
+// arrival. A single-group message is A-Delivered in the decision that orders
+// it (Config.SkipStages; off, it takes the [5] pipeline's two instances);
+// multi-group messages in s3 are delivered in (ts, id) order while minimal
+// among the entries at stage >= s1. A single-shard write thus costs one
+// intra-group consensus and never queues behind another message's WAN round
+// trip, as it did under the paper's line 4.
+//
+// Safety: (1) members of a group apply the same decisions in the same order,
+// so they deliver identical sequences; (2) multi-group messages keep the
+// paper's final-timestamp order in every group — an entry blocks under a
+// timestamp no larger than its final one, and anything proposed later gets
+// K, which every decision moves past each timestamp it fixed (line 31): the
+// paper's own argument, which never needed s0 entries to block; (3) a
+// single-group message lives in one group's sequence only, so the union of
+// the groups' orders stays acyclic — §2.2's uniform prefix order constrains
+// two messages only at processes addressed by both.
 //
 // Ordering runs on the batched, pipelined engine of internal/consensus:
 // every instance carries a batch of pending s0/s2 descriptors (line 14's
-// "propose all of PENDING", optionally capped by Config.MaxBatch), and up
-// to Config.Pipeline instances may be in flight concurrently. Consensus
-// instances are numbered densely and decoupled from the group clock K:
-// decisions apply in instance order, s0 messages take their timestamp from
-// K at apply time, and K then advances past every timestamp fixed — so the
-// clock remains a deterministic function of the decision sequence and all
-// group members agree on it (Lemma A.1), at any batch size and pipeline
-// depth. With the default MaxBatch=0 (unbounded) and Pipeline=1 the engine
-// behaves exactly like the paper's sequential algorithm.
+// "propose all of PENDING", optionally capped by Config.MaxBatch), up to
+// Config.Pipeline instances in flight. Instances are numbered densely and
+// decoupled from the group clock K: decisions apply in instance order, s0
+// messages take their timestamp from K at apply time, and K then advances
+// past every timestamp fixed — a function of the decision sequence too
+// (Lemma A.1), at any batch size and pipeline depth.
 package amcast
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,9 +105,10 @@ type Config struct {
 	// OnDeliver is invoked on every A-Deliver, in delivery order. May be
 	// nil.
 	OnDeliver func(m rmcast.Message)
-	// SkipStages enables A1's stage-skipping optimizations. Disabling it
-	// yields the Fritzke et al. [5] pipeline: every message, including
-	// single-group ones, takes two consensus instances.
+	// SkipStages enables A1's stage skipping: a single-group message jumps
+	// from s0 to s3 and is A-Delivered in the decision that orders it.
+	// Disabling it yields the Fritzke et al. [5] pipeline: every message,
+	// including single-group ones, takes two consensus instances.
 	SkipStages bool
 	// RMMode selects the reliable multicast used for the initial cast:
 	// ModeDirect for A1 (non-uniform, d(k−1) messages), ModeEager for the
@@ -126,23 +144,25 @@ type Config struct {
 	Sync statesync.Options
 }
 
-// pend is the local state of a message in PENDING.
+// pend is the local state of a message in PENDING. From s1 on, ts is fixed
+// by decisions alone: the group's proposal until the s2 decision, the final
+// timestamp after it. Whether a stage >= s1 entry reads s1 or s2 depends on
+// message arrival, so the delivery test asks only "is it s3".
 type pend struct {
 	id      types.MessageID
 	dest    types.GroupSet
 	payload any
 	ts      uint64
 	stage   Stage
+	final   uint64        // the adopted maximum (lines 39–40): fills the s2 item, nothing else
 	seq     uint64        // admission order, for FIFO-fair batch fills
 	adm     time.Duration // admit time, recorded only while tracing (0 = untimed)
+	s3At    time.Duration // when the s2 decision applied, recorded only while tracing
 }
 
-// less is the (m.ts, m.id) order of line 4.
-func (p *pend) less(q *pend) bool {
-	if p.ts != q.ts {
-		return p.ts < q.ts
-	}
-	return p.id.Less(q.id)
+// cmpPend is the (m.ts, m.id) order of line 4.
+func cmpPend(p, q *pend) int {
+	return cmp.Or(cmp.Compare(p.ts, q.ts), p.id.Compare(q.id))
 }
 
 // Mcast is the per-process Algorithm A1 endpoint.
@@ -159,13 +179,19 @@ type Mcast struct {
 	// readable lock-free off the event loop (the read tier samples it).
 	wm atomic.Uint64
 
-	k          uint64 // the group clock copy K (line 2)
-	pending    map[types.MessageID]*pend
-	adelivered map[types.MessageID]bool
-	tsProps    map[types.MessageID]map[types.GroupID]uint64 // received (TS, m) proposals
-	admitSeq   uint64
-	castSeq    uint64
-	nextID     func() types.MessageID
+	k       uint64 // the group clock copy K (line 2)
+	pending map[types.MessageID]*pend
+	// order holds the entries the delivery test reads — stage >= s1, not yet
+	// released; all multi-group under SkipStages — by (ts, id). fresh holds
+	// the s0 entries in admission order (one that left s0 is dropped at the
+	// next fill), held what decisions released while delivery was gated, in
+	// release order. cand is fillBatch's scratch.
+	order, fresh, held, cand []*pend
+	adelivered               map[types.MessageID]bool
+	tsProps                  map[types.MessageID]map[types.GroupID]uint64 // received (TS, m) proposals
+	admitSeq                 uint64
+	castSeq                  uint64
+	nextID                   func() types.MessageID
 
 	// Durability & recovery state (see Config.Log).
 	log       *storage.Log
@@ -304,15 +330,13 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 				Aux: uint64(g), Value: TSMsg{Desc: d}})
 		}
 	}
-	a.checkStage1(d.ID)
+	a.checkStage1(a.pending[d.ID])
 }
 
 // onRDeliver is Task 2, lines 10–13. A first admission is WAL-logged
-// (unsynced): PENDING entries gate the ADeliveryTest barrier, so a replay
-// that dropped them would reconstruct a weaker barrier than the pre-crash
-// one and deliver s3 messages ahead of the group's order (found by the
-// chaos suite's partition-during-recovery scenario, pinned by
-// TestReplayMatchesPreCrashDeliveries).
+// (unsynced): it is what this process proposes from, so a replay that
+// dropped it would leave a message only this process was handed
+// unproposed. An s0 entry gates no delivery — members hold different ones.
 func (a *Mcast) onRDeliver(m rmcast.Message) {
 	if !a.adelivered[m.ID] {
 		if _, ok := a.pending[m.ID]; !ok {
@@ -332,33 +356,61 @@ func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload any) {
 	if _, ok := a.pending[id]; ok {
 		return
 	}
+	a.newPend(id, dest, payload)
+	a.engine.Pump()
+}
+
+// newPend enters m into PENDING at stage s0.
+func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any) *pend {
 	a.admitSeq++
-	p := &pend{id: id, dest: dest, payload: payload, ts: a.k, stage: Stage0, seq: a.admitSeq}
+	p := &pend{id: id, dest: dest, payload: payload, ts: a.k, seq: a.admitSeq}
 	if a.api.Tracing() {
 		p.adm = a.api.Now()
 	}
 	a.pending[id] = p
-	a.engine.Pump()
+	a.fresh = append(a.fresh, p)
+	return p
 }
 
 // fillBatch is the engine's Fill hook (Task at lines 14–17): the
-// proposable set is every pending s0/s2 message not already in flight, in
-// admission order up to limit, canonically sorted by message ID.
+// proposable set is every pending s0/s2 message not already in flight up to
+// limit — s2 items first (payload-free, and other groups' clocks wait on
+// them), then s0 in admission order — canonically sorted by message ID.
 func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descriptor {
-	var cand []*pend
-	for _, p := range a.pending {
-		if (p.stage == Stage0 || p.stage == Stage2) && !exclude(p.id) {
+	cand := a.cand[:0]
+	for _, p := range a.order {
+		if p.stage == Stage2 && !exclude(p.id) {
 			cand = append(cand, p)
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].seq < cand[j].seq })
+	n := 0
+	for _, p := range a.fresh {
+		if p.stage != Stage0 {
+			continue // decided or delivered since: forget it
+		}
+		a.fresh[n] = p
+		n++
+		if !exclude(p.id) {
+			cand = append(cand, p)
+		}
+	}
+	clear(a.fresh[n:])
+	a.fresh = a.fresh[:n]
 	if limit > 0 && len(cand) > limit {
 		cand = cand[:limit]
 	}
-	set := make([]Descriptor, 0, len(cand))
-	for _, p := range cand {
-		set = append(set, Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage})
+	set := make([]Descriptor, len(cand))
+	for i, p := range cand {
+		if p.stage == Stage2 {
+			// Every process that applies an s2 item has applied or adopted
+			// the s0 item that carried the payload.
+			set[i] = Descriptor{ID: p.id, TS: p.final, Stage: Stage2}
+		} else {
+			set[i] = Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts}
+		}
 	}
+	clear(cand)
+	a.cand = cand
 	sortDescriptors(set)
 	return set
 }
@@ -366,14 +418,11 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descr
 // processDecision is the engine's OnApply hook: it executes lines 19–32
 // for the decision of (dense) instance inst. Decisions apply in instance
 // order, so the timestamps fixed here — K for s0 messages, the carried TS
-// for s2 — and the clock advance of line 31 are identical at every group
-// member.
+// for s2 — the clock advance of line 31 and the deliveries are identical at
+// every group member.
 func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
-	fixTS := a.k // the timestamp this decision assigns to s0 messages
-	var (
-		maxTS    uint64
-		toStage1 []types.MessageID
-	)
+	fixTS, maxTS := a.k, a.k // fixTS: the timestamp this decision assigns to s0 messages
+	var toStage1 []*pend
 	for _, d := range set {
 		if a.adelivered[d.ID] {
 			// Defensive: a delivered message cannot re-enter PENDING.
@@ -381,72 +430,54 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 			continue
 		}
 		p := a.pending[d.ID]
-		if p == nil {
+		switch {
+		case p == nil && d.Stage == Stage0:
 			// Line 30: the decision introduces m to this process.
-			a.admitSeq++
-			p = &pend{id: d.ID, dest: d.Dest, payload: d.Payload, seq: a.admitSeq}
-			if a.api.Tracing() {
-				p.adm = a.api.Now()
-			}
-			a.pending[d.ID] = p
-		} else if (d.Stage == Stage0 && p.stage > Stage0) ||
-			(d.Stage == Stage2 && p.stage == Stage3) {
+			p = a.newPend(d.ID, d.Dest, d.Payload)
+		case p == nil, d.Stage == Stage0 && p.stage > Stage0, d.Stage == Stage2 && p.stage == Stage3:
 			// With Pipeline >= 2 the engine's in-flight exclusion is
 			// proposer-local, so two group members may propose m to
 			// different concurrent instances and both decisions carry it.
 			// Only the first application is binding: re-applying would
 			// regress the stage, fix a second (different) timestamp, and
 			// re-send a divergent group proposal. The guard is
-			// deterministic across the group because stage transitions out
-			// of s0 happen only here, in instance order, and a pend reaches
-			// s3 with an s2 proposal in flight only via an earlier
-			// instance's s2 descriptor.
-			a.api.Tracef("a1: decision %d repeats %v at stale stage %v (now %v)", inst, d.ID, d.Stage, p.stage)
+			// deterministic across the group: stages leave s0 and enter s3
+			// only here, in instance order. (An s2 item for a message never
+			// seen cannot happen: its s0 decision came first.)
+			a.api.Tracef("a1: decision %d repeats %v at stale stage %v", inst, d.ID, d.Stage)
 			continue
 		}
-		multi := d.Dest.Size() > 1
 		switch {
-		case multi && d.Stage == Stage0:
-			// Lines 21–24: fix the group proposal and exchange it.
-			p.ts = fixTS
-			p.stage = Stage1
-			a.sendTS(p)
-			toStage1 = append(toStage1, d.ID)
-		case multi: // d.Stage == Stage2
-			// Line 26: the final timestamp was fixed at line 39.
-			p.ts = d.TS
-			p.stage = Stage3
-		case !a.skip:
-			// Fritzke [5] pipeline: single-group messages also take both
-			// consensus instances (s0→s1→s2→s3).
-			if d.Stage == Stage0 {
-				p.ts = fixTS
-				p.stage = Stage1
-				toStage1 = append(toStage1, d.ID)
-			} else {
-				p.ts = d.TS
-				p.stage = Stage3
+		case d.Stage == Stage2:
+			// Line 26: this decision fixes the final timestamp.
+			a.orderRemove(p)
+			p.ts, p.stage = d.TS, Stage3
+			a.orderInsert(p)
+			if p.adm > 0 {
+				p.s3At = a.api.Now()
 			}
+		case a.skip && p.dest.Size() == 1:
+			// Lines 28–29: single destination group, the proposal is final
+			// and constrains nobody else — delivered in this decision.
+			p.ts, p.stage = fixTS, Stage3
+			a.release(p, nil)
 		default:
-			// Lines 28–29: single destination group, the proposal is
-			// final; skip straight to s3.
-			p.ts = fixTS
-			p.stage = Stage3
+			// Lines 21–24: fix the group proposal and exchange it. (The [5]
+			// pipeline walks single-group messages through here too.)
+			p.ts, p.stage = fixTS, Stage1
+			a.orderInsert(p)
+			a.sendTS(p)
+			toStage1 = append(toStage1, p)
 		}
-		if p.ts > maxTS {
-			maxTS = p.ts
-		}
+		maxTS = max(maxTS, p.ts)
 	}
 	// Line 31: advance the group clock past every timestamp just fixed.
-	if maxTS < a.k {
-		maxTS = a.k
-	}
 	a.k = maxTS + 1
 	// Line 32.
 	a.adeliveryTest()
 	// Proposals from other groups may have arrived before we reached s1.
-	for _, id := range toStage1 {
-		a.checkStage1(id)
+	for _, p := range toStage1 {
+		a.checkStage1(p)
 	}
 	// The engine pumps after every applied decision; nothing to do here.
 }
@@ -455,89 +486,113 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 // (line 24).
 func (a *Mcast) sendTS(p *pend) {
 	myGroup := a.api.Group()
-	desc := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: Stage1}
 	var tos []types.ProcessID
 	for _, g := range p.dest.Groups() {
-		if g == myGroup {
-			continue
+		if g != myGroup {
+			tos = append(tos, a.api.Topo().Members(g)...)
 		}
-		tos = append(tos, a.api.Topo().Members(g)...)
 	}
-	a.api.Multicast(tos, a.label, TSMsg{Desc: desc})
+	if len(tos) > 0 {
+		desc := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: Stage1}
+		a.api.Multicast(tos, a.label, TSMsg{Desc: desc})
+	}
 }
 
-// checkStage1 evaluates lines 33–40 for message id: once a proposal from
-// every other destination group is known, either skip to s3 (our proposal
-// was the maximum) or adopt the maximum and go through s2.
-func (a *Mcast) checkStage1(id types.MessageID) {
-	p := a.pending[id]
-	if p == nil || p.stage != Stage1 {
-		return
-	}
-	props := a.tsProps[id]
+// finalTS evaluates line 33 for p: once a proposal from every other
+// destination group is known it returns the maximum of all proposals.
+func (a *Mcast) finalTS(p *pend) (final uint64, ok bool) {
+	props := a.tsProps[p.id]
 	myGroup := a.api.Group()
-	maxRecv := uint64(0)
+	final = p.ts
 	for _, g := range p.dest.Groups() {
 		if g == myGroup {
 			continue
 		}
 		ts, ok := props[g]
 		if !ok {
-			return // line 33 not yet satisfied
+			return 0, false
 		}
-		if ts > maxRecv {
-			maxRecv = ts
-		}
+		final = max(final, ts)
 	}
-	if a.skip && p.ts >= maxRecv {
-		// Lines 35–37: our group proposed the final timestamp; the clock
-		// already advanced past it at line 31, so s2 is unnecessary.
-		p.stage = Stage3
-		a.adeliveryTest()
-		return
-	}
-	// Lines 39–40 (or the forced-s2 Fritzke path).
-	if maxRecv > p.ts {
-		p.ts = maxRecv
-	}
-	p.stage = Stage2
-	a.engine.Pump()
+	return final, true
 }
 
-// adeliveryTest is the ADeliveryTest procedure (lines 3–7): deliver, in
-// order, every s3 message whose (ts, id) is minimal among all of PENDING.
-// While a state transfer is in progress the test is gated: deliveries this
-// process missed must land first (in the group's order), or the local
-// sequence would diverge from the group's.
-func (a *Mcast) adeliveryTest() {
-	if a.sync.Gated() {
+// checkStage1 evaluates lines 33–40 for p: once every proposal is known,
+// adopt the maximum and go through s2 — also when this group's proposal IS
+// the maximum (the paper's lines 35–37 would enter s3 here, on a message
+// arrival, at a different instant on every member). The maximum goes to
+// p.final, never to p.ts: a member that has the last (TS, m) must block
+// exactly as long as one that has not.
+func (a *Mcast) checkStage1(p *pend) {
+	if p == nil || p.stage != Stage1 {
 		return
 	}
-	for {
-		var min *pend
-		for _, p := range a.pending {
-			if min == nil || p.less(min) {
-				min = p
-			}
+	if final, ok := a.finalTS(p); ok {
+		p.final, p.stage = final, Stage2
+		a.engine.Pump()
+	}
+}
+
+func (a *Mcast) orderInsert(p *pend) {
+	i, _ := slices.BinarySearchFunc(a.order, p, cmpPend)
+	a.order = slices.Insert(a.order, i, p)
+}
+
+func (a *Mcast) orderRemove(p *pend) {
+	if i, ok := slices.BinarySearchFunc(a.order, p, cmpPend); ok {
+		a.order = slices.Delete(a.order, i, i+1)
+	}
+}
+
+// adeliveryTest is the ADeliveryTest procedure (lines 3–7) over what
+// decisions fixed: release, in (ts, id) order, every s3 message that is
+// minimal among the entries at stage >= s1. It runs when a decision has
+// been applied and when a state transfer ends — never on a message receipt.
+func (a *Mcast) adeliveryTest() {
+	var head *pend // the entry whose s2 decision let this pass start
+	for len(a.order) > 0 && a.order[0].stage == Stage3 {
+		p := a.order[0]
+		if head == nil {
+			head = p
 		}
-		if min == nil || min.stage != Stage3 {
-			return
+		a.order = slices.Delete(a.order, 0, 1)
+		a.release(p, head)
+	}
+}
+
+// release A-Delivers p, or — while a state transfer is in progress — holds
+// it for resumeDelivery: deliveries this process missed must land first (in
+// the group's order), or the local sequence would diverge from the group's.
+// behind, if not p itself, is the message p waited for.
+func (a *Mcast) release(p, behind *pend) {
+	if a.sync.Gated() {
+		a.held = append(a.held, p)
+		return
+	}
+	if p.adm > 0 {
+		// order: admit → delivery. blocked: the decision that made p
+		// deliverable → delivery (0 when that decision is this one).
+		now, since := a.api.Now(), p.s3At
+		if since == 0 {
+			since = now
 		}
-		if min.adm > 0 {
-			// Ordering residency: admit → deliverable-and-minimal.
-			a.api.Trace(trace.StageOrder, min.id, int64(a.api.Now()-min.adm))
+		a.api.Trace(trace.StageOrder, p.id, int64(now-p.adm))
+		a.api.Trace(trace.StageBlocked, p.id, int64(now-since))
+	}
+	a.api.RecordDeliver(p.id)
+	a.adelivered[p.id] = true
+	delete(a.pending, p.id)
+	delete(a.tsProps, p.id)
+	a.recordDelivered(DeliverRec{ID: p.id, Dest: p.dest, TS: p.ts, Payload: p.payload})
+	if a.api.TraceOn() {
+		if behind != nil && behind != p {
+			a.api.Tracef("a1: A-Deliver %v ts=%d waited for multi-group %v", p.id, p.ts, behind.id)
+		} else {
+			a.api.Tracef("a1: A-Deliver %v ts=%d", p.id, p.ts)
 		}
-		a.api.RecordDeliver(min.id)
-		a.adelivered[min.id] = true
-		delete(a.pending, min.id)
-		delete(a.tsProps, min.id)
-		a.recordDelivered(DeliverRec{ID: min.id, Dest: min.dest, TS: min.ts, Payload: min.payload})
-		if a.api.TraceOn() {
-			a.api.Tracef("a1: A-Deliver %v ts=%d", min.id, min.ts)
-		}
-		if a.onDeliver != nil {
-			a.onDeliver(rmcast.Message{ID: min.id, Dest: min.dest, Payload: min.payload})
-		}
+	}
+	if a.onDeliver != nil {
+		a.onDeliver(rmcast.Message{ID: p.id, Dest: p.dest, Payload: p.payload})
 	}
 }
 
@@ -551,9 +606,5 @@ func (a *Mcast) recordDelivered(dr DeliverRec) {
 
 // sortDescriptors orders a proposal deterministically by message ID.
 func sortDescriptors(set []Descriptor) {
-	for i := 1; i < len(set); i++ {
-		for j := i; j > 0 && set[j].ID.Less(set[j-1].ID); j-- {
-			set[j], set[j-1] = set[j-1], set[j]
-		}
-	}
+	slices.SortFunc(set, func(x, y Descriptor) int { return x.ID.Compare(y.ID) })
 }

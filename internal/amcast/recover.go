@@ -12,12 +12,16 @@
 // Catch-up from the group is internal/statesync's protocol. A1 plugs in:
 // the position is the A-Delivery count; the record is one delivery
 // (DeliverRec); the tail is PENDING, the received proposals, the group
-// clock and the engine horizon (SyncTail). While the gate is shut the
-// ADeliveryTest does not run.
+// clock and the engine horizon (SyncTail) — everything the delivery rule
+// reads; an entry's adopted maximum is recomputed from the proposals. While
+// the gate is shut, decisions still apply and what they release is held,
+// not delivered (release); resumeDelivery delivers it in release order.
 package amcast
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wanamcast/internal/rmcast"
@@ -181,7 +185,31 @@ func (a *Mcast) RestoreSnapshot(data []byte) error {
 	if engineBlob, _, err = wire.Bytes(data); err != nil {
 		return err
 	}
+	a.reindex()
 	return a.engine.RestoreSnapshot(engineBlob)
+}
+
+// reindex rebuilds what is derived from PENDING after a snapshot restore or
+// a state-transfer adoption: the delivery order, the s0 list and — from the
+// received proposals, because it is not persisted — the adopted maximum of
+// every entry whose proposals are complete. The caller pumps.
+func (a *Mcast) reindex() {
+	a.order, a.fresh = a.order[:0], a.fresh[:0]
+	for _, p := range a.pending {
+		if p.stage == Stage1 || p.stage == Stage2 {
+			p.stage = Stage1
+			if final, ok := a.finalTS(p); ok {
+				p.final, p.stage = final, Stage2
+			}
+		}
+		if p.stage == Stage0 {
+			a.fresh = append(a.fresh, p)
+		} else if !slices.Contains(a.held, p) {
+			a.order = append(a.order, p)
+		}
+	}
+	slices.SortFunc(a.order, cmpPend)
+	slices.SortFunc(a.fresh, func(p, q *pend) int { return cmp.Compare(p.seq, q.seq) })
 }
 
 // Recover re-fires the apply cascade for decisions the restored snapshot
@@ -236,6 +264,10 @@ func (a *Mcast) Syncing() bool { return a.sync.Gated() }
 // event loop; off-loop readers use Watermark.
 func (a *Mcast) Delivered() uint64 { return a.delivered }
 
+// Archive returns the retained tail of the process's A-Deliveries, in
+// delivery order, each with the timestamp it was delivered under.
+func (a *Mcast) Archive() []DeliverRec { return a.sync.Archive() }
+
 // Watermark returns the endpoint's delivery watermark — the same count as
 // Delivered, but readable lock-free from any goroutine (the read tier
 // samples it to decide whether a replica can serve a session's read).
@@ -273,7 +305,11 @@ func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
 		return
 	}
 	a.adelivered[dr.ID] = true
-	delete(a.pending, dr.ID)
+	if p := a.pending[dr.ID]; p != nil {
+		a.orderRemove(p)
+		p.stage = Stage3 // so that the s0 list forgets it
+		delete(a.pending, dr.ID)
+	}
 	delete(a.tsProps, dr.ID)
 	if !replay {
 		a.log.Append(storage.Record{Kind: storage.KindDeliver, Proto: a.label,
@@ -306,8 +342,6 @@ func (a *Mcast) adoptState(t SyncTail) {
 		} else if d.Stage > p.stage {
 			p.stage = d.Stage
 			p.ts = d.TS
-		} else if d.Stage == p.stage && d.TS > p.ts {
-			p.ts = d.TS
 		}
 	}
 	for _, pr := range t.Props {
@@ -326,18 +360,22 @@ func (a *Mcast) adoptState(t SyncTail) {
 	if t.K > a.k {
 		a.k = t.K
 	}
-	a.engine.SkipTo(t.Applied + 1)
 	// Merged proposals may complete stage 1 for adopted messages.
-	for id, p := range a.pending {
-		if p.stage == Stage1 {
-			a.checkStage1(id)
-		}
-	}
+	a.reindex()
+	a.engine.SkipTo(t.Applied + 1)
 }
 
-// resumeDelivery runs when the state transfer ends: the ADeliveryTest is
-// live again and the engine pumps.
+// resumeDelivery runs when the state transfer ends: what decisions released
+// behind the gate and the transfer did not deliver is A-Delivered in
+// release order, the ADeliveryTest is live again and the engine pumps.
 func (a *Mcast) resumeDelivery() {
+	held := a.held
+	a.held = nil
+	for _, p := range held {
+		if a.pending[p.id] == p { // else the transfer delivered it
+			a.release(p, nil)
+		}
+	}
 	a.adeliveryTest()
 	a.engine.Pump()
 }

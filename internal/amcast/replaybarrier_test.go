@@ -1,6 +1,7 @@
 package amcast
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -11,38 +12,36 @@ import (
 	"wanamcast/internal/types"
 )
 
-// TestReplayMatchesPreCrashDeliveries pins the recovery-order invariant
-// behind the KindAdmit WAL record: replaying a crashed endpoint's log must
-// re-deliver EXACTLY the pre-crash delivery sequence — no more, no fewer,
-// same order.
+// TestReplayMatchesPreCrashDeliveries pins the recovery-order invariant:
+// replaying a crashed endpoint's log must re-deliver EXACTLY the pre-crash
+// delivery sequence — no more, no fewer, same order — and so must replaying
+// the log's decisions alone (the oracle of oracle_test.go).
 //
-// Before admissions were logged, a message admitted only via reliable
-// multicast (stage s0, no consensus record yet) vanished from the
-// replayed PENDING set; the ADeliveryTest barrier it provided vanished
-// with it, and replay over-delivered an s3 message ahead of the group's
-// order. The restarted replica then skipped the message forever (the
-// state transfer saw it as already delivered) and its delivery sequence
-// diverged from the group's — found by the chaos suite's
-// partition-recovery scenario under client load.
+// The test was born under the paper's line 4, where PENDING s0 entries
+// gated the ADeliveryTest: a message admitted only via reliable multicast
+// (no consensus record yet) vanished from a replayed PENDING, its barrier
+// vanished with it, and replay over-delivered an s3 message ahead of the
+// group's order (found by the chaos suite's partition-recovery scenario).
+// That is why admissions are WAL-logged. Under the decision-sequence rule
+// an s0 entry gates nothing — members hold different ones — and the same
+// construction now pins exactly that: the victim delivers the multi-group
+// message PAST the rmcast-only one, on both replays too, and the admission
+// survives the full replay as what it is, something to propose.
 //
-// The construction forces the hazardous state deterministically at the
-// victim p2 (group g0 = {0,1,2}) via per-pair link delays:
+// The construction forces the state deterministically at the victim p2
+// (group g0 = {0,1,2}) via per-pair link delays:
 //
-//   - m_a = m(5,1), cast by p5 to {g0,g1}: reaches s3/ts=0 at the victim
-//     at ~104ms (g0 and g1 both propose 0, so s2 is skipped);
+//   - m_a = m(5,1), cast by p5 to {g0,g1}: its s2 decision applies at the
+//     victim at ~106ms (g0 and g1 both propose 0);
 //   - m_b = m(4,1), cast by p4 to {g0} ONLY (single-group: no (TS, m)
-//     traffic ever mentions it, so no TSProp record can re-admit it): the
-//     link p4→p2 is fast (1ms), so the victim admits it at ~2ms with
-//     provisional ts=0 — while p4→{p0,p1} is slow (300ms) and the
-//     victim's own consensus traffic toward the leader p0 is slow
-//     (200ms), so NO consensus instance includes m_b before ~205ms: the
-//     rmcast admission is the only trace of it in the victim's log.
+//     traffic ever mentions it): the link p4→p2 is fast (1ms), so the
+//     victim admits it at ~2ms with provisional ts=0 — while p4→{p0,p1} is
+//     slow (300ms) and the victim's own consensus traffic toward the
+//     leader p0 is slow (200ms), so NO consensus instance includes m_b
+//     before ~205ms: the rmcast admission is the only trace of it in the
+//     victim's log.
 //
-// From ~104ms to ~205ms the victim holds m_a@s3/ts=0 blocked by the
-// rmcast-only m_b@s0/ts=0 (m(4,1) < m(5,1) breaks the timestamp tie), and
-// delivers nothing. A crash at 150ms must therefore replay into zero
-// deliveries; a replay that loses the admission delivers m_a — out of the
-// group's order, which delivers m_b first.
+// At the crash (150ms) the victim has delivered m_a and holds m_b at s0.
 func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 	const (
 		victim = types.ProcessID(2)
@@ -93,59 +92,40 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 	rt.RunUntil(400 * time.Millisecond)
 
 	// Sanity-check the construction: at the crash the victim must have
-	// been holding m_a at s3 behind the rmcast-only m_b, delivering
-	// neither.
-	if len(deliveries) != 0 {
-		t.Fatalf("construction broke: victim delivered %v before the crash", deliveries)
+	// delivered m_a past the rmcast-only m_b (smaller (ts, id), stage s0).
+	mA, mB := types.MessageID{Origin: 5, Seq: 1}, types.MessageID{Origin: 4, Seq: 1}
+	if len(deliveries) != 1 || deliveries[0] != mA {
+		t.Fatalf("construction broke: victim delivered %v before the crash, want [m_a]", deliveries)
 	}
-	if n := eps[victim].PendingCount(); n != 2 {
-		t.Fatalf("construction broke: victim crashed with %d pending (want m_a@s3 + m_b@s0)", n)
+	if p := eps[victim].pending[mB]; p == nil || p.stage != Stage0 || eps[victim].PendingCount() != 1 {
+		t.Fatalf("construction broke: victim crashed with %d pending, m_b = %+v (want m_b@s0 alone)",
+			eps[victim].PendingCount(), p)
 	}
 
-	// Replay the victim's WAL into a fresh incarnation and record what it
-	// re-delivers (no snapshot was ever taken, so the log is the whole
-	// history).
-	rt2 := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
-	var replayed []types.MessageID
-	shadow := New(Config{
-		Host:       rt2.Proc(victim),
-		Detector:   rt2.Oracle(),
-		SkipStages: true,
-		Log:        storage.NewLog(storage.NewMem()), // replay must not re-log into the source
-		OnDeliver:  func(m rmcast.Message) { replayed = append(replayed, m.ID) },
-	})
-	rt2.Proc(victim).SetRecovering(true)
-	_, from, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
+	// Replay the victim's WAL into a fresh incarnation (no snapshot was
+	// ever taken, so the log is the whole history): everything, then the
+	// decisions alone.
+	o := rigOpts{skip: true}
+	shadow, replayed := replayLog(t, topo, victim, store, o, everyRecord)
+	if !slices.Equal(replayed, deliveries) {
+		t.Fatalf("replay delivered %v, the pre-crash endpoint %v", replayed, deliveries)
 	}
-	shadow.Recover()
-	err = store.Replay(from, func(rec storage.Record) error {
-		if rec.Proto == shadow.Proto() || rec.Proto == shadow.EngineLabel() {
-			return shadow.ReplayRecord(rec)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if p := shadow.pending[mB]; p == nil || p.stage != Stage0 || shadow.PendingCount() != 1 {
+		t.Fatalf("replayed PENDING has %d entries, m_b = %+v (want the rmcast-only m_b@s0 alone)",
+			shadow.PendingCount(), p)
 	}
-	shadow.EndRecovery()
-
-	if len(replayed) != 0 {
-		t.Fatalf("replay over-delivered %v: the pre-crash endpoint had delivered nothing "+
-			"(the rmcast-only admission's barrier was lost)", replayed)
-	}
-	if shadow.PendingCount() != 2 {
-		t.Fatalf("replayed PENDING has %d entries, want 2 (m_a@s3 and the rmcast-only m_b@s0)",
-			shadow.PendingCount())
-	}
-	if shadow.Delivered() != 0 {
-		t.Fatalf("replayed delivered counter = %d, want 0", shadow.Delivered())
+	if shadow.Delivered() != 1 {
+		t.Fatalf("replayed delivered counter = %d, want 1", shadow.Delivered())
 	}
 	// And the gate: with group peers present, a recovered endpoint must
 	// stay delivery-gated until its state transfer confirms the group
 	// prefix (EndRecovery shuts it, the transfer's finish lifts it).
 	if !shadow.Syncing() {
 		t.Fatal("recovered endpoint not delivery-gated before state transfer")
+	}
+	bare, replayed := replayLog(t, topo, victim, store, o, decisionsOnly)
+	if !slices.Equal(replayed, deliveries) || bare.PendingCount() != 0 {
+		t.Fatalf("decisions alone delivered %v with %d pending, want %v and none",
+			replayed, bare.PendingCount(), deliveries)
 	}
 }

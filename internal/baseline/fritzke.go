@@ -10,9 +10,9 @@ import (
 )
 
 // NewFritzke builds the Fritzke et al. [5] atomic multicast: the A1 engine
-// with both of A1's optimizations disabled, exactly the contrast §4.1
-// draws. Every message traverses all four stages (two consensus instances,
-// even single-group messages and groups whose proposal is the maximum), and
+// with A1's stage skipping disabled, the contrast §4.1 draws. Every message
+// traverses all four stages (two consensus instances, even single-group
+// messages; amcast runs s2 in every group for multi-group ones anyway), and
 // the initial cast uses the eager (uniform-style) reliable multicast, which
 // relays every copy and therefore sends O(k²d²) messages where A1's direct
 // primitive sends d(k−1).

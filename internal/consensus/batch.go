@@ -110,6 +110,7 @@ type Batcher[T Item] struct {
 	applyNext uint64                     // next instance to apply, in dense order
 	buffered  map[uint64][]T             // decided but not yet applied (out-of-order)
 	inFlight  map[types.MessageID]uint64 // item → undecided/unapplied instance
+	proposed  map[uint64][]T             // the reverse: instance → the batch proposed to it
 
 	healEvery time.Duration // gap-healing re-check period
 	healing   bool          // gap-healing timer armed
@@ -149,6 +150,7 @@ func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 		applyNext: 1,
 		buffered:  make(map[uint64][]T),
 		inFlight:  make(map[types.MessageID]uint64),
+		proposed:  make(map[uint64][]T),
 		healEvery: healEvery,
 	}
 	b.exclude = b.InFlight
@@ -204,6 +206,9 @@ func (b *Batcher[T]) Pump() {
 		for _, it := range batch {
 			b.inFlight[it.ItemID()] = b.next
 		}
+		if len(batch) > 0 {
+			b.proposed[b.next] = batch
+		}
 		b.cons.Propose(b.next, batch)
 		b.next++
 	}
@@ -246,10 +251,16 @@ func (b *Batcher[T]) applyOne(k uint64, cur []T) {
 	// Items of this instance are no longer in flight. Items the
 	// decision dropped become proposable again; items it kept are the
 	// client's to track from OnApply onward.
-	for id, held := range b.inFlight {
-		if held == k {
+	b.release(k)
+	b.onApply(k, cur)
+}
+
+// release takes the items this process proposed to instance k out of flight.
+func (b *Batcher[T]) release(k uint64) {
+	for _, it := range b.proposed[k] {
+		if id := it.ItemID(); b.inFlight[id] == k {
 			delete(b.inFlight, id)
 		}
 	}
-	b.onApply(k, cur)
+	delete(b.proposed, k)
 }

@@ -48,6 +48,7 @@ func (f *fakeAPI) After(d time.Duration, fn func())          { f.timers = append
 func (f *fakeAPI) RecordCast(types.MessageID)                {}
 func (f *fakeAPI) RecordDeliver(types.MessageID)             {}
 func (f *fakeAPI) RecordConsensus()                          {}
+func (f *fakeAPI) RecordLearnFetch()                         {}
 func (f *fakeAPI) RecordBatch(size int)                      { f.batches = append(f.batches, size) }
 func (f *fakeAPI) Tracef(string, ...any)                     {}
 func (f *fakeAPI) TraceOn() bool                             { return false }

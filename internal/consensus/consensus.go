@@ -77,15 +77,20 @@ type (
 		Instance uint64
 		Ballot   int64
 	}
-	// DecideMsg announces a decision to the group.
+	// DecideMsg announces a decision. The leader's goes by reference —
+	// Ballot >= 0 names the chosen ballot, no Value: a decided batch crosses
+	// each link once, in its AcceptMsg. Catch-up replies carry the value
+	// and Ballot -1.
 	DecideMsg struct {
 		Instance uint64
+		Ballot   int64
 		Value    Value
 	}
 	// LearnMsg asks a peer for an instance's decision: the peer replies
 	// with DecideMsg if it knows one and stays silent otherwise. Restarted
 	// or gap-stalled learners use it to recover decisions whose original
-	// announcement they missed.
+	// announcement they missed, acceptors one announced by reference in a
+	// ballot they did not vote in.
 	LearnMsg struct {
 		Instance uint64
 	}
@@ -256,7 +261,7 @@ func (c *Consensus) Receive(from types.ProcessID, body any) {
 	case AcceptedMsg:
 		c.onAccepted(from, m)
 	case DecideMsg:
-		c.learn(m.Instance, m.Value)
+		c.onDecide(from, m)
 	case LearnMsg:
 		c.onLearnReq(from, m)
 	default:
@@ -319,9 +324,7 @@ func (c *Consensus) lead(k uint64, v Value) {
 		return
 	}
 	in.phase1OK = make(map[types.ProcessID]PromiseMsg, c.d)
-	for _, q := range c.group {
-		c.send(q, PrepareMsg{Instance: k, Ballot: in.ballot})
-	}
+	c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
 }
 
 // nextBallot picks the smallest ballot owned by this process greater than
@@ -336,16 +339,14 @@ func (c *Consensus) nextBallot(in *instance) int64 {
 
 func (c *Consensus) broadcastAccept(k uint64, in *instance) {
 	in.phase2OK = make(map[types.ProcessID]bool, c.d)
-	for _, q := range c.group {
-		c.send(q, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
-	}
+	c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
 }
 
 func (c *Consensus) onForward(from types.ProcessID, m ForwardMsg) {
 	in := c.inst(m.Instance)
 	if in.decided {
 		// Catch-up: tell the sender the decision directly.
-		c.send(from, DecideMsg{Instance: m.Instance, Value: in.decision})
+		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
 		return
 	}
 	if !c.isLeader() {
@@ -361,7 +362,7 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, DecideMsg{Instance: m.Instance, Value: in.decision})
+		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
 		return
 	}
 	if m.Ballot < in.promised {
@@ -374,25 +375,38 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 		in.promised = m.Ballot
 		c.log.Append(storage.Record{Kind: storage.KindPromise, Proto: c.label, Inst: m.Instance, Ballot: m.Ballot})
 	}
-	// The promise must survive a crash before it is given: the reply is
-	// parked until the record's durability barrier resolves — inline
-	// fsync on a synchronous log, or the group-commit syncer's next
-	// covering fsync when lanes batch their barriers. A re-promise rides
-	// the same barrier so it can never overtake a first promise whose
+	// The promise must survive a crash before it is given: the reply waits
+	// for the record's durability barrier (afterBarrier). A re-promise
+	// rides the same barrier so it can never overtake a first promise whose
 	// fsync is still in flight. The reply captures the acceptor state at
 	// promise time; a racing Accept at this same ballot is harmless (its
 	// leader has already closed phase 1).
-	reply := PromiseMsg{Instance: m.Instance, Ballot: m.Ballot, VBallot: in.accepted, VValue: in.aValue}
+	c.afterBarrier(trace.StagePromise, from,
+		PromiseMsg{Instance: m.Instance, Ballot: m.Ballot, VBallot: in.accepted, VValue: in.aValue})
+}
+
+// afterBarrier sends reply once every record appended so far is durable:
+// after an inline fsync on a synchronous log, building no continuation, or
+// parked until the group-commit syncer's next covering fsync when lanes
+// batch their barriers. st is the sub-span: how long the reply waited.
+func (c *Consensus) afterBarrier(st trace.Stage, to types.ProcessID, reply any) {
+	start := time.Duration(-1) // not tracing
 	if c.api.Tracing() {
-		// Sub-span: how long the promise waited on its fsync barrier.
-		barrier := c.api.Now()
-		c.log.CommitThen(func() {
-			c.api.Trace(trace.StagePromise, types.MessageID{}, int64(c.api.Now()-barrier))
-			c.send(from, reply)
-		})
+		start = c.api.Now()
+	}
+	if !c.log.Deferred() {
+		c.log.Commit()
+		c.sendTraced(st, start, to, reply)
 		return
 	}
-	c.log.CommitThen(func() { c.send(from, reply) })
+	c.log.CommitThen(func() { c.sendTraced(st, start, to, reply) })
+}
+
+func (c *Consensus) sendTraced(st trace.Stage, start time.Duration, to types.ProcessID, reply any) {
+	if start >= 0 {
+		c.api.Trace(st, types.MessageID{}, int64(c.api.Now()-start))
+	}
+	c.send(to, reply)
 }
 
 func (c *Consensus) onPromise(from types.ProcessID, m PromiseMsg) {
@@ -429,7 +443,7 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, DecideMsg{Instance: m.Instance, Value: in.decision})
+		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
 		return
 	}
 	if m.Ballot < in.promised {
@@ -443,19 +457,10 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.aValue = m.Value
 		c.log.Append(storage.Record{Kind: storage.KindAccept, Proto: c.label, Inst: m.Instance, Ballot: m.Ballot, Value: m.Value})
 	}
-	// The vote must survive a crash before it is cast: parked like the
-	// Promise reply in onPrepare — and a retransmission's reply shares
-	// the original's barrier ordering, so it cannot leak an unsynced vote.
-	reply := AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot}
-	if c.api.Tracing() {
-		barrier := c.api.Now()
-		c.log.CommitThen(func() {
-			c.api.Trace(trace.StageAccept, types.MessageID{}, int64(c.api.Now()-barrier))
-			c.send(from, reply)
-		})
-		return
-	}
-	c.log.CommitThen(func() { c.send(from, reply) })
+	// The vote must survive a crash before it is cast: it waits like the
+	// Promise reply in onPrepare — and a retransmission's reply shares the
+	// original's barrier ordering, so it cannot leak an unsynced vote.
+	c.afterBarrier(trace.StageAccept, from, AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot})
 }
 
 func (c *Consensus) onAccepted(from types.ProcessID, m AcceptedMsg) {
@@ -467,11 +472,26 @@ func (c *Consensus) onAccepted(from types.ProcessID, m AcceptedMsg) {
 	if len(in.phase2OK) < c.quorum {
 		return
 	}
-	// Majority accepted: the value is chosen. Announce to the group.
-	for _, q := range c.group {
-		c.send(q, DecideMsg{Instance: m.Instance, Value: in.leadValue})
-	}
+	// Majority accepted: the value is chosen. Announce its ballot: every
+	// acceptor that voted in it holds the value already.
+	c.api.Multicast(c.group, c.label, DecideMsg{Instance: m.Instance, Ballot: m.Ballot})
 	c.learn(m.Instance, in.leadValue)
+}
+
+// onDecide learns the carried value or, announced by reference, the value
+// this acceptor accepted in the named ballot. One whose vote is for another
+// ballot (Accept dropped, or a stale lower one) must not guess: it fetches.
+func (c *Consensus) onDecide(from types.ProcessID, m DecideMsg) {
+	switch in := c.inst(m.Instance); {
+	case m.Ballot < 0:
+		c.learn(m.Instance, m.Value)
+	case in.decided:
+	case in.accepted == m.Ballot:
+		c.learn(m.Instance, in.aValue)
+	default:
+		c.api.RecordLearnFetch()
+		c.send(from, LearnMsg{Instance: m.Instance})
+	}
 }
 
 // learn records a decision and fires the client callback exactly once.
@@ -498,7 +518,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 // healing); unknown instances stay silent — the asker retries elsewhere.
 func (c *Consensus) onLearnReq(from types.ProcessID, m LearnMsg) {
 	if in, ok := c.insts[m.Instance]; ok && in.decided {
-		c.send(from, DecideMsg{Instance: m.Instance, Value: in.decision})
+		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
 	}
 }
 
@@ -548,14 +568,10 @@ func (c *Consensus) armTimer() {
 				// re-promised, so this converges even when the retry
 				// period is shorter than the group's round-trip time —
 				// bumping the ballot here instead would livelock.
-				for _, q := range c.group {
-					c.send(q, PrepareMsg{Instance: k, Ballot: in.ballot})
-				}
+				c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
 			case in.phase2OK != nil:
 				// Phase 2 in flight: retransmit the Accept likewise.
-				for _, q := range c.group {
-					c.send(q, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
-				}
+				c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
 			default:
 				c.lead(k, in.leadValue)
 			}

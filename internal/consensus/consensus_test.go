@@ -19,7 +19,24 @@ type rig struct {
 	order [][]uint64         // per process: decision arrival order
 }
 
-func newRig(t *testing.T, d int) *rig {
+func newRig(t *testing.T, d int) *rig { return newTappedRig(t, d, nil) }
+
+// tap sits in front of one process's engine: filter sees every message
+// first and drops it by returning false.
+type tap struct {
+	*Consensus
+	filter func(from types.ProcessID, body any) bool
+}
+
+func (p tap) Receive(from types.ProcessID, body any) {
+	if p.filter(from, body) {
+		p.Consensus.Receive(from, body)
+	}
+}
+
+// newTappedRig is newRig with filter(i, from, body) in front of process
+// i's engine (nil: no tap).
+func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, body any) bool) *rig {
 	t.Helper()
 	topo := types.NewTopology(1, d)
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond}, 1, nil)
@@ -38,7 +55,11 @@ func newRig(t *testing.T, d int) *rig {
 				r.order[i] = append(r.order[i], inst)
 			},
 		})
-		rt.Proc(types.ProcessID(i)).Register(c)
+		if filter != nil {
+			rt.Proc(types.ProcessID(i)).Register(tap{c, func(from types.ProcessID, body any) bool { return filter(i, from, body) }})
+		} else {
+			rt.Proc(types.ProcessID(i)).Register(c)
+		}
 		r.cons[i] = c
 	}
 	rt.Start()

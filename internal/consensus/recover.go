@@ -207,9 +207,9 @@ func (b *Batcher[T]) SkipTo(next uint64) {
 			delete(b.buffered, k)
 		}
 	}
-	for id, held := range b.inFlight {
-		if held < next {
-			delete(b.inFlight, id)
+	for k := range b.proposed {
+		if k < next {
+			b.release(k)
 		}
 	}
 	// A decision buffered beyond the new horizon may now be applicable.

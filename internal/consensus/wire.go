@@ -134,6 +134,10 @@ func (m *LearnMsg) DecodeFrom(data []byte) (rest []byte, err error) {
 // AppendTo appends m's wire encoding.
 func (m DecideMsg) AppendTo(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, m.Instance)
+	buf = wire.AppendVarint(buf, m.Ballot)
+	if m.Ballot >= 0 {
+		return buf // by reference: the receiver holds the value
+	}
 	return wire.AppendValue(buf, m.Value)
 }
 
@@ -141,6 +145,9 @@ func (m DecideMsg) AppendTo(buf []byte) []byte {
 func (m *DecideMsg) DecodeFrom(data []byte) (rest []byte, err error) {
 	if m.Instance, data, err = wire.Uvarint(data); err != nil {
 		return nil, err
+	}
+	if m.Ballot, data, err = wire.Varint(data); err != nil || m.Ballot >= 0 {
+		return data, err
 	}
 	m.Value, data, err = wire.DecodeValue(data)
 	return data, err

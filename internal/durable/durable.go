@@ -218,9 +218,12 @@ func (n *Node) sections() []Section {
 
 // Snapshot captures every section into one blob and atomically replaces
 // the store's snapshot with it (pruning covered WAL segments). A crashed
-// incarnation and one still recovering have nothing consistent to save.
+// incarnation and one still recovering have nothing consistent to save, and
+// neither has one whose A1 is catching up: the order in which it will deliver
+// what decisions released behind the gate is not in the snapshot (the WAL
+// keeps everything until OnSynced snapshots the caught-up state).
 func (n *Node) Snapshot() error {
-	if n.cfg.Store == nil || n.cfg.Proc.Crashed() || n.cfg.Proc.Recovering() {
+	if n.cfg.Store == nil || n.cfg.Proc.Crashed() || n.cfg.Proc.Recovering() || n.A1.Syncing() {
 		return nil
 	}
 	var blob []byte

@@ -146,6 +146,9 @@ type System struct {
 	Col     *metrics.Collector
 	Checker *check.Checker
 
+	// A1 holds the Algorithm A1 endpoints by process (AlgoA1 only).
+	A1 []*amcast.Mcast
+
 	casters []caster
 	crashed map[types.ProcessID]bool
 
@@ -202,6 +205,7 @@ func Build(algo Algo, opts Options) *System {
 				MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline,
 			})
 			s.casters[id] = castFunc(a.AMCast)
+			s.A1 = append(s.A1, a)
 		case AlgoFritzke:
 			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliver, opts.ConsensusRetry)
 			s.casters[id] = castFunc(a.AMCast)

@@ -130,6 +130,7 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	emit("wanamcast_messages_total", float64(st.TotalMessages))
 	emit("wanamcast_messages_intergroup_total", float64(st.InterGroupMessages))
 	emit("wanamcast_consensus_instances_total", float64(st.ConsensusInstances))
+	emit("wanamcast_consensus_learn_fetches_total", float64(st.LearnFetches))
 	emit("wanamcast_messages_cast_total", float64(st.MessagesCast))
 	emit("wanamcast_messages_delivered_total", float64(st.MessagesDelivered))
 	emit("wanamcast_ordered_per_second", st.ThroughputPerSec)

@@ -49,11 +49,12 @@ type Collector struct {
 	perProto       map[string]*ProtoCount
 	sends          []SendEvent
 
-	casts      map[types.MessageID]*castRecord
-	castOrder  []types.MessageID // cast arrival order, for CastWindow eviction
-	lastSend   time.Duration
-	anySend    bool
-	consensusN uint64
+	casts        map[types.MessageID]*castRecord
+	castOrder    []types.MessageID // cast arrival order, for CastWindow eviction
+	lastSend     time.Duration
+	anySend      bool
+	consensusN   uint64
+	learnFetches uint64 // decisions fetched by LearnMsg
 
 	batchesN    uint64
 	batchedMsgs uint64
@@ -169,6 +170,9 @@ func (c *Collector) OnDeliver(id types.MessageID, p types.ProcessID, lamportTS i
 // instance (used by the ablation benchmarks on stage skipping).
 func (c *Collector) OnConsensusInstance() { c.consensusN++ }
 
+// OnLearnFetch records one decision an acceptor had to fetch by LearnMsg.
+func (c *Collector) OnLearnFetch() { c.learnFetches++ }
+
 // OnBatchDecided records the size of one decided ordering batch (how many
 // messages a consensus instance ordered at one process).
 func (c *Collector) OnBatchDecided(size int) {
@@ -259,7 +263,14 @@ type Stats struct {
 	TotalMessages      uint64
 	InterGroupMessages uint64
 	ConsensusInstances uint64
-	PerProtocol        map[string]ProtoCount
+	// LearnFetches counts decisions an acceptor fetched by LearnMsg: the
+	// AcceptMsg carrying the value never reached it. SendQueueDrops and
+	// HoldDrops count, per sending process, the frames the live transport
+	// dropped on a full send queue and on a full partition or pacing hold
+	// (nil on the simulator); the protocols' retries recover them.
+	LearnFetches              uint64
+	SendQueueDrops, HoldDrops []uint64
+	PerProtocol               map[string]ProtoCount
 
 	// Cast/delivery aggregates over all messages that were both cast and
 	// delivered at least once.
@@ -313,6 +324,7 @@ func (c *Collector) Snapshot() Stats {
 		TotalMessages:      c.totalMsgs,
 		InterGroupMessages: c.interGroupMsgs,
 		ConsensusInstances: c.consensusN,
+		LearnFetches:       c.learnFetches,
 		PerProtocol:        make(map[string]ProtoCount, len(c.perProto)),
 		MessagesCast:       len(c.casts),
 	}
@@ -427,6 +439,12 @@ func (l *LockedCollector) OnConsensusInstance() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.c.OnConsensusInstance()
+}
+
+func (l *LockedCollector) OnLearnFetch() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.c.OnLearnFetch()
 }
 
 func (l *LockedCollector) OnBatchDecided(size int) {

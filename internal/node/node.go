@@ -70,6 +70,8 @@ type API interface {
 	// RecordBatch reports the size of a decided ordering batch (the number
 	// of messages one consensus instance ordered).
 	RecordBatch(size int)
+	// RecordLearnFetch reports a decision an acceptor fetched by LearnMsg.
+	RecordLearnFetch()
 	// Tracef emits a debug trace line when tracing is enabled.
 	Tracef(format string, args ...any)
 	// TraceOn reports whether Tracef lines go anywhere. Call sites that run
@@ -102,6 +104,7 @@ type Recorder interface {
 	OnDeliver(id types.MessageID, p types.ProcessID, lamportTS int64, at time.Duration)
 	OnConsensusInstance()
 	OnBatchDecided(size int)
+	OnLearnFetch()
 }
 
 // NopRecorder is a Recorder that discards everything.
@@ -112,6 +115,7 @@ func (NopRecorder) OnCast(types.MessageID, int64, time.Duration)                
 func (NopRecorder) OnDeliver(types.MessageID, types.ProcessID, int64, time.Duration)     {}
 func (NopRecorder) OnConsensusInstance()                                                 {}
 func (NopRecorder) OnBatchDecided(int)                                                   {}
+func (NopRecorder) OnLearnFetch()                                                        {}
 
 var _ Recorder = NopRecorder{}
 
@@ -292,6 +296,9 @@ func (p *Proc) RecordBatch(size int) {
 	}
 	p.env.Recorder().OnBatchDecided(size)
 }
+
+// RecordLearnFetch implements API.
+func (p *Proc) RecordLearnFetch() { p.env.Recorder().OnLearnFetch() }
 
 // SetTracer attaches the lifecycle tracer; lane selects the per-lane
 // span ring this process records into (the live runtime passes the

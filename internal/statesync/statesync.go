@@ -21,7 +21,6 @@
 package statesync
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -136,6 +135,10 @@ func New[R, T any](cfg Config[R, T]) *Engine[R, T] {
 func (e *Engine[R, T]) Record(rec R) {
 	e.archive, _ = storage.TrimTail(append(e.archive, rec), e.cfg.Archive)
 }
+
+// Archive returns the retained records, oldest first. Callers must not
+// modify it.
+func (e *Engine[R, T]) Archive() []R { return e.archive }
 
 // Base is the position of the oldest archived record.
 func (e *Engine[R, T]) Base() uint64 { return e.cfg.Pos() - uint64(len(e.archive)) }
@@ -333,9 +336,7 @@ func AppendIDSet(buf []byte, set map[types.MessageID]bool) []byte {
 	for id := range set {
 		ids = append(ids, id)
 	}
-	slices.SortFunc(ids, func(x, y types.MessageID) int {
-		return cmp.Or(cmp.Compare(x.Origin, y.Origin), cmp.Compare(x.Seq, y.Seq))
-	})
+	slices.SortFunc(ids, types.MessageID.Compare)
 	return appendRecs(buf, ids, func(buf []byte, id types.MessageID) []byte { return id.AppendTo(buf) })
 }
 

@@ -140,6 +140,11 @@ func (l *Log) AttachGroupCommit(gc *GroupCommit, post func(func())) {
 	l.q = gc.register(ss, post)
 }
 
+// Deferred reports whether CommitThen parks its continuation behind the
+// group-commit syncer; when it does not, a caller may Commit and carry on
+// inline, building no continuation.
+func (l *Log) Deferred() bool { return l != nil && l.q != nil }
+
 // CommitThen is the asynchronous durability barrier: then runs strictly
 // after every record appended so far is durable. Without a group-commit
 // attachment it is Commit() followed by then() — synchronous, today's

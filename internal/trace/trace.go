@@ -73,13 +73,17 @@ const (
 	// StageReply marks the svc reply to the client; Aux is the
 	// nanoseconds between submit and reply (end-to-end at the server).
 	StageReply
+	// StageBlocked marks an A1 delivery; Aux is the nanoseconds between the
+	// decision that made the message deliverable and its A-Deliver — the
+	// share of order spent waiting for another message's timestamp.
+	StageBlocked
 
 	numStages
 )
 
 var stageNames = [numStages]string{
 	"submit", "enqueue", "rmsend", "rmadmit", "cast", "propose", "promise",
-	"accept", "learn", "order", "fsync", "lanedeq", "deliver", "reply",
+	"accept", "learn", "order", "fsync", "lanedeq", "deliver", "reply", "blocked",
 }
 
 // auxIsDuration marks the stages whose Aux is a measured duration in
@@ -87,6 +91,7 @@ var stageNames = [numStages]string{
 var auxIsDuration = [numStages]bool{
 	StageEnqueue: true, StagePromise: true, StageAccept: true,
 	StageOrder: true, StageFsync: true, StageLaneDeq: true, StageReply: true,
+	StageBlocked: true,
 }
 
 // String returns the stage's wire name (also the histogram label).

@@ -164,6 +164,9 @@ type Runtime struct {
 	fds    []*heartbeatFD
 	leases []*fd.Lease // indexed by ProcessID; outlive detector restarts
 	local  []types.ProcessID
+	// The transport's only drops, counted per sending process: frames
+	// refused by a full send queue, and by a full partition or pacing hold.
+	queueDrops, holdDrops []atomic.Uint64
 
 	listeners []net.Listener
 	connMu    sync.Mutex
@@ -260,6 +263,7 @@ func New(cfg Config) *Runtime {
 	rt.laneOf = make([]*lane, n)
 	rt.fds = make([]*heartbeatFD, n)
 	rt.leases = make([]*fd.Lease, n)
+	rt.queueDrops, rt.holdDrops = make([]atomic.Uint64, n), make([]atomic.Uint64, n)
 	local := cfg.Local
 	if local == nil {
 		local = cfg.Topo.AllProcesses()
@@ -303,6 +307,15 @@ func (rt *Runtime) newLane() *lane {
 
 // LaneCount returns how many lane goroutines this runtime runs.
 func (rt *Runtime) LaneCount() int { return len(rt.lanes) }
+
+// Drops snapshots the frames dropped so far on a full send queue and on a
+// full partition or pacing hold, indexed by sending process.
+func (rt *Runtime) Drops() (queue, hold []uint64) {
+	for i := range rt.queueDrops {
+		queue, hold = append(queue, rt.queueDrops[i].Load()), append(hold, rt.holdDrops[i].Load())
+	}
+	return queue, hold
+}
 
 // LaneDepths snapshots each lane's pending-event count (posted but not
 // yet executed) — the telemetry plane's queue-depth gauge. Safe from any
@@ -880,6 +893,7 @@ func (rt *Runtime) Transmit(from, to types.ProcessID, proto string, body any, se
 		// regime the queue bound exists for.
 		rt.rec.OnSend(proto, from, to, !rt.topo.SameGroup(from, to), rt.Now())
 	default:
+		rt.queueDrops[from].Add(1)
 		rt.Tracef("send queue full: drop %v->%v %s", from, to, proto)
 	}
 }
@@ -1023,6 +1037,7 @@ func (l *link) writeLoop() {
 				if len(held) < rt.cfg.SendQueue {
 					held = append(held, f)
 				} else {
+					rt.holdDrops[l.from].Add(1)
 					rt.Tracef("partition hold full: drop %v->%v %s", l.from, l.to, f.proto)
 				}
 			}
@@ -1255,6 +1270,7 @@ func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 			if len(*held) < rt.cfg.SendQueue {
 				*held = append(*held, f)
 			} else {
+				rt.holdDrops[l.from].Add(1)
 				rt.Tracef("pacing hold full: drop %v->%v %s", l.from, l.to, f.proto)
 			}
 		case <-l.wake:
@@ -1356,6 +1372,12 @@ func (l *lockedRecorder) OnConsensusInstance() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.inner.OnConsensusInstance()
+}
+
+func (l *lockedRecorder) OnLearnFetch() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.inner.OnLearnFetch()
 }
 
 func (l *lockedRecorder) OnBatchDecided(size int) {

@@ -9,6 +9,7 @@
 package types
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -53,6 +54,11 @@ func (id MessageID) Less(other MessageID) bool {
 		return id.Origin < other.Origin
 	}
 	return id.Seq < other.Seq
+}
+
+// Compare orders ids like Less, as a three-way comparison for sorting.
+func (id MessageID) Compare(other MessageID) int {
+	return cmp.Or(cmp.Compare(id.Origin, other.Origin), cmp.Compare(id.Seq, other.Seq))
 }
 
 // IsZero reports whether id is the zero MessageID (never assigned to a cast).

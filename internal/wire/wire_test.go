@@ -61,7 +61,8 @@ func roundTripValues() map[string]any {
 		"consensus.PromiseMsg":  consensus.PromiseMsg{Instance: 5, Ballot: 9, VBallot: -1, VValue: nil},
 		"consensus.AcceptMsg":   consensus.AcceptMsg{Instance: 6, Ballot: 3, Value: recs},
 		"consensus.AcceptedMsg": consensus.AcceptedMsg{Instance: 6, Ballot: 3},
-		"consensus.DecideMsg":   consensus.DecideMsg{Instance: 7, Value: descs},
+		"consensus.DecideMsg":   consensus.DecideMsg{Instance: 7, Ballot: -1, Value: descs},
+		"consensus.DecideByRef": consensus.DecideMsg{Instance: 7, Ballot: 3},
 		"rmcast.Message":        msg,
 		"rmcast.DataMsg":        rmcast.DataMsg{M: msg},
 		"amcast.TSMsg":          amcast.TSMsg{Desc: descs[0]},

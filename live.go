@@ -390,7 +390,11 @@ func (l *LiveCluster) Crash(p ProcessID) {
 // Counters are cumulative; the per-cast latency aggregates cover a bounded
 // window of recent casts (8×RetainDeliveries, or 65536 when the delivery
 // log is unbounded), so a long-running cluster's memory stays flat.
-func (l *LiveCluster) Stats() Stats { return l.col.Snapshot() }
+func (l *LiveCluster) Stats() Stats {
+	st := l.col.Snapshot()
+	st.SendQueueDrops, st.HoldDrops = l.rt.Drops()
+	return st
+}
 
 // FsyncStats reports the cluster's durability-barrier accounting:
 // Fsyncs is the total fsyncs issued across every durable store, and the
@@ -423,7 +427,8 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 		Stats: l.Stats,
 		Gauges: func() map[string]float64 {
 			fs := l.FsyncStats()
-			w := l.Stats().Wire
+			st := l.Stats()
+			w := st.Wire
 			g := map[string]float64{
 				"wanamcast_fsyncs_total":           float64(fs.Fsyncs),
 				"wanamcast_gc_barriers_total":      float64(fs.Barriers),
@@ -437,6 +442,10 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 			}
 			for i, d := range l.LaneDepths() {
 				g[fmt.Sprintf("wanamcast_lane_depth{lane=\"%d\"}", i)] = float64(d)
+			}
+			for p := range st.SendQueueDrops {
+				g[fmt.Sprintf("wanamcast_send_queue_drops_total{proc=\"%d\"}", p)] = float64(st.SendQueueDrops[p])
+				g[fmt.Sprintf("wanamcast_hold_drops_total{proc=\"%d\"}", p)] = float64(st.HoldDrops[p])
 			}
 			return g
 		},

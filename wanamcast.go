@@ -91,8 +91,9 @@ type Config struct {
 	Seed int64
 	// LogSends retains a per-send event log (needed by genuineness checks).
 	LogSends bool
-	// DisableSkipping turns off A1's stage-skipping optimizations,
-	// yielding the Fritzke et al. [5] pipeline (used for ablations).
+	// DisableSkipping turns off A1's stage skipping (single-group messages
+	// jump from s0 to s3), yielding the Fritzke et al. [5] pipeline (used
+	// for ablations).
 	DisableSkipping bool
 	// SuspicionDelay is the failure-detection lag after a crash.
 	// Defaults to 20 ms.
