@@ -265,13 +265,13 @@ func run(f *flags) {
 func runSweep(algo harness.Algo, opts harness.Options, shapes []harness.Shape, casts int, benchOut string) {
 	fmt.Printf("scale sweep: algo=%s casts=%d seed=%d inter=%v intra=%v jitter=%v\n",
 		algo, casts, opts.Seed, opts.Inter, opts.Intra, opts.Jitter)
-	fmt.Printf("%-8s %-6s %-10s %-12s %-14s %-10s %-12s %s\n",
-		"shape", "procs", "casts", "events", "events/s", "wall", "allocs/ev", "peak heap")
+	fmt.Printf("%-8s %-6s %-10s %-12s %-14s %-10s %-10s %-12s %s\n",
+		"shape", "procs", "casts", "events", "events/s", "run", "check", "allocs/ev", "peak heap")
 	for _, sh := range shapes {
 		p := harness.RunScaleSweep(algo, opts, []harness.Shape{sh}, casts)[0]
-		fmt.Printf("%-8s %-6d %-10d %-12d %-14.0f %-10v %-12.2f %.1f MiB\n",
+		fmt.Printf("%-8s %-6d %-10d %-12d %-14.0f %-10v %-10v %-12.2f %.1f MiB\n",
 			p.Shape, p.Shape.N(), p.Casts, p.Events, p.EventsPerSec,
-			p.Wall.Round(time.Millisecond), p.AllocsPerEvent,
+			p.RunWall.Round(time.Millisecond), p.CheckWall.Round(10*time.Microsecond), p.AllocsPerEvent,
 			float64(p.PeakHeapBytes)/(1<<20))
 		if p.Violations != 0 {
 			fmt.Fprintf(os.Stderr, "wansim: %d property violations at %v\n", p.Violations, p.Shape)

@@ -155,9 +155,8 @@ type Bcast struct {
 	adelivered map[types.MessageID]bool
 	rdOrder    []types.MessageID // R-Delivery order, for deterministic proposals
 	barrier    uint64
-	bundles    map[uint64]map[types.GroupID][]Record // Msgs, keyed by round then sender group
-	decided    map[uint64][]Record                   // own group's decided bundle per round
-	inDecided  map[types.MessageID]bool              // decided into a bundle, not yet delivered
+	ring       []roundSlot              // Msgs: the uncompleted rounds' bundles, round r in ring[r%len] (see slot)
+	inDecided  map[types.MessageID]bool // decided into a bundle, not yet delivered
 	castSeq    uint64
 	nextID     func() types.MessageID
 	rdAt       map[types.MessageID]time.Duration // R-Delivery times, kept only while tracing
@@ -176,6 +175,14 @@ type Bcast struct {
 	// Durability & recovery state (see Config.Log). The sync position is k.
 	log  *storage.Log
 	sync *statesync.Engine[RoundSet, SyncTail]
+}
+
+// roundSlot holds one uncompleted round's bundles. A completed round's slot
+// is reused, sets and all, by a later round.
+type roundSlot struct {
+	round  uint64     // 0 = free: rounds count from 1
+	sets   [][]Record // by sender group, this group's being its decided one; nil = not in (an empty one is non-nil)
+	remote int        // bundles in from other groups
 }
 
 var _ node.Protocol = (*Bcast)(nil)
@@ -206,8 +213,7 @@ func New(cfg Config) *Bcast {
 		k:          1,
 		rdelivered: make(map[types.MessageID]Record),
 		adelivered: make(map[types.MessageID]bool),
-		bundles:    make(map[uint64]map[types.GroupID][]Record),
-		decided:    make(map[uint64][]Record),
+		ring:       make([]roundSlot, 4*pipeline),
 		inDecided:  make(map[types.MessageID]bool),
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
@@ -317,7 +323,7 @@ func (b *Bcast) Receive(from types.ProcessID, body any) {
 	switch m := body.(type) {
 	case BundleMsg:
 		g := b.api.Topo().GroupOf(from)
-		if _, seen := b.bundles[m.Round][g]; seen || m.Round < b.k {
+		if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
 			return // a repeated or late copy changes nothing: drop it undecoded
 		}
 		set, err := m.Records()
@@ -341,33 +347,65 @@ func (b *Bcast) handleBundle(g types.GroupID, round uint64, set []Record, replay
 	b.tryCompleteRound()
 }
 
-// storeBundle is lines 9–10: file the bundle under its round and raise the
-// Barrier to it. State transfer and snapshot restore use it directly.
+// slot returns the ring slot of an uncompleted round, or nil if it has none
+// and create is false. Rounds in flight span a few pipeline depths; should
+// two ever fall on one slot, the ring doubles until they do not.
+func (b *Bcast) slot(round uint64, create bool) *roundSlot {
+	for {
+		s := &b.ring[round%uint64(len(b.ring))]
+		if s.round == round {
+			return s
+		}
+		if !create {
+			return nil
+		}
+		if s.round == 0 {
+			s.round = round
+			if s.sets == nil {
+				s.sets = make([][]Record, b.api.Topo().NumGroups())
+			}
+			return s
+		}
+		old := b.ring
+		b.ring = make([]roundSlot, 2*len(old))
+		for _, o := range old {
+			if o.round != 0 {
+				b.ring[o.round%uint64(len(b.ring))] = o // distinct mod n stay distinct mod 2n
+			}
+		}
+	}
+}
+
+// storeBundle is lines 9–10: file group g's bundle under its round — the
+// group's own is its decided one — and raise the Barrier to a remote one's
+// round. State transfer and snapshot restore use it directly.
 func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay bool) {
 	if round < b.k {
 		// The round already completed here: every member of the sender
 		// group ships its group's bundle, so late copies keep arriving
 		// after the first one completed the round. Storing them would
-		// re-create bundles[round] entries nothing ever reads or
-		// deletes again; and a completed round can no longer need the
-		// Barrier raised to it (future rounds are all > round).
+		// occupy a slot nothing ever reads or frees again; and a
+		// completed round can no longer need the Barrier raised to it
+		// (future rounds are all > round).
 		return
 	}
-	perGroup := b.bundles[round]
-	if perGroup == nil {
-		perGroup = make(map[types.GroupID][]Record)
-		b.bundles[round] = perGroup
-	}
-	if _, seen := perGroup[g]; !seen {
-		perGroup[g] = set
-		if !replay {
+	own := g == b.api.Group()
+	if s := b.slot(round, true); s.sets[g] == nil {
+		s.sets[g] = set
+		if set == nil {
+			s.sets[g] = []Record{} // in, though empty
+		}
+		if !own {
+			s.remote++
+		}
+		if !own && !replay && b.log != nil {
 			// Unsynced: a lost tail bundle is re-fetched from peers by the
 			// next restart's state transfer.
 			b.log.Append(storage.Record{Kind: storage.KindBundle, Proto: b.label,
 				Inst: round, Aux: uint64(g), Value: set})
 		}
 	}
-	if round > b.barrier {
+	if !own && round > b.barrier {
 		b.barrier = round
 	}
 }
@@ -447,7 +485,7 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 // round order; completing the round additionally waits for the other
 // groups' bundles (the wait at line 16).
 func (b *Bcast) applyRound(inst uint64, set []Record) {
-	b.decided[inst] = set
+	b.storeBundle(b.api.Group(), inst, set, true)
 	b.tryCompleteRound()
 }
 
@@ -460,18 +498,19 @@ func (b *Bcast) tryCompleteRound() {
 		// adopted (in order) before any new round may deliver.
 		return
 	}
-	own, ok := b.decided[b.k]
-	if !ok {
+	s, own := b.slot(b.k, false), b.api.Group()
+	if s == nil || s.sets[own] == nil || s.remote < len(b.others) {
 		return
 	}
-	perGroup := b.bundles[b.k]
-	if len(perGroup) < len(b.others) {
-		return
+	// Lines 17–18: the round's delivery set is the union of all bundles,
+	// built at its final size: the sync archive keeps it.
+	n := 0
+	for _, set := range s.sets {
+		n += len(set)
 	}
-	// Lines 17–18: the round's delivery set is the union of all bundles.
-	union := slices.Clone(own)
+	union := append(make([]Record, 0, n), s.sets[own]...)
 	for _, g := range b.others {
-		union = append(union, perGroup[g]...)
+		union = append(union, s.sets[g]...)
 	}
 	// Line 19: deterministic order — ascending message ID.
 	slices.SortFunc(union, func(x, y Record) int {
@@ -525,8 +564,10 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 	if len(union) > 0 {
 		b.compactRDOrder()
 	}
-	delete(b.bundles, b.k)
-	delete(b.decided, b.k)
+	if s := b.slot(b.k, false); s != nil {
+		clear(s.sets)
+		s.round, s.remote = 0, 0
+	}
 	b.sync.Record(RoundSet{Round: b.k, Set: union})
 	// Line 21.
 	b.k++

@@ -25,11 +25,10 @@ func TestRoundStateDrains(t *testing.T) {
 			r.verify(t)
 			for _, p := range r.topo.AllProcesses() {
 				ep := r.eps[p]
-				if n := len(ep.bundles); n != 0 {
-					t.Errorf("p%v: %d stale bundle rounds retained", p, n)
-				}
-				if n := len(ep.decided); n != 0 {
-					t.Errorf("p%v: %d stale decided rounds retained", p, n)
+				for _, s := range ep.ring {
+					if s.round != 0 {
+						t.Errorf("p%v: round %d's bundles retained", p, s.round)
+					}
 				}
 				if n := len(ep.inDecided); n != 0 {
 					t.Errorf("p%v: %d stale inDecided records retained", p, n)

@@ -17,7 +17,6 @@ package abcast
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
@@ -64,26 +63,15 @@ func (b *Bcast) AppendSnapshot(buf []byte) []byte {
 	}
 	buf = statesync.AppendIDSet(buf, b.adelivered)
 	buf = statesync.AppendIDSet(buf, b.inDecided)
-	// Own decided bundles for uncompleted rounds.
-	rounds := make([]uint64, 0, len(b.decided))
-	for r := range b.decided {
-		rounds = append(rounds, r)
+	// Own decided bundles for uncompleted rounds, by round, then the remote
+	// bundles, by (round, group).
+	own, remote := b.inFlight()
+	buf = wire.AppendUvarint(buf, uint64(len(own)))
+	for _, gb := range own {
+		buf = wire.AppendUvarint(buf, gb.Round)
+		buf = AppendRecords(buf, gb.Set)
 	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	buf = wire.AppendUvarint(buf, uint64(len(rounds)))
-	for _, r := range rounds {
-		buf = wire.AppendUvarint(buf, r)
-		buf = AppendRecords(buf, b.decided[r])
-	}
-	// Remote bundles for uncompleted rounds, sorted by (round, group).
-	var gbs []GroupBundle
-	for r, perGroup := range b.bundles {
-		for g, set := range perGroup {
-			gbs = append(gbs, GroupBundle{Round: r, Group: g, Set: set})
-		}
-	}
-	sortGroupBundles(gbs)
-	buf = appendGroupBundles(buf, gbs)
+	buf = appendGroupBundles(buf, remote)
 	// Completed-round archive.
 	buf = b.sync.AppendArchive(buf)
 	// The ordering engine, length-prefixed.
@@ -132,7 +120,7 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 		if set, data, err = DecodeRecords(data); err != nil {
 			return err
 		}
-		b.decided[r] = set
+		b.storeBundle(b.api.Group(), r, set, true)
 	}
 	var gbs []GroupBundle
 	if gbs, data, err = decodeGroupBundles(data); err != nil {
@@ -202,16 +190,31 @@ func (b *Bcast) Watermark() uint64 { return b.wm.Load() }
 // StartSync begins catch-up from the same-group peers after a restart.
 func (b *Bcast) StartSync() { b.sync.Start() }
 
-// syncTail captures the in-flight state a caught-up requester adopts.
-func (b *Bcast) syncTail() SyncTail {
-	t := SyncTail{Barrier: b.barrier}
-	for r, perGroup := range b.bundles {
-		for g, set := range perGroup {
-			t.Bundles = append(t.Bundles, GroupBundle{Round: r, Group: g, Set: set})
+// inFlight lists the uncompleted rounds' bundles, each list by (round,
+// group): this group's decided ones, and those received from other groups.
+func (b *Bcast) inFlight() (own, remote []GroupBundle) {
+	for _, s := range b.ring {
+		for g, set := range s.sets {
+			if set == nil {
+				continue
+			}
+			gb := GroupBundle{Round: s.round, Group: types.GroupID(g), Set: set}
+			if gb.Group == b.api.Group() {
+				own = append(own, gb)
+			} else {
+				remote = append(remote, gb)
+			}
 		}
 	}
-	sortGroupBundles(t.Bundles)
-	return t
+	sortGroupBundles(own)
+	sortGroupBundles(remote)
+	return own, remote
+}
+
+// syncTail captures the in-flight state a caught-up requester adopts.
+func (b *Bcast) syncTail() SyncTail {
+	_, remote := b.inFlight()
+	return SyncTail{Barrier: b.barrier, Bundles: remote}
 }
 
 // adoptState takes over a caught-up peer's in-flight bundles and horizon.

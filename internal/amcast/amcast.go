@@ -155,9 +155,16 @@ type pend struct {
 	ts      uint64
 	stage   Stage
 	final   uint64        // the adopted maximum (lines 39–40): fills the s2 item, nothing else
+	props   []prop        // received (TS, m) proposals, aligned with dest.Groups(); nil until the first
 	seq     uint64        // admission order, for FIFO-fair batch fills
 	adm     time.Duration // admit time, recorded only while tracing (0 = untimed)
 	s3At    time.Duration // when the s2 decision applied, recorded only while tracing
+}
+
+// prop is one destination group's timestamp proposal, once it is in.
+type prop struct {
+	ts uint64
+	in bool
 }
 
 // cmpPend is the (m.ts, m.id) order of line 4.
@@ -185,13 +192,16 @@ type Mcast struct {
 	// released; all multi-group under SkipStages — by (ts, id). fresh holds
 	// the s0 entries in admission order (one that left s0 is dropped at the
 	// next fill), held what decisions released while delivery was gated, in
-	// release order. cand is fillBatch's scratch.
-	order, fresh, held, cand []*pend
-	adelivered               map[types.MessageID]bool
-	tsProps                  map[types.MessageID]map[types.GroupID]uint64 // received (TS, m) proposals
-	admitSeq                 uint64
-	castSeq                  uint64
-	nextID                   func() types.MessageID
+	// release order. cand, stage1 and tos are scratch (fillBatch,
+	// processDecision, sendTS). A received (TS, m) proposal lives in its
+	// message's entry: handleTS admits the message it names first, so there
+	// is no proposal without one.
+	order, fresh, held, cand, stage1 []*pend
+	tos                              []types.ProcessID
+	adelivered                       map[types.MessageID]bool
+	admitSeq                         uint64
+	castSeq                          uint64
+	nextID                           func() types.MessageID
 
 	// Durability & recovery state (see Config.Log).
 	log       *storage.Log
@@ -223,7 +233,6 @@ func New(cfg Config) *Mcast {
 		k:          1,
 		pending:    make(map[types.MessageID]*pend),
 		adelivered: make(map[types.MessageID]bool),
-		tsProps:    make(map[types.MessageID]map[types.GroupID]uint64),
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
 	}
@@ -315,22 +324,29 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 	// Line 10: a TS message also introduces m if unseen.
 	a.admit(d.ID, d.Dest, d.Payload)
 	// Record the sender group's proposal for line 33.
-	props := a.tsProps[d.ID]
-	if props == nil {
-		props = make(map[types.GroupID]uint64)
-		a.tsProps[d.ID] = props
+	p := a.pending[d.ID]
+	if p.setProp(g, d.TS) && !replay && a.log != nil {
+		// Unsynced: a lost tail proposal is re-fetched from peers by the
+		// next restart's state transfer, exactly like a proposal that never
+		// arrived.
+		a.log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.label,
+			Aux: uint64(g), Value: TSMsg{Desc: d}})
 	}
-	if _, seen := props[g]; !seen {
-		props[g] = d.TS
-		if !replay {
-			// Unsynced: a lost tail proposal is re-fetched from peers by
-			// the next restart's state transfer, exactly like a proposal
-			// that never arrived.
-			a.log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.label,
-				Aux: uint64(g), Value: TSMsg{Desc: d}})
-		}
+	a.checkStage1(p)
+}
+
+// setProp records destination group g's proposal and reports whether it is
+// the first from g.
+func (p *pend) setProp(g types.GroupID, ts uint64) bool {
+	i, ok := slices.BinarySearch(p.dest.Groups(), g)
+	if !ok || (p.props != nil && p.props[i].in) {
+		return false
 	}
-	a.checkStage1(a.pending[d.ID])
+	if p.props == nil {
+		p.props = make([]prop, p.dest.Size())
+	}
+	p.props[i] = prop{ts: ts, in: true}
+	return true
 }
 
 // onRDeliver is Task 2, lines 10–13. A first admission is WAL-logged
@@ -422,7 +438,7 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descr
 // every group member.
 func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 	fixTS, maxTS := a.k, a.k // fixTS: the timestamp this decision assigns to s0 messages
-	var toStage1 []*pend
+	toStage1 := a.stage1[:0]
 	for _, d := range set {
 		if a.adelivered[d.ID] {
 			// Defensive: a delivered message cannot re-enter PENDING.
@@ -479,6 +495,8 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 	for _, p := range toStage1 {
 		a.checkStage1(p)
 	}
+	clear(toStage1)
+	a.stage1 = toStage1
 	// The engine pumps after every applied decision; nothing to do here.
 }
 
@@ -486,7 +504,7 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 // (line 24).
 func (a *Mcast) sendTS(p *pend) {
 	myGroup := a.api.Group()
-	var tos []types.ProcessID
+	tos := a.tos[:0]
 	for _, g := range p.dest.Groups() {
 		if g != myGroup {
 			tos = append(tos, a.api.Topo().Members(g)...)
@@ -496,23 +514,22 @@ func (a *Mcast) sendTS(p *pend) {
 		desc := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: Stage1}
 		a.api.Multicast(tos, a.label, TSMsg{Desc: desc})
 	}
+	a.tos = tos
 }
 
 // finalTS evaluates line 33 for p: once a proposal from every other
 // destination group is known it returns the maximum of all proposals.
 func (a *Mcast) finalTS(p *pend) (final uint64, ok bool) {
-	props := a.tsProps[p.id]
 	myGroup := a.api.Group()
 	final = p.ts
-	for _, g := range p.dest.Groups() {
+	for i, g := range p.dest.Groups() {
 		if g == myGroup {
 			continue
 		}
-		ts, ok := props[g]
-		if !ok {
+		if p.props == nil || !p.props[i].in {
 			return 0, false
 		}
-		final = max(final, ts)
+		final = max(final, p.props[i].ts)
 	}
 	return final, true
 }
@@ -582,7 +599,6 @@ func (a *Mcast) release(p, behind *pend) {
 	a.api.RecordDeliver(p.id)
 	a.adelivered[p.id] = true
 	delete(a.pending, p.id)
-	delete(a.tsProps, p.id)
 	a.recordDelivered(DeliverRec{ID: p.id, Dest: p.dest, TS: p.ts, Payload: p.payload})
 	if a.api.TraceOn() {
 		if behind != nil && behind != p {

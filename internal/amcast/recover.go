@@ -84,24 +84,23 @@ func (a *Mcast) AppendSnapshot(buf []byte) []byte {
 	// ADELIVERED ids, sorted.
 	buf = statesync.AppendIDSet(buf, a.adelivered)
 	// Received proposals, sorted by (id, group).
-	buf = wire.AppendUvarint(buf, uint64(len(a.tsProps)))
-	ids := make([]types.MessageID, 0, len(a.tsProps))
-	for id := range a.tsProps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	for _, id := range ids {
-		props := a.tsProps[id]
-		buf = id.AppendTo(buf)
-		gs := make([]types.GroupID, 0, len(props))
-		for g := range props {
-			gs = append(gs, g)
+	pends = slices.DeleteFunc(pends, func(p *pend) bool { return p.props == nil })
+	slices.SortFunc(pends, func(p, q *pend) int { return p.id.Compare(q.id) })
+	buf = wire.AppendUvarint(buf, uint64(len(pends)))
+	for _, p := range pends {
+		buf = p.id.AppendTo(buf)
+		n := 0
+		for _, pr := range p.props {
+			if pr.in {
+				n++
+			}
 		}
-		sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-		buf = wire.AppendUvarint(buf, uint64(len(gs)))
-		for _, g := range gs {
-			buf = wire.AppendVarint(buf, int64(g))
-			buf = wire.AppendUvarint(buf, props[g])
+		buf = wire.AppendUvarint(buf, uint64(n))
+		for i, g := range p.dest.Groups() {
+			if p.props[i].in {
+				buf = wire.AppendVarint(buf, int64(g))
+				buf = wire.AppendUvarint(buf, p.props[i].ts)
+			}
 		}
 	}
 	// Delivery archive (payload-bearing, bounded), its first index in front.
@@ -157,7 +156,7 @@ func (a *Mcast) RestoreSnapshot(data []byte) error {
 		if m, data, err = wire.SliceLen(data); err != nil {
 			return err
 		}
-		props := make(map[types.GroupID]uint64, m)
+		p := a.pending[id]
 		for j := 0; j < m; j++ {
 			var g int64
 			if g, data, err = wire.Varint(data); err != nil {
@@ -167,9 +166,10 @@ func (a *Mcast) RestoreSnapshot(data []byte) error {
 			if ts, data, err = wire.Uvarint(data); err != nil {
 				return err
 			}
-			props[types.GroupID(g)] = ts
+			if p != nil {
+				p.setProp(types.GroupID(g), ts)
+			}
 		}
-		a.tsProps[id] = props
 	}
 	var archBase uint64
 	if archBase, data, err = wire.Uvarint(data); err != nil {
@@ -282,13 +282,13 @@ func (a *Mcast) syncTail() SyncTail {
 	for _, p := range a.pending {
 		t.Pending = append(t.Pending,
 			Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage})
-	}
-	sortDescriptors(t.Pending)
-	for id, props := range a.tsProps {
-		for g, ts := range props {
-			t.Props = append(t.Props, PropEntry{ID: id, Group: g, TS: ts})
+		for i, pr := range p.props {
+			if pr.in {
+				t.Props = append(t.Props, PropEntry{ID: p.id, Group: p.dest.Groups()[i], TS: pr.ts})
+			}
 		}
 	}
+	sortDescriptors(t.Pending)
 	sort.Slice(t.Props, func(i, j int) bool {
 		if t.Props[i].ID != t.Props[j].ID {
 			return t.Props[i].ID.Less(t.Props[j].ID)
@@ -310,7 +310,6 @@ func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
 		p.stage = Stage3 // so that the s0 list forgets it
 		delete(a.pending, dr.ID)
 	}
-	delete(a.tsProps, dr.ID)
 	if !replay {
 		a.log.Append(storage.Record{Kind: storage.KindDeliver, Proto: a.label,
 			Inst: dr.TS, ID: dr.ID, Dest: dr.Dest, Value: dr.Payload})
@@ -345,16 +344,8 @@ func (a *Mcast) adoptState(t SyncTail) {
 		}
 	}
 	for _, pr := range t.Props {
-		if a.adelivered[pr.ID] {
-			continue
-		}
-		props := a.tsProps[pr.ID]
-		if props == nil {
-			props = make(map[types.GroupID]uint64)
-			a.tsProps[pr.ID] = props
-		}
-		if _, seen := props[pr.Group]; !seen {
-			props[pr.Group] = pr.TS
+		if p := a.pending[pr.ID]; p != nil { // a peer's proposals are all for its PENDING, adopted above
+			p.setProp(pr.Group, pr.TS)
 		}
 	}
 	if t.K > a.k {

@@ -256,6 +256,8 @@ func (c Config) ValidateModel() error {
 	switch {
 	case c.Groups < 1 || c.PerGroup < 1:
 		return fmt.Errorf("topology must be positive: %d groups x %d processes", c.Groups, c.PerGroup)
+	case c.PerGroup > 64:
+		return fmt.Errorf("a group holds at most 64 processes (consensus counts quorums in a 64-bit mask): %d", c.PerGroup)
 	case c.WANDelay < 0 || c.LANDelay < 0:
 		return fmt.Errorf("delays must be non-negative: wan=%v lan=%v", c.WANDelay, c.LANDelay)
 	case c.Pipeline < 0:

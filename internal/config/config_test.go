@@ -91,7 +91,7 @@ func TestValidate(t *testing.T) {
 	if err := sim.ValidateModel(); err != nil {
 		t.Errorf("ValidateModel(15000x3) = %v", err)
 	}
-	for _, bad := range []Config{{Groups: 0, PerGroup: 3}, {Groups: 2, PerGroup: 3, WANDelay: -1}, {Groups: 2, PerGroup: 3, Pipeline: -1},
+	for _, bad := range []Config{{Groups: 0, PerGroup: 3}, {Groups: 2, PerGroup: 65}, {Groups: 2, PerGroup: 3, WANDelay: -1}, {Groups: 2, PerGroup: 3, Pipeline: -1},
 		{Groups: 2, PerGroup: 3, MaxBatch: -1}, {Groups: 2, PerGroup: 3, Bandwidth: -1}, {Groups: 2, PerGroup: 3, Lanes: -1}} {
 		if bad.ValidateModel() == nil {
 			t.Errorf("ValidateModel(%+v) accepted", bad)

@@ -1,0 +1,102 @@
+package consensus
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"wanamcast/internal/network"
+	"wanamcast/internal/node"
+	"wanamcast/internal/types"
+)
+
+// metered counts the heap allocations made while one process's engine
+// handles a message, so that a group's mallocs can be split by role.
+type metered struct {
+	*Consensus
+	mallocs *uint64
+}
+
+func (m metered) Receive(from types.ProcessID, body any) {
+	*m.mallocs += mallocsDuring(func() { m.Consensus.Receive(from, body) })
+}
+
+func mallocsDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSteadyStateAllocsPerInstance pins what one decided instance costs
+// inside this package on the steady path — sim runtime, no store, ballot 0,
+// every member proposing, as under A1 and A2: 2 mallocs at a non-leader (its
+// ForwardMsg and its AcceptedMsg, each boxed once) and 4 at the leader (the
+// AcceptMsg it re-sends for every ForwardMsg, its own AcceptedMsg, the
+// DecideMsg announcement, and one catch-up DecideMsg for the Accepts that
+// arrive after it decided), plus a page of instances every pageSize
+// instances. Before the paged instance table, the quorum bitmasks, the bound
+// retry tick and the boxed-once bodies this test counted 6 and 13. The
+// warm-up is that long for the simulator's sake: its calendar ring sizes its
+// buckets over the first few dozen turns.
+func TestSteadyStateAllocsPerInstance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // no other goroutine's mallocs in the count
+	const d, warm, n = 3, 64 * pageSize, 8 * pageSize
+	rt := node.NewRuntime(types.NewTopology(1, d), network.Model{IntraGroup: time.Millisecond}, 1, nil)
+	mallocs := make([]uint64, d)
+	cons := make([]*Consensus, d)
+	for i := range cons {
+		proc := rt.Proc(types.ProcessID(i))
+		cons[i] = New(Config{API: proc, Detector: rt.Oracle(), OnDecide: func(uint64, Value) {}})
+		proc.Register(metered{cons[i], &mallocs[i]})
+	}
+	rt.Start()
+	var v Value = "v"
+	for k := uint64(1); k <= warm+n; k++ {
+		if k == warm+1 {
+			clear(mallocs)
+		}
+		for i, c := range cons {
+			mallocs[i] += mallocsDuring(func() { c.Propose(k, v) })
+		}
+		rt.Run()
+	}
+	for i, c := range cons {
+		if _, ok := c.Decided(warm + n); !ok {
+			t.Fatalf("p%d never decided instance %d", i, warm+n)
+		}
+		want := uint64(2*n + n/pageSize)
+		if i == 0 {
+			want = 4*n + n/pageSize
+		}
+		if mallocs[i] != want {
+			t.Errorf("p%d: %d mallocs over %d instances (%.2f each), want %d", i, mallocs[i], n, float64(mallocs[i])/n, want)
+		}
+	}
+}
+
+// TestDecidedInstanceDropsItsProposals: once an instance is decided nothing
+// reads the values that lost — each member's own proposal, the leader's
+// working value and its boxed AcceptMsg — so the instance must not pin them:
+// it keeps one batch, the decided one, which the acceptor state shares.
+func TestDecidedInstanceDropsItsProposals(t *testing.T) {
+	r := newRig(t, 3)
+	for i, c := range r.cons {
+		c.Propose(1, []int{i})
+	}
+	r.rt.Run()
+	for i, c := range r.cons {
+		in := c.lookup(1)
+		if in == nil || !in.decided {
+			t.Fatalf("p%d: instance 1 undecided", i)
+		}
+		if in.proposal != nil || in.leadValue != nil || in.acceptMsg != nil || in.bestVValue != nil {
+			t.Errorf("p%d: decided instance still holds proposal=%v leadValue=%v acceptMsg=%v", i, in.proposal, in.leadValue, in.acceptMsg)
+		}
+		dec, acc := in.decision.([]int), in.aValue.([]int)
+		if &dec[0] != &acc[0] {
+			t.Errorf("p%d: decision %v and accepted value %v are two batches, want one shared", i, dec, acc)
+		}
+	}
+}

@@ -33,7 +33,9 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
 	"time"
 
 	"wanamcast/internal/fd"
@@ -98,10 +100,17 @@ type (
 
 // instance is the per-instance acceptor+leader state.
 type instance struct {
+	used bool // touched: snapshots and recovery cover exactly the touched instances
+
 	// Acceptor state.
 	promised int64 // highest ballot promised; -1 initially (ballot 0 always allowed)
 	accepted int64 // highest ballot accepted, -1 if none
 	aValue   Value
+	// reply is the answer this acceptor keeps giving, boxed once: its
+	// AcceptedMsg for ballot accepted, then the catch-up DecideMsg. (A
+	// ballot-0 leader re-sends its Accept for every ForwardMsg it gets, so
+	// each member answers d times per instance.)
+	reply any
 
 	// Proposer state.
 	proposal    Value // this process's own proposal, nil if none
@@ -109,10 +118,15 @@ type instance struct {
 
 	// Leader state (used only while this process believes it leads).
 	ballot    int64 // ballot this leader is driving, -1 if none
-	phase1OK  map[types.ProcessID]PromiseMsg
-	phase2OK  map[types.ProcessID]bool
 	leadValue Value
 	hasLead   bool
+	acceptMsg any // AcceptMsg{ballot, leadValue}, boxed once likewise
+	// A phase in flight has a bitmask of the group ranks heard from; of
+	// phase 1's promises only the highest accepted ballot's is kept.
+	phase1, phase2     bool
+	phase1OK, phase2OK uint64
+	bestVBallot        int64
+	bestVValue         Value
 
 	// Learner state.
 	decided  bool
@@ -154,13 +168,17 @@ type Consensus struct {
 	retry time.Duration
 	label string
 
-	group   []types.ProcessID
-	rank    int // index of self in group
-	d       int // group size
-	quorum  int
-	insts   map[uint64]*instance
-	pending map[uint64]bool // undecided instances with a local proposal
+	group  []types.ProcessID
+	rank   int // index of self in group
+	d      int // group size
+	quorum int
+	// Instances are numbered densely, so they live in pages of pageSize
+	// keyed by k / pageSize: a page never moves, so an *instance stays valid,
+	// and a stray far-away instance number costs one page.
+	pages   map[uint64]*page
+	pending []uint64 // undecided instances with a local proposal, ascending
 	timerOn bool
+	tickFn  func() // c.tick, bound once: the timer is re-armed per proposal
 
 	log        *storage.Log
 	recovering bool // replaying the log: no re-persisting
@@ -183,17 +201,20 @@ func New(cfg Config) *Consensus {
 		label = "consensus"
 	}
 	c := &Consensus{
-		api:     cfg.API,
-		det:     cfg.Detector,
-		onDec:   cfg.OnDecide,
-		retry:   retry,
-		label:   label,
-		insts:   make(map[uint64]*instance),
-		pending: make(map[uint64]bool),
-		log:     cfg.Log,
+		api:   cfg.API,
+		det:   cfg.Detector,
+		onDec: cfg.OnDecide,
+		retry: retry,
+		label: label,
+		pages: make(map[uint64]*page),
+		log:   cfg.Log,
 	}
+	c.tickFn = c.tick
 	c.group = cfg.API.Topo().Members(cfg.API.Group())
 	c.d = len(c.group)
+	if c.d > 64 {
+		panic(fmt.Sprintf("consensus: a group of %d exceeds the 64 ranks a quorum bitmask holds", c.d))
+	}
 	c.quorum = c.d/2 + 1
 	c.rank = -1
 	for i, p := range c.group {
@@ -232,7 +253,8 @@ func (c *Consensus) Propose(inst uint64, value Value) {
 	}
 	in.proposal = value
 	in.hasProposal = true
-	c.pending[inst] = true
+	i, _ := slices.BinarySearch(c.pending, inst)
+	c.pending = slices.Insert(c.pending, i, inst)
 	c.api.Trace(trace.StagePropose, types.MessageID{}, int64(inst))
 	c.drive(inst)
 	c.armTimer()
@@ -240,8 +262,8 @@ func (c *Consensus) Propose(inst uint64, value Value) {
 
 // Decided returns the decision for inst, if any.
 func (c *Consensus) Decided(inst uint64) (Value, bool) {
-	in, ok := c.insts[inst]
-	if !ok || !in.decided {
+	in := c.lookup(inst)
+	if in == nil || !in.decided {
 		return nil, false
 	}
 	return in.decision, true
@@ -269,13 +291,43 @@ func (c *Consensus) Receive(from types.ProcessID, body any) {
 	}
 }
 
-func (c *Consensus) inst(k uint64) *instance {
-	in, ok := c.insts[k]
-	if !ok {
-		in = &instance{promised: -1, accepted: -1, ballot: -1, maxSeen: -1}
-		c.insts[k] = in
+// pageSize is the number of consecutive instances one page holds.
+const pageSize = 32
+
+type page [pageSize]instance
+
+// lookup returns instance k if anything ever touched it, else nil.
+func (c *Consensus) lookup(k uint64) *instance {
+	if pg := c.pages[k/pageSize]; pg != nil && pg[k%pageSize].used {
+		return &pg[k%pageSize]
 	}
+	return nil
+}
+
+// inst returns instance k, touching it.
+func (c *Consensus) inst(k uint64) *instance {
+	pg := c.pages[k/pageSize]
+	if pg == nil {
+		pg = new(page)
+		for i := range pg {
+			pg[i] = instance{promised: -1, accepted: -1, ballot: -1, maxSeen: -1}
+		}
+		c.pages[k/pageSize] = pg
+	}
+	in := &pg[k%pageSize]
+	in.used = true
 	return in
+}
+
+// each calls fn for every touched instance at or above from, ascending.
+func (c *Consensus) each(from uint64, fn func(k uint64, in *instance)) {
+	for _, no := range slices.Sorted(maps.Keys(c.pages)) {
+		for i := range c.pages[no] {
+			if k, in := no*pageSize+uint64(i), &c.pages[no][i]; in.used && k >= from {
+				fn(k, in)
+			}
+		}
+	}
 }
 
 func (c *Consensus) leader() types.ProcessID { return c.det.Leader(c.api.Group()) }
@@ -316,14 +368,14 @@ func (c *Consensus) lead(k uint64, v Value) {
 		c.broadcastAccept(k, in)
 		return
 	}
-	if in.phase1OK != nil {
+	if in.phase1 {
 		// Phase 1 already in flight for this ballot; restarting here
 		// would discard promises and livelock against re-forwarded
 		// proposals. The retry timer re-drives with a fresh ballot if
 		// the instance stalls.
 		return
 	}
-	in.phase1OK = make(map[types.ProcessID]PromiseMsg, c.d)
+	in.phase1, in.phase1OK, in.bestVBallot, in.bestVValue = true, 0, -1, nil
 	c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
 }
 
@@ -338,15 +390,26 @@ func (c *Consensus) nextBallot(in *instance) int64 {
 }
 
 func (c *Consensus) broadcastAccept(k uint64, in *instance) {
-	in.phase2OK = make(map[types.ProcessID]bool, c.d)
-	c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
+	in.phase2, in.phase2OK = true, 0
+	if m, ok := in.acceptMsg.(AcceptMsg); !ok || m.Ballot != in.ballot {
+		in.acceptMsg = AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue}
+	}
+	c.api.Multicast(c.group, c.label, in.acceptMsg)
+}
+
+// decideMsg is a decided instance's catch-up answer.
+func (c *Consensus) decideMsg(k uint64, in *instance) any {
+	if _, ok := in.reply.(DecideMsg); !ok {
+		in.reply = DecideMsg{Instance: k, Ballot: -1, Value: in.decision}
+	}
+	return in.reply
 }
 
 func (c *Consensus) onForward(from types.ProcessID, m ForwardMsg) {
 	in := c.inst(m.Instance)
 	if in.decided {
 		// Catch-up: tell the sender the decision directly.
-		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
+		c.send(from, c.decideMsg(m.Instance, in))
 		return
 	}
 	if !c.isLeader() {
@@ -362,7 +425,7 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
+		c.send(from, c.decideMsg(m.Instance, in))
 		return
 	}
 	if m.Ballot < in.promised {
@@ -411,29 +474,22 @@ func (c *Consensus) sendTraced(st trace.Stage, start time.Duration, to types.Pro
 
 func (c *Consensus) onPromise(from types.ProcessID, m PromiseMsg) {
 	in := c.inst(m.Instance)
-	if in.decided || in.ballot != m.Ballot || in.phase1OK == nil {
+	if in.decided || in.ballot != m.Ballot || !in.phase1 {
 		return
 	}
-	in.phase1OK[from] = m
-	if len(in.phase1OK) < c.quorum {
+	in.phase1OK |= c.rankBit(from)
+	if m.VBallot > in.bestVBallot {
+		in.bestVBallot, in.bestVValue = m.VBallot, m.VValue
+	}
+	if bits.OnesCount64(in.phase1OK) < c.quorum {
 		return
 	}
 	// Quorum of promises: adopt the value of the highest accepted ballot,
 	// if any, else keep our own.
-	var (
-		bestBallot int64 = -1
-		bestValue  Value
-	)
-	for _, pm := range in.phase1OK {
-		if pm.VBallot > bestBallot {
-			bestBallot = pm.VBallot
-			bestValue = pm.VValue
-		}
+	if in.bestVBallot >= 0 {
+		in.leadValue, in.acceptMsg = in.bestVValue, nil
 	}
-	if bestBallot >= 0 {
-		in.leadValue = bestValue
-	}
-	in.phase1OK = nil // phase 1 done for this ballot
+	in.phase1, in.bestVValue = false, nil // phase 1 done for this ballot
 	c.broadcastAccept(m.Instance, in)
 }
 
@@ -443,7 +499,7 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
+		c.send(from, c.decideMsg(m.Instance, in))
 		return
 	}
 	if m.Ballot < in.promised {
@@ -455,21 +511,25 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.promised = m.Ballot
 		in.accepted = m.Ballot
 		in.aValue = m.Value
+		in.reply = nil
 		c.log.Append(storage.Record{Kind: storage.KindAccept, Proto: c.label, Inst: m.Instance, Ballot: m.Ballot, Value: m.Value})
+	}
+	if in.reply == nil {
+		in.reply = AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot} // m.Ballot == in.accepted by now
 	}
 	// The vote must survive a crash before it is cast: it waits like the
 	// Promise reply in onPrepare — and a retransmission's reply shares the
 	// original's barrier ordering, so it cannot leak an unsynced vote.
-	c.afterBarrier(trace.StageAccept, from, AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot})
+	c.afterBarrier(trace.StageAccept, from, in.reply)
 }
 
 func (c *Consensus) onAccepted(from types.ProcessID, m AcceptedMsg) {
 	in := c.inst(m.Instance)
-	if in.decided || in.ballot != m.Ballot || in.phase2OK == nil {
+	if in.decided || in.ballot != m.Ballot || !in.phase2 {
 		return
 	}
-	in.phase2OK[from] = true
-	if len(in.phase2OK) < c.quorum {
+	in.phase2OK |= c.rankBit(from)
+	if bits.OnesCount64(in.phase2OK) < c.quorum {
 		return
 	}
 	// Majority accepted: the value is chosen. Announce its ballot: every
@@ -505,7 +565,12 @@ func (c *Consensus) learn(k uint64, v Value) {
 	}
 	in.decided = true
 	in.decision = v
-	delete(c.pending, k)
+	if i, ok := slices.BinarySearch(c.pending, k); ok {
+		c.pending = slices.Delete(c.pending, i, i+1)
+	}
+	// Nothing reads the losing proposals of a decided instance: holding them
+	// would pin every member's own batch for as long as the instance lives.
+	in.proposal, in.leadValue, in.bestVValue, in.acceptMsg = nil, nil, nil, nil
 	if !c.recovering {
 		c.log.Append(storage.Record{Kind: storage.KindDecide, Proto: c.label, Inst: k, Value: v})
 	}
@@ -517,8 +582,8 @@ func (c *Consensus) learn(k uint64, v Value) {
 // onLearnReq answers a peer's decision query (restart catch-up and gap
 // healing); unknown instances stay silent — the asker retries elsewhere.
 func (c *Consensus) onLearnReq(from types.ProcessID, m LearnMsg) {
-	if in, ok := c.insts[m.Instance]; ok && in.decided {
-		c.send(from, DecideMsg{Instance: m.Instance, Ballot: -1, Value: in.decision})
+	if in := c.lookup(m.Instance); in != nil && in.decided {
+		c.send(from, c.decideMsg(m.Instance, in))
 	}
 }
 
@@ -533,11 +598,15 @@ func (c *Consensus) requestDecision(k uint64) {
 
 func (c *Consensus) onLeaderChange(leader types.ProcessID) {
 	// Re-route pending proposals; a new leader takes over immediately.
-	for _, k := range c.sortedPending() {
+	for _, k := range c.pending {
 		c.drive(k)
 	}
 	c.armTimer()
 }
+
+// rankBit is group member p's bit in a quorum mask (a stranger's index, −1,
+// shifts out to 0).
+func (c *Consensus) rankBit(p types.ProcessID) uint64 { return 1 << uint(slices.Index(c.group, p)) }
 
 // armTimer schedules the retry tick if undecided proposals exist. The timer
 // chain stops as soon as pending drains, keeping the layer quiescent.
@@ -546,47 +615,40 @@ func (c *Consensus) armTimer() {
 		return
 	}
 	c.timerOn = true
-	c.api.After(c.retry, func() {
-		c.timerOn = false
-		for _, k := range c.sortedPending() {
-			in := c.inst(k)
-			if in.decided {
-				continue
-			}
-			switch {
-			case !c.isLeader() || !in.hasLead:
-				c.drive(k)
-			case in.maxSeen > in.ballot:
-				// Outbid by a higher ballot: restart with a fresh one.
-				in.ballot = c.nextBallot(in)
-				in.phase1OK = nil
-				in.phase2OK = nil
-				c.lead(k, in.leadValue)
-			case in.phase1OK != nil:
-				// Phase 1 in flight: retransmit the Prepare and keep the
-				// promises collected so far. Equal-ballot Prepares are
-				// re-promised, so this converges even when the retry
-				// period is shorter than the group's round-trip time —
-				// bumping the ballot here instead would livelock.
-				c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
-			case in.phase2OK != nil:
-				// Phase 2 in flight: retransmit the Accept likewise.
-				c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
-			default:
-				c.lead(k, in.leadValue)
-			}
-		}
-		c.armTimer()
-	})
+	c.api.After(c.retry, c.tickFn)
 }
 
-func (c *Consensus) sortedPending() []uint64 {
-	ks := make([]uint64, 0, len(c.pending))
-	for k := range c.pending {
-		ks = append(ks, k)
+// tick is the retry timer: it re-drives every pending instance.
+func (c *Consensus) tick() {
+	c.timerOn = false
+	for _, k := range c.pending {
+		in := c.lookup(k)
+		if in == nil || in.decided {
+			continue
+		}
+		switch {
+		case !c.isLeader() || !in.hasLead:
+			c.drive(k)
+		case in.maxSeen > in.ballot:
+			// Outbid by a higher ballot: restart with a fresh one.
+			in.ballot = c.nextBallot(in)
+			in.phase1, in.phase2 = false, false
+			c.lead(k, in.leadValue)
+		case in.phase1:
+			// Phase 1 in flight: retransmit the Prepare and keep the
+			// promises collected so far. Equal-ballot Prepares are
+			// re-promised, so this converges even when the retry
+			// period is shorter than the group's round-trip time —
+			// bumping the ballot here instead would livelock.
+			c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
+		case in.phase2:
+			// Phase 2 in flight: retransmit the Accept likewise.
+			c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
+		default:
+			c.lead(k, in.leadValue)
+		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
+	c.armTimer()
 }
 
 func (c *Consensus) send(to types.ProcessID, body any) {

@@ -7,7 +7,6 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
 
 	"wanamcast/internal/storage"
 	"wanamcast/internal/wire"
@@ -19,16 +18,10 @@ import (
 // above from (instances below it are applied and closed: the engine never
 // re-opens them, so their state is dead weight a snapshot drops).
 func (c *Consensus) appendSnap(buf []byte, from uint64) []byte {
-	var ks []uint64
-	for k := range c.insts {
-		if k >= from {
-			ks = append(ks, k)
-		}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	buf = wire.AppendUvarint(buf, uint64(len(ks)))
-	for _, k := range ks {
-		in := c.insts[k]
+	n := 0
+	c.each(from, func(uint64, *instance) { n++ })
+	buf = wire.AppendUvarint(buf, uint64(n))
+	c.each(from, func(k uint64, in *instance) {
 		buf = wire.AppendUvarint(buf, k)
 		buf = wire.AppendVarint(buf, in.promised)
 		buf = wire.AppendVarint(buf, in.accepted)
@@ -40,7 +33,7 @@ func (c *Consensus) appendSnap(buf []byte, from uint64) []byte {
 		buf = append(buf, dec)
 		buf = wire.AppendValue(buf, in.decision)
 		buf = wire.AppendVarint(buf, in.maxSeen)
-	}
+	})
 	return buf
 }
 
@@ -165,14 +158,14 @@ func (b *Batcher[T]) RestoreSnapshot(data []byte) error {
 // layer's own snapshot. Call between BeginRecovery and EndRecovery, after
 // every layer restored its snapshot section.
 func (b *Batcher[T]) Recover() {
-	for k, in := range b.cons.insts {
-		if k < b.applyNext || !in.decided {
-			continue
+	b.cons.each(b.applyNext, func(k uint64, in *instance) {
+		if !in.decided {
+			return
 		}
 		if batch, ok := in.decision.([]T); ok || in.decision == nil {
 			b.buffered[k] = batch
 		}
-	}
+	})
 	for {
 		cur, ok := b.buffered[b.applyNext]
 		if !ok {

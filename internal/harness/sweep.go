@@ -42,6 +42,9 @@ func ParseShape(spec string) (Shape, error) {
 	if groups < 1 || per < 1 {
 		return Shape{}, fmt.Errorf("topology shape must be positive: %q", spec)
 	}
+	if per > 64 {
+		return Shape{}, fmt.Errorf("a group holds at most 64 processes: %q", spec)
+	}
 	return sh, nil
 }
 
@@ -67,9 +70,13 @@ type SweepPoint struct {
 	Events         uint64  // scheduler events executed
 	EventsPerSec   float64 // events / wall second
 	AllocsPerEvent float64 // heap allocations / event (whole run, incl. build)
-	Wall           time.Duration
-	PeakHeapBytes  uint64
-	Violations     int // §2.2 property-check failures (0 on a correct run)
+	// Wall is build + run + check. CheckWall is the Check call's share of it
+	// and RunWall the rest, so that a slow checker cannot pass for slow
+	// protocols again; what the checker does per delivery is spread over the
+	// run and shows in a CPU profile as check.(*Checker).RecordDeliver.
+	Wall, RunWall, CheckWall time.Duration
+	PeakHeapBytes            uint64
+	Violations               int // §2.2 property-check failures (0 on a correct run)
 }
 
 // RunScaleSweep runs the same workload through sys at every shape and
@@ -94,6 +101,7 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 	var (
 		sys        *System
 		violations int
+		checkWall  time.Duration
 	)
 	sample := metrics.MeasureResources(func() {
 		sys = Build(algo, opts)
@@ -124,7 +132,9 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 			sys.CastAt(time.Duration(i+1)*period, from, i, types.NewGroupSet(dest...))
 		}
 		sys.Run()
+		t0 := time.Now()
 		violations = len(sys.Check())
+		checkWall = time.Since(t0)
 	})
 	events := sys.RT.Scheduler().Steps()
 	return SweepPoint{
@@ -134,6 +144,8 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 		EventsPerSec:   sample.PerSec(events),
 		AllocsPerEvent: sample.AllocsPer(events),
 		Wall:           sample.Wall,
+		RunWall:        sample.Wall - checkWall,
+		CheckWall:      checkWall,
 		PeakHeapBytes:  sample.PeakHeap,
 		Violations:     violations,
 	}

@@ -27,7 +27,7 @@ func TestCrashRestartKVLoad(t *testing.T) {
 	cl := NewLiveCluster(LiveConfig{
 		Groups:        2,
 		PerGroup:      3,
-		BasePort:      21400,
+		BasePort:      30400,
 		WANDelay:      5 * time.Millisecond,
 		MaxBatch:      64,
 		Pipeline:      2,

@@ -16,7 +16,7 @@ import (
 // cycles, and every delivered command is applied exactly once by exactly
 // the live incarnation.
 func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
-	cl, _ := restartCluster(t, 21600)
+	cl, _ := restartCluster(t, 30600)
 	topo := cl.Topology()
 	route := svc.PrefixRoute(topo.NumGroups())
 	machines := make(map[types.ProcessID][]*svc.KVMachine)

@@ -48,7 +48,7 @@ func restartClusterPipe(t *testing.T, basePort, pipeline int) (*LiveCluster, []s
 // they are independent total orders, so one checked run must not mix
 // them.)
 func TestRestartRecoversAndCatchesUpA1(t *testing.T) {
-	cl, _ := restartCluster(t, 21000)
+	cl, _ := restartCluster(t, 30000)
 	g01 := []GroupID{0, 1}
 
 	for i := 0; i < 5; i++ {
@@ -98,7 +98,7 @@ func TestRestartRecoversAndCatchesUpA1(t *testing.T) {
 // round-based ordering: the restarted replica recovers its delivery round
 // from disk and adopts the completed rounds it missed from peers.
 func TestRestartRecoversAndCatchesUpA2(t *testing.T) {
-	cl, _ := restartCluster(t, 21200)
+	cl, _ := restartCluster(t, 30200)
 
 	for i := 0; i < 5; i++ {
 		cl.Broadcast(cl.Process(1, i%3), fmt.Sprintf("bpre-%d", i))
@@ -147,7 +147,7 @@ func TestRestartRecoversAndCatchesUpA2(t *testing.T) {
 // learn the bundles of the rounds its group had in flight; a round held
 // back or left without its bundle here stalls every later delivery.
 func TestRestartUnderPacedBroadcastLoad(t *testing.T) {
-	cl, _ := restartClusterPipe(t, 21400, 4)
+	cl, _ := restartClusterPipe(t, 30400, 4)
 	victim := cl.Process(0, 1)
 	stop, done := make(chan struct{}), make(chan []MessageID)
 	go func() {
@@ -189,7 +189,7 @@ func TestRestartUnderPacedBroadcastLoad(t *testing.T) {
 // agree that nothing newer exists and resume — a politeness deadlock here
 // would gate the group's delivery forever.
 func TestFullGroupRestart(t *testing.T) {
-	cl, _ := restartCluster(t, 21800)
+	cl, _ := restartCluster(t, 30800)
 	g01 := []GroupID{0, 1}
 
 	for i := 0; i < 6; i++ {
@@ -227,7 +227,7 @@ func TestFullGroupRestart(t *testing.T) {
 // TestRestartRequiresDurableStore pins the error contract.
 func TestRestartRequiresDurableStore(t *testing.T) {
 	cl := NewLiveCluster(LiveConfig{
-		Groups: 1, PerGroup: 2, BasePort: 21100, WANDelay: time.Millisecond,
+		Groups: 1, PerGroup: 2, BasePort: 30100, WANDelay: time.Millisecond,
 	})
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestFailedRecoveryLeavesProcessCrashed(t *testing.T) {
 			const victim = ProcessID(1)
 			flaky := &flakyStore{Mem: storage.NewMem()}
 			cl := NewLiveCluster(LiveConfig{
-				Groups: 2, PerGroup: 3, BasePort: 21700 + 200*i, WANDelay: 5 * time.Millisecond,
+				Groups: 2, PerGroup: 3, BasePort: 30700 + 200*i, WANDelay: 5 * time.Millisecond,
 				Check: true, MaxBatch: 64, Pipeline: 2,
 				StoreFor: func(p ProcessID) storage.Store {
 					if p == victim {
