@@ -34,6 +34,36 @@
 // The price is rounds: up to P per round time while traffic is live, and P
 // empty ones before quiescence. The cadence is derived, not configured, and
 // soft state: none of it is logged or snapshotted.
+//
+// The Barrier rule tells a stream from a lone cast. Round K raises the
+// Barrier when it completes, a round time — P pace slots — after it opened,
+// so with K+P every useless round of a live stream finds an idle group's
+// next round already past its Barrier: that round opens a slot or two late,
+// on the next useful completion, while the group holding a cast opened it on
+// time and waits. So once two useful rounds lie within 2P rounds of each
+// other, a useful round K raises the Barrier to K+2P, one window of patience
+// beyond the window itself, and a stream misses a round only after P useless
+// ones in a row. A round that leaves the Barrier behind ends the stream: the
+// next cast is a lone one again and costs P empty rounds, a stream that stops
+// costs 2P, and every finite workload still quiesces. The predictor's memory
+// is one round number, soft state like the cadence.
+//
+// Line 15 — every member ships its group's bundle — also splits on P. With
+// P > 1 a member ships iff, in its own Ω view, it is the group's leader or
+// the leader's successor in rank order: two copies reach each receiver, not
+// d (one copy would make any slow sender the round's tail). On every Ω
+// change a member that finds itself a sender re-ships the decided bundles of
+// rounds K−P to the highest open one: a group that lacks round r's bundle
+// completes no round past r, so no sender runs more than a window ahead of
+// it, consensus keeps decided instances, and a receiver drops a repeat
+// undecoded. Up to f < d/2 crashes between decide and ship thus still reach
+// every receiver — given, as everywhere here, that a copy sent by a process
+// that stays up arrives. P ≤ 1 keeps line 15 verbatim, and not for taste:
+// Theorem 5.1's degree of one is measured on the modified Lamport clocks,
+// which tick on inter-group sends; when every member ships every round the
+// members' clocks advance in lockstep, and with the reduced sender set a
+// cast from a non-sender measures degree two at unchanged wall latency
+// (TestSustainedStreamKeepsDegreeOne's rank-2 casters).
 package abcast
 
 import (
@@ -67,8 +97,9 @@ type BundleMsg struct {
 	Round uint64
 	Set   []Record
 	// enc stands in for Set on a bundle decoded from the wire (see Records):
-	// every member of a group ships the group's bundle, so a receiver drops
-	// two copies in three, and only the kept one should pay for decoding.
+	// more than one member of a group ships the group's bundle, so a receiver
+	// drops all copies but the first, and only the kept one should pay for
+	// decoding.
 	enc []byte
 }
 
@@ -100,7 +131,10 @@ type Config struct {
 	// a cast arriving within the patience window still enjoys latency
 	// degree one, at the price of extra empty-round traffic. Zero means 1.
 	// Pipeline adds Pipeline−1 to it: a useful round keeps the whole
-	// window live, so KeepAliveRounds+Pipeline−1 empty rounds end a burst.
+	// window live, so KeepAliveRounds+Pipeline−1 empty rounds follow a lone
+	// cast. With Pipeline > 1 it is a floor, not the whole patience: a
+	// stream of useful rounds earns Pipeline more (package doc), so
+	// KeepAliveRounds+2×Pipeline−1 empty rounds end a stream.
 	KeepAliveRounds int
 	// Pipeline is the maximum number of rounds in flight. The paper's
 	// Algorithm A2 is strictly sequential (Pipeline 1, the default): the
@@ -112,7 +146,8 @@ type Config struct {
 	// property is preserved. While traffic is live every group opens the
 	// window's rounds at a derived pace of one per (round time / Pipeline),
 	// so a message waits that long, not a WAN delay, for a round already
-	// open everywhere (package doc: Barrier rule, price in rounds).
+	// open everywhere, and two members of a group, not all, ship its
+	// bundles (package doc: Barrier rule, sender set, price in rounds).
 	// Messages decided in an in-flight
 	// round are excluded from later proposals, but that exclusion is
 	// local to each proposer: with Pipeline >= 2 two members can decide
@@ -136,6 +171,7 @@ type Config struct {
 // Bcast is the per-process Algorithm A2 endpoint.
 type Bcast struct {
 	api       node.API
+	det       fd.Detector
 	onDeliver func(types.MessageID, any)
 	label     string
 	alwaysOn  bool
@@ -143,6 +179,7 @@ type Bcast struct {
 
 	rm      *rmcast.RMcast
 	engine  *consensus.Batcher[Record]
+	group   []types.ProcessID // this group's members in rank order
 	others  []types.GroupID   // every group but this one, ascending
 	outside []types.ProcessID // their members: line 15's addressees
 
@@ -159,7 +196,7 @@ type Bcast struct {
 	inDecided  map[types.MessageID]bool // decided into a bundle, not yet delivered
 	castSeq    uint64
 	nextID     func() types.MessageID
-	rdAt       map[types.MessageID]time.Duration // R-Delivery times, kept only while tracing
+	rdAt       map[types.MessageID]orderSpan // own-group messages being ordered, kept only while tracing
 
 	// Round pacing (Pipeline > 1; see mayPropose). Soft state, reset by state
 	// transfer: a restarted endpoint runs unpaced until it has timed a round.
@@ -171,10 +208,21 @@ type Bcast struct {
 	probeAt  time.Duration // when the probe round opened
 	paceAt   time.Duration // deadline of the armed pace timer; 0 = none
 	paceFn   func()        // the pace timer's callback, built once
+	slotted  uint64        // latest round held back for its pace slot: it was proposable before the slot came
+	shut     uint64        // latest round the Barrier refused
+	// lastUseful is the stream predictor's memory (Pipeline > 1; see
+	// deliverRound): the latest useful round, 0 once quiescence was predicted.
+	lastUseful uint64
 
 	// Durability & recovery state (see Config.Log). The sync position is k.
 	log  *storage.Log
 	sync *statesync.Engine[RoundSet, SyncTail]
+}
+
+// orderSpan times one message through A2's order stage for the tracer.
+type orderSpan struct {
+	rd      time.Duration // R-Delivery
+	decided time.Duration // its bundle decided in this group; 0 = not yet
 }
 
 // roundSlot holds one uncompleted round's bundles. A completed round's slot
@@ -205,6 +253,7 @@ func New(cfg Config) *Bcast {
 	keepAlive += uint64(pipeline - 1) // a useful round keeps the whole window live
 	b := &Bcast{
 		api:        cfg.Host,
+		det:        cfg.Detector,
 		onDeliver:  cfg.OnDeliver,
 		label:      prefix,
 		alwaysOn:   cfg.AlwaysOn,
@@ -231,6 +280,7 @@ func New(cfg Config) *Bcast {
 		Options: cfg.Sync,
 	})
 	topo := cfg.Host.Topo()
+	b.group = topo.Members(cfg.Host.Group())
 	for _, g := range topo.AllGroups().Groups() {
 		if g != cfg.Host.Group() {
 			b.others = append(b.others, g)
@@ -276,8 +326,19 @@ func New(cfg Config) *Bcast {
 // Proto implements node.Protocol.
 func (b *Bcast) Proto() string { return b.label }
 
-// Start implements node.Protocol.
-func (b *Bcast) Start() {}
+// Start implements node.Protocol: when pipelining, it subscribes to Ω so a
+// member that enters the sender set ships what the previous senders may not
+// have (see ships).
+func (b *Bcast) Start() {
+	if b.pipeline <= 1 {
+		return
+	}
+	b.det.Subscribe(func(g types.GroupID, _ types.ProcessID) {
+		if g == b.api.Group() && !b.api.Crashed() {
+			b.reship()
+		}
+	})
+}
 
 // ABCast atomically broadcasts payload to all groups and returns the
 // assigned message ID (Task 1, lines 4–5): the message is reliably
@@ -310,9 +371,9 @@ func (b *Bcast) onRDeliver(m rmcast.Message) {
 	b.rdOrder = append(b.rdOrder, m.ID)
 	if b.api.Tracing() {
 		if b.rdAt == nil {
-			b.rdAt = make(map[types.MessageID]time.Duration)
+			b.rdAt = make(map[types.MessageID]orderSpan)
 		}
-		b.rdAt[m.ID] = b.api.Now()
+		b.rdAt[m.ID] = orderSpan{rd: b.api.Now()}
 	}
 	b.engine.Pump()
 }
@@ -324,6 +385,7 @@ func (b *Bcast) Receive(from types.ProcessID, body any) {
 	case BundleMsg:
 		g := b.api.Topo().GroupOf(from)
 		if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
+			b.api.RecordBundles(0, 1)
 			return // a repeated or late copy changes nothing: drop it undecoded
 		}
 		set, err := m.Records()
@@ -439,11 +501,13 @@ func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int) []Reco
 // its start. A round held back arms the pace timer: it is never forgotten.
 func (b *Bcast) mayPropose(inst uint64, batch []Record) bool {
 	if !b.alwaysOn && inst > b.barrier && len(batch) == 0 {
+		b.shut = inst
 		return false
 	}
 	if b.pipeline > 1 {
 		now := b.api.Now()
 		if due := b.openedAt + b.paceD/b.pipeline; inst > b.opened && due > now {
+			b.slotted = inst
 			if b.paceAt == 0 || b.paceAt > due {
 				b.paceAt = due
 				b.api.After(due-now, b.paceFn)
@@ -456,11 +520,15 @@ func (b *Bcast) mayPropose(inst uint64, batch []Record) bool {
 }
 
 // noteOpen records that round inst is open in this group — proposed here or
-// learned decided — and starts timing it if no round is being timed.
+// learned decided — and starts timing it if no round is being timed. A round
+// opens late when the Barrier held it shut past its pace slot, until a cast
+// or a remote bundle arrived; one that merely waited for the propose window
+// is on the pace.
 func (b *Bcast) noteOpen(inst uint64, now time.Duration) {
 	if inst <= b.opened || inst < b.k {
 		return
 	}
+	b.api.RecordRound(b.shut == inst && b.slotted != inst && now > b.openedAt+b.paceD/b.pipeline)
 	b.opened, b.openedAt = inst, now
 	if b.probe == 0 {
 		b.probe, b.probeAt = inst, now
@@ -470,15 +538,67 @@ func (b *Bcast) noteOpen(inst uint64, now time.Duration) {
 // shipBundle is the engine's OnDecide hook (line 14's "When Decided" and
 // line 15): the moment our group's round bundle is decided — possibly out
 // of round order when pipelining — ship it to every process outside the
-// group and fence its records against re-proposal.
+// group, if this member is a sender, and fence its records against
+// re-proposal.
 func (b *Bcast) shipBundle(inst uint64, set []Record) {
 	for _, rec := range set {
 		b.inDecided[rec.ID] = true
 	}
+	if len(b.rdAt) > 0 {
+		now := b.api.Now()
+		for _, rec := range set {
+			if sp, ok := b.rdAt[rec.ID]; ok && sp.decided == 0 {
+				sp.decided = now
+				b.rdAt[rec.ID] = sp
+				b.api.Trace(trace.StageRoundWait, rec.ID, int64(now-sp.rd))
+			}
+		}
+	}
 	if b.pipeline > 1 {
 		b.noteOpen(inst, b.api.Now())
 	}
-	b.api.Multicast(b.outside, b.label, BundleMsg{Round: inst, Set: set})
+	if b.ships() {
+		b.ship(inst, set)
+	}
+}
+
+// ship sends one round's bundle of this group to every process outside it.
+func (b *Bcast) ship(round uint64, set []Record) {
+	b.api.RecordBundles(len(b.outside), 0)
+	b.api.Multicast(b.outside, b.label, BundleMsg{Round: round, Set: set})
+}
+
+// ships reports whether this member sends its group's bundles. The paper's
+// line 15 has every member send, and Pipeline <= 1 keeps that (package doc:
+// the latency-degree-one run needs the members' clocks in lockstep). With
+// Pipeline > 1 the senders are, in this member's own Ω view, the group's
+// leader and the leader's successor in rank order: two copies per receiver,
+// so that one slow sender is not the round's tail, instead of d.
+func (b *Bcast) ships() bool {
+	if b.pipeline <= 1 {
+		return true
+	}
+	self, leader := b.api.Self(), b.det.Leader(b.api.Group())
+	return self == leader || self == b.group[(slices.Index(b.group, leader)+1)%len(b.group)]
+}
+
+// reship runs on every Ω change in this group: a member that now finds
+// itself a sender ships the group's decided bundles of rounds K−Pipeline up
+// to the highest open one, which the previous senders may have crashed
+// before shipping. No older round can be missing anywhere: a group that
+// lacks round r's bundle completes no round past r and proposes none past
+// r+Pipeline−1, so no sender is more than Pipeline rounds ahead of it.
+// Receivers drop the copies they already have undecoded.
+func (b *Bcast) reship() {
+	if !b.ships() {
+		return
+	}
+	window := uint64(b.pipeline)
+	for r := max(b.k, window+1) - window; r <= b.opened; r++ {
+		if set, ok := b.engine.Decided(r); ok {
+			b.ship(r, set)
+		}
+	}
 }
 
 // applyRound is the engine's OnApply hook: decisions arrive here in dense
@@ -546,9 +666,14 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 		}
 		b.adelivered[rec.ID] = true
 		b.wm.Add(1)
-		if at, ok := b.rdAt[rec.ID]; ok {
-			// Ordering residency: R-Delivery → round completion.
-			b.api.Trace(trace.StageOrder, rec.ID, int64(b.api.Now()-at))
+		if sp, ok := b.rdAt[rec.ID]; ok {
+			// Ordering residency: R-Delivery → round completion, and the
+			// share of it after the bundle was decided here.
+			now := b.api.Now()
+			b.api.Trace(trace.StageOrder, rec.ID, int64(now-sp.rd))
+			if sp.decided != 0 {
+				b.api.Trace(trace.StageBlocked, rec.ID, int64(now-sp.decided))
+			}
 			delete(b.rdAt, rec.ID)
 		}
 		b.api.RecordDeliver(rec.ID)
@@ -574,7 +699,25 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 	// Lines 22–23: keep rounds running only if this one was useful. The
 	// predictor's patience (KeepAliveRounds, paper default 1) extends the
 	// Barrier past the next round for bursty workloads.
-	if len(union) > 0 && b.k+b.keepAlive-1 > b.barrier {
-		b.barrier = b.k + b.keepAlive - 1
+	if len(union) == 0 {
+		if b.k > b.barrier {
+			b.lastUseful = 0 // quiescence predicted: the next cast is a lone one
+		}
+		return
+	}
+	patience := b.keepAlive
+	if window := uint64(b.pipeline); window > 1 {
+		// A stream — two useful rounds within two windows of each other —
+		// earns one more window of patience: the Barrier rises only when a
+		// round completes, a window after it opened, so without the slack
+		// every useless round of a live stream closes the Barrier on an idle
+		// group's next round (package doc).
+		if useful := b.k - 1; b.lastUseful != 0 && useful-b.lastUseful <= 2*window {
+			patience += window
+		}
+		b.lastUseful = b.k - 1
+	}
+	if b.k+patience-1 > b.barrier {
+		b.barrier = b.k + patience - 1
 	}
 }

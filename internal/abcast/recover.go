@@ -259,7 +259,7 @@ func (b *Bcast) compactRDOrder() {
 // again and the engine pumps.
 func (b *Bcast) resumeRounds() {
 	// Rounds adopted from peers were not timed here: start unpaced.
-	b.paceD, b.probe = 0, 0
+	b.paceD, b.probe, b.lastUseful = 0, 0, 0
 	b.engine.Pump()
 	b.tryCompleteRound()
 }

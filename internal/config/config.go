@@ -35,8 +35,11 @@ type Config struct {
 	WANDelay time.Duration
 	LANDelay time.Duration
 	// HeartbeatEvery and SuspectAfter tune the heartbeat failure detector
-	// (defaults 50 ms and 250 ms): a peer silent for SuspectAfter is
-	// suspected — and trusted again the moment its beats resume.
+	// (defaults 50 ms and 250 ms): a peer is suspected when it has been
+	// silent for SuspectAfter (checked at that moment, not at the next
+	// beat: a crash goes unnoticed for SuspectAfter less what had passed
+	// of the victim's beat period) — and trusted again the moment its
+	// beats resume.
 	// [-heartbeat, -suspectafter]
 	HeartbeatEvery time.Duration
 	SuspectAfter   time.Duration
@@ -57,7 +60,9 @@ type Config struct {
 	// [-skewms]
 	MaxClockSkew time.Duration
 	// KeepAliveRounds tunes A2's quiescence predictor (default 1, the
-	// paper's Algorithm A2).
+	// paper's Algorithm A2): the empty rounds run after a useful one. With
+	// Pipeline > 1 it is a floor — the window, and for a stream of casts a
+	// second window, are added to it (abcast.Config.KeepAliveRounds).
 	KeepAliveRounds int
 	// Pipeline sets the consensus-instances-in-flight limit for both A1
 	// and A2 (default 1, the paper's sequential algorithms). [-pipeline]

@@ -180,6 +180,13 @@ func (b *Batcher[T]) NextInstance() uint64 { return b.next }
 // tests and window accounting).
 func (b *Batcher[T]) AppliedInstances() uint64 { return b.applyNext - 1 }
 
+// Decided returns the batch decided for inst, if this process has learned it.
+func (b *Batcher[T]) Decided(inst uint64) ([]T, bool) {
+	v, ok := b.cons.Decided(inst)
+	batch, _ := v.([]T)
+	return batch, ok
+}
+
 // InFlight reports whether id is held by a proposed instance that has not
 // yet applied.
 func (b *Batcher[T]) InFlight(id types.MessageID) bool {

@@ -49,6 +49,8 @@ func (f *fakeAPI) RecordCast(types.MessageID)                {}
 func (f *fakeAPI) RecordDeliver(types.MessageID)             {}
 func (f *fakeAPI) RecordConsensus()                          {}
 func (f *fakeAPI) RecordLearnFetch()                         {}
+func (f *fakeAPI) RecordRound(bool)                          {}
+func (f *fakeAPI) RecordBundles(int, int)                    {}
 func (f *fakeAPI) RecordBatch(size int)                      { f.batches = append(f.batches, size) }
 func (f *fakeAPI) Tracef(string, ...any)                     {}
 func (f *fakeAPI) TraceOn() bool                             { return false }

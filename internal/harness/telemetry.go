@@ -6,11 +6,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 
 	"wanamcast/internal/metrics"
+	"wanamcast/internal/types"
 )
 
 // Telemetry supplies the live introspection plane's data as closures, so
@@ -138,6 +140,34 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	emit("wanamcast_suspicions_total", float64(st.Suspicions))
 	emit("wanamcast_trust_restorations_total", float64(st.TrustRestorations))
 	emit("wanamcast_leader_changes_total", float64(st.LeaderChanges))
+	// A2's paced rounds: opened on their slot or late (the quiescence
+	// predictor's misses), and the bundle copies shipped and thrown away.
+	groups := make([]types.GroupID, 0, len(st.PerGroupRounds))
+	for g := range st.PerGroupRounds {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+	for _, g := range groups {
+		rc := st.PerGroupRounds[g]
+		fmt.Fprintf(w, "wanamcast_a2_rounds_opened_total{group=\"%d\",slot=\"pace\"} %d\n", g, rc.OnPace)
+		fmt.Fprintf(w, "wanamcast_a2_rounds_opened_total{group=\"%d\",slot=\"late\"} %d\n", g, rc.Late)
+	}
+	emit("wanamcast_a2_bundle_copies_sent_total", float64(st.BundleCopiesSent))
+	emit("wanamcast_a2_bundle_repeats_dropped_total", float64(st.BundleRepeatsDropped))
+	// How late the WAN emulator released delayed frames (live runs only).
+	if h := st.WANReleaseLate; h.Count > 0 {
+		var cum uint64
+		for i, n := range h.Buckets {
+			cum += n
+			le := "+Inf"
+			if i < len(metrics.LatenessBounds) {
+				le = strconv.FormatFloat(metrics.LatenessBounds[i].Seconds(), 'g', -1, 64)
+			}
+			fmt.Fprintf(w, "wanamcast_wan_release_late_seconds_bucket{le=%q} %d\n", le, cum)
+		}
+		emit("wanamcast_wan_release_late_seconds_sum", h.Sum.Seconds())
+		emit("wanamcast_wan_release_late_seconds_count", float64(h.Count))
+	}
 	// Latency degree Δ per message — the paper's WAN-hop count, measured.
 	degrees := make([]int64, 0, len(st.DegreeHist))
 	for d := range st.DegreeHist {

@@ -62,7 +62,22 @@ type Collector struct {
 
 	fdPerGroup map[types.GroupID]*FDCount
 
+	rounds        map[types.GroupID]*RoundCount
+	bundlesSent   uint64
+	bundleRepeats uint64
+
 	wire WireTraffic
+}
+
+// RoundCount is one group's paced-round accounting (Algorithm A2 with
+// Pipeline > 1; every member counts every round it sees open): rounds that
+// opened on their pace slot, and rounds that opened late — their slot passed
+// while the Barrier held them shut, and a later Barrier raise or cast opened
+// them. A live stream should open nearly every round on the pace; late
+// rounds are the quiescence predictor's misses, and each costs the casts
+// riding it a pace slot or more.
+type RoundCount struct {
+	OnPace, Late uint64
 }
 
 // FDCount is the failure-detector accounting for one group: how often its
@@ -172,6 +187,30 @@ func (c *Collector) OnConsensusInstance() { c.consensusN++ }
 
 // OnLearnFetch records one decision an acceptor had to fetch by LearnMsg.
 func (c *Collector) OnLearnFetch() { c.learnFetches++ }
+
+// OnRoundOpened records a paced A2 round first opening at a member of g.
+func (c *Collector) OnRoundOpened(g types.GroupID, late bool) {
+	if c.rounds == nil {
+		c.rounds = make(map[types.GroupID]*RoundCount)
+	}
+	rc := c.rounds[g]
+	if rc == nil {
+		rc = &RoundCount{}
+		c.rounds[g] = rc
+	}
+	if late {
+		rc.Late++
+	} else {
+		rc.OnPace++
+	}
+}
+
+// OnBundleCopies records A2 bundle copies sent, and copies dropped on
+// receipt as repeats.
+func (c *Collector) OnBundleCopies(sent, dropped int) {
+	c.bundlesSent += uint64(sent)
+	c.bundleRepeats += uint64(dropped)
+}
 
 // OnBatchDecided records the size of one decided ordering batch (how many
 // messages a consensus instance ordered at one process).
@@ -313,6 +352,20 @@ type Stats struct {
 	LeaderChanges     uint64
 	PerGroupFD        map[types.GroupID]FDCount
 
+	// A2 round and bundle accounting. RoundsOnPace and RoundsLate total
+	// PerGroupRounds (see RoundCount; zero unless Pipeline > 1).
+	// BundleCopiesSent counts (K, msgSet) copies shipped to other groups'
+	// processes — copies per round is this over the rounds run — and
+	// BundleRepeatsDropped the copies a receiver dropped undecoded because
+	// it already held that group's bundle of the round.
+	RoundsOnPace, RoundsLate uint64
+	PerGroupRounds           map[types.GroupID]RoundCount
+	BundleCopiesSent         uint64
+	BundleRepeatsDropped     uint64
+	// WANReleaseLate is how late the live transport's WAN emulator released
+	// delayed frames (zero on the simulator, whose delays are exact).
+	WANReleaseLate LatenessHist
+
 	// Wire holds the wire-level traffic accounting (bytes, frames,
 	// envelopes, compression) reported by the transports.
 	Wire WireStats
@@ -342,6 +395,15 @@ func (c *Collector) Snapshot() Stats {
 			st.Suspicions += fc.Suspicions
 			st.TrustRestorations += fc.TrustRestorations
 			st.LeaderChanges += fc.LeaderChanges
+		}
+	}
+	st.BundleCopiesSent, st.BundleRepeatsDropped = c.bundlesSent, c.bundleRepeats
+	if len(c.rounds) > 0 {
+		st.PerGroupRounds = make(map[types.GroupID]RoundCount, len(c.rounds))
+		for g, rc := range c.rounds {
+			st.PerGroupRounds[g] = *rc
+			st.RoundsOnPace += rc.OnPace
+			st.RoundsLate += rc.Late
 		}
 	}
 	if c.batchesN > 0 {
@@ -451,6 +513,18 @@ func (l *LockedCollector) OnBatchDecided(size int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.c.OnBatchDecided(size)
+}
+
+func (l *LockedCollector) OnRoundOpened(g types.GroupID, late bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.c.OnRoundOpened(g, late)
+}
+
+func (l *LockedCollector) OnBundleCopies(sent, dropped int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.c.OnBundleCopies(sent, dropped)
 }
 
 func (l *LockedCollector) OnSuspect(g types.GroupID, p types.ProcessID) {

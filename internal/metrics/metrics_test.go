@@ -312,3 +312,34 @@ func TestLockedCollectorConcurrent(t *testing.T) {
 		t.Fatalf("locked collector lost events: %+v", st)
 	}
 }
+
+// TestLatenessHist: samples land in the bucket whose bound they do not
+// exceed, early ones count as zero, and the quantile interpolates inside the
+// bucket that holds it.
+func TestLatenessHist(t *testing.T) {
+	var h LatenessHist
+	for _, d := range []time.Duration{-time.Millisecond, 50 * time.Microsecond, 300 * time.Microsecond, 300 * time.Microsecond, time.Second} {
+		h.Observe(d)
+	}
+	if h.Buckets[0] != 2 || h.Buckets[3] != 2 || h.Buckets[len(LatenessBounds)] != 1 || h.Count != 5 {
+		t.Fatalf("buckets %v count %d", h.Buckets, h.Count)
+	}
+	if want := (50*time.Microsecond + 600*time.Microsecond + time.Second) / 5; h.Mean() != want {
+		t.Errorf("mean %v, want %v", h.Mean(), want)
+	}
+	if q := h.Quantile(0.6); q <= 200*time.Microsecond || q > 400*time.Microsecond {
+		t.Errorf("p60 %v, want inside the (200µs, 400µs] bucket", q)
+	}
+	if q := h.Quantile(1); q != LatenessBounds[len(LatenessBounds)-1] {
+		t.Errorf("p100 %v, want the last bound for a sample in the overflow bucket", q)
+	}
+	var sum LatenessHist
+	sum.Add(h)
+	sum.Add(h)
+	if sum.Count != 10 || sum.Sum != 2*h.Sum || sum.Buckets[3] != 4 {
+		t.Errorf("Add: %+v", sum)
+	}
+	if (LatenessHist{}).Quantile(0.5) != 0 || (LatenessHist{}).Mean() != 0 {
+		t.Error("an empty histogram must report zero")
+	}
+}

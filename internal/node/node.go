@@ -72,6 +72,13 @@ type API interface {
 	RecordBatch(size int)
 	// RecordLearnFetch reports a decision an acceptor fetched by LearnMsg.
 	RecordLearnFetch()
+	// RecordRound reports that a paced A2 round first opened at this
+	// process: on its pace slot, or late — after the slot had passed with
+	// the Barrier still holding the round shut.
+	RecordRound(late bool)
+	// RecordBundles reports A2 bundle copies this process sent, and copies
+	// it dropped on receipt as repeats of a bundle it already had.
+	RecordBundles(sent, dropped int)
 	// Tracef emits a debug trace line when tracing is enabled.
 	Tracef(format string, args ...any)
 	// TraceOn reports whether Tracef lines go anywhere. Call sites that run
@@ -105,6 +112,8 @@ type Recorder interface {
 	OnConsensusInstance()
 	OnBatchDecided(size int)
 	OnLearnFetch()
+	OnRoundOpened(g types.GroupID, late bool)
+	OnBundleCopies(sent, dropped int)
 }
 
 // NopRecorder is a Recorder that discards everything.
@@ -116,6 +125,8 @@ func (NopRecorder) OnDeliver(types.MessageID, types.ProcessID, int64, time.Durat
 func (NopRecorder) OnConsensusInstance()                                                 {}
 func (NopRecorder) OnBatchDecided(int)                                                   {}
 func (NopRecorder) OnLearnFetch()                                                        {}
+func (NopRecorder) OnRoundOpened(types.GroupID, bool)                                    {}
+func (NopRecorder) OnBundleCopies(int, int)                                              {}
 
 var _ Recorder = NopRecorder{}
 
@@ -299,6 +310,22 @@ func (p *Proc) RecordBatch(size int) {
 
 // RecordLearnFetch implements API.
 func (p *Proc) RecordLearnFetch() { p.env.Recorder().OnLearnFetch() }
+
+// RecordRound implements API.
+func (p *Proc) RecordRound(late bool) {
+	if p.recovering {
+		return
+	}
+	p.env.Recorder().OnRoundOpened(p.group, late)
+}
+
+// RecordBundles implements API.
+func (p *Proc) RecordBundles(sent, dropped int) {
+	if p.recovering {
+		return
+	}
+	p.env.Recorder().OnBundleCopies(sent, dropped)
+}
 
 // SetTracer attaches the lifecycle tracer; lane selects the per-lane
 // span ring this process records into (the live runtime passes the

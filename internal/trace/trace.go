@@ -75,8 +75,16 @@ const (
 	StageReply
 	// StageBlocked marks an A1 delivery; Aux is the nanoseconds between the
 	// decision that made the message deliverable and its A-Deliver — the
-	// share of order spent waiting for another message's timestamp.
+	// share of order spent waiting for another message's timestamp. A2
+	// records it in the caster's group: from the decision of the bundle
+	// carrying the message to the completion of its round — the WAN hop
+	// plus the wait for the slowest group's bundle.
 	StageBlocked
+	// StageRoundWait marks an A2 message's bundle being decided in the
+	// caster's group; Aux is the nanoseconds since its R-Delivery — the wait
+	// for a round to open plus that round's consensus. With StageBlocked it
+	// splits A2's order.
+	StageRoundWait
 
 	numStages
 )
@@ -84,6 +92,7 @@ const (
 var stageNames = [numStages]string{
 	"submit", "enqueue", "rmsend", "rmadmit", "cast", "propose", "promise",
 	"accept", "learn", "order", "fsync", "lanedeq", "deliver", "reply", "blocked",
+	"roundwait",
 }
 
 // auxIsDuration marks the stages whose Aux is a measured duration in
@@ -91,7 +100,7 @@ var stageNames = [numStages]string{
 var auxIsDuration = [numStages]bool{
 	StageEnqueue: true, StagePromise: true, StageAccept: true,
 	StageOrder: true, StageFsync: true, StageLaneDeq: true, StageReply: true,
-	StageBlocked: true,
+	StageBlocked: true, StageRoundWait: true,
 }
 
 // String returns the stage's wire name (also the histogram label).

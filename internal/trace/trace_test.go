@@ -21,6 +21,7 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() {
 		nilT.Record(0, StageCast, id, 3, 42)
 		nilT.RecordSpan(9, 0, StageLaneDeq, id, 3, 42)
+		nilT.Record(0, StageRoundWait, id, 3, 42)
 		_ = nilT.NextSpan()
 		_ = nilT.Enabled()
 	}); a != 0 {
@@ -31,6 +32,8 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() {
 		off.Record(1, StageDeliver, id, 3, 42)
 		off.RecordSpan(9, 1, StagePromise, id, 3, 42)
+		off.Record(1, StageRoundWait, id, 3, 42)
+		off.Record(1, StageBlocked, id, 3, 42)
 		_ = off.Enabled()
 	}); a != 0 {
 		t.Fatalf("disabled tracer allocated %.1f per op, want 0", a)

@@ -35,14 +35,18 @@ type leaseGrantMsg struct {
 
 // heartbeatFD is the live Ω: every process beats to its group peers; a
 // peer silent for SuspectAfter is suspected; the leader is the lowest
-// unsuspected member. Suspicion is revocable: the moment a suspect's beat
-// arrives again — after a partition heals, or after a chaos scenario's
-// forced false suspicion — trust is restored, the leader is recomputed,
-// and subscribers are re-notified. Ω's eventual accuracy holds as long as
-// the loopback eventually delivers beats within the timeout — adequate for
-// the localhost deployments this runtime targets, and exactly the
-// trust-restoring behavior partitions need: one transient outage demotes a
-// leader only until its heartbeats resume.
+// unsuspected member. Silence is judged when it reaches SuspectAfter, by a
+// check armed for that moment (tick), not at the observer's next beat: a
+// crash is then noticed SuspectAfter after the victim's last beat arrived,
+// and how long an outage lasts depends on where in the victim's beat period
+// the crash fell, not also on where in the observer's. Suspicion is
+// revocable: the moment a suspect's beat arrives again — after a partition
+// heals, or after a chaos scenario's forced false suspicion — trust is
+// restored, the leader is recomputed, and subscribers are re-notified. Ω's
+// eventual accuracy holds as long as the loopback eventually delivers beats
+// within the timeout — adequate for the localhost deployments this runtime
+// targets, and exactly the trust-restoring behavior partitions need: one
+// transient outage demotes a leader only until its heartbeats resume.
 type heartbeatFD struct {
 	api          node.API
 	obs          fd.Observer // may be nil
@@ -54,6 +58,7 @@ type heartbeatFD struct {
 	suspected map[types.ProcessID]bool
 	leader    types.ProcessID
 	subs      []func(types.GroupID, types.ProcessID)
+	checkFn   func() // checkSuspicions, bound once
 
 	// Leader-lease state (inert when leaseDur == 0). lease is owned by the
 	// Runtime and outlives detector restarts; grants holds, per group
@@ -87,6 +92,7 @@ func newHeartbeatFD(api node.API, every, suspectAfter time.Duration, obs fd.Obse
 	h.group = append(h.group, api.Topo().Members(api.Group())...)
 	sort.Slice(h.group, func(i, j int) bool { return h.group[i] < h.group[j] })
 	h.leader = h.group[0]
+	h.checkFn = h.checkSuspicions
 	return h
 }
 
@@ -124,6 +130,17 @@ func (h *heartbeatFD) tick() {
 		h.recomputeLease(now)
 	}
 	h.checkSuspicions()
+	// A peer whose silence will reach SuspectAfter before the next beat is
+	// judged at that moment, not up to a period later. In a healthy group
+	// every peer was heard within the last period and nothing is armed.
+	for _, q := range h.group {
+		if q == self || h.suspected[q] {
+			continue
+		}
+		if wait := h.lastSeen[q] + h.suspectAfter - now; wait < h.every {
+			h.api.After(wait, h.checkFn)
+		}
+	}
 	h.api.After(h.every, h.tick)
 }
 
@@ -263,7 +280,7 @@ func (h *heartbeatFD) checkSuspicions() {
 		if q == h.api.Self() || h.suspected[q] {
 			continue
 		}
-		if now-h.lastSeen[q] > h.suspectAfter {
+		if now-h.lastSeen[q] >= h.suspectAfter {
 			h.suspected[q] = true
 			if h.obs != nil {
 				h.obs.OnSuspect(h.api.Group(), q)

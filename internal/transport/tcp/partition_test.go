@@ -152,3 +152,48 @@ func TestDelaySpikeOverride(t *testing.T) {
 	rt.Run(0, func() { rt.Proc(0).Send(1, "sink", "fast") })
 	waitFor(t, 2*time.Second, func() bool { return len(s.snapshot()) == 2 })
 }
+
+// TestSuspicionFiresAtItsDeadline: a silent peer is suspected when its
+// silence reaches SuspectAfter, not at the observer's next beat after that.
+// Both detectors beat in phase here (they start together), so with the check
+// riding the beat the silence at suspicion would be two whole periods, 400 ms.
+func TestSuspicionFiresAtItsDeadline(t *testing.T) {
+	const every, suspectAfter, slack = 200 * time.Millisecond, 300 * time.Millisecond, 80 * time.Millisecond
+	topo := types.NewTopology(1, 2)
+	rt := New(Config{
+		Topo:   topo,
+		Config: config.Config{BasePort: 26040, HeartbeatEvery: every, SuspectAfter: suspectAfter},
+	})
+	for _, id := range topo.AllProcesses() {
+		rt.Proc(id).Register(&sink{})
+	}
+	silence := make(chan time.Duration, 8)
+	rt.Detector(1).Subscribe(func(_ types.GroupID, l types.ProcessID) {
+		if l == 1 { // runs on p1's loop, inside the check that suspected p0
+			silence <- rt.Proc(1).Now() - rt.fds[1].lastSeen[0]
+		}
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	for cycle, lead := range []time.Duration{260 * time.Millisecond, 340 * time.Millisecond} {
+		time.Sleep(lead) // sever at a different point of the beat period each cycle
+		rt.Fabric().SeverBidi(0, 1)
+		select {
+		case got := <-silence:
+			if got < suspectAfter || got > suspectAfter+slack {
+				t.Fatalf("cycle %d: p0 suspected after %v of silence, want %v to %v", cycle, got, suspectAfter, suspectAfter+slack)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cycle %d: p0 never suspected", cycle)
+		}
+		rt.Fabric().HealBidi(0, 1)
+		waitFor(t, 5*time.Second, func() bool {
+			var l types.ProcessID
+			rt.Run(1, func() { l = rt.Detector(1).Leader(0) })
+			return l == 0
+		})
+	}
+}

@@ -58,6 +58,7 @@ import (
 
 	"wanamcast/internal/config"
 	"wanamcast/internal/fd"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/ring"
@@ -317,6 +318,21 @@ func (rt *Runtime) Drops() (queue, hold []uint64) {
 	return queue, hold
 }
 
+// ReleaseLateness sums the lanes' delay-line lateness histograms: how long
+// after its injected link delay had passed each received frame was handed to
+// its lane. The timer that releases the line is the Go runtime's, so on an
+// idle-ish process the emulated WAN is a fraction of a millisecond longer
+// than configured, and every latency measured above it includes that.
+func (rt *Runtime) ReleaseLateness() metrics.LatenessHist {
+	var h metrics.LatenessHist
+	for _, ln := range rt.lanes {
+		ln.dlMu.Lock()
+		h.Add(ln.dlLate)
+		ln.dlMu.Unlock()
+	}
+	return h
+}
+
 // LaneDepths snapshots each lane's pending-event count (posted but not
 // yet executed) — the telemetry plane's queue-depth gauge. Safe from any
 // goroutine; values are instantaneous, not a consistent cut.
@@ -549,6 +565,7 @@ type lane struct {
 	dlMu    sync.Mutex
 	dlQ     []delayedEvent
 	dlTimer *time.Timer
+	dlLate  metrics.LatenessHist // how long after its due each frame was released
 }
 
 type delayedEvent struct {
@@ -583,6 +600,7 @@ func (ln *lane) releaseDue() {
 	defer ln.dlMu.Unlock()
 	n, now := 0, time.Now()
 	for ; n < len(ln.dlQ) && !ln.dlQ[n].due.After(now); n++ {
+		ln.dlLate.Observe(now.Sub(ln.dlQ[n].due))
 		ln.post(ln.dlQ[n].ev)
 	}
 	// Delete keeps the backing array and clears the vacated tail, so the
@@ -1384,6 +1402,18 @@ func (l *lockedRecorder) OnBatchDecided(size int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.inner.OnBatchDecided(size)
+}
+
+func (l *lockedRecorder) OnRoundOpened(g types.GroupID, late bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.inner.OnRoundOpened(g, late)
+}
+
+func (l *lockedRecorder) OnBundleCopies(sent, dropped int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.inner.OnBundleCopies(sent, dropped)
 }
 
 // The failure-detector events (fd.Observer) are forwarded only when the

@@ -393,6 +393,7 @@ func (l *LiveCluster) Crash(p ProcessID) {
 func (l *LiveCluster) Stats() Stats {
 	st := l.col.Snapshot()
 	st.SendQueueDrops, st.HoldDrops = l.rt.Drops()
+	st.WANReleaseLate = l.rt.ReleaseLateness()
 	return st
 }
 

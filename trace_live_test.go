@@ -204,6 +204,75 @@ func TestTelemetryServesUnderLoad(t *testing.T) {
 	t.Logf("/spans served %d spans; /metrics %d bytes", n, len(body))
 }
 
+// TestA2RoundTelemetryLive: a paced broadcast stream over real sockets shows
+// up where an operator looks — the roundwait/blocked split of A2's order in
+// the tracer's stage statistics, and on /metrics the rounds opened on the
+// pace and late, the bundle copies sent and dropped as repeats, and the WAN
+// emulator's release lateness.
+func TestA2RoundTelemetryLive(t *testing.T) {
+	l := NewLiveCluster(LiveConfig{
+		Groups: 3, PerGroup: 3, BasePort: 23300,
+		WANDelay: 5 * time.Millisecond, MaxBatch: 16, Pipeline: 4,
+		TraceSpans: true, SpanBuf: 512,
+	})
+	if err := l.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Stop()
+	var ids []MessageID
+	for i := 0; i < 150; i++ {
+		ids = append(ids, l.Broadcast(l.Process(GroupID(i%3), i%2), i))
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, id := range ids {
+		if !l.WaitDelivered(id, 9, 30*time.Second) {
+			t.Fatalf("%v delivered by %d of 9", id, l.DeliveredCount(id))
+		}
+	}
+	stages := map[string]uint64{}
+	for _, s := range l.Tracer().Stats().Snapshot() {
+		stages[s.Name] = s.Count
+	}
+	// A member that R-Delivers a message only after learning the decision
+	// that carries it records order alone, so the counts may differ a little.
+	if stages["roundwait"] < stages["order"]*9/10 || stages["roundwait"] != stages["blocked"] || stages["blocked"] > stages["order"] {
+		t.Errorf("A2's order is not split: %d roundwait, %d blocked, %d order spans", stages["roundwait"], stages["blocked"], stages["order"])
+	}
+	st := l.Stats()
+	if st.RoundsOnPace == 0 || len(st.PerGroupRounds) != 3 {
+		t.Errorf("no paced rounds counted: %d on the pace, %d late, per group %v", st.RoundsOnPace, st.RoundsLate, st.PerGroupRounds)
+	}
+	// Two senders per group ship to six outside processes; a receiver keeps
+	// one copy per group and round and drops the other.
+	if st.BundleCopiesSent == 0 || st.BundleRepeatsDropped == 0 || st.BundleRepeatsDropped > st.BundleCopiesSent*2/3 {
+		t.Errorf("bundle copies: %d sent, %d dropped as repeats", st.BundleCopiesSent, st.BundleRepeatsDropped)
+	}
+	if h := st.WANReleaseLate; h.Count == 0 || h.Mean() <= 0 {
+		t.Errorf("the WAN emulator recorded no release lateness: %+v", h)
+	}
+	srv, err := harness.ServeTelemetry("127.0.0.1:0", l.TelemetrySource("test", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{
+		`wanamcast_a2_rounds_opened_total{group="0",slot="pace"}`, `wanamcast_a2_rounds_opened_total{group="2",slot="late"}`,
+		"wanamcast_a2_bundle_copies_sent_total", "wanamcast_a2_bundle_repeats_dropped_total",
+		`wanamcast_wan_release_late_seconds_bucket{le="+Inf"}`, "wanamcast_wan_release_late_seconds_sum",
+		`wanamcast_stage_latency_seconds{stage="roundwait",quantile="0.5"}`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+}
+
 // TestTracingOverheadUnderLoad pins the tracer's cost at the acceptance
 // bound: a fully traced run must sustain at least 90% of the untraced
 // ordered/s on the same workload. Each mode takes its best of two runs so

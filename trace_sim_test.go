@@ -123,3 +123,46 @@ func TestTraceSimDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceSplitsA2Order: A2's order splits, at every member of the caster's
+// group, into roundwait (R-Delivery → the message's bundle is decided there:
+// the wait for a round to open plus its consensus) and blocked (→ the round
+// completes: the WAN hop and the slowest group's bundle). On the virtual
+// clock the two add up to order exactly.
+func TestTraceSplitsA2Order(t *testing.T) {
+	c := NewCluster(Config{Groups: 3, PerGroup: 3, MaxBatch: 16, Pipeline: 4})
+	tr := attachSimTracer(c, 4096)
+	const casts = 60
+	for i := 0; i < casts; i++ {
+		c.BroadcastAt(time.Duration(i)*20*time.Millisecond, c.Process(GroupID(i%3), i%2), i)
+	}
+	c.Run()
+	if v := c.CheckProperties(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	type key struct {
+		id   MessageID
+		proc ProcessID
+	}
+	spans := map[trace.Stage]map[key]int64{trace.StageOrder: {}, trace.StageRoundWait: {}, trace.StageBlocked: {}}
+	for _, ev := range tr.Snapshot() {
+		if m, ok := spans[ev.Stage]; ok {
+			k := key{ev.ID, ev.Proc}
+			if _, dup := m[k]; dup {
+				t.Fatalf("%v recorded %v twice for %v", ev.Proc, ev.Stage, ev.ID)
+			}
+			m[k] = ev.Aux
+		}
+	}
+	if got := len(spans[trace.StageOrder]); got != casts*3 {
+		t.Fatalf("%d order spans, want one per cast and member of its caster's group (%d)", got, casts*3)
+	}
+	for k, order := range spans[trace.StageOrder] {
+		wait, okW := spans[trace.StageRoundWait][k]
+		blocked, okB := spans[trace.StageBlocked][k]
+		if !okW || !okB || wait+blocked != order || wait <= 0 || blocked <= 0 {
+			t.Fatalf("%v at p%d: roundwait %v (%v) + blocked %v (%v) != order %v",
+				k.id, k.proc, time.Duration(wait), okW, time.Duration(blocked), okB, time.Duration(order))
+		}
+	}
+}
