@@ -17,30 +17,19 @@ import (
 
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/config"
-	"wanamcast/internal/node"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
 )
 
-// a2Counter counts A2-family protocol sends, safely across process loops.
-type a2Counter struct {
-	node.NopRecorder
-	mu sync.Mutex
-	n  uint64
-}
-
-func (c *a2Counter) OnSend(proto string, _, _ types.ProcessID, _ bool, _ time.Duration) {
-	if strings.HasPrefix(proto, "a2") {
-		c.mu.Lock()
-		c.n++
-		c.mu.Unlock()
+// a2Sends counts the A2-family protocol sends recorded so far.
+func a2Sends(col *metrics.Collector) (n uint64) {
+	for proto, pc := range col.Snapshot().PerProtocol {
+		if strings.HasPrefix(proto, "a2") {
+			n += pc.Total
+		}
 	}
-}
-
-func (c *a2Counter) count() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
+	return n
 }
 
 func main() {
@@ -50,12 +39,12 @@ func main() {
 	flag.Parse()
 
 	topo := types.NewTopology(2, 3)
-	counter := &a2Counter{}
+	col := &metrics.Collector{}
 
 	rt := tcp.New(tcp.Config{
 		Config:   config.Config{BasePort: 23000, WANDelay: *wan},
 		Topo:     topo,
-		Recorder: counter,
+		Recorder: col,
 	})
 
 	type delivery struct {
@@ -134,9 +123,9 @@ func main() {
 
 	// Quiescence: watch protocol traffic stop (heartbeats continue; they
 	// are failure-detector infrastructure, not A2 traffic).
-	before := counter.count()
+	before := a2Sends(col)
 	time.Sleep(800 * time.Millisecond)
-	after := counter.count()
+	after := a2Sends(col)
 	fmt.Printf("\nquiescence: A2 traffic after the stream ended: %d messages in 800ms", after-before)
 	if after == before {
 		fmt.Printf(" — quiescent (Prop. A.9)\n")

@@ -25,30 +25,32 @@ import (
 	"time"
 
 	"wanamcast/internal/harness"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
 )
 
-// goldenRun drives one fully traced simulated run and returns the sha256
-// of the complete trace (every SEND/HOLD/RELEASE/CRASH line plus each
-// protocol's own trace output) concatenated with the delivery log, and the
-// sha256 of the delivery log alone.
-func goldenRun(algo harness.Algo, withChaos bool) (trace, deliveries string) {
+// goldenRun drives one fully traced simulated run (under the named chaos
+// scenario, if any) and returns the sha256 of the complete trace (every
+// SEND/HOLD/RELEASE/CRASH line plus each protocol's own trace output)
+// concatenated with the delivery log, the sha256 of the delivery log alone,
+// and every field of the run's metrics.Stats as text.
+func goldenRun(algo harness.Algo, chaos string, pipeline int) (trace, deliveries, stats string) {
 	var buf strings.Builder
 	opts := harness.Options{
 		Groups: 3, PerGroup: 3,
 		Inter: 20 * time.Millisecond, Intra: time.Millisecond,
 		Jitter: 3 * time.Millisecond, Seed: 11,
-		MaxBatch: 4, Pipeline: 2,
+		MaxBatch: 4, Pipeline: pipeline,
 		Trace: func(format string, args ...any) {
 			fmt.Fprintf(&buf, format+"\n", args...)
 		},
 	}
 	s := harness.Build(algo, opts)
-	if withChaos {
-		sc, ok := scenario.ByName(s.Topo, scenario.SuiteConfig{Unit: 40 * time.Millisecond}, "partition-heal")
+	if chaos != "" {
+		sc, ok := scenario.ByName(s.Topo, scenario.SuiteConfig{Unit: 40 * time.Millisecond}, chaos)
 		if !ok {
-			panic("golden: partition-heal scenario missing")
+			panic("golden: scenario missing: " + chaos)
 		}
 		scenario.Apply(s.Chaos(), sc)
 	}
@@ -71,14 +73,17 @@ func goldenRun(algo harness.Algo, withChaos bool) (trace, deliveries string) {
 		fmt.Fprintf(&buf, "DELIVER %v %v at %v\n", d.ID, d.Process, d.At)
 	}
 	sum, logSum := sha256.Sum256([]byte(buf.String())), sha256.Sum256([]byte(buf.String()[logStart:]))
-	return hex.EncodeToString(sum[:]), hex.EncodeToString(logSum[:])
+	// The conversion drops Stats' String method, so %+v prints every field
+	// (fmt sorts map keys: the text is a function of the run).
+	type allFields metrics.Stats
+	return hex.EncodeToString(sum[:]), hex.EncodeToString(logSum[:]), fmt.Sprintf("%+v", allFields(s.Col.Snapshot()))
 }
 
 func TestGoldenTraceUnchangedBySchedulerRewrite(t *testing.T) {
 	cases := []struct {
 		name  string
 		algo  harness.Algo
-		chaos bool
+		chaos string
 		want  string
 		// wantLog, when set, pins the delivery log alone: which process
 		// delivered what, when.
@@ -89,8 +94,8 @@ func TestGoldenTraceUnchangedBySchedulerRewrite(t *testing.T) {
 		// message reaches s3 through an s2 decision, a single-group one is
 		// delivered in the decision that orders it), which changes what A1
 		// sends and when it delivers (were f622d6b8…f6c9b2, 94640b50…6a1c6f).
-		{"a1", harness.AlgoA1, false, "98b37465f6cfd36219e9e72139573f2c6c775a653e4dd88fa592c11898000323", ""},
-		{"a1-partition-heal", harness.AlgoA1, true, "f74753b83cde753ccad7e8d29243bf2673a65c84480281cc2d126da2c47adc5e", ""},
+		{"a1", harness.AlgoA1, "", "98b37465f6cfd36219e9e72139573f2c6c775a653e4dd88fa592c11898000323", ""},
+		{"a1-partition-heal", harness.AlgoA1, "partition-heal", "f74753b83cde753ccad7e8d29243bf2673a65c84480281cc2d126da2c47adc5e", ""},
 		// Re-pinned by issue 14 (paced proactive rounds): this run uses
 		// Pipeline 2, and with Pipeline > 1 A2 now opens rounds on a derived
 		// cadence and keeps the whole window live after a useful round, so
@@ -111,16 +116,46 @@ func TestGoldenTraceUnchangedBySchedulerRewrite(t *testing.T) {
 		// empty ones instead of two); 648 bundle copies instead of 744 —
 		// 36 a round from ranks 0 and 1 of each group, not 54 (48 once p8
 		// crashed) from every member. Every Pipeline <= 1 pin is unedited.
-		{"a2", harness.AlgoA2, false, "a63b190f2262e04c65dabcec8aba36897a6bd36f73a0ead413b78e4d713e03b4", "97c1a109f6d6964c3042948c31ea390ff8746505df3e17d13c24c9639ae85f54"},
+		{"a2", harness.AlgoA2, "", "a63b190f2262e04c65dabcec8aba36897a6bd36f73a0ead413b78e4d713e03b4", "97c1a109f6d6964c3042948c31ea390ff8746505df3e17d13c24c9639ae85f54"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotLog := goldenRun(tc.algo, tc.chaos)
+			got, gotLog, _ := goldenRun(tc.algo, tc.chaos, 2)
 			if got != tc.want {
 				t.Errorf("trace hash = %s, want %s (the scheduler rewrite changed a same-seed run)", got, tc.want)
 			}
 			if tc.wantLog != "" && gotLog != tc.wantLog {
 				t.Errorf("delivery log hash = %s, want %s", gotLog, tc.wantLog)
+			}
+		})
+	}
+}
+
+// TestStatsUnchangedByCollectorRefactor pins every counter a run produces.
+// The digests were recorded at the commit before the recorder chain
+// (node.API pass-throughs, a recorder interface, lock wrappers) was replaced by
+// direct calls on *metrics.Collector: how a count reaches the collector must
+// not change what is counted. The Pipeline 4 run is under leader-flap so that
+// the round, bundle and LearnMsg-fetch counters are all non-zero.
+func TestStatsUnchangedByCollectorRefactor(t *testing.T) {
+	cases := []struct {
+		name     string
+		algo     harness.Algo
+		chaos    string
+		pipeline int
+		want     string
+	}{
+		{"a1", harness.AlgoA1, "", 2, "68d8ef32adef82cddf9c3cb99537306e605190e574411d180ff3c0f32f974081"},
+		{"a1-partition-heal", harness.AlgoA1, "partition-heal", 2, "e23ba5ed0bbdce42e08b3127326045fb7e12597139b93b3ad9d330d2019ccb62"},
+		{"a2", harness.AlgoA2, "", 2, "1cdf754db92809215eecf21566671a450d149b014e056d9be19bee35161ab084"},
+		{"a2-pipeline4-leader-flap", harness.AlgoA2, "leader-flap", 4, "4d19391ce935637b9bcd1207ab76e5a66f8ee012e268709324bbbd7f33b799aa"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, stats := goldenRun(tc.algo, tc.chaos, tc.pipeline)
+			sum := sha256.Sum256([]byte(stats))
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("Stats digest = %s, want %s; the run counted:\n%s", got, tc.want, stats)
 			}
 		})
 	}

@@ -385,7 +385,7 @@ func (b *Bcast) Receive(from types.ProcessID, body any) {
 	case BundleMsg:
 		g := b.api.Topo().GroupOf(from)
 		if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
-			b.api.RecordBundles(0, 1)
+			b.api.Metrics().OnBundleCopies(0, 1)
 			return // a repeated or late copy changes nothing: drop it undecoded
 		}
 		set, err := m.Records()
@@ -528,7 +528,7 @@ func (b *Bcast) noteOpen(inst uint64, now time.Duration) {
 	if inst <= b.opened || inst < b.k {
 		return
 	}
-	b.api.RecordRound(b.shut == inst && b.slotted != inst && now > b.openedAt+b.paceD/b.pipeline)
+	b.api.Metrics().OnRoundOpened(b.api.Group(), b.shut == inst && b.slotted != inst && now > b.openedAt+b.paceD/b.pipeline)
 	b.opened, b.openedAt = inst, now
 	if b.probe == 0 {
 		b.probe, b.probeAt = inst, now
@@ -564,7 +564,7 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 
 // ship sends one round's bundle of this group to every process outside it.
 func (b *Bcast) ship(round uint64, set []Record) {
-	b.api.RecordBundles(len(b.outside), 0)
+	b.api.Metrics().OnBundleCopies(len(b.outside), 0)
 	b.api.Multicast(b.outside, b.label, BundleMsg{Round: round, Set: set})
 }
 

@@ -228,7 +228,7 @@ func (b *Batcher[T]) decided(inst uint64, v Value) {
 	if !ok && v != nil {
 		panic(fmt.Sprintf("consensus: batcher decided unexpected value %T", v))
 	}
-	b.api.RecordBatch(len(batch))
+	b.api.Metrics().OnBatchDecided(len(batch))
 	if b.onDecide != nil {
 		b.onDecide(inst, batch)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
 )
@@ -23,11 +24,11 @@ func mid(seq uint64) types.MessageID { return types.MessageID{Origin: 0, Seq: se
 // are captured (never fired), and the clock stands still. Enough for
 // white-box Batcher tests that drive decisions by hand.
 type fakeAPI struct {
-	topo    *types.Topology
-	self    types.ProcessID
-	sends   []string
-	timers  []func()
-	batches []int
+	topo   *types.Topology
+	self   types.ProcessID
+	sends  []string
+	timers []func()
+	col    metrics.Collector
 }
 
 func (f *fakeAPI) Self() types.ProcessID { return f.self }
@@ -47,11 +48,7 @@ func (f *fakeAPI) Multicast(tos []types.ProcessID, proto string, body any) {
 func (f *fakeAPI) After(d time.Duration, fn func())          { f.timers = append(f.timers, fn) }
 func (f *fakeAPI) RecordCast(types.MessageID)                {}
 func (f *fakeAPI) RecordDeliver(types.MessageID)             {}
-func (f *fakeAPI) RecordConsensus()                          {}
-func (f *fakeAPI) RecordLearnFetch()                         {}
-func (f *fakeAPI) RecordRound(bool)                          {}
-func (f *fakeAPI) RecordBundles(int, int)                    {}
-func (f *fakeAPI) RecordBatch(size int)                      { f.batches = append(f.batches, size) }
+func (f *fakeAPI) Metrics() *metrics.Collector               { return &f.col }
 func (f *fakeAPI) Tracef(string, ...any)                     {}
 func (f *fakeAPI) TraceOn() bool                             { return false }
 func (f *fakeAPI) Trace(trace.Stage, types.MessageID, int64) {}
@@ -263,7 +260,8 @@ func TestBatcherRecordsBatchSizes(t *testing.T) {
 	r.b.Pump()
 	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}, {ID: mid(3)}})
 	r.b.decided(2, nil)
-	if len(r.api.batches) != 2 || r.api.batches[0] != 3 || r.api.batches[1] != 0 {
-		t.Fatalf("recorded batches = %v, want [3 0]", r.api.batches)
+	if st := r.api.col.Snapshot(); st.BatchesDecided != 2 || st.BatchedMessages != 3 || st.MaxBatchSize != 3 {
+		t.Fatalf("recorded %d batches of %d messages, largest %d; want 2, 3 and 3",
+			st.BatchesDecided, st.BatchedMessages, st.MaxBatchSize)
 	}
 }

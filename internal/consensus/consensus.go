@@ -549,7 +549,7 @@ func (c *Consensus) onDecide(from types.ProcessID, m DecideMsg) {
 	case in.accepted == m.Ballot:
 		c.learn(m.Instance, in.aValue)
 	default:
-		c.api.RecordLearnFetch()
+		c.api.Metrics().OnLearnFetch()
 		c.send(from, LearnMsg{Instance: m.Instance})
 	}
 }
@@ -574,7 +574,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 	if !c.recovering {
 		c.log.Append(storage.Record{Kind: storage.KindDecide, Proto: c.label, Inst: k, Value: v})
 	}
-	c.api.RecordConsensus()
+	c.api.Metrics().OnConsensusInstance()
 	c.api.Trace(trace.StageLearn, types.MessageID{}, int64(k))
 	c.onDec(k, v)
 }

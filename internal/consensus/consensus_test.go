@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
@@ -234,7 +235,7 @@ func TestLateProposerCatchesUp(t *testing.T) {
 // complete the retry timer chain stops (needed for Prop. A.9).
 func TestQuiescentWhenIdle(t *testing.T) {
 	topo := types.NewTopology(1, 3)
-	col := &countingRecorder{}
+	col := &metrics.Collector{}
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond}, 1, col)
 	var cs []*Consensus
 	for i := 0; i < 3; i++ {
@@ -248,25 +249,16 @@ func TestQuiescentWhenIdle(t *testing.T) {
 	}
 	rt.Start()
 	rt.Run()
-	if col.sends != 0 {
-		t.Fatalf("idle consensus sent %d messages", col.sends)
+	if n := col.Snapshot().TotalMessages; n != 0 {
+		t.Fatalf("idle consensus sent %d messages", n)
 	}
 	cs[0].Propose(1, "x")
 	rt.Run() // must drain: decided, timers stopped
-	after := col.sends
+	after := col.Snapshot().TotalMessages
 	rt.RunUntil(rt.Now() + time.Second)
-	if col.sends != after {
-		t.Fatalf("consensus kept sending after deciding: %d -> %d", after, col.sends)
+	if now := col.Snapshot().TotalMessages; now != after {
+		t.Fatalf("consensus kept sending after deciding: %d -> %d", after, now)
 	}
-}
-
-type countingRecorder struct {
-	node.NopRecorder
-	sends int
-}
-
-func (c *countingRecorder) OnSend(string, types.ProcessID, types.ProcessID, bool, time.Duration) {
-	c.sends++
 }
 
 // TestDecidedAccessor exposes decisions for clients that poll.

@@ -40,9 +40,9 @@ type Detector interface {
 
 // Observer receives failure-detector lifecycle events for metrics: new
 // suspicions, trust restorations (a suspicion revoked), and leader
-// changes. metrics.Collector implements it; implementations must tolerate
-// being called from whatever goroutine drives the detector (the live
-// runtime's recorder lock covers this).
+// changes. *metrics.Collector is the one production implementation (it locks
+// itself, and a nil one discards); the interface stays so that the oracle's
+// tests can substitute a log.
 type Observer interface {
 	OnSuspect(g types.GroupID, p types.ProcessID)
 	OnTrustRestored(g types.GroupID, p types.ProcessID)

@@ -34,9 +34,9 @@ type Telemetry struct {
 	// /spans.
 	Spans func(w io.Writer) error
 	// Gauges returns extra point-in-time gauges (fsync totals, lane
-	// depths). Keys must be valid Prometheus metric names; they are
-	// emitted verbatim.
-	Gauges func() map[string]float64
+	// depths, wire totals read off st — the scrape's one Stats snapshot).
+	// Keys must be valid Prometheus metric names; they are emitted verbatim.
+	Gauges func(st metrics.Stats) map[string]float64
 	// Healthy reports process liveness for /healthz; nil means healthy.
 	Healthy func() error
 }
@@ -133,8 +133,8 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	emit("wanamcast_messages_intergroup_total", float64(st.InterGroupMessages))
 	emit("wanamcast_consensus_instances_total", float64(st.ConsensusInstances))
 	emit("wanamcast_consensus_learn_fetches_total", float64(st.LearnFetches))
-	emit("wanamcast_messages_cast_total", float64(st.MessagesCast))
-	emit("wanamcast_messages_delivered_total", float64(st.MessagesDelivered))
+	emit("wanamcast_messages_cast_total", float64(st.CastTotal))
+	emit("wanamcast_messages_delivered_total", float64(st.DeliveredTotal))
 	emit("wanamcast_ordered_per_second", st.ThroughputPerSec)
 	emit("wanamcast_batches_decided_total", float64(st.BatchesDecided))
 	emit("wanamcast_suspicions_total", float64(st.Suspicions))
@@ -198,7 +198,7 @@ func writeMetrics(w io.Writer, t Telemetry) {
 		}
 	}
 	if t.Gauges != nil {
-		gs := t.Gauges()
+		gs := t.Gauges(st)
 		names := make([]string, 0, len(gs))
 		for n := range gs {
 			names = append(names, n)

@@ -11,6 +11,13 @@
 // sends. The network layer maintains the clocks; protocols report cast and
 // deliver events here.
 //
+// There is one sink, *Collector, and no interface in front of it: the
+// simulated and the live runtime, the transport, the failure detectors and
+// the protocols call its methods directly. It is safe for concurrent use and
+// a nil *Collector discards. A new signal is five edits: the Collector field
+// and its On… method, the Stats field and its line in Snapshot, and the
+// /metrics line in internal/harness/telemetry.go.
+//
 // Service collects the client-facing counters of the replicated service
 // layer (internal/svc): requests, retries, suppressed duplicates, and
 // client-observed latency by shard fan-out.
@@ -18,6 +25,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,10 +34,16 @@ import (
 	"wanamcast/internal/types"
 )
 
-// Collector accumulates statistics for one run. The zero value is ready to
-// use. Collectors are not safe for concurrent use; in simulated runs all
-// events execute on the scheduler goroutine, and the live runtime wraps the
-// collector in its own lock.
+// Collector accumulates statistics for one run. It is the one measurement
+// sink of both runtimes, called concretely: the simulator, the live lane
+// loops, the transport's reader and writer goroutines, the failure detectors
+// and the protocols (through node.API.Metrics) all bump the same value.
+//
+// A Collector is safe for concurrent use — every method takes its one mutex,
+// Snapshot included, so a mid-run scrape is consistent — and every recording
+// method is a no-op on a nil *Collector: nil is how a runtime built without a
+// collector, or a process replaying its log, discards. The zero value is
+// ready to use; set the exported fields before the run.
 type Collector struct {
 	// LogSends, when set before the run, keeps a full per-send event log
 	// (used by genuineness and quiescence tests). Off by default: large
@@ -44,6 +58,8 @@ type Collector struct {
 	// long-lived service. Set before the run.
 	CastWindow int
 
+	mu sync.Mutex
+
 	totalMsgs      uint64
 	interGroupMsgs uint64
 	perProto       map[string]*ProtoCount
@@ -51,6 +67,8 @@ type Collector struct {
 
 	casts        map[types.MessageID]*castRecord
 	castOrder    []types.MessageID // cast arrival order, for CastWindow eviction
+	castTotal    uint64            // casts ever recorded; CastWindow never lowers it
+	delivTotal   uint64            // casts ever delivered at least once
 	lastSend     time.Duration
 	anySend      bool
 	consensusN   uint64
@@ -67,6 +85,16 @@ type Collector struct {
 	bundleRepeats uint64
 
 	wire WireTraffic
+}
+
+// lock takes the collector's mutex for one recording and reports whether
+// there is a collector at all: the caller records and unlocks only on true.
+func (c *Collector) lock() bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	return true
 }
 
 // RoundCount is one group's paced-round accounting (Algorithm A2 with
@@ -111,6 +139,20 @@ type castRecord struct {
 	deliveries []Delivery
 }
 
+// span returns the record's latency degree (max deliverer clock minus the
+// cast clock) and wall latency (cast to last delivery); ok is false until
+// the message was delivered at least once.
+func (rec *castRecord) span() (deg int64, wall time.Duration, ok bool) {
+	if rec == nil || len(rec.deliveries) == 0 {
+		return 0, 0, false
+	}
+	maxTS, last := rec.deliveries[0].TS, rec.deliveries[0].At
+	for _, d := range rec.deliveries[1:] {
+		maxTS, last = max(maxTS, d.TS), max(last, d.At)
+	}
+	return maxTS - rec.castTS, last - rec.castAt, true
+}
+
 // Delivery records one A-Deliver event.
 type Delivery struct {
 	Process types.ProcessID
@@ -122,6 +164,10 @@ type Delivery struct {
 // sender and receiver are in different groups; proto labels the protocol
 // layer that produced the message (e.g. "consensus", "a1").
 func (c *Collector) OnSend(proto string, from, to types.ProcessID, interGroup bool, at time.Duration) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	c.totalMsgs++
 	c.lastSend = at
 	c.anySend = true
@@ -145,11 +191,19 @@ func (c *Collector) OnSend(proto string, from, to types.ProcessID, interGroup bo
 
 // Sends returns the logged send events (empty unless LogSends was set).
 // Callers must not modify the returned slice.
-func (c *Collector) Sends() []SendEvent { return c.sends }
+func (c *Collector) Sends() []SendEvent {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sends
+}
 
 // OnCast records the A-XCast of message id with the caster's Lamport clock
 // value at the cast event.
 func (c *Collector) OnCast(id types.MessageID, lamportTS int64, at time.Duration) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	if c.casts == nil {
 		c.casts = make(map[types.MessageID]*castRecord)
 	}
@@ -157,6 +211,7 @@ func (c *Collector) OnCast(id types.MessageID, lamportTS int64, at time.Duration
 		return // duplicate cast report; keep the first
 	}
 	c.casts[id] = &castRecord{castTS: lamportTS, castAt: at}
+	c.castTotal++
 	if c.CastWindow > 0 {
 		// Amortised trim, same idiom as the live delivery log: grow to
 		// twice the window, then copy the newest half down.
@@ -174,22 +229,45 @@ func (c *Collector) OnCast(id types.MessageID, lamportTS int64, at time.Duration
 // value at the delivery event. Deliveries of unknown casts are dropped (the
 // checker package, not metrics, flags integrity violations).
 func (c *Collector) OnDeliver(id types.MessageID, p types.ProcessID, lamportTS int64, at time.Duration) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	rec, ok := c.casts[id]
 	if !ok {
 		return
+	}
+	if len(rec.deliveries) == 0 {
+		c.delivTotal++
 	}
 	rec.deliveries = append(rec.deliveries, Delivery{Process: p, TS: lamportTS, At: at})
 }
 
 // OnConsensusInstance records the completion of one intra-group consensus
 // instance (used by the ablation benchmarks on stage skipping).
-func (c *Collector) OnConsensusInstance() { c.consensusN++ }
+func (c *Collector) OnConsensusInstance() {
+	if c.lock() {
+		c.consensusN++
+		c.mu.Unlock()
+	}
+}
 
 // OnLearnFetch records one decision an acceptor had to fetch by LearnMsg.
-func (c *Collector) OnLearnFetch() { c.learnFetches++ }
+func (c *Collector) OnLearnFetch() {
+	if c.lock() {
+		c.learnFetches++
+		c.mu.Unlock()
+	}
+}
 
-// OnRoundOpened records a paced A2 round first opening at a member of g.
+// OnRoundOpened records a paced A2 round first opening at a member of g: on
+// its pace slot, or late — after the slot had passed with the Barrier still
+// holding the round shut.
 func (c *Collector) OnRoundOpened(g types.GroupID, late bool) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	if c.rounds == nil {
 		c.rounds = make(map[types.GroupID]*RoundCount)
 	}
@@ -206,35 +284,50 @@ func (c *Collector) OnRoundOpened(g types.GroupID, late bool) {
 }
 
 // OnBundleCopies records A2 bundle copies sent, and copies dropped on
-// receipt as repeats.
+// receipt as repeats of a bundle the receiver already had.
 func (c *Collector) OnBundleCopies(sent, dropped int) {
-	c.bundlesSent += uint64(sent)
-	c.bundleRepeats += uint64(dropped)
+	if c.lock() {
+		c.bundlesSent += uint64(sent)
+		c.bundleRepeats += uint64(dropped)
+		c.mu.Unlock()
+	}
 }
 
 // OnBatchDecided records the size of one decided ordering batch (how many
 // messages a consensus instance ordered at one process).
 func (c *Collector) OnBatchDecided(size int) {
-	c.batchesN++
-	c.batchedMsgs += uint64(size)
-	if size > c.maxBatch {
-		c.maxBatch = size
+	if c.lock() {
+		c.batchesN++
+		c.batchedMsgs += uint64(size)
+		c.maxBatch = max(c.maxBatch, size)
+		c.mu.Unlock()
 	}
 }
 
 // OnSuspect, OnTrustRestored, and OnLeaderChange implement fd.Observer:
 // the failure detectors report suspicions, trust restorations, and leader
 // changes here, counted per group.
-func (c *Collector) OnSuspect(g types.GroupID, p types.ProcessID) { c.fd(g).Suspicions++ }
+func (c *Collector) OnSuspect(g types.GroupID, p types.ProcessID) {
+	if c.lock() {
+		c.fd(g).Suspicions++
+		c.mu.Unlock()
+	}
+}
 
 // OnTrustRestored implements fd.Observer.
 func (c *Collector) OnTrustRestored(g types.GroupID, p types.ProcessID) {
-	c.fd(g).TrustRestorations++
+	if c.lock() {
+		c.fd(g).TrustRestorations++
+		c.mu.Unlock()
+	}
 }
 
 // OnLeaderChange implements fd.Observer.
 func (c *Collector) OnLeaderChange(g types.GroupID, leader types.ProcessID) {
-	c.fd(g).LeaderChanges++
+	if c.lock() {
+		c.fd(g).LeaderChanges++
+		c.mu.Unlock()
+	}
 }
 
 func (c *Collector) fd(g types.GroupID) *FDCount {
@@ -253,38 +346,26 @@ func (c *Collector) fd(g types.GroupID) *FDCount {
 // caster's clock at cast time, and whether id was cast and delivered at
 // least once.
 func (c *Collector) LatencyDegree(id types.MessageID) (int64, bool) {
-	rec, ok := c.casts[id]
-	if !ok || len(rec.deliveries) == 0 {
-		return 0, false
-	}
-	var maxTS int64
-	for i, d := range rec.deliveries {
-		if i == 0 || d.TS > maxTS {
-			maxTS = d.TS
-		}
-	}
-	return maxTS - rec.castTS, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	deg, _, ok := c.casts[id].span()
+	return deg, ok
 }
 
 // WallLatency returns the virtual-time span between the cast of id and its
 // last recorded delivery.
 func (c *Collector) WallLatency(id types.MessageID) (time.Duration, bool) {
-	rec, ok := c.casts[id]
-	if !ok || len(rec.deliveries) == 0 {
-		return 0, false
-	}
-	var last time.Duration
-	for _, d := range rec.deliveries {
-		if d.At > last {
-			last = d.At
-		}
-	}
-	return last - rec.castAt, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, wall, ok := c.casts[id].span()
+	return wall, ok
 }
 
 // Deliveries returns the recorded deliveries of id. Callers must not modify
 // the returned slice.
 func (c *Collector) Deliveries(id types.MessageID) []Delivery {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	rec, ok := c.casts[id]
 	if !ok {
 		return nil
@@ -295,7 +376,11 @@ func (c *Collector) Deliveries(id types.MessageID) []Delivery {
 // LastSend returns the virtual time of the most recent send and whether any
 // send happened at all. Quiescence experiments assert that LastSend stops
 // advancing once casts cease.
-func (c *Collector) LastSend() (time.Duration, bool) { return c.lastSend, c.anySend }
+func (c *Collector) LastSend() (time.Duration, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastSend, c.anySend
+}
 
 // Stats is an immutable snapshot of a run's aggregate statistics.
 type Stats struct {
@@ -312,9 +397,13 @@ type Stats struct {
 	PerProtocol               map[string]ProtoCount
 
 	// Cast/delivery aggregates over all messages that were both cast and
-	// delivered at least once.
+	// delivered at least once. With CastWindow set they cover the window
+	// only, and fall at each trim; CastTotal and DeliveredTotal count the
+	// same two things over the whole run and never decrease.
 	MessagesCast      int
 	MessagesDelivered int
+	CastTotal         uint64
+	DeliveredTotal    uint64
 	// Latency degree distribution.
 	MinDegree, MaxDegree int64
 	MeanDegree           float64
@@ -372,198 +461,108 @@ type Stats struct {
 }
 
 // Snapshot computes aggregate statistics over everything recorded so far.
+// It holds the lock only to copy the counters and reduce each delivered cast
+// to its (degree, wall latency, cast instant); the histogram, the sort and
+// the percentiles run after the lock is released, so a scrape of a full
+// CastWindow does not stall the lanes recording through the same mutex.
 func (c *Collector) Snapshot() Stats {
+	type sample struct {
+		deg          int64
+		wall, castAt time.Duration
+	}
+	c.mu.Lock()
 	st := Stats{
-		TotalMessages:      c.totalMsgs,
-		InterGroupMessages: c.interGroupMsgs,
-		ConsensusInstances: c.consensusN,
-		LearnFetches:       c.learnFetches,
-		PerProtocol:        make(map[string]ProtoCount, len(c.perProto)),
-		MessagesCast:       len(c.casts),
+		TotalMessages:        c.totalMsgs,
+		InterGroupMessages:   c.interGroupMsgs,
+		ConsensusInstances:   c.consensusN,
+		LearnFetches:         c.learnFetches,
+		PerProtocol:          make(map[string]ProtoCount, len(c.perProto)),
+		MessagesCast:         len(c.casts),
+		CastTotal:            c.castTotal,
+		DeliveredTotal:       c.delivTotal,
+		BatchesDecided:       c.batchesN,
+		BatchedMessages:      c.batchedMsgs,
+		MaxBatchSize:         c.maxBatch,
+		BundleCopiesSent:     c.bundlesSent,
+		BundleRepeatsDropped: c.bundleRepeats,
+		Wire:                 c.wire.snapshot(),
 	}
 	for name, pc := range c.perProto {
 		st.PerProtocol[name] = *pc
 	}
-	st.BatchesDecided = c.batchesN
-	st.BatchedMessages = c.batchedMsgs
-	st.MaxBatchSize = c.maxBatch
-	st.Wire = c.wire.snapshot()
 	if len(c.fdPerGroup) > 0 {
 		st.PerGroupFD = make(map[types.GroupID]FDCount, len(c.fdPerGroup))
 		for g, fc := range c.fdPerGroup {
 			st.PerGroupFD[g] = *fc
-			st.Suspicions += fc.Suspicions
-			st.TrustRestorations += fc.TrustRestorations
-			st.LeaderChanges += fc.LeaderChanges
 		}
 	}
-	st.BundleCopiesSent, st.BundleRepeatsDropped = c.bundlesSent, c.bundleRepeats
 	if len(c.rounds) > 0 {
 		st.PerGroupRounds = make(map[types.GroupID]RoundCount, len(c.rounds))
 		for g, rc := range c.rounds {
 			st.PerGroupRounds[g] = *rc
-			st.RoundsOnPace += rc.OnPace
-			st.RoundsLate += rc.Late
 		}
 	}
-	if c.batchesN > 0 {
-		st.MeanBatchSize = float64(c.batchedMsgs) / float64(c.batchesN)
+	samples := make([]sample, 0, len(c.casts))
+	for _, rec := range c.casts {
+		if deg, wall, ok := rec.span(); ok {
+			samples = append(samples, sample{deg, wall, rec.castAt})
+		}
+	}
+	c.mu.Unlock()
+
+	for _, fc := range st.PerGroupFD {
+		st.Suspicions += fc.Suspicions
+		st.TrustRestorations += fc.TrustRestorations
+		st.LeaderChanges += fc.LeaderChanges
+	}
+	for _, rc := range st.PerGroupRounds {
+		st.RoundsOnPace += rc.OnPace
+		st.RoundsLate += rc.Late
+	}
+	if st.BatchesDecided > 0 {
+		st.MeanBatchSize = float64(st.BatchedMessages) / float64(st.BatchesDecided)
+	}
+	st.MessagesDelivered = len(samples)
+	if len(samples) == 0 {
+		return st
 	}
 	var (
 		sumDeg    int64
 		sumWall   time.Duration
-		walls     []time.Duration
-		first     = true
-		firstCast time.Duration
+		firstCast = samples[0].castAt
 		lastDel   time.Duration
 	)
-	for id := range c.casts {
-		deg, ok := c.LatencyDegree(id)
-		if !ok {
-			continue
-		}
-		wall, _ := c.WallLatency(id)
-		rec := c.casts[id]
-		if first || rec.castAt < firstCast {
-			firstCast = rec.castAt
-		}
-		if end := rec.castAt + wall; end > lastDel {
-			lastDel = end
-		}
-		walls = append(walls, wall)
-		if st.DegreeHist == nil {
-			st.DegreeHist = make(map[int64]int)
-		}
-		st.DegreeHist[deg]++
-		sumDeg += deg
-		sumWall += wall
-		if first {
-			st.MinDegree, st.MaxDegree = deg, deg
-			first = false
-		} else {
-			if deg < st.MinDegree {
-				st.MinDegree = deg
-			}
-			if deg > st.MaxDegree {
-				st.MaxDegree = deg
-			}
-		}
-		if wall > st.MaxWallLatency {
-			st.MaxWallLatency = wall
-		}
+	st.MinDegree, st.MaxDegree = samples[0].deg, samples[0].deg
+	st.DegreeHist = make(map[int64]int)
+	walls := make([]time.Duration, len(samples))
+	for i, s := range samples {
+		walls[i] = s.wall
+		firstCast, lastDel = min(firstCast, s.castAt), max(lastDel, s.castAt+s.wall)
+		st.DegreeHist[s.deg]++
+		sumDeg += s.deg
+		sumWall += s.wall
+		st.MinDegree, st.MaxDegree = min(st.MinDegree, s.deg), max(st.MaxDegree, s.deg)
 	}
-	st.MessagesDelivered = len(walls)
-	if len(walls) > 0 {
-		st.MeanDegree = float64(sumDeg) / float64(len(walls))
-		st.MeanWallLatency = sumWall / time.Duration(len(walls))
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		st.P50Wall = percentile(walls, 50)
-		st.P95Wall = percentile(walls, 95)
-		st.P99Wall = percentile(walls, 99)
-		if span := lastDel - firstCast; span > 0 {
-			st.ThroughputPerSec = float64(len(walls)) / span.Seconds()
-		}
-		if st.ConsensusInstances > 0 {
-			st.OrderedPerLearn = float64(len(walls)) / float64(st.ConsensusInstances)
-		}
+	slices.Sort(walls)
+	st.MaxWallLatency = walls[len(walls)-1]
+	st.MeanDegree = float64(sumDeg) / float64(len(walls))
+	st.MeanWallLatency = sumWall / time.Duration(len(walls))
+	st.P50Wall = percentile(walls, 50)
+	st.P95Wall = percentile(walls, 95)
+	st.P99Wall = percentile(walls, 99)
+	if span := lastDel - firstCast; span > 0 {
+		st.ThroughputPerSec = float64(len(walls)) / span.Seconds()
+	}
+	if st.ConsensusInstances > 0 {
+		st.OrderedPerLearn = float64(len(walls)) / float64(st.ConsensusInstances)
 	}
 	return st
 }
 
-// LockedCollector wraps a Collector behind a mutex so concurrent runtimes
-// (the live cluster's process loops, its failure detectors, and whoever
-// snapshots mid-run) can share one. It satisfies the same structural
-// interfaces as Collector (node.Recorder and fd.Observer).
-type LockedCollector struct {
-	mu sync.Mutex
-	c  Collector
-}
-
-func (l *LockedCollector) OnSend(proto string, from, to types.ProcessID, interGroup bool, at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnSend(proto, from, to, interGroup, at)
-}
-
-func (l *LockedCollector) OnCast(id types.MessageID, lamportTS int64, at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnCast(id, lamportTS, at)
-}
-
-func (l *LockedCollector) OnDeliver(id types.MessageID, p types.ProcessID, lamportTS int64, at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnDeliver(id, p, lamportTS, at)
-}
-
-func (l *LockedCollector) OnConsensusInstance() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnConsensusInstance()
-}
-
-func (l *LockedCollector) OnLearnFetch() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnLearnFetch()
-}
-
-func (l *LockedCollector) OnBatchDecided(size int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnBatchDecided(size)
-}
-
-func (l *LockedCollector) OnRoundOpened(g types.GroupID, late bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnRoundOpened(g, late)
-}
-
-func (l *LockedCollector) OnBundleCopies(sent, dropped int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnBundleCopies(sent, dropped)
-}
-
-func (l *LockedCollector) OnSuspect(g types.GroupID, p types.ProcessID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnSuspect(g, p)
-}
-
-func (l *LockedCollector) OnTrustRestored(g types.GroupID, p types.ProcessID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnTrustRestored(g, p)
-}
-
-func (l *LockedCollector) OnLeaderChange(g types.GroupID, leader types.ProcessID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnLeaderChange(g, leader)
-}
-
-// SetCastWindow bounds the wrapped collector's per-cast records (see
-// Collector.CastWindow). Call before the run starts.
-func (l *LockedCollector) SetCastWindow(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.CastWindow = n
-}
-
-// Snapshot computes the aggregate statistics under the lock.
-func (l *LockedCollector) Snapshot() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c.Snapshot()
-}
-
 // Service collects service-level (client-facing) counters and
 // client-observed latencies, bucketed by shard fan-out (how many groups a
-// command touched). Unlike Collector it is safe for concurrent use: load
-// generators and servers record from many goroutines. The zero value is
+// command touched). It is safe for concurrent use: load generators and
+// servers record from many goroutines. The zero value is
 // ready to use; share one instance between the servers and the clients of
 // a run to see both sides in a single snapshot.
 type Service struct {

@@ -289,28 +289,103 @@ func TestFDCountersAbsentWhenQuiet(t *testing.T) {
 	}
 }
 
-// TestLockedCollectorConcurrent: the locked wrapper serialises recorders
-// from many goroutines and snapshots consistently.
-func TestLockedCollectorConcurrent(t *testing.T) {
-	var lc LockedCollector
+// TestCollectorConcurrent: one Collector takes every kind of event from many
+// goroutines while another snapshots it, and loses none (run with -race).
+func TestCollectorConcurrent(t *testing.T) {
+	const workers, rounds = 8, 200
+	c := &Collector{LogSends: true}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		var last Stats
+		for {
+			st := c.Snapshot()
+			if st.TotalMessages < last.TotalMessages || st.CastTotal < last.CastTotal || st.DeliveredTotal < last.DeliveredTotal {
+				t.Errorf("a counter went down between snapshots: %+v then %+v", last, st)
+			}
+			last = st
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				lc.OnSend("x", 0, 1, true, 0)
-				lc.OnSuspect(0, 1)
-				lc.OnTrustRestored(0, 1)
-				lc.OnLeaderChange(0, 1)
+			g, p := types.GroupID(w%2), types.ProcessID(w)
+			for j := 0; j < rounds; j++ {
+				m := id(w, j)
+				c.OnSend("x", p, p+1, j%2 == 0, time.Duration(j))
+				c.OnCast(m, int64(j), time.Duration(j))
+				c.OnDeliver(m, p, int64(j+2), time.Duration(j+5))
+				c.OnDeliver(m, p+1, int64(j+1), time.Duration(j+3))
+				c.OnConsensusInstance()
+				c.OnLearnFetch()
+				c.OnBatchDecided(j % 4)
+				c.OnRoundOpened(g, j%4 == 0)
+				c.OnBundleCopies(2, 1)
+				c.OnWireSend(byte(w), 10)
+				c.OnWireRecv(byte(w), 10)
+				c.OnWireFlush(14, 0, 0)
+				c.OnWireEnvelopeIn(14)
+				c.OnSuspect(g, p)
+				c.OnTrustRestored(g, p)
+				c.OnLeaderChange(g, p)
+				c.LatencyDegree(m)
+				c.LastSend()
 			}
 		}()
 	}
 	wg.Wait()
-	st := lc.Snapshot()
-	if st.TotalMessages != 800 || st.Suspicions != 800 || st.TrustRestorations != 800 || st.LeaderChanges != 800 {
-		t.Fatalf("locked collector lost events: %+v", st)
+	close(stop)
+	<-scraped
+	const n = workers * rounds
+	st := c.Snapshot()
+	if st.TotalMessages != n || st.InterGroupMessages != n/2 || st.PerProtocol["x"].Total != n || len(c.Sends()) != n {
+		t.Errorf("sends lost: %+v", st)
 	}
+	if st.MessagesCast != n || st.CastTotal != n || st.MessagesDelivered != n || st.DeliveredTotal != n ||
+		st.MinDegree != 2 || st.MaxDegree != 2 || st.DegreeHist[2] != n || st.MaxWallLatency != 5 {
+		t.Errorf("casts or deliveries lost: %+v", st)
+	}
+	if st.ConsensusInstances != n || st.LearnFetches != n || st.BatchesDecided != n || st.BatchedMessages != n/4*6 ||
+		st.RoundsOnPace != n/4*3 || st.RoundsLate != n/4 || st.BundleCopiesSent != 2*n || st.BundleRepeatsDropped != n {
+		t.Errorf("protocol counters lost: %+v", st)
+	}
+	if w := st.Wire; w.FramesOut != n || w.FramesIn != n || w.EnvelopesOut != n || w.EnvelopesIn != n ||
+		w.BytesOut != 14*n || w.BytesIn != 14*n || w.ByKindOut[3] != 10*rounds || w.ByKindIn[3] != 10*rounds {
+		t.Errorf("wire events lost: %+v", w)
+	}
+	if st.Suspicions != n || st.TrustRestorations != n || st.LeaderChanges != n || st.PerGroupFD[1].Suspicions != n/2 {
+		t.Errorf("fd events lost: %+v", st)
+	}
+}
+
+// TestNilCollectorDiscards: every recording method is a no-op on a nil
+// *Collector — how a runtime without a collector, and a process replaying
+// its log, record nothing.
+func TestNilCollectorDiscards(t *testing.T) {
+	var c *Collector
+	c.OnSend("x", 0, 1, true, 0)
+	c.OnCast(id(0, 1), 0, 0)
+	c.OnDeliver(id(0, 1), 1, 1, 0)
+	c.OnConsensusInstance()
+	c.OnLearnFetch()
+	c.OnBatchDecided(3)
+	c.OnRoundOpened(0, true)
+	c.OnBundleCopies(1, 1)
+	c.OnWireSend(1, 10)
+	c.OnWireRecv(1, 10)
+	c.OnWireFlush(14, 0, 0)
+	c.OnWireEnvelopeIn(14)
+	c.OnSuspect(0, 1)
+	c.OnTrustRestored(0, 1)
+	c.OnLeaderChange(0, 1)
 }
 
 // TestLatenessHist: samples land in the bucket whose bound they do not

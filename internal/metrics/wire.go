@@ -7,8 +7,8 @@ package metrics
 // counters, and the two are cross-checked by tests.
 
 // WireTraffic accumulates wire-level byte and frame counts. It lives inside
-// Collector and shares its concurrency contract (single goroutine in sim
-// runs, LockedCollector in live runs).
+// Collector, under the collector's mutex: the live transport's writer and
+// reader goroutines report here concurrently.
 type WireTraffic struct {
 	bytesOut, bytesIn         uint64
 	framesOut, framesIn       uint64
@@ -23,6 +23,10 @@ type WireTraffic struct {
 // the authoritative byte total comes from OnWireFlush, so per-kind sums and
 // BytesOut differ by exactly the envelope overhead and compression delta.
 func (c *Collector) OnWireSend(kind byte, n int) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	w := &c.wire
 	w.framesOut++
 	if w.byKindOut == nil {
@@ -34,6 +38,10 @@ func (c *Collector) OnWireSend(kind byte, n int) {
 // OnWireRecv attributes one decoded protocol message of n body bytes to its
 // value kind (the receive-side mirror of OnWireSend).
 func (c *Collector) OnWireRecv(kind byte, n int) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	w := &c.wire
 	w.framesIn++
 	if w.byKindIn == nil {
@@ -46,6 +54,10 @@ func (c *Collector) OnWireRecv(kind byte, n int) {
 // total wire size (length prefix included — the ground-truth byte count),
 // and, when it was compressed, the raw vs compressed payload sizes.
 func (c *Collector) OnWireFlush(wireBytes, rawLen, compLen int) {
+	if !c.lock() {
+		return
+	}
+	defer c.mu.Unlock()
 	w := &c.wire
 	w.envelopesOut++
 	w.bytesOut += uint64(wireBytes)
@@ -58,8 +70,11 @@ func (c *Collector) OnWireFlush(wireBytes, rawLen, compLen int) {
 // OnWireEnvelopeIn records one envelope of n wire bytes read off a
 // connection (length prefix included).
 func (c *Collector) OnWireEnvelopeIn(n int) {
-	c.wire.envelopesIn++
-	c.wire.bytesIn += uint64(n)
+	if c.lock() {
+		c.wire.envelopesIn++
+		c.wire.bytesIn += uint64(n)
+		c.mu.Unlock()
+	}
 }
 
 // WireStats is the immutable snapshot of a run's wire traffic.
@@ -123,30 +138,4 @@ func (w *WireTraffic) snapshot() WireStats {
 		}
 	}
 	return st
-}
-
-// Locked forwarding for the wire-traffic methods.
-
-func (l *LockedCollector) OnWireSend(kind byte, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnWireSend(kind, n)
-}
-
-func (l *LockedCollector) OnWireRecv(kind byte, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnWireRecv(kind, n)
-}
-
-func (l *LockedCollector) OnWireFlush(wireBytes, rawLen, compLen int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnWireFlush(wireBytes, rawLen, compLen)
-}
-
-func (l *LockedCollector) OnWireEnvelopeIn(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnWireEnvelopeIn(n)
 }

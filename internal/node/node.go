@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
 )
@@ -65,20 +66,11 @@ type API interface {
 	RecordCast(id types.MessageID)
 	// RecordDeliver reports an A-Deliver event for metrics.
 	RecordDeliver(id types.MessageID)
-	// RecordConsensus reports completion of a consensus instance.
-	RecordConsensus()
-	// RecordBatch reports the size of a decided ordering batch (the number
-	// of messages one consensus instance ordered).
-	RecordBatch(size int)
-	// RecordLearnFetch reports a decision an acceptor fetched by LearnMsg.
-	RecordLearnFetch()
-	// RecordRound reports that a paced A2 round first opened at this
-	// process: on its pace slot, or late — after the slot had passed with
-	// the Barrier still holding the round shut.
-	RecordRound(late bool)
-	// RecordBundles reports A2 bundle copies this process sent, and copies
-	// it dropped on receipt as repeats of a bundle it already had.
-	RecordBundles(sent, dropped int)
+	// Metrics returns the run's collector, for the protocols' own counters
+	// (consensus instances, batch sizes, A2 rounds and bundles). It is nil
+	// while the process replays its log — every recording method of a nil
+	// collector discards — so callers bump it without a check.
+	Metrics() *metrics.Collector
 	// Tracef emits a debug trace line when tracing is enabled.
 	Tracef(format string, args ...any)
 	// TraceOn reports whether Tracef lines go anywhere. Call sites that run
@@ -103,33 +95,6 @@ type Registrar interface {
 	Register(proto Protocol)
 }
 
-// Recorder receives measurement events. *metrics.Collector implements it;
-// the live runtime wraps it with a lock.
-type Recorder interface {
-	OnSend(proto string, from, to types.ProcessID, interGroup bool, at time.Duration)
-	OnCast(id types.MessageID, lamportTS int64, at time.Duration)
-	OnDeliver(id types.MessageID, p types.ProcessID, lamportTS int64, at time.Duration)
-	OnConsensusInstance()
-	OnBatchDecided(size int)
-	OnLearnFetch()
-	OnRoundOpened(g types.GroupID, late bool)
-	OnBundleCopies(sent, dropped int)
-}
-
-// NopRecorder is a Recorder that discards everything.
-type NopRecorder struct{}
-
-func (NopRecorder) OnSend(string, types.ProcessID, types.ProcessID, bool, time.Duration) {}
-func (NopRecorder) OnCast(types.MessageID, int64, time.Duration)                         {}
-func (NopRecorder) OnDeliver(types.MessageID, types.ProcessID, int64, time.Duration)     {}
-func (NopRecorder) OnConsensusInstance()                                                 {}
-func (NopRecorder) OnBatchDecided(int)                                                   {}
-func (NopRecorder) OnLearnFetch()                                                        {}
-func (NopRecorder) OnRoundOpened(types.GroupID, bool)                                    {}
-func (NopRecorder) OnBundleCopies(int, int)                                              {}
-
-var _ Recorder = NopRecorder{}
-
 // Env is the transport/scheduling backend a Proc runs on. The simulated
 // runtime (this package) and the live TCP runtime implement it.
 type Env interface {
@@ -142,7 +107,8 @@ type Env interface {
 	// callback if the owner crashed by fire time — Proc.After relies on
 	// it (it no longer wraps fn in a re-checking closure).
 	Later(owner *Proc, d time.Duration, fn func())
-	Recorder() Recorder
+	// Recorder returns the run's measurement sink; nil discards.
+	Recorder() *metrics.Collector
 	Tracef(format string, args ...any)
 	// TraceOn reports whether a Tracef sink is attached.
 	TraceOn() bool
@@ -292,39 +258,12 @@ func (p *Proc) RecordDeliver(id types.MessageID) {
 	}
 }
 
-// RecordConsensus implements API.
-func (p *Proc) RecordConsensus() {
+// Metrics implements API.
+func (p *Proc) Metrics() *metrics.Collector {
 	if p.recovering {
-		return
+		return nil
 	}
-	p.env.Recorder().OnConsensusInstance()
-}
-
-// RecordBatch implements API.
-func (p *Proc) RecordBatch(size int) {
-	if p.recovering {
-		return
-	}
-	p.env.Recorder().OnBatchDecided(size)
-}
-
-// RecordLearnFetch implements API.
-func (p *Proc) RecordLearnFetch() { p.env.Recorder().OnLearnFetch() }
-
-// RecordRound implements API.
-func (p *Proc) RecordRound(late bool) {
-	if p.recovering {
-		return
-	}
-	p.env.Recorder().OnRoundOpened(p.group, late)
-}
-
-// RecordBundles implements API.
-func (p *Proc) RecordBundles(sent, dropped int) {
-	if p.recovering {
-		return
-	}
-	p.env.Recorder().OnBundleCopies(sent, dropped)
+	return p.env.Recorder()
 }
 
 // SetTracer attaches the lifecycle tracer; lane selects the per-lane

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -321,5 +322,39 @@ func TestEmptyMulticastIsNoop(t *testing.T) {
 	}
 	if st := col.Snapshot(); st.TotalMessages != 0 {
 		t.Error("empty multicast sent messages")
+	}
+}
+
+// TestRecoveringProcessRecordsNothing: while a process replays its log it
+// reports no cast, no delivery and — because Metrics() is nil — no counter;
+// all of them record again once recovery ends.
+func TestRecoveringProcessRecordsNothing(t *testing.T) {
+	rt, col := newTestRT(1, 2)
+	register(rt)
+	p := rt.Proc(0)
+	record := func(seq uint64) {
+		id := types.MessageID{Origin: 0, Seq: seq}
+		p.RecordCast(id)
+		p.RecordDeliver(id)
+		p.Metrics().OnConsensusInstance()
+		p.Metrics().OnBatchDecided(2)
+		p.Metrics().OnLearnFetch()
+		p.Metrics().OnRoundOpened(p.Group(), false)
+		p.Metrics().OnBundleCopies(1, 1)
+	}
+	p.SetRecovering(true)
+	if p.Metrics() != nil {
+		t.Fatal("Metrics() must be nil while recovering")
+	}
+	record(1)
+	if got := col.Snapshot(); !reflect.DeepEqual(got, new(metrics.Collector).Snapshot()) {
+		t.Fatalf("a recovering process recorded: %v", got)
+	}
+	p.SetRecovering(false)
+	record(2)
+	st := col.Snapshot()
+	if st.CastTotal != 1 || st.DeliveredTotal != 1 || st.ConsensusInstances != 1 || st.BatchedMessages != 2 ||
+		st.LearnFetches != 1 || st.RoundsOnPace != 1 || st.BundleCopiesSent != 1 || st.BundleRepeatsDropped != 1 {
+		t.Fatalf("after recovery the process recorded %v, want one of each", st)
 	}
 }

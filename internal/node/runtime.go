@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wanamcast/internal/fd"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/sim"
 	"wanamcast/internal/types"
@@ -13,7 +14,7 @@ import (
 
 // Runtime is the simulated whole-system runtime: it owns the scheduler, the
 // network fabric, one Proc per process, the failure-detector oracle, and the
-// metrics recorder. It implements Env.
+// run's metrics collector. It implements Env.
 //
 // The fabric makes the simulated network partitionable at runtime: a
 // message sent over a severed link is withheld (parked in the runtime, not
@@ -28,7 +29,7 @@ type Runtime struct {
 	sched  *sim.Scheduler
 	topo   *types.Topology
 	fabric *network.Fabric
-	rec    Recorder
+	rec    *metrics.Collector // nil discards
 	oracle *fd.Oracle
 	procs  []*Proc
 
@@ -47,7 +48,6 @@ type Runtime struct {
 	bwNextFree map[network.Link]time.Duration
 	bwCounters map[network.Link]*network.LinkCounter
 	bwScratch  []byte
-	wireRec    wireRecorder // rt.rec, if it also records wire traffic
 
 	// suspectFn is the crash-suspicion notifier, built once so every
 	// Crash schedules a typed evCall event instead of a fresh closure.
@@ -86,13 +86,9 @@ type heldMsg struct {
 var _ Env = (*Runtime)(nil)
 
 // NewRuntime builds a simulated system over topo with the given network
-// model and RNG seed. rec may be nil to discard metrics; a recorder that
-// also implements fd.Observer receives the oracle's suspicion, trust, and
-// leader-change events.
-func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec Recorder) *Runtime {
-	if rec == nil {
-		rec = NopRecorder{}
-	}
+// model and RNG seed. rec may be nil to discard metrics; it also receives
+// the oracle's suspicion, trust, and leader-change events.
+func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec *metrics.Collector) *Runtime {
 	rt := &Runtime{
 		sched:          sim.New(seed),
 		topo:           topo,
@@ -103,12 +99,7 @@ func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec Recor
 		isoSuspected:   make(map[types.ProcessID]bool),
 		SuspicionDelay: 20 * time.Millisecond,
 	}
-	if obs, ok := rec.(fd.Observer); ok {
-		rt.oracle.Observer = obs
-	}
-	if wr, ok := rec.(wireRecorder); ok {
-		rt.wireRec = wr
-	}
+	rt.oracle.Observer = rec
 	rt.procs = make([]*Proc, topo.N())
 	for _, id := range topo.AllProcesses() {
 		rt.procs[id] = NewProc(id, topo, rt)
@@ -196,7 +187,7 @@ func (rt *Runtime) RunUntil(deadline time.Duration) uint64 { return rt.sched.Run
 func (rt *Runtime) Now() time.Duration { return rt.sched.Now() }
 
 // Recorder implements Env.
-func (rt *Runtime) Recorder() Recorder { return rt.rec }
+func (rt *Runtime) Recorder() *metrics.Collector { return rt.rec }
 
 // TraceOn implements Env.
 func (rt *Runtime) TraceOn() bool { return rt.Trace != nil }
@@ -246,13 +237,6 @@ func (rt *Runtime) Transmit(from, to types.ProcessID, proto string, body any, se
 	rt.sched.DeliverAfter(delay, prio, int32(from), int32(to), proto, body, sendTS)
 }
 
-// wireRecorder is the optional recorder extension for wire-byte accounting
-// (metrics.Collector implements it).
-type wireRecorder interface {
-	OnWireSend(kind byte, n int)
-	OnWireFlush(wireBytes, rawLen, compLen int)
-}
-
 // bwDelay sizes one message the way the live wire codec would and returns
 // its transmission + queueing delay on the (possibly capped) link, counting
 // the bytes against the fabric's per-link counter and the wire metrics.
@@ -275,10 +259,8 @@ func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sen
 		rt.bwCounters[l] = c
 	}
 	c.Count(n)
-	if rt.wireRec != nil {
-		rt.wireRec.OnWireSend(byte(wire.KindOf(body)), n)
-		rt.wireRec.OnWireFlush(n, 0, 0)
-	}
+	rt.rec.OnWireSend(byte(wire.KindOf(body)), n)
+	rt.rec.OnWireFlush(n, 0, 0)
 	rate := rt.fabric.Bandwidth(from, to)
 	if rate <= 0 {
 		return 0

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wanamcast/internal/fd"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
 )
@@ -49,7 +50,7 @@ type leaseGrantMsg struct {
 // transient outage demotes a leader only until its heartbeats resume.
 type heartbeatFD struct {
 	api          node.API
-	obs          fd.Observer // may be nil
+	obs          *metrics.Collector // nil discards
 	every        time.Duration
 	suspectAfter time.Duration
 
@@ -75,7 +76,7 @@ type heartbeatFD struct {
 var _ fd.Detector = (*heartbeatFD)(nil)
 var _ node.Protocol = (*heartbeatFD)(nil)
 
-func newHeartbeatFD(api node.API, every, suspectAfter time.Duration, obs fd.Observer, lease *fd.Lease, leaseDur, skew time.Duration) *heartbeatFD {
+func newHeartbeatFD(api node.API, every, suspectAfter time.Duration, obs *metrics.Collector, lease *fd.Lease, leaseDur, skew time.Duration) *heartbeatFD {
 	h := &heartbeatFD{
 		api:          api,
 		obs:          obs,
@@ -247,9 +248,7 @@ func (h *heartbeatFD) Suspect(q types.ProcessID) {
 		return
 	}
 	h.suspected[q] = true
-	if h.obs != nil {
-		h.obs.OnSuspect(h.api.Group(), q)
-	}
+	h.obs.OnSuspect(h.api.Group(), q)
 	h.recomputeLeader()
 }
 
@@ -267,9 +266,7 @@ func (h *heartbeatFD) Unsuspect(q types.ProcessID) {
 // restore revokes q's suspicion and recomputes the leadership.
 func (h *heartbeatFD) restore(q types.ProcessID) {
 	delete(h.suspected, q)
-	if h.obs != nil {
-		h.obs.OnTrustRestored(h.api.Group(), q)
-	}
+	h.obs.OnTrustRestored(h.api.Group(), q)
 	h.recomputeLeader()
 }
 
@@ -282,9 +279,7 @@ func (h *heartbeatFD) checkSuspicions() {
 		}
 		if now-h.lastSeen[q] >= h.suspectAfter {
 			h.suspected[q] = true
-			if h.obs != nil {
-				h.obs.OnSuspect(h.api.Group(), q)
-			}
+			h.obs.OnSuspect(h.api.Group(), q)
 			changed = true
 		}
 	}
@@ -314,9 +309,7 @@ func (h *heartbeatFD) recomputeLeader() {
 		h.lease.Revoke()
 		clear(h.grants)
 	}
-	if h.obs != nil {
-		h.obs.OnLeaderChange(h.api.Group(), leader)
-	}
+	h.obs.OnLeaderChange(h.api.Group(), leader)
 	for _, fn := range h.subs {
 		fn(h.api.Group(), leader)
 	}

@@ -128,9 +128,9 @@ type Config struct {
 	// (per-link jitter overrides are fine): base jitter would need the
 	// shared rng on the lock-free receive fast path.
 	Fabric *network.Fabric
-	// Recorder receives measurement events; it is locked internally.
-	// Nil discards.
-	Recorder node.Recorder
+	// Recorder receives measurement events from every runtime goroutine
+	// (it locks itself). Nil discards.
+	Recorder *metrics.Collector
 	// Trace, when non-nil, receives debug trace lines (Tracef). It may be
 	// called from any runtime goroutine; the runtime serialises calls.
 	// When nil and WANAMCAST_TCP_DEBUG is set, traces go to stderr.
@@ -147,9 +147,8 @@ type Config struct {
 type Runtime struct {
 	cfg         Config
 	topo        *types.Topology
-	rec         *lockedRecorder
-	wrec        wireRecorder // cfg.Recorder's wire-traffic surface; nil when absent
-	compressMin int          // resolved Config.CompressMin; 0 = compression off
+	rec         *metrics.Collector // cfg.Recorder; nil discards
+	compressMin int                // resolved Config.CompressMin; 0 = compression off
 	fabric      *network.Fabric
 	base        network.Model // the fabric's base, for the override-free fast path
 	start       time.Time
@@ -195,20 +194,6 @@ func New(cfg Config) *Runtime {
 	}
 	cfg.Groups = cfg.Topo.NumGroups() // the lane default derives from it
 	cfg.Config = cfg.Config.WithDefaults()
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = node.NopRecorder{}
-	}
-	// Wire-traffic accounting is an optional recorder surface (the Recorder
-	// interface predates it): a recorder that implements wireRecorder gets
-	// byte/frame/envelope counts. It is called from writer and read
-	// goroutines — concurrently, outside lockedRecorder — so the runtime
-	// wraps it in its own lock rather than demanding internal
-	// synchronisation of every implementation.
-	var wrec wireRecorder
-	if w, ok := rec.(wireRecorder); ok {
-		wrec = &lockedWireRecorder{inner: w}
-	}
 	compressMin := cfg.CompressMin
 	switch {
 	case compressMin == 0:
@@ -233,8 +218,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:         cfg,
 		topo:        cfg.Topo,
-		rec:         &lockedRecorder{inner: rec},
-		wrec:        wrec,
+		rec:         cfg.Recorder,
 		compressMin: compressMin,
 		fabric:      fabric,
 		base:        fabric.Base(),
@@ -751,9 +735,7 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 			rt.Tracef("decode error at %v: %v", to, err)
 			return // connection closed or corrupt; peers redial
 		}
-		if rt.wrec != nil {
-			rt.wrec.OnWireEnvelopeIn(len(data) + 4)
-		}
+		rt.rec.OnWireEnvelopeIn(len(data) + 4)
 		f, kind, isBatch, err := wire.DecodeFrameOrBatch(data, &bat, &inflate)
 		if err != nil {
 			rt.Tracef("decode error at %v: %v", to, err)
@@ -766,9 +748,7 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 			}
 			for i := range bat.Msgs {
 				m := &bat.Msgs[i]
-				if rt.wrec != nil {
-					rt.wrec.OnWireRecv(byte(m.Kind), m.Size)
-				}
+				rt.rec.OnWireRecv(byte(m.Kind), m.Size)
 				rt.dispatch(to, wire.Frame{From: bat.From, Proto: m.Proto, TS: m.TS, Body: m.Body})
 			}
 			continue
@@ -777,9 +757,7 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 			rt.Tracef("drop frame at %v: sender %d outside topology", to, int(f.From))
 			return
 		}
-		if rt.wrec != nil {
-			rt.wrec.OnWireRecv(byte(kind), len(data))
-		}
+		rt.rec.OnWireRecv(byte(kind), len(data))
 		rt.dispatch(to, f)
 	}
 }
@@ -847,7 +825,7 @@ func (rt *Runtime) dispatch(to types.ProcessID, f wire.Frame) {
 func (rt *Runtime) Now() time.Duration { return time.Since(rt.start) }
 
 // Recorder implements node.Env.
-func (rt *Runtime) Recorder() node.Recorder { return rt.rec }
+func (rt *Runtime) Recorder() *metrics.Collector { return rt.rec }
 
 // TraceOn implements node.Env.
 func (rt *Runtime) TraceOn() bool { return rt.trace != nil }
@@ -1207,10 +1185,10 @@ func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limi
 		n, werr := l.writePlain(bw, buf, pend[solo])
 		return n, used, werr
 	}
-	if rt.wrec != nil {
+	if rt.rec != nil {
 		for i := 0; i < used; i++ {
 			if pend[i].encSize >= 0 {
-				rt.wrec.OnWireSend(byte(wire.KindOf(pend[i].body)), pend[i].encSize)
+				rt.rec.OnWireSend(byte(wire.KindOf(pend[i].body)), pend[i].encSize)
 			}
 		}
 	}
@@ -1221,9 +1199,7 @@ func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limi
 	}
 	*buf = b
 	l.ctr.Count(wireLen)
-	if rt.wrec != nil {
-		rt.wrec.OnWireFlush(wireLen, rawLen, compLen)
-	}
+	rt.rec.OnWireFlush(wireLen, rawLen, compLen)
 	_, werr := bw.Write(b)
 	return wireLen, used, werr
 }
@@ -1241,10 +1217,8 @@ func (l *link) writePlain(bw *bufio.Writer, buf *[]byte, f outFrame) (int, error
 	}
 	*buf = b
 	l.ctr.Count(len(b))
-	if rt.wrec != nil {
-		rt.wrec.OnWireSend(byte(wire.KindOf(f.body)), len(b))
-		rt.wrec.OnWireFlush(len(b), 0, 0)
-	}
+	rt.rec.OnWireSend(byte(wire.KindOf(f.body)), len(b))
+	rt.rec.OnWireFlush(len(b), 0, 0)
 	_, err = bw.Write(b)
 	if f.proto == fdProto {
 		return 0, err
@@ -1311,134 +1285,5 @@ func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 		case <-t.C:
 			return nil
 		}
-	}
-}
-
-// wireRecorder is the optional wire-traffic surface of a Recorder
-// (metrics.Collector and metrics.LockedCollector implement it). The
-// transport calls it from writer and read goroutines concurrently —
-// outside lockedRecorder — so the runtime wraps the configured
-// implementation in lockedWireRecorder. OnWireSend/OnWireRecv count
-// protocol messages and attribute their encoded bytes to a value kind;
-// OnWireFlush/OnWireEnvelopeIn own the authoritative wire byte totals, one
-// call per envelope (a plain frame is its own envelope).
-type wireRecorder interface {
-	OnWireSend(kind byte, n int)
-	OnWireRecv(kind byte, n int)
-	OnWireFlush(wireBytes, rawLen, compLen int)
-	OnWireEnvelopeIn(n int)
-}
-
-// lockedWireRecorder serialises the concurrent writer/read-goroutine calls
-// onto one wireRecorder, so plain (unsynchronised) recorders are safe to
-// configure. The counters are a few integer adds; one uncontended mutex per
-// envelope is noise next to the write it accounts for.
-type lockedWireRecorder struct {
-	mu    sync.Mutex
-	inner wireRecorder
-}
-
-func (l *lockedWireRecorder) OnWireSend(kind byte, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnWireSend(kind, n)
-}
-
-func (l *lockedWireRecorder) OnWireRecv(kind byte, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnWireRecv(kind, n)
-}
-
-func (l *lockedWireRecorder) OnWireFlush(wireBytes, rawLen, compLen int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnWireFlush(wireBytes, rawLen, compLen)
-}
-
-func (l *lockedWireRecorder) OnWireEnvelopeIn(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnWireEnvelopeIn(n)
-}
-
-// lockedRecorder makes any Recorder safe for the live runtime's loops.
-type lockedRecorder struct {
-	mu    sync.Mutex
-	inner node.Recorder
-}
-
-func (l *lockedRecorder) OnSend(proto string, from, to types.ProcessID, inter bool, at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnSend(proto, from, to, inter, at)
-}
-
-func (l *lockedRecorder) OnCast(id types.MessageID, ts int64, at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnCast(id, ts, at)
-}
-
-func (l *lockedRecorder) OnDeliver(id types.MessageID, p types.ProcessID, ts int64, at time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnDeliver(id, p, ts, at)
-}
-
-func (l *lockedRecorder) OnConsensusInstance() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnConsensusInstance()
-}
-
-func (l *lockedRecorder) OnLearnFetch() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnLearnFetch()
-}
-
-func (l *lockedRecorder) OnBatchDecided(size int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnBatchDecided(size)
-}
-
-func (l *lockedRecorder) OnRoundOpened(g types.GroupID, late bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnRoundOpened(g, late)
-}
-
-func (l *lockedRecorder) OnBundleCopies(sent, dropped int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.OnBundleCopies(sent, dropped)
-}
-
-// The failure-detector events (fd.Observer) are forwarded only when the
-// wrapped recorder cares about them; the per-process heartbeat detectors
-// all share this one locked observer.
-func (l *lockedRecorder) OnSuspect(g types.GroupID, p types.ProcessID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if obs, ok := l.inner.(fd.Observer); ok {
-		obs.OnSuspect(g, p)
-	}
-}
-
-func (l *lockedRecorder) OnTrustRestored(g types.GroupID, p types.ProcessID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if obs, ok := l.inner.(fd.Observer); ok {
-		obs.OnTrustRestored(g, p)
-	}
-}
-
-func (l *lockedRecorder) OnLeaderChange(g types.GroupID, leader types.ProcessID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if obs, ok := l.inner.(fd.Observer); ok {
-		obs.OnLeaderChange(g, leader)
 	}
 }

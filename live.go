@@ -36,7 +36,7 @@ type LiveCluster struct {
 	rt     *tcp.Runtime
 	topo   *types.Topology
 	cfg    LiveConfig
-	col    *metrics.LockedCollector
+	col    *metrics.Collector
 	tracer *trace.Tracer   // nil unless LiveConfig.TraceSpans
 	hosts  []*durable.Node // per process: its current incarnation's endpoints (loop-confined)
 
@@ -67,16 +67,14 @@ type LiveCluster struct {
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	cfg = cfg.WithDefaults()
 	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
-	col := &metrics.LockedCollector{}
 	// The collector's per-cast records (each holding its deliveries) must
 	// not grow forever on a long-lived cluster: bound them like the
 	// delivery-count map — generously past RetainDeliveries when that is
 	// set, and at 64k casts otherwise (a serve-mode cluster that keeps its
 	// whole delivery log still gets bounded metrics).
+	col := &metrics.Collector{CastWindow: 1 << 16}
 	if cfg.RetainDeliveries > 0 {
-		col.SetCastWindow(8 * cfg.RetainDeliveries)
-	} else {
-		col.SetCastWindow(1 << 16)
+		col.CastWindow = 8 * cfg.RetainDeliveries
 	}
 	var tr *trace.Tracer
 	if cfg.TraceSpans {
@@ -426,9 +424,8 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 	t := harness.Telemetry{
 		Cmd:   cmd,
 		Stats: l.Stats,
-		Gauges: func() map[string]float64 {
+		Gauges: func(st metrics.Stats) map[string]float64 {
 			fs := l.FsyncStats()
-			st := l.Stats()
 			w := st.Wire
 			g := map[string]float64{
 				"wanamcast_fsyncs_total":           float64(fs.Fsyncs),
