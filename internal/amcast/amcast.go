@@ -6,19 +6,20 @@
 //	s0: each destination group runs consensus to fix its timestamp proposal;
 //	s1: destination groups exchange proposals via (TS, m) messages;
 //	s2: each group runs a second consensus on a payload-free (id, final
-//	    timestamp) item, advancing its clock past the maximum proposal;
+//	    timestamp) item, advancing its clock past the final timestamp;
 //	s3: m is deliverable.
 //
-// It follows the paper's listing with ONE deviation: lines 35–37, which let
-// the group whose proposal is the maximum enter s3 on the arrival of the
-// last (TS, m), are gone — every multi-group message reaches s3 through a
-// decision of its group (an intra-group instance: the latency degree stays
-// two). That buys the invariant: a process's A-Delivery sequence is a
-// function of its group's decision sequence and of nothing else. The
-// delivery test runs only when a decision is applied and reads only what
-// decisions fixed — the entries at stage >= s1, under the group's proposal
-// until their s2 decision and the final timestamp after it; never an s0
-// entry (members hold different ones) or a maximum adopted on a message
+// It follows the paper's listing with TWO deviations.
+//
+// One: lines 35–37, which let the group whose proposal is the maximum enter
+// s3 on the arrival of the last (TS, m), are gone — every multi-group message
+// reaches s3 through a decision of its group (an intra-group instance: the
+// latency degree stays two). That buys the invariant: a process's A-Delivery
+// sequence is a function of its group's decision sequence and of nothing
+// else. The delivery test runs only when a decision is applied and reads only
+// what decisions fixed — the entries at stage >= s1, under the group's
+// proposal until their s2 decision and the final timestamp after it; never an
+// s0 entry (members hold different ones) or a maximum adopted on a message
 // arrival. A single-group message is A-Delivered in the decision that orders
 // it (Config.SkipStages; off, it takes the [5] pipeline's two instances);
 // multi-group messages in s3 are delivered in (ts, id) order while minimal
@@ -26,24 +27,54 @@
 // intra-group consensus and never queues behind another message's WAN round
 // trip, as it did under the paper's line 4.
 //
+// Two: timestamps are hybrid. The listing's K is a bare Lamport counter that
+// line 31 moves past every timestamp a decision fixes, so it runs at its
+// group's decision rate, and the final timestamp — the maximum of the
+// groups' proposals — is mostly named by a remote group, one WAN hop after
+// the cast: the message then queues at its own caster behind every later
+// local cast still in s1, up to a second WAN round trip. Here an s0 item
+// carries its proposer's hint — the process's physical clock in µs
+// (node.API.Micros) when it admitted m — and the decision fixes a
+// multi-group message's proposal as max(K, hint), a function of the decision
+// sequence still. A proposer in the group that cast m adds a lead to its
+// hint: how far, lately, the remote destination groups' proposals for this
+// group's casts ran ahead of the local clock — the one-way delay plus the
+// clock offset (leadEst). So the caster's group's proposal is the maximum,
+// the final timestamp is known where m was cast when it was cast, and
+// nothing cast there later sorts below it. And line 31 is cut to what safety
+// needs: K moves past final timestamps (s2 items) only — past every proposal,
+// a led one would drag K a WAN delay ahead of the clock and the remote group
+// would hand the skew back.
+//
+// Hints and leads are soft state: read off a clock nobody vouches for, never
+// logged, snapshotted or transferred (a restarted replica leads by 0 until it
+// has seen its group's next casts answered; a message it was not handed to
+// order — it met it in a decision, a (TS, m) or a replay — carries no hint
+// and gives no sample). A clock that is skewed, frozen, fast, jumping or
+// garbage costs latency and never a property: where hints fall short the
+// proposals are K's, the paper's counter; where one runs ahead, K follows it
+// and the groups wait out the difference in timestamp order; and a decided
+// hint counts for at most 2^62 (maxHint), so no reading can take K to where
+// it would wrap.
+//
 // Safety: (1) members of a group apply the same decisions in the same order,
 // so they deliver identical sequences; (2) multi-group messages keep the
 // paper's final-timestamp order in every group — an entry blocks under a
-// timestamp no larger than its final one, and anything proposed later gets
-// K, which every decision moves past each timestamp it fixed (line 31): the
-// paper's own argument, which never needed s0 entries to block; (3) a
-// single-group message lives in one group's sequence only, so the union of
-// the groups' orders stays acyclic — §2.2's uniform prefix order constrains
-// two messages only at processes addressed by both.
+// timestamp no larger than its final one, anything s0-decided after a
+// delivery is proposed at K or above, which that delivery's s2 decision moved
+// past its final timestamp, and ties break on the message id: the paper's own
+// argument, which never needed s0 entries to block or K to tick otherwise;
+// (3) a single-group message lives in one group's sequence only, so the union
+// of the groups' orders stays acyclic — §2.2's uniform prefix order
+// constrains two messages only at processes addressed by both.
 //
 // Ordering runs on the batched, pipelined engine of internal/consensus:
 // every instance carries a batch of pending s0/s2 descriptors (line 14's
 // "propose all of PENDING", optionally capped by Config.MaxBatch), up to
 // Config.Pipeline instances in flight. Instances are numbered densely and
-// decoupled from the group clock K: decisions apply in instance order, s0
-// messages take their timestamp from K at apply time, and K then advances
-// past every timestamp fixed — a function of the decision sequence too
-// (Lemma A.1), at any batch size and pipeline depth.
+// decoupled from the group clock K: decisions apply in instance order, and
+// what they fix — proposals, final timestamps, K — is a function of the
+// decision sequence (Lemma A.1), at any batch size and pipeline depth.
 package amcast
 
 import (
@@ -78,8 +109,9 @@ const (
 func (s Stage) String() string { return fmt.Sprintf("s%d", int(s)) }
 
 // Descriptor is the per-message record that travels through consensus
-// proposals and (TS, m) messages: the message itself plus its current
-// timestamp and stage as known to the sender/proposer.
+// proposals and (TS, m) messages: the message itself, its stage, and a
+// timestamp — the proposer's hint in an s0 item, the group's proposal in a
+// (TS, m), the final timestamp in an s2 item.
 type Descriptor struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
@@ -144,15 +176,16 @@ type Config struct {
 	Sync statesync.Options
 }
 
-// pend is the local state of a message in PENDING. From s1 on, ts is fixed
-// by decisions alone: the group's proposal until the s2 decision, the final
-// timestamp after it. Whether a stage >= s1 entry reads s1 or s2 depends on
-// message arrival, so the delivery test asks only "is it s3".
+// pend is the local state of a message in PENDING. ts is fixed by decisions
+// alone and unset in s0: the group's proposal until the s2 decision, the
+// final timestamp after it. Whether a stage >= s1 entry reads s1 or s2
+// depends on message arrival, so the delivery test asks only "is it s3".
 type pend struct {
 	id      types.MessageID
 	dest    types.GroupSet
 	payload any
 	ts      uint64
+	at      uint64 // api.Micros when this process was handed m to order (0: it learned m from a decision, a (TS, m) or a replay): the hint's base, the lead samples' origin
 	stage   Stage
 	final   uint64        // the adopted maximum (lines 39–40): fills the s2 item, nothing else
 	props   []prop        // received (TS, m) proposals, aligned with dest.Groups(); nil until the first
@@ -186,7 +219,8 @@ type Mcast struct {
 	// readable lock-free off the event loop (the read tier samples it).
 	wm atomic.Uint64
 
-	k       uint64 // the group clock copy K (line 2)
+	k       uint64     // the group clock copy K (line 2)
+	leads   []*leadEst // by remote group, nil until its first sample: soft state, see leadEst
 	pending map[types.MessageID]*pend
 	// order holds the entries the delivery test reads — stage >= s1, not yet
 	// released; all multi-group under SkipStages — by (ts, id). fresh holds
@@ -231,6 +265,7 @@ func New(cfg Config) *Mcast {
 		skip:       cfg.SkipStages,
 		label:      prefix,
 		k:          1,
+		leads:      make([]*leadEst, cfg.Host.Topo().NumGroups()),
 		pending:    make(map[types.MessageID]*pend),
 		adelivered: make(map[types.MessageID]bool),
 		nextID:     cfg.NextID,
@@ -322,15 +357,20 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 		return // late proposal for a delivered message
 	}
 	// Line 10: a TS message also introduces m if unseen.
-	a.admit(d.ID, d.Dest, d.Payload)
+	a.admit(d.ID, d.Dest, d.Payload, 0)
 	// Record the sender group's proposal for line 33.
 	p := a.pending[d.ID]
-	if p.setProp(g, d.TS) && !replay && a.log != nil {
-		// Unsynced: a lost tail proposal is re-fetched from peers by the
-		// next restart's state transfer, exactly like a proposal that never
-		// arrived.
-		a.log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.label,
-			Aux: uint64(g), Value: TSMsg{Desc: d}})
+	if p.setProp(g, d.TS) && !replay {
+		if p.at != 0 && a.owns(p) {
+			a.learnLead(g, int64(d.TS-p.at))
+		}
+		if a.log != nil {
+			// Unsynced: a lost tail proposal is re-fetched from peers by the
+			// next restart's state transfer, exactly like a proposal that
+			// never arrived.
+			a.log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.label,
+				Aux: uint64(g), Value: TSMsg{Desc: d}})
+		}
 	}
 	a.checkStage1(p)
 }
@@ -360,26 +400,26 @@ func (a *Mcast) onRDeliver(m rmcast.Message) {
 				ID: m.ID, Dest: m.Dest, Value: m.Payload})
 		}
 	}
-	a.admit(m.ID, m.Dest, m.Payload)
+	a.admit(m.ID, m.Dest, m.Payload, a.api.Micros())
 }
 
-// admit adds m to PENDING at stage s0 with the current clock as its
-// provisional timestamp (lines 11–13), unless already pending or delivered.
-func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload any) {
+// admit adds m to PENDING at stage s0 (lines 11–13), unless already pending
+// or delivered. at is the entry's pend.at.
+func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload any, at uint64) {
 	if a.adelivered[id] {
 		return
 	}
 	if _, ok := a.pending[id]; ok {
 		return
 	}
-	a.newPend(id, dest, payload)
+	a.newPend(id, dest, payload, at)
 	a.engine.Pump()
 }
 
 // newPend enters m into PENDING at stage s0.
-func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any) *pend {
+func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any, at uint64) *pend {
 	a.admitSeq++
-	p := &pend{id: id, dest: dest, payload: payload, ts: a.k, seq: a.admitSeq}
+	p := &pend{id: id, dest: dest, payload: payload, at: at, seq: a.admitSeq}
 	if a.api.Tracing() {
 		p.adm = a.api.Now()
 	}
@@ -391,7 +431,10 @@ func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any) *p
 // fillBatch is the engine's Fill hook (Task at lines 14–17): the
 // proposable set is every pending s0/s2 message not already in flight up to
 // limit — s2 items first (payload-free, and other groups' clocks wait on
-// them), then s0 in admission order — canonically sorted by message ID.
+// them), then s0 in admission order — canonically sorted by message ID. A
+// multi-group s0 item's TS is this proposer's hint: its clock at admission,
+// plus the lead when its group cast m. A single-group item has none, and
+// neither has an entry this process was not handed: both fall back to K.
 func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descriptor {
 	cand := a.cand[:0]
 	for _, p := range a.order {
@@ -422,7 +465,10 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descr
 			// the s0 item that carried the payload.
 			set[i] = Descriptor{ID: p.id, TS: p.final, Stage: Stage2}
 		} else {
-			set[i] = Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts}
+			set[i] = Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload}
+			if p.dest.Size() > 1 && p.at != 0 {
+				set[i].TS = p.at + a.lead(p)
+			}
 		}
 	}
 	clear(cand)
@@ -433,11 +479,10 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descr
 
 // processDecision is the engine's OnApply hook: it executes lines 19–32
 // for the decision of (dense) instance inst. Decisions apply in instance
-// order, so the timestamps fixed here — K for s0 messages, the carried TS
-// for s2 — the clock advance of line 31 and the deliveries are identical at
-// every group member.
+// order, so the timestamps fixed here — max(K, the decided hint) for a
+// multi-group s0 message, the carried TS for s2 — the clock advance of
+// line 31 and the deliveries are identical at every group member.
 func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
-	fixTS, maxTS := a.k, a.k // fixTS: the timestamp this decision assigns to s0 messages
 	toStage1 := a.stage1[:0]
 	for _, d := range set {
 		if a.adelivered[d.ID] {
@@ -449,7 +494,7 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 		switch {
 		case p == nil && d.Stage == Stage0:
 			// Line 30: the decision introduces m to this process.
-			p = a.newPend(d.ID, d.Dest, d.Payload)
+			p = a.newPend(d.ID, d.Dest, d.Payload, 0)
 		case p == nil, d.Stage == Stage0 && p.stage > Stage0, d.Stage == Stage2 && p.stage == Stage3:
 			// With Pipeline >= 2 the engine's in-flight exclusion is
 			// proposer-local, so two group members may propose m to
@@ -465,30 +510,39 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 		}
 		switch {
 		case d.Stage == Stage2:
-			// Line 26: this decision fixes the final timestamp.
+			// Line 26: this decision fixes the final timestamp. Line 31, as
+			// far as safety needs it: K moves past final timestamps only.
 			a.orderRemove(p)
+			if p.id.Origin == a.api.Self() && p.dest.Size() > 1 {
+				a.api.Metrics().OnOwnerProposal(d.TS - p.ts)
+			}
 			p.ts, p.stage = d.TS, Stage3
 			a.orderInsert(p)
+			a.k = max(a.k, d.TS+1)
 			if p.adm > 0 {
 				p.s3At = a.api.Now()
+			}
+			if b := a.order[0]; b.stage < Stage3 && a.api.TraceOn() { // an s3 head leaves in this decision's pass
+				a.api.Tracef("a1: %v deliverable at ts=%d, waits for multi-group %v (in %v, cast locally: %t)", p.id, p.ts, b.id, b.stage, a.owns(b))
 			}
 		case a.skip && p.dest.Size() == 1:
 			// Lines 28–29: single destination group, the proposal is final
 			// and constrains nobody else — delivered in this decision.
-			p.ts, p.stage = fixTS, Stage3
-			a.release(p, nil)
+			p.ts, p.stage = a.k, Stage3
+			a.release(p)
 		default:
-			// Lines 21–24: fix the group proposal and exchange it. (The [5]
-			// pipeline walks single-group messages through here too.)
-			p.ts, p.stage = fixTS, Stage1
+			// Lines 21–24: fix the group proposal — K, or the proposer's
+			// hint where that is ahead — and exchange it. (The [5] pipeline
+			// walks single-group messages through here too, under K alone.)
+			p.ts, p.stage = a.k, Stage1
+			if p.dest.Size() > 1 {
+				p.ts = max(a.k, min(d.TS, maxHint))
+			}
 			a.orderInsert(p)
 			a.sendTS(p)
 			toStage1 = append(toStage1, p)
 		}
-		maxTS = max(maxTS, p.ts)
 	}
-	// Line 31: advance the group clock past every timestamp just fixed.
-	a.k = maxTS + 1
 	// Line 32.
 	a.adeliveryTest()
 	// Proposals from other groups may have arrived before we reached s1.
@@ -498,6 +552,74 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 	clear(toStage1)
 	a.stage1 = toStage1
 	// The engine pumps after every applied decision; nothing to do here.
+}
+
+// maxHint caps a decided hint, so that no clock — a garbage one reads near
+// 2^64 — can take a timestamp to where K's +1 past it would wrap.
+const maxHint = 1 << 62
+
+// leadWindow is how many samples a lead looks back on.
+const leadWindow = 32
+
+// leadEst measures, for one remote group g, how far g's proposals for this
+// group's casts run ahead of the local clock at their admission here: the
+// one-way delay to g plus g's clock offset. It is soft state — 0 until
+// learned, gone with the process — and a wrong one costs latency only. The
+// lead is the second largest of the last leadWindow samples (the largest
+// while the window fills): one stalled (TS, m) cannot move it (a mean plus
+// deviations ran away after a single 100 ms stall), a longer delay shows
+// after two samples, and about one cast in leadWindow is outbid by a hair. A
+// shorter delay shows slowly: g proposes max(K, its clock), and while the
+// lead is too long g's K sits on this group's own last final timestamp, so
+// the samples echo the lead, one cast gap shorter each window.
+type leadEst struct {
+	win  [leadWindow]int64
+	n    int // samples ever taken
+	lead uint64
+}
+
+// owns reports whether this process's group cast p, a multi-group message:
+// whether its proposals for p carry the lead.
+func (a *Mcast) owns(p *pend) bool {
+	return p.dest.Size() > 1 && a.api.Topo().GroupOf(p.id.Origin) == a.api.Group()
+}
+
+// lead returns what this process adds to its clock in its hint for p.
+func (a *Mcast) lead(p *pend) (lead uint64) {
+	if a.owns(p) {
+		for _, g := range p.dest.Groups() {
+			if e := a.leads[g]; e != nil {
+				lead = max(lead, e.lead)
+			}
+		}
+	}
+	return lead
+}
+
+// learnLead takes one sample of remote group g's lead.
+func (a *Mcast) learnLead(g types.GroupID, sample int64) {
+	e := a.leads[g]
+	if e == nil {
+		e = new(leadEst)
+		a.leads[g] = e
+	}
+	e.win[e.n%leadWindow] = sample
+	e.n++
+	first, second := int64(0), int64(0) // the two largest, floored at 0
+	for _, v := range e.win[:min(e.n, leadWindow)] {
+		if v > first {
+			first, second = v, first
+		} else if v > second {
+			second = v
+		}
+	}
+	if e.n >= leadWindow {
+		first = second
+	}
+	if uint64(first) != e.lead {
+		e.lead = uint64(first)
+		a.api.Metrics().OnOwnerLead(a.api.Group(), g, e.lead)
+	}
 }
 
 // sendTS sends (TS, m) to every process of every other destination group
@@ -566,22 +688,17 @@ func (a *Mcast) orderRemove(p *pend) {
 // minimal among the entries at stage >= s1. It runs when a decision has
 // been applied and when a state transfer ends — never on a message receipt.
 func (a *Mcast) adeliveryTest() {
-	var head *pend // the entry whose s2 decision let this pass start
 	for len(a.order) > 0 && a.order[0].stage == Stage3 {
 		p := a.order[0]
-		if head == nil {
-			head = p
-		}
 		a.order = slices.Delete(a.order, 0, 1)
-		a.release(p, head)
+		a.release(p)
 	}
 }
 
 // release A-Delivers p, or — while a state transfer is in progress — holds
 // it for resumeDelivery: deliveries this process missed must land first (in
 // the group's order), or the local sequence would diverge from the group's.
-// behind, if not p itself, is the message p waited for.
-func (a *Mcast) release(p, behind *pend) {
+func (a *Mcast) release(p *pend) {
 	if a.sync.Gated() {
 		a.held = append(a.held, p)
 		return
@@ -601,11 +718,7 @@ func (a *Mcast) release(p, behind *pend) {
 	delete(a.pending, p.id)
 	a.recordDelivered(DeliverRec{ID: p.id, Dest: p.dest, TS: p.ts, Payload: p.payload})
 	if a.api.TraceOn() {
-		if behind != nil && behind != p {
-			a.api.Tracef("a1: A-Deliver %v ts=%d waited for multi-group %v", p.id, p.ts, behind.id)
-		} else {
-			a.api.Tracef("a1: A-Deliver %v ts=%d", p.id, p.ts)
-		}
+		a.api.Tracef("a1: A-Deliver %v ts=%d", p.id, p.ts)
 	}
 	if a.onDeliver != nil {
 		a.onDeliver(rmcast.Message{ID: p.id, Dest: p.dest, Payload: p.payload})

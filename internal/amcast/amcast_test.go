@@ -10,6 +10,7 @@ import (
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
+	"wanamcast/internal/node/clocktest"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
@@ -38,6 +39,8 @@ type rigOpts struct {
 	// pairDelay, if non-nil, overrides per-pair link delays (for tests
 	// that need a specific interleaving).
 	pairDelay func(from, to types.ProcessID) (time.Duration, bool)
+	// clock is every process's physical clock (zero value: the true one).
+	clock clocktest.Clock
 }
 
 func newRig(t *testing.T, o rigOpts) *rig {
@@ -56,6 +59,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		eps:     make([]*Mcast, topo.N()),
 		crashed: make(map[types.ProcessID]bool),
 	}
+	rt.Skew = o.clock.Of
 	for _, id := range topo.AllProcesses() {
 		id := id
 		var lg *storage.Log

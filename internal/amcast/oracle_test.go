@@ -26,6 +26,7 @@ import (
 
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
+	"wanamcast/internal/node/clocktest"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
@@ -73,14 +74,17 @@ func decisionsOnly(a *Mcast, rec storage.Record) bool { return rec.Proto == a.En
 
 func everyRecord(*Mcast, storage.Record) bool { return true }
 
+// It runs under the true clock and under every lying one: the hints a
+// decision carries are part of the decision, whatever clock wrote them.
 func TestDeliveryIsAFunctionOfDecisions(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	clocks := append([]clocktest.Clock{{Name: "true"}}, clocktest.Lying...)
+	for i := 0; i < 12*len(clocks); i++ {
+		seed, clock := int64(i%12), clocks[i/12]
+		t.Run(fmt.Sprintf("clock=%s/seed=%d", clock.Name, seed), func(t *testing.T) {
 			store := storage.NewMem()
 			o := rigOpts{groups: 3, per: 3, skip: true, seed: seed,
 				pipeline: 1 + 3*int(seed%2), maxBatch: 8 * int(seed%3),
-				jitter: 60 * time.Millisecond, store: store, logged: 0}
+				jitter: 60 * time.Millisecond, store: store, logged: 0, clock: clock}
 			r := newRig(t, o)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 60; i++ {

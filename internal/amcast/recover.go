@@ -236,7 +236,7 @@ func (a *Mcast) ReplayRecord(rec storage.Record) error {
 	}
 	switch rec.Kind {
 	case storage.KindAdmit:
-		a.admit(rec.ID, rec.Dest, rec.Value)
+		a.admit(rec.ID, rec.Dest, rec.Value, 0)
 	case storage.KindTSProp:
 		if tm, ok := rec.Value.(TSMsg); ok {
 			a.handleTS(types.GroupID(rec.Aux), tm.Desc, true)
@@ -364,7 +364,7 @@ func (a *Mcast) resumeDelivery() {
 	a.held = nil
 	for _, p := range held {
 		if a.pending[p.id] == p { // else the transfer delivered it
-			a.release(p, nil)
+			a.release(p)
 		}
 	}
 	a.adeliveryTest()

@@ -53,6 +53,7 @@ func (f *fakeAPI) Tracef(string, ...any)                     {}
 func (f *fakeAPI) TraceOn() bool                             { return false }
 func (f *fakeAPI) Trace(trace.Stage, types.MessageID, int64) {}
 func (f *fakeAPI) Tracing() bool                             { return false }
+func (f *fakeAPI) Micros() uint64                            { return 0 }
 
 // fakeDet is an Ω stub whose leader never changes.
 type fakeDet struct{ leader types.ProcessID }

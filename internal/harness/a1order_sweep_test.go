@@ -15,6 +15,7 @@ import (
 
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/check"
+	"wanamcast/internal/node/clocktest"
 	"wanamcast/internal/types"
 	"wanamcast/internal/workload"
 )
@@ -26,53 +27,70 @@ var sweepSeeds = flag.Int("sweepseeds", 40, "seeds explored by TestA1DecisionOrd
 
 func TestA1DecisionOrderSweep(t *testing.T) {
 	for seed := int64(0); seed < int64(*sweepSeeds); seed++ {
-		// Every seed fixes one corner of the configuration cube, so 16
-		// consecutive seeds cover it.
-		opts := Options{
-			Groups: 3 + int(seed&1), PerGroup: 3,
-			Inter: 20 * time.Millisecond, Intra: time.Millisecond,
-			Jitter: 12 * time.Millisecond, Seed: seed, LogSends: true,
-			Pipeline: 1 + 3*int(seed>>1&1), MaxBatch: 64 * int(seed>>2&1),
-		}
-		crash := seed>>3&1 == 1
-		name := fmt.Sprintf("seed=%d/%dx3/p%d/b%d/crash=%v", seed, opts.Groups, opts.Pipeline, opts.MaxBatch, crash)
-		s := Build(AlgoA1, opts)
-		casts := workload.Generate(s.Topo, workload.Spec{
-			Casts: 80, MeanPeriod: 2 * time.Millisecond, Poisson: true, Seed: seed, // the §1 mix
-		})
-		victim := types.ProcessID(-1)
-		if crash {
-			// One crash per run, at a seeded instant inside the load: any
-			// member, leaders included.
-			victim = types.ProcessID(int(seed>>4) % s.Topo.N())
-			s.CrashAt(victim, time.Duration(20+seed%120)*time.Millisecond)
-		}
-		for _, c := range casts {
-			c := c
-			s.RT.Scheduler().At(c.At, func() {
-				if !s.RT.Proc(c.From).Crashed() {
-					s.Cast(c.From, c.Payload, c.Dest)
-				}
-			})
-		}
-		s.Run()
+		sweepSeed(t, seed, clocktest.Clock{Name: "true"})
+	}
+}
 
-		v := s.Check()
-		v = append(v, groupSequenceViolations(s, victim)...)
-		for p, a := range s.A1 {
-			v = append(v, timestampOrderViolations(types.ProcessID(p), a.Archive())...)
+// TestA1DecisionOrderSweepLyingClocks runs the sweep's configuration cube
+// once more under each wrong physical clock. A1's hybrid timestamps take hints
+// from that clock; a hint may cost latency and never a property.
+func TestA1DecisionOrderSweepLyingClocks(t *testing.T) {
+	for _, c := range clocktest.Lying {
+		for seed := int64(0); seed < 16; seed++ {
+			sweepSeed(t, seed, c)
 		}
-		var sends []check.SendRecord
-		for _, e := range s.Col.Sends() {
-			sends = append(sends, check.SendRecord{Proto: e.Proto, From: e.From, To: e.To})
-		}
-		v = append(v, s.Checker.GenuinenessViolations(sends, "a1")...)
-		if len(v) != 0 {
-			t.Fatalf("%s: %d violations, first: %v", name, len(v), v[0])
-		}
-		if len(s.Deliveries) < 80 {
-			t.Fatalf("%s: only %d deliveries for 80 casts", name, len(s.Deliveries))
-		}
+	}
+}
+
+// sweepSeed runs one seed of the sweep under a physical clock.
+func sweepSeed(t *testing.T, seed int64, clock clocktest.Clock) {
+	// Every seed fixes one corner of the configuration cube, so 16
+	// consecutive seeds cover it.
+	opts := Options{
+		Groups: 3 + int(seed&1), PerGroup: 3,
+		Inter: 20 * time.Millisecond, Intra: time.Millisecond,
+		Jitter: 12 * time.Millisecond, Seed: seed, LogSends: true,
+		Pipeline: 1 + 3*int(seed>>1&1), MaxBatch: 64 * int(seed>>2&1),
+	}
+	crash := seed>>3&1 == 1
+	name := fmt.Sprintf("seed=%d/%dx3/p%d/b%d/crash=%v/clock=%s", seed, opts.Groups, opts.Pipeline, opts.MaxBatch, crash, clock.Name)
+	s := Build(AlgoA1, opts)
+	s.RT.Skew = clock.Of
+	casts := workload.Generate(s.Topo, workload.Spec{
+		Casts: 80, MeanPeriod: 2 * time.Millisecond, Poisson: true, Seed: seed, // the §1 mix
+	})
+	victim := types.ProcessID(-1)
+	if crash {
+		// One crash per run, at a seeded instant inside the load: any
+		// member, leaders included.
+		victim = types.ProcessID(int(seed>>4) % s.Topo.N())
+		s.CrashAt(victim, time.Duration(20+seed%120)*time.Millisecond)
+	}
+	for _, c := range casts {
+		c := c
+		s.RT.Scheduler().At(c.At, func() {
+			if !s.RT.Proc(c.From).Crashed() {
+				s.Cast(c.From, c.Payload, c.Dest)
+			}
+		})
+	}
+	s.Run()
+
+	v := s.Check()
+	v = append(v, groupSequenceViolations(s, victim)...)
+	for p, a := range s.A1 {
+		v = append(v, timestampOrderViolations(types.ProcessID(p), a.Archive())...)
+	}
+	var sends []check.SendRecord
+	for _, e := range s.Col.Sends() {
+		sends = append(sends, check.SendRecord{Proto: e.Proto, From: e.From, To: e.To})
+	}
+	v = append(v, s.Checker.GenuinenessViolations(sends, "a1")...)
+	if len(v) != 0 {
+		t.Fatalf("%s: %d violations, first: %v", name, len(v), v[0])
+	}
+	if len(s.Deliveries) < 80 {
+		t.Fatalf("%s: only %d deliveries for 80 casts", name, len(s.Deliveries))
 	}
 }
 

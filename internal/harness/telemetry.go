@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"slices"
@@ -123,6 +124,23 @@ func ServeTelemetry(addr string, t Telemetry) (*TelemetryServer, error) {
 	return ts, nil
 }
 
+// writeLateness renders a non-empty LatenessHist as a Prometheus histogram.
+func writeLateness(w io.Writer, name string, h metrics.LatenessHist) {
+	if h.Count == 0 {
+		return
+	}
+	var cum uint64
+	for i, n := range h.Buckets {
+		cum += n
+		le := "+Inf"
+		if i < len(metrics.LatenessBounds) {
+			le = strconv.FormatFloat(metrics.LatenessBounds[i].Seconds(), 'g', -1, 64)
+		}
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum)
+	}
+	fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum.Seconds(), name, h.Count)
+}
+
 // writeMetrics renders one Prometheus-text scrape. Counters come from the
 // sources' snapshots, so a scrape is consistent within each section but
 // not across sections — fine for monitoring, which is all this is for.
@@ -155,18 +173,14 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	emit("wanamcast_a2_bundle_copies_sent_total", float64(st.BundleCopiesSent))
 	emit("wanamcast_a2_bundle_repeats_dropped_total", float64(st.BundleRepeatsDropped))
 	// How late the WAN emulator released delayed frames (live runs only).
-	if h := st.WANReleaseLate; h.Count > 0 {
-		var cum uint64
-		for i, n := range h.Buckets {
-			cum += n
-			le := "+Inf"
-			if i < len(metrics.LatenessBounds) {
-				le = strconv.FormatFloat(metrics.LatenessBounds[i].Seconds(), 'g', -1, 64)
-			}
-			fmt.Fprintf(w, "wanamcast_wan_release_late_seconds_bucket{le=%q} %d\n", le, cum)
-		}
-		emit("wanamcast_wan_release_late_seconds_sum", h.Sum.Seconds())
-		emit("wanamcast_wan_release_late_seconds_count", float64(h.Count))
+	writeLateness(w, "wanamcast_wan_release_late_seconds", st.WANReleaseLate)
+	// A1's owner proposals: was the caster's group's proposal the final
+	// timestamp, by how much it fell short, and the lead now in force.
+	emit(`wanamcast_a1_owner_proposals_total{outcome="won"}`, float64(st.A1Owner.Margin.Count-st.A1Owner.Lost))
+	emit(`wanamcast_a1_owner_proposals_total{outcome="lost"}`, float64(st.A1Owner.Lost))
+	writeLateness(w, "wanamcast_a1_owner_margin_seconds", st.A1Owner.Margin)
+	for _, k := range slices.SortedFunc(maps.Keys(st.A1Owner.LeadUs), func(x, y [2]types.GroupID) int { return slices.Compare(x[:], y[:]) }) {
+		fmt.Fprintf(w, "wanamcast_a1_owner_lead_us{from=\"%d\",group=\"%d\"} %d\n", k[0], k[1], st.A1Owner.LeadUs[k])
 	}
 	// Latency degree Δ per message — the paper's WAN-hop count, measured.
 	degrees := make([]int64, 0, len(st.DegreeHist))

@@ -25,6 +25,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -84,6 +85,8 @@ type Collector struct {
 	bundlesSent   uint64
 	bundleRepeats uint64
 
+	owner OwnerStats
+
 	wire WireTraffic
 }
 
@@ -117,6 +120,21 @@ type FDCount struct {
 	Suspicions        uint64
 	TrustRestorations uint64
 	LeaderChanges     uint64
+}
+
+// OwnerStats is A1's hybrid-timestamp accounting, counted once per
+// multi-group message, at its caster, when the final timestamp is decided.
+// Margin is final − own proposal over all of them (Margin.Count): 0 when the
+// caster's group's proposal was the final timestamp — the caster's
+// coordinator knew it at cast time and nothing cast later sorts below it.
+// Lost counts the rest: a remote group outbid it, and the message may have
+// queued behind later local casts. LeadUs is the lead from a casting group
+// {0} towards a remote group {1}, as the member of {0} whose estimate moved
+// last reported it: a gauge, not a sum.
+type OwnerStats struct {
+	Lost   uint64
+	Margin LatenessHist
+	LeadUs map[[2]types.GroupID]uint64
 }
 
 // SendEvent is one logged point-to-point send.
@@ -293,6 +311,32 @@ func (c *Collector) OnBundleCopies(sent, dropped int) {
 	}
 }
 
+// OnOwnerProposal records, at its caster, the final timestamp of a
+// multi-group A1 message: short is how many µs the caster's group's own
+// proposal fell below it (0: the proposal was the final timestamp).
+func (c *Collector) OnOwnerProposal(short uint64) {
+	if c.lock() {
+		if short > 0 {
+			c.owner.Lost++
+		}
+		c.owner.Margin.Observe(time.Duration(short) * time.Microsecond)
+		c.mu.Unlock()
+	}
+}
+
+// OnOwnerLead records a new value of the lead, in µs, that a process of
+// group from adds to its hints for messages its group casts to remote group
+// to.
+func (c *Collector) OnOwnerLead(from, to types.GroupID, us uint64) {
+	if c.lock() {
+		if c.owner.LeadUs == nil {
+			c.owner.LeadUs = make(map[[2]types.GroupID]uint64)
+		}
+		c.owner.LeadUs[[2]types.GroupID{from, to}] = us
+		c.mu.Unlock()
+	}
+}
+
 // OnBatchDecided records the size of one decided ordering batch (how many
 // messages a consensus instance ordered at one process).
 func (c *Collector) OnBatchDecided(size int) {
@@ -455,6 +499,9 @@ type Stats struct {
 	// delayed frames (zero on the simulator, whose delays are exact).
 	WANReleaseLate LatenessHist
 
+	// A1Owner is A1's owner-proposal accounting (see OwnerStats).
+	A1Owner OwnerStats
+
 	// Wire holds the wire-level traffic accounting (bytes, frames,
 	// envelopes, compression) reported by the transports.
 	Wire WireStats
@@ -485,8 +532,10 @@ func (c *Collector) Snapshot() Stats {
 		MaxBatchSize:         c.maxBatch,
 		BundleCopiesSent:     c.bundlesSent,
 		BundleRepeatsDropped: c.bundleRepeats,
+		A1Owner:              c.owner,
 		Wire:                 c.wire.snapshot(),
 	}
+	st.A1Owner.LeadUs = maps.Clone(c.owner.LeadUs)
 	for name, pc := range c.perProto {
 		st.PerProtocol[name] = *pc
 	}

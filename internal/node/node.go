@@ -57,6 +57,11 @@ type API interface {
 	After(d time.Duration, fn func())
 	// Now returns the current (virtual or wall) time of the run.
 	Now() time.Duration
+	// Micros reads the process's physical clock in µs: virtual time on the
+	// simulator, Unix time on a live runtime — comparable across the
+	// processes of a cluster up to their clocks' skew, which Now (time since
+	// this runtime started) is not. Nothing may depend on it for safety.
+	Micros() uint64
 	// Clock returns the process's current modified Lamport clock (§2.3).
 	Clock() int64
 	// Crashed reports whether the hosting process has crashed.
@@ -99,6 +104,8 @@ type Registrar interface {
 // runtime (this package) and the live TCP runtime implement it.
 type Env interface {
 	Now() time.Duration
+	// Micros is the clock behind API.Micros, as process p reads it.
+	Micros(p types.ProcessID) uint64
 	// Transmit delivers body to process to with the given send timestamp.
 	// from has already updated its clock; the env applies network delay,
 	// accounting, and crash filtering.
@@ -173,6 +180,9 @@ func (p *Proc) Topo() *types.Topology { return p.topo }
 
 // Now implements API.
 func (p *Proc) Now() time.Duration { return p.env.Now() }
+
+// Micros implements API.
+func (p *Proc) Micros() uint64 { return p.env.Micros(p.id) }
 
 // Clock implements API.
 func (p *Proc) Clock() int64 { return p.clock }

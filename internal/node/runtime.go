@@ -33,6 +33,11 @@ type Runtime struct {
 	oracle *fd.Oracle
 	procs  []*Proc
 
+	// Skew, when non-nil, gives every process a physical clock of its own —
+	// offset, drifting, frozen, jumping: what p reads when the true clock
+	// (virtual µs) reads now. Nothing may depend on that clock for safety.
+	Skew func(now uint64, p types.ProcessID) uint64
+
 	held         map[network.Link][]heldMsg // parked sends of severed links
 	isoSuspected map[types.ProcessID]bool   // suspected due to isolation, not crash
 
@@ -185,6 +190,16 @@ func (rt *Runtime) RunUntil(deadline time.Duration) uint64 { return rt.sched.Run
 
 // Now implements Env.
 func (rt *Runtime) Now() time.Duration { return rt.sched.Now() }
+
+// Micros implements Env: virtual time, so that a run stays a function of
+// its seed — as Skew, when set, bends it for process p.
+func (rt *Runtime) Micros(p types.ProcessID) uint64 {
+	now := uint64(rt.sched.Now() / time.Microsecond)
+	if rt.Skew != nil {
+		return rt.Skew(now, p)
+	}
+	return now
+}
 
 // Recorder implements Env.
 func (rt *Runtime) Recorder() *metrics.Collector { return rt.rec }

@@ -824,6 +824,11 @@ func (rt *Runtime) dispatch(to types.ProcessID, f wire.Frame) {
 // Now implements node.Env: wall time since Start.
 func (rt *Runtime) Now() time.Duration { return time.Since(rt.start) }
 
+// Micros implements node.Env: Unix time, which processes hosted by different
+// runtimes share up to their clocks' skew (Now counts from this runtime's
+// start).
+func (rt *Runtime) Micros(types.ProcessID) uint64 { return uint64(time.Now().UnixMicro()) }
+
 // Recorder implements node.Env.
 func (rt *Runtime) Recorder() *metrics.Collector { return rt.rec }
 
