@@ -57,7 +57,6 @@ func main() {
 type flags struct {
 	cfg       config.Config
 	telemetry *string                // -telemetry address
-	benchJSON *string                // -benchjson file
 	startProf func() (func(), error) // starts the -*profile outputs
 	svcPort   int
 	clients   int
@@ -79,7 +78,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 		WANDelay: 100 * time.Millisecond, MaxBatch: 64, Pipeline: 4}}
 	f.cfg.Bind(fs)
 	f.telemetry = harness.TelemetryFlag(fs, &f.cfg.TraceSpans)
-	f.benchJSON = harness.BenchJSONFlag(fs)
 	f.startProf = harness.ProfileFlags(fs)
 	fs.BoolVar(&f.cfg.Check, "check", false, "verify the §2.2 properties over the run (unbounded memory)")
 	fs.IntVar(&f.svcPort, "svcport", 20000, "client-facing base port (replica p serves on svcport+p)")
@@ -108,8 +106,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 		return nil, fmt.Errorf("-timeout must be positive")
 	case f.reads < 0 || f.reads > 1:
 		return nil, fmt.Errorf("-reads must be within [0,1]: %v", f.reads)
-	case *f.benchJSON != "" && f.clients < 1:
-		return nil, fmt.Errorf("-benchjson records load-mode runs only (-clients >= 1)")
 	}
 	if f.mode, err = svc.ParseConsistency(f.consist); err != nil {
 		return nil, fmt.Errorf("-consistency: %v", err)
@@ -266,30 +262,6 @@ func run(f *flags) int {
 			fmt.Printf(", compression %.2fx", cr)
 		}
 		fmt.Println()
-	}
-	if *f.benchJSON != "" {
-		r := cluster.BenchResult("wankv-load", res.Ops, res.Elapsed)
-		if res.Reads > 0 {
-			ss := stats.Snapshot()
-			r.ReadFraction = f.reads
-			r.Consistency = f.consist
-			r.Reads = res.Reads
-			r.ReadsPerSec = float64(res.Reads) / res.Elapsed.Seconds()
-			r.StaleReads = ss.StaleReads
-			r.LeaseDenied = ss.LeaseDenied
-			r.ByClass = make(map[string]map[string]float64, len(ss.ByClass))
-			for class, sum := range ss.ByClass {
-				r.ByClass[class] = map[string]float64{
-					"p50": float64(sum.P50) / float64(time.Millisecond),
-					"p99": float64(sum.P99) / float64(time.Millisecond),
-				}
-			}
-		}
-		if err := harness.AppendBenchJSON(*f.benchJSON, r); err != nil {
-			fmt.Fprintln(os.Stderr, "wankv: benchjson:", err)
-			return 1
-		}
-		fmt.Printf("benchjson      appended to %s\n", *f.benchJSON)
 	}
 
 	exit := 0

@@ -1,5 +1,17 @@
-// Command figures regenerates every table and figure of the paper's
-// evaluation on the simulated WAN and prints paper-versus-measured rows:
+package main
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"wanamcast/internal/harness"
+	"wanamcast/internal/types"
+)
+
+// figures regenerates every table and figure of the paper's evaluation on
+// the simulated WAN (d processes per group, inter one-way between groups)
+// and prints paper-versus-measured rows:
 //
 //   - Figure 1(a): atomic multicast — latency degree and inter-group
 //     messages for [4], [10], [5], A1, Skeen [2], and [1];
@@ -9,40 +21,18 @@
 //     cast pays the restart hop;
 //   - the §5.3 broadcast-frequency regime of A2.
 //
-// Usage:
-//
-//	figures [-d processes-per-group] [-inter duration]
-package main
-
-import (
-	"flag"
-	"fmt"
-	"os"
-	"time"
-
-	"wanamcast/internal/harness"
-	"wanamcast/internal/types"
-)
-
-func main() {
-	d := flag.Int("d", 3, "processes per group")
-	inter := flag.Duration("inter", 100*time.Millisecond, "inter-group one-way delay")
-	flag.Parse()
-	// A bad flag must die with a usage message (exit 2), not as a
-	// topology panic or a mid-run fatal.
-	if *d < 1 || *inter < 0 {
-		harness.Usagef("figures", "-d must be at least 1 and -inter non-negative (got %d, %v)", *d, *inter)
-	}
-
-	figure1a(*d, *inter)
-	fmt.Println()
-	figure1b(*d, *inter)
-	fmt.Println()
-	theorems(*d, *inter)
-	fmt.Println()
-	burst(*d, *inter)
-	fmt.Println()
-	frequency(*d, *inter)
+// The output at the defaults is pinned byte for byte by
+// testdata/figures.golden.
+func figures(w io.Writer, d int, inter time.Duration) {
+	figure1a(w, d, inter)
+	fmt.Fprintln(w)
+	figure1b(w, d, inter)
+	fmt.Fprintln(w)
+	theorems(w, d, inter)
+	fmt.Fprintln(w)
+	burst(w, d, inter)
+	fmt.Fprintln(w)
+	frequency(w, d, inter)
 }
 
 type row struct {
@@ -52,9 +42,9 @@ type row struct {
 	paperMsgs string
 }
 
-func figure1a(d int, inter time.Duration) {
-	fmt.Println("Figure 1(a) — Atomic Multicast (k destination groups, d =", d, "processes/group)")
-	fmt.Println("algorithm        paper Δ   paper msgs    k=2           k=3           k=4           k=5")
+func figure1a(w io.Writer, d int, inter time.Duration) {
+	fmt.Fprintln(w, "Figure 1(a) — Atomic Multicast (k destination groups, d =", d, "processes/group)")
+	fmt.Fprintln(w, "algorithm        paper Δ   paper msgs    k=2           k=3           k=4           k=5")
 	rows := []row{
 		{harness.AlgoDelporte, "[4] Delporte", "k+1", "O(kd^2)"},
 		{harness.AlgoRodrigues, "[10] Rodrigues", "4", "O(k^2d^2)"},
@@ -64,12 +54,12 @@ func figure1a(d int, inter time.Duration) {
 		{harness.AlgoDetMerge, "[1] det-merge", "1", "O(kd)"},
 	}
 	for _, r := range rows {
-		fmt.Printf("%-16s %-9s %-12s", r.label, r.paperDeg, r.paperMsgs)
+		fmt.Fprintf(w, "%-16s %-9s %-12s", r.label, r.paperDeg, r.paperMsgs)
 		for k := 2; k <= 5; k++ {
 			deg, msgs := runMulticast(r.algo, k, d, inter)
-			fmt.Printf(" Δ=%-2d m=%-6d", deg, msgs)
+			fmt.Fprintf(w, " Δ=%-2d m=%-6d", deg, msgs)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -99,7 +89,7 @@ func runMulticast(algo harness.Algo, k, d int, inter time.Duration) (int64, uint
 	mustClean(s)
 	deg, ok := s.DegreeOf(id)
 	if !ok {
-		fatal("probe not delivered by %s", algo)
+		fatalf("probe not delivered by %s", algo)
 	}
 	st := s.Col.Snapshot()
 	msgs := st.InterGroupMessages
@@ -112,9 +102,9 @@ func runMulticast(algo harness.Algo, k, d int, inter time.Duration) (int64, uint
 	return deg, msgs
 }
 
-func figure1b(d int, inter time.Duration) {
-	fmt.Println("Figure 1(b) — Atomic Broadcast (n = k·d processes)")
-	fmt.Println("algorithm        paper Δ   paper msgs    k=2           k=3           k=4")
+func figure1b(w io.Writer, d int, inter time.Duration) {
+	fmt.Fprintln(w, "Figure 1(b) — Atomic Broadcast (n = k·d processes)")
+	fmt.Fprintln(w, "algorithm        paper Δ   paper msgs    k=2           k=3           k=4")
 	rows := []row{
 		{harness.AlgoSousa, "[12] Sousa", "2", "O(n)"},
 		{harness.AlgoVicente, "[13] Vicente", "2", "O(n^2)"},
@@ -122,12 +112,12 @@ func figure1b(d int, inter time.Duration) {
 		{harness.AlgoDetMerge, "[1] det-merge", "1", "O(n)"},
 	}
 	for _, r := range rows {
-		fmt.Printf("%-16s %-9s %-12s", r.label, r.paperDeg, r.paperMsgs)
+		fmt.Fprintf(w, "%-16s %-9s %-12s", r.label, r.paperDeg, r.paperMsgs)
 		for k := 2; k <= 4; k++ {
 			deg, msgs := runBroadcast(r.algo, k, d, inter)
-			fmt.Printf(" Δ=%-2d m=%-6d", deg, msgs)
+			fmt.Fprintf(w, " Δ=%-2d m=%-6d", deg, msgs)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -161,7 +151,7 @@ func runBroadcast(algo harness.Algo, groups, d int, inter time.Duration) (int64,
 	mustClean(s)
 	deg, ok := s.DegreeOf(id)
 	if !ok {
-		fatal("probe not delivered by %s", algo)
+		fatalf("probe not delivered by %s", algo)
 	}
 	st := s.Col.Snapshot()
 	msgs := st.InterGroupMessages
@@ -172,8 +162,8 @@ func runBroadcast(algo harness.Algo, groups, d int, inter time.Duration) (int64,
 	return deg, msgs
 }
 
-func theorems(d int, inter time.Duration) {
-	fmt.Println("Latency-degree theorems (witness runs)")
+func theorems(w io.Writer, d int, inter time.Duration) {
+	fmt.Fprintln(w, "Latency-degree theorems (witness runs)")
 
 	// Theorem 4.1: A1, message to two groups, Δ = 2.
 	s := harness.Build(harness.AlgoA1, harness.Options{Groups: 2, PerGroup: d, Inter: inter})
@@ -181,7 +171,7 @@ func theorems(d int, inter time.Duration) {
 	s.Run()
 	mustClean(s)
 	deg, _ := s.DegreeOf(id)
-	fmt.Printf("  Theorem 4.1: A1 multicast to 2 groups       paper Δ=2, measured Δ=%d\n", deg)
+	fmt.Fprintf(w, "  Theorem 4.1: A1 multicast to 2 groups       paper Δ=2, measured Δ=%d\n", deg)
 
 	// Theorem 5.1: A2 with synchronized rounds, Δ = 1.
 	s = harness.Build(harness.AlgoA2, harness.Options{Groups: 2, PerGroup: d, Inter: inter})
@@ -193,7 +183,7 @@ func theorems(d int, inter time.Duration) {
 	s.Run()
 	mustClean(s)
 	deg, _ = s.DegreeOf(probe)
-	fmt.Printf("  Theorem 5.1: A2 broadcast, rounds running   paper Δ=1, measured Δ=%d\n", deg)
+	fmt.Fprintf(w, "  Theorem 5.1: A2 broadcast, rounds running   paper Δ=1, measured Δ=%d\n", deg)
 
 	// Theorem 5.2: A2 after premature quiescence, Δ = 2.
 	s = harness.Build(harness.AlgoA2, harness.Options{Groups: 2, PerGroup: d, Inter: inter})
@@ -203,18 +193,18 @@ func theorems(d int, inter time.Duration) {
 	s.Run()
 	mustClean(s)
 	deg, _ = s.DegreeOf(late)
-	fmt.Printf("  Theorem 5.2: A2 broadcast after quiescence  paper Δ=2, measured Δ=%d\n", deg)
+	fmt.Fprintf(w, "  Theorem 5.2: A2 broadcast after quiescence  paper Δ=2, measured Δ=%d\n", deg)
 
 	// Proposition 3.1 cross-check: no genuine multicast measured below 2
 	// for multi-group messages.
-	fmt.Println("  Prop. 3.1 : no genuine multicast run measured Δ<2 for multi-group messages (see Figure 1a rows)")
+	fmt.Fprintln(w, "  Prop. 3.1 : no genuine multicast run measured Δ<2 for multi-group messages (see Figure 1a rows)")
 }
 
 // burst casts a finite burst of broadcasts, reports when the system stops
 // sending messages, then casts once more after quiescence and shows the
 // latency-degree penalty.
-func burst(d int, inter time.Duration) {
-	fmt.Println("Proposition A.9 — quiescence after a finite burst")
+func burst(w io.Writer, d int, inter time.Duration) {
+	fmt.Fprintln(w, "Proposition A.9 — quiescence after a finite burst")
 	s := harness.Build(harness.AlgoA2, harness.Options{Groups: 2, PerGroup: d, Inter: inter})
 	all := s.Topo.AllGroups()
 	s.CastAt(0, s.Topo.Members(0)[0], "warm0", all)
@@ -226,23 +216,23 @@ func burst(d int, inter time.Duration) {
 	}
 	s.Run()
 	lastSend, _ := s.Col.LastSend()
-	fmt.Printf("  last cast at             %v\n", lastCast)
-	fmt.Printf("  last message sent at     %v (then silence — quiescent)\n", lastSend)
-	fmt.Printf("  virtual time at drain    %v\n", s.RT.Now())
+	fmt.Fprintf(w, "  last cast at             %v\n", lastCast)
+	fmt.Fprintf(w, "  last message sent at     %v (then silence — quiescent)\n", lastSend)
+	fmt.Fprintf(w, "  virtual time at drain    %v\n", s.RT.Now())
 
 	late := s.Cast(s.Topo.Members(1)[0], "late", all)
 	s.Run()
 	mustClean(s)
 	deg, ok := s.DegreeOf(late)
 	if !ok {
-		fatal("late message not delivered")
+		fatalf("late message not delivered")
 	}
-	fmt.Printf("  cast after quiescence    Δ=%d (Theorem 5.2: the restart costs one extra hop)\n", deg)
+	fmt.Fprintf(w, "  cast after quiescence    Δ=%d (Theorem 5.2: the restart costs one extra hop)\n", deg)
 }
 
-func frequency(d int, inter time.Duration) {
-	fmt.Println("§5.3 — A2 broadcast-frequency regimes (round time ≈ inter-group delay)")
-	fmt.Println("period      mean Δ   note")
+func frequency(w io.Writer, d int, inter time.Duration) {
+	fmt.Fprintln(w, "§5.3 — A2 broadcast-frequency regimes (round time ≈ inter-group delay)")
+	fmt.Fprintln(w, "period      mean Δ   note")
 	for _, period := range []time.Duration{inter / 2, inter * 4 / 5, inter * 4} {
 		s := harness.Build(harness.AlgoA2, harness.Options{Groups: 2, PerGroup: d, Inter: inter})
 		all := s.Topo.AllGroups()
@@ -262,7 +252,7 @@ func frequency(d int, inter time.Duration) {
 		for _, id := range ids {
 			dg, ok := s.DegreeOf(id)
 			if !ok {
-				fatal("message lost in frequency sweep")
+				fatalf("message lost in frequency sweep")
 			}
 			sum += dg
 		}
@@ -271,17 +261,12 @@ func frequency(d int, inter time.Duration) {
 		if mean > 1.5 {
 			note = "rounds quiesce between casts: Δ=2 (Theorem 5.2)"
 		}
-		fmt.Printf("%-11v %-8.2f %s\n", period, mean, note)
+		fmt.Fprintf(w, "%-11v %-8.2f %s\n", period, mean, note)
 	}
 }
 
 func mustClean(s *harness.System) {
 	if v := s.Check(); len(v) != 0 {
-		fatal("property violations: %v", v)
+		fatalf("property violations: %v", v)
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "figures: "+format+"\n", args...)
-	os.Exit(1)
 }

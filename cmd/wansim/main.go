@@ -9,6 +9,8 @@
 //	wansim -algo a2 -groups 2 -d 3 -casts 100 -rate 20 -crash 1
 //	wansim -algo delporte -groups 4 -casts 20 -seed 7
 //	wansim -algo all -groups 3 -casts 30        # one comparison table
+//	wansim -sweep 50x3,200x5 -casts 1000        # the simulator's own throughput by shape
+//	wansim -figures                             # every table and figure of the paper
 package main
 
 import (
@@ -32,13 +34,11 @@ func main() {
 	run(f)
 }
 
-// flags is wansim's command line: the shared cluster knobs (the simulator
-// reads the topology, delays, batching, bandwidth and lane count from
-// them; -live reads them all) plus its own workload flags.
+// flags is wansim's command line: the shared cluster knobs the simulator
+// models (topology, delays, batching, bandwidth, lane count) plus its own
+// workload flags.
 type flags struct {
 	cfg       config.Config
-	telemetry *string                // -telemetry address
-	benchJSON *string                // -benchjson file
 	startProf func() (func(), error) // starts the -*profile outputs
 	algo      string
 	procs     int
@@ -49,7 +49,7 @@ type flags struct {
 	spread    int
 	crash     int
 	seed      int64
-	live      bool
+	figures   bool
 	scenario  string
 	sc        scenario.Scenario // resolved scenario, when one is named
 	scnUnit   time.Duration
@@ -60,26 +60,27 @@ type flags struct {
 // everything before anything is built: a bad topology or workload is a
 // usage error, not a mid-run panic.
 func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
-	f := &flags{cfg: config.Config{Groups: 3, PerGroup: 3, BasePort: 22000,
+	f := &flags{cfg: config.Config{Groups: 3, PerGroup: 3,
 		WANDelay: 100 * time.Millisecond, LANDelay: time.Millisecond, Pipeline: 1}}
-	f.cfg.Bind(fs)
-	f.telemetry = harness.TelemetryFlag(fs, &f.cfg.TraceSpans)
-	f.benchJSON = harness.BenchJSONFlag(fs)
+	// What only a live cluster has — sockets, the failure detector, leases,
+	// the transport's queues, stores, span rings — the simulator cannot honour.
+	f.cfg.Bind(fs, "port", "heartbeat", "suspectafter", "leasems", "skewms", "inbox", "sendqueue",
+		"flush", "compressmin", "datadir", "nofsync", "snapevery", "spanbuf", "flightdump")
 	f.startProf = harness.ProfileFlags(fs)
 	fs.Var(fs.Lookup("wan").Value, "inter", "inter-group one-way delay (alias of -wan)")
 	fs.Var(fs.Lookup("lan").Value, "intra", "intra-group one-way delay (alias of -lan)")
 	fs.IntVar(&f.procs, "procs", 0, "processes per group (alias of -d; 0 defers to -d)")
 	fs.StringVar(&f.algo, "algo", "a1", "algorithm: a1, a2, skeen, fritzke, delporte, rodrigues, detmerge, sousa, vicente, or all for one comparison table")
-	fs.Func("sweep", "run a scale sweep over these topology `shapes` instead of one run, e.g. 50x3,100x3,200x5 (sim only)",
+	fs.Func("sweep", "run a scale sweep over these topology `shapes` instead of one run, e.g. 50x3,100x3,200x5",
 		func(s string) (err error) { f.shapes, err = harness.ParseSweep(s); return err })
-	fs.DurationVar(&f.jitter, "jitter", 0, "uniform extra delay in [0,jitter) (sim only)")
+	fs.DurationVar(&f.jitter, "jitter", 0, "uniform extra delay in [0,jitter)")
 	fs.IntVar(&f.casts, "casts", 20, "number of messages to cast")
 	fs.Float64Var(&f.rate, "rate", 10, "casts per second (virtual time)")
 	fs.IntVar(&f.spread, "spread", 2, "destination groups per multicast (ignored by broadcasts)")
 	fs.IntVar(&f.crash, "crash", 0, "crash this many processes (one per group, minority) mid-run")
 	fs.Int64Var(&f.seed, "seed", 1, "simulation seed")
-	fs.BoolVar(&f.live, "live", false, "run over real TCP sockets on localhost instead of the simulator (a1/a2 only)")
-	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the workload (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery); sim only")
+	fs.BoolVar(&f.figures, "figures", false, "regenerate every table and figure of the paper's evaluation (reads -d and -inter only)")
+	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the workload (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery)")
 	fs.DurationVar(&f.scnUnit, "scnunit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 	fs.BoolVar(&f.verbose, "v", false, "print every delivery")
 	if err := fs.Parse(args); err != nil {
@@ -93,13 +94,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 		}
 		f.cfg.PerGroup = f.procs
 	}
-	// Only -live opens sockets, runs a failure detector and keeps stores: a
-	// simulated 15000x3 must not be refused for want of 45000 ports.
-	validate := f.cfg.ValidateModel
-	if f.live {
-		validate = f.cfg.Validate
-	}
-	if err := validate(); err != nil {
+	// The simulator opens no socket: a 15000x3 shape must not be refused for
+	// want of 45000 ports.
+	if err := f.cfg.ValidateModel(); err != nil {
 		return nil, err
 	}
 	switch {
@@ -115,18 +112,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 		return nil, fmt.Errorf("-crash must be non-negative (got %d)", f.crash)
 	case f.algo != "all" && !harness.Algo(f.algo).Known():
 		return nil, fmt.Errorf("unknown -algo %q", f.algo)
-	case f.live && f.scenario != "":
-		return nil, fmt.Errorf("-scenario runs on the simulator only (cmd/wanchaos drives live chaos)")
-	case f.live && len(f.shapes) > 0:
-		return nil, fmt.Errorf("-sweep runs on the simulator only")
 	case len(f.shapes) > 0 && f.scenario != "":
 		return nil, fmt.Errorf("-sweep and -scenario are mutually exclusive")
-	case *f.benchJSON != "" && !f.live && len(f.shapes) == 0:
-		return nil, fmt.Errorf("-benchjson records live benchmark or -sweep runs only")
-	case f.cfg.TraceSpans && !f.live:
-		return nil, fmt.Errorf("-telemetry, -spanbuf, and -flightdump instrument live runs only (add -live)")
-	case f.cfg.CompressMin != 0 && !f.live:
-		return nil, fmt.Errorf("-compressmin tunes the live transport only (add -live)")
+	case f.figures && (len(f.shapes) > 0 || f.scenario != "" || f.algo == "all"):
+		return nil, fmt.Errorf("-figures runs the paper's own workloads: it excludes -sweep, -scenario and -algo all")
 	}
 	if f.scenario != "" {
 		switch {
@@ -149,6 +138,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 
 func run(f *flags) {
 	cfg, groups := f.cfg, f.cfg.Groups
+	if f.figures {
+		figures(os.Stdout, cfg.PerGroup, cfg.WANDelay)
+		return
+	}
 	if f.algo == "all" {
 		compareAll(groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, f.jitter, f.casts, f.rate, f.spread, f.seed)
 		return
@@ -162,16 +155,10 @@ func run(f *flags) {
 	}
 	stopProf, err := f.startProf()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wansim:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	if len(f.shapes) > 0 {
-		runSweep(algo, opts, f.shapes, f.casts, *f.benchJSON)
-		stopProf()
-		return
-	}
-	if f.live {
-		runLive(algo, f)
+		runSweep(algo, opts, f.shapes, f.casts)
 		stopProf()
 		return
 	}
@@ -260,9 +247,9 @@ func run(f *flags) {
 
 // runSweep measures the simulation runtime itself across topology shapes:
 // one full workload per shape, reporting events/s, allocs/event, wall
-// clock, and peak heap. With benchOut set, each point also appends a
-// machine-readable record (BENCH_sim.json by convention).
-func runSweep(algo harness.Algo, opts harness.Options, shapes []harness.Shape, casts int, benchOut string) {
+// clock, and peak heap. bench/'s sim-scale workload records the same
+// measurement.
+func runSweep(algo harness.Algo, opts harness.Options, shapes []harness.Shape, casts int) {
 	fmt.Printf("scale sweep: algo=%s casts=%d seed=%d inter=%v intra=%v jitter=%v\n",
 		algo, casts, opts.Seed, opts.Inter, opts.Intra, opts.Jitter)
 	fmt.Printf("%-8s %-6s %-10s %-12s %-14s %-10s %-10s %-12s %s\n",
@@ -274,18 +261,16 @@ func runSweep(algo harness.Algo, opts harness.Options, shapes []harness.Shape, c
 			p.RunWall.Round(time.Millisecond), p.CheckWall.Round(10*time.Microsecond), p.AllocsPerEvent,
 			float64(p.PeakHeapBytes)/(1<<20))
 		if p.Violations != 0 {
-			fmt.Fprintf(os.Stderr, "wansim: %d property violations at %v\n", p.Violations, p.Shape)
-			os.Exit(1)
-		}
-		if benchOut != "" {
-			rec := p.BenchRecord("sim-sweep-"+string(algo), opts.Seed)
-			rec.StartedAt = time.Now().UTC().Format(time.RFC3339)
-			if err := harness.AppendBenchJSON(benchOut, rec); err != nil {
-				fmt.Fprintln(os.Stderr, "wansim: benchjson:", err)
-				os.Exit(1)
-			}
+			fatalf("%d property violations at %v", p.Violations, p.Shape)
 		}
 	}
+}
+
+// fatalf reports a failed run (exit 1; a bad command line exits 2 before
+// anything runs).
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "wansim: "+format+"\n", args...)
+	os.Exit(1)
 }
 
 // pickDest samples spread distinct destination groups. It requires

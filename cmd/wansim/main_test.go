@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -18,20 +20,51 @@ func TestCIInvocations(t *testing.T) {
 	})
 }
 
-// TestSimNeedsNoPorts: only -live is bound by the live cluster's rules; a
-// simulated topology may be far larger than the port space.
+// TestSimNeedsNoPorts: wansim validates the model alone — a simulated
+// topology may be far larger than the port space — and what only a live
+// cluster has (-live itself, the retired -benchjson, sockets, stores, the
+// tracer's outputs) is unknown to it, not accepted and ignored.
 func TestSimNeedsNoPorts(t *testing.T) {
 	for args, ok := range map[string]bool{
-		"-algo a1 -sweep 15000x3 -casts 1":      true,
-		"-groups 30000 -procs 2 -casts 0":       true,
-		"-groups 30000 -procs 2 -casts 0 -live": false,
-		"-groups 0":                             false,
-		"-pipeline -1":                          false,
+		"-algo a1 -sweep 15000x3 -casts 1":  true,
+		"-groups 30000 -procs 2 -casts 0":   true,
+		"-figures -d 5 -inter 50ms":         true,
+		"-groups 0":                         false,
+		"-pipeline -1":                      false,
+		"-live":                             false,
+		"-benchjson f":                      false,
+		"-telemetry :0":                     false,
+		"-port 1":                           false,
+		"-datadir d":                        false,
+		"-compressmin 2000":                 false,
+		"-figures -sweep 4x3":               false,
+		"-figures -scenario partition-heal": false,
+		"-figures -algo all":                false,
 	} {
 		fs := flag.NewFlagSet("wansim", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		if _, err := parseFlags(fs, strings.Fields(args)); (err == nil) != ok {
 			t.Errorf("wansim %s: err=%v, want ok=%v", args, err, ok)
 		}
+	}
+}
+
+// TestFiguresGolden: -figures at its defaults reproduces the committed
+// tables byte for byte (the simulator is deterministic, so any difference
+// is a protocol or a formatting change).
+func TestFiguresGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/figures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("wansim", flag.ContinueOnError)
+	f, err := parseFlags(fs, []string{"-figures"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	figures(&got, f.cfg.PerGroup, f.cfg.WANDelay)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-figures differs from testdata/figures.golden; got:\n%s", got.Bytes())
 	}
 }

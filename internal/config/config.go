@@ -253,8 +253,8 @@ func (c Config) Validate() error {
 
 // ValidateModel checks only the knobs the simulator models too — topology,
 // delays, batching, pipelining, bandwidth, lanes. It is all a run that
-// opens no socket needs (wansim without -live: a 15000x3 sweep shape must
-// not be refused for want of 45000 ports). Groups and PerGroup must be
+// opens no socket needs (wansim: a 15000x3 sweep shape must not be refused
+// for want of 45000 ports). Groups and PerGroup must be
 // given: a command always holds them from its flags, so a 0 there is a
 // typo, not a request for the default.
 func (c Config) ValidateModel() error {

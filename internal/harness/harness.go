@@ -1,8 +1,9 @@
 // Package harness wires any of the repository's nine total-order
 // algorithms — the paper's A1 and A2 plus the seven Figure 1 baselines —
 // into a simulated wide-area system with uniform casting, measurement, and
-// property-checking surfaces. The Figure 1 benchmarks, the cmd/figures
-// tool, and the cross-algorithm tests are all built on it.
+// property-checking surfaces. The Figure 1 benchmarks, wansim (its
+// -figures tables included), and the cross-algorithm tests are all built on
+// it.
 package harness
 
 import (

@@ -150,19 +150,3 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 		Violations:     violations,
 	}
 }
-
-// BenchRecord converts the point into the machine-readable form the sweep
-// appends to BENCH_sim.json.
-func (p SweepPoint) BenchRecord(name string, seed int64) BenchResult {
-	return BenchResult{
-		Name:           name,
-		Topology:       p.Shape.String(),
-		Casts:          p.Casts,
-		Events:         p.Events,
-		EventsPerSec:   p.EventsPerSec,
-		AllocsPerEvent: p.AllocsPerEvent,
-		WallMS:         float64(p.Wall.Microseconds()) / 1e3,
-		PeakHeapBytes:  p.PeakHeapBytes,
-		Seed:           seed,
-	}
-}

@@ -17,9 +17,9 @@ import (
 )
 
 // Telemetry supplies the live introspection plane's data as closures, so
-// the plane serves any host — LiveCluster-backed commands, the sim's live
-// mode, or tests — without this package importing them. Every field but
-// Stats is optional: a nil closure simply omits its section.
+// the plane serves any host — LiveCluster-backed commands or tests —
+// without this package importing them. Every field but Stats is optional: a
+// nil closure simply omits its section.
 type Telemetry struct {
 	// Cmd names the serving command on the index page.
 	Cmd string

@@ -26,6 +26,7 @@ package metrics
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -319,6 +320,9 @@ func (c *Collector) OnOwnerProposal(short uint64) {
 		if short > 0 {
 			c.owner.Lost++
 		}
+		// A lying or stepped clock can put the final timestamp up to 2^62 µs
+		// ahead: saturate rather than wrap into a small or negative margin.
+		short = min(short, math.MaxInt64/uint64(time.Microsecond))
 		c.owner.Margin.Observe(time.Duration(short) * time.Microsecond)
 		c.mu.Unlock()
 	}

@@ -418,3 +418,16 @@ func TestLatenessHist(t *testing.T) {
 		t.Error("an empty histogram must report zero")
 	}
 }
+
+// TestOwnerProposalSaturates: PR 23's decision rule admits final timestamps
+// up to 2^62 µs, which a lying or stepped clock reaches; that many µs do not
+// fit a time.Duration. Such a sample is a lost proposal in the overflow
+// bucket, not a wrapped (zero or negative) margin.
+func TestOwnerProposalSaturates(t *testing.T) {
+	c := &Collector{}
+	c.OnOwnerProposal(1 << 62)
+	o := c.Snapshot().A1Owner
+	if o.Lost != 1 || o.Margin.Count != 1 || o.Margin.Buckets[len(LatenessBounds)] != 1 || o.Margin.Sum < 0 {
+		t.Fatalf("lost %d, margin %+v: want one sample in the overflow bucket and a non-negative sum", o.Lost, o.Margin)
+	}
+}

@@ -26,7 +26,6 @@ type overrides struct {
 	severed map[Link]bool
 	delays  map[Link]time.Duration
 	jitters map[Link]time.Duration
-	bw      map[Link]int64 // bytes/s cap; overrides Model.Bandwidth
 }
 
 func (o *overrides) clone() *overrides {
@@ -34,7 +33,6 @@ func (o *overrides) clone() *overrides {
 		severed: make(map[Link]bool, len(o.severed)),
 		delays:  make(map[Link]time.Duration, len(o.delays)),
 		jitters: make(map[Link]time.Duration, len(o.jitters)),
-		bw:      make(map[Link]int64, len(o.bw)),
 	}
 	for l, v := range o.severed {
 		c.severed[l] = v
@@ -44,9 +42,6 @@ func (o *overrides) clone() *overrides {
 	}
 	for l, v := range o.jitters {
 		c.jitters[l] = v
-	}
-	for l, v := range o.bw {
-		c.bw[l] = v
 	}
 	return c
 }
@@ -99,11 +94,6 @@ type Fabric struct {
 
 	mu   sync.Mutex // serializes mutations (clone-edit-swap of snap)
 	subs []func(l Link, severed bool)
-
-	// bwAny flips true (and stays true) once any per-link bandwidth
-	// override installs, so BandwidthOn stays one predictable branch plus
-	// one atomic load on fabrics that never model bandwidth.
-	bwAny atomic.Bool
 
 	cmu      sync.Mutex // guards counters (creation only; counting is atomic)
 	counters map[Link]*LinkCounter
@@ -299,66 +289,14 @@ func (f *Fabric) ClearJitter(from, to types.ProcessID) {
 	f.snap.Store(next)
 }
 
-// SetBandwidth caps the directed link from→to at bytesPerSec, overriding
-// the base model's Bandwidth for that link. A non-positive rate is a wiring
-// bug (use ClearBandwidth to uncap) and panics.
-func (f *Fabric) SetBandwidth(from, to types.ProcessID, bytesPerSec int64) {
-	if bytesPerSec <= 0 {
-		panic(fmt.Sprintf("network: non-positive bandwidth %d", bytesPerSec))
-	}
-	f.mutate(func(st *overrides) {
-		st.bw[Link{from, to}] = bytesPerSec
-	})
-	f.bwAny.Store(true)
-}
-
-// SetGroupBandwidth caps every link between the group sets a and b (both
-// directions when symmetric) — a congested WAN segment.
-func (f *Fabric) SetGroupBandwidth(a, b []types.GroupID, bytesPerSec int64, symmetric bool) {
-	if bytesPerSec <= 0 {
-		panic(fmt.Sprintf("network: non-positive bandwidth %d", bytesPerSec))
-	}
-	links := f.crossLinks(a, b, symmetric)
-	f.mutate(func(st *overrides) {
-		for _, l := range links {
-			st.bw[l] = bytesPerSec
-		}
-	})
-	f.bwAny.Store(true)
-}
-
-// ClearBandwidth removes the bandwidth override of from→to; the link
-// reverts to the base model's cap (or to uncapped).
-func (f *Fabric) ClearBandwidth(from, to types.ProcessID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.snap.Load()
-	if cur == nil {
-		return
-	}
-	next := cur.clone()
-	delete(next.bw, Link{from, to})
-	f.snap.Store(next)
-}
-
-// BandwidthOn reports whether any link of this fabric is bandwidth-capped —
-// by the base model or by an override, now or at any earlier point. Hot
+// BandwidthOn reports whether the fabric's links are bandwidth-capped. Hot
 // paths gate all per-message byte sizing on it, so an uncapped run pays
 // nothing for the bandwidth machinery.
-func (f *Fabric) BandwidthOn() bool {
-	return f.model.Bandwidth > 0 || f.bwAny.Load()
-}
+func (f *Fabric) BandwidthOn() bool { return f.model.Bandwidth > 0 }
 
-// Bandwidth returns the current bytes/s cap of the directed link from→to,
-// or 0 when the link is uncapped.
-func (f *Fabric) Bandwidth(from, to types.ProcessID) int64 {
-	if st := f.snap.Load(); st != nil {
-		if bw, ok := st.bw[Link{from, to}]; ok {
-			return bw
-		}
-	}
-	return f.model.Bandwidth
-}
+// Bandwidth returns the bytes/s cap of the directed link from→to (the base
+// model's: every link has the same), or 0 when links are uncapped.
+func (f *Fabric) Bandwidth(from, to types.ProcessID) int64 { return f.model.Bandwidth }
 
 // Counter returns the byte counter of the directed link from→to, creating
 // it on first use. Callers cache the pointer and count lock-free.

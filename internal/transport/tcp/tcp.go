@@ -119,14 +119,14 @@ type Config struct {
 	// the link heals — the transport-level analogue of TCP retransmission
 	// carrying data across a partition, so partitions stay admissible
 	// quasi-reliable runs. Per-link delay overrides replace the static
-	// WANDelay/LANDelay injection, and the fabric's own base (plus per-link
-	// SetBandwidth overrides) replaces Bandwidth. When nil, a private
-	// fabric is built from WANDelay/LANDelay/Bandwidth; Fabric() exposes it
-	// either way. All hosted processes consult the same fabric, which
-	// assumes one Runtime per deployment or an external fabric shared
-	// between them. An injected fabric's BASE model must have zero Jitter
-	// (per-link jitter overrides are fine): base jitter would need the
-	// shared rng on the lock-free receive fast path.
+	// WANDelay/LANDelay injection, and the fabric's base model's cap
+	// replaces Bandwidth. When nil, a private fabric is built from
+	// WANDelay/LANDelay/Bandwidth; Fabric() exposes it either way. All
+	// hosted processes consult the same fabric, which assumes one Runtime
+	// per deployment or an external fabric shared between them. An injected
+	// fabric's BASE model must have zero Jitter (per-link jitter overrides
+	// are fine): base jitter would need the shared rng on the lock-free
+	// receive fast path.
 	Fabric *network.Fabric
 	// Recorder receives measurement events from every runtime goroutine
 	// (it locks itself). Nil discards.

@@ -3,7 +3,6 @@ package wanamcast
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -404,7 +403,7 @@ type FsyncStats struct {
 	Fsyncs   uint64 // fsyncs issued across all stores (inline + group commit)
 	Barriers uint64 // durability barriers staged through the group-commit syncer
 	Windows  uint64 // group-commit windows executed
-	Syncs    uint64 // fsyncs issued by the syncer (subset of Fsyncs)
+	Syncs    uint64 // store syncs the syncer asked for, one per dirty store per window (a store with nothing flushed since its last one skips the fsync)
 }
 
 // Tracer returns the cluster's message-lifecycle tracer, nil unless
@@ -456,40 +455,6 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 		t.Spans = tr.WriteJSONL
 	}
 	return t
-}
-
-// BenchResult assembles the machine-readable record of a benchmark run
-// over this cluster for harness.AppendBenchJSON: ops operations ordered in
-// elapsed, with the latency, wire, durability, and (when traced) stage
-// measurements read off the cluster. Callers add their workload-specific
-// fields before appending.
-func (l *LiveCluster) BenchResult(name string, ops int, elapsed time.Duration) harness.BenchResult {
-	st := l.Stats()
-	fs := l.FsyncStats()
-	r := harness.BenchResult{
-		Name:           name,
-		Topology:       fmt.Sprintf("%dx%d", l.cfg.Groups, l.cfg.PerGroup),
-		Lanes:          l.cfg.Lanes,
-		Cores:          runtime.NumCPU(),
-		Casts:          ops,
-		OrderedPerSec:  float64(ops) / elapsed.Seconds(),
-		P50Ms:          float64(st.P50Wall) / float64(time.Millisecond),
-		P99Ms:          float64(st.P99Wall) / float64(time.Millisecond),
-		Fsyncs:         fs.Fsyncs,
-		GCBarriers:     fs.Barriers,
-		GCWindows:      fs.Windows,
-		BatchesDecided: st.BatchesDecided,
-		WanHops:        harness.WanHopHist(st.DegreeHist),
-		StartedAt:      time.Now().Add(-elapsed).UTC().Format(time.RFC3339),
-	}
-	if r.BatchesDecided > 0 {
-		r.FsyncsPerBatch = float64(r.Fsyncs) / float64(r.BatchesDecided)
-	}
-	r.SetWire(st.Wire, l.cfg.Bandwidth)
-	if l.tracer != nil {
-		r.Stages = harness.StageBreakdown(l.tracer.Stats().Snapshot())
-	}
-	return r
 }
 
 // flightRecord dumps the retained spans to LiveConfig.FlightDump — the
