@@ -59,11 +59,6 @@ type Config struct {
 	// successor. Clock offsets don't matter (see the tcp lease protocol).
 	// [-skewms]
 	MaxClockSkew time.Duration
-	// KeepAliveRounds tunes A2's quiescence predictor (default 1, the
-	// paper's Algorithm A2): the empty rounds run after a useful one. With
-	// Pipeline > 1 it is a floor — the window, and for a stream of casts a
-	// second window, are added to it (abcast.Config.KeepAliveRounds).
-	KeepAliveRounds int
 	// Pipeline sets the consensus-instances-in-flight limit for both A1
 	// and A2 (default 1, the paper's sequential algorithms). [-pipeline]
 	Pipeline int
@@ -148,11 +143,6 @@ type Config struct {
 	// its state is snapshotted and the WAL truncated (default 512;
 	// negative disables automatic snapshots). Needs a store. [-snapevery]
 	SnapshotEvery int
-	// SyncArchive bounds the per-process archives (recent deliveries for
-	// A1, completed rounds for A2) that serve restarted peers' catch-up.
-	// Default 4096: a replica that missed more than this cannot rejoin by
-	// log transfer.
-	SyncArchive int
 	// TraceSpans enables the end-to-end message lifecycle tracer: every
 	// process records causal spans (submit, rmcast send/admit, cast,
 	// consensus propose/promise/accept/learn, fsync barriers, lane
@@ -233,8 +223,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("a clock-skew guard is meaningless without leases (set a lease duration)")
 	case e.LeaseDuration > 0 && e.MaxClockSkew >= e.LeaseDuration:
 		return fmt.Errorf("the clock-skew guard %v consumes the whole lease window %v", e.MaxClockSkew, e.LeaseDuration)
-	case c.KeepAliveRounds < 0:
-		return fmt.Errorf("keep-alive rounds must be non-negative: %d", c.KeepAliveRounds)
 	case c.ConsensusRetry < 0:
 		return fmt.Errorf("consensus retry must be non-negative: %v", c.ConsensusRetry)
 	case c.InboxSize < 0 || c.SendQueue < 0 || c.SpanBuf < 0:

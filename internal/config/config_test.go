@@ -49,7 +49,6 @@ func TestValidate(t *testing.T) {
 		{"skew consumes lease", func(c *Config) { c.LeaseDuration, c.MaxClockSkew = 20*ms, 20*ms }, false},
 		{"default skew consumes lease", func(c *Config) { c.LeaseDuration = 10 * ms }, false},
 
-		{"negative keepalive", func(c *Config) { c.KeepAliveRounds = -1 }, false},
 		{"negative pipeline", func(c *Config) { c.Pipeline = -1 }, false},
 		{"zero pipeline", func(c *Config) { c.Pipeline = 0 }, true},
 		{"negative maxbatch", func(c *Config) { c.MaxBatch = -1 }, false},

@@ -57,8 +57,9 @@ type Config struct {
 	// other processes' (see storage.GroupCommit).
 	GroupCommit *storage.GroupCommit
 	// Knobs supplies the ordering and snapshot knobs, defaults applied:
-	// MaxBatch, Pipeline, KeepAliveRounds, ConsensusRetry, SyncArchive,
-	// SnapshotEvery.
+	// MaxBatch, Pipeline, ConsensusRetry, SnapshotEvery. A2's keep-alive
+	// patience and the state-transfer archive depth are left at their
+	// packages' defaults (1 round, 4096 records).
 	Knobs config.Config
 	// NoSkip disables A1's stage skipping (the Fritzke et al. ablation).
 	NoSkip bool
@@ -124,7 +125,7 @@ func New(cfg Config) *Node {
 	log := storage.NewLog(cfg.Store)
 	log.AttachGroupCommit(cfg.GroupCommit, cfg.Async)
 	syncOpts := func(proto string) statesync.Options {
-		o := statesync.Options{Archive: cfg.Knobs.SyncArchive}
+		var o statesync.Options
 		if cfg.Store != nil {
 			// A completed state transfer is the natural snapshot point: the
 			// adopted deliveries live only in the WAL until one is taken.
@@ -154,16 +155,15 @@ func New(cfg Config) *Node {
 		OnDeliver:      func(m rmcast.Message) { n.deliver("a1", m.ID, m.Payload) },
 	})
 	n.A2 = abcast.New(abcast.Config{
-		Host:            cfg.Proc,
-		Detector:        cfg.Detector,
-		KeepAliveRounds: k.KeepAliveRounds,
-		NextID:          nextID,
-		MaxBatch:        k.MaxBatch,
-		Pipeline:        k.Pipeline,
-		ConsensusRetry:  k.ConsensusRetry,
-		Log:             log,
-		Sync:            syncOpts("a2"),
-		OnDeliver:       func(id types.MessageID, payload any) { n.deliver("a2", id, payload) },
+		Host:           cfg.Proc,
+		Detector:       cfg.Detector,
+		NextID:         nextID,
+		MaxBatch:       k.MaxBatch,
+		Pipeline:       k.Pipeline,
+		ConsensusRetry: k.ConsensusRetry,
+		Log:            log,
+		Sync:           syncOpts("a2"),
+		OnDeliver:      func(id types.MessageID, payload any) { n.deliver("a2", id, payload) },
 	})
 	n.eps = []endpoint{n.A1, n.A2}
 	return n

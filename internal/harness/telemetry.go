@@ -124,21 +124,17 @@ func ServeTelemetry(addr string, t Telemetry) (*TelemetryServer, error) {
 	return ts, nil
 }
 
-// writeLateness renders a non-empty LatenessHist as a Prometheus histogram.
-func writeLateness(w io.Writer, name string, h metrics.LatenessHist) {
+// writeHist renders a non-empty Hist as a Prometheus histogram — the one
+// function every exported distribution goes through. The le edges are the
+// histogram's own power-of-two octaves, so a stall shows at its size.
+func writeHist(w io.Writer, name string, h metrics.Hist) {
 	if h.Count == 0 {
 		return
 	}
-	var cum uint64
-	for i, n := range h.Buckets {
-		cum += n
-		le := "+Inf"
-		if i < len(metrics.LatenessBounds) {
-			le = strconv.FormatFloat(metrics.LatenessBounds[i].Seconds(), 'g', -1, 64)
-		}
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum)
+	for le, cum := range h.Octaves {
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, le.Seconds(), cum)
 	}
-	fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum.Seconds(), name, h.Count)
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, h.Count, name, h.Sum.Seconds(), name, h.Count)
 }
 
 // writeMetrics renders one Prometheus-text scrape. Counters come from the
@@ -173,12 +169,12 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	emit("wanamcast_a2_bundle_copies_sent_total", float64(st.BundleCopiesSent))
 	emit("wanamcast_a2_bundle_repeats_dropped_total", float64(st.BundleRepeatsDropped))
 	// How late the WAN emulator released delayed frames (live runs only).
-	writeLateness(w, "wanamcast_wan_release_late_seconds", st.WANReleaseLate)
+	writeHist(w, "wanamcast_wan_release_late_seconds", st.WANReleaseLate)
 	// A1's owner proposals: was the caster's group's proposal the final
 	// timestamp, by how much it fell short, and the lead now in force.
 	emit(`wanamcast_a1_owner_proposals_total{outcome="won"}`, float64(st.A1Owner.Margin.Count-st.A1Owner.Lost))
 	emit(`wanamcast_a1_owner_proposals_total{outcome="lost"}`, float64(st.A1Owner.Lost))
-	writeLateness(w, "wanamcast_a1_owner_margin_seconds", st.A1Owner.Margin)
+	writeHist(w, "wanamcast_a1_owner_margin_seconds", st.A1Owner.Margin)
 	for _, k := range slices.SortedFunc(maps.Keys(st.A1Owner.LeadUs), func(x, y [2]types.GroupID) int { return slices.Compare(x[:], y[:]) }) {
 		fmt.Fprintf(w, "wanamcast_a1_owner_lead_us{from=\"%d\",group=\"%d\"} %d\n", k[0], k[1], st.A1Owner.LeadUs[k])
 	}

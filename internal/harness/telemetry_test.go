@@ -75,3 +75,64 @@ func TestScrapeSnapshotsOnce(t *testing.T) {
 		t.Fatalf("one scrape took %d Stats snapshots, want 1", snapshots)
 	}
 }
+
+// TestScrapeHistograms: both exported histograms go through writeHist — the
+// cumulative buckets never decrease, +Inf equals _count, _sum is the samples'
+// sum, and a 270 ms stall (PR 20 measured 60–270 ms ones) lands in a bucket
+// that says so rather than in a 6.4 ms catch-all. An empty histogram emits
+// nothing.
+func TestScrapeHistograms(t *testing.T) {
+	var col metrics.Collector
+	var late metrics.Hist
+	for _, us := range []uint64{0, 0, 150, 900, 270_000} {
+		col.OnOwnerProposal(us)
+		late.Observe(time.Duration(us) * time.Microsecond)
+	}
+	src := Telemetry{Stats: func() metrics.Stats {
+		st := col.Snapshot()
+		st.WANReleaseLate = late
+		return st
+	}}
+	var b strings.Builder
+	writeMetrics(&b, src)
+	for _, name := range []string{"wanamcast_wan_release_late_seconds", "wanamcast_a1_owner_margin_seconds"} {
+		var les []string
+		var counts []uint64
+		for _, line := range strings.Split(b.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+`_bucket{le="`); ok {
+				le, n, _ := strings.Cut(rest, `"} `)
+				var v uint64
+				if _, err := fmt.Sscan(n, &v); err != nil {
+					t.Fatalf("scrape line %q: %v", line, err)
+				}
+				les, counts = append(les, le), append(counts, v)
+			}
+		}
+		if len(les) < 3 || les[len(les)-1] != "+Inf" {
+			t.Fatalf("%s: bucket edges %v, want several ending in +Inf", name, les)
+		}
+		for i := 1; i < len(counts); i++ {
+			if counts[i] < counts[i-1] {
+				t.Errorf("%s: cumulative buckets decrease: %v", name, counts)
+			}
+		}
+		if count := scrapeValue(t, src, name+"_count"); float64(counts[len(counts)-1]) != count || count != 5 {
+			t.Errorf("%s: +Inf bucket %d, _count %v, want 5 and 5", name, counts[len(counts)-1], count)
+		}
+		if sum := scrapeValue(t, src, name+"_sum"); sum != 0.27105 {
+			t.Errorf("%s: _sum %v, want 0.27105", name, sum)
+		}
+		// The last finite bucket is the one the 270 ms sample lands in.
+		var top, below float64
+		fmt.Sscan(les[len(les)-2], &top)
+		fmt.Sscan(les[len(les)-3], &below)
+		if top < 0.27 || below >= 0.27 || counts[len(counts)-2] != 5 || counts[len(counts)-3] != 4 {
+			t.Errorf("%s: the 270 ms sample is not told apart: edges %v counts %v", name, les, counts)
+		}
+	}
+	b.Reset()
+	writeMetrics(&b, Telemetry{Stats: (&metrics.Collector{}).Snapshot})
+	if strings.Contains(b.String(), "_bucket") {
+		t.Errorf("empty histograms were exported:\n%s", b.String())
+	}
+}

@@ -16,7 +16,17 @@
 // the protocols call its methods directly. It is safe for concurrent use and
 // a nil *Collector discards. A new signal is five edits: the Collector field
 // and its On… method, the Stats field and its line in Snapshot, and the
-// /metrics line in internal/harness/telemetry.go.
+// /metrics line in internal/harness/telemetry.go (emit, or writeHist for a
+// distribution).
+//
+// How a distribution is held: as a Hist (hist.go) and nothing else — the trace
+// stages, the WAN emulator's release lateness, A1's owner margin, the client
+// latencies by fan-out and by class — so memory is fixed, nothing is sorted to
+// read one, and any two (lanes, processes, windows) add. The one exception is
+// the Collector's per-cast slab: the paper's Δ(m) is per message, goldens and
+// the simulator benchmark read LatencyDegree, WallLatency and Deliveries by
+// message id, and the simulator's virtual-time percentiles (Stats.P50Wall…,
+// nearest-rank) are pinned to the digit. CastWindow bounds it.
 //
 // Service collects the client-facing counters of the replicated service
 // layer (internal/svc): requests, retries, suppressed duplicates, and
@@ -134,7 +144,7 @@ type FDCount struct {
 // last reported it: a gauge, not a sum.
 type OwnerStats struct {
 	Lost   uint64
-	Margin LatenessHist
+	Margin Hist
 	LeadUs map[[2]types.GroupID]uint64
 }
 
@@ -501,7 +511,7 @@ type Stats struct {
 	BundleRepeatsDropped     uint64
 	// WANReleaseLate is how late the live transport's WAN emulator released
 	// delayed frames (zero on the simulator, whose delays are exact).
-	WANReleaseLate LatenessHist
+	WANReleaseLate Hist
 
 	// A1Owner is A1's owner-proposal accounting (see OwnerStats).
 	A1Owner OwnerStats
@@ -627,8 +637,8 @@ type Service struct {
 	duplicates  uint64
 	failures    uint64
 	ops         uint64
-	lat         map[int][]time.Duration
-	classLat    map[string][]time.Duration
+	lat         map[int]*Hist
+	classLat    map[string]*Hist
 	classFails  map[string]uint64
 	staleReads  uint64
 	leaseDenied uint64
@@ -670,10 +680,20 @@ func (s *Service) RecordOutcome(fanout int, latency time.Duration, ok bool) {
 		s.failures++
 		return
 	}
-	if s.lat == nil {
-		s.lat = make(map[int][]time.Duration)
+	observeKeyed(&s.lat, fanout, latency)
+}
+
+// observeKeyed records d into key's Hist, making map and Hist on first use.
+func observeKeyed[K comparable](m *map[K]*Hist, key K, d time.Duration) {
+	h := (*m)[key]
+	if h == nil {
+		if *m == nil {
+			*m = make(map[K]*Hist)
+		}
+		h = new(Hist)
+		(*m)[key] = h
 	}
-	s.lat[fanout] = append(s.lat[fanout], latency)
+	h.Observe(d)
 }
 
 // RecordClassOutcome records one completed operation under a named class
@@ -691,10 +711,7 @@ func (s *Service) RecordClassOutcome(class string, latency time.Duration, ok boo
 		s.classFails[class]++
 		return
 	}
-	if s.classLat == nil {
-		s.classLat = make(map[string][]time.Duration)
-	}
-	s.classLat[class] = append(s.classLat[class], latency)
+	observeKeyed(&s.classLat, class, latency)
 }
 
 // RecordStaleRead counts one read response a client rejected because the
@@ -749,59 +766,56 @@ type ServiceStats struct {
 	CertFailures uint64
 }
 
-// Snapshot computes a ServiceStats from everything recorded so far.
+// Snapshot computes a ServiceStats from everything recorded so far. It holds
+// the lock only to copy the counters and the fixed-size histograms; the
+// quantiles are derived after it is released, so a scrape does not stall the
+// clients recording through the same mutex.
 func (s *Service) Snapshot() ServiceStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := ServiceStats{
-		Requests:     s.requests,
-		Replies:      s.replies,
-		Redirects:    s.redirects,
-		Retries:      s.retries,
-		Duplicates:   s.duplicates,
-		Failures:     s.failures,
-		Ops:          s.ops,
-		ByFanout:     make(map[int]LatencySummary, len(s.lat)),
-		ByClass:      make(map[string]LatencySummary, len(s.classLat)),
-		StaleReads:   s.staleReads,
-		LeaseDenied:  s.leaseDenied,
-		CertVerifies: s.certOK,
-		CertFailures: s.certBad,
+		Requests:      s.requests,
+		Replies:       s.replies,
+		Redirects:     s.redirects,
+		Retries:       s.retries,
+		Duplicates:    s.duplicates,
+		Failures:      s.failures,
+		Ops:           s.ops,
+		ClassFailures: maps.Clone(s.classFails),
+		StaleReads:    s.staleReads,
+		LeaseDenied:   s.leaseDenied,
+		CertVerifies:  s.certOK,
+		CertFailures:  s.certBad,
 	}
-	for fanout, samples := range s.lat {
-		st.ByFanout[fanout] = summarize(samples)
-	}
-	for class, samples := range s.classLat {
-		st.ByClass[class] = summarize(samples)
-	}
-	if len(s.classFails) > 0 {
-		st.ClassFailures = make(map[string]uint64, len(s.classFails))
-		for class, n := range s.classFails {
-			st.ClassFailures[class] = n
-		}
-	}
+	byFanout, byClass := copyKeyed(s.lat), copyKeyed(s.classLat)
+	s.mu.Unlock()
+	st.ByFanout, st.ByClass = summaries(byFanout), summaries(byClass)
 	return st
 }
 
-// summarize condenses one latency sample set (leaves the input intact).
-func summarize(samples []time.Duration) LatencySummary {
-	if len(samples) == 0 {
-		return LatencySummary{}
+// copyKeyed copies m's histograms, to be read outside the lock guarding m.
+func copyKeyed[K comparable](m map[K]*Hist) map[K]Hist {
+	out := make(map[K]Hist, len(m))
+	for k, h := range m {
+		out[k] = *h
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
+	return out
+}
+
+// summaries condenses each histogram: Count, Mean and Max exact, the
+// percentiles within one bucket.
+func summaries[K comparable](hists map[K]Hist) map[K]LatencySummary {
+	out := make(map[K]LatencySummary, len(hists))
+	for k, h := range hists {
+		out[k] = LatencySummary{
+			Count: int(h.Count),
+			Mean:  h.Mean(),
+			P50:   h.Quantile(0.5),
+			P95:   h.Quantile(0.95),
+			P99:   h.Quantile(0.99),
+			Max:   h.Max,
+		}
 	}
-	return LatencySummary{
-		Count: len(sorted),
-		Mean:  sum / time.Duration(len(sorted)),
-		P50:   percentile(sorted, 50),
-		P95:   percentile(sorted, 95),
-		P99:   percentile(sorted, 99),
-		Max:   sorted[len(sorted)-1],
-	}
+	return out
 }
 
 // String renders the snapshot with one latency row per fan-out.

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 )
@@ -13,105 +11,66 @@ import (
 // measurable duration — svc enqueue, consensus fsync barriers, group-commit
 // windows, lane queueing, ordering residency, end-to-end reply — observes
 // its samples here, so end-to-end p50s can be attributed to the layer that
-// spent them. Samples are kept in bounded rotating reservoirs (newest
-// overwrite oldest), so a long-lived service reports recent behaviour with
-// fixed memory.
+// spent them. Each stage is one Hist: fixed memory however long the service
+// lives, and its quantiles cover every sample since the tracer was built.
 //
-// Unlike Collector, StageStats is safe for concurrent use: stages report
+// Unlike a bare Hist, StageStats is safe for concurrent use: stages report
 // from lane goroutines, the group-commit syncer, and svc reply goroutines
 // at once. It is only touched when tracing is enabled, so the lock is off
 // the disabled hot path.
 type StageStats struct {
-	mu      sync.Mutex
-	names   []string
-	samples [][]time.Duration // rotating reservoir per stage
-	cursor  []int
-	counts  []uint64
-	limit   int
+	mu    sync.Mutex
+	names []string
+	hists []Hist
 }
 
-// NewStageStats returns stats over len(names) stages, each keeping at most
-// reservoir samples (rotating). reservoir <= 0 defaults to 4096.
-func NewStageStats(names []string, reservoir int) *StageStats {
-	if reservoir <= 0 {
-		reservoir = 4096
-	}
-	return &StageStats{
-		names:   append([]string(nil), names...),
-		samples: make([][]time.Duration, len(names)),
-		cursor:  make([]int, len(names)),
-		counts:  make([]uint64, len(names)),
-		limit:   reservoir,
-	}
+// NewStageStats returns stats over len(names) stages.
+func NewStageStats(names []string) *StageStats {
+	return &StageStats{names: slices.Clone(names), hists: make([]Hist, len(names))}
 }
 
 // Observe records one duration sample for stage (an index into the names
 // given at construction). Out-of-range stages are dropped.
 func (s *StageStats) Observe(stage int, d time.Duration) {
-	if s == nil {
+	if s == nil || stage < 0 || stage >= len(s.hists) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if stage < 0 || stage >= len(s.samples) {
-		return
-	}
-	s.counts[stage]++
-	if len(s.samples[stage]) < s.limit {
-		s.samples[stage] = append(s.samples[stage], d)
-		return
-	}
-	s.samples[stage][s.cursor[stage]] = d
-	s.cursor[stage] = (s.cursor[stage] + 1) % s.limit
+	s.hists[stage].Observe(d)
+	s.mu.Unlock()
 }
 
-// StageSummary condenses one stage's latency reservoir.
+// StageSummary condenses one stage's latency distribution.
 type StageSummary struct {
 	Name  string
-	Count uint64 // total observations (reservoir may hold fewer)
+	Count uint64
 	P50   time.Duration
 	P99   time.Duration
 	Max   time.Duration
 }
 
 // Snapshot summarises every stage that has at least one sample, in stage
-// order.
+// order. It holds the lock only to copy the histograms; the quantiles are
+// derived after it is released, so a scrape does not stall the lanes.
 func (s *StageStats) Snapshot() []StageSummary {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	hists := slices.Clone(s.hists)
+	s.mu.Unlock()
 	var out []StageSummary
-	for i, samples := range s.samples {
-		if len(samples) == 0 {
+	for i, h := range hists {
+		if h.Count == 0 {
 			continue
 		}
-		sorted := append([]time.Duration(nil), samples...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 		out = append(out, StageSummary{
 			Name:  s.names[i],
-			Count: s.counts[i],
-			P50:   percentile(sorted, 50),
-			P99:   percentile(sorted, 99),
-			Max:   sorted[len(sorted)-1],
+			Count: h.Count,
+			P50:   h.Quantile(0.5),
+			P99:   h.Quantile(0.99),
+			Max:   h.Max,
 		})
 	}
 	return out
-}
-
-// String renders one row per observed stage.
-func (s *StageStats) String() string {
-	sums := s.Snapshot()
-	if len(sums) == 0 {
-		return "stages: (none observed)"
-	}
-	var b strings.Builder
-	b.WriteString("stages:")
-	for _, st := range sums {
-		fmt.Fprintf(&b, "\n  %-12s n=%-7d p50=%-10v p99=%-10v max=%v",
-			st.Name, st.Count, st.P50.Round(time.Microsecond),
-			st.P99.Round(time.Microsecond), st.Max.Round(time.Microsecond))
-	}
-	return b.String()
 }

@@ -12,8 +12,8 @@
 // allocations, no mutexes, no formatting — pinned by TestTraceDisabledZeroAllocs.
 // An enabled tracer takes one short per-lane mutex and writes one value
 // into a preallocated slot; stages that carry a measured duration also
-// feed the metrics.StageStats reservoirs, so end-to-end latency can be
-// attributed per layer.
+// feed the metrics.StageStats histograms (one fixed-size metrics.Hist per
+// stage, nothing appended), so end-to-end latency can be attributed per layer.
 package trace
 
 import (
@@ -96,7 +96,7 @@ var stageNames = [numStages]string{
 }
 
 // auxIsDuration marks the stages whose Aux is a measured duration in
-// nanoseconds; those feed the StageStats latency reservoirs.
+// nanoseconds; those feed the StageStats latency histograms.
 var auxIsDuration = [numStages]bool{
 	StageEnqueue: true, StagePromise: true, StageAccept: true,
 	StageOrder: true, StageFsync: true, StageLaneDeq: true, StageReply: true,
@@ -161,7 +161,7 @@ func New(lanes, perLane int) *Tracer {
 	}
 	t := &Tracer{
 		lanes: make([]*ring.Recent[Event], lanes),
-		stats: metrics.NewStageStats(StageNames(), 0),
+		stats: metrics.NewStageStats(StageNames()),
 		now:   func() int64 { return time.Now().UnixNano() },
 	}
 	for i := range t.lanes {
@@ -188,7 +188,7 @@ func (t *Tracer) SetEnabled(on bool) {
 // Enabled reports whether the tracer records events. Nil-safe.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
-// Stats returns the per-stage latency reservoirs (nil on a nil tracer).
+// Stats returns the per-stage latency histograms (nil on a nil tracer).
 func (t *Tracer) Stats() *metrics.StageStats {
 	if t == nil {
 		return nil

@@ -307,8 +307,8 @@ func (rt *Runtime) Drops() (queue, hold []uint64) {
 // its lane. The timer that releases the line is the Go runtime's, so on an
 // idle-ish process the emulated WAN is a fraction of a millisecond longer
 // than configured, and every latency measured above it includes that.
-func (rt *Runtime) ReleaseLateness() metrics.LatenessHist {
-	var h metrics.LatenessHist
+func (rt *Runtime) ReleaseLateness() metrics.Hist {
+	var h metrics.Hist
 	for _, ln := range rt.lanes {
 		ln.dlMu.Lock()
 		h.Add(ln.dlLate)
@@ -549,7 +549,7 @@ type lane struct {
 	dlMu    sync.Mutex
 	dlQ     []delayedEvent
 	dlTimer *time.Timer
-	dlLate  metrics.LatenessHist // how long after its due each frame was released
+	dlLate  metrics.Hist // how long after its due each frame was released
 }
 
 type delayedEvent struct {
