@@ -103,8 +103,20 @@ func TestGoldenTraceUnchangedBySchedulerRewrite(t *testing.T) {
 		// timestamps in s0 items, (TS, m) messages and A-Deliver lines are
 		// clock readings, not counter values, and deliveries follow them
 		// (were 98b37465…000323, f74753b8…47adc5e; the same 2 044 messages).
-		{"a1", harness.AlgoA1, "", "3b0b5f26b7cdd146515e686a12575471149f5c9b55dfbbe6d18d178705ee1d4c", ""},
-		{"a1-partition-heal", harness.AlgoA1, "partition-heal", "65b2aab18976c34b8c8dfa6c80da23545357b12ead6027d099d164d6c88b40c7", ""},
+		// Re-pinned by issue 29 (were 3b0b5f26…ee1d4c, 65b2aab1…b40c7): this run
+		// uses Pipeline 2, and with Pipeline > 1 one member of a group sends
+		// its (TS, m) and a ballot-0 consensus leader sends its Accept once.
+		// Diffed against the parent's traces: the same 37 messages in 159
+		// deliveries, fewer SEND lines — 2 711 → 1 675 and 2 400 → 1 393, of
+		// which (TS, m) copies 378 → 138 in both (no re-ship, no pull: the
+		// partition heals inside a pull period) and consensus frames 1 503 →
+		// 989 and 1 364 → 823. The link jitter is drawn per send from the
+		// run's one rng, so every later delay shifts with the first send that
+		// is gone: delivery instants move by a few ms (last delivery 245.2 →
+		// 248.1 ms, 251.7 → 249.6) and 16 resp. 56 of the 159 deliveries
+		// change place in their process's sequence.
+		{"a1", harness.AlgoA1, "", "39009c8afb69753fe5c76cad1e7309483f08a507756f97662639bff2962be4bb", ""},
+		{"a1-partition-heal", harness.AlgoA1, "partition-heal", "19ad86f3d2a9cdb7845ee701e30ed968805c3c376258c43ed3f4f508c0e97d55", ""},
 		// Re-pinned by issue 14 (paced proactive rounds): this run uses
 		// Pipeline 2, and with Pipeline > 1 A2 now opens rounds on a derived
 		// cadence and keeps the whole window live after a useful round, so
@@ -125,7 +137,13 @@ func TestGoldenTraceUnchangedBySchedulerRewrite(t *testing.T) {
 		// empty ones instead of two); 648 bundle copies instead of 744 —
 		// 36 a round from ranks 0 and 1 of each group, not 54 (48 once p8
 		// crashed) from every member. Every Pipeline <= 1 pin is unedited.
-		{"a2", harness.AlgoA2, "", "a63b190f2262e04c65dabcec8aba36897a6bd36f73a0ead413b78e4d713e03b4", "97c1a109f6d6964c3042948c31ea390ff8746505df3e17d13c24c9639ae85f54"},
+		// Re-pinned by issue 29, trace and delivery log (were a63b190f…e03b4,
+		// 97c1a109…e85f54), for the consensus half alone: A2's own code sends
+		// what it sent (648 bundle copies, 221 a2.rm frames, to the message),
+		// a2.cons frames 816 → 478. The delivery log moves with the rng
+		// stream, as A1's does above: the same 37 messages in 301 deliveries,
+		// last at 242.5 → 245.6 ms, 148 consensus instances as before.
+		{"a2", harness.AlgoA2, "", "4f7835484807876707420bfbc99d99b2224de901e16844d62ad0edb27723f6f9", "b88c700d6c9cb5975c88c1de827da571955b325b4158f4fd21291d63b98d9ceb"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,10 +185,22 @@ func TestStatsUnchangedByCollectorRefactor(t *testing.T) {
 		// identical, and Margin's count and sum did not move (12 / 137.766ms,
 		// 12 / 273.109ms; were 3401a16a…5fcad8, 1bf7d779…e283e3,
 		// 1cdf754d…1ab084, 4d19391c…b799aa).
-		{"a1", harness.AlgoA1, "", 2, "eebe943208f5be4f0e63e473ea9a0e69b4df78a0b72e8103e403221b3887c2e0"},
-		{"a1-partition-heal", harness.AlgoA1, "partition-heal", 2, "0c477f3797ffb46d067488e85210c012311900f9d55ae4b094e2dcfe3e8c5f1d"},
-		{"a2", harness.AlgoA2, "", 2, "c0c1222a1c0e112e29cc4be327b4438dbe02fa216f358d977029fb3ba47e91aa"},
-		{"a2-pipeline4-leader-flap", harness.AlgoA2, "leader-flap", 4, "ec9c1f409e6f2bd26082259995d10c0396563dc6791fb2815e74eaa7df8bc249"},
+		//
+		// All four were re-pinned by issue 29 (were eebe9432…87c2e0,
+		// 0c477f37…8c5f1d, c0c1222a…7e91aa, ec9c1f40…8bc249): three new fields
+		// print (TSReshipped, TSPullsServed, TSPullsUnserved — 0 in all four),
+		// a ballot-0 leader sends its Accept once (a1.cons 1 503 → 989 and
+		// 1 364 → 823, a2.cons 816 → 478 and 1 410 → 880), and in the A1 runs
+		// one member of a group sends its (TS, m) (a1 378 → 138, inter-group
+		// 507 → 267; a1.rm 163/129 unmoved). a2 and a2.rm count what they
+		// counted in the plain run (648, 221); under leader-flap 1 500 → 1 494
+		// bundle copies; 148 and 254 instances as before. Wall latencies and degrees move
+		// with the rng stream (golden traces above): mean wall 47.55 → 47.57,
+		// 70.35 → 69.86, 40.70 → 42.53, 41.15 → 40.82 ms.
+		{"a1", harness.AlgoA1, "", 2, "53bb1b2401e8509d2de2cf3ba5d1f3da0bf4d774c41eea91b5d6f24ac80c7681"},
+		{"a1-partition-heal", harness.AlgoA1, "partition-heal", 2, "92e9e8c6f3fbd595bbf930d37fcdcc143ba96df90e2b972667fd6f629388196d"},
+		{"a2", harness.AlgoA2, "", 2, "1d1d0c48688a50a940a00bd3ed4cd52f33461d2efc3629b1267ce065cb596491"},
+		{"a2-pipeline4-leader-flap", harness.AlgoA2, "leader-flap", 4, "1585a02dbd3ed7a5d45dcb2affcdb7b789c8da1d77b3e70535de5e13815d8c78"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -171,7 +171,7 @@ type Config struct {
 // Bcast is the per-process Algorithm A2 endpoint.
 type Bcast struct {
 	api       node.API
-	det       fd.Detector
+	senders   fd.Senders // who ships this group's bundles (package doc: line 15)
 	onDeliver func(types.MessageID, any)
 	label     string
 	alwaysOn  bool
@@ -179,7 +179,6 @@ type Bcast struct {
 
 	rm      *rmcast.RMcast
 	engine  *consensus.Batcher[Record]
-	group   []types.ProcessID // this group's members in rank order
 	others  []types.GroupID   // every group but this one, ascending
 	outside []types.ProcessID // their members: line 15's addressees
 
@@ -253,7 +252,6 @@ func New(cfg Config) *Bcast {
 	keepAlive += uint64(pipeline - 1) // a useful round keeps the whole window live
 	b := &Bcast{
 		api:        cfg.Host,
-		det:        cfg.Detector,
 		onDeliver:  cfg.OnDeliver,
 		label:      prefix,
 		alwaysOn:   cfg.AlwaysOn,
@@ -280,7 +278,11 @@ func New(cfg Config) *Bcast {
 		Options: cfg.Sync,
 	})
 	topo := cfg.Host.Topo()
-	b.group = topo.Members(cfg.Host.Group())
+	copies := 0 // line 15: every member ships
+	if pipeline > 1 {
+		copies = 2 // the leader and its successor: one slow sender is not the round's tail
+	}
+	b.senders = fd.NewSenders(cfg.Detector, topo, cfg.Host.Self(), copies)
 	for _, g := range topo.AllGroups().Groups() {
 		if g != cfg.Host.Group() {
 			b.others = append(b.others, g)
@@ -326,19 +328,9 @@ func New(cfg Config) *Bcast {
 // Proto implements node.Protocol.
 func (b *Bcast) Proto() string { return b.label }
 
-// Start implements node.Protocol: when pipelining, it subscribes to Ω so a
-// member that enters the sender set ships what the previous senders may not
-// have (see ships).
-func (b *Bcast) Start() {
-	if b.pipeline <= 1 {
-		return
-	}
-	b.det.Subscribe(func(g types.GroupID, _ types.ProcessID) {
-		if g == b.api.Group() && !b.api.Crashed() {
-			b.reship()
-		}
-	})
-}
+// Start implements node.Protocol: when pipelining, a member that Ω makes a
+// sender ships what the previous senders may not have (see reship).
+func (b *Bcast) Start() { b.senders.OnChange(b.api.Crashed, b.reship) }
 
 // ABCast atomically broadcasts payload to all groups and returns the
 // assigned message ID (Task 1, lines 4–5): the message is reliably
@@ -557,7 +549,7 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 	if b.pipeline > 1 {
 		b.noteOpen(inst, b.api.Now())
 	}
-	if b.ships() {
+	if b.senders.Sends() {
 		b.ship(inst, set)
 	}
 }
@@ -568,31 +560,14 @@ func (b *Bcast) ship(round uint64, set []Record) {
 	b.api.Multicast(b.outside, b.label, BundleMsg{Round: round, Set: set})
 }
 
-// ships reports whether this member sends its group's bundles. The paper's
-// line 15 has every member send, and Pipeline <= 1 keeps that (package doc:
-// the latency-degree-one run needs the members' clocks in lockstep). With
-// Pipeline > 1 the senders are, in this member's own Ω view, the group's
-// leader and the leader's successor in rank order: two copies per receiver,
-// so that one slow sender is not the round's tail, instead of d.
-func (b *Bcast) ships() bool {
-	if b.pipeline <= 1 {
-		return true
-	}
-	self, leader := b.api.Self(), b.det.Leader(b.api.Group())
-	return self == leader || self == b.group[(slices.Index(b.group, leader)+1)%len(b.group)]
-}
-
-// reship runs on every Ω change in this group: a member that now finds
-// itself a sender ships the group's decided bundles of rounds K−Pipeline up
+// reship runs on every Ω change in this group that finds this member a
+// sender: it ships the group's decided bundles of rounds K−Pipeline up
 // to the highest open one, which the previous senders may have crashed
 // before shipping. No older round can be missing anywhere: a group that
 // lacks round r's bundle completes no round past r and proposes none past
 // r+Pipeline−1, so no sender is more than Pipeline rounds ahead of it.
 // Receivers drop the copies they already have undecoded.
 func (b *Bcast) reship() {
-	if !b.ships() {
-		return
-	}
 	window := uint64(b.pipeline)
 	for r := max(b.k, window+1) - window; r <= b.opened; r++ {
 		if set, ok := b.engine.Decided(r); ok {

@@ -40,7 +40,7 @@ func TestSenderSetIsLeaderAndSuccessor(t *testing.T) {
 	} {
 		r := newRigPipe(t, 2, 5, tc.pipeline)
 		for rank, p := range r.topo.Members(1) {
-			if got := r.eps[p].ships(); got != tc.want[rank] {
+			if got := r.eps[p].senders.Sends(); got != tc.want[rank] {
 				t.Errorf("Pipeline %d: rank %d ships = %v, want %v", tc.pipeline, rank, got, tc.want[rank])
 			}
 		}
@@ -49,7 +49,7 @@ func TestSenderSetIsLeaderAndSuccessor(t *testing.T) {
 		for _, p := range r.topo.Members(1)[:4] {
 			r.rt.Suspect(p)
 		}
-		if first := r.topo.Members(1)[0]; tc.pipeline > 1 && (!r.eps[last].ships() || !r.eps[first].ships()) {
+		if first := r.topo.Members(1)[0]; tc.pipeline > 1 && (!r.eps[last].senders.Sends() || !r.eps[first].senders.Sends()) {
 			t.Errorf("Pipeline %d: with rank 4 leading, ranks 4 and 0 must ship", tc.pipeline)
 		}
 	}

@@ -9,7 +9,7 @@
 //	    timestamp) item, advancing its clock past the final timestamp;
 //	s3: m is deliverable.
 //
-// It follows the paper's listing with TWO deviations.
+// It follows the paper's listing with THREE deviations.
 //
 // One: lines 35–37, which let the group whose proposal is the maximum enter
 // s3 on the arrival of the last (TS, m), are gone — every multi-group message
@@ -45,6 +45,25 @@
 // needs: K moves past final timestamps (s2 items) only — past every proposal,
 // a led one would drag K a WAN delay ahead of the clock and the remote group
 // would hand the skew back.
+//
+// Three: who carries (TS, m). Line 24 has every member of a group send it to
+// every member of every other destination group, d × d copies of which a
+// receiver keeps the first. With Pipeline > 1 a group speaks as one party: the
+// member that is its leader in its own Ω view when m's s0 decision applies
+// sends, nobody else; Pipeline <= 1 keeps line 24 to the message. Safety: a
+// proposal is a function of the group's decision sequence and its carrier is
+// not, so any member's copy, at any time, says the same; and a copy sent after
+// the s2 decision carries the final timestamp, the maximum of all proposals,
+// which in place of one of them leaves the maximum unchanged. Liveness: a
+// sender that crashes or stands down between decision and send is followed by
+// the member Ω elects, which sends again for every undelivered entry at stage
+// >= s1 (reship); and since views may disagree for long and a real link drops
+// what a full queue cannot take, a receiver whose entry has waited in s1 for
+// pullAfter retry periods asks a member of the silent group, the next one each
+// time, and is answered from PENDING or the delivery archive (pullTick) — a
+// sender cannot know what arrived. The latency degree is untouched, lone cast
+// included: the sender holds m already, so its multicast is stamped as each of
+// the d it replaces was (TestOneSenderKeepsDegreeTwo).
 //
 // Hints and leads are soft state: read off a clock nobody vouches for, never
 // logged, snapshotted or transferred (a restarted replica leads by 0 until it
@@ -125,8 +144,17 @@ func (d Descriptor) ItemID() types.MessageID { return d.ID }
 
 // TSMsg is the (TS, m) inter-group message of line 24: it carries the
 // sender group's timestamp proposal and, per the paper's footnote 4, also
-// propagates m itself in case the caster crashed.
+// propagates m itself in case the caster crashed. Desc.Stage is Stage1, or
+// Stage3 on a copy sent after the group's s2 decision (a re-ship, an answer to
+// a pull): TS is then m's final timestamp, which serves as well (package doc).
 type TSMsg struct {
+	Desc Descriptor
+}
+
+// PullMsg asks a member of another destination group for its group's (TS, m)
+// (see pullTick). It is the asker's own (TS, m) besides: the member asked may
+// lack that, or m itself.
+type PullMsg struct {
 	Desc Descriptor
 }
 
@@ -190,6 +218,7 @@ type pend struct {
 	final   uint64        // the adopted maximum (lines 39–40): fills the s2 item, nothing else
 	props   []prop        // received (TS, m) proposals, aligned with dest.Groups(); nil until the first
 	seq     uint64        // admission order, for FIFO-fair batch fills
+	since   uint64        // Mcast.ticks when it entered s1: a pull waits pullAfter of them
 	adm     time.Duration // admit time, recorded only while tracing (0 = untimed)
 	s3At    time.Duration // when the s2 decision applied, recorded only while tracing
 }
@@ -214,6 +243,13 @@ type Mcast struct {
 
 	rm     *rmcast.RMcast
 	engine *consensus.Batcher[Descriptor]
+
+	// Deviation three: who sends the group's (TS, m), and the tick on which
+	// receivers ask for a missing one.
+	senders   fd.Senders
+	pullEvery time.Duration // the consensus retry cadence; 0 with Pipeline <= 1: all send, nobody asks
+	pullOn    bool          // pullTick is armed
+	ticks     uint64        // pull ticks so far
 
 	// wm mirrors delivered atomically: the endpoint's delivery watermark,
 	// readable lock-free off the event loop (the read tier samples it).
@@ -271,6 +307,12 @@ func New(cfg Config) *Mcast {
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
 	}
+	copies := 0 // line 24: every member sends
+	if cfg.Pipeline > 1 {
+		copies = 1
+		a.pullEvery = cmp.Or(max(cfg.ConsensusRetry, 0), consensus.DefaultRetry)
+	}
+	a.senders = fd.NewSenders(cfg.Detector, cfg.Host.Topo(), cfg.Host.Self(), copies)
 	a.sync = statesync.New(statesync.Config[DeliverRec, SyncTail]{
 		API:     cfg.Host,
 		Label:   prefix,
@@ -315,8 +357,9 @@ func New(cfg Config) *Mcast {
 // Proto implements node.Protocol.
 func (a *Mcast) Proto() string { return a.label }
 
-// Start implements node.Protocol.
-func (a *Mcast) Start() {}
+// Start implements node.Protocol: a member that Ω makes its group's one
+// sender sends what the previous one may not have (see reship).
+func (a *Mcast) Start() { a.senders.OnChange(a.api.Crashed, a.reship) }
 
 // AMCast atomically multicasts payload to the groups in dest and returns
 // the assigned message ID (Task 1, lines 8–9). The caster need not belong
@@ -337,12 +380,15 @@ func (a *Mcast) K() uint64 { return a.k }
 // PendingCount returns |PENDING| (for tests).
 func (a *Mcast) PendingCount() int { return len(a.pending) }
 
-// Receive implements node.Protocol: it handles (TS, m) messages and the
-// restart state-transfer exchange.
+// Receive implements node.Protocol: it handles (TS, m) messages, pulls for
+// them and the restart state-transfer exchange.
 func (a *Mcast) Receive(from types.ProcessID, body any) {
 	switch m := body.(type) {
 	case TSMsg:
 		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
+	case PullMsg:
+		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
+		a.answerPull(from, m.Desc.ID)
 	default:
 		if !a.sync.Receive(from, body) {
 			panic(fmt.Sprintf("amcast: unexpected message %T", body))
@@ -361,7 +407,7 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 	// Record the sender group's proposal for line 33.
 	p := a.pending[d.ID]
 	if p.setProp(g, d.TS) && !replay {
-		if p.at != 0 && a.owns(p) {
+		if d.Stage == Stage1 && p.at != 0 && a.owns(p) { // a final timestamp may be this group's own led proposal: no sample
 			a.learnLead(g, int64(d.TS-p.at))
 		}
 		if a.log != nil {
@@ -375,11 +421,14 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 	a.checkStage1(p)
 }
 
+// has reports whether the proposal of p.dest.Groups()[i] is in.
+func (p *pend) has(i int) bool { return p.props != nil && p.props[i].in }
+
 // setProp records destination group g's proposal and reports whether it is
 // the first from g.
 func (p *pend) setProp(g types.GroupID, ts uint64) bool {
 	i, ok := slices.BinarySearch(p.dest.Groups(), g)
-	if !ok || (p.props != nil && p.props[i].in) {
+	if !ok || p.has(i) {
 		return false
 	}
 	if p.props == nil {
@@ -534,12 +583,13 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 			// Lines 21–24: fix the group proposal — K, or the proposer's
 			// hint where that is ahead — and exchange it. (The [5] pipeline
 			// walks single-group messages through here too, under K alone.)
-			p.ts, p.stage = a.k, Stage1
+			p.ts, p.stage, p.since = a.k, Stage1, a.ticks
 			if p.dest.Size() > 1 {
 				p.ts = max(a.k, min(d.TS, maxHint))
 			}
 			a.orderInsert(p)
 			a.sendTS(p)
+			a.armPull()
 			toStage1 = append(toStage1, p)
 		}
 	}
@@ -622,9 +672,22 @@ func (a *Mcast) learnLead(g types.GroupID, sample int64) {
 	}
 }
 
+// tsDesc is this group's (TS, m) for p, an entry at stage >= s1: its proposal
+// or, past the s2 decision, m's final timestamp.
+func (p *pend) tsDesc() Descriptor {
+	d := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: Stage1}
+	if p.stage == Stage3 {
+		d.Stage = Stage3
+	}
+	return d
+}
+
 // sendTS sends (TS, m) to every process of every other destination group
-// (line 24).
+// (line 24), if this member is a sender (deviation three).
 func (a *Mcast) sendTS(p *pend) {
+	if !a.senders.Sends() {
+		return
+	}
 	myGroup := a.api.Group()
 	tos := a.tos[:0]
 	for _, g := range p.dest.Groups() {
@@ -632,11 +695,76 @@ func (a *Mcast) sendTS(p *pend) {
 			tos = append(tos, a.api.Topo().Members(g)...)
 		}
 	}
-	if len(tos) > 0 {
-		desc := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: Stage1}
-		a.api.Multicast(tos, a.label, TSMsg{Desc: desc})
-	}
+	a.api.Multicast(tos, a.label, TSMsg{Desc: p.tsDesc()})
 	a.tos = tos
+}
+
+// reship sends (TS, m) again for every undelivered entry at stage >= s1, at a
+// member that Ω has just made its group's sender or that ends a state transfer
+// as the sender: the previous one may not have sent.
+func (a *Mcast) reship() {
+	if a.pullEvery == 0 || !a.senders.Sends() {
+		return
+	}
+	for _, p := range a.order {
+		a.sendTS(p)
+	}
+	a.api.Metrics().OnTSReship(len(a.order))
+}
+
+// pullAfter is how many retry ticks an entry sits in s1 before this process
+// asks for the proposals it lacks, and between asks: 8 × 40 ms by default, two
+// crossings of a 150 ms link, so that neither an exchange nor an answer merely
+// in flight draws a pull. Too short a wait costs two frames, never a property.
+const pullAfter = 8
+
+func (a *Mcast) armPull() {
+	if a.pullEvery > 0 && !a.pullOn {
+		a.pullOn = true
+		a.api.After(a.pullEvery, a.pullTick)
+	}
+}
+
+// pullTick runs at the retry cadence while an entry is in s1: of every group
+// whose proposal an entry has lacked for another pullAfter ticks it asks one
+// member, the next in rank each time. It stops with the last s1 entry, so an
+// idle endpoint schedules nothing.
+func (a *Mcast) pullTick() {
+	a.pullOn = false
+	a.ticks++
+	for _, p := range a.order {
+		if p.stage != Stage1 {
+			continue
+		}
+		a.armPull()
+		age := a.ticks - p.since
+		if age%pullAfter != 0 {
+			continue
+		}
+		for i, g := range p.dest.Groups() {
+			if g != a.api.Group() && !p.has(i) {
+				ms := a.api.Topo().Members(g)
+				a.api.Send(ms[(age/pullAfter+uint64(a.api.Self()))%uint64(len(ms))], a.label, PullMsg{Desc: p.tsDesc()})
+			}
+		}
+	}
+}
+
+// answerPull sends the asker this group's (TS, m) for id, if decisions here
+// have fixed one; for a delivered m, the final timestamp off the archive.
+func (a *Mcast) answerPull(to types.ProcessID, id types.MessageID) {
+	p := a.pending[id]
+	if p == nil {
+		if i := slices.IndexFunc(a.sync.Archive(), func(dr DeliverRec) bool { return dr.ID == id }); i >= 0 {
+			dr := a.sync.Archive()[i]
+			p = &pend{id: id, dest: dr.Dest, payload: dr.Payload, ts: dr.TS, stage: Stage3}
+		}
+	}
+	served := p != nil && p.stage >= Stage1
+	a.api.Metrics().OnTSPull(served)
+	if served {
+		a.api.Send(to, a.label, TSMsg{Desc: p.tsDesc()})
+	}
 }
 
 // finalTS evaluates line 33 for p: once a proposal from every other
@@ -648,7 +776,7 @@ func (a *Mcast) finalTS(p *pend) (final uint64, ok bool) {
 		if g == myGroup {
 			continue
 		}
-		if p.props == nil || !p.props[i].in {
+		if !p.has(i) {
 			return 0, false
 		}
 		final = max(final, p.props[i].ts)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wanamcast/internal/check"
+	"wanamcast/internal/fd"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
@@ -41,6 +42,30 @@ type rigOpts struct {
 	pairDelay func(from, to types.ProcessID) (time.Duration, bool)
 	// clock is every process's physical clock (zero value: the true one).
 	clock clocktest.Clock
+	// views, if non-nil, gives process p its own Ω (views[p]) in place of the
+	// runtime's shared oracle, so a test can make the views disagree.
+	views []*fd.Oracle
+	// tap, if non-nil, sits in front of every protocol of every process: it
+	// sees each message first and calls deliver to let it through — or does
+	// not (a frame a full send queue dropped), or acts once it has returned.
+	tap func(to, from types.ProcessID, body any, deliver func())
+}
+
+// tapHost registers a process's protocols behind rigOpts.tap.
+type tapHost struct {
+	node.Registrar
+	tap func(to, from types.ProcessID, body any, deliver func())
+}
+
+func (h tapHost) Register(p node.Protocol) { h.Registrar.Register(tapped{p, h}) }
+
+type tapped struct {
+	node.Protocol
+	h tapHost
+}
+
+func (t tapped) Receive(from types.ProcessID, body any) {
+	t.h.tap(t.h.Self(), from, body, func() { t.Protocol.Receive(from, body) })
 }
 
 func newRig(t *testing.T, o rigOpts) *rig {
@@ -66,9 +91,17 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		if id == o.logged {
 			lg = storage.NewLog(o.store)
 		}
+		var host node.Registrar = rt.Proc(id)
+		if o.tap != nil {
+			host = tapHost{host, o.tap}
+		}
+		var det fd.Detector = rt.Oracle()
+		if o.views != nil {
+			det = o.views[id]
+		}
 		r.eps[id] = New(Config{
-			Host:       rt.Proc(id),
-			Detector:   rt.Oracle(),
+			Host:       host,
+			Detector:   det,
 			SkipStages: o.skip,
 			RMMode:     o.mode,
 			MaxBatch:   o.maxBatch,

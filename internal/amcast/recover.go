@@ -369,4 +369,6 @@ func (a *Mcast) resumeDelivery() {
 	}
 	a.adeliveryTest()
 	a.engine.Pump()
+	a.reship() // entries adopted in s1 were never sent from here
+	a.armPull()
 }

@@ -112,16 +112,18 @@ func TestPipelinedDuplicateDecisionForced(t *testing.T) {
 			}
 		}
 	}
-	// One s1 transition per member per message: 2 messages × 3 senders × 3
-	// receivers in each direction. A re-applied stale descriptor would
-	// re-send a (different) group proposal and push this past 36.
+	// One (TS, m) per group per message — Pipeline 2, so the group's leader
+	// alone sends it: 2 messages × 1 sender × 3 receivers in each direction
+	// (36 while every member sent, line 24). A re-applied stale descriptor
+	// would re-send a (different) group proposal and push this past 12; and
+	// nothing here is lost or late, so nobody pulls.
 	tsSends := 0
 	for _, s := range r.col.Sends() {
 		if s.Proto == "a1" {
 			tsSends++
 		}
 	}
-	if tsSends != 36 {
-		t.Fatalf("a1 TS sends = %d, want 36 — a duplicate decision re-sent a group proposal", tsSends)
+	if tsSends != 12 {
+		t.Fatalf("a1 TS sends = %d, want 12 — a duplicate decision re-sent a group proposal", tsSends)
 	}
 }

@@ -15,6 +15,9 @@ func init() {
 	wire.Register(wire.KindAMcastTS,
 		func(buf []byte, m TSMsg) []byte { return m.AppendTo(buf) },
 		func(data []byte) (m TSMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
+	wire.Register(wire.KindAMcastPull,
+		func(buf []byte, m PullMsg) []byte { return m.Desc.AppendTo(buf) },
+		func(data []byte) (m PullMsg, rest []byte, err error) { rest, err = m.Desc.DecodeFrom(data); return })
 	wire.Register(wire.KindAMcastDescriptors, AppendDescriptors, DecodeDescriptors)
 	statesync.RegisterResp(wire.KindA1SyncResp, syncCodec)
 }

@@ -135,7 +135,7 @@ func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 	}
 	healEvery := cfg.RetryInterval
 	if healEvery <= 0 {
-		healEvery = 40 * time.Millisecond
+		healEvery = DefaultRetry
 	}
 	b := &Batcher[T]{
 		api:       cfg.API,

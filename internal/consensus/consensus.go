@@ -11,8 +11,10 @@
 //
 // Liveness is proposer-driven: every process holding an undecided proposal
 // periodically re-forwards it to the current leader, and the leader
-// periodically re-drives its phases, so decisions survive leader crashes
-// and Ω mistakes. Crucially for the paper's quiescence property (Prop.
+// re-drives its phases on its own retry tick or on a member's — a second
+// ForwardMsg from one member — so decisions survive lost frames, leader
+// crashes and Ω mistakes. A ballot-0 leader sends its Accept once per
+// instance, whatever the number of members that forward a proposal. Crucially for the paper's quiescence property (Prop.
 // A.9), the retry timer is armed only while undecided proposals exist:
 // an idle consensus layer sends nothing and schedules nothing.
 //
@@ -106,11 +108,6 @@ type instance struct {
 	promised int64 // highest ballot promised; -1 initially (ballot 0 always allowed)
 	accepted int64 // highest ballot accepted, -1 if none
 	aValue   Value
-	// reply is the answer this acceptor keeps giving, boxed once: its
-	// AcceptedMsg for ballot accepted, then the catch-up DecideMsg. (A
-	// ballot-0 leader re-sends its Accept for every ForwardMsg it gets, so
-	// each member answers d times per instance.)
-	reply any
 
 	// Proposer state.
 	proposal    Value // this process's own proposal, nil if none
@@ -120,7 +117,7 @@ type instance struct {
 	ballot    int64 // ballot this leader is driving, -1 if none
 	leadValue Value
 	hasLead   bool
-	acceptMsg any // AcceptMsg{ballot, leadValue}, boxed once likewise
+	forwarded uint64 // ranks whose ForwardMsg this leader has had: a second one is that member's retry tick
 	// A phase in flight has a bitmask of the group ranks heard from; of
 	// phase 1's promises only the highest accepted ballot's is kept.
 	phase1, phase2     bool
@@ -135,6 +132,9 @@ type instance struct {
 	maxSeen int64 // highest ballot observed in any message
 }
 
+// DefaultRetry is the retry cadence of an engine configured with none.
+const DefaultRetry = 40 * time.Millisecond
+
 // Config configures a Consensus engine for one process.
 type Config struct {
 	API      node.API
@@ -144,7 +144,7 @@ type Config struct {
 	// instance counter, as Algorithms A1/A2 do with K).
 	OnDecide func(instance uint64, value Value)
 	// RetryInterval is the re-drive period for undecided proposals.
-	// Defaults to 40 ms.
+	// Defaults to DefaultRetry.
 	RetryInterval time.Duration
 	// ProtoLabel overrides the wire label (default "consensus"); distinct
 	// labels let two consensus engines coexist on one process.
@@ -194,7 +194,7 @@ func New(cfg Config) *Consensus {
 	}
 	retry := cfg.RetryInterval
 	if retry <= 0 {
-		retry = 40 * time.Millisecond
+		retry = DefaultRetry
 	}
 	label := cfg.ProtoLabel
 	if label == "" {
@@ -365,7 +365,11 @@ func (c *Consensus) lead(k uint64, v Value) {
 	if in.ballot == 0 {
 		// Ballot 0 belongs to the initial (rank-0) leader and needs no
 		// phase 1: acceptors start with promised = -1 and thus accept it.
-		c.broadcastAccept(k, in)
+		// The Accept goes out once: every member forwards its proposal, and
+		// the ForwardMsgs after the first find phase 2 open.
+		if !in.phase2 {
+			c.broadcastAccept(k, in)
+		}
 		return
 	}
 	if in.phase1 {
@@ -391,32 +395,32 @@ func (c *Consensus) nextBallot(in *instance) int64 {
 
 func (c *Consensus) broadcastAccept(k uint64, in *instance) {
 	in.phase2, in.phase2OK = true, 0
-	if m, ok := in.acceptMsg.(AcceptMsg); !ok || m.Ballot != in.ballot {
-		in.acceptMsg = AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue}
-	}
-	c.api.Multicast(c.group, c.label, in.acceptMsg)
+	c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
 }
 
 // decideMsg is a decided instance's catch-up answer.
-func (c *Consensus) decideMsg(k uint64, in *instance) any {
-	if _, ok := in.reply.(DecideMsg); !ok {
-		in.reply = DecideMsg{Instance: k, Ballot: -1, Value: in.decision}
-	}
-	return in.reply
+func decideMsg(k uint64, in *instance) DecideMsg {
+	return DecideMsg{Instance: k, Ballot: -1, Value: in.decision}
 }
 
 func (c *Consensus) onForward(from types.ProcessID, m ForwardMsg) {
 	in := c.inst(m.Instance)
 	if in.decided {
 		// Catch-up: tell the sender the decision directly.
-		c.send(from, c.decideMsg(m.Instance, in))
+		c.send(from, decideMsg(m.Instance, in))
 		return
 	}
 	if !c.isLeader() {
 		// Stale route; the proposer will retry toward the real leader.
 		return
 	}
-	c.lead(m.Instance, m.Value)
+	if bit := c.rankBit(from); in.forwarded&bit == 0 {
+		in.forwarded |= bit
+		c.lead(m.Instance, m.Value)
+	} else if in.hasLead {
+		// The sender's retry tick: what it was owed, or its answer, is lost.
+		c.redrive(m.Instance, in)
+	}
 }
 
 func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
@@ -425,7 +429,7 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, c.decideMsg(m.Instance, in))
+		c.send(from, decideMsg(m.Instance, in))
 		return
 	}
 	if m.Ballot < in.promised {
@@ -487,7 +491,7 @@ func (c *Consensus) onPromise(from types.ProcessID, m PromiseMsg) {
 	// Quorum of promises: adopt the value of the highest accepted ballot,
 	// if any, else keep our own.
 	if in.bestVBallot >= 0 {
-		in.leadValue, in.acceptMsg = in.bestVValue, nil
+		in.leadValue = in.bestVValue
 	}
 	in.phase1, in.bestVValue = false, nil // phase 1 done for this ballot
 	c.broadcastAccept(m.Instance, in)
@@ -499,7 +503,7 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, c.decideMsg(m.Instance, in))
+		c.send(from, decideMsg(m.Instance, in))
 		return
 	}
 	if m.Ballot < in.promised {
@@ -511,16 +515,12 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.promised = m.Ballot
 		in.accepted = m.Ballot
 		in.aValue = m.Value
-		in.reply = nil
 		c.log.Append(storage.Record{Kind: storage.KindAccept, Proto: c.label, Inst: m.Instance, Ballot: m.Ballot, Value: m.Value})
-	}
-	if in.reply == nil {
-		in.reply = AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot} // m.Ballot == in.accepted by now
 	}
 	// The vote must survive a crash before it is cast: it waits like the
 	// Promise reply in onPrepare — and a retransmission's reply shares the
 	// original's barrier ordering, so it cannot leak an unsynced vote.
-	c.afterBarrier(trace.StageAccept, from, in.reply)
+	c.afterBarrier(trace.StageAccept, from, AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot}) // m.Ballot == in.accepted by now
 }
 
 func (c *Consensus) onAccepted(from types.ProcessID, m AcceptedMsg) {
@@ -570,7 +570,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 	}
 	// Nothing reads the losing proposals of a decided instance: holding them
 	// would pin every member's own batch for as long as the instance lives.
-	in.proposal, in.leadValue, in.bestVValue, in.acceptMsg = nil, nil, nil, nil
+	in.proposal, in.leadValue, in.bestVValue = nil, nil, nil
 	if !c.recovering {
 		c.log.Append(storage.Record{Kind: storage.KindDecide, Proto: c.label, Inst: k, Value: v})
 	}
@@ -583,7 +583,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 // healing); unknown instances stay silent — the asker retries elsewhere.
 func (c *Consensus) onLearnReq(from types.ProcessID, m LearnMsg) {
 	if in := c.lookup(m.Instance); in != nil && in.decided {
-		c.send(from, c.decideMsg(m.Instance, in))
+		c.send(from, decideMsg(m.Instance, in))
 	}
 }
 
@@ -626,29 +626,37 @@ func (c *Consensus) tick() {
 		if in == nil || in.decided {
 			continue
 		}
-		switch {
-		case !c.isLeader() || !in.hasLead:
+		if !c.isLeader() || !in.hasLead {
 			c.drive(k)
-		case in.maxSeen > in.ballot:
-			// Outbid by a higher ballot: restart with a fresh one.
-			in.ballot = c.nextBallot(in)
-			in.phase1, in.phase2 = false, false
-			c.lead(k, in.leadValue)
-		case in.phase1:
-			// Phase 1 in flight: retransmit the Prepare and keep the
-			// promises collected so far. Equal-ballot Prepares are
-			// re-promised, so this converges even when the retry
-			// period is shorter than the group's round-trip time —
-			// bumping the ballot here instead would livelock.
-			c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
-		case in.phase2:
-			// Phase 2 in flight: retransmit the Accept likewise.
-			c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
-		default:
-			c.lead(k, in.leadValue)
+		} else {
+			c.redrive(k, in)
 		}
 	}
 	c.armTimer()
+}
+
+// redrive is the leader's retransmission of undecided instance k, which it
+// leads: on its own retry tick, or on a member's (a repeated ForwardMsg).
+func (c *Consensus) redrive(k uint64, in *instance) {
+	switch {
+	case in.maxSeen > in.ballot:
+		// Outbid by a higher ballot: restart with a fresh one.
+		in.ballot = c.nextBallot(in)
+		in.phase1, in.phase2 = false, false
+		c.lead(k, in.leadValue)
+	case in.phase1:
+		// Phase 1 in flight: retransmit the Prepare and keep the
+		// promises collected so far. Equal-ballot Prepares are
+		// re-promised, so this converges even when the retry
+		// period is shorter than the group's round-trip time —
+		// bumping the ballot here instead would livelock.
+		c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
+	case in.phase2:
+		// Phase 2 in flight: retransmit the Accept likewise.
+		c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
+	default:
+		c.lead(k, in.leadValue)
+	}
 }
 
 func (c *Consensus) send(to types.ProcessID, body any) {

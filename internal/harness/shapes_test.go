@@ -11,8 +11,14 @@ import (
 // groups of d processes (caster in the last destination group).
 func measureMcast(t *testing.T, algo Algo, k, d int) float64 {
 	t.Helper()
+	return measureMcastPipelined(t, algo, k, d, 0)
+}
+
+// measureMcastPipelined is measureMcast at the given Options.Pipeline.
+func measureMcastPipelined(t *testing.T, algo Algo, k, d, pipeline int) float64 {
+	t.Helper()
 	s := Build(algo, Options{
-		Groups: k, PerGroup: d,
+		Groups: k, PerGroup: d, Pipeline: pipeline,
 		// det-merge needs a live heartbeat stream here (single cast, no
 		// slot-fill); its per-cast cost is metered from the data-message
 		// protocol label alone, as the paper's O(kd) row accounts it.
@@ -73,6 +79,14 @@ func TestFigure1aMessageShapes(t *testing.T) {
 		if ratio < 3.0 || ratio > 4.6 {
 			t.Errorf("%s: doubling d scaled messages by %.2f, want ≈4 (quadratic)", algo, ratio)
 		}
+	}
+
+	// With Pipeline > 1 a group speaks to another as one party: its leader
+	// alone sends its (TS, m), so every hop is 1 × d, the count is
+	// (k+1)(k−1)d — O(k²d) — and doubling d doubles it, to the message. (A
+	// cast whose exchange takes its 2Δ draws no pull.)
+	if p2, p4 := measureMcastPipelined(t, AlgoA1, 3, 2, 4), measureMcastPipelined(t, AlgoA1, 3, 4, 4); p2 != 4*2*2 || p4 != 2*p2 {
+		t.Errorf("A1 at Pipeline 4: %v messages at d=2 and %v at d=4, want (k+1)(k−1)d = 16 and 32 (linear in d)", p2, p4)
 	}
 
 	// det-merge is O(kd): linear in d.

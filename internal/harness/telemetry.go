@@ -168,6 +168,10 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	}
 	emit("wanamcast_a2_bundle_copies_sent_total", float64(st.BundleCopiesSent))
 	emit("wanamcast_a2_bundle_repeats_dropped_total", float64(st.BundleRepeatsDropped))
+	// A1's one-sender rule: what Ω changes re-sent and what receivers had to ask for.
+	emit("wanamcast_a1_ts_reshipped_total", float64(st.TSReshipped))
+	emit(`wanamcast_a1_ts_pulls_total{served="true"}`, float64(st.TSPullsServed))
+	emit(`wanamcast_a1_ts_pulls_total{served="false"}`, float64(st.TSPullsUnserved))
 	// How late the WAN emulator released delayed frames (live runs only).
 	writeHist(w, "wanamcast_wan_release_late_seconds", st.WANReleaseLate)
 	// A1's owner proposals: was the caster's group's proposal the final

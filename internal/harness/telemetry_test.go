@@ -55,6 +55,25 @@ func TestScrapeTotalsNeverDecrease(t *testing.T) {
 	}
 }
 
+// TestScrapeCountsReshipsAndPulls: what A1's one-sender rule re-sent on Ω
+// changes and what receivers had to ask for reaches /metrics off any
+// collector — the simulator's as the live cluster's. A failure-free run
+// counts 0 of each (TestOneSenderKeepsDegreeTwo, TestTelemetryServesUnderLoad).
+func TestScrapeCountsReshipsAndPulls(t *testing.T) {
+	var col metrics.Collector
+	src := Telemetry{Stats: col.Snapshot}
+	col.OnTSReship(3)
+	col.OnTSPull(true)
+	col.OnTSPull(true)
+	col.OnTSPull(false)
+	for name, want := range map[string]float64{"wanamcast_a1_ts_reshipped_total": 3,
+		`wanamcast_a1_ts_pulls_total{served="true"}`: 2, `wanamcast_a1_ts_pulls_total{served="false"}`: 1} {
+		if got := scrapeValue(t, src, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
 // TestScrapeSnapshotsOnce: a scrape takes ONE Stats snapshot — the snapshot
 // walks every cast in the window under the lock the lanes record through —
 // and hands it to the gauges.

@@ -97,6 +97,8 @@ type Collector struct {
 	bundleRepeats uint64
 
 	owner OwnerStats
+	// A1's one-sender rule: proposals re-shipped, pulls served and unserved.
+	tsReshipped, tsPullsServed, tsPullsUnserved uint64
 
 	wire WireTraffic
 }
@@ -322,6 +324,28 @@ func (c *Collector) OnBundleCopies(sent, dropped int) {
 	}
 }
 
+// OnTSReship records n (TS, m) proposals a member of A1's reduced sender set
+// sent again because Ω made it the sender.
+func (c *Collector) OnTSReship(n int) {
+	if c.lock() {
+		c.tsReshipped += uint64(n)
+		c.mu.Unlock()
+	}
+}
+
+// OnTSPull records one pull for a (TS, m) proposal at the member asked:
+// served with its group's timestamp, or not (its group has fixed none yet).
+func (c *Collector) OnTSPull(served bool) {
+	if c.lock() {
+		if served {
+			c.tsPullsServed++
+		} else {
+			c.tsPullsUnserved++
+		}
+		c.mu.Unlock()
+	}
+}
+
 // OnOwnerProposal records, at its caster, the final timestamp of a
 // multi-group A1 message: short is how many µs the caster's group's own
 // proposal fell below it (0: the proposal was the final timestamp).
@@ -515,6 +539,10 @@ type Stats struct {
 
 	// A1Owner is A1's owner-proposal accounting (see OwnerStats).
 	A1Owner OwnerStats
+	// A1's reduced sender set (Pipeline > 1): (TS, m) proposals re-sent on an
+	// Ω change, and pulls served and left unanswered at the members asked. A
+	// run without crashes, suspicions or full send queues counts 0 of each.
+	TSReshipped, TSPullsServed, TSPullsUnserved uint64
 
 	// Wire holds the wire-level traffic accounting (bytes, frames,
 	// envelopes, compression) reported by the transports.
@@ -547,6 +575,9 @@ func (c *Collector) Snapshot() Stats {
 		BundleCopiesSent:     c.bundlesSent,
 		BundleRepeatsDropped: c.bundleRepeats,
 		A1Owner:              c.owner,
+		TSReshipped:          c.tsReshipped,
+		TSPullsServed:        c.tsPullsServed,
+		TSPullsUnserved:      c.tsPullsUnserved,
 		Wire:                 c.wire.snapshot(),
 	}
 	st.A1Owner.LeadUs = maps.Clone(c.owner.LeadUs)

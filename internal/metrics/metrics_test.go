@@ -382,6 +382,8 @@ func TestNilCollectorDiscards(t *testing.T) {
 	c.OnBatchDecided(3)
 	c.OnRoundOpened(0, true)
 	c.OnBundleCopies(1, 1)
+	c.OnTSReship(2)
+	c.OnTSPull(true)
 	c.OnWireSend(1, 10)
 	c.OnWireRecv(1, 10)
 	c.OnWireFlush(14, 0, 0)

@@ -227,7 +227,7 @@ func (e *Engine[R, T]) serve(from types.ProcessID, m Req) {
 // harmless: a record is applied only at its own position, and only an
 // answer that made progress asks for more.
 func (e *Engine[R, T]) onResp(from types.ProcessID, m Resp[R, T]) {
-	if !e.syncing || e.failed {
+	if !e.syncing || e.failed || e.heard == nil { // nil: armed, not started — an answer to an earlier incarnation
 		return
 	}
 	if m.TooFar {

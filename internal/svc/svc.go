@@ -186,7 +186,9 @@ type appliedCmd struct {
 // drop its writes. With the window, each sequence number executes exactly
 // once no matter how deliveries interleave.
 type session struct {
-	maxSeq  uint64
+	maxSeq uint64
+	// applied is swept once per window of inserts, not per apply, so it holds
+	// up to two windows: read it through get, which sees the window only.
 	applied map[uint64]appliedCmd
 	// touched is the server's delivery tick of the session's most recent
 	// command — NEVER a request-path timestamp: eviction order must be a
@@ -194,6 +196,12 @@ type session struct {
 	// of a shard would evict different sessions and their dedup tables
 	// (replicated state!) would diverge.
 	touched uint64
+}
+
+// get returns seq's cached outcome if seq is inside the window.
+func (ss *session) get(seq uint64) (appliedCmd, bool) {
+	ac, ok := ss.applied[seq]
+	return ac, ok && seq+sessionWindow > ss.maxSeq
 }
 
 // pendingReq is a locally submitted command awaiting A-Delivery, so the
@@ -231,6 +239,7 @@ type Server struct {
 	sessions  map[uint64]*session
 	tick      uint64 // delivery counter driving deterministic session LRU
 	stateHash [sha256.Size]byte
+	chain     []byte // Deliver's scratch: what the next state hash is taken over
 	pending   map[types.MessageID]pendingReq
 	waiters   []*readWaiter
 	conns     map[*tcp.SvcConn]bool
@@ -502,7 +511,7 @@ func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
 		ok bool
 	)
 	if sess := s.sessions[req.Session]; sess != nil {
-		ac, ok = sess.applied[req.Seq]
+		ac, ok = sess.get(req.Seq)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -603,7 +612,7 @@ func (s *Server) cachedReply(req Request, recordDup bool) (Reply, bool) {
 	if sess == nil {
 		return Reply{}, false
 	}
-	if ac, done := sess.applied[req.Seq]; done {
+	if ac, done := sess.get(req.Seq); done {
 		if recordDup && s.cfg.Stats != nil {
 			s.cfg.Stats.RecordDuplicate()
 		}
@@ -670,17 +679,16 @@ func (s *Server) Deliver(id types.MessageID, payload any) {
 		if err != nil {
 			ac.err = err.Error()
 		}
-		chain := make([]byte, 0, 2*sha256.Size+len(cmd.Op))
-		chain = append(chain, s.stateHash[:]...)
-		chain = id.AppendTo(chain)
-		chain = append(chain, cmd.Op...)
-		s.stateHash = sha256.Sum256(chain)
+		s.chain = append(s.chain[:0], s.stateHash[:]...)
+		s.chain = id.AppendTo(s.chain)
+		s.chain = append(s.chain, cmd.Op...)
+		s.stateHash = sha256.Sum256(s.chain)
 		ac.hash = s.stateHash
 		sess.applied[cmd.Seq] = ac
 		if cmd.Seq > sess.maxSeq {
 			sess.maxSeq = cmd.Seq
 		}
-		if len(sess.applied) > sessionWindow {
+		if len(sess.applied) > 2*sessionWindow {
 			for q := range sess.applied {
 				if q+sessionWindow <= sess.maxSeq {
 					delete(sess.applied, q)
@@ -697,7 +705,7 @@ func (s *Server) Deliver(id types.MessageID, payload any) {
 	var r Reply
 	if waiting {
 		delete(s.pending, id)
-		if ac, ok := sess.applied[pr.seq]; ok {
+		if ac, ok := sess.get(pr.seq); ok {
 			r = appliedReply(pr.session, pr.seq, ac)
 		} else {
 			r = Reply{Session: pr.session, Seq: pr.seq,

@@ -38,9 +38,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"wanamcast/internal/types"
 )
@@ -78,6 +80,7 @@ const (
 	KindRMcastMessage     Kind = 25 // rmcast.Message (as a payload value)
 	KindAMcastTS          Kind = 28 // amcast.TSMsg
 	KindAMcastDescriptors Kind = 29 // []amcast.Descriptor (consensus value)
+	KindAMcastPull        Kind = 30 // amcast.PullMsg
 	KindABcastBundle      Kind = 32 // abcast.BundleMsg
 	KindABcastRecords     Kind = 33 // []abcast.Record (consensus value)
 	KindSkeenData         Kind = 36 // baseline.SkeenData
@@ -114,11 +117,27 @@ type codec struct {
 	decode func(data []byte) (any, []byte, error)
 }
 
-var (
-	regMu  sync.RWMutex
-	byType = make(map[reflect.Type]*codec)
+// registry is one immutable state of the codec tables. Every frame in and
+// out looks a codec up, from every reader, writer and lane goroutine, so
+// readers load a snapshot and take no lock (an RWMutex's two atomic adds per
+// lookup bounced its cache line between the cores); Register, which runs from
+// package inits, copies, adds and swaps under writeMu.
+type registry struct {
+	byType map[reflect.Type]*codec
 	byKind [256]*codec
+}
+
+var (
+	writeMu sync.Mutex // serialises Register, and Intern's slow path
+	reg     = snapshot(&registry{byType: map[reflect.Type]*codec{}})
 )
+
+// snapshot returns an atomic pointer that starts at v.
+func snapshot[T any](v *T) *atomic.Pointer[T] {
+	p := new(atomic.Pointer[T])
+	p.Store(v)
+	return p
+}
 
 // Register installs the codec for message type T under kind. It is meant to
 // be called from package init functions; registering a kind or a type twice
@@ -131,31 +150,23 @@ func Register[T any](kind Kind, enc func(buf []byte, v T) []byte, dec func(data 
 		append: func(buf []byte, v any) []byte { return enc(buf, v.(T)) },
 		decode: func(data []byte) (any, []byte, error) { return dec(data) },
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if byKind[kind] != nil {
+	writeMu.Lock()
+	defer writeMu.Unlock()
+	cur := reg.Load()
+	if cur.byKind[kind] != nil {
 		panic(fmt.Sprintf("wire: kind %d registered twice", kind))
 	}
-	if _, dup := byType[rt]; dup {
+	if _, dup := cur.byType[rt]; dup {
 		panic(fmt.Sprintf("wire: type %v registered twice", rt))
 	}
-	byKind[kind] = c
-	byType[rt] = c
+	next := &registry{byType: maps.Clone(cur.byType), byKind: cur.byKind}
+	next.byType[rt], next.byKind[kind] = c, c
+	reg.Store(next)
 }
 
-func lookupType(rt reflect.Type) *codec {
-	regMu.RLock()
-	c := byType[rt]
-	regMu.RUnlock()
-	return c
-}
+func lookupType(rt reflect.Type) *codec { return reg.Load().byType[rt] }
 
-func lookupKind(k Kind) *codec {
-	regMu.RLock()
-	c := byKind[k]
-	regMu.RUnlock()
-	return c
-}
+func lookupKind(k Kind) *codec { return reg.Load().byKind[k] }
 
 // --- primitives -----------------------------------------------------------
 
@@ -234,10 +245,8 @@ func SliceLen(data []byte) (int, []byte, error) {
 
 // --- proto-label interning ------------------------------------------------
 
-var (
-	internMu sync.RWMutex
-	interned = make(map[string]string)
-)
+// interned is the immutable label table readers load; a new label copies it.
+var interned = snapshot(&map[string]string{})
 
 // internBounds cap the process-global intern cache: protocol labels are a
 // small static set of short strings per deployment, so anything past these
@@ -250,25 +259,26 @@ const (
 
 // Intern returns the canonical string for b, allocating only the first time
 // a label is seen. Protocol labels are a small static set per run, so the
-// read path is a lock + map hit with no conversion allocation.
+// read path is a pointer load + map hit with no lock and no conversion
+// allocation.
 func Intern(b []byte) string {
-	internMu.RLock()
-	s, ok := interned[string(b)]
-	internMu.RUnlock()
-	if ok {
+	if s, ok := (*interned.Load())[string(b)]; ok {
 		return s
 	}
 	if len(b) > maxInternLen {
 		return string(b)
 	}
-	internMu.Lock()
-	defer internMu.Unlock()
-	if s, ok := interned[string(b)]; ok {
+	writeMu.Lock()
+	defer writeMu.Unlock()
+	cur := *interned.Load()
+	if s, ok := cur[string(b)]; ok {
 		return s
 	}
-	s = string(b)
-	if len(interned) < maxInternEntries {
-		interned[s] = s
+	s := string(b)
+	if len(cur) < maxInternEntries {
+		next := maps.Clone(cur)
+		next[s] = s
+		interned.Store(&next)
 	}
 	return s
 }

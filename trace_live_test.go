@@ -183,6 +183,19 @@ func TestTelemetryServesUnderLoad(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "wanamcast_stage_latency_seconds") {
 		t.Fatalf("stage histograms missing from /metrics after load (code %d)", code)
 	}
+	// A1's one-sender rule is on the scrape, and a healthy run — no crash, no
+	// suspicion, no full send queue, nothing stalled for a pull period: this
+	// one, and the benchmark's lan-sat and wan-mix — re-ships no (TS, m) and
+	// pulls none: the rule costs a failure-free run no frame.
+	healthy := l.Stats()
+	for _, line := range []string{"wanamcast_a1_ts_reshipped_total 0", `wanamcast_a1_ts_pulls_total{served="true"} 0`, `wanamcast_a1_ts_pulls_total{served="false"} 0`} {
+		name, _, _ := strings.Cut(line, " ")
+		if !strings.Contains(body, name+" ") {
+			t.Errorf("/metrics lacks %s", name)
+		} else if healthy.Suspicions == 0 && healthy.MaxWallLatency < 300*time.Millisecond && !strings.Contains(body, line+"\n") {
+			t.Errorf("/metrics of a healthy run lacks %q (max wall latency %v)", line, healthy.MaxWallLatency)
+		}
+	}
 	code, spans := get("/spans")
 	if code != http.StatusOK {
 		t.Fatalf("/spans: code %d", code)
