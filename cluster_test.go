@@ -86,20 +86,6 @@ func TestClusterWallLatency(t *testing.T) {
 	}
 }
 
-func TestClusterDisableSkipping(t *testing.T) {
-	on := NewCluster(Config{Groups: 2, PerGroup: 2})
-	off := NewCluster(Config{Groups: 2, PerGroup: 2, DisableSkipping: true})
-	// Skipping saves the second consensus of a single-group message only: a
-	// multi-group one takes two instances per group either way.
-	on.Multicast(on.Process(0, 0), "x", 0)
-	off.Multicast(off.Process(0, 0), "x", 0)
-	on.Run()
-	off.Run()
-	if onN, offN := on.Stats().ConsensusInstances, off.Stats().ConsensusInstances; onN != 2 || offN != 4 {
-		t.Errorf("single-group cast: skipping on %d consensus learns, off %d — want 2 and 4 (one vs two instances x two members)", onN, offN)
-	}
-}
-
 func TestClusterJitterStillCorrect(t *testing.T) {
 	// A1-only workload: mixing A1 and A2 messages is legal but their
 	// relative delivery order is unconstrained (independent primitives),

@@ -105,6 +105,7 @@ import (
 
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/fd"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/statesync"
@@ -709,7 +710,7 @@ func (a *Mcast) reship() {
 	for _, p := range a.order {
 		a.sendTS(p)
 	}
-	a.api.Metrics().OnTSReship(len(a.order))
+	a.api.Metrics().Add(metrics.TSReshipped, len(a.order))
 }
 
 // pullAfter is how many retry ticks an entry sits in s1 before this process
@@ -760,11 +761,12 @@ func (a *Mcast) answerPull(to types.ProcessID, id types.MessageID) {
 			p = &pend{id: id, dest: dr.Dest, payload: dr.Payload, ts: dr.TS, stage: Stage3}
 		}
 	}
-	served := p != nil && p.stage >= Stage1
-	a.api.Metrics().OnTSPull(served)
-	if served {
-		a.api.Send(to, a.label, TSMsg{Desc: p.tsDesc()})
+	if p == nil || p.stage < Stage1 {
+		a.api.Metrics().Add(metrics.TSPullsUnserved, 1)
+		return
 	}
+	a.api.Metrics().Add(metrics.TSPullsServed, 1)
+	a.api.Send(to, a.label, TSMsg{Desc: p.tsDesc()})
 }
 
 // finalTS evaluates line 33 for p: once a proposal from every other

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"wanamcast/internal/fd"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
@@ -549,7 +550,7 @@ func (c *Consensus) onDecide(from types.ProcessID, m DecideMsg) {
 	case in.accepted == m.Ballot:
 		c.learn(m.Instance, in.aValue)
 	default:
-		c.api.Metrics().OnLearnFetch()
+		c.api.Metrics().Add(metrics.LearnFetches, 1)
 		c.send(from, LearnMsg{Instance: m.Instance})
 	}
 }
@@ -574,7 +575,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 	if !c.recovering {
 		c.log.Append(storage.Record{Kind: storage.KindDecide, Proto: c.label, Inst: k, Value: v})
 	}
-	c.api.Metrics().OnConsensusInstance()
+	c.api.Metrics().Add(metrics.ConsensusInstances, 1)
 	c.api.Trace(trace.StageLearn, types.MessageID{}, int64(k))
 	c.onDec(k, v)
 }

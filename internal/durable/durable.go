@@ -61,8 +61,6 @@ type Config struct {
 	// patience and the state-transfer archive depth are left at their
 	// packages' defaults (1 round, 4096 records).
 	Knobs config.Config
-	// NoSkip disables A1's stage skipping (the Fritzke et al. ablation).
-	NoSkip bool
 	// Async runs fn as an event of its own on the process's loop. Snapshots
 	// and group-commit continuations go through it: engine state is only
 	// consistent between events. Required with a Store.
@@ -145,7 +143,7 @@ func New(cfg Config) *Node {
 	n.A1 = amcast.New(amcast.Config{
 		Host:           cfg.Proc,
 		Detector:       cfg.Detector,
-		SkipStages:     !cfg.NoSkip,
+		SkipStages:     true,
 		NextID:         nextID,
 		MaxBatch:       k.MaxBatch,
 		Pipeline:       k.Pipeline,

@@ -7,6 +7,25 @@ import (
 	"wanamcast/internal/types"
 )
 
+// TestSkippingSavesOneInstancePerMember: stage skipping saves the second
+// consensus of a single-group message, so one cast to one group of two costs
+// A1 two consensus learns and the Fritzke et al. [5] pipeline, which runs all
+// four stages, four (one vs two instances x two members).
+func TestSkippingSavesOneInstancePerMember(t *testing.T) {
+	learns := func(algo Algo) uint64 {
+		s := Build(algo, Options{Groups: 2, PerGroup: 2})
+		s.Cast(s.Topo.Members(0)[0], "x", types.NewGroupSet(0))
+		s.Run()
+		if v := s.Check(); len(v) != 0 {
+			t.Fatalf("%s: violations %v", algo, v)
+		}
+		return s.Col.Snapshot().ConsensusInstances
+	}
+	if a1, fritzke := learns(AlgoA1), learns(AlgoFritzke); a1 != 2 || fritzke != 4 {
+		t.Errorf("single-group cast: %d consensus learns under a1, %d under fritzke, want 2 and 4", a1, fritzke)
+	}
+}
+
 // TestFigure1aLatencyDegrees drives one multicast to k groups through each
 // Figure 1(a) algorithm and checks the measured latency degree against the
 // paper's row. The caster sits in the last destination group, the generic

@@ -35,7 +35,7 @@ type Telemetry struct {
 	// /spans.
 	Spans func(w io.Writer) error
 	// Gauges returns extra point-in-time gauges (fsync totals, lane
-	// depths, wire totals read off st — the scrape's one Stats snapshot).
+	// depths, wire ratios read off st — the scrape's one Stats snapshot).
 	// Keys must be valid Prometheus metric names; they are emitted verbatim.
 	Gauges func(st metrics.Stats) map[string]float64
 	// Healthy reports process liveness for /healthz; nil means healthy.
@@ -137,47 +137,25 @@ func writeHist(w io.Writer, name string, h metrics.Hist) {
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, h.Count, name, h.Sum.Seconds(), name, h.Count)
 }
 
-// writeMetrics renders one Prometheus-text scrape. Counters come from the
-// sources' snapshots, so a scrape is consistent within each section but
-// not across sections — fine for monitoring, which is all this is for.
+// writeMetrics renders one Prometheus-text scrape. Every plain counter comes
+// from the metrics package's tables (Stats.Series, ServiceStats.Series); what
+// is more than a count has its line here. Counters come from the sources'
+// snapshots, so a scrape is consistent within each section but not across
+// sections — fine for monitoring, which is all this is for.
 func writeMetrics(w io.Writer, t Telemetry) {
 	st := t.Stats()
 	emit := func(name string, v float64) { fmt.Fprintf(w, "%s %g\n", name, v) }
-	emit("wanamcast_messages_total", float64(st.TotalMessages))
-	emit("wanamcast_messages_intergroup_total", float64(st.InterGroupMessages))
-	emit("wanamcast_consensus_instances_total", float64(st.ConsensusInstances))
-	emit("wanamcast_consensus_learn_fetches_total", float64(st.LearnFetches))
-	emit("wanamcast_messages_cast_total", float64(st.CastTotal))
-	emit("wanamcast_messages_delivered_total", float64(st.DeliveredTotal))
+	counter := func(name string, v uint64) { fmt.Fprintf(w, "%s %d\n", name, v) }
+	st.Series(counter)
+	if t.Service != nil {
+		t.Service().Series(counter)
+	}
 	emit("wanamcast_ordered_per_second", st.ThroughputPerSec)
-	emit("wanamcast_batches_decided_total", float64(st.BatchesDecided))
-	emit("wanamcast_suspicions_total", float64(st.Suspicions))
-	emit("wanamcast_trust_restorations_total", float64(st.TrustRestorations))
-	emit("wanamcast_leader_changes_total", float64(st.LeaderChanges))
-	// A2's paced rounds: opened on their slot or late (the quiescence
-	// predictor's misses), and the bundle copies shipped and thrown away.
-	groups := make([]types.GroupID, 0, len(st.PerGroupRounds))
-	for g := range st.PerGroupRounds {
-		groups = append(groups, g)
-	}
-	slices.Sort(groups)
-	for _, g := range groups {
-		rc := st.PerGroupRounds[g]
-		fmt.Fprintf(w, "wanamcast_a2_rounds_opened_total{group=\"%d\",slot=\"pace\"} %d\n", g, rc.OnPace)
-		fmt.Fprintf(w, "wanamcast_a2_rounds_opened_total{group=\"%d\",slot=\"late\"} %d\n", g, rc.Late)
-	}
-	emit("wanamcast_a2_bundle_copies_sent_total", float64(st.BundleCopiesSent))
-	emit("wanamcast_a2_bundle_repeats_dropped_total", float64(st.BundleRepeatsDropped))
-	// A1's one-sender rule: what Ω changes re-sent and what receivers had to ask for.
-	emit("wanamcast_a1_ts_reshipped_total", float64(st.TSReshipped))
-	emit(`wanamcast_a1_ts_pulls_total{served="true"}`, float64(st.TSPullsServed))
-	emit(`wanamcast_a1_ts_pulls_total{served="false"}`, float64(st.TSPullsUnserved))
 	// How late the WAN emulator released delayed frames (live runs only).
 	writeHist(w, "wanamcast_wan_release_late_seconds", st.WANReleaseLate)
 	// A1's owner proposals: was the caster's group's proposal the final
 	// timestamp, by how much it fell short, and the lead now in force.
 	emit(`wanamcast_a1_owner_proposals_total{outcome="won"}`, float64(st.A1Owner.Margin.Count-st.A1Owner.Lost))
-	emit(`wanamcast_a1_owner_proposals_total{outcome="lost"}`, float64(st.A1Owner.Lost))
 	writeHist(w, "wanamcast_a1_owner_margin_seconds", st.A1Owner.Margin)
 	for _, k := range slices.SortedFunc(maps.Keys(st.A1Owner.LeadUs), func(x, y [2]types.GroupID) int { return slices.Compare(x[:], y[:]) }) {
 		fmt.Fprintf(w, "wanamcast_a1_owner_lead_us{from=\"%d\",group=\"%d\"} %d\n", k[0], k[1], st.A1Owner.LeadUs[k])
@@ -191,15 +169,6 @@ func writeMetrics(w io.Writer, t Telemetry) {
 	for _, d := range degrees {
 		fmt.Fprintf(w, "wanamcast_latency_degree_total{degree=%q} %d\n",
 			strconv.FormatInt(d, 10), st.DegreeHist[d])
-	}
-	if t.Service != nil {
-		sv := t.Service()
-		emit("wanamcast_requests_total", float64(sv.Requests))
-		emit("wanamcast_replies_total", float64(sv.Replies))
-		emit("wanamcast_redirects_total", float64(sv.Redirects))
-		emit("wanamcast_duplicates_total", float64(sv.Duplicates))
-		emit("wanamcast_stale_reads_total", float64(sv.StaleReads))
-		emit("wanamcast_lease_denied_total", float64(sv.LeaseDenied))
 	}
 	if t.Stages != nil {
 		for _, s := range t.Stages() {

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"maps"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -62,10 +65,10 @@ func TestScrapeTotalsNeverDecrease(t *testing.T) {
 func TestScrapeCountsReshipsAndPulls(t *testing.T) {
 	var col metrics.Collector
 	src := Telemetry{Stats: col.Snapshot}
-	col.OnTSReship(3)
-	col.OnTSPull(true)
-	col.OnTSPull(true)
-	col.OnTSPull(false)
+	col.Add(metrics.TSReshipped, 3)
+	col.Add(metrics.TSPullsServed, 1)
+	col.Add(metrics.TSPullsServed, 1)
+	col.Add(metrics.TSPullsUnserved, 1)
 	for name, want := range map[string]float64{"wanamcast_a1_ts_reshipped_total": 3,
 		`wanamcast_a1_ts_pulls_total{served="true"}`: 2, `wanamcast_a1_ts_pulls_total{served="false"}`: 1} {
 		if got := scrapeValue(t, src, name); got != want {
@@ -153,5 +156,107 @@ func TestScrapeHistograms(t *testing.T) {
 	writeMetrics(&b, Telemetry{Stats: (&metrics.Collector{}).Snapshot})
 	if strings.Contains(b.String(), "_bucket") {
 		t.Errorf("empty histograms were exported:\n%s", b.String())
+	}
+}
+
+// TestMetricsGolden: a Collector and a Service holding a distinct non-zero
+// value in every counter, over two groups, render the /metrics lines of
+// testdata/metrics.golden — recorded before the counters became table rows,
+// with the live cluster's wire totals then among its gauges — plus the five
+// service counters the scrape did not export then. The lines are compared as
+// a sorted set: the scrape's order is not part of the format.
+func TestMetricsGolden(t *testing.T) {
+	var col metrics.Collector
+	var svc metrics.Service
+	times := func(n int, f func(i int)) {
+		for i := range n {
+			f(i)
+		}
+	}
+	times(20, func(i int) { col.OnSend("a1", 0, 1, i < 13, time.Duration(i)) })
+	times(9, func(i int) {
+		id := types.MessageID{Origin: 1, Seq: uint64(i + 1)}
+		col.OnCast(id, int64(i), time.Duration(i)*time.Millisecond)
+		if i < 8 {
+			col.OnDeliver(id, 2, int64(i+1+i%3), time.Duration(i+5+i%4)*time.Millisecond)
+		}
+	})
+	col.Add(metrics.ConsensusInstances, 11)
+	col.Add(metrics.LearnFetches, 12)
+	times(14, func(i int) { col.OnBatchDecided(i % 5) })
+	col.Add(metrics.BundleCopiesSent, 15)
+	col.Add(metrics.BundleRepeatsDropped, 16)
+	col.Add(metrics.TSReshipped, 17)
+	col.Add(metrics.TSPullsServed, 18)
+	col.Add(metrics.TSPullsUnserved, 19)
+	times(21, func(i int) { col.OnOwnerProposal(uint64(100 * (i + 1))) })
+	times(22, func(int) { col.OnOwnerProposal(0) })
+	col.OnOwnerLead(0, 1, 21500)
+	col.OnOwnerLead(1, 0, 20700)
+	times(23, func(i int) { col.OnWireSend(byte(i%3), 40+i) })
+	times(24, func(i int) { col.OnWireRecv(byte(i%3), 30+i) })
+	times(25, func(i int) {
+		if i%2 == 0 {
+			col.OnWireFlush(100+i, 300+i, 90+i)
+		} else {
+			col.OnWireFlush(100+i, 0, 0)
+		}
+	})
+	times(26, func(i int) { col.Add(metrics.WireBytesIn, 200+i) })
+	for g, base := range []int{27, 31} {
+		col.AddGroup(types.GroupID(g), metrics.Suspicions, base)
+		col.AddGroup(types.GroupID(g), metrics.TrustRestorations, base+1)
+		col.AddGroup(types.GroupID(g), metrics.LeaderChanges, base+2)
+	}
+	for g, base := range []int{34, 36} {
+		col.AddGroup(types.GroupID(g), metrics.RoundsOnPace, base)
+		col.AddGroup(types.GroupID(g), metrics.RoundsLate, base+1)
+	}
+	times(41, func(int) { svc.RecordRequest() })
+	times(42, func(int) { svc.RecordReply() })
+	times(43, func(int) { svc.RecordRedirect() })
+	times(44, func(int) { svc.RecordRetry() })
+	times(45, func(int) { svc.RecordDuplicate() })
+	times(50, func(i int) { svc.RecordOutcome(1+i%2, time.Duration(i)*time.Millisecond, i >= 47) })
+	times(48, func(int) { svc.RecordStaleRead() })
+	times(49, func(int) { svc.RecordLeaseDenied() })
+	times(51, func(int) { svc.RecordCertVerify(true) })
+	times(52, func(int) { svc.RecordCertVerify(false) })
+	src := Telemetry{
+		Stats:   col.Snapshot,
+		Service: svc.Snapshot,
+		Gauges: func(st metrics.Stats) map[string]float64 { // the live cluster's wire gauges
+			return map[string]float64{
+				"wanamcast_wire_compression_ratio": st.Wire.CompressionRatio(),
+				"wanamcast_wire_frames_per_write":  st.Wire.FramesPerEnvelope(),
+			}
+		},
+	}
+	var b strings.Builder
+	writeMetrics(&b, src)
+	added := map[string]bool{
+		"wanamcast_retries_total 44": true, "wanamcast_failures_total 47": true, "wanamcast_ops_total 50": true,
+		"wanamcast_cert_verifies_total 51": true, "wanamcast_cert_failures_total 52": true,
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		switch {
+		case strings.HasPrefix(line, "wanamcast_scrape_time_seconds "):
+		case added[line]:
+			delete(added, line)
+		default:
+			got = append(got, line)
+		}
+	}
+	if len(added) > 0 {
+		t.Errorf("the scrape lacks the service counters %v", slices.Sorted(maps.Keys(added)))
+	}
+	slices.Sort(got)
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+		t.Errorf("/metrics lines differ from testdata/metrics.golden:\n got:\n%s\nwant:\n%s", g, want)
 	}
 }

@@ -18,10 +18,11 @@ const (
 )
 
 // Hist is a distribution of durations in fixed memory (under 4 KB): Count,
-// Sum, Min, Max and Mean are exact, a quantile is exact to within the bucket
-// that holds it, and a.Add(b) is the Hist that observing both sample sets
-// would have built. The zero value is ready to use; it is a plain value with
-// no lock, so the owner synchronises.
+// Min and Max are exact, Sum and Mean too until Sum saturates at the largest
+// Duration (a lying clock's samples reach it), a quantile is exact to within
+// the bucket that holds it, and a.Add(b) is the Hist that observing both
+// sample sets would have built. The zero value is ready to use; it is a plain
+// value with no lock, so the owner synchronises.
 type Hist struct {
 	Count    uint64
 	Sum      time.Duration
@@ -49,7 +50,7 @@ func (h *Hist) Observe(d time.Duration) {
 	}
 	h.Max = max(h.Max, d)
 	h.Count++
-	h.Sum += d
+	h.Sum = satAdd(h.Sum, d)
 	h.buckets[bucketOf(uint64(d))]++
 }
 
@@ -63,10 +64,16 @@ func (h *Hist) Add(o Hist) {
 	}
 	h.Max = max(h.Max, o.Max)
 	h.Count += o.Count
-	h.Sum += o.Sum
+	h.Sum = satAdd(h.Sum, o.Sum)
 	for i, n := range o.buckets {
 		h.buckets[i] += n
 	}
+}
+
+// satAdd returns a + b for non-negative a and b, or the largest Duration where
+// that would wrap negative (the sum of two fits a uint64).
+func satAdd(a, b time.Duration) time.Duration {
+	return time.Duration(min(uint64(a)+uint64(b), math.MaxInt64))
 }
 
 // Mean returns the mean sample (zero when empty).

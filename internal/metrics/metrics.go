@@ -14,10 +14,16 @@
 // There is one sink, *Collector, and no interface in front of it: the
 // simulated and the live runtime, the transport, the failure detectors and
 // the protocols call its methods directly. It is safe for concurrent use and
-// a nil *Collector discards. A new signal is five edits: the Collector field
-// and its On… method, the Stats field and its line in Snapshot, and the
-// /metrics line in internal/harness/telemetry.go (emit, or writeHist for a
-// distribution).
+// a nil *Collector discards.
+//
+// A plain cumulative count is one Counter constant, its row in counters (the
+// Stats field it fills and its /metrics series) and that Stats field; its
+// call site bumps it with c.Add(k, n), or c.AddGroup(g, k, n) for a per-group
+// one. Snapshot, internal/harness/telemetry.go and the live cluster's gauges
+// are not edited. Anything more than a count — the per-protocol and per-kind
+// maps, the largest batch, a distribution — is a typed field with its own On…
+// method, its own line in Snapshot and its own line in writeMetrics (writeHist
+// for a distribution).
 //
 // How a distribution is held: as a Hist (hist.go) and nothing else — the trace
 // stages, the WAN emulator's release lateness, A1's owner margin, the client
@@ -70,37 +76,173 @@ type Collector struct {
 	// long-lived service. Set before the run.
 	CastWindow int
 
-	mu sync.Mutex
+	// What every send, frame and decision touches sits next to mu; the
+	// 4 KB margin histogram goes last.
+	mu                  sync.Mutex
+	counts              [numCounters]uint64
+	perProto            map[string]*ProtoCount
+	byKindOut, byKindIn map[byte]uint64 // Wire.ByKindOut, Wire.ByKindIn
+	lastSend            time.Duration
+	anySend             bool
+	maxBatch            int
+	sends               []SendEvent
+	groups              [][numGroupCounters]uint64 // indexed by GroupID
 
-	totalMsgs      uint64
-	interGroupMsgs uint64
-	perProto       map[string]*ProtoCount
-	sends          []SendEvent
+	casts     map[types.MessageID]*castRecord
+	castOrder []types.MessageID // cast arrival order, for CastWindow eviction
 
-	casts        map[types.MessageID]*castRecord
-	castOrder    []types.MessageID // cast arrival order, for CastWindow eviction
-	castTotal    uint64            // casts ever recorded; CastWindow never lowers it
-	delivTotal   uint64            // casts ever delivered at least once
-	lastSend     time.Duration
-	anySend      bool
-	consensusN   uint64
-	learnFetches uint64 // decisions fetched by LearnMsg
+	leadUs map[[2]types.GroupID]uint64 // A1Owner.LeadUs
+	margin Hist                        // A1Owner.Margin
+}
 
-	batchesN    uint64
-	batchedMsgs uint64
-	maxBatch    int
+// Counter names one of the Collector's plain cumulative counts.
+type Counter int
 
-	fdPerGroup map[types.GroupID]*FDCount
+// The Collector's counters, each a row of counters.
+const (
+	TotalMessages Counter = iota
+	InterGroupMessages
+	ConsensusInstances
+	LearnFetches
+	CastTotal
+	DeliveredTotal
+	BatchesDecided
+	BatchedMessages
+	BundleCopiesSent
+	BundleRepeatsDropped
+	TSReshipped
+	TSPullsServed
+	TSPullsUnserved
+	OwnerLost
+	WireBytesOut
+	WireBytesIn
+	WireFramesOut
+	WireFramesIn
+	WireEnvelopesOut
+	WireEnvelopesIn
+	WireRawOut
+	WireCompressedOut
+	numCounters
+)
 
-	rounds        map[types.GroupID]*RoundCount
-	bundlesSent   uint64
-	bundleRepeats uint64
+// row is one line of a counter table: the field a count fills in the snapshot
+// S, and its /metrics series with any fixed label ("" when not exported).
+type row[S any] struct {
+	field  func(*S) *uint64
+	series string
+}
 
-	owner OwnerStats
-	// A1's one-sender rule: proposals re-shipped, pulls served and unserved.
-	tsReshipped, tsPullsServed, tsPullsUnserved uint64
+// counters is the Collector's table: Snapshot fills Stats from it and
+// Stats.Series exports it. A _total series must never go down, so a row
+// counts since the run began (CastTotal, not the windowed MessagesCast).
+var counters = [numCounters]row[Stats]{
+	TotalMessages:        {func(s *Stats) *uint64 { return &s.TotalMessages }, "wanamcast_messages_total"},
+	InterGroupMessages:   {func(s *Stats) *uint64 { return &s.InterGroupMessages }, "wanamcast_messages_intergroup_total"},
+	ConsensusInstances:   {func(s *Stats) *uint64 { return &s.ConsensusInstances }, "wanamcast_consensus_instances_total"},
+	LearnFetches:         {func(s *Stats) *uint64 { return &s.LearnFetches }, "wanamcast_consensus_learn_fetches_total"},
+	CastTotal:            {func(s *Stats) *uint64 { return &s.CastTotal }, "wanamcast_messages_cast_total"},
+	DeliveredTotal:       {func(s *Stats) *uint64 { return &s.DeliveredTotal }, "wanamcast_messages_delivered_total"},
+	BatchesDecided:       {func(s *Stats) *uint64 { return &s.BatchesDecided }, "wanamcast_batches_decided_total"},
+	BatchedMessages:      {func(s *Stats) *uint64 { return &s.BatchedMessages }, ""},
+	BundleCopiesSent:     {func(s *Stats) *uint64 { return &s.BundleCopiesSent }, "wanamcast_a2_bundle_copies_sent_total"},
+	BundleRepeatsDropped: {func(s *Stats) *uint64 { return &s.BundleRepeatsDropped }, "wanamcast_a2_bundle_repeats_dropped_total"},
+	TSReshipped:          {func(s *Stats) *uint64 { return &s.TSReshipped }, "wanamcast_a1_ts_reshipped_total"},
+	TSPullsServed:        {func(s *Stats) *uint64 { return &s.TSPullsServed }, `wanamcast_a1_ts_pulls_total{served="true"}`},
+	TSPullsUnserved:      {func(s *Stats) *uint64 { return &s.TSPullsUnserved }, `wanamcast_a1_ts_pulls_total{served="false"}`},
+	OwnerLost:            {func(s *Stats) *uint64 { return &s.A1Owner.Lost }, `wanamcast_a1_owner_proposals_total{outcome="lost"}`},
+	WireBytesOut:         {func(s *Stats) *uint64 { return &s.Wire.BytesOut }, "wanamcast_wire_bytes_out_total"},
+	WireBytesIn:          {func(s *Stats) *uint64 { return &s.Wire.BytesIn }, "wanamcast_wire_bytes_in_total"},
+	WireFramesOut:        {func(s *Stats) *uint64 { return &s.Wire.FramesOut }, "wanamcast_wire_frames_out_total"},
+	WireFramesIn:         {func(s *Stats) *uint64 { return &s.Wire.FramesIn }, ""},
+	WireEnvelopesOut:     {func(s *Stats) *uint64 { return &s.Wire.EnvelopesOut }, "wanamcast_wire_writes_out_total"},
+	WireEnvelopesIn:      {func(s *Stats) *uint64 { return &s.Wire.EnvelopesIn }, ""},
+	WireRawOut:           {func(s *Stats) *uint64 { return &s.Wire.RawPayloadOut }, ""},
+	WireCompressedOut:    {func(s *Stats) *uint64 { return &s.Wire.CompressedPayloadOut }, ""},
+}
 
-	wire WireTraffic
+// GroupCounter names one of the Collector's per-group cumulative counts.
+type GroupCounter int
+
+// The Collector's per-group counters, each a row of groupCounters.
+const (
+	Suspicions GroupCounter = iota
+	TrustRestorations
+	LeaderChanges
+	RoundsOnPace
+	RoundsLate
+	numGroupCounters
+)
+
+// groupCounts is one group's counts as Stats holds them: its PerGroupFD and
+// its PerGroupRounds entry.
+type groupCounts struct {
+	FDCount
+	RoundCount
+}
+
+// groupCounters is the per-group table: a row's field in its group's counts,
+// the Stats field that totals it over the groups, and the series exporting
+// that total — or, with a %d for the group, one series per group that opened
+// a round, holding the group's own count.
+var groupCounters = [numGroupCounters]struct {
+	field  func(*groupCounts) *uint64
+	total  func(*Stats) *uint64
+	series string
+}{
+	Suspicions:        {func(g *groupCounts) *uint64 { return &g.Suspicions }, func(s *Stats) *uint64 { return &s.Suspicions }, "wanamcast_suspicions_total"},
+	TrustRestorations: {func(g *groupCounts) *uint64 { return &g.TrustRestorations }, func(s *Stats) *uint64 { return &s.TrustRestorations }, "wanamcast_trust_restorations_total"},
+	LeaderChanges:     {func(g *groupCounts) *uint64 { return &g.LeaderChanges }, func(s *Stats) *uint64 { return &s.LeaderChanges }, "wanamcast_leader_changes_total"},
+	RoundsOnPace:      {func(g *groupCounts) *uint64 { return &g.OnPace }, func(s *Stats) *uint64 { return &s.RoundsOnPace }, `wanamcast_a2_rounds_opened_total{group="%d",slot="pace"}`},
+	RoundsLate:        {func(g *groupCounts) *uint64 { return &g.Late }, func(s *Stats) *uint64 { return &s.RoundsLate }, `wanamcast_a2_rounds_opened_total{group="%d",slot="late"}`},
+}
+
+// Add adds n to counter k. An envelope read off a connection is one Add to
+// WireBytesIn, which counts it in WireEnvelopesIn too: one lock per event.
+func (c *Collector) Add(k Counter, n int) {
+	if c.lock() {
+		c.counts[k] += uint64(n)
+		if k == WireBytesIn {
+			c.counts[WireEnvelopesIn]++
+		}
+		c.mu.Unlock()
+	}
+}
+
+// AddGroup adds n to group g's counter k.
+func (c *Collector) AddGroup(g types.GroupID, k GroupCounter, n int) {
+	if c.lock() {
+		for int(g) >= len(c.groups) {
+			c.groups = append(c.groups, [numGroupCounters]uint64{})
+		}
+		c.groups[g][k] += uint64(n)
+		c.mu.Unlock()
+	}
+}
+
+// series calls emit with each exported row's series and its value in st.
+func series[S any](st *S, rows []row[S], emit func(string, uint64)) {
+	for _, r := range rows {
+		if r.series != "" {
+			emit(r.series, *r.field(st))
+		}
+	}
+}
+
+// Series calls emit with the /metrics series and value of every exported
+// counter.
+func (st Stats) Series(emit func(name string, v uint64)) {
+	series(&st, counters[:], emit)
+	groups := slices.Sorted(maps.Keys(st.PerGroupRounds))
+	for _, r := range groupCounters {
+		if !strings.Contains(r.series, "%d") {
+			emit(r.series, *r.total(&st))
+			continue
+		}
+		for _, g := range groups {
+			gc := groupCounts{st.PerGroupFD[g], st.PerGroupRounds[g]}
+			emit(fmt.Sprintf(r.series, g), *r.field(&gc))
+		}
+	}
 }
 
 // lock takes the collector's mutex for one recording and reports whether
@@ -199,7 +341,7 @@ func (c *Collector) OnSend(proto string, from, to types.ProcessID, interGroup bo
 		return
 	}
 	defer c.mu.Unlock()
-	c.totalMsgs++
+	c.counts[TotalMessages]++
 	c.lastSend = at
 	c.anySend = true
 	if c.perProto == nil {
@@ -212,7 +354,7 @@ func (c *Collector) OnSend(proto string, from, to types.ProcessID, interGroup bo
 	}
 	pc.Total++
 	if interGroup {
-		c.interGroupMsgs++
+		c.counts[InterGroupMessages]++
 		pc.InterGroup++
 	}
 	if c.LogSends {
@@ -242,7 +384,7 @@ func (c *Collector) OnCast(id types.MessageID, lamportTS int64, at time.Duration
 		return // duplicate cast report; keep the first
 	}
 	c.casts[id] = &castRecord{castTS: lamportTS, castAt: at}
-	c.castTotal++
+	c.counts[CastTotal]++
 	if c.CastWindow > 0 {
 		// Amortised trim, same idiom as the live delivery log: grow to
 		// twice the window, then copy the newest half down.
@@ -269,81 +411,9 @@ func (c *Collector) OnDeliver(id types.MessageID, p types.ProcessID, lamportTS i
 		return
 	}
 	if len(rec.deliveries) == 0 {
-		c.delivTotal++
+		c.counts[DeliveredTotal]++
 	}
 	rec.deliveries = append(rec.deliveries, Delivery{Process: p, TS: lamportTS, At: at})
-}
-
-// OnConsensusInstance records the completion of one intra-group consensus
-// instance (used by the ablation benchmarks on stage skipping).
-func (c *Collector) OnConsensusInstance() {
-	if c.lock() {
-		c.consensusN++
-		c.mu.Unlock()
-	}
-}
-
-// OnLearnFetch records one decision an acceptor had to fetch by LearnMsg.
-func (c *Collector) OnLearnFetch() {
-	if c.lock() {
-		c.learnFetches++
-		c.mu.Unlock()
-	}
-}
-
-// OnRoundOpened records a paced A2 round first opening at a member of g: on
-// its pace slot, or late — after the slot had passed with the Barrier still
-// holding the round shut.
-func (c *Collector) OnRoundOpened(g types.GroupID, late bool) {
-	if !c.lock() {
-		return
-	}
-	defer c.mu.Unlock()
-	if c.rounds == nil {
-		c.rounds = make(map[types.GroupID]*RoundCount)
-	}
-	rc := c.rounds[g]
-	if rc == nil {
-		rc = &RoundCount{}
-		c.rounds[g] = rc
-	}
-	if late {
-		rc.Late++
-	} else {
-		rc.OnPace++
-	}
-}
-
-// OnBundleCopies records A2 bundle copies sent, and copies dropped on
-// receipt as repeats of a bundle the receiver already had.
-func (c *Collector) OnBundleCopies(sent, dropped int) {
-	if c.lock() {
-		c.bundlesSent += uint64(sent)
-		c.bundleRepeats += uint64(dropped)
-		c.mu.Unlock()
-	}
-}
-
-// OnTSReship records n (TS, m) proposals a member of A1's reduced sender set
-// sent again because Ω made it the sender.
-func (c *Collector) OnTSReship(n int) {
-	if c.lock() {
-		c.tsReshipped += uint64(n)
-		c.mu.Unlock()
-	}
-}
-
-// OnTSPull records one pull for a (TS, m) proposal at the member asked:
-// served with its group's timestamp, or not (its group has fixed none yet).
-func (c *Collector) OnTSPull(served bool) {
-	if c.lock() {
-		if served {
-			c.tsPullsServed++
-		} else {
-			c.tsPullsUnserved++
-		}
-		c.mu.Unlock()
-	}
 }
 
 // OnOwnerProposal records, at its caster, the final timestamp of a
@@ -352,12 +422,12 @@ func (c *Collector) OnTSPull(served bool) {
 func (c *Collector) OnOwnerProposal(short uint64) {
 	if c.lock() {
 		if short > 0 {
-			c.owner.Lost++
+			c.counts[OwnerLost]++
 		}
 		// A lying or stepped clock can put the final timestamp up to 2^62 µs
 		// ahead: saturate rather than wrap into a small or negative margin.
 		short = min(short, math.MaxInt64/uint64(time.Microsecond))
-		c.owner.Margin.Observe(time.Duration(short) * time.Microsecond)
+		c.margin.Observe(time.Duration(short) * time.Microsecond)
 		c.mu.Unlock()
 	}
 }
@@ -367,10 +437,10 @@ func (c *Collector) OnOwnerProposal(short uint64) {
 // to.
 func (c *Collector) OnOwnerLead(from, to types.GroupID, us uint64) {
 	if c.lock() {
-		if c.owner.LeadUs == nil {
-			c.owner.LeadUs = make(map[[2]types.GroupID]uint64)
+		if c.leadUs == nil {
+			c.leadUs = make(map[[2]types.GroupID]uint64)
 		}
-		c.owner.LeadUs[[2]types.GroupID{from, to}] = us
+		c.leadUs[[2]types.GroupID{from, to}] = us
 		c.mu.Unlock()
 	}
 }
@@ -379,8 +449,8 @@ func (c *Collector) OnOwnerLead(from, to types.GroupID, us uint64) {
 // messages a consensus instance ordered at one process).
 func (c *Collector) OnBatchDecided(size int) {
 	if c.lock() {
-		c.batchesN++
-		c.batchedMsgs += uint64(size)
+		c.counts[BatchesDecided]++
+		c.counts[BatchedMessages] += uint64(size)
 		c.maxBatch = max(c.maxBatch, size)
 		c.mu.Unlock()
 	}
@@ -389,39 +459,16 @@ func (c *Collector) OnBatchDecided(size int) {
 // OnSuspect, OnTrustRestored, and OnLeaderChange implement fd.Observer:
 // the failure detectors report suspicions, trust restorations, and leader
 // changes here, counted per group.
-func (c *Collector) OnSuspect(g types.GroupID, p types.ProcessID) {
-	if c.lock() {
-		c.fd(g).Suspicions++
-		c.mu.Unlock()
-	}
-}
+func (c *Collector) OnSuspect(g types.GroupID, p types.ProcessID) { c.AddGroup(g, Suspicions, 1) }
 
 // OnTrustRestored implements fd.Observer.
 func (c *Collector) OnTrustRestored(g types.GroupID, p types.ProcessID) {
-	if c.lock() {
-		c.fd(g).TrustRestorations++
-		c.mu.Unlock()
-	}
+	c.AddGroup(g, TrustRestorations, 1)
 }
 
 // OnLeaderChange implements fd.Observer.
 func (c *Collector) OnLeaderChange(g types.GroupID, leader types.ProcessID) {
-	if c.lock() {
-		c.fd(g).LeaderChanges++
-		c.mu.Unlock()
-	}
-}
-
-func (c *Collector) fd(g types.GroupID) *FDCount {
-	if c.fdPerGroup == nil {
-		c.fdPerGroup = make(map[types.GroupID]*FDCount)
-	}
-	fc := c.fdPerGroup[g]
-	if fc == nil {
-		fc = &FDCount{}
-		c.fdPerGroup[g] = fc
-	}
-	return fc
+	c.AddGroup(g, LeaderChanges, 1)
 }
 
 // LatencyDegree returns Δ(id) = max deliverer Lamport clock minus the
@@ -561,40 +608,30 @@ func (c *Collector) Snapshot() Stats {
 	}
 	c.mu.Lock()
 	st := Stats{
-		TotalMessages:        c.totalMsgs,
-		InterGroupMessages:   c.interGroupMsgs,
-		ConsensusInstances:   c.consensusN,
-		LearnFetches:         c.learnFetches,
-		PerProtocol:          make(map[string]ProtoCount, len(c.perProto)),
-		MessagesCast:         len(c.casts),
-		CastTotal:            c.castTotal,
-		DeliveredTotal:       c.delivTotal,
-		BatchesDecided:       c.batchesN,
-		BatchedMessages:      c.batchedMsgs,
-		MaxBatchSize:         c.maxBatch,
-		BundleCopiesSent:     c.bundlesSent,
-		BundleRepeatsDropped: c.bundleRepeats,
-		A1Owner:              c.owner,
-		TSReshipped:          c.tsReshipped,
-		TSPullsServed:        c.tsPullsServed,
-		TSPullsUnserved:      c.tsPullsUnserved,
-		Wire:                 c.wire.snapshot(),
+		PerProtocol:  make(map[string]ProtoCount, len(c.perProto)),
+		MessagesCast: len(c.casts),
+		MaxBatchSize: c.maxBatch,
+		A1Owner:      OwnerStats{Margin: c.margin, LeadUs: maps.Clone(c.leadUs)},
+		Wire:         WireStats{ByKindOut: maps.Clone(c.byKindOut), ByKindIn: maps.Clone(c.byKindIn)},
 	}
-	st.A1Owner.LeadUs = maps.Clone(c.owner.LeadUs)
+	for k, r := range counters {
+		*r.field(&st) = c.counts[k]
+	}
+	for g, counts := range c.groups {
+		var gc groupCounts
+		for k, r := range groupCounters {
+			*r.field(&gc) = counts[k]
+			*r.total(&st) += counts[k]
+		}
+		if gc.FDCount != (FDCount{}) {
+			setKeyed(&st.PerGroupFD, types.GroupID(g), gc.FDCount)
+		}
+		if gc.RoundCount != (RoundCount{}) {
+			setKeyed(&st.PerGroupRounds, types.GroupID(g), gc.RoundCount)
+		}
+	}
 	for name, pc := range c.perProto {
 		st.PerProtocol[name] = *pc
-	}
-	if len(c.fdPerGroup) > 0 {
-		st.PerGroupFD = make(map[types.GroupID]FDCount, len(c.fdPerGroup))
-		for g, fc := range c.fdPerGroup {
-			st.PerGroupFD[g] = *fc
-		}
-	}
-	if len(c.rounds) > 0 {
-		st.PerGroupRounds = make(map[types.GroupID]RoundCount, len(c.rounds))
-		for g, rc := range c.rounds {
-			st.PerGroupRounds[g] = *rc
-		}
 	}
 	samples := make([]sample, 0, len(c.casts))
 	for _, rec := range c.casts {
@@ -604,15 +641,6 @@ func (c *Collector) Snapshot() Stats {
 	}
 	c.mu.Unlock()
 
-	for _, fc := range st.PerGroupFD {
-		st.Suspicions += fc.Suspicions
-		st.TrustRestorations += fc.TrustRestorations
-		st.LeaderChanges += fc.LeaderChanges
-	}
-	for _, rc := range st.PerGroupRounds {
-		st.RoundsOnPace += rc.OnPace
-		st.RoundsLate += rc.Late
-	}
 	if st.BatchesDecided > 0 {
 		st.MeanBatchSize = float64(st.BatchedMessages) / float64(st.BatchesDecided)
 	}
@@ -653,6 +681,14 @@ func (c *Collector) Snapshot() Stats {
 	return st
 }
 
+// setKeyed sets key's value in *m, making the map on first use.
+func setKeyed[K comparable, V any](m *map[K]V, key K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[key] = v
+}
+
 // Service collects service-level (client-facing) counters and
 // client-observed latencies, bucketed by shard fan-out (how many groups a
 // command touched). It is safe for concurrent use: load generators and
@@ -660,43 +696,68 @@ func (c *Collector) Snapshot() Stats {
 // ready to use; share one instance between the servers and the clients of
 // a run to see both sides in a single snapshot.
 type Service struct {
-	mu          sync.Mutex
-	requests    uint64
-	replies     uint64
-	redirects   uint64
-	retries     uint64
-	duplicates  uint64
-	failures    uint64
-	ops         uint64
-	lat         map[int]*Hist
-	classLat    map[string]*Hist
-	classFails  map[string]uint64
-	staleReads  uint64
-	leaseDenied uint64
-	certOK      uint64
-	certBad     uint64
+	mu         sync.Mutex
+	counts     [numServiceCounters]uint64
+	lat        map[int]*Hist
+	classLat   map[string]*Hist
+	classFails map[string]uint64
+}
+
+// serviceCounter names one of the Service's counts, each a row of
+// serviceCounters; the Record… methods bump them.
+type serviceCounter int
+
+const (
+	svcRequests serviceCounter = iota
+	svcReplies
+	svcRedirects
+	svcRetries
+	svcDuplicates
+	svcFailures
+	svcOps
+	svcStaleReads
+	svcLeaseDenied
+	svcCertVerifies
+	svcCertFailures
+	numServiceCounters
+)
+
+// serviceCounters is the Service's table: Snapshot fills ServiceStats from it
+// and ServiceStats.Series exports it.
+var serviceCounters = [numServiceCounters]row[ServiceStats]{
+	svcRequests:     {func(s *ServiceStats) *uint64 { return &s.Requests }, "wanamcast_requests_total"},
+	svcReplies:      {func(s *ServiceStats) *uint64 { return &s.Replies }, "wanamcast_replies_total"},
+	svcRedirects:    {func(s *ServiceStats) *uint64 { return &s.Redirects }, "wanamcast_redirects_total"},
+	svcRetries:      {func(s *ServiceStats) *uint64 { return &s.Retries }, "wanamcast_retries_total"},
+	svcDuplicates:   {func(s *ServiceStats) *uint64 { return &s.Duplicates }, "wanamcast_duplicates_total"},
+	svcFailures:     {func(s *ServiceStats) *uint64 { return &s.Failures }, "wanamcast_failures_total"},
+	svcOps:          {func(s *ServiceStats) *uint64 { return &s.Ops }, "wanamcast_ops_total"},
+	svcStaleReads:   {func(s *ServiceStats) *uint64 { return &s.StaleReads }, "wanamcast_stale_reads_total"},
+	svcLeaseDenied:  {func(s *ServiceStats) *uint64 { return &s.LeaseDenied }, "wanamcast_lease_denied_total"},
+	svcCertVerifies: {func(s *ServiceStats) *uint64 { return &s.CertVerifies }, "wanamcast_cert_verifies_total"},
+	svcCertFailures: {func(s *ServiceStats) *uint64 { return &s.CertFailures }, "wanamcast_cert_failures_total"},
 }
 
 // RecordRequest counts one request received by a server.
-func (s *Service) RecordRequest() { s.bump(&s.requests) }
+func (s *Service) RecordRequest() { s.bump(svcRequests) }
 
 // RecordReply counts one successful reply sent by a server.
-func (s *Service) RecordReply() { s.bump(&s.replies) }
+func (s *Service) RecordReply() { s.bump(svcReplies) }
 
 // RecordRedirect counts one request answered with a redirect.
-func (s *Service) RecordRedirect() { s.bump(&s.redirects) }
+func (s *Service) RecordRedirect() { s.bump(svcRedirects) }
 
 // RecordRetry counts one client resend under an existing sequence number.
-func (s *Service) RecordRetry() { s.bump(&s.retries) }
+func (s *Service) RecordRetry() { s.bump(svcRetries) }
 
 // RecordDuplicate counts one duplicate command suppressed by the
 // replicated dedup table (the exactly-once signal: retries that reached
 // the ordering layer but mutated nothing).
-func (s *Service) RecordDuplicate() { s.bump(&s.duplicates) }
+func (s *Service) RecordDuplicate() { s.bump(svcDuplicates) }
 
-func (s *Service) bump(field *uint64) {
+func (s *Service) bump(k serviceCounter) {
 	s.mu.Lock()
-	*field++
+	s.counts[k]++
 	s.mu.Unlock()
 }
 
@@ -706,9 +767,9 @@ func (s *Service) bump(field *uint64) {
 func (s *Service) RecordOutcome(fanout int, latency time.Duration, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ops++
+	s.counts[svcOps]++
 	if !ok {
-		s.failures++
+		s.counts[svcFailures]++
 		return
 	}
 	observeKeyed(&s.lat, fanout, latency)
@@ -747,18 +808,18 @@ func (s *Service) RecordClassOutcome(class string, latency time.Duration, ok boo
 
 // RecordStaleRead counts one read response a client rejected because the
 // replica answered below the session's tracked watermark.
-func (s *Service) RecordStaleRead() { s.bump(&s.staleReads) }
+func (s *Service) RecordStaleRead() { s.bump(svcStaleReads) }
 
 // RecordLeaseDenied counts one lease read a replica refused because it
 // did not hold (or lost mid-read) its group's leader lease.
-func (s *Service) RecordLeaseDenied() { s.bump(&s.leaseDenied) }
+func (s *Service) RecordLeaseDenied() { s.bump(svcLeaseDenied) }
 
 // RecordCertVerify counts one client-side certificate verification.
 func (s *Service) RecordCertVerify(ok bool) {
 	if ok {
-		s.bump(&s.certOK)
+		s.bump(svcCertVerifies)
 	} else {
-		s.bump(&s.certBad)
+		s.bump(svcCertFailures)
 	}
 }
 
@@ -803,24 +864,20 @@ type ServiceStats struct {
 // clients recording through the same mutex.
 func (s *Service) Snapshot() ServiceStats {
 	s.mu.Lock()
-	st := ServiceStats{
-		Requests:      s.requests,
-		Replies:       s.replies,
-		Redirects:     s.redirects,
-		Retries:       s.retries,
-		Duplicates:    s.duplicates,
-		Failures:      s.failures,
-		Ops:           s.ops,
-		ClassFailures: maps.Clone(s.classFails),
-		StaleReads:    s.staleReads,
-		LeaseDenied:   s.leaseDenied,
-		CertVerifies:  s.certOK,
-		CertFailures:  s.certBad,
+	st := ServiceStats{ClassFailures: maps.Clone(s.classFails)}
+	for k, r := range serviceCounters {
+		*r.field(&st) = s.counts[k]
 	}
 	byFanout, byClass := copyKeyed(s.lat), copyKeyed(s.classLat)
 	s.mu.Unlock()
 	st.ByFanout, st.ByClass = summaries(byFanout), summaries(byClass)
 	return st
+}
+
+// Series calls emit with the /metrics series and value of every service
+// counter.
+func (st ServiceStats) Series(emit func(name string, v uint64)) {
+	series(&st, serviceCounters[:], emit)
 }
 
 // copyKeyed copies m's histograms, to be read outside the lock guarding m.

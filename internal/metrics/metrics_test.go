@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -156,8 +158,8 @@ func TestWallPercentilesSingleSample(t *testing.T) {
 
 func TestConsensusCounter(t *testing.T) {
 	var c Collector
-	c.OnConsensusInstance()
-	c.OnConsensusInstance()
+	c.Add(ConsensusInstances, 1)
+	c.Add(ConsensusInstances, 1)
 	if st := c.Snapshot(); st.ConsensusInstances != 2 {
 		t.Errorf("consensus instances = %d", st.ConsensusInstances)
 	}
@@ -327,15 +329,20 @@ func TestCollectorConcurrent(t *testing.T) {
 				c.OnCast(m, int64(j), time.Duration(j))
 				c.OnDeliver(m, p, int64(j+2), time.Duration(j+5))
 				c.OnDeliver(m, p+1, int64(j+1), time.Duration(j+3))
-				c.OnConsensusInstance()
-				c.OnLearnFetch()
+				c.Add(ConsensusInstances, 1)
+				c.Add(LearnFetches, 1)
 				c.OnBatchDecided(j % 4)
-				c.OnRoundOpened(g, j%4 == 0)
-				c.OnBundleCopies(2, 1)
+				if j%4 == 0 {
+					c.AddGroup(g, RoundsLate, 1)
+				} else {
+					c.AddGroup(g, RoundsOnPace, 1)
+				}
+				c.Add(BundleCopiesSent, 2)
+				c.Add(BundleRepeatsDropped, 1)
 				c.OnWireSend(byte(w), 10)
 				c.OnWireRecv(byte(w), 10)
 				c.OnWireFlush(14, 0, 0)
-				c.OnWireEnvelopeIn(14)
+				c.Add(WireBytesIn, 14)
 				c.OnSuspect(g, p)
 				c.OnTrustRestored(g, p)
 				c.OnLeaderChange(g, p)
@@ -377,17 +384,15 @@ func TestNilCollectorDiscards(t *testing.T) {
 	c.OnSend("x", 0, 1, true, 0)
 	c.OnCast(id(0, 1), 0, 0)
 	c.OnDeliver(id(0, 1), 1, 1, 0)
-	c.OnConsensusInstance()
-	c.OnLearnFetch()
+	c.Add(ConsensusInstances, 1)
+	c.AddGroup(0, RoundsLate, 1)
 	c.OnBatchDecided(3)
-	c.OnRoundOpened(0, true)
-	c.OnBundleCopies(1, 1)
-	c.OnTSReship(2)
-	c.OnTSPull(true)
+	c.OnOwnerProposal(5)
+	c.OnOwnerLead(0, 1, 5)
 	c.OnWireSend(1, 10)
 	c.OnWireRecv(1, 10)
 	c.OnWireFlush(14, 0, 0)
-	c.OnWireEnvelopeIn(14)
+	c.Add(WireBytesIn, 14)
 	c.OnSuspect(0, 1)
 	c.OnTrustRestored(0, 1)
 	c.OnLeaderChange(0, 1)
@@ -404,5 +409,77 @@ func TestOwnerProposalSaturates(t *testing.T) {
 	if o.Lost != 1 || o.Margin.Count != 1 || o.Margin.buckets[histBuckets-1] != 1 || o.Margin.Sum < 0 {
 		t.Fatalf("lost %d, margin count %d sum %v max %v: want one sample in the top bucket and a non-negative sum",
 			o.Lost, o.Margin.Count, o.Margin.Sum, o.Margin.Max)
+	}
+}
+
+// TestOwnerMarginSumSaturates: three saturated margins would wrap Hist.Sum
+// negative, and so would adding two nearly full histograms; Sum stops at the
+// largest Duration instead, and the mean stays positive.
+func TestOwnerMarginSumSaturates(t *testing.T) {
+	c := &Collector{}
+	for range 3 {
+		c.OnOwnerProposal(1 << 62)
+	}
+	if m := c.Snapshot().A1Owner.Margin; m.Count != 3 || m.Sum != math.MaxInt64 || m.Mean() <= 0 {
+		t.Fatalf("three saturated margins: count %d sum %d mean %v, want 3, MaxInt64 and a positive mean", m.Count, m.Sum, m.Mean())
+	}
+	var a, b Hist
+	a.Observe(math.MaxInt64 - 1)
+	b.Observe(math.MaxInt64 - 2)
+	a.Add(b)
+	if a.Count != 2 || a.Sum != math.MaxInt64 || a.Mean() <= 0 {
+		t.Fatalf("two near-max histograms added: count %d sum %d mean %v, want 2, MaxInt64 and a positive mean", a.Count, a.Sum, a.Mean())
+	}
+}
+
+// TestCounterTablesComplete: every uint64 field of Stats (WireStats within
+// it), FDCount, RoundCount and ServiceStats is filled by a row of a counter
+// table, or is on the list below of fields that are not plain counts. A new
+// field therefore cannot miss Snapshot or /metrics silently.
+func TestCounterTablesComplete(t *testing.T) {
+	notRows := map[string]bool{
+		"Stats.WANReleaseLate.Count": true, // a Hist's own sample count
+		"Stats.A1Owner.Margin.Count": true,
+	}
+	var (
+		st Stats
+		gc groupCounts
+		sv ServiceStats
+	)
+	rows := map[*uint64]bool{}
+	for _, r := range counters {
+		rows[r.field(&st)] = true
+	}
+	for _, r := range groupCounters {
+		rows[r.field(&gc)], rows[r.total(&st)] = true, true
+	}
+	for _, r := range serviceCounters {
+		rows[r.field(&sv)] = true
+	}
+	if want := int(numCounters) + 2*int(numGroupCounters) + int(numServiceCounters); len(rows) != want {
+		t.Errorf("the tables fill %d distinct fields, want %d: two rows share one", len(rows), want)
+	}
+	seen := 0
+	var walk func(name string, v reflect.Value)
+	walk = func(name string, v reflect.Value) {
+		for i := range v.NumField() {
+			f, sf := v.Field(i), v.Type().Field(i)
+			switch path := name + "." + sf.Name; {
+			case !sf.IsExported():
+			case f.Kind() == reflect.Struct:
+				walk(path, f)
+			case f.Kind() != reflect.Uint64:
+			case notRows[path]:
+				seen++
+			case !rows[f.Addr().Interface().(*uint64)]:
+				t.Errorf("%s is a uint64 in no counter table row and not listed as derived", path)
+			}
+		}
+	}
+	walk("Stats", reflect.ValueOf(&st).Elem())
+	walk("groupCounts", reflect.ValueOf(&gc).Elem())
+	walk("ServiceStats", reflect.ValueOf(&sv).Elem())
+	if seen != len(notRows) {
+		t.Errorf("%d of the %d listed fields exist: drop the stale names", seen, len(notRows))
 	}
 }

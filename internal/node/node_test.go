@@ -336,11 +336,12 @@ func TestRecoveringProcessRecordsNothing(t *testing.T) {
 		id := types.MessageID{Origin: 0, Seq: seq}
 		p.RecordCast(id)
 		p.RecordDeliver(id)
-		p.Metrics().OnConsensusInstance()
+		p.Metrics().Add(metrics.ConsensusInstances, 1)
 		p.Metrics().OnBatchDecided(2)
-		p.Metrics().OnLearnFetch()
-		p.Metrics().OnRoundOpened(p.Group(), false)
-		p.Metrics().OnBundleCopies(1, 1)
+		p.Metrics().Add(metrics.LearnFetches, 1)
+		p.Metrics().AddGroup(p.Group(), metrics.RoundsOnPace, 1)
+		p.Metrics().Add(metrics.BundleCopiesSent, 1)
+		p.Metrics().Add(metrics.BundleRepeatsDropped, 1)
 	}
 	p.SetRecovering(true)
 	if p.Metrics() != nil {

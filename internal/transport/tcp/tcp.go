@@ -735,7 +735,7 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 			rt.Tracef("decode error at %v: %v", to, err)
 			return // connection closed or corrupt; peers redial
 		}
-		rt.rec.OnWireEnvelopeIn(len(data) + 4)
+		rt.rec.Add(metrics.WireBytesIn, len(data)+4)
 		f, kind, isBatch, err := wire.DecodeFrameOrBatch(data, &bat, &inflate)
 		if err != nil {
 			rt.Tracef("decode error at %v: %v", to, err)

@@ -430,10 +430,6 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 				"wanamcast_fsyncs_total":           float64(fs.Fsyncs),
 				"wanamcast_gc_barriers_total":      float64(fs.Barriers),
 				"wanamcast_gc_windows_total":       float64(fs.Windows),
-				"wanamcast_wire_bytes_out_total":   float64(w.BytesOut),
-				"wanamcast_wire_bytes_in_total":    float64(w.BytesIn),
-				"wanamcast_wire_frames_out_total":  float64(w.FramesOut),
-				"wanamcast_wire_writes_out_total":  float64(w.EnvelopesOut),
 				"wanamcast_wire_compression_ratio": w.CompressionRatio(),
 				"wanamcast_wire_frames_per_write":  w.FramesPerEnvelope(),
 			}

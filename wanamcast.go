@@ -91,10 +91,6 @@ type Config struct {
 	Seed int64
 	// LogSends retains a per-send event log (needed by genuineness checks).
 	LogSends bool
-	// DisableSkipping turns off A1's stage skipping (single-group messages
-	// jump from s0 to s3), yielding the Fritzke et al. [5] pipeline (used
-	// for ablations).
-	DisableSkipping bool
 	// SuspicionDelay is the failure-detection lag after a crash.
 	// Defaults to 20 ms.
 	SuspicionDelay time.Duration
@@ -176,7 +172,6 @@ func NewCluster(cfg Config) *Cluster {
 			Proc:     rt.Proc(id),
 			Detector: rt.Oracle(),
 			Knobs:    config.Config{MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline},
-			NoSkip:   cfg.DisableSkipping,
 			Deliver: func(_ string, mid MessageID, payload any) {
 				c.recordDelivery(id, mid, payload)
 			},
