@@ -124,6 +124,94 @@ func TestChaosSuiteLiveKVLoad(t *testing.T) {
 	}
 }
 
+// TestPartitionHealLatencies records EXPERIMENTS.md's "Partition & heal"
+// table, one subtest per row, on a live 2×3 cluster over a 5 ms WAN: how
+// long after isolating the rank-0 leader its group re-elects, how long
+// after the heal the old leader is trusted again, and how long after
+// healing a group partition a broadcast cast into it completes. The
+// numbers are logged, not bounded: only a step that never happens fails.
+func TestPartitionHealLatencies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six live clusters, about a second each")
+	}
+	const (
+		wan   = 5 * time.Millisecond
+		never = 30 * time.Second
+	)
+	rows := []struct{ suspectAfter, heartbeat time.Duration }{
+		{100 * time.Millisecond, 25 * time.Millisecond},
+		{250 * time.Millisecond, 25 * time.Millisecond},
+		{500 * time.Millisecond, 25 * time.Millisecond},
+		{150 * time.Millisecond, 50 * time.Millisecond},
+		{250 * time.Millisecond, 50 * time.Millisecond},
+		{500 * time.Millisecond, 50 * time.Millisecond},
+	}
+	for i, row := range rows {
+		t.Run(fmt.Sprintf("suspectafter=%v/heartbeat=%v", row.suspectAfter, row.heartbeat), func(t *testing.T) {
+			cl := NewLiveCluster(LiveConfig{
+				Groups:         2,
+				PerGroup:       3,
+				BasePort:       27400 + 20*i,
+				WANDelay:       wan,
+				HeartbeatEvery: row.heartbeat,
+				SuspectAfter:   row.suspectAfter,
+			})
+			leader, watcher := cl.Process(0, 0), cl.Process(0, 1)
+			// The subscriber runs on the watcher's lane, which must not block
+			// on a change the test has stopped waiting for; a step makes one
+			// or two.
+			changes := make(chan ProcessID, 16)
+			cl.SubscribeLeader(watcher, func(_ GroupID, l ProcessID) { changes <- l })
+			if err := cl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Stop()
+			time.Sleep(4 * row.heartbeat) // the detectors see everyone first
+			waitLeader := func(want ProcessID, step string) {
+				deadline := time.After(never)
+				for {
+					select {
+					case l := <-changes:
+						if l == want {
+							return
+						}
+					case <-deadline:
+						t.Fatalf("%s: the watcher never saw %v lead", step, want)
+					}
+				}
+			}
+
+			// 1. Isolate the rank-0 leader inside its group: rank 1 takes over.
+			t0 := time.Now()
+			cl.Fabric().Isolate(leader)
+			waitLeader(watcher, "re-election")
+			reelect := time.Since(t0)
+
+			// 2. Heal: the old leader's beats restore trust, and it leads again.
+			t1 := time.Now()
+			cl.Fabric().HealIsolate(leader)
+			waitLeader(leader, "trust restoration")
+			restore := time.Since(t1)
+
+			// 3. Broadcast into a g0 | g1 partition, let it stall, heal, and
+			// time the fan-in from the heal.
+			cl.Fabric().Partition([]GroupID{0}, []GroupID{1}, true)
+			id := cl.Broadcast(leader, "stalled-until-heal")
+			time.Sleep(500 * time.Millisecond)
+			t2 := time.Now()
+			cl.Fabric().HealAll()
+			if !cl.WaitDelivered(id, 6, never) {
+				t.Fatalf("resume-delivery: %d of 6 processes delivered", cl.DeliveredCount(id))
+			}
+			resume := time.Since(t2)
+
+			t.Logf("suspectafter=%v heartbeat=%v wan=%v: reelect=%v trust-restore=%v resume-delivery=%v",
+				row.suspectAfter, row.heartbeat, wan,
+				reelect.Round(time.Millisecond), restore.Round(time.Millisecond), resume.Round(time.Millisecond))
+		})
+	}
+}
+
 // TestFalselySuspectedLeaderReelected pins the trust-restoration contract
 // on the live runtime: the rank-0 leader of a group is falsely suspected
 // (no crash, no partition — pure Ω mistake), every peer demotes it, and

@@ -23,6 +23,13 @@
 // watermark (monotonic session reads at any replica):
 //
 //	wankv -groups 4 -d 3 -clients 64 -ops 50 -reads 0.95 -consistency lease -leasems 250
+//
+// Chaos mode runs one of the internal/scenario fault schedules under the
+// load. The load then repeats in waves on fresh sessions until the
+// schedule's last fault plus one suspicion timeout has passed, so it
+// overlaps every fault and its last wave completes after the heal:
+//
+//	wankv -groups 2 -d 3 -wan 5ms -clients 50 -ops 3 -check -scenario partition-recovery -unit 400ms
 package main
 
 import (
@@ -30,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"wanamcast"
@@ -87,7 +95,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	fs.Int64Var(&f.seed, "seed", 1, "workload seed")
 	fs.Float64Var(&f.reads, "reads", 0, "read fraction of the load in [0,1] (load mode; 0 = write-only)")
 	fs.StringVar(&f.consist, "consistency", "ordered", "read consistency: ordered (full total-order round), lease (leader-local linearizable; needs -leasems), watermark (any-replica monotonic)")
-	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the load (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery, lease-partition); load mode only")
+	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the load ("+strings.Join(scenario.Names(), ", ")+"); load mode only")
 	fs.DurationVar(&f.unit, "unit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -229,7 +237,7 @@ func run(f *flags) int {
 	} else {
 		fmt.Printf("load: %d closed-loop clients x %d ops (seed %d, timeout %v)\n", f.clients, f.ops, f.seed, f.timeout)
 	}
-	res := svc.RunKVLoad(topo, service.Addrs(), svc.LoadSpec{
+	spec := svc.LoadSpec{
 		Clients:      f.clients,
 		Ops:          f.ops,
 		Mix:          workload.DefaultMix(),
@@ -237,10 +245,31 @@ func run(f *flags) int {
 		Seed:         f.seed,
 		ReadFraction: f.reads,
 		Consistency:  f.mode,
-	}, stats)
+	}
+	// Under a scenario, waves until the horizon plus one suspicion timeout
+	// (see the package doc). Each wave takes fresh sessions because the
+	// replicas' dedup windows outlive it; one caught by a partition stalls
+	// on its cross-shard commands and completes after the heal via retries.
+	var res svc.LoadResult
+	waves, begin := 0, time.Now()
+	for {
+		w := svc.RunKVLoad(topo, service.Addrs(), spec, stats)
+		res.Ops += w.Ops
+		res.Errors += w.Errors
+		res.Reads += w.Reads
+		res.Writes += w.Writes
+		res.Stats = w.Stats // every wave records into the same stats
+		waves++
+		if f.scenario == "" || time.Since(begin) > f.sc.Horizon()+cfg.WithDefaults().SuspectAfter {
+			break
+		}
+		spec.Seed++
+		spec.SessionBase += uint64(f.clients + 1)
+	}
+	res.Elapsed = time.Since(begin)
 
-	fmt.Printf("\nops            %d ok, %d failed in %v (%.1f ops/s)\n",
-		res.Ops, res.Errors, res.Elapsed.Round(time.Millisecond),
+	fmt.Printf("\nops            %d ok, %d failed in %d waves over %v (%.1f ops/s)\n",
+		res.Ops, res.Errors, waves, res.Elapsed.Round(time.Millisecond),
 		float64(res.Ops)/res.Elapsed.Seconds())
 	if res.Reads > 0 {
 		fmt.Printf("read tier      %d reads, %d writes (%.1f reads/s at %s consistency)\n",

@@ -11,6 +11,7 @@
 //	wansim -algo all -groups 3 -casts 30        # one comparison table
 //	wansim -sweep 50x3,200x5 -casts 1000        # the simulator's own throughput by shape
 //	wansim -figures                             # every table and figure of the paper
+//	wansim -scenario partition-recovery -seed 7 # a fault schedule under the workload
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"wanamcast/internal/config"
@@ -52,7 +54,7 @@ type flags struct {
 	figures   bool
 	scenario  string
 	sc        scenario.Scenario // resolved scenario, when one is named
-	scnUnit   time.Duration
+	unit      time.Duration
 	verbose   bool
 }
 
@@ -80,8 +82,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	fs.IntVar(&f.crash, "crash", 0, "crash this many processes (one per group, minority) mid-run")
 	fs.Int64Var(&f.seed, "seed", 1, "simulation seed")
 	fs.BoolVar(&f.figures, "figures", false, "regenerate every table and figure of the paper's evaluation (reads -d and -inter only)")
-	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the workload (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery)")
-	fs.DurationVar(&f.scnUnit, "scnunit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
+	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the workload ("+strings.Join(scenario.Names(), ", ")+")")
+	fs.DurationVar(&f.unit, "unit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 	fs.BoolVar(&f.verbose, "v", false, "print every delivery")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -121,12 +123,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 		switch {
 		case f.cfg.Groups < 2:
 			return nil, fmt.Errorf("-scenario needs at least 2 groups to partition")
-		case f.scnUnit <= 0:
-			return nil, fmt.Errorf("-scnunit must be positive")
+		case f.unit <= 0:
+			return nil, fmt.Errorf("-unit must be positive")
 		}
 		var ok bool
 		topo := types.NewTopology(f.cfg.Groups, f.cfg.PerGroup)
-		if f.sc, ok = scenario.ByName(topo, scenario.SuiteConfig{Unit: f.scnUnit}, f.scenario); !ok {
+		if f.sc, ok = scenario.ByName(topo, scenario.SuiteConfig{Unit: f.unit}, f.scenario); !ok {
 			return nil, fmt.Errorf("unknown -scenario %q (have %v)", f.scenario, scenario.Names())
 		}
 	}

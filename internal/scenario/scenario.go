@@ -10,8 +10,9 @@
 // (with the live runtime's durable restart as the recovery path), and
 // forced suspicions are the mistakes Ω is explicitly allowed. The §2.2
 // safety properties must therefore hold through any schedule, and
-// delivery must resume after the last heal — exactly what cmd/wanchaos
-// and the acceptance tests assert.
+// delivery must resume after the last heal — exactly what `wankv
+// -scenario` (live, under KV load), `wansim -scenario` (simulated) and the
+// acceptance tests assert.
 //
 // Scenarios are deterministic: a schedule is a fixed list of events, so on
 // the simulated runtime the same scenario and seed reproduce a run
@@ -388,7 +389,12 @@ func ByName(topo *types.Topology, cfg SuiteConfig, name string) (Scenario, bool)
 	return Scenario{}, false
 }
 
-// Names lists the suite's scenario names in order.
+// Names lists the suite's scenario names in order, read off the suite
+// itself (over the smallest topology every scenario fits).
 func Names() []string {
-	return []string{"partition-heal", "asym-partition", "leader-flap", "delay-spike", "partition-recovery", "lease-partition"}
+	var names []string
+	for _, sc := range Suite(types.NewTopology(2, 3), SuiteConfig{}) {
+		names = append(names, sc.Name)
+	}
+	return names
 }

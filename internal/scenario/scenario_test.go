@@ -147,6 +147,21 @@ func TestApplyRequiresWiring(t *testing.T) {
 	scenario.Apply(scenario.Funcs{}, scenario.Scenario{})
 }
 
+// TestNamesListTheSuiteInOrder pins the one scenario vocabulary the
+// commands' -scenario flags and usage strings are built from.
+func TestNamesListTheSuiteInOrder(t *testing.T) {
+	want := "partition-heal asym-partition leader-flap delay-spike partition-recovery lease-partition"
+	if got := strings.Join(scenario.Names(), " "); got != want {
+		t.Fatalf("Names() = %s, want %s", got, want)
+	}
+	// The names do not depend on the topology the suite is built over.
+	for i, sc := range scenario.Suite(types.NewTopology(4, 5), scenario.SuiteConfig{}) {
+		if sc.Name != scenario.Names()[i] {
+			t.Errorf("4x5 suite[%d] = %q, Names()[%d] = %q", i, sc.Name, i, scenario.Names()[i])
+		}
+	}
+}
+
 // TestSuiteShape sanity-checks the preset suite: six scenarios, the
 // advertised names, and every partition or isolation eventually healed.
 func TestSuiteShape(t *testing.T) {
