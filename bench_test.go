@@ -246,7 +246,7 @@ func BenchmarkTheorem51(b *testing.B) {
 		c.BroadcastAt(0, c.Process(0, 0), "warm0")
 		c.BroadcastAt(0, c.Process(1, 0), "warm1")
 		var id MessageID
-		c.rt.Scheduler().At(50*time.Millisecond, func() {
+		c.sys.RT.Scheduler().At(50*time.Millisecond, func() {
 			id = c.Broadcast(c.Process(0, 1), "probe")
 		})
 		c.Run()
@@ -290,7 +290,7 @@ func BenchmarkA2Frequency(b *testing.B) {
 				var ids []MessageID
 				for j := 1; j <= 10; j++ {
 					j := j
-					c.rt.Scheduler().At(time.Duration(j)*period, func() {
+					c.sys.RT.Scheduler().At(time.Duration(j)*period, func() {
 						ids = append(ids, c.Broadcast(c.Process(GroupID(j%2), j%3), "m"))
 					})
 				}
@@ -405,32 +405,6 @@ func BenchmarkAblationBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProactive compares quiescent A2 with an always-on
-// variant at a low cast rate over a fixed horizon: proactivity buys the
-// latency-1 pipeline at the price of empty-round traffic.
-func BenchmarkAblationProactive(b *testing.B) {
-	const horizon = 2 * time.Second
-	run := func(b *testing.B, alwaysOn bool) {
-		var msgs uint64
-		for i := 0; i < b.N; i++ {
-			s := harness.Build(harness.AlgoA2, harness.Options{Groups: 2, PerGroup: 3, A2AlwaysOn: alwaysOn})
-			all := s.Topo.AllGroups()
-			for g := 0; g < 2; g++ {
-				s.CastAt(0, s.Topo.Members(types.GroupID(g))[0], "warm", all)
-			}
-			s.CastAt(time.Second, s.Topo.Members(0)[0], "lone", all)
-			s.RunUntil(horizon)
-			msgs = s.Col.Snapshot().TotalMessages
-			if v := s.Check(); len(v) != 0 {
-				b.Fatalf("violations: %v", v)
-			}
-		}
-		b.ReportMetric(float64(msgs), "msgs_2s")
-	}
-	b.Run("quiescent", func(b *testing.B) { run(b, false) })
-	b.Run("always-on", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkHeadlineSeparation is the paper's central claim in one bench:
 // atomic multicast is inherently more expensive than atomic broadcast.
 // The same message addressed to ALL groups costs Δ=2 through genuine A1
@@ -468,54 +442,6 @@ func BenchmarkHeadlineSeparation(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(deg), "degree")
-	})
-}
-
-// BenchmarkAblationKeepAlive sweeps A2's quiescence-predictor patience
-// (§5.3's suggested refinement) on a bursty workload with ~2.5-round gaps:
-// patience buys latency degree one for post-gap casts at the price of
-// empty-round traffic.
-func BenchmarkAblationKeepAlive(b *testing.B) {
-	for _, patience := range []int{1, 2, 4} {
-		patience := patience
-		b.Run("patience="+itoa(patience), func(b *testing.B) {
-			var mean float64
-			var msgs uint64
-			for i := 0; i < b.N; i++ {
-				s := buildA2KeepAlive(patience)
-				all := s.Topo.AllGroups()
-				for g := 0; g < 2; g++ {
-					s.CastAt(0, s.Topo.Members(types.GroupID(g))[0], "warm", all)
-				}
-				var ids []types.MessageID
-				for j := 1; j <= 6; j++ {
-					j := j
-					from := s.Topo.Members(types.GroupID(j % 2))[0]
-					s.RT.Scheduler().At(time.Duration(j)*260*time.Millisecond, func() {
-						ids = append(ids, s.Cast(from, j, all))
-					})
-				}
-				s.Run()
-				var sum int64
-				for _, id := range ids {
-					d, ok := s.DegreeOf(id)
-					if !ok {
-						b.Fatal("message lost")
-					}
-					sum += d
-				}
-				mean = float64(sum) / float64(len(ids))
-				msgs = s.Col.Snapshot().TotalMessages
-			}
-			b.ReportMetric(mean, "mean_degree")
-			b.ReportMetric(float64(msgs), "msgs")
-		})
-	}
-}
-
-func buildA2KeepAlive(patience int) *harness.System {
-	return harness.Build(harness.AlgoA2, harness.Options{
-		Groups: 2, PerGroup: 3, A2KeepAlive: patience,
 	})
 }
 

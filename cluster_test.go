@@ -77,7 +77,7 @@ func TestClusterGenuinenessClean(t *testing.T) {
 }
 
 func TestClusterWallLatency(t *testing.T) {
-	c := NewCluster(Config{Groups: 2, PerGroup: 2, InterGroupDelay: 50 * time.Millisecond})
+	c := NewCluster(Config{Groups: 2, PerGroup: 2, Inter: 50 * time.Millisecond})
 	id := c.Multicast(c.Process(0, 0), "x", 0, 1)
 	c.Run()
 	wall, ok := c.WallLatency(id)

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -145,7 +146,7 @@ func run(f *flags) {
 		return
 	}
 	if f.algo == "all" {
-		compareAll(groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, f.jitter, f.casts, f.rate, f.spread, f.seed)
+		compareAll(os.Stdout, f)
 		return
 	}
 	algo := harness.Algo(f.algo)
@@ -168,22 +169,12 @@ func run(f *flags) {
 	rng := rand.New(rand.NewSource(f.seed))
 	period := time.Duration(float64(time.Second) / f.rate)
 
-	crashed := make(map[types.ProcessID]bool)
 	if f.scenario != "" {
 		funcs := s.Chaos()
 		funcs.Logf = func(format string, args ...any) {
 			fmt.Printf("chaos: "+format+"\n", args...)
 		}
 		scenario.Apply(funcs, f.sc)
-		// The simulator cannot restart, so scenario crash victims stay
-		// down: stop scheduling casts from them.
-		for _, e := range f.sc.Events {
-			if e.Kind == scenario.Crash {
-				for _, p := range e.Procs {
-					crashed[p] = true
-				}
-			}
-		}
 	}
 
 	// Warm A2's rounds so the steady-state latency is measured.
@@ -204,23 +195,19 @@ func run(f *flags) {
 		victim := members[len(members)-1]
 		at := time.Duration(i+1) * period
 		s.CrashAt(victim, at)
-		crashed[victim] = true
 		fmt.Printf("crash: %v at %v\n", victim, at)
 	}
 
-	var ids []types.MessageID
-	for i := 0; i < f.casts; i++ {
-		i := i
-		from := types.ProcessID(rng.Intn(s.Topo.N()))
-		dest := pickDest(rng, groups, f.spread)
-		at := time.Duration(i+1) * period
-		s.RT.Scheduler().At(at, func() {
-			if crashed[from] {
-				return
+	// A crashed process casts nothing (the simulator cannot restart it).
+	casts := 0
+	harness.RandomCasts(rng, s.Topo, f.casts, f.spread, func(i int, from types.ProcessID, dest types.GroupSet) {
+		s.RT.Scheduler().At(time.Duration(i+1)*period, func() {
+			if !s.RT.Proc(from).Crashed() {
+				s.Cast(from, fmt.Sprintf("msg-%d", i), dest)
+				casts++
 			}
-			ids = append(ids, s.Cast(from, fmt.Sprintf("msg-%d", i), types.NewGroupSet(dest...)))
 		})
-	}
+	})
 
 	s.Run()
 	stopProf()
@@ -234,7 +221,7 @@ func run(f *flags) {
 	st := s.Col.Snapshot()
 	fmt.Printf("\nalgorithm      %s\n", algo)
 	fmt.Printf("topology       %d groups x %d processes, inter=%v intra=%v jitter=%v\n", groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, f.jitter)
-	fmt.Printf("casts          %d (plus warm-ups where applicable)\n", len(ids))
+	fmt.Printf("casts          %d (plus warm-ups where applicable)\n", casts)
 	fmt.Printf("virtual time   %v\n", s.RT.Now())
 	fmt.Printf("stats          %v\n", st)
 	if v := s.Check(); len(v) != 0 {
@@ -275,32 +262,15 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// pickDest samples spread distinct destination groups. It requires
-// spread <= groups (main clamps the flag) or it would never terminate.
-func pickDest(rng *rand.Rand, groups, spread int) []types.GroupID {
-	var dest []types.GroupID
-	for len(dest) < spread {
-		g := types.GroupID(rng.Intn(groups))
-		dup := false
-		for _, x := range dest {
-			dup = dup || x == g
-		}
-		if !dup {
-			dest = append(dest, g)
-		}
-	}
-	return dest
-}
-
 // compareAll runs the same workload through every algorithm and prints one
 // row per contender: mean latency degree, inter-group messages, and wall
-// latency percentiles.
-func compareAll(groups, d int, inter, intra, jitter time.Duration, casts int, rate float64, spread int, seed int64) {
-	period := time.Duration(float64(time.Second) / rate)
+// latency percentiles. The output is pinned by testdata/compare.golden.
+func compareAll(w io.Writer, f *flags) {
+	groups, period := f.cfg.Groups, time.Duration(float64(time.Second)/f.rate)
 	algos := append(harness.MulticastAlgos(), harness.AlgoSkeen)
 	algos = append(algos, harness.BroadcastAlgos()[:3]...) // det-merge already listed
-	fmt.Printf("workload: %d casts, period %v, %d of %d groups per cast, seed %d\n", casts, period, spread, groups, seed)
-	fmt.Printf("%-11s %-6s %-12s %-12s %-10s %-10s %s\n", "algorithm", "kind", "mean degree", "inter-group", "p50 wall", "p99 wall", "properties")
+	fmt.Fprintf(w, "workload: %d casts, period %v, %d of %d groups per cast, seed %d\n", f.casts, period, f.spread, groups, f.seed)
+	fmt.Fprintf(w, "%-11s %-6s %-12s %-12s %-10s %-10s %s\n", "algorithm", "kind", "mean degree", "inter-group", "p50 wall", "p99 wall", "properties")
 	seen := map[harness.Algo]bool{}
 	for _, algo := range algos {
 		if seen[algo] {
@@ -308,21 +278,19 @@ func compareAll(groups, d int, inter, intra, jitter time.Duration, casts int, ra
 		}
 		seen[algo] = true
 		s := harness.Build(algo, harness.Options{
-			Groups: groups, PerGroup: d, Inter: inter, Intra: intra, Jitter: jitter, Seed: seed,
-			DetMergeInterval: inter / 2, DetMergeStop: time.Duration(casts+4) * period,
+			Groups: groups, PerGroup: f.cfg.PerGroup, Inter: f.cfg.WANDelay, Intra: f.cfg.LANDelay,
+			Jitter: f.jitter, Seed: f.seed,
+			DetMergeInterval: f.cfg.WANDelay / 2, DetMergeStop: time.Duration(f.casts+4) * period,
 		})
 		if algo == harness.AlgoA2 {
 			for g := 0; g < groups; g++ {
 				s.CastAt(0, s.Topo.Members(types.GroupID(g))[0], "warm", s.Topo.AllGroups())
 			}
 		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < casts; i++ {
-			i := i
-			from := types.ProcessID(rng.Intn(s.Topo.N()))
-			dest := pickDest(rng, groups, spread)
-			s.CastAt(time.Duration(i+1)*period, from, fmt.Sprintf("m%d", i), types.NewGroupSet(dest...))
-		}
+		rng := rand.New(rand.NewSource(f.seed))
+		harness.RandomCasts(rng, s.Topo, f.casts, f.spread, func(i int, from types.ProcessID, dest types.GroupSet) {
+			s.CastAt(time.Duration(i+1)*period, from, fmt.Sprintf("m%d", i), dest)
+		})
 		s.Run()
 		st := s.Col.Snapshot()
 		kind := "mcast"
@@ -333,10 +301,10 @@ func compareAll(groups, d int, inter, intra, jitter time.Duration, casts int, ra
 		if v := s.Check(); len(v) != 0 {
 			verdict = fmt.Sprintf("%d VIOLATIONS", len(v))
 		}
-		fmt.Printf("%-11s %-6s %-12.2f %-12d %-10v %-10v %s\n",
+		fmt.Fprintf(w, "%-11s %-6s %-12.2f %-12d %-10v %-10v %s\n",
 			algo, kind, st.MeanDegree, st.InterGroupMessages,
 			st.P50Wall.Round(time.Millisecond), st.P99Wall.Round(time.Millisecond), verdict)
 	}
-	fmt.Println("\nnote: mean degrees exceed the single-message optima under contention —")
-	fmt.Println("concurrent messages extend each other's causal paths; see EXPERIMENTS.md.")
+	fmt.Fprintln(w, "\nnote: mean degrees exceed the single-message optima under contention —")
+	fmt.Fprintln(w, "concurrent messages extend each other's causal paths; see EXPERIMENTS.md.")
 }

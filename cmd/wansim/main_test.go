@@ -68,3 +68,23 @@ func TestFiguresGolden(t *testing.T) {
 		t.Errorf("-figures differs from testdata/figures.golden; got:\n%s", got.Bytes())
 	}
 }
+
+// TestCompareGolden: the README's -algo all comparison reproduces the table
+// recorded before the simulated A1 and A2 processes were built by the
+// durable host, byte for byte.
+func TestCompareGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/compare.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("wansim", flag.ContinueOnError)
+	f, err := parseFlags(fs, strings.Fields("-algo all -groups 3 -casts 30"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	compareAll(&got, f)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-algo all differs from testdata/compare.golden; got:\n%s", got.Bytes())
+	}
+}

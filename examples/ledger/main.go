@@ -97,9 +97,9 @@ func (r *replica) apply(payload any) {
 
 func main() {
 	c := wanamcast.NewCluster(wanamcast.Config{
-		Groups:          3,
-		PerGroup:        3,
-		InterGroupDelay: 80 * time.Millisecond,
+		Groups:   3,
+		PerGroup: 3,
+		Inter:    80 * time.Millisecond,
 	})
 	replicas := make(map[wanamcast.ProcessID]*replica)
 	for g := 0; g < 3; g++ {

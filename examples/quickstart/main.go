@@ -15,9 +15,9 @@ import (
 
 func main() {
 	c := wanamcast.NewCluster(wanamcast.Config{
-		Groups:          3,
-		PerGroup:        3,
-		InterGroupDelay: 100 * time.Millisecond, // the paper's WAN figure
+		Groups:   3,
+		PerGroup: 3,
+		Inter:    100 * time.Millisecond, // the paper's WAN figure
 	})
 	c.OnDeliver(func(p wanamcast.ProcessID, id wanamcast.MessageID, payload any) {
 		fmt.Printf("  %v delivers %v (%v) at t=%v\n", p, id, payload, c.Now())

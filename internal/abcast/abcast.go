@@ -15,7 +15,10 @@
 // stop. A cast arriving after quiescence restarts rounds — the caster's
 // group via line 11's first disjunct, the other groups via the bundle they
 // receive (line 10) — at the cost of latency degree two (Theorem 5.2),
-// which §3 proves unavoidable.
+// which §3 proves unavoidable. The predictor's patience is not a knob: it is
+// the paper's one round past a useful one, a window of rounds when
+// pipelining, plus the stream rule below — this package's answer to the
+// "more elaborate prediction strategies" §5.3 leaves open.
 //
 // Rounds run on the batched, pipelined ordering engine of
 // internal/consensus, shared with Algorithm A1: the engine owns the
@@ -115,28 +118,10 @@ type Config struct {
 	ConsensusRetry time.Duration
 	// LabelPrefix namespaces the wire labels (default "a2").
 	LabelPrefix string
-	// AlwaysOn disables the quiescence prediction: rounds run forever
-	// (Barrier is treated as infinite). Used by the proactivity ablation;
-	// note an AlwaysOn run never drains its event queue.
-	AlwaysOn bool
 	// NextID overrides cast-ID allocation. Hosts running several casting
 	// endpoints on one process must share one allocator, or their message
 	// IDs collide. Nil uses a private per-endpoint counter.
 	NextID func() types.MessageID
-	// KeepAliveRounds is the quiescence predictor's patience: after a
-	// useful round, keep executing up to this many further rounds even if
-	// they deliver nothing, before predicting that casts have stopped.
-	// The paper's Algorithm A2 corresponds to 1 (the round after a useful
-	// one always runs, lines 22–23); higher values implement the "more
-	// elaborate prediction strategies" §5.3 suggests for bursty traffic:
-	// a cast arriving within the patience window still enjoys latency
-	// degree one, at the price of extra empty-round traffic. Zero means 1.
-	// Pipeline adds Pipeline−1 to it: a useful round keeps the whole
-	// window live, so KeepAliveRounds+Pipeline−1 empty rounds follow a lone
-	// cast. With Pipeline > 1 it is a floor, not the whole patience: a
-	// stream of useful rounds earns Pipeline more (package doc), so
-	// KeepAliveRounds+2×Pipeline−1 empty rounds end a stream.
-	KeepAliveRounds int
 	// Pipeline is the maximum number of rounds in flight. The paper's
 	// Algorithm A2 is strictly sequential (Pipeline 1, the default): the
 	// wait at line 16 blocks round K+1's consensus until round K's
@@ -149,12 +134,16 @@ type Config struct {
 	// so a message waits that long, not a WAN delay, for a round already
 	// open everywhere, and two members of a group, not all, ship its
 	// bundles (package doc: Barrier rule, sender set, price in rounds).
-	// Messages decided in an in-flight
-	// round are excluded from later proposals, but that exclusion is
-	// local to each proposer: with Pipeline >= 2 two members can decide
-	// the same record into two rounds' bundles, so bundle shipping is
-	// at-least-once. Delivery stays exactly-once — tryCompleteRound
-	// dedups via ADELIVERED identically at every process.
+	// Pipeline is also the quiescence predictor's patience: a useful round
+	// keeps the whole window live, so Pipeline empty rounds follow a lone
+	// cast (at Pipeline 1 the paper's one, lines 22–23); with Pipeline > 1
+	// a stream of useful rounds earns Pipeline more, so 2×Pipeline empty
+	// rounds end a stream. Messages decided in an in-flight round are
+	// excluded from later proposals, but that exclusion is local to each
+	// proposer: with Pipeline >= 2 two members can decide the same record
+	// into two rounds' bundles, so bundle shipping is at-least-once.
+	// Delivery stays exactly-once — tryCompleteRound dedups via ADELIVERED
+	// identically at every process.
 	Pipeline int
 	// MaxBatch caps how many records one round's bundle may carry. Zero
 	// means unbounded — the paper's rule (the bundle is everything
@@ -175,13 +164,14 @@ type Bcast struct {
 	senders   fd.Senders // who ships this group's bundles (package doc: line 15)
 	onDeliver func(types.MessageID, any)
 	label     string
-	alwaysOn  bool
-	keepAlive uint64
 
-	rm      *rmcast.RMcast
-	engine  *consensus.Batcher[Record]
-	others  []types.GroupID   // every group but this one, ascending
-	outside []types.ProcessID // their members: line 15's addressees
+	rm     *rmcast.RMcast
+	engine *consensus.Batcher[Record]
+	// outside lists every process of the other groups, line 15's addressees.
+	// It is built on the first ship: an endpoint that never ships — an idle A2
+	// beside A1 on a simulated process — holds nothing that grows with the
+	// system.
+	outside []types.ProcessID
 
 	// wm counts this endpoint's A-Deliveries, readable lock-free off the
 	// event loop (the read tier's delivery watermark).
@@ -245,18 +235,11 @@ func New(cfg Config) *Bcast {
 	if prefix == "" {
 		prefix = "a2"
 	}
-	keepAlive := uint64(cfg.KeepAliveRounds)
-	if keepAlive == 0 {
-		keepAlive = 1
-	}
 	pipeline := max(cfg.Pipeline, 1)
-	keepAlive += uint64(pipeline - 1) // a useful round keeps the whole window live
 	b := &Bcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
 		label:      prefix,
-		alwaysOn:   cfg.AlwaysOn,
-		keepAlive:  keepAlive,
 		pipeline:   time.Duration(pipeline),
 		k:          1,
 		rdelivered: make(map[types.MessageID]Record),
@@ -284,12 +267,6 @@ func New(cfg Config) *Bcast {
 		copies = 2 // the leader and its successor: one slow sender is not the round's tail
 	}
 	b.senders = fd.NewSenders(cfg.Detector, topo, cfg.Host.Self(), copies)
-	for _, g := range topo.AllGroups().Groups() {
-		if g != cfg.Host.Group() {
-			b.others = append(b.others, g)
-			b.outside = append(b.outside, topo.Members(g)...)
-		}
-	}
 	b.paceFn = func() {
 		b.paceAt = 0
 		b.engine.Pump()
@@ -487,13 +464,13 @@ func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int) []Reco
 }
 
 // mayPropose is the engine's Gate (line 11's guard, generalized): a round
-// is started if it is within the Barrier (keepalive), there is something
-// to propose, or quiescence prediction is off — and, when pipelining, no
-// sooner than a Pipeline-th of a round time after the previous round, so
-// the window's rounds spread over the round time instead of bunching at
-// its start. A round held back arms the pace timer: it is never forgotten.
+// is started if it is within the Barrier (keepalive) or there is something
+// to propose — and, when pipelining, no sooner than a Pipeline-th of a
+// round time after the previous round, so the window's rounds spread over
+// the round time instead of bunching at its start. A round held back arms
+// the pace timer: it is never forgotten.
 func (b *Bcast) mayPropose(inst uint64, batch []Record) bool {
-	if !b.alwaysOn && inst > b.barrier && len(batch) == 0 {
+	if inst > b.barrier && len(batch) == 0 {
 		b.shut = inst
 		return false
 	}
@@ -561,6 +538,15 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 
 // ship sends one round's bundle of this group to every process outside it.
 func (b *Bcast) ship(round uint64, set []Record) {
+	if b.outside == nil {
+		topo, own := b.api.Topo(), b.api.Group()
+		b.outside = make([]types.ProcessID, 0, topo.N()-len(topo.Members(own)))
+		for _, g := range topo.AllGroups().Groups() {
+			if g != own {
+				b.outside = append(b.outside, topo.Members(g)...)
+			}
+		}
+	}
 	b.api.Metrics().Add(metrics.BundleCopiesSent, len(b.outside))
 	b.api.Multicast(b.outside, b.label, BundleMsg{Round: round, Set: set})
 }
@@ -599,7 +585,7 @@ func (b *Bcast) tryCompleteRound() {
 		return
 	}
 	s, own := b.slot(b.k, false), b.api.Group()
-	if s == nil || s.sets[own] == nil || s.remote < len(b.others) {
+	if s == nil || s.sets[own] == nil || s.remote < len(s.sets)-1 {
 		return
 	}
 	// Lines 17–18: the round's delivery set is the union of all bundles,
@@ -609,8 +595,10 @@ func (b *Bcast) tryCompleteRound() {
 		n += len(set)
 	}
 	union := append(make([]Record, 0, n), s.sets[own]...)
-	for _, g := range b.others {
-		union = append(union, s.sets[g]...)
+	for g, set := range s.sets {
+		if types.GroupID(g) != own {
+			union = append(union, set...)
+		}
 	}
 	// Line 19: deterministic order — ascending message ID.
 	slices.SortFunc(union, func(x, y Record) int {
@@ -677,16 +665,17 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 	// Line 21.
 	b.k++
 	// Lines 22–23: keep rounds running only if this one was useful. The
-	// predictor's patience (KeepAliveRounds, paper default 1) extends the
-	// Barrier past the next round for bursty workloads.
+	// predictor's patience is the window: a useful round keeps the next
+	// Pipeline rounds live (the paper's one at Pipeline 1).
 	if len(union) == 0 {
 		if b.k > b.barrier {
 			b.lastUseful = 0 // quiescence predicted: the next cast is a lone one
 		}
 		return
 	}
-	patience := b.keepAlive
-	if window := uint64(b.pipeline); window > 1 {
+	window := uint64(b.pipeline)
+	patience := window
+	if window > 1 {
 		// A stream — two useful rounds within two windows of each other —
 		// earns one more window of patience: the Barrier rises only when a
 		// round completes, a window after it opened, so without the slack

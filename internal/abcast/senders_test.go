@@ -67,8 +67,10 @@ func TestBothSendersCrashBetweenDecideAndShip(t *testing.T) {
 	g0 := r.topo.Members(0)
 	r.rt.Scheduler().At(cutAt, func() {
 		for _, p := range g0[:2] {
-			for _, q := range r.eps[p].outside {
-				r.rt.Fabric().Sever(p, q)
+			for _, q := range r.topo.AllProcesses() {
+				if !r.topo.SameGroup(p, q) {
+					r.rt.Fabric().Sever(p, q)
+				}
 			}
 		}
 	})

@@ -256,8 +256,11 @@ type Mcast struct {
 	// readable lock-free off the event loop (the read tier samples it).
 	wm atomic.Uint64
 
-	k       uint64     // the group clock copy K (line 2)
-	leads   []*leadEst // by remote group, nil until its first sample: soft state, see leadEst
+	k uint64 // the group clock copy K (line 2)
+	// leads holds a remote group's lead from its first sample on: soft state,
+	// see leadEst. A map, not a slice by group, so a process that never hears
+	// from a group holds nothing for it (a 15000-group simulation).
+	leads   map[types.GroupID]*leadEst
 	pending map[types.MessageID]*pend
 	// order holds the entries the delivery test reads — stage >= s1, not yet
 	// released; all multi-group under SkipStages — by (ts, id). fresh holds
@@ -302,7 +305,7 @@ func New(cfg Config) *Mcast {
 		skip:       cfg.SkipStages,
 		label:      prefix,
 		k:          1,
-		leads:      make([]*leadEst, cfg.Host.Topo().NumGroups()),
+		leads:      make(map[types.GroupID]*leadEst),
 		pending:    make(map[types.MessageID]*pend),
 		adelivered: make(map[types.MessageID]bool),
 		nextID:     cfg.NextID,

@@ -196,7 +196,7 @@ func TestLeaderFlapExposesNoLoneSender(t *testing.T) {
 		if !ok {
 			t.Fatal("scenario leader-flap is gone")
 		}
-		scenario.Apply(scenario.SimFuncs(r.rt, nil), sc)
+		scenario.Apply(scenario.SimFuncs(r.rt), sc)
 		casts := make(map[types.MessageID]types.GroupSet)
 		dest := types.NewGroupSet(0, 1)
 		for i := 0; i < 120; i++ {

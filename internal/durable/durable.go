@@ -2,9 +2,10 @@
 // Algorithm A1 and Algorithm A2 on a node.Proc, hands them the one cast-ID
 // allocator they must share, and — given a storage.Store — makes the
 // process durable: snapshots on a delivery cadence and after every state
-// transfer, crash recovery, and the restart catch-up. The simulated
-// cluster (no store), the live cluster and wannode all construct their
-// processes here.
+// transfer, crash recovery, and the restart catch-up. Every process that
+// runs the paper's algorithms is built here: the simulator's
+// (harness.System, no store — behind Cluster, wansim, its -figures and the
+// sim-scale benchmark), the live cluster's and wannode's.
 //
 // Recovery order matters, and this is the one place it is written down.
 // Every snapshot section restores first — A1, A2, the allocator, then the
@@ -57,9 +58,8 @@ type Config struct {
 	// other processes' (see storage.GroupCommit).
 	GroupCommit *storage.GroupCommit
 	// Knobs supplies the ordering and snapshot knobs, defaults applied:
-	// MaxBatch, Pipeline, ConsensusRetry, SnapshotEvery. A2's keep-alive
-	// patience and the state-transfer archive depth are left at their
-	// packages' defaults (1 round, 4096 records).
+	// MaxBatch, Pipeline, ConsensusRetry, SnapshotEvery. The state-transfer
+	// archive depth is left at its package's default (4096 records).
 	Knobs config.Config
 	// Async runs fn as an event of its own on the process's loop. Snapshots
 	// and group-commit continuations go through it: engine state is only

@@ -78,8 +78,8 @@ func sweepSeed(t *testing.T, seed int64, clock clocktest.Clock) {
 
 	v := s.Check()
 	v = append(v, groupSequenceViolations(s, victim)...)
-	for p, a := range s.A1 {
-		v = append(v, timestampOrderViolations(types.ProcessID(p), a.Archive())...)
+	for p, h := range s.Hosts {
+		v = append(v, timestampOrderViolations(types.ProcessID(p), h.A1.Archive())...)
 	}
 	var sends []check.SendRecord
 	for _, e := range s.Col.Sends() {

@@ -127,10 +127,3 @@ func TestChaosCrashAtCastInstant(t *testing.T) {
 		})
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

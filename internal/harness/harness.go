@@ -1,9 +1,10 @@
 // Package harness wires any of the repository's nine total-order
 // algorithms — the paper's A1 and A2 plus the seven Figure 1 baselines —
 // into a simulated wide-area system with uniform casting, measurement, and
-// property-checking surfaces. The Figure 1 benchmarks, wansim (its
-// -figures tables included), and the cross-algorithm tests are all built on
-// it.
+// property-checking surfaces. The public wanamcast.Cluster, the Figure 1
+// benchmarks, wansim (its -figures tables included), and the
+// cross-algorithm tests are all built on it. A1 and A2 processes come from
+// internal/durable, the host the live cluster and wannode use too.
 package harness
 
 import (
@@ -12,10 +13,10 @@ import (
 	"os"
 	"time"
 
-	"wanamcast/internal/abcast"
-	"wanamcast/internal/amcast"
 	"wanamcast/internal/baseline"
 	"wanamcast/internal/check"
+	"wanamcast/internal/config"
+	"wanamcast/internal/durable"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
@@ -75,30 +76,25 @@ func BroadcastAlgos() []Algo {
 	return []Algo{AlgoSousa, AlgoVicente, AlgoA2, AlgoDetMerge}
 }
 
-// Options configures a simulated harness system: the topology, the
-// network model, and the protocol engines' tuning. The live cluster's knobs
-// live in config.Config.
+// Options configures a simulated system — the topology, the network model,
+// and the protocol engines' tuning — and is the public wanamcast.Config. The
+// live cluster's knobs live in config.Config.
 type Options struct {
-	Groups   int
-	PerGroup int
-	Inter    time.Duration // inter-group one-way delay (default 100 ms)
+	Groups   int           // number of groups (default 2)
+	PerGroup int           // processes per group (default 3)
+	Inter    time.Duration // inter-group one-way delay (default 100 ms, the figure §5.3 uses)
 	Intra    time.Duration // intra-group one-way delay (default 1 ms)
-	Jitter   time.Duration
-	Seed     int64
-	LogSends bool
+	Jitter   time.Duration // uniform per-message extra delay in [0, Jitter)
+	Seed     int64         // makes the run reproducible; zero is a valid seed
+	LogSends bool          // retain a per-send log (genuineness checks need it)
 	// ConsensusRetry tunes the consensus engines (where applicable).
 	ConsensusRetry time.Duration
-	// DetMergeInterval is the [1] heartbeat period (default 10 ms).
+	// DetMergeInterval is the [1] heartbeat period (default 10 ms). It and
+	// DetMergeStop apply to AlgoDetMerge only.
 	DetMergeInterval time.Duration
 	// DetMergeStop stops the [1] heartbeat stream at that virtual time so
 	// Run() drains (default 5 s).
 	DetMergeStop time.Duration
-	// A2AlwaysOn disables A2's quiescence prediction (proactivity
-	// ablation); such a system never drains, so use RunUntil.
-	A2AlwaysOn bool
-	// A2KeepAlive sets A2's quiescence-predictor patience in rounds
-	// (0 means the paper's default of 1).
-	A2KeepAlive int
 	// Pipeline sets the consensus-instances-in-flight limit of A1 and the
 	// rounds-in-flight limit of A2 (0 means the paper's sequential 1).
 	Pipeline int
@@ -147,11 +143,15 @@ type System struct {
 	Col     *metrics.Collector
 	Checker *check.Checker
 
-	// A1 holds the Algorithm A1 endpoints by process (AlgoA1 only).
-	A1 []*amcast.Mcast
+	// Hosts holds each process's A1 and A2 endpoints, by process (AlgoA1 and
+	// AlgoA2 only): both run on every process, as in the paper (§2.1), and
+	// the algorithm names which of them Cast uses.
+	Hosts []*durable.Node
+	// OnDeliver, when non-nil, is called on every A-Deliver at every
+	// process, in global delivery order.
+	OnDeliver func(p types.ProcessID, id types.MessageID, payload any)
 
 	casters []caster
-	crashed map[types.ProcessID]bool
 
 	// Deliveries in global order.
 	Deliveries []Delivery
@@ -191,7 +191,6 @@ func Build(algo Algo, opts Options) *System {
 		Col:     col,
 		Checker: check.New(topo),
 		casters: make([]caster, topo.N()),
-		crashed: make(map[types.ProcessID]bool),
 	}
 	for _, id := range topo.AllProcesses() {
 		id := id
@@ -199,27 +198,22 @@ func Build(algo Algo, opts Options) *System {
 		onDeliver := func(m rmcast.Message) { s.recordDelivery(id, m.ID, m.Payload) }
 		onDeliverKV := func(mid types.MessageID, payload any) { s.recordDelivery(id, mid, payload) }
 		switch algo {
-		case AlgoA1:
-			a := amcast.New(amcast.Config{
-				Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliver,
-				SkipStages: true, ConsensusRetry: opts.ConsensusRetry,
-				MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline,
+		case AlgoA1, AlgoA2:
+			h := durable.New(durable.Config{
+				Proc: proc, Detector: rt.Oracle(),
+				Knobs:   config.Config{MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline, ConsensusRetry: opts.ConsensusRetry},
+				Deliver: func(_ string, mid types.MessageID, payload any) { onDeliverKV(mid, payload) },
 			})
-			s.casters[id] = castFunc(a.AMCast)
-			s.A1 = append(s.A1, a)
+			s.Hosts = append(s.Hosts, h)
+			s.casters[id] = castFunc(h.A1.AMCast)
+			if algo == AlgoA2 {
+				s.casters[id] = castFunc(func(payload any, _ types.GroupSet) types.MessageID {
+					return h.A2.ABCast(payload)
+				})
+			}
 		case AlgoFritzke:
 			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliver, opts.ConsensusRetry)
 			s.casters[id] = castFunc(a.AMCast)
-		case AlgoA2:
-			b := abcast.New(abcast.Config{
-				Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliverKV,
-				ConsensusRetry: opts.ConsensusRetry, AlwaysOn: opts.A2AlwaysOn,
-				KeepAliveRounds: opts.A2KeepAlive, Pipeline: opts.Pipeline,
-				MaxBatch: opts.MaxBatch,
-			})
-			s.casters[id] = castFunc(func(payload any, dest types.GroupSet) types.MessageID {
-				return b.ABCast(payload)
-			})
 		case AlgoSkeen:
 			a := baseline.NewSkeen(baseline.SkeenConfig{Host: proc, OnDeliver: onDeliver})
 			s.casters[id] = castFunc(a.AMCast)
@@ -256,6 +250,9 @@ func Build(algo Algo, opts Options) *System {
 func (s *System) recordDelivery(p types.ProcessID, id types.MessageID, payload any) {
 	s.Checker.RecordDeliver(p, id)
 	s.Deliveries = append(s.Deliveries, Delivery{Process: p, ID: id, Payload: payload, At: s.RT.Now()})
+	if s.OnDeliver != nil {
+		s.OnDeliver(p, id, payload)
+	}
 }
 
 // IsBroadcast reports whether algo casts to all groups regardless of dest.
@@ -281,17 +278,11 @@ func (s *System) CastAt(at time.Duration, from types.ProcessID, payload any, des
 }
 
 // CrashAt schedules a crash-stop of p at virtual time at.
-func (s *System) CrashAt(p types.ProcessID, at time.Duration) {
-	s.crashed[p] = true
-	s.RT.CrashAt(p, at)
-}
+func (s *System) CrashAt(p types.ProcessID, at time.Duration) { s.RT.CrashAt(p, at) }
 
 // Chaos returns the scenario control surface of the simulated system:
 // pass it to scenario.Apply before Run to schedule a fault script.
-// Crashed victims are excluded from Check's correct-process set.
-func (s *System) Chaos() scenario.Funcs {
-	return scenario.SimFuncs(s.RT, func(p types.ProcessID) { s.crashed[p] = true })
-}
+func (s *System) Chaos() scenario.Funcs { return scenario.SimFuncs(s.RT) }
 
 // Run drains the event queue and returns the virtual end time.
 func (s *System) Run() time.Duration {
@@ -302,11 +293,12 @@ func (s *System) Run() time.Duration {
 // RunUntil executes events up to the given virtual time.
 func (s *System) RunUntil(t time.Duration) { s.RT.RunUntil(t) }
 
-// Check returns the §2.2 property violations of the run so far.
+// Check returns the §2.2 property violations of the run so far: a process
+// is correct unless it has crashed by now (a crash still to come does not
+// count).
 func (s *System) Check() []string {
-	correct := func(p types.ProcessID) bool { return !s.crashed[p] }
-	correctCaster := func(id types.MessageID) bool { return !s.crashed[id.Origin] }
-	return s.Checker.Check(correct, correctCaster)
+	correct := func(p types.ProcessID) bool { return !s.RT.Proc(p).Crashed() }
+	return s.Checker.Check(correct, func(id types.MessageID) bool { return correct(id.Origin) })
 }
 
 // DegreeOf returns the measured latency degree of id.

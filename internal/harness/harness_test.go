@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -144,5 +145,43 @@ func TestFigure1bLatencyDegrees(t *testing.T) {
 		if v := s.Check(); len(v) != 0 {
 			t.Errorf("%s: property violations: %v", tc.algo, v)
 		}
+	}
+}
+
+// TestCheckBeforeScheduledCrash: a crash still to come does not make its
+// victim faulty. At 1 ms nobody has delivered p's cast yet, so with p correct
+// so far Check owes validity at all six processes, as it would with no crash
+// scheduled at all.
+func TestCheckBeforeScheduledCrash(t *testing.T) {
+	s := Build(AlgoA1, Options{Groups: 2, PerGroup: 3})
+	p := s.Topo.Members(0)[0]
+	s.Cast(p, "m", types.NewGroupSet(0, 1))
+	s.CrashAt(p, 10*time.Second)
+	s.RunUntil(time.Millisecond)
+	if v := s.Check(); len(v) != 6 {
+		t.Errorf("Check at 1 ms: %d violations, want 6 (validity at every process): %v", len(v), v)
+	}
+}
+
+// TestBuildHeapPerProcessIndependentOfGroups: a freshly built A1 system
+// holds as much per process at 4000 groups as at 200, so wansim's
+// 15000x3 and 30000x2 shapes fit in a few hundred MB. A per-process list
+// over the groups or their members (an idle A2's addressees, A1's leads by
+// group) makes the larger system cost several times more per process.
+func TestBuildHeapPerProcessIndependentOfGroups(t *testing.T) {
+	perProc := func(groups int) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := Build(AlgoA1, Options{Groups: groups, PerGroup: 3})
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(s.Topo.N())
+	}
+	small, large := perProc(200), perProc(4000)
+	t.Logf("heap per process: %.0f B at 200x3, %.0f B at 4000x3", small, large)
+	if large > 1.5*small {
+		t.Errorf("heap per process grows with the system: %.0f B at 200x3, %.0f B at 4000x3", small, large)
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -105,32 +106,15 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 	)
 	sample := metrics.MeasureResources(func() {
 		sys = Build(algo, opts)
-		rng := rand.New(rand.NewSource(opts.Seed))
-		period := 10 * time.Millisecond
-		spread := 2
-		if spread > sh.Groups {
-			spread = sh.Groups
-		}
 		if algo == AlgoA2 {
 			for g := 0; g < sh.Groups; g++ {
 				sys.CastAt(0, sys.Topo.Members(types.GroupID(g))[0], "warm", sys.Topo.AllGroups())
 			}
 		}
-		for i := 0; i < casts; i++ {
-			from := types.ProcessID(rng.Intn(sys.Topo.N()))
-			dest := make([]types.GroupID, 0, spread)
-			for len(dest) < spread {
-				g := types.GroupID(rng.Intn(sh.Groups))
-				dup := false
-				for _, x := range dest {
-					dup = dup || x == g
-				}
-				if !dup {
-					dest = append(dest, g)
-				}
-			}
-			sys.CastAt(time.Duration(i+1)*period, from, i, types.NewGroupSet(dest...))
-		}
+		rng := rand.New(rand.NewSource(opts.Seed))
+		RandomCasts(rng, sys.Topo, casts, min(2, sh.Groups), func(i int, from types.ProcessID, dest types.GroupSet) {
+			sys.CastAt(time.Duration(i+1)*10*time.Millisecond, from, i, dest)
+		})
 		sys.Run()
 		t0 := time.Now()
 		violations = len(sys.Check())
@@ -148,5 +132,23 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 		CheckWall:      checkWall,
 		PeakHeapBytes:  sample.PeakHeap,
 		Violations:     violations,
+	}
+}
+
+// RandomCasts draws the random workload wansim and the scale sweep share, so
+// one seed names one workload everywhere: for each of n casts in order, a
+// caster uniform over the topology's processes, then spread distinct
+// destination groups (a repeat is drawn again), handed to fn with the cast's
+// index. spread must not exceed the group count.
+func RandomCasts(rng *rand.Rand, topo *types.Topology, n, spread int, fn func(i int, from types.ProcessID, dest types.GroupSet)) {
+	for i := 0; i < n; i++ {
+		from := types.ProcessID(rng.Intn(topo.N()))
+		dest := make([]types.GroupID, 0, spread)
+		for len(dest) < spread {
+			if g := types.GroupID(rng.Intn(topo.NumGroups())); !slices.Contains(dest, g) {
+				dest = append(dest, g)
+			}
+		}
+		fn(i, from, types.NewGroupSet(dest...))
 	}
 }

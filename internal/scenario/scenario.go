@@ -178,22 +178,15 @@ type Funcs struct {
 	Logf func(format string, args ...any)
 }
 
-// SimFuncs adapts a simulated runtime. onCrash, when non-nil, runs before
-// each crash (the harnesses use it to mark the victim for the §2.2
-// checker's correct-process set).
-func SimFuncs(rt *node.Runtime, onCrash func(p types.ProcessID)) Funcs {
+// SimFuncs adapts a simulated runtime.
+func SimFuncs(rt *node.Runtime) Funcs {
 	return Funcs{
 		Topo: rt.Topo(),
 		Net:  rt.Fabric(),
 		Schedule: func(d time.Duration, fn func()) {
 			rt.Scheduler().After(d, fn)
 		},
-		CrashFn: func(p types.ProcessID) {
-			if onCrash != nil {
-				onCrash(p)
-			}
-			rt.Crash(p)
-		},
+		CrashFn:     rt.Crash,
 		SuspectFn:   rt.Suspect,
 		UnsuspectFn: rt.Unsuspect,
 	}

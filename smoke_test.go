@@ -47,11 +47,11 @@ func TestSmokeMulticast(t *testing.T) {
 // round 1 at the same time, which we arrange by broadcasting from one
 // member of each group simultaneously.
 func TestSmokeWarmBroadcast(t *testing.T) {
-	c := NewCluster(Config{Groups: 2, PerGroup: 3, InterGroupDelay: 100 * time.Millisecond})
+	c := NewCluster(Config{Groups: 2, PerGroup: 3, Inter: 100 * time.Millisecond})
 	c.BroadcastAt(0, c.Process(0, 0), "warm0")
 	c.BroadcastAt(0, c.Process(1, 0), "warm1")
 	var probe MessageID
-	c.rt.Scheduler().At(50*time.Millisecond, func() {
+	c.sys.RT.Scheduler().At(50*time.Millisecond, func() {
 		probe = c.Broadcast(c.Process(0, 1), "probe")
 	})
 	c.Run()

@@ -65,7 +65,7 @@ func TestStrictKnobsKeepPaperDegrees(t *testing.T) {
 	c2.BroadcastAt(0, c2.Process(0, 0), "warm0")
 	c2.BroadcastAt(0, c2.Process(1, 0), "warm1")
 	var probe MessageID
-	c2.rt.Scheduler().At(50*time.Millisecond, func() {
+	c2.sys.RT.Scheduler().At(50*time.Millisecond, func() {
 		probe = c2.Broadcast(c2.Process(0, 1), "probe")
 	})
 	c2.Run()

@@ -18,12 +18,12 @@ import (
 // one ring lane per process, on the runtime's virtual clock so span
 // timestamps are deterministic across runs.
 func attachSimTracer(c *Cluster, perLane int) *trace.Tracer {
-	topo := c.rt.Topo()
+	topo := c.sys.RT.Topo()
 	tr := trace.New(topo.N(), perLane)
 	tr.SetEnabled(true)
-	tr.SetClock(func() int64 { return int64(c.rt.Now()) })
+	tr.SetClock(func() int64 { return int64(c.sys.RT.Now()) })
 	for _, id := range topo.AllProcesses() {
-		c.rt.Proc(id).SetTracer(tr, int(id))
+		c.sys.RT.Proc(id).SetTracer(tr, int(id))
 	}
 	return tr
 }
@@ -82,7 +82,7 @@ func TestTraceWanHopsWarmA2(t *testing.T) {
 	c.BroadcastAt(0, c.Process(0, 0), "warm0")
 	c.BroadcastAt(0, c.Process(1, 0), "warm1")
 	var probe MessageID
-	c.rt.Scheduler().At(50*time.Millisecond, func() {
+	c.sys.RT.Scheduler().At(50*time.Millisecond, func() {
 		probe = c.Broadcast(c.Process(0, 1), "probe")
 	})
 	c.Run()
