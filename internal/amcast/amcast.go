@@ -94,6 +94,12 @@
 // decoupled from the group clock K: decisions apply in instance order, and
 // what they fix — proposals, final timestamps, K — is a function of the
 // decision sequence (Lemma A.1), at any batch size and pipeline depth.
+//
+// Every s0 item and (TS, m) carries m itself, as in the paper, but a receiver
+// mostly has m from R-MCast already: a descriptor off the wire keeps its
+// payload encoded (Descriptor), and Value decodes it only where an entry is
+// created without the R-MCast copy — a decision or (TS, m) that introduces m,
+// replay, snapshot restore, state transfer.
 package amcast
 
 import (
@@ -131,13 +137,17 @@ func (s Stage) String() string { return fmt.Sprintf("s%d", int(s)) }
 // Descriptor is the per-message record that travels through consensus
 // proposals and (TS, m) messages: the message itself, its stage, and a
 // timestamp — the proposer's hint in an s0 item, the group's proposal in a
-// (TS, m), the final timestamp in an s2 item.
+// (TS, m), the final timestamp in an s2 item. One decoded off the wire holds
+// a payload it could check without building it (wire.SkipValidates) in raw,
+// its encoding, with Payload nil; a leader's Accept, a catch-up Decide and a
+// WAL record re-encode raw verbatim. Value returns the payload either way.
 type Descriptor struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
 	Payload any
 	TS      uint64
 	Stage   Stage
+	raw     []byte
 }
 
 // ItemID implements consensus.Item.
@@ -406,10 +416,12 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 	if a.adelivered[d.ID] {
 		return // late proposal for a delivered message
 	}
-	// Line 10: a TS message also introduces m if unseen.
-	a.admit(d.ID, d.Dest, d.Payload, 0)
-	// Record the sender group's proposal for line 33.
 	p := a.pending[d.ID]
+	if p == nil { // line 10: a TS message also introduces m if unseen
+		p = a.newPend(d.ID, d.Dest, d.Value(), 0)
+		a.engine.Pump()
+	}
+	// Record the sender group's proposal for line 33.
 	if p.setProp(g, d.TS) && !replay {
 		if d.Stage == Stage1 && p.at != 0 && a.owns(p) { // a final timestamp may be this group's own led proposal: no sample
 			a.learnLead(g, int64(d.TS-p.at))
@@ -547,7 +559,7 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 		switch {
 		case p == nil && d.Stage == Stage0:
 			// Line 30: the decision introduces m to this process.
-			p = a.newPend(d.ID, d.Dest, d.Payload, 0)
+			p = a.newPend(d.ID, d.Dest, d.Value(), 0)
 		case p == nil, d.Stage == Stage0 && p.stage > Stage0, d.Stage == Stage2 && p.stage == Stage3:
 			// With Pipeline >= 2 the engine's in-flight exclusion is
 			// proposer-local, so two group members may propose m to

@@ -21,8 +21,8 @@ package amcast
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/statesync"
@@ -70,11 +70,7 @@ func (a *Mcast) AppendSnapshot(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, a.castSeq)
 	buf = wire.AppendUvarint(buf, a.delivered)
 	// PENDING, in admission order.
-	pends := make([]*pend, 0, len(a.pending))
-	for _, p := range a.pending {
-		pends = append(pends, p)
-	}
-	sort.Slice(pends, func(i, j int) bool { return pends[i].seq < pends[j].seq })
+	pends := slices.SortedFunc(maps.Values(a.pending), func(p, q *pend) int { return cmp.Compare(p.seq, q.seq) })
 	buf = wire.AppendUvarint(buf, uint64(len(pends)))
 	for _, p := range pends {
 		d := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage}
@@ -132,14 +128,14 @@ func (a *Mcast) RestoreSnapshot(data []byte) error {
 	}
 	for i := 0; i < n; i++ {
 		var d Descriptor
-		if data, err = d.DecodeFrom(data); err != nil {
+		if data, err = d.read(data, nil, true); err != nil {
 			return err
 		}
 		var seq uint64
 		if seq, data, err = wire.Uvarint(data); err != nil {
 			return err
 		}
-		a.pending[d.ID] = &pend{id: d.ID, dest: d.Dest, payload: d.Payload, ts: d.TS, stage: d.Stage, seq: seq}
+		a.pending[d.ID] = &pend{id: d.ID, dest: d.Dest, payload: d.Value(), ts: d.TS, stage: d.Stage, seq: seq}
 	}
 	if data, err = statesync.DecodeIDSet(data, a.adelivered); err != nil {
 		return err
@@ -289,12 +285,7 @@ func (a *Mcast) syncTail() SyncTail {
 		}
 	}
 	sortDescriptors(t.Pending)
-	sort.Slice(t.Props, func(i, j int) bool {
-		if t.Props[i].ID != t.Props[j].ID {
-			return t.Props[i].ID.Less(t.Props[j].ID)
-		}
-		return t.Props[i].Group < t.Props[j].Group
-	})
+	slices.SortFunc(t.Props, func(x, y PropEntry) int { return cmp.Or(x.ID.Compare(y.ID), cmp.Compare(x.Group, y.Group)) })
 	return t
 }
 
@@ -336,7 +327,7 @@ func (a *Mcast) adoptState(t SyncTail) {
 		p := a.pending[d.ID]
 		if p == nil {
 			a.admitSeq++
-			p = &pend{id: d.ID, dest: d.Dest, payload: d.Payload, ts: d.TS, stage: d.Stage, seq: a.admitSeq}
+			p = &pend{id: d.ID, dest: d.Dest, payload: d.Value(), ts: d.TS, stage: d.Stage, seq: a.admitSeq}
 			a.pending[d.ID] = p
 		} else if d.Stage > p.stage {
 			p.stage = d.Stage

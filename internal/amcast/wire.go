@@ -4,6 +4,7 @@
 package amcast
 
 import (
+	"bytes"
 	"fmt"
 
 	"wanamcast/internal/statesync"
@@ -13,11 +14,11 @@ import (
 
 func init() {
 	wire.Register(wire.KindAMcastTS,
-		func(buf []byte, m TSMsg) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m TSMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
+		func(buf []byte, m TSMsg) []byte { return m.Desc.AppendTo(buf) },
+		func(data []byte) (m TSMsg, rest []byte, err error) { rest, err = m.Desc.decodeOwn(data); return })
 	wire.Register(wire.KindAMcastPull,
 		func(buf []byte, m PullMsg) []byte { return m.Desc.AppendTo(buf) },
-		func(data []byte) (m PullMsg, rest []byte, err error) { rest, err = m.Desc.DecodeFrom(data); return })
+		func(data []byte) (m PullMsg, rest []byte, err error) { rest, err = m.Desc.decodeOwn(data); return })
 	wire.Register(wire.KindAMcastDescriptors, AppendDescriptors, DecodeDescriptors)
 	statesync.RegisterResp(wire.KindA1SyncResp, syncCodec)
 }
@@ -36,33 +37,88 @@ func (d Descriptor) AppendTo(buf []byte) []byte {
 	buf = d.Dest.AppendTo(buf)
 	buf = wire.AppendUvarint(buf, d.TS)
 	buf = append(buf, byte(d.Stage))
+	return d.appendPayload(buf)
+}
+
+// appendPayload appends the bytes d's payload came off the wire in, verbatim,
+// or else Payload's encoding.
+func (d *Descriptor) appendPayload(buf []byte) []byte {
+	if d.raw != nil {
+		return append(buf, d.raw...)
+	}
 	return wire.AppendValue(buf, d.Payload)
 }
 
-// DecodeFrom decodes d from data and returns the remainder.
-func (d *Descriptor) DecodeFrom(data []byte) (rest []byte, err error) {
-	if d.ID, data, err = types.DecodeMessageID(data); err != nil {
+// read is the one element reader of A1's codecs: it decodes a descriptor in
+// full, or after prev in a batch's delta encoding, and without the stage byte
+// (stage false) a DeliverRec. A payload that wire.SkipValidates is checked and
+// kept encoded in d.raw, which aliases data; any other is decoded.
+func (d *Descriptor) read(data []byte, prev *Descriptor, stage bool) (rest []byte, err error) {
+	var dv int64
+	same := false // the delta flags' bit 0: Dest is prev's
+	if prev == nil {
+		d.ID, data, err = types.DecodeMessageID(data)
+	} else {
+		if len(data) == 0 || data[0]&^1 != 0 {
+			return nil, fmt.Errorf("%w: descriptor delta flags", wire.ErrCorrupt)
+		}
+		same, data = data[0] == 1, data[1:]
+		if dv, data, err = wire.Varint(data); err == nil {
+			d.ID.Origin = prev.ID.Origin + types.ProcessID(dv)
+			dv, data, err = wire.Varint(data)
+			d.ID.Seq = prev.ID.Seq + uint64(dv)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
-	if d.Dest, data, err = types.DecodeGroupSet(data); err != nil {
+	if same {
+		d.Dest = prev.Dest // GroupSets are immutable once built; sharing is safe
+	} else if d.Dest, data, err = types.DecodeGroupSet(data); err != nil {
 		return nil, err
 	}
-	if d.TS, data, err = wire.Uvarint(data); err != nil {
+	if prev == nil {
+		d.TS, data, err = wire.Uvarint(data)
+	} else if dv, data, err = wire.Varint(data); err == nil {
+		d.TS = prev.TS + uint64(dv)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: descriptor stage", wire.ErrCorrupt)
+	if stage {
+		if len(data) == 0 {
+			return nil, fmt.Errorf("%w: descriptor stage", wire.ErrCorrupt)
+		}
+		d.Stage, data = Stage(data[0]), data[1:]
 	}
-	d.Stage, data = Stage(data[0]), data[1:]
-	d.Payload, data, err = wire.DecodeValue(data)
-	return data, err
+	if len(data) == 0 || !wire.SkipValidates(wire.Kind(data[0])) {
+		d.Payload, rest, err = wire.DecodeValue(data)
+		return rest, err
+	}
+	rest, err = wire.SkipValue(data)
+	d.raw = data[:len(data)-len(rest)]
+	return rest, err
 }
 
-// AppendTo appends m's wire encoding.
-func (m TSMsg) AppendTo(buf []byte) []byte { return m.Desc.AppendTo(buf) }
+// Value returns d's payload, decoding it if it is still in its wire encoding.
+func (d Descriptor) Value() any {
+	if d.raw == nil {
+		return d.Payload
+	}
+	v, _, err := wire.DecodeValue(d.raw)
+	if err != nil {
+		panic(fmt.Sprintf("amcast: payload of %v, checked on receipt, does not decode: %v", d.ID, err))
+	}
+	return v
+}
 
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *TSMsg) DecodeFrom(data []byte) ([]byte, error) { return m.Desc.DecodeFrom(data) }
+// decodeOwn decodes a lone descriptor, a TSMsg's or a PullMsg's: its raw
+// payload is copied out of data, which may be a reused receive buffer.
+func (d *Descriptor) decodeOwn(data []byte) ([]byte, error) {
+	rest, err := d.read(data, nil, true)
+	d.raw = bytes.Clone(d.raw)
+	return rest, err
+}
 
 func appendDeliverRec(buf []byte, dr DeliverRec) []byte {
 	buf = dr.ID.AppendTo(buf)
@@ -71,18 +127,13 @@ func appendDeliverRec(buf []byte, dr DeliverRec) []byte {
 	return wire.AppendValue(buf, dr.Payload)
 }
 
-func decodeDeliverRec(data []byte) (dr DeliverRec, rest []byte, err error) {
-	if dr.ID, data, err = types.DecodeMessageID(data); err != nil {
-		return dr, nil, err
+func decodeDeliverRec(data []byte) (DeliverRec, []byte, error) {
+	var d Descriptor
+	rest, err := d.read(data, nil, false)
+	if err != nil {
+		return DeliverRec{}, nil, err
 	}
-	if dr.Dest, data, err = types.DecodeGroupSet(data); err != nil {
-		return dr, nil, err
-	}
-	if dr.TS, data, err = wire.Uvarint(data); err != nil {
-		return dr, nil, err
-	}
-	dr.Payload, data, err = wire.DecodeValue(data)
-	return dr, data, err
+	return DeliverRec{ID: d.ID, Dest: d.Dest, TS: d.TS, Payload: d.Value()}, rest, nil
 }
 
 func appendSyncTail(buf []byte, t SyncTail) []byte {
@@ -160,60 +211,37 @@ func AppendDescriptors(buf []byte, ds []Descriptor) []byte {
 		}
 		buf = wire.AppendVarint(buf, int64(d.TS-prev.TS))
 		buf = append(buf, byte(d.Stage))
-		buf = wire.AppendValue(buf, d.Payload)
+		buf = d.appendPayload(buf)
 	}
 	return buf
 }
 
-// DecodeDescriptors decodes a descriptor batch and returns the remainder.
+// DecodeDescriptors decodes a descriptor batch and returns the remainder. The
+// payloads kept encoded share one copy of the batch's bytes.
 func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
-	n, data, err := wire.SliceLen(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, data, nil
+	n, rest, err := wire.SliceLen(data)
+	if err != nil || n == 0 {
+		return nil, rest, err
 	}
 	ds := make([]Descriptor, n)
-	if data, err = ds[0].DecodeFrom(data); err != nil {
-		return nil, nil, err
-	}
-	for i := 1; i < n; i++ {
-		prev := &ds[i-1]
-		d := &ds[i]
-		if len(data) == 0 {
-			return nil, nil, fmt.Errorf("%w: descriptor delta flags", wire.ErrCorrupt)
+	var own []byte
+	for i := range ds {
+		var prev *Descriptor
+		if i > 0 {
+			prev = &ds[i-1]
 		}
-		flags := data[0]
-		data = data[1:]
-		if flags&^byte(1) != 0 {
-			return nil, nil, fmt.Errorf("%w: unknown descriptor delta flags", wire.ErrCorrupt)
-		}
-		var dv int64
-		if dv, data, err = wire.Varint(data); err != nil {
-			return nil, nil, err
-		}
-		d.ID.Origin = types.ProcessID(int64(prev.ID.Origin) + dv)
-		if dv, data, err = wire.Varint(data); err != nil {
-			return nil, nil, err
-		}
-		d.ID.Seq = prev.ID.Seq + uint64(dv)
-		if flags&1 != 0 {
-			d.Dest = prev.Dest // GroupSets are immutable once built; sharing is safe
-		} else if d.Dest, data, err = types.DecodeGroupSet(data); err != nil {
-			return nil, nil, err
-		}
-		if dv, data, err = wire.Varint(data); err != nil {
-			return nil, nil, err
-		}
-		d.TS = prev.TS + uint64(dv)
-		if len(data) == 0 {
-			return nil, nil, fmt.Errorf("%w: descriptor stage", wire.ErrCorrupt)
-		}
-		d.Stage, data = Stage(data[0]), data[1:]
-		if d.Payload, data, err = wire.DecodeValue(data); err != nil {
+		if rest, err = ds[i].read(rest, prev, true); err != nil {
 			return nil, nil, err
 		}
 	}
-	return ds, data, nil
+	for i := range ds {
+		if r := ds[i].raw; r != nil {
+			if own == nil {
+				own = bytes.Clone(data[:len(data)-len(rest)])
+			}
+			at := cap(data) - cap(r) // r slices data
+			ds[i].raw = own[at : at+len(r)]
+		}
+	}
+	return ds, rest, nil
 }

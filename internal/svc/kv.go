@@ -2,7 +2,8 @@ package svc
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -25,11 +26,7 @@ const (
 // EncodePut builds a put command. Keys are encoded in sorted order so the
 // command bytes — and therefore every replica's Apply — are deterministic.
 func EncodePut(sets map[string]string) []byte {
-	keys := make([]string, 0, len(sets))
-	for k := range sets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(sets))
 	buf := []byte{kvOpPut}
 	buf = wire.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
@@ -117,45 +114,35 @@ func (m *KVMachine) Apply(op []byte) ([]byte, error) {
 	if len(op) == 0 {
 		return nil, fmt.Errorf("kv: empty op")
 	}
-	code, body := op[0], op[1:]
+	if op[0] == kvOpGet {
+		return m.Query(op) // read-only: the read tier's evaluation
+	}
+	if op[0] != kvOpPut {
+		return nil, fmt.Errorf("kv: unknown op %d", op[0])
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch code {
-	case kvOpPut:
-		n, body, err := wire.SliceLen(body)
-		if err != nil {
-			return nil, fmt.Errorf("kv: corrupt put: %w", err)
-		}
-		wrote := 0
-		for i := 0; i < n; i++ {
-			var k, v string
-			if k, body, err = wire.String(body); err != nil {
-				return nil, fmt.Errorf("kv: corrupt put key: %w", err)
-			}
-			if v, body, err = wire.String(body); err != nil {
-				return nil, fmt.Errorf("kv: corrupt put value: %w", err)
-			}
-			if m.route(k) == m.group {
-				m.data[k] = v
-				wrote++
-			}
-		}
-		m.applied++
-		return wire.AppendUvarint(nil, uint64(wrote)), nil
-	case kvOpGet:
-		k, _, err := wire.String(body)
-		if err != nil {
-			return nil, fmt.Errorf("kv: corrupt get: %w", err)
-		}
-		v, found := m.data[k]
-		res := []byte{0}
-		if found {
-			res[0] = 1
-		}
-		return wire.AppendString(res, v), nil
-	default:
-		return nil, fmt.Errorf("kv: unknown op %d", code)
+	n, body, err := wire.SliceLen(op[1:])
+	if err != nil {
+		return nil, fmt.Errorf("kv: corrupt put: %w", err)
 	}
+	wrote := 0
+	for i := 0; i < n; i++ {
+		var k string
+		var v []byte
+		if k, body, err = wire.String(body); err != nil {
+			return nil, fmt.Errorf("kv: corrupt put key: %w", err)
+		}
+		if v, body, err = wire.Bytes(body); err != nil {
+			return nil, fmt.Errorf("kv: corrupt put value: %w", err)
+		}
+		if m.route(k) == m.group { // another shard's value is never built
+			m.data[k] = string(v)
+			wrote++
+		}
+	}
+	m.applied++
+	return wire.AppendUvarint(nil, uint64(wrote)), nil
 }
 
 // Query implements QueryMachine: it evaluates a READ-ONLY op against the
@@ -187,11 +174,7 @@ func (m *KVMachine) Query(op []byte) ([]byte, error) {
 func (m *KVMachine) Snapshot() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(m.data))
 	var buf []byte
 	buf = wire.AppendUvarint(buf, m.applied)
 	buf = wire.AppendUvarint(buf, uint64(len(keys)))
@@ -275,11 +258,7 @@ func (kv *KV) DestOf(keys ...string) types.GroupSet {
 // owning shards only. It returns how many keys the coordinator shard
 // wrote.
 func (kv *KV) Put(sets map[string]string) (int, error) {
-	keys := make([]string, 0, len(sets))
-	for k := range sets {
-		keys = append(keys, k)
-	}
-	res, err := kv.Client.Invoke(kv.DestOf(keys...), EncodePut(sets))
+	res, err := kv.Client.Invoke(kv.DestOf(slices.Collect(maps.Keys(sets))...), EncodePut(sets))
 	if err != nil {
 		return 0, err
 	}

@@ -52,6 +52,10 @@ type Redirect struct {
 
 func init() {
 	wire.Register(wire.KindSvcCommand, appendCommand, decodeCommand)
+	wire.RegisterSkip(wire.KindSvcCommand, func(data []byte) ([]byte, error) {
+		_, rest, err := readCommand(data)
+		return rest, err
+	})
 	wire.Register(wire.KindSvcRequest, appendRequest, decodeRequest)
 	wire.Register(wire.KindSvcReply, appendReply, decodeReply)
 	wire.Register(wire.KindSvcRedirect, appendRedirect, decodeRedirect)
@@ -63,21 +67,23 @@ func appendCommand(buf []byte, c Command) []byte {
 	return wire.AppendBytes(buf, c.Op)
 }
 
-func decodeCommand(data []byte) (Command, []byte, error) {
-	var c Command
-	var err error
+// readCommand parses a Command whose Op aliases data. It allocates nothing:
+// it is Command's row of the wire skip table, and decodeCommand's parser.
+func readCommand(data []byte) (c Command, rest []byte, err error) {
 	if c.Session, data, err = wire.Uvarint(data); err != nil {
 		return c, nil, err
 	}
 	if c.Seq, data, err = wire.Uvarint(data); err != nil {
 		return c, nil, err
 	}
-	op, data, err := wire.Bytes(data)
-	if err != nil {
-		return c, nil, err
-	}
-	c.Op = append([]byte(nil), op...) // Bytes aliases the input; Command outlives it
-	return c, data, nil
+	c.Op, rest, err = wire.Bytes(data)
+	return c, rest, err
+}
+
+func decodeCommand(data []byte) (Command, []byte, error) {
+	c, rest, err := readCommand(data)
+	c.Op = append([]byte(nil), c.Op...) // Command outlives the input
+	return c, rest, err
 }
 
 func appendRequest(buf []byte, r Request) []byte {

@@ -154,6 +154,33 @@ func TestKVMachineApplyAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestKVMachineSkipsOtherShardsValues: a replica applying a two-shard put
+// stores its own shard's keys with their values, writes the count it wrote,
+// and builds no value for a key routed elsewhere: a put of foreign keys only
+// costs a string per key (for the route) and the result.
+func TestKVMachineSkipsOtherShardsValues(t *testing.T) {
+	route := PrefixRoute(2)
+	m := NewKVMachine(1, route)
+	sets := map[string]string{"g0/a": "x", "g1/b": "yy", "g0/c": "zzz", "g1/d": "", "g1/e": "w"}
+	res, err := m.Apply(EncodePut(sets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := DecodePutResult(res); n != 3 || m.Len() != 3 {
+		t.Fatalf("wrote %d, holds %d keys; want 3 and 3", n, m.Len())
+	}
+	for k, v := range sets {
+		got, ok := m.Get(k)
+		if mine := route(k) == 1; ok != mine || (mine && got != v) {
+			t.Errorf("%s = %q,%v; want %q held %v", k, got, ok, v, mine)
+		}
+	}
+	foreign := EncodePut(map[string]string{"g0/a": "xx", "g0/b": "yy", "g0/c": "zz"})
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.Apply(foreign) }); n > 4 {
+		t.Errorf("a put of 3 foreign keys: %.1f allocs, want at most 4", n)
+	}
+}
+
 // TestKVMachineCorruptOps: malformed command bytes error out without
 // mutating state.
 func TestKVMachineCorruptOps(t *testing.T) {

@@ -12,8 +12,11 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // ProcessID identifies a process in Π. IDs are dense, starting at 0, and
@@ -92,29 +95,15 @@ type GroupSet struct {
 
 // NewGroupSet builds a set from the given groups, deduplicating and sorting.
 func NewGroupSet(groups ...GroupID) GroupSet {
-	gs := make([]GroupID, 0, len(groups))
-	seen := make(map[GroupID]bool, len(groups))
-	for _, g := range groups {
-		if !seen[g] {
-			seen[g] = true
-			gs = append(gs, g)
-		}
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	return GroupSet{groups: gs}
+	gs := append(make([]GroupID, 0, len(groups)), groups...)
+	slices.Sort(gs)
+	return GroupSet{groups: slices.Compact(gs)}
 }
 
 // Contains reports whether g is in the set.
 func (s GroupSet) Contains(g GroupID) bool {
-	for _, x := range s.groups {
-		if x == g {
-			return true
-		}
-		if x > g {
-			return false
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(s.groups, g)
+	return ok
 }
 
 // Size returns the number of groups in the set.
@@ -125,17 +114,7 @@ func (s GroupSet) Size() int { return len(s.groups) }
 func (s GroupSet) Groups() []GroupID { return s.groups }
 
 // Equal reports whether both sets contain exactly the same groups.
-func (s GroupSet) Equal(other GroupSet) bool {
-	if len(s.groups) != len(other.groups) {
-		return false
-	}
-	for i, g := range s.groups {
-		if other.groups[i] != g {
-			return false
-		}
-	}
-	return true
-}
+func (s GroupSet) Equal(other GroupSet) bool { return slices.Equal(s.groups, other.groups) }
 
 // String implements fmt.Stringer.
 func (s GroupSet) String() string {
@@ -159,36 +138,61 @@ func (s GroupSet) AppendTo(buf []byte) []byte {
 // DecodeGroupSet consumes one GroupSet and returns the remainder. Input that
 // is not sorted and deduplicated (which AppendTo never produces) is
 // re-canonicalised rather than rejected, so a decoded set always upholds the
-// GroupSet invariant even on hostile bytes.
+// GroupSet invariant even on hostile bytes. A system addresses a handful of
+// destination sets, so the set of an encoding seen before comes shared out of
+// a bounded table, without allocating (internSet).
 func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 	n, read := binary.Uvarint(data)
 	if read <= 0 {
 		return GroupSet{}, nil, fmt.Errorf("types: corrupt GroupSet header")
 	}
-	data = data[read:]
-	if n > uint64(len(data)) { // each element takes at least one byte
+	rest := data[read:]
+	if n > uint64(len(rest)) { // each element takes at least one byte
 		return GroupSet{}, nil, fmt.Errorf("types: GroupSet length %d exceeds input", n)
 	}
 	if n == 0 {
-		return GroupSet{}, data, nil
+		return GroupSet{}, rest, nil
 	}
-	groups := make([]GroupID, 0, n)
-	canonical := true
+	var buf [8]GroupID
+	groups := buf[:0]
 	for i := uint64(0); i < n; i++ {
-		v, read := binary.Varint(data)
+		v, read := binary.Varint(rest)
 		if read <= 0 {
 			return GroupSet{}, nil, fmt.Errorf("types: corrupt GroupSet element %d", i)
 		}
-		data = data[read:]
-		if len(groups) > 0 && groups[len(groups)-1] >= GroupID(v) {
-			canonical = false
-		}
+		rest = rest[read:]
 		groups = append(groups, GroupID(v))
 	}
-	if !canonical {
-		return NewGroupSet(groups...), data, nil
+	return internSet(data[:len(data)-len(rest)], groups), rest, nil
+}
+
+// sets is internSet's table: immutable, replaced whole under setsMu by each
+// new entry, so that a lookup is a pointer load and a map read. It holds the
+// first maxSets encodings of at most maxSetKey bytes; any other decodes to a
+// fresh set every time.
+var (
+	setsMu sync.Mutex
+	sets   atomic.Pointer[map[string]GroupSet]
+)
+
+const maxSets, maxSetKey = 1024, 64
+
+func init() { sets.Store(&map[string]GroupSet{}) }
+
+// internSet returns the set that enc, which decoded to groups, encodes.
+func internSet(enc []byte, groups []GroupID) GroupSet {
+	if s, ok := (*sets.Load())[string(enc)]; ok {
+		return s
 	}
-	return GroupSet{groups: groups}, data, nil
+	s := NewGroupSet(groups...)
+	setsMu.Lock()
+	defer setsMu.Unlock()
+	if cur := *sets.Load(); len(cur) < maxSets && len(enc) <= maxSetKey {
+		next := maps.Clone(cur)
+		next[string(enc)] = s
+		sets.Store(&next)
+	}
+	return s
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler so a GroupSet inside

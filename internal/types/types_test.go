@@ -1,7 +1,11 @@
 package types
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +78,118 @@ func TestNewGroupSetDeduplicatesAndSorts(t *testing.T) {
 	if s.Size() != 3 {
 		t.Errorf("Size() = %d, want 3", s.Size())
 	}
+}
+
+// TestNewGroupSetMatchesMapAndSort checks NewGroupSet against the map-and-
+// sort.Slice construction it replaced, on random inputs with repeats and
+// negative IDs, and the empty input; and that it costs one allocation.
+func TestNewGroupSetMatchesMapAndSort(t *testing.T) {
+	reference := func(groups []GroupID) []GroupID {
+		gs := make([]GroupID, 0, len(groups))
+		seen := make(map[GroupID]bool, len(groups))
+		for _, g := range groups {
+			if !seen[g] {
+				seen[g] = true
+				gs = append(gs, g)
+			}
+		}
+		sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
+		return gs
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		in := make([]GroupID, rng.Intn(12))
+		for j := range in {
+			in[j] = GroupID(rng.Intn(9) - 2)
+		}
+		orig := slices.Clone(in)
+		got := NewGroupSet(in...).Groups()
+		if want := reference(in); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("NewGroupSet(%v) = %#v, want %#v", in, got, want)
+		}
+		if !slices.Equal(in, orig) {
+			t.Fatalf("NewGroupSet reordered its argument: %v, was %v", in, orig)
+		}
+	}
+	if got := NewGroupSet().Groups(); got == nil || len(got) != 0 {
+		t.Fatalf("NewGroupSet() = %#v, want an empty set", got)
+	}
+	in := []GroupID{4, 1, 4, 2}
+	if n := testing.AllocsPerRun(100, func() { _ = NewGroupSet(in...) }); n != 1 {
+		t.Errorf("NewGroupSet: %.1f allocs, want 1", n)
+	}
+}
+
+// TestDecodeGroupSetSeenBeforeIsFree: the set of an encoding decoded before
+// comes out of the intern table, shared and without an allocation; a
+// non-canonical encoding still decodes to its canonical set.
+func TestDecodeGroupSetSeenBeforeIsFree(t *testing.T) {
+	enc := NewGroupSet(7, 3, 11).AppendTo(nil)
+	first, _, err := DecodeGroupSet(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeGroupSet(enc) }); n != 0 {
+		t.Errorf("DecodeGroupSet of a set seen before: %.1f allocs, want 0", n)
+	}
+	if again, _, _ := DecodeGroupSet(enc); &again.Groups()[0] != &first.Groups()[0] {
+		t.Error("DecodeGroupSet of a set seen before built a new one")
+	}
+	odd := encodeInOrder(3, 11, 3, 7)
+	for range 2 {
+		if s, rest, err := DecodeGroupSet(odd); err != nil || len(rest) != 0 || !slices.Equal(s.Groups(), []GroupID{3, 7, 11}) {
+			t.Fatalf("non-canonical encoding decoded to %v, %d left, %v", s, len(rest), err)
+		}
+	}
+}
+
+// TestGroupSetInternConcurrentAndBounded: readers take no lock, so sets
+// decoded from several goroutines at once must come back right (run it with
+// -race), and the table stops growing at maxSets — a set past the bound, or
+// one whose encoding is longer than maxSetKey, still decodes, uncached.
+func TestGroupSetInternConcurrentAndBounded(t *testing.T) {
+	old := sets.Load()
+	defer sets.Store(old) // the flood below must not evict the other tests' sets
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				for _, want := range [][]GroupID{{0, 1}, {GroupID(i), 500}, {GroupID(g), GroupID(1000 + i)}} {
+					s, _, err := DecodeGroupSet(NewGroupSet(want...).AppendTo(nil))
+					if err != nil || !slices.Equal(s.Groups(), want) {
+						t.Errorf("DecodeGroupSet(%v) = %v, %v", want, s, err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; len(*sets.Load()) < maxSets; i++ {
+		_, _, _ = DecodeGroupSet(NewGroupSet(GroupID(i), -1).AppendTo(nil))
+	}
+	long := make([]GroupID, maxSetKey)
+	for i := range long {
+		long[i] = GroupID(i)
+	}
+	for _, want := range [][]GroupID{{7, 1 << 30}, long} {
+		if s, _, err := DecodeGroupSet(NewGroupSet(want...).AppendTo(nil)); err != nil || !slices.Equal(s.Groups(), want) {
+			t.Errorf("past the bound DecodeGroupSet(%v) = %v, %v", want, s, err)
+		}
+	}
+	if n := len(*sets.Load()); n != maxSets {
+		t.Errorf("intern table holds %d sets, bound is %d", n, maxSets)
+	}
+}
+
+// encodeInOrder encodes groups as a GroupSet would, in the order given.
+func encodeInOrder(groups ...GroupID) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(groups)))
+	for _, g := range groups {
+		buf = binary.AppendVarint(buf, int64(g))
+	}
+	return buf
 }
 
 func TestGroupSetContains(t *testing.T) {

@@ -74,26 +74,11 @@ func init() {
 	Register[*Batch](KindBatch, appendBatchBody, decodeBatchBody)
 }
 
-// KindOf reports the Kind byte AppendValue would tag v with: inline scalar
-// kinds, the registered codec's kind, or KindGob for the fallback.
+// KindOf reports the Kind byte AppendValue would tag v with: KindNil, the
+// registered codec's kind, or KindGob for the fallback.
 func KindOf(v any) Kind {
-	switch v.(type) {
-	case nil:
+	if v == nil {
 		return KindNil
-	case bool:
-		return KindBool
-	case int:
-		return KindInt
-	case int64:
-		return KindInt64
-	case uint64:
-		return KindUint64
-	case float64:
-		return KindFloat64
-	case string:
-		return KindString
-	case []byte:
-		return KindBytes
 	}
 	if c := lookupType(reflect.TypeOf(v)); c != nil {
 		return c.kind
@@ -361,8 +346,8 @@ func ReadFrameBytes(r io.Reader, scratch *[]byte) ([]byte, error) {
 // DecodeFrameOrBatch decodes one frame payload (the bytes after the length
 // prefix). A batch envelope is decoded into b, reusing its storage and
 // *inflate as decompression scratch, and reported with isBatch=true (the
-// returned Frame is zero; b.From carries the sender). A regular frame is
-// returned directly with its value kind. It never panics on malformed
+// returned Frame has no Body; b.From carries the sender too). A regular frame
+// is returned directly with its value kind. It never panics on malformed
 // input.
 func DecodeFrameOrBatch(data []byte, b *Batch, inflate *[]byte) (f Frame, kind Kind, isBatch bool, err error) {
 	from, data, err := Varint(data)
@@ -380,30 +365,21 @@ func DecodeFrameOrBatch(data []byte, b *Batch, inflate *[]byte) (f Frame, kind K
 	if len(data) == 0 {
 		return f, 0, false, corrupt("missing value kind")
 	}
-	kind = Kind(data[0])
-	if kind == KindBatch {
-		rest, err := decodeBatchInto(b, data[1:], inflate)
-		if err != nil {
-			return f, 0, false, err
-		}
-		if len(rest) != 0 {
-			return f, 0, false, corrupt("trailing bytes after batch envelope")
-		}
+	var rest []byte
+	if kind = Kind(data[0]); kind == KindBatch {
+		rest, err = decodeBatchInto(b, data[1:], inflate)
 		b.From = types.ProcessID(from)
-		return f, KindBatch, true, nil
+	} else {
+		f.Body, rest, err = DecodeValue(data)
 	}
-	body, rest, err := DecodeValue(data)
+	if err == nil && len(rest) != 0 {
+		err = corrupt("trailing bytes after frame body")
+	}
 	if err != nil {
-		return f, 0, false, err
+		return Frame{}, 0, false, err
 	}
-	if len(rest) != 0 {
-		return f, 0, false, corrupt("trailing bytes after frame body")
-	}
-	f.From = types.ProcessID(from)
-	f.Proto = Intern(proto)
-	f.TS = ts
-	f.Body = body
-	return f, kind, false, nil
+	f.From, f.Proto, f.TS = types.ProcessID(from), Intern(proto), ts
+	return f, kind, kind == KindBatch, nil
 }
 
 // BatchWriter accumulates sub-messages and emits one batch envelope frame.

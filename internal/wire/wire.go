@@ -7,8 +7,8 @@
 // GroupSet.MarshalBinary pattern from internal/types, generalised), and
 // registers its codec here under a Kind byte from the catalog below. The
 // registry is what lets consensus values and application payloads stay
-// `any` end to end: AppendValue dispatches on the dynamic type — common
-// scalars inline, registered messages through their codec, and everything
+// `any` end to end: AppendValue dispatches on the dynamic type — registered
+// types, the common scalars among them, through their codec, and everything
 // else through a tagged encoding/gob blob (so arbitrary user payloads keep
 // working exactly as they did on the pure-gob transport, including the
 // gob.Register requirement for non-basic types).
@@ -23,7 +23,11 @@
 // the steady-state hot path of the transport allocates nothing for the
 // envelope: the only allocations are the decoded message structures
 // themselves. Decoded byte slices alias the input buffer; decoders that
-// retain data (strings, payload copies) copy it out.
+// retain data (strings, payload copies) copy it out. A decoder may keep a
+// payload in its encoding instead of building it, when SkipValidates says
+// SkipValue has checked it as DecodeValue would: it copies those bytes out
+// too (once per message, not per payload), re-encodes them verbatim, and
+// decodes them when the value is needed.
 //
 // The codec is explicitly not self-describing: both ends must run the same
 // catalog. Unknown kinds and truncated or oversized frames decode to
@@ -56,7 +60,7 @@ const (
 	// KindInvalid is never written; a zero kind on the wire is corruption.
 	KindInvalid Kind = 0
 
-	// Scalar value kinds, encoded inline by AppendValue.
+	// Scalar value kinds, registered in this package like any message.
 	KindGob     Kind = 1 // uvarint length + encoding/gob blob of a wrapped any
 	KindNil     Kind = 2 // empty body: the nil interface
 	KindBool    Kind = 3 // one byte, 0 or 1
@@ -120,17 +124,26 @@ type codec struct {
 // registry is one immutable state of the codec tables. Every frame in and
 // out looks a codec up, from every reader, writer and lane goroutine, so
 // readers load a snapshot and take no lock (an RWMutex's two atomic adds per
-// lookup bounced its cache line between the cores); Register, which runs from
-// package inits, copies, adds and swaps under writeMu.
+// lookup bounced its cache line between the cores); Register and
+// RegisterSkip, which run from package inits, copy, add and swap under
+// writeMu. skip is SkipValue's table.
 type registry struct {
 	byType map[reflect.Type]*codec
 	byKind [256]*codec
+	skip   [256]func(data []byte) ([]byte, error)
 }
 
 var (
-	writeMu sync.Mutex // serialises Register, and Intern's slow path
-	reg     = snapshot(&registry{byType: map[reflect.Type]*codec{}})
+	writeMu sync.Mutex // serialises Register, RegisterSkip, and Intern's slow path
+	reg     = snapshot(&registry{byType: map[reflect.Type]*codec{}, skip: [256]func([]byte) ([]byte, error){
+		KindString: skipBytes, KindBytes: skipBytes, KindGob: skipBytes,
+	}})
 )
+
+func skipBytes(data []byte) ([]byte, error) {
+	_, rest, err := Bytes(data)
+	return rest, err
+}
 
 // snapshot returns an atomic pointer that starts at v.
 func snapshot[T any](v *T) *atomic.Pointer[T] {
@@ -159,9 +172,21 @@ func Register[T any](kind Kind, enc func(buf []byte, v T) []byte, dec func(data 
 	if _, dup := cur.byType[rt]; dup {
 		panic(fmt.Sprintf("wire: type %v registered twice", rt))
 	}
-	next := &registry{byType: maps.Clone(cur.byType), byKind: cur.byKind}
+	next := *cur
+	next.byType = maps.Clone(cur.byType)
 	next.byType[rt], next.byKind[kind] = c, c
-	reg.Store(next)
+	reg.Store(&next)
+}
+
+// RegisterSkip gives kind its row of SkipValue's table: a walk over one body
+// that allocates nothing and fails exactly where kind's decoder fails, so the
+// bytes it steps over decode later without error (SkipValidates).
+func RegisterSkip(kind Kind, skip func(data []byte) ([]byte, error)) {
+	writeMu.Lock()
+	defer writeMu.Unlock()
+	next := *reg.Load()
+	next.skip[kind] = skip
+	reg.Store(&next)
 }
 
 func lookupType(rt reflect.Type) *codec { return reg.Load().byType[rt] }
@@ -293,38 +318,44 @@ type gobValue struct{ V any }
 
 type encodeError struct{ err error }
 
+// The scalar kinds are rows of the codec table like any message.
+func init() {
+	Register(KindBool, func(buf []byte, b bool) []byte {
+		if b {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	}, func(data []byte) (bool, []byte, error) {
+		if len(data) == 0 {
+			return false, nil, corrupt("bool")
+		}
+		return data[0] != 0, data[1:], nil
+	})
+	Register(KindInt, func(buf []byte, x int) []byte { return AppendVarint(buf, int64(x)) },
+		func(data []byte) (int, []byte, error) { x, rest, err := Varint(data); return int(x), rest, err })
+	Register(KindInt64, AppendVarint, Varint)
+	Register(KindUint64, AppendUvarint, Uvarint)
+	Register(KindFloat64, func(buf []byte, x float64) []byte { return binary.BigEndian.AppendUint64(buf, math.Float64bits(x)) },
+		func(data []byte) (float64, []byte, error) {
+			if len(data) < 8 {
+				return 0, nil, corrupt("float64")
+			}
+			return math.Float64frombits(binary.BigEndian.Uint64(data)), data[8:], nil
+		})
+	Register(KindString, AppendString, String)
+	Register(KindBytes, AppendBytes, func(data []byte) ([]byte, []byte, error) {
+		b, rest, err := Bytes(data)
+		return append([]byte(nil), b...), rest, err
+	})
+}
+
 // AppendValue appends one tagged value: a Kind byte plus the kind-specific
 // body. Unregistered types fall back to a gob blob; a payload even gob
 // cannot encode (unregistered concrete type, channels, funcs) panics with
 // an error AppendFrame translates back into an error return.
 func AppendValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
+	if v == nil {
 		return append(buf, byte(KindNil))
-	case bool:
-		b := byte(0)
-		if x {
-			b = 1
-		}
-		return append(buf, byte(KindBool), b)
-	case int:
-		buf = append(buf, byte(KindInt))
-		return binary.AppendVarint(buf, int64(x))
-	case int64:
-		buf = append(buf, byte(KindInt64))
-		return binary.AppendVarint(buf, x)
-	case uint64:
-		buf = append(buf, byte(KindUint64))
-		return binary.AppendUvarint(buf, x)
-	case float64:
-		buf = append(buf, byte(KindFloat64))
-		return binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
-	case string:
-		buf = append(buf, byte(KindString))
-		return AppendString(buf, x)
-	case []byte:
-		buf = append(buf, byte(KindBytes))
-		return AppendBytes(buf, x)
 	}
 	if c := lookupType(reflect.TypeOf(v)); c != nil {
 		buf = append(buf, byte(c.kind))
@@ -347,34 +378,6 @@ func DecodeValue(data []byte) (any, []byte, error) {
 	switch kind {
 	case KindNil:
 		return nil, data, nil
-	case KindBool:
-		if len(data) == 0 {
-			return nil, nil, corrupt("bool")
-		}
-		return data[0] != 0, data[1:], nil
-	case KindInt:
-		x, rest, err := Varint(data)
-		return int(x), rest, err
-	case KindInt64:
-		x, rest, err := Varint(data)
-		return x, rest, err
-	case KindUint64:
-		x, rest, err := Uvarint(data)
-		return x, rest, err
-	case KindFloat64:
-		if len(data) < 8 {
-			return nil, nil, corrupt("float64")
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(data)), data[8:], nil
-	case KindString:
-		s, rest, err := String(data)
-		return s, rest, err
-	case KindBytes:
-		b, rest, err := Bytes(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return append([]byte(nil), b...), rest, nil
 	case KindGob:
 		blob, rest, err := Bytes(data)
 		if err != nil {
@@ -392,17 +395,26 @@ func DecodeValue(data []byte) (any, []byte, error) {
 	return nil, nil, corrupt(fmt.Sprintf("unknown kind %d", kind))
 }
 
-// SkipValue returns what follows one tagged value. The length-prefixed
-// kinds are stepped over without building them; any other kind is decoded
-// and dropped.
+// SkipValue returns what follows one tagged value. A kind with a row in the
+// skip table — the length-prefixed kinds, and every kind given one by
+// RegisterSkip — is stepped over without being built; any other kind is
+// decoded and dropped.
 func SkipValue(data []byte) ([]byte, error) {
-	if len(data) > 0 && (Kind(data[0]) == KindString || Kind(data[0]) == KindBytes || Kind(data[0]) == KindGob) {
-		_, rest, err := Bytes(data[1:])
-		return rest, err
+	if len(data) > 0 {
+		if skip := reg.Load().skip[data[0]]; skip != nil {
+			return skip(data[1:])
+		}
 	}
 	_, rest, err := DecodeValue(data)
 	return rest, err
 }
+
+// SkipValidates reports whether SkipValue steps over a value of kind k
+// without building it and checks it as DecodeValue would, so that the bytes
+// it stepped over decode later without error. It is false for a kind with no
+// row, which SkipValue decodes, and for the gob fallback, whose blob it only
+// measures: a caller that would keep such a value encoded decodes it now.
+func SkipValidates(k Kind) bool { return k != KindGob && reg.Load().skip[k] != nil }
 
 // --- frames ---------------------------------------------------------------
 
@@ -444,34 +456,16 @@ func AppendFrame(buf []byte, from types.ProcessID, proto string, ts int64, body 
 	return buf, nil
 }
 
-// DecodeFrame decodes one frame body (the bytes AFTER the length prefix).
-// It never panics on malformed input.
+// DecodeFrame decodes one frame body (the bytes AFTER the length prefix), a
+// batch envelope into a *Batch of its own. It never panics on malformed input.
 func DecodeFrame(data []byte) (Frame, error) {
-	var f Frame
-	from, data, err := Varint(data)
-	if err != nil {
-		return f, err
+	var b Batch
+	var inflate []byte
+	f, _, isBatch, err := DecodeFrameOrBatch(data, &b, &inflate)
+	if isBatch {
+		f.Body = &Batch{From: b.From, Flate: b.Flate, Msgs: b.Msgs}
 	}
-	proto, data, err := Bytes(data)
-	if err != nil {
-		return f, err
-	}
-	ts, data, err := Varint(data)
-	if err != nil {
-		return f, err
-	}
-	body, data, err := DecodeValue(data)
-	if err != nil {
-		return f, err
-	}
-	if len(data) != 0 {
-		return f, corrupt("trailing bytes after frame body")
-	}
-	f.From = types.ProcessID(from)
-	f.Proto = Intern(proto)
-	f.TS = ts
-	f.Body = body
-	return f, nil
+	return f, err
 }
 
 // ReadFrame reads one length-prefixed frame from r, reusing *scratch as the

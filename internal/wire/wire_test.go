@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,7 +44,8 @@ func roundTripValues() map[string]any {
 		{ID: types.MessageID{Origin: 0, Seq: 1}, Payload: "a"},
 		{ID: types.MessageID{Origin: 5, Seq: 2}, Payload: uint64(7)},
 	}
-	return map[string]any{
+	vals := commandCarriers()
+	maps.Copy(vals, map[string]any{
 		"nil":     nil,
 		"bool":    true,
 		"int":     -42,
@@ -80,20 +82,122 @@ func roundTripValues() map[string]any {
 		"svc.CertShare": svc.CertShare{Session: 9, Seq: 12, OK: true,
 			ID: types.MessageID{Origin: 4, Seq: 7}, Group: 1, Order: 33,
 			Hash: []byte("hhhh"), Proc: 5, MAC: []byte("mmmm")},
+	})
+	return vals
+}
+
+// command is the service command of commandCarriers with the given seq.
+func command(seq uint64) svc.Command {
+	return svc.Command{Session: 1 << 20, Seq: seq, Op: svc.EncodePut(map[string]string{"g1/k": "v"})}
+}
+
+// commandCarriers are the A1 values that carry service commands 1–4, which
+// A1 keeps encoded on receipt: a batch (with one gob payload, which it
+// decodes), a (TS, m) and a pull.
+func commandCarriers() map[string]any {
+	dest := types.NewGroupSet(0, 1)
+	return map[string]any{
+		"amcast.CommandBatch": []amcast.Descriptor{
+			{ID: types.MessageID{Origin: 2, Seq: 30}, Dest: dest, Payload: command(1), TS: 1 << 40},
+			{ID: types.MessageID{Origin: 2, Seq: 31}, Dest: dest, Payload: gobPayload{Name: "g", N: 1}, TS: 1<<40 + 3},
+			{ID: types.MessageID{Origin: 5, Seq: 9}, Dest: types.NewGroupSet(1), Payload: command(2), TS: 1<<40 + 9},
+		},
+		"amcast.CommandTSMsg": amcast.TSMsg{Desc: amcast.Descriptor{ID: types.MessageID{Origin: 1, Seq: 4}, Dest: dest,
+			Payload: command(3), TS: 1 << 41, Stage: amcast.Stage1}},
+		"amcast.CommandPullMsg": amcast.PullMsg{Desc: amcast.Descriptor{ID: types.MessageID{Origin: 3, Seq: 5}, Dest: dest,
+			Payload: command(4), TS: 1<<41 + 1, Stage: amcast.Stage1}},
 	}
 }
 
 // settled returns a decoded body in the form its sender built it: a bundle
-// off the wire keeps its record set encoded until asked (abcast.Records).
+// off the wire keeps its record set encoded until asked (abcast.Records), a
+// descriptor its payload (amcast.Descriptor.Value).
 func settled(t *testing.T, v any) any {
-	if m, ok := v.(abcast.BundleMsg); ok {
+	desc := func(d amcast.Descriptor) amcast.Descriptor {
+		return amcast.Descriptor{ID: d.ID, Dest: d.Dest, Payload: d.Value(), TS: d.TS, Stage: d.Stage}
+	}
+	switch m := v.(type) {
+	case abcast.BundleMsg:
 		set, err := m.Records()
 		if err != nil {
 			t.Fatalf("bundle records: %v", err)
 		}
 		return abcast.BundleMsg{Round: m.Round, Set: set}
+	case []amcast.Descriptor:
+		ds := make([]amcast.Descriptor, len(m))
+		for i, d := range m {
+			ds[i] = desc(d)
+		}
+		return ds
+	case amcast.TSMsg:
+		return amcast.TSMsg{Desc: desc(m.Desc)}
+	case amcast.PullMsg:
+		return amcast.PullMsg{Desc: desc(m.Desc)}
 	}
 	return v
+}
+
+// TestCorruptCommandRejectedOnReceipt truncates each value of
+// commandCarriers inside one of its commands, or sets one of the command's
+// bytes to 0x00 or 0xFF, at every byte. The frame decode must fail exactly
+// where it failed when A1 decoded every payload on receipt — the masks were
+// recorded then, one character per mutation ('x' failed), a space between
+// commands — and a frame it accepts holds payloads that decode.
+func TestCorruptCommandRejectedOnReceipt(t *testing.T) {
+	const one = "xxxxx.xx.x.xx.xxxxx..x..x..x..x..x..x..x..x.."
+	want := map[string]string{
+		"amcast.CommandBatch":   one + " " + one,
+		"amcast.CommandTSMsg":   one,
+		"amcast.CommandPullMsg": one,
+	}
+	for name, v := range commandCarriers() {
+		frame, err := wire.AppendFrame(nil, 1, "a1", 0, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := frame[4:]
+		var mask []byte
+		for seq := uint64(1); seq <= 4; seq++ {
+			enc := wire.AppendValue(nil, command(seq))
+			at := bytes.Index(body, enc)
+			if at < 0 {
+				continue
+			}
+			for i := at; i < at+len(enc); i++ {
+				for _, corrupt := range []func() []byte{
+					func() []byte { return bytes.Clone(body[:i]) },
+					func() []byte { b := bytes.Clone(body); b[i] = 0; return b },
+					func() []byte { b := bytes.Clone(body); b[i] = 0xFF; return b },
+				} {
+					f, err := wire.DecodeFrame(corrupt())
+					if err != nil {
+						mask = append(mask, 'x')
+						continue
+					}
+					mask = append(mask, '.')
+					settled(t, f.Body) // Value panics on a payload that does not decode
+				}
+			}
+			mask = append(mask, ' ')
+		}
+		if got := string(bytes.TrimSpace(mask)); got != want[name] {
+			t.Errorf("%s: rejection mask\n got %q\nwant %q", name, got, want[name])
+		}
+	}
+	// A gob blob is only measured by SkipValue, so A1 decodes it on receipt:
+	// a garbled one, its length intact, still fails the frame.
+	frame, err := wire.AppendFrame(nil, 1, "a1", 0, commandCarriers()["amcast.CommandBatch"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := wire.AppendValue(nil, gobPayload{Name: "g", N: 1})
+	at := bytes.Index(frame, blob)
+	for i := at + len(blob)/2; i < at+len(blob); i++ {
+		frame[i] = 0xFF
+	}
+	if _, err := wire.DecodeFrame(frame[4:]); err == nil {
+		t.Error("a batch with a garbled gob payload decoded")
+	}
 }
 
 func TestValueRoundTrip(t *testing.T) {
