@@ -35,12 +35,12 @@ import (
 // SEND/HOLD/RELEASE/CRASH line plus each protocol's own trace output)
 // concatenated with the delivery log, the sha256 of the delivery log alone,
 // and every field of the run's metrics.Stats as text.
-func goldenRun(algo harness.Algo, chaos string, pipeline int) (trace, deliveries, stats string) {
+func goldenRun(algo harness.Algo, chaos string, pipeline int, jitter time.Duration) (trace, deliveries, stats string) {
 	var buf strings.Builder
 	opts := harness.Options{
 		Groups: 3, PerGroup: 3,
 		Inter: 20 * time.Millisecond, Intra: time.Millisecond,
-		Jitter: 3 * time.Millisecond, Seed: 11,
+		Jitter: jitter, Seed: 11,
 		MaxBatch: 4, Pipeline: pipeline,
 		Trace: func(format string, args ...any) {
 			fmt.Fprintf(&buf, format+"\n", args...)
@@ -154,12 +154,42 @@ func TestGoldenTraceUnchangedBySchedulerRewrite(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotLog, _ := goldenRun(tc.algo, tc.chaos, 2)
+			got, gotLog, _ := goldenRun(tc.algo, tc.chaos, 2, 3*time.Millisecond)
 			if got != tc.want {
 				t.Errorf("trace hash = %s, want %s (the scheduler rewrite changed a same-seed run)", got, tc.want)
 			}
 			if tc.wantLog != "" && gotLog != tc.wantLog {
 				t.Errorf("delivery log hash = %s, want %s", gotLog, tc.wantLog)
+			}
+		})
+	}
+}
+
+// TestGoldenTraceJitterFree pins the runs in which the simulator hands one
+// multicast to the scheduler as runs of receivers: with no jitter every copy
+// of a send to consecutive processes shares its arrival instant. Every case
+// above draws a jittered delay per copy, so none of them ever forms a run.
+// The hashes were recorded with one scheduler entry per receiver, before
+// runs existed; partition-heal adds held sends and their release, which
+// break runs.
+func TestGoldenTraceJitterFree(t *testing.T) {
+	cases := []struct {
+		name          string
+		algo          harness.Algo
+		chaos         string
+		pipeline      int
+		want, wantLog string
+	}{
+		{"a1-pipeline1", harness.AlgoA1, "", 1, "cda913ca4fdff4fba4695f386cafb617a7e236e01035b9976b797bb87ced72c4", "141c723c2ef21f4b30695893e5680b910407d9151992e69946c1d58d0f48f89a"},
+		{"a1-pipeline2", harness.AlgoA1, "", 2, "af4ab2978703189201969e37651ffc06c61d166bdcb5990b255668c02117ccd4", "3c5cde7a70d08067b8b0140f0165a64a9ad66ad76244f630990f534ee2611bd2"},
+		{"a1-partition-heal", harness.AlgoA1, "partition-heal", 2, "8ffbfcc222c055180adf20283ebd1051676997228eddf6ee1bb5bd47d0dff3c1", "c8e746b628c57def9f9b2cd99d28e35612cdda57b4fb852493d1325ff11dcb5d"},
+		{"a2-pipeline1", harness.AlgoA2, "", 1, "2e6345c481b2350b2ca985a2e5f936cc07ccc377162d2adfe857c2e8ea4a28c0", "bbfb357e289a0c166378097f336cb3a148794b85ecf0c9332aba3f2fce77a02f"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, gotLog, _ := goldenRun(tc.algo, tc.chaos, tc.pipeline, 0)
+			if got != tc.want || gotLog != tc.wantLog {
+				t.Errorf("trace hash = %s, want %s; delivery log hash = %s, want %s", got, tc.want, gotLog, tc.wantLog)
 			}
 		})
 	}
@@ -211,7 +241,7 @@ func TestStatsUnchangedByCollectorRefactor(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, stats := goldenRun(tc.algo, tc.chaos, tc.pipeline)
+			_, _, stats := goldenRun(tc.algo, tc.chaos, tc.pipeline, 3*time.Millisecond)
 			sum := sha256.Sum256([]byte(stats))
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
 				t.Errorf("Stats digest = %s, want %s; the run counted:\n%s", got, tc.want, stats)

@@ -98,24 +98,13 @@ func RunScaleSweep(algo Algo, opts Options, shapes []Shape, casts int) []SweepPo
 }
 
 func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
-	opts.Groups, opts.PerGroup = sh.Groups, sh.PerGroup
 	var (
 		sys        *System
 		violations int
 		checkWall  time.Duration
 	)
 	sample := metrics.MeasureResources(func() {
-		sys = Build(algo, opts)
-		if algo == AlgoA2 {
-			for g := 0; g < sh.Groups; g++ {
-				sys.CastAt(0, sys.Topo.Members(types.GroupID(g))[0], "warm", sys.Topo.AllGroups())
-			}
-		}
-		rng := rand.New(rand.NewSource(opts.Seed))
-		RandomCasts(rng, sys.Topo, casts, min(2, sh.Groups), func(i int, from types.ProcessID, dest types.GroupSet) {
-			sys.CastAt(time.Duration(i+1)*10*time.Millisecond, from, i, dest)
-		})
-		sys.Run()
+		sys = sweepRun(algo, opts, sh, casts)
 		t0 := time.Now()
 		violations = len(sys.Check())
 		checkWall = time.Since(t0)
@@ -133,6 +122,23 @@ func runSweepPoint(algo Algo, opts Options, sh Shape, casts int) SweepPoint {
 		PeakHeapBytes:  sample.PeakHeap,
 		Violations:     violations,
 	}
+}
+
+// sweepRun builds algo at shape sh and runs the sweep's workload on it.
+func sweepRun(algo Algo, opts Options, sh Shape, casts int) *System {
+	opts.Groups, opts.PerGroup = sh.Groups, sh.PerGroup
+	sys := Build(algo, opts)
+	if algo == AlgoA2 {
+		for g := 0; g < sh.Groups; g++ {
+			sys.CastAt(0, sys.Topo.Members(types.GroupID(g))[0], "warm", sys.Topo.AllGroups())
+		}
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	RandomCasts(rng, sys.Topo, casts, min(2, sh.Groups), func(i int, from types.ProcessID, dest types.GroupSet) {
+		sys.CastAt(time.Duration(i+1)*10*time.Millisecond, from, i, dest)
+	})
+	sys.Run()
+	return sys
 }
 
 // RandomCasts draws the random workload wansim and the scale sweep share, so

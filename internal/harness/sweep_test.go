@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -62,6 +65,36 @@ func TestRunScaleSweepMeasures(t *testing.T) {
 	}
 	if p.Violations != 0 {
 		t.Fatalf("sweep run violated ordering properties: %+v", p)
+	}
+}
+
+// TestJitterFreeSweepPinned pins the event count and the delivery log of
+// small sweep runs at sim-scale's delays (no jitter): the runs in which the
+// simulator schedules a multicast as runs of receivers sharing an arrival
+// instant. Both were recorded with one scheduler entry per receiver.
+func TestJitterFreeSweepPinned(t *testing.T) {
+	cases := []struct {
+		algo    Algo
+		shape   Shape
+		events  uint64
+		wantLog string
+	}{
+		{AlgoA1, Shape{20, 3}, 23332, "f9885e64b903baba07612ec981c0bba72867ed059158f656ae35c38af87573d8"},
+		{AlgoA2, Shape{8, 3}, 22176, "05734d521162543ccfbcfac297a159674bf2783d8e8b32f3204829318415b25e"},
+	}
+	for _, tc := range cases {
+		sys := sweepRun(tc.algo, Options{Seed: 1}, tc.shape, 300)
+		h := sha256.New()
+		for _, d := range sys.Deliveries {
+			fmt.Fprintf(h, "DELIVER %v %v at %v\n", d.ID, d.Process, d.At)
+		}
+		events, log := sys.RT.Scheduler().Steps(), hex.EncodeToString(h.Sum(nil))
+		if events != tc.events || log != tc.wantLog {
+			t.Errorf("%s %v: %d events, delivery log %s; want %d, %s", tc.algo, tc.shape, events, log, tc.events, tc.wantLog)
+		}
+		if v := sys.Check(); len(v) > 0 {
+			t.Errorf("%s %v: §2.2 violated: %v", tc.algo, tc.shape, v)
+		}
 	}
 }
 

@@ -26,7 +26,9 @@ func (s *sinkProto) Receive(types.ProcessID, any) { s.got++ }
 // update, protocol dispatch — must not allocate in steady state. This is
 // the regression guard for the two historical per-send allocations: the
 // unguarded Tracef call whose varargs boxed on every send even with
-// tracing off, and the per-copy delivery closure.
+// tracing off, and the per-copy delivery closure. A Send and a
+// k-receiver Multicast on a jitter-free network, whose copies the
+// scheduler holds as runs, drain at 0 allocs too.
 func TestTransmitDeliverZeroAllocs(t *testing.T) {
 	topo := types.NewTopology(3, 3)
 	model := network.Model{
@@ -47,12 +49,13 @@ func TestTransmitDeliverZeroAllocs(t *testing.T) {
 	var body any = &struct{ x int }{x: 7}
 
 	// Warm the scheduler's slabs and bucket ring past steady state.
+	all := topo.AllProcesses()
 	for i := 0; i < 4096; i++ {
-		rt.Transmit(0, types.ProcessID(i%topo.N()), "sink", body, 1)
+		rt.Transmit(0, all[i%len(all):i%len(all)+1], "sink", body, 1)
 	}
 	rt.Run()
 
-	from, to := types.ProcessID(0), types.ProcessID(4) // inter-group: WAN prio path
+	from, to := types.ProcessID(0), all[4:5] // inter-group: WAN prio path
 	allocs := testing.AllocsPerRun(2000, func() {
 		rt.Transmit(from, to, "sink", body, 1)
 		for rt.Scheduler().Step() {
@@ -61,8 +64,39 @@ func TestTransmitDeliverZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Transmit→deliver allocated %.2f allocs/event, want 0", allocs)
 	}
-	if sinks[to].got == 0 {
-		t.Fatalf("sink protocol on %v received nothing; pin measured a dead path", to)
+	if sinks[4].got == 0 {
+		t.Fatalf("sink protocol on p4 received nothing; pin measured a dead path")
+	}
+
+	model.Jitter = 0
+	rt = NewRuntime(topo, model, 1, nil)
+	sinks = make([]*sinkProto, topo.N())
+	for _, id := range all {
+		sinks[id] = &sinkProto{}
+		rt.Proc(id).Register(sinks[id])
+	}
+	rt.Start()
+	p := rt.Proc(4)
+	cast := func() {
+		p.Multicast(all, "sink", body)
+		p.Send(0, "sink", body)
+		for rt.Scheduler().Step() {
+		}
+	}
+	for i := 0; i < 4096; i++ { // every calendar bucket holds a slice
+		cast()
+	}
+	if allocs := testing.AllocsPerRun(2000, cast); allocs != 0 {
+		t.Fatalf("a %d-receiver Multicast and a Send allocated %.2f allocs each round, want 0", len(all), allocs)
+	}
+	for _, id := range all {
+		want := 4096 + 1 + 2000 // the rounds: warm-up, then AllocsPerRun's
+		if id == 0 {
+			want *= 2 // the Send's copies
+		}
+		if sinks[id].got != want {
+			t.Fatalf("sink on %v received %d copies, want %d", id, sinks[id].got, want)
+		}
 	}
 }
 
@@ -78,13 +112,14 @@ func TestTracefDisarmedCostsNothing(t *testing.T) {
 	}
 	rt.Start()
 	var body any = "m"
+	to := rt.Topo().Members(0)[1:2]
 	for i := 0; i < 256; i++ {
-		rt.Transmit(0, 1, "sink", body, 1)
+		rt.Transmit(0, to, "sink", body, 1)
 	}
 	rt.Run()
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		rt.Transmit(0, 1, "sink", body, 1)
+		rt.Transmit(0, to, "sink", body, 1)
 		for rt.Scheduler().Step() {
 		}
 	})
@@ -94,7 +129,7 @@ func TestTracefDisarmedCostsNothing(t *testing.T) {
 
 	lines := 0
 	rt.Trace = func(string, ...any) { lines++ }
-	rt.Transmit(0, 1, "sink", body, 1)
+	rt.Transmit(0, to, "sink", body, 1)
 	rt.Run()
 	if lines == 0 {
 		t.Fatal("armed trace hook saw no SEND line; guard silenced tracing")

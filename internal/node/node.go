@@ -106,10 +106,14 @@ type Env interface {
 	Now() time.Duration
 	// Micros is the clock behind API.Micros, as process p reads it.
 	Micros(p types.ProcessID) uint64
-	// Transmit delivers body to process to with the given send timestamp.
-	// from has already updated its clock; the env applies network delay,
-	// accounting, and crash filtering.
-	Transmit(from, to types.ProcessID, proto string, body any, sendTS int64)
+	// Transmit delivers body, stamped sendTS, to every process in tos in
+	// list order: one call per send event. from has already updated its
+	// clock; the env applies network delay, accounting and crash filtering
+	// per receiver, and keeps no reference to tos. The simulator schedules
+	// each run of consecutive IDs sharing an arrival instant and priority
+	// class as one entry (internal/sim); the live runtime queues a frame
+	// per receiver.
+	Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64)
 	// Later schedules fn on process owner after d. The env MUST drop the
 	// callback if the owner crashed by fire time — Proc.After relies on
 	// it (it no longer wraps fn in a re-checking closure).
@@ -132,7 +136,8 @@ type Proc struct {
 	crashed    bool
 	recovering bool
 	protos     map[string]Protocol
-	order      []string // registration order, for deterministic Start
+	order      []string           // registration order, for deterministic Start
+	one        [1]types.ProcessID // Send's destination list: Transmit retains none
 
 	tracer *trace.Tracer // nil = lifecycle tracing off
 	lane   int           // tracer ring the process records into
@@ -208,7 +213,8 @@ func (p *Proc) Recovering() bool { return p.recovering }
 // Send implements API. It applies the §2.3 clock rule for send events:
 // inter-group sends tick the clock; intra-group sends do not.
 func (p *Proc) Send(to types.ProcessID, proto string, body any) {
-	p.Multicast([]types.ProcessID{to}, proto, body)
+	p.one[0] = to
+	p.Multicast(p.one[:], proto, body)
 }
 
 // Multicast implements API.
@@ -228,12 +234,10 @@ func (p *Proc) Multicast(tos []types.ProcessID, proto string, body any) {
 		ts = p.clock + 1
 		p.clock = ts
 	}
-	for _, q := range tos {
-		// Self-sends also go through Transmit: the env delivers them with
-		// the intra-group delay (keeping group members symmetric) but does
-		// not count them as network messages.
-		p.env.Transmit(p.id, q, proto, body, ts)
-	}
+	// Self-sends also go through Transmit: the env delivers them with the
+	// intra-group delay (keeping group members symmetric) but does not
+	// count them as network messages.
+	p.env.Transmit(p.id, tos, proto, body, ts)
 }
 
 // After implements API. The crashed-owner drop is the env's job (both
@@ -309,9 +313,10 @@ func (p *Proc) Tracef(format string, args ...any) {
 	p.env.Tracef("%v t=%v lc=%d "+format, append([]any{p.id, p.env.Now(), p.clock}, args...)...)
 }
 
-// deliver applies the receive clock rule and dispatches to the protocol.
-// The env calls it (via Deliver) when a transmitted message arrives.
-func (p *Proc) deliver(from types.ProcessID, proto string, body any, sendTS int64) {
+// Deliver hands an incoming network message to the process: it applies the
+// receive clock rule and dispatches to the protocol. Envs call it at
+// delivery time.
+func (p *Proc) Deliver(from types.ProcessID, proto string, body any, sendTS int64) {
 	if p.crashed {
 		return
 	}
@@ -324,10 +329,4 @@ func (p *Proc) deliver(from types.ProcessID, proto string, body any, sendTS int6
 		panic(fmt.Sprintf("node: %v received message for unknown protocol %q", p.id, proto))
 	}
 	handler.Receive(from, body)
-}
-
-// Deliver hands an incoming network message to the process. Envs call this
-// at delivery time.
-func (p *Proc) Deliver(from types.ProcessID, proto string, body any, sendTS int64) {
-	p.deliver(from, proto, body, sendTS)
 }

@@ -214,42 +214,55 @@ func (rt *Runtime) Tracef(format string, args ...any) {
 	}
 }
 
-// Transmit implements Env: it accounts the send, applies the network delay,
-// and delivers unless the receiver has crashed by arrival time. Self-sends
-// take the intra-group delay but are not counted as network messages. A
-// send over a severed link is parked until the link heals — the message is
-// in the network, arbitrarily delayed, never lost.
+// Transmit implements Env: for each receiver in list order it accounts the
+// send, applies the network delay, and delivers unless the receiver has
+// crashed by arrival time. Self-sends take the intra-group delay but are
+// not counted as network messages. A send over a severed link is parked
+// until the link heals — the message is in the network, arbitrarily
+// delayed, never lost.
 //
-// This is THE hot path of a simulated run — one call per message copy —
-// and it is allocation-free in steady state: one fabric Route call (a
-// single atomic load when no chaos override was ever installed), trace
-// formatting gated on the Trace hook being armed, and a typed delivery
-// event in place of the closure the seed runtime allocated per send.
-func (rt *Runtime) Transmit(from, to types.ProcessID, proto string, body any, sendTS int64) {
-	interGroup := !rt.topo.SameGroup(from, to)
-	if from != to {
-		rt.rec.OnSend(proto, from, to, interGroup, rt.sched.Now())
-	}
-	delay, severed := rt.fabric.Route(from, to, rt.sched.Rand())
-	if severed {
-		if rt.Trace != nil {
-			rt.Tracef("HOLD %v->%v %s ts=%d (link severed)", from, to, proto, sendTS)
+// The hot path of a simulated run, allocation-free in steady state: one
+// fabric Route call per receiver, trace formatting only with a Trace hook,
+// and one scheduler entry per run of consecutive process IDs with equal
+// delay and priority class. Routing, tracing and counting stay per
+// receiver — the rng draws, SEND/HOLD lines and Stats of one send each —
+// so a held send, a jittered delay or a bandwidth queue ends a run.
+func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64) {
+	var (
+		first    types.ProcessID
+		n        int // receivers first..first+n-1 wait to be scheduled
+		runDelay time.Duration
+		runPrio  int
+	)
+	for _, to := range tos {
+		if from != to {
+			rt.rec.OnSend(proto, from, to, !rt.topo.SameGroup(from, to), rt.sched.Now())
 		}
-		l := network.Link{From: from, To: to}
-		rt.held[l] = append(rt.held[l], heldMsg{proto: proto, body: body, sendTS: sendTS})
-		return
+		delay, severed := rt.fabric.Route(from, to, rt.sched.Rand())
+		if severed {
+			if rt.Trace != nil {
+				rt.Tracef("HOLD %v->%v %s ts=%d (link severed)", from, to, proto, sendTS)
+			}
+			l := network.Link{From: from, To: to}
+			rt.held[l] = append(rt.held[l], heldMsg{proto: proto, body: body, sendTS: sendTS})
+			continue
+		}
+		if rt.Trace != nil {
+			rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, body)
+		}
+		delay, prio := rt.arrival(from, to, delay, proto, body, sendTS)
+		if n > 0 && to == first+types.ProcessID(n) && delay == runDelay && prio == runPrio {
+			n++
+			continue
+		}
+		if n > 0 {
+			rt.sched.DeliverAfter(runDelay, runPrio, int32(from), int32(first), int32(first)+int32(n)-1, proto, body, sendTS)
+		}
+		first, n, runDelay, runPrio = to, 1, delay, prio
 	}
-	if rt.Trace != nil {
-		rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, body)
+	if n > 0 {
+		rt.sched.DeliverAfter(runDelay, runPrio, int32(from), int32(first), int32(first)+int32(n)-1, proto, body, sendTS)
 	}
-	if from != to && rt.fabric.BandwidthOn() {
-		delay += rt.bwDelay(from, to, proto, body, sendTS)
-	}
-	prio := 0
-	if interGroup {
-		prio = 1 // at equal instants, local events precede WAN arrivals
-	}
-	rt.sched.DeliverAfter(delay, prio, int32(from), int32(to), proto, body, sendTS)
 }
 
 // bwDelay sizes one message the way the live wire codec would and returns
@@ -292,18 +305,17 @@ func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sen
 	return finish - now
 }
 
-// scheduleDelivery applies the fabric delay and enqueues the arrival — the
-// held-message release path (Transmit routes inline).
-func (rt *Runtime) scheduleDelivery(from, to types.ProcessID, proto string, body any, sendTS int64) {
-	delay := rt.fabric.Delay(from, to, rt.sched.Rand())
+// arrival adds the bandwidth queue to the delay of one copy on an unsevered
+// link and picks its priority class: at equal instants, local events
+// precede WAN arrivals.
+func (rt *Runtime) arrival(from, to types.ProcessID, delay time.Duration, proto string, body any, sendTS int64) (time.Duration, int) {
 	if from != to && rt.fabric.BandwidthOn() {
 		delay += rt.bwDelay(from, to, proto, body, sendTS)
 	}
-	prio := 0
-	if !rt.topo.SameGroup(from, to) {
-		prio = 1 // at equal instants, local events precede WAN arrivals
+	if rt.topo.SameGroup(from, to) {
+		return delay, 0
 	}
-	rt.sched.DeliverAfter(delay, prio, int32(from), int32(to), proto, body, sendTS)
+	return delay, 1
 }
 
 // onLinkTransition reacts to fabric sever/heal events: healing a link
@@ -330,7 +342,9 @@ func (rt *Runtime) onLinkTransition(l network.Link, severed bool) {
 		delete(rt.held, l)
 		rt.Tracef("RELEASE %d held msgs %v->%v at %v", len(msgs), l.From, l.To, rt.sched.Now())
 		for _, m := range msgs {
-			rt.scheduleDelivery(l.From, l.To, m.proto, m.body, m.sendTS)
+			d := rt.fabric.Delay(l.From, l.To, rt.sched.Rand())
+			delay, prio := rt.arrival(l.From, l.To, d, m.proto, m.body, m.sendTS)
+			rt.sched.DeliverAfter(delay, prio, int32(l.From), int32(l.To), int32(l.To), m.proto, m.body, m.sendTS)
 		}
 	}
 	// Trust restored: simulated heartbeats resume the moment any

@@ -23,17 +23,28 @@
 //
 //   - Hot-path events are TYPED rather than closures, with payloads held
 //     by value in per-kind slabs recycled through free lists: a network
-//     delivery carries (from, to, proto, body, sendTS) in one cache line
-//     and executes through a single handler installed with OnDeliver; a
-//     timer carries its owner and callback, dropped inline when the owner
-//     has crashed. Only cold-path scheduling (At/After) takes a closure.
-//     All slices recycle, so steady-state scheduling allocates nothing.
+//     delivery carries (from, proto, body, sendTS) and its receivers
+//     [to, last] and executes through a single handler installed with
+//     OnDeliver; a timer carries its owner and callback, dropped inline
+//     when the owner has crashed. Only cold-path scheduling (At/After)
+//     takes a closure. All slices recycle, so steady-state scheduling
+//     allocates nothing.
+//
+//   - One delivery entry stands for a run: the copies of one send to
+//     consecutive processes that share an arrival instant and priority
+//     class. Its key is its first receiver's, and it stays at the head
+//     while its receivers pop one per Step, in order: one entry per
+//     receiver would have held consecutive seqs with nothing between them,
+//     so every other key compares with the run's as with each of theirs.
+//     Steps, Pending, MaxSteps and its diagnosis count receivers.
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -42,7 +53,7 @@ import (
 // representations of the hot-path events.
 const (
 	evFn      = iota // fn()
-	evDeliver        // deliver(from, to, proto, body, sendTS)
+	evDeliver        // deliver(from, to, proto, body, sendTS) for each receiver of a run
 	evTimer          // fn() unless owner.Crashed()
 	evCall           // call(arg) — a pre-bound func applied to a small arg
 )
@@ -78,13 +89,14 @@ func (e heapEntry) before(o heapEntry) bool {
 	return e.seq < o.seq
 }
 
-// deliverPayload is the body of an evDeliver event: exactly one cache line
-// in the slab, so executing a delivery costs one line fetch.
+// deliverPayload is the body of an evDeliver entry: one send to the
+// receivers to..last, to being the next to pop. 56 bytes, so executing a
+// delivery costs one or two line fetches.
 type deliverPayload struct {
-	from, to int32
-	sendTS   int64
-	proto    string
-	body     any
+	from, to, last int32
+	sendTS         int64
+	proto          string
+	body           any
 }
 
 // timerPayload is the body of an evTimer event.
@@ -97,6 +109,34 @@ type timerPayload struct {
 type callPayload struct {
 	call func(int32) // pre-bound handler
 	arg  int32
+}
+
+// slab holds one event kind's payloads by value; vacated slots are
+// recycled through the free list.
+type slab[T any] struct {
+	items []T
+	free  []int32
+}
+
+func (s *slab[T]) put(v T) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[i] = v
+		return i
+	}
+	s.items = append(s.items, v)
+	return int32(len(s.items) - 1)
+}
+
+// take returns slot i's payload and recycles the slot, cleared so that it
+// holds no body or closure reference past execution.
+func (s *slab[T]) take(i int32) T {
+	v := s.items[i]
+	var zero T
+	s.items[i] = zero
+	s.free = append(s.free, i)
+	return v
 }
 
 // Calendar geometry: buckets are 2^bucketShift nanoseconds of virtual time
@@ -122,14 +162,10 @@ type Scheduler struct {
 	cur       int64       // bucket index currently draining
 	pending   int
 
-	deliverPool []deliverPayload
-	deliverFree []int32
-	fnPool      []func()
-	fnFree      []int32
-	timerPool   []timerPayload
-	timerFree   []int32
-	callPool    []callPayload
-	callFree    []int32
+	delivers slab[deliverPayload]
+	fns      slab[func()]
+	timers   slab[timerPayload]
+	calls    slab[callPayload]
 
 	now     time.Duration
 	seq     uint64
@@ -138,8 +174,8 @@ type Scheduler struct {
 	deliver DeliverFunc
 	// MaxSteps bounds Run to guard against livelock in buggy protocols;
 	// zero means no bound. The panic message carries the pending-queue
-	// depth and the hottest pending protos so a 1000-process livelock is
-	// diagnosable from the failure alone.
+	// depth and the hottest pending protos (receivers, not entries) so a
+	// 1000-process livelock is diagnosable from the failure alone.
 	MaxSteps uint64
 }
 
@@ -159,9 +195,10 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // before any DeliverAfter call; the runtimes do it at construction.
 func (s *Scheduler) OnDeliver(fn DeliverFunc) { s.deliver = fn }
 
-// push routes a sort key to the side heap, a calendar bucket, or the
-// overflow heap by its distance from the bucket being drained.
-func (s *Scheduler) push(at time.Duration, prio int, kind int16, slot int32) {
+// push routes the sort key of n pending events (a run's receivers, or one
+// event) to the side heap, a calendar bucket, or the overflow heap by its
+// distance from the bucket being drained.
+func (s *Scheduler) push(at time.Duration, prio int, kind int16, slot int32, n int) {
 	if at < s.now {
 		at = s.now
 	}
@@ -170,7 +207,7 @@ func (s *Scheduler) push(at time.Duration, prio int, kind int16, slot int32) {
 	}
 	s.seq++
 	e := heapEntry{at: at, seq: s.seq, prio: int16(prio), kind: kind, slot: slot}
-	s.pending++
+	s.pending += n
 	b := int64(at >> bucketShift)
 	switch {
 	case b <= s.cur:
@@ -267,57 +304,27 @@ func (s *Scheduler) AtPrio(at time.Duration, prio int, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	var slot int32
-	if n := len(s.fnFree); n > 0 {
-		slot = s.fnFree[n-1]
-		s.fnFree = s.fnFree[:n-1]
-		s.fnPool[slot] = fn
-	} else {
-		slot = int32(len(s.fnPool))
-		s.fnPool = append(s.fnPool, fn)
-	}
-	s.push(at, prio, evFn, slot)
+	s.push(at, prio, evFn, s.fns.put(fn), 1)
 }
 
 // After schedules fn to run d from the current virtual time (class 0).
-func (s *Scheduler) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.At(s.now+d, fn)
-}
+func (s *Scheduler) After(d time.Duration, fn func()) { s.AtPrio(s.now+d, 0, fn) }
 
 // AfterPrio schedules fn to run d from now with the given priority class.
-func (s *Scheduler) AfterPrio(d time.Duration, prio int, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.AtPrio(s.now+d, prio, fn)
-}
+func (s *Scheduler) AfterPrio(d time.Duration, prio int, fn func()) { s.AtPrio(s.now+d, prio, fn) }
 
-// DeliverAfter schedules a typed network-delivery event d from now: at its
-// virtual arrival the installed OnDeliver handler receives the payload.
-// This is the allocation-free replacement for the old
-// After(d, func(){ proc.Deliver(...) }) hot path: no closure, no heap
-// *event — the payload rides in a recycled slab slot.
-func (s *Scheduler) DeliverAfter(d time.Duration, prio int, from, to int32, proto string, body any, sendTS int64) {
+// DeliverAfter schedules a send to each receiver first..last, d from now:
+// at the virtual arrival the installed OnDeliver handler receives the
+// payload once per receiver, in order, one step each — exactly as
+// last-first+1 back-to-back calls with one receiver each would (a single
+// receiver is a run of one). No closure, no heap *event — the payload
+// rides in a recycled slab slot.
+func (s *Scheduler) DeliverAfter(d time.Duration, prio int, from, first, last int32, proto string, body any, sendTS int64) {
 	if s.deliver == nil {
 		panic("sim: DeliverAfter without an OnDeliver handler")
 	}
-	if d < 0 {
-		d = 0
-	}
-	p := deliverPayload{from: from, to: to, proto: proto, body: body, sendTS: sendTS}
-	var slot int32
-	if n := len(s.deliverFree); n > 0 {
-		slot = s.deliverFree[n-1]
-		s.deliverFree = s.deliverFree[:n-1]
-		s.deliverPool[slot] = p
-	} else {
-		slot = int32(len(s.deliverPool))
-		s.deliverPool = append(s.deliverPool, p)
-	}
-	s.push(s.now+d, prio, evDeliver, slot)
+	slot := s.delivers.put(deliverPayload{from: from, to: first, last: last, proto: proto, body: body, sendTS: sendTS})
+	s.push(s.now+d, prio, evDeliver, slot, int(last-first)+1)
 }
 
 // TimerAfter schedules fn to run d from now (class 0) unless owner has
@@ -327,20 +334,7 @@ func (s *Scheduler) TimerAfter(d time.Duration, owner Crasher, fn func()) {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	if d < 0 {
-		d = 0
-	}
-	p := timerPayload{fn: fn, owner: owner}
-	var slot int32
-	if n := len(s.timerFree); n > 0 {
-		slot = s.timerFree[n-1]
-		s.timerFree = s.timerFree[:n-1]
-		s.timerPool[slot] = p
-	} else {
-		slot = int32(len(s.timerPool))
-		s.timerPool = append(s.timerPool, p)
-	}
-	s.push(s.now+d, 0, evTimer, slot)
+	s.push(s.now+d, 0, evTimer, s.timers.put(timerPayload{fn: fn, owner: owner}), 1)
 }
 
 // CallAfter schedules call(arg) d from now (class 0). call is typically a
@@ -350,24 +344,11 @@ func (s *Scheduler) CallAfter(d time.Duration, call func(int32), arg int32) {
 	if call == nil {
 		panic("sim: nil call function")
 	}
-	if d < 0 {
-		d = 0
-	}
-	p := callPayload{call: call, arg: arg}
-	var slot int32
-	if n := len(s.callFree); n > 0 {
-		slot = s.callFree[n-1]
-		s.callFree = s.callFree[:n-1]
-		s.callPool[slot] = p
-	} else {
-		slot = int32(len(s.callPool))
-		s.callPool = append(s.callPool, p)
-	}
-	s.push(s.now+d, 0, evCall, slot)
+	s.push(s.now+d, 0, evCall, s.calls.put(callPayload{call: call, arg: arg}), 1)
 }
 
-// Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty.
+// Step executes the single earliest pending event — one receiver of a run —
+// and returns true, or returns false if the queue is empty.
 func (s *Scheduler) Step() bool {
 	if s.pending == 0 {
 		return false
@@ -376,41 +357,46 @@ func (s *Scheduler) Step() bool {
 		s.advance()
 	}
 	var e heapEntry
-	if s.sortedIdx < len(s.sorted) &&
-		(len(s.side) == 0 || s.sorted[s.sortedIdx].before(s.side[0])) {
+	inSorted := s.sortedIdx < len(s.sorted) &&
+		(len(s.side) == 0 || s.sorted[s.sortedIdx].before(s.side[0]))
+	if inSorted {
 		e = s.sorted[s.sortedIdx]
-		s.sortedIdx++
 	} else {
-		e = popHeap(&s.side)
+		e = s.side[0]
 	}
 	s.pending--
 	s.now = e.at
 	s.steps++
-	// Read the payload out and release its slot BEFORE executing: the
-	// handler may schedule new events, and the vacated slot must hold no
-	// body/closure references past execution.
+	// A run keeps its entry and slot until its last receiver: the next one
+	// stays at the head under the same key.
+	if e.kind == evDeliver {
+		if p := &s.delivers.items[e.slot]; p.to < p.last {
+			d := *p
+			p.to++
+			s.deliver(d.from, d.to, d.proto, d.body, d.sendTS)
+			return true
+		}
+	}
+	// Release the entry and its slot BEFORE executing: the handler may
+	// schedule new events, and a vacated slot must hold no body or closure
+	// reference past execution.
+	if inSorted {
+		s.sortedIdx++
+	} else {
+		popHeap(&s.side)
+	}
 	switch e.kind {
 	case evDeliver:
-		p := s.deliverPool[e.slot]
-		s.deliverPool[e.slot] = deliverPayload{}
-		s.deliverFree = append(s.deliverFree, e.slot)
-		s.deliver(p.from, p.to, p.proto, p.body, p.sendTS)
+		d := s.delivers.take(e.slot)
+		s.deliver(d.from, d.to, d.proto, d.body, d.sendTS)
 	case evFn:
-		fn := s.fnPool[e.slot]
-		s.fnPool[e.slot] = nil
-		s.fnFree = append(s.fnFree, e.slot)
-		fn()
+		s.fns.take(e.slot)()
 	case evTimer:
-		p := s.timerPool[e.slot]
-		s.timerPool[e.slot] = timerPayload{}
-		s.timerFree = append(s.timerFree, e.slot)
-		if p.owner == nil || !p.owner.Crashed() {
+		if p := s.timers.take(e.slot); p.owner == nil || !p.owner.Crashed() {
 			p.fn()
 		}
 	case evCall:
-		p := s.callPool[e.slot]
-		s.callPool[e.slot] = callPayload{}
-		s.callFree = append(s.callFree, e.slot)
+		p := s.calls.take(e.slot)
 		p.call(p.arg)
 	}
 	return true
@@ -462,7 +448,8 @@ func (s *Scheduler) maxStepsDiagnosis() string {
 		for _, e := range entries {
 			switch e.kind {
 			case evDeliver:
-				counts["proto "+s.deliverPool[e.slot].proto]++
+				p := s.delivers.items[e.slot]
+				counts["proto "+p.proto] += int(p.last-p.to) + 1
 			case evTimer:
 				counts["timers"]++
 			case evCall:
@@ -478,39 +465,27 @@ func (s *Scheduler) maxStepsDiagnosis() string {
 		tally(s.ring[i])
 	}
 	tally(s.overflow)
-	type kc struct {
-		k string
-		n int
-	}
-	top := make([]kc, 0, len(counts))
-	for k, n := range counts {
-		top = append(top, kc{k, n})
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].n != top[j].n {
-			return top[i].n > top[j].n
-		}
-		return top[i].k < top[j].k
+	top := slices.SortedFunc(maps.Keys(counts), func(a, b string) int {
+		return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(a, b))
 	})
-	if len(top) > 5 {
-		top = top[:5]
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: exceeded MaxSteps=%d at virtual time %v: %d events pending",
 		s.MaxSteps, s.now, s.pending)
 	if len(top) > 0 {
 		b.WriteString("; hottest:")
-		for _, e := range top {
-			fmt.Fprintf(&b, " %s=%d", e.k, e.n)
+		for _, k := range top[:min(5, len(top))] {
+			fmt.Fprintf(&b, " %s=%d", k, counts[k])
 		}
 	}
 	return b.String()
 }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events, counting every receiver of a
+// run.
 func (s *Scheduler) Pending() int { return s.pending }
 
-// Steps returns the total number of events executed so far.
+// Steps returns the total number of events executed so far, one per
+// receiver of a run.
 func (s *Scheduler) Steps() uint64 { return s.steps }
 
 // Four-ary heap mechanics over sort-key slices (the active set and the

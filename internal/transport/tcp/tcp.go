@@ -27,9 +27,9 @@
 // retransmit toward live peers).
 //
 // The transport is asynchronous and buffered. Transmit runs on the
-// sender's process loop and does nothing but enqueue the frame onto a
-// bounded per-connection send queue; a dedicated writer goroutine per
-// (from, to) pair dials, encodes, and writes. The writer coalesces every
+// sender's process loop and does nothing but enqueue one frame per
+// receiver onto a bounded per-connection send queue; a writer goroutine
+// per (from, to) pair dials, encodes, and writes. The writer coalesces every
 // frame it can take within FlushEvery into one buffered write, so many
 // frames share a syscall, and it reuses one encode buffer, so the
 // steady-state encode path allocates nothing. A dead or wedged peer
@@ -868,34 +868,37 @@ func (rt *Runtime) Later(owner *node.Proc, d time.Duration, fn func()) {
 }
 
 // Transmit implements node.Env. It runs on the sender's loop and never
-// blocks: self-sends short-circuit through the inbox and remote sends are
-// enqueued to the connection's writer goroutine (dropping if the bounded
-// queue is full).
-func (rt *Runtime) Transmit(from, to types.ProcessID, proto string, body any, sendTS int64) {
-	if from == to {
-		rt.laneOf[to].post(laneEvent{from: from, to: to, proto: proto, ts: sendTS, body: body})
-		return
-	}
-	l := rt.link(from, to)
-	if l == nil {
-		return // runtime stopped
-	}
-	// fd frames ride their own small queue: a protocol backlog (bandwidth
-	// pacing, slow peer) filling l.queue must never drop or delay the
-	// liveness signals, or congestion would masquerade as a crash.
-	q := l.queue
-	if proto == fdProto {
-		q = l.fdq
-	}
-	select {
-	case q <- outFrame{proto: proto, ts: sendTS, body: body}:
-		// Record only frames actually handed to a writer: counting drops
-		// as sends would skew message statistics in exactly the overload
-		// regime the queue bound exists for.
-		rt.rec.OnSend(proto, from, to, !rt.topo.SameGroup(from, to), rt.Now())
-	default:
-		rt.queueDrops[from].Add(1)
-		rt.Tracef("send queue full: drop %v->%v %s", from, to, proto)
+// blocks: for each receiver in list order, a self-send short-circuits
+// through the inbox and a remote send is enqueued to the connection's
+// writer goroutine (dropping if the bounded queue is full).
+func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64) {
+	for _, to := range tos {
+		if from == to {
+			rt.laneOf[to].post(laneEvent{from: from, to: to, proto: proto, ts: sendTS, body: body})
+			continue
+		}
+		l := rt.link(from, to)
+		if l == nil {
+			return // runtime stopped
+		}
+		// fd frames ride their own small queue: a protocol backlog
+		// (bandwidth pacing, slow peer) filling l.queue must never drop or
+		// delay the liveness signals, or congestion would masquerade as a
+		// crash.
+		q := l.queue
+		if proto == fdProto {
+			q = l.fdq
+		}
+		select {
+		case q <- outFrame{proto: proto, ts: sendTS, body: body}:
+			// Record only frames actually handed to a writer: counting
+			// drops as sends would skew message statistics in exactly the
+			// overload regime the queue bound exists for.
+			rt.rec.OnSend(proto, from, to, !rt.topo.SameGroup(from, to), rt.Now())
+		default:
+			rt.queueDrops[from].Add(1)
+			rt.Tracef("send queue full: drop %v->%v %s", from, to, proto)
+		}
 	}
 }
 
