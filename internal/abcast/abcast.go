@@ -132,7 +132,9 @@ type Config struct {
 	// property is preserved. While traffic is live every group opens the
 	// window's rounds at a derived pace of one per (round time / Pipeline),
 	// so a message waits that long, not a WAN delay, for a round already
-	// open everywhere, and two members of a group, not all, ship its
+	// open everywhere (a member opens a round whose bundle is short of
+	// MaxBatch only once its own earlier rounds are decided, a LAN consensus
+	// away), and two members of a group, not all, ship its
 	// bundles (package doc: Barrier rule, sender set, price in rounds).
 	// Pipeline is also the quiescence predictor's patience: a useful round
 	// keeps the whole window live, so Pipeline empty rounds follow a lone
@@ -231,10 +233,7 @@ func New(cfg Config) *Bcast {
 	if cfg.Host == nil || cfg.Detector == nil {
 		panic("abcast: Config.Host and Detector are required")
 	}
-	prefix := cfg.LabelPrefix
-	if prefix == "" {
-		prefix = "a2"
-	}
+	prefix := cmp.Or(cfg.LabelPrefix, "a2")
 	pipeline := max(cfg.Pipeline, 1)
 	b := &Bcast{
 		api:        cfg.Host,
@@ -448,17 +447,24 @@ func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay 
 // pipelining), in R-Delivery order up to limit. Both fences are local to
 // this proposer — a record this process never proposed can still be
 // decided into two concurrent rounds by different members — so they bound
-// redundant shipping rather than prevent it (see Config.Pipeline).
-func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int) []Record {
+// redundant shipping rather than prevent it (see Config.Pipeline). A
+// full-only fill counts first and builds only a full bundle.
+func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int, full bool) []Record {
 	var out []Record
+	n := 0
 	for _, id := range b.rdOrder {
 		if b.adelivered[id] || b.inDecided[id] || exclude(id) {
 			continue
 		}
-		out = append(out, b.rdelivered[id])
-		if limit > 0 && len(out) == limit {
+		if n++; !full {
+			out = append(out, b.rdelivered[id])
+		}
+		if n == limit {
 			break
 		}
+	}
+	if full && n == limit {
+		return b.fillBundle(exclude, limit, false)
 	}
 	return out
 }
@@ -539,13 +545,8 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 // ship sends one round's bundle of this group to every process outside it.
 func (b *Bcast) ship(round uint64, set []Record) {
 	if b.outside == nil {
-		topo, own := b.api.Topo(), b.api.Group()
-		b.outside = make([]types.ProcessID, 0, topo.N()-len(topo.Members(own)))
-		for _, g := range topo.AllGroups().Groups() {
-			if g != own {
-				b.outside = append(b.outside, topo.Members(g)...)
-			}
-		}
+		topo := b.api.Topo()
+		b.outside = topo.AppendProcessesIn(make([]types.ProcessID, 0, topo.N()), topo.AllGroups(), b.api.Group())
 	}
 	b.api.Metrics().Add(metrics.BundleCopiesSent, len(b.outside))
 	b.api.Multicast(b.outside, b.label, BundleMsg{Round: round, Set: set})

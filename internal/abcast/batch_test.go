@@ -114,3 +114,27 @@ func TestKnobGridTotalOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestDeferredFillBuildsNothing: while an own round is undecided the Batcher
+// asks fillBundle for a full bundle on every event; short of one, the fill
+// returns nil without allocating.
+func TestDeferredFillBuildsNothing(t *testing.T) {
+	r := newRigKnobs(t, 1, 3, 1, 64, 4)
+	b := r.eps[0]
+	for i := uint64(1); i <= 10; i++ {
+		id := types.MessageID{Origin: 1, Seq: i}
+		b.rdelivered[id] = Record{ID: id, Payload: "payload"}
+		b.rdOrder = append(b.rdOrder, id)
+	}
+	none := func(types.MessageID) bool { return false }
+	if n := testing.AllocsPerRun(100, func() {
+		if set := b.fillBundle(none, 64, true); set != nil {
+			t.Fatalf("a full-only fill returned %d of 64 records", len(set))
+		}
+	}); n != 0 {
+		t.Errorf("a full-only fill short of its limit made %.1f allocations, want 0", n)
+	}
+	if set := b.fillBundle(none, 10, true); len(set) != 10 {
+		t.Fatalf("a full-only fill with ten R-Delivered returned %d of 10 records", len(set))
+	}
+}

@@ -201,8 +201,8 @@ type Config struct {
 	MaxBatch int
 	// Pipeline is the number of consensus instances that may be in flight
 	// concurrently. Zero or 1 is the paper's sequential engine; deeper
-	// pipelines overlap agreement on fresh messages with the ordering of
-	// earlier ones.
+	// pipelines let full MaxBatch batches overlap the agreement on earlier
+	// ones (consensus.BatcherConfig.Pipeline).
 	Pipeline int
 	// Log, when non-nil, makes the endpoint durable: the consensus
 	// acceptor persists its promises and votes, decisions and received
@@ -301,14 +301,7 @@ func New(cfg Config) *Mcast {
 	if cfg.Host == nil || cfg.Detector == nil {
 		panic("amcast: Config.Host and Detector are required")
 	}
-	prefix := cfg.LabelPrefix
-	if prefix == "" {
-		prefix = "a1"
-	}
-	mode := cfg.RMMode
-	if mode == 0 {
-		mode = rmcast.ModeDirect
-	}
+	prefix := cmp.Or(cfg.LabelPrefix, "a1")
 	a := &Mcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
@@ -347,7 +340,7 @@ func New(cfg Config) *Mcast {
 	}
 	a.rm = rmcast.New(rmcast.Config{
 		API:        cfg.Host,
-		Mode:       mode,
+		Mode:       cmp.Or(cfg.RMMode, rmcast.ModeDirect),
 		OnDeliver:  a.onRDeliver,
 		ProtoLabel: prefix + ".rm",
 	})
@@ -500,7 +493,8 @@ func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any, at
 // multi-group s0 item's TS is this proposer's hint: its clock at admission,
 // plus the lead when its group cast m. A single-group item has none, and
 // neither has an entry this process was not handed: both fall back to K.
-func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descriptor {
+// A full-only fill short of limit builds nothing.
+func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int, full bool) []Descriptor {
 	cand := a.cand[:0]
 	for _, p := range a.order {
 		if p.stage == Stage2 && !exclude(p.id) {
@@ -520,6 +514,11 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int) []Descr
 	}
 	clear(a.fresh[n:])
 	a.fresh = a.fresh[:n]
+	if full && len(cand) < limit {
+		clear(cand)
+		a.cand = cand
+		return nil
+	}
 	if limit > 0 && len(cand) > limit {
 		cand = cand[:limit]
 	}
@@ -704,15 +703,8 @@ func (a *Mcast) sendTS(p *pend) {
 	if !a.senders.Sends() {
 		return
 	}
-	myGroup := a.api.Group()
-	tos := a.tos[:0]
-	for _, g := range p.dest.Groups() {
-		if g != myGroup {
-			tos = append(tos, a.api.Topo().Members(g)...)
-		}
-	}
-	a.api.Multicast(tos, a.label, TSMsg{Desc: p.tsDesc()})
-	a.tos = tos
+	a.tos = a.api.Topo().AppendProcessesIn(a.tos[:0], p.dest, a.api.Group())
+	a.api.Multicast(a.tos, a.label, TSMsg{Desc: p.tsDesc()})
 }
 
 // reship sends (TS, m) again for every undelivered entry at stage >= s1, at a

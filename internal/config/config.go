@@ -60,7 +60,9 @@ type Config struct {
 	// [-skewms]
 	MaxClockSkew time.Duration
 	// Pipeline sets the consensus-instances-in-flight limit for both A1
-	// and A2 (default 1, the paper's sequential algorithms). [-pipeline]
+	// and A2 (default 1, the paper's sequential algorithms); beyond a
+	// process's first undecided instance, only full MaxBatch batches
+	// open one. [-pipeline]
 	Pipeline int
 	// MaxBatch caps how many messages one consensus instance may order,
 	// for both A1 and A2 (default 0: unbounded, the paper's rule).
@@ -294,7 +296,7 @@ func (c *Config) Bind(fs *flag.FlagSet, except ...string) {
 	all.Var((*millis)(&c.LeaseDuration), "leasems", "leader lease duration in `ms` (0 = leases off)")
 	all.Var((*millis)(&c.MaxClockSkew), "skewms", "max clock-rate drift per lease window in `ms` (0 = default 10 when leases are on)")
 	all.IntVar(&c.MaxBatch, "maxbatch", c.MaxBatch, "max messages per consensus instance (0 = unbounded, the paper's rule)")
-	all.IntVar(&c.Pipeline, "pipeline", c.Pipeline, "consensus instances in flight (0 or 1 = the paper's sequential engine)")
+	all.IntVar(&c.Pipeline, "pipeline", c.Pipeline, "consensus instances in flight; past a process's first undecided one, full -maxbatch batches only (0 or 1 = the paper's sequential engine)")
 	all.IntVar(&c.Lanes, "lanes", c.Lanes, "ordering lane goroutines, processes sharded across them by group (0 = one per group)")
 	all.IntVar(&c.InboxSize, "inbox", c.InboxSize, "per-lane inbox ring size (0 = default 4096)")
 	all.IntVar(&c.SendQueue, "sendqueue", c.SendQueue, "per-connection send queue depth (0 = default 4096)")

@@ -77,6 +77,23 @@ func TestSteadyStateAllocsPerInstance(t *testing.T) {
 	}
 }
 
+// TestDeferredPumpAllocatesNothing: while an own instance is undecided, a Pump
+// that finds only a partial batch asks Fill for a full one, gets nil, and
+// builds nothing. That is the per-event path at Pipeline > 1, so it must stay
+// free.
+func TestDeferredPumpAllocatesNothing(t *testing.T) {
+	r := newBatchRig(64, 4)
+	r.enqueue(1)
+	r.b.Pump()
+	r.enqueue(10)
+	if n := testing.AllocsPerRun(100, r.b.Pump); n != 0 {
+		t.Errorf("a deferred Pump made %.1f allocations, want 0", n)
+	}
+	if got := r.b.NextInstance(); got != 2 {
+		t.Fatalf("NextInstance = %d, want 2: ten items are a partial batch", got)
+	}
+}
+
 // TestDecidedInstanceDropsItsProposals: once an instance is decided nothing
 // reads the values that lost — each member's own proposal and the leader's
 // working value — so the instance must not pin them:

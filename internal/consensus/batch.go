@@ -11,7 +11,10 @@
 //
 //   - MaxBatch: how many items one instance may order (batching);
 //   - Pipeline: how many instances may be in flight concurrently
-//     (pipelining).
+//     (pipelining). Only a full batch (MaxBatch items) opens an instance
+//     while one this process proposed is undecided; a partial batch waits
+//     for that decision and goes out with whatever arrived meanwhile, so
+//     an instance's fixed cost is not paid per arrival.
 //
 // Instances are numbered densely (1, 2, 3, …) per engine. Because
 // pipelined decisions can arrive out of instance order, the engine buffers
@@ -30,6 +33,7 @@
 package consensus
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -64,13 +68,18 @@ type BatcherConfig[T Item] struct {
 	MaxBatch int
 	// Pipeline is the number of instances that may be open beyond the
 	// window base. Zero or negative means 1: the strictly sequential
-	// engine both seed algorithms used.
+	// engine both seed algorithms used. Above 1, the window's further
+	// instances take full batches only: a partial one waits until no
+	// instance this process proposed is undecided.
 	Pipeline int
 
 	// Fill returns the next batch of proposable items in a deterministic
 	// order, skipping items for which exclude returns true and returning
-	// at most limit items when limit > 0. Required.
-	Fill func(exclude func(types.MessageID) bool, limit int) []T
+	// at most limit items when limit > 0. With full set (limit > 0 then),
+	// it returns nil unless it has limit items, and should allocate
+	// nothing to say so: the engine asks that on every event while an own
+	// instance is undecided. Required.
+	Fill func(exclude func(types.MessageID) bool, limit int, full bool) []T
 	// Gate, when non-nil, decides whether instance inst may be proposed
 	// with the given batch; returning false stops the propose loop. A nil
 	// Gate admits only non-empty batches. A2 uses it to run empty
@@ -99,7 +108,7 @@ type Batcher[T Item] struct {
 	maxBatch int
 	pipeline uint64
 
-	fill     func(exclude func(types.MessageID) bool, limit int) []T
+	fill     func(exclude func(types.MessageID) bool, limit int, full bool) []T
 	exclude  func(types.MessageID) bool // b.InFlight, bound once: Pump runs per event
 	gate     func(inst uint64, batch []T) bool
 	base     func() uint64
@@ -125,22 +134,10 @@ func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 	if cfg.Fill == nil || cfg.OnApply == nil {
 		panic("consensus: BatcherConfig.Fill and OnApply are required")
 	}
-	pipeline := uint64(1)
-	if cfg.Pipeline > 1 {
-		pipeline = uint64(cfg.Pipeline)
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch < 0 {
-		maxBatch = 0
-	}
-	healEvery := cfg.RetryInterval
-	if healEvery <= 0 {
-		healEvery = DefaultRetry
-	}
 	b := &Batcher[T]{
 		api:       cfg.API,
-		maxBatch:  maxBatch,
-		pipeline:  pipeline,
+		maxBatch:  max(cfg.MaxBatch, 0),
+		pipeline:  uint64(max(cfg.Pipeline, 1)),
 		fill:      cfg.Fill,
 		gate:      cfg.Gate,
 		base:      cfg.Base,
@@ -151,7 +148,7 @@ func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 		buffered:  make(map[uint64][]T),
 		inFlight:  make(map[types.MessageID]uint64),
 		proposed:  make(map[uint64][]T),
-		healEvery: healEvery,
+		healEvery: cmp.Or(max(cfg.RetryInterval, 0), DefaultRetry),
 	}
 	b.exclude = b.InFlight
 	if b.base == nil {
@@ -172,12 +169,10 @@ func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 // host process.
 func (b *Batcher[T]) Protocol() node.Protocol { return b.cons }
 
-// NextInstance returns the next instance number this process would propose
-// (for tests).
+// NextInstance returns the next instance this process would propose (for tests).
 func (b *Batcher[T]) NextInstance() uint64 { return b.next }
 
-// AppliedInstances returns how many instances have been applied (for
-// tests and window accounting).
+// AppliedInstances returns how many instances have been applied.
 func (b *Batcher[T]) AppliedInstances() uint64 { return b.applyNext - 1 }
 
 // Decided returns the batch decided for inst, if this process has learned it.
@@ -195,19 +190,19 @@ func (b *Batcher[T]) InFlight(id types.MessageID) bool {
 }
 
 // Pump proposes as many instances as the window, the gate, and the fill
-// allow. Clients call it whenever proposable state may have changed; it is
-// idempotent and safe to call reentrantly from OnApply/OnDecide.
+// allow; while an own instance is undecided, only full batches. Clients
+// call it whenever proposable state may have changed; it is idempotent and
+// safe to call reentrantly from OnApply/OnDecide. A deferred partial batch
+// goes out from the Pump that decided runs.
 func (b *Batcher[T]) Pump() {
 	for b.next < b.base()+b.pipeline {
-		batch := b.fill(b.exclude, b.maxBatch)
-		if b.maxBatch > 0 && len(batch) > b.maxBatch {
-			batch = batch[:b.maxBatch]
+		full := b.undecided()
+		if full && b.maxBatch == 0 {
+			return // an unbounded batch is never full
 		}
-		if b.gate != nil {
-			if !b.gate(b.next, batch) {
-				return
-			}
-		} else if len(batch) == 0 {
+		batch := b.fill(b.exclude, b.maxBatch, full)
+		if full && len(batch) < b.maxBatch || (b.gate == nil && len(batch) == 0) ||
+			(b.gate != nil && !b.gate(b.next, batch)) {
 			return
 		}
 		for _, it := range batch {
@@ -219,6 +214,17 @@ func (b *Batcher[T]) Pump() {
 		b.cons.Propose(b.next, batch)
 		b.next++
 	}
+}
+
+// undecided reports whether an instance this process proposed — every one
+// in [applyNext, next) — still awaits its decision.
+func (b *Batcher[T]) undecided() bool {
+	for k := b.applyNext; k < b.next; k++ {
+		if _, ok := b.buffered[k]; !ok {
+			return true
+		}
+	}
+	return false
 }
 
 // decided is the consensus OnDecide hook: it records the batch, fires the

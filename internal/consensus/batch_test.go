@@ -69,6 +69,8 @@ type batchRig struct {
 	applied [][]testItem
 	applyIn []uint64
 	decided []uint64
+	fills   int               // Fill calls
+	onApply func(inst uint64) // runs inside OnApply, after the rig's bookkeeping
 }
 
 func newBatchRig(maxBatch, pipeline int) *batchRig {
@@ -78,7 +80,19 @@ func newBatchRig(maxBatch, pipeline int) *batchRig {
 		Detector: fakeDet{leader: 0},
 		MaxBatch: maxBatch,
 		Pipeline: pipeline,
-		Fill: func(exclude func(types.MessageID) bool, limit int) []testItem {
+		Fill: func(exclude func(types.MessageID) bool, limit int, full bool) []testItem {
+			r.fills++
+			if full { // count first, as A1 and A2 do: a short batch is never built
+				n := 0
+				for _, it := range r.queue {
+					if !exclude(it.ID) {
+						n++
+					}
+				}
+				if n < limit {
+					return nil
+				}
+			}
 			var out []testItem
 			for _, it := range r.queue {
 				if exclude(it.ID) {
@@ -109,6 +123,9 @@ func newBatchRig(maxBatch, pipeline int) *batchRig {
 				}
 			}
 			r.queue = keep
+			if r.onApply != nil {
+				r.onApply(inst)
+			}
 		},
 	})
 	return r
@@ -121,7 +138,10 @@ func (r *batchRig) enqueue(n int) {
 }
 
 // TestBatcherWindowAndCap: with Pipeline=2 and MaxBatch=2, five items fill
-// exactly two instances of two items; the fifth waits for the window.
+// exactly two instances of two items — the second is full, so it opens
+// beside the undecided first — and the fifth waits for the window. Once
+// instance 1 applies the window has room, but the fifth alone is a partial
+// batch and instance 2 is undecided: it enters instance 3 when 2 decides.
 func TestBatcherWindowAndCap(t *testing.T) {
 	r := newBatchRig(2, 2)
 	r.enqueue(5)
@@ -137,14 +157,124 @@ func TestBatcherWindowAndCap(t *testing.T) {
 	if r.b.InFlight(mid(5)) {
 		t.Error("item 5 should wait for the window")
 	}
-	// Deciding instance 1 applies it, reopens the window, and proposes the
-	// fifth item in instance 3.
 	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}})
-	if got := r.b.NextInstance(); got != 4 {
-		t.Fatalf("NextInstance = %d after apply, want 4", got)
+	if got := r.b.NextInstance(); got != 3 || r.b.InFlight(mid(5)) {
+		t.Fatalf("NextInstance = %d after instance 1 applied, want 3: item 5 is a partial batch and instance 2 is undecided", got)
 	}
-	if !r.b.InFlight(mid(5)) {
-		t.Error("item 5 should now be in flight")
+	r.b.decided(2, []testItem{{ID: mid(3)}, {ID: mid(4)}})
+	if got := r.b.NextInstance(); got != 4 || !r.b.InFlight(mid(5)) {
+		t.Fatalf("NextInstance = %d after instance 2 decided, want 4 with item 5 in flight", got)
+	}
+}
+
+// TestBatcherPartialBatchWaitsForOwnDecision: arrivals while an own instance
+// is undecided make partial batches, which wait; that instance's decision
+// proposes them together in one instance.
+func TestBatcherPartialBatchWaitsForOwnDecision(t *testing.T) {
+	r := newBatchRig(4, 4)
+	for range 3 {
+		r.enqueue(1)
+		r.b.Pump()
+	}
+	if got := r.b.NextInstance(); got != 2 || r.b.InFlight(mid(2)) || r.b.InFlight(mid(3)) {
+		t.Fatalf("NextInstance = %d, want 2 with items 2 and 3 waiting", got)
+	}
+	r.b.decided(1, []testItem{{ID: mid(1)}})
+	if got, batch := r.b.NextInstance(), r.b.proposed[2]; got != 3 || len(batch) != 2 || batch[0].ID != mid(2) || batch[1].ID != mid(3) {
+		t.Fatalf("after instance 1 decided: NextInstance = %d, instance 2 holds %v; want 3 and items 2 and 3", got, batch)
+	}
+}
+
+// TestBatcherFullBatchOpensBesideUndecided: a full batch still takes the next
+// instance in the window while an own instance is undecided — pipelining is
+// kept where it pays — and a partial one behind it waits.
+func TestBatcherFullBatchOpensBesideUndecided(t *testing.T) {
+	r := newBatchRig(2, 4)
+	r.enqueue(1)
+	r.b.Pump() // instance 1: item 1
+	r.enqueue(2)
+	r.b.Pump() // full: instance 2, items 2 and 3
+	r.enqueue(1)
+	r.b.Pump() // partial: item 4 waits
+	if got := r.b.NextInstance(); got != 3 || !r.b.InFlight(mid(3)) || r.b.InFlight(mid(4)) {
+		t.Fatalf("NextInstance = %d, want 3 with items 2 and 3 in flight and item 4 waiting", got)
+	}
+	r.enqueue(1)
+	r.b.Pump() // full again: instance 3, items 4 and 5
+	if got := r.b.NextInstance(); got != 4 || !r.b.InFlight(mid(5)) {
+		t.Fatalf("NextInstance = %d, want 4 with items 4 and 5 in flight", got)
+	}
+}
+
+// TestBatcherUnboundedBatchNeverOpensASecond: with MaxBatch 0 every batch is
+// partial, so no second instance opens while one is undecided, and Fill is
+// not even asked; the decision proposes everything that arrived meanwhile.
+func TestBatcherUnboundedBatchNeverOpensASecond(t *testing.T) {
+	r := newBatchRig(0, 4)
+	r.enqueue(1)
+	r.b.Pump()
+	fills := r.fills
+	r.enqueue(100)
+	r.b.Pump()
+	if got := r.b.NextInstance(); got != 2 || r.fills != fills {
+		t.Fatalf("NextInstance = %d with %d Fill calls while instance 1 was undecided, want 2 and none", got, r.fills-fills)
+	}
+	r.b.decided(1, []testItem{{ID: mid(1)}})
+	if got := r.b.NextInstance(); got != 3 || len(r.b.proposed[2]) != 100 {
+		t.Fatalf("NextInstance = %d with %d items in instance 2, want 3 and 100", got, len(r.b.proposed[2]))
+	}
+}
+
+// TestBatcherOutOfOrderDecisionDefers: instance 2 decided while 1 is not
+// leaves an own instance undecided, so a partial batch still waits. Once 1 is
+// decided none is, and the batch goes out from inside the apply cascade — 2 is
+// decided there but not yet applied, and that does not hold it back.
+func TestBatcherOutOfOrderDecisionDefers(t *testing.T) {
+	r := newBatchRig(2, 4)
+	r.enqueue(4)
+	r.b.Pump() // instances 1 and 2, both full
+	r.enqueue(1)
+	r.b.Pump()
+	r.b.decided(2, []testItem{{ID: mid(3)}, {ID: mid(4)}})
+	if got := r.b.NextInstance(); got != 3 || r.b.InFlight(mid(5)) {
+		t.Fatalf("NextInstance = %d, want 3: instance 1 is undecided, so item 5 waits", got)
+	}
+	inCascade := false
+	r.onApply = func(inst uint64) {
+		if inst == 1 {
+			r.b.Pump()
+			inCascade = r.b.InFlight(mid(5))
+		}
+	}
+	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}})
+	if !inCascade {
+		t.Error("a Pump from instance 1's OnApply held item 5 back: instance 2 is decided, if not yet applied")
+	}
+	if got := r.b.NextInstance(); got != 4 {
+		t.Fatalf("NextInstance = %d, want 4", got)
+	}
+}
+
+// TestBatcherKeepaliveRoundsLoseNone: a gate that admits empty instances up to
+// a barrier, as A2's keepalive does, gets every one of them, one per decision.
+// While an own instance is undecided an empty batch is partial, so the gate —
+// which at A2 arms the pace timer when it refuses — is not asked about it.
+func TestBatcherKeepaliveRoundsLoseNone(t *testing.T) {
+	r := newBatchRig(2, 4)
+	var asked []uint64
+	r.b.gate = func(inst uint64, batch []testItem) bool {
+		asked = append(asked, inst)
+		return inst <= 3 || len(batch) > 0
+	}
+	r.b.Pump()
+	for k := uint64(1); k <= 3; k++ {
+		if got := r.b.NextInstance(); got != k+1 {
+			t.Fatalf("NextInstance = %d before instance %d decided, want %d", got, k, k+1)
+		}
+		r.b.decided(k, nil)
+	}
+	if got := r.b.NextInstance(); got != 4 || fmt.Sprint(asked) != "[1 2 3 4]" {
+		t.Fatalf("NextInstance = %d, gate asked about %v; want 4 and [1 2 3 4]", got, asked)
 	}
 }
 
@@ -243,7 +373,7 @@ func TestBatcherEmptyBatchesNeedAGate(t *testing.T) {
 	gated.b = NewBatcher(BatcherConfig[testItem]{
 		API:      gated.api,
 		Detector: fakeDet{leader: 0},
-		Fill:     func(func(types.MessageID) bool, int) []testItem { return nil },
+		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
 		Gate:     func(inst uint64, batch []testItem) bool { return inst <= 2 },
 		OnApply:  func(uint64, []testItem) {},
 	})

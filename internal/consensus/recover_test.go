@@ -77,7 +77,7 @@ func TestDecideRecordsReplayInOrder(t *testing.T) {
 	b := NewBatcher(BatcherConfig[fakeItem]{
 		API:      rt.Proc(0),
 		Detector: rt.Oracle(),
-		Fill:     func(func(types.MessageID) bool, int) []fakeItem { return nil },
+		Fill:     func(func(types.MessageID) bool, int, bool) []fakeItem { return nil },
 		OnApply:  func(inst uint64, _ []fakeItem) { applied = append(applied, inst) },
 	})
 	b.BeginRecovery()

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -111,15 +112,9 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.Session == 0 {
 		panic("svc: ClientConfig.Session is required and must be non-zero")
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 250 * time.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 8
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
+	cfg.Timeout = cmp.Or(max(cfg.Timeout, 0), 250*time.Millisecond)
+	cfg.MaxAttempts = cmp.Or(max(cfg.MaxAttempts, 0), 8)
+	cfg.DialTimeout = cmp.Or(max(cfg.DialTimeout, 0), time.Second)
 	c := &Client{
 		cfg:       cfg,
 		readConns: make(map[string]*tcp.SvcConn),
@@ -369,46 +364,27 @@ func (c *Client) read(g types.GroupID, op []byte, mode Consistency) ([]byte, err
 
 // readAt performs one read attempt against one replica.
 func (c *Client) readAt(addr string, g types.GroupID, op []byte, wireMode byte) ([]byte, error) {
-	conn, err := c.readConn(addr)
-	if err != nil {
-		return nil, err
-	}
 	c.readSeq++
 	req := ReadReq{Session: c.cfg.Session, Seq: c.readSeq, Group: g,
 		Mode: wireMode, MinWatermark: c.wm[g], Op: op}
-	deadline := time.Now().Add(c.cfg.Timeout)
-	_ = conn.SetWriteDeadline(deadline)
-	if err := conn.WriteMsg(types.NoProcess, req); err != nil {
-		c.dropReadConn(addr)
+	resp, err := ask(c, addr, req, func(r ReadResp) bool { return r.Session == req.Session && r.Seq == req.Seq })
+	switch {
+	case err != nil:
 		return nil, err
+	case !resp.OK:
+		return nil, fmt.Errorf("svc: read at %s: %s", addr, resp.Err)
+	case resp.Watermark < c.wm[g]:
+		// The replica answered below what this session has already
+		// seen — its barrier cannot be trusted (restarted behind, or
+		// fenced leftovers). Reject rather than travel back in time.
+		if c.cfg.Stats != nil {
+			c.cfg.Stats.RecordStaleRead()
+		}
+		return nil, fmt.Errorf("svc: stale read at %s: watermark %d below session's %d",
+			addr, resp.Watermark, c.wm[g])
 	}
-	for {
-		_ = conn.SetReadDeadline(deadline)
-		v, err := conn.ReadMsg()
-		if err != nil {
-			c.dropReadConn(addr)
-			return nil, err
-		}
-		resp, ok := v.(ReadResp)
-		if !ok || resp.Session != req.Session || resp.Seq != req.Seq {
-			continue // stale frame from an abandoned earlier read
-		}
-		if !resp.OK {
-			return nil, fmt.Errorf("svc: read at %s: %s", addr, resp.Err)
-		}
-		if resp.Watermark < c.wm[g] {
-			// The replica answered below what this session has already
-			// seen — its barrier cannot be trusted (restarted behind, or
-			// fenced leftovers). Reject rather than travel back in time.
-			if c.cfg.Stats != nil {
-				c.cfg.Stats.RecordStaleRead()
-			}
-			return nil, fmt.Errorf("svc: stale read at %s: watermark %d below session's %d",
-				addr, resp.Watermark, c.wm[g])
-		}
-		c.wm[g] = resp.Watermark
-		return resp.Result, nil
-	}
+	c.wm[g] = resp.Watermark
+	return resp.Result, nil
 }
 
 // Certify collects a delivery certificate for this session's write seq
@@ -416,74 +392,85 @@ func (c *Client) readAt(addr string, g types.GroupID, op []byte, wireMode byte) 
 // returns a certificate carrying a quorum of shares that agree on the
 // receipt (message ID, order, state hash). Verify it offline with
 // KeyRing.VerifyCertificate. The write must still be inside the session's
-// dedup window.
+// dedup window. A write returns once one replica has applied it, so a
+// replica that refuses a seq this session has issued may only be behind: it
+// is asked again until Timeout after the call. A seq never issued fails at
+// once.
 func (c *Client) Certify(g types.GroupID, seq uint64) (Certificate, error) {
 	addrs := c.cfg.Addrs[g]
 	if len(addrs) == 0 {
 		return Certificate{}, fmt.Errorf("svc: no known servers for group %v", g)
 	}
 	quorum := len(addrs)/2 + 1
+	deadline := time.Now().Add(c.cfg.Timeout)
 	// Bucket shares by receipt: correct replicas agree, so the biggest
 	// bucket is the shard's answer; a diverging or lying replica lands in
 	// its own bucket and simply fails to contribute.
-	type bucket struct {
-		cert Certificate
-	}
-	buckets := make(map[string]*bucket)
+	buckets := make(map[string]*Certificate)
+	req := CertReq{Session: c.cfg.Session, Seq: seq}
 	var lastErr error
-	for _, addr := range addrs {
-		share, err := c.certShareAt(addr, seq)
-		if err != nil {
-			lastErr = err
-			continue
+	for replicas := addrs; ; time.Sleep(2 * time.Millisecond) {
+		var behind []string
+		for _, addr := range replicas {
+			share, err := ask(c, addr, req, func(s CertShare) bool { return s.Session == req.Session && s.Seq == req.Seq })
+			if err == nil && !share.OK {
+				err = fmt.Errorf("svc: certificate share at %s: %s", addr, share.Err)
+				if seq <= c.seq && time.Now().Before(deadline) {
+					behind = append(behind, addr)
+				}
+			}
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			key := string(receiptBytes(share.ID, share.Group, share.Order, share.Hash))
+			cert := buckets[key]
+			if cert == nil {
+				cert = &Certificate{
+					ID: share.ID, Group: share.Group, Order: share.Order,
+					Hash:   append([]byte(nil), share.Hash...),
+					Shares: make(map[types.ProcessID][]byte),
+				}
+				buckets[key] = cert
+			}
+			cert.Shares[share.Proc] = append([]byte(nil), share.MAC...)
+			if len(cert.Shares) >= quorum {
+				return *cert, nil
+			}
 		}
-		key := string(receiptBytes(share.ID, share.Group, share.Order, share.Hash))
-		b := buckets[key]
-		if b == nil {
-			b = &bucket{cert: Certificate{
-				ID: share.ID, Group: share.Group, Order: share.Order,
-				Hash:   append([]byte(nil), share.Hash...),
-				Shares: make(map[types.ProcessID][]byte),
-			}}
-			buckets[key] = b
-		}
-		b.cert.Shares[share.Proc] = append([]byte(nil), share.MAC...)
-		if len(b.cert.Shares) >= quorum {
-			return b.cert, nil
+		if replicas = behind; len(replicas) == 0 {
+			break
 		}
 	}
 	return Certificate{}, fmt.Errorf("svc: no quorum of matching certificate shares for (session %d, seq %d) on group %v (last error: %v)",
 		c.cfg.Session, seq, g, lastErr)
 }
 
-// certShareAt fetches one replica's countersignature for (session, seq).
-func (c *Client) certShareAt(addr string, seq uint64) (CertShare, error) {
+// ask sends req to the replica at addr on its cached connection and returns
+// the first T that mine accepts — frames of an abandoned earlier request are
+// skipped — dropping the connection on a transport error.
+func ask[T any](c *Client, addr string, req any, mine func(T) bool) (T, error) {
+	var m T
 	conn, err := c.readConn(addr)
 	if err != nil {
-		return CertShare{}, err
+		return m, err
 	}
-	req := CertReq{Session: c.cfg.Session, Seq: seq}
 	deadline := time.Now().Add(c.cfg.Timeout)
 	_ = conn.SetWriteDeadline(deadline)
 	if err := conn.WriteMsg(types.NoProcess, req); err != nil {
 		c.dropReadConn(addr)
-		return CertShare{}, err
+		return m, err
 	}
 	for {
 		_ = conn.SetReadDeadline(deadline)
 		v, err := conn.ReadMsg()
 		if err != nil {
 			c.dropReadConn(addr)
-			return CertShare{}, err
+			return m, err
 		}
-		share, ok := v.(CertShare)
-		if !ok || share.Session != req.Session || share.Seq != req.Seq {
-			continue
+		if m, ok := v.(T); ok && mine(m) {
+			return m, nil
 		}
-		if !share.OK {
-			return CertShare{}, fmt.Errorf("svc: certificate share at %s: %s", addr, share.Err)
-		}
-		return share, nil
 	}
 }
 

@@ -317,12 +317,17 @@ func (t *Topology) AllProcesses() []ProcessID { return t.allProcs }
 
 // ProcessesIn returns, in ascending order, the processes belonging to any
 // group in dest (the p ∈ m.dest abuse of notation from §2.2).
-func (t *Topology) ProcessesIn(dest GroupSet) []ProcessID {
-	var ps []ProcessID
+func (t *Topology) ProcessesIn(dest GroupSet) []ProcessID { return t.AppendProcessesIn(nil, dest, -1) }
+
+// AppendProcessesIn appends to buf, in ascending order, the processes of the
+// groups in dest other than skip.
+func (t *Topology) AppendProcessesIn(buf []ProcessID, dest GroupSet, skip GroupID) []ProcessID {
 	for _, g := range dest.Groups() {
-		ps = append(ps, t.members[g]...)
+		if g != skip {
+			buf = append(buf, t.members[g]...)
+		}
 	}
-	return ps
+	return buf
 }
 
 // SameGroup reports whether p and q belong to the same group. One bounds
