@@ -448,8 +448,12 @@ func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay 
 // this proposer — a record this process never proposed can still be
 // decided into two concurrent rounds by different members — so they bound
 // redundant shipping rather than prevent it (see Config.Pipeline). A
-// full-only fill counts first and builds only a full bundle.
+// full-only fill counts first and builds only a full bundle; short of limit
+// R-Delivered records it does not count.
 func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int, full bool) []Record {
+	if full && len(b.rdOrder) < limit {
+		return nil
+	}
 	var out []Record
 	n := 0
 	for _, id := range b.rdOrder {

@@ -117,7 +117,8 @@ func TestKnobGridTotalOrder(t *testing.T) {
 
 // TestDeferredFillBuildsNothing: while an own round is undecided the Batcher
 // asks fillBundle for a full bundle on every event; short of one, the fill
-// returns nil without allocating.
+// returns nil without allocating, and with fewer R-Delivered records than
+// the limit it asks no in-flight question.
 func TestDeferredFillBuildsNothing(t *testing.T) {
 	r := newRigKnobs(t, 1, 3, 1, 64, 4)
 	b := r.eps[0]
@@ -126,13 +127,17 @@ func TestDeferredFillBuildsNothing(t *testing.T) {
 		b.rdelivered[id] = Record{ID: id, Payload: "payload"}
 		b.rdOrder = append(b.rdOrder, id)
 	}
-	none := func(types.MessageID) bool { return false }
+	asked := 0
+	none := func(types.MessageID) bool { asked++; return false }
 	if n := testing.AllocsPerRun(100, func() {
 		if set := b.fillBundle(none, 64, true); set != nil {
 			t.Fatalf("a full-only fill returned %d of 64 records", len(set))
 		}
 	}); n != 0 {
 		t.Errorf("a full-only fill short of its limit made %.1f allocations, want 0", n)
+	}
+	if asked != 0 {
+		t.Errorf("a full-only fill of 10 records against a limit of 64 asked exclude %d times, want 0", asked)
 	}
 	if set := b.fillBundle(none, 10, true); len(set) != 10 {
 		t.Fatalf("a full-only fill with ten R-Delivered returned %d of 10 records", len(set))

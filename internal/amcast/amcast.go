@@ -260,6 +260,7 @@ type Mcast struct {
 	senders   fd.Senders
 	pullEvery time.Duration // the consensus retry cadence; 0 with Pipeline <= 1: all send, nobody asks
 	pullOn    bool          // pullTick is armed
+	pullFn    func()        // pullTick, bound once where pullEvery is set
 	ticks     uint64        // pull ticks so far
 
 	// wm mirrors delivered atomically: the endpoint's delivery watermark,
@@ -317,7 +318,7 @@ func New(cfg Config) *Mcast {
 	copies := 0 // line 24: every member sends
 	if cfg.Pipeline > 1 {
 		copies = 1
-		a.pullEvery = cmp.Or(max(cfg.ConsensusRetry, 0), consensus.DefaultRetry)
+		a.pullEvery, a.pullFn = cmp.Or(max(cfg.ConsensusRetry, 0), consensus.DefaultRetry), a.pullTick
 	}
 	a.senders = fd.NewSenders(cfg.Detector, cfg.Host.Topo(), cfg.Host.Self(), copies)
 	a.sync = statesync.New(statesync.Config[DeliverRec, SyncTail]{
@@ -493,8 +494,12 @@ func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any, at
 // multi-group s0 item's TS is this proposer's hint: its clock at admission,
 // plus the lead when its group cast m. A single-group item has none, and
 // neither has an entry this process was not handed: both fall back to K.
-// A full-only fill short of limit builds nothing.
+// A full-only fill short of limit builds nothing; short by count alone, it
+// walks nothing.
 func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int, full bool) []Descriptor {
+	if full && len(a.order)+len(a.fresh) < limit {
+		return nil
+	}
 	cand := a.cand[:0]
 	for _, p := range a.order {
 		if p.stage == Stage2 && !exclude(p.id) {
@@ -729,7 +734,7 @@ const pullAfter = 8
 func (a *Mcast) armPull() {
 	if a.pullEvery > 0 && !a.pullOn {
 		a.pullOn = true
-		a.api.After(a.pullEvery, a.pullTick)
+		a.api.After(a.pullEvery, a.pullFn)
 	}
 }
 

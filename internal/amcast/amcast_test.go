@@ -476,20 +476,25 @@ func TestWallClockLatencyScalesWithInterDelay(t *testing.T) {
 
 // TestDeferredFillBuildsNothing: while an own instance is undecided the
 // Batcher asks fillBatch for a full batch on every event; short of one, the
-// fill returns nil without allocating or sorting.
+// fill returns nil without allocating or sorting, and with fewer entries
+// than the limit it asks no in-flight question.
 func TestDeferredFillBuildsNothing(t *testing.T) {
 	r := newRig(t, rigOpts{groups: 1, per: 3, skip: true, pipeline: 4, maxBatch: 64})
 	a := r.eps[0]
 	for i := uint64(1); i <= 10; i++ {
 		a.newPend(types.MessageID{Origin: 1, Seq: i}, types.NewGroupSet(0), "payload", 0)
 	}
-	none := func(types.MessageID) bool { return false }
+	asked := 0
+	none := func(types.MessageID) bool { asked++; return false }
 	if n := testing.AllocsPerRun(100, func() {
 		if set := a.fillBatch(none, 64, true); set != nil {
 			t.Fatalf("a full-only fill returned %d of 64 descriptors", len(set))
 		}
 	}); n != 0 {
 		t.Errorf("a full-only fill short of its limit made %.1f allocations, want 0", n)
+	}
+	if asked != 0 {
+		t.Errorf("a full-only fill of 10 entries against a limit of 64 asked exclude %d times, want 0", asked)
 	}
 	if set := a.fillBatch(none, 10, true); len(set) != 10 {
 		t.Fatalf("a full-only fill with ten pending returned %d of 10 descriptors", len(set))

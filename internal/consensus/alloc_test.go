@@ -7,6 +7,7 @@ import (
 
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
+	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 )
 
@@ -74,6 +75,40 @@ func TestSteadyStateAllocsPerInstance(t *testing.T) {
 		if mallocs[i] != want {
 			t.Errorf("p%d: %d mallocs over %d instances (%.2f each), want %d", i, mallocs[i], n, float64(mallocs[i])/n, want)
 		}
+	}
+}
+
+// TestDurableAcceptAllocatesOnlyItsReply: on a log attached to group commit,
+// an acceptor's Accept costs one allocation, its AcceptedMsg boxed for the
+// wire. Appending the vote, staging the barrier, parking the reply and the
+// lane's run of the continuation that sends it allocate nothing.
+func TestDurableAcceptAllocatesOnlyItsReply(t *testing.T) {
+	d, err := storage.OpenDisk(t.TempDir(), storage.DiskOptions{NoFsync: true, SegmentSize: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	gc := storage.NewGroupCommit()
+	defer gc.Close()
+	log := storage.NewLog(d)
+	lane := make(chan func(), 1)
+	log.AttachGroupCommit(gc, func(fn func()) { lane <- fn })
+	c := newAcceptor(t, log)
+	var v Value = "v"
+	ballot := int64(0)
+	accept := func() {
+		ballot++ // a higher ballot each time: every Accept appends a vote
+		c.onAccept(1, AcceptMsg{Instance: 1, Ballot: ballot, Value: v})
+		(<-lane)()
+	}
+	for i := 0; i < 256; i++ {
+		accept()
+	}
+	if n := testing.AllocsPerRun(200, accept); n != 1 {
+		t.Fatalf("a durable Accept made %.1f allocations, want 1 (the reply's box)", n)
+	}
+	if c.parked.Len() != 0 {
+		t.Fatalf("%d replies still parked after their barriers fired", c.parked.Len())
 	}
 }
 

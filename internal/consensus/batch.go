@@ -123,6 +123,7 @@ type Batcher[T Item] struct {
 
 	healEvery time.Duration // gap-healing re-check period
 	healing   bool          // gap-healing timer armed
+	healFn    func()        // b.heal, bound at the first gap
 }
 
 // NewBatcher builds a batched ordering engine. It panics on missing API,

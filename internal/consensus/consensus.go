@@ -43,6 +43,7 @@ import (
 	"wanamcast/internal/fd"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
+	"wanamcast/internal/ring"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
@@ -182,7 +183,9 @@ type Consensus struct {
 	tickFn  func() // c.tick, bound once: the timer is re-armed per proposal
 
 	log        *storage.Log
-	recovering bool // replaying the log: no re-persisting
+	recovering bool                   // replaying the log: no re-persisting
+	parked     ring.FIFO[parkedReply] // replies waiting on a group-commit barrier, oldest first
+	sendParked func()                 // sends the oldest parked reply; built at the first one
 }
 
 var _ node.Protocol = (*Consensus)(nil)
@@ -454,27 +457,40 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 }
 
 // afterBarrier sends reply once every record appended so far is durable:
-// after an inline fsync on a synchronous log, building no continuation, or
-// parked until the group-commit syncer's next covering fsync when lanes
-// batch their barriers. st is the sub-span: how long the reply waited.
+// after an inline fsync on a synchronous log, or parked in c.parked until
+// the group-commit syncer's next covering fsync. A log runs continuations
+// in stage order, so each barrier's, the one bound sendParked, sends the
+// oldest. st is the sub-span: how long the reply waited.
 func (c *Consensus) afterBarrier(st trace.Stage, to types.ProcessID, reply any) {
-	start := time.Duration(-1) // not tracing
+	p := parkedReply{st: st, start: -1, to: to, reply: reply} // start -1: not tracing
 	if c.api.Tracing() {
-		start = c.api.Now()
+		p.start = c.api.Now()
 	}
 	if !c.log.Deferred() {
 		c.log.Commit()
-		c.sendTraced(st, start, to, reply)
+		c.sendTraced(p)
 		return
 	}
-	c.log.CommitThen(func() { c.sendTraced(st, start, to, reply) })
+	if c.sendParked == nil {
+		c.sendParked = func() { c.sendTraced(c.parked.Pop()) }
+	}
+	c.parked.Push(p)
+	c.log.CommitThen(c.sendParked)
 }
 
-func (c *Consensus) sendTraced(st trace.Stage, start time.Duration, to types.ProcessID, reply any) {
-	if start >= 0 {
-		c.api.Trace(st, types.MessageID{}, int64(c.api.Now()-start))
+// parkedReply is a Promise or Accepted reply and its sub-span's start.
+type parkedReply struct {
+	st    trace.Stage
+	start time.Duration
+	to    types.ProcessID
+	reply any
+}
+
+func (c *Consensus) sendTraced(p parkedReply) {
+	if p.start >= 0 {
+		c.api.Trace(p.st, types.MessageID{}, int64(c.api.Now()-p.start))
 	}
-	c.send(to, reply)
+	c.send(p.to, p.reply)
 }
 
 func (c *Consensus) onPromise(from types.ProcessID, m PromiseMsg) {

@@ -227,15 +227,20 @@ func (b *Batcher[T]) checkGap() {
 		return
 	}
 	b.healing = true
-	b.api.After(b.healEvery, func() {
-		b.healing = false
-		if len(b.buffered) == 0 {
-			return
-		}
-		if _, ok := b.buffered[b.applyNext]; ok {
-			return // draining; decided() will re-arm if a gap remains
-		}
-		b.cons.requestDecision(b.applyNext)
-		b.checkGap()
-	})
+	if b.healFn == nil {
+		b.healFn = b.heal
+	}
+	b.api.After(b.healEvery, b.healFn)
+}
+
+func (b *Batcher[T]) heal() {
+	b.healing = false
+	if len(b.buffered) == 0 {
+		return
+	}
+	if _, ok := b.buffered[b.applyNext]; ok {
+		return // draining; decided() will re-arm if a gap remains
+	}
+	b.cons.requestDecision(b.applyNext)
+	b.checkGap()
 }

@@ -5,10 +5,9 @@ import "sync"
 // Recent is a bounded overwrite ring: Push never fails, evicting the
 // oldest element once the ring is full. It backs the trace flight
 // recorder, which wants "the last N events", not back-pressure — the
-// opposite overflow policy from SPSC/MPSC, whose TryPush refuses when
-// full.
+// opposite overflow policy from MPSC, whose TryPush refuses when full.
 //
-// Unlike the lock-free rings above, Recent is mutex-guarded: it is only
+// Unlike the lock-free MPSC, Recent is mutex-guarded: it is only
 // touched when tracing is enabled, where a short uncontended lock is
 // cheaper than the memory-reclamation subtleties of a lock-free
 // overwriting buffer. Push performs no allocation (the slot array is

@@ -1,21 +1,21 @@
-// Package ring provides the bounded lock-free queues under the parallel
-// ordering runtime: a single-producer/single-consumer ring (SPSC) for the
-// per-lane group-commit staging queues, and a multi-producer/
-// single-consumer ring (MPSC, Vyukov's bounded queue) for the lane
-// inboxes, which are fed concurrently by TCP read loops, timers, and
-// other lanes.
+// Package ring provides the queues under the parallel ordering runtime: a
+// bounded lock-free multi-producer/single-consumer ring (MPSC, Vyukov's
+// bounded queue) for the lane inboxes, which are fed concurrently by TCP
+// read loops, timers, and other lanes; an overwrite ring (Recent) for the
+// trace flight recorder; and an unbounded FIFO confined to one goroutine,
+// in which a lane parks the continuations a group-commit barrier holds back.
 //
-// Both rings are fixed-capacity (rounded up to a power of two) and
-// non-blocking: TryPush reports false when the ring is full and TryPop
-// reports false when it is empty, so callers choose their own overflow
-// policy (the lane inboxes park overflow in an unbounded spill list —
-// they carry consensus replies and timers, which have no retransmission
-// to fall back on and therefore must never drop).
+// MPSC is fixed-capacity (rounded up to a power of two) and non-blocking:
+// TryPush reports false when the ring is full and TryPop reports false when
+// it is empty, so callers choose their own overflow policy (the lane inboxes
+// park overflow in an unbounded spill list — they carry consensus replies
+// and timers, which have no retransmission to fall back on and therefore
+// must never drop).
 //
-// Memory model: value slots are written with plain stores and published
-// through sync/atomic sequence counters, so the happens-before edges the
-// consumer needs are the atomic ones — the race detector verifies this in
-// the package tests.
+// Memory model: MPSC value slots are written with plain stores and
+// published through sync/atomic sequence counters, so the happens-before
+// edges the consumer needs are the atomic ones — the race detector verifies
+// this in the package tests.
 package ring
 
 import "sync/atomic"
@@ -30,51 +30,37 @@ func capFor(capacity int) uint64 {
 	return c
 }
 
-// SPSC is a bounded single-producer/single-consumer ring. Exactly one
-// goroutine may call TryPush and exactly one (possibly different)
-// goroutine may call TryPop.
-type SPSC[T any] struct {
-	mask uint64
+// FIFO is an unbounded queue for one goroutine. It keeps its backing array,
+// sliding the queued elements to the front once half of it is consumed, so
+// after it has grown to its peak depth neither Push nor Pop allocates. The
+// zero value is an empty queue.
+type FIFO[T any] struct {
 	vals []T
-	_    [56]byte // keep head and tail on separate cache lines
-	head atomic.Uint64
-	_    [56]byte
-	tail atomic.Uint64
+	head int
 }
 
-// NewSPSC returns an empty ring holding at least capacity elements
-// (rounded up to a power of two, minimum 8).
-func NewSPSC[T any](capacity int) *SPSC[T] {
-	c := capFor(capacity)
-	return &SPSC[T]{mask: c - 1, vals: make([]T, c)}
-}
+// Len returns the number of queued elements.
+func (q *FIFO[T]) Len() int { return len(q.vals) - q.head }
 
-// Cap returns the ring's fixed capacity.
-func (q *SPSC[T]) Cap() int { return len(q.vals) }
-
-// TryPush appends v, reporting false when the ring is full.
-func (q *SPSC[T]) TryPush(v T) bool {
-	t := q.tail.Load() // own counter: no other writer
-	if t-q.head.Load() > q.mask {
-		return false
+// Push appends v.
+func (q *FIFO[T]) Push(v T) {
+	if len(q.vals) == cap(q.vals) && q.head > 0 && 2*q.head >= len(q.vals) {
+		n := copy(q.vals, q.vals[q.head:])
+		clear(q.vals[n:])
+		q.vals, q.head = q.vals[:n], 0
 	}
-	q.vals[t&q.mask] = v
-	q.tail.Store(t + 1) // publish: release for the slot write above
-	return true
+	q.vals = append(q.vals, v)
 }
 
-// TryPop removes the oldest element, reporting false when the ring is
-// empty.
-func (q *SPSC[T]) TryPop() (T, bool) {
+// Pop removes and returns the oldest element. The queue must not be empty.
+func (q *FIFO[T]) Pop() T {
 	var zero T
-	h := q.head.Load() // own counter: no other reader
-	if h == q.tail.Load() {
-		return zero, false
+	v := q.vals[q.head]
+	q.vals[q.head] = zero // release the reference
+	if q.head++; q.head == len(q.vals) {
+		q.vals, q.head = q.vals[:0], 0
 	}
-	v := q.vals[h&q.mask]
-	q.vals[h&q.mask] = zero // release the reference before re-use
-	q.head.Store(h + 1)
-	return v, true
+	return v
 }
 
 // MPSC is a bounded multi-producer/single-consumer ring (Vyukov's

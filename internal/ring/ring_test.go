@@ -6,40 +6,63 @@ import (
 	"testing"
 )
 
-func TestSPSCSequential(t *testing.T) {
-	q := NewSPSC[int](10) // rounds up to 16
-	if q.Cap() != 16 {
-		t.Fatalf("capacity = %d, want 16", q.Cap())
-	}
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("pop from empty ring succeeded")
-	}
-	for i := 0; i < 16; i++ {
-		if !q.TryPush(i) {
-			t.Fatalf("push %d refused below capacity", i)
+// TestFIFOOrderAcrossGrowthAndSlides interleaves pushes and pops in uneven
+// runs, so the queue grows, empties, and slides a partly consumed array to
+// the front: every element comes out once, in push order, and a consumed
+// slot holds no reference.
+func TestFIFOOrderAcrossGrowthAndSlides(t *testing.T) {
+	var q FIFO[*int]
+	pushed, popped := 0, 0
+	for round := 1; round <= 200; round++ {
+		for i := 0; i < round%13+1; i++ {
+			v := pushed
+			q.Push(&v)
+			pushed++
+		}
+		for i := 0; i < round%7+1 && q.Len() > 0; i++ {
+			if v := *q.Pop(); v != popped {
+				t.Fatalf("round %d: pop = %d, want %d", round, v, popped)
+			}
+			popped++
+		}
+		for i, p := range q.vals[:q.head] {
+			if p != nil {
+				t.Fatalf("round %d: consumed slot %d still holds %d", round, i, *p)
+			}
+		}
+		if q.Len() != pushed-popped {
+			t.Fatalf("round %d: Len = %d, want %d", round, q.Len(), pushed-popped)
 		}
 	}
-	if q.TryPush(99) {
-		t.Fatal("push into full ring succeeded")
-	}
-	for i := 0; i < 16; i++ {
-		v, ok := q.TryPop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = (%d, %v), want (%d, true)", i, v, ok, i)
+	for q.Len() > 0 {
+		if v := *q.Pop(); v != popped {
+			t.Fatalf("drain: pop = %d, want %d", v, popped)
 		}
+		popped++
 	}
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("pop from drained ring succeeded")
+	if popped != pushed {
+		t.Fatalf("popped %d of %d", popped, pushed)
 	}
-	// Wraparound: push/pop far past the capacity.
-	for i := 0; i < 1000; i++ {
-		if !q.TryPush(i) {
-			t.Fatalf("wraparound push %d refused", i)
+}
+
+// TestFIFOSteadyStateZeroAllocs: a queue that never empties — the shape of a
+// lane whose barriers overlap — allocates nothing once it has grown to its
+// depth.
+func TestFIFOSteadyStateZeroAllocs(t *testing.T) {
+	var q FIFO[int]
+	for i := 0; i < 64; i++ {
+		q.Push(i)
+	}
+	next, want := 64, 0
+	if n := testing.AllocsPerRun(1000, func() {
+		q.Push(next)
+		next++
+		if v := q.Pop(); v != want {
+			t.Fatalf("pop = %d, want %d", v, want)
 		}
-		v, ok := q.TryPop()
-		if !ok || v != i {
-			t.Fatalf("wraparound pop = (%d, %v), want (%d, true)", v, ok, i)
-		}
+		want++
+	}); n != 0 {
+		t.Fatalf("a push and a pop at constant depth made %.1f allocations, want 0", n)
 	}
 }
 
@@ -64,39 +87,6 @@ func TestMPSCSequential(t *testing.T) {
 			t.Fatal("pop from drained ring succeeded")
 		}
 	}
-}
-
-// TestSPSCConcurrent streams values through a small ring with the
-// producer and consumer on different goroutines: FIFO order and no loss,
-// and under -race it proves the publication edges.
-func TestSPSCConcurrent(t *testing.T) {
-	q := NewSPSC[int](16)
-	const n = 100000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		next := 0
-		for next < n {
-			v, ok := q.TryPop()
-			if !ok {
-				runtime.Gosched() // single-core boxes: let the producer run
-				continue
-			}
-			if v != next {
-				t.Errorf("pop = %d, want %d", v, next)
-				return
-			}
-			next++
-		}
-	}()
-	for i := 0; i < n; {
-		if q.TryPush(i) {
-			i++
-		} else {
-			runtime.Gosched()
-		}
-	}
-	<-done
 }
 
 // TestMPSCConcurrent runs several producers against one consumer and

@@ -115,6 +115,7 @@ type Engine[R, T any] struct {
 	syncing bool              // gate shut: recovered or transferring
 	failed  bool              // transfer abandoned; the gate stays shut
 	heard   map[types.ProcessID]peerInfo
+	retryFn func() // e.retry, bound by Start: a transfer's timer
 }
 
 // New builds the engine of one endpoint.
@@ -168,24 +169,22 @@ func (e *Engine[R, T]) Start() {
 		e.finish()
 		return
 	}
-	e.syncing, e.failed = true, false
+	e.syncing, e.failed, e.retryFn = true, false, e.retry
 	e.heard = make(map[types.ProcessID]peerInfo)
-	e.sendReq()
-	e.armRetry()
+	e.retry()
 }
 
 func (e *Engine[R, T]) sendReq() {
 	e.cfg.API.Multicast(e.peers, e.cfg.Label, Req{From: e.cfg.Pos()})
 }
 
-func (e *Engine[R, T]) armRetry() {
-	e.cfg.API.After(retryEvery, func() {
-		if !e.syncing || e.failed {
-			return
-		}
-		e.sendReq()
-		e.armRetry()
-	})
+// retry asks the peers, and again every retryEvery until the transfer ends.
+func (e *Engine[R, T]) retry() {
+	if !e.syncing || e.failed {
+		return
+	}
+	e.sendReq()
+	e.cfg.API.After(retryEvery, e.retryFn)
 }
 
 // Receive handles body if it is one of the engine's frames and reports

@@ -4,22 +4,28 @@
 // With per-group lanes, every lane hits its own durability barriers
 // (Promise and Accept records must be fsynced before their replies).
 // Issuing those fsyncs inline would serialise the lanes on the disk;
-// instead each Log flushes its appends on its own lane and stages the
-// barrier's continuation into a per-log SPSC ring, and ONE syncer
-// goroutine per process drains every ring, issues one fsync per distinct
-// dirty store for the whole window, and posts the parked continuations
-// back to their owning lanes.
+// instead each Log flushes its appends on its own lane, parks the
+// barrier's continuation in a lane-local FIFO, and counts it in the log's
+// staged counter. ONE syncer goroutine per process reads every staged
+// counter, issues one fsync per distinct dirty store for the whole window,
+// publishes each log's done counter, and posts the log's fire hook to its
+// owning lane, which runs the parked continuations up to done.
 //
 // Batching is natural, not timed: a window is simply everything staged
 // while the previous fsync ran. An idle system pays no added latency (a
 // lone barrier syncs immediately); a busy one amortises — eight lanes'
 // promises in one window cost one fsync, not eight. The fsync-before-
-// reply invariant is preserved by construction: a continuation is only
-// posted after a Sync call that started after its records were flushed.
+// reply invariant is preserved by construction: the lane publishes staged
+// after the flush, and a continuation runs only once done covers it, which
+// the syncer publishes after a Sync call that started after it read staged.
+// Nothing on this path allocates: the counters are atomics, the FIFO and
+// the syncer's store list reuse their arrays, and the fire hook is bound
+// once per log.
 package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +58,8 @@ type GroupCommit struct {
 	wg   sync.WaitGroup
 	once sync.Once
 
+	dirty []SyncStore // syncer-local: the window's stores, each once
+
 	barriers atomic.Uint64
 	windows  atomic.Uint64
 	syncs    atomic.Uint64
@@ -76,26 +84,29 @@ func NewGroupCommit() *GroupCommit {
 	return g
 }
 
-// gcQueue is one log's staging queue: barriers are staged from the log's
-// owning lane only (single producer) and drained by the syncer (single
-// consumer), so a lock-free SPSC ring carries the steady state; when it
-// fills, barriers park in an unbounded spill list — a durability barrier
-// can never be dropped, and stage must never block the lane.
+// gcQueue is one log's barrier queue. Its owning lane stages (pushes a
+// continuation, then bumps staged) and fires (runs continuations while
+// ran < done); the syncer only reads staged and writes done. A durability
+// barrier is never dropped, and staging never blocks the lane.
 type gcQueue struct {
 	g     *GroupCommit
 	store SyncStore
 	post  func(func())
+	fire  func() // q.runDone, bound once: what the syncer posts
 
-	ring *ring.SPSC[func()]
-	ovMu sync.Mutex
-	ov   []func()
-	ovOn atomic.Bool
+	thens ring.FIFO[func()] // lane-local: parked continuations, oldest first
+	ran   uint64            // lane-local: continuations run so far
+
+	staged atomic.Uint64 // barriers staged, published after their flush
+	done   atomic.Uint64 // barriers covered by a completed Sync
+	seen   uint64        // syncer-local: staged as this window read it
 }
 
-// register adds a staging queue for store; continuations are handed back
+// register adds a barrier queue for store; its fire hook is handed back
 // through post. Called by Log.AttachGroupCommit.
 func (g *GroupCommit) register(store SyncStore, post func(func())) *gcQueue {
-	q := &gcQueue{g: g, store: store, post: post, ring: ring.NewSPSC[func()](256)}
+	q := &gcQueue{g: g, store: store, post: post}
+	q.fire = q.runDone
 	g.mu.Lock()
 	g.queues = append(g.queues, q)
 	g.mu.Unlock()
@@ -103,16 +114,10 @@ func (g *GroupCommit) register(store SyncStore, post func(func())) *gcQueue {
 }
 
 // stage parks then until the next covering fsync. The caller must have
-// flushed the records the barrier guards. Never blocks, never drops:
-// once the ring is full (or a spill is already pending, to keep FIFO)
-// barriers go to the spill list the syncer drains after the ring.
+// flushed the records the barrier guards.
 func (q *gcQueue) stage(then func()) {
-	if q.ovOn.Load() || !q.ring.TryPush(then) {
-		q.ovMu.Lock()
-		q.ovOn.Store(true)
-		q.ov = append(q.ov, then)
-		q.ovMu.Unlock()
-	}
+	q.thens.Push(then)
+	q.staged.Add(1)
 	q.g.barriers.Add(1)
 	select {
 	case q.g.wake <- struct{}{}:
@@ -120,26 +125,20 @@ func (q *gcQueue) stage(then func()) {
 	}
 }
 
-// drain empties the queue in stage order. Syncer only.
-func (q *gcQueue) drain(into []func()) []func() {
-	for {
-		fn, ok := q.ring.TryPop()
-		if !ok {
-			break
-		}
-		into = append(into, fn)
+// runDone is the fire hook, on the owning lane: the store's lane-side
+// maintenance, then every continuation a completed Sync covers, in stage
+// order. A continuation that stages again waits for a later window.
+func (q *gcQueue) runDone() {
+	// Rotation (and any other file juggling) stays on the owning lane,
+	// where it cannot race the lane's appends.
+	if err := q.store.Maintain(); err != nil {
+		panic(fmt.Sprintf("storage: post-sync maintenance failed: %v", err))
 	}
-	if q.ovOn.Load() {
-		q.ovMu.Lock()
-		batch := q.ov
-		q.ov = nil
-		if len(batch) == 0 {
-			q.ovOn.Store(false) // spill empty: ring resumes carrying new stages
+	for done := q.done.Load(); q.ran < done; q.ran++ {
+		if fn := q.thens.Pop(); fn != nil {
+			fn()
 		}
-		q.ovMu.Unlock()
-		into = append(into, batch...)
 	}
-	return into
 }
 
 func (g *GroupCommit) run() {
@@ -158,25 +157,21 @@ func (g *GroupCommit) run() {
 	}
 }
 
-// round is one group-commit window: drain every queue, fsync each
-// distinct dirty store once, then post the parked continuations (with
-// the store's lane-side maintenance ahead of them). It reports whether
-// any barrier was found.
+// round is one group-commit window: read every queue's staged count, fsync
+// each distinct dirty store once, then publish done and post the fire hook
+// of every queue the window covered. It reports whether any barrier was
+// found.
 func (g *GroupCommit) round() bool {
 	g.mu.Lock()
 	queues := g.queues
 	g.mu.Unlock()
-	type job struct {
-		q     *gcQueue
-		thens []func()
-	}
-	var jobs []job
+	g.dirty = g.dirty[:0]
 	for _, q := range queues {
-		if thens := q.drain(nil); len(thens) > 0 {
-			jobs = append(jobs, job{q: q, thens: thens})
+		if q.seen = q.staged.Load(); q.seen > q.done.Load() && !slices.Contains(g.dirty, q.store) {
+			g.dirty = append(g.dirty, q.store)
 		}
 	}
-	if len(jobs) == 0 {
+	if len(g.dirty) == 0 {
 		return false
 	}
 	g.windows.Add(1)
@@ -185,13 +180,8 @@ func (g *GroupCommit) round() bool {
 	if traced {
 		syncStart = time.Now()
 	}
-	synced := make(map[SyncStore]bool, len(jobs))
-	for _, j := range jobs {
-		if synced[j.q.store] {
-			continue
-		}
-		synced[j.q.store] = true
-		if err := j.q.store.Sync(); err != nil {
+	for _, s := range g.dirty {
+		if err := s.Sync(); err != nil {
 			panic(fmt.Sprintf("storage: group-commit fsync failed, cannot continue without durability: %v", err))
 		}
 		g.syncs.Add(1)
@@ -199,20 +189,11 @@ func (g *GroupCommit) round() bool {
 	if traced {
 		g.tracer.Record(0, trace.StageFsync, types.MessageID{}, 0, time.Since(syncStart).Nanoseconds())
 	}
-	for _, j := range jobs {
-		store, thens := j.q.store, j.thens
-		j.q.post(func() {
-			// Rotation (and any other file juggling) stays on the owning
-			// lane, where it cannot race the lane's appends.
-			if err := store.Maintain(); err != nil {
-				panic(fmt.Sprintf("storage: post-sync maintenance failed: %v", err))
-			}
-			for _, fn := range thens {
-				if fn != nil {
-					fn()
-				}
-			}
-		})
+	for _, q := range queues {
+		if q.seen > q.done.Load() {
+			q.done.Store(q.seen)
+			q.post(q.fire)
+		}
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,6 +68,12 @@ func TestGroupCommitParksUntilFsync(t *testing.T) {
 	if s := g.Stats(); s.Windows < 1 {
 		t.Fatalf("no window recorded: %+v", s)
 	}
+	// directPost ran the first window's fire hook to completion before the
+	// syncer could start the next window: the queued second continuation is
+	// past what that window covered.
+	if sent2.Load() {
+		t.Fatal("the first window's fire ran a continuation staged after its Sync began")
+	}
 
 	<-store.syncing // the syncer starts the second window on its own
 	store.gate <- struct{}{}
@@ -111,8 +118,8 @@ func TestGroupCommitBatchesBarriers(t *testing.T) {
 	log.CommitThen(func() { done.Add(1) })
 	<-store.syncing
 
-	// …while 99 more barriers pile up behind it (spilling past the SPSC
-	// ring is part of what this exercises — park, never drop).
+	// …while 512 more barriers pile up behind it (growing the lane's FIFO
+	// is part of what this exercises — park, never drop).
 	const extra = 512
 	for i := 1; i <= extra; i++ {
 		log.Append(Record{Kind: KindPromise, Proto: "t", Inst: uint64(i), Ballot: 1})
@@ -286,5 +293,141 @@ func TestGroupCommitConcurrentLanes(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// coverStore counts flushes and records, as each Sync starts, how many of
+// them it covers. Its Flush takes a while, so a syncer that read a barrier
+// before the barrier's flush had finished would be caught syncing short.
+type coverStore struct {
+	Mem
+	flushed, covered atomic.Uint64
+}
+
+func (s *coverStore) Flush() error {
+	time.Sleep(time.Microsecond)
+	s.flushed.Add(1)
+	return nil
+}
+
+func (s *coverStore) Sync() error {
+	s.covered.Store(s.flushed.Load())
+	return nil
+}
+
+// laneQueue stands in for a lane: the syncer posts fire hooks into it and
+// the test goroutine, which also stages, runs them.
+type laneQueue chan func()
+
+func (l laneQueue) post(fn func()) { l <- fn }
+
+// runPosted runs every fire hook posted so far.
+func (l laneQueue) runPosted() {
+	for {
+		select {
+		case fn := <-l:
+			fn()
+		default:
+			return
+		}
+	}
+}
+
+// TestGroupCommitStageRacingARoundWaitsForTheNext stages barriers back to
+// back against the free-running syncer, so stages land before, during and
+// after its rounds: every continuation runs once, in stage order, and only
+// after a Sync that began once its own flush was done. CI runs it under
+// -race -count=50.
+func TestGroupCommitStageRacingARoundWaitsForTheNext(t *testing.T) {
+	g := NewGroupCommit()
+	store := &coverStore{}
+	log := NewLog(store)
+	lane := make(laneQueue, 1024) // the syncer posts once per round, and the test drains after every stage
+	log.AttachGroupCommit(g, lane.post)
+	const n = 2000
+	ran := 0
+	for i := 1; i <= n; i++ {
+		log.CommitThen(func() {
+			if ran++; ran != i {
+				t.Fatalf("barrier %d ran as the %d-th", i, ran)
+			}
+			if c := store.covered.Load(); c < uint64(i) {
+				t.Fatalf("barrier %d ran after a Sync that covered %d flushes", i, c)
+			}
+		})
+		lane.runPosted()
+	}
+	g.Close()
+	lane.runPosted()
+	if ran != n {
+		t.Fatalf("continuations ran = %d, want %d", ran, n)
+	}
+}
+
+// TestGroupCommitStageOrderAcrossWindowsAndLogs: two logs share one store.
+// One barrier holds the first window's Sync open while both logs stage
+// more; each log's continuations run in its stage order across the two
+// windows, and the second window, with both logs dirty, syncs the shared
+// store once.
+func TestGroupCommitStageOrderAcrossWindowsAndLogs(t *testing.T) {
+	g := NewGroupCommit()
+	store := newGatedStore()
+	lane := make(laneQueue, 16) // three posts: one per log per window
+	a, b := NewLog(store), NewLog(store)
+	a.AttachGroupCommit(g, lane.post)
+	b.AttachGroupCommit(g, lane.post)
+	var got []string
+	mark := func(s string) func() { return func() { got = append(got, s) } }
+	a.CommitThen(mark("a1"))
+	<-store.syncing // window 1 covers a1 alone
+	a.CommitThen(mark("a2"))
+	b.CommitThen(mark("b1"))
+	a.CommitThen(mark("a3"))
+	b.CommitThen(mark("b2"))
+	store.gate <- struct{}{}
+	<-store.syncing // window 2: both logs, one store
+	store.gate <- struct{}{}
+	close(store.gate)
+	g.Close()
+	lane.runPosted()
+	var as, bs []string
+	for _, s := range got {
+		if s[0] == 'a' {
+			as = append(as, s)
+		} else {
+			bs = append(bs, s)
+		}
+	}
+	if !slices.Equal(as, []string{"a1", "a2", "a3"}) || !slices.Equal(bs, []string{"b1", "b2"}) {
+		t.Fatalf("continuations ran %v, want each log's in stage order", got)
+	}
+	if s := g.Stats(); s.Windows != 2 || s.Syncs != 2 {
+		t.Fatalf("stats %+v: want 2 windows of one Sync each", s)
+	}
+}
+
+// TestGroupCommitStageFireZeroAllocs pins the steady state: staging a
+// barrier, the syncer's window, and the lane running the posted fire hook
+// allocate nothing.
+func TestGroupCommitStageFireZeroAllocs(t *testing.T) {
+	g := NewGroupCommit()
+	defer g.Close()
+	log := NewLog(&coverStore{})
+	lane := make(laneQueue, 1)
+	log.AttachGroupCommit(g, lane.post)
+	ran := 0
+	then := func() { ran++ }
+	stageFire := func() {
+		log.CommitThen(then)
+		(<-lane)()
+	}
+	for i := 0; i < 64; i++ {
+		stageFire()
+	}
+	if n := testing.AllocsPerRun(200, stageFire); n != 0 {
+		t.Fatalf("a barrier staged and fired made %.1f allocations, want 0", n)
+	}
+	if ran != 64+201 {
+		t.Fatalf("continuations ran = %d, want %d", ran, 64+201)
 	}
 }

@@ -83,8 +83,7 @@ type Log struct {
 	store Store
 	// Group-commit attachment (nil = synchronous barriers): CommitThen
 	// stages its continuation here instead of fsyncing inline.
-	sync SyncStore
-	q    *gcQueue
+	q *gcQueue
 }
 
 // NewLog wraps store; a nil store yields a nil (discard-everything) Log.
@@ -122,8 +121,9 @@ func (l *Log) Enabled() bool { return l != nil }
 // the barrier's continuation is parked until the syncer's next fsync of
 // this store completes, and one fsync covers every barrier staged across
 // all lanes in the window. post must run its argument on the store's
-// owning lane, as its own event (e.g. tcp.Runtime.Async) — parked
-// continuations touch loop-confined protocol state.
+// owning lane, as its own event (e.g. tcp.Runtime.Async) — the parked
+// continuations live in a lane-local queue and touch loop-confined
+// protocol state. The syncer posts one function, bound once, per window.
 //
 // A nil log, a nil gc, or a store that cannot split its barrier (no
 // SyncStore) leave the log synchronous: CommitThen then degrades to
@@ -132,12 +132,9 @@ func (l *Log) AttachGroupCommit(gc *GroupCommit, post func(func())) {
 	if l == nil || gc == nil {
 		return
 	}
-	ss, ok := l.store.(SyncStore)
-	if !ok {
-		return
+	if ss, ok := l.store.(SyncStore); ok {
+		l.q = gc.register(ss, post)
 	}
-	l.sync = ss
-	l.q = gc.register(ss, post)
 }
 
 // Deferred reports whether CommitThen parks its continuation behind the
@@ -151,7 +148,8 @@ func (l *Log) Deferred() bool { return l != nil && l.q != nil }
 // behavior to the byte. With one, the appends are flushed to the OS on
 // the calling lane and then is parked until the group-commit syncer's
 // covering fsync completes; it then runs on the owning lane via the
-// attachment's post hook. Either way the caller must not touch
+// attachment's post hook, after every continuation staged on this log
+// before it. Either way the caller must not touch
 // loop-confined state between CommitThen and then running — the reply a
 // barrier guards belongs inside then.
 func (l *Log) CommitThen(then func()) {
@@ -168,7 +166,7 @@ func (l *Log) CommitThen(then func()) {
 		}
 		return
 	}
-	if err := l.sync.Flush(); err != nil {
+	if err := l.q.store.Flush(); err != nil {
 		panic(fmt.Sprintf("storage: flush failed, cannot continue without durability: %v", err))
 	}
 	l.q.stage(then)

@@ -240,7 +240,7 @@ func (d *Disk) Flush() error {
 // it holds the file-handle lock so a concurrent rotation or Close cannot
 // pull the file out from under the fsync. Flushes that complete before a
 // barrier is staged are covered by construction (flush happens-before
-// stage happens-before the syncer's drain happens-before this call).
+// stage happens-before the syncer's read of it happens-before this call).
 func (d *Disk) Sync() error {
 	d.fmu.RLock()
 	defer d.fmu.RUnlock()

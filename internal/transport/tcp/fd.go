@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -55,11 +56,13 @@ type heartbeatFD struct {
 	suspectAfter time.Duration
 
 	group     []types.ProcessID
+	peers     []types.ProcessID // group minus self: every beat's addressees
 	lastSeen  map[types.ProcessID]time.Duration
 	suspected map[types.ProcessID]bool
 	leader    types.ProcessID
 	subs      []func(types.GroupID, types.ProcessID)
 	checkFn   func() // checkSuspicions, bound once
+	tickFn    func() // tick, bound once
 
 	// Leader-lease state (inert when leaseDur == 0). lease is owned by the
 	// Runtime and outlives detector restarts; grants holds, per group
@@ -92,8 +95,9 @@ func newHeartbeatFD(api node.API, every, suspectAfter time.Duration, obs *metric
 	}
 	h.group = append(h.group, api.Topo().Members(api.Group())...)
 	sort.Slice(h.group, func(i, j int) bool { return h.group[i] < h.group[j] })
+	h.peers = slices.DeleteFunc(slices.Clone(h.group), func(q types.ProcessID) bool { return q == api.Self() })
 	h.leader = h.group[0]
-	h.checkFn = h.checkSuspicions
+	h.checkFn, h.tickFn = h.checkSuspicions, h.tick
 	return h
 }
 
@@ -112,16 +116,10 @@ func (h *heartbeatFD) Start() {
 func (h *heartbeatFD) tick() {
 	self := h.api.Self()
 	now := h.api.Now()
-	var tos []types.ProcessID
-	for _, q := range h.group {
-		if q != self {
-			tos = append(tos, q)
-		}
-	}
 	// One beat body serves every peer: the writer goroutines only read it,
 	// and the receive side decodes its own pooled copy. (Send-side bodies
 	// are NOT pooled — a queued frame may outlive this tick.)
-	h.api.Multicast(tos, "fd", &heartbeatMsg{Beat: int64(now)})
+	h.api.Multicast(h.peers, "fd", &heartbeatMsg{Beat: int64(now)})
 	if h.leaseDur > 0 && h.leader == self && h.canGrantTo(self, now) {
 		// Self-grant through the same fencing path followers use: our own
 		// vote counts toward the majority only while no other candidate
@@ -142,7 +140,7 @@ func (h *heartbeatFD) tick() {
 			h.api.After(wait, h.checkFn)
 		}
 	}
-	h.api.After(h.every, h.tick)
+	h.api.After(h.every, h.tickFn)
 }
 
 // Receive implements node.Protocol. The pooled message bodies are released

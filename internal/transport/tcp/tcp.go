@@ -303,10 +303,11 @@ func (rt *Runtime) Drops() (queue, hold []uint64) {
 }
 
 // ReleaseLateness sums the lanes' delay-line lateness histograms: how long
-// after its injected link delay had passed each received frame was handed to
-// its lane. The timer that releases the line is the Go runtime's, so on an
-// idle-ish process the emulated WAN is a fraction of a millisecond longer
-// than configured, and every latency measured above it includes that.
+// after its injected link delay had passed each received frame (not timer)
+// was handed to its lane. The timer that releases the line is the Go
+// runtime's, so on an idle-ish process the emulated WAN is a fraction of a
+// millisecond longer than configured, and every latency measured above it
+// includes that.
 func (rt *Runtime) ReleaseLateness() metrics.Hist {
 	var h metrics.Hist
 	for _, ln := range rt.lanes {
@@ -512,12 +513,13 @@ func (rt *Runtime) enqueue(id types.ProcessID, fn func()) {
 
 // laneEvent is one unit of lane work. The receive path posts deliveries
 // as plain field sets (fn == nil) so the hot path allocates no closure;
-// timers and Run/Async hand-offs carry an explicit fn. While lifecycle
-// tracing is enabled, received frames also carry their span ID and
-// enqueue timestamp so the lane can attribute queueing delay (at == 0
-// means untimed — tracing was off when the frame arrived).
+// timers (with their owner) and Run/Async hand-offs carry an explicit fn.
+// While lifecycle tracing is enabled, received frames also carry their span
+// ID and enqueue timestamp so the lane can attribute queueing delay (at ==
+// 0 means untimed — tracing was off when the frame arrived).
 type laneEvent struct {
 	fn    func()
+	owner *node.Proc // a timer's owner; nil for every other event
 	from  types.ProcessID
 	to    types.ProcessID
 	proto string
@@ -544,8 +546,8 @@ type lane struct {
 	depth atomic.Int64 // posted-but-unexecuted events; the telemetry gauge
 
 	// The delay line: received frames waiting out their injected link
-	// delay, in ascending due order (equal dues in arrival order), released
-	// by one timer armed for the head.
+	// delay and timers waiting out theirs, in ascending due order (equal
+	// dues in arrival order), released by one timer armed for the head.
 	dlMu    sync.Mutex
 	dlQ     []delayedEvent
 	dlTimer *time.Timer
@@ -557,34 +559,36 @@ type delayedEvent struct {
 	ev  laneEvent
 }
 
-// delay queues ev for posting once d has passed. A frame never overtakes an
-// earlier frame of its own link — every protocol here assumes FIFO links —
-// even when the fabric shortens the link's delay between the two.
-func (ln *lane) delay(ev laneEvent, d time.Duration) {
-	due := time.Now().Add(d)
+// delay queues ev for posting at due. A frame never overtakes an earlier
+// frame of its own link — every protocol here assumes FIFO links — even when
+// the fabric shortens the link's delay between the two. Timers (fn set) keep
+// only their due order.
+func (ln *lane) delay(ev laneEvent, due time.Time) {
 	ln.dlMu.Lock()
 	defer ln.dlMu.Unlock()
 	i := len(ln.dlQ)
 	for ; i > 0 && ln.dlQ[i-1].due.After(due); i-- {
-		if q := &ln.dlQ[i-1]; q.ev.from == ev.from && q.ev.to == ev.to {
+		if q := &ln.dlQ[i-1]; ev.fn == nil && q.ev.fn == nil && q.ev.from == ev.from && q.ev.to == ev.to {
 			due = q.due
 			break
 		}
 	}
 	ln.dlQ = slices.Insert(ln.dlQ, i, delayedEvent{due, ev})
 	if i == 0 {
-		ln.dlTimer.Reset(d)
+		ln.dlTimer.Reset(time.Until(due))
 	}
 }
 
-// releaseDue posts every frame whose delay has passed. It posts under dlMu:
+// releaseDue posts every event whose delay has passed. It posts under dlMu:
 // a later firing must not overtake this one.
 func (ln *lane) releaseDue() {
 	ln.dlMu.Lock()
 	defer ln.dlMu.Unlock()
 	n, now := 0, time.Now()
 	for ; n < len(ln.dlQ) && !ln.dlQ[n].due.After(now); n++ {
-		ln.dlLate.Observe(now.Sub(ln.dlQ[n].due))
+		if ln.dlQ[n].ev.fn == nil {
+			ln.dlLate.Observe(now.Sub(ln.dlQ[n].due))
+		}
 		ln.post(ln.dlQ[n].ev)
 	}
 	// Delete keeps the backing array and clears the vacated tail, so the
@@ -651,14 +655,17 @@ func (ln *lane) loop() {
 
 // exec runs one lane event on the lane goroutine. rt.procs[id] is only
 // read and written on id's lane after Start (Restart swaps it via Run),
-// so the slot needs no synchronisation here. Timed frames (ev.at != 0,
-// stamped by dispatch while tracing) record a StageLaneDeq span whose
-// Aux is the time the frame spent queued behind the lane.
+// so the slot needs no synchronisation here; nor does a timer owner's crash
+// flag. Timed frames (ev.at != 0, stamped by dispatch while tracing) record
+// a StageLaneDeq span whose Aux is the time the frame spent queued behind
+// the lane.
 func (ln *lane) exec(ev laneEvent) {
 	rt := ln.rt
 	ln.depth.Add(-1)
 	if ev.fn != nil {
-		ev.fn()
+		if ev.owner == nil || !ev.owner.Crashed() {
+			ev.fn()
+		}
 		return
 	}
 	if ev.at != 0 {
@@ -815,7 +822,7 @@ func (rt *Runtime) dispatch(to types.ProcessID, f wire.Frame) {
 		}
 	}
 	if delay > 0 {
-		rt.laneOf[to].delay(ev, delay)
+		rt.laneOf[to].delay(ev, time.Now().Add(delay))
 	} else {
 		rt.laneOf[to].post(ev)
 	}
@@ -848,23 +855,19 @@ func (rt *Runtime) Tracef(format string, args ...any) {
 	rt.trace(format, args...)
 }
 
-// Later implements node.Env. Timer callbacks whose owning process has
-// crashed by fire time are dropped, matching node.Runtime.Later: a dead
-// node must not keep driving consensus rounds. The crash flag is
-// loop-confined state, so the check runs on the owner's loop.
+// Later implements node.Env, from any goroutine. The timer is a lane event
+// carrying fn and its owner, posted at once for d ≤ 0 and otherwise queued
+// on the lane's delay line: arming and firing allocate nothing. The lane
+// drops it if the owner has crashed by then (a restarted process is a new
+// owner), matching node.Runtime.Later: a dead node must not keep driving
+// consensus rounds.
 func (rt *Runtime) Later(owner *node.Proc, d time.Duration, fn func()) {
-	id := owner.Self()
-	run := func() {
-		if owner.Crashed() {
-			return
-		}
-		fn()
-	}
+	ln, ev := rt.laneOf[owner.Self()], laneEvent{fn: fn, owner: owner, to: owner.Self()}
 	if d <= 0 {
-		rt.enqueue(id, run)
+		ln.post(ev)
 		return
 	}
-	time.AfterFunc(d, func() { rt.enqueue(id, run) })
+	ln.delay(ev, time.Now().Add(d))
 }
 
 // Transmit implements node.Env. It runs on the sender's loop and never

@@ -389,6 +389,7 @@ type BatchWriter struct {
 	from  types.ProcessID
 	sub   []byte
 	count int
+	cnt   [binary.MaxVarintLen64]byte // the count's uvarint; deflateInto's argument would move a local to the heap
 }
 
 // Begin resets the writer for a new envelope from the given sender.
@@ -441,9 +442,8 @@ func (w *BatchWriter) Finish(buf []byte, compressMin int) (out []byte, rawLen, c
 	buf = AppendString(buf, BatchProto)
 	buf = binary.AppendVarint(buf, 0)
 	buf = append(buf, byte(KindBatch))
-	var cnt [binary.MaxVarintLen64]byte
-	cn := binary.PutUvarint(cnt[:], uint64(w.count))
-	rawLen = cn + len(w.sub)
+	cnt := w.cnt[:binary.PutUvarint(w.cnt[:], uint64(w.count))]
+	rawLen = len(cnt) + len(w.sub)
 	compressed := false
 	if compressMin > 0 && rawLen >= compressMin {
 		flagsAt := len(buf)
@@ -452,7 +452,7 @@ func (w *BatchWriter) Finish(buf []byte, compressMin int) (out []byte, rawLen, c
 		lenAt := len(buf)
 		buf = AppendUvarint(buf, uint64(rawLen)) // placeholder sized for the worst case
 		compStart := len(buf)
-		buf, err = deflateInto(buf, cnt[:cn], w.sub)
+		buf, err = deflateInto(buf, cnt, w.sub)
 		if err != nil {
 			return buf[:start], 0, 0, 0, err
 		}
@@ -478,7 +478,7 @@ func (w *BatchWriter) Finish(buf []byte, compressMin int) (out []byte, rawLen, c
 	}
 	if !compressed {
 		buf = append(buf, 0)
-		buf = append(buf, cnt[:cn]...)
+		buf = append(buf, cnt...)
 		buf = append(buf, w.sub...)
 	}
 	n := len(buf) - start - 4

@@ -195,6 +195,48 @@ func TestBatchWriterReuse(t *testing.T) {
 	}
 }
 
+// TestBatchWriterZeroAllocs pins the send side of an envelope: with the
+// writer's and the caller's buffers warm, Begin, Add and Finish allocate
+// nothing, whether the envelope goes out raw or deflated.
+func TestBatchWriterZeroAllocs(t *testing.T) {
+	var body any = strings.Repeat("wan bandwidth ", 40) // boxed once, as a queued frame's body is
+	for _, tc := range []struct {
+		name        string
+		compressMin int
+		compressed  bool
+	}{{"raw", 0, false}, {"compressed", 64, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.compressed && raceEnabled {
+				t.Skip("deflate state comes from a sync.Pool, which drops items under the race detector")
+			}
+			var bw wire.BatchWriter
+			var buf []byte
+			envelope := func() {
+				bw.Begin(3)
+				for i := 0; i < 8; i++ {
+					if _, err := bw.Add("t", int64(i), body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				out, _, compLen, _, err := bw.Finish(buf[:0], tc.compressMin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (compLen > 0) != tc.compressed {
+					t.Fatalf("compressed payload of %d bytes, want compressed=%v", compLen, tc.compressed)
+				}
+				buf = out
+			}
+			for i := 0; i < 8; i++ {
+				envelope()
+			}
+			if n := testing.AllocsPerRun(100, envelope); n != 0 {
+				t.Fatalf("a %s envelope made %.1f allocations, want 0", tc.name, n)
+			}
+		})
+	}
+}
+
 // TestBatchRejectsNesting: a batch body inside an envelope is corruption by
 // definition — the writer refuses to encode one and the decoder refuses to
 // accept a crafted one.
