@@ -273,10 +273,16 @@ func TestStatsUnchangedByCollectorRefactor(t *testing.T) {
 		// bundle copies 1 494 → 1 404, rounds on the pace / late 236 / 18 →
 		// 234 / 12; a2.rm 221 and the 2 LearnMsg fetches as before. Mean wall
 		// 47.57 → 48.33, 69.86 → 68.54, 42.53 → 40.57, 40.82 → 41.37 ms.
-		{"a1", harness.AlgoA1, "", 2, "e588d5ff81c7326bcd83df6fff15322b55dc972befcf25ac8a8c8232a24756f5"},
-		{"a1-partition-heal", harness.AlgoA1, "partition-heal", 2, "617f310005cf81b8f8444660e7f517301099745e5b24575a326cb8a3d8f24c88"},
-		{"a2", harness.AlgoA2, "", 2, "8bd28b99c601e0948b6a3226896c555fc9037c3f63013ef145cd66224425de9e"},
-		{"a2-pipeline4-leader-flap", harness.AlgoA2, "leader-flap", 4, "c45d6df91fdac313096152959726bfb547b2a3e026585ae79b283c861ad843e7"},
+		//
+		// All four were re-pinned when A2 got the pull (were e588d5ff…4756f5,
+		// 617f3100…f24c88, 8bd28b99…25de9e, c45d6df9…d843e7) for two new
+		// fields alone, BundlePullsServed and BundlePullsUnserved, 0 in all
+		// four: with " BundlePullsServed:0 BundlePullsUnserved:0" cut out, each
+		// text hashes to its previous digest.
+		{"a1", harness.AlgoA1, "", 2, "6f4f7f4e2e3b99e6aa330c014a85840780436c42071c2ee141404daa8dc66654"},
+		{"a1-partition-heal", harness.AlgoA1, "partition-heal", 2, "b092a2b30ef52150be4212bdac1ac40365ba047fdf4f715b206eebc72ff25432"},
+		{"a2", harness.AlgoA2, "", 2, "473e411f943869ee61a3a75f08624bfaa8ee01c3d6c69d11af69fe0ad65befba"},
+		{"a2-pipeline4-leader-flap", harness.AlgoA2, "leader-flap", 4, "704912c7344d8c12f67d0a0b0fe40015b651bfa8c386e2fab7baa5cc00651045"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

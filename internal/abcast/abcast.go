@@ -20,13 +20,11 @@
 // pipelining, plus the stream rule below — this package's answer to the
 // "more elaborate prediction strategies" §5.3 leaves open.
 //
-// Rounds run on the batched, pipelined ordering engine of
-// internal/consensus, shared with Algorithm A1: the engine owns the
-// propose window (Config.Pipeline rounds in flight beyond the current
-// delivery round), the per-round batch cap (Config.MaxBatch), in-flight
-// exclusion, and in-order consumption of out-of-order decisions. The
-// quiescence logic stays here, expressed as the engine's Gate: a round
-// past the Barrier with nothing to propose is not started.
+// Rounds run on consensus.Batcher, as A1's instances do: it owns the propose
+// window (Pipeline rounds from the delivery round on), the bundle cap
+// (MaxBatch), in-flight exclusion and in-order application. The quiescence
+// logic stays here as its Gate: a round past the Barrier with nothing to
+// propose is not started.
 //
 // With Pipeline P > 1 the proactivity covers the whole window: a useful
 // round K raises the Barrier to K+P (the paper: K+1), and every process opens
@@ -52,32 +50,37 @@
 // is one round number, soft state like the cadence.
 //
 // Line 15 — every member ships its group's bundle — also splits on P. With
-// P > 1 a member ships iff, in its own Ω view, it is the group's leader or
-// the leader's successor in rank order: two copies reach each receiver, not
-// d (one copy would make any slow sender the round's tail). On every Ω
-// change a member that finds itself a sender re-ships the decided bundles of
-// rounds K−P to the highest open one: a group that lacks round r's bundle
-// completes no round past r, so no sender runs more than a window ahead of
-// it, consensus keeps decided instances, and a receiver drops a repeat
-// undecoded. Up to f < d/2 crashes between decide and ship thus still reach
-// every receiver — given, as everywhere here, that a copy sent by a process
-// that stays up arrives. P ≤ 1 keeps line 15 verbatim, and not for taste:
-// Theorem 5.1's degree of one is measured on the modified Lamport clocks,
-// which tick on inter-group sends; when every member ships every round the
-// members' clocks advance in lockstep, and with the reduced sender set a
-// cast from a non-sender measures degree two at unchanged wall latency
+// P > 1 two members ship (package group has the argument): in each member's
+// own Ω view, the group's leader and its successor in rank order, so two
+// copies reach each receiver, not d (one copy would make any slow sender the
+// round's tail). A new sender re-ships the decided bundles of rounds K−P to
+// the highest open one (reship). That reaches every receiver within a window
+// of the sender's round, not one that lags its own group by more: a receiver
+// whose round K has waited on a group's bundle pulls it (pull), and a member
+// answers with its group's decided bundle of round K, which consensus keeps
+// (answerPull) — a function of the round's decision, as a re-ship is. A
+// receiver drops a repeat undecoded. P ≤ 1 keeps line 15 verbatim, and not
+// for taste: Theorem 5.1's degree of one is measured on the modified Lamport
+// clocks, which tick on inter-group sends; when every member ships every
+// round the members' clocks advance in lockstep, and with the reduced sender
+// set a cast from a non-sender measures degree two at unchanged wall latency
 // (TestSustainedStreamKeepsDegreeOne's rank-2 casters).
+//
+// Recovery is the group endpoint's (package group). A2 snapshots its round,
+// Barrier, R-Delivered working set and bundles (save, load), and replays
+// remote bundles and adopted rounds (replay). A state transfer's position is
+// K, its record a completed round's union (RoundSet), its tail the Barrier
+// and the remote bundles in flight (SyncTail). No round completes while the
+// gate is shut.
 package abcast
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"wanamcast/internal/consensus"
-	"wanamcast/internal/fd"
+	"wanamcast/internal/group"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
@@ -107,87 +110,34 @@ type BundleMsg struct {
 	enc []byte
 }
 
-// Config configures an A2 endpoint on one process.
-type Config struct {
-	Host     node.Registrar
-	Detector fd.Detector
-	// OnDeliver is invoked on every A-Deliver, in delivery order. May be
-	// nil.
-	OnDeliver func(id types.MessageID, payload any)
-	// ConsensusRetry overrides the consensus retry interval.
-	ConsensusRetry time.Duration
-	// LabelPrefix namespaces the wire labels (default "a2").
-	LabelPrefix string
-	// NextID overrides cast-ID allocation. Hosts running several casting
-	// endpoints on one process must share one allocator, or their message
-	// IDs collide. Nil uses a private per-endpoint counter.
-	NextID func() types.MessageID
-	// Pipeline is the maximum number of rounds in flight. The paper's
-	// Algorithm A2 is strictly sequential (Pipeline 1, the default): the
-	// wait at line 16 blocks round K+1's consensus until round K's
-	// bundles arrive, so round throughput is one per inter-group delay.
-	// Higher values are an extension: a group may propose and ship rounds
-	// K+1..K+Pipeline−1 while earlier bundles are still in flight;
-	// A-Delivery still happens strictly in round order, so every §2.2
-	// property is preserved. While traffic is live every group opens the
-	// window's rounds at a derived pace of one per (round time / Pipeline),
-	// so a message waits that long, not a WAN delay, for a round already
-	// open everywhere (a member opens a round whose bundle is short of
-	// MaxBatch only once its own earlier rounds are decided, a LAN consensus
-	// away), and two members of a group, not all, ship its
-	// bundles (package doc: Barrier rule, sender set, price in rounds).
-	// Pipeline is also the quiescence predictor's patience: a useful round
-	// keeps the whole window live, so Pipeline empty rounds follow a lone
-	// cast (at Pipeline 1 the paper's one, lines 22–23); with Pipeline > 1
-	// a stream of useful rounds earns Pipeline more, so 2×Pipeline empty
-	// rounds end a stream. Messages decided in an in-flight round are
-	// excluded from later proposals, but that exclusion is local to each
-	// proposer: with Pipeline >= 2 two members can decide the same record
-	// into two rounds' bundles, so bundle shipping is at-least-once.
-	// Delivery stays exactly-once — tryCompleteRound dedups via ADELIVERED
-	// identically at every process.
-	Pipeline int
-	// MaxBatch caps how many records one round's bundle may carry. Zero
-	// means unbounded — the paper's rule (the bundle is everything
-	// R-Delivered but not yet A-Delivered).
-	MaxBatch int
-	// Log, when non-nil, makes the endpoint durable: the consensus
-	// acceptor persists promises and votes, round decisions and received
-	// remote bundles are appended for replay, and state transfer
-	// (StartSync) records the rounds it adopts from peers.
-	Log *storage.Log
-	// Sync sets the state-transfer archive bound and completion hooks.
-	Sync statesync.Options
+// PullMsg asks a member of another group for its group's bundle of Round
+// (see pull).
+type PullMsg struct {
+	Round uint64
 }
 
-// Bcast is the per-process Algorithm A2 endpoint.
+// Config configures an A2 endpoint on one process. Pipeline is also the
+// maximum number of rounds in flight and the quiescence predictor's patience
+// (package doc); MaxBatch caps a round's bundle.
+type Config = group.Config
+
+// Bcast is the per-process Algorithm A2 endpoint: A2's rule on a group's.
 type Bcast struct {
+	*group.Endpoint[Record, RoundSet, SyncTail]
 	api       node.API
-	senders   fd.Senders // who ships this group's bundles (package doc: line 15)
 	onDeliver func(types.MessageID, any)
-	label     string
-
-	rm     *rmcast.RMcast
-	engine *consensus.Batcher[Record]
-	// outside lists every process of the other groups, line 15's addressees.
-	// It is built on the first ship: an endpoint that never ships — an idle A2
-	// beside A1 on a simulated process — holds nothing that grows with the
-	// system.
+	// outside lists every process of the other groups, line 15's addressees,
+	// from the first ship on: an endpoint that never ships (an idle A2 beside
+	// A1 on a simulated process) holds nothing that grows with the system.
 	outside []types.ProcessID
-
-	// wm counts this endpoint's A-Deliveries, readable lock-free off the
-	// event loop (the read tier's delivery watermark).
-	wm atomic.Uint64
 
 	k          uint64 // current delivery round (line 2's K)
 	rdelivered map[types.MessageID]Record
 	adelivered map[types.MessageID]bool
 	rdOrder    []types.MessageID // R-Delivery order, for deterministic proposals
 	barrier    uint64
-	ring       []roundSlot              // Msgs: the uncompleted rounds' bundles, round r in ring[r%len] (see slot)
-	inDecided  map[types.MessageID]bool // decided into a bundle, not yet delivered
-	castSeq    uint64
-	nextID     func() types.MessageID
+	ring       []roundSlot                   // Msgs: the uncompleted rounds' bundles, round r in ring[r%len] (see slot)
+	inDecided  map[types.MessageID]bool      // decided into a bundle, not yet delivered
 	rdAt       map[types.MessageID]orderSpan // own-group messages being ordered, kept only while tracing
 
 	// Round pacing (Pipeline > 1; see mayPropose). Soft state, reset by state
@@ -205,10 +155,6 @@ type Bcast struct {
 	// lastUseful is the stream predictor's memory (Pipeline > 1; see
 	// deliverRound): the latest useful round, 0 once quiescence was predicted.
 	lastUseful uint64
-
-	// Durability & recovery state (see Config.Log). The sync position is k.
-	log  *storage.Log
-	sync *statesync.Engine[RoundSet, SyncTail]
 }
 
 // orderSpan times one message through A2's order stage for the tracer.
@@ -223,118 +169,69 @@ type roundSlot struct {
 	round  uint64     // 0 = free: rounds count from 1
 	sets   [][]Record // by sender group, this group's being its decided one; nil = not in (an empty one is non-nil)
 	remote int        // bundles in from other groups
+	since  uint64     // the pull tick on which this group's own bundle came in (group.Endpoint.Wait)
 }
 
-var _ node.Protocol = (*Bcast)(nil)
-
-// New builds an A2 endpoint and registers it (with its sub-protocols) on
-// the host process.
+// New builds an A2 endpoint and registers it on the host process.
 func New(cfg Config) *Bcast {
-	if cfg.Host == nil || cfg.Detector == nil {
-		panic("abcast: Config.Host and Detector are required")
-	}
-	prefix := cmp.Or(cfg.LabelPrefix, "a2")
 	pipeline := max(cfg.Pipeline, 1)
 	b := &Bcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
-		label:      prefix,
 		pipeline:   time.Duration(pipeline),
 		k:          1,
 		rdelivered: make(map[types.MessageID]Record),
 		adelivered: make(map[types.MessageID]bool),
 		ring:       make([]roundSlot, 4*pipeline),
 		inDecided:  make(map[types.MessageID]bool),
-		nextID:     cfg.NextID,
-		log:        cfg.Log,
 	}
-	b.sync = statesync.New(statesync.Config[RoundSet, SyncTail]{
-		API:     cfg.Host,
-		Label:   prefix,
-		Batch:   syncBatch,
-		Codec:   syncCodec,
-		Pos:     b.Round,
-		Apply:   func(rs RoundSet) { b.applySyncRound(rs, false) },
-		Tail:    b.syncTail,
-		Adopt:   b.adoptState,
-		Resume:  b.resumeRounds,
-		Options: cfg.Sync,
-	})
-	topo := cfg.Host.Topo()
-	copies := 0 // line 15: every member ships
-	if pipeline > 1 {
-		copies = 2 // the leader and its successor: one slow sender is not the round's tail
-	}
-	b.senders = fd.NewSenders(cfg.Detector, topo, cfg.Host.Self(), copies)
 	b.paceFn = func() {
 		b.paceAt = 0
-		b.engine.Pump()
+		b.Engine.Pump()
 	}
-	if b.nextID == nil {
-		b.nextID = func() types.MessageID {
-			b.castSeq++
-			return types.MessageID{Origin: b.api.Self(), Seq: b.castSeq}
-		}
-	}
-	b.rm = rmcast.New(rmcast.Config{
-		API:        cfg.Host,
+	b.Endpoint = group.New(cfg, group.Rule{
+		Label:      "a2",
 		Mode:       rmcast.ModeEager, // intra-group only: cheap, robust agreement
-		OnDeliver:  b.onRDeliver,
-		ProtoLabel: prefix + ".rm",
+		OnRDeliver: b.onRDeliver,
+		Copies:     2, // the leader and its successor: one slow sender is not the round's tail
+		Receive:    b.receive,
+		Reship:     b.reship,
+		Pull:       b.pull,
+		Save:       b.save,
+		Load:       b.load,
+		Replay:     b.replay,
+	}, consensus.BatcherConfig[Record]{
+		Fill:     b.fillBundle,
+		Gate:     b.mayPropose,
+		Base:     func() uint64 { return b.k },
+		OnDecide: b.shipBundle,
+		OnApply:  b.applyRound,
+	}, statesync.Config[RoundSet, SyncTail]{
+		Batch:  syncBatch,
+		Codec:  syncCodec,
+		Pos:    b.Round,
+		Apply:  func(rs RoundSet) { b.applySyncRound(rs, false) },
+		Tail:   b.syncTail,
+		Adopt:  b.adoptState,
+		Resume: b.resumeRounds,
 	})
-	b.engine = consensus.NewBatcher(consensus.BatcherConfig[Record]{
-		API:           cfg.Host,
-		Detector:      cfg.Detector,
-		RetryInterval: cfg.ConsensusRetry,
-		ProtoLabel:    prefix + ".cons",
-		MaxBatch:      cfg.MaxBatch,
-		Pipeline:      cfg.Pipeline,
-		Log:           cfg.Log,
-		Fill:          b.fillBundle,
-		Gate:          b.mayPropose,
-		Base:          func() uint64 { return b.k },
-		OnDecide:      b.shipBundle,
-		OnApply:       b.applyRound,
-	})
-	cfg.Host.Register(b.rm)
-	cfg.Host.Register(b.engine.Protocol())
-	cfg.Host.Register(b)
 	return b
 }
-
-// Proto implements node.Protocol.
-func (b *Bcast) Proto() string { return b.label }
-
-// Start implements node.Protocol: when pipelining, a member that Ω makes a
-// sender ships what the previous senders may not have (see reship).
-func (b *Bcast) Start() { b.senders.OnChange(b.api.Crashed, b.reship) }
 
 // ABCast atomically broadcasts payload to all groups and returns the
 // assigned message ID (Task 1, lines 4–5): the message is reliably
 // multicast to the caster's own group only.
 func (b *Bcast) ABCast(payload any) types.MessageID {
-	id := b.nextID()
-	b.api.RecordCast(id)
-	own := types.NewGroupSet(b.api.Group())
-	b.rm.MCast(rmcast.Message{ID: id, Dest: own, Payload: payload})
-	return id
+	return b.Cast(payload, types.NewGroupSet(b.api.Group()))
 }
 
 // Round returns the process's current round number K (for tests).
 func (b *Bcast) Round() uint64 { return b.k }
 
-// Barrier returns the current Barrier value (for tests).
-func (b *Bcast) Barrier() uint64 { return b.barrier }
-
 // onRDeliver is Task 2, lines 6–7.
 func (b *Bcast) onRDeliver(m rmcast.Message) {
-	if b.adelivered[m.ID] {
-		// Already A-Delivered via a remote bundle (and pruned from the
-		// R-Delivered working set); re-admitting would re-propose it.
-		return
-	}
-	if _, ok := b.rdelivered[m.ID]; ok {
-		return
+	if _, ok := b.rdelivered[m.ID]; ok || b.adelivered[m.ID] {
+		return // a repeat, or A-Delivered off a remote bundle and pruned: re-admitting would re-propose it
 	}
 	b.rdelivered[m.ID] = Record{ID: m.ID, Payload: m.Payload}
 	b.rdOrder = append(b.rdOrder, m.ID)
@@ -344,37 +241,38 @@ func (b *Bcast) onRDeliver(m rmcast.Message) {
 		}
 		b.rdAt[m.ID] = orderSpan{rd: b.api.Now()}
 	}
-	b.engine.Pump()
+	b.Engine.Pump()
 }
 
-// Receive implements node.Protocol: it handles bundle messages from other
-// groups (Task 3, lines 8–10) and the restart state-transfer exchange.
-func (b *Bcast) Receive(from types.ProcessID, body any) {
+// receive is the group's Receive hook: bundle messages from other groups
+// (Task 3, lines 8–10) and pulls for this group's.
+func (b *Bcast) receive(from types.ProcessID, body any) bool {
 	switch m := body.(type) {
 	case BundleMsg:
 		g := b.api.Topo().GroupOf(from)
 		if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
 			b.api.Metrics().Add(metrics.BundleRepeatsDropped, 1)
-			return // a repeated or late copy changes nothing: drop it undecoded
+			return true // a repeated or late copy changes nothing: drop it undecoded
 		}
 		set, err := m.Records()
 		if err != nil {
 			b.api.Tracef("a2: dropping undecodable round-%d bundle from %v: %v", m.Round, from, err)
-			return
+			return true
 		}
 		b.handleBundle(g, m.Round, set, false)
+	case PullMsg:
+		b.answerPull(from, m.Round)
 	default:
-		if !b.sync.Receive(from, body) {
-			panic(fmt.Sprintf("abcast: unexpected message %T", body))
-		}
+		return false
 	}
+	return true
 }
 
 // handleBundle records one remote group's round bundle. replay marks WAL
 // replay: state advances identically but nothing is re-logged.
 func (b *Bcast) handleBundle(g types.GroupID, round uint64, set []Record, replay bool) {
 	b.storeBundle(g, round, set, replay)
-	b.engine.Pump()
+	b.Engine.Pump()
 	b.tryCompleteRound()
 }
 
@@ -426,14 +324,16 @@ func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay 
 		if set == nil {
 			s.sets[g] = []Record{} // in, though empty
 		}
-		if !own {
+		if own {
+			s.since = b.Wait()
+		} else {
 			s.remote++
-		}
-		if !own && !replay && b.log != nil {
-			// Unsynced: a lost tail bundle is re-fetched from peers by the
-			// next restart's state transfer.
-			b.log.Append(storage.Record{Kind: storage.KindBundle, Proto: b.label,
-				Inst: round, Aux: uint64(g), Value: set})
+			if !replay && b.Log != nil {
+				// Unsynced: a lost tail bundle is re-fetched from peers by the
+				// next restart's state transfer.
+				b.Log.Append(storage.Record{Kind: storage.KindBundle, Proto: b.Proto(),
+					Inst: round, Aux: uint64(g), Value: set})
+			}
 		}
 	}
 	if !own && round > b.barrier {
@@ -447,9 +347,10 @@ func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay 
 // pipelining), in R-Delivery order up to limit. Both fences are local to
 // this proposer — a record this process never proposed can still be
 // decided into two concurrent rounds by different members — so they bound
-// redundant shipping rather than prevent it (see Config.Pipeline). A
-// full-only fill counts first and builds only a full bundle; short of limit
-// R-Delivered records it does not count.
+// redundant shipping rather than prevent it, and deliverRound dedups through
+// ADELIVERED identically at every process. A full-only fill counts first and
+// builds only a full bundle; short of limit R-Delivered records it does not
+// count.
 func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int, full bool) []Record {
 	if full && len(b.rdOrder) < limit {
 		return nil
@@ -541,7 +442,7 @@ func (b *Bcast) shipBundle(inst uint64, set []Record) {
 	if b.pipeline > 1 {
 		b.noteOpen(inst, b.api.Now())
 	}
-	if b.senders.Sends() {
+	if b.Sends() {
 		b.ship(inst, set)
 	}
 }
@@ -553,23 +454,48 @@ func (b *Bcast) ship(round uint64, set []Record) {
 		b.outside = topo.AppendProcessesIn(make([]types.ProcessID, 0, topo.N()), topo.AllGroups(), b.api.Group())
 	}
 	b.api.Metrics().Add(metrics.BundleCopiesSent, len(b.outside))
-	b.api.Multicast(b.outside, b.label, BundleMsg{Round: round, Set: set})
+	b.api.Multicast(b.outside, b.Proto(), BundleMsg{Round: round, Set: set})
 }
 
-// reship runs on every Ω change in this group that finds this member a
-// sender: it ships the group's decided bundles of rounds K−Pipeline up
-// to the highest open one, which the previous senders may have crashed
-// before shipping. No older round can be missing anywhere: a group that
-// lacks round r's bundle completes no round past r and proposes none past
-// r+Pipeline−1, so no sender is more than Pipeline rounds ahead of it.
-// Receivers drop the copies they already have undecoded.
+// reship is the group's Reship hook: the decided bundles of rounds K−Pipeline
+// to the highest open one. A group that lacks round r's bundle proposes no
+// round past r+Pipeline−1, so the window reaches every group; a member that
+// lags its own group by more pulls.
 func (b *Bcast) reship() {
 	window := uint64(b.pipeline)
 	for r := max(b.k, window+1) - window; r <= b.opened; r++ {
-		if set, ok := b.engine.Decided(r); ok {
+		if set, ok := b.Engine.Decided(r); ok {
 			b.ship(r, set)
 		}
 	}
+}
+
+// pull is the group's Pull hook: round K waits, once this group's own bundle
+// of it is in, on each group whose bundle it lacks.
+func (b *Bcast) pull() {
+	s := b.slot(b.k, false)
+	if s == nil || s.sets[b.api.Group()] == nil || s.remote == len(s.sets)-1 {
+		return
+	}
+	if n := b.Due(s.since); n > 0 {
+		for g, set := range s.sets {
+			if set == nil {
+				b.Ask(types.GroupID(g), n, PullMsg{Round: b.k})
+			}
+		}
+	}
+}
+
+// answerPull sends the asker this group's bundle of round r, if this member
+// has learned its decision.
+func (b *Bcast) answerPull(to types.ProcessID, r uint64) {
+	set, ok := b.Engine.Decided(r)
+	if !ok {
+		b.api.Metrics().Add(metrics.BundlePullsUnserved, 1)
+		return
+	}
+	b.api.Metrics().Add(metrics.BundlePullsServed, 1)
+	b.api.Send(to, b.Proto(), BundleMsg{Round: r, Set: set})
 }
 
 // applyRound is the engine's OnApply hook: decisions arrive here in dense
@@ -584,7 +510,7 @@ func (b *Bcast) applyRound(inst uint64, set []Record) {
 // our own round-K bundle is decided and a bundle from every other group has
 // arrived, execute lines 17–23.
 func (b *Bcast) tryCompleteRound() {
-	if b.sync.Gated() {
+	if b.Syncing() {
 		// State transfer in progress: rounds this process missed must be
 		// adopted (in order) before any new round may deliver.
 		return
@@ -622,7 +548,7 @@ func (b *Bcast) tryCompleteRound() {
 		b.probe = 0
 	}
 	// An already-received decision or bundle may complete the next round.
-	b.engine.Pump()
+	b.Engine.Pump()
 	b.tryCompleteRound()
 }
 
@@ -638,7 +564,6 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 			continue
 		}
 		b.adelivered[rec.ID] = true
-		b.wm.Add(1)
 		if sp, ok := b.rdAt[rec.ID]; ok {
 			// Ordering residency: R-Delivery → round completion, and the
 			// share of it after the bundle was decided here.
@@ -660,13 +585,13 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 	// Compact the R-Delivery working set: fillBundle walks rdOrder on
 	// every Pump, so delivered entries must not accumulate across rounds.
 	if len(union) > 0 {
-		b.compactRDOrder()
+		b.rdOrder = slices.DeleteFunc(b.rdOrder, func(id types.MessageID) bool { _, ok := b.rdelivered[id]; return !ok })
 	}
 	if s := b.slot(b.k, false); s != nil {
 		clear(s.sets)
 		s.round, s.remote = 0, 0
 	}
-	b.sync.Record(RoundSet{Round: b.k, Set: union})
+	b.Sync.Record(RoundSet{Round: b.k, Set: union})
 	// Line 21.
 	b.k++
 	// Lines 22–23: keep rounds running only if this one was useful. The
@@ -694,4 +619,64 @@ func (b *Bcast) deliverRound(union []Record, how string) {
 	if b.k+patience-1 > b.barrier {
 		b.barrier = b.k + patience - 1
 	}
+}
+
+// syncBatch bounds the rounds one state-transfer answer carries.
+const syncBatch = 128
+
+// replay is the group's Replay hook: remote bundles and rounds adopted by a
+// state transfer.
+func (b *Bcast) replay(rec storage.Record) bool {
+	set, _ := rec.Value.([]Record)
+	switch rec.Kind {
+	case storage.KindBundle:
+		b.handleBundle(types.GroupID(rec.Aux), rec.Inst, set, true)
+	case storage.KindRound:
+		b.applySyncRound(RoundSet{Round: rec.Inst, Set: set}, true)
+	default:
+		return false
+	}
+	return true
+}
+
+// syncTail captures the in-flight state a caught-up requester adopts.
+func (b *Bcast) syncTail() SyncTail {
+	_, remote := b.inFlight()
+	return SyncTail{Barrier: b.barrier, Bundles: remote}
+}
+
+// adoptState takes over a caught-up peer's in-flight bundles and horizon.
+func (b *Bcast) adoptState(t SyncTail) {
+	for _, gb := range t.Bundles {
+		b.storeBundle(gb.Group, gb.Round, gb.Set, false)
+	}
+	if t.Barrier > b.barrier {
+		b.barrier = t.Barrier
+	}
+	// Round r is instance r, and only completed rounds were handed over:
+	// the group's bundles of rounds decided but not yet completed must
+	// still be learned here, or round K waits for its own bundle forever.
+	b.Engine.SkipTo(b.k)
+}
+
+// applySyncRound repeats one round the group completed while this process
+// was down: deliver its union's undelivered records in the deterministic
+// order and advance K. replay marks WAL replay (no re-logging).
+func (b *Bcast) applySyncRound(rs RoundSet, replay bool) {
+	if rs.Round != b.k {
+		return
+	}
+	if !replay {
+		b.Log.Append(storage.Record{Kind: storage.KindRound, Proto: b.Proto(), Inst: rs.Round, Value: rs.Set})
+	}
+	b.deliverRound(rs.Set, " (state transfer)")
+}
+
+// resumeRounds runs when the state transfer ends: round completion is live
+// again and the engine pumps.
+func (b *Bcast) resumeRounds() {
+	// Rounds adopted from peers were not timed here: start unpaced.
+	b.paceD, b.probe, b.lastUseful = 0, 0, 0
+	b.Engine.Pump()
+	b.tryCompleteRound()
 }

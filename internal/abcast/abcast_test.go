@@ -207,7 +207,7 @@ func TestRoundsStopWhenUseless(t *testing.T) {
 	r.cast(0)
 	r.rt.Run()
 	k := r.eps[0].Round()
-	bar := r.eps[0].Barrier()
+	bar := r.eps[0].barrier
 	if k <= bar {
 		t.Errorf("rounds still runnable after drain: K=%d Barrier=%d", k, bar)
 	}

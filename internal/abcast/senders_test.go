@@ -40,7 +40,7 @@ func TestSenderSetIsLeaderAndSuccessor(t *testing.T) {
 	} {
 		r := newRigPipe(t, 2, 5, tc.pipeline)
 		for rank, p := range r.topo.Members(1) {
-			if got := r.eps[p].senders.Sends(); got != tc.want[rank] {
+			if got := r.eps[p].Sends(); got != tc.want[rank] {
 				t.Errorf("Pipeline %d: rank %d ships = %v, want %v", tc.pipeline, rank, got, tc.want[rank])
 			}
 		}
@@ -49,7 +49,7 @@ func TestSenderSetIsLeaderAndSuccessor(t *testing.T) {
 		for _, p := range r.topo.Members(1)[:4] {
 			r.rt.Suspect(p)
 		}
-		if first := r.topo.Members(1)[0]; tc.pipeline > 1 && (!r.eps[last].senders.Sends() || !r.eps[first].senders.Sends()) {
+		if first := r.topo.Members(1)[0]; tc.pipeline > 1 && (!r.eps[last].Sends() || !r.eps[first].Sends()) {
 			t.Errorf("Pipeline %d: with rank 4 leading, ranks 4 and 0 must ship", tc.pipeline)
 		}
 	}
@@ -86,8 +86,48 @@ func TestBothSendersCrashBetweenDecideAndShip(t *testing.T) {
 	}
 	r.verify(t)
 	r.deliveredEverywhere(t, *ids)
+	// Every receiver is within the new senders' window: the re-ship, not the
+	// pull, completes the rounds.
+	if st := r.col.Snapshot(); st.BundlePullsServed+st.BundlePullsUnserved != 0 {
+		t.Errorf("%d pulls: the re-ship did not reach every receiver", st.BundlePullsServed+st.BundlePullsUnserved)
+	}
 	t.Logf("%d rounds were open in group 0 when its senders crashed; %d casts delivered at all %d correct processes",
 		unshipped, len(*ids), r.topo.N()-2)
+}
+
+// TestLaggingReceiverPullsTheRoundsNobodyReships: groups of 5, Pipeline 4.
+// The links from group 0's two senders to one member q of group 1 are
+// severed, so q alone misses group 0's bundles while its group peers take
+// theirs and run more than Pipeline rounds ahead of it; then both senders
+// crash. The new senders re-ship only the window of their own round, which
+// lies past q's: q completes the rounds before it only by asking group 0
+// for them (the pull), and every correct process delivers every cast.
+func TestLaggingReceiverPullsTheRoundsNobodyReships(t *testing.T) {
+	const pipeline = 4
+	r := newRigPipe(t, 3, 5, pipeline)
+	const cutAt, crashAt = 1500 * time.Millisecond, 1800 * time.Millisecond
+	g0, q, peer := r.topo.Members(0), r.topo.Members(1)[3], r.topo.Members(1)[0]
+	r.rt.Scheduler().At(cutAt, func() {
+		r.rt.Fabric().Sever(g0[0], q)
+		r.rt.Fabric().Sever(g0[1], q)
+	})
+	r.crash(g0[0], crashAt)
+	r.crash(g0[1], crashAt)
+	var lag uint64
+	r.rt.Scheduler().At(crashAt, func() { lag = r.eps[peer].k - r.eps[q].k })
+	ids := r.stream(40, 4*time.Second, r.topo.AllProcesses()[2:])
+	r.rt.Scheduler().MaxSteps = 50_000_000
+	r.rt.Run()
+	if lag <= pipeline {
+		t.Fatalf("q lagged its group by %d rounds when the senders crashed, want more than %d: the re-ship alone would do", lag, pipeline)
+	}
+	r.verify(t)
+	r.deliveredEverywhere(t, *ids)
+	st := r.col.Snapshot()
+	if st.BundlePullsServed == 0 {
+		t.Errorf("no pull was served (%d unserved)", st.BundlePullsUnserved)
+	}
+	t.Logf("q was %d rounds behind its group; %d pulls served, %d unserved", lag, st.BundlePullsServed, st.BundlePullsUnserved)
 }
 
 // TestLeaderFlapLosesNoBundle: a false suspicion demotes group 0's leader at

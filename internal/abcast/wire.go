@@ -1,9 +1,13 @@
-// Wire codecs for Algorithm A2's messages (see internal/wire): the
-// (K, msgSet) bundle, the []Record batches that travel as consensus
-// values, and the record and tail of its state-transfer answers.
+// Every byte format of Algorithm A2 (see internal/wire): the (K, msgSet)
+// bundle and the pull for one, the []Record batches that travel as consensus
+// values, the record and tail of its state-transfer answers, and its part of
+// a snapshot.
 package abcast
 
 import (
+	"cmp"
+	"slices"
+
 	"wanamcast/internal/statesync"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
@@ -14,7 +18,31 @@ func init() {
 		func(buf []byte, m BundleMsg) []byte { return m.AppendTo(buf) },
 		func(data []byte) (m BundleMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
 	wire.Register(wire.KindABcastRecords, AppendRecords, DecodeRecords)
+	wire.Register(wire.KindABcastPull,
+		func(buf []byte, m PullMsg) []byte { return wire.AppendUvarint(buf, m.Round) },
+		func(data []byte) (m PullMsg, rest []byte, err error) { m.Round, rest, err = wire.Uvarint(data); return })
 	statesync.RegisterResp(wire.KindA2SyncResp, syncCodec)
+}
+
+// RoundSet is one completed round's delivered union.
+type RoundSet struct {
+	Round uint64
+	Set   []Record
+}
+
+// GroupBundle is one received (still in-flight) remote bundle.
+type GroupBundle struct {
+	Round uint64
+	Group types.GroupID
+	Set   []Record
+}
+
+// SyncTail is A2's in-flight state, adopted by a requester that has caught
+// up with the responder's rounds: the Barrier and the remote bundles of
+// rounds not yet completed.
+type SyncTail struct {
+	Barrier uint64
+	Bundles []GroupBundle
 }
 
 // syncCodec encodes A2's archive records (a round number and its union, in
@@ -23,22 +51,18 @@ var syncCodec = statesync.Codec[RoundSet, SyncTail]{
 	AppendRec: func(buf []byte, rs RoundSet) []byte {
 		return AppendRecords(wire.AppendUvarint(buf, rs.Round), rs.Set)
 	},
-	DecodeRec: func(data []byte) (rs RoundSet, rest []byte, err error) {
-		if rs.Round, data, err = wire.Uvarint(data); err != nil {
-			return rs, nil, err
-		}
-		rs.Set, rest, err = DecodeRecords(data)
-		return rs, rest, err
+	DecodeRec: func(data []byte) (RoundSet, []byte, error) {
+		d := wire.Decoder{Data: data}
+		rs := RoundSet{Round: wire.Read(&d, wire.Uvarint), Set: wire.Read(&d, DecodeRecords)}
+		return rs, d.Data, d.Err
 	},
 	AppendTail: func(buf []byte, t SyncTail) []byte {
 		return appendGroupBundles(wire.AppendUvarint(buf, t.Barrier), t.Bundles)
 	},
-	DecodeTail: func(data []byte) (t SyncTail, rest []byte, err error) {
-		if t.Barrier, data, err = wire.Uvarint(data); err != nil {
-			return t, nil, err
-		}
-		t.Bundles, rest, err = decodeGroupBundles(data)
-		return t, rest, err
+	DecodeTail: func(data []byte) (SyncTail, []byte, error) {
+		d := wire.Decoder{Data: data}
+		t := SyncTail{Barrier: wire.Read(&d, wire.Uvarint), Bundles: wire.Read(&d, decodeGroupBundles)}
+		return t, d.Data, d.Err
 	},
 }
 
@@ -150,4 +174,100 @@ func DecodeRecords(data []byte) ([]Record, []byte, error) {
 		}
 	}
 	return rs, data, nil
+}
+
+// save is the group's Save hook: A2's part of the snapshot section.
+func (b *Bcast) save(buf []byte, castSeq uint64) []byte {
+	buf = wire.AppendUvarint(buf, b.k)
+	buf = wire.AppendUvarint(buf, b.barrier)
+	buf = wire.AppendUvarint(buf, castSeq)
+	// R-Delivered working set, in R-Delivery order.
+	buf = wire.AppendUvarint(buf, uint64(len(b.rdOrder)))
+	for _, id := range b.rdOrder {
+		buf = b.rdelivered[id].AppendTo(buf)
+	}
+	buf = statesync.AppendIDSet(buf, b.adelivered)
+	buf = statesync.AppendIDSet(buf, b.inDecided)
+	// Own decided bundles for uncompleted rounds, by round, then the remote
+	// bundles, by (round, group).
+	own, remote := b.inFlight()
+	buf = wire.AppendUvarint(buf, uint64(len(own)))
+	for _, gb := range own {
+		buf = wire.AppendUvarint(buf, gb.Round)
+		buf = AppendRecords(buf, gb.Set)
+	}
+	return appendGroupBundles(buf, remote)
+}
+
+// load is the group's Load hook: it reads what save wrote.
+func (b *Bcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
+	d := wire.Decoder{Data: data}
+	b.k = wire.Read(&d, wire.Uvarint)
+	b.barrier = wire.Read(&d, wire.Uvarint)
+	castSeq = wire.Read(&d, wire.Uvarint)
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		var r Record
+		if d.Step(r.DecodeFrom); d.Err == nil {
+			b.rdelivered[r.ID] = r
+			b.rdOrder = append(b.rdOrder, r.ID)
+		}
+	}
+	d.Step(func(data []byte) ([]byte, error) { return statesync.DecodeIDSet(data, b.adelivered) })
+	d.Step(func(data []byte) ([]byte, error) { return statesync.DecodeIDSet(data, b.inDecided) })
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		if r, set := wire.Read(&d, wire.Uvarint), wire.Read(&d, DecodeRecords); d.Err == nil {
+			b.storeBundle(b.api.Group(), r, set, true)
+		}
+	}
+	for _, gb := range wire.Read(&d, decodeGroupBundles) {
+		b.storeBundle(gb.Group, gb.Round, gb.Set, true)
+	}
+	return castSeq, d.Data, d.Err
+}
+
+// inFlight lists the uncompleted rounds' bundles, each list by (round,
+// group): this group's decided ones, and those received from other groups.
+func (b *Bcast) inFlight() (own, remote []GroupBundle) {
+	for _, s := range b.ring {
+		for g, set := range s.sets {
+			if set == nil {
+				continue
+			}
+			gb := GroupBundle{Round: s.round, Group: types.GroupID(g), Set: set}
+			if gb.Group == b.api.Group() {
+				own = append(own, gb)
+			} else {
+				remote = append(remote, gb)
+			}
+		}
+	}
+	byRound := func(x, y GroupBundle) int {
+		return cmp.Or(cmp.Compare(x.Round, y.Round), cmp.Compare(x.Group, y.Group))
+	}
+	slices.SortFunc(own, byRound)
+	slices.SortFunc(remote, byRound)
+	return own, remote
+}
+
+func appendGroupBundles(buf []byte, gbs []GroupBundle) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(gbs)))
+	for _, gb := range gbs {
+		buf = wire.AppendUvarint(buf, gb.Round)
+		buf = wire.AppendVarint(buf, int64(gb.Group))
+		buf = AppendRecords(buf, gb.Set)
+	}
+	return buf
+}
+
+func decodeGroupBundles(data []byte) (gbs []GroupBundle, rest []byte, err error) {
+	d := wire.Decoder{Data: data}
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		gb := GroupBundle{Round: wire.Read(&d, wire.Uvarint), Group: types.GroupID(wire.Read(&d, wire.Varint))}
+		gb.Set = wire.Read(&d, DecodeRecords)
+		gbs = append(gbs, gb)
+	}
+	if d.Err != nil {
+		return nil, nil, d.Err
+	}
+	return gbs, d.Data, nil
 }

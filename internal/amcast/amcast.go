@@ -21,7 +21,7 @@
 // proposal until their s2 decision and the final timestamp after it; never an
 // s0 entry (members hold different ones) or a maximum adopted on a message
 // arrival. A single-group message is A-Delivered in the decision that orders
-// it (Config.SkipStages; off, it takes the [5] pipeline's two instances);
+// it (NewFritzke's [5] pipeline gives it two instances, as any other);
 // multi-group messages in s3 are delivered in (ts, id) order while minimal
 // among the entries at stage >= s1. A single-shard write thus costs one
 // intra-group consensus and never queues behind another message's WAN round
@@ -48,22 +48,18 @@
 //
 // Three: who carries (TS, m). Line 24 has every member of a group send it to
 // every member of every other destination group, d × d copies of which a
-// receiver keeps the first. With Pipeline > 1 a group speaks as one party: the
-// member that is its leader in its own Ω view when m's s0 decision applies
-// sends, nobody else; Pipeline <= 1 keeps line 24 to the message. Safety: a
-// proposal is a function of the group's decision sequence and its carrier is
-// not, so any member's copy, at any time, says the same; and a copy sent after
-// the s2 decision carries the final timestamp, the maximum of all proposals,
-// which in place of one of them leaves the maximum unchanged. Liveness: a
-// sender that crashes or stands down between decision and send is followed by
-// the member Ω elects, which sends again for every undelivered entry at stage
-// >= s1 (reship); and since views may disagree for long and a real link drops
-// what a full queue cannot take, a receiver whose entry has waited in s1 for
-// pullAfter retry periods asks a member of the silent group, the next one each
-// time, and is answered from PENDING or the delivery archive (pullTick) — a
-// sender cannot know what arrived. The latency degree is untouched, lone cast
-// included: the sender holds m already, so its multicast is stamped as each of
-// the d it replaces was (TestOneSenderKeepsDegreeTwo).
+// receiver keeps the first. With Pipeline > 1 a group speaks as one party
+// (package group has the argument): the member that is its leader in its own
+// Ω view when m's s0 decision applies sends, nobody else; Pipeline <= 1 keeps
+// line 24 to the message. A proposal is a function of the group's decision
+// sequence, and a copy sent after the s2 decision carries the final
+// timestamp, the maximum of all proposals, which in place of one of them
+// leaves the maximum unchanged. A new sender re-ships every undelivered entry
+// at stage >= s1 (reship); an entry that waits in s1 pulls the proposals it
+// lacks (pull), answered from PENDING or the delivery archive (answerPull).
+// The latency degree is untouched, lone cast included: the sender holds m
+// already, so its multicast is stamped as each of the d it replaces was
+// (TestOneSenderKeepsDegreeTwo).
 //
 // Hints and leads are soft state: read off a clock nobody vouches for, never
 // logged, snapshotted or transferred (a restarted replica leads by 0 until it
@@ -87,30 +83,35 @@
 // of the groups' orders stays acyclic — §2.2's uniform prefix order
 // constrains two messages only at processes addressed by both.
 //
-// Ordering runs on the batched, pipelined engine of internal/consensus:
-// every instance carries a batch of pending s0/s2 descriptors (line 14's
-// "propose all of PENDING", optionally capped by Config.MaxBatch), up to
-// Config.Pipeline instances in flight. Instances are numbered densely and
-// decoupled from the group clock K: decisions apply in instance order, and
-// what they fix — proposals, final timestamps, K — is a function of the
-// decision sequence (Lemma A.1), at any batch size and pipeline depth.
+// Ordering runs on consensus.Batcher: an instance carries a batch of pending
+// s0/s2 descriptors (line 14's "propose all of PENDING", capped by MaxBatch),
+// Pipeline instances in flight, numbered densely and apart from K. Decisions
+// apply in instance order, so what they fix — proposals, final timestamps, K
+// — is a function of the decision sequence (Lemma A.1) at any depth.
 //
 // Every s0 item and (TS, m) carries m itself, as in the paper, but a receiver
 // mostly has m from R-MCast already: a descriptor off the wire keeps its
 // payload encoded (Descriptor), and Value decodes it only where an entry is
 // created without the R-MCast copy — a decision or (TS, m) that introduces m,
 // replay, snapshot restore, state transfer.
+//
+// Recovery is the group endpoint's (package group). A1 snapshots its clock,
+// PENDING, received proposals and delivered set (save, load), and replays
+// admissions, (TS, m) receipts and adopted deliveries through the code paths
+// that logged them (replay). A state transfer's position is the A-Delivery
+// count, its record one delivery (DeliverRec), its tail all the delivery rule
+// reads (SyncTail). While the gate is shut, what decisions release is held
+// (release) and delivered in release order when it lifts (resumeDelivery).
 package amcast
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"wanamcast/internal/consensus"
-	"wanamcast/internal/fd"
+	"wanamcast/internal/group"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
@@ -137,10 +138,8 @@ func (s Stage) String() string { return fmt.Sprintf("s%d", int(s)) }
 // Descriptor is the per-message record that travels through consensus
 // proposals and (TS, m) messages: the message itself, its stage, and a
 // timestamp — the proposer's hint in an s0 item, the group's proposal in a
-// (TS, m), the final timestamp in an s2 item. One decoded off the wire holds
-// a payload it could check without building it (wire.SkipValidates) in raw,
-// its encoding, with Payload nil; a leader's Accept, a catch-up Decide and a
-// WAL record re-encode raw verbatim. Value returns the payload either way.
+// (TS, m), the final timestamp in an s2 item. Off the wire it may hold its
+// payload encoded in raw (package doc, read); Value returns it either way.
 type Descriptor struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
@@ -163,57 +162,14 @@ type TSMsg struct {
 }
 
 // PullMsg asks a member of another destination group for its group's (TS, m)
-// (see pullTick). It is the asker's own (TS, m) besides: the member asked may
+// (see pull). It is the asker's own (TS, m) besides: the member asked may
 // lack that, or m itself.
 type PullMsg struct {
 	Desc Descriptor
 }
 
 // Config configures an A1 endpoint on one process.
-type Config struct {
-	Host     node.Registrar
-	Detector fd.Detector
-	// OnDeliver is invoked on every A-Deliver, in delivery order. May be
-	// nil.
-	OnDeliver func(m rmcast.Message)
-	// SkipStages enables A1's stage skipping: a single-group message jumps
-	// from s0 to s3 and is A-Delivered in the decision that orders it.
-	// Disabling it yields the Fritzke et al. [5] pipeline: every message,
-	// including single-group ones, takes two consensus instances.
-	SkipStages bool
-	// RMMode selects the reliable multicast used for the initial cast:
-	// ModeDirect for A1 (non-uniform, d(k−1) messages), ModeEager for the
-	// [5] baseline's uniform primitive.
-	RMMode rmcast.Mode
-	// ConsensusRetry overrides the consensus retry interval.
-	ConsensusRetry time.Duration
-	// LabelPrefix namespaces the wire labels (default "a1"), letting two
-	// multicast engines coexist in one run.
-	LabelPrefix string
-	// NextID overrides cast-ID allocation. Hosts running several casting
-	// endpoints on one process (e.g. A1 and A2 side by side) must share
-	// one allocator, or their message IDs collide. Nil uses a private
-	// per-endpoint counter.
-	NextID func() types.MessageID
-	// MaxBatch caps how many pending descriptors one consensus instance
-	// may order. Zero means unbounded — the paper's propose-everything
-	// rule; 1 degenerates to one message per instance.
-	MaxBatch int
-	// Pipeline is the number of consensus instances that may be in flight
-	// concurrently. Zero or 1 is the paper's sequential engine; deeper
-	// pipelines let full MaxBatch batches overlap the agreement on earlier
-	// ones (consensus.BatcherConfig.Pipeline).
-	Pipeline int
-	// Log, when non-nil, makes the endpoint durable: the consensus
-	// acceptor persists its promises and votes, decisions and received
-	// (TS, m) proposals are appended for replay, and state transfer
-	// (StartSync) records the deliveries it adopts — so a restarted
-	// process reconstructs the exact pre-crash ordering state from disk
-	// plus a bounded catch-up from live peers.
-	Log *storage.Log
-	// Sync sets the state-transfer archive bound and completion hooks.
-	Sync statesync.Options
-}
+type Config = group.Config
 
 // pend is the local state of a message in PENDING. ts is fixed by decisions
 // alone and unset in s0: the group's proposal until the s2 decision, the
@@ -229,7 +185,7 @@ type pend struct {
 	final   uint64        // the adopted maximum (lines 39–40): fills the s2 item, nothing else
 	props   []prop        // received (TS, m) proposals, aligned with dest.Groups(); nil until the first
 	seq     uint64        // admission order, for FIFO-fair batch fills
-	since   uint64        // Mcast.ticks when it entered s1: a pull waits pullAfter of them
+	since   uint64        // the pull tick on which it entered s1 (group.Endpoint.Wait)
 	adm     time.Duration // admit time, recorded only while tracing (0 = untimed)
 	s3At    time.Duration // when the s2 decision applied, recorded only while tracing
 }
@@ -245,27 +201,12 @@ func cmpPend(p, q *pend) int {
 	return cmp.Or(cmp.Compare(p.ts, q.ts), p.id.Compare(q.id))
 }
 
-// Mcast is the per-process Algorithm A1 endpoint.
+// Mcast is the per-process Algorithm A1 endpoint: A1's rule on a group's.
 type Mcast struct {
+	*group.Endpoint[Descriptor, DeliverRec, SyncTail]
 	api       node.API
-	onDeliver func(rmcast.Message)
-	skip      bool
-	label     string
-
-	rm     *rmcast.RMcast
-	engine *consensus.Batcher[Descriptor]
-
-	// Deviation three: who sends the group's (TS, m), and the tick on which
-	// receivers ask for a missing one.
-	senders   fd.Senders
-	pullEvery time.Duration // the consensus retry cadence; 0 with Pipeline <= 1: all send, nobody asks
-	pullOn    bool          // pullTick is armed
-	pullFn    func()        // pullTick, bound once where pullEvery is set
-	ticks     uint64        // pull ticks so far
-
-	// wm mirrors delivered atomically: the endpoint's delivery watermark,
-	// readable lock-free off the event loop (the read tier samples it).
-	wm atomic.Uint64
+	onDeliver func(types.MessageID, any)
+	skip      bool // stage skipping: false only in NewFritzke's [5] pipeline
 
 	k uint64 // the group clock copy K (line 2)
 	// leads holds a remote group's lead from its first sample on: soft state,
@@ -274,7 +215,7 @@ type Mcast struct {
 	leads   map[types.GroupID]*leadEst
 	pending map[types.MessageID]*pend
 	// order holds the entries the delivery test reads — stage >= s1, not yet
-	// released; all multi-group under SkipStages — by (ts, id). fresh holds
+	// released; all multi-group but in NewFritzke's — by (ts, id). fresh holds
 	// the s0 entries in admission order (one that left s0 is dropped at the
 	// next fill), held what decisions released while delivery was gated, in
 	// release order. cand, stage1 and tos are scratch (fillBatch,
@@ -285,89 +226,57 @@ type Mcast struct {
 	tos                              []types.ProcessID
 	adelivered                       map[types.MessageID]bool
 	admitSeq                         uint64
-	castSeq                          uint64
-	nextID                           func() types.MessageID
-
-	// Durability & recovery state (see Config.Log).
-	log       *storage.Log
-	delivered uint64 // total A-Deliveries at this process: the sync position
-	sync      *statesync.Engine[DeliverRec, SyncTail]
+	delivered                        uint64 // total A-Deliveries at this process: the sync position
 }
 
-var _ node.Protocol = (*Mcast)(nil)
+// New builds an A1 endpoint and registers it on the host process.
+func New(cfg Config) *Mcast { return build(cfg, false) }
 
-// New builds an A1 endpoint and registers it (with its reliable-multicast
-// and consensus sub-protocols) on the host process.
-func New(cfg Config) *Mcast {
-	if cfg.Host == nil || cfg.Detector == nil {
-		panic("amcast: Config.Host and Detector are required")
-	}
-	prefix := cmp.Or(cfg.LabelPrefix, "a1")
+// NewFritzke builds the Fritzke et al. [5] atomic multicast on A1's engine,
+// the contrast §4.1 draws: no stage skipping, so every message traverses all
+// four stages (two consensus instances, single-group messages included), and
+// the initial cast uses the eager (uniform-style) reliable multicast, which
+// relays every copy and therefore sends O(k²d²) messages where A1's direct
+// primitive sends d(k−1). Its label is "fritzke".
+func NewFritzke(cfg Config) *Mcast { return build(cfg, true) }
+
+func build(cfg Config, fritzke bool) *Mcast {
 	a := &Mcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
-		skip:       cfg.SkipStages,
-		label:      prefix,
+		skip:       !fritzke,
 		k:          1,
 		leads:      make(map[types.GroupID]*leadEst),
 		pending:    make(map[types.MessageID]*pend),
 		adelivered: make(map[types.MessageID]bool),
-		nextID:     cfg.NextID,
-		log:        cfg.Log,
 	}
-	copies := 0 // line 24: every member sends
-	if cfg.Pipeline > 1 {
-		copies = 1
-		a.pullEvery, a.pullFn = cmp.Or(max(cfg.ConsensusRetry, 0), consensus.DefaultRetry), a.pullTick
+	rule := group.Rule{
+		Label:      "a1",
+		Mode:       rmcast.ModeDirect,
+		OnRDeliver: a.onRDeliver,
+		Copies:     1,
+		Receive:    a.receive,
+		Reship:     a.reship,
+		Pull:       a.pull,
+		Save:       a.save,
+		Load:       a.load,
+		Replay:     a.replay,
 	}
-	a.senders = fd.NewSenders(cfg.Detector, cfg.Host.Topo(), cfg.Host.Self(), copies)
-	a.sync = statesync.New(statesync.Config[DeliverRec, SyncTail]{
-		API:     cfg.Host,
-		Label:   prefix,
-		Batch:   syncBatch,
-		Codec:   syncCodec,
-		Pos:     a.Delivered,
-		Apply:   func(dr DeliverRec) { a.applySyncDeliver(dr, false) },
-		Tail:    a.syncTail,
-		Adopt:   a.adoptState,
-		Resume:  a.resumeDelivery,
-		Options: cfg.Sync,
-	})
-	if a.nextID == nil {
-		a.nextID = func() types.MessageID {
-			a.castSeq++
-			return types.MessageID{Origin: a.api.Self(), Seq: a.castSeq}
-		}
+	if fritzke {
+		rule.Label, rule.Mode = "fritzke", rmcast.ModeEager
 	}
-	a.rm = rmcast.New(rmcast.Config{
-		API:        cfg.Host,
-		Mode:       cmp.Or(cfg.RMMode, rmcast.ModeDirect),
-		OnDeliver:  a.onRDeliver,
-		ProtoLabel: prefix + ".rm",
-	})
-	a.engine = consensus.NewBatcher(consensus.BatcherConfig[Descriptor]{
-		API:           cfg.Host,
-		Detector:      cfg.Detector,
-		RetryInterval: cfg.ConsensusRetry,
-		ProtoLabel:    prefix + ".cons",
-		MaxBatch:      cfg.MaxBatch,
-		Pipeline:      cfg.Pipeline,
-		Log:           cfg.Log,
-		Fill:          a.fillBatch,
-		OnApply:       a.processDecision,
-	})
-	cfg.Host.Register(a.rm)
-	cfg.Host.Register(a.engine.Protocol())
-	cfg.Host.Register(a)
+	a.Endpoint = group.New(cfg, rule, consensus.BatcherConfig[Descriptor]{Fill: a.fillBatch, OnApply: a.processDecision},
+		statesync.Config[DeliverRec, SyncTail]{
+			Batch:  syncBatch,
+			Codec:  syncCodec,
+			Pos:    a.Delivered,
+			Apply:  func(dr DeliverRec) { a.applySyncDeliver(dr, false) },
+			Tail:   a.syncTail,
+			Adopt:  a.adoptState,
+			Resume: a.resumeDelivery,
+		})
 	return a
 }
-
-// Proto implements node.Protocol.
-func (a *Mcast) Proto() string { return a.label }
-
-// Start implements node.Protocol: a member that Ω makes its group's one
-// sender sends what the previous one may not have (see reship).
-func (a *Mcast) Start() { a.senders.OnChange(a.api.Crashed, a.reship) }
 
 // AMCast atomically multicasts payload to the groups in dest and returns
 // the assigned message ID (Task 1, lines 8–9). The caster need not belong
@@ -376,21 +285,14 @@ func (a *Mcast) AMCast(payload any, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("amcast: A-MCast with empty destination")
 	}
-	id := a.nextID()
-	a.api.RecordCast(id)
-	a.rm.MCast(rmcast.Message{ID: id, Dest: dest, Payload: payload})
-	return id
+	return a.Cast(payload, dest)
 }
 
 // K returns the process's copy of its group's clock (for tests).
 func (a *Mcast) K() uint64 { return a.k }
 
-// PendingCount returns |PENDING| (for tests).
-func (a *Mcast) PendingCount() int { return len(a.pending) }
-
-// Receive implements node.Protocol: it handles (TS, m) messages, pulls for
-// them and the restart state-transfer exchange.
-func (a *Mcast) Receive(from types.ProcessID, body any) {
+// receive is the group's Receive hook: (TS, m) messages and pulls for them.
+func (a *Mcast) receive(from types.ProcessID, body any) bool {
 	switch m := body.(type) {
 	case TSMsg:
 		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
@@ -398,10 +300,9 @@ func (a *Mcast) Receive(from types.ProcessID, body any) {
 		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
 		a.answerPull(from, m.Desc.ID)
 	default:
-		if !a.sync.Receive(from, body) {
-			panic(fmt.Sprintf("amcast: unexpected message %T", body))
-		}
+		return false
 	}
+	return true
 }
 
 // handleTS processes one (TS, m) proposal from group g. replay marks WAL
@@ -413,18 +314,18 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 	p := a.pending[d.ID]
 	if p == nil { // line 10: a TS message also introduces m if unseen
 		p = a.newPend(d.ID, d.Dest, d.Value(), 0)
-		a.engine.Pump()
+		a.Engine.Pump()
 	}
 	// Record the sender group's proposal for line 33.
 	if p.setProp(g, d.TS) && !replay {
 		if d.Stage == Stage1 && p.at != 0 && a.owns(p) { // a final timestamp may be this group's own led proposal: no sample
 			a.learnLead(g, int64(d.TS-p.at))
 		}
-		if a.log != nil {
+		if a.Log != nil {
 			// Unsynced: a lost tail proposal is re-fetched from peers by the
 			// next restart's state transfer, exactly like a proposal that
 			// never arrived.
-			a.log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.label,
+			a.Log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.Proto(),
 				Aux: uint64(g), Value: TSMsg{Desc: d}})
 		}
 	}
@@ -448,31 +349,23 @@ func (p *pend) setProp(g types.GroupID, ts uint64) bool {
 	return true
 }
 
-// onRDeliver is Task 2, lines 10–13. A first admission is WAL-logged
-// (unsynced): it is what this process proposes from, so a replay that
-// dropped it would leave a message only this process was handed
-// unproposed. An s0 entry gates no delivery — members hold different ones.
-func (a *Mcast) onRDeliver(m rmcast.Message) {
-	if !a.adelivered[m.ID] {
-		if _, ok := a.pending[m.ID]; !ok {
-			a.log.Append(storage.Record{Kind: storage.KindAdmit, Proto: a.label,
-				ID: m.ID, Dest: m.Dest, Value: m.Payload})
-		}
-	}
-	a.admit(m.ID, m.Dest, m.Payload, a.api.Micros())
-}
+// onRDeliver is Task 2, lines 10–13. An s0 entry gates no delivery —
+// members hold different ones.
+func (a *Mcast) onRDeliver(m rmcast.Message) { a.admit(m.ID, m.Dest, m.Payload, a.api.Micros(), true) }
 
 // admit adds m to PENDING at stage s0 (lines 11–13), unless already pending
-// or delivered. at is the entry's pend.at.
-func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload any, at uint64) {
-	if a.adelivered[id] {
+// or delivered; at is its pend.at. A first admission off R-MCast is logged
+// (unsynced): a replay that dropped it would leave a message only this
+// process was handed unproposed.
+func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload any, at uint64, log bool) {
+	if _, ok := a.pending[id]; ok || a.adelivered[id] {
 		return
 	}
-	if _, ok := a.pending[id]; ok {
-		return
+	if log {
+		a.Log.Append(storage.Record{Kind: storage.KindAdmit, Proto: a.Proto(), ID: id, Dest: dest, Value: payload})
 	}
 	a.newPend(id, dest, payload, at)
-	a.engine.Pump()
+	a.Engine.Pump()
 }
 
 // newPend enters m into PENDING at stage s0.
@@ -603,13 +496,12 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 			// Lines 21–24: fix the group proposal — K, or the proposer's
 			// hint where that is ahead — and exchange it. (The [5] pipeline
 			// walks single-group messages through here too, under K alone.)
-			p.ts, p.stage, p.since = a.k, Stage1, a.ticks
+			p.ts, p.stage, p.since = a.k, Stage1, a.Wait()
 			if p.dest.Size() > 1 {
 				p.ts = max(a.k, min(d.TS, maxHint))
 			}
 			a.orderInsert(p)
 			a.sendTS(p)
-			a.armPull()
 			toStage1 = append(toStage1, p)
 		}
 	}
@@ -621,7 +513,6 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 	}
 	clear(toStage1)
 	a.stage1 = toStage1
-	// The engine pumps after every applied decision; nothing to do here.
 }
 
 // maxHint caps a decided hint, so that no clock — a garbage one reads near
@@ -705,59 +596,34 @@ func (p *pend) tsDesc() Descriptor {
 // sendTS sends (TS, m) to every process of every other destination group
 // (line 24), if this member is a sender (deviation three).
 func (a *Mcast) sendTS(p *pend) {
-	if !a.senders.Sends() {
+	if !a.Sends() {
 		return
 	}
 	a.tos = a.api.Topo().AppendProcessesIn(a.tos[:0], p.dest, a.api.Group())
-	a.api.Multicast(a.tos, a.label, TSMsg{Desc: p.tsDesc()})
+	a.api.Multicast(a.tos, a.Proto(), TSMsg{Desc: p.tsDesc()})
 }
 
-// reship sends (TS, m) again for every undelivered entry at stage >= s1, at a
-// member that Ω has just made its group's sender or that ends a state transfer
-// as the sender: the previous one may not have sent.
+// reship is the group's Reship hook: (TS, m) again for every undelivered
+// entry at stage >= s1.
 func (a *Mcast) reship() {
-	if a.pullEvery == 0 || !a.senders.Sends() {
-		return
-	}
 	for _, p := range a.order {
 		a.sendTS(p)
 	}
 	a.api.Metrics().Add(metrics.TSReshipped, len(a.order))
 }
 
-// pullAfter is how many retry ticks an entry sits in s1 before this process
-// asks for the proposals it lacks, and between asks: 8 × 40 ms by default, two
-// crossings of a 150 ms link, so that neither an exchange nor an answer merely
-// in flight draws a pull. Too short a wait costs two frames, never a property.
-const pullAfter = 8
-
-func (a *Mcast) armPull() {
-	if a.pullEvery > 0 && !a.pullOn {
-		a.pullOn = true
-		a.api.After(a.pullEvery, a.pullFn)
-	}
-}
-
-// pullTick runs at the retry cadence while an entry is in s1: of every group
-// whose proposal an entry has lacked for another pullAfter ticks it asks one
-// member, the next in rank each time. It stops with the last s1 entry, so an
-// idle endpoint schedules nothing.
-func (a *Mcast) pullTick() {
-	a.pullOn = false
-	a.ticks++
+// pull is the group's Pull hook: an s1 entry waits on each destination group
+// whose proposal it lacks.
+func (a *Mcast) pull() {
 	for _, p := range a.order {
 		if p.stage != Stage1 {
 			continue
 		}
-		a.armPull()
-		age := a.ticks - p.since
-		if age%pullAfter != 0 {
-			continue
-		}
-		for i, g := range p.dest.Groups() {
-			if g != a.api.Group() && !p.has(i) {
-				ms := a.api.Topo().Members(g)
-				a.api.Send(ms[(age/pullAfter+uint64(a.api.Self()))%uint64(len(ms))], a.label, PullMsg{Desc: p.tsDesc()})
+		if n := a.Due(p.since); n > 0 {
+			for i, g := range p.dest.Groups() {
+				if g != a.api.Group() && !p.has(i) {
+					a.Ask(g, n, PullMsg{Desc: p.tsDesc()})
+				}
 			}
 		}
 	}
@@ -768,8 +634,8 @@ func (a *Mcast) pullTick() {
 func (a *Mcast) answerPull(to types.ProcessID, id types.MessageID) {
 	p := a.pending[id]
 	if p == nil {
-		if i := slices.IndexFunc(a.sync.Archive(), func(dr DeliverRec) bool { return dr.ID == id }); i >= 0 {
-			dr := a.sync.Archive()[i]
+		if i := slices.IndexFunc(a.Archive(), func(dr DeliverRec) bool { return dr.ID == id }); i >= 0 {
+			dr := a.Archive()[i]
 			p = &pend{id: id, dest: dr.Dest, payload: dr.Payload, ts: dr.TS, stage: Stage3}
 		}
 	}
@@ -778,16 +644,15 @@ func (a *Mcast) answerPull(to types.ProcessID, id types.MessageID) {
 		return
 	}
 	a.api.Metrics().Add(metrics.TSPullsServed, 1)
-	a.api.Send(to, a.label, TSMsg{Desc: p.tsDesc()})
+	a.api.Send(to, a.Proto(), TSMsg{Desc: p.tsDesc()})
 }
 
 // finalTS evaluates line 33 for p: once a proposal from every other
 // destination group is known it returns the maximum of all proposals.
 func (a *Mcast) finalTS(p *pend) (final uint64, ok bool) {
-	myGroup := a.api.Group()
 	final = p.ts
 	for i, g := range p.dest.Groups() {
-		if g == myGroup {
+		if g == a.api.Group() {
 			continue
 		}
 		if !p.has(i) {
@@ -810,7 +675,7 @@ func (a *Mcast) checkStage1(p *pend) {
 	}
 	if final, ok := a.finalTS(p); ok {
 		p.final, p.stage = final, Stage2
-		a.engine.Pump()
+		a.Engine.Pump()
 	}
 }
 
@@ -841,7 +706,7 @@ func (a *Mcast) adeliveryTest() {
 // it for resumeDelivery: deliveries this process missed must land first (in
 // the group's order), or the local sequence would diverge from the group's.
 func (a *Mcast) release(p *pend) {
-	if a.sync.Gated() {
+	if a.Syncing() {
 		a.held = append(a.held, p)
 		return
 	}
@@ -855,27 +720,157 @@ func (a *Mcast) release(p *pend) {
 		a.api.Trace(trace.StageOrder, p.id, int64(now-p.adm))
 		a.api.Trace(trace.StageBlocked, p.id, int64(now-since))
 	}
-	a.api.RecordDeliver(p.id)
-	a.adelivered[p.id] = true
 	delete(a.pending, p.id)
-	a.recordDelivered(DeliverRec{ID: p.id, Dest: p.dest, TS: p.ts, Payload: p.payload})
-	if a.api.TraceOn() {
-		a.api.Tracef("a1: A-Deliver %v ts=%d", p.id, p.ts)
-	}
-	if a.onDeliver != nil {
-		a.onDeliver(rmcast.Message{ID: p.id, Dest: p.dest, Payload: p.payload})
-	}
+	a.deliver(DeliverRec{ID: p.id, Dest: p.dest, TS: p.ts, Payload: p.payload}, "")
 }
 
-// recordDelivered advances the delivery counter and the bounded archive
-// that serves restarted peers' state transfers.
-func (a *Mcast) recordDelivered(dr DeliverRec) {
+// deliver A-Delivers one message: ADELIVERED, the delivery count and the
+// archive that serves restarted peers' state transfers, then the host. A
+// state transfer repeats the group's deliveries through it (how says so).
+func (a *Mcast) deliver(dr DeliverRec, how string) {
+	a.api.RecordDeliver(dr.ID)
+	a.adelivered[dr.ID] = true
 	a.delivered++
-	a.wm.Store(a.delivered)
-	a.sync.Record(dr)
+	a.Sync.Record(dr)
+	if a.api.TraceOn() {
+		a.api.Tracef("a1: A-Deliver %v ts=%d%s", dr.ID, dr.TS, how)
+	}
+	if a.onDeliver != nil {
+		a.onDeliver(dr.ID, dr.Payload)
+	}
 }
 
 // sortDescriptors orders a proposal deterministically by message ID.
 func sortDescriptors(set []Descriptor) {
 	slices.SortFunc(set, func(x, y Descriptor) int { return x.ID.Compare(y.ID) })
+}
+
+// syncBatch bounds the deliveries one state-transfer answer carries; a
+// farther-behind requester iterates.
+const syncBatch = 256
+
+// reindex rebuilds what is derived from PENDING after a snapshot restore or
+// a state-transfer adoption: the delivery order, the s0 list and — from the
+// received proposals, because it is not persisted — the adopted maximum of
+// every entry whose proposals are complete. The caller pumps.
+func (a *Mcast) reindex() {
+	a.order, a.fresh = a.order[:0], a.fresh[:0]
+	for _, p := range a.pending {
+		if p.stage == Stage1 || p.stage == Stage2 {
+			p.stage = Stage1
+			if final, ok := a.finalTS(p); ok {
+				p.final, p.stage = final, Stage2
+			}
+		}
+		if p.stage == Stage0 {
+			a.fresh = append(a.fresh, p)
+		} else if !slices.Contains(a.held, p) {
+			a.order = append(a.order, p)
+		}
+	}
+	slices.SortFunc(a.order, cmpPend)
+	slices.SortFunc(a.fresh, func(p, q *pend) int { return cmp.Compare(p.seq, q.seq) })
+}
+
+// replay is the group's Replay hook: admissions, (TS, m) receipts, and
+// deliveries adopted by a state transfer.
+func (a *Mcast) replay(rec storage.Record) bool {
+	switch rec.Kind {
+	case storage.KindAdmit:
+		a.admit(rec.ID, rec.Dest, rec.Value, 0, false)
+	case storage.KindTSProp:
+		if tm, ok := rec.Value.(TSMsg); ok {
+			a.handleTS(types.GroupID(rec.Aux), tm.Desc, true)
+		}
+	case storage.KindDeliver:
+		a.applySyncDeliver(DeliverRec{ID: rec.ID, Dest: rec.Dest, TS: rec.Inst, Payload: rec.Value}, true)
+	default:
+		return false
+	}
+	return true
+}
+
+// Delivered returns the process's total A-Delivery count.
+func (a *Mcast) Delivered() uint64 { return a.delivered }
+
+// syncTail captures the in-flight state a caught-up requester adopts.
+func (a *Mcast) syncTail() SyncTail {
+	t := SyncTail{Applied: a.Engine.AppliedInstances(), K: a.k}
+	for _, p := range a.pending {
+		t.Pending = append(t.Pending,
+			Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage})
+		for i, pr := range p.props {
+			if pr.in {
+				t.Props = append(t.Props, PropEntry{ID: p.id, Group: p.dest.Groups()[i], TS: pr.ts})
+			}
+		}
+	}
+	sortDescriptors(t.Pending)
+	slices.SortFunc(t.Props, func(x, y PropEntry) int { return cmp.Or(x.ID.Compare(y.ID), cmp.Compare(x.Group, y.Group)) })
+	return t
+}
+
+// applySyncDeliver repeats one delivery the group made while this process
+// was down (or, on replay, one it had already adopted before the crash).
+func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
+	if a.adelivered[dr.ID] {
+		return
+	}
+	if p := a.pending[dr.ID]; p != nil {
+		a.orderRemove(p)
+		p.stage = Stage3 // so that the s0 list forgets it
+		delete(a.pending, dr.ID)
+	}
+	if !replay {
+		a.Log.Append(storage.Record{Kind: storage.KindDeliver, Proto: a.Proto(),
+			Inst: dr.TS, ID: dr.ID, Dest: dr.Dest, Value: dr.Payload})
+	}
+	a.deliver(dr, " (state transfer)")
+}
+
+// adoptState merges a caught-up peer's in-flight state: PENDING stages and
+// timestamps, received proposals, the group clock, and the engine horizon.
+// Entries this process has and the peer lacks are kept — they re-propose
+// through the normal path.
+func (a *Mcast) adoptState(t SyncTail) {
+	for _, d := range t.Pending {
+		if a.adelivered[d.ID] {
+			continue
+		}
+		p := a.pending[d.ID]
+		if p == nil {
+			a.admitSeq++
+			p = &pend{id: d.ID, dest: d.Dest, payload: d.Value(), ts: d.TS, stage: d.Stage, seq: a.admitSeq}
+			a.pending[d.ID] = p
+		} else if d.Stage > p.stage {
+			p.stage = d.Stage
+			p.ts = d.TS
+		}
+	}
+	for _, pr := range t.Props {
+		if p := a.pending[pr.ID]; p != nil { // a peer's proposals are all for its PENDING, adopted above
+			p.setProp(pr.Group, pr.TS)
+		}
+	}
+	if t.K > a.k {
+		a.k = t.K
+	}
+	// Merged proposals may complete stage 1 for adopted messages.
+	a.reindex()
+	a.Engine.SkipTo(t.Applied + 1)
+}
+
+// resumeDelivery runs when the state transfer ends: what decisions released
+// behind the gate and the transfer did not deliver is A-Delivered in
+// release order, the ADeliveryTest is live again and the engine pumps.
+func (a *Mcast) resumeDelivery() {
+	held := a.held
+	a.held = nil
+	for _, p := range held {
+		if a.pending[p.id] == p { // else the transfer delivered it
+			a.release(p)
+		}
+	}
+	a.adeliveryTest()
+	a.Engine.Pump()
 }

@@ -12,7 +12,6 @@ import (
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/node/clocktest"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 )
@@ -28,12 +27,13 @@ type rig struct {
 
 type rigOpts struct {
 	groups, per int
-	skip        bool
-	mode        rmcast.Mode
-	seed        int64
-	maxBatch    int
-	pipeline    int
-	jitter      time.Duration
+	// fritzke builds the Fritzke et al. [5] preset (baseline.NewFritzke's
+	// configuration) in place of A1.
+	fritzke  bool
+	seed     int64
+	maxBatch int
+	pipeline int
+	jitter   time.Duration
 	// store, if non-nil, makes process logged durable over it.
 	store  storage.Store
 	logged types.ProcessID
@@ -70,9 +70,6 @@ func (t tapped) Receive(from types.ProcessID, body any) {
 
 func newRig(t *testing.T, o rigOpts) *rig {
 	t.Helper()
-	if o.mode == 0 {
-		o.mode = rmcast.ModeDirect
-	}
 	topo := types.NewTopology(o.groups, o.per)
 	col := &metrics.Collector{LogSends: true}
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond, PairDelay: o.pairDelay, Jitter: o.jitter}, o.seed, col)
@@ -99,18 +96,21 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		if o.views != nil {
 			det = o.views[id]
 		}
-		r.eps[id] = New(Config{
-			Host:       host,
-			Detector:   det,
-			SkipStages: o.skip,
-			RMMode:     o.mode,
-			MaxBatch:   o.maxBatch,
-			Pipeline:   o.pipeline,
-			Log:        lg,
-			OnDeliver: func(m rmcast.Message) {
-				r.checker.RecordDeliver(id, m.ID)
+		cfg := Config{
+			Host:     host,
+			Detector: det,
+			MaxBatch: o.maxBatch,
+			Pipeline: o.pipeline,
+			Log:      lg,
+			OnDeliver: func(mid types.MessageID, _ any) {
+				r.checker.RecordDeliver(id, mid)
 			},
-		})
+		}
+		build := New
+		if o.fritzke {
+			build = NewFritzke
+		}
+		r.eps[id] = build(cfg)
 	}
 	rt.Start()
 	return r
@@ -138,7 +138,7 @@ func (r *rig) verify(t *testing.T) {
 }
 
 func TestSingleGroupFromMemberDegreeZero(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	id := r.cast(0, 0)
 	r.rt.Run()
 	deg, ok := r.col.LatencyDegree(id)
@@ -152,7 +152,7 @@ func TestSingleGroupFromMemberDegreeZero(t *testing.T) {
 }
 
 func TestSingleGroupFromOutsiderDegreeOne(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	id := r.cast(0, 1) // p0 in g0 casts to g1
 	r.rt.Run()
 	deg, ok := r.col.LatencyDegree(id)
@@ -163,7 +163,7 @@ func TestSingleGroupFromOutsiderDegreeOne(t *testing.T) {
 }
 
 func TestTwoGroupsDegreeTwo(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	id := r.cast(0, 0, 1)
 	r.rt.Run()
 	deg, ok := r.col.LatencyDegree(id)
@@ -179,7 +179,7 @@ func TestTwoGroupsDegreeTwo(t *testing.T) {
 }
 
 func TestThreeGroupsStillDegreeTwo(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 4, per: 2, skip: true})
+	r := newRig(t, rigOpts{groups: 4, per: 2})
 	id := r.cast(0, 0, 1, 2, 3)
 	r.rt.Run()
 	deg, _ := r.col.LatencyDegree(id)
@@ -191,7 +191,7 @@ func TestThreeGroupsStillDegreeTwo(t *testing.T) {
 
 func TestGroupClocksAgree(t *testing.T) {
 	// Lemma A.1/A.2: members of a group traverse the same K sequence.
-	r := newRig(t, rigOpts{groups: 3, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 3, per: 3})
 	for i := 0; i < 10; i++ {
 		r.cast(types.ProcessID(i%9), types.GroupID(i%3), types.GroupID((i+1)%3))
 	}
@@ -209,13 +209,13 @@ func TestGroupClocksAgree(t *testing.T) {
 }
 
 func TestPendingDrains(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 2, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 2})
 	for i := 0; i < 8; i++ {
 		r.cast(types.ProcessID(i%4), 0, 1)
 	}
 	r.rt.Run()
 	for _, p := range r.topo.AllProcesses() {
-		if n := r.eps[p].PendingCount(); n != 0 {
+		if n := len(r.eps[p].pending); n != 0 {
 			t.Errorf("p%v still has %d pending messages", p, n)
 		}
 	}
@@ -223,7 +223,7 @@ func TestPendingDrains(t *testing.T) {
 }
 
 func TestConcurrentCastsUniformPrefixOrder(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	// Simultaneous casts from both groups to both groups: the classic
 	// conflict Skeen-style timestamping must serialize.
 	r.cast(0, 0, 1)
@@ -243,7 +243,7 @@ func TestConcurrentCastsUniformPrefixOrder(t *testing.T) {
 func TestOverlappingDestinations(t *testing.T) {
 	// m1 → {g0,g1}, m2 → {g1,g2}: g1 is the pivot that must order them
 	// consistently for all pairwise projections.
-	r := newRig(t, rigOpts{groups: 3, per: 2, skip: true})
+	r := newRig(t, rigOpts{groups: 3, per: 2})
 	r.cast(0, 0, 1)
 	r.cast(4, 1, 2)
 	r.cast(2, 0, 1, 2)
@@ -257,8 +257,8 @@ func TestStageSkippingSavesConsensus(t *testing.T) {
 	// destination group (the paper's lines 35–37 shortcut, which saved the
 	// instance for the group whose proposal is the maximum, is gone — see
 	// the package doc).
-	count := func(skip bool, dest ...types.GroupID) uint64 {
-		r := newRig(t, rigOpts{groups: 2, per: 3, skip: skip})
+	count := func(fritzke bool, dest ...types.GroupID) uint64 {
+		r := newRig(t, rigOpts{groups: 2, per: 3, fritzke: fritzke})
 		r.cast(0, dest...)
 		r.rt.Run()
 		r.verify(t)
@@ -267,18 +267,18 @@ func TestStageSkippingSavesConsensus(t *testing.T) {
 	// Two groups: 2 instances per group, learned by 3 members each = 12
 	// learns, for A1 (6 under the paper's rule with equal proposals) and
 	// for Fritzke alike.
-	if a1, fritzke := count(true, 0, 1), count(false, 0, 1); a1 != 12 || fritzke != 12 {
+	if a1, fritzke := count(false, 0, 1), count(true, 0, 1); a1 != 12 || fritzke != 12 {
 		t.Errorf("two-group cast: consensus learns a1=%d fritzke=%d, want 12 and 12", a1, fritzke)
 	}
 	// One group: A1 delivers in the one decision that orders the message
 	// (3 learns); Fritzke runs s2 regardless (6 learns).
-	if a1, fritzke := count(true, 0), count(false, 0); a1 != 3 || fritzke != 6 {
+	if a1, fritzke := count(false, 0), count(true, 0); a1 != 3 || fritzke != 6 {
 		t.Errorf("single-group cast: consensus learns a1=%d fritzke=%d, want 3 and 6", a1, fritzke)
 	}
 }
 
 func TestFritzkeSingleGroupTakesTwoInstances(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 1, per: 3, skip: false})
+	r := newRig(t, rigOpts{groups: 1, per: 3, fritzke: true})
 	id := r.cast(0, 0)
 	r.rt.Run()
 	if got := r.col.Snapshot().ConsensusInstances; got != 6 {
@@ -294,7 +294,7 @@ func TestFritzkeSingleGroupTakesTwoInstances(t *testing.T) {
 func TestGenuineness(t *testing.T) {
 	// Proposition 3.2's premise: only the caster and the addressees
 	// participate. Group 2 must stay silent.
-	r := newRig(t, rigOpts{groups: 3, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 3, per: 3})
 	r.cast(0, 0, 1)
 	r.cast(4, 0, 1)
 	r.rt.Run()
@@ -314,7 +314,7 @@ func TestGenuineness(t *testing.T) {
 }
 
 func TestCasterCrashRightAfterCast(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	id := r.cast(0, 0, 1)
 	r.crash(0, 0) // crash in the same instant, after the fan-out
 	r.rt.Run()
@@ -333,7 +333,7 @@ func TestCasterCrashRightAfterCast(t *testing.T) {
 }
 
 func TestLeaderCrashMidProtocol(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	r.cast(0, 0, 1)
 	r.crash(3, 2*time.Millisecond) // leader of g1 dies during its consensus
 	r.rt.Run()
@@ -347,7 +347,7 @@ func TestLeaderCrashMidProtocol(t *testing.T) {
 }
 
 func TestCrashDuringTSExchange(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 3, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 3, per: 3})
 	r.cast(0, 0, 1, 2)
 	// One member of each destination group dies while TS messages fly.
 	r.crash(1, 3*time.Millisecond)
@@ -358,7 +358,7 @@ func TestCrashDuringTSExchange(t *testing.T) {
 }
 
 func TestInterleavedSingleAndMultiGroup(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 2, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 2})
 	r.cast(0, 0)
 	r.cast(0, 0, 1)
 	r.cast(2, 1)
@@ -372,7 +372,7 @@ func TestRandomWorkloadManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := newRig(t, rigOpts{groups: 3, per: 3, skip: true, seed: seed})
+			r := newRig(t, rigOpts{groups: 3, per: 3, seed: seed})
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 25; i++ {
 				from := types.ProcessID(rng.Intn(9))
@@ -398,7 +398,7 @@ func TestRandomWorkloadWithCrashes(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, seed: seed})
+			r := newRig(t, rigOpts{groups: 2, per: 3, seed: seed})
 			rng := rand.New(rand.NewSource(seed + 100))
 			for i := 0; i < 15; i++ {
 				from := types.ProcessID(rng.Intn(6))
@@ -423,7 +423,7 @@ func TestTieBreakByMessageID(t *testing.T) {
 	// Two messages with identical final timestamps must deliver in ID
 	// order everywhere. Simultaneous casts from the two group leaders at
 	// t=0 collide in instance 1 of both groups.
-	r := newRig(t, rigOpts{groups: 2, per: 1, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 1})
 	a := r.cast(0, 0, 1)
 	b := r.cast(1, 0, 1)
 	r.rt.Run()
@@ -450,7 +450,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestEmptyDestPanics(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 1, per: 1, skip: true})
+	r := newRig(t, rigOpts{groups: 1, per: 1})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on empty dest")
@@ -462,7 +462,7 @@ func TestEmptyDestPanics(t *testing.T) {
 func TestWallClockLatencyScalesWithInterDelay(t *testing.T) {
 	// Sanity: a 2-group multicast takes about 2 inter-group delays of
 	// wall time for the caster's group (TS round trip).
-	r := newRig(t, rigOpts{groups: 2, per: 2, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 2})
 	id := r.cast(0, 0, 1)
 	r.rt.Run()
 	wall, ok := r.col.WallLatency(id)
@@ -479,7 +479,7 @@ func TestWallClockLatencyScalesWithInterDelay(t *testing.T) {
 // fill returns nil without allocating or sorting, and with fewer entries
 // than the limit it asks no in-flight question.
 func TestDeferredFillBuildsNothing(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 1, per: 3, skip: true, pipeline: 4, maxBatch: 64})
+	r := newRig(t, rigOpts{groups: 1, per: 3, pipeline: 4, maxBatch: 64})
 	a := r.eps[0]
 	for i := uint64(1); i <= 10; i++ {
 		a.newPend(types.MessageID{Origin: 1, Seq: i}, types.NewGroupSet(0), "payload", 0)

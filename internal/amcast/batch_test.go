@@ -45,7 +45,7 @@ func loadRig(t *testing.T, r *rig, casts int, spread time.Duration) []types.Mess
 // sequences at every process, even with a deep pipeline and capped batches.
 func TestBatchDeterminism(t *testing.T) {
 	run := func() [][]types.MessageID {
-		r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, seed: 42, maxBatch: 4, pipeline: 4})
+		r := newRig(t, rigOpts{groups: 2, per: 3, seed: 42, maxBatch: 4, pipeline: 4})
 		loadRig(t, r, 24, 200*time.Millisecond)
 		seqs := make([][]types.MessageID, r.topo.N())
 		for _, p := range r.topo.AllProcesses() {
@@ -76,7 +76,7 @@ func TestBatchOrderAgreementAcrossGroups(t *testing.T) {
 		{0, 1}, {1, 1}, {4, 2}, {8, 4},
 	} {
 		t.Run(fmt.Sprintf("maxBatch=%d/pipeline=%d", tc.maxBatch, tc.pipeline), func(t *testing.T) {
-			r := newRig(t, rigOpts{groups: 3, per: 2, skip: true, seed: 7, maxBatch: tc.maxBatch, pipeline: tc.pipeline})
+			r := newRig(t, rigOpts{groups: 3, per: 2, seed: 7, maxBatch: tc.maxBatch, pipeline: tc.pipeline})
 			ids := loadRig(t, r, 18, 150*time.Millisecond)
 			ref := r.checker.Sequence(0)
 			if len(ref) != len(ids) {
@@ -103,7 +103,7 @@ func TestBatchOrderAgreementAcrossGroups(t *testing.T) {
 // measures Theorem 4.1's optimal degree of two, and a single-group cast
 // from a member still measures zero.
 func TestStrictBatchLatencyDegreeTwo(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, maxBatch: 1, pipeline: 1})
+	r := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: 1, pipeline: 1})
 	id := r.cast(0, 0, 1)
 	r.rt.Run()
 	deg, ok := r.col.LatencyDegree(id)
@@ -112,7 +112,7 @@ func TestStrictBatchLatencyDegreeTwo(t *testing.T) {
 	}
 	r.verify(t)
 
-	r2 := newRig(t, rigOpts{groups: 2, per: 3, skip: true, maxBatch: 1, pipeline: 1})
+	r2 := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: 1, pipeline: 1})
 	id2 := r2.cast(0, 0)
 	r2.rt.Run()
 	deg2, ok2 := r2.col.LatencyDegree(id2)
@@ -124,7 +124,7 @@ func TestStrictBatchLatencyDegreeTwo(t *testing.T) {
 
 // TestMaxBatchCapRespected: no decided batch exceeds the cap.
 func TestMaxBatchCapRespected(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, maxBatch: 3, pipeline: 2})
+	r := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: 3, pipeline: 2})
 	loadRig(t, r, 20, 100*time.Millisecond)
 	if max := r.col.Snapshot().MaxBatchSize; max > 3 {
 		t.Fatalf("decided batch of %d exceeds MaxBatch=3", max)
@@ -136,7 +136,7 @@ func TestMaxBatchCapRespected(t *testing.T) {
 // throughput claim of the batched engine at saturating load.
 func TestBatchingAmortizesConsensus(t *testing.T) {
 	perLearn := func(maxBatch int) float64 {
-		r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, maxBatch: maxBatch, pipeline: 1})
+		r := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: maxBatch, pipeline: 1})
 		for i := 0; i < 64; i++ {
 			from := types.ProcessID(i % r.topo.N())
 			r.rt.Scheduler().At(0, func() { r.cast(from, 0, 1) })
@@ -165,7 +165,7 @@ func TestBatchingAmortizesConsensus(t *testing.T) {
 // pipeline overlaps them, lowering mean wall latency at the same batch cap.
 func TestPipelineImprovesWallLatencyUnderLoad(t *testing.T) {
 	mean := func(pipeline int) time.Duration {
-		r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, maxBatch: 1, pipeline: pipeline, seed: 3})
+		r := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: 1, pipeline: pipeline, seed: 3})
 		ids := loadRig(t, r, 24, 24*time.Millisecond)
 		var sum time.Duration
 		for _, id := range ids {
@@ -194,7 +194,7 @@ func TestRandomWorkloadWithBatchingKnobs(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			seed := seed
 			t.Run(fmt.Sprintf("mb=%d/pl=%d/seed=%d", tc.maxBatch, tc.pipeline, seed), func(t *testing.T) {
-				r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, seed: seed, maxBatch: tc.maxBatch, pipeline: tc.pipeline})
+				r := newRig(t, rigOpts{groups: 2, per: 3, seed: seed, maxBatch: tc.maxBatch, pipeline: tc.pipeline})
 				rng := rand.New(rand.NewSource(seed + 11))
 				for i := 0; i < 15; i++ {
 					from := types.ProcessID(rng.Intn(6))

@@ -14,7 +14,7 @@ import (
 // the gate lifts it is A-Delivered in exactly the order an ungated member
 // delivered it, minus what the transfer itself delivered meanwhile.
 func TestGatedDecisionsDeliverInReleaseOrder(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	a := r.eps[0]
 	both, local := types.NewGroupSet(0, 1), types.NewGroupSet(0)
 	multi := types.MessageID{Origin: 3, Seq: 1}
@@ -29,8 +29,8 @@ func TestGatedDecisionsDeliverInReleaseOrder(t *testing.T) {
 	if got := r.checker.Sequence(0); len(got) != 0 {
 		t.Fatalf("delivered %v behind a shut gate", got)
 	}
-	if a.PendingCount() != 3 {
-		t.Fatalf("%d pending behind the gate, want all 3", a.PendingCount())
+	if len(a.pending) != 3 {
+		t.Fatalf("%d pending behind the gate, want all 3", len(a.pending))
 	}
 
 	// The transfer delivers s1 (the group's first delivery) and brings the
@@ -46,7 +46,7 @@ func TestGatedDecisionsDeliverInReleaseOrder(t *testing.T) {
 	if got := r.checker.Sequence(0); !slices.Equal(got, want) {
 		t.Fatalf("delivered %v, want %v (s1 by the transfer, then the held s2 and multi in release order)", got, want)
 	}
-	if a.PendingCount() != 0 || a.Delivered() != 3 {
-		t.Fatalf("pending %d delivered %d, want 0 and 3", a.PendingCount(), a.Delivered())
+	if len(a.pending) != 0 || a.Delivered() != 3 {
+		t.Fatalf("pending %d delivered %d, want 0 and 3", len(a.pending), a.Delivered())
 	}
 }

@@ -43,7 +43,7 @@ func TestOwnerCastIsNotConvoyed(t *testing.T) {
 	const wan, gap = 100 * time.Millisecond, 10 * time.Millisecond
 	for _, groups := range []int{2, 3} {
 		t.Run(fmt.Sprintf("%dx3", groups), func(t *testing.T) {
-			r := newRig(t, rigOpts{groups: groups, per: 3, skip: true, pipeline: 4})
+			r := newRig(t, rigOpts{groups: groups, per: 3, pipeline: 4})
 			all := r.topo.AllGroups().Groups()
 			const warm, measured = 40, 30
 			type own struct {
@@ -96,7 +96,7 @@ func TestOwnerCastIsNotConvoyed(t *testing.T) {
 func TestLeadFollowsTheDelayAndIgnoresAStall(t *testing.T) {
 	const gap = 50 * time.Millisecond
 	wan := 100 * time.Millisecond
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, pipeline: 4,
+	r := newRig(t, rigOpts{groups: 2, per: 3, pipeline: 4,
 		pairDelay: func(from, to types.ProcessID) (time.Duration, bool) {
 			return wan, from/3 != to/3 // three to a group
 		}})
@@ -145,7 +145,7 @@ func TestLeadFollowsTheDelayAndIgnoresAStall(t *testing.T) {
 // the lead — a restarted replica starts from 0 and learns it again from its
 // group's next casts.
 func TestLeadIsSoftState(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	for i := 0; i < 8; i++ {
 		r.rt.Scheduler().At(time.Duration(i)*10*time.Millisecond, func() { r.cast(0, 0, 1) })
 	}
@@ -155,7 +155,7 @@ func TestLeadIsSoftState(t *testing.T) {
 	}
 
 	rt := node.NewRuntime(r.topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
-	fresh := New(Config{Host: rt.Proc(1), Detector: rt.Oracle(), SkipStages: true, OnDeliver: func(rmcast.Message) {}})
+	fresh := New(Config{Host: rt.Proc(1), Detector: rt.Oracle(), OnDeliver: func(types.MessageID, any) {}})
 	rt.Proc(1).SetRecovering(true) // it has no peers to send to
 	if err := fresh.RestoreSnapshot(r.eps[1].AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
 )
 
@@ -30,11 +29,10 @@ func newIrregularRig(t *testing.T, sizes []int) *rig {
 	for _, id := range topo.AllProcesses() {
 		id := id
 		r.eps[id] = New(Config{
-			Host:       rt.Proc(id),
-			Detector:   rt.Oracle(),
-			SkipStages: true,
-			OnDeliver: func(m rmcast.Message) {
-				r.checker.RecordDeliver(id, m.ID)
+			Host:     rt.Proc(id),
+			Detector: rt.Oracle(),
+			OnDeliver: func(mid types.MessageID, _ any) {
+				r.checker.RecordDeliver(id, mid)
 			},
 		})
 	}

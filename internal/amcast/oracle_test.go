@@ -27,7 +27,6 @@ import (
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/node/clocktest"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 )
@@ -41,13 +40,12 @@ func replayLog(t *testing.T, topo *types.Topology, p types.ProcessID, store stor
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
 	var delivered []types.MessageID
 	shadow := New(Config{
-		Host:       rt.Proc(p),
-		Detector:   rt.Oracle(),
-		SkipStages: o.skip,
-		MaxBatch:   o.maxBatch,
-		Pipeline:   o.pipeline,
-		Log:        storage.NewLog(storage.NewMem()), // replay must not re-log into the source
-		OnDeliver:  func(m rmcast.Message) { delivered = append(delivered, m.ID) },
+		Host:      rt.Proc(p),
+		Detector:  rt.Oracle(),
+		MaxBatch:  o.maxBatch,
+		Pipeline:  o.pipeline,
+		Log:       storage.NewLog(storage.NewMem()), // replay must not re-log into the source
+		OnDeliver: func(mid types.MessageID, _ any) { delivered = append(delivered, mid) },
 	})
 	rt.Proc(p).SetRecovering(true)
 	_, from, err := store.Load()
@@ -82,7 +80,7 @@ func TestDeliveryIsAFunctionOfDecisions(t *testing.T) {
 		seed, clock := int64(i%12), clocks[i/12]
 		t.Run(fmt.Sprintf("clock=%s/seed=%d", clock.Name, seed), func(t *testing.T) {
 			store := storage.NewMem()
-			o := rigOpts{groups: 3, per: 3, skip: true, seed: seed,
+			o := rigOpts{groups: 3, per: 3, seed: seed,
 				pipeline: 1 + 3*int(seed%2), maxBatch: 8 * int(seed%3),
 				jitter: 60 * time.Millisecond, store: store, logged: 0, clock: clock}
 			r := newRig(t, o)
@@ -131,7 +129,7 @@ func TestDeliveryIsAFunctionOfDecisions(t *testing.T) {
 			if !slices.Equal(replayed, live) {
 				t.Fatalf("decisions alone do not reproduce member 0's deliveries:\nlive   %v\nreplay %v", live, replayed)
 			}
-			if n := shadow.PendingCount(); n != 0 {
+			if n := len(shadow.pending); n != 0 {
 				t.Fatalf("decisions-only endpoint still has %d pending", n)
 			}
 			if shadow.K() != r.eps[0].K() {
@@ -148,7 +146,7 @@ func TestDeliveryIsAFunctionOfDecisions(t *testing.T) {
 // delays (1 ms). Under the paper's line 4 it queued behind the multi-group
 // message's timestamp and took more than 90 ms.
 func TestSingleGroupCastDoesNotWaitForMultiGroupTimestamp(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true})
+	r := newRig(t, rigOpts{groups: 2, per: 3})
 	multi := r.cast(0, 0, 1)
 	var single types.MessageID
 	r.rt.Scheduler().At(10*time.Millisecond, func() {

@@ -156,7 +156,7 @@ func TestRawBatchReplaysFromTheWAL(t *testing.T) {
 		if err := store.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		a, delivered := replayLog(t, topo, 0, store, rigOpts{skip: true}, everyRecord)
+		a, delivered := replayLog(t, topo, 0, store, rigOpts{}, everyRecord)
 		if len(delivered) != len(want) {
 			t.Fatalf("%s: replay delivered %v, want %d messages", name, delivered, len(want))
 		}

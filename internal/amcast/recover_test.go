@@ -2,20 +2,25 @@ package amcast
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
-	"wanamcast/internal/rmcast"
+	"wanamcast/internal/statesync"
+	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // TestSnapshotRoundTrip pins the recovery encoding: an endpoint's
 // snapshot, restored into a fresh endpoint, re-encodes byte-identically —
 // every map is serialised in a canonical order and nothing is lost.
 func TestSnapshotRoundTrip(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, maxBatch: 4, pipeline: 2})
+	r := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: 4, pipeline: 2})
 	// A mix of delivered and still-pending messages: run the clock only
 	// partway so PENDING, tsProps, and the archive are all non-trivial.
 	r.cast(0, 0, 1)
@@ -31,12 +36,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		topo := types.NewTopology(2, 3)
 		rt2 := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
 		shadow := New(Config{
-			Host:       rt2.Proc(p),
-			Detector:   rt2.Oracle(),
-			SkipStages: true,
-			MaxBatch:   4,
-			Pipeline:   2,
-			OnDeliver:  func(m rmcast.Message) {},
+			Host:      rt2.Proc(p),
+			Detector:  rt2.Oracle(),
+			MaxBatch:  4,
+			Pipeline:  2,
+			OnDeliver: func(types.MessageID, any) {},
 		})
 		if err := shadow.RestoreSnapshot(snap); err != nil {
 			t.Fatalf("restore %v: %v", p, err)
@@ -50,8 +54,83 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if shadow.Delivered() != r.eps[p].Delivered() {
 			t.Fatalf("%v: delivered %d != %d after restore", p, shadow.Delivered(), r.eps[p].Delivered())
 		}
-		if shadow.PendingCount() != r.eps[p].PendingCount() {
-			t.Fatalf("%v: pending %d != %d after restore", p, shadow.PendingCount(), r.eps[p].PendingCount())
+		if len(shadow.pending) != len(r.eps[p].pending) {
+			t.Fatalf("%v: pending %d != %d after restore", p, len(shadow.pending), len(r.eps[p].pending))
+		}
+	}
+}
+
+// TestDurableBytesPinned pins, by hash, what a data dir holds and what the
+// wire carries, so that code moved between packages cannot change a byte of
+// either: a data dir written before the move must still recover. It runs
+// TestSnapshotRoundTrip's casts and hashes every process's snapshot at that
+// test's instant, casts on to the end, and hashes p1's WAL (admissions, (TS,
+// m) receipts, consensus records), every frame the run carried and every
+// final snapshot. A state-transfer answer carrying p0's archive is hashed as
+// a frame, and applied to a fresh endpoint whose WAL — the adopted
+// deliveries — is hashed too.
+func TestDurableBytesPinned(t *testing.T) {
+	const victim = types.ProcessID(1)
+	store := storage.NewMem()
+	frames := sha256.New()
+	r := newRig(t, rigOpts{groups: 2, per: 3, maxBatch: 4, pipeline: 2, store: store, logged: victim,
+		tap: func(to, from types.ProcessID, body any, deliver func()) {
+			frames.Write(wire.AppendValue(fmt.Appendf(nil, "%d>%d ", from, to), body))
+			deliver()
+		}})
+	snapshots := func() string {
+		h := sha256.New()
+		for _, ep := range r.eps {
+			h.Write(ep.AppendSnapshot(nil))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	r.cast(0, 0, 1)
+	r.cast(3, 0, 1)
+	r.cast(1, 0)
+	r.rt.RunUntil(150 * time.Millisecond)
+	r.cast(4, 0, 1)
+	r.rt.RunUntil(180 * time.Millisecond)
+	mid := snapshots()
+	for i := 0; i < 12; i++ {
+		from, dest := types.ProcessID(i%6), []types.GroupID{types.GroupID(i % 2)}
+		if i%3 != 0 {
+			dest = []types.GroupID{0, 1}
+		}
+		r.rt.Scheduler().At(200*time.Millisecond+time.Duration(i)*40*time.Millisecond, func() { r.cast(from, dest...) })
+	}
+	r.rt.Run()
+	r.verify(t)
+
+	arch := r.eps[0].Archive()
+	resp := statesync.Resp[DeliverRec, SyncTail]{Recs: arch, Next: uint64(len(arch))}
+	frames.Write(wire.AppendValue(nil, resp))
+	rt2 := node.NewRuntime(r.topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
+	adopted := storage.NewMem()
+	fresh := New(Config{Host: rt2.Proc(victim), Detector: rt2.Oracle(), Log: storage.NewLog(adopted)})
+	fresh.StartSync()
+	fresh.Receive(0, resp)
+	if len(arch) != 14 || fresh.Delivered() != 14 {
+		t.Fatalf("p0 archived %d deliveries, the fresh endpoint adopted %d; want 14", len(arch), fresh.Delivered())
+	}
+	walHash := func(s *storage.Mem) string {
+		h := sha256.New()
+		if err := s.Replay(0, func(rec storage.Record) error { h.Write(rec.AppendTo(nil)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	got := [5]string{mid, snapshots(), walHash(store), walHash(adopted), hex.EncodeToString(frames.Sum(nil))}
+	want := [5]string{
+		"3749e601a7c7d4d371ebc72b38015e4824d9283bd79574be48233f9877b796a9",
+		"fda9fb46603e30a8af8e36d3a87c1696205e066c5838e765540e60f02cd643ec",
+		"f12b1106b8c668a06f4f12f97b0ffe9c995ed33212617676b12309acebd058d9",
+		"8fad98e51577aaabc52945c4da533c4df78574b1812f6f841e06afd223d7f6a9",
+		"b2ea41f3de3c0ab714b5c86b4cfdd9cb8815635f0d469c6a2b2185579ff97289",
+	}
+	for i, what := range []string{"snapshots at 180 ms", "final snapshots", "p1's WAL", "the adopting WAL", "frames"} {
+		if got[i] != want[i] {
+			t.Errorf("%s: hash %s, want %s", what, got[i], want[i])
 		}
 	}
 }

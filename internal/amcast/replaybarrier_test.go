@@ -7,7 +7,6 @@ import (
 
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 )
@@ -74,13 +73,12 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 			lg = storage.NewLog(store)
 		}
 		eps[id] = New(Config{
-			Host:       rt.Proc(id),
-			Detector:   rt.Oracle(),
-			SkipStages: true,
-			Log:        lg,
-			OnDeliver: func(m rmcast.Message) {
+			Host:     rt.Proc(id),
+			Detector: rt.Oracle(),
+			Log:      lg,
+			OnDeliver: func(mid types.MessageID, _ any) {
 				if id == victim {
-					deliveries = append(deliveries, m.ID)
+					deliveries = append(deliveries, mid)
 				}
 			},
 		})
@@ -97,22 +95,22 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 	if len(deliveries) != 1 || deliveries[0] != mA {
 		t.Fatalf("construction broke: victim delivered %v before the crash, want [m_a]", deliveries)
 	}
-	if p := eps[victim].pending[mB]; p == nil || p.stage != Stage0 || eps[victim].PendingCount() != 1 {
+	if p := eps[victim].pending[mB]; p == nil || p.stage != Stage0 || len(eps[victim].pending) != 1 {
 		t.Fatalf("construction broke: victim crashed with %d pending, m_b = %+v (want m_b@s0 alone)",
-			eps[victim].PendingCount(), p)
+			len(eps[victim].pending), p)
 	}
 
 	// Replay the victim's WAL into a fresh incarnation (no snapshot was
 	// ever taken, so the log is the whole history): everything, then the
 	// decisions alone.
-	o := rigOpts{skip: true}
+	o := rigOpts{}
 	shadow, replayed := replayLog(t, topo, victim, store, o, everyRecord)
 	if !slices.Equal(replayed, deliveries) {
 		t.Fatalf("replay delivered %v, the pre-crash endpoint %v", replayed, deliveries)
 	}
-	if p := shadow.pending[mB]; p == nil || p.stage != Stage0 || shadow.PendingCount() != 1 {
+	if p := shadow.pending[mB]; p == nil || p.stage != Stage0 || len(shadow.pending) != 1 {
 		t.Fatalf("replayed PENDING has %d entries, m_b = %+v (want the rmcast-only m_b@s0 alone)",
-			shadow.PendingCount(), p)
+			len(shadow.pending), p)
 	}
 	if shadow.Delivered() != 1 {
 		t.Fatalf("replayed delivered counter = %d, want 1", shadow.Delivered())
@@ -124,8 +122,8 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 		t.Fatal("recovered endpoint not delivery-gated before state transfer")
 	}
 	bare, replayed := replayLog(t, topo, victim, store, o, decisionsOnly)
-	if !slices.Equal(replayed, deliveries) || bare.PendingCount() != 0 {
+	if !slices.Equal(replayed, deliveries) || len(bare.pending) != 0 {
 		t.Fatalf("decisions alone delivered %v with %d pending, want %v and none",
-			replayed, bare.PendingCount(), deliveries)
+			replayed, len(bare.pending), deliveries)
 	}
 }

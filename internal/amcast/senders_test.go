@@ -15,6 +15,7 @@ import (
 
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/fd"
+	"wanamcast/internal/group"
 	"wanamcast/internal/node/clocktest"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/storage"
@@ -23,14 +24,14 @@ import (
 
 // pullPeriod is how long an entry waits in s1 before its first pull, the tick
 // it may have to wait for included.
-const pullPeriod = (pullAfter + 1) * consensus.DefaultRetry
+const pullPeriod = (group.PullAfter + 1) * consensus.DefaultRetry
 
 // underEveryClock runs schedule under the true clock and each lying one, on a
 // Pipeline 4 rig whose process `logged` keeps its WAL.
 func underEveryClock(t *testing.T, groups int, logged types.ProcessID, schedule func(t *testing.T, o rigOpts)) {
 	for _, clock := range append([]clocktest.Clock{{Name: "true"}}, clocktest.Lying...) {
 		t.Run("clock="+clock.Name, func(t *testing.T) {
-			schedule(t, rigOpts{groups: groups, per: 3, skip: true, pipeline: 4,
+			schedule(t, rigOpts{groups: groups, per: 3, pipeline: 4,
 				clock: clock, store: storage.NewMem(), logged: logged})
 		})
 	}
@@ -225,7 +226,7 @@ func TestLeaderFlapExposesNoLoneSender(t *testing.T) {
 // Pipeline <= 1 no more than the ordering does.
 func TestOneSenderKeepsDegreeTwo(t *testing.T) {
 	for _, caster := range []types.ProcessID{0, 1, 5, 7} {
-		r := newRig(t, rigOpts{groups: 3, per: 3, skip: true, pipeline: 4})
+		r := newRig(t, rigOpts{groups: 3, per: 3, pipeline: 4})
 		id := r.cast(caster, 0, 1)
 		r.rt.Run()
 		r.verify(t)

@@ -22,7 +22,7 @@ import (
 // TestStaleDescriptorSkipped drives processDecision directly with the
 // duplicate descriptors the race produces and checks they are ignored.
 func TestStaleDescriptorSkipped(t *testing.T) {
-	r := newRig(t, rigOpts{groups: 2, per: 3, skip: true, pipeline: 2})
+	r := newRig(t, rigOpts{groups: 2, per: 3, pipeline: 2})
 	a := r.eps[0]
 	dest := types.NewGroupSet(0, 1)
 	// blocker has the smaller ID and never leaves s1 (the scheduler is
@@ -78,7 +78,7 @@ func TestPipelinedDuplicateDecisionForced(t *testing.T) {
 		{7, 0}: 150 * time.Millisecond, // ...and the rest of g0 only later
 		{7, 2}: 150 * time.Millisecond,
 	}
-	r := newRig(t, rigOpts{groups: 3, per: 3, skip: true, maxBatch: 1, pipeline: 2,
+	r := newRig(t, rigOpts{groups: 3, per: 3, maxBatch: 1, pipeline: 2,
 		pairDelay: func(from, to types.ProcessID) (time.Duration, bool) {
 			d, ok := delays[[2]types.ProcessID{from, to}]
 			return d, ok

@@ -1,11 +1,15 @@
-// Wire codecs for Algorithm A1's messages (see internal/wire): the (TS, m)
-// descriptor message, the []Descriptor batches that travel as consensus
-// values, and the record and tail of its state-transfer answers.
+// Every byte format of Algorithm A1 (see internal/wire): the (TS, m)
+// descriptor message and the pull, the []Descriptor batches that travel as
+// consensus values, the record and tail of its state-transfer answers, and
+// its part of a snapshot.
 package amcast
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"wanamcast/internal/statesync"
 	"wanamcast/internal/types"
@@ -21,6 +25,31 @@ func init() {
 		func(data []byte) (m PullMsg, rest []byte, err error) { rest, err = m.Desc.decodeOwn(data); return })
 	wire.Register(wire.KindAMcastDescriptors, AppendDescriptors, DecodeDescriptors)
 	statesync.RegisterResp(wire.KindA1SyncResp, syncCodec)
+}
+
+// DeliverRec is one archived A-Delivery: what a peer needs to repeat it.
+type DeliverRec struct {
+	ID      types.MessageID
+	Dest    types.GroupSet
+	TS      uint64
+	Payload any
+}
+
+// SyncTail is A1's in-flight state, adopted by a requester that has caught
+// up with the responder's deliveries.
+type SyncTail struct {
+	Applied uint64 // responder's applied consensus instances
+	K       uint64 // responder's group clock
+	Pending []Descriptor
+	Props   []PropEntry
+}
+
+// PropEntry is one received (TS, m) proposal: message, proposing group,
+// proposed timestamp.
+type PropEntry struct {
+	ID    types.MessageID
+	Group types.GroupID
+	TS    uint64
 }
 
 // syncCodec encodes A1's archive records and state-transfer tail.
@@ -149,36 +178,15 @@ func appendSyncTail(buf []byte, t SyncTail) []byte {
 	return buf
 }
 
-func decodeSyncTail(data []byte) (t SyncTail, rest []byte, err error) {
-	if t.Applied, data, err = wire.Uvarint(data); err != nil {
-		return t, nil, err
-	}
-	if t.K, data, err = wire.Uvarint(data); err != nil {
-		return t, nil, err
-	}
-	if t.Pending, data, err = DecodeDescriptors(data); err != nil {
-		return t, nil, err
-	}
-	var n int
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return t, nil, err
-	}
-	for i := 0; i < n; i++ {
-		var pr PropEntry
-		if pr.ID, data, err = types.DecodeMessageID(data); err != nil {
-			return t, nil, err
-		}
-		var g int64
-		if g, data, err = wire.Varint(data); err != nil {
-			return t, nil, err
-		}
-		pr.Group = types.GroupID(g)
-		if pr.TS, data, err = wire.Uvarint(data); err != nil {
-			return t, nil, err
-		}
+func decodeSyncTail(data []byte) (SyncTail, []byte, error) {
+	d := wire.Decoder{Data: data}
+	t := SyncTail{Applied: wire.Read(&d, wire.Uvarint), K: wire.Read(&d, wire.Uvarint), Pending: wire.Read(&d, DecodeDescriptors)}
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		pr := PropEntry{ID: wire.Read(&d, types.DecodeMessageID), Group: types.GroupID(wire.Read(&d, wire.Varint))}
+		pr.TS = wire.Read(&d, wire.Uvarint)
 		t.Props = append(t.Props, pr)
 	}
-	return t, data, nil
+	return t, d.Data, d.Err
 }
 
 // AppendDescriptors appends a descriptor batch (an A1 consensus value).
@@ -244,4 +252,77 @@ func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 		}
 	}
 	return ds, rest, nil
+}
+
+// save is the group's Save hook: A1's part of the snapshot section.
+func (a *Mcast) save(buf []byte, castSeq uint64) []byte {
+	buf = wire.AppendUvarint(buf, a.k)
+	buf = wire.AppendUvarint(buf, a.admitSeq)
+	buf = wire.AppendUvarint(buf, castSeq)
+	buf = wire.AppendUvarint(buf, a.delivered)
+	// PENDING, in admission order.
+	pends := slices.SortedFunc(maps.Values(a.pending), func(p, q *pend) int { return cmp.Compare(p.seq, q.seq) })
+	buf = wire.AppendUvarint(buf, uint64(len(pends)))
+	for _, p := range pends {
+		d := Descriptor{ID: p.id, Dest: p.dest, Payload: p.payload, TS: p.ts, Stage: p.stage}
+		buf = d.AppendTo(buf)
+		buf = wire.AppendUvarint(buf, p.seq)
+	}
+	// ADELIVERED ids, sorted.
+	buf = statesync.AppendIDSet(buf, a.adelivered)
+	// Received proposals, sorted by (id, group).
+	pends = slices.DeleteFunc(pends, func(p *pend) bool { return p.props == nil })
+	slices.SortFunc(pends, func(p, q *pend) int { return p.id.Compare(q.id) })
+	buf = wire.AppendUvarint(buf, uint64(len(pends)))
+	for _, p := range pends {
+		buf = p.id.AppendTo(buf)
+		n := 0
+		for _, pr := range p.props {
+			if pr.in {
+				n++
+			}
+		}
+		buf = wire.AppendUvarint(buf, uint64(n))
+		for i, g := range p.dest.Groups() {
+			if p.props[i].in {
+				buf = wire.AppendVarint(buf, int64(g))
+				buf = wire.AppendUvarint(buf, p.props[i].ts)
+			}
+		}
+	}
+	// The first index of the delivery archive, which follows.
+	return wire.AppendUvarint(buf, a.Sync.Base())
+}
+
+// load is the group's Load hook: it reads what save wrote.
+func (a *Mcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
+	d := wire.Decoder{Data: data}
+	a.k = wire.Read(&d, wire.Uvarint)
+	a.admitSeq = wire.Read(&d, wire.Uvarint)
+	castSeq = wire.Read(&d, wire.Uvarint)
+	a.delivered = wire.Read(&d, wire.Uvarint)
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		var desc Descriptor
+		d.Step(func(b []byte) ([]byte, error) { return desc.read(b, nil, true) })
+		if seq := wire.Read(&d, wire.Uvarint); d.Err == nil {
+			a.pending[desc.ID] = &pend{id: desc.ID, dest: desc.Dest, payload: desc.Value(), ts: desc.TS, stage: desc.Stage, seq: seq}
+		}
+	}
+	d.Step(func(b []byte) ([]byte, error) { return statesync.DecodeIDSet(b, a.adelivered) })
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		p := a.pending[wire.Read(&d, types.DecodeMessageID)]
+		for m := wire.Read(&d, wire.SliceLen); m > 0 && d.Err == nil; m-- {
+			if g, ts := wire.Read(&d, wire.Varint), wire.Read(&d, wire.Uvarint); p != nil && d.Err == nil {
+				p.setProp(types.GroupID(g), ts)
+			}
+		}
+	}
+	// The archive follows, its count first (statesync.Engine.AppendArchive),
+	// and ends at the delivery count.
+	archBase := wire.Read(&d, wire.Uvarint)
+	if archived, _, err := wire.Uvarint(d.Data); d.Err == nil && err == nil && archBase+archived != a.delivered {
+		d.Err = fmt.Errorf("%w: a1 archive starts at %d, not %d", wire.ErrCorrupt, a.delivered-archived, archBase)
+	}
+	a.reindex()
+	return castSeq, d.Data, d.Err
 }

@@ -1,11 +1,12 @@
 // Package durable hosts one process's ordering endpoints: it builds
-// Algorithm A1 and Algorithm A2 on a node.Proc, hands them the one cast-ID
-// allocator they must share, and — given a storage.Store — makes the
-// process durable: snapshots on a delivery cadence and after every state
-// transfer, crash recovery, and the restart catch-up. Every process that
-// runs the paper's algorithms is built here: the simulator's
-// (harness.System, no store — behind Cluster, wansim, its -figures and the
-// sim-scale benchmark), the live cluster's and wannode's.
+// Algorithm A1 and Algorithm A2 on a node.Proc as two group endpoints
+// (internal/group, whose recovery surface this package drives) from one
+// configuration, hands them the one cast-ID allocator they must share, and —
+// given a storage.Store — makes the process durable: snapshots on a delivery
+// cadence and after every state transfer, crash recovery, and the restart
+// catch-up. Every process that runs the paper's algorithms is built here:
+// the simulator's (harness.System, no store — behind Cluster, wansim, its
+// -figures and the sim-scale benchmark), the live cluster's and wannode's.
 //
 // Recovery order matters, and this is the one place it is written down.
 // Every snapshot section restores first — A1, A2, the allocator, then the
@@ -31,9 +32,8 @@ import (
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/config"
 	"wanamcast/internal/fd"
+	"wanamcast/internal/group"
 	"wanamcast/internal/node"
-	"wanamcast/internal/rmcast"
-	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
@@ -122,47 +122,27 @@ func New(cfg Config) *Node {
 	}
 	log := storage.NewLog(cfg.Store)
 	log.AttachGroupCommit(cfg.GroupCommit, cfg.Async)
-	syncOpts := func(proto string) statesync.Options {
-		var o statesync.Options
-		if cfg.Store != nil {
-			// A completed state transfer is the natural snapshot point: the
-			// adopted deliveries live only in the WAL until one is taken.
-			o.OnSynced = n.snapshotSoon
-		}
-		if cfg.OnSyncFailed != nil {
-			o.OnSyncFailed = func() { cfg.OnSyncFailed(proto) }
-		}
-		return o
-	}
 	// One allocator per process: A1 and A2 IDs must not collide.
 	nextID := func() types.MessageID {
 		n.castSeq++
 		return types.MessageID{Origin: cfg.Proc.Self(), Seq: n.castSeq}
 	}
 	k := cfg.Knobs
-	n.A1 = amcast.New(amcast.Config{
-		Host:           cfg.Proc,
-		Detector:       cfg.Detector,
-		SkipStages:     true,
-		NextID:         nextID,
-		MaxBatch:       k.MaxBatch,
-		Pipeline:       k.Pipeline,
-		ConsensusRetry: k.ConsensusRetry,
-		Log:            log,
-		Sync:           syncOpts("a1"),
-		OnDeliver:      func(m rmcast.Message) { n.deliver("a1", m.ID, m.Payload) },
-	})
-	n.A2 = abcast.New(abcast.Config{
-		Host:           cfg.Proc,
-		Detector:       cfg.Detector,
-		NextID:         nextID,
-		MaxBatch:       k.MaxBatch,
-		Pipeline:       k.Pipeline,
-		ConsensusRetry: k.ConsensusRetry,
-		Log:            log,
-		Sync:           syncOpts("a2"),
-		OnDeliver:      func(id types.MessageID, payload any) { n.deliver("a2", id, payload) },
-	})
+	endpointConfig := func(proto string) group.Config {
+		c := group.Config{Host: cfg.Proc, Detector: cfg.Detector, NextID: nextID, Log: log,
+			MaxBatch: k.MaxBatch, Pipeline: k.Pipeline, ConsensusRetry: k.ConsensusRetry,
+			OnDeliver: func(id types.MessageID, payload any) { n.deliver(proto, id, payload) }}
+		if cfg.Store != nil {
+			// A completed state transfer is the natural snapshot point: the
+			// adopted deliveries live only in the WAL until one is taken.
+			c.Sync.OnSynced = n.snapshotSoon
+		}
+		if cfg.OnSyncFailed != nil {
+			c.Sync.OnSyncFailed = func() { cfg.OnSyncFailed(proto) }
+		}
+		return c
+	}
+	n.A1, n.A2 = amcast.New(endpointConfig("a1")), abcast.New(endpointConfig("a2"))
 	n.eps = []endpoint{n.A1, n.A2}
 	return n
 }

@@ -212,7 +212,7 @@ func Build(algo Algo, opts Options) *System {
 				})
 			}
 		case AlgoFritzke:
-			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliver, opts.ConsensusRetry)
+			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliverKV, opts.ConsensusRetry)
 			s.casters[id] = castFunc(a.AMCast)
 		case AlgoSkeen:
 			a := baseline.NewSkeen(baseline.SkeenConfig{Host: proc, OnDeliver: onDeliver})

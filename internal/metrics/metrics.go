@@ -110,6 +110,8 @@ const (
 	BatchedMessages
 	BundleCopiesSent
 	BundleRepeatsDropped
+	BundlePullsServed
+	BundlePullsUnserved
 	TSReshipped
 	TSPullsServed
 	TSPullsUnserved
@@ -146,6 +148,8 @@ var counters = [numCounters]row[Stats]{
 	BatchedMessages:      {func(s *Stats) *uint64 { return &s.BatchedMessages }, ""},
 	BundleCopiesSent:     {func(s *Stats) *uint64 { return &s.BundleCopiesSent }, "wanamcast_a2_bundle_copies_sent_total"},
 	BundleRepeatsDropped: {func(s *Stats) *uint64 { return &s.BundleRepeatsDropped }, "wanamcast_a2_bundle_repeats_dropped_total"},
+	BundlePullsServed:    {func(s *Stats) *uint64 { return &s.BundlePullsServed }, `wanamcast_a2_bundle_pulls_total{served="true"}`},
+	BundlePullsUnserved:  {func(s *Stats) *uint64 { return &s.BundlePullsUnserved }, `wanamcast_a2_bundle_pulls_total{served="false"}`},
 	TSReshipped:          {func(s *Stats) *uint64 { return &s.TSReshipped }, "wanamcast_a1_ts_reshipped_total"},
 	TSPullsServed:        {func(s *Stats) *uint64 { return &s.TSPullsServed }, `wanamcast_a1_ts_pulls_total{served="true"}`},
 	TSPullsUnserved:      {func(s *Stats) *uint64 { return &s.TSPullsUnserved }, `wanamcast_a1_ts_pulls_total{served="false"}`},
@@ -580,6 +584,10 @@ type Stats struct {
 	PerGroupRounds           map[types.GroupID]RoundCount
 	BundleCopiesSent         uint64
 	BundleRepeatsDropped     uint64
+
+	// A2's pulls for a missing bundle (Pipeline > 1), served and left
+	// unanswered at the members asked: 0 where every copy arrives in time.
+	BundlePullsServed, BundlePullsUnserved uint64
 	// WANReleaseLate is how late the live transport's WAN emulator released
 	// delayed frames (zero on the simulator, whose delays are exact).
 	WANReleaseLate Hist

@@ -9,7 +9,6 @@ import (
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/config"
 	"wanamcast/internal/metrics"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
 )
 
@@ -111,11 +110,10 @@ func TestLiveMulticastGenuine(t *testing.T) {
 	for _, id := range topo.AllProcesses() {
 		id := id
 		eps[id] = amcast.New(amcast.Config{
-			Host:       rt.Proc(id),
-			Detector:   rt.Detector(id),
-			SkipStages: true,
-			OnDeliver: func(m rmcast.Message) {
-				log.add(id, m.ID)
+			Host:     rt.Proc(id),
+			Detector: rt.Detector(id),
+			OnDeliver: func(mid types.MessageID, _ any) {
+				log.add(id, mid)
 			},
 		})
 	}

@@ -87,6 +87,7 @@ const (
 	KindAMcastPull        Kind = 30 // amcast.PullMsg
 	KindABcastBundle      Kind = 32 // abcast.BundleMsg
 	KindABcastRecords     Kind = 33 // []abcast.Record (consensus value)
+	KindABcastPull        Kind = 34 // abcast.PullMsg
 	KindSkeenData         Kind = 36 // baseline.SkeenData
 	KindSkeenProp         Kind = 37 // baseline.SkeenProp
 	KindHeartbeat         Kind = 40 // tcp heartbeatMsg (sender send-time beat)
@@ -266,6 +267,30 @@ func SliceLen(data []byte) (int, []byte, error) {
 		return 0, nil, corrupt("slice length exceeds input")
 	}
 	return int(n), rest, nil
+}
+
+// Decoder steps through the fields of one encoding and keeps the first error,
+// so that a decoder reads field after field and checks Err once.
+type Decoder struct {
+	Data []byte
+	Err  error
+}
+
+// Read decodes the next field with dec, unless a field before it failed (it
+// returns the zero value then).
+func Read[T any](d *Decoder, dec func([]byte) (T, []byte, error)) (v T) {
+	if d.Err == nil {
+		v, d.Data, d.Err = dec(d.Data)
+	}
+	return v
+}
+
+// Step hands the rest of the data to fn, which decodes into a target of its
+// own, unless a field before it failed.
+func (d *Decoder) Step(fn func([]byte) ([]byte, error)) {
+	if d.Err == nil {
+		d.Data, d.Err = fn(d.Data)
+	}
 }
 
 // --- proto-label interning ------------------------------------------------
