@@ -97,9 +97,9 @@ func main() {
 		Store:    store,
 		Knobs:    cfg.WithDefaults(),
 		Async:    func(fn func()) { rt.Async(self, fn) },
-		Deliver: func(proto string, mid types.MessageID, payload any) {
+		Deliver: func(proto string, mid types.MessageID, payload []byte) {
 			if !proc.Recovering() {
-				fmt.Printf("[%v] A-Deliver %s %v: %v\n", self, kinds[proto], mid, payload)
+				fmt.Printf("[%v] A-Deliver %s %v: %s\n", self, kinds[proto], mid, payload)
 			}
 		},
 		Logf: func(format string, args ...any) {
@@ -147,7 +147,7 @@ func main() {
 			return
 		case strings.HasPrefix(line, "bcast "):
 			text := strings.TrimPrefix(line, "bcast ")
-			rt.Run(self, func() { a2.ABCast(text) })
+			rt.Run(self, func() { a2.ABCast([]byte(text)) })
 		case strings.HasPrefix(line, "mcast "):
 			rest := strings.TrimPrefix(line, "mcast ")
 			parts := strings.SplitN(rest, " ", 2)
@@ -170,7 +170,7 @@ func main() {
 				continue
 			}
 			text := parts[1]
-			rt.Run(self, func() { a1.AMCast(text, types.NewGroupSet(dest...)) })
+			rt.Run(self, func() { a1.AMCast([]byte(text), types.NewGroupSet(dest...)) })
 		default:
 			fmt.Println("commands: bcast <text> | mcast <g0,g1> <text> | quit")
 		}

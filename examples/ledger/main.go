@@ -18,6 +18,7 @@
 package main
 
 import (
+	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -36,6 +37,13 @@ type transfer struct {
 // audit asks every site to snapshot its balances when it delivers the
 // marker.
 type audit struct{ Name string }
+
+// A cast value travels in its wire encoding, the simulator's casts too: a
+// type without a codec of its own goes through gob, which must know it.
+func init() {
+	gob.Register(transfer{})
+	gob.Register(audit{})
+}
 
 var sites = []string{"america", "europe", "asia"}
 

@@ -59,7 +59,7 @@
 // whose round K has waited on a group's bundle pulls it (pull), and a member
 // answers with its group's decided bundle of round K, which consensus keeps
 // (answerPull) — a function of the round's decision, as a re-ship is. A
-// receiver drops a repeat undecoded. P ≤ 1 keeps line 15 verbatim, and not
+// receiver drops a repeat. P ≤ 1 keeps line 15 verbatim, and not
 // for taste: Theorem 5.1's degree of one is measured on the modified Lamport
 // clocks, which tick on inter-group sends; when every member ships every
 // round the members' clocks advance in lockstep, and with the reduced sender
@@ -90,10 +90,11 @@ import (
 	"wanamcast/internal/types"
 )
 
-// Record is one broadcast message as it travels in bundles.
+// Record is one broadcast message as it travels in bundles: A2 reads its ID
+// only, and carries the payload bytes as they were cast.
 type Record struct {
 	ID      types.MessageID
-	Payload any
+	Payload []byte
 }
 
 // ItemID implements consensus.Item.
@@ -103,11 +104,6 @@ func (r Record) ItemID() types.MessageID { return r.ID }
 type BundleMsg struct {
 	Round uint64
 	Set   []Record
-	// enc stands in for Set on a bundle decoded from the wire (see Records):
-	// more than one member of a group ships the group's bundle, so a receiver
-	// drops all copies but the first, and only the kept one should pay for
-	// decoding.
-	enc []byte
 }
 
 // PullMsg asks a member of another group for its group's bundle of Round
@@ -125,7 +121,7 @@ type Config = group.Config
 type Bcast struct {
 	*group.Endpoint[Record, RoundSet, SyncTail]
 	api       node.API
-	onDeliver func(types.MessageID, any)
+	onDeliver func(types.MessageID, []byte)
 	// outside lists every process of the other groups, line 15's addressees,
 	// from the first ship on: an endpoint that never ships (an idle A2 beside
 	// A1 on a simulated process) holds nothing that grows with the system.
@@ -221,7 +217,7 @@ func New(cfg Config) *Bcast {
 // ABCast atomically broadcasts payload to all groups and returns the
 // assigned message ID (Task 1, lines 4–5): the message is reliably
 // multicast to the caster's own group only.
-func (b *Bcast) ABCast(payload any) types.MessageID {
+func (b *Bcast) ABCast(payload []byte) types.MessageID {
 	return b.Cast(payload, types.NewGroupSet(b.api.Group()))
 }
 
@@ -252,14 +248,9 @@ func (b *Bcast) receive(from types.ProcessID, body any) bool {
 		g := b.api.Topo().GroupOf(from)
 		if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
 			b.api.Metrics().Add(metrics.BundleRepeatsDropped, 1)
-			return true // a repeated or late copy changes nothing: drop it undecoded
+			return true // a repeated or late copy changes nothing
 		}
-		set, err := m.Records()
-		if err != nil {
-			b.api.Tracef("a2: dropping undecodable round-%d bundle from %v: %v", m.Round, from, err)
-			return true
-		}
-		b.handleBundle(g, m.Round, set, false)
+		b.handleBundle(g, m.Round, m.Set, false)
 	case PullMsg:
 		b.answerPull(from, m.Round)
 	default:

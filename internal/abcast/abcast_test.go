@@ -43,7 +43,7 @@ func newRig(t *testing.T, groups, per int, seed int64) *rig {
 		r.eps[id] = New(Config{
 			Host:     rt.Proc(id),
 			Detector: rt.Oracle(),
-			OnDeliver: func(mid types.MessageID, payload any) {
+			OnDeliver: func(mid types.MessageID, payload []byte) {
 				r.checker.RecordDeliver(id, mid)
 			},
 		})
@@ -53,7 +53,7 @@ func newRig(t *testing.T, groups, per int, seed int64) *rig {
 }
 
 func (r *rig) cast(from types.ProcessID) types.MessageID {
-	id := r.eps[from].ABCast("payload")
+	id := r.eps[from].ABCast([]byte("payload"))
 	r.checker.RecordCast(id, r.topo.AllGroups())
 	return id
 }

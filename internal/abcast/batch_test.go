@@ -36,7 +36,7 @@ func newRigKnobs(t *testing.T, groups, per int, seed int64, maxBatch, pipeline i
 			Detector: rt.Oracle(),
 			MaxBatch: maxBatch,
 			Pipeline: pipeline,
-			OnDeliver: func(mid types.MessageID, payload any) {
+			OnDeliver: func(mid types.MessageID, payload []byte) {
 				r.checker.RecordDeliver(id, mid)
 			},
 		})
@@ -124,7 +124,7 @@ func TestDeferredFillBuildsNothing(t *testing.T) {
 	b := r.eps[0]
 	for i := uint64(1); i <= 10; i++ {
 		id := types.MessageID{Origin: 1, Seq: i}
-		b.rdelivered[id] = Record{ID: id, Payload: "payload"}
+		b.rdelivered[id] = Record{ID: id, Payload: []byte("payload")}
 		b.rdOrder = append(b.rdOrder, id)
 	}
 	asked := 0

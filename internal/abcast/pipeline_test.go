@@ -45,7 +45,7 @@ func newRigViews(t *testing.T, groups, per, pipeline int, views []*fd.Oracle) *r
 			Host:     rt.Proc(id),
 			Detector: det,
 			Pipeline: pipeline,
-			OnDeliver: func(mid types.MessageID, payload any) {
+			OnDeliver: func(mid types.MessageID, payload []byte) {
 				r.checker.RecordDeliver(id, mid)
 				r.lastUseful = max(r.lastUseful, r.eps[id].Round())
 			},

@@ -5,6 +5,7 @@
 package abcast
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 
@@ -15,8 +16,12 @@ import (
 
 func init() {
 	wire.Register(wire.KindABcastBundle,
-		func(buf []byte, m BundleMsg) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m BundleMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
+		func(buf []byte, m BundleMsg) []byte { return AppendRecords(wire.AppendUvarint(buf, m.Round), m.Set) },
+		func(data []byte) (m BundleMsg, rest []byte, err error) {
+			d := wire.Decoder{Data: data}
+			m.Round, m.Set = wire.Read(&d, wire.Uvarint), wire.Read(&d, DecodeRecords)
+			return m, d.Data, d.Err
+		})
 	wire.Register(wire.KindABcastRecords, AppendRecords, DecodeRecords)
 	wire.Register(wire.KindABcastPull,
 		func(buf []byte, m PullMsg) []byte { return wire.AppendUvarint(buf, m.Round) },
@@ -69,55 +74,18 @@ var syncCodec = statesync.Codec[RoundSet, SyncTail]{
 // AppendTo appends r's wire encoding.
 func (r Record) AppendTo(buf []byte) []byte {
 	buf = r.ID.AppendTo(buf)
-	return wire.AppendValue(buf, r.Payload)
+	return wire.AppendBytes(buf, r.Payload)
 }
 
-// DecodeFrom decodes r from data and returns the remainder.
+// DecodeFrom decodes r from data and returns the remainder; the payload is
+// copied out of data.
 func (r *Record) DecodeFrom(data []byte) (rest []byte, err error) {
 	if r.ID, data, err = types.DecodeMessageID(data); err != nil {
 		return nil, err
 	}
-	r.Payload, data, err = wire.DecodeValue(data)
+	r.Payload, data, err = wire.Bytes(data)
+	r.Payload = bytes.Clone(r.Payload)
 	return data, err
-}
-
-// AppendTo appends m's wire encoding.
-func (m BundleMsg) AppendTo(buf []byte) []byte {
-	buf = wire.AppendUvarint(buf, m.Round)
-	if m.enc != nil {
-		return append(buf, m.enc...)
-	}
-	return AppendRecords(buf, m.Set)
-}
-
-// DecodeFrom decodes m from data and returns the remainder. A non-empty
-// Set is only stepped over and kept encoded; Records decodes it.
-func (m *BundleMsg) DecodeFrom(data []byte) (rest []byte, err error) {
-	if m.Round, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	n, rest, err := wire.SliceLen(data)
-	for i := 0; i < n && err == nil; i++ {
-		// A record is two varints — the ID, or its delta — and the payload.
-		if _, rest, err = wire.Varint(rest); err == nil {
-			if _, rest, err = wire.Varint(rest); err == nil {
-				rest, err = wire.SkipValue(rest)
-			}
-		}
-	}
-	if n > 0 && err == nil {
-		m.enc = append([]byte(nil), data[:len(data)-len(rest)]...)
-	}
-	return rest, err
-}
-
-// Records returns m's record set, decoding it if m came off the wire.
-func (m BundleMsg) Records() ([]Record, error) {
-	if m.enc == nil {
-		return m.Set, nil
-	}
-	set, _, err := DecodeRecords(m.enc)
-	return set, err
 }
 
 // AppendRecords appends a record batch (an A2 consensus value and the body
@@ -139,40 +107,39 @@ func AppendRecords(buf []byte, rs []Record) []byte {
 		prev := &rs[i-1]
 		buf = wire.AppendVarint(buf, int64(r.ID.Origin)-int64(prev.ID.Origin))
 		buf = wire.AppendVarint(buf, int64(r.ID.Seq-prev.ID.Seq))
-		buf = wire.AppendValue(buf, r.Payload)
+		buf = wire.AppendBytes(buf, r.Payload)
 	}
 	return buf
 }
 
-// DecodeRecords decodes a record batch and returns the remainder.
+// DecodeRecords decodes a record batch and returns the remainder. The
+// payloads share one copy of their bytes.
 func DecodeRecords(data []byte) ([]Record, []byte, error) {
 	n, data, err := wire.SliceLen(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, data, nil
+	if err != nil || n == 0 {
+		return nil, data, err
 	}
 	rs := make([]Record, n)
-	if data, err = rs[0].DecodeFrom(data); err != nil {
-		return nil, nil, err
-	}
-	for i := 1; i < n; i++ {
-		prev := &rs[i-1]
+	for i := range rs {
 		r := &rs[i]
-		var dv int64
-		if dv, data, err = wire.Varint(data); err != nil {
-			return nil, nil, err
+		if i == 0 {
+			r.ID, data, err = types.DecodeMessageID(data)
+		} else {
+			prev := &rs[i-1]
+			var do, ds int64
+			if do, data, err = wire.Varint(data); err == nil {
+				ds, data, err = wire.Varint(data)
+			}
+			r.ID = types.MessageID{Origin: types.ProcessID(int64(prev.ID.Origin) + do), Seq: prev.ID.Seq + uint64(ds)}
 		}
-		r.ID.Origin = types.ProcessID(int64(prev.ID.Origin) + dv)
-		if dv, data, err = wire.Varint(data); err != nil {
-			return nil, nil, err
+		if err == nil {
+			r.Payload, data, err = wire.Bytes(data)
 		}
-		r.ID.Seq = prev.ID.Seq + uint64(dv)
-		if r.Payload, data, err = wire.DecodeValue(data); err != nil {
+		if err != nil {
 			return nil, nil, err
 		}
 	}
+	wire.Own(rs, func(r *Record) *[]byte { return &r.Payload })
 	return rs, data, nil
 }
 

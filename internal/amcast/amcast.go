@@ -89,11 +89,13 @@
 // apply in instance order, so what they fix — proposals, final timestamps, K
 // — is a function of the decision sequence (Lemma A.1) at any depth.
 //
-// Every s0 item and (TS, m) carries m itself, as in the paper, but a receiver
-// mostly has m from R-MCast already: a descriptor off the wire keeps its
-// payload encoded (Descriptor), and Value decodes it only where an entry is
-// created without the R-MCast copy — a decision or (TS, m) that introduces m,
-// replay, snapshot restore, state transfer.
+// Every s0 item and (TS, m) carries m itself, as in the paper, but A1 reads
+// m.id and m.dst only: the payload is the bytes its caster's edge encoded,
+// framed by length and never parsed here. Its owner parses it — the service
+// layer applies nothing it cannot parse. A1 checking it on receipt would buy
+// nothing: channels are reliable (§2.1), and a per-kind parse never caught a
+// corruption that still parses. Per-frame integrity is item 13(a) of
+// ROADMAP.md, out of scope here.
 //
 // Recovery is the group endpoint's (package group). A1 snapshots its clock,
 // PENDING, received proposals and delivered set (save, load), and replays
@@ -138,15 +140,14 @@ func (s Stage) String() string { return fmt.Sprintf("s%d", int(s)) }
 // Descriptor is the per-message record that travels through consensus
 // proposals and (TS, m) messages: the message itself, its stage, and a
 // timestamp — the proposer's hint in an s0 item, the group's proposal in a
-// (TS, m), the final timestamp in an s2 item. Off the wire it may hold its
-// payload encoded in raw (package doc, read); Value returns it either way.
+// (TS, m), the final timestamp in an s2 item. A1 reads m.id and m.dst only:
+// the payload is the bytes the caster handed over, carried as they are.
 type Descriptor struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
-	Payload any
+	Payload []byte
 	TS      uint64
 	Stage   Stage
-	raw     []byte
 }
 
 // ItemID implements consensus.Item.
@@ -178,7 +179,7 @@ type Config = group.Config
 type pend struct {
 	id      types.MessageID
 	dest    types.GroupSet
-	payload any
+	payload []byte
 	ts      uint64
 	at      uint64 // api.Micros when this process was handed m to order (0: it learned m from a decision, a (TS, m) or a replay): the hint's base, the lead samples' origin
 	stage   Stage
@@ -205,7 +206,7 @@ func cmpPend(p, q *pend) int {
 type Mcast struct {
 	*group.Endpoint[Descriptor, DeliverRec, SyncTail]
 	api       node.API
-	onDeliver func(types.MessageID, any)
+	onDeliver func(types.MessageID, []byte)
 	skip      bool // stage skipping: false only in NewFritzke's [5] pipeline
 
 	k uint64 // the group clock copy K (line 2)
@@ -281,7 +282,7 @@ func build(cfg Config, fritzke bool) *Mcast {
 // AMCast atomically multicasts payload to the groups in dest and returns
 // the assigned message ID (Task 1, lines 8–9). The caster need not belong
 // to dest.
-func (a *Mcast) AMCast(payload any, dest types.GroupSet) types.MessageID {
+func (a *Mcast) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("amcast: A-MCast with empty destination")
 	}
@@ -313,7 +314,7 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 	}
 	p := a.pending[d.ID]
 	if p == nil { // line 10: a TS message also introduces m if unseen
-		p = a.newPend(d.ID, d.Dest, d.Value(), 0)
+		p = a.newPend(d.ID, d.Dest, d.Payload, 0)
 		a.Engine.Pump()
 	}
 	// Record the sender group's proposal for line 33.
@@ -357,19 +358,19 @@ func (a *Mcast) onRDeliver(m rmcast.Message) { a.admit(m.ID, m.Dest, m.Payload, 
 // or delivered; at is its pend.at. A first admission off R-MCast is logged
 // (unsynced): a replay that dropped it would leave a message only this
 // process was handed unproposed.
-func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload any, at uint64, log bool) {
+func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload []byte, at uint64, log bool) {
 	if _, ok := a.pending[id]; ok || a.adelivered[id] {
 		return
 	}
 	if log {
-		a.Log.Append(storage.Record{Kind: storage.KindAdmit, Proto: a.Proto(), ID: id, Dest: dest, Value: payload})
+		a.Log.Append(storage.Record{Kind: storage.KindAdmit, Proto: a.Proto(), ID: id, Dest: dest, Payload: payload})
 	}
 	a.newPend(id, dest, payload, at)
 	a.Engine.Pump()
 }
 
 // newPend enters m into PENDING at stage s0.
-func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload any, at uint64) *pend {
+func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload []byte, at uint64) *pend {
 	a.admitSeq++
 	p := &pend{id: id, dest: dest, payload: payload, at: at, seq: a.admitSeq}
 	if a.api.Tracing() {
@@ -456,7 +457,7 @@ func (a *Mcast) processDecision(inst uint64, set []Descriptor) {
 		switch {
 		case p == nil && d.Stage == Stage0:
 			// Line 30: the decision introduces m to this process.
-			p = a.newPend(d.ID, d.Dest, d.Value(), 0)
+			p = a.newPend(d.ID, d.Dest, d.Payload, 0)
 		case p == nil, d.Stage == Stage0 && p.stage > Stage0, d.Stage == Stage2 && p.stage == Stage3:
 			// With Pipeline >= 2 the engine's in-flight exclusion is
 			// proposer-local, so two group members may propose m to
@@ -777,13 +778,13 @@ func (a *Mcast) reindex() {
 func (a *Mcast) replay(rec storage.Record) bool {
 	switch rec.Kind {
 	case storage.KindAdmit:
-		a.admit(rec.ID, rec.Dest, rec.Value, 0, false)
+		a.admit(rec.ID, rec.Dest, rec.Payload, 0, false)
 	case storage.KindTSProp:
 		if tm, ok := rec.Value.(TSMsg); ok {
 			a.handleTS(types.GroupID(rec.Aux), tm.Desc, true)
 		}
 	case storage.KindDeliver:
-		a.applySyncDeliver(DeliverRec{ID: rec.ID, Dest: rec.Dest, TS: rec.Inst, Payload: rec.Value}, true)
+		a.applySyncDeliver(DeliverRec{ID: rec.ID, Dest: rec.Dest, TS: rec.Inst, Payload: rec.Payload}, true)
 	default:
 		return false
 	}
@@ -823,7 +824,7 @@ func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
 	}
 	if !replay {
 		a.Log.Append(storage.Record{Kind: storage.KindDeliver, Proto: a.Proto(),
-			Inst: dr.TS, ID: dr.ID, Dest: dr.Dest, Value: dr.Payload})
+			Inst: dr.TS, ID: dr.ID, Dest: dr.Dest, Payload: dr.Payload})
 	}
 	a.deliver(dr, " (state transfer)")
 }
@@ -840,7 +841,7 @@ func (a *Mcast) adoptState(t SyncTail) {
 		p := a.pending[d.ID]
 		if p == nil {
 			a.admitSeq++
-			p = &pend{id: d.ID, dest: d.Dest, payload: d.Value(), ts: d.TS, stage: d.Stage, seq: a.admitSeq}
+			p = &pend{id: d.ID, dest: d.Dest, payload: d.Payload, ts: d.TS, stage: d.Stage, seq: a.admitSeq}
 			a.pending[d.ID] = p
 		} else if d.Stage > p.stage {
 			p.stage = d.Stage

@@ -14,6 +14,7 @@ import (
 	"wanamcast/internal/node/clocktest"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 type rig struct {
@@ -102,7 +103,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 			MaxBatch: o.maxBatch,
 			Pipeline: o.pipeline,
 			Log:      lg,
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				r.checker.RecordDeliver(id, mid)
 			},
 		}
@@ -118,7 +119,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 
 func (r *rig) cast(from types.ProcessID, dest ...types.GroupID) types.MessageID {
 	gs := types.NewGroupSet(dest...)
-	id := r.eps[from].AMCast("payload", gs)
+	id := r.eps[from].AMCast(wire.AppendValue(nil, "payload"), gs) // an edge's encoding of the cast value
 	r.checker.RecordCast(id, gs)
 	return id
 }
@@ -456,7 +457,7 @@ func TestEmptyDestPanics(t *testing.T) {
 			t.Error("expected panic on empty dest")
 		}
 	}()
-	r.eps[0].AMCast("x", types.NewGroupSet())
+	r.eps[0].AMCast([]byte("x"), types.NewGroupSet())
 }
 
 func TestWallClockLatencyScalesWithInterDelay(t *testing.T) {
@@ -482,7 +483,7 @@ func TestDeferredFillBuildsNothing(t *testing.T) {
 	r := newRig(t, rigOpts{groups: 1, per: 3, pipeline: 4, maxBatch: 64})
 	a := r.eps[0]
 	for i := uint64(1); i <= 10; i++ {
-		a.newPend(types.MessageID{Origin: 1, Seq: i}, types.NewGroupSet(0), "payload", 0)
+		a.newPend(types.MessageID{Origin: 1, Seq: i}, types.NewGroupSet(0), []byte("payload"), 0)
 	}
 	asked := 0
 	none := func(types.MessageID) bool { asked++; return false }

@@ -155,7 +155,7 @@ func TestLeadIsSoftState(t *testing.T) {
 	}
 
 	rt := node.NewRuntime(r.topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
-	fresh := New(Config{Host: rt.Proc(1), Detector: rt.Oracle(), OnDeliver: func(types.MessageID, any) {}})
+	fresh := New(Config{Host: rt.Proc(1), Detector: rt.Oracle(), OnDeliver: func(types.MessageID, []byte) {}})
 	rt.Proc(1).SetRecovering(true) // it has no peers to send to
 	if err := fresh.RestoreSnapshot(r.eps[1].AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestLeadIsSoftState(t *testing.T) {
 	// proposal reads 107 ms.
 	rt.Scheduler().At(7*time.Millisecond, func() {
 		id, dest := types.MessageID{Origin: 0, Seq: 99}, types.NewGroupSet(0, 1)
-		fresh.onRDeliver(rmcast.Message{ID: id, Dest: dest, Payload: "x"})
-		fresh.handleTS(1, Descriptor{ID: id, Dest: dest, Payload: "x", TS: 107_000, Stage: Stage1}, false)
+		fresh.onRDeliver(rmcast.Message{ID: id, Dest: dest, Payload: []byte("x")})
+		fresh.handleTS(1, Descriptor{ID: id, Dest: dest, Payload: []byte("x"), TS: 107_000, Stage: Stage1}, false)
 	})
 	rt.RunUntil(10 * time.Millisecond) // not Run: a proposer without peers retries for ever
 	if e := fresh.leads[1]; e == nil || e.lead != 100_000 {

@@ -31,7 +31,7 @@ func newIrregularRig(t *testing.T, sizes []int) *rig {
 		r.eps[id] = New(Config{
 			Host:     rt.Proc(id),
 			Detector: rt.Oracle(),
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				r.checker.RecordDeliver(id, mid)
 			},
 		})

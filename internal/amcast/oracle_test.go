@@ -45,7 +45,7 @@ func replayLog(t *testing.T, topo *types.Topology, p types.ProcessID, store stor
 		MaxBatch:  o.maxBatch,
 		Pipeline:  o.pipeline,
 		Log:       storage.NewLog(storage.NewMem()), // replay must not re-log into the source
-		OnDeliver: func(mid types.MessageID, _ any) { delivered = append(delivered, mid) },
+		OnDeliver: func(mid types.MessageID, _ []byte) { delivered = append(delivered, mid) },
 	})
 	rt.Proc(p).SetRecovering(true)
 	_, from, err := store.Load()

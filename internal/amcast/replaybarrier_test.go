@@ -76,7 +76,7 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 			Host:     rt.Proc(id),
 			Detector: rt.Oracle(),
 			Log:      lg,
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				if id == victim {
 					deliveries = append(deliveries, mid)
 				}
@@ -84,8 +84,8 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 		})
 	}
 	rt.Start()
-	rt.Scheduler().At(0, func() { eps[5].AMCast("m_a", types.NewGroupSet(0, 1)) })
-	rt.Scheduler().At(time.Millisecond, func() { eps[4].AMCast("m_b", types.NewGroupSet(0)) })
+	rt.Scheduler().At(0, func() { eps[5].AMCast([]byte("m_a"), types.NewGroupSet(0, 1)) })
+	rt.Scheduler().At(time.Millisecond, func() { eps[4].AMCast([]byte("m_b"), types.NewGroupSet(0)) })
 	rt.CrashAt(victim, 150*time.Millisecond)
 	rt.RunUntil(400 * time.Millisecond)
 

@@ -19,10 +19,16 @@ import (
 func init() {
 	wire.Register(wire.KindAMcastTS,
 		func(buf []byte, m TSMsg) []byte { return m.Desc.AppendTo(buf) },
-		func(data []byte) (m TSMsg, rest []byte, err error) { rest, err = m.Desc.decodeOwn(data); return })
+		func(data []byte) (m TSMsg, rest []byte, err error) {
+			m.Desc, rest, err = decodeDescriptor(data)
+			return
+		})
 	wire.Register(wire.KindAMcastPull,
 		func(buf []byte, m PullMsg) []byte { return m.Desc.AppendTo(buf) },
-		func(data []byte) (m PullMsg, rest []byte, err error) { rest, err = m.Desc.decodeOwn(data); return })
+		func(data []byte) (m PullMsg, rest []byte, err error) {
+			m.Desc, rest, err = decodeDescriptor(data)
+			return
+		})
 	wire.Register(wire.KindAMcastDescriptors, AppendDescriptors, DecodeDescriptors)
 	statesync.RegisterResp(wire.KindA1SyncResp, syncCodec)
 }
@@ -32,7 +38,7 @@ type DeliverRec struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
 	TS      uint64
-	Payload any
+	Payload []byte
 }
 
 // SyncTail is A1's in-flight state, adopted by a requester that has caught
@@ -66,22 +72,12 @@ func (d Descriptor) AppendTo(buf []byte) []byte {
 	buf = d.Dest.AppendTo(buf)
 	buf = wire.AppendUvarint(buf, d.TS)
 	buf = append(buf, byte(d.Stage))
-	return d.appendPayload(buf)
-}
-
-// appendPayload appends the bytes d's payload came off the wire in, verbatim,
-// or else Payload's encoding.
-func (d *Descriptor) appendPayload(buf []byte) []byte {
-	if d.raw != nil {
-		return append(buf, d.raw...)
-	}
-	return wire.AppendValue(buf, d.Payload)
+	return wire.AppendBytes(buf, d.Payload)
 }
 
 // read is the one element reader of A1's codecs: it decodes a descriptor in
 // full, or after prev in a batch's delta encoding, and without the stage byte
-// (stage false) a DeliverRec. A payload that wire.SkipValidates is checked and
-// kept encoded in d.raw, which aliases data; any other is decoded.
+// (stage false) a DeliverRec. The payload aliases data.
 func (d *Descriptor) read(data []byte, prev *Descriptor, stage bool) (rest []byte, err error) {
 	var dv int64
 	same := false // the delta flags' bit 0: Dest is prev's
@@ -120,40 +116,24 @@ func (d *Descriptor) read(data []byte, prev *Descriptor, stage bool) (rest []byt
 		}
 		d.Stage, data = Stage(data[0]), data[1:]
 	}
-	if len(data) == 0 || !wire.SkipValidates(wire.Kind(data[0])) {
-		d.Payload, rest, err = wire.DecodeValue(data)
-		return rest, err
-	}
-	rest, err = wire.SkipValue(data)
-	d.raw = data[:len(data)-len(rest)]
+	d.Payload, rest, err = wire.Bytes(data)
 	return rest, err
 }
 
-// Value returns d's payload, decoding it if it is still in its wire encoding.
-func (d Descriptor) Value() any {
-	if d.raw == nil {
-		return d.Payload
-	}
-	v, _, err := wire.DecodeValue(d.raw)
-	if err != nil {
-		panic(fmt.Sprintf("amcast: payload of %v, checked on receipt, does not decode: %v", d.ID, err))
-	}
-	return v
-}
-
-// decodeOwn decodes a lone descriptor, a TSMsg's or a PullMsg's: its raw
-// payload is copied out of data, which may be a reused receive buffer.
-func (d *Descriptor) decodeOwn(data []byte) ([]byte, error) {
-	rest, err := d.read(data, nil, true)
-	d.raw = bytes.Clone(d.raw)
-	return rest, err
+// decodeDescriptor decodes a lone descriptor — a TSMsg's, a PullMsg's, a
+// snapshot's — with its payload copied out of data, which may be a reused
+// receive buffer.
+func decodeDescriptor(data []byte) (d Descriptor, rest []byte, err error) {
+	rest, err = d.read(data, nil, true)
+	d.Payload = bytes.Clone(d.Payload)
+	return d, rest, err
 }
 
 func appendDeliverRec(buf []byte, dr DeliverRec) []byte {
 	buf = dr.ID.AppendTo(buf)
 	buf = dr.Dest.AppendTo(buf)
 	buf = wire.AppendUvarint(buf, dr.TS)
-	return wire.AppendValue(buf, dr.Payload)
+	return wire.AppendBytes(buf, dr.Payload)
 }
 
 func decodeDeliverRec(data []byte) (DeliverRec, []byte, error) {
@@ -162,7 +142,7 @@ func decodeDeliverRec(data []byte) (DeliverRec, []byte, error) {
 	if err != nil {
 		return DeliverRec{}, nil, err
 	}
-	return DeliverRec{ID: d.ID, Dest: d.Dest, TS: d.TS, Payload: d.Value()}, rest, nil
+	return DeliverRec{ID: d.ID, Dest: d.Dest, TS: d.TS, Payload: bytes.Clone(d.Payload)}, rest, nil
 }
 
 func appendSyncTail(buf []byte, t SyncTail) []byte {
@@ -219,20 +199,19 @@ func AppendDescriptors(buf []byte, ds []Descriptor) []byte {
 		}
 		buf = wire.AppendVarint(buf, int64(d.TS-prev.TS))
 		buf = append(buf, byte(d.Stage))
-		buf = d.appendPayload(buf)
+		buf = wire.AppendBytes(buf, d.Payload)
 	}
 	return buf
 }
 
 // DecodeDescriptors decodes a descriptor batch and returns the remainder. The
-// payloads kept encoded share one copy of the batch's bytes.
+// payloads share one copy of their bytes.
 func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 	n, rest, err := wire.SliceLen(data)
 	if err != nil || n == 0 {
 		return nil, rest, err
 	}
 	ds := make([]Descriptor, n)
-	var own []byte
 	for i := range ds {
 		var prev *Descriptor
 		if i > 0 {
@@ -242,15 +221,7 @@ func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 			return nil, nil, err
 		}
 	}
-	for i := range ds {
-		if r := ds[i].raw; r != nil {
-			if own == nil {
-				own = bytes.Clone(data[:len(data)-len(rest)])
-			}
-			at := cap(data) - cap(r) // r slices data
-			ds[i].raw = own[at : at+len(r)]
-		}
-	}
+	wire.Own(ds, func(d *Descriptor) *[]byte { return &d.Payload })
 	return ds, rest, nil
 }
 
@@ -302,10 +273,9 @@ func (a *Mcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
 	castSeq = wire.Read(&d, wire.Uvarint)
 	a.delivered = wire.Read(&d, wire.Uvarint)
 	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
-		var desc Descriptor
-		d.Step(func(b []byte) ([]byte, error) { return desc.read(b, nil, true) })
+		desc := wire.Read(&d, decodeDescriptor)
 		if seq := wire.Read(&d, wire.Uvarint); d.Err == nil {
-			a.pending[desc.ID] = &pend{id: desc.ID, dest: desc.Dest, payload: desc.Value(), ts: desc.TS, stage: desc.Stage, seq: seq}
+			a.pending[desc.ID] = &pend{id: desc.ID, dest: desc.Dest, payload: desc.Payload, ts: desc.TS, stage: desc.Stage, seq: seq}
 		}
 	}
 	d.Step(func(b []byte) ([]byte, error) { return statesync.DecodeIDSet(b, a.adelivered) })

@@ -16,7 +16,7 @@ import (
 
 // mcaster is the uniform casting surface of the multicast baselines.
 type mcaster interface {
-	AMCast(payload any, dest types.GroupSet) types.MessageID
+	AMCast(payload []byte, dest types.GroupSet) types.MessageID
 }
 
 type rig struct {
@@ -45,7 +45,7 @@ func newRig(t *testing.T, groups, per int, build func(host node.Registrar, rt *n
 
 func (r *rig) amcast(from types.ProcessID, dest ...types.GroupID) types.MessageID {
 	gs := types.NewGroupSet(dest...)
-	id := r.cast[from].AMCast("x", gs)
+	id := r.cast[from].AMCast([]byte("x"), gs)
 	r.checker.RecordCast(id, gs)
 	return id
 }
@@ -200,7 +200,7 @@ func TestDelporteChainVisitsGroupsInOrder(t *testing.T) {
 	}
 	rt.Start()
 	gs := types.NewGroupSet(0, 1, 2)
-	mid := eps[0].AMCast("x", gs)
+	mid := eps[0].AMCast([]byte("x"), gs)
 	checker.RecordCast(mid, gs)
 	rt.Run()
 	sawHandover01, sawHandover12 := false, false
@@ -320,10 +320,10 @@ func newBrig(t *testing.T, groups, per int, uniform bool) *brig {
 		r.eps[id] = NewSeqBcast(SeqBcastConfig{
 			Host:    rt.Proc(id),
 			Uniform: uniform,
-			OnDeliver: func(mid types.MessageID, payload any) {
+			OnDeliver: func(mid types.MessageID, payload []byte) {
 				r.checker.RecordDeliver(id, mid)
 			},
-			OnOptimistic: func(mid types.MessageID, payload any) {
+			OnOptimistic: func(mid types.MessageID, payload []byte) {
 				r.opt[id]++
 			},
 		})
@@ -333,7 +333,7 @@ func newBrig(t *testing.T, groups, per int, uniform bool) *brig {
 }
 
 func (r *brig) bcast(from types.ProcessID) types.MessageID {
-	id := r.eps[from].ABCast("x")
+	id := r.eps[from].ABCast([]byte("x"))
 	r.checker.RecordCast(id, r.topo.AllGroups())
 	return id
 }

@@ -52,7 +52,7 @@ type dgPend struct {
 type DGItem struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
-	Payload any
+	Payload []byte
 	TS      uint64 // carried timestamp
 }
 
@@ -124,7 +124,7 @@ func (d *Delporte) Start() {}
 
 // AMCast multicasts payload to dest: the message is shipped to the first
 // destination group, which starts the handover chain.
-func (d *Delporte) AMCast(payload any, dest types.GroupSet) types.MessageID {
+func (d *Delporte) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: Delporte A-MCast with empty destination")
 	}

@@ -146,7 +146,7 @@ func (d *DetMerge) now() uint64 { return uint64(d.api.Now()) + 1 }
 
 // AMCast casts payload to dest as the next element of this publisher's
 // stream.
-func (d *DetMerge) AMCast(payload any, dest types.GroupSet) types.MessageID {
+func (d *DetMerge) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: DetMerge A-MCast with empty destination")
 	}

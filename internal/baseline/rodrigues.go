@@ -109,7 +109,7 @@ func (r *Rodrigues) Proto() string { return r.label }
 func (r *Rodrigues) Start() {}
 
 // AMCast multicasts payload to dest.
-func (r *Rodrigues) AMCast(payload any, dest types.GroupSet) types.MessageID {
+func (r *Rodrigues) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: Rodrigues A-MCast with empty destination")
 	}

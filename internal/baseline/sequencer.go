@@ -29,8 +29,8 @@ import (
 // for completeness.
 type SeqBcast struct {
 	api       node.API
-	onDeliver func(id types.MessageID, payload any)
-	onOpt     func(id types.MessageID, payload any)
+	onDeliver func(id types.MessageID, payload []byte)
+	onOpt     func(id types.MessageID, payload []byte)
 	label     string
 	uniform   bool
 	sequencer types.ProcessID
@@ -38,7 +38,7 @@ type SeqBcast struct {
 	castSeq  uint64
 	seqNext  uint64 // next sequence number (sequencer only)
 	deliverN uint64 // next sequence number to deliver
-	data     map[types.MessageID]any
+	data     map[types.MessageID][]byte
 	haveData map[types.MessageID]bool
 	seqOf    map[uint64]types.MessageID
 	acks     map[types.MessageID]map[types.ProcessID]bool
@@ -50,7 +50,7 @@ type (
 	// SBData carries the broadcast message to every process.
 	SBData struct {
 		ID      types.MessageID
-		Payload any
+		Payload []byte
 	}
 	// SBSeq announces the sequence number assigned to a message.
 	SBSeq struct {
@@ -66,9 +66,9 @@ type (
 // SeqBcastConfig configures a sequencer-broadcast endpoint.
 type SeqBcastConfig struct {
 	Host      node.Registrar
-	OnDeliver func(id types.MessageID, payload any)
+	OnDeliver func(id types.MessageID, payload []byte)
 	// OnOptimistic, if set, receives the optimistic delivery events.
-	OnOptimistic func(id types.MessageID, payload any)
+	OnOptimistic func(id types.MessageID, payload []byte)
 	// Uniform selects the Vicente & Rodrigues [13] validation variant.
 	Uniform bool
 	// Sequencer fixes the sequencer process (default: process 0).
@@ -97,7 +97,7 @@ func NewSeqBcast(cfg SeqBcastConfig) *SeqBcast {
 		sequencer: cfg.Sequencer,
 		seqNext:   1,
 		deliverN:  1,
-		data:      make(map[types.MessageID]any),
+		data:      make(map[types.MessageID][]byte),
 		haveData:  make(map[types.MessageID]bool),
 		seqOf:     make(map[uint64]types.MessageID),
 		acks:      make(map[types.MessageID]map[types.ProcessID]bool),
@@ -114,7 +114,7 @@ func (s *SeqBcast) Proto() string { return s.label }
 func (s *SeqBcast) Start() {}
 
 // ABCast broadcasts payload to all processes.
-func (s *SeqBcast) ABCast(payload any) types.MessageID {
+func (s *SeqBcast) ABCast(payload []byte) types.MessageID {
 	s.castSeq++
 	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
 	s.api.RecordCast(id)

@@ -100,7 +100,7 @@ func (s *Skeen) Proto() string { return s.label }
 func (s *Skeen) Start() {}
 
 // AMCast multicasts payload to dest.
-func (s *Skeen) AMCast(payload any, dest types.GroupSet) types.MessageID {
+func (s *Skeen) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: Skeen A-MCast with empty destination")
 	}

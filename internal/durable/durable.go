@@ -66,9 +66,10 @@ type Config struct {
 	// consistent between events. Required with a Store.
 	Async func(fn func())
 	// Deliver receives every A-Delivery in order; proto is the delivering
-	// endpoint's label ("a1" or "a2"). Replayed deliveries arrive too, while
-	// Proc.Recovering() is true.
-	Deliver func(proto string, id types.MessageID, payload any)
+	// endpoint's label ("a1" or "a2"), payload the bytes the caster handed
+	// over, shared with the endpoint (read them, never write). Replayed
+	// deliveries arrive too, while Proc.Recovering() is true.
+	Deliver func(proto string, id types.MessageID, payload []byte)
 	// Sections lists the caller's snapshot sections at each Snapshot and
 	// Recover; nil means none.
 	Sections func() []Section
@@ -131,7 +132,7 @@ func New(cfg Config) *Node {
 	endpointConfig := func(proto string) group.Config {
 		c := group.Config{Host: cfg.Proc, Detector: cfg.Detector, NextID: nextID, Log: log,
 			MaxBatch: k.MaxBatch, Pipeline: k.Pipeline, ConsensusRetry: k.ConsensusRetry,
-			OnDeliver: func(id types.MessageID, payload any) { n.deliver(proto, id, payload) }}
+			OnDeliver: func(id types.MessageID, payload []byte) { n.deliver(proto, id, payload) }}
 		if cfg.Store != nil {
 			// A completed state transfer is the natural snapshot point: the
 			// adopted deliveries live only in the WAL until one is taken.
@@ -148,7 +149,7 @@ func New(cfg Config) *Node {
 }
 
 // deliver passes one A-Delivery on and keeps the snapshot cadence.
-func (n *Node) deliver(proto string, id types.MessageID, payload any) {
+func (n *Node) deliver(proto string, id types.MessageID, payload []byte) {
 	n.cfg.Deliver(proto, id, payload)
 	if n.cfg.Store == nil || n.cfg.Knobs.SnapshotEvery <= 0 || n.cfg.Proc.Recovering() {
 		return

@@ -36,11 +36,11 @@ func newSystem(store storage.Store) *system {
 			Detector: s.rt.Oracle(),
 			Knobs:    config.Config{Pipeline: 2, MaxBatch: 8, SnapshotEvery: -1},
 			Async:    func(fn func()) { s.rt.Scheduler().After(0, fn) },
-			Deliver:  func(string, types.MessageID, any) {},
+			Deliver:  func(string, types.MessageID, []byte) {},
 		}
 		if p == victim {
 			cfg.Store = store
-			cfg.Deliver = func(_ string, id types.MessageID, _ any) {
+			cfg.Deliver = func(_ string, id types.MessageID, _ []byte) {
 				s.delivered = append(s.delivered, id)
 				s.app++
 			}
@@ -67,9 +67,9 @@ func (s *system) load(t0 time.Duration, n int) (victimMax *uint64) {
 		s.rt.Scheduler().At(t0+time.Duration(i)*3*time.Millisecond, func() {
 			var id types.MessageID
 			if i%2 == 0 {
-				id = s.hosts[from].A1.AMCast(fmt.Sprint("m", i), types.NewGroupSet(0, 1))
+				id = s.hosts[from].A1.AMCast([]byte(fmt.Sprint("m", i)), types.NewGroupSet(0, 1))
 			} else {
-				id = s.hosts[from].A2.ABCast(fmt.Sprint("b", i))
+				id = s.hosts[from].A2.ABCast([]byte(fmt.Sprint("b", i)))
 			}
 			if from == victim {
 				*victimMax = max(*victimMax, id.Seq)
@@ -119,7 +119,7 @@ func TestRecoverReplaysThePostSnapshotSuffix(t *testing.T) {
 	if !now.A1.Syncing() || !now.A2.Syncing() || second.rt.Proc(victim).Recovering() {
 		t.Error("after Recover the endpoints must be gated and the process out of recovering mode")
 	}
-	if id := now.A2.ABCast("after"); id.Seq <= max(*issuedA, *issuedB) {
+	if id := now.A2.ABCast([]byte("after")); id.Seq <= max(*issuedA, *issuedB) {
 		t.Errorf("recovered allocator issued %v; the first incarnation had reached seq %d", id, max(*issuedA, *issuedB))
 	}
 }
@@ -129,14 +129,14 @@ func TestRecoverReplaysThePostSnapshotSuffix(t *testing.T) {
 func TestVolatileHost(t *testing.T) {
 	s := newSystem(nil)
 	h := s.hosts[victim]
-	before := h.A2.ABCast("x")
+	before := h.A2.ABCast([]byte("x"))
 	if err := h.Snapshot(); err != nil {
 		t.Errorf("Snapshot: %v", err)
 	}
 	if err := h.Recover(); err != nil {
 		t.Errorf("Recover: %v", err)
 	}
-	if after := h.A1.AMCast("y", types.NewGroupSet(0)); after.Seq != before.Seq+1 || h.A1.Syncing() {
+	if after := h.A1.AMCast([]byte("y"), types.NewGroupSet(0)); after.Seq != before.Seq+1 || h.A1.Syncing() {
 		t.Errorf("volatile Recover moved the allocator (%v then %v) or shut the gate", before, after)
 	}
 }

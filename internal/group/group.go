@@ -60,8 +60,10 @@ const PullAfter = 8
 type Config struct {
 	Host     node.Registrar
 	Detector fd.Detector
-	// OnDeliver is invoked on every A-Deliver, in delivery order. May be nil.
-	OnDeliver func(id types.MessageID, payload any)
+	// OnDeliver is invoked on every A-Deliver, in delivery order, with the
+	// payload bytes the caster handed to Cast (read them, never write). May
+	// be nil.
+	OnDeliver func(id types.MessageID, payload []byte)
 	// ConsensusRetry overrides the consensus retry interval.
 	ConsensusRetry time.Duration
 	// NextID overrides cast-ID allocation: both algorithms on one process
@@ -177,7 +179,9 @@ func (e *Endpoint[T, R, Tail]) Receive(from types.ProcessID, body any) {
 }
 
 // Cast reliably multicasts payload to dest under a fresh ID and returns it.
-func (e *Endpoint[T, R, Tail]) Cast(payload any, dest types.GroupSet) types.MessageID {
+// The payload is the caster's encoding of its value: the endpoint carries it
+// and never reads it, and the caster must not change it afterwards.
+func (e *Endpoint[T, R, Tail]) Cast(payload []byte, dest types.GroupSet) types.MessageID {
 	var id types.MessageID
 	if e.nextID != nil {
 		id = e.nextID()

@@ -23,6 +23,7 @@ import (
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // Algo names an algorithm the harness can build.
@@ -151,7 +152,10 @@ type System struct {
 	// process, in global delivery order.
 	OnDeliver func(p types.ProcessID, id types.MessageID, payload any)
 
-	casters []caster
+	casters []func(payload []byte, dest types.GroupSet) types.MessageID
+	// values holds each delivered message's payload, decoded at its first
+	// delivery: a message that reaches many processes decodes once.
+	values map[types.MessageID]any
 
 	// Deliveries in global order.
 	Deliveries []Delivery
@@ -164,14 +168,6 @@ type Delivery struct {
 	Payload any
 	At      time.Duration
 }
-
-type caster interface {
-	cast(payload any, dest types.GroupSet) types.MessageID
-}
-
-type castFunc func(payload any, dest types.GroupSet) types.MessageID
-
-func (f castFunc) cast(payload any, dest types.GroupSet) types.MessageID { return f(payload, dest) }
 
 // Build constructs a system running algo.
 func Build(algo Algo, opts Options) *System {
@@ -190,55 +186,52 @@ func Build(algo Algo, opts Options) *System {
 		RT:      rt,
 		Col:     col,
 		Checker: check.New(topo),
-		casters: make([]caster, topo.N()),
+		casters: make([]func([]byte, types.GroupSet) types.MessageID, topo.N()),
+		values:  make(map[types.MessageID]any),
 	}
 	for _, id := range topo.AllProcesses() {
 		id := id
 		proc := rt.Proc(id)
 		onDeliver := func(m rmcast.Message) { s.recordDelivery(id, m.ID, m.Payload) }
-		onDeliverKV := func(mid types.MessageID, payload any) { s.recordDelivery(id, mid, payload) }
+		onDeliverKV := func(mid types.MessageID, payload []byte) { s.recordDelivery(id, mid, payload) }
 		switch algo {
 		case AlgoA1, AlgoA2:
 			h := durable.New(durable.Config{
 				Proc: proc, Detector: rt.Oracle(),
 				Knobs:   config.Config{MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline, ConsensusRetry: opts.ConsensusRetry},
-				Deliver: func(_ string, mid types.MessageID, payload any) { onDeliverKV(mid, payload) },
+				Deliver: func(_ string, mid types.MessageID, payload []byte) { onDeliverKV(mid, payload) },
 			})
 			s.Hosts = append(s.Hosts, h)
-			s.casters[id] = castFunc(h.A1.AMCast)
+			s.casters[id] = h.A1.AMCast
 			if algo == AlgoA2 {
-				s.casters[id] = castFunc(func(payload any, _ types.GroupSet) types.MessageID {
-					return h.A2.ABCast(payload)
-				})
+				s.casters[id] = func(payload []byte, _ types.GroupSet) types.MessageID { return h.A2.ABCast(payload) }
 			}
 		case AlgoFritzke:
 			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliverKV, opts.ConsensusRetry)
-			s.casters[id] = castFunc(a.AMCast)
+			s.casters[id] = a.AMCast
 		case AlgoSkeen:
 			a := baseline.NewSkeen(baseline.SkeenConfig{Host: proc, OnDeliver: onDeliver})
-			s.casters[id] = castFunc(a.AMCast)
+			s.casters[id] = a.AMCast
 		case AlgoDelporte:
 			a := baseline.NewDelporte(baseline.DelporteConfig{
 				Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliver,
 				ConsensusRetry: opts.ConsensusRetry,
 			})
-			s.casters[id] = castFunc(a.AMCast)
+			s.casters[id] = a.AMCast
 		case AlgoRodrigues:
 			a := baseline.NewRodrigues(baseline.RodriguesConfig{Host: proc, OnDeliver: onDeliver})
-			s.casters[id] = castFunc(a.AMCast)
+			s.casters[id] = a.AMCast
 		case AlgoDetMerge:
 			a := baseline.NewDetMerge(baseline.DetMergeConfig{
 				Host: proc, OnDeliver: onDeliver,
 				Interval: opts.DetMergeInterval, StopAfter: opts.DetMergeStop,
 			})
-			s.casters[id] = castFunc(a.AMCast)
+			s.casters[id] = a.AMCast
 		case AlgoSousa, AlgoVicente:
 			b := baseline.NewSeqBcast(baseline.SeqBcastConfig{
 				Host: proc, OnDeliver: onDeliverKV, Uniform: algo == AlgoVicente,
 			})
-			s.casters[id] = castFunc(func(payload any, dest types.GroupSet) types.MessageID {
-				return b.ABCast(payload)
-			})
+			s.casters[id] = func(payload []byte, _ types.GroupSet) types.MessageID { return b.ABCast(payload) }
 		default:
 			panic(fmt.Sprintf("harness: unknown algorithm %q", algo))
 		}
@@ -247,11 +240,16 @@ func Build(algo Algo, opts Options) *System {
 	return s
 }
 
-func (s *System) recordDelivery(p types.ProcessID, id types.MessageID, payload any) {
+func (s *System) recordDelivery(p types.ProcessID, id types.MessageID, payload []byte) {
 	s.Checker.RecordDeliver(p, id)
-	s.Deliveries = append(s.Deliveries, Delivery{Process: p, ID: id, Payload: payload, At: s.RT.Now()})
+	v, ok := s.values[id]
+	if !ok {
+		v = Decode(id, payload, s.RT.Tracef)
+		s.values[id] = v
+	}
+	s.Deliveries = append(s.Deliveries, Delivery{Process: p, ID: id, Payload: v, At: s.RT.Now()})
 	if s.OnDeliver != nil {
-		s.OnDeliver(p, id, payload)
+		s.OnDeliver(p, id, v)
 	}
 }
 
@@ -262,14 +260,36 @@ func (s *System) IsBroadcast() bool {
 
 // Cast casts payload from process from to dest (broadcast algorithms
 // ignore dest and address all groups) and registers it with the checker.
+// The payload travels in its wire encoding (Encode).
 func (s *System) Cast(from types.ProcessID, payload any, dest types.GroupSet) types.MessageID {
 	effective := dest
 	if s.IsBroadcast() {
 		effective = s.Topo.AllGroups()
 	}
-	id := s.casters[from].cast(payload, effective)
+	id := s.casters[from](Encode(payload), effective)
 	s.Checker.RecordCast(id, effective)
 	return id
+}
+
+// Decode returns a delivered payload's value, an edge's decoding for a
+// consumer that asks; one that does not decode is reported through tracef and
+// handed on as nil.
+func Decode(id types.MessageID, payload []byte, tracef func(format string, args ...any)) any {
+	v, _, err := wire.DecodeValue(payload)
+	if err != nil {
+		tracef("%v's payload does not decode, delivered as nil: %v", id, err)
+	}
+	return v
+}
+
+// Encode returns payload's wire encoding, the bytes a cast carries; a value
+// even gob cannot encode panics.
+func Encode(payload any) []byte {
+	b, err := wire.EncodeValue(payload)
+	if err != nil {
+		panic(fmt.Sprintf("harness: cast payload: %v", err))
+	}
+	return b
 }
 
 // CastAt schedules a Cast at virtual time at.

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // TestSkippingSavesOneInstancePerMember: stage skipping saves the second
@@ -183,5 +186,48 @@ func TestBuildHeapPerProcessIndependentOfGroups(t *testing.T) {
 	t.Logf("heap per process: %.0f B at 200x3, %.0f B at 4000x3", small, large)
 	if large > 1.5*small {
 		t.Errorf("heap per process grows with the system: %.0f B at 200x3, %.0f B at 4000x3", small, large)
+	}
+}
+
+// TestUndecodablePayloadIsReportedOnce: a simulated system decodes a
+// delivered payload once per message, at its first delivery, however many
+// processes deliver it. Bytes that DecodeValue rejects — a gob blob garbled
+// past its length, cast around System.Cast's encoding — are delivered like
+// any other, reported once through the trace hook and recorded as nil; the
+// run goes on and the next cast is delivered with its value.
+func TestUndecodablePayloadIsReportedOnce(t *testing.T) {
+	var lines []string
+	s := Build(AlgoA1, Options{Groups: 2, PerGroup: 3, Trace: func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}})
+	garbled := wire.AppendValue(nil, []int{1, 2, 3, 4, 5, 6, 7, 8}) // a gob blob
+	for i := len(garbled) / 2; i < len(garbled); i++ {
+		garbled[i] = 0xFF
+	}
+	dest := types.NewGroupSet(0, 1)
+	bad := s.Hosts[0].A1.AMCast(garbled, dest)
+	s.Checker.RecordCast(bad, dest)
+	good := s.Cast(4, "after", dest)
+	s.Run()
+	if v := s.Check(); len(v) != 0 {
+		t.Fatalf("violations %v", v)
+	}
+	n := 0
+	for _, d := range s.Deliveries {
+		switch {
+		case d.ID == bad && d.Payload != nil, d.ID == good && d.Payload != "after":
+			t.Errorf("%v delivered %v at %v", d.ID, d.Payload, d.Process)
+		case d.ID == bad:
+			n++
+		}
+	}
+	reports := 0
+	for _, l := range lines {
+		if strings.Contains(l, "does not decode") {
+			reports++
+		}
+	}
+	if n != 6 || reports != 1 {
+		t.Errorf("the garbled payload was delivered %d times and reported %d times, want 6 and once", n, reports)
 	}
 }

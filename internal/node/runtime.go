@@ -272,7 +272,7 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sendTS int64) time.Duration {
 	buf, err := wire.AppendFrame(rt.bwScratch[:0], from, proto, sendTS, body)
 	if err != nil {
-		// Unencodable payload (gob rejection): nothing sized, nothing owed.
+		// Unencodable body (a test's gob rejection): nothing sized, nothing owed.
 		return 0
 	}
 	rt.bwScratch = buf[:0]

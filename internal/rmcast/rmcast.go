@@ -54,11 +54,11 @@ func (m Mode) String() string {
 }
 
 // Message is an application-level multicast message: identity, destination
-// groups, and an opaque payload.
+// groups, and an opaque payload, the application's encoding of its value.
 type Message struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
-	Payload any
+	Payload []byte
 }
 
 // DataMsg is the wire envelope; wire.go registers its codec.

@@ -46,7 +46,7 @@ func msg(origin int, seq int, dest ...types.GroupID) Message {
 	return Message{
 		ID:      types.MessageID{Origin: types.ProcessID(origin), Seq: uint64(seq)},
 		Dest:    types.NewGroupSet(dest...),
-		Payload: "payload",
+		Payload: []byte("payload"),
 	}
 }
 

@@ -1,13 +1,14 @@
 // WAL record encoding. A Record is the unit every durable layer appends:
 // a kind byte, the owning protocol's wire label, a handful of numeric
-// fields whose meaning is kind-specific, and an optional value encoded
-// through the internal/wire codec registry — so batched consensus values
-// ([]amcast.Descriptor, []abcast.Record) and service commands reuse their
-// zero-allocation encoders on the log path exactly as they do on the
-// network path.
+// fields whose meaning is kind-specific, an application payload's bytes, and
+// an optional value encoded through the internal/wire codec registry — so
+// batched consensus values ([]amcast.Descriptor, []abcast.Record) reuse their
+// zero-allocation encoders on the log path exactly as they do on the network
+// path.
 package storage
 
 import (
+	"bytes"
 	"fmt"
 
 	"wanamcast/internal/types"
@@ -41,15 +42,15 @@ const (
 	KindBundle Kind = 5
 	// KindDeliver is a delivery adopted from a peer during post-restart
 	// state transfer (A1): ID/Dest identify the message, Inst its final
-	// timestamp, Value the payload.
+	// timestamp, Payload its payload.
 	KindDeliver Kind = 6
 	// KindRound is a completed round adopted from a peer during
 	// post-restart state transfer (A2): Inst is the round, Value the
 	// delivered []Record union.
 	KindRound Kind = 7
 	// KindAdmit is an A1 reliable-multicast receipt — a message's FIRST
-	// admission to PENDING: ID/Dest identify the message, Value carries
-	// the payload. Unlogged admissions would let WAL replay reconstruct a
+	// admission to PENDING: ID/Dest identify the message, Payload carries
+	// its payload. Unlogged admissions would let WAL replay reconstruct a
 	// smaller PENDING set than the pre-crash one, weakening the
 	// ADeliveryTest barrier and over-delivering out of group order.
 	// Appended unsynced: a lost tail admission is as if the rmcast never
@@ -61,14 +62,15 @@ const (
 // Record is one durable event. Field meaning is kind-specific; unused
 // fields stay zero and cost one byte each on disk.
 type Record struct {
-	Kind   Kind
-	Proto  string // owning protocol label, e.g. "a1", "a1.cons"
-	Inst   uint64 // instance / round / timestamp
-	Ballot int64  // Paxos ballot (KindPromise, KindAccept)
-	Aux    uint64 // auxiliary small field (sender group, ...)
-	ID     types.MessageID
-	Dest   types.GroupSet
-	Value  any // wire-encodable payload; nil allowed
+	Kind    Kind
+	Proto   string // owning protocol label, e.g. "a1", "a1.cons"
+	Inst    uint64 // instance / round / timestamp
+	Ballot  int64  // Paxos ballot (KindPromise, KindAccept)
+	Aux     uint64 // auxiliary small field (sender group, ...)
+	ID      types.MessageID
+	Dest    types.GroupSet
+	Payload []byte // a message's payload (KindAdmit, KindDeliver)
+	Value   any    // wire-encodable protocol value; nil allowed
 }
 
 // AppendTo appends rec's body (without framing) to buf. It allocates
@@ -81,6 +83,7 @@ func (rec Record) AppendTo(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, rec.Aux)
 	buf = rec.ID.AppendTo(buf)
 	buf = rec.Dest.AppendTo(buf)
+	buf = wire.AppendBytes(buf, rec.Payload)
 	return wire.AppendValue(buf, rec.Value)
 }
 
@@ -94,26 +97,13 @@ func DecodeRecord(data []byte) (rec Record, rest []byte, err error) {
 	if rec.Kind == KindInvalid {
 		return rec, nil, fmt.Errorf("%w: zero record kind", wire.ErrCorrupt)
 	}
-	var proto []byte
-	if proto, data, err = wire.Bytes(data); err != nil {
-		return rec, nil, err
+	d := wire.Decoder{Data: data}
+	rec.Proto = wire.Intern(wire.Read(&d, wire.Bytes))
+	rec.Inst, rec.Ballot, rec.Aux = wire.Read(&d, wire.Uvarint), wire.Read(&d, wire.Varint), wire.Read(&d, wire.Uvarint)
+	rec.ID, rec.Dest = wire.Read(&d, types.DecodeMessageID), wire.Read(&d, types.DecodeGroupSet)
+	if p := wire.Read(&d, wire.Bytes); len(p) > 0 {
+		rec.Payload = bytes.Clone(p) // the replay buffer is a whole segment
 	}
-	rec.Proto = wire.Intern(proto)
-	if rec.Inst, data, err = wire.Uvarint(data); err != nil {
-		return rec, nil, err
-	}
-	if rec.Ballot, data, err = wire.Varint(data); err != nil {
-		return rec, nil, err
-	}
-	if rec.Aux, data, err = wire.Uvarint(data); err != nil {
-		return rec, nil, err
-	}
-	if rec.ID, data, err = types.DecodeMessageID(data); err != nil {
-		return rec, nil, err
-	}
-	if rec.Dest, data, err = types.DecodeGroupSet(data); err != nil {
-		return rec, nil, err
-	}
-	rec.Value, data, err = wire.DecodeValue(data)
-	return rec, data, err
+	rec.Value = wire.Read(&d, wire.DecodeValue)
+	return rec, d.Data, d.Err
 }

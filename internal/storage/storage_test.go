@@ -17,7 +17,7 @@ func testRecords() []Record {
 		{Kind: KindTSProp, Proto: "a1", Inst: 12, Aux: 2,
 			ID: types.MessageID{Origin: 4, Seq: 9}, Dest: types.NewGroupSet(0, 2)},
 		{Kind: KindDeliver, Proto: "a1", Inst: 5,
-			ID: types.MessageID{Origin: 1, Seq: 2}, Dest: types.NewGroupSet(1), Value: []byte{1, 2, 3}},
+			ID: types.MessageID{Origin: 1, Seq: 2}, Dest: types.NewGroupSet(1), Payload: []byte{1, 2, 3}},
 		{Kind: KindRound, Proto: "a2", Inst: 4, Value: nil},
 	}
 }

@@ -18,8 +18,9 @@ type Cluster interface {
 	// (Algorithm A1) and returns the message's ID.
 	Multicast(from types.ProcessID, payload any, groups ...types.GroupID) types.MessageID
 	// OnDeliverAt installs a per-process delivery hook, invoked in p's
-	// A-Delivery order.
-	OnDeliverAt(p types.ProcessID, fn func(id types.MessageID, payload any))
+	// A-Delivery order with the payload's encoding (the service parses its
+	// own commands).
+	OnDeliverAt(p types.ProcessID, fn func(id types.MessageID, payload []byte))
 }
 
 // ServiceConfig configures ServeCluster.

@@ -151,7 +151,7 @@ type DurableCluster interface {
 	RegisterSnapshot(p types.ProcessID, name string,
 		save func() ([]byte, error), restore func(data []byte) error)
 	// SetDeliverAt replaces ALL of p's delivery hooks with fn.
-	SetDeliverAt(p types.ProcessID, fn func(id types.MessageID, payload any))
+	SetDeliverAt(p types.ProcessID, fn func(id types.MessageID, payload []byte))
 }
 
 // snapshotSection is the service layer's section name in cluster

@@ -75,7 +75,8 @@ import (
 
 // StateMachine is one replica's application state. Apply is invoked in
 // A-Delivery order, sequentially, for every command addressed to the
-// replica's shard; it returns the replica-local result. Snapshot
+// replica's shard; it returns the replica-local result. op is shared with
+// the ordering layer: read it, never write it. Snapshot
 // serialises the state deterministically (replica-equality checks, crash
 // recovery, state transfer); Restore replaces the state with a previously
 // Snapshot-ted one — it runs during crash recovery, before any Apply of
@@ -638,12 +639,14 @@ func appliedReply(sessionID, seq uint64, ac appliedCmd) Reply {
 }
 
 // Deliver feeds one local A-Delivery into the server. Wire it to the
-// cluster's per-process delivery hook; non-Command payloads are ignored so
-// the service coexists with other traffic on the same cluster. Deliver
+// cluster's per-process delivery hook. A payload that does not parse as a
+// Command (parseCommand) is ignored, so the service coexists with other
+// traffic on the same cluster, and a malformed command applies nothing —
+// identically at every replica, which all deliver the same bytes. Deliver
 // runs on the replica's event loop: calls are sequential and in delivery
 // order, which is exactly the state machine's contract.
-func (s *Server) Deliver(id types.MessageID, payload any) {
-	cmd, ok := payload.(Command)
+func (s *Server) Deliver(id types.MessageID, payload []byte) {
+	cmd, ok := parseCommand(payload)
 	if !ok {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // TestSessionWindowOutcomesPinned drives one session through 10 000 sequence
@@ -29,7 +30,7 @@ func TestSessionWindowOutcomesPinned(t *testing.T) {
 	deliver := func(seq uint64) {
 		n++
 		op := EncodePut(map[string]string{fmt.Sprintf("k%d", seq%97): fmt.Sprintf("v%d", seq)})
-		s.Deliver(types.MessageID{Origin: 3, Seq: n}, Command{Session: session, Seq: seq, Op: op})
+		s.Deliver(types.MessageID{Origin: 3, Seq: n}, wire.AppendValue(nil, Command{Session: session, Seq: seq, Op: op}))
 		fmt.Fprintf(sum, "d %d %x %d\n", seq, s.stateHash, s.tick)
 		if got := len(s.sessions[session].applied); got > 2*sessionWindow {
 			t.Fatalf("after seq %d the dedup map holds %d entries, more than two windows", seq, got)

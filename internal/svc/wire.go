@@ -52,10 +52,6 @@ type Redirect struct {
 
 func init() {
 	wire.Register(wire.KindSvcCommand, appendCommand, decodeCommand)
-	wire.RegisterSkip(wire.KindSvcCommand, func(data []byte) ([]byte, error) {
-		_, rest, err := readCommand(data)
-		return rest, err
-	})
 	wire.Register(wire.KindSvcRequest, appendRequest, decodeRequest)
 	wire.Register(wire.KindSvcReply, appendReply, decodeReply)
 	wire.Register(wire.KindSvcRedirect, appendRedirect, decodeRedirect)
@@ -68,7 +64,7 @@ func appendCommand(buf []byte, c Command) []byte {
 }
 
 // readCommand parses a Command whose Op aliases data. It allocates nothing:
-// it is Command's row of the wire skip table, and decodeCommand's parser.
+// it is parseCommand's and decodeCommand's parser.
 func readCommand(data []byte) (c Command, rest []byte, err error) {
 	if c.Session, data, err = wire.Uvarint(data); err != nil {
 		return c, nil, err
@@ -78,6 +74,18 @@ func readCommand(data []byte) (c Command, rest []byte, err error) {
 	}
 	c.Op, rest, err = wire.Bytes(data)
 	return c, rest, err
+}
+
+// parseCommand reads a delivered payload, a Command's wire.AppendValue
+// encoding, as the kind byte, then readCommand. It allocates nothing (Op
+// aliases payload) and refuses anything else, a trailing byte included: the
+// format's owner is the one to reject a malformed command.
+func parseCommand(payload []byte) (Command, bool) {
+	if len(payload) == 0 || wire.Kind(payload[0]) != wire.KindSvcCommand {
+		return Command{}, false
+	}
+	c, rest, err := readCommand(payload[1:])
+	return c, err == nil && len(rest) == 0
 }
 
 func decodeCommand(data []byte) (Command, []byte, error) {

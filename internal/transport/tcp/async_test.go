@@ -190,14 +190,14 @@ func TestTraceCapturesTransportEvents(t *testing.T) {
 		eps[id] = abcast.New(abcast.Config{
 			Host:      rt.Proc(id),
 			Detector:  rt.Detector(id),
-			OnDeliver: func(mid types.MessageID, _ any) { log.add(id, mid) },
+			OnDeliver: func(mid types.MessageID, _ []byte) { log.add(id, mid) },
 		})
 	}
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
-	rt.Run(0, func() { eps[0].ABCast("traced") })
+	rt.Run(0, func() { eps[0].ABCast([]byte("traced")) })
 	waitFor(t, 10*time.Second, func() bool {
 		return len(log.seq(0)) >= 1 && len(log.seq(1)) >= 1
 	})

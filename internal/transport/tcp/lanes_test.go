@@ -130,7 +130,7 @@ func TestLiveBroadcastLanesShared(t *testing.T) {
 		eps[id] = abcast.New(abcast.Config{
 			Host:     rt.Proc(id),
 			Detector: rt.Detector(id),
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},
 		})
@@ -144,7 +144,7 @@ func TestLiveBroadcastLanesShared(t *testing.T) {
 	for i := 0; i < casts; i++ {
 		i := i
 		from := types.ProcessID(i % topo.N())
-		rt.Run(from, func() { eps[from].ABCast(i) })
+		rt.Run(from, func() { eps[from].ABCast([]byte{byte(i)}) })
 	}
 	waitFor(t, 15*time.Second, func() bool {
 		for _, id := range topo.AllProcesses() {

@@ -29,7 +29,7 @@ func TestMultiRuntimeBroadcast(t *testing.T) {
 			eps[id] = abcast.New(abcast.Config{
 				Host:     rt.Proc(id),
 				Detector: rt.Detector(id),
-				OnDeliver: func(mid types.MessageID, _ any) {
+				OnDeliver: func(mid types.MessageID, _ []byte) {
 					log.add(id, mid)
 				},
 			})
@@ -50,9 +50,9 @@ func TestMultiRuntimeBroadcast(t *testing.T) {
 	defer rtB.Stop()
 
 	var first, second types.MessageID
-	rtA.Run(0, func() { first = epsA[0].ABCast("from-runtime-A") })
+	rtA.Run(0, func() { first = epsA[0].ABCast([]byte("from-runtime-A")) })
 	time.Sleep(20 * time.Millisecond)
-	rtB.Run(3, func() { second = epsB[3].ABCast("from-runtime-B") })
+	rtB.Run(3, func() { second = epsB[3].ABCast([]byte("from-runtime-B")) })
 
 	waitFor(t, 15*time.Second, func() bool {
 		for _, p := range topo.AllProcesses() {

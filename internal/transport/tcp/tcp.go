@@ -40,9 +40,9 @@
 // toward a live one.
 //
 // The wire format is the zero-allocation internal/wire codec. Every
-// protocol message has a registered codec there; only application payloads
-// of non-basic types ride its gob fallback, so gob-register those before
-// Start.
+// protocol message has a registered codec there, and an application payload
+// rides as the bytes its cast's edge encoded (wire.AppendValue, whose gob
+// fallback needs a payload type without a codec gob-registered).
 package tcp
 
 import (

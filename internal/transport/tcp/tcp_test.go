@@ -61,7 +61,7 @@ func TestLiveBroadcastTotalOrder(t *testing.T) {
 		eps[id] = abcast.New(abcast.Config{
 			Host:     rt.Proc(id),
 			Detector: rt.Detector(id),
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},
 		})
@@ -75,7 +75,7 @@ func TestLiveBroadcastTotalOrder(t *testing.T) {
 	for i := 0; i < casts; i++ {
 		i := i
 		from := types.ProcessID(i % topo.N())
-		rt.Run(from, func() { eps[from].ABCast(i) })
+		rt.Run(from, func() { eps[from].ABCast([]byte{byte(i)}) })
 		time.Sleep(10 * time.Millisecond)
 	}
 	waitFor(t, 10*time.Second, func() bool {
@@ -112,7 +112,7 @@ func TestLiveMulticastGenuine(t *testing.T) {
 		eps[id] = amcast.New(amcast.Config{
 			Host:     rt.Proc(id),
 			Detector: rt.Detector(id),
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},
 		})
@@ -123,7 +123,7 @@ func TestLiveMulticastGenuine(t *testing.T) {
 	defer rt.Stop()
 
 	var id types.MessageID
-	rt.Run(0, func() { id = eps[0].AMCast("live", types.NewGroupSet(0, 1)) })
+	rt.Run(0, func() { id = eps[0].AMCast([]byte("live"), types.NewGroupSet(0, 1)) })
 	waitFor(t, 10*time.Second, func() bool {
 		for _, p := range []types.ProcessID{0, 1, 2, 3} {
 			seq := log.seq(p)
@@ -161,7 +161,7 @@ func TestLiveLeaderCrashRecovers(t *testing.T) {
 		eps[id] = abcast.New(abcast.Config{
 			Host:     rt.Proc(id),
 			Detector: rt.Detector(id),
-			OnDeliver: func(mid types.MessageID, _ any) {
+			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},
 		})
@@ -175,7 +175,7 @@ func TestLiveLeaderCrashRecovers(t *testing.T) {
 	// leader must drive the round.
 	rt.Crash(0)
 	var id types.MessageID
-	rt.Run(1, func() { id = eps[1].ABCast("after-crash") })
+	rt.Run(1, func() { id = eps[1].ABCast([]byte("after-crash")) })
 	waitFor(t, 15*time.Second, func() bool {
 		for _, p := range []types.ProcessID{1, 2, 3, 4, 5} {
 			found := false

@@ -36,7 +36,7 @@ func benchTSMsg() any {
 	return amcast.TSMsg{Desc: amcast.Descriptor{
 		ID:      types.MessageID{Origin: 4, Seq: 12345},
 		Dest:    types.NewGroupSet(0, 2),
-		Payload: "a-representative-payload",
+		Payload: wire.AppendValue(nil, "a-representative-payload"),
 		TS:      99,
 		Stage:   amcast.Stage1,
 	}}
@@ -45,7 +45,7 @@ func benchTSMsg() any {
 func benchBundle() any {
 	set := make([]abcast.Record, 16)
 	for i := range set {
-		set[i] = abcast.Record{ID: types.MessageID{Origin: types.ProcessID(i % 6), Seq: uint64(i + 1)}, Payload: i}
+		set[i] = abcast.Record{ID: types.MessageID{Origin: types.ProcessID(i % 6), Seq: uint64(i + 1)}, Payload: wire.AppendValue(nil, i)}
 	}
 	return abcast.BundleMsg{Round: 7, Set: set}
 }

@@ -5,13 +5,22 @@
 // Every protocol message of this repository encodes itself with an
 // append-style AppendTo([]byte) []byte / DecodeFrom([]byte) pair (the
 // GroupSet.MarshalBinary pattern from internal/types, generalised), and
-// registers its codec here under a Kind byte from the catalog below. The
-// registry is what lets consensus values and application payloads stay
-// `any` end to end: AppendValue dispatches on the dynamic type — registered
-// types, the common scalars among them, through their codec, and everything
-// else through a tagged encoding/gob blob (so arbitrary user payloads keep
-// working exactly as they did on the pure-gob transport, including the
-// gob.Register requirement for non-basic types).
+// registers its codec here under a Kind byte from the catalog below.
+// AppendValue dispatches on the dynamic type — registered types, the common
+// scalars among them, through their codec, and everything else through a
+// tagged encoding/gob blob (so arbitrary user payloads keep working,
+// including the gob.Register requirement for non-basic types).
+//
+// An application payload is bytes inside the ordering core: the public edges
+// (harness.System, the root package's Cluster and LiveCluster) encode a cast
+// value once with AppendValue (EncodeValue), the core frames it with
+// AppendBytes / Bytes and never parses it, and only a consumer that asks
+// decodes it; gob lives at the edges only. The payload's owner validates it
+// (the service layer applies no Command it cannot parse). The core parsing it
+// would buy nothing: channels are reliable (§2.1), and a per-kind parse never
+// caught a corruption that still parses. Per-frame integrity is item 13(a) of
+// ROADMAP.md, out of scope here. A payload length that is truncated or runs
+// past the input still fails the decode.
 //
 // Wire layout of one frame:
 //
@@ -23,11 +32,8 @@
 // the steady-state hot path of the transport allocates nothing for the
 // envelope: the only allocations are the decoded message structures
 // themselves. Decoded byte slices alias the input buffer; decoders that
-// retain data (strings, payload copies) copy it out. A decoder may keep a
-// payload in its encoding instead of building it, when SkipValidates says
-// SkipValue has checked it as DecodeValue would: it copies those bytes out
-// too (once per message, not per payload), re-encodes them verbatim, and
-// decodes them when the value is needed.
+// retain data (strings, payloads) copy it out, a batch's payloads into one
+// allocation (Own).
 //
 // The codec is explicitly not self-describing: both ends must run the same
 // catalog. Unknown kinds and truncated or oversized frames decode to
@@ -125,26 +131,17 @@ type codec struct {
 // registry is one immutable state of the codec tables. Every frame in and
 // out looks a codec up, from every reader, writer and lane goroutine, so
 // readers load a snapshot and take no lock (an RWMutex's two atomic adds per
-// lookup bounced its cache line between the cores); Register and
-// RegisterSkip, which run from package inits, copy, add and swap under
-// writeMu. skip is SkipValue's table.
+// lookup bounced its cache line between the cores); Register, which runs from
+// package inits, copies, adds and swaps under writeMu.
 type registry struct {
 	byType map[reflect.Type]*codec
 	byKind [256]*codec
-	skip   [256]func(data []byte) ([]byte, error)
 }
 
 var (
-	writeMu sync.Mutex // serialises Register, RegisterSkip, and Intern's slow path
-	reg     = snapshot(&registry{byType: map[reflect.Type]*codec{}, skip: [256]func([]byte) ([]byte, error){
-		KindString: skipBytes, KindBytes: skipBytes, KindGob: skipBytes,
-	}})
+	writeMu sync.Mutex // serialises Register and Intern's slow path
+	reg     = snapshot(&registry{byType: map[reflect.Type]*codec{}})
 )
-
-func skipBytes(data []byte) ([]byte, error) {
-	_, rest, err := Bytes(data)
-	return rest, err
-}
 
 // snapshot returns an atomic pointer that starts at v.
 func snapshot[T any](v *T) *atomic.Pointer[T] {
@@ -176,17 +173,6 @@ func Register[T any](kind Kind, enc func(buf []byte, v T) []byte, dec func(data 
 	next := *cur
 	next.byType = maps.Clone(cur.byType)
 	next.byType[rt], next.byKind[kind] = c, c
-	reg.Store(&next)
-}
-
-// RegisterSkip gives kind its row of SkipValue's table: a walk over one body
-// that allocates nothing and fails exactly where kind's decoder fails, so the
-// bytes it steps over decode later without error (SkipValidates).
-func RegisterSkip(kind Kind, skip func(data []byte) ([]byte, error)) {
-	writeMu.Lock()
-	defer writeMu.Unlock()
-	next := *reg.Load()
-	next.skip[kind] = skip
 	reg.Store(&next)
 }
 
@@ -243,6 +229,28 @@ func Bytes(data []byte) ([]byte, []byte, error) {
 		return nil, nil, corrupt("byte-slice length exceeds input")
 	}
 	return data[:n], data[n:], nil
+}
+
+// Own copies the byte slices field picks out of xs — aliases of a receive
+// buffer, as Bytes returns them — into one allocation and points them there,
+// so that a decoded batch owns its payloads at the cost of one copy. An empty
+// slice becomes nil.
+func Own[T any](xs []T, field func(*T) *[]byte) {
+	n := 0
+	for i := range xs {
+		n += len(*field(&xs[i]))
+	}
+	own := make([]byte, 0, n)
+	for i := range xs {
+		b := field(&xs[i])
+		if len(*b) == 0 {
+			*b = nil
+			continue
+		}
+		at := len(own)
+		own = append(own, *b...)
+		*b = own[at:len(own):len(own)]
+	}
 }
 
 // String consumes a length-prefixed string (copying out of data).
@@ -394,6 +402,27 @@ func AppendValue(buf []byte, v any) []byte {
 	return AppendBytes(buf, bb.Bytes())
 }
 
+// EncodeValue returns v's AppendValue encoding in a buffer of its own, or the
+// error of a value even gob cannot encode: how an edge encodes a payload.
+func EncodeValue(v any) (b []byte, err error) {
+	defer func() { caught(recover(), &err) }()
+	return AppendValue(make([]byte, 0, 64), v), nil // one allocation up to 64 bytes
+}
+
+// caught stores in *err the gob failure AppendValue panicked with, if r is
+// one, and reports whether it was; any other panic goes on.
+func caught(r any, err *error) bool {
+	if r == nil {
+		return false
+	}
+	ee, ok := r.(encodeError)
+	if !ok {
+		panic(r)
+	}
+	*err = ee.err
+	return true
+}
+
 // DecodeValue consumes one tagged value and returns the remainder.
 func DecodeValue(data []byte) (any, []byte, error) {
 	if len(data) == 0 {
@@ -420,27 +449,6 @@ func DecodeValue(data []byte) (any, []byte, error) {
 	return nil, nil, corrupt(fmt.Sprintf("unknown kind %d", kind))
 }
 
-// SkipValue returns what follows one tagged value. A kind with a row in the
-// skip table — the length-prefixed kinds, and every kind given one by
-// RegisterSkip — is stepped over without being built; any other kind is
-// decoded and dropped.
-func SkipValue(data []byte) ([]byte, error) {
-	if len(data) > 0 {
-		if skip := reg.Load().skip[data[0]]; skip != nil {
-			return skip(data[1:])
-		}
-	}
-	_, rest, err := DecodeValue(data)
-	return rest, err
-}
-
-// SkipValidates reports whether SkipValue steps over a value of kind k
-// without building it and checks it as DecodeValue would, so that the bytes
-// it stepped over decode later without error. It is false for a kind with no
-// row, which SkipValue decodes, and for the gob fallback, whose blob it only
-// measures: a caller that would keep such a value encoded decodes it now.
-func SkipValidates(k Kind) bool { return k != KindGob && reg.Load().skip[k] != nil }
-
 // --- frames ---------------------------------------------------------------
 
 // Frame is the decoded transport envelope.
@@ -457,12 +465,8 @@ type Frame struct {
 func AppendFrame(buf []byte, from types.ProcessID, proto string, ts int64, body any) (out []byte, err error) {
 	start := len(buf)
 	defer func() {
-		if r := recover(); r != nil {
-			ee, ok := r.(encodeError)
-			if !ok {
-				panic(r)
-			}
-			out, err = buf[:start], ee.err
+		if caught(recover(), &err) {
+			out = buf[:start]
 		}
 	}()
 	buf = append(buf, 0, 0, 0, 0)

@@ -20,6 +20,7 @@ import (
 	"wanamcast/internal/trace"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // LiveConfig describes a cluster running over real TCP sockets on
@@ -44,9 +45,9 @@ type LiveCluster struct {
 
 	mu         sync.Mutex
 	onDeliver  func(p ProcessID, id MessageID, payload any)
-	hooks      [][]func(id MessageID, payload any) // per-process delivery hooks
-	extras     [][]durable.Section                 // registered snapshot sections
-	deliveries []Delivery
+	hooks      [][]func(id MessageID, payload []byte) // per-process delivery hooks
+	extras     [][]durable.Section                    // registered snapshot sections
+	deliveries []delivery
 	retain     int
 	counts     map[MessageID]int
 	countOrder []MessageID // first-delivery order, for bounded eviction
@@ -58,8 +59,17 @@ type LiveCluster struct {
 	closeOnce  sync.Once
 }
 
-// NewLiveCluster builds (but does not start) a live cluster. Payloads of
-// the basic types and every protocol message have wire codecs; gob-register
+// delivery is one logged A-Delivery, its payload still in its encoding:
+// Deliveries decodes it when asked.
+type delivery struct {
+	p       ProcessID
+	id      MessageID
+	payload []byte
+	at      time.Duration
+}
+
+// NewLiveCluster builds (but does not start) a live cluster. A cast payload
+// travels in its wire encoding: the basic types have codecs; gob-register
 // your own payload types before casting other values. It panics if a
 // configured data directory cannot be opened: a cluster asked to be durable
 // must not silently run volatile.
@@ -91,7 +101,7 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		stores:  make([]storage.Store, topo.N()),
 		retain:  cfg.RetainDeliveries,
 		counts:  make(map[MessageID]int),
-		hooks:   make([][]func(id MessageID, payload any), topo.N()),
+		hooks:   make([][]func(id MessageID, payload []byte), topo.N()),
 		extras:  make([][]durable.Section, topo.N()),
 		crashed: make(map[ProcessID]bool),
 	}
@@ -146,7 +156,7 @@ func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det fd.Detector) *d
 		GroupCommit: l.gc,
 		Knobs:       l.cfg,
 		Async:       func(fn func()) { l.rt.Async(id, fn) },
-		Deliver: func(_ string, mid MessageID, payload any) {
+		Deliver: func(_ string, mid MessageID, payload []byte) {
 			l.recordDelivery(id, proc.Recovering(), mid, payload)
 		},
 		Sections: func() []durable.Section {
@@ -161,7 +171,7 @@ func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det fd.Detector) *d
 	})
 }
 
-func (l *LiveCluster) recordDelivery(p ProcessID, replay bool, id MessageID, payload any) {
+func (l *LiveCluster) recordDelivery(p ProcessID, replay bool, id MessageID, payload []byte) {
 	l.mu.Lock()
 	if replay {
 		// Log replay re-emits deliveries the cluster already recorded
@@ -184,7 +194,7 @@ func (l *LiveCluster) recordDelivery(p ProcessID, replay bool, id MessageID, pay
 		l.countOrder = append(l.countOrder, id)
 	}
 	l.counts[id]++
-	l.deliveries = append(l.deliveries, Delivery{Process: p, ID: id, Payload: payload, At: time.Since(l.startTime)})
+	l.deliveries = append(l.deliveries, delivery{p: p, id: id, payload: payload, at: time.Since(l.startTime)})
 	// With RetainDeliveries set, trim amortised: let the log grow to twice
 	// the bound, then copy the newest half down. The per-message count map
 	// is bounded too (its entries are small but would otherwise accumulate
@@ -202,7 +212,7 @@ func (l *LiveCluster) recordDelivery(p ProcessID, replay bool, id MessageID, pay
 	}
 	l.mu.Unlock()
 	if fn != nil {
-		fn(p, id, payload)
+		fn(p, id, harness.Decode(id, payload, l.rt.Tracef))
 	}
 	// Hooks run on p's event loop (like fn), so each process's hooks see
 	// its deliveries sequentially, in A-Delivery order.
@@ -232,9 +242,11 @@ func (l *LiveCluster) OnDeliver(fn func(p ProcessID, id MessageID, payload any))
 
 // OnDeliverAt installs an additional per-process delivery hook: fn runs on
 // p's event loop for each of p's A-Deliveries, in delivery order, after
-// the global OnDeliver callback. The service layer (internal/svc) hangs
-// its replica servers here. Install before the first cast.
-func (l *LiveCluster) OnDeliverAt(p ProcessID, fn func(id MessageID, payload any)) {
+// the global OnDeliver callback. It receives the payload undecoded, as the
+// caster's edge encoded it (shared with the ordering layer: read it, never
+// write it); the service layer (internal/svc) hangs its replica servers here
+// and parses its own commands. Install before the first cast.
+func (l *LiveCluster) OnDeliverAt(p ProcessID, fn func(id MessageID, payload []byte)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.hooks[p] = append(l.hooks[p], fn)
@@ -291,40 +303,7 @@ func (l *LiveCluster) Process(g GroupID, i int) ProcessID { return l.topo.Member
 
 // Broadcast atomically broadcasts payload from process from (Algorithm A2).
 func (l *LiveCluster) Broadcast(from ProcessID, payload any) MessageID {
-	var id MessageID
-	// With checking on, l.mu is held ACROSS the cast and its recording: a
-	// remote replica could otherwise order and deliver the message between
-	// ABCast handing frames to the async writers and the checker learning
-	// of the cast, and recordDelivery would file a permanent false
-	// integrity fault. Deadlock-free: ABCast only enqueues (never blocks
-	// on another loop), and no A-Delivery can happen synchronously inside
-	// it. l.checker is immutable after construction, so the checker-off
-	// hot path (all benchmarks) adds no cross-loop lock contention.
-	// Broadcasting from a crashed (not yet restarted) process is refused:
-	// the zero MessageID is returned and nothing is cast — a dead process
-	// cannot originate messages, and recording such a cast would become a
-	// permanent false validity fault once the process restarts as correct.
-	l.rt.Run(from, func() {
-		// The crash flag is loop-confined state of the CURRENT incarnation
-		// (Restart swaps in a fresh one), so the checker-off hot path stays
-		// lock-free.
-		if l.rt.Proc(from).Crashed() {
-			return
-		}
-		if l.checker == nil {
-			id = l.hosts[from].A2.ABCast(payload)
-			return
-		}
-		l.mu.Lock()
-		if l.crashed[from] {
-			l.mu.Unlock()
-			return
-		}
-		id = l.hosts[from].A2.ABCast(payload)
-		l.checker.RecordCast(id, l.topo.AllGroups())
-		l.mu.Unlock()
-	})
-	return id
+	return l.cast(from, payload, l.topo.AllGroups(), true)
 }
 
 // Multicast atomically multicasts payload from from to groups (Algorithm A1).
@@ -332,27 +311,52 @@ func (l *LiveCluster) Multicast(from ProcessID, payload any, groups ...GroupID) 
 	if len(groups) == 0 {
 		panic("wanamcast: Multicast needs at least one destination group")
 	}
-	dest := types.NewGroupSet(groups...)
-	var id MessageID
-	// See Broadcast for why l.mu spans the cast and its recording when
-	// checking is on, why it is skipped entirely when it is off, and why
-	// a crashed originator is refused (zero MessageID).
+	return l.cast(from, payload, types.NewGroupSet(groups...), false)
+}
+
+// cast encodes payload, the one encoding a cast gets, and casts it from
+// process from to dest: through A2 if broadcast, else through A1.
+//
+// With checking on, l.mu is held ACROSS the cast and its recording: a remote
+// replica could otherwise order and deliver the message between the cast
+// handing frames to the async writers and the checker learning of the cast,
+// and recordDelivery would file a permanent false integrity fault.
+// Deadlock-free: a cast only enqueues (never blocks on another loop), and no
+// A-Delivery can happen synchronously inside it. l.checker is immutable after
+// construction, so the checker-off hot path (all benchmarks) adds no
+// cross-loop lock contention. A cast from a crashed (not yet restarted)
+// process is refused: the zero MessageID is returned and nothing is cast — a
+// dead process cannot originate messages, and recording such a cast would
+// become a permanent false validity fault once the process restarts as
+// correct. So is a payload even gob cannot encode, with a trace line.
+func (l *LiveCluster) cast(from ProcessID, payload any, dest GroupSet, broadcast bool) (id MessageID) {
+	b, err := wire.EncodeValue(payload)
+	if err != nil {
+		l.rt.Tracef("wanamcast: cast refused: %v", err)
+		return id
+	}
 	l.rt.Run(from, func() {
+		// The crash flag is loop-confined state of the CURRENT incarnation
+		// (Restart swaps in a fresh one), so the checker-off hot path stays
+		// lock-free.
 		if l.rt.Proc(from).Crashed() {
 			return
 		}
-		if l.checker == nil {
-			id = l.hosts[from].A1.AMCast(payload, dest)
-			return
+		if l.checker != nil {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			if l.crashed[from] {
+				return
+			}
 		}
-		l.mu.Lock()
-		if l.crashed[from] {
-			l.mu.Unlock()
-			return
+		if h := l.hosts[from]; broadcast {
+			id = h.A2.ABCast(b)
+		} else {
+			id = h.A1.AMCast(b, dest)
 		}
-		id = l.hosts[from].A1.AMCast(payload, dest)
-		l.checker.RecordCast(id, dest)
-		l.mu.Unlock()
+		if l.checker != nil {
+			l.checker.RecordCast(id, dest)
+		}
 	})
 	return id
 }
@@ -646,7 +650,7 @@ func (l *LiveCluster) RegisterSnapshot(p ProcessID, name string, save func() ([]
 // SetDeliverAt replaces ALL of process p's delivery hooks with fn (nil
 // clears them). Restart flows use it so a dead incarnation's hooks cannot
 // linger behind the new one's.
-func (l *LiveCluster) SetDeliverAt(p ProcessID, fn func(id MessageID, payload any)) {
+func (l *LiveCluster) SetDeliverAt(p ProcessID, fn func(id MessageID, payload []byte)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.hooks[p] = nil
@@ -688,11 +692,16 @@ func (l *LiveCluster) CheckProperties() []string {
 
 // Deliveries returns a snapshot of the delivery log: every delivery
 // observed so far, or only the most recent LiveConfig.RetainDeliveries of
-// them when that bound is set.
+// them when that bound is set. Payloads are decoded now, by this call.
 func (l *LiveCluster) Deliveries() []Delivery {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Delivery(nil), l.deliveries...)
+	log := slices.Clone(l.deliveries)
+	l.mu.Unlock()
+	out := make([]Delivery, len(log))
+	for i, d := range log {
+		out[i] = Delivery{Process: d.p, ID: d.id, Payload: harness.Decode(d.id, d.payload, l.rt.Tracef), At: d.at}
+	}
+	return out
 }
 
 // DeliveredCount returns how many processes have delivered id so far. It

@@ -1,8 +1,16 @@
 package wanamcast
 
 import (
+	"fmt"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 func TestLiveClusterBroadcastAndMulticast(t *testing.T) {
@@ -78,5 +86,78 @@ func TestLiveClusterCrashSurvivors(t *testing.T) {
 	id := l.Broadcast(l.Process(0, 0), "after-crash")
 	if !l.WaitDelivered(id, 5, 15*time.Second) {
 		t.Fatal("survivors did not deliver")
+	}
+}
+
+// TestLiveClusterReportsUndecodablePayloads: the ordering core carries a
+// payload as bytes and never parses them, so bytes that DecodeValue rejects —
+// a gob blob garbled past its length, cast around the edge's encoding — are
+// delivered like any other. The edge that decodes for a consumer (the
+// OnDeliver callback, Deliveries) reports the failure through the trace hook
+// and hands on nil; the cluster keeps running. A value even gob cannot
+// encode is refused at the cast, with a trace line and the zero ID.
+func TestLiveClusterReportsUndecodablePayloads(t *testing.T) {
+	t.Setenv("WANAMCAST_TCP_DEBUG", "1") // the live trace hook writes to stderr
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
+
+	l := NewLiveCluster(LiveConfig{Groups: 1, PerGroup: 2, BasePort: 24800})
+	var mu sync.Mutex
+	got := map[MessageID][]any{}
+	l.OnDeliver(func(_ ProcessID, id MessageID, payload any) {
+		mu.Lock()
+		got[id] = append(got[id], payload)
+		mu.Unlock()
+	})
+	if err := l.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Stop()
+
+	garbled := wire.AppendValue(nil, []int{1, 2, 3, 4, 5, 6, 7, 8}) // a gob blob
+	for i := len(garbled) / 2; i < len(garbled); i++ {
+		garbled[i] = 0xFF
+	}
+	if _, _, err := wire.DecodeValue(garbled); err == nil {
+		t.Fatal("the garbled blob decodes")
+	}
+	var bad MessageID
+	l.rt.Run(0, func() { bad = l.hosts[0].A1.AMCast(garbled, types.NewGroupSet(0)) })
+	if id := l.Multicast(0, make(chan int), 0); !id.IsZero() {
+		t.Fatalf("an unencodable payload was cast as %v", id)
+	}
+	good := l.Multicast(1, "after", 0)
+	if !l.WaitDelivered(bad, 2, 10*time.Second) || !l.WaitDelivered(good, 2, 10*time.Second) {
+		t.Fatal("the cluster stopped delivering")
+	}
+	mu.Lock()
+	if want := []any{nil, nil}; !reflect.DeepEqual(got[bad], want) {
+		t.Errorf("OnDeliver got %v for the garbled payload, want %v", got[bad], want)
+	}
+	if want := []any{"after", "after"}; !reflect.DeepEqual(got[good], want) {
+		t.Errorf("OnDeliver got %v after it, want %v", got[good], want)
+	}
+	mu.Unlock()
+	for _, d := range l.Deliveries() {
+		if d.ID == bad && d.Payload != nil {
+			t.Errorf("Deliveries holds %v for the garbled payload", d.Payload)
+		}
+	}
+	l.Stop()
+	os.Stderr = saved
+	log, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(log), fmt.Sprintf("%v's payload does not decode", bad)); n < 4 {
+		t.Errorf("the trace hook reported the garbled payload %d times, want 4 (two OnDeliver, two Deliveries)", n)
+	}
+	if !strings.Contains(string(log), "cast refused") {
+		t.Error("the trace hook did not report the refused cast")
 	}
 }

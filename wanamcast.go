@@ -118,7 +118,7 @@ func (c *Cluster) Multicast(from ProcessID, payload any, groups ...GroupID) Mess
 // Broadcast atomically broadcasts payload from process from to all groups
 // using Algorithm A2, and returns the message ID.
 func (c *Cluster) Broadcast(from ProcessID, payload any) MessageID {
-	id := c.sys.Hosts[from].A2.ABCast(payload)
+	id := c.sys.Hosts[from].A2.ABCast(harness.Encode(payload))
 	c.sys.Checker.RecordCast(id, c.sys.Topo.AllGroups())
 	return id
 }
