@@ -13,7 +13,8 @@ import (
 func TestParseFlags(t *testing.T) {
 	for args, ok := range map[string]bool{
 		"-id 0 -groups 2 -d 2 -datadir /var/lib/wannode-0": true,
-		"-id 3 -groups 2 -d 2 -sendqueue 64 -flush 1ms":    true,
+		"-id 3 -groups 2 -d 2 -wan 20ms -bandwidth 50mbit": true,
+		"-sendqueue 64 -flush 1ms":                         false,
 		"-id 4 -groups 2 -d 2":                             false,
 		"-nofsync":                                         false,
 		"-heartbeat 300ms":                                 false,

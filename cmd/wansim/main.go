@@ -66,9 +66,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	f := &flags{cfg: config.Config{Groups: 3, PerGroup: 3,
 		WANDelay: 100 * time.Millisecond, LANDelay: time.Millisecond, Pipeline: 1}}
 	// What only a live cluster has — sockets, the failure detector, leases,
-	// the transport's queues, stores, span rings — the simulator cannot honour.
-	f.cfg.Bind(fs, "port", "heartbeat", "suspectafter", "leasems", "skewms", "inbox", "sendqueue",
-		"flush", "compressmin", "datadir", "nofsync", "snapevery", "spanbuf", "flightdump")
+	// ordering lanes, stores, span rings — the simulator cannot honour.
+	f.cfg.Bind(fs, "port", "heartbeat", "suspectafter", "leasems", "skewms", "lanes",
+		"datadir", "nofsync", "snapevery", "spanbuf", "flightdump")
 	f.startProf = harness.ProfileFlags(fs)
 	fs.Var(fs.Lookup("wan").Value, "inter", "inter-group one-way delay (alias of -wan)")
 	fs.Var(fs.Lookup("lan").Value, "intra", "intra-group one-way delay (alias of -lan)")
@@ -154,7 +154,7 @@ func run(f *flags) {
 		Groups: groups, PerGroup: cfg.PerGroup,
 		Inter: cfg.WANDelay, Intra: cfg.LANDelay, Jitter: f.jitter, Seed: f.seed,
 		MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline,
-		Bandwidth: cfg.Bandwidth, Lanes: cfg.Lanes,
+		Bandwidth: cfg.Bandwidth,
 	}
 	stopProf, err := f.startProf()
 	if err != nil {

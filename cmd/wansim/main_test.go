@@ -22,8 +22,9 @@ func TestCIInvocations(t *testing.T) {
 
 // TestSimNeedsNoPorts: wansim validates the model alone — a simulated
 // topology may be far larger than the port space — and what only a live
-// cluster has (-live itself, the retired -benchjson, sockets, stores, the
-// tracer's outputs) is unknown to it, not accepted and ignored.
+// cluster has (-live itself, the retired -benchjson, sockets, ordering
+// lanes, stores, the tracer's outputs) is unknown to it, not accepted and
+// ignored.
 func TestSimNeedsNoPorts(t *testing.T) {
 	for args, ok := range map[string]bool{
 		"-algo a1 -sweep 15000x3 -casts 1":  true,
@@ -36,7 +37,7 @@ func TestSimNeedsNoPorts(t *testing.T) {
 		"-telemetry :0":                     false,
 		"-port 1":                           false,
 		"-datadir d":                        false,
-		"-compressmin 2000":                 false,
+		"-lanes 4":                          false,
 		"-figures -sweep 4x3":               false,
 		"-figures -scenario partition-heal": false,
 		"-figures -algo all":                false,

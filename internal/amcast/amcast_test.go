@@ -73,7 +73,16 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	t.Helper()
 	topo := types.NewTopology(o.groups, o.per)
 	col := &metrics.Collector{LogSends: true}
-	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond, PairDelay: o.pairDelay, Jitter: o.jitter}, o.seed, col)
+	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond, Jitter: o.jitter}, o.seed, col)
+	if o.pairDelay != nil {
+		for _, from := range topo.AllProcesses() {
+			for _, to := range topo.AllProcesses() {
+				if d, ok := o.pairDelay(from, to); ok {
+					rt.Fabric().SetDelay(from, to, d)
+				}
+			}
+		}
+	}
 	r := &rig{
 		topo:    topo,
 		rt:      rt,

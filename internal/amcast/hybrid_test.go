@@ -95,11 +95,12 @@ func TestOwnerCastIsNotConvoyed(t *testing.T) {
 // as long in seconds.
 func TestLeadFollowsTheDelayAndIgnoresAStall(t *testing.T) {
 	const gap = 50 * time.Millisecond
-	wan := 100 * time.Millisecond
-	r := newRig(t, rigOpts{groups: 2, per: 3, pipeline: 4,
-		pairDelay: func(from, to types.ProcessID) (time.Duration, bool) {
-			return wan, from/3 != to/3 // three to a group
-		}})
+	wan := 100 * time.Millisecond // the rig's inter-group delay
+	r := newRig(t, rigOpts{groups: 2, per: 3, pipeline: 4})
+	setWAN := func(d time.Duration) {
+		wan = d
+		r.rt.Fabric().SetGroupDelay([]types.GroupID{0}, []types.GroupID{1}, d, true)
+	}
 	a := r.eps[0]
 	now := time.Duration(0)
 	stream := func(n int) {
@@ -123,10 +124,10 @@ func TestLeadFollowsTheDelayAndIgnoresAStall(t *testing.T) {
 	}
 	stream(leadWindow)
 	near(100 * time.Millisecond)
-	wan = 20 * time.Millisecond
+	setWAN(20 * time.Millisecond)
 	stream(2 * leadWindow)
 	near(20 * time.Millisecond)
-	wan = 100 * time.Millisecond
+	setWAN(100 * time.Millisecond)
 	stream(2 * leadWindow)
 	near(100 * time.Millisecond)
 	r.verify(t)

@@ -48,22 +48,13 @@ func TestReplayMatchesPreCrashDeliveries(t *testing.T) {
 	)
 	topo := types.NewTopology(2, 3)
 	store := storage.NewMem()
-	model := network.Model{
-		IntraGroup: time.Millisecond,
-		InterGroup: 100 * time.Millisecond,
-		PairDelay: func(from, to types.ProcessID) (time.Duration, bool) {
-			switch {
-			case from == 4 && to == victim:
-				return time.Millisecond, true // m_b reaches the victim at once
-			case from == 4 && (to == 0 || to == 1):
-				return 300 * time.Millisecond, true // ...and the rest of g0 very late
-			case from == victim && to == leader:
-				return 200 * time.Millisecond, true // victim's forwards/votes crawl
-			}
-			return 0, false
-		},
-	}
-	rt := node.NewRuntime(topo, model, 1, nil)
+	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond}, 1, nil)
+	// m_b reaches the victim at once and the rest of g0 very late; the
+	// victim's forwards and votes crawl.
+	rt.Fabric().SetDelay(4, victim, time.Millisecond)
+	rt.Fabric().SetDelay(4, 0, 300*time.Millisecond)
+	rt.Fabric().SetDelay(4, 1, 300*time.Millisecond)
+	rt.Fabric().SetDelay(victim, leader, 200*time.Millisecond)
 	var deliveries []types.MessageID
 	eps := make([]*Mcast, topo.N())
 	for _, id := range topo.AllProcesses() {

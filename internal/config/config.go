@@ -16,7 +16,6 @@ import (
 
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
-	"wanamcast/internal/wire"
 )
 
 // Config describes a cluster running over real TCP sockets on localhost,
@@ -81,24 +80,6 @@ type Config struct {
 	// (the single-core baseline the lane-scaling benchmark measures
 	// against). [-lanes]
 	Lanes int
-	// InboxSize bounds each lane's lock-free inbox ring (default 4096). A
-	// full ring PARKS further events in an unbounded overflow list — inbox
-	// events (consensus replies, timers, deliveries) are never dropped,
-	// unlike SendQueue's frames, whose loss is retry-safe. [-inbox]
-	InboxSize int
-	// SendQueue bounds each TCP connection's outbound frame queue (default
-	// 4096); a full queue drops frames instead of blocking a process loop,
-	// and protocol retry timers recover drops toward live peers.
-	// [-sendqueue]
-	SendQueue int
-	// FlushEvery caps how long the TCP writer may coalesce frames before
-	// flushing them in one syscall (default 200 µs). [-flush]
-	FlushEvery time.Duration
-	// DialTimeout bounds each connect attempt (default 1 s). Dials run on
-	// writer goroutines, never on process loops; after a failed dial the
-	// connection backs off for DialTimeout before trying again, dropping
-	// frames meanwhile.
-	DialTimeout time.Duration
 	// Bandwidth caps every link at this many bytes per second (0 =
 	// uncapped): each connection's writer paces itself so a flushed burst
 	// occupies the link for its transmission time before further protocol
@@ -106,13 +87,6 @@ type Config struct {
 	// link cannot look like a crash. The flag takes ParseBandwidth forms.
 	// [-bandwidth]
 	Bandwidth int64
-	// CompressMin is the batch compression threshold: an envelope whose
-	// payload reaches this many bytes is deflated (compress/flate,
-	// BestSpeed) unless compression fails to shrink it. 0 means the default
-	// (wire.MinCompress, one MTU); negative disables compression. Values in
-	// (0, wire.MinCompress) are rejected — compressing sub-packet payloads
-	// burns CPU for nothing. [-compressmin]
-	CompressMin int
 	// RetainDeliveries bounds the cluster's delivery bookkeeping: only the
 	// most recent RetainDeliveries entries of the Deliveries() log are
 	// kept, and the per-message counts behind WaitDelivered and
@@ -168,10 +142,9 @@ type Config struct {
 }
 
 // WithDefaults returns c with every unset knob that has a default replaced
-// by it. Zero is unset, and so is a negative size, count or duration: a
-// library caller's -1 must fall back, not reach make(chan, -1). CompressMin
-// and SnapshotEvery keep their sign, because there negative means "off";
-// the transport resolves CompressMin's 0.
+// by it. Zero is unset, and so is a negative count or duration: a library
+// caller's -1 must fall back, not reach group % -1. SnapshotEvery keeps its
+// sign, because there negative means "off".
 func (c Config) WithDefaults() Config {
 	def(&c.Groups, 2)
 	def(&c.PerGroup, 3)
@@ -185,10 +158,6 @@ func (c Config) WithDefaults() Config {
 	// One lane per group: lane = group mod Lanes is then the identity, and
 	// a runtime starts lanes only for the groups it hosts.
 	def(&c.Lanes, c.Groups)
-	def(&c.InboxSize, 4096)
-	def(&c.SendQueue, 4096)
-	def(&c.FlushEvery, 200*time.Microsecond)
-	def(&c.DialTimeout, time.Second)
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 512
 	}
@@ -205,7 +174,7 @@ func def[T int | time.Duration](knob *T, to T) {
 // Validate rejects a configuration that would panic or silently misbehave
 // deep inside a live run: every rule of ValidateModel, plus the rules of
 // what only a live cluster has — sockets, the failure detector, leases,
-// the transport's queues, stores, span rings. Relations between knobs are
+// stores, span rings. Relations between knobs are
 // judged on the values the run would use (a zero knob as its default).
 // Commands call it after parsing their flags and exit 2 on an error;
 // NewLiveCluster does not call it.
@@ -227,12 +196,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("the clock-skew guard %v consumes the whole lease window %v", e.MaxClockSkew, e.LeaseDuration)
 	case c.ConsensusRetry < 0:
 		return fmt.Errorf("consensus retry must be non-negative: %v", c.ConsensusRetry)
-	case c.InboxSize < 0 || c.SendQueue < 0 || c.SpanBuf < 0:
-		return fmt.Errorf("inbox, send queue and span buffer sizes must be non-negative: %d, %d, %d", c.InboxSize, c.SendQueue, c.SpanBuf)
-	case c.FlushEvery < 0 || c.DialTimeout < 0:
-		return fmt.Errorf("flush interval and dial timeout must be non-negative: %v, %v", c.FlushEvery, c.DialTimeout)
-	case c.CompressMin > 0 && c.CompressMin < wire.MinCompress:
-		return fmt.Errorf("compression threshold %d is below one MTU (%d): compressing sub-packet payloads burns CPU for nothing", c.CompressMin, wire.MinCompress)
+	case c.SpanBuf < 0:
+		return fmt.Errorf("span buffer size must be non-negative: %d", c.SpanBuf)
 	case c.NoFsync && c.DataDir == "":
 		return fmt.Errorf("fsync=off is meaningless without a data dir")
 	case c.SnapshotEvery != 0 && c.DataDir == "" && c.StoreFor == nil:
@@ -298,11 +263,7 @@ func (c *Config) Bind(fs *flag.FlagSet, except ...string) {
 	all.IntVar(&c.MaxBatch, "maxbatch", c.MaxBatch, "max messages per consensus instance (0 = unbounded, the paper's rule)")
 	all.IntVar(&c.Pipeline, "pipeline", c.Pipeline, "consensus instances in flight; past a process's first undecided one, full -maxbatch batches only (0 or 1 = the paper's sequential engine)")
 	all.IntVar(&c.Lanes, "lanes", c.Lanes, "ordering lane goroutines, processes sharded across them by group (0 = one per group)")
-	all.IntVar(&c.InboxSize, "inbox", c.InboxSize, "per-lane inbox ring size (0 = default 4096)")
-	all.IntVar(&c.SendQueue, "sendqueue", c.SendQueue, "per-connection send queue depth (0 = default 4096)")
-	all.DurationVar(&c.FlushEvery, "flush", c.FlushEvery, "max frame-coalescing latency before a flush (0 = default 200µs)")
 	all.Var((*bandwidth)(&c.Bandwidth), "bandwidth", "per-link bandwidth cap `rate`, e.g. 50mbit, 6.25MB, 1gbit (0 = uncapped; heartbeats are exempt)")
-	all.IntVar(&c.CompressMin, "compressmin", c.CompressMin, "compress batch envelopes at or above this many bytes (0 = default 1500, negative = off)")
 	all.StringVar(&c.DataDir, "datadir", c.DataDir, "persist each process's WAL+snapshots under this directory (empty = volatile)")
 	all.BoolVar(&c.NoFsync, "nofsync", c.NoFsync, "with -datadir: write WALs without fsync barriers (benchmark knob)")
 	all.IntVar(&c.SnapshotEvery, "snapevery", c.SnapshotEvery, "with -datadir: snapshot every N deliveries per process (0 = default 512, negative = never)")

@@ -54,16 +54,9 @@ func TestValidate(t *testing.T) {
 		{"negative maxbatch", func(c *Config) { c.MaxBatch = -1 }, false},
 		{"negative retry", func(c *Config) { c.ConsensusRetry = -1 }, false},
 		{"negative lanes", func(c *Config) { c.Lanes = -1 }, false},
-		{"negative inbox", func(c *Config) { c.InboxSize = -1 }, false},
-		{"negative sendqueue", func(c *Config) { c.SendQueue = -1 }, false},
-		{"negative flush", func(c *Config) { c.FlushEvery = -ms }, false},
-		{"negative dial timeout", func(c *Config) { c.DialTimeout = -ms }, false},
 
 		{"bandwidth", func(c *Config) { c.Bandwidth = 6_250_000 }, true},
 		{"negative bandwidth", func(c *Config) { c.Bandwidth = -1 }, false},
-		{"compressmin below MTU", func(c *Config) { c.CompressMin = 512 }, false},
-		{"compressmin above MTU", func(c *Config) { c.CompressMin = 4096 }, true},
-		{"compression off", func(c *Config) { c.CompressMin = -1 }, true},
 
 		{"durable", func(c *Config) { c.DataDir, c.NoFsync, c.SnapshotEvery = "/tmp/x", true, 128 }, true},
 		{"snapshots off", func(c *Config) { c.DataDir, c.SnapshotEvery = "/tmp/x", -1 }, true},
@@ -98,24 +91,22 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestWithDefaults: zero means the default, and so does a negative size,
-// count or duration — NewLiveCluster does not validate, so a library
-// caller's -1 must never reach make(chan, -1) or group % -1. The two
-// knobs whose negative means "off" keep it.
+// TestWithDefaults: zero means the default, and so does a negative count or
+// duration — NewLiveCluster does not validate, so a library caller's -1
+// must never reach group % -1. The knob whose negative means "off" keeps it.
 func TestWithDefaults(t *testing.T) {
 	want := Config{Groups: 2, PerGroup: 3, BasePort: 19000, WANDelay: 100 * time.Millisecond,
-		HeartbeatEvery: 50 * time.Millisecond, SuspectAfter: 250 * time.Millisecond, Lanes: 2,
-		InboxSize: 4096, SendQueue: 4096, FlushEvery: 200 * time.Microsecond, DialTimeout: time.Second, SnapshotEvery: 512}
+		HeartbeatEvery: 50 * time.Millisecond, SuspectAfter: 250 * time.Millisecond, Lanes: 2, SnapshotEvery: 512}
 	if got := (Config{}).WithDefaults(); !reflect.DeepEqual(got, want) {
 		t.Errorf("zero config\n got %+v\nwant %+v", got, want)
 	}
-	neg := Config{Lanes: -1, InboxSize: -1, SendQueue: -1, FlushEvery: -1, DialTimeout: -1}
+	neg := Config{Lanes: -1, HeartbeatEvery: -1, SuspectAfter: -1}
 	if got := neg.WithDefaults(); !reflect.DeepEqual(got, want) {
 		t.Errorf("negative knobs\n got %+v\nwant %+v", got, want)
 	}
-	got := Config{Groups: 5, LeaseDuration: time.Second, SnapshotEvery: -1, CompressMin: -1}.WithDefaults()
-	if got.Lanes != 5 || got.MaxClockSkew != 10*time.Millisecond || got.SnapshotEvery != -1 || got.CompressMin != -1 {
-		t.Errorf("lanes=%d skew=%v snapevery=%d compressmin=%d, want 5, 10ms, -1, -1", got.Lanes, got.MaxClockSkew, got.SnapshotEvery, got.CompressMin)
+	got := Config{Groups: 5, LeaseDuration: time.Second, SnapshotEvery: -1}.WithDefaults()
+	if got.Lanes != 5 || got.MaxClockSkew != 10*time.Millisecond || got.SnapshotEvery != -1 {
+		t.Errorf("lanes=%d skew=%v snapevery=%d, want 5, 10ms, -1", got.Lanes, got.MaxClockSkew, got.SnapshotEvery)
 	}
 }
 
@@ -160,6 +151,8 @@ func TestBind(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bandwidth", "50parsecs"}, {"-bandwidth", "-3mb"}, {"-bandwidth", "0.5bit"},
 		{"-leasems", "soon"}, {"-spanbuf", "many"}, {"-datadir", "/tmp/x"}, {"-nofsync"},
+		// Transport constants, not knobs: no workload ever set them.
+		{"-inbox", "8"}, {"-sendqueue", "64"}, {"-flush", "1ms"}, {"-compressmin", "4096"},
 	} {
 		if _, _, err := parse(args...); err == nil {
 			t.Errorf("%v: accepted", args)

@@ -106,10 +106,6 @@ type Options struct {
 	// uncapped): the simulator adds the transmission delay and per-link
 	// FIFO queueing to its delay model.
 	Bandwidth int64
-	// Lanes configures the lane accounting (node.Runtime.SetLanes). The
-	// simulated runtime executes single-threaded regardless, so traces stay
-	// byte-identical.
-	Lanes int
 	// Trace receives debug lines if non-nil.
 	Trace func(format string, args ...any)
 }
@@ -178,7 +174,6 @@ func Build(algo Algo, opts Options) *System {
 		Bandwidth: opts.Bandwidth}
 	rt := node.NewRuntime(topo, model, opts.Seed, col)
 	rt.Trace = opts.Trace
-	rt.SetLanes(opts.Lanes)
 	s := &System{
 		Algo:    algo,
 		Opts:    opts,

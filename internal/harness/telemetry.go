@@ -38,8 +38,6 @@ type Telemetry struct {
 	// depths, wire ratios read off st — the scrape's one Stats snapshot).
 	// Keys must be valid Prometheus metric names; they are emitted verbatim.
 	Gauges func(st metrics.Stats) map[string]float64
-	// Healthy reports process liveness for /healthz; nil means healthy.
-	Healthy func() error
 }
 
 // TelemetryServer is a running introspection plane; Close releases its
@@ -110,12 +108,6 @@ func ServeTelemetry(addr string, t Telemetry) (*TelemetryServer, error) {
 		_ = t.Spans(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if t.Healthy != nil {
-			if err := t.Healthy(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		fmt.Fprintln(w, "ok")
 	})
 	srv := &http.Server{Handler: mux}

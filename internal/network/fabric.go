@@ -57,7 +57,7 @@ func (o *overrides) delay(m Model, topo *types.Topology, from, to types.ProcessI
 	if hasD {
 		// A per-link delay override replaces the base delay but keeps the
 		// base jitter unless that is overridden too.
-		m.IntraGroup, m.InterGroup, m.PairDelay = d, d, nil
+		m.IntraGroup, m.InterGroup = d, d
 	}
 	if hasJ {
 		m.Jitter = j

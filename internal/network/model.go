@@ -4,14 +4,14 @@
 // "high-end local links" while groups are interconnected through
 // "high-latency communication links ... orders of magnitude slower". The
 // model captures exactly that: one delay for intra-group links, one for
-// inter-group links, optional uniform jitter, and an optional per-pair
-// override for irregular topologies. Links are quasi-reliable (§2.1): no
-// loss, no corruption, no duplication — delay is the only effect.
+// inter-group links, and optional uniform jitter. Links are quasi-reliable
+// (§2.1): no loss, no corruption, no duplication — delay is the only effect.
 //
 // Model is the static description; Fabric layers a mutable link table on
-// top of it for runtime fault injection (partitions, delay spikes) while
-// preserving quasi-reliability — a severed link withholds messages until
-// it heals, which is still just delay.
+// top of it for per-link delays (irregular topologies, delay spikes) and
+// runtime fault injection (partitions) while preserving quasi-reliability
+// — a severed link withholds messages until it heals, which is still just
+// delay.
 package network
 
 import (
@@ -32,9 +32,6 @@ type Model struct {
 	// Jitter, if positive, adds a uniformly distributed extra delay in
 	// [0, Jitter) to every message, drawn from the run's seeded RNG.
 	Jitter time.Duration
-	// PairDelay, if non-nil, overrides the base delay for a (from, to)
-	// pair when it returns ok=true. Jitter still applies on top.
-	PairDelay func(from, to types.ProcessID) (time.Duration, bool)
 	// Bandwidth, if positive, caps every link at this many bytes per
 	// second: each message additionally occupies its link for
 	// TransmitTime(Bandwidth, size) and queues behind earlier traffic on
@@ -70,25 +67,12 @@ func (m Model) Delay(topo *types.Topology, from, to types.ProcessID, rng *rand.R
 	if m.Jitter > 0 && rng == nil {
 		panic("network: Model.Delay needs an rng when Jitter > 0")
 	}
-	var d time.Duration
-	if m.PairDelay != nil {
-		if override, ok := m.PairDelay(from, to); ok {
-			d = override
-		} else {
-			d = m.baseDelay(topo, from, to)
-		}
-	} else {
-		d = m.baseDelay(topo, from, to)
+	d := m.InterGroup
+	if topo.SameGroup(from, to) {
+		d = m.IntraGroup
 	}
 	if m.Jitter > 0 {
 		d += time.Duration(rng.Int63n(int64(m.Jitter)))
 	}
 	return d
-}
-
-func (m Model) baseDelay(topo *types.Topology, from, to types.ProcessID) time.Duration {
-	if topo.SameGroup(from, to) {
-		return m.IntraGroup
-	}
-	return m.InterGroup
 }

@@ -81,23 +81,26 @@ func TestJitterNeedsRNG(t *testing.T) {
 	m.Delay(topo, 0, 2, nil)
 }
 
+// TestPairDelayOverride: a per-pair delay is a fabric override of that one
+// directed link, and the base model's jitter still applies on top of it.
 func TestPairDelayOverride(t *testing.T) {
 	topo := types.NewTopology(2, 2)
-	m := Model{
-		IntraGroup: time.Millisecond,
-		InterGroup: 100 * time.Millisecond,
-		PairDelay: func(from, to types.ProcessID) (time.Duration, bool) {
-			if from == 0 && to == 2 {
-				return 7 * time.Millisecond, true
-			}
-			return 0, false
-		},
+	f := NewFabric(topo, Model{IntraGroup: time.Millisecond, InterGroup: 100 * time.Millisecond, Jitter: 5 * time.Millisecond})
+	f.SetDelay(0, 2, 7*time.Millisecond)
+	rng := rand.New(rand.NewSource(1))
+	jittered := false
+	for i := 0; i < 100; i++ {
+		d := f.Delay(0, 2, rng)
+		if d < 7*time.Millisecond || d >= 12*time.Millisecond {
+			t.Fatalf("overridden pair = %v, want [7ms,12ms)", d)
+		}
+		jittered = jittered || d != 7*time.Millisecond
+		if d := f.Delay(2, 0, rng); d < 100*time.Millisecond || d >= 105*time.Millisecond {
+			t.Fatalf("reverse pair = %v, want the jittered base [100ms,105ms)", d)
+		}
 	}
-	if d := m.Delay(topo, 0, 2, nil); d != 7*time.Millisecond {
-		t.Errorf("override ignored: %v", d)
-	}
-	if d := m.Delay(topo, 2, 0, nil); d != 100*time.Millisecond {
-		t.Errorf("non-overridden pair = %v, want base", d)
+	if !jittered {
+		t.Fatal("the base jitter never applied on top of the per-pair delay")
 	}
 }
 

@@ -58,18 +58,6 @@ type Runtime struct {
 	// Crash schedules a typed evCall event instead of a fresh closure.
 	suspectFn func(int32)
 
-	// Lane accounting (SetLanes). The simulator mirrors the live runtime's
-	// per-group ordering lanes WITHOUT changing execution: events stay on
-	// the one scheduler goroutine, and the scheduler's (time, priority,
-	// sequence) merge order IS the deterministic interleaving of the lanes
-	// — which is why a simulated run produces a byte-identical trace at any
-	// lane count, while the live runtime's lanes race for real. The lane
-	// map only attributes delivered events to the lane that would have
-	// executed them, so scenarios can assert lane balance and the lane
-	// layout under test matches the live one (group mod Lanes).
-	lanes      int
-	laneEvents []uint64 // delivered events per lane index
-
 	// SuspicionDelay is how long after a crash (or a full intra-group
 	// isolation) the Ω oracle starts suspecting the process. It models
 	// failure-detection lag.
@@ -115,14 +103,10 @@ func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec *metr
 	return rt
 }
 
-// execDeliver executes one typed delivery event: it accounts the lane and
-// hands the message to the receiver. This is the single delivery handler
-// the scheduler invokes for every network arrival — the per-send closure
-// the hot path used to allocate is gone.
+// execDeliver executes one typed delivery event: it hands the message to
+// the receiver. This is the single delivery handler the scheduler invokes
+// for every network arrival — no closure per send.
 func (rt *Runtime) execDeliver(from, to int32, proto string, body any, sendTS int64) {
-	if rt.laneEvents != nil {
-		rt.laneEvents[rt.LaneOf(types.ProcessID(to))]++
-	}
 	rt.procs[to].Deliver(types.ProcessID(from), proto, body, sendTS)
 }
 
@@ -141,34 +125,6 @@ func (rt *Runtime) Fabric() *network.Fabric { return rt.fabric }
 
 // Scheduler returns the underlying discrete-event scheduler.
 func (rt *Runtime) Scheduler() *sim.Scheduler { return rt.sched }
-
-// SetLanes configures the lane accounting to mirror a live runtime with
-// the given lane count (0 = one lane per process).
-// Call before Run; execution is unaffected — see the field docs.
-func (rt *Runtime) SetLanes(n int) {
-	rt.lanes = n
-	size := rt.topo.N()
-	if n > 0 {
-		size = n
-	}
-	rt.laneEvents = make([]uint64, size)
-}
-
-// LaneOf returns the lane index process p maps to under the configured
-// lane count — the same layout the live runtime uses (group mod Lanes;
-// one lane per process when unset).
-func (rt *Runtime) LaneOf(p types.ProcessID) int {
-	if rt.lanes <= 0 {
-		return int(p)
-	}
-	return int(rt.topo.GroupOf(p)) % rt.lanes
-}
-
-// LaneStats returns how many delivered events each lane executed (only
-// populated after SetLanes).
-func (rt *Runtime) LaneStats() []uint64 {
-	return append([]uint64(nil), rt.laneEvents...)
-}
 
 // Start invokes Start on every protocol of every process, in process order.
 // It must be called exactly once, after all protocols are registered.

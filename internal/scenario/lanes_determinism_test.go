@@ -9,51 +9,15 @@ import (
 	"wanamcast/internal/harness"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
-	"wanamcast/internal/workload"
 )
 
-// runLanedScenario mirrors runSuiteScenario but shards the simulated
-// processes onto a fixed number of accounting lanes — the same group→lane
-// map the live runtime uses. The simulator stays single-threaded: lanes
-// only tag events, so the scheduler's (time, prio, seq) merge order IS
-// the deterministic interleaving the test pins.
-func runLanedScenario(t *testing.T, sc scenario.Scenario, seed int64, lanes int) *harness.System {
-	t.Helper()
-	s := harness.Build(harness.AlgoA1, harness.Options{
-		Groups: 3, PerGroup: 3, Seed: seed,
-		Inter: 50 * time.Millisecond, Intra: time.Millisecond,
-		Jitter: 2 * time.Millisecond,
-		Lanes:  lanes,
-	})
-	scenario.Apply(s.Chaos(), sc)
-	casts := workload.Generate(s.Topo, workload.Spec{
-		Casts:      40,
-		MeanPeriod: 40 * time.Millisecond,
-		Poisson:    true,
-		Seed:       seed,
-	})
-	crashed := crashSet(sc)
-	for _, c := range casts {
-		c := c
-		s.RT.Scheduler().At(c.At, func() {
-			if !crashed[c.From] {
-				s.Cast(c.From, c.Payload, c.Dest)
-			}
-		})
-	}
-	probeAt := sc.Horizon() + 100*time.Millisecond
-	s.RT.Scheduler().At(probeAt, func() {
-		s.Cast(s.Topo.Members(1)[0], "post-heal-probe", s.Topo.AllGroups())
-	})
-	s.RT.Scheduler().MaxSteps = 20_000_000
-	s.Run()
-	return s
-}
-
-// TestLanesDeterministicTrace: the six-scenario suite at Lanes=4 yields
-// byte-identical delivery traces across two same-seed runs, and the
-// laned trace matches the unsharded (Lanes=0) trace exactly — sharding
-// the runtime onto lanes must not perturb simulated time.
+// TestLanesDeterministicTrace: the live runtime orders each group on a lane
+// of its own, and those lanes race; the simulator runs every process on its
+// one scheduler goroutine, whose (time, priority, sequence) merge order is
+// the interleaving. So a simulated run is a function of its seed whatever
+// lane layout a live deployment would use. This pins it for A2 under the
+// six-scenario suite (TestScenarioDeterministicTrace pins A1): two same-seed
+// runs yield byte-identical delivery traces.
 func TestLanesDeterministicTrace(t *testing.T) {
 	topo := types.NewTopology(3, 3)
 	cfg := scenario.SuiteConfig{Unit: 200 * time.Millisecond}
@@ -65,36 +29,20 @@ func TestLanesDeterministicTrace(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown suite scenario %q", name)
 			}
-			trace := func(lanes int) string {
-				s := runLanedScenario(t, sc, 7, lanes)
-				if lanes > 0 {
-					stats := s.RT.LaneStats()
-					if len(stats) != lanes {
-						t.Fatalf("lanes=%d: LaneStats has %d entries", lanes, len(stats))
-					}
-					var total uint64
-					for _, n := range stats {
-						total += n
-					}
-					if total == 0 {
-						t.Fatalf("lanes=%d: no events accounted to any lane", lanes)
-					}
-				}
+			trace := func() string {
+				s := runSuiteScenario(t, harness.AlgoA2, sc, 7)
 				var b strings.Builder
 				for _, d := range s.Deliveries {
 					fmt.Fprintf(&b, "%v %v %v %v\n", d.At, d.Process, d.ID, d.Payload)
 				}
 				return b.String()
 			}
-			first, second := trace(4), trace(4)
+			first, second := trace(), trace()
 			if first != second {
-				t.Fatalf("scenario %q not deterministic at Lanes=4:\nrun1:\n%s\nrun2:\n%s", name, first, second)
+				t.Fatalf("scenario %q not deterministic under A2:\nrun1:\n%s\nrun2:\n%s", name, first, second)
 			}
 			if len(first) == 0 {
-				t.Fatalf("scenario %q delivered nothing at Lanes=4", name)
-			}
-			if base := trace(0); base != first {
-				t.Fatalf("scenario %q: Lanes=4 trace diverges from unsharded trace", name)
+				t.Fatalf("scenario %q delivered nothing under A2", name)
 			}
 		})
 	}

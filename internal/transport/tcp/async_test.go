@@ -74,9 +74,8 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	}()
 	// p3's port is simply never opened: dials fail outright.
 
-	flush := 5 * time.Millisecond
-	rtA := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: basePort, FlushEvery: flush, DialTimeout: 200 * time.Millisecond}})
-	rtB := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: config.Config{BasePort: basePort, FlushEvery: flush}})
+	rtA := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: basePort}})
+	rtB := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: config.Config{BasePort: basePort}})
 	sink := &sinkProto{name: "t"}
 	rtB.Proc(1).Register(sink)
 	// Start the receiver first so p0's link to p1 connects on its first

@@ -59,20 +59,25 @@ func TestLaneLayout(t *testing.T) {
 	}
 }
 
-// TestLaneInboxOverflowParks drives a deliberately tiny inbox ring far
-// past capacity from several concurrent producers and checks the
-// back-pressure contract: every event executes, in per-producer order —
-// parked, never dropped.
+// TestLaneInboxOverflowParks holds a lane busy while several concurrent
+// producers drive its inbox ring to twice its capacity, and checks the
+// back-pressure contract: the overflow parks, and once the lane runs again
+// every event executes, in per-producer order — parked, never dropped.
 func TestLaneInboxOverflowParks(t *testing.T) {
 	topo := types.NewTopology(1, 2)
-	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 22010, Lanes: 1, InboxSize: 8}})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 22010, Lanes: 1}})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before Stop, which waits for the lane
+	rt.Async(0, func() { <-release })
 
 	const producers = 4
-	const perProducer = 2000
+	const perProducer = inboxSize / 2
 	var mu sync.Mutex
 	got := make([][]int, producers)
 
@@ -93,6 +98,14 @@ func TestLaneInboxOverflowParks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	ln := rt.laneOf[0]
+	ln.ovMu.Lock()
+	parked := len(ln.ov)
+	ln.ovMu.Unlock()
+	if parked == 0 {
+		t.Fatal("the inbox ring never filled: nothing parked")
+	}
+	unblock()
 	waitFor(t, 10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()

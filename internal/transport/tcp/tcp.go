@@ -17,7 +17,7 @@
 // inbox hop), and the decoded wire body is handed to the protocol
 // as-is — zero-copy from the codec to the deliver hook.
 //
-// Lane back-pressure is explicit: the inbox ring (Config.InboxSize) is
+// Lane back-pressure is explicit: the inbox ring (inboxSize) is
 // bounded and lock-free, but when it fills, events PARK in an unbounded
 // overflow list — they are never dropped and never block the producer.
 // The inbox carries consensus replies, timer callbacks, and delivery
@@ -30,7 +30,7 @@
 // sender's process loop and does nothing but enqueue one frame per
 // receiver onto a bounded per-connection send queue; a writer goroutine
 // per (from, to) pair dials, encodes, and writes. The writer coalesces every
-// frame it can take within FlushEvery into one buffered write, so many
+// frame it can take within flushEvery into one buffered write, so many
 // frames share a syscall, and it reuses one encode buffer, so the
 // steady-state encode path allocates nothing. A dead or wedged peer
 // therefore never stalls a process loop: dials happen off-loop with a
@@ -107,7 +107,7 @@ func init() {
 // to host only a subset and run the rest of Π in other OS processes (see
 // cmd/wannode) — the wire protocol is identical either way.
 type Config struct {
-	// Config holds the knobs (ports, delays, detector, lanes, queues, …).
+	// Config holds the knobs (ports, delays, detector, lanes, …).
 	// Topo, not its Groups and PerGroup, is the authority on the shape.
 	config.Config
 	Topo *types.Topology
@@ -145,13 +145,12 @@ type Config struct {
 
 // Runtime is the live counterpart of node.Runtime.
 type Runtime struct {
-	cfg         Config
-	topo        *types.Topology
-	rec         *metrics.Collector // cfg.Recorder; nil discards
-	compressMin int                // resolved Config.CompressMin; 0 = compression off
-	fabric      *network.Fabric
-	base        network.Model // the fabric's base, for the override-free fast path
-	start       time.Time
+	cfg    Config
+	topo   *types.Topology
+	rec    *metrics.Collector // cfg.Recorder; nil discards
+	fabric *network.Fabric
+	base   network.Model // the fabric's base, for the override-free fast path
+	start  time.Time
 
 	rngMu sync.Mutex
 	jrng  *rand.Rand // feeds fabric jitter overrides; dispatch goroutines share it
@@ -194,13 +193,6 @@ func New(cfg Config) *Runtime {
 	}
 	cfg.Groups = cfg.Topo.NumGroups() // the lane default derives from it
 	cfg.Config = cfg.Config.WithDefaults()
-	compressMin := cfg.CompressMin
-	switch {
-	case compressMin == 0:
-		compressMin = wire.MinCompress
-	case compressMin < 0:
-		compressMin = 0 // compression off
-	}
 	tracef := cfg.Trace
 	if tracef == nil && os.Getenv("WANAMCAST_TCP_DEBUG") != "" {
 		tracef = func(format string, args ...any) {
@@ -216,17 +208,16 @@ func New(cfg Config) *Runtime {
 		})
 	}
 	rt := &Runtime{
-		cfg:         cfg,
-		topo:        cfg.Topo,
-		rec:         cfg.Recorder,
-		compressMin: compressMin,
-		fabric:      fabric,
-		base:        fabric.Base(),
-		jrng:        rand.New(rand.NewSource(time.Now().UnixNano())),
-		links:       make(map[connKey]*link),
-		trace:       tracef,
-		tracer:      cfg.Tracer,
-		done:        make(chan struct{}),
+		cfg:    cfg,
+		topo:   cfg.Topo,
+		rec:    cfg.Recorder,
+		fabric: fabric,
+		base:   fabric.Base(),
+		jrng:   rand.New(rand.NewSource(time.Now().UnixNano())),
+		links:  make(map[connKey]*link),
+		trace:  tracef,
+		tracer: cfg.Tracer,
+		done:   make(chan struct{}),
 	}
 	// Writer goroutines block on their queues; a fabric transition must
 	// wake the affected link so a sever kills its connection immediately
@@ -281,7 +272,7 @@ func (rt *Runtime) newLane() *lane {
 	ln := &lane{
 		rt:   rt,
 		idx:  len(rt.lanes),
-		in:   ring.NewMPSC[laneEvent](rt.cfg.InboxSize),
+		in:   ring.NewMPSC[laneEvent](inboxSize),
 		wake: make(chan struct{}, 1),
 	}
 	ln.dlTimer = time.AfterFunc(time.Hour, ln.releaseDue)
@@ -923,7 +914,7 @@ func (rt *Runtime) link(from, to types.ProcessID) *link {
 		rt:    rt,
 		from:  from,
 		to:    to,
-		queue: make(chan outFrame, rt.cfg.SendQueue),
+		queue: make(chan outFrame, sendQueue),
 		fdq:   make(chan outFrame, 16),
 		wake:  make(chan struct{}, 1),
 		ctr:   rt.fabric.Counter(from, to),
@@ -950,6 +941,28 @@ type outFrame struct {
 // keep carrying the liveness signals, or congestion would masquerade as
 // crashes.
 const fdProto = "fd"
+
+// The transport's sizes and periods. No workload varies them, so they are
+// constants, not knobs.
+const (
+	// inboxSize bounds each lane's lock-free inbox ring. A full ring PARKS
+	// further events in an unbounded overflow list: inbox events (consensus
+	// replies, timers, deliveries) are never dropped, unlike a send queue's
+	// frames, whose loss is retry-safe.
+	inboxSize = 4096
+	// sendQueue bounds each connection's outbound frame queue, and the
+	// frames a severed or paced link holds. A full queue drops frames
+	// instead of blocking a process loop; protocol retry timers recover
+	// drops toward live peers.
+	sendQueue = 4096
+	// flushEvery caps how long a writer coalesces frames before flushing
+	// them in one syscall.
+	flushEvery = 200 * time.Microsecond
+	// dialTimeout bounds each connect attempt. Dials run on writer
+	// goroutines, never on process loops; after a failed dial the link backs
+	// off for as long before trying again, dropping frames meanwhile.
+	dialTimeout = time.Second
+)
 
 // maxEnvelopeFrames caps how many additional frames the writer pulls off
 // its queue into one flush cycle, bounding a single batch envelope.
@@ -997,7 +1010,7 @@ func (l *link) writeLoop() {
 	// teardown closes the connection after a write error. It does NOT arm
 	// the dial backoff: a transient error on an established connection
 	// (peer restarted its listener, one RST) should redial immediately —
-	// blacking the link out for DialTimeout would drop heartbeats long
+	// blacking the link out for dialTimeout would drop heartbeats long
 	// enough to falsely suspect a live peer. Only failed dials back off.
 	teardown := func() {
 		if conn != nil {
@@ -1035,13 +1048,13 @@ func (l *link) writeLoop() {
 			// channel. Heartbeats are NOT parked: they are ephemeral
 			// liveness signals, and withholding them is the whole point —
 			// the peer must suspect us until the link heals. The park
-			// buffer is bounded by SendQueue; beyond it frames drop, as a
+			// buffer is bounded by sendQueue; beyond it frames drop, as a
 			// full send queue always has (protocol retries recover).
 			if conn != nil {
 				teardown()
 			}
 			if got && f.proto != "fd" {
-				if len(held) < rt.cfg.SendQueue {
+				if len(held) < sendQueue {
 					held = append(held, f)
 				} else {
 					rt.holdDrops[l.from].Add(1)
@@ -1061,10 +1074,10 @@ func (l *link) writeLoop() {
 				held = nil
 				continue // peer presumed dead: drop until the backoff expires
 			}
-			c, err := net.DialTimeout("tcp", rt.addr(l.to), rt.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", rt.addr(l.to), dialTimeout)
 			if err != nil {
 				rt.Tracef("dial error %v->%v: %v", l.from, l.to, err)
-				nextDial = time.Now().Add(rt.cfg.DialTimeout)
+				nextDial = time.Now().Add(dialTimeout)
 				held = nil
 				continue // unreachable peer: quasi-reliable links lose nothing between correct processes
 			}
@@ -1074,11 +1087,11 @@ func (l *link) writeLoop() {
 		}
 		// Coalesce: gather the held frames (usually just the one received
 		// above; more after a heal) plus whatever the queue yields within
-		// FlushEvery, and write them as one flush. The gathered protocol
+		// flushEvery, and write them as one flush. The gathered protocol
 		// frames pack into a single batch envelope — one length header and
 		// one sender preamble for the whole burst, one syscall — while fd
 		// frames are written immediately as plain frames (see fdProto).
-		deadline := time.Now().Add(rt.cfg.FlushEvery)
+		deadline := time.Now().Add(flushEvery)
 		var err error
 		pend := l.pend[:0]
 		take := func(f outFrame) {
@@ -1192,7 +1205,7 @@ func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limi
 	if l.bat.Count() == 0 {
 		return 0, used, nil
 	}
-	if l.bat.Count() == 1 && (rt.compressMin <= 0 || l.bat.Len() < rt.compressMin) {
+	if l.bat.Count() == 1 && l.bat.Len() < wire.MinCompress {
 		n, werr := l.writePlain(bw, buf, pend[solo])
 		return n, used, werr
 	}
@@ -1203,7 +1216,7 @@ func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limi
 			}
 		}
 	}
-	b, rawLen, compLen, wireLen, ferr := l.bat.Finish((*buf)[:0], rt.compressMin)
+	b, rawLen, compLen, wireLen, ferr := l.bat.Finish((*buf)[:0], wire.MinCompress)
 	if ferr != nil {
 		rt.Tracef("encode error %v->%v batch: %v", l.from, l.to, ferr)
 		return 0, used, nil
@@ -1244,7 +1257,7 @@ func (l *link) writePlain(bw *bufio.Writer, buf *[]byte, f outFrame) (int, error
 // they are written and flushed immediately during the wait, so a saturated
 // link keeps carrying heartbeats and congestion cannot masquerade as a
 // crash. Other frames arriving mid-wait park in held for the next cycle,
-// bounded by SendQueue exactly like the partition hold.
+// bounded by sendQueue exactly like the partition hold.
 func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 	rt := l.rt
 	for {
@@ -1270,7 +1283,7 @@ func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 			}
 		case f := <-l.queue:
 			t.Stop()
-			if len(*held) < rt.cfg.SendQueue {
+			if len(*held) < sendQueue {
 				*held = append(*held, f)
 			} else {
 				rt.holdDrops[l.from].Add(1)

@@ -11,6 +11,7 @@ package wanamcast
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -170,7 +171,6 @@ func TestSaturatedLinkKeepsTrust(t *testing.T) {
 		MaxBatch:       64,
 		Pipeline:       4,
 		Bandwidth:      rate,
-		CompressMin:    -1, // keep every payload byte on the wire: worst case for the cap
 		// Re-driving undecided proposals faster than a capped link drains
 		// would only stack duplicate bundles behind the debt.
 		ConsensusRetry:   500 * time.Millisecond,
@@ -182,12 +182,17 @@ func TestSaturatedLinkKeepsTrust(t *testing.T) {
 	defer l.Stop()
 
 	// Blast enough payload to owe the capped links multiple seconds of
-	// transmission debt, then require every cast to finish ordering.
+	// transmission debt, then require every cast to finish ordering. The
+	// payloads are random bytes, which deflate cannot shrink: every byte
+	// stays on the wire, the worst case for the cap.
 	const casts, size = 100, 16384
 	n := 6
+	rng := rand.New(rand.NewSource(1))
 	ids := make([]MessageID, 0, casts)
 	for i := 0; i < casts; i++ {
-		ids = append(ids, l.Broadcast(l.Process(GroupID(i%2), i%3), wanPayload(i, size)))
+		payload := make([]byte, size)
+		rng.Read(payload)
+		ids = append(ids, l.Broadcast(l.Process(GroupID(i%2), i%3), payload))
 	}
 	for _, id := range ids {
 		if !l.WaitDelivered(id, n, 120*time.Second) {
