@@ -24,6 +24,8 @@ type rig struct {
 	checker *check.Checker
 	eps     []*Mcast
 	crashed map[types.ProcessID]bool
+	// atCaster is when each message was A-Delivered at its caster.
+	atCaster map[types.MessageID]time.Duration
 }
 
 type rigOpts struct {
@@ -84,12 +86,13 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		}
 	}
 	r := &rig{
-		topo:    topo,
-		rt:      rt,
-		col:     col,
-		checker: check.New(topo),
-		eps:     make([]*Mcast, topo.N()),
-		crashed: make(map[types.ProcessID]bool),
+		topo:     topo,
+		rt:       rt,
+		col:      col,
+		checker:  check.New(topo),
+		eps:      make([]*Mcast, topo.N()),
+		crashed:  make(map[types.ProcessID]bool),
+		atCaster: make(map[types.MessageID]time.Duration),
 	}
 	rt.Skew = o.clock.Of
 	for _, id := range topo.AllProcesses() {
@@ -114,6 +117,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 			Log:      lg,
 			OnDeliver: func(mid types.MessageID, _ []byte) {
 				r.checker.RecordDeliver(id, mid)
+				if mid.Origin == id {
+					r.atCaster[mid] = rt.Now()
+				}
 			},
 		}
 		build := New

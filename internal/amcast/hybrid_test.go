@@ -21,13 +21,11 @@ import (
 // its caster.
 func (r *rig) deliveredAtCaster(t *testing.T, id types.MessageID, castAt time.Duration) time.Duration {
 	t.Helper()
-	for _, d := range r.col.Deliveries(id) {
-		if d.Process == id.Origin {
-			return d.At - castAt
-		}
+	at, ok := r.atCaster[id]
+	if !ok {
+		t.Fatalf("%v never delivered at its caster", id)
 	}
-	t.Fatalf("%v never delivered at its caster", id)
-	return 0
+	return at - castAt
 }
 
 // TestOwnerCastIsNotConvoyed is the final-timestamp convoy, pinned in

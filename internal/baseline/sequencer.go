@@ -33,7 +33,6 @@ type SeqBcast struct {
 	onOpt     func(id types.MessageID, payload []byte)
 	label     string
 	uniform   bool
-	sequencer types.ProcessID
 
 	castSeq  uint64
 	seqNext  uint64 // next sequence number (sequencer only)
@@ -63,6 +62,9 @@ type (
 	}
 )
 
+// sequencer is the fixed sequencer process.
+const sequencer types.ProcessID = 0
+
 // SeqBcastConfig configures a sequencer-broadcast endpoint.
 type SeqBcastConfig struct {
 	Host      node.Registrar
@@ -71,8 +73,6 @@ type SeqBcastConfig struct {
 	OnOptimistic func(id types.MessageID, payload []byte)
 	// Uniform selects the Vicente & Rodrigues [13] validation variant.
 	Uniform bool
-	// Sequencer fixes the sequencer process (default: process 0).
-	Sequencer types.ProcessID
 	// ProtoLabel overrides the wire label (default "sb").
 	ProtoLabel string
 }
@@ -94,7 +94,6 @@ func NewSeqBcast(cfg SeqBcastConfig) *SeqBcast {
 		onOpt:     cfg.OnOptimistic,
 		label:     label,
 		uniform:   cfg.Uniform,
-		sequencer: cfg.Sequencer,
 		seqNext:   1,
 		deliverN:  1,
 		data:      make(map[types.MessageID][]byte),
@@ -149,7 +148,7 @@ func (s *SeqBcast) onData(m SBData) {
 	}
 	s.haveData[m.ID] = true
 	s.data[m.ID] = m.Payload
-	if s.api.Self() == s.sequencer {
+	if s.api.Self() == sequencer {
 		seq := s.seqNext
 		s.seqNext++
 		s.seqOf[seq] = m.ID
@@ -161,7 +160,7 @@ func (s *SeqBcast) onData(m SBData) {
 		// clock tick — as in [13], where the sequence number carries the
 		// sequencer's vote).
 		s.ack(m.ID, s.api.Self())
-		if s.api.Self() != s.sequencer {
+		if s.api.Self() != sequencer {
 			var tos []types.ProcessID
 			self := s.api.Self()
 			for _, q := range s.api.Topo().AllProcesses() {

@@ -222,6 +222,7 @@ func TestMetricsGolden(t *testing.T) {
 	times(49, func(int) { svc.RecordLeaseDenied() })
 	times(51, func(int) { svc.RecordCertVerify(true) })
 	times(52, func(int) { svc.RecordCertVerify(false) })
+	times(53, func(int) { svc.RecordReplyWrite() })
 	src := Telemetry{
 		Stats:   col.Snapshot,
 		Service: svc.Snapshot,

@@ -68,8 +68,8 @@ type Collector struct {
 	// benchmarks would otherwise hold every send in memory.
 	LogSends bool
 
-	// CastWindow, when positive, bounds the per-cast records (each holding
-	// its deliveries) to the most recent CastWindow casts: older ones are
+	// CastWindow, when positive, bounds the per-cast records (a fixed size
+	// each) to the most recent CastWindow casts: older ones are
 	// evicted in cast order, so LatencyDegree/WallLatency answer only for
 	// recent messages and Snapshot aggregates over the window. Zero keeps
 	// every cast forever — fine for bounded runs, unbounded memory for a
@@ -88,7 +88,7 @@ type Collector struct {
 	sends               []SendEvent
 	groups              [][numGroupCounters]uint64 // indexed by GroupID
 
-	casts     map[types.MessageID]*castRecord
+	casts     map[types.MessageID]castRecord
 	castOrder []types.MessageID // cast arrival order, for CastWindow eviction
 
 	leadUs map[[2]types.GroupID]uint64 // A1Owner.LeadUs
@@ -310,31 +310,24 @@ type ProtoCount struct {
 	InterGroup uint64
 }
 
+// castRecord is one cast's latency record, a fixed size however many
+// processes deliver it.
 type castRecord struct {
-	castTS     int64 // Lamport clock at the A-XCast event
-	castAt     time.Duration
-	deliveries []Delivery
+	castTS    int64 // Lamport clock at the A-XCast event
+	castAt    time.Duration
+	delivered int           // A-Deliver events recorded
+	maxTS     int64         // the largest deliverer clock
+	lastAt    time.Duration // the latest delivery
 }
 
 // span returns the record's latency degree (max deliverer clock minus the
 // cast clock) and wall latency (cast to last delivery); ok is false until
 // the message was delivered at least once.
-func (rec *castRecord) span() (deg int64, wall time.Duration, ok bool) {
-	if rec == nil || len(rec.deliveries) == 0 {
+func (rec castRecord) span() (deg int64, wall time.Duration, ok bool) {
+	if rec.delivered == 0 {
 		return 0, 0, false
 	}
-	maxTS, last := rec.deliveries[0].TS, rec.deliveries[0].At
-	for _, d := range rec.deliveries[1:] {
-		maxTS, last = max(maxTS, d.TS), max(last, d.At)
-	}
-	return maxTS - rec.castTS, last - rec.castAt, true
-}
-
-// Delivery records one A-Deliver event.
-type Delivery struct {
-	Process types.ProcessID
-	TS      int64 // Lamport clock at the A-Deliver event
-	At      time.Duration
+	return rec.maxTS - rec.castTS, rec.lastAt - rec.castAt, true
 }
 
 // OnSend records one point-to-point message send. interGroup reports whether
@@ -382,12 +375,12 @@ func (c *Collector) OnCast(id types.MessageID, lamportTS int64, at time.Duration
 	}
 	defer c.mu.Unlock()
 	if c.casts == nil {
-		c.casts = make(map[types.MessageID]*castRecord)
+		c.casts = make(map[types.MessageID]castRecord)
 	}
 	if _, ok := c.casts[id]; ok {
 		return // duplicate cast report; keep the first
 	}
-	c.casts[id] = &castRecord{castTS: lamportTS, castAt: at}
+	c.casts[id] = castRecord{castTS: lamportTS, castAt: at}
 	c.counts[CastTotal]++
 	if c.CastWindow > 0 {
 		// Amortised trim, same idiom as the live delivery log: grow to
@@ -414,10 +407,13 @@ func (c *Collector) OnDeliver(id types.MessageID, p types.ProcessID, lamportTS i
 	if !ok {
 		return
 	}
-	if len(rec.deliveries) == 0 {
+	if rec.delivered == 0 {
 		c.counts[DeliveredTotal]++
+		rec.maxTS, rec.lastAt = lamportTS, at
 	}
-	rec.deliveries = append(rec.deliveries, Delivery{Process: p, TS: lamportTS, At: at})
+	rec.delivered++
+	rec.maxTS, rec.lastAt = max(rec.maxTS, lamportTS), max(rec.lastAt, at)
+	c.casts[id] = rec
 }
 
 // OnOwnerProposal records, at its caster, the final timestamp of a
@@ -492,18 +488,6 @@ func (c *Collector) WallLatency(id types.MessageID) (time.Duration, bool) {
 	defer c.mu.Unlock()
 	_, wall, ok := c.casts[id].span()
 	return wall, ok
-}
-
-// Deliveries returns the recorded deliveries of id. Callers must not modify
-// the returned slice.
-func (c *Collector) Deliveries(id types.MessageID) []Delivery {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := c.casts[id]
-	if !ok {
-		return nil
-	}
-	return rec.deliveries
 }
 
 // LastSend returns the virtual time of the most recent send and whether any
@@ -701,8 +685,9 @@ func setKeyed[K comparable, V any](m *map[K]V, key K, v V) {
 // client-observed latencies, bucketed by shard fan-out (how many groups a
 // command touched). It is safe for concurrent use: load generators and
 // servers record from many goroutines. The zero value is
-// ready to use; share one instance between the servers and the clients of
-// a run to see both sides in a single snapshot.
+// ready to use, and every Record… method is a no-op on a nil *Service; share
+// one instance between the servers and the clients of a run to see both
+// sides in a single snapshot.
 type Service struct {
 	mu         sync.Mutex
 	counts     [numServiceCounters]uint64
@@ -718,6 +703,7 @@ type serviceCounter int
 const (
 	svcRequests serviceCounter = iota
 	svcReplies
+	svcReplyWrites
 	svcRedirects
 	svcRetries
 	svcDuplicates
@@ -735,6 +721,7 @@ const (
 var serviceCounters = [numServiceCounters]row[ServiceStats]{
 	svcRequests:     {func(s *ServiceStats) *uint64 { return &s.Requests }, "wanamcast_requests_total"},
 	svcReplies:      {func(s *ServiceStats) *uint64 { return &s.Replies }, "wanamcast_replies_total"},
+	svcReplyWrites:  {func(s *ServiceStats) *uint64 { return &s.ReplyWrites }, "wanamcast_svc_reply_writes_total"},
 	svcRedirects:    {func(s *ServiceStats) *uint64 { return &s.Redirects }, "wanamcast_redirects_total"},
 	svcRetries:      {func(s *ServiceStats) *uint64 { return &s.Retries }, "wanamcast_retries_total"},
 	svcDuplicates:   {func(s *ServiceStats) *uint64 { return &s.Duplicates }, "wanamcast_duplicates_total"},
@@ -752,6 +739,11 @@ func (s *Service) RecordRequest() { s.bump(svcRequests) }
 // RecordReply counts one successful reply sent by a server.
 func (s *Service) RecordReply() { s.bump(svcReplies) }
 
+// RecordReplyWrite counts one socket write by a server's connection writer,
+// which carries every frame queued since its previous write: replies over
+// reply writes is how many frames leave per syscall.
+func (s *Service) RecordReplyWrite() { s.bump(svcReplyWrites) }
+
 // RecordRedirect counts one request answered with a redirect.
 func (s *Service) RecordRedirect() { s.bump(svcRedirects) }
 
@@ -764,6 +756,9 @@ func (s *Service) RecordRetry() { s.bump(svcRetries) }
 func (s *Service) RecordDuplicate() { s.bump(svcDuplicates) }
 
 func (s *Service) bump(k serviceCounter) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	s.counts[k]++
 	s.mu.Unlock()
@@ -773,6 +768,9 @@ func (s *Service) bump(k serviceCounter) {
 // end-to-end latency (first send to final reply, retries included), and
 // whether it succeeded.
 func (s *Service) RecordOutcome(fanout int, latency time.Duration, ok bool) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts[svcOps]++
@@ -802,6 +800,9 @@ func observeKeyed[K comparable](m *map[K]*Hist, key K, d time.Duration) {
 // buckets of RecordOutcome: they do not touch the global ops/failures
 // counters, so wiring both into one Service double-counts nothing.
 func (s *Service) RecordClassOutcome(class string, latency time.Duration, ok bool) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !ok {
@@ -843,13 +844,14 @@ type LatencySummary struct {
 
 // ServiceStats is an immutable snapshot of a Service.
 type ServiceStats struct {
-	Requests   uint64
-	Replies    uint64
-	Redirects  uint64
-	Retries    uint64
-	Duplicates uint64
-	Failures   uint64
-	Ops        uint64
+	Requests    uint64
+	Replies     uint64
+	ReplyWrites uint64
+	Redirects   uint64
+	Retries     uint64
+	Duplicates  uint64
+	Failures    uint64
+	Ops         uint64
 	// ByFanout holds client-observed latency summaries keyed by how many
 	// shards the command touched.
 	ByFanout map[int]LatencySummary

@@ -165,17 +165,35 @@ func TestConsensusCounter(t *testing.T) {
 	}
 }
 
-func TestDeliveriesAccessor(t *testing.T) {
+// TestCastRecordIsFixedSize: a cast's record keeps its span — the largest
+// deliverer clock and the latest delivery, whatever order they arrive in —
+// and not one entry per delivery, so recording a delivery allocates nothing
+// however many processes deliver.
+func TestCastRecordIsFixedSize(t *testing.T) {
 	var c Collector
 	m := id(1, 1)
-	c.OnCast(m, 0, 0)
-	c.OnDeliver(m, 2, 1, time.Millisecond)
-	ds := c.Deliveries(m)
-	if len(ds) != 1 || ds[0].Process != 2 || ds[0].TS != 1 {
-		t.Errorf("Deliveries = %+v", ds)
+	c.OnCast(m, 2, time.Millisecond)
+	c.OnDeliver(m, 2, 9, 5*time.Millisecond)
+	c.OnDeliver(m, 3, 4, 8*time.Millisecond)
+	c.OnDeliver(m, 4, 6, 3*time.Millisecond)
+	if deg, ok := c.LatencyDegree(m); !ok || deg != 7 {
+		t.Errorf("degree = %d ok=%v, want 7", deg, ok)
 	}
-	if c.Deliveries(id(8, 8)) != nil {
-		t.Error("unknown message must yield nil deliveries")
+	if wall, ok := c.WallLatency(m); !ok || wall != 7*time.Millisecond {
+		t.Errorf("wall = %v ok=%v, want 7ms", wall, ok)
+	}
+	if _, ok := c.LatencyDegree(id(8, 8)); ok {
+		t.Error("an unknown message has no degree")
+	}
+	seq := 1
+	if n := testing.AllocsPerRun(100, func() {
+		seq++
+		c.OnCast(id(1, seq), 0, 0)
+		for p := range 1000 {
+			c.OnDeliver(id(1, seq), types.ProcessID(p), int64(p), time.Duration(p))
+		}
+	}); n >= 1 {
+		t.Errorf("a cast delivered 1000 times costs %.0f allocations, want its share of the map's growth only", n)
 	}
 }
 

@@ -27,25 +27,12 @@ func NewRecent[T any](capacity int) *Recent[T] {
 	return &Recent[T]{mask: c - 1, vals: make([]T, c)}
 }
 
-// Cap returns the ring's fixed capacity.
-func (r *Recent[T]) Cap() int { return len(r.vals) }
-
 // Push appends v, overwriting the oldest element when full.
 func (r *Recent[T]) Push(v T) {
 	r.mu.Lock()
 	r.vals[r.next&r.mask] = v
 	r.next++
 	r.mu.Unlock()
-}
-
-// Len returns the number of live elements (at most Cap).
-func (r *Recent[T]) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next > r.mask+1 {
-		return len(r.vals)
-	}
-	return int(r.next)
 }
 
 // Snapshot appends the live elements to dst in push order (oldest first)

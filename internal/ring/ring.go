@@ -93,9 +93,6 @@ func NewMPSC[T any](capacity int) *MPSC[T] {
 	return q
 }
 
-// Cap returns the ring's fixed capacity.
-func (q *MPSC[T]) Cap() int { return len(q.slots) }
-
 // TryPush appends v, reporting false when the ring is full. Safe for any
 // number of concurrent producers.
 func (q *MPSC[T]) TryPush(v T) bool {

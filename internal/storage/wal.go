@@ -117,9 +117,6 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the store's directory.
-func (d *Disk) Dir() string { return d.dir }
-
 func segName(first uint64) string { return fmt.Sprintf("wal-%016x.log", first) }
 
 // segments returns the first indices of existing segments, ascending.

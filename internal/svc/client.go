@@ -27,8 +27,6 @@ type ClientConfig struct {
 	Timeout time.Duration
 	// MaxAttempts bounds send attempts per command (default 8).
 	MaxAttempts int
-	// DialTimeout bounds each connect (default 1 s).
-	DialTimeout time.Duration
 	// Stats, when non-nil, receives client-observed latency and retry
 	// counters.
 	Stats *metrics.Service
@@ -114,7 +112,6 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	cfg.Timeout = cmp.Or(max(cfg.Timeout, 0), 250*time.Millisecond)
 	cfg.MaxAttempts = cmp.Or(max(cfg.MaxAttempts, 0), 8)
-	cfg.DialTimeout = cmp.Or(max(cfg.DialTimeout, 0), time.Second)
 	c := &Client{
 		cfg:       cfg,
 		readConns: make(map[string]*tcp.SvcConn),
@@ -129,9 +126,6 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	return c
 }
-
-// Session returns the session identifier.
-func (c *Client) Session() uint64 { return c.cfg.Session }
 
 // Seq returns the sequence number of the most recent Invoke (0 before the
 // first): the handle Certify takes to name a write.
@@ -178,9 +172,7 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if c.cfg.Stats != nil {
-				c.cfg.Stats.RecordRetry()
-			}
+			c.cfg.Stats.RecordRetry()
 			if timeout < 16*c.cfg.Timeout {
 				timeout *= 2
 			}
@@ -204,14 +196,10 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		if c.cfg.Stats != nil {
-			c.cfg.Stats.RecordOutcome(dest.Size(), time.Since(start), err == nil)
-		}
+		c.cfg.Stats.RecordOutcome(dest.Size(), time.Since(start), err == nil)
 		return res, err
 	}
-	if c.cfg.Stats != nil {
-		c.cfg.Stats.RecordOutcome(dest.Size(), time.Since(start), false)
-	}
+	c.cfg.Stats.RecordOutcome(dest.Size(), time.Since(start), false)
 	return nil, fmt.Errorf("svc: no reply for (session %d, seq %d) after %d attempts: %w",
 		req.Session, req.Seq, c.cfg.MaxAttempts, lastErr)
 }
@@ -287,7 +275,7 @@ func (c *Client) ensureConn() (*tcp.SvcConn, error) {
 	}
 	addr := c.candidates[c.next%len(c.candidates)]
 	c.next++
-	conn, err := tcp.SvcDial(addr, c.cfg.DialTimeout)
+	conn, err := tcp.SvcDial(addr, 0)
 	if err != nil {
 		return nil, fmt.Errorf("svc: dial %s: %w", addr, err)
 	}
@@ -321,9 +309,7 @@ func (c *Client) dropConn() {
 func (c *Client) Read(g types.GroupID, op []byte, mode Consistency) ([]byte, error) {
 	start := time.Now()
 	res, err := c.read(g, op, mode)
-	if c.cfg.Stats != nil {
-		c.cfg.Stats.RecordClassOutcome("read-"+mode.String(), time.Since(start), err == nil)
-	}
+	c.cfg.Stats.RecordClassOutcome("read-"+mode.String(), time.Since(start), err == nil)
 	return res, err
 }
 
@@ -377,9 +363,7 @@ func (c *Client) readAt(addr string, g types.GroupID, op []byte, wireMode byte) 
 		// The replica answered below what this session has already
 		// seen — its barrier cannot be trusted (restarted behind, or
 		// fenced leftovers). Reject rather than travel back in time.
-		if c.cfg.Stats != nil {
-			c.cfg.Stats.RecordStaleRead()
-		}
+		c.cfg.Stats.RecordStaleRead()
 		return nil, fmt.Errorf("svc: stale read at %s: watermark %d below session's %d",
 			addr, resp.Watermark, c.wm[g])
 	}
@@ -478,7 +462,7 @@ func (c *Client) readConn(addr string) (*tcp.SvcConn, error) {
 	if conn := c.readConns[addr]; conn != nil {
 		return conn, nil
 	}
-	conn, err := tcp.SvcDial(addr, c.cfg.DialTimeout)
+	conn, err := tcp.SvcDial(addr, 0)
 	if err != nil {
 		return nil, fmt.Errorf("svc: dial %s: %w", addr, err)
 	}

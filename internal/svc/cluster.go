@@ -14,9 +14,11 @@ import (
 // Cluster is what the service layer needs from the ordering layer; the
 // root package's LiveCluster satisfies it.
 type Cluster interface {
-	// Multicast genuinely multicasts payload from process from to groups
-	// (Algorithm A1) and returns the message's ID.
-	Multicast(from types.ProcessID, payload any, groups ...types.GroupID) types.MessageID
+	// Submit genuinely multicasts payload from process from to dest
+	// (Algorithm A1) without waiting: done runs on from's event loop right
+	// after the cast, before any delivery of it there, with the message's
+	// ID (the zero ID if the cast was refused).
+	Submit(from types.ProcessID, payload []byte, dest types.GroupSet, done func(types.MessageID))
 	// OnDeliverAt installs a per-process delivery hook, invoked in p's
 	// A-Delivery order with the payload's encoding (the service parses its
 	// own commands).
@@ -60,10 +62,9 @@ type Service struct {
 
 	ring *KeyRing // nil unless CertSecret configured
 
-	mu       sync.Mutex
-	servers  []*Server
-	machines []StateMachine
-	addrs    map[types.GroupID][]string
+	mu      sync.Mutex
+	servers []*Server
+	addrs   map[types.GroupID][]string
 }
 
 // Ring returns the certificate key ring (nil when certificates are
@@ -73,7 +74,7 @@ func (s *Service) Ring() *KeyRing { return s.ring }
 // ServeCluster starts one client-facing Server per process of the cluster,
 // wired to the cluster's genuine multicast and delivery hooks. Call after
 // the cluster has started, and Stop the Service BEFORE stopping the
-// cluster: a request in flight submits through the cluster's event loops,
+// cluster: a request in flight is answered from the cluster's event loops,
 // and tearing those down first would strand it.
 //
 // On a durable cluster (one implementing DurableCluster) every replica's
@@ -84,12 +85,11 @@ func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service,
 		panic("svc: ServiceConfig.NewMachine is required")
 	}
 	svc := &Service{
-		topo:     topo,
-		cfg:      cfg,
-		cluster:  c,
-		servers:  make([]*Server, topo.N()),
-		machines: make([]StateMachine, topo.N()),
-		addrs:    make(map[types.GroupID][]string, topo.NumGroups()),
+		topo:    topo,
+		cfg:     cfg,
+		cluster: c,
+		servers: make([]*Server, topo.N()),
+		addrs:   make(map[types.GroupID][]string, topo.NumGroups()),
 	}
 	if len(cfg.CertSecret) > 0 {
 		svc.ring = NewKeyRing(cfg.CertSecret)
@@ -106,13 +106,12 @@ func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service,
 		if cfg.BasePort != 0 {
 			addr = fmt.Sprintf("127.0.0.1:%d", cfg.BasePort+int(p))
 		}
-		srv, machine := svc.buildServer(p, g, addr)
+		srv := svc.buildServer(p, g, addr)
 		if err := srv.Listen(); err != nil {
 			svc.Stop()
 			return nil, err
 		}
 		svc.servers[p] = srv
-		svc.machines[p] = machine
 		svc.addrs[g] = append(svc.addrs[g], srv.Addr())
 	}
 	// Phase 2: every listener is bound and the address book is complete;
@@ -134,16 +133,15 @@ func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service,
 }
 
 // buildServer constructs (without binding) replica p's server and machine.
-func (s *Service) buildServer(p types.ProcessID, g types.GroupID, addr string) (*Server, StateMachine) {
-	machine := s.cfg.NewMachine(p, g)
+func (s *Service) buildServer(p types.ProcessID, g types.GroupID, addr string) *Server {
 	sc := ServerConfig{
 		Self:    p,
 		Group:   g,
 		Groups:  s.topo.NumGroups(),
 		Addr:    addr,
-		Machine: machine,
-		Submit: func(cmd Command, dest types.GroupSet) types.MessageID {
-			return s.cluster.Multicast(p, cmd, dest.Groups()...)
+		Machine: s.cfg.NewMachine(p, g),
+		Submit: func(cmd []byte, dest types.GroupSet, done func(types.MessageID)) {
+			s.cluster.Submit(p, cmd, dest, done)
 		},
 		GroupAddrs:   func(g types.GroupID) []string { return s.groupAddrs(g) },
 		Stats:        s.cfg.Stats,
@@ -156,8 +154,7 @@ func (s *Service) buildServer(p types.ProcessID, g types.GroupID, addr string) (
 	if s.cfg.LeaseFor != nil {
 		sc.Lease = s.cfg.LeaseFor(p)
 	}
-	srv := NewServer(sc)
-	return srv, machine
+	return NewServer(sc)
 }
 
 // groupAddrs reads the (mutable across restarts) address book.
@@ -188,7 +185,7 @@ func (s *Service) RestartReplica(p types.ProcessID) error {
 	g := s.topo.GroupOf(p)
 	oldAddr := old.Addr()
 	old.Stop() // frees the listen address for the new incarnation
-	srv, machine := s.buildServer(p, g, oldAddr)
+	srv := s.buildServer(p, g, oldAddr)
 	if err := srv.Listen(); err != nil {
 		return err
 	}
@@ -204,7 +201,6 @@ func (s *Service) RestartReplica(p types.ProcessID) error {
 	srv.Serve()
 	s.mu.Lock()
 	s.servers[p] = srv
-	s.machines[p] = machine
 	for i, a := range s.addrs[g] {
 		if a == oldAddr {
 			s.addrs[g][i] = srv.Addr()
@@ -230,7 +226,7 @@ func (s *Service) Addrs() map[types.GroupID][]string {
 func (s *Service) Machine(p types.ProcessID) StateMachine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.machines[p]
+	return s.servers[p].cfg.Machine
 }
 
 // Server returns replica p's server.

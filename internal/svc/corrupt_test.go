@@ -59,7 +59,7 @@ func appliedAnywhere(t *testing.T, payload []byte) bool {
 		var after [][]byte
 		for range 2 {
 			s := NewServer(ServerConfig{Groups: 2, Group: g, Machine: NewKVMachine(g, PrefixRoute(2)),
-				Submit: func(Command, types.GroupSet) types.MessageID { return types.MessageID{} }})
+				Submit: func([]byte, types.GroupSet, func(types.MessageID)) {}})
 			before, _ := s.SaveSnapshot()
 			s.Deliver(types.MessageID{Origin: 2, Seq: 30}, payload)
 			snap, _ := s.SaveSnapshot()

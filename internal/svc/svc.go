@@ -17,6 +17,12 @@
 // order, so replicas of a shard stay identical and cross-shard commands
 // serialize consistently everywhere.
 //
+// A request costs its connection no wait on the ordering layer: the
+// multicast is posted to the replica's event loop (Cluster.Submit), and the
+// reader goes on to the next request. Answers are posted too, to one writer
+// per connection, which sends each burst of them in one write; no event
+// loop ever touches a socket.
+//
 // # Sessions and exactly-once execution
 //
 // Each client owns a session (a unique uint64) and numbers its commands
@@ -112,11 +118,11 @@ type ServerConfig struct {
 	Addr string
 	// Machine is the replica's state machine (required).
 	Machine StateMachine
-	// Submit hands a command to the ordering layer: genuinely multicast it
-	// to dest and return its MessageID (required). It must be safe to call
-	// from connection goroutines and must not be called on the cluster's
-	// event loop (the Server never does).
-	Submit func(cmd Command, dest types.GroupSet) types.MessageID
+	// Submit hands an encoded command to the ordering layer without
+	// waiting (required): genuinely multicast it to dest, then call done on
+	// the replica's event loop, before any delivery of it there, with its
+	// MessageID — the zero ID if the cast was refused.
+	Submit func(cmd []byte, dest types.GroupSet, done func(types.MessageID))
 	// GroupAddrs resolves a group to its servers' client-facing addresses,
 	// for Redirect replies. Nil disables redirect address hints.
 	GroupAddrs func(g types.GroupID) []string
@@ -128,8 +134,8 @@ type ServerConfig struct {
 	// (with the server-side end-to-end latency) when the delivery answers
 	// the client.
 	Tracer *trace.Tracer
-	// ReplyTimeout bounds each reply write (default 5s); a client too slow
-	// to take its reply loses the connection, not the command.
+	// ReplyTimeout bounds each write to a client (default 5s); a client too
+	// slow to take its replies loses the connection, not the command.
 	ReplyTimeout time.Duration
 	// MaxSessions bounds the replicated dedup table (default 65536
 	// sessions): beyond it the least-recently-delivered-to session is
@@ -226,7 +232,8 @@ type readWaiter struct {
 	done  bool
 }
 
-// Server serves one replica's clients. Create with NewServer, then Start.
+// Server serves one replica's clients. Create with NewServer, wire the
+// cluster's delivery hook to Deliver, then Listen and Serve.
 type Server struct {
 	cfg ServerConfig
 	ln  *tcp.SvcListener
@@ -274,17 +281,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 }
 
-// Start opens the client listener and begins accepting (Listen + Serve).
-// Wire the cluster's delivery hook to Deliver before Start so no delivery
-// is missed.
-func (s *Server) Start() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	s.Serve()
-	return nil
-}
-
 // Listen binds the client-facing listener without accepting yet; Addr is
 // valid afterwards. ServeCluster uses the split phases to finish the
 // redirect address book before any client can possibly connect.
@@ -303,30 +299,21 @@ func (s *Server) Serve() {
 	go s.acceptLoop()
 }
 
-// Addr returns the bound client-facing address (valid after Start).
+// Addr returns the bound client-facing address (valid after Listen).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Stop closes the listener and every client connection and waits for the
 // connection goroutines to drain. Idempotent.
 func (s *Server) Stop() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	conns := make([]*tcp.SvcConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if s.ln != nil {
+	if !s.closed && s.ln != nil {
 		_ = s.ln.Close()
 	}
-	for _, c := range conns {
-		_ = c.Close()
+	s.closed = true
+	for c := range s.conns {
+		_ = c.Close() // serveConn deletes it once s.mu is free
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -345,9 +332,16 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[conn] = true
 		s.mu.Unlock()
-		s.wg.Add(1)
+		s.wg.Add(2)
 		go s.serveConn(conn)
+		go s.writeConn(conn)
 	}
+}
+
+// writeConn runs conn's writer until the connection closes.
+func (s *Server) writeConn(conn *tcp.SvcConn) {
+	defer s.wg.Done()
+	conn.WriteLoop(s.cfg.ReplyTimeout, s.cfg.Stats.RecordReplyWrite)
 }
 
 func (s *Server) serveConn(conn *tcp.SvcConn) {
@@ -390,11 +384,9 @@ func (s *Server) Watermark() uint64 { return s.wm.Load() }
 // catches it up (bounded by ReadTimeout); that barrier is what makes
 // follower reads read-your-writes and monotonic per session.
 func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
-	if s.cfg.Stats != nil {
-		s.cfg.Stats.RecordRequest()
-	}
+	s.cfg.Stats.RecordRequest()
 	fail := func(err string) {
-		_ = s.writeMsg(conn, ReadResp{Session: req.Session, Seq: req.Seq, Err: err})
+		s.post(conn, ReadResp{Session: req.Session, Seq: req.Seq, Err: err})
 	}
 	if req.Group != s.cfg.Group {
 		fail(fmt.Sprintf("read for group %v at a member of group %v", req.Group, s.cfg.Group))
@@ -407,9 +399,7 @@ func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 	switch req.Mode {
 	case readModeLease:
 		if s.cfg.Lease == nil || !s.cfg.Lease.Valid() {
-			if s.cfg.Stats != nil {
-				s.cfg.Stats.RecordLeaseDenied()
-			}
+			s.cfg.Stats.RecordLeaseDenied()
 			fail("no lease")
 			return
 		}
@@ -452,11 +442,9 @@ func (s *Server) finishRead(w *readWaiter) {
 	resp := ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: s.wm.Load()}
 	res, err := s.cfg.Machine.(QueryMachine).Query(w.req.Op)
 	if w.req.Mode == readModeLease && (s.cfg.Lease == nil || !s.cfg.Lease.Valid()) {
-		if s.cfg.Stats != nil {
-			s.cfg.Stats.RecordLeaseDenied()
-		}
+		s.cfg.Stats.RecordLeaseDenied()
 		resp.Err = "no lease"
-		_ = s.writeMsg(w.conn, resp)
+		s.post(w.conn, resp)
 		return
 	}
 	if err != nil {
@@ -464,11 +452,9 @@ func (s *Server) finishRead(w *readWaiter) {
 	} else {
 		resp.OK = true
 		resp.Result = res
-		if s.cfg.Stats != nil {
-			s.cfg.Stats.RecordReply()
-		}
+		s.cfg.Stats.RecordReply()
 	}
-	_ = s.writeMsg(w.conn, resp)
+	s.post(w.conn, resp)
 }
 
 // expireRead fails a parked read whose watermark barrier never cleared.
@@ -487,7 +473,7 @@ func (s *Server) expireRead(w *readWaiter) {
 	}
 	wm := s.wm.Load()
 	s.mu.Unlock()
-	_ = s.writeMsg(w.conn, ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: wm,
+	s.post(w.conn, ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: wm,
 		Err: fmt.Sprintf("replica at watermark %d, behind requested %d", wm, w.req.MinWatermark)})
 }
 
@@ -497,15 +483,8 @@ func (s *Server) expireRead(w *readWaiter) {
 // rolling state hash) was recorded at first apply and is identical at
 // every replica of the shard.
 func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
-	if s.cfg.Stats != nil {
-		s.cfg.Stats.RecordRequest()
-	}
+	s.cfg.Stats.RecordRequest()
 	share := CertShare{Session: req.Session, Seq: req.Seq, Proc: s.cfg.Self, Group: s.cfg.Group}
-	if s.cfg.Ring == nil {
-		share.Err = "certificates disabled (no secret configured)"
-		_ = s.writeMsg(conn, share)
-		return
-	}
 	s.mu.Lock()
 	var (
 		ac appliedCmd
@@ -515,27 +494,23 @@ func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
 		ac, ok = sess.get(req.Seq)
 	}
 	s.mu.Unlock()
-	if !ok {
+	switch {
+	case s.cfg.Ring == nil:
+		share.Err = "certificates disabled (no secret configured)"
+	case !ok:
 		share.Err = fmt.Sprintf("(session %d, seq %d) not in the dedup window", req.Session, req.Seq)
-		_ = s.writeMsg(conn, share)
-		return
+	default:
+		share.OK, share.ID, share.Order, share.Hash = true, ac.id, ac.order, append([]byte(nil), ac.hash[:]...)
+		share.MAC = s.cfg.Ring.Sign(s.cfg.Self, receiptBytes(share.ID, share.Group, share.Order, share.Hash))
 	}
-	share.OK = true
-	share.ID = ac.id
-	share.Order = ac.order
-	share.Hash = append([]byte(nil), ac.hash[:]...)
-	share.MAC = s.cfg.Ring.Sign(s.cfg.Self, receiptBytes(share.ID, share.Group, share.Order, share.Hash))
-	_ = s.writeMsg(conn, share)
+	s.post(conn, share)
 }
 
 // handle processes one request on the connection's goroutine. It never
-// blocks on the ordering layer's event loops beyond the submit hand-off
-// and never holds s.mu across Submit (Deliver runs on the event loop and
-// takes s.mu — holding it across Submit would deadlock).
+// waits for the ordering layer: the command is posted to the replica's
+// event loop, where submitted parks its reply.
 func (s *Server) handle(conn *tcp.SvcConn, req Request) {
-	if s.cfg.Stats != nil {
-		s.cfg.Stats.RecordRequest()
-	}
+	s.cfg.Stats.RecordRequest()
 	var start time.Time
 	if s.cfg.Tracer.Enabled() {
 		start = time.Now()
@@ -553,16 +528,14 @@ func (s *Server) handle(conn *tcp.SvcConn, req Request) {
 		}
 	}
 	if !req.Dest.Contains(s.cfg.Group) {
-		if s.cfg.Stats != nil {
-			s.cfg.Stats.RecordRedirect()
-		}
+		s.cfg.Stats.RecordRedirect()
 		var addrs []string
 		if s.cfg.GroupAddrs != nil {
 			for _, g := range req.Dest.Groups() {
 				addrs = append(addrs, s.cfg.GroupAddrs(g)...)
 			}
 		}
-		_ = s.writeMsg(conn, Redirect{Session: req.Session, Seq: req.Seq, Groups: req.Dest, Addrs: addrs})
+		s.post(conn, Redirect{Session: req.Session, Seq: req.Seq, Groups: req.Dest, Addrs: addrs})
 		return
 	}
 
@@ -577,7 +550,14 @@ func (s *Server) handle(conn *tcp.SvcConn, req Request) {
 	}
 	s.mu.Unlock()
 
-	id := s.cfg.Submit(Command{Session: req.Session, Seq: req.Seq, Op: req.Op}, req.Dest)
+	s.cfg.Submit(encodeCommand(req.Session, req.Seq, req.Op), req.Dest, func(id types.MessageID) {
+		s.submitted(conn, req, start, id)
+	})
+}
+
+// submitted runs on the replica's event loop right after req's command was
+// cast as id, before any delivery of id here: it parks the reply on id.
+func (s *Server) submitted(conn *tcp.SvcConn, req Request, start time.Time, id types.MessageID) {
 	if !start.IsZero() {
 		s.cfg.Tracer.Record(int(s.cfg.Self), trace.StageEnqueue, id, s.cfg.Self, time.Since(start).Nanoseconds())
 	}
@@ -587,13 +567,10 @@ func (s *Server) handle(conn *tcp.SvcConn, req Request) {
 		// out and retries against a live replica under the same sequence.
 		return
 	}
-
 	s.mu.Lock()
-	// The command may have been delivered between Submit returning and
-	// this re-lock; answer now if so, else park the reply on its
-	// MessageID. A hit here is (almost always) this very submission
-	// racing its own delivery, not a client retry, so it must not count
-	// toward the duplicates metric.
+	// An earlier copy of the command (a client retry) may have been
+	// delivered since the fast path looked; answer now if so. That is not
+	// a resend reaching the table, so it does not count as a duplicate.
 	if r, done := s.cachedReply(req, false); done {
 		s.mu.Unlock()
 		s.reply(conn, r)
@@ -606,15 +583,15 @@ func (s *Server) handle(conn *tcp.SvcConn, req Request) {
 // cachedReply answers req from the session window if its sequence number
 // has already been applied (or has aged out of the window entirely).
 // recordDup controls whether a hit counts toward the duplicates metric —
-// true for genuine client resends, false for a submission racing its own
-// delivery. Callers hold s.mu.
+// true for genuine client resends, false for the re-check once the command
+// is cast. Callers hold s.mu.
 func (s *Server) cachedReply(req Request, recordDup bool) (Reply, bool) {
 	sess := s.sessions[req.Session]
 	if sess == nil {
 		return Reply{}, false
 	}
 	if ac, done := sess.get(req.Seq); done {
-		if recordDup && s.cfg.Stats != nil {
+		if recordDup {
 			s.cfg.Stats.RecordDuplicate()
 		}
 		return appliedReply(req.Session, req.Seq, ac), true
@@ -698,7 +675,7 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 				}
 			}
 		}
-	} else if s.cfg.Stats != nil {
+	} else {
 		// A duplicate Command ordered by a client retry (or one that fell
 		// out of the window): suppressed here, at every replica, by the
 		// replicated dedup table.
@@ -708,12 +685,7 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 	var r Reply
 	if waiting {
 		delete(s.pending, id)
-		if ac, ok := sess.get(pr.seq); ok {
-			r = appliedReply(pr.session, pr.seq, ac)
-		} else {
-			r = Reply{Session: pr.session, Seq: pr.seq,
-				Err: fmt.Sprintf("sequence %d expired (session window past %d)", pr.seq, sess.maxSeq)}
-		}
+		r, _ = s.cachedReply(Request{Session: pr.session, Seq: pr.seq}, false)
 	}
 	// Claim every parked read whose watermark barrier this delivery
 	// cleared; the queries run off-loop so a read can never stall the
@@ -734,7 +706,8 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 	}
 	s.mu.Unlock()
 	for _, w := range ready {
-		// Untracked for the same reason as the reply goroutine below.
+		// Not wg-tracked: Deliver can legitimately race Stop, where a wg.Add
+		// against the final wg.Wait would be misuse.
 		go s.finishRead(w)
 	}
 	if waiting {
@@ -742,12 +715,8 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 			// Server-side end-to-end: client submit → reply handed off.
 			s.cfg.Tracer.Record(int(s.cfg.Self), trace.StageReply, id, s.cfg.Self, time.Since(pr.at).Nanoseconds())
 		}
-		// Off-loop: a slow client must never stall the replica's
-		// deliveries. The goroutine is deliberately not wg-tracked — it
-		// only touches the connection (safe after Stop closed it), and
-		// Deliver can legitimately race Stop, where a wg.Add against the
-		// final wg.Wait would be misuse.
-		go s.reply(pr.conn, r)
+		// A post: a slow client never stalls the replica's deliveries.
+		s.reply(pr.conn, r)
 	}
 }
 
@@ -771,28 +740,19 @@ func (s *Server) evictOldestSession() {
 	}
 }
 
-// SessionCount returns how many sessions the dedup table currently holds
-// (diagnostics; bounded by ServerConfig.MaxSessions).
-func (s *Server) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
-// reply sends r on conn under the write deadline; errors cost the
-// connection (the client will retry elsewhere under the same sequence).
+// reply posts r to conn's writer.
 func (s *Server) reply(conn *tcp.SvcConn, r Reply) {
-	if s.cfg.Stats != nil && r.OK {
+	if r.OK {
 		s.cfg.Stats.RecordReply()
 	}
-	_ = s.writeMsg(conn, r)
+	s.post(conn, r)
 }
 
-func (s *Server) writeMsg(conn *tcp.SvcConn, v any) error {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.ReplyTimeout))
-	if err := conn.WriteMsg(s.cfg.Self, v); err != nil {
+// post queues v for conn's writer. A connection that cannot take it
+// (closed, too far behind, or v does not encode) is closed: the client
+// retries elsewhere under the same sequence.
+func (s *Server) post(conn *tcp.SvcConn, v any) {
+	if err := conn.Post(s.cfg.Self, v); err != nil {
 		_ = conn.Close()
-		return err
 	}
-	return nil
 }

@@ -23,7 +23,7 @@ import (
 func TestSessionWindowOutcomesPinned(t *testing.T) {
 	const want = "4c3d696fec3882869e843c07dda723933446bc01850cdd926b90c81c04fb973b"
 	s := NewServer(ServerConfig{Groups: 1, Machine: NewKVMachine(0, PrefixRoute(1)),
-		Submit: func(Command, types.GroupSet) types.MessageID { return types.MessageID{} }})
+		Submit: func([]byte, types.GroupSet, func(types.MessageID)) {}})
 	const session = 7
 	sum := sha256.New()
 	n := uint64(0)

@@ -63,6 +63,13 @@ func appendCommand(buf []byte, c Command) []byte {
 	return wire.AppendBytes(buf, c.Op)
 }
 
+// encodeCommand returns the Command's wire.AppendValue encoding, the
+// payload parseCommand reads, in a buffer of its own.
+func encodeCommand(session, seq uint64, op []byte) []byte {
+	buf := append(make([]byte, 0, 32+len(op)), byte(wire.KindSvcCommand))
+	return appendCommand(buf, Command{Session: session, Seq: seq, Op: op})
+}
+
 // readCommand parses a Command whose Op aliases data. It allocates nothing:
 // it is parseCommand's and decodeCommand's parser.
 func readCommand(data []byte) (c Command, rest []byte, err error) {

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -21,10 +22,9 @@ import (
 const SvcProto = "svc"
 
 // SvcConn is one client-facing connection speaking length-prefixed
-// internal/wire values. Reads and writes are independently safe for
-// concurrent use: writes serialise on an internal lock (replies may be
-// issued from a different goroutine than the reader), reads must come from
-// a single goroutine at a time.
+// internal/wire values; reads come from one goroutine at a time. WriteMsg
+// writes a value at once; Post, safe from any goroutine, queues it for
+// WriteLoop, which sends all that is queued in one Write.
 type SvcConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -32,18 +32,28 @@ type SvcConn struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
+	qmu    sync.Mutex
+	q      []byte // frames posted since WriteLoop's last swap
+	closed bool
+	spare  []byte        // WriteLoop's: its last write's buffer, Post's next
+	wake   chan struct{} // capacity 1; coalesced
+
 	rbuf []byte
 }
 
+// maxQueued bounds what Post holds for a client that does not read: past
+// it, as past WriteLoop's timeout, the client loses its connection.
+const maxQueued = 64 << 20
+
 // NewSvcConn wraps an established connection.
 func NewSvcConn(c net.Conn) *SvcConn {
-	return &SvcConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	return &SvcConn{c: c, br: bufio.NewReaderSize(c, 64<<10), wake: make(chan struct{}, 1)}
 }
 
-// SvcDial connects to a service listener.
+// SvcDial connects to a service listener (timeout 0: dialTimeout).
 func SvcDial(addr string, timeout time.Duration) (*SvcConn, error) {
 	if timeout <= 0 {
-		timeout = time.Second
+		timeout = dialTimeout
 	}
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -67,6 +77,61 @@ func (s *SvcConn) WriteMsg(from types.ProcessID, v any) error {
 	return err
 }
 
+// Post queues one value as a wire frame for WriteLoop; it never touches the
+// socket. It fails once the connection is closed.
+func (s *SvcConn) Post(from types.ProcessID, v any) error {
+	s.qmu.Lock()
+	if s.closed {
+		s.qmu.Unlock()
+		return net.ErrClosed
+	}
+	b, err := wire.AppendFrame(s.q, from, SvcProto, 0, v)
+	s.q = b
+	s.qmu.Unlock()
+	if err == nil && len(b) > maxQueued {
+		_ = s.Close()
+		err = fmt.Errorf("tcp: %d bytes queued for a client that does not read", len(b))
+	}
+	s.signal()
+	return err
+}
+
+func (s *SvcConn) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wake is already pending
+	}
+}
+
+// WriteLoop sends what Post queues until the connection closes, each wake's
+// worth in one Write under a deadline timeout away; wrote runs after each
+// write. A failed write closes the connection.
+func (s *SvcConn) WriteLoop(timeout time.Duration, wrote func()) {
+	for range s.wake {
+		s.qmu.Lock()
+		out, closed := s.q, s.closed
+		if len(out) > 0 {
+			// Never on an empty queue: a wake that raced the last swap
+			// would hand Post the buffer the next write is taken from.
+			s.q = s.spare
+		}
+		s.qmu.Unlock()
+		if closed {
+			return
+		}
+		if len(out) == 0 {
+			continue
+		}
+		_ = s.c.SetWriteDeadline(time.Now().Add(timeout))
+		if _, err := s.c.Write(out); err != nil {
+			_ = s.Close()
+			return
+		}
+		s.spare = out[:0]
+		wrote()
+	}
+}
+
 // ReadMsg reads the next frame and returns its body. Errors (including
 // corruption and deadline expiry) are terminal for the connection.
 func (s *SvcConn) ReadMsg() (any, error) {
@@ -83,11 +148,14 @@ func (s *SvcConn) SetReadDeadline(t time.Time) error { return s.c.SetReadDeadlin
 // SetWriteDeadline bounds subsequent WriteMsg calls.
 func (s *SvcConn) SetWriteDeadline(t time.Time) error { return s.c.SetWriteDeadline(t) }
 
-// Close closes the underlying socket.
-func (s *SvcConn) Close() error { return s.c.Close() }
-
-// RemoteAddr returns the peer address (diagnostics).
-func (s *SvcConn) RemoteAddr() net.Addr { return s.c.RemoteAddr() }
+// Close closes the socket and stops WriteLoop; later Posts fail.
+func (s *SvcConn) Close() error {
+	s.qmu.Lock()
+	s.closed, s.q = true, nil
+	s.qmu.Unlock()
+	s.signal()
+	return s.c.Close()
+}
 
 // SvcListener accepts client-facing service connections.
 type SvcListener struct {

@@ -125,3 +125,69 @@ func TestSvcConnCorruptFrame(t *testing.T) {
 		t.Fatal("server did not reject the corrupt frame")
 	}
 }
+
+// TestWakeWithNothingQueuedSwapsNothing: a writer wake that finds nothing
+// queued — a Post whose wake raced the previous swap — leaves the buffers as
+// they are. A writer that swapped on it handed Post the buffer it would
+// write from next: frames posted during that write overwrote the ones being
+// sent, and the peer read some replies twice and others never.
+func TestWakeWithNothingQueuedSwapsNothing(t *testing.T) {
+	a, b := net.Pipe() // unbuffered: a Write lasts until the peer reads it
+	conn, peer := NewSvcConn(a), NewSvcConn(b)
+	defer peer.Close()
+	exited := make(chan struct{})
+	go func() {
+		conn.WriteLoop(5*time.Second, func() {})
+		close(exited)
+	}()
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+	queued := func() int {
+		conn.qmu.Lock()
+		defer conn.qmu.Unlock()
+		return len(conn.q)
+	}
+	next, want := 0, 0
+	post := func(n int) {
+		for range n {
+			next++
+			if err := conn.Post(1, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for range 20 {
+		conn.wake <- struct{}{} // a wake with nothing queued
+		until("the writer took the wake", func() bool { return len(conn.wake) == 0 })
+		time.Sleep(time.Millisecond) // and found the queue empty
+		post(1)
+		until("the writer swapped the frame out", func() bool { return queued() == 0 })
+		post(3) // while the writer is still writing the first
+		for range 4 {
+			want++
+			_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+			v, err := peer.ReadMsg()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != want {
+				t.Fatalf("read %v, want %d: a frame was overwritten while it was being written", v, want)
+			}
+		}
+	}
+	_ = conn.Close()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WriteLoop did not return after Close")
+	}
+	if err := conn.Post(1, 0); err == nil {
+		t.Fatal("Post after Close succeeded")
+	}
+}

@@ -76,11 +76,11 @@ type delivery struct {
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	cfg = cfg.WithDefaults()
 	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
-	// The collector's per-cast records (each holding its deliveries) must
-	// not grow forever on a long-lived cluster: bound them like the
-	// delivery-count map — generously past RetainDeliveries when that is
-	// set, and at 64k casts otherwise (a serve-mode cluster that keeps its
-	// whole delivery log still gets bounded metrics).
+	// The collector's per-cast records must not grow forever on a
+	// long-lived cluster: bound them like the delivery-count map —
+	// generously past RetainDeliveries when that is set, and at 64k casts
+	// otherwise (a serve-mode cluster that keeps its whole delivery log
+	// still gets bounded metrics).
 	col := &metrics.Collector{CastWindow: 1 << 16}
 	if cfg.RetainDeliveries > 0 {
 		col.CastWindow = 8 * cfg.RetainDeliveries
@@ -303,7 +303,7 @@ func (l *LiveCluster) Process(g GroupID, i int) ProcessID { return l.topo.Member
 
 // Broadcast atomically broadcasts payload from process from (Algorithm A2).
 func (l *LiveCluster) Broadcast(from ProcessID, payload any) MessageID {
-	return l.cast(from, payload, l.topo.AllGroups(), true)
+	return l.castWait(from, payload, l.topo.AllGroups(), true)
 }
 
 // Multicast atomically multicasts payload from from to groups (Algorithm A1).
@@ -311,11 +311,32 @@ func (l *LiveCluster) Multicast(from ProcessID, payload any, groups ...GroupID) 
 	if len(groups) == 0 {
 		panic("wanamcast: Multicast needs at least one destination group")
 	}
-	return l.cast(from, payload, types.NewGroupSet(groups...), false)
+	return l.castWait(from, payload, types.NewGroupSet(groups...), false)
 }
 
-// cast encodes payload, the one encoding a cast gets, and casts it from
-// process from to dest: through A2 if broadcast, else through A1.
+// Submit multicasts payload, already encoded, from process from to dest
+// (Algorithm A1) without waiting: done runs on from's event loop right after
+// the cast, before any delivery of it there, with its ID (zero if refused).
+// payload then belongs to the ordering layer.
+func (l *LiveCluster) Submit(from ProcessID, payload []byte, dest GroupSet, done func(MessageID)) {
+	l.cast(from, payload, dest, false, done)
+}
+
+// castWait encodes payload, the one encoding a cast gets, casts it and waits
+// for its ID. A payload even gob cannot encode is refused, with a trace line.
+func (l *LiveCluster) castWait(from ProcessID, payload any, dest GroupSet, broadcast bool) MessageID {
+	b, err := wire.EncodeValue(payload)
+	if err != nil {
+		l.rt.Tracef("wanamcast: cast refused: %v", err)
+		return MessageID{}
+	}
+	ids := make(chan MessageID, 1)
+	l.cast(from, b, dest, broadcast, func(id MessageID) { ids <- id })
+	return <-ids
+}
+
+// cast posts the cast of b from process from to dest to from's event loop,
+// through A2 if broadcast, else through A1, and done runs there after it.
 //
 // With checking on, l.mu is held ACROSS the cast and its recording: a remote
 // replica could otherwise order and deliver the message between the cast
@@ -325,40 +346,32 @@ func (l *LiveCluster) Multicast(from ProcessID, payload any, groups ...GroupID) 
 // A-Delivery can happen synchronously inside it. l.checker is immutable after
 // construction, so the checker-off hot path (all benchmarks) adds no
 // cross-loop lock contention. A cast from a crashed (not yet restarted)
-// process is refused: the zero MessageID is returned and nothing is cast — a
+// process is refused: done gets the zero MessageID and nothing is cast — a
 // dead process cannot originate messages, and recording such a cast would
 // become a permanent false validity fault once the process restarts as
-// correct. So is a payload even gob cannot encode, with a trace line.
-func (l *LiveCluster) cast(from ProcessID, payload any, dest GroupSet, broadcast bool) (id MessageID) {
-	b, err := wire.EncodeValue(payload)
-	if err != nil {
-		l.rt.Tracef("wanamcast: cast refused: %v", err)
-		return id
-	}
-	l.rt.Run(from, func() {
-		// The crash flag is loop-confined state of the CURRENT incarnation
-		// (Restart swaps in a fresh one), so the checker-off hot path stays
-		// lock-free.
-		if l.rt.Proc(from).Crashed() {
-			return
-		}
+// correct. The crash flag is loop-confined state of the CURRENT incarnation
+// (Restart swaps in a fresh one), so the checker-off path reads it unlocked.
+func (l *LiveCluster) cast(from ProcessID, b []byte, dest GroupSet, broadcast bool, done func(MessageID)) {
+	l.rt.Async(from, func() {
+		var id MessageID
 		if l.checker != nil {
 			l.mu.Lock()
-			defer l.mu.Unlock()
-			if l.crashed[from] {
-				return
+		}
+		if !l.rt.Proc(from).Crashed() && (l.checker == nil || !l.crashed[from]) {
+			if h := l.hosts[from]; broadcast {
+				id = h.A2.ABCast(b)
+			} else {
+				id = h.A1.AMCast(b, dest)
+			}
+			if l.checker != nil {
+				l.checker.RecordCast(id, dest)
 			}
 		}
-		if h := l.hosts[from]; broadcast {
-			id = h.A2.ABCast(b)
-		} else {
-			id = h.A1.AMCast(b, dest)
-		}
 		if l.checker != nil {
-			l.checker.RecordCast(id, dest)
+			l.mu.Unlock()
 		}
+		done(id)
 	})
-	return id
 }
 
 // WaitPropertiesClean polls CheckProperties until it reports no
@@ -510,7 +523,6 @@ func (l *LiveCluster) ForceSuspect(p ProcessID) {
 		if q == p {
 			continue
 		}
-		q := q
 		l.rt.Run(q, func() { l.rt.Detector(q).Suspect(p) })
 	}
 }
@@ -521,7 +533,6 @@ func (l *LiveCluster) Unsuspect(p ProcessID) {
 		if q == p {
 			continue
 		}
-		q := q
 		l.rt.Run(q, func() { l.rt.Detector(q).Unsuspect(p) })
 	}
 }
@@ -657,14 +668,6 @@ func (l *LiveCluster) SetDeliverAt(p ProcessID, fn func(id MessageID, payload []
 	if fn != nil {
 		l.hooks[p] = append(l.hooks[p], fn)
 	}
-}
-
-// DeliverHookCount returns how many delivery hooks process p currently
-// has (leak diagnostics).
-func (l *LiveCluster) DeliverHookCount(p ProcessID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.hooks[p])
 }
 
 // CheckProperties verifies the §2.2 properties — uniform integrity,

@@ -2,6 +2,7 @@ package wanamcast
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 // contract: the dead incarnation's delivery hooks are replaced (not
 // accumulated), its state machine sees nothing after the crash, its
 // timers and writer goroutines do not pile up across repeated restart
-// cycles, and every delivered command is applied exactly once by exactly
+// cycles, the servers' reply writers exit with their connections, and
+// every delivered command is applied exactly once by exactly
 // the live incarnation.
 func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
 	cl, _ := restartCluster(t, 30600)
@@ -94,6 +96,14 @@ func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
 		t.Fatalf("live incarnation did not apply the new command")
 	}
 
+	// Every client above has closed its connections, and the old servers
+	// were stopped: no connection's reply writer may outlive it.
+	for deadline := time.Now().Add(5 * time.Second); replyWriters() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d reply writers outlive their connections", replyWriters())
+		}
+	}
+
 	// Goroutines must not grow without bound across cycles (writer loops
 	// are reused, old incarnations die). Allow generous slack for
 	// listener/connection churn.
@@ -102,4 +112,18 @@ func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
 	if now := runtime.NumGoroutine(); now > baseline+40 {
 		t.Fatalf("goroutines grew from %d to %d across restart cycles", baseline, now)
 	}
+}
+
+// replyWriters counts the goroutines running a service connection's reply
+// writer.
+func replyWriters() int {
+	buf := make([]byte, 8<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "svc.(*Server).writeConn(")
+}
+
+// DeliverHookCount returns how many delivery hooks process p currently has.
+func (l *LiveCluster) DeliverHookCount(p ProcessID) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.hooks[p])
 }
