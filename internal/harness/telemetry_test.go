@@ -223,6 +223,7 @@ func TestMetricsGolden(t *testing.T) {
 	times(51, func(int) { svc.RecordCertVerify(true) })
 	times(52, func(int) { svc.RecordCertVerify(false) })
 	times(53, func(int) { svc.RecordReplyWrite() })
+	times(54, func(int) { svc.RecordCast() })
 	src := Telemetry{
 		Stats:   col.Snapshot,
 		Service: svc.Snapshot,

@@ -702,6 +702,7 @@ type serviceCounter int
 
 const (
 	svcRequests serviceCounter = iota
+	svcCasts
 	svcReplies
 	svcReplyWrites
 	svcRedirects
@@ -720,6 +721,7 @@ const (
 // and ServiceStats.Series exports it.
 var serviceCounters = [numServiceCounters]row[ServiceStats]{
 	svcRequests:     {func(s *ServiceStats) *uint64 { return &s.Requests }, "wanamcast_requests_total"},
+	svcCasts:        {func(s *ServiceStats) *uint64 { return &s.Casts }, "wanamcast_svc_casts_total"},
 	svcReplies:      {func(s *ServiceStats) *uint64 { return &s.Replies }, "wanamcast_replies_total"},
 	svcReplyWrites:  {func(s *ServiceStats) *uint64 { return &s.ReplyWrites }, "wanamcast_svc_reply_writes_total"},
 	svcRedirects:    {func(s *ServiceStats) *uint64 { return &s.Redirects }, "wanamcast_redirects_total"},
@@ -735,6 +737,10 @@ var serviceCounters = [numServiceCounters]row[ServiceStats]{
 
 // RecordRequest counts one request received by a server.
 func (s *Service) RecordRequest() { s.bump(svcRequests) }
+
+// RecordCast counts one multicast a server made of its clients' commands:
+// requests over casts is how many commands share a cast.
+func (s *Service) RecordCast() { s.bump(svcCasts) }
 
 // RecordReply counts one successful reply sent by a server.
 func (s *Service) RecordReply() { s.bump(svcReplies) }
@@ -845,6 +851,7 @@ type LatencySummary struct {
 // ServiceStats is an immutable snapshot of a Service.
 type ServiceStats struct {
 	Requests    uint64
+	Casts       uint64
 	Replies     uint64
 	ReplyWrites uint64
 	Redirects   uint64
@@ -919,8 +926,8 @@ func summaries[K comparable](hists map[K]Hist) map[K]LatencySummary {
 // String renders the snapshot with one latency row per fan-out.
 func (st ServiceStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "requests=%d replies=%d redirects=%d retries=%d duplicates=%d failures=%d",
-		st.Requests, st.Replies, st.Redirects, st.Retries, st.Duplicates, st.Failures)
+	fmt.Fprintf(&b, "requests=%d casts=%d replies=%d redirects=%d retries=%d duplicates=%d failures=%d",
+		st.Requests, st.Casts, st.Replies, st.Redirects, st.Retries, st.Duplicates, st.Failures)
 	if st.StaleReads > 0 || st.LeaseDenied > 0 || st.CertVerifies > 0 || st.CertFailures > 0 {
 		fmt.Fprintf(&b, "\n  read tier: stale-reads=%d lease-denied=%d cert-ok=%d cert-bad=%d",
 			st.StaleReads, st.LeaseDenied, st.CertVerifies, st.CertFailures)

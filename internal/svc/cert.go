@@ -140,15 +140,9 @@ func appendCertReq(buf []byte, r CertReq) []byte {
 }
 
 func decodeCertReq(data []byte) (CertReq, []byte, error) {
-	var r CertReq
-	var err error
-	if r.Session, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Seq, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	return r, data, nil
+	d := wire.Decoder{Data: data}
+	r := CertReq{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint)}
+	return r, d.Data, d.Err
 }
 
 func appendCertShare(buf []byte, s CertShare) []byte {
@@ -169,46 +163,10 @@ func appendCertShare(buf []byte, s CertShare) []byte {
 }
 
 func decodeCertShare(data []byte) (CertShare, []byte, error) {
-	var s CertShare
-	var err error
-	if s.Session, data, err = wire.Uvarint(data); err != nil {
-		return s, nil, err
-	}
-	if s.Seq, data, err = wire.Uvarint(data); err != nil {
-		return s, nil, err
-	}
-	if len(data) == 0 {
-		return s, nil, wire.ErrCorrupt
-	}
-	s.OK, data = data[0] != 0, data[1:]
-	if s.Err, data, err = wire.String(data); err != nil {
-		return s, nil, err
-	}
-	if s.ID, data, err = types.DecodeMessageID(data); err != nil {
-		return s, nil, err
-	}
-	var g int64
-	if g, data, err = wire.Varint(data); err != nil {
-		return s, nil, err
-	}
-	s.Group = types.GroupID(g)
-	if s.Order, data, err = wire.Uvarint(data); err != nil {
-		return s, nil, err
-	}
-	h, data, err := wire.Bytes(data)
-	if err != nil {
-		return s, nil, err
-	}
-	s.Hash = append([]byte(nil), h...)
-	var p int64
-	if p, data, err = wire.Varint(data); err != nil {
-		return s, nil, err
-	}
-	s.Proc = types.ProcessID(p)
-	m, data, err := wire.Bytes(data)
-	if err != nil {
-		return s, nil, err
-	}
-	s.MAC = append([]byte(nil), m...)
-	return s, data, nil
+	d := wire.Decoder{Data: data}
+	s := CertShare{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Byte) != 0}
+	s.Err, s.ID, s.Group = wire.Read(&d, wire.String), wire.Read(&d, types.DecodeMessageID), types.GroupID(wire.Read(&d, wire.Varint))
+	s.Order, s.Hash = wire.Read(&d, wire.Uvarint), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	s.Proc, s.MAC = types.ProcessID(wire.Read(&d, wire.Varint)), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	return s, d.Data, d.Err
 }

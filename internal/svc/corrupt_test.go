@@ -124,14 +124,34 @@ func TestCorruptCommandAppliesNothing(t *testing.T) {
 	}
 }
 
-// TestDeliverParsesWithoutAllocating: a replica reads its command straight
+// TestDeliverParsesWithoutAllocating: a replica reads its commands straight
 // out of the delivered bytes.
 func TestDeliverParsesWithoutAllocating(t *testing.T) {
 	p := carriedCommand(1)
-	if n := testing.AllocsPerRun(100, func() { _, _ = parseCommand(p) }); n != 0 {
-		t.Errorf("parseCommand: %.1f allocs, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { _, _ = commands(p) }); n != 0 {
+		t.Errorf("commands: %.1f allocs, want 0", n)
 	}
-	if _, ok := parseCommand(append(bytes.Clone(p), 0)); ok {
+	if _, ok := commands(append(bytes.Clone(p), 0)); ok {
 		t.Error("a command with a trailing byte parsed")
+	}
+}
+
+// TestCorruptBatchAppliesNothing: a two-command cast whose second command is
+// cut short, or which has a byte after its last command, applies neither
+// command, identically at every replica; whole, it applies.
+func TestCorruptBatchAppliesNothing(t *testing.T) {
+	second := appendCommand(nil, Command{Session: 1 << 20, Seq: 2, Op: EncodePut(map[string]string{"g1/k": "w"})})
+	whole := append(carriedCommand(1), second...)
+	if !appliedAnywhere(t, whole) {
+		t.Fatal("the whole two-command cast applied nothing")
+	}
+	bad := [][]byte{append(bytes.Clone(whole), 0)}
+	for cut := 1; cut < len(second); cut++ {
+		bad = append(bad, whole[:len(whole)-cut])
+	}
+	for _, p := range bad {
+		if appliedAnywhere(t, p) {
+			t.Errorf("cast %x applied: its first command is whole, its tail is not", p)
+		}
 	}
 }

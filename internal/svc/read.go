@@ -61,32 +61,11 @@ func appendReadReq(buf []byte, r ReadReq) []byte {
 }
 
 func decodeReadReq(data []byte) (ReadReq, []byte, error) {
-	var r ReadReq
-	var err error
-	if r.Session, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Seq, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	var g int64
-	if g, data, err = wire.Varint(data); err != nil {
-		return r, nil, err
-	}
-	r.Group = types.GroupID(g)
-	if len(data) == 0 {
-		return r, nil, wire.ErrCorrupt
-	}
-	r.Mode, data = data[0], data[1:]
-	if r.MinWatermark, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	op, data, err := wire.Bytes(data)
-	if err != nil {
-		return r, nil, err
-	}
-	r.Op = append([]byte(nil), op...)
-	return r, data, nil
+	d := wire.Decoder{Data: data}
+	r := ReadReq{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), Group: types.GroupID(wire.Read(&d, wire.Varint))}
+	r.Mode, r.MinWatermark = wire.Read(&d, wire.Byte), wire.Read(&d, wire.Uvarint)
+	r.Op = append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	return r, d.Data, d.Err
 }
 
 func appendReadResp(buf []byte, r ReadResp) []byte {
@@ -103,28 +82,9 @@ func appendReadResp(buf []byte, r ReadResp) []byte {
 }
 
 func decodeReadResp(data []byte) (ReadResp, []byte, error) {
-	var r ReadResp
-	var err error
-	if r.Session, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Seq, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if len(data) == 0 {
-		return r, nil, wire.ErrCorrupt
-	}
-	r.OK, data = data[0] != 0, data[1:]
-	if r.Err, data, err = wire.String(data); err != nil {
-		return r, nil, err
-	}
-	res, data, err := wire.Bytes(data)
-	if err != nil {
-		return r, nil, err
-	}
-	r.Result = append([]byte(nil), res...)
-	if r.Watermark, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	return r, data, nil
+	d := wire.Decoder{Data: data}
+	r := ReadResp{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Byte) != 0}
+	r.Err, r.Result = wire.Read(&d, wire.String), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	r.Watermark = wire.Read(&d, wire.Uvarint)
+	return r, d.Data, d.Err
 }

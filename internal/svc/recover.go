@@ -61,73 +61,34 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 // RestoreSnapshot replaces the replica's durable state with a
 // SaveSnapshot-ted one. Call before the replica sees any delivery.
 func (s *Server) RestoreSnapshot(data []byte) error {
-	machine, data, err := wire.Bytes(data)
-	if err != nil {
-		return err
+	d := wire.Decoder{Data: data}
+	machine := wire.Read(&d, wire.Bytes)
+	if d.Err != nil {
+		return d.Err
 	}
 	if err := s.cfg.Machine.Restore(machine); err != nil {
 		return fmt.Errorf("svc: machine restore: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tick, data, err = wire.Uvarint(data); err != nil {
-		return err
-	}
+	s.tick = wire.Read(&d, wire.Uvarint)
 	s.wm.Store(s.tick)
-	var hash []byte
-	if hash, data, err = wire.Bytes(data); err != nil {
-		return err
-	}
-	if len(hash) != len(s.stateHash) {
+	hash := wire.Read(&d, wire.Bytes)
+	if d.Err == nil && len(hash) != len(s.stateHash) {
 		return fmt.Errorf("svc: snapshot state hash is %d bytes, want %d", len(hash), len(s.stateHash))
 	}
 	copy(s.stateHash[:], hash)
-	var n int
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return err
-	}
+	n := wire.Read(&d, wire.SliceLen)
 	s.sessions = make(map[uint64]*session, n)
-	for i := 0; i < n; i++ {
-		var id uint64
-		if id, data, err = wire.Uvarint(data); err != nil {
-			return err
-		}
-		sess := &session{applied: make(map[uint64]appliedCmd)}
-		if sess.maxSeq, data, err = wire.Uvarint(data); err != nil {
-			return err
-		}
-		if sess.touched, data, err = wire.Uvarint(data); err != nil {
-			return err
-		}
-		var m int
-		if m, data, err = wire.SliceLen(data); err != nil {
-			return err
-		}
-		for j := 0; j < m; j++ {
-			var q uint64
-			if q, data, err = wire.Uvarint(data); err != nil {
-				return err
-			}
-			var ac appliedCmd
-			var res []byte
-			if res, data, err = wire.Bytes(data); err != nil {
-				return err
-			}
-			ac.result = append([]byte(nil), res...)
-			if ac.err, data, err = wire.String(data); err != nil {
-				return err
-			}
-			if ac.order, data, err = wire.Uvarint(data); err != nil {
-				return err
-			}
-			if ac.id, data, err = types.DecodeMessageID(data); err != nil {
-				return err
-			}
-			var h []byte
-			if h, data, err = wire.Bytes(data); err != nil {
-				return err
-			}
-			if len(h) != len(ac.hash) {
+	for ; n > 0 && d.Err == nil; n-- {
+		id := wire.Read(&d, wire.Uvarint)
+		sess := &session{applied: make(map[uint64]appliedCmd), maxSeq: wire.Read(&d, wire.Uvarint), touched: wire.Read(&d, wire.Uvarint)}
+		for m := wire.Read(&d, wire.SliceLen); m > 0 && d.Err == nil; m-- {
+			q := wire.Read(&d, wire.Uvarint)
+			ac := appliedCmd{result: append([]byte(nil), wire.Read(&d, wire.Bytes)...), err: wire.Read(&d, wire.String)}
+			ac.order, ac.id = wire.Read(&d, wire.Uvarint), wire.Read(&d, types.DecodeMessageID)
+			h := wire.Read(&d, wire.Bytes)
+			if d.Err == nil && len(h) != len(ac.hash) {
 				return fmt.Errorf("svc: snapshot receipt hash is %d bytes, want %d", len(h), len(ac.hash))
 			}
 			copy(ac.hash[:], h)
@@ -135,7 +96,7 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 		}
 		s.sessions[id] = sess
 	}
-	return nil
+	return d.Err
 }
 
 // DurableCluster is the optional restart surface of a Cluster; the root

@@ -19,9 +19,15 @@
 //
 // A request costs its connection no wait on the ordering layer: the
 // multicast is posted to the replica's event loop (Cluster.Submit), and the
-// reader goes on to the next request. Answers are posted too, to one writer
-// per connection, which sends each burst of them in one write; no event
-// loop ever touches a socket.
+// reader goes on to the next request. A cast carries one read burst's
+// commands for one destination set: while the next frame is already wholly
+// buffered the reader keeps reading, and then casts once per destination
+// set, in arrival order (and before it serves a read, so a connection's
+// write still precedes its later read). It never waits for more input.
+// Commands that share a cast share its message ID, but each has its own
+// delivery order, so a receipt (see cert.go) stays unique per command.
+// Answers are posted too, to one writer per connection, which sends each
+// burst of them in one write; no event loop ever touches a socket.
 //
 // # Sessions and exactly-once execution
 //
@@ -77,6 +83,7 @@ import (
 	"wanamcast/internal/trace"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // StateMachine is one replica's application state. Apply is invoked in
@@ -118,11 +125,11 @@ type ServerConfig struct {
 	Addr string
 	// Machine is the replica's state machine (required).
 	Machine StateMachine
-	// Submit hands an encoded command to the ordering layer without
-	// waiting (required): genuinely multicast it to dest, then call done on
-	// the replica's event loop, before any delivery of it there, with its
-	// MessageID — the zero ID if the cast was refused.
-	Submit func(cmd []byte, dest types.GroupSet, done func(types.MessageID))
+	// Submit hands a cast's payload, one or more encoded commands, to the
+	// ordering layer without waiting (required): genuinely multicast it to
+	// dest, then call done on the replica's event loop, before any delivery
+	// of it there, with its MessageID — the zero ID if the cast was refused.
+	Submit func(payload []byte, dest types.GroupSet, done func(types.MessageID))
 	// GroupAddrs resolves a group to its servers' client-facing addresses,
 	// for Redirect replies. Nil disables redirect address hints.
 	GroupAddrs func(g types.GroupID) []string
@@ -214,10 +221,64 @@ func (ss *session) get(seq uint64) (appliedCmd, bool) {
 // pendingReq is a locally submitted command awaiting A-Delivery, so the
 // submitting server can answer its client.
 type pendingReq struct {
-	conn    *tcp.SvcConn
 	session uint64
 	seq     uint64
-	at      time.Time // submit time, stamped only while tracing (zero = untimed)
+	at      time.Time // arrival, stamped only while tracing (zero = untimed)
+}
+
+// pendingCast is one cast's requests, all from one connection, in the order
+// of its commands. The first is held inline: a lone command parks without a
+// slice.
+type pendingCast struct {
+	conn  *tcp.SvcConn
+	first pendingReq
+	more  []pendingReq
+}
+
+// req returns the cast's i-th request.
+func (pc *pendingCast) req(i int) pendingReq {
+	if i == 0 {
+		return pc.first
+	}
+	return pc.more[i-1]
+}
+
+// maxCastBytes bounds a cast's payload: a burst's commands for one
+// destination set are cast once they reach it.
+const maxCastBytes = 16 << 10
+
+// burst is what a connection's reader has taken from its buffer and not yet
+// cast: per destination set, in order of first arrival, a payload and its
+// requests.
+type burst struct {
+	conn  *tcp.SvcConn
+	casts []outCast
+}
+
+// outCast is one destination set's share of a burst.
+type outCast struct {
+	dest    types.GroupSet
+	payload []byte
+	reqs    pendingCast
+}
+
+// add appends req's command to the cast for its destination set and reports
+// whether that cast is full.
+func (b *burst) add(req Request, at time.Time) bool {
+	i := 0
+	for i < len(b.casts) && !b.casts[i].dest.Equal(req.Dest) {
+		i++
+	}
+	pr := pendingReq{session: req.Session, seq: req.Seq, at: at}
+	if i == len(b.casts) {
+		payload := append(make([]byte, 0, 32+len(req.Op)), byte(wire.KindSvcCommand))
+		b.casts = append(b.casts, outCast{dest: req.Dest, payload: payload, reqs: pendingCast{conn: b.conn, first: pr}})
+	} else {
+		b.casts[i].reqs.more = append(b.casts[i].reqs.more, pr)
+	}
+	c := &b.casts[i]
+	c.payload = appendCommand(c.payload, Command{Session: req.Session, Seq: req.Seq, Op: req.Op})
+	return len(c.payload) >= maxCastBytes
 }
 
 // readWaiter is one parked read: the replica's watermark has not yet
@@ -247,8 +308,9 @@ type Server struct {
 	sessions  map[uint64]*session
 	tick      uint64 // delivery counter driving deterministic session LRU
 	stateHash [sha256.Size]byte
-	chain     []byte // Deliver's scratch: what the next state hash is taken over
-	pending   map[types.MessageID]pendingReq
+	chain     []byte  // Deliver's scratch: what the next state hash is taken over
+	answers   []Reply // Deliver's scratch: the replies it posts once s.mu is free
+	pending   map[types.MessageID]pendingCast
 	waiters   []*readWaiter
 	conns     map[*tcp.SvcConn]bool
 	closed    bool
@@ -276,7 +338,7 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
-		pending:  make(map[types.MessageID]pendingReq),
+		pending:  make(map[types.MessageID]pendingCast),
 		conns:    make(map[*tcp.SvcConn]bool),
 	}
 }
@@ -344,9 +406,15 @@ func (s *Server) writeConn(conn *tcp.SvcConn) {
 	conn.WriteLoop(s.cfg.ReplyTimeout, s.cfg.Stats.RecordReplyWrite)
 }
 
+// serveConn reads conn's requests until it ends. Writes are cast per burst:
+// what was read while the next frame was already wholly buffered is cast
+// once that is no longer so, or before a read or a certificate request is
+// served, or once a cast is full, or when the connection ends.
 func (s *Server) serveConn(conn *tcp.SvcConn) {
 	defer s.wg.Done()
+	b := &burst{conn: conn}
 	defer func() {
+		s.submit(b)
 		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -359,13 +427,18 @@ func (s *Server) serveConn(conn *tcp.SvcConn) {
 		}
 		switch req := v.(type) {
 		case Request:
-			s.handle(conn, req)
+			s.handle(b, req)
 		case ReadReq:
+			s.submit(b)
 			s.handleRead(conn, req)
 		case CertReq:
+			s.submit(b)
 			s.handleCert(conn, req)
 		default:
 			return // protocol violation: cost the connection
+		}
+		if !conn.FrameBuffered() {
+			s.submit(b)
 		}
 	}
 }
@@ -506,10 +579,11 @@ func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
 	s.post(conn, share)
 }
 
-// handle processes one request on the connection's goroutine. It never
-// waits for the ordering layer: the command is posted to the replica's
-// event loop, where submitted parks its reply.
-func (s *Server) handle(conn *tcp.SvcConn, req Request) {
+// handle processes one request on the connection's goroutine: it answers
+// what it can at once and adds the rest to b, the connection's burst. It
+// never waits for the ordering layer.
+func (s *Server) handle(b *burst, req Request) {
+	conn := b.conn
 	s.cfg.Stats.RecordRequest()
 	var start time.Time
 	if s.cfg.Tracer.Enabled() {
@@ -550,16 +624,28 @@ func (s *Server) handle(conn *tcp.SvcConn, req Request) {
 	}
 	s.mu.Unlock()
 
-	s.cfg.Submit(encodeCommand(req.Session, req.Seq, req.Op), req.Dest, func(id types.MessageID) {
-		s.submitted(conn, req, start, id)
-	})
+	if b.add(req, start) {
+		s.submit(b)
+	}
 }
 
-// submitted runs on the replica's event loop right after req's command was
-// cast as id, before any delivery of id here: it parks the reply on id.
-func (s *Server) submitted(conn *tcp.SvcConn, req Request, start time.Time, id types.MessageID) {
-	if !start.IsZero() {
-		s.cfg.Tracer.Record(int(s.cfg.Self), trace.StageEnqueue, id, s.cfg.Self, time.Since(start).Nanoseconds())
+// submit casts b's payloads, in order, and empties b.
+func (s *Server) submit(b *burst) {
+	for i, c := range b.casts {
+		b.casts[i] = outCast{} // the payload is the ordering layer's now
+		s.cfg.Stats.RecordCast()
+		s.cfg.Submit(c.payload, c.dest, func(id types.MessageID) { s.submitted(id, c.reqs) })
+	}
+	b.casts = b.casts[:0]
+}
+
+// submitted runs on the replica's event loop right after pc's commands were
+// cast as id, before any delivery of id here: it parks pc on id.
+func (s *Server) submitted(id types.MessageID, pc pendingCast) {
+	for i := 0; i <= len(pc.more); i++ {
+		if at := pc.req(i).at; !at.IsZero() {
+			s.cfg.Tracer.Record(int(s.cfg.Self), trace.StageEnqueue, id, s.cfg.Self, time.Since(at).Nanoseconds())
+		}
 	}
 	if id.IsZero() {
 		// The ordering layer refused the submission (the replica's process
@@ -568,23 +654,15 @@ func (s *Server) submitted(conn *tcp.SvcConn, req Request, start time.Time, id t
 		return
 	}
 	s.mu.Lock()
-	// An earlier copy of the command (a client retry) may have been
-	// delivered since the fast path looked; answer now if so. That is not
-	// a resend reaching the table, so it does not count as a duplicate.
-	if r, done := s.cachedReply(req, false); done {
-		s.mu.Unlock()
-		s.reply(conn, r)
-		return
-	}
-	s.pending[id] = pendingReq{conn: conn, session: req.Session, seq: req.Seq, at: start}
+	s.pending[id] = pc
 	s.mu.Unlock()
 }
 
 // cachedReply answers req from the session window if its sequence number
 // has already been applied (or has aged out of the window entirely).
 // recordDup controls whether a hit counts toward the duplicates metric —
-// true for genuine client resends, false for the re-check once the command
-// is cast. Callers hold s.mu.
+// true for genuine client resends, false for the answer once the command
+// is delivered (apply counts a delivered duplicate). Callers hold s.mu.
 func (s *Server) cachedReply(req Request, recordDup bool) (Reply, bool) {
 	sess := s.sessions[req.Session]
 	if sess == nil {
@@ -616,14 +694,14 @@ func appliedReply(sessionID, seq uint64, ac appliedCmd) Reply {
 }
 
 // Deliver feeds one local A-Delivery into the server. Wire it to the
-// cluster's per-process delivery hook. A payload that does not parse as a
-// Command (parseCommand) is ignored, so the service coexists with other
-// traffic on the same cluster, and a malformed command applies nothing —
-// identically at every replica, which all deliver the same bytes. Deliver
-// runs on the replica's event loop: calls are sequential and in delivery
-// order, which is exactly the state machine's contract.
+// cluster's per-process delivery hook. A payload that does not parse whole
+// as a cast's Commands (commands) applies nothing, so the service coexists
+// with other traffic on the same cluster, and a malformed cast applies none
+// of its commands — identically at every replica, which all deliver the same
+// bytes. Deliver runs on the replica's event loop: calls are sequential and
+// in delivery order, which is exactly the state machine's contract.
 func (s *Server) Deliver(id types.MessageID, payload []byte) {
-	cmd, ok := parseCommand(payload)
+	cmds, ok := commands(payload)
 	if !ok {
 		return
 	}
@@ -636,56 +714,23 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 		s.mu.Unlock()
 		return
 	}
-	s.tick++
+	for len(cmds) > 0 {
+		var cmd Command
+		cmd, cmds, _ = readCommand(cmds)
+		s.apply(id, cmd)
+	}
+	// Published only now that the cast's commands have applied: a read that
+	// finds the watermark at t must find command t in the machine.
 	s.wm.Store(s.tick)
-	sess := s.sessions[cmd.Session]
-	if sess == nil {
-		// touched is set before the eviction sweep so the newcomer can
-		// never be its own victim.
-		sess = &session{applied: make(map[uint64]appliedCmd), touched: s.tick}
-		s.sessions[cmd.Session] = sess
-		if len(s.sessions) > s.cfg.MaxSessions {
-			s.evictOldestSession()
-		}
-	}
-	sess.touched = s.tick
-	if _, done := sess.applied[cmd.Seq]; !done && cmd.Seq+sessionWindow > sess.maxSeq {
-		// First delivery of this (session, seq): the one and only state
-		// mutation, identical at every replica of every destination shard.
-		// The receipt (order, id, rolling hash) is recorded here and only
-		// here, so duplicates certify the original's receipt.
-		res, err := s.cfg.Machine.Apply(cmd.Op)
-		ac := appliedCmd{result: res, order: s.tick, id: id}
-		if err != nil {
-			ac.err = err.Error()
-		}
-		s.chain = append(s.chain[:0], s.stateHash[:]...)
-		s.chain = id.AppendTo(s.chain)
-		s.chain = append(s.chain, cmd.Op...)
-		s.stateHash = sha256.Sum256(s.chain)
-		ac.hash = s.stateHash
-		sess.applied[cmd.Seq] = ac
-		if cmd.Seq > sess.maxSeq {
-			sess.maxSeq = cmd.Seq
-		}
-		if len(sess.applied) > 2*sessionWindow {
-			for q := range sess.applied {
-				if q+sessionWindow <= sess.maxSeq {
-					delete(sess.applied, q)
-				}
-			}
-		}
-	} else {
-		// A duplicate Command ordered by a client retry (or one that fell
-		// out of the window): suppressed here, at every replica, by the
-		// replicated dedup table.
-		s.cfg.Stats.RecordDuplicate()
-	}
-	pr, waiting := s.pending[id]
-	var r Reply
+	pc, waiting := s.pending[id]
+	s.answers = s.answers[:0]
 	if waiting {
 		delete(s.pending, id)
-		r, _ = s.cachedReply(Request{Session: pr.session, Seq: pr.seq}, false)
+		for i := 0; i <= len(pc.more); i++ {
+			pr := pc.req(i)
+			r, _ := s.cachedReply(Request{Session: pr.session, Seq: pr.seq}, false)
+			s.answers = append(s.answers, r)
+		}
 	}
 	// Claim every parked read whose watermark barrier this delivery
 	// cleared; the queries run off-loop so a read can never stall the
@@ -710,13 +755,63 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 		// against the final wg.Wait would be misuse.
 		go s.finishRead(w)
 	}
-	if waiting {
-		if !pr.at.IsZero() {
+	for i, r := range s.answers {
+		if at := pc.req(i).at; !at.IsZero() {
 			// Server-side end-to-end: client submit → reply handed off.
-			s.cfg.Tracer.Record(int(s.cfg.Self), trace.StageReply, id, s.cfg.Self, time.Since(pr.at).Nanoseconds())
+			s.cfg.Tracer.Record(int(s.cfg.Self), trace.StageReply, id, s.cfg.Self, time.Since(at).Nanoseconds())
 		}
 		// A post: a slow client never stalls the replica's deliveries.
-		s.reply(pr.conn, r)
+		s.reply(pc.conn, r)
+	}
+}
+
+// apply takes one delivered command through the replicated state: the
+// delivery tick, the session window, the machine, the rolling state hash and
+// the receipt. Callers hold s.mu.
+func (s *Server) apply(id types.MessageID, cmd Command) {
+	s.tick++
+	sess := s.sessions[cmd.Session]
+	if sess == nil {
+		// touched is set before the eviction sweep so the newcomer can
+		// never be its own victim.
+		sess = &session{applied: make(map[uint64]appliedCmd), touched: s.tick}
+		s.sessions[cmd.Session] = sess
+		if len(s.sessions) > s.cfg.MaxSessions {
+			s.evictOldestSession()
+		}
+	}
+	sess.touched = s.tick
+	if _, done := sess.applied[cmd.Seq]; done || cmd.Seq+sessionWindow <= sess.maxSeq {
+		// A duplicate Command ordered by a client retry (or one that fell
+		// out of the window): suppressed here, at every replica, by the
+		// replicated dedup table.
+		s.cfg.Stats.RecordDuplicate()
+		return
+	}
+	// First delivery of this (session, seq): the one and only state
+	// mutation, identical at every replica of every destination shard. The
+	// receipt (order, id, rolling hash) is recorded here and only here, so
+	// duplicates certify the original's receipt; order is unique per command.
+	res, err := s.cfg.Machine.Apply(cmd.Op)
+	ac := appliedCmd{result: res, order: s.tick, id: id}
+	if err != nil {
+		ac.err = err.Error()
+	}
+	s.chain = append(s.chain[:0], s.stateHash[:]...)
+	s.chain = id.AppendTo(s.chain)
+	s.chain = append(s.chain, cmd.Op...)
+	s.stateHash = sha256.Sum256(s.chain)
+	ac.hash = s.stateHash
+	sess.applied[cmd.Seq] = ac
+	if cmd.Seq > sess.maxSeq {
+		sess.maxSeq = cmd.Seq
+	}
+	if len(sess.applied) > 2*sessionWindow {
+		for q := range sess.applied {
+			if q+sessionWindow <= sess.maxSeq {
+				delete(sess.applied, q)
+			}
+		}
 	}
 }
 

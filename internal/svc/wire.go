@@ -63,15 +63,13 @@ func appendCommand(buf []byte, c Command) []byte {
 	return wire.AppendBytes(buf, c.Op)
 }
 
-// encodeCommand returns the Command's wire.AppendValue encoding, the
-// payload parseCommand reads, in a buffer of its own.
-func encodeCommand(session, seq uint64, op []byte) []byte {
-	buf := append(make([]byte, 0, 32+len(op)), byte(wire.KindSvcCommand))
-	return appendCommand(buf, Command{Session: session, Seq: seq, Op: op})
-}
+// A service cast's payload is the KindSvcCommand byte followed by one or more
+// Commands back to back: what one connection's read burst held for one
+// destination set. A one-command payload is the Command's wire.AppendValue
+// encoding.
 
 // readCommand parses a Command whose Op aliases data. It allocates nothing:
-// it is parseCommand's and decodeCommand's parser.
+// it is commands' and decodeCommand's parser.
 func readCommand(data []byte) (c Command, rest []byte, err error) {
 	if c.Session, data, err = wire.Uvarint(data); err != nil {
 		return c, nil, err
@@ -83,16 +81,22 @@ func readCommand(data []byte) (c Command, rest []byte, err error) {
 	return c, rest, err
 }
 
-// parseCommand reads a delivered payload, a Command's wire.AppendValue
-// encoding, as the kind byte, then readCommand. It allocates nothing (Op
-// aliases payload) and refuses anything else, a trailing byte included: the
-// format's owner is the one to reject a malformed command.
-func parseCommand(payload []byte) (Command, bool) {
-	if len(payload) == 0 || wire.Kind(payload[0]) != wire.KindSvcCommand {
-		return Command{}, false
+// commands checks that a delivered payload parses whole — the kind byte, then
+// one or more Commands, nothing after — and returns the Commands' bytes for
+// readCommand to walk. It allocates nothing and refuses anything else: the
+// format's owner is the one to reject a malformed cast, and it applies none
+// of it.
+func commands(payload []byte) ([]byte, bool) {
+	if len(payload) < 2 || wire.Kind(payload[0]) != wire.KindSvcCommand {
+		return nil, false
 	}
-	c, rest, err := readCommand(payload[1:])
-	return c, err == nil && len(rest) == 0
+	for rest := payload[1:]; len(rest) > 0; {
+		var err error
+		if _, rest, err = readCommand(rest); err != nil {
+			return nil, false
+		}
+	}
+	return payload[1:], true
 }
 
 func decodeCommand(data []byte) (Command, []byte, error) {
@@ -109,23 +113,10 @@ func appendRequest(buf []byte, r Request) []byte {
 }
 
 func decodeRequest(data []byte) (Request, []byte, error) {
-	var r Request
-	var err error
-	if r.Session, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Seq, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Dest, data, err = types.DecodeGroupSet(data); err != nil {
-		return r, nil, err
-	}
-	op, data, err := wire.Bytes(data)
-	if err != nil {
-		return r, nil, err
-	}
-	r.Op = append([]byte(nil), op...)
-	return r, data, nil
+	d := wire.Decoder{Data: data}
+	r := Request{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), Dest: wire.Read(&d, types.DecodeGroupSet)}
+	r.Op = append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	return r, d.Data, d.Err
 }
 
 func appendReply(buf []byte, r Reply) []byte {
@@ -142,30 +133,11 @@ func appendReply(buf []byte, r Reply) []byte {
 }
 
 func decodeReply(data []byte) (Reply, []byte, error) {
-	var r Reply
-	var err error
-	if r.Session, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Seq, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if len(data) == 0 {
-		return r, nil, wire.ErrCorrupt
-	}
-	r.OK, data = data[0] != 0, data[1:]
-	if r.Err, data, err = wire.String(data); err != nil {
-		return r, nil, err
-	}
-	res, data, err := wire.Bytes(data)
-	if err != nil {
-		return r, nil, err
-	}
-	r.Result = append([]byte(nil), res...)
-	if r.Order, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	return r, data, nil
+	d := wire.Decoder{Data: data}
+	r := Reply{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Byte) != 0}
+	r.Err, r.Result = wire.Read(&d, wire.String), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	r.Order = wire.Read(&d, wire.Uvarint)
+	return r, d.Data, d.Err
 }
 
 func appendRedirect(buf []byte, r Redirect) []byte {
@@ -180,30 +152,12 @@ func appendRedirect(buf []byte, r Redirect) []byte {
 }
 
 func decodeRedirect(data []byte) (Redirect, []byte, error) {
-	var r Redirect
-	var err error
-	if r.Session, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Seq, data, err = wire.Uvarint(data); err != nil {
-		return r, nil, err
-	}
-	if r.Groups, data, err = types.DecodeGroupSet(data); err != nil {
-		return r, nil, err
-	}
-	n, data, err := wire.SliceLen(data)
-	if err != nil {
-		return r, nil, err
-	}
-	if n > 0 {
-		r.Addrs = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			var a string
-			if a, data, err = wire.String(data); err != nil {
-				return r, nil, err
-			}
+	d := wire.Decoder{Data: data}
+	r := Redirect{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), Groups: wire.Read(&d, types.DecodeGroupSet)}
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		if a := wire.Read(&d, wire.String); d.Err == nil {
 			r.Addrs = append(r.Addrs, a)
 		}
 	}
-	return r, data, nil
+	return r, d.Data, d.Err
 }

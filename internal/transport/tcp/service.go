@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -140,6 +141,18 @@ func (s *SvcConn) ReadMsg() (any, error) {
 		return nil, err
 	}
 	return f.Body, nil
+}
+
+// FrameBuffered reports, without blocking, whether the next frame is already
+// wholly in the read buffer, so that ReadMsg returns it without waiting for
+// the socket.
+func (s *SvcConn) FrameBuffered() bool {
+	n := s.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := s.br.Peek(4) // buffered: Peek does not read
+	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // SetReadDeadline bounds the next ReadMsg.

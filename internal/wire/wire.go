@@ -218,6 +218,14 @@ func Varint(data []byte) (int64, []byte, error) {
 	return x, data[n:], nil
 }
 
+// Byte consumes one byte.
+func Byte(data []byte) (byte, []byte, error) {
+	if len(data) == 0 {
+		return 0, nil, corrupt("byte")
+	}
+	return data[0], data[1:], nil
+}
+
 // Bytes consumes a length-prefixed byte slice. The returned slice ALIASES
 // data; callers that retain it must copy.
 func Bytes(data []byte) ([]byte, []byte, error) {
