@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"wanamcast"
@@ -34,7 +35,15 @@ func main() {
 	flag.Parse()
 
 	l := wanamcast.NewLiveCluster(wanamcast.LiveConfig{Groups: 2, PerGroup: 3, BasePort: 23000, WANDelay: *wan})
-	begin := time.Now() // Delivery.At counts from Start
+	begin := time.Now()
+	var mu sync.Mutex
+	last := make(map[wanamcast.MessageID]time.Duration) // each message's latest delivery
+	l.OnDeliver(func(_ wanamcast.ProcessID, id wanamcast.MessageID, _ any) {
+		at := time.Since(begin)
+		mu.Lock()
+		last[id] = max(last[id], at)
+		mu.Unlock()
+	})
 	if err := l.Start(); err != nil {
 		fmt.Println("start:", err)
 		return
@@ -57,10 +66,8 @@ func main() {
 		l.WaitDelivered(id, n, 30*time.Second) // full delivery everywhere
 	}
 
-	last := make(map[wanamcast.MessageID]time.Duration)
-	for _, d := range l.Deliveries() {
-		last[d.ID] = max(last[d.ID], d.At)
-	}
+	mu.Lock()
+	defer mu.Unlock()
 	fmt.Println("message            cast→last-delivery (wall)")
 	for i, id := range ids {
 		fmt.Printf("  %-16v %8v   (%d/%d processes)\n", id, (last[id] - castAt[i]).Round(time.Millisecond), l.DeliveredCount(id), n)

@@ -87,13 +87,10 @@ type Config struct {
 	// link cannot look like a crash. The flag takes ParseBandwidth forms.
 	// [-bandwidth]
 	Bandwidth int64
-	// RetainDeliveries bounds the cluster's delivery bookkeeping: only the
-	// most recent RetainDeliveries entries of the Deliveries() log are
-	// kept, and the per-message counts behind WaitDelivered and
-	// DeliveredCount are evicted for all but the most recent
-	// max(8×RetainDeliveries, 4096) messages — wait only on recent casts.
-	// 0 keeps everything forever (beware that it grows without bound in
-	// long runs).
+	// RetainDeliveries sizes the metrics collector's window of per-cast
+	// records, which the cluster's latency stats, WaitDelivered and
+	// DeliveredCount read: the most recent max(8×RetainDeliveries, 4096)
+	// casts, or 65 536 when 0 — wait only on recent casts.
 	RetainDeliveries int
 	// Check records every cast and delivery into a §2.2 property checker
 	// so CheckProperties can verify uniform integrity, validity, uniform

@@ -481,6 +481,14 @@ func (c *Collector) LatencyDegree(id types.MessageID) (int64, bool) {
 	return deg, ok
 }
 
+// Delivered returns how many A-Deliver events have been recorded for id: 0
+// for a cast never recorded, and for one CastWindow has evicted.
+func (c *Collector) Delivered(id types.MessageID) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.casts[id].delivered
+}
+
 // WallLatency returns the virtual-time span between the cast of id and its
 // last recorded delivery.
 func (c *Collector) WallLatency(id types.MessageID) (time.Duration, bool) {

@@ -197,6 +197,29 @@ func TestCastRecordIsFixedSize(t *testing.T) {
 	}
 }
 
+// TestDeliveredCountsUntilEvicted: Delivered counts every recorded
+// A-Deliver of a cast until CastWindow evicts its record, and 0 for a cast
+// it never recorded.
+func TestDeliveredCountsUntilEvicted(t *testing.T) {
+	c := Collector{CastWindow: 2}
+	m := id(1, 1)
+	c.OnCast(m, 0, 0)
+	c.OnDeliver(m, 0, 1, 0)
+	c.OnDeliver(m, 1, 1, 0)
+	if n := c.Delivered(m); n != 2 {
+		t.Fatalf("Delivered = %d after two deliveries, want 2", n)
+	}
+	if n := c.Delivered(id(9, 9)); n != 0 {
+		t.Fatalf("Delivered = %d for a message never cast, want 0", n)
+	}
+	for seq := 2; seq <= 5; seq++ {
+		c.OnCast(id(1, seq), 0, 0)
+	}
+	if n := c.Delivered(m); n != 0 {
+		t.Fatalf("Delivered = %d past twice the window, want 0 (evicted)", n)
+	}
+}
+
 func TestStatsString(t *testing.T) {
 	var c Collector
 	c.OnSend("a1", 0, 1, true, 0)

@@ -20,6 +20,15 @@ import (
 	"wanamcast/internal/types"
 )
 
+// Replica is an application hosted on a process, such as the service
+// layer's Server: it receives the process's A-Deliveries, replayed ones
+// included, and its state is one snapshot section of the process.
+type Replica interface {
+	Deliver(id types.MessageID, payload []byte)
+	SaveSnapshot() ([]byte, error)
+	RestoreSnapshot(data []byte) error
+}
+
 // Protocol is an event-driven protocol instance bound to one process.
 type Protocol interface {
 	// Proto returns the wire label that routes messages to this protocol.

@@ -58,7 +58,7 @@ type GroupCommit struct {
 	wg   sync.WaitGroup
 	once sync.Once
 
-	dirty []SyncStore // syncer-local: the window's stores, each once
+	dirty []Store // syncer-local: the window's stores, each once
 
 	barriers atomic.Uint64
 	windows  atomic.Uint64
@@ -90,7 +90,7 @@ func NewGroupCommit() *GroupCommit {
 // barrier is never dropped, and staging never blocks the lane.
 type gcQueue struct {
 	g     *GroupCommit
-	store SyncStore
+	store Store
 	post  func(func())
 	fire  func() // q.runDone, bound once: what the syncer posts
 
@@ -104,7 +104,7 @@ type gcQueue struct {
 
 // register adds a barrier queue for store; its fire hook is handed back
 // through post. Called by Log.AttachGroupCommit.
-func (g *GroupCommit) register(store SyncStore, post func(func())) *gcQueue {
+func (g *GroupCommit) register(store Store, post func(func())) *gcQueue {
 	q := &gcQueue{g: g, store: store, post: post}
 	q.fire = q.runDone
 	g.mu.Lock()

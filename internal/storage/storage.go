@@ -32,7 +32,11 @@ import (
 )
 
 // Store is one process's durable state: an appendable record log and a
-// replaceable snapshot.
+// replaceable snapshot. Flush and Sync split the Commit barrier in two, so
+// many lanes' barriers can share one fsync (see GroupCommit): Sync is the
+// one method called from the group-commit syncer goroutine, concurrently
+// with lane-side appends; every other method runs on the store's owning
+// lane.
 type Store interface {
 	// Append adds one record to the log. It is buffered: the record is
 	// durable only after the next Commit.
@@ -40,6 +44,17 @@ type Store interface {
 	// Commit is the durability barrier: flush buffered appends and fsync
 	// (unless the store runs fsync-off).
 	Commit() error
+	// Flush pushes buffered appends to the OS. No durability yet.
+	Flush() error
+	// Sync makes everything previously flushed durable (fsync unless the
+	// store runs fsync-off). Safe to call concurrently with Append/Flush.
+	Sync() error
+	// Maintain runs post-sync maintenance (segment rotation) that must
+	// stay confined to the owning lane.
+	Maintain() error
+	// Fsyncs returns how many fsyncs the store has issued so far — the
+	// observable behind the fsyncs-per-decided-batch metric.
+	Fsyncs() uint64
 	// SaveSnapshot atomically replaces the snapshot with data, marking it
 	// as covering every record appended so far, and prunes log segments
 	// the snapshot makes obsolete.
@@ -52,26 +67,6 @@ type Store interface {
 	Replay(from uint64, fn func(rec Record) error) error
 	// Close flushes and releases the store.
 	Close() error
-}
-
-// SyncStore is the optional Store extension group commit needs: the
-// Commit durability barrier split into its two halves, so many lanes'
-// barriers can share one fsync. Flush and Maintain run on the store's
-// owning lane; Sync is the one method called from the group-commit
-// syncer goroutine, concurrently with lane-side appends.
-type SyncStore interface {
-	Store
-	// Flush pushes buffered appends to the OS. No durability yet.
-	Flush() error
-	// Sync makes everything previously flushed durable (fsync unless the
-	// store runs fsync-off). Safe to call concurrently with Append/Flush.
-	Sync() error
-	// Maintain runs post-sync maintenance (segment rotation) that must
-	// stay confined to the owning lane.
-	Maintain() error
-	// Fsyncs returns how many fsyncs the store has issued so far — the
-	// observable behind the fsyncs-per-decided-batch metric.
-	Fsyncs() uint64
 }
 
 // Log is the nil-safe append handle layers hold. A nil *Log discards
@@ -125,16 +120,13 @@ func (l *Log) Enabled() bool { return l != nil }
 // continuations live in a lane-local queue and touch loop-confined
 // protocol state. The syncer posts one function, bound once, per window.
 //
-// A nil log, a nil gc, or a store that cannot split its barrier (no
-// SyncStore) leave the log synchronous: CommitThen then degrades to
-// Commit-then-call, which is the exact historical behavior.
+// A nil log or a nil gc leave the log synchronous: CommitThen then degrades
+// to Commit-then-call.
 func (l *Log) AttachGroupCommit(gc *GroupCommit, post func(func())) {
 	if l == nil || gc == nil {
 		return
 	}
-	if ss, ok := l.store.(SyncStore); ok {
-		l.q = gc.register(ss, post)
-	}
+	l.q = gc.register(l.store, post)
 }
 
 // Deferred reports whether CommitThen parks its continuation behind the
@@ -188,7 +180,6 @@ type Mem struct {
 }
 
 var _ Store = (*Mem)(nil)
-var _ SyncStore = (*Mem)(nil)
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{} }
@@ -205,10 +196,10 @@ func (m *Mem) Append(rec Record) error {
 // Commit implements Store (memory is always "durable").
 func (m *Mem) Commit() error { return nil }
 
-// Flush implements SyncStore: memory has nothing to flush.
+// Flush implements Store: memory has nothing to flush.
 func (m *Mem) Flush() error { return nil }
 
-// Sync implements SyncStore. It only counts: memory is always durable,
+// Sync implements Store. It only counts: memory is always durable,
 // but the counter lets tests observe how group commit batches barriers.
 // Unlike the rest of Mem it is safe to call concurrently (the
 // group-commit syncer calls it from its own goroutine).
@@ -217,10 +208,10 @@ func (m *Mem) Sync() error {
 	return nil
 }
 
-// Maintain implements SyncStore: nothing to rotate.
+// Maintain implements Store: nothing to rotate.
 func (m *Mem) Maintain() error { return nil }
 
-// Fsyncs implements SyncStore: for Mem it reports the number of Sync
+// Fsyncs implements Store: for Mem it reports the number of Sync
 // barriers observed (no real fsyncs ever happen).
 func (m *Mem) Fsyncs() uint64 { return m.syncs.Load() }
 

@@ -69,10 +69,7 @@ type Disk struct {
 	closed  bool
 }
 
-var (
-	_ Store     = (*Disk)(nil)
-	_ SyncStore = (*Disk)(nil)
-)
+var _ Store = (*Disk)(nil)
 
 // OpenDisk opens (creating if needed) the store in dir. Existing segments
 // are scanned to find the next record index; appends continue in a fresh
@@ -223,7 +220,7 @@ func (d *Disk) flush() error {
 	return nil
 }
 
-// Flush implements SyncStore: push buffered appends to the OS without a
+// Flush implements Store: push buffered appends to the OS without a
 // durability barrier. Lane-side (same goroutine as Append).
 func (d *Disk) Flush() error {
 	if d.closed {
@@ -232,7 +229,7 @@ func (d *Disk) Flush() error {
 	return d.flush()
 }
 
-// Sync implements SyncStore: fsync everything flushed so far. This is
+// Sync implements Store: fsync everything flushed so far. This is
 // the one method the group-commit syncer calls from its own goroutine;
 // it holds the file-handle lock so a concurrent rotation or Close cannot
 // pull the file out from under the fsync. Flushes that complete before a
@@ -254,7 +251,7 @@ func (d *Disk) Sync() error {
 	return nil
 }
 
-// Maintain implements SyncStore: rotate the segment if it outgrew the
+// Maintain implements Store: rotate the segment if it outgrew the
 // threshold. Lane-side, so rotation cannot race the lane's appends.
 func (d *Disk) Maintain() error {
 	if d.closed || d.segLen < d.opts.SegmentSize {
@@ -263,7 +260,7 @@ func (d *Disk) Maintain() error {
 	return d.rotate()
 }
 
-// Fsyncs implements SyncStore.
+// Fsyncs implements Store.
 func (d *Disk) Fsyncs() uint64 { return d.fsyncs.Load() }
 
 // Commit implements Store: flush and (unless NoFsync) fsync, then rotate

@@ -7,6 +7,7 @@ import (
 
 	"wanamcast/internal/fd"
 	"wanamcast/internal/metrics"
+	"wanamcast/internal/node"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
 )
@@ -19,10 +20,14 @@ type Cluster interface {
 	// after the cast, before any delivery of it there, with the message's
 	// ID (the zero ID if the cast was refused).
 	Submit(from types.ProcessID, payload []byte, dest types.GroupSet, done func(types.MessageID))
-	// OnDeliverAt installs a per-process delivery hook, invoked in p's
-	// A-Delivery order with the payload's encoding (the service parses its
-	// own commands).
-	OnDeliverAt(p types.ProcessID, fn func(id types.MessageID, payload []byte))
+	// SetReplica makes r process p's replica, replacing whatever p had: r
+	// gets p's A-Deliveries in order, each payload in its encoding (the
+	// service parses its own commands), and its snapshot is p's service
+	// section.
+	SetReplica(p types.ProcessID, r node.Replica)
+	// Restart recovers crashed process p from its durable store, its
+	// replica's section included, and catches it up from live peers.
+	Restart(p types.ProcessID) error
 }
 
 // ServiceConfig configures ServeCluster.
@@ -46,8 +51,6 @@ type ServiceConfig struct {
 	// server signs with a key derived from it, and clients verify with
 	// NewKeyRing(CertSecret).
 	CertSecret []byte
-	// ReadTimeout bounds each read's watermark wait (see ServerConfig).
-	ReadTimeout time.Duration
 	// Tracer, when non-nil, records each server's request lifecycle spans
 	// (submit, enqueue, reply) into the cluster-wide lifecycle tracer.
 	Tracer *trace.Tracer
@@ -71,15 +74,13 @@ type Service struct {
 // disabled); clients verify certificates against it.
 func (s *Service) Ring() *KeyRing { return s.ring }
 
-// ServeCluster starts one client-facing Server per process of the cluster,
-// wired to the cluster's genuine multicast and delivery hooks. Call after
-// the cluster has started, and Stop the Service BEFORE stopping the
-// cluster: a request in flight is answered from the cluster's event loops,
-// and tearing those down first would strand it.
-//
-// On a durable cluster (one implementing DurableCluster) every replica's
-// state machine and session tables also register as a snapshot section, so
-// cluster snapshots capture them and RestartReplica recovers them.
+// ServeCluster starts one client-facing Server per process of the cluster
+// and attaches each as its process's replica: it gets the process's
+// deliveries, and its state machine and session tables are the process's
+// snapshot section, so cluster snapshots capture them and RestartReplica
+// recovers them. Call after the cluster has started, and Stop the Service
+// BEFORE stopping the cluster: a request in flight is answered from the
+// cluster's event loops, and tearing those down first would strand it.
 func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service, error) {
 	if cfg.NewMachine == nil {
 		panic("svc: ServiceConfig.NewMachine is required")
@@ -95,8 +96,8 @@ func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service,
 		svc.ring = NewKeyRing(cfg.CertSecret)
 	}
 	// Phase 1: bind every listener (learning ephemeral ports) and fill the
-	// address book — accepting no connections and registering no delivery
-	// hooks yet. A Listen failure therefore aborts with the cluster
+	// address book — accepting no connections and attaching no replica
+	// yet. A Listen failure therefore aborts with the cluster
 	// untouched (no orphaned servers wired into its delivery path), and
 	// the GroupAddrs closures can never read svc.addrs while it is still
 	// being built, even on predictable fixed ports.
@@ -115,16 +116,11 @@ func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service,
 		svc.addrs[g] = append(svc.addrs[g], srv.Addr())
 	}
 	// Phase 2: every listener is bound and the address book is complete;
-	// wire the delivery hooks and snapshot sections, and start accepting.
-	// (A stopped server's Deliver is a no-op, so a Service that is later
-	// Stopped goes inert even though hooks cannot be unregistered.)
-	dc, durable := c.(DurableCluster)
+	// attach the replicas and start accepting. (A stopped server's Deliver
+	// is a no-op, so a Service that is later Stopped goes inert while its
+	// servers stay attached.)
 	for _, p := range topo.AllProcesses() {
-		c.OnDeliverAt(p, svc.servers[p].Deliver)
-		if durable {
-			srv := svc.servers[p]
-			dc.RegisterSnapshot(p, snapshotSection, srv.SaveSnapshot, srv.RestoreSnapshot)
-		}
+		c.SetReplica(p, svc.servers[p])
 	}
 	for _, srv := range svc.servers {
 		srv.Serve()
@@ -148,7 +144,6 @@ func (s *Service) buildServer(p types.ProcessID, g types.GroupID, addr string) *
 		ReplyTimeout: s.cfg.ReplyTimeout,
 		MaxSessions:  s.cfg.MaxSessions,
 		Ring:         s.ring,
-		ReadTimeout:  s.cfg.ReadTimeout,
 		Tracer:       s.cfg.Tracer,
 	}
 	if s.cfg.LeaseFor != nil {
@@ -166,16 +161,12 @@ func (s *Service) groupAddrs(g types.GroupID) []string {
 
 // RestartReplica recovers crashed replica p end to end: the old server
 // (with its listener and connections) is stopped, a fresh server and
-// state machine are built and wired as p's ONLY delivery hook and
-// snapshot section — nothing of the dead incarnation stays reachable —
-// and the cluster's Restart replays p's durable state (restoring the
-// machine and session tables) and catches up from live peers. The new
-// server reuses the old incarnation's client-facing address.
+// state machine are built and attached as p's replica in its place —
+// nothing of the dead incarnation stays reachable — and the cluster's
+// Restart replays p's durable state (restoring the machine and session
+// tables) and catches up from live peers. The new server reuses the old
+// incarnation's client-facing address.
 func (s *Service) RestartReplica(p types.ProcessID) error {
-	dc, ok := s.cluster.(DurableCluster)
-	if !ok {
-		return fmt.Errorf("svc: cluster does not support restart")
-	}
 	s.mu.Lock()
 	old := s.servers[p]
 	s.mu.Unlock()
@@ -189,12 +180,10 @@ func (s *Service) RestartReplica(p types.ProcessID) error {
 	if err := srv.Listen(); err != nil {
 		return err
 	}
-	// Wire the new incarnation BEFORE recovery so replayed deliveries
-	// rebuild its state; replace (not append) the hook and section so the
-	// dead incarnation leaks nothing into the delivery path.
-	dc.RegisterSnapshot(p, snapshotSection, srv.SaveSnapshot, srv.RestoreSnapshot)
-	dc.SetDeliverAt(p, srv.Deliver)
-	if err := dc.Restart(p); err != nil {
+	// Attach the new incarnation BEFORE recovery so the snapshot and the
+	// replayed deliveries rebuild its state.
+	s.cluster.SetReplica(p, srv)
+	if err := s.cluster.Restart(p); err != nil {
 		srv.Stop()
 		return err
 	}

@@ -98,23 +98,3 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	}
 	return d.Err
 }
-
-// DurableCluster is the optional restart surface of a Cluster; the root
-// package's LiveCluster implements it when configured with a durable
-// store.
-type DurableCluster interface {
-	Cluster
-	// Restart recovers crashed process p from its durable store and
-	// catches it up from live peers.
-	Restart(p types.ProcessID) error
-	// RegisterSnapshot adds (or replaces, by name) a snapshot section for
-	// process p.
-	RegisterSnapshot(p types.ProcessID, name string,
-		save func() ([]byte, error), restore func(data []byte) error)
-	// SetDeliverAt replaces ALL of p's delivery hooks with fn.
-	SetDeliverAt(p types.ProcessID, fn func(id types.MessageID, payload []byte))
-}
-
-// snapshotSection is the service layer's section name in cluster
-// snapshots.
-const snapshotSection = "svc"

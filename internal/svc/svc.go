@@ -161,12 +161,12 @@ type ServerConfig struct {
 	// answers CertReq with an HMAC countersignature under its own derived
 	// key. Nil refuses certificate requests.
 	Ring *KeyRing
-	// ReadTimeout bounds how long a read parks waiting for the replica's
-	// watermark to reach the client's MinWatermark (default 2s). A read
-	// that far behind answers an error and lets the client retry
-	// elsewhere.
-	ReadTimeout time.Duration
 }
+
+// readTimeout bounds how long a read parks waiting for the replica's
+// watermark to reach the client's MinWatermark. A read that far behind
+// answers an error and lets the client retry elsewhere.
+const readTimeout = 2 * time.Second
 
 // sessionWindow bounds the per-session dedup window: how many recent
 // (sequence → result) entries each replica retains. A closed-loop client
@@ -283,7 +283,7 @@ func (b *burst) add(req Request, at time.Time) bool {
 
 // readWaiter is one parked read: the replica's watermark has not yet
 // reached the client's MinWatermark, so the read waits (bounded by
-// ReadTimeout) for the deliveries to catch up instead of failing. done
+// readTimeout) for the deliveries to catch up instead of failing. done
 // flips (under Server.mu) when exactly one of Deliver or the timeout
 // claims the waiter.
 type readWaiter struct {
@@ -293,8 +293,8 @@ type readWaiter struct {
 	done  bool
 }
 
-// Server serves one replica's clients. Create with NewServer, wire the
-// cluster's delivery hook to Deliver, then Listen and Serve.
+// Server serves one replica's clients. Create with NewServer, attach it as
+// its process's replica (Cluster.SetReplica), then Listen and Serve.
 type Server struct {
 	cfg ServerConfig
 	ln  *tcp.SvcListener
@@ -331,9 +331,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 65536
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 2 * time.Second
 	}
 	return &Server{
 		cfg:      cfg,
@@ -454,7 +451,7 @@ func (s *Server) Watermark() uint64 { return s.wm.Load() }
 // lease-validity check plus the query, a watermark read just the query —
 // zero WAN round trips either way. If the replica's watermark has not
 // reached the client's MinWatermark, the read parks until a delivery
-// catches it up (bounded by ReadTimeout); that barrier is what makes
+// catches it up (bounded by readTimeout); that barrier is what makes
 // follower reads read-your-writes and monotonic per session.
 func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 	s.cfg.Stats.RecordRequest()
@@ -499,7 +496,7 @@ func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 		s.finishRead(w)
 		return
 	}
-	w.timer = time.AfterFunc(s.cfg.ReadTimeout, func() { s.expireRead(w) })
+	w.timer = time.AfterFunc(readTimeout, func() { s.expireRead(w) })
 	s.waiters = append(s.waiters, w)
 	s.mu.Unlock()
 }
@@ -693,9 +690,9 @@ func appliedReply(sessionID, seq uint64, ac appliedCmd) Reply {
 	return r
 }
 
-// Deliver feeds one local A-Delivery into the server. Wire it to the
-// cluster's per-process delivery hook. A payload that does not parse whole
-// as a cast's Commands (commands) applies nothing, so the service coexists
+// Deliver feeds one local A-Delivery into the server; the cluster calls it
+// for the process the server is attached to. A payload that does not parse
+// whole as a cast's Commands (commands) applies nothing, so the service coexists
 // with other traffic on the same cluster, and a malformed cast applies none
 // of its commands — identically at every replica, which all deliver the same
 // bytes. Deliver runs on the replica's event loop: calls are sequential and
@@ -707,8 +704,8 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 	}
 	s.mu.Lock()
 	if s.closed {
-		// A stopped server must go fully inert: its delivery hook cannot
-		// be unregistered from the cluster, and a ghost apply would
+		// A stopped server must go fully inert: it stays attached to its
+		// process until a new replica replaces it, and a ghost apply would
 		// double-execute commands against a dead machine and skew the
 		// shared metrics.
 		s.mu.Unlock()

@@ -23,7 +23,12 @@ type kvFixture struct {
 
 func newKVFixture(t *testing.T, groups, perGroup, basePort int, wan time.Duration) *kvFixture {
 	t.Helper()
-	cluster := wanamcast.NewLiveCluster(wanamcast.LiveConfig{
+	return serveKV(t, kvCluster(groups, perGroup, basePort, wan))
+}
+
+// kvCluster builds (but does not start) the fixture's cluster.
+func kvCluster(groups, perGroup, basePort int, wan time.Duration) *wanamcast.LiveCluster {
+	return wanamcast.NewLiveCluster(wanamcast.LiveConfig{
 		Groups:   groups,
 		PerGroup: perGroup,
 		BasePort: basePort,
@@ -32,12 +37,17 @@ func newKVFixture(t *testing.T, groups, perGroup, basePort int, wan time.Duratio
 		Pipeline: 2,
 		Check:    true,
 	})
+}
+
+// serveKV starts cluster and fronts it with the KV service.
+func serveKV(t *testing.T, cluster *wanamcast.LiveCluster) *kvFixture {
+	t.Helper()
 	if err := cluster.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Stop)
 	stats := &metrics.Service{}
-	route := svc.PrefixRoute(groups)
+	route := svc.PrefixRoute(cluster.Topology().NumGroups())
 	service, err := svc.ServeCluster(cluster, cluster.Topology(), svc.ServiceConfig{
 		NewMachine: func(p types.ProcessID, g types.GroupID) svc.StateMachine {
 			return svc.NewKVMachine(g, route)

@@ -1,7 +1,6 @@
 package svc_test
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"wanamcast/internal/svc"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
-	"wanamcast/internal/wire"
 )
 
 // readModeWatermark is svc's wire value of a watermark read (ReadReq.Mode).
@@ -88,17 +86,17 @@ func TestRepliesLeaveInBursts(t *testing.T) {
 // to the read queued behind it, answered at once; the write is answered
 // once the loop runs again.
 func TestSubmitDoesNotWaitForTheLane(t *testing.T) {
-	f := newKVFixture(t, 1, 3, 25700, 0)
-	p := f.topo.Members(0)[0]
-	hold := wire.AppendValue(nil, "hold the loop")
+	cluster := kvCluster(1, 3, 25700, 0)
+	p := cluster.Process(0, 0)
 	held, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	f.cluster.OnDeliverAt(p, func(_ types.MessageID, payload []byte) {
-		if bytes.Equal(payload, hold) {
+	cluster.OnDeliver(func(q types.ProcessID, _ types.MessageID, payload any) {
+		if q == p && payload == "hold the loop" {
 			once.Do(func() { close(held) })
 			<-release
 		}
 	})
+	f := serveKV(t, cluster)
 	defer func() {
 		select {
 		case <-release:

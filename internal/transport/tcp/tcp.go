@@ -113,21 +113,6 @@ type Config struct {
 	Topo *types.Topology
 	// Local lists the processes this runtime hosts. Nil means all of Π.
 	Local []types.ProcessID
-	// Fabric, when non-nil, is the mutable link table chaos scenarios
-	// drive: a severed (from, to) link kills the outbound connection,
-	// rejects dials, and parks outbound frames (heartbeats excepted) until
-	// the link heals — the transport-level analogue of TCP retransmission
-	// carrying data across a partition, so partitions stay admissible
-	// quasi-reliable runs. Per-link delay overrides replace the static
-	// WANDelay/LANDelay injection, and the fabric's base model's cap
-	// replaces Bandwidth. When nil, a private fabric is built from
-	// WANDelay/LANDelay/Bandwidth; Fabric() exposes it either way. All
-	// hosted processes consult the same fabric, which assumes one Runtime
-	// per deployment or an external fabric shared between them. An injected
-	// fabric's BASE model must have zero Jitter (per-link jitter overrides
-	// are fine): base jitter would need the shared rng on the lock-free
-	// receive fast path.
-	Fabric *network.Fabric
 	// Recorder receives measurement events from every runtime goroutine
 	// (it locks itself). Nil discards.
 	Recorder *metrics.Collector
@@ -199,14 +184,11 @@ func New(cfg Config) *Runtime {
 			fmt.Fprintf(os.Stderr, "DEBUG "+format+"\n", args...)
 		}
 	}
-	fabric := cfg.Fabric
-	if fabric == nil {
-		fabric = network.NewFabric(cfg.Topo, network.Model{
-			IntraGroup: cfg.LANDelay,
-			InterGroup: cfg.WANDelay,
-			Bandwidth:  cfg.Bandwidth,
-		})
-	}
+	fabric := network.NewFabric(cfg.Topo, network.Model{
+		IntraGroup: cfg.LANDelay,
+		InterGroup: cfg.WANDelay,
+		Bandwidth:  cfg.Bandwidth,
+	})
 	rt := &Runtime{
 		cfg:    cfg,
 		topo:   cfg.Topo,
@@ -779,10 +761,7 @@ func (rt *Runtime) dispatch(to types.ProcessID, f wire.Frame) {
 	// but only an ACTIVE fabric can have jitter overrides, so the common
 	// case (no chaos this run) stays lock-free: every frame taking a
 	// runtime-global mutex here would serialise all receive paths for a
-	// knob that is usually untouched. (A base model with static jitter
-	// would need the rng too, but the transport's base is built from
-	// WANDelay/LANDelay alone; an injected Config.Fabric must keep its
-	// base jitter zero.)
+	// knob that is usually untouched.
 	var delay time.Duration
 	if rt.fabric.Active() {
 		rt.rngMu.Lock()

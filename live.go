@@ -3,8 +3,8 @@ package wanamcast
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wanamcast/internal/check"
@@ -28,6 +28,10 @@ import (
 // is declared, documented, defaulted and validated in internal/config.
 type LiveConfig = config.Config
 
+// Replica is an application a process hosts, attached by
+// LiveCluster.SetReplica: the service layer's Server is one.
+type Replica = node.Replica
+
 // LiveCluster runs Algorithms A1 and A2 on every process over TCP.
 // Construct with NewLiveCluster, then Start; deliveries arrive on the
 // callback passed to OnDeliver (installed before Start). LiveCluster is
@@ -41,32 +45,23 @@ type LiveCluster struct {
 	hosts  []*durable.Node // per process: its current incarnation's endpoints (loop-confined)
 
 	stores []storage.Store      // per process; nil = no persistence
-	gc     *storage.GroupCommit // cross-lane fsync batcher; nil when no store can split its barrier
+	gc     *storage.GroupCommit // cross-lane fsync batcher; nil without a durable store
 
-	mu         sync.Mutex
-	onDeliver  func(p ProcessID, id MessageID, payload any)
-	hooks      [][]func(id MessageID, payload []byte) // per-process delivery hooks
-	extras     [][]durable.Section                    // registered snapshot sections
-	deliveries []delivery
-	retain     int
-	counts     map[MessageID]int
-	countOrder []MessageID // first-delivery order, for bounded eviction
-	checker    *check.Checker
-	crashed    map[ProcessID]bool
-	started    bool
-	stopped    bool
-	startTime  time.Time
-	closeOnce  sync.Once
+	onDeliver func(p ProcessID, id MessageID, payload any) // set before Start only
+	replicas  []atomic.Pointer[Replica]                    // per process, see SetReplica
+
+	mu        sync.Mutex
+	checker   *check.Checker
+	crashed   map[ProcessID]bool
+	started   bool
+	stopped   bool
+	closeOnce sync.Once
 }
 
-// delivery is one logged A-Delivery, its payload still in its encoding:
-// Deliveries decodes it when asked.
-type delivery struct {
-	p       ProcessID
-	id      MessageID
-	payload []byte
-	at      time.Duration
-}
+// replicaSection names a replica's snapshot section. It is the name the
+// service layer's state is stored under in existing data dirs, so it must
+// not change.
+const replicaSection = "svc"
 
 // NewLiveCluster builds (but does not start) a live cluster. A cast payload
 // travels in its wire encoding: the basic types have codecs; gob-register
@@ -76,14 +71,11 @@ type delivery struct {
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	cfg = cfg.WithDefaults()
 	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
-	// The collector's per-cast records must not grow forever on a
-	// long-lived cluster: bound them like the delivery-count map —
-	// generously past RetainDeliveries when that is set, and at 64k casts
-	// otherwise (a serve-mode cluster that keeps its whole delivery log
-	// still gets bounded metrics).
+	// The collector's per-cast records, which DeliveredCount reads too,
+	// must not grow forever on a long-lived cluster: see RetainDeliveries.
 	col := &metrics.Collector{CastWindow: 1 << 16}
 	if cfg.RetainDeliveries > 0 {
-		col.CastWindow = 8 * cfg.RetainDeliveries
+		col.CastWindow = max(8*cfg.RetainDeliveries, 4096)
 	}
 	var tr *trace.Tracer
 	if cfg.TraceSpans {
@@ -92,18 +84,15 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	}
 	rt := tcp.New(tcp.Config{Config: cfg, Topo: topo, Recorder: col, Tracer: tr})
 	l := &LiveCluster{
-		rt:      rt,
-		col:     col,
-		tracer:  tr,
-		topo:    topo,
-		cfg:     cfg,
-		hosts:   make([]*durable.Node, topo.N()),
-		stores:  make([]storage.Store, topo.N()),
-		retain:  cfg.RetainDeliveries,
-		counts:  make(map[MessageID]int),
-		hooks:   make([][]func(id MessageID, payload []byte), topo.N()),
-		extras:  make([][]durable.Section, topo.N()),
-		crashed: make(map[ProcessID]bool),
+		rt:       rt,
+		col:      col,
+		tracer:   tr,
+		topo:     topo,
+		cfg:      cfg,
+		hosts:    make([]*durable.Node, topo.N()),
+		stores:   make([]storage.Store, topo.N()),
+		replicas: make([]atomic.Pointer[Replica], topo.N()),
+		crashed:  make(map[ProcessID]bool),
 	}
 	if cfg.Check {
 		l.checker = check.New(topo)
@@ -113,10 +102,9 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	}
 	// Lanes share goroutines, so Commit barriers batch through one
 	// group-commit syncer instead of fsyncing inline (see
-	// storage.GroupCommit). Only worth starting when some store can
-	// actually split its barrier.
+	// storage.GroupCommit). Only worth starting with a store to sync.
 	for _, s := range l.stores {
-		if _, ok := s.(storage.SyncStore); ok {
+		if s != nil {
 			l.gc = storage.NewGroupCommit()
 			l.gc.SetTracer(tr)
 			break
@@ -160,9 +148,11 @@ func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det fd.Detector) *d
 			l.recordDelivery(id, proc.Recovering(), mid, payload)
 		},
 		Sections: func() []durable.Section {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			return slices.Clone(l.extras[id])
+			r := l.replica(id)
+			if r == nil {
+				return nil
+			}
+			return []durable.Section{{Name: replicaSection, Save: r.SaveSnapshot, Restore: r.RestoreSnapshot}}
 		},
 		OnSyncFailed: func(proto string) {
 			l.flightRecord(fmt.Sprintf("%s state transfer abandoned at %v", proto, id))
@@ -171,85 +161,56 @@ func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det fd.Detector) *d
 	})
 }
 
+// recordDelivery hands one of p's A-Deliveries on, on p's event loop: to
+// the checker (under l.mu, only with Check on), the OnDeliver callback, then
+// p's replica. Log replay re-emits deliveries recorded before the crash, so
+// only the replica sees them: they rebuild its state.
 func (l *LiveCluster) recordDelivery(p ProcessID, replay bool, id MessageID, payload []byte) {
-	l.mu.Lock()
-	if replay {
-		// Log replay re-emits deliveries the cluster already recorded
-		// before the crash: the checker, counts, and the delivery log must
-		// not see them twice. The per-process hooks DO run — they rebuild
-		// the restarted replica's service state from the replayed sequence.
-		hooks := l.hooks[p]
-		l.mu.Unlock()
-		for _, h := range hooks {
-			h(id, payload)
+	if !replay {
+		if l.checker != nil {
+			l.mu.Lock()
+			l.checker.RecordDeliver(p, id)
+			l.mu.Unlock()
 		}
-		return
-	}
-	fn := l.onDeliver
-	hooks := l.hooks[p]
-	if l.checker != nil {
-		l.checker.RecordDeliver(p, id)
-	}
-	if _, seen := l.counts[id]; !seen {
-		l.countOrder = append(l.countOrder, id)
-	}
-	l.counts[id]++
-	l.deliveries = append(l.deliveries, delivery{p: p, id: id, payload: payload, at: time.Since(l.startTime)})
-	// With RetainDeliveries set, trim amortised: let the log grow to twice
-	// the bound, then copy the newest half down. The per-message count map
-	// is bounded too (its entries are small but would otherwise accumulate
-	// one per message forever): the oldest ids are evicted once it exceeds
-	// countBound(), so DeliveredCount stays exact for recent messages only.
-	if l.retain > 0 {
-		l.deliveries, _ = storage.TrimTail(l.deliveries, l.retain)
-		if bound := l.countBound(); len(l.countOrder) > 2*bound {
-			evict := l.countOrder[:len(l.countOrder)-bound]
-			for _, old := range evict {
-				delete(l.counts, old)
-			}
-			l.countOrder = append(l.countOrder[:0], l.countOrder[len(l.countOrder)-bound:]...)
+		if l.onDeliver != nil {
+			l.onDeliver(p, id, harness.Decode(id, payload, l.rt.Tracef))
 		}
 	}
-	l.mu.Unlock()
-	if fn != nil {
-		fn(p, id, harness.Decode(id, payload, l.rt.Tracef))
-	}
-	// Hooks run on p's event loop (like fn), so each process's hooks see
-	// its deliveries sequentially, in A-Delivery order.
-	for _, h := range hooks {
-		h(id, payload)
+	if r := l.replica(p); r != nil {
+		r.Deliver(id, payload)
 	}
 }
 
-// countBound is how many per-message delivery counts are retained when
-// RetainDeliveries bounds the cluster's memory: comfortably more than the
-// delivery log itself so WaitDelivered works for anything still visible in
-// Deliveries(), with a floor that keeps short test runs exact.
-func (l *LiveCluster) countBound() int {
-	const floor = 4096
-	if b := 8 * l.retain; b > floor {
-		return b
-	}
-	return floor
-}
-
-// OnDeliver installs the delivery callback. Install before Start.
+// OnDeliver installs the delivery callback: fn runs on p's event loop for
+// each of p's A-Deliveries, in delivery order, with the payload decoded. It
+// panics after Start.
 func (l *LiveCluster) OnDeliver(fn func(p ProcessID, id MessageID, payload any)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.started {
+		panic("wanamcast: OnDeliver after Start")
+	}
 	l.onDeliver = fn
 }
 
-// OnDeliverAt installs an additional per-process delivery hook: fn runs on
-// p's event loop for each of p's A-Deliveries, in delivery order, after
-// the global OnDeliver callback. It receives the payload undecoded, as the
-// caster's edge encoded it (shared with the ordering layer: read it, never
-// write it); the service layer (internal/svc) hangs its replica servers here
-// and parses its own commands. Install before the first cast.
-func (l *LiveCluster) OnDeliverAt(p ProcessID, fn func(id MessageID, payload []byte)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hooks[p] = append(l.hooks[p], fn)
+// SetReplica makes r process p's replica, replacing whatever p had, so
+// nothing of a dead incarnation's replica stays reachable. r receives p's
+// A-Deliveries on p's event loop, in delivery order, after the OnDeliver
+// callback, replayed ones included; a payload comes undecoded, as the
+// caster's edge encoded it, and is shared with the ordering layer (read it,
+// never write it). r's state is p's "svc" snapshot section: every snapshot
+// saves it, and Restart restores it before the ordering layers replay their
+// logs. The service layer (internal/svc) attaches each of its servers here.
+func (l *LiveCluster) SetReplica(p ProcessID, r Replica) {
+	l.replicas[p].Store(&r)
+}
+
+// replica returns process p's replica, nil if none is attached.
+func (l *LiveCluster) replica(p ProcessID) Replica {
+	if r := l.replicas[p].Load(); r != nil {
+		return *r
+	}
+	return nil
 }
 
 // Topology exposes the cluster's process/group layout.
@@ -269,7 +230,6 @@ func (l *LiveCluster) Start() error {
 		return fmt.Errorf("wanamcast: live cluster already stopped")
 	}
 	l.started = true
-	l.startTime = time.Now()
 	l.mu.Unlock()
 	return l.rt.Start()
 }
@@ -402,8 +362,8 @@ func (l *LiveCluster) Crash(p ProcessID) {
 // message counts, latency degrees, batch sizes, and the failure-detector
 // counters (suspicions, trust restorations, leader changes per group).
 // Counters are cumulative; the per-cast latency aggregates cover a bounded
-// window of recent casts (8×RetainDeliveries, or 65536 when the delivery
-// log is unbounded), so a long-running cluster's memory stays flat.
+// window of recent casts (see RetainDeliveries), so a long-running
+// cluster's memory stays flat.
 func (l *LiveCluster) Stats() Stats {
 	st := l.col.Snapshot()
 	st.SendQueueDrops, st.HoldDrops = l.rt.Drops()
@@ -488,8 +448,8 @@ func (l *LiveCluster) flightRecord(reason string) {
 func (l *LiveCluster) FsyncStats() FsyncStats {
 	var st FsyncStats
 	for _, s := range l.stores {
-		if ss, ok := s.(storage.SyncStore); ok {
-			st.Fsyncs += ss.Fsyncs()
+		if s != nil {
+			st.Fsyncs += s.Fsyncs()
 		}
 	}
 	if l.gc != nil {
@@ -581,13 +541,12 @@ func (l *LiveCluster) Chaos() scenario.Funcs {
 }
 
 // Restart brings a crashed process back as a fresh incarnation: it
-// recovers Paxos acceptor state, the group clock, delivery rounds, and
-// every registered snapshot section (e.g. the service layer's state
-// machine and session tables) from its durable store, then catches up the
-// instances it missed from live group peers via the bounded state-transfer
-// protocol. The restarted process resumes as a correct participant: once
-// its state transfer completes it again delivers everything addressed to
-// its group, and CheckProperties holds it to that.
+// recovers Paxos acceptor state, the group clock, delivery rounds, and its
+// replica's snapshot section (see SetReplica) from its durable store, then
+// catches up the instances it missed from live group peers via the bounded
+// state-transfer protocol. The restarted process resumes as a correct
+// participant: once its state transfer completes it again delivers
+// everything addressed to its group, and CheckProperties holds it to that.
 //
 // Restart requires the process to be crashed and durably configured
 // (DataDir or StoreFor).
@@ -640,36 +599,6 @@ func (l *LiveCluster) Snapshot(p ProcessID) {
 	})
 }
 
-// RegisterSnapshot adds (or, by name, replaces) a snapshot section for
-// process p: save contributes to every future snapshot, restore runs
-// during Restart before the ordering layers replay their logs. The
-// service layer registers each replica's state machine and session tables
-// here.
-func (l *LiveCluster) RegisterSnapshot(p ProcessID, name string, save func() ([]byte, error), restore func(data []byte) error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sec := durable.Section{Name: name, Save: save, Restore: restore}
-	for i, s := range l.extras[p] {
-		if s.Name == name {
-			l.extras[p][i] = sec
-			return
-		}
-	}
-	l.extras[p] = append(l.extras[p], sec)
-}
-
-// SetDeliverAt replaces ALL of process p's delivery hooks with fn (nil
-// clears them). Restart flows use it so a dead incarnation's hooks cannot
-// linger behind the new one's.
-func (l *LiveCluster) SetDeliverAt(p ProcessID, fn func(id MessageID, payload []byte)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hooks[p] = nil
-	if fn != nil {
-		l.hooks[p] = append(l.hooks[p], fn)
-	}
-}
-
 // CheckProperties verifies the §2.2 properties — uniform integrity,
 // validity, uniform agreement, uniform prefix order — over every cast and
 // delivery recorded so far, and returns the violations. It requires
@@ -693,29 +622,10 @@ func (l *LiveCluster) CheckProperties() []string {
 	return v
 }
 
-// Deliveries returns a snapshot of the delivery log: every delivery
-// observed so far, or only the most recent LiveConfig.RetainDeliveries of
-// them when that bound is set. Payloads are decoded now, by this call.
-func (l *LiveCluster) Deliveries() []Delivery {
-	l.mu.Lock()
-	log := slices.Clone(l.deliveries)
-	l.mu.Unlock()
-	out := make([]Delivery, len(log))
-	for i, d := range log {
-		out[i] = Delivery{Process: d.p, ID: d.id, Payload: harness.Decode(d.id, d.payload, l.rt.Tracef), At: d.at}
-	}
-	return out
-}
-
-// DeliveredCount returns how many processes have delivered id so far. It
-// stays exact when RetainDeliveries has trimmed the delivery log, until id
-// itself ages out of the (much larger) count window — see
-// LiveConfig.RetainDeliveries.
-func (l *LiveCluster) DeliveredCount(id MessageID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[id]
-}
+// DeliveredCount returns how many processes have delivered id so far,
+// replays not counted. It answers for the collector's window of recent
+// casts (see LiveConfig.RetainDeliveries), 0 once id has aged out of it.
+func (l *LiveCluster) DeliveredCount(id MessageID) int { return l.col.Delivered(id) }
 
 // WaitDelivered blocks until id has been delivered by n processes or the
 // timeout expires; it reports whether the count was reached.

@@ -3,7 +3,7 @@ package wanamcast
 // Satellite of the service-layer PR: the §2.2 checkers, previously only
 // exercised on simulator traces, run here against the delivery log of a
 // REAL TCP cluster — both through the built-in LiveConfig.Check path and
-// through an independently reconstructed checker fed from Deliveries().
+// through an independently reconstructed checker fed from OnDeliver.
 
 import (
 	"testing"
@@ -23,6 +23,7 @@ func TestLiveCheckProperties(t *testing.T) {
 		Pipeline: 2,
 		Check:    true,
 	})
+	deliveries := recordDeliveries(l)
 	if err := l.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +52,13 @@ func TestLiveCheckProperties(t *testing.T) {
 		t.Fatalf("live run violates §2.2 (%d):\n%v", len(v), v)
 	}
 
-	// And independently: rebuild a checker from the public delivery log
-	// (the log's global order preserves each process's delivery order).
+	// And independently: rebuild a checker from the deliveries OnDeliver
+	// saw (their global order preserves each process's delivery order).
 	ck := check.New(topo)
 	for _, r := range recs {
 		ck.RecordCast(r.id, r.dest)
 	}
-	for _, d := range l.Deliveries() {
+	for _, d := range deliveries() {
 		ck.RecordDeliver(d.Process, d.ID)
 	}
 	if v := ck.Check(nil, func(MessageID) bool { return true }); len(v) != 0 {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestRestartDoesNotLeakOldIncarnation pins the Crash→Restart teardown
-// contract: the dead incarnation's delivery hooks are replaced (not
-// accumulated), its state machine sees nothing after the crash, its
+// contract: the dead incarnation's server is replaced as the process's
+// replica, its state machine sees nothing after the crash, its
 // timers and writer goroutines do not pile up across repeated restart
 // cycles, the servers' reply writers exit with their connections, and
 // every delivered command is applied exactly once by exactly
@@ -58,9 +58,9 @@ func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		put("g0/cycle", string(rune('a'+cycle)))
-		// Exactly one delivery hook for the victim: the new server's.
-		if n := cl.DeliverHookCount(victim); n != 1 {
-			t.Fatalf("cycle %d: %d delivery hooks on %v, want 1 (old incarnations leaked)", cycle, n, victim)
+		// The victim's replica is the new server.
+		if r, srv := cl.replica(victim), service.Server(victim); r != srv {
+			t.Fatalf("cycle %d: %v's replica is %p, want the new server %p", cycle, victim, r, srv)
 		}
 	}
 
@@ -119,11 +119,4 @@ func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
 func replyWriters() int {
 	buf := make([]byte, 8<<20)
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "svc.(*Server).writeConn(")
-}
-
-// DeliverHookCount returns how many delivery hooks process p currently has.
-func (l *LiveCluster) DeliverHookCount(p ProcessID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.hooks[p])
 }

@@ -94,6 +94,34 @@ func TestRestartRecoversAndCatchesUpA1(t *testing.T) {
 	}
 }
 
+// TestReplayIsNotCounted: a restarted process replays its log to rebuild
+// its state, and DeliveredCount does not count those deliveries again.
+func TestReplayIsNotCounted(t *testing.T) {
+	cl, _ := restartCluster(t, 30900)
+	var pre []MessageID
+	for i := 0; i < 5; i++ {
+		pre = append(pre, cl.Multicast(cl.Process(0, i%3), fmt.Sprintf("pre-%d", i), 0, 1))
+	}
+	for _, id := range pre {
+		if !cl.WaitDelivered(id, 6, 10*time.Second) {
+			t.Fatalf("%v delivered by %d of 6", id, cl.DeliveredCount(id))
+		}
+	}
+	victim := cl.Process(0, 1)
+	cl.Crash(victim)
+	if err := cl.Restart(victim); err != nil {
+		t.Fatalf("Restart(%v): %v", victim, err)
+	}
+	if post := cl.Multicast(cl.Process(0, 0), "post", 0, 1); !cl.WaitDelivered(post, 6, 10*time.Second) {
+		t.Fatal("post-restart multicast not fully delivered")
+	}
+	for _, id := range pre {
+		if n := cl.DeliveredCount(id); n != 6 {
+			t.Fatalf("DeliveredCount(%v) = %d after %v replayed it, want 6", id, n, victim)
+		}
+	}
+}
+
 // TestRestartRecoversAndCatchesUpA2 is the same scenario on Algorithm A2's
 // round-based ordering: the restarted replica recovers its delivery round
 // from disk and adopts the completed rounds it missed from peers.
