@@ -185,6 +185,7 @@ type pend struct {
 	stage   Stage
 	final   uint64        // the adopted maximum (lines 39–40): fills the s2 item, nothing else
 	props   []prop        // received (TS, m) proposals, aligned with dest.Groups(); nil until the first
+	inline  [2]prop       // props' storage for up to two groups: one allocation for the entry
 	seq     uint64        // admission order, for FIFO-fair batch fills
 	since   uint64        // the pull tick on which it entered s1 (group.Endpoint.Wait)
 	adm     time.Duration // admit time, recorded only while tracing (0 = untimed)
@@ -344,7 +345,7 @@ func (p *pend) setProp(g types.GroupID, ts uint64) bool {
 		return false
 	}
 	if p.props == nil {
-		p.props = make([]prop, p.dest.Size())
+		p.props = slices.Grow(p.inline[:0], p.dest.Size())[:p.dest.Size()] // inline while it fits
 	}
 	p.props[i] = prop{ts: ts, in: true}
 	return true

@@ -516,3 +516,26 @@ func TestDeferredFillBuildsNothing(t *testing.T) {
 		t.Fatalf("a full-only fill with ten pending returned %d of 10 descriptors", len(set))
 	}
 }
+
+// TestSmallDestinationProposalsLiveInTheEntry: the (TS, m) proposals of a
+// message to two groups are held in its PENDING entry, at no allocation of
+// their own; a message to more groups holds them as well.
+func TestSmallDestinationProposalsLiveInTheEntry(t *testing.T) {
+	for _, dest := range []types.GroupSet{types.NewGroupSet(0, 1), types.NewGroupSet(0, 1, 2)} {
+		p := &pend{dest: dest}
+		n := testing.AllocsPerRun(100, func() {
+			p.props, p.inline = nil, [2]prop{}
+			for _, g := range dest.Groups() {
+				p.setProp(g, uint64(g)+7)
+			}
+		})
+		if dest.Size() == 2 && n != 0 {
+			t.Errorf("proposals of a message to %v: %.1f allocations, want 0", dest, n)
+		}
+		for i, g := range dest.Groups() {
+			if !p.has(i) || p.props[i].ts != uint64(g)+7 {
+				t.Errorf("proposal of %v to %v: %+v", g, dest, p.props)
+			}
+		}
+	}
+}

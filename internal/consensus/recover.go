@@ -26,11 +26,7 @@ func (c *Consensus) appendSnap(buf []byte, from uint64) []byte {
 		buf = wire.AppendVarint(buf, in.promised)
 		buf = wire.AppendVarint(buf, in.accepted)
 		buf = wire.AppendValue(buf, in.aValue)
-		dec := byte(0)
-		if in.decided {
-			dec = 1
-		}
-		buf = append(buf, dec)
+		buf = wire.AppendBool(buf, in.decided)
 		buf = wire.AppendValue(buf, in.decision)
 		buf = wire.AppendVarint(buf, in.maxSeen)
 	})
@@ -60,10 +56,9 @@ func (c *Consensus) restoreSnap(data []byte) ([]byte, error) {
 		if in.aValue, data, err = wire.DecodeValue(data); err != nil {
 			return nil, err
 		}
-		if len(data) == 0 {
-			return nil, fmt.Errorf("%w: instance decided flag", wire.ErrCorrupt)
+		if in.decided, data, err = wire.Bool(data); err != nil {
+			return nil, err
 		}
-		in.decided, data = data[0] != 0, data[1:]
 		if in.decision, data, err = wire.DecodeValue(data); err != nil {
 			return nil, err
 		}

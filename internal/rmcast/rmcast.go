@@ -84,6 +84,7 @@ type RMcast struct {
 	onDeliver func(Message)
 	label     string
 	delivered map[types.MessageID]bool
+	tos       []types.ProcessID // MCast's destination list, reused: Multicast keeps none
 }
 
 var _ node.Protocol = (*RMcast)(nil)
@@ -122,7 +123,8 @@ func (r *RMcast) MCast(m Message) {
 		panic(fmt.Sprintf("rmcast: %v multicast with empty destination", m.ID))
 	}
 	r.api.Trace(trace.StageRMSend, m.ID, 0)
-	r.api.Multicast(r.api.Topo().ProcessesIn(m.Dest), r.label, DataMsg{M: m})
+	r.tos = r.api.Topo().AppendProcessesIn(r.tos[:0], m.Dest, -1)
+	r.api.Multicast(r.tos, r.label, DataMsg{M: m})
 }
 
 // Receive implements node.Protocol.

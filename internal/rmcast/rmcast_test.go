@@ -207,3 +207,16 @@ func TestValidityManyMessages(t *testing.T) {
 		}
 	}
 }
+
+// TestMCastReusesItsDestinationList: a cast costs the boxing of its message
+// and nothing else: the destination list is the endpoint's own, reused.
+func TestMCastReusesItsDestinationList(t *testing.T) {
+	rt := node.NewRuntime(types.NewTopology(3, 3), network.Model{IntraGroup: time.Millisecond, InterGroup: time.Millisecond}, 1, nil)
+	ep := New(Config{API: rt.Proc(0), Mode: ModeDirect})
+	rt.Proc(0).Register(ep)
+	rt.Start()
+	m := msg(0, 1, 0, 2)
+	if n := testing.AllocsPerRun(100, func() { ep.MCast(m) }); n > 1 {
+		t.Errorf("a cast to two groups: %.1f allocations, want at most 1", n)
+	}
+}

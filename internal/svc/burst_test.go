@@ -252,8 +252,8 @@ func (nopMachine) Restore([]byte) error         { return nil }
 
 // TestLoneRequestAllocations pins what a request that is alone in its burst
 // costs the server, from handle through the cast, its delivery and the posted
-// reply: three allocations (the payload, the cast's callback, the boxed
-// reply), as before a cast could carry more than one command.
+// reply: two allocations, the payload and the cast's callback (three while
+// the reply was boxed to be posted).
 func TestLoneRequestAllocations(t *testing.T) {
 	var s *Server
 	var n uint64
@@ -278,8 +278,8 @@ func TestLoneRequestAllocations(t *testing.T) {
 	if n != 2001 {
 		t.Fatalf("%d casts, want 2001", n)
 	}
-	if got > 3 {
-		t.Errorf("a lone request costs %v allocations, want at most 3", got)
+	if got > 2 {
+		t.Errorf("a lone request costs %v allocations, want at most 2", got)
 	}
 }
 

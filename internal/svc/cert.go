@@ -17,6 +17,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
@@ -113,13 +114,9 @@ func (r *KeyRing) VerifyCertificate(c Certificate, members []types.ProcessID) er
 	if len(c.Shares) < quorum {
 		return fmt.Errorf("svc: certificate has %d shares, quorum is %d", len(c.Shares), quorum)
 	}
-	isMember := make(map[types.ProcessID]bool, len(members))
-	for _, p := range members {
-		isMember[p] = true
-	}
 	msg := receiptBytes(c.ID, c.Group, c.Order, c.Hash)
 	for p, mac := range c.Shares {
-		if !isMember[p] {
+		if !slices.Contains(members, p) {
 			return fmt.Errorf("svc: certificate share from %v, not a member of group %v", p, c.Group)
 		}
 		if !r.Verify(p, msg, mac) {
@@ -148,11 +145,7 @@ func decodeCertReq(data []byte) (CertReq, []byte, error) {
 func appendCertShare(buf []byte, s CertShare) []byte {
 	buf = wire.AppendUvarint(buf, s.Session)
 	buf = wire.AppendUvarint(buf, s.Seq)
-	ok := byte(0)
-	if s.OK {
-		ok = 1
-	}
-	buf = append(buf, ok)
+	buf = wire.AppendBool(buf, s.OK)
 	buf = wire.AppendString(buf, s.Err)
 	buf = s.ID.AppendTo(buf)
 	buf = wire.AppendVarint(buf, int64(s.Group))
@@ -164,7 +157,7 @@ func appendCertShare(buf []byte, s CertShare) []byte {
 
 func decodeCertShare(data []byte) (CertShare, []byte, error) {
 	d := wire.Decoder{Data: data}
-	s := CertShare{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Byte) != 0}
+	s := CertShare{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Bool)}
 	s.Err, s.ID, s.Group = wire.Read(&d, wire.String), wire.Read(&d, types.DecodeMessageID), types.GroupID(wire.Read(&d, wire.Varint))
 	s.Order, s.Hash = wire.Read(&d, wire.Uvarint), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
 	s.Proc, s.MAC = types.ProcessID(wire.Read(&d, wire.Varint)), append([]byte(nil), wire.Read(&d, wire.Bytes)...)

@@ -50,32 +50,23 @@ const (
 	ConsistencyWatermark
 )
 
-// String names the consistency mode (flag values of cmd/wankv).
+// consistencyNames are the modes' names, the flag values of cmd/wankv.
+var consistencyNames = []string{"ordered", "lease", "watermark"}
+
+// String names the consistency mode.
 func (c Consistency) String() string {
-	switch c {
-	case ConsistencyOrdered:
-		return "ordered"
-	case ConsistencyLease:
-		return "lease"
-	case ConsistencyWatermark:
-		return "watermark"
-	default:
-		return fmt.Sprintf("Consistency(%d)", int(c))
+	if c >= 0 && int(c) < len(consistencyNames) {
+		return consistencyNames[c]
 	}
+	return fmt.Sprintf("Consistency(%d)", int(c))
 }
 
 // ParseConsistency parses a -consistency flag value.
 func ParseConsistency(s string) (Consistency, error) {
-	switch s {
-	case "ordered":
-		return ConsistencyOrdered, nil
-	case "lease":
-		return ConsistencyLease, nil
-	case "watermark":
-		return ConsistencyWatermark, nil
-	default:
-		return 0, fmt.Errorf("svc: unknown consistency %q (want ordered, lease, or watermark)", s)
+	if i := slices.Index(consistencyNames, s); i >= 0 {
+		return Consistency(i), nil
 	}
+	return 0, fmt.Errorf("svc: unknown consistency %q (want ordered, lease, or watermark)", s)
 }
 
 // Client is a shard-aware service client: it routes each command to a
@@ -173,9 +164,7 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.cfg.Stats.RecordRetry()
-			if timeout < 16*c.cfg.Timeout {
-				timeout *= 2
-			}
+			timeout = min(2*timeout, 16*c.cfg.Timeout)
 		}
 		conn, err := c.ensureConn()
 		if err != nil {
@@ -216,7 +205,7 @@ func (c *Client) awaitReply(conn *tcp.SvcConn, req Request, deadline time.Time) 
 			c.dropConn()
 			return nil, true, fmt.Errorf("svc: awaiting (session %d, seq %d): %w", req.Session, req.Seq, rerr)
 		}
-		switch m := v.(type) {
+		switch m := v.(type) { // any other frame is ignored
 		case Reply:
 			if m.Session != req.Session || m.Seq != req.Seq {
 				continue // stale reply from an earlier retry round
@@ -224,13 +213,11 @@ func (c *Client) awaitReply(conn *tcp.SvcConn, req Request, deadline time.Time) 
 			if !m.OK {
 				return nil, false, fmt.Errorf("svc: %s", m.Err)
 			}
-			if m.Order > 0 {
-				// The coordinator's watermark after our command applied:
-				// fold it into the session watermark so a follower read
-				// that follows this write is parked until it sees it.
-				if g, ok := c.groupOf[c.connAddr]; ok && m.Order > c.wm[g] {
-					c.wm[g] = m.Order
-				}
+			// The coordinator's watermark after our command applied: fold
+			// it into the session watermark so a follower read that
+			// follows this write is parked until it sees it.
+			if g, ok := c.groupOf[c.connAddr]; ok && m.Order > c.wm[g] {
+				c.wm[g] = m.Order
 			}
 			return m.Result, false, nil
 		case Redirect:
@@ -242,8 +229,6 @@ func (c *Client) awaitReply(conn *tcp.SvcConn, req Request, deadline time.Time) 
 			}
 			c.dropConn() // re-route to a redirected address
 			return nil, true, fmt.Errorf("svc: redirected to %v", m.Groups)
-		default:
-			continue // unknown frame; ignore
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package svc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
@@ -39,18 +42,14 @@ func EncodePut(sets map[string]string) []byte {
 // EncodeGet builds a get command (a linearizable read: it rides the same
 // ordered path as writes).
 func EncodeGet(key string) []byte {
-	buf := []byte{kvOpGet}
-	return wire.AppendString(buf, key)
+	return wire.AppendString([]byte{kvOpGet}, key)
 }
 
 // DecodeGetResult unpacks a get's reply result.
 func DecodeGetResult(res []byte) (value string, found bool, err error) {
-	if len(res) == 0 {
-		return "", false, fmt.Errorf("svc: empty get result")
-	}
-	found, res = res[0] != 0, res[1:]
-	value, _, err = wire.String(res)
-	return value, found, err
+	d := wire.Decoder{Data: res}
+	found, value = wire.Read(&d, wire.Bool), wire.Read(&d, wire.String)
+	return value, found, d.Err
 }
 
 // DecodePutResult unpacks a put's reply result: how many keys the
@@ -68,21 +67,12 @@ type Route func(key string) types.GroupID
 // and cmd/wankv use it so a key's shard is visible in the key itself.
 func PrefixRoute(numGroups int) Route {
 	return func(key string) types.GroupID {
-		if strings.HasPrefix(key, "g") {
-			if i := strings.IndexByte(key, '/'); i > 1 {
-				n := 0
-				ok := true
-				for _, ch := range key[1:i] {
-					if ch < '0' || ch > '9' {
-						ok = false
-						break
-					}
-					n = n*10 + int(ch-'0')
-				}
-				if ok {
-					return types.GroupID(n % numGroups)
-				}
+		if num, _, ok := strings.Cut(key, "/"); ok && len(num) > 1 && num[0] == 'g' && strings.Trim(num[1:], "0123456789") == "" {
+			n := 0
+			for _, ch := range num[1:] {
+				n = n*10 + int(ch-'0')
 			}
+			return types.GroupID(n % numGroups)
 		}
 		if len(key) == 0 {
 			return 0
@@ -99,17 +89,25 @@ type KVMachine struct {
 	group types.GroupID
 	route Route
 
-	mu      sync.Mutex
-	data    map[string]string
+	mu sync.Mutex
+	// data holds each value behind a pointer, so that a put rewrites an
+	// existing key in place and builds no key string.
+	data    map[string]*[]byte
 	applied uint64 // mutating commands applied (exactly-once accounting)
 }
 
 // NewKVMachine builds the machine for one replica of shard group.
 func NewKVMachine(group types.GroupID, route Route) *KVMachine {
-	return &KVMachine{group: group, route: route, data: make(map[string]string)}
+	return &KVMachine{group: group, route: route, data: make(map[string]*[]byte)}
 }
 
-// Apply implements StateMachine.
+// smallCounts are the encodings of the put results below 16: a put's result
+// is a view of them, shared read-only, not an allocation of its own.
+var smallCounts = [16]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+// Apply implements StateMachine. A put is checked whole before it writes
+// anything, so a corrupt one applies nothing. Keys are routed on a view of
+// op: another shard's key or value is never built.
 func (m *KVMachine) Apply(op []byte) ([]byte, error) {
 	if len(op) == 0 {
 		return nil, fmt.Errorf("kv: empty op")
@@ -120,28 +118,42 @@ func (m *KVMachine) Apply(op []byte) ([]byte, error) {
 	if op[0] != kvOpPut {
 		return nil, fmt.Errorf("kv: unknown op %d", op[0])
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n, body, err := wire.SliceLen(op[1:])
 	if err != nil {
 		return nil, fmt.Errorf("kv: corrupt put: %w", err)
 	}
-	wrote := 0
-	for i := 0; i < n; i++ {
-		var k string
-		var v []byte
-		if k, body, err = wire.String(body); err != nil {
+	for i, rest := 0, body; i < n; i++ {
+		if _, rest, err = wire.Bytes(rest); err != nil {
 			return nil, fmt.Errorf("kv: corrupt put key: %w", err)
 		}
-		if v, body, err = wire.Bytes(body); err != nil {
+		if _, rest, err = wire.Bytes(rest); err != nil {
 			return nil, fmt.Errorf("kv: corrupt put value: %w", err)
 		}
-		if m.route(k) == m.group { // another shard's value is never built
-			m.data[k] = string(v)
-			wrote++
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	wrote := 0
+	for i := 0; i < n; i++ {
+		var k, v []byte
+		k, body, _ = wire.Bytes(body)
+		v, body, _ = wire.Bytes(body)
+		// The view is of the delivered op, which nothing writes: it stays
+		// valid as long as route could keep it.
+		if m.route(unsafe.String(unsafe.SliceData(k), len(k))) != m.group {
+			continue
 		}
+		if old, ok := m.data[string(k)]; ok {
+			*old = append((*old)[:0], v...)
+		} else {
+			nv := bytes.Clone(v)
+			m.data[string(k)] = &nv
+		}
+		wrote++
 	}
 	m.applied++
+	if wrote < len(smallCounts) {
+		return smallCounts[wrote : wrote+1 : wrote+1], nil
+	}
 	return wire.AppendUvarint(nil, uint64(wrote)), nil
 }
 
@@ -149,23 +161,23 @@ func (m *KVMachine) Apply(op []byte) ([]byte, error) {
 // current shard state without the ordering layer — the read tier's entry
 // point. Only gets are read-only; anything else is refused (a mutation
 // smuggled around the ordered path would diverge the replicas). The
-// result encoding matches Apply's, so DecodeGetResult works on both.
+// result encoding matches Apply's, so DecodeGetResult works on both; the
+// result is the one allocation, and op may be a view.
 func (m *KVMachine) Query(op []byte) ([]byte, error) {
 	if len(op) == 0 || op[0] != kvOpGet {
 		return nil, fmt.Errorf("kv: not a read-only op")
 	}
-	k, _, err := wire.String(op[1:])
+	k, _, err := wire.Bytes(op[1:])
 	if err != nil {
 		return nil, fmt.Errorf("kv: corrupt get: %w", err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	v, found := m.data[k]
-	res := []byte{0}
-	if found {
-		res[0] = 1
+	v, found := m.data[string(k)]
+	if !found {
+		return []byte{0, 0}, nil
 	}
-	return wire.AppendString(res, v), nil
+	return wire.AppendBytes(append(make([]byte, 0, 1+binary.MaxVarintLen64+len(*v)), 1), *v), nil
 }
 
 // Snapshot implements StateMachine: a deterministic encoding of the shard
@@ -180,7 +192,7 @@ func (m *KVMachine) Snapshot() ([]byte, error) {
 	buf = wire.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
 		buf = wire.AppendString(buf, k)
-		buf = wire.AppendString(buf, m.data[k])
+		buf = wire.AppendBytes(buf, *m.data[k])
 	}
 	return buf, nil
 }
@@ -188,24 +200,15 @@ func (m *KVMachine) Snapshot() ([]byte, error) {
 // Restore implements StateMachine: it replaces the shard state with a
 // Snapshot-ted one (crash recovery).
 func (m *KVMachine) Restore(snapshot []byte) error {
-	applied, data, err := wire.Uvarint(snapshot)
-	if err != nil {
-		return fmt.Errorf("kv: corrupt snapshot: %w", err)
+	d := wire.Decoder{Data: snapshot}
+	applied := wire.Read(&d, wire.Uvarint)
+	fresh := make(map[string]*[]byte)
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		k, v := wire.Read(&d, wire.String), bytes.Clone(wire.Read(&d, wire.Bytes))
+		fresh[k] = &v
 	}
-	var n int
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return fmt.Errorf("kv: corrupt snapshot: %w", err)
-	}
-	fresh := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		var k, v string
-		if k, data, err = wire.String(data); err != nil {
-			return fmt.Errorf("kv: corrupt snapshot key: %w", err)
-		}
-		if v, data, err = wire.String(data); err != nil {
-			return fmt.Errorf("kv: corrupt snapshot value: %w", err)
-		}
-		fresh[k] = v
+	if d.Err != nil {
+		return fmt.Errorf("kv: corrupt snapshot: %w", d.Err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -226,8 +229,10 @@ func (m *KVMachine) Applied() uint64 {
 func (m *KVMachine) Get(key string) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	v, ok := m.data[key]
-	return v, ok
+	if v, ok := m.data[key]; ok {
+		return string(*v), true
+	}
+	return "", false
 }
 
 // Len returns the number of keys held locally.

@@ -1,9 +1,11 @@
 package svc
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wanamcast/internal/metrics"
@@ -23,8 +25,6 @@ type LoadSpec struct {
 	Mix []workload.MixEntry
 	// Timeout is each client's first-attempt reply deadline (default 1s).
 	Timeout time.Duration
-	// KeysPerShard sizes each client's per-shard key space (default 16).
-	KeysPerShard int
 	// SessionBase offsets the session IDs (client i uses SessionBase+i+1;
 	// default 0). Set it to run a second load against a cluster whose
 	// replicas still hold the first load's dedup windows.
@@ -37,6 +37,9 @@ type LoadSpec struct {
 	// watermark); ignored when ReadFraction is 0.
 	Consistency Consistency
 }
+
+// keysPerShard sizes each client's key space on each shard.
+const keysPerShard = 16
 
 // LoadResult aggregates one load run.
 type LoadResult struct {
@@ -59,12 +62,7 @@ func RunKVLoad(topo *types.Topology, addrs map[types.GroupID][]string, spec Load
 	if spec.Clients <= 0 || spec.Ops <= 0 {
 		panic(fmt.Sprintf("svc: invalid load spec %+v", spec))
 	}
-	if spec.Timeout <= 0 {
-		spec.Timeout = time.Second
-	}
-	if spec.KeysPerShard <= 0 {
-		spec.KeysPerShard = 16
-	}
+	spec.Timeout = cmp.Or(max(spec.Timeout, 0), time.Second)
 	if stats == nil {
 		stats = &metrics.Service{}
 	}
@@ -74,17 +72,10 @@ func RunKVLoad(topo *types.Topology, addrs map[types.GroupID][]string, spec Load
 	})
 	route := PrefixRoute(topo.NumGroups())
 
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		ok     int
-		failed int
-		reads  int
-		writes int
-	)
+	var wg sync.WaitGroup
+	var failed, reads, writes atomic.Int64
 	begin := time.Now()
 	for i := 0; i < spec.Clients; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -97,43 +88,33 @@ func RunKVLoad(topo *types.Topology, addrs map[types.GroupID][]string, spec Load
 			})
 			defer client.Close()
 			kv := &KV{Client: client, Route: route}
-			var good, bad, r, w int
 			for op, plan := range plans[i] {
+				var err error
 				if plan.Read {
-					g := plan.Dest.Groups()[0]
-					key := fmt.Sprintf("g%d/c%d-k%d", g, i, rng.Intn(spec.KeysPerShard))
-					if _, _, err := kv.GetAt(key, spec.Consistency); err != nil {
-						bad++
-						continue
+					key := fmt.Sprintf("g%d/c%d-k%d", plan.Dest.Groups()[0], i, rng.Intn(keysPerShard))
+					_, _, err = kv.GetAt(key, spec.Consistency)
+				} else {
+					sets := make(map[string]string, plan.Dest.Size())
+					for _, g := range plan.Dest.Groups() {
+						key := fmt.Sprintf("g%d/c%d-k%d", g, i, rng.Intn(keysPerShard))
+						sets[key] = fmt.Sprintf("c%d-op%d", i, op)
 					}
-					good++
-					r++
-					continue
+					t0 := time.Now()
+					_, err = kv.Put(sets)
+					stats.RecordClassOutcome("write", time.Since(t0), err == nil)
 				}
-				sets := make(map[string]string, plan.Dest.Size())
-				for _, g := range plan.Dest.Groups() {
-					key := fmt.Sprintf("g%d/c%d-k%d", g, i, rng.Intn(spec.KeysPerShard))
-					sets[key] = fmt.Sprintf("c%d-op%d", i, op)
+				switch {
+				case err != nil:
+					failed.Add(1)
+				case plan.Read:
+					reads.Add(1)
+				default:
+					writes.Add(1)
 				}
-				t0 := time.Now()
-				_, err := kv.Put(sets)
-				stats.RecordClassOutcome("write", time.Since(t0), err == nil)
-				if err != nil {
-					bad++
-					continue
-				}
-				good++
-				w++
 			}
-			mu.Lock()
-			ok += good
-			failed += bad
-			reads += r
-			writes += w
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	return LoadResult{Ops: ok, Errors: failed, Reads: reads, Writes: writes,
-		Elapsed: time.Since(begin), Stats: stats.Snapshot()}
+	return LoadResult{Ops: int(reads.Load() + writes.Load()), Errors: int(failed.Load()), Reads: int(reads.Load()),
+		Writes: int(writes.Load()), Elapsed: time.Since(begin), Stats: stats.Snapshot()}
 }

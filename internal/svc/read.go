@@ -47,7 +47,7 @@ type ReadResp struct {
 }
 
 func init() {
-	wire.Register(wire.KindSvcReadReq, appendReadReq, decodeReadReq)
+	wire.Register(wire.KindSvcReadReq, appendReadReq, owning(readReadReq, func(r *ReadReq) *[]byte { return &r.Op }))
 	wire.Register(wire.KindSvcReadResp, appendReadResp, decodeReadResp)
 }
 
@@ -60,22 +60,19 @@ func appendReadReq(buf []byte, r ReadReq) []byte {
 	return wire.AppendBytes(buf, r.Op)
 }
 
-func decodeReadReq(data []byte) (ReadReq, []byte, error) {
+// readReadReq parses a ReadReq whose Op aliases data.
+func readReadReq(data []byte) (ReadReq, []byte, error) {
 	d := wire.Decoder{Data: data}
 	r := ReadReq{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), Group: types.GroupID(wire.Read(&d, wire.Varint))}
 	r.Mode, r.MinWatermark = wire.Read(&d, wire.Byte), wire.Read(&d, wire.Uvarint)
-	r.Op = append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	r.Op = wire.Read(&d, wire.Bytes)
 	return r, d.Data, d.Err
 }
 
 func appendReadResp(buf []byte, r ReadResp) []byte {
 	buf = wire.AppendUvarint(buf, r.Session)
 	buf = wire.AppendUvarint(buf, r.Seq)
-	ok := byte(0)
-	if r.OK {
-		ok = 1
-	}
-	buf = append(buf, ok)
+	buf = wire.AppendBool(buf, r.OK)
 	buf = wire.AppendString(buf, r.Err)
 	buf = wire.AppendBytes(buf, r.Result)
 	return wire.AppendUvarint(buf, r.Watermark)
@@ -83,7 +80,7 @@ func appendReadResp(buf []byte, r ReadResp) []byte {
 
 func decodeReadResp(data []byte) (ReadResp, []byte, error) {
 	d := wire.Decoder{Data: data}
-	r := ReadResp{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Byte) != 0}
+	r := ReadResp{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Bool)}
 	r.Err, r.Result = wire.Read(&d, wire.String), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
 	r.Watermark = wire.Read(&d, wire.Uvarint)
 	return r, d.Data, d.Err

@@ -7,17 +7,20 @@
 package svc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
 // SaveSnapshot encodes the replica's durable state: machine snapshot,
-// delivery tick, and every session's dedup window. Pending replies are
-// connection-bound and deliberately excluded — a restarted replica has no
-// clients yet, and their commands' results live in the session windows.
+// delivery tick, and every session's dedup window (the commands inside it,
+// by sequence). Pending replies are connection-bound and deliberately
+// excluded — a restarted replica has no clients yet, and their commands'
+// results live in the session windows.
 func (s *Server) SaveSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -28,31 +31,22 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 	buf := wire.AppendBytes(nil, machine)
 	buf = wire.AppendUvarint(buf, s.tick)
 	buf = wire.AppendBytes(buf, s.stateHash[:])
-	ids := make([]uint64, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
+	buf = wire.AppendUvarint(buf, uint64(len(s.sessions)))
+	for _, id := range slices.Sorted(maps.Keys(s.sessions)) {
 		sess := s.sessions[id]
 		buf = wire.AppendUvarint(buf, id)
 		buf = wire.AppendUvarint(buf, sess.maxSeq)
 		buf = wire.AppendUvarint(buf, sess.touched)
-		seqs := make([]uint64, 0, len(sess.applied))
-		for q := range sess.applied {
-			seqs = append(seqs, q)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		buf = wire.AppendUvarint(buf, uint64(len(seqs)))
-		for _, q := range seqs {
-			ac := sess.applied[q]
-			buf = wire.AppendUvarint(buf, q)
-			buf = wire.AppendBytes(buf, ac.result)
-			buf = wire.AppendString(buf, ac.err)
-			buf = wire.AppendUvarint(buf, ac.order)
-			buf = ac.id.AppendTo(buf)
-			buf = wire.AppendBytes(buf, ac.hash[:])
+		window := slices.DeleteFunc(slices.Clone(sess.applied), func(sl slot) bool { _, in := sess.get(sl.seq); return !in })
+		slices.SortFunc(window, func(a, b slot) int { return cmp.Compare(a.seq, b.seq) })
+		buf = wire.AppendUvarint(buf, uint64(len(window)))
+		for _, sl := range window {
+			buf = wire.AppendUvarint(buf, sl.seq)
+			buf = wire.AppendBytes(buf, sl.result)
+			buf = wire.AppendString(buf, sl.err)
+			buf = wire.AppendUvarint(buf, sl.order)
+			buf = sl.id.AppendTo(buf)
+			buf = wire.AppendBytes(buf, sl.hash[:])
 		}
 	}
 	return buf, nil
@@ -80,9 +74,9 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	copy(s.stateHash[:], hash)
 	n := wire.Read(&d, wire.SliceLen)
 	s.sessions = make(map[uint64]*session, n)
+	s.byTouch.Init()
 	for ; n > 0 && d.Err == nil; n-- {
-		id := wire.Read(&d, wire.Uvarint)
-		sess := &session{applied: make(map[uint64]appliedCmd), maxSeq: wire.Read(&d, wire.Uvarint), touched: wire.Read(&d, wire.Uvarint)}
+		sess := &session{id: wire.Read(&d, wire.Uvarint), maxSeq: wire.Read(&d, wire.Uvarint), touched: wire.Read(&d, wire.Uvarint), applied: make([]slot, 2)}
 		for m := wire.Read(&d, wire.SliceLen); m > 0 && d.Err == nil; m-- {
 			q := wire.Read(&d, wire.Uvarint)
 			ac := appliedCmd{result: append([]byte(nil), wire.Read(&d, wire.Bytes)...), err: wire.Read(&d, wire.String)}
@@ -92,9 +86,16 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 				return fmt.Errorf("svc: snapshot receipt hash is %d bytes, want %d", len(h), len(ac.hash))
 			}
 			copy(ac.hash[:], h)
-			sess.applied[q] = ac
+			if q+sessionWindow > sess.maxSeq { // an older snapshot holds expired ones too
+				sess.put(q, ac)
+			}
 		}
-		s.sessions[id] = sess
+		s.sessions[sess.id] = sess
+	}
+	for _, sess := range slices.SortedFunc(maps.Values(s.sessions), func(a, b *session) int {
+		return cmp.Or(cmp.Compare(a.touched, b.touched), cmp.Compare(a.id, b.id))
+	}) {
+		sess.order = s.byTouch.PushBack(sess)
 	}
 	return d.Err
 }

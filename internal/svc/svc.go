@@ -52,10 +52,11 @@
 // answered "expired" — a correct closed-loop client can never send one.
 //
 // Total dedup memory is bounded on both axes: at most sessionWindow
-// cached results per session, and at most ServerConfig.MaxSessions
-// sessions per replica, evicted least-recently-delivered-to first.
-// Eviction keys off the delivery order only, so replicas of a shard evict
-// in lockstep and their tables stay identical.
+// cached results per session (a ring that grows by doubling, so a session
+// of one command holds two slots), and at most ServerConfig.MaxSessions
+// sessions per replica, evicted least-recently-delivered-to first, in
+// O(1). Eviction keys off the delivery order only, so replicas of a shard
+// evict in lockstep and their tables stay identical.
 //
 // # Redirects
 //
@@ -72,6 +73,9 @@
 package svc
 
 import (
+	"bytes"
+	"cmp"
+	"container/list"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -190,32 +194,57 @@ type appliedCmd struct {
 }
 
 // session is one client session's replicated dedup state. It is identical
-// on every replica of a shard because it advances only on A-Delivery.
-//
-// The table is a WINDOW of applied sequences, not just a high-water mark:
-// two commands of one session with different destination sets may be
-// delivered in opposite relative order at a shard they share (atomic
-// multicast guarantees pairwise-consistent order, not issue order), and a
-// mark-only table would misread the earlier command as a duplicate and
-// drop its writes. With the window, each sequence number executes exactly
-// once no matter how deliveries interleave.
+// on every replica of a shard because it advances only on A-Delivery. It is a
+// window of applied sequences, not a high-water mark: see the package doc.
 type session struct {
+	id     uint64
 	maxSeq uint64
-	// applied is swept once per window of inserts, not per apply, so it holds
-	// up to two windows: read it through get, which sees the window only.
-	applied map[uint64]appliedCmd
+	// applied is the window, a ring of slots indexed by seq % len(applied).
+	// It starts at two slots and doubles, up to sessionWindow, rather than
+	// overwrite a slot whose command is still inside the window; read it
+	// through get.
+	applied []slot
 	// touched is the server's delivery tick of the session's most recent
 	// command — NEVER a request-path timestamp: eviction order must be a
 	// deterministic function of the A-Delivery sequence alone, or replicas
 	// of a shard would evict different sessions and their dedup tables
-	// (replicated state!) would diverge.
+	// (replicated state!) would diverge. order is the session's place in
+	// Server.byTouch, which is sorted by touched.
 	touched uint64
+	order   *list.Element
+}
+
+// slot is one entry of a session's ring: seq's cached outcome, when set.
+type slot struct {
+	seq uint64
+	set bool
+	appliedCmd
 }
 
 // get returns seq's cached outcome if seq is inside the window.
 func (ss *session) get(seq uint64) (appliedCmd, bool) {
-	ac, ok := ss.applied[seq]
-	return ac, ok && seq+sessionWindow > ss.maxSeq
+	sl := &ss.applied[seq%uint64(len(ss.applied))]
+	return sl.appliedCmd, sl.set && sl.seq == seq && seq+sessionWindow > ss.maxSeq
+}
+
+// put records the outcome of seq, a command inside the window and not in the
+// ring yet; maxSeq already counts it.
+func (ss *session) put(seq uint64, ac appliedCmd) {
+	for {
+		// At sessionWindow slots no two commands inside the window share one.
+		n := uint64(len(ss.applied))
+		if sl := &ss.applied[seq%n]; !sl.set || sl.seq+sessionWindow <= ss.maxSeq || n == sessionWindow {
+			*sl = slot{seq: seq, set: true, appliedCmd: ac}
+			return
+		}
+		ring := make([]slot, 2*n)
+		for _, sl := range ss.applied {
+			if sl.set && sl.seq+sessionWindow > ss.maxSeq {
+				ring[sl.seq%uint64(len(ring))] = sl
+			}
+		}
+		ss.applied = ring
+	}
 }
 
 // pendingReq is a locally submitted command awaiting A-Delivery, so the
@@ -283,9 +312,9 @@ func (b *burst) add(req Request, at time.Time) bool {
 
 // readWaiter is one parked read: the replica's watermark has not yet
 // reached the client's MinWatermark, so the read waits (bounded by
-// readTimeout) for the deliveries to catch up instead of failing. done
-// flips (under Server.mu) when exactly one of Deliver or the timeout
-// claims the waiter.
+// readTimeout) for the deliveries to catch up instead of failing. It holds a
+// copy of the request's op. done flips (under Server.mu) when exactly one of
+// Deliver or the timeout claims the waiter.
 type readWaiter struct {
 	conn  *tcp.SvcConn
 	req   ReadReq
@@ -306,7 +335,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	sessions  map[uint64]*session
-	tick      uint64 // delivery counter driving deterministic session LRU
+	byTouch   list.List // the sessions, least recently touched first
+	tick      uint64    // delivery counter driving deterministic session LRU
 	stateHash [sha256.Size]byte
 	chain     []byte  // Deliver's scratch: what the next state hash is taken over
 	answers   []Reply // Deliver's scratch: the replies it posts once s.mu is free
@@ -326,12 +356,8 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Groups < 1 {
 		panic("svc: ServerConfig.Groups is required")
 	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = 5 * time.Second
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 65536
-	}
+	cfg.ReplyTimeout = cmp.Or(max(cfg.ReplyTimeout, 0), 5*time.Second)
+	cfg.MaxSessions = cmp.Or(max(cfg.MaxSessions, 0), 65536)
 	return &Server{
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
@@ -418,26 +444,40 @@ func (s *Server) serveConn(conn *tcp.SvcConn) {
 		s.mu.Unlock()
 	}()
 	for {
-		v, err := conn.ReadMsg()
-		if err != nil {
+		kind, body, err := conn.Next()
+		if err != nil || !s.serve(b, kind, body) {
 			return // client hung up or sent garbage
-		}
-		switch req := v.(type) {
-		case Request:
-			s.handle(b, req)
-		case ReadReq:
-			s.submit(b)
-			s.handleRead(conn, req)
-		case CertReq:
-			s.submit(b)
-			s.handleCert(conn, req)
-		default:
-			return // protocol violation: cost the connection
 		}
 		if !conn.FrameBuffered() {
 			s.submit(b)
 		}
 	}
+}
+
+// serve handles one frame of b's connection, read in place: body is valid
+// until the next read. It reports false for a frame that is no request, a
+// protocol violation that costs the connection.
+func (s *Server) serve(b *burst, kind wire.Kind, body []byte) bool {
+	switch kind {
+	case wire.KindSvcRequest:
+		if req, ok := view(body, readRequest); ok {
+			s.handle(b, req)
+			return true
+		}
+	case wire.KindSvcReadReq:
+		if req, ok := view(body, readReadReq); ok {
+			s.submit(b)
+			s.handleRead(b.conn, req)
+			return true
+		}
+	case wire.KindSvcCertReq:
+		if req, ok := view(body, decodeCertReq); ok {
+			s.submit(b)
+			s.handleCert(b.conn, req)
+			return true
+		}
+	}
+	return false
 }
 
 // Watermark returns the replica's delivery watermark: how many commands
@@ -456,7 +496,7 @@ func (s *Server) Watermark() uint64 { return s.wm.Load() }
 func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 	s.cfg.Stats.RecordRequest()
 	fail := func(err string) {
-		s.post(conn, ReadResp{Session: req.Session, Seq: req.Seq, Err: err})
+		post(s, conn, ReadResp{Session: req.Session, Seq: req.Seq, Err: err})
 	}
 	if req.Group != s.cfg.Group {
 		fail(fmt.Sprintf("read for group %v at a member of group %v", req.Group, s.cfg.Group))
@@ -479,9 +519,8 @@ func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 		fail(fmt.Sprintf("unknown read mode %d", req.Mode))
 		return
 	}
-	w := &readWaiter{conn: conn, req: req}
 	if s.wm.Load() >= req.MinWatermark {
-		s.finishRead(w)
+		s.finishRead(conn, req)
 		return
 	}
 	s.mu.Lock()
@@ -493,9 +532,11 @@ func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 	// park would otherwise strand the waiter until the timeout.
 	if s.wm.Load() >= req.MinWatermark {
 		s.mu.Unlock()
-		s.finishRead(w)
+		s.finishRead(conn, req)
 		return
 	}
+	req.Op = bytes.Clone(req.Op) // the waiter outlives the frame
+	w := &readWaiter{conn: conn, req: req}
 	w.timer = time.AfterFunc(readTimeout, func() { s.expireRead(w) })
 	s.waiters = append(s.waiters, w)
 	s.mu.Unlock()
@@ -508,13 +549,13 @@ func (s *Server) handleRead(conn *tcp.SvcConn, req ReadReq) {
 // query: a lease that lapsed mid-read (suspicion, partition fencing)
 // conservatively turns the answer into a refusal rather than risk serving
 // a value a new holder may already have superseded.
-func (s *Server) finishRead(w *readWaiter) {
-	resp := ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: s.wm.Load()}
-	res, err := s.cfg.Machine.(QueryMachine).Query(w.req.Op)
-	if w.req.Mode == readModeLease && (s.cfg.Lease == nil || !s.cfg.Lease.Valid()) {
+func (s *Server) finishRead(conn *tcp.SvcConn, req ReadReq) {
+	resp := ReadResp{Session: req.Session, Seq: req.Seq, Watermark: s.wm.Load()}
+	res, err := s.cfg.Machine.(QueryMachine).Query(req.Op)
+	if req.Mode == readModeLease && (s.cfg.Lease == nil || !s.cfg.Lease.Valid()) {
 		s.cfg.Stats.RecordLeaseDenied()
 		resp.Err = "no lease"
-		s.post(w.conn, resp)
+		post(s, conn, resp)
 		return
 	}
 	if err != nil {
@@ -524,7 +565,7 @@ func (s *Server) finishRead(w *readWaiter) {
 		resp.Result = res
 		s.cfg.Stats.RecordReply()
 	}
-	s.post(w.conn, resp)
+	post(s, conn, resp)
 }
 
 // expireRead fails a parked read whose watermark barrier never cleared.
@@ -543,7 +584,7 @@ func (s *Server) expireRead(w *readWaiter) {
 	}
 	wm := s.wm.Load()
 	s.mu.Unlock()
-	s.post(w.conn, ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: wm,
+	post(s, w.conn, ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: wm,
 		Err: fmt.Sprintf("replica at watermark %d, behind requested %d", wm, w.req.MinWatermark)})
 }
 
@@ -556,10 +597,8 @@ func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
 	s.cfg.Stats.RecordRequest()
 	share := CertShare{Session: req.Session, Seq: req.Seq, Proc: s.cfg.Self, Group: s.cfg.Group}
 	s.mu.Lock()
-	var (
-		ac appliedCmd
-		ok bool
-	)
+	var ac appliedCmd
+	var ok bool
 	if sess := s.sessions[req.Session]; sess != nil {
 		ac, ok = sess.get(req.Seq)
 	}
@@ -573,7 +612,7 @@ func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
 		share.OK, share.ID, share.Order, share.Hash = true, ac.id, ac.order, append([]byte(nil), ac.hash[:]...)
 		share.MAC = s.cfg.Ring.Sign(s.cfg.Self, receiptBytes(share.ID, share.Group, share.Order, share.Hash))
 	}
-	s.post(conn, share)
+	post(s, conn, share)
 }
 
 // handle processes one request on the connection's goroutine: it answers
@@ -606,7 +645,7 @@ func (s *Server) handle(b *burst, req Request) {
 				addrs = append(addrs, s.cfg.GroupAddrs(g)...)
 			}
 		}
-		s.post(conn, Redirect{Session: req.Session, Seq: req.Seq, Groups: req.Dest, Addrs: addrs})
+		post(s, conn, Redirect{Session: req.Session, Seq: req.Seq, Groups: req.Dest, Addrs: addrs})
 		return
 	}
 
@@ -669,7 +708,11 @@ func (s *Server) cachedReply(req Request, recordDup bool) (Reply, bool) {
 		if recordDup {
 			s.cfg.Stats.RecordDuplicate()
 		}
-		return appliedReply(req.Session, req.Seq, ac), true
+		r := Reply{Session: req.Session, Seq: req.Seq, OK: ac.err == "", Err: ac.err}
+		if r.OK {
+			r.Result, r.Order = ac.result, ac.order
+		}
+		return r, true
 	}
 	if req.Seq+sessionWindow <= sess.maxSeq {
 		// Too old to still hold a result — and too old to be a live retry
@@ -678,16 +721,6 @@ func (s *Server) cachedReply(req Request, recordDup bool) (Reply, bool) {
 			Err: fmt.Sprintf("sequence %d expired (session window past %d)", req.Seq, sess.maxSeq)}, true
 	}
 	return Reply{}, false
-}
-
-// appliedReply builds the reply for a cached command outcome.
-func appliedReply(sessionID, seq uint64, ac appliedCmd) Reply {
-	r := Reply{Session: sessionID, Seq: seq, OK: ac.err == "", Err: ac.err}
-	if r.OK {
-		r.Result = ac.result
-		r.Order = ac.order
-	}
-	return r
 }
 
 // Deliver feeds one local A-Delivery into the server; the cluster calls it
@@ -733,24 +766,22 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 	// cleared; the queries run off-loop so a read can never stall the
 	// delivery sequence.
 	var ready []*readWaiter
-	if len(s.waiters) > 0 {
-		kept := s.waiters[:0]
-		for _, w := range s.waiters {
-			if !w.done && w.req.MinWatermark <= s.tick {
-				w.done = true
-				w.timer.Stop()
-				ready = append(ready, w)
-			} else {
-				kept = append(kept, w)
-			}
+	kept := s.waiters[:0]
+	for _, w := range s.waiters {
+		if !w.done && w.req.MinWatermark <= s.tick {
+			w.done = true
+			w.timer.Stop()
+			ready = append(ready, w)
+		} else {
+			kept = append(kept, w)
 		}
-		s.waiters = kept
 	}
+	s.waiters = kept
 	s.mu.Unlock()
 	for _, w := range ready {
 		// Not wg-tracked: Deliver can legitimately race Stop, where a wg.Add
 		// against the final wg.Wait would be misuse.
-		go s.finishRead(w)
+		go s.finishRead(w.conn, w.req)
 	}
 	for i, r := range s.answers {
 		if at := pc.req(i).at; !at.IsZero() {
@@ -769,16 +800,18 @@ func (s *Server) apply(id types.MessageID, cmd Command) {
 	s.tick++
 	sess := s.sessions[cmd.Session]
 	if sess == nil {
-		// touched is set before the eviction sweep so the newcomer can
+		// The newcomer joins the touch order at its newest end, so it can
 		// never be its own victim.
-		sess = &session{applied: make(map[uint64]appliedCmd), touched: s.tick}
+		sess = &session{id: cmd.Session, applied: make([]slot, 2)}
+		sess.order = s.byTouch.PushBack(sess)
 		s.sessions[cmd.Session] = sess
 		if len(s.sessions) > s.cfg.MaxSessions {
 			s.evictOldestSession()
 		}
 	}
+	s.byTouch.MoveToBack(sess.order)
 	sess.touched = s.tick
-	if _, done := sess.applied[cmd.Seq]; done || cmd.Seq+sessionWindow <= sess.maxSeq {
+	if _, done := sess.get(cmd.Seq); done || cmd.Seq+sessionWindow <= sess.maxSeq {
 		// A duplicate Command ordered by a client retry (or one that fell
 		// out of the window): suppressed here, at every replica, by the
 		// replicated dedup table.
@@ -799,37 +832,17 @@ func (s *Server) apply(id types.MessageID, cmd Command) {
 	s.chain = append(s.chain, cmd.Op...)
 	s.stateHash = sha256.Sum256(s.chain)
 	ac.hash = s.stateHash
-	sess.applied[cmd.Seq] = ac
-	if cmd.Seq > sess.maxSeq {
-		sess.maxSeq = cmd.Seq
-	}
-	if len(sess.applied) > 2*sessionWindow {
-		for q := range sess.applied {
-			if q+sessionWindow <= sess.maxSeq {
-				delete(sess.applied, q)
-			}
-		}
-	}
+	sess.maxSeq = max(sess.maxSeq, cmd.Seq)
+	sess.put(cmd.Seq, ac)
 }
 
-// evictOldestSession drops the session with the oldest delivery tick.
-// Callers hold s.mu. Because ticks advance only on A-Delivery, every
-// replica of the shard evicts the same session at the same point in the
-// command sequence, keeping the replicated dedup tables identical.
+// evictOldestSession drops the session with the oldest delivery tick, the
+// front of the touch order. Callers hold s.mu. Because ticks advance only on
+// A-Delivery, every replica of the shard evicts the same session at the same
+// point in the command sequence, keeping the replicated dedup tables
+// identical.
 func (s *Server) evictOldestSession() {
-	var (
-		victim uint64
-		oldest uint64
-		found  bool
-	)
-	for id, sess := range s.sessions {
-		if !found || sess.touched < oldest {
-			victim, oldest, found = id, sess.touched, true
-		}
-	}
-	if found {
-		delete(s.sessions, victim)
-	}
+	delete(s.sessions, s.byTouch.Remove(s.byTouch.Front()).(*session).id)
 }
 
 // reply posts r to conn's writer.
@@ -837,14 +850,14 @@ func (s *Server) reply(conn *tcp.SvcConn, r Reply) {
 	if r.OK {
 		s.cfg.Stats.RecordReply()
 	}
-	s.post(conn, r)
+	post(s, conn, r)
 }
 
-// post queues v for conn's writer. A connection that cannot take it
-// (closed, too far behind, or v does not encode) is closed: the client
-// retries elsewhere under the same sequence.
-func (s *Server) post(conn *tcp.SvcConn, v any) {
-	if err := conn.Post(s.cfg.Self, v); err != nil {
+// post queues v, encoded straight into conn's write queue, for its writer. A
+// connection that cannot take it (closed, too far behind) is closed: the
+// client retries elsewhere under the same sequence.
+func post[T any](s *Server, conn *tcp.SvcConn, v T) {
+	if err := tcp.Post(conn, s.cfg.Self, v); err != nil {
 		_ = conn.Close()
 	}
 }

@@ -51,8 +51,8 @@ type Redirect struct {
 }
 
 func init() {
-	wire.Register(wire.KindSvcCommand, appendCommand, decodeCommand)
-	wire.Register(wire.KindSvcRequest, appendRequest, decodeRequest)
+	wire.Register(wire.KindSvcCommand, appendCommand, owning(readCommand, func(c *Command) *[]byte { return &c.Op }))
+	wire.Register(wire.KindSvcRequest, appendRequest, owning(readRequest, func(r *Request) *[]byte { return &r.Op }))
 	wire.Register(wire.KindSvcReply, appendReply, decodeReply)
 	wire.Register(wire.KindSvcRedirect, appendRedirect, decodeRedirect)
 }
@@ -69,16 +69,11 @@ func appendCommand(buf []byte, c Command) []byte {
 // encoding.
 
 // readCommand parses a Command whose Op aliases data. It allocates nothing:
-// it is commands' and decodeCommand's parser.
-func readCommand(data []byte) (c Command, rest []byte, err error) {
-	if c.Session, data, err = wire.Uvarint(data); err != nil {
-		return c, nil, err
-	}
-	if c.Seq, data, err = wire.Uvarint(data); err != nil {
-		return c, nil, err
-	}
-	c.Op, rest, err = wire.Bytes(data)
-	return c, rest, err
+// it is the parser of commands and of the codec registry.
+func readCommand(data []byte) (Command, []byte, error) {
+	d := wire.Decoder{Data: data}
+	c := Command{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), Op: wire.Read(&d, wire.Bytes)}
+	return c, d.Data, d.Err
 }
 
 // commands checks that a delivered payload parses whole — the kind byte, then
@@ -99,12 +94,6 @@ func commands(payload []byte) ([]byte, bool) {
 	return payload[1:], true
 }
 
-func decodeCommand(data []byte) (Command, []byte, error) {
-	c, rest, err := readCommand(data)
-	c.Op = append([]byte(nil), c.Op...) // Command outlives the input
-	return c, rest, err
-}
-
 func appendRequest(buf []byte, r Request) []byte {
 	buf = wire.AppendUvarint(buf, r.Session)
 	buf = wire.AppendUvarint(buf, r.Seq)
@@ -112,21 +101,37 @@ func appendRequest(buf []byte, r Request) []byte {
 	return wire.AppendBytes(buf, r.Op)
 }
 
-func decodeRequest(data []byte) (Request, []byte, error) {
+// readRequest parses a Request whose Op aliases data: the server reads its
+// requests in place (see view).
+func readRequest(data []byte) (Request, []byte, error) {
 	d := wire.Decoder{Data: data}
 	r := Request{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), Dest: wire.Read(&d, types.DecodeGroupSet)}
-	r.Op = append([]byte(nil), wire.Read(&d, wire.Bytes)...)
+	r.Op = wire.Read(&d, wire.Bytes)
 	return r, d.Data, d.Err
+}
+
+// owning is the codec registry's decoder for a value that read parses with
+// its op aliasing the input: the decoded value outlives the input, so it
+// owns a copy of its op.
+func owning[T any](read func([]byte) (T, []byte, error), op func(*T) *[]byte) func([]byte) (T, []byte, error) {
+	return func(data []byte) (T, []byte, error) {
+		v, rest, err := read(data)
+		*op(&v) = append([]byte(nil), *op(&v)...)
+		return v, rest, err
+	}
+}
+
+// view parses a frame's body, read in place, with read: the value may alias
+// body. Like SvcConn.ReadMsg it refuses a body with bytes left over.
+func view[T any](body []byte, read func([]byte) (T, []byte, error)) (T, bool) {
+	v, rest, err := read(body)
+	return v, err == nil && len(rest) == 0
 }
 
 func appendReply(buf []byte, r Reply) []byte {
 	buf = wire.AppendUvarint(buf, r.Session)
 	buf = wire.AppendUvarint(buf, r.Seq)
-	ok := byte(0)
-	if r.OK {
-		ok = 1
-	}
-	buf = append(buf, ok)
+	buf = wire.AppendBool(buf, r.OK)
 	buf = wire.AppendString(buf, r.Err)
 	buf = wire.AppendBytes(buf, r.Result)
 	return wire.AppendUvarint(buf, r.Order)
@@ -134,7 +139,7 @@ func appendReply(buf []byte, r Reply) []byte {
 
 func decodeReply(data []byte) (Reply, []byte, error) {
 	d := wire.Decoder{Data: data}
-	r := Reply{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Byte) != 0}
+	r := Reply{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Bool)}
 	r.Err, r.Result = wire.Read(&d, wire.String), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
 	r.Order = wire.Read(&d, wire.Uvarint)
 	return r, d.Data, d.Err

@@ -25,7 +25,8 @@ const SvcProto = "svc"
 // SvcConn is one client-facing connection speaking length-prefixed
 // internal/wire values; reads come from one goroutine at a time. WriteMsg
 // writes a value at once; Post, safe from any goroutine, queues it for
-// WriteLoop, which sends all that is queued in one Write.
+// WriteLoop, which sends all that is queued in one Write. Next reads a frame
+// in place, ReadMsg decodes it into a value of its own.
 type SvcConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -78,9 +79,10 @@ func (s *SvcConn) WriteMsg(from types.ProcessID, v any) error {
 	return err
 }
 
-// Post queues one value as a wire frame for WriteLoop; it never touches the
-// socket. It fails once the connection is closed.
-func (s *SvcConn) Post(from types.ProcessID, v any) error {
+// Post queues v as a wire frame for s's WriteLoop, encoded straight into the
+// queue (a registered T is not boxed); it never touches the socket. It fails
+// once the connection is closed.
+func Post[T any](s *SvcConn, from types.ProcessID, v T) error {
 	s.qmu.Lock()
 	if s.closed {
 		s.qmu.Unlock()
@@ -133,14 +135,30 @@ func (s *SvcConn) WriteLoop(timeout time.Duration, wrote func()) {
 	}
 }
 
-// ReadMsg reads the next frame and returns its body. Errors (including
-// corruption and deadline expiry) are terminal for the connection.
+// Next reads the next frame and returns its value's kind and body, a view of
+// the connection's read buffer that stays valid until the next read. Errors
+// (including corruption and deadline expiry) are terminal for the connection.
+func (s *SvcConn) Next() (wire.Kind, []byte, error) {
+	buf, err := wire.ReadFrameBytes(s.br, &s.rbuf)
+	var value []byte
+	if err == nil {
+		_, value, err = wire.FrameValue(buf)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return wire.Kind(value[0]), value[1:], nil
+}
+
+// ReadMsg reads the next frame as Next does and returns its value, decoded by
+// its registered codec into memory of its own.
 func (s *SvcConn) ReadMsg() (any, error) {
-	f, err := wire.ReadFrame(s.br, &s.rbuf)
+	buf, err := wire.ReadFrameBytes(s.br, &s.rbuf)
 	if err != nil {
 		return nil, err
 	}
-	return f.Body, nil
+	f, err := wire.DecodeFrame(buf)
+	return f.Body, err
 }
 
 // FrameBuffered reports, without blocking, whether the next frame is already

@@ -157,7 +157,7 @@ func TestWakeWithNothingQueuedSwapsNothing(t *testing.T) {
 	post := func(n int) {
 		for range n {
 			next++
-			if err := conn.Post(1, next); err != nil {
+			if err := Post(conn, 1, next); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -187,7 +187,7 @@ func TestWakeWithNothingQueuedSwapsNothing(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("WriteLoop did not return after Close")
 	}
-	if err := conn.Post(1, 0); err == nil {
+	if err := Post(conn, 1, 0); err == nil {
 		t.Fatal("Post after Close succeeded")
 	}
 }

@@ -350,27 +350,16 @@ func ReadFrameBytes(r io.Reader, scratch *[]byte) ([]byte, error) {
 // is returned directly with its value kind. It never panics on malformed
 // input.
 func DecodeFrameOrBatch(data []byte, b *Batch, inflate *[]byte) (f Frame, kind Kind, isBatch bool, err error) {
-	from, data, err := Varint(data)
+	f, value, err := FrameValue(data)
 	if err != nil {
-		return f, 0, false, err
-	}
-	proto, data, err := Bytes(data)
-	if err != nil {
-		return f, 0, false, err
-	}
-	ts, data, err := Varint(data)
-	if err != nil {
-		return f, 0, false, err
-	}
-	if len(data) == 0 {
-		return f, 0, false, corrupt("missing value kind")
+		return Frame{}, 0, false, err
 	}
 	var rest []byte
-	if kind = Kind(data[0]); kind == KindBatch {
-		rest, err = decodeBatchInto(b, data[1:], inflate)
-		b.From = types.ProcessID(from)
+	if kind = Kind(value[0]); kind == KindBatch {
+		rest, err = decodeBatchInto(b, value[1:], inflate)
+		b.From = f.From
 	} else {
-		f.Body, rest, err = DecodeValue(data)
+		f.Body, rest, err = DecodeValue(value)
 	}
 	if err == nil && len(rest) != 0 {
 		err = corrupt("trailing bytes after frame body")
@@ -378,7 +367,6 @@ func DecodeFrameOrBatch(data []byte, b *Batch, inflate *[]byte) (f Frame, kind K
 	if err != nil {
 		return Frame{}, 0, false, err
 	}
-	f.From, f.Proto, f.TS = types.ProcessID(from), Intern(proto), ts
 	return f, kind, kind == KindBatch, nil
 }
 

@@ -47,7 +47,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"math"
 	"reflect"
@@ -126,6 +125,7 @@ type codec struct {
 	kind   Kind
 	append func(buf []byte, v any) []byte
 	decode func(data []byte) (any, []byte, error)
+	typed  any // the registered func(buf []byte, v T) []byte, for AppendFrame
 }
 
 // registry is one immutable state of the codec tables. Every frame in and
@@ -160,6 +160,7 @@ func Register[T any](kind Kind, enc func(buf []byte, v T) []byte, dec func(data 
 		kind:   kind,
 		append: func(buf []byte, v any) []byte { return enc(buf, v.(T)) },
 		decode: func(data []byte) (any, []byte, error) { return dec(data) },
+		typed:  enc,
 	}
 	writeMu.Lock()
 	defer writeMu.Unlock()
@@ -198,6 +199,22 @@ func AppendString(buf []byte, s string) []byte {
 func AppendBytes(buf []byte, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
+}
+
+// AppendBool appends b as one byte, 1 for true.
+func AppendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// Bool consumes one byte, true unless it is 0.
+func Bool(data []byte) (bool, []byte, error) {
+	if len(data) == 0 {
+		return false, nil, corrupt("bool")
+	}
+	return data[0] != 0, data[1:], nil
 }
 
 // Uvarint consumes an unsigned varint and returns the remainder.
@@ -361,17 +378,7 @@ type encodeError struct{ err error }
 
 // The scalar kinds are rows of the codec table like any message.
 func init() {
-	Register(KindBool, func(buf []byte, b bool) []byte {
-		if b {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
-	}, func(data []byte) (bool, []byte, error) {
-		if len(data) == 0 {
-			return false, nil, corrupt("bool")
-		}
-		return data[0] != 0, data[1:], nil
-	})
+	Register(KindBool, AppendBool, Bool)
 	Register(KindInt, func(buf []byte, x int) []byte { return AppendVarint(buf, int64(x)) },
 		func(data []byte) (int, []byte, error) { x, rest, err := Varint(data); return int(x), rest, err })
 	Register(KindInt64, AppendVarint, Varint)
@@ -467,10 +474,11 @@ type Frame struct {
 	Body  any
 }
 
-// AppendFrame appends one length-prefixed frame to buf. The returned error
-// is non-nil only when the body cannot be encoded at all (gob fallback
-// failure); the buffer is unchanged in that case.
-func AppendFrame(buf []byte, from types.ProcessID, proto string, ts int64, body any) (out []byte, err error) {
+// AppendFrame appends one length-prefixed frame to buf. A body of a
+// registered static type T is encoded by its codec without being boxed into
+// an interface. The returned error is non-nil only when the body cannot be
+// encoded at all (gob fallback failure); the buffer is unchanged in that case.
+func AppendFrame[T any](buf []byte, from types.ProcessID, proto string, ts int64, body T) (out []byte, err error) {
 	start := len(buf)
 	defer func() {
 		if caught(recover(), &err) {
@@ -481,7 +489,11 @@ func AppendFrame(buf []byte, from types.ProcessID, proto string, ts int64, body 
 	buf = binary.AppendVarint(buf, int64(from))
 	buf = AppendString(buf, proto)
 	buf = binary.AppendVarint(buf, ts)
-	buf = AppendValue(buf, body)
+	if c := lookupType(reflect.TypeFor[T]()); c != nil {
+		buf = c.typed.(func([]byte, T) []byte)(append(buf, byte(c.kind)), body)
+	} else {
+		buf = AppendValue(buf, body)
+	}
 	n := len(buf) - start - 4
 	if n > MaxFrame {
 		// A frame no reader would accept (and, past 4 GiB, one whose
@@ -491,6 +503,21 @@ func AppendFrame(buf []byte, from types.ProcessID, proto string, ts int64, body 
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(n))
 	return buf, nil
+}
+
+// FrameValue splits one frame payload (the bytes after the length prefix)
+// into its envelope, with no Body, and its value undecoded: a view of data
+// that starts with the value's kind.
+func FrameValue(data []byte) (Frame, []byte, error) {
+	d := Decoder{Data: data}
+	from, proto, ts := Read(&d, Varint), Read(&d, Bytes), Read(&d, Varint)
+	if d.Err == nil && len(d.Data) == 0 {
+		d.Err = corrupt("missing value kind")
+	}
+	if d.Err != nil {
+		return Frame{}, nil, d.Err
+	}
+	return Frame{From: types.ProcessID(from), Proto: Intern(proto), TS: ts}, d.Data, nil
 }
 
 // DecodeFrame decodes one frame body (the bytes AFTER the length prefix), a
@@ -503,15 +530,4 @@ func DecodeFrame(data []byte) (Frame, error) {
 		f.Body = &Batch{From: b.From, Flate: b.Flate, Msgs: b.Msgs}
 	}
 	return f, err
-}
-
-// ReadFrame reads one length-prefixed frame from r, reusing *scratch as the
-// receive buffer (growing it as needed). On success the returned Frame's
-// Body owns its memory; *scratch may be reused for the next frame.
-func ReadFrame(r io.Reader, scratch *[]byte) (Frame, error) {
-	buf, err := ReadFrameBytes(r, scratch)
-	if err != nil {
-		return Frame{}, err
-	}
-	return DecodeFrame(buf)
 }

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"maps"
 	"reflect"
 	"strings"
@@ -169,7 +170,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("encode: %v", err)
 			}
 			var scratch []byte
-			f, err := wire.ReadFrame(bytes.NewReader(buf), &scratch)
+			f, err := readFrame(bytes.NewReader(buf), &scratch)
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
@@ -200,11 +201,11 @@ func TestFramesShareOneBuffer(t *testing.T) {
 	}
 	r := bytes.NewReader(stream)
 	var scratch []byte
-	f1, err := wire.ReadFrame(r, &scratch)
+	f1, err := readFrame(r, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := wire.ReadFrame(r, &scratch)
+	f2, err := readFrame(r, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	var scratch []byte
-	if _, err := wire.ReadFrame(bytes.NewReader(hdr), &scratch); err == nil {
+	if _, err := readFrame(bytes.NewReader(hdr), &scratch); err == nil {
 		t.Fatal("oversized length prefix accepted")
 	}
 }
@@ -281,4 +282,14 @@ func TestInternReturnsCanonical(t *testing.T) {
 	if a != b {
 		t.Fatal("intern returned different strings")
 	}
+}
+
+// readFrame reads one frame from r as a transport reader does: its bytes
+// into *scratch, then the decode.
+func readFrame(r io.Reader, scratch *[]byte) (wire.Frame, error) {
+	buf, err := wire.ReadFrameBytes(r, scratch)
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return wire.DecodeFrame(buf)
 }
