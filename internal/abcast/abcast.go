@@ -190,7 +190,6 @@ func New(cfg Config) *Bcast {
 		Mode:       rmcast.ModeEager, // intra-group only: cheap, robust agreement
 		OnRDeliver: b.onRDeliver,
 		Copies:     2, // the leader and its successor: one slow sender is not the round's tail
-		Receive:    b.receive,
 		Reship:     b.reship,
 		Pull:       b.pull,
 		Save:       b.save,
@@ -211,8 +210,16 @@ func New(cfg Config) *Bcast {
 		Adopt:  b.adoptState,
 		Resume: b.resumeRounds,
 	})
+	cfg.Host.Register(b)
 	return b
 }
+
+// Handlers implements node.Protocol.
+func (b *Bcast) Handlers() []node.Handler { return handlers }
+
+var handlers = append([]node.Handler{node.On((*Bcast).onBundle),
+	node.On(func(b *Bcast, from types.ProcessID, m PullMsg) { b.answerPull(from, m.Round) })},
+	statesync.Handlers(func(b *Bcast) *statesync.Engine[RoundSet, SyncTail] { return b.Sync })...)
 
 // ABCast atomically broadcasts payload to all groups and returns the
 // assigned message ID (Task 1, lines 4–5): the message is reliably
@@ -240,23 +247,14 @@ func (b *Bcast) onRDeliver(m rmcast.Message) {
 	b.Engine.Pump()
 }
 
-// receive is the group's Receive hook: bundle messages from other groups
-// (Task 3, lines 8–10) and pulls for this group's.
-func (b *Bcast) receive(from types.ProcessID, body any) bool {
-	switch m := body.(type) {
-	case BundleMsg:
-		g := b.api.Topo().GroupOf(from)
-		if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
-			b.api.Metrics().Add(metrics.BundleRepeatsDropped, 1)
-			return true // a repeated or late copy changes nothing
-		}
-		b.handleBundle(g, m.Round, m.Set, false)
-	case PullMsg:
-		b.answerPull(from, m.Round)
-	default:
-		return false
+// onBundle handles a bundle message from another group (Task 3, lines 8–10).
+func (b *Bcast) onBundle(from types.ProcessID, m BundleMsg) {
+	g := b.api.Topo().GroupOf(from)
+	if s := b.slot(m.Round, false); m.Round < b.k || (s != nil && s.sets[g] != nil) {
+		b.api.Metrics().Add(metrics.BundleRepeatsDropped, 1)
+		return // a repeated or late copy changes nothing
 	}
-	return true
+	b.handleBundle(g, m.Round, m.Set, false)
 }
 
 // handleBundle records one remote group's round bundle. replay marks WAL

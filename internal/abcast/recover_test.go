@@ -90,9 +90,11 @@ type tapped struct {
 	h tapReg
 }
 
-func (t tapped) Receive(from types.ProcessID, body any) {
-	t.h.tap(t.h.Self(), from, body)
-	t.Protocol.Receive(from, body)
+func (t tapped) Handlers() []node.Handler {
+	return node.Tap(t.Protocol, t.Protocol.Handlers(), func(from types.ProcessID, body any, deliver func()) {
+		t.h.tap(t.h.Self(), from, body)
+		deliver()
+	})
 }
 
 // TestDurableBytesPinned is amcast's test of the same name for A2, at the
@@ -167,7 +169,7 @@ func TestDurableBytesPinned(t *testing.T) {
 	adopted := storage.NewMem()
 	fresh := New(Config{Host: rt2.Proc(victim), Detector: rt2.Oracle(), Log: storage.NewLog(adopted)})
 	fresh.StartSync()
-	fresh.Receive(0, resp)
+	rt2.Proc(victim).Deliver(0, fresh.Proto(), resp, 0)
 	if fresh.Round() != eps[0].Round() || len(checker.Sequence(0)) != 16 {
 		t.Fatalf("the fresh endpoint adopted up to round %d, p0 reached %d after %d deliveries (want 16)",
 			fresh.Round(), eps[0].Round(), len(checker.Sequence(0)))

@@ -257,7 +257,6 @@ func build(cfg Config, fritzke bool) *Mcast {
 		Mode:       rmcast.ModeDirect,
 		OnRDeliver: a.onRDeliver,
 		Copies:     1,
-		Receive:    a.receive,
 		Reship:     a.reship,
 		Pull:       a.pull,
 		Save:       a.save,
@@ -277,8 +276,20 @@ func build(cfg Config, fritzke bool) *Mcast {
 			Adopt:  a.adoptState,
 			Resume: a.resumeDelivery,
 		})
+	cfg.Host.Register(a)
 	return a
 }
+
+// Handlers implements node.Protocol.
+func (a *Mcast) Handlers() []node.Handler { return handlers }
+
+var handlers = append([]node.Handler{
+	node.On(func(a *Mcast, from types.ProcessID, m TSMsg) { a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false) }),
+	node.On(func(a *Mcast, from types.ProcessID, m PullMsg) { // a pull carries the asker's (TS, m) too
+		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
+		a.answerPull(from, m.Desc.ID)
+	})},
+	statesync.Handlers(func(a *Mcast) *statesync.Engine[DeliverRec, SyncTail] { return a.Sync })...)
 
 // AMCast atomically multicasts payload to the groups in dest and returns
 // the assigned message ID (Task 1, lines 8–9). The caster need not belong
@@ -292,20 +303,6 @@ func (a *Mcast) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 
 // K returns the process's copy of its group's clock (for tests).
 func (a *Mcast) K() uint64 { return a.k }
-
-// receive is the group's Receive hook: (TS, m) messages and pulls for them.
-func (a *Mcast) receive(from types.ProcessID, body any) bool {
-	switch m := body.(type) {
-	case TSMsg:
-		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
-	case PullMsg:
-		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
-		a.answerPull(from, m.Desc.ID)
-	default:
-		return false
-	}
-	return true
-}
 
 // handleTS processes one (TS, m) proposal from group g. replay marks WAL
 // replay: state advances identically but nothing is re-logged.

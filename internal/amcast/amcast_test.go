@@ -67,8 +67,10 @@ type tapped struct {
 	h tapHost
 }
 
-func (t tapped) Receive(from types.ProcessID, body any) {
-	t.h.tap(t.h.Self(), from, body, func() { t.Protocol.Receive(from, body) })
+func (t tapped) Handlers() []node.Handler {
+	return node.Tap(t.Protocol, t.Protocol.Handlers(), func(from types.ProcessID, body any, deliver func()) {
+		t.h.tap(t.h.Self(), from, body, deliver)
+	})
 }
 
 func newRig(t *testing.T, o rigOpts) *rig {

@@ -36,9 +36,9 @@ func TestGatedDecisionsDeliverInReleaseOrder(t *testing.T) {
 	// The transfer delivers s1 (the group's first delivery) and brings the
 	// process level: the tail adopts nothing new and the gate lifts.
 	a.StartSync()
-	a.Receive(1, statesync.Resp[DeliverRec, SyncTail]{
+	r.rt.Proc(0).Deliver(1, a.Proto(), statesync.Resp[DeliverRec, SyncTail]{
 		Recs: []DeliverRec{{ID: s1, Dest: local, TS: 1}}, Next: 1, Tail: &SyncTail{},
-	})
+	}, 0)
 	if a.Syncing() {
 		t.Fatal("gate still shut after a tail-carrying answer")
 	}

@@ -9,14 +9,19 @@ package amcast
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"wanamcast/internal/abcast"
+	"wanamcast/internal/config"
+	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/statesync"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/svc"
+	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
@@ -70,12 +75,14 @@ func TestBatchDecodeAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
-// TestPayloadsOutliveTheReceiveBuffer: the transport's read loop decodes
-// every frame out of one scratch buffer it then overwrites. Every value that
-// carries payloads must own them, or the next frame rewrites them: each is
-// decoded, its buffer scribbled over, and re-encoded to the bytes it came in.
-// A WAL record is decoded the same way from a replayed segment, and a disk
-// store's replay gives back the records appended.
+// TestPayloadsOutliveTheReceiveBuffer: the live runtime decodes every frame
+// out of a receive buffer it then reuses. Every value that carries payloads
+// must own them, or the next frame rewrites them: each is decoded, its buffer
+// scribbled over, and re-encoded to the bytes it came in. The same holds on
+// the live receive path itself, where a lane decodes each frame straight into
+// its handler out of a buffer its read loop lent, which later envelopes
+// overwrite. A WAL record is decoded the same way from a replayed segment, and
+// a disk store's replay gives back the records appended.
 func TestPayloadsOutliveTheReceiveBuffer(t *testing.T) {
 	ds := commandBatch(8, types.NewGroupSet(0, 1))
 	rs := records(ds)
@@ -126,6 +133,11 @@ func TestPayloadsOutliveTheReceiveBuffer(t *testing.T) {
 			t.Errorf("%s: a payload did not outlive its receive buffer:\n got %x\nwant %x", name, again, want)
 		}
 	}
+	for name, got := range lentAndOverwritten(t, vals) {
+		if again, want := wire.AppendValue(nil, got), wire.AppendValue(nil, vals[name]); !bytes.Equal(again, want) {
+			t.Errorf("%s: a payload did not outlive its lent envelope:\n got %x\nwant %x", name, again, want)
+		}
+	}
 
 	disk, err := storage.OpenDisk(filepath.Join(t.TempDir(), "wal"), storage.DiskOptions{})
 	if err != nil {
@@ -160,6 +172,70 @@ func TestPayloadsOutliveTheReceiveBuffer(t *testing.T) {
 			t.Errorf("disk replay record %d (kind %d):\n got %x\nwant %x", i, rec.Kind, got, want)
 		}
 	}
+}
+
+// keeper hands every value it receives to kept, as its handler decoded it.
+type keeper struct{ kept chan any }
+
+func keep[T any]() node.Handler {
+	return node.On(func(k keeper, _ types.ProcessID, m T) { k.kept <- m })
+}
+
+func (k keeper) Proto() string { return "keep" }
+func (k keeper) Start()        {}
+func (k keeper) Handlers() []node.Handler {
+	return []node.Handler{keep[rmcast.DataMsg](), keep[[]Descriptor](), keep[TSMsg](),
+		keep[PullMsg](), keep[abcast.BundleMsg](), keep[[]abcast.Record](),
+		keep[statesync.Resp[DeliverRec, SyncTail]](), keep[statesync.Resp[abcast.RoundSet, abcast.SyncTail]](),
+		keep[[]byte]()}
+}
+
+// lentAndOverwritten sends each value but the WAL records to a live
+// runtime's keeper as a frame of its own, followed by two filler frames twice
+// its size, and returns what the keeper's handlers decoded. A read loop lends
+// each envelope's buffer to the lane and takes it back for a later one, and it
+// reads one envelope ahead: by the time the second filler has run, the
+// value's buffer has been overwritten.
+func lentAndOverwritten(t *testing.T, vals map[string]any) map[string]any {
+	const port = 22600
+	rt := tcp.New(tcp.Config{Topo: types.NewTopology(1, 2), Local: []types.ProcessID{0}, Config: config.Config{BasePort: port}})
+	kept := make(chan any)
+	rt.Proc(0).Register(keeper{kept})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	conn, err := net.Dial("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	roundTrip := func(v any) any {
+		frame, err := wire.AppendFrame(nil, 1, "keep", 0, v)
+		if err == nil {
+			_, err = conn.Write(frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-kept:
+			return got
+		case <-time.After(5 * time.Second):
+			t.Fatalf("a %T frame was never handled", v)
+			return nil
+		}
+	}
+	out := make(map[string]any)
+	for name, v := range vals {
+		if _, wal := v.(storage.Record); !wal {
+			out[name] = roundTrip(v)
+			filler := bytes.Repeat([]byte{0xAA}, 2*len(wire.AppendValue(nil, v)))
+			roundTrip(filler)
+			roundTrip(filler)
+		}
+	}
+	return out
 }
 
 // rawValues is one encoded batch, (TS, m) and pull, each carrying commands.

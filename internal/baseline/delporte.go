@@ -141,18 +141,15 @@ func (d *Delporte) nextSeq() uint64 {
 	return d.castSeqN
 }
 
-// Receive implements node.Protocol.
-func (d *Delporte) Receive(from types.ProcessID, body any) {
-	switch m := body.(type) {
-	case DGData:
-		d.admit(DGItem{ID: m.M.ID, Dest: m.M.Dest, Payload: m.M.Payload, TS: 0})
-	case DGHandover:
-		d.admit(m.Item)
-	case DGFinal:
-		d.onFinal(m.Item)
-	default:
-		panic(fmt.Sprintf("baseline: delporte unexpected message %T", body))
-	}
+// Handlers implements node.Protocol.
+func (d *Delporte) Handlers() []node.Handler { return delporteHandlers }
+
+var delporteHandlers = []node.Handler{
+	node.On(func(d *Delporte, _ types.ProcessID, m DGData) {
+		d.admit(DGItem{ID: m.M.ID, Dest: m.M.Dest, Payload: m.M.Payload})
+	}),
+	node.On(func(d *Delporte, _ types.ProcessID, m DGHandover) { d.admit(m.Item) }),
+	node.On(func(d *Delporte, _ types.ProcessID, m DGFinal) { d.onFinal(m.Item) }),
 }
 
 // admit enqueues a message for this group's consensus.

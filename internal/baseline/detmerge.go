@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -105,10 +104,12 @@ func NewDetMerge(cfg DetMergeConfig) *DetMerge {
 // stream apart from per-cast traffic.
 type dmHeartbeats struct{ d *DetMerge }
 
-func (h dmHeartbeats) Proto() string { return h.d.label + ".hb" }
-func (h dmHeartbeats) Start()        {}
-func (h dmHeartbeats) Receive(from types.ProcessID, body any) {
-	h.d.Receive(from, body)
+func (h dmHeartbeats) Proto() string            { return h.d.label + ".hb" }
+func (h dmHeartbeats) Start()                   {}
+func (h dmHeartbeats) Handlers() []node.Handler { return dmHeartbeatHandlers }
+
+var dmHeartbeatHandlers = []node.Handler{
+	node.On(func(h dmHeartbeats, from types.ProcessID, m DMHeartbeat) { h.d.advance(from, m.TS) }),
 }
 
 // Proto implements node.Protocol.
@@ -178,25 +179,22 @@ func (d *DetMerge) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	return id
 }
 
-// Receive implements node.Protocol.
-func (d *DetMerge) Receive(from types.ProcessID, body any) {
-	switch m := body.(type) {
-	case DMData:
-		if d.streams[from] < m.TS {
-			d.streams[from] = m.TS
-		}
-		if !d.delivered[m.M.ID] {
-			d.buffer = append(d.buffer, &dmEntry{ts: m.TS, msg: m.M})
-		}
-		d.tryDeliver()
-	case DMHeartbeat:
-		if d.streams[from] < m.TS {
-			d.streams[from] = m.TS
-		}
-		d.tryDeliver()
-	default:
-		panic(fmt.Sprintf("baseline: detmerge unexpected message %T", body))
+// Handlers implements node.Protocol.
+func (d *DetMerge) Handlers() []node.Handler { return detMergeHandlers }
+
+var detMergeHandlers = []node.Handler{node.On(func(d *DetMerge, from types.ProcessID, m DMData) {
+	if !d.delivered[m.M.ID] {
+		d.buffer = append(d.buffer, &dmEntry{ts: m.TS, msg: m.M})
 	}
+	d.advance(from, m.TS)
+})}
+
+// advance moves from's stream to ts, if ts is ahead, and merges.
+func (d *DetMerge) advance(from types.ProcessID, ts uint64) {
+	if d.streams[from] < ts {
+		d.streams[from] = ts
+	}
+	d.tryDeliver()
 }
 
 // tryDeliver merges deterministically: an element (ts, pub, seq) is

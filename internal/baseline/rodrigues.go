@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
@@ -121,52 +119,28 @@ func (r *Rodrigues) AMCast(payload []byte, dest types.GroupSet) types.MessageID 
 	return id
 }
 
-// Receive implements node.Protocol.
-func (r *Rodrigues) Receive(from types.ProcessID, body any) {
-	if d, ok := body.(RGData); ok && r.delivered[d.M.ID] {
-		return
-	}
-	if id, ok := phaseMsgID(body); ok && r.delivered[id] {
-		return // late phase traffic for a delivered message
-	}
-	switch m := body.(type) {
-	case RGData:
-		r.onData(m.M)
-	case RGProp:
-		p := r.pend(m.ID)
-		if _, seen := p.props[from]; !seen {
-			p.props[from] = m.TS
-		}
-		r.advance(m.ID)
-	case RGEst:
-		p := r.pend(m.ID)
-		if _, seen := p.ests[from]; !seen {
-			p.ests[from] = m.TS
-		}
-		r.advance(m.ID)
-	case RGCommit:
-		p := r.pend(m.ID)
-		if _, seen := p.commits[from]; !seen {
-			p.commits[from] = m.TS
-		}
-		r.advance(m.ID)
-	default:
-		panic(fmt.Sprintf("baseline: rodrigues unexpected message %T", body))
-	}
+// Handlers implements node.Protocol.
+func (r *Rodrigues) Handlers() []node.Handler { return rodriguesHandlers }
+
+var rodriguesHandlers = []node.Handler{
+	node.On(func(r *Rodrigues, _ types.ProcessID, m RGData) { r.onData(m.M) }),
+	node.On(func(r *Rodrigues, from types.ProcessID, m RGProp) { r.onPhase(from, m.ID, m.TS, 0) }),
+	node.On(func(r *Rodrigues, from types.ProcessID, m RGEst) { r.onPhase(from, m.ID, m.TS, 1) }),
+	node.On(func(r *Rodrigues, from types.ProcessID, m RGCommit) { r.onPhase(from, m.ID, m.TS, 2) }),
 }
 
-// phaseMsgID extracts the message ID from a phase message, if body is one.
-func phaseMsgID(body any) (types.MessageID, bool) {
-	switch m := body.(type) {
-	case RGProp:
-		return m.ID, true
-	case RGEst:
-		return m.ID, true
-	case RGCommit:
-		return m.ID, true
-	default:
-		return types.MessageID{}, false
+// onPhase records from's timestamp of phase 0 (proposals), 1 (estimates) or
+// 2 (commits) for id.
+func (r *Rodrigues) onPhase(from types.ProcessID, id types.MessageID, ts uint64, phase int) {
+	if r.delivered[id] {
+		return // late phase traffic for a delivered message
 	}
+	p := r.pend(id)
+	votes := [...]map[types.ProcessID]uint64{p.props, p.ests, p.commits}[phase]
+	if _, seen := votes[from]; !seen {
+		votes[from] = ts
+	}
+	r.advance(id)
 }
 
 // pend returns the record for id, creating a shell if phases raced ahead of

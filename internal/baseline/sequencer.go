@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
 )
@@ -121,12 +119,12 @@ func (s *SeqBcast) ABCast(payload []byte) types.MessageID {
 	return id
 }
 
-// Receive implements node.Protocol.
-func (s *SeqBcast) Receive(from types.ProcessID, body any) {
-	switch m := body.(type) {
-	case SBData:
-		s.onData(m)
-	case SBSeq:
+// Handlers implements node.Protocol.
+func (s *SeqBcast) Handlers() []node.Handler { return seqHandlers }
+
+var seqHandlers = []node.Handler{
+	node.On(func(s *SeqBcast, _ types.ProcessID, m SBData) { s.onData(m) }),
+	node.On(func(s *SeqBcast, from types.ProcessID, m SBSeq) {
 		if _, dup := s.seqOf[m.Seq]; !dup {
 			s.seqOf[m.Seq] = m.ID
 		}
@@ -134,12 +132,11 @@ func (s *SeqBcast) Receive(from types.ProcessID, body any) {
 			s.ack(m.ID, from) // the sequence number carries the sequencer's vote
 		}
 		s.tryDeliver()
-	case SBAck:
+	}),
+	node.On(func(s *SeqBcast, from types.ProcessID, m SBAck) {
 		s.ack(m.ID, from)
 		s.tryDeliver()
-	default:
-		panic(fmt.Sprintf("baseline: seqbcast unexpected message %T", body))
-	}
+	}),
 }
 
 func (s *SeqBcast) onData(m SBData) {

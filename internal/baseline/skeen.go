@@ -11,8 +11,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
@@ -112,17 +110,10 @@ func (s *Skeen) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	return id
 }
 
-// Receive implements node.Protocol.
-func (s *Skeen) Receive(from types.ProcessID, body any) {
-	switch m := body.(type) {
-	case SkeenData:
-		s.onData(m.M)
-	case SkeenProp:
-		s.onProp(from, m)
-	default:
-		panic(fmt.Sprintf("baseline: skeen unexpected message %T", body))
-	}
-}
+// Handlers implements node.Protocol.
+func (s *Skeen) Handlers() []node.Handler { return skeenHandlers }
+
+var skeenHandlers = []node.Handler{node.On(func(s *Skeen, _ types.ProcessID, m SkeenData) { s.onData(m.M) }), node.On((*Skeen).onProp)}
 
 func (s *Skeen) onData(m rmcast.Message) {
 	if s.delivered[m.ID] {

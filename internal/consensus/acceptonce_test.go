@@ -60,11 +60,11 @@ func TestBallotZeroAcceptsOnce(t *testing.T) {
 		// A second and a third ForwardMsg into an open phase 2, head on: the
 		// leader of a fresh instance with no quorum yet stays silent.
 		lead := r.cons[0]
-		lead.Receive(1, ForwardMsg{Instance: 9, Value: "a"})
+		lead.onForward(1, ForwardMsg{Instance: 9, Value: "a"})
 		before := *n
-		lead.Receive(2, ForwardMsg{Instance: 9, Value: "b"})
+		lead.onForward(2, ForwardMsg{Instance: 9, Value: "b"})
 		if d > 3 {
-			lead.Receive(3, ForwardMsg{Instance: 9, Value: "c"})
+			lead.onForward(3, ForwardMsg{Instance: 9, Value: "c"})
 		}
 		r.rt.RunUntil(r.rt.Scheduler().Now() + time.Millisecond) // what the first one's Accept is owed, nothing else
 		if n.accepts != before.accepts+d {

@@ -18,8 +18,10 @@ type metered struct {
 	mallocs *uint64
 }
 
-func (m metered) Receive(from types.ProcessID, body any) {
-	*m.mallocs += mallocsDuring(func() { m.Consensus.Receive(from, body) })
+func (m metered) Handlers() []node.Handler {
+	return node.Tap(m.Consensus, m.Consensus.Handlers(), func(_ types.ProcessID, _ any, deliver func()) {
+		*m.mallocs += mallocsDuring(deliver)
+	})
 }
 
 func mallocsDuring(f func()) uint64 {

@@ -162,7 +162,7 @@ type Config struct {
 }
 
 // Consensus is the per-process consensus engine. Register it on the
-// process's node.Proc; it is driven entirely by Start/Receive/timers.
+// process's node.Proc; it is driven entirely by Start, its handlers and timers.
 type Consensus struct {
 	api   node.API
 	det   fd.Detector
@@ -273,27 +273,12 @@ func (c *Consensus) Decided(inst uint64) (Value, bool) {
 	return in.decision, true
 }
 
-// Receive implements node.Protocol.
-func (c *Consensus) Receive(from types.ProcessID, body any) {
-	switch m := body.(type) {
-	case ForwardMsg:
-		c.onForward(from, m)
-	case PrepareMsg:
-		c.onPrepare(from, m)
-	case PromiseMsg:
-		c.onPromise(from, m)
-	case AcceptMsg:
-		c.onAccept(from, m)
-	case AcceptedMsg:
-		c.onAccepted(from, m)
-	case DecideMsg:
-		c.onDecide(from, m)
-	case LearnMsg:
-		c.onLearnReq(from, m)
-	default:
-		panic(fmt.Sprintf("consensus: unexpected message %T", body))
-	}
-}
+// Handlers implements node.Protocol.
+func (c *Consensus) Handlers() []node.Handler { return handlers }
+
+// handlers is every engine's dispatch table, the steady state's messages first.
+var handlers = []node.Handler{node.On((*Consensus).onAccepted), node.On((*Consensus).onAccept), node.On((*Consensus).onForward),
+	node.On((*Consensus).onDecide), node.On((*Consensus).onPrepare), node.On((*Consensus).onPromise), node.On((*Consensus).onLearnReq)}
 
 // pageSize is the number of consecutive instances one page holds.
 const pageSize = 32

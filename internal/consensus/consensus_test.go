@@ -29,10 +29,12 @@ type tap struct {
 	filter func(from types.ProcessID, body any) bool
 }
 
-func (p tap) Receive(from types.ProcessID, body any) {
-	if p.filter(from, body) {
-		p.Consensus.Receive(from, body)
-	}
+func (p tap) Handlers() []node.Handler {
+	return node.Tap(p.Consensus, p.Consensus.Handlers(), func(from types.ProcessID, body any, deliver func()) {
+		if p.filter(from, body) {
+			deliver()
+		}
+	})
 }
 
 // newTappedRig is newRig with filter(i, from, body) in front of process

@@ -57,8 +57,8 @@ func TestDecideByRefIgnoresStaleAcceptedValue(t *testing.T) {
 		return true
 	})
 	p2 := r.cons[2]
-	p2.Receive(0, AcceptMsg{Instance: 1, Ballot: 0, Value: "stale"})
-	p2.Receive(1, DecideMsg{Instance: 1, Ballot: 1}) // ballot 1 was chosen elsewhere
+	p2.onAccept(0, AcceptMsg{Instance: 1, Ballot: 0, Value: "stale"})
+	p2.onDecide(1, DecideMsg{Instance: 1, Ballot: 1}) // ballot 1 was chosen elsewhere
 	r.rt.Run()
 	if v, ok := r.decs[2][1]; ok {
 		t.Fatalf("p2 learned %v from a ballot it did not vote in", v)
@@ -68,13 +68,13 @@ func TestDecideByRefIgnoresStaleAcceptedValue(t *testing.T) {
 	}
 	// A higher vote is no better: only the announced ballot's value is known
 	// to be the decision without a Paxos argument, so that is all we allow.
-	p2.Receive(1, AcceptMsg{Instance: 1, Ballot: 4, Value: "later"})
-	p2.Receive(1, DecideMsg{Instance: 1, Ballot: 1})
+	p2.onAccept(1, AcceptMsg{Instance: 1, Ballot: 4, Value: "later"})
+	p2.onDecide(1, DecideMsg{Instance: 1, Ballot: 1})
 	r.rt.Run()
 	if v, ok := r.decs[2][1]; ok {
 		t.Fatalf("p2 learned %v from a ballot other than the announced one", v)
 	}
-	p2.Receive(1, DecideMsg{Instance: 1, Ballot: -1, Value: "chosen"})
+	p2.onDecide(1, DecideMsg{Instance: 1, Ballot: -1, Value: "chosen"})
 	if v := r.decs[2][1]; v != "chosen" {
 		t.Fatalf("p2 decided %v from the value-carrying answer, want chosen", v)
 	}

@@ -113,5 +113,5 @@ func TestUnexpectedMessagePanics(t *testing.T) {
 			t.Error("expected panic for unexpected message type")
 		}
 	}()
-	r.cons[0].Receive(0, "garbage")
+	r.rt.Proc(0).Deliver(0, r.cons[0].Proto(), "garbage", 0)
 }

@@ -29,9 +29,9 @@ func newAcceptor(t *testing.T, log *storage.Log) *Consensus {
 func TestRestartedAcceptorKeepsPromise(t *testing.T) {
 	mem := storage.NewMem()
 	c0 := newAcceptor(t, storage.NewLog(mem))
-	c0.Receive(1, PrepareMsg{Instance: 1, Ballot: 5})
-	c0.Receive(1, AcceptMsg{Instance: 1, Ballot: 5, Value: "chosen"})
-	c0.Receive(2, PrepareMsg{Instance: 2, Ballot: 7})
+	c0.onPrepare(1, PrepareMsg{Instance: 1, Ballot: 5})
+	c0.onAccept(1, AcceptMsg{Instance: 1, Ballot: 5, Value: "chosen"})
+	c0.onPrepare(2, PrepareMsg{Instance: 2, Ballot: 7})
 
 	// "Restart": a fresh engine fed only the durable records.
 	c1 := newAcceptor(t, nil)

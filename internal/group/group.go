@@ -36,7 +36,6 @@ package group
 
 import (
 	"cmp"
-	"fmt"
 	"time"
 
 	"wanamcast/internal/consensus"
@@ -97,9 +96,6 @@ type Rule struct {
 	OnRDeliver func(rmcast.Message)
 	// Copies is how many members speak for the group with Pipeline > 1.
 	Copies int
-	// Receive handles one of the rule's messages and reports whether body
-	// was one.
-	Receive func(from types.ProcessID, body any) bool
 	// Reship sends again what the group may still owe the other groups.
 	Reship func()
 	// Pull runs on every pull tick: Due for each waiting item, Ask if due.
@@ -112,7 +108,8 @@ type Rule struct {
 	Replay func(rec storage.Record) bool
 }
 
-// Endpoint is one process's group endpoint under one rule, which embeds it.
+// Endpoint is one process's group endpoint under one rule, which embeds it
+// and registers as the protocol under Rule.Label (with statesync.Handlers).
 type Endpoint[T consensus.Item, R, Tail any] struct {
 	Engine *consensus.Batcher[T]
 	Sync   *statesync.Engine[R, Tail]
@@ -131,8 +128,8 @@ type Endpoint[T consensus.Item, R, Tail any] struct {
 	ticks     uint64        // pull ticks so far
 }
 
-// New builds an endpoint and registers it, with its sub-protocols, on the
-// host; bc and sc carry the rule's ordering and state-transfer hooks.
+// New builds an endpoint and registers its sub-protocols on the host; bc and
+// sc carry the rule's ordering and state-transfer hooks.
 func New[T consensus.Item, R, Tail any](cfg Config, rule Rule, bc consensus.BatcherConfig[T], sc statesync.Config[R, Tail]) *Endpoint[T, R, Tail] {
 	if cfg.Host == nil || cfg.Detector == nil {
 		panic(rule.Label + ": Config.Host and Detector are required")
@@ -161,7 +158,6 @@ func New[T consensus.Item, R, Tail any](cfg Config, rule Rule, bc consensus.Batc
 	e.Engine = consensus.NewBatcher(bc)
 	host.Register(e.rm)
 	host.Register(e.Engine.Protocol())
-	host.Register(e)
 	return e
 }
 
@@ -170,13 +166,6 @@ func (e *Endpoint[T, R, Tail]) Proto() string { return e.rule.Label }
 
 // Start implements node.Protocol: a member that Ω makes a sender re-ships.
 func (e *Endpoint[T, R, Tail]) Start() { e.senders.OnChange(e.api.Crashed, e.rule.Reship) }
-
-// Receive implements node.Protocol.
-func (e *Endpoint[T, R, Tail]) Receive(from types.ProcessID, body any) {
-	if !e.rule.Receive(from, body) && !e.Sync.Receive(from, body) {
-		panic(fmt.Sprintf("%s: unexpected message %T", e.rule.Label, body))
-	}
-}
 
 // Cast reliably multicasts payload to dest under a fresh ID and returns it.
 // The payload is the caster's encoding of its value: the endpoint carries it

@@ -18,6 +18,7 @@ type sinkProto struct {
 
 func (s *sinkProto) Proto() string                { return "sink" }
 func (s *sinkProto) Start()                       {}
+func (s *sinkProto) Handlers() []Handler          { return []Handler{On((*sinkProto).Receive)} }
 func (s *sinkProto) Receive(types.ProcessID, any) { s.got++ }
 
 // TestTransmitDeliverZeroAllocs pins the simulated runtime's hot path: with

@@ -24,8 +24,9 @@ type clockProbe struct {
 	bad     bool
 }
 
-func (c *clockProbe) Proto() string { return c.label }
-func (c *clockProbe) Start()        {}
+func (c *clockProbe) Proto() string       { return c.label }
+func (c *clockProbe) Start()              {}
+func (c *clockProbe) Handlers() []Handler { return []Handler{On((*clockProbe).Receive)} }
 func (c *clockProbe) Receive(from types.ProcessID, body any) {
 	ts := body.(int64)
 	if c.api.Clock() < ts { // law 3: receive takes the max

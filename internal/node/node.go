@@ -13,11 +13,14 @@ package node
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"time"
 
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // Replica is an application hosted on a process, such as the service
@@ -36,8 +39,59 @@ type Protocol interface {
 	Proto() string
 	// Start runs once when the system starts, before any message delivery.
 	Start()
-	// Receive handles a message from another process (or from self).
-	Receive(from types.ProcessID, body any)
+	// Handlers returns the protocol's dispatch table, one handler per type of
+	// message it accepts (On): one table per protocol type, shared by its
+	// instances, since a handler receives its instance as p.
+	Handlers() []Handler
+}
+
+// A Handler runs a protocol's step for the messages of one type: on the
+// simulator it takes the value sent, on a live runtime it decodes the value
+// off the receive buffer straight into a local of its type, unboxed.
+type Handler struct {
+	typ  reflect.Type // nil: every type, On[any]
+	call func(p Protocol, from types.ProcessID, body any)
+	// codec reports the kind of the type's codec, if it has one; decode
+	// decodes a value and handles it. Both nil: DecodeValue, then call.
+	codec  func() (wire.Kind, bool)
+	decode func(p Protocol, from types.ProcessID, data []byte) ([]byte, error)
+}
+
+// On makes fn, typically a method expression of the protocol type P, the
+// handler of the messages of type T; with T = any, of every type.
+func On[P Protocol, T any](fn func(p P, from types.ProcessID, m T)) Handler {
+	h := Handler{typ: reflect.TypeFor[T](), call: func(p Protocol, from types.ProcessID, body any) {
+		m, _ := body.(T) // a nil body reaches an On[P, any] handler as nil
+		fn(p.(P), from, m)
+	}}
+	if h.typ.Kind() == reflect.Interface {
+		h.typ = nil
+		return h
+	}
+	// Looked up on first use: a package's tables precede its codecs' init.
+	codec := sync.OnceValues(wire.DecoderOf[T])
+	h.codec = func() (wire.Kind, bool) { k, dec := codec(); return k, dec != nil }
+	h.decode = func(p Protocol, from types.ProcessID, data []byte) ([]byte, error) {
+		_, dec := codec()
+		m, rest, err := dec(data)
+		if err == nil {
+			fn(p.(P), from, m)
+		}
+		return rest, err
+	}
+	return h
+}
+
+// Tap returns hs, p's handlers, for a test protocol that wraps p: tap sees
+// every message first and calls deliver to let it through, or does not.
+func Tap(p Protocol, hs []Handler, tap func(from types.ProcessID, body any, deliver func())) []Handler {
+	out := make([]Handler, len(hs))
+	for i, h := range hs {
+		out[i] = Handler{typ: h.typ, call: func(_ Protocol, from types.ProcessID, body any) {
+			tap(from, body, func() { h.call(p, from, body) })
+		}}
+	}
+	return out
 }
 
 // API is the environment a protocol sees. It is implemented by *Proc.
@@ -144,8 +198,8 @@ type Proc struct {
 	clock      int64
 	crashed    bool
 	recovering bool
-	protos     map[string]Protocol
-	order      []string           // registration order, for deterministic Start
+	handlers   map[string]route   // by proto label
+	order      []Protocol         // registration order, for deterministic Start
 	one        [1]types.ProcessID // Send's destination list: Transmit retains none
 
 	tracer *trace.Tracer // nil = lifecycle tracing off
@@ -154,14 +208,20 @@ type Proc struct {
 
 var _ API = (*Proc)(nil)
 
+// route is one registered protocol and its handlers.
+type route struct {
+	p  Protocol
+	hs []Handler
+}
+
 // NewProc creates a process bound to env.
 func NewProc(id types.ProcessID, topo *types.Topology, env Env) *Proc {
 	return &Proc{
-		id:     id,
-		group:  topo.GroupOf(id),
-		topo:   topo,
-		env:    env,
-		protos: make(map[string]Protocol),
+		id:       id,
+		group:    topo.GroupOf(id),
+		topo:     topo,
+		env:      env,
+		handlers: make(map[string]route),
 	}
 }
 
@@ -169,17 +229,17 @@ func NewProc(id types.ProcessID, topo *types.Topology, env Env) *Proc {
 // that is a wiring bug, not a runtime condition.
 func (p *Proc) Register(proto Protocol) {
 	name := proto.Proto()
-	if _, dup := p.protos[name]; dup {
+	if _, dup := p.handlers[name]; dup {
 		panic(fmt.Sprintf("node: duplicate protocol %q on %v", name, p.id))
 	}
-	p.protos[name] = proto
-	p.order = append(p.order, name)
+	p.handlers[name] = route{proto, proto.Handlers()}
+	p.order = append(p.order, proto)
 }
 
 // StartAll runs Start on every registered protocol in registration order.
 func (p *Proc) StartAll() {
-	for _, name := range p.order {
-		p.protos[name].Start()
+	for _, proto := range p.order {
+		proto.Start()
 	}
 }
 
@@ -322,20 +382,47 @@ func (p *Proc) Tracef(format string, args ...any) {
 	p.env.Tracef("%v t=%v lc=%d "+format, append([]any{p.id, p.env.Now(), p.clock}, args...)...)
 }
 
-// Deliver hands an incoming network message to the process: it applies the
-// receive clock rule and dispatches to the protocol. Envs call it at
-// delivery time.
+// Deliver hands an incoming message to the process: it applies the receive
+// clock rule and runs proto's first handler of the body's type (simulator:
+// every message; live runtime: self-sends). No handler is a wiring bug: panic.
 func (p *Proc) Deliver(from types.ProcessID, proto string, body any, sendTS int64) {
-	if p.crashed {
-		return
+	if err := p.deliver(from, proto, body, sendTS); err != nil {
+		panic(err)
 	}
-	if sendTS > p.clock {
-		p.clock = sendTS
+}
+
+func (p *Proc) deliver(from types.ProcessID, proto string, body any, sendTS int64) error {
+	r, t := p.handlers[proto], reflect.TypeOf(body)
+	for i := range r.hs {
+		if r.hs[i].typ == t || r.hs[i].typ == nil {
+			if !p.crashed {
+				p.clock = max(p.clock, sendTS)
+				r.hs[i].call(r.p, from, body)
+			}
+			return nil
+		}
 	}
-	handler, ok := p.protos[proto]
-	if !ok {
-		// A message for an unregistered protocol is a wiring bug.
-		panic(fmt.Sprintf("node: %v received message for unknown protocol %q", p.id, proto))
+	return fmt.Errorf("node: %v has no %q handler for %T", p.id, proto, body)
+}
+
+// DeliverValue is Deliver for a value still encoded, as a live runtime reads
+// it: proto's handler of the value's kind decodes it into a local of its type
+// and runs. It returns the bytes after the value. A value no handler takes or
+// that fails to decode came from a broken peer: an error, never a panic.
+func (p *Proc) DeliverValue(from types.ProcessID, proto string, value []byte, sendTS int64) ([]byte, error) {
+	r := p.handlers[proto]
+	for i := range r.hs {
+		if h := &r.hs[i]; h.codec != nil && !p.crashed {
+			if k, ok := h.codec(); ok && byte(k) == value[0] {
+				p.clock = max(p.clock, sendTS)
+				return h.decode(r.p, from, value[1:])
+			}
+		}
 	}
-	handler.Receive(from, body)
+	// A gob value, one for an On[P, any] or tapped handler, or a crashed one.
+	body, rest, err := wire.DecodeValue(value)
+	if err == nil {
+		err = p.deliver(from, proto, body, sendTS)
+	}
+	return rest, err
 }

@@ -22,8 +22,9 @@ type recv struct {
 	body any
 }
 
-func (e *echo) Proto() string { return e.label }
-func (e *echo) Start()        {}
+func (e *echo) Proto() string       { return e.label }
+func (e *echo) Start()              {}
+func (e *echo) Handlers() []Handler { return []Handler{On((*echo).Receive)} }
 func (e *echo) Receive(from types.ProcessID, body any) {
 	e.received = append(e.received, recv{from, body})
 }
@@ -116,6 +117,7 @@ type arrivals struct {
 
 func (a arrivals) Proto() string                { return "arr" }
 func (a arrivals) Start()                       {}
+func (a arrivals) Handlers() []Handler          { return []Handler{On(arrivals.Receive)} }
 func (a arrivals) Receive(types.ProcessID, any) { *a.log = append(*a.log, a.self) }
 
 // TestMulticastArrivalOrder: the copies of one Multicast arrive in the
@@ -203,6 +205,7 @@ type hook struct {
 
 func (h *hook) Proto() string                { return h.label }
 func (h *hook) Start()                       { h.fn() }
+func (h *hook) Handlers() []Handler          { return []Handler{On((*hook).Receive)} }
 func (h *hook) Receive(types.ProcessID, any) {}
 
 func TestCrashedProcessStopsSendingAndReceiving(t *testing.T) {

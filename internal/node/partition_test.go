@@ -13,8 +13,9 @@ type echoProto struct {
 	got []string
 }
 
-func (e *echoProto) Proto() string { return "echo" }
-func (e *echoProto) Start()        {}
+func (e *echoProto) Proto() string       { return "echo" }
+func (e *echoProto) Start()              {}
+func (e *echoProto) Handlers() []Handler { return []Handler{On((*echoProto).Receive)} }
 func (e *echoProto) Receive(from types.ProcessID, body any) {
 	e.got = append(e.got, body.(string))
 }

@@ -127,12 +127,12 @@ func (r *RMcast) MCast(m Message) {
 	r.api.Multicast(r.tos, r.label, DataMsg{M: m})
 }
 
-// Receive implements node.Protocol.
-func (r *RMcast) Receive(from types.ProcessID, body any) {
-	dm, ok := body.(DataMsg)
-	if !ok {
-		panic(fmt.Sprintf("rmcast: unexpected message %T", body))
-	}
+// Handlers implements node.Protocol.
+func (r *RMcast) Handlers() []node.Handler { return handlers }
+
+var handlers = []node.Handler{node.On((*RMcast).onData)}
+
+func (r *RMcast) onData(from types.ProcessID, dm DataMsg) {
 	m := dm.M
 	if r.delivered[m.ID] {
 		return

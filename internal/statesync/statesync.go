@@ -48,7 +48,7 @@ type Codec[R, T any] struct {
 type Config[R, T any] struct {
 	API node.API
 	// Label is the protocol label the frames travel under: the owning
-	// endpoint's, whose Receive hands them to Engine.Receive.
+	// endpoint's, whose handlers include the engine's (Handlers).
 	Label string
 	// Batch bounds the records one answer carries.
 	Batch int
@@ -187,18 +187,13 @@ func (e *Engine[R, T]) retry() {
 	e.cfg.API.After(retryEvery, e.retryFn)
 }
 
-// Receive handles body if it is one of the engine's frames and reports
-// whether it was.
-func (e *Engine[R, T]) Receive(from types.ProcessID, body any) bool {
-	switch m := body.(type) {
-	case Req:
-		e.serve(from, m)
-	case Resp[R, T]:
-		e.onResp(from, m)
-	default:
-		return false
+// Handlers returns the handlers of an engine's frames for the protocol P
+// that serves them under its label; of picks P's engine.
+func Handlers[P node.Protocol, R, T any](of func(P) *Engine[R, T]) []node.Handler {
+	return []node.Handler{
+		node.On(func(p P, from types.ProcessID, m Req) { of(p).serve(from, m) }),
+		node.On(func(p P, from types.ProcessID, m Resp[R, T]) { of(p).onResp(from, m) }),
 	}
-	return true
 }
 
 // serve answers a restarted peer from the archive.

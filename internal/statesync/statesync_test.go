@@ -42,21 +42,22 @@ type toy struct {
 func (t *toy) Proto() string { return "toy" }
 func (t *toy) Start()        {}
 
-func (t *toy) Receive(from types.ProcessID, body any) {
-	switch m := body.(type) {
-	case Req:
-		t.reqs = append(t.reqs, m.From)
-		if t.mute {
-			return
+func (t *toy) Handlers() []node.Handler {
+	hs := Handlers(func(t *toy) *Engine[uint64, string] { return t.eng })
+	return node.Tap(t, hs, func(_ types.ProcessID, body any, deliver func()) {
+		switch m := body.(type) {
+		case Req:
+			t.reqs = append(t.reqs, m.From)
+			if t.mute {
+				return
+			}
+		case toyResp:
+			if t.drop != nil && t.drop() {
+				return
+			}
 		}
-	case toyResp:
-		if t.drop != nil && t.drop() {
-			return
-		}
-	}
-	if !t.eng.Receive(from, body) {
-		panic("toy: unexpected frame")
-	}
+		deliver()
+	})
 }
 
 // apply appends the next record, as the algorithm's own delivery would.
@@ -234,7 +235,7 @@ func TestEngine(t *testing.T) {
 			req, peer := r.toys[0], r.toys[1]
 			peer.mute = true
 			feed := func(at time.Duration, m toyResp) {
-				r.at(at, func() { req.Receive(1, m) })
+				r.at(at, func() { r.rt.Proc(0).Deliver(1, req.Proto(), m, 0) })
 			}
 			tail := "late tail"
 			feed(0, toyResp{Base: 2, Recs: []uint64{2, 3}, Next: 4, Tail: &tail}) // before Start

@@ -24,8 +24,9 @@ type sinkProto struct {
 	name string
 }
 
-func (s *sinkProto) Proto() string { return s.name }
-func (s *sinkProto) Start()        {}
+func (s *sinkProto) Proto() string            { return s.name }
+func (s *sinkProto) Start()                   {}
+func (s *sinkProto) Handlers() []node.Handler { return []node.Handler{node.On((*sinkProto).Receive)} }
 func (s *sinkProto) Receive(_ types.ProcessID, body any) {
 	s.mu.Lock()
 	s.got = append(s.got, body)

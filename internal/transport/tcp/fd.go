@@ -116,10 +116,7 @@ func (h *heartbeatFD) Start() {
 func (h *heartbeatFD) tick() {
 	self := h.api.Self()
 	now := h.api.Now()
-	// One beat body serves every peer: the writer goroutines only read it,
-	// and the receive side decodes its own pooled copy. (Send-side bodies
-	// are NOT pooled — a queued frame may outlive this tick.)
-	h.api.Multicast(h.peers, "fd", &heartbeatMsg{Beat: int64(now)})
+	h.api.Multicast(h.peers, "fd", heartbeatMsg{Beat: int64(now)})
 	if h.leaseDur > 0 && h.leader == self && h.canGrantTo(self, now) {
 		// Self-grant through the same fencing path followers use: our own
 		// vote counts toward the majority only while no other candidate
@@ -143,35 +140,26 @@ func (h *heartbeatFD) tick() {
 	h.api.After(h.every, h.tickFn)
 }
 
-// Receive implements node.Protocol. The pooled message bodies are released
-// back to their free-lists here — the end of lane processing — which is what
-// keeps the heartbeat receive path allocation-free end to end.
-func (h *heartbeatFD) Receive(from types.ProcessID, body any) {
-	h.lastSeen[from] = h.api.Now()
-	if h.suspected[from] {
-		// The suspicion was a mistake (crash-stop processes never beat
-		// again): the fresh beat restores trust, Ω taking its mistake back.
-		h.restore(from)
-	}
-	switch m := body.(type) {
-	case *heartbeatMsg:
-		if h.leaseDur > 0 {
-			h.maybeGrant(from, m.Beat)
-		}
-		hbPool.Put(m)
-	case *leaseGrantMsg:
-		if h.leaseDur > 0 {
-			h.acceptGrant(from, m.Beat)
-		}
-		lgPool.Put(m)
-	}
+// Handlers implements node.Protocol. A frame from a suspected peer restores
+// trust (Unsuspect): crash-stop processes never beat again, so Ω was wrong.
+func (h *heartbeatFD) Handlers() []node.Handler { return fdHandlers }
+
+var fdHandlers = []node.Handler{
+	node.On(func(h *heartbeatFD, from types.ProcessID, m heartbeatMsg) {
+		h.Unsuspect(from)
+		h.maybeGrant(from, m.Beat)
+	}),
+	node.On(func(h *heartbeatFD, from types.ProcessID, m leaseGrantMsg) {
+		h.Unsuspect(from)
+		h.acceptGrant(from, m.Beat)
+	}),
 }
 
 // maybeGrant is the follower side of the lease protocol: countersign the
 // beat of the replica we currently believe leads — unless an earlier
-// promise to a DIFFERENT candidate still fences us.
+// promise to a DIFFERENT candidate still fences us, or leases are off.
 func (h *heartbeatFD) maybeGrant(from types.ProcessID, beat int64) {
-	if from != h.leader {
+	if from != h.leader || h.leaseDur == 0 {
 		return
 	}
 	now := h.api.Now()
@@ -179,7 +167,7 @@ func (h *heartbeatFD) maybeGrant(from types.ProcessID, beat int64) {
 		return
 	}
 	h.promiseEnd[from] = now + h.leaseDur + h.skew
-	h.api.Send(from, "fd", &leaseGrantMsg{Beat: beat})
+	h.api.Send(from, "fd", leaseGrantMsg{Beat: beat})
 }
 
 // canGrantTo reports whether every outstanding promise to a candidate
@@ -199,8 +187,8 @@ func (h *heartbeatFD) canGrantTo(to types.ProcessID, now time.Duration) bool {
 // extend the published lease if a majority of the group (including self)
 // still countersigns a recent enough beat.
 func (h *heartbeatFD) acceptGrant(from types.ProcessID, beat int64) {
-	if h.leader != h.api.Self() {
-		return // demoted since the beat went out; grants were cleared
+	if h.leader != h.api.Self() || h.leaseDur == 0 {
+		return // demoted since the beat went out (grants were cleared), or leases are off
 	}
 	now := h.api.Now()
 	if beat > int64(now) || beat <= h.grants[from] {

@@ -8,8 +8,15 @@ import (
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/config"
 	"wanamcast/internal/types"
-	"wanamcast/internal/wire"
 )
+
+// LaneCount returns how many lane goroutines this runtime runs.
+func (rt *Runtime) LaneCount() int { return len(rt.lanes) }
+
+// SameLane reports whether two hosted processes share a lane.
+func (rt *Runtime) SameLane(p, q types.ProcessID) bool {
+	return rt.laneOf[p] != nil && rt.laneOf[p] == rt.laneOf[q]
+}
 
 // TestLaneLayout pins the lane-assignment contract: Lanes=0 means one lane
 // per hosted group, Lanes=N shards by group mod N, and Lanes=1 serialises
@@ -178,10 +185,10 @@ func TestLiveBroadcastLanesShared(t *testing.T) {
 	}
 }
 
-// TestDelayLineKeepsLinkFIFO pins the delay line's contract: 10 000 frames
+// TestDelayLineKeepsLinkFIFO pins the delay line's contract: 10 000 envelopes
 // of one delayed link are posted in send order — including across a moment
-// where the fabric shortens the link's delay, which gives later frames an
-// earlier due time — while a frame of another link is free to overtake.
+// where the fabric shortens the link's delay, which gives later envelopes an
+// earlier due time — while an envelope of another link is free to overtake.
 func TestDelayLineKeepsLinkFIFO(t *testing.T) {
 	topo := types.NewTopology(2, 2)
 	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 22100, Lanes: 1, WANDelay: 20 * time.Millisecond}})
@@ -191,9 +198,9 @@ func TestDelayLineKeepsLinkFIFO(t *testing.T) {
 		if i == frames/2 {
 			rt.Fabric().SetDelay(from, to, time.Millisecond)
 		}
-		rt.dispatch(to, wire.Frame{From: from, Proto: "x", TS: int64(i)})
+		rt.dispatch(from, to, &envelope{n: i}) // n numbers the envelopes here
 	}
-	rt.dispatch(1, wire.Frame{From: 3, Proto: "x", TS: -1}) // another link, 20 ms
+	rt.dispatch(3, 1, &envelope{n: -1}) // another link, 20 ms
 	ln := rt.laneOf[to]
 	deadline := time.Now().Add(10 * time.Second)
 	for ln.depth.Load() < frames+1 {
@@ -211,20 +218,20 @@ func TestDelayLineKeepsLinkFIFO(t *testing.T) {
 	ln.ovMu.Lock()
 	got = append(got, ln.ov...)
 	ln.ovMu.Unlock()
-	next := int64(0)
+	next := 0
 	for _, ev := range got {
 		if ev.from != from {
 			continue
 		}
-		if ev.ts != next {
-			t.Fatalf("frame %d was posted where frame %d was due: link order broken", ev.ts, next)
+		if ev.env.n != next {
+			t.Fatalf("envelope %d was posted where envelope %d was due: link order broken", ev.env.n, next)
 		}
 		next++
 	}
 	if next != frames {
-		t.Fatalf("saw %d of %d frames", next, frames)
+		t.Fatalf("saw %d of %d envelopes", next, frames)
 	}
 	if last := got[len(got)-1]; last.from != 3 {
-		t.Errorf("the other link's frame (due last) was posted before %d later-due frames", len(got)-1)
+		t.Errorf("the other link's envelope (due last) was posted before %d later-due envelopes", len(got)-1)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // error instead of panicking.
 func TestLeaseWireRoundTrip(t *testing.T) {
 	for _, v := range []any{
-		&heartbeatMsg{Beat: 0},
-		&heartbeatMsg{Beat: -5},
-		&heartbeatMsg{Beat: 1 << 40},
-		&leaseGrantMsg{Beat: 1 << 40},
-		&leaseGrantMsg{Beat: -1},
+		heartbeatMsg{Beat: 0},
+		heartbeatMsg{Beat: -5},
+		heartbeatMsg{Beat: 1 << 40},
+		leaseGrantMsg{Beat: 1 << 40},
+		leaseGrantMsg{Beat: -1},
 	} {
 		buf := wire.AppendValue(nil, v)
 		got, rest, err := wire.DecodeValue(buf)

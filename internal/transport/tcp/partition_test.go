@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wanamcast/internal/config"
+	"wanamcast/internal/node"
 	"wanamcast/internal/types"
 )
 
@@ -15,8 +16,9 @@ type sink struct {
 	got []string
 }
 
-func (s *sink) Proto() string { return "sink" }
-func (s *sink) Start()        {}
+func (s *sink) Proto() string            { return "sink" }
+func (s *sink) Start()                   {}
+func (s *sink) Handlers() []node.Handler { return []node.Handler{node.On((*sink).Receive)} }
 func (s *sink) Receive(from types.ProcessID, body any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,10 +12,13 @@
 // group), so a replica hosting many groups can pin its parallelism — the
 // paper's genuine multicast coordinates groups only through messages,
 // which cross lanes as ordinary inbox events. The
-// receive path demultiplexes decoded frames straight into the
-// destination process's lane ring (no intermediate closure, no global
-// inbox hop), and the decoded wire body is handed to the protocol
-// as-is — zero-copy from the codec to the deliver hook.
+// receive path lends each envelope it reads, its frames undecoded, to the
+// destination process's lane as one inbox event (no closure, no global
+// inbox hop). The lane decodes each frame straight into the handler its
+// protocol registered for the frame's kind (node.Handler), in a local of the
+// message's type, so that no frame body is boxed, and gives the buffer back
+// after the last frame. A frame no handler takes, or one that fails to
+// decode, costs its connection, never the process.
 //
 // Lane back-pressure is explicit: the inbox ring (inboxSize) is
 // bounded and lock-free, but when it fills, events PARK in an unbounded
@@ -48,6 +51,7 @@ package tcp
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -67,38 +71,18 @@ import (
 	"wanamcast/internal/wire"
 )
 
-// The failure detector's messages are the highest-frequency frames a quiet
-// deployment receives, so their decoded bodies come from free-lists: the
-// codec draws a pooled pointer, the detector releases it after processing
-// (fd.go), and the steady-state heartbeat receive path allocates nothing —
-// a pointer in an interface needs no box, unlike the old value bodies.
-var (
-	hbPool = sync.Pool{New: func() any { return new(heartbeatMsg) }}
-	lgPool = sync.Pool{New: func() any { return new(leaseGrantMsg) }}
-)
-
 func init() {
 	wire.Register(wire.KindHeartbeat,
-		func(buf []byte, m *heartbeatMsg) []byte { return wire.AppendVarint(buf, m.Beat) },
-		func(data []byte) (*heartbeatMsg, []byte, error) {
+		func(buf []byte, m heartbeatMsg) []byte { return wire.AppendVarint(buf, m.Beat) },
+		func(data []byte) (heartbeatMsg, []byte, error) {
 			b, rest, err := wire.Varint(data)
-			if err != nil {
-				return nil, rest, err
-			}
-			m := hbPool.Get().(*heartbeatMsg)
-			m.Beat = b
-			return m, rest, nil
+			return heartbeatMsg{b}, rest, err
 		})
 	wire.Register(wire.KindLeaseGrant,
-		func(buf []byte, m *leaseGrantMsg) []byte { return wire.AppendVarint(buf, m.Beat) },
-		func(data []byte) (*leaseGrantMsg, []byte, error) {
+		func(buf []byte, m leaseGrantMsg) []byte { return wire.AppendVarint(buf, m.Beat) },
+		func(data []byte) (leaseGrantMsg, []byte, error) {
 			b, rest, err := wire.Varint(data)
-			if err != nil {
-				return nil, rest, err
-			}
-			m := lgPool.Get().(*leaseGrantMsg)
-			m.Beat = b
-			return m, rest, nil
+			return leaseGrantMsg{b}, rest, err
 		})
 }
 
@@ -121,10 +105,9 @@ type Config struct {
 	// When nil and WANAMCAST_TCP_DEBUG is set, traces go to stderr.
 	Trace func(format string, args ...any)
 	// Tracer, when non-nil, is the structured lifecycle tracer: every
-	// hosted Proc records its protocol spans into it, received frames get
-	// a span ID and a StageLaneDeq queue-delay span, and the Tracef debug
-	// path (Trace / WANAMCAST_TCP_DEBUG) switches from %+v body dumps to
-	// compact span-ID lines that join against /spans output.
+	// hosted Proc records its protocol spans into it, and received frames
+	// get a StageLaneDeq queue-delay span, whose ID the Tracef debug line
+	// of the frame (Trace / WANAMCAST_TCP_DEBUG) names to join /spans.
 	Tracer *trace.Tracer
 }
 
@@ -256,15 +239,13 @@ func (rt *Runtime) newLane() *lane {
 		idx:  len(rt.lanes),
 		in:   ring.NewMPSC[laneEvent](inboxSize),
 		wake: make(chan struct{}, 1),
+		free: make(chan *envelope, freeEnvelopes),
 	}
 	ln.dlTimer = time.AfterFunc(time.Hour, ln.releaseDue)
 	ln.dlTimer.Stop() // armed by the first delayed frame
 	rt.lanes = append(rt.lanes, ln)
 	return ln
 }
-
-// LaneCount returns how many lane goroutines this runtime runs.
-func (rt *Runtime) LaneCount() int { return len(rt.lanes) }
 
 // Drops snapshots the frames dropped so far on a full send queue and on a
 // full partition or pacing hold, indexed by sending process.
@@ -300,11 +281,6 @@ func (rt *Runtime) LaneDepths() []int {
 		out[i] = int(ln.depth.Load())
 	}
 	return out
-}
-
-// SameLane reports whether two hosted processes share a lane (tests).
-func (rt *Runtime) SameLane(p, q types.ProcessID) bool {
-	return rt.laneOf[p] != nil && rt.laneOf[p] == rt.laneOf[q]
 }
 
 // Proc returns process id's node for protocol registration (before Start).
@@ -484,12 +460,11 @@ func (rt *Runtime) enqueue(id types.ProcessID, fn func()) {
 	rt.laneOf[id].post(laneEvent{fn: fn, to: id})
 }
 
-// laneEvent is one unit of lane work. The receive path posts deliveries
-// as plain field sets (fn == nil) so the hot path allocates no closure;
-// timers (with their owner) and Run/Async hand-offs carry an explicit fn.
-// While lifecycle tracing is enabled, received frames also carry their span
-// ID and enqueue timestamp so the lane can attribute queueing delay (at ==
-// 0 means untimed — tracing was off when the frame arrived).
+// laneEvent is one unit of lane work: a received envelope (env), a self-send
+// (proto, ts, body), or a timer or Run/Async hand-off (fn, with a timer's
+// owner); none costs a closure. While lifecycle tracing is enabled an
+// envelope carries the time it was read, so the lane can attribute queueing
+// delay to each of its frames (at == 0: untimed).
 type laneEvent struct {
 	fn    func()
 	owner *node.Proc // a timer's owner; nil for every other event
@@ -498,8 +473,24 @@ type laneEvent struct {
 	proto string
 	ts    int64
 	body  any
-	span  uint64
-	at    int64 // enqueue time, ns; 0 = untimed
+	env   *envelope
+	at    int64 // read time, ns; 0 = untimed
+}
+
+// envelope is one envelope read off a connection, its frames undecoded, lent
+// by the read loop to the lane, which gives it back after the last frame has
+// run: decoders copy what a value keeps, so no delivered message pins it.
+type envelope struct {
+	buf, raw []byte // as read; inflated, when compressed
+	frames   []byte // the frames to walk: a view of buf or raw
+	n        int
+	src      *inConn
+}
+
+// inConn is one inbound connection, which the lane closes if a frame fails.
+type inConn struct {
+	conn net.Conn
+	dead atomic.Bool // a frame failed: the connection's later frames drop too
 }
 
 // lane is one ordering goroutine: a bounded MPSC inbox ring fed by read
@@ -510,7 +501,8 @@ type lane struct {
 	rt   *Runtime
 	idx  int // position in rt.lanes; the tracer's lane number
 	in   *ring.MPSC[laneEvent]
-	wake chan struct{} // capacity 1; coalesced wake-up signal
+	wake chan struct{}  // capacity 1; coalesced wake-up signal
+	free chan *envelope // envelopes walked, for the read loops to lend again
 
 	ovMu sync.Mutex
 	ov   []laneEvent
@@ -629,9 +621,7 @@ func (ln *lane) loop() {
 // exec runs one lane event on the lane goroutine. rt.procs[id] is only
 // read and written on id's lane after Start (Restart swaps it via Run),
 // so the slot needs no synchronisation here; nor does a timer owner's crash
-// flag. Timed frames (ev.at != 0, stamped by dispatch while tracing) record
-// a StageLaneDeq span whose Aux is the time the frame spent queued behind
-// the lane.
+// flag.
 func (ln *lane) exec(ev laneEvent) {
 	rt := ln.rt
 	ln.depth.Add(-1)
@@ -641,13 +631,63 @@ func (ln *lane) exec(ev laneEvent) {
 		}
 		return
 	}
-	if ev.at != 0 {
-		rt.tracer.RecordSpan(ev.span, ln.idx, trace.StageLaneDeq, types.MessageID{}, ev.to,
-			time.Now().UnixNano()-ev.at)
+	if ev.env != nil {
+		ln.walk(ev)
+		return
 	}
-	if p := rt.procs[ev.to]; p != nil {
-		p.Deliver(ev.from, ev.proto, ev.body, ev.ts)
+	rt.procs[ev.to].Deliver(ev.from, ev.proto, ev.body, ev.ts) // a self-send
+}
+
+// walk runs an envelope's frames in order, each with its own wire count and
+// StageLaneDeq span (Aux: time since read). A frame that fails costs the
+// connection and the frames after it, never the process: the peer redials.
+func (ln *lane) walk(ev laneEvent) {
+	env := ev.env
+	if !env.src.dead.Load() {
+		if err := ln.deliver(ev); err != nil {
+			ln.rt.Tracef("decode error at %v: %v", ev.to, err)
+			env.src.dead.Store(true)
+			_ = env.src.conn.Close()
+		}
 	}
+	if cap(env.buf)+cap(env.raw) <= keepEnvelope {
+		select {
+		case ln.free <- env:
+		default: // enough envelopes spare
+		}
+	}
+}
+
+// deliver runs the frames of ev's envelope until one fails.
+func (ln *lane) deliver(ev laneEvent) error {
+	rt, p, frames := ln.rt, ln.rt.procs[ev.to], ev.env.frames
+	for range ev.env.n {
+		proto, ts, value, err := wire.NextFrame(frames)
+		if err != nil {
+			return err
+		}
+		var span uint64
+		if ev.at != 0 {
+			span = rt.tracer.NextSpan()
+			rt.tracer.RecordSpan(span, ln.idx, trace.StageLaneDeq, types.MessageID{}, ev.to, time.Now().UnixNano()-ev.at)
+		}
+		// The nil check comes first: building the variadic args boxes every
+		// operand. A span (0: untimed) joins the line against /spans.
+		if rt.trace != nil && proto != fdProto {
+			body, _, _ := wire.DecodeValue(value)
+			rt.Tracef("%v recv span=%d %v->%v %s %+v", rt.Now().Round(time.Millisecond), span, ev.from, ev.to, proto, body)
+		}
+		rest, err := p.DeliverValue(ev.from, proto, value, ts)
+		if err != nil {
+			return err
+		}
+		rt.rec.OnWireRecv(value[0], len(frames)-len(rest))
+		frames = rest
+	}
+	if len(frames) != 0 {
+		return fmt.Errorf("%d bytes after the last frame", len(frames))
+	}
+	return nil
 }
 
 // track registers a socket for closure by Stop; sockets opened after Stop
@@ -697,99 +737,64 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 		_ = conn.Close()
 		rt.untrack(conn)
 	}()
-	// The wire read path reuses all of its storage across envelopes: the
-	// frame scratch, the inflate scratch, and the Batch (whose Msgs slice is
-	// recycled). Decoded bodies never alias the scratch buffers — every
-	// registered codec copies or builds fresh values — so handing them to
-	// lanes while the next envelope overwrites the scratch is safe, and the
-	// steady-state receive machinery allocates nothing per envelope.
+	ln, src := rt.laneOf[to], &inConn{conn: conn}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var (
-		scratch []byte
-		inflate []byte
-		bat     wire.Batch
-	)
-	for {
-		data, err := wire.ReadFrameBytes(br, &scratch)
+	for !src.dead.Load() {
+		from, env, err := rt.read(br, ln, src)
 		if err != nil {
 			rt.Tracef("decode error at %v: %v", to, err)
 			return // connection closed or corrupt; peers redial
 		}
-		rt.rec.Add(metrics.WireBytesIn, len(data)+4)
-		f, kind, isBatch, err := wire.DecodeFrameOrBatch(data, &bat, &inflate)
-		if err != nil {
-			rt.Tracef("decode error at %v: %v", to, err)
-			return
-		}
-		if isBatch {
-			if !rt.validFrom(bat.From) {
-				rt.Tracef("drop batch at %v: sender %d outside topology", to, int(bat.From))
-				return
-			}
-			for i := range bat.Msgs {
-				m := &bat.Msgs[i]
-				rt.rec.OnWireRecv(byte(m.Kind), m.Size)
-				rt.dispatch(to, wire.Frame{From: bat.From, Proto: m.Proto, TS: m.TS, Body: m.Body})
-			}
-			continue
-		}
-		if !rt.validFrom(f.From) {
-			rt.Tracef("drop frame at %v: sender %d outside topology", to, int(f.From))
-			return
-		}
-		rt.rec.OnWireRecv(byte(kind), len(data))
-		rt.dispatch(to, f)
+		rt.dispatch(from, to, env)
 	}
 }
 
-// validFrom guards the receive path against sender IDs outside this
-// runtime's topology (a corrupt varint or a peer configured with a
-// different Π): the topology lookups in dispatch panic on them, and a
-// malformed frame must cost a connection, never the process.
-func (rt *Runtime) validFrom(from types.ProcessID) bool {
-	return from >= 0 && int(from) < rt.topo.N()
+// read reads one envelope of src off r into one ln lends and opens it: no
+// value is decoded, so only the lane, decoding them, finds where frames end.
+func (rt *Runtime) read(r io.Reader, ln *lane, src *inConn) (types.ProcessID, *envelope, error) {
+	var env *envelope
+	select {
+	case env = <-ln.free:
+	default:
+		env = new(envelope)
+	}
+	env.src = src
+	data, err := wire.ReadFrameBytes(r, &env.buf)
+	var from types.ProcessID
+	if err == nil {
+		rt.rec.Add(metrics.WireBytesIn, len(data)+4)
+		from, env.frames, env.n, err = wire.OpenEnvelope(data, &env.raw)
+	}
+	if err == nil && (from < 0 || int(from) >= rt.topo.N()) {
+		// A corrupt varint or another Π: lookups in dispatch would panic,
+		// and a malformed frame must cost a connection, never the process.
+		err = fmt.Errorf("sender %d outside topology", int(from))
+	}
+	return from, env, err
 }
 
 // dispatch applies the injected link delay (the fabric's current view of
-// it, so delay spikes take effect mid-run) and hands the frame to the
-// receiver's event loop. Frames of a link severed after they were written
-// still deliver: they are in flight, and in-flight traffic draining during
-// a partition is just delay — the sender side stopped writing the moment
-// the sever landed.
-func (rt *Runtime) dispatch(to types.ProcessID, f wire.Frame) {
+// it, so delay spikes take effect mid-run) and hands the envelope to the
+// receiver's lane. Envelopes of a link severed after they were written still
+// deliver: they are in flight, and in-flight traffic draining during a
+// partition is just delay — the sender stopped writing at the sever.
+func (rt *Runtime) dispatch(from, to types.ProcessID, env *envelope) {
 	// Read loops run concurrently, and the shared jitter rng needs a lock —
 	// but only an ACTIVE fabric can have jitter overrides, so the common
-	// case (no chaos this run) stays lock-free: every frame taking a
+	// case (no chaos this run) stays lock-free: every envelope taking a
 	// runtime-global mutex here would serialise all receive paths for a
 	// knob that is usually untouched.
 	var delay time.Duration
 	if rt.fabric.Active() {
 		rt.rngMu.Lock()
-		delay = rt.fabric.Delay(f.From, to, rt.jrng)
+		delay = rt.fabric.Delay(from, to, rt.jrng)
 		rt.rngMu.Unlock()
 	} else {
-		delay = rt.base.Delay(rt.topo, f.From, to, nil)
+		delay = rt.base.Delay(rt.topo, from, to, nil)
 	}
-	// Demultiplex straight into the destination lane: the decoded frame
-	// becomes the lane event field-for-field (body handed over as-is —
-	// zero-copy from the codec), with no per-frame closure on the
-	// zero-delay path.
-	ev := laneEvent{from: f.From, to: to, proto: f.Proto, ts: f.TS, body: f.Body}
+	ev := laneEvent{from: from, to: to, env: env}
 	if rt.tracer.Enabled() {
-		ev.span = rt.tracer.NextSpan()
 		ev.at = time.Now().UnixNano()
-	}
-	// The nil check must come before the call: building the variadic args
-	// boxes every operand, which would put allocations back on the
-	// receive hot path whenever tracing is off (the default). With a span
-	// assigned, the debug line names it instead of %+v-dumping the body —
-	// the line joins against the tracer's /spans output by span ID.
-	if rt.trace != nil && f.Proto != "fd" {
-		if ev.span != 0 {
-			rt.Tracef("%v recv span=%d %v->%v %s", time.Since(rt.start).Round(time.Millisecond), ev.span, f.From, to, f.Proto)
-		} else {
-			rt.Tracef("%v recv %v->%v %s %+v", time.Since(rt.start).Round(time.Millisecond), f.From, to, f.Proto, f.Body)
-		}
 	}
 	if delay > 0 {
 		rt.laneOf[to].delay(ev, time.Now().Add(delay))
@@ -941,6 +946,10 @@ const (
 	// goroutines, never on process loops; after a failed dial the link backs
 	// off for as long before trying again, dropping frames meanwhile.
 	dialTimeout = time.Second
+	// A lane keeps walked envelopes to lend again: 256 covers what lan-sat
+	// and wan-mix hold queued or delayed at once; none above keepEnvelope.
+	freeEnvelopes = 256
+	keepEnvelope  = 64 << 10
 )
 
 // maxEnvelopeFrames caps how many additional frames the writer pulls off

@@ -19,11 +19,11 @@
 // (drop the connection, peers redial). Batches never nest: a KindBatch value
 // inside an envelope is corruption by definition.
 //
-// Two decode surfaces exist. The registry codec (decode to *Batch) keeps
-// AppendValue/DecodeValue round trips and the fuzz oracle working. The
-// transport uses DecodeFrameOrBatch + a caller-owned Batch and inflate
-// scratch instead, which reuses all storage across envelopes — the steady
-// state receive path allocates nothing for the envelope machinery.
+// The transport opens an envelope (OpenEnvelope) and walks its frames
+// (NextFrame) without decoding a value: the receiving process decodes each
+// straight into its handler's type. The registry codec (*Batch) and
+// DecodeFrameOrBatch decode every sub-message into an interface, for
+// AppendValue/DecodeValue round trips and the fuzz oracle.
 package wire
 
 import (
@@ -51,15 +51,11 @@ const MinCompress = 1500
 
 const batchFlagFlate = 0x01
 
-// BatchMsg is one decoded sub-message of a batch envelope. Kind and Size
-// are decode/encode byproducts kept for byte accounting: Size is the
-// sub-message's encoded length inside the envelope (proto + ts + value).
+// BatchMsg is one decoded sub-message of a batch envelope.
 type BatchMsg struct {
 	Proto string
 	TS    int64
 	Body  any
-	Kind  Kind
-	Size  int
 }
 
 // Batch is a decoded batch envelope. Msgs storage is reused across decodes
@@ -98,9 +94,8 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 }
 
 var (
-	scratchPool = sync.Pool{New: func() any { s := make([]byte, 0, 4096); return &s }}
-	swPool      = sync.Pool{New: func() any { return &sliceWriter{b: make([]byte, 0, 4096)} }}
-	flateWPool  = sync.Pool{New: func() any {
+	swPool     = sync.Pool{New: func() any { return &sliceWriter{b: make([]byte, 0, 4096)} }}
+	flateWPool = sync.Pool{New: func() any {
 		w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
 		if err != nil {
 			panic(err) // BestSpeed is a valid level; unreachable
@@ -175,51 +170,23 @@ func inflateInto(comp []byte, rawLen int, scratch *[]byte) ([]byte, error) {
 
 // appendBatchBody re-encodes a decoded Batch. Production senders use
 // BatchWriter; this codec keeps *Batch a first-class value so generic round
-// trips (fuzzing, tests, WAL payloads) work.
+// trips (fuzzing, tests) work. The body is deflated exactly when b.Flate is
+// set, whatever the size, so that a decoded batch re-encodes as it came.
 func appendBatchBody(buf []byte, b *Batch) []byte {
-	sp := scratchPool.Get().(*[]byte)
-	raw := (*sp)[:0]
-	defer func() {
-		*sp = raw[:0]
-		scratchPool.Put(sp)
-	}()
-	raw = AppendUvarint(raw, uint64(len(b.Msgs)))
+	var w BatchWriter
 	for i := range b.Msgs {
-		m := &b.Msgs[i]
-		if _, nested := m.Body.(*Batch); nested {
-			panic(encodeError{errors.New("wire: batch envelopes do not nest")})
+		if _, err := w.Add(b.Msgs[i].Proto, b.Msgs[i].TS, b.Msgs[i].Body); err != nil {
+			panic(encodeError{err})
 		}
-		raw = AppendString(raw, m.Proto)
-		raw = AppendVarint(raw, m.TS)
-		raw = AppendValue(raw, m.Body)
 	}
 	if !b.Flate {
-		buf = append(buf, 0)
-		return append(buf, raw...)
+		return w.appendRaw(buf)
 	}
-	buf = append(buf, batchFlagFlate)
-	buf = AppendUvarint(buf, uint64(len(raw)))
-	lenAt := len(buf)
-	buf = AppendUvarint(buf, 0) // patched below; compressed length fits a re-encode
-	compStart := len(buf)
-	buf, err := deflateInto(buf, raw)
+	buf, _, err := w.appendFlate(buf)
 	if err != nil {
 		panic(encodeError{err})
 	}
-	compLen := len(buf) - compStart
-	// Patch the compressed-length prefix in place. A uvarint's width depends
-	// on its value, so re-append with the real length if the placeholder
-	// width was wrong.
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(compLen))
-	if n == compStart-lenAt {
-		copy(buf[lenAt:compStart], tmp[:n])
-		return buf
-	}
-	comp := append([]byte(nil), buf[compStart:]...)
-	buf = buf[:lenAt]
-	buf = AppendUvarint(buf, uint64(compLen))
-	return append(buf, comp...)
+	return buf
 }
 
 func decodeBatchBody(data []byte) (*Batch, []byte, error) {
@@ -232,41 +199,58 @@ func decodeBatchBody(data []byte) (*Batch, []byte, error) {
 	return b, rest, nil
 }
 
+// batchFrames opens a batch value body (after the KindBatch tag): its frames,
+// inflated into *inflate if compressed, and their count. rest follows a
+// compressed body; an uncompressed one's end shows once its frames are walked.
+func batchFrames(data []byte, inflate *[]byte) (flated bool, frames []byte, n int, rest []byte, err error) {
+	if len(data) == 0 {
+		return false, nil, 0, nil, corrupt("batch flags")
+	}
+	if data[0]&^byte(batchFlagFlate) != 0 {
+		return false, nil, 0, nil, corrupt("unknown batch flags")
+	}
+	flated, frames = data[0]&batchFlagFlate != 0, data[1:]
+	if flated {
+		d := Decoder{Data: frames}
+		if rawLen := Read(&d, Uvarint); d.Err == nil && rawLen > MaxFrame {
+			d.Err = corrupt("batch decoded size exceeds MaxFrame")
+		} else if comp := Read(&d, Bytes); d.Err == nil {
+			frames, d.Err = inflateInto(comp, int(rawLen), inflate)
+		}
+		if d.Err != nil {
+			return false, nil, 0, nil, d.Err
+		}
+		rest = d.Data
+	}
+	n, frames, err = SliceLen(frames)
+	return flated, frames, n, rest, err
+}
+
+// NextFrame splits the next frame off an envelope's frames (OpenEnvelope):
+// its proto label, timestamp, and a view of frames from its value on. A value
+// has no length: only its decoder knows where the next frame begins.
+func NextFrame(frames []byte) (proto string, ts int64, value []byte, err error) {
+	d := Decoder{Data: frames}
+	p, ts := Read(&d, Bytes), Read(&d, Varint)
+	switch {
+	case d.Err != nil:
+		return "", 0, nil, d.Err
+	case len(d.Data) == 0:
+		return "", 0, nil, corrupt("batch sub-message value")
+	case Kind(d.Data[0]) == KindBatch:
+		return "", 0, nil, corrupt("nested batch envelope")
+	}
+	return Intern(p), ts, d.Data, nil
+}
+
 // decodeBatchInto fills b from a batch value body (the bytes after the
 // KindBatch tag), reusing b.Msgs and *inflate. It returns the unconsumed
 // remainder.
 func decodeBatchInto(b *Batch, data []byte, inflate *[]byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, corrupt("batch flags")
-	}
-	flags := data[0]
-	data = data[1:]
-	if flags&^byte(batchFlagFlate) != 0 {
-		return nil, corrupt("unknown batch flags")
-	}
-	b.Flate = flags&batchFlagFlate != 0
-	raw := data
-	var rest []byte
-	if b.Flate {
-		rawLen, d, err := Uvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		if rawLen > MaxFrame {
-			return nil, corrupt("batch decoded size exceeds MaxFrame")
-		}
-		comp, d, err := Bytes(d)
-		if err != nil {
-			return nil, err
-		}
-		rest = d
-		raw, err = inflateInto(comp, int(rawLen), inflate)
-		if err != nil {
-			return nil, err
-		}
-	}
-	count, raw, err := SliceLen(raw)
-	if err != nil {
+	var count int
+	var raw, rest []byte
+	var err error
+	if b.Flate, raw, count, rest, err = batchFrames(data, inflate); err != nil {
 		return nil, err
 	}
 	if cap(b.Msgs) < count {
@@ -274,43 +258,25 @@ func decodeBatchInto(b *Batch, data []byte, inflate *[]byte) ([]byte, error) {
 	} else {
 		b.Msgs = b.Msgs[:count]
 	}
-	for i := 0; i < count; i++ {
-		start := len(raw)
-		proto, d, err := Bytes(raw)
+	for i := range b.Msgs {
+		proto, ts, value, err := NextFrame(raw)
 		if err != nil {
 			return nil, err
 		}
-		ts, d, err := Varint(d)
+		body, d, err := DecodeValue(value)
 		if err != nil {
 			return nil, err
 		}
-		if len(d) == 0 {
-			return nil, corrupt("batch sub-message value")
-		}
-		k := Kind(d[0])
-		if k == KindBatch {
-			return nil, corrupt("nested batch envelope")
-		}
-		body, d, err := DecodeValue(d)
-		if err != nil {
-			return nil, err
-		}
-		b.Msgs[i] = BatchMsg{
-			Proto: Intern(proto),
-			TS:    ts,
-			Body:  body,
-			Kind:  k,
-			Size:  start - len(d),
-		}
+		b.Msgs[i] = BatchMsg{Proto: proto, TS: ts, Body: body}
 		raw = d
 	}
-	if b.Flate {
-		if len(raw) != 0 {
-			return nil, corrupt("trailing bytes in compressed batch")
-		}
-		return rest, nil
+	if !b.Flate {
+		return raw, nil
 	}
-	return raw, nil
+	if len(raw) != 0 {
+		return nil, corrupt("trailing bytes in compressed batch")
+	}
+	return rest, nil
 }
 
 // --- transport surfaces ---------------------------------------------------
@@ -370,12 +336,32 @@ func DecodeFrameOrBatch(data []byte, b *Batch, inflate *[]byte) (f Frame, kind K
 	return f, kind, kind == KindBatch, nil
 }
 
+// OpenEnvelope splits one frame payload (after the length prefix) into its
+// sender and its n frames, undecoded, for NextFrame to walk: a plain frame is
+// an envelope of one, and a compressed one is inflated into *inflate.
+func OpenEnvelope(data []byte, inflate *[]byte) (from types.ProcessID, frames []byte, n int, err error) {
+	f, value, err := FrameValue(data)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	if Kind(value[0]) != KindBatch {
+		_, frames, _ = Varint(data) // past its sender, laid out as a batched frame
+		return f.From, frames, 1, nil
+	}
+	_, frames, n, rest, err := batchFrames(value[1:], inflate)
+	if err == nil && len(rest) != 0 {
+		err = corrupt("trailing bytes after frame body")
+	}
+	return f.From, frames, n, err
+}
+
 // BatchWriter accumulates sub-messages and emits one batch envelope frame.
 // All storage is reused across Begin/Finish cycles, so a transport writer
 // that owns one BatchWriter encodes envelopes without allocating.
 type BatchWriter struct {
 	from  types.ProcessID
 	sub   []byte
+	comp  []byte // the deflated envelope, before it is appended
 	count int
 	cnt   [binary.MaxVarintLen64]byte // the count's uvarint; deflateInto's argument would move a local to the heap
 }
@@ -430,44 +416,17 @@ func (w *BatchWriter) Finish(buf []byte, compressMin int) (out []byte, rawLen, c
 	buf = AppendString(buf, BatchProto)
 	buf = binary.AppendVarint(buf, 0)
 	buf = append(buf, byte(KindBatch))
-	cnt := w.cnt[:binary.PutUvarint(w.cnt[:], uint64(w.count))]
-	rawLen = len(cnt) + len(w.sub)
-	compressed := false
-	if compressMin > 0 && rawLen >= compressMin {
-		flagsAt := len(buf)
-		buf = append(buf, batchFlagFlate)
-		buf = AppendUvarint(buf, uint64(rawLen))
-		lenAt := len(buf)
-		buf = AppendUvarint(buf, uint64(rawLen)) // placeholder sized for the worst case
-		compStart := len(buf)
-		buf, err = deflateInto(buf, cnt, w.sub)
-		if err != nil {
+	rawLen = len(w.counted()) + len(w.sub)
+	if body := len(buf); compressMin > 0 && rawLen >= compressMin {
+		if buf, compLen, err = w.appendFlate(buf); err != nil {
 			return buf[:start], 0, 0, 0, err
 		}
-		compLen = len(buf) - compStart
-		if compLen < rawLen {
-			// Patch the compressed-length prefix. compLen < rawLen, so its
-			// uvarint is never wider than the placeholder; when it is
-			// narrower, shift the payload back over the gap.
-			var tmp [binary.MaxVarintLen64]byte
-			n := binary.PutUvarint(tmp[:], uint64(compLen))
-			copy(buf[lenAt:], tmp[:n])
-			if gap := compStart - lenAt - n; gap > 0 {
-				copy(buf[lenAt+n:], buf[compStart:compStart+compLen])
-				buf = buf[:lenAt+n+compLen]
-			}
-			compressed = true
-		} else {
-			// Incompressible payload: drop the compressed attempt and fall
-			// through to the raw form.
-			buf = buf[:flagsAt]
-			compLen = 0
+		if compLen >= rawLen { // incompressible: the raw form is smaller
+			buf, compLen = buf[:body], 0
 		}
 	}
-	if !compressed {
-		buf = append(buf, 0)
-		buf = append(buf, cnt...)
-		buf = append(buf, w.sub...)
+	if compLen == 0 {
+		buf = w.appendRaw(buf)
 	}
 	n := len(buf) - start - 4
 	if n > MaxFrame {
@@ -475,4 +434,25 @@ func (w *BatchWriter) Finish(buf []byte, compressMin int) (out []byte, rawLen, c
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(n))
 	return buf, rawLen, compLen, n + 4, nil
+}
+
+// counted returns the uvarint of the sub-message count.
+func (w *BatchWriter) counted() []byte { return w.cnt[:binary.PutUvarint(w.cnt[:], uint64(w.count))] }
+
+// appendRaw appends the batch value body, uncompressed: flags, count, frames.
+func (w *BatchWriter) appendRaw(buf []byte) []byte {
+	return append(append(append(buf, 0), w.counted()...), w.sub...)
+}
+
+// appendFlate appends the batch value body deflated: flags, the raw length,
+// and the compressed bytes, length-prefixed. It returns their length.
+func (w *BatchWriter) appendFlate(buf []byte) ([]byte, int, error) {
+	cnt := w.counted()
+	comp, err := deflateInto(w.comp[:0], cnt, w.sub)
+	if err != nil {
+		return buf, 0, err
+	}
+	w.comp = comp
+	buf = AppendUvarint(append(buf, batchFlagFlate), uint64(len(cnt)+len(w.sub)))
+	return AppendBytes(buf, comp), len(comp), nil
 }

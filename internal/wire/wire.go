@@ -30,10 +30,11 @@
 // string is a uvarint length followed by its bytes. Encoding appends into a
 // caller-owned buffer and decoding reads out of a caller-owned buffer, so
 // the steady-state hot path of the transport allocates nothing for the
-// envelope: the only allocations are the decoded message structures
-// themselves. Decoded byte slices alias the input buffer; decoders that
-// retain data (strings, payloads) copy it out, a batch's payloads into one
-// allocation (Own).
+// envelope. A value decoded through its type's decoder (DecoderOf) lands in
+// a local of that type, unboxed: it costs only the bytes it keeps, which the
+// decoders copy out of the input (strings, payloads; a batch's payloads into
+// one allocation, Own), since the input buffer is reused. DecodeValue boxes
+// what it decodes: the path of gob values and of callers without a type.
 //
 // The codec is explicitly not self-describing: both ends must run the same
 // catalog. Unknown kinds and truncated or oversized frames decode to
@@ -122,10 +123,10 @@ var ErrCorrupt = errors.New("wire: corrupt data")
 func corrupt(what string) error { return fmt.Errorf("%w: %s", ErrCorrupt, what) }
 
 type codec struct {
-	kind   Kind
-	append func(buf []byte, v any) []byte
-	decode func(data []byte) (any, []byte, error)
-	typed  any // the registered func(buf []byte, v T) []byte, for AppendFrame
+	kind     Kind
+	append   func(buf []byte, v any) []byte
+	decode   func(data []byte) (any, []byte, error)
+	enc, dec any // the registered func(buf []byte, v T) []byte and func(data []byte) (T, []byte, error)
 }
 
 // registry is one immutable state of the codec tables. Every frame in and
@@ -160,7 +161,8 @@ func Register[T any](kind Kind, enc func(buf []byte, v T) []byte, dec func(data 
 		kind:   kind,
 		append: func(buf []byte, v any) []byte { return enc(buf, v.(T)) },
 		decode: func(data []byte) (any, []byte, error) { return dec(data) },
-		typed:  enc,
+		enc:    enc,
+		dec:    dec,
 	}
 	writeMu.Lock()
 	defer writeMu.Unlock()
@@ -178,6 +180,15 @@ func Register[T any](kind Kind, enc func(buf []byte, v T) []byte, dec func(data 
 }
 
 func lookupType(rt reflect.Type) *codec { return reg.Load().byType[rt] }
+
+// DecoderOf returns T's kind and its registered decoder, which decodes a T
+// unboxed — or a nil decoder when T has no codec (a T travels as gob).
+func DecoderOf[T any]() (Kind, func(data []byte) (T, []byte, error)) {
+	if c := lookupType(reflect.TypeFor[T]()); c != nil {
+		return c.kind, c.dec.(func([]byte) (T, []byte, error))
+	}
+	return 0, nil
+}
 
 func lookupKind(k Kind) *codec { return reg.Load().byKind[k] }
 
@@ -490,7 +501,7 @@ func AppendFrame[T any](buf []byte, from types.ProcessID, proto string, ts int64
 	buf = AppendString(buf, proto)
 	buf = binary.AppendVarint(buf, ts)
 	if c := lookupType(reflect.TypeFor[T]()); c != nil {
-		buf = c.typed.(func([]byte, T) []byte)(append(buf, byte(c.kind)), body)
+		buf = c.enc.(func([]byte, T) []byte)(append(buf, byte(c.kind)), body)
 	} else {
 		buf = AppendValue(buf, body)
 	}
@@ -524,8 +535,7 @@ func FrameValue(data []byte) (Frame, []byte, error) {
 // batch envelope into a *Batch of its own. It never panics on malformed input.
 func DecodeFrame(data []byte) (Frame, error) {
 	var b Batch
-	var inflate []byte
-	f, _, isBatch, err := DecodeFrameOrBatch(data, &b, &inflate)
+	f, _, isBatch, err := DecodeFrameOrBatch(data, &b, new([]byte))
 	if isBatch {
 		f.Body = &Batch{From: b.From, Flate: b.Flate, Msgs: b.Msgs}
 	}
