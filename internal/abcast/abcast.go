@@ -443,7 +443,7 @@ func (b *Bcast) ship(round uint64, set []Record) {
 		b.outside = topo.AppendProcessesIn(make([]types.ProcessID, 0, topo.N()), topo.AllGroups(), b.api.Group())
 	}
 	b.api.Metrics().Add(metrics.BundleCopiesSent, len(b.outside))
-	b.api.Multicast(b.outside, b.Proto(), BundleMsg{Round: round, Set: set})
+	node.Multicast(b.api, b.outside, b.Proto(), BundleMsg{Round: round, Set: set})
 }
 
 // reship is the group's Reship hook: the decided bundles of rounds K−Pipeline
@@ -469,7 +469,7 @@ func (b *Bcast) pull() {
 	if n := b.Due(s.since); n > 0 {
 		for g, set := range s.sets {
 			if set == nil {
-				b.Ask(types.GroupID(g), n, PullMsg{Round: b.k})
+				node.Send(b.api, b.Ask(types.GroupID(g), n), b.Proto(), PullMsg{Round: b.k})
 			}
 		}
 	}
@@ -484,7 +484,7 @@ func (b *Bcast) answerPull(to types.ProcessID, r uint64) {
 		return
 	}
 	b.api.Metrics().Add(metrics.BundlePullsServed, 1)
-	b.api.Send(to, b.Proto(), BundleMsg{Round: r, Set: set})
+	node.Send(b.api, to, b.Proto(), BundleMsg{Round: r, Set: set})
 }
 
 // applyRound is the engine's OnApply hook: decisions arrive here in dense

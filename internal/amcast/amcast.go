@@ -599,7 +599,7 @@ func (a *Mcast) sendTS(p *pend) {
 		return
 	}
 	a.tos = a.api.Topo().AppendProcessesIn(a.tos[:0], p.dest, a.api.Group())
-	a.api.Multicast(a.tos, a.Proto(), TSMsg{Desc: p.tsDesc()})
+	node.Multicast(a.api, a.tos, a.Proto(), TSMsg{Desc: p.tsDesc()})
 }
 
 // reship is the group's Reship hook: (TS, m) again for every undelivered
@@ -621,7 +621,7 @@ func (a *Mcast) pull() {
 		if n := a.Due(p.since); n > 0 {
 			for i, g := range p.dest.Groups() {
 				if g != a.api.Group() && !p.has(i) {
-					a.Ask(g, n, PullMsg{Desc: p.tsDesc()})
+					node.Send(a.api, a.Ask(g, n), a.Proto(), PullMsg{Desc: p.tsDesc()})
 				}
 			}
 		}
@@ -643,7 +643,7 @@ func (a *Mcast) answerPull(to types.ProcessID, id types.MessageID) {
 		return
 	}
 	a.api.Metrics().Add(metrics.TSPullsServed, 1)
-	a.api.Send(to, a.Proto(), TSMsg{Desc: p.tsDesc()})
+	node.Send(a.api, to, a.Proto(), TSMsg{Desc: p.tsDesc()})
 }
 
 // finalTS evaluates line 33 for p: once a proposal from every other

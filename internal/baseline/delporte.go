@@ -132,7 +132,7 @@ func (d *Delporte) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	d.api.RecordCast(id)
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
 	first := dest.Groups()[0]
-	d.api.Multicast(d.api.Topo().Members(first), d.label, DGData{M: m})
+	node.Multicast(d.api, d.api.Topo().Members(first), d.label, DGData{M: m})
 	return id
 }
 
@@ -228,14 +228,14 @@ func (d *Delporte) processDecision(set []DGItem) {
 			d.deliver(item)
 		case myIdx == len(groups)-1:
 			// Last group: announce the final timestamp everywhere.
-			d.api.Multicast(d.api.Topo().ProcessesIn(item.Dest), d.label, DGFinal{Item: item})
+			node.Multicast(d.api, d.api.Topo().ProcessesIn(item.Dest), d.label, DGFinal{Item: item})
 		default:
 			// Hand over to the next group and serialize until the final
 			// announcement returns.
 			id := item.ID
 			d.busy = &id
 			next := groups[myIdx+1]
-			d.api.Multicast(d.api.Topo().Members(next), d.label, DGHandover{Item: item})
+			node.Multicast(d.api, d.api.Topo().Members(next), d.label, DGHandover{Item: item})
 		}
 	}
 	d.propK = d.k // allow proposing the new instance

@@ -134,7 +134,7 @@ func (d *DetMerge) beat() {
 			tos = append(tos, q)
 		}
 	}
-	d.api.Multicast(tos, d.label+".hb", DMHeartbeat{TS: ts})
+	node.Multicast(d.api, tos, d.label+".hb", DMHeartbeat{TS: ts})
 	d.tryDeliver()
 	d.api.After(d.interval, d.beat)
 }
@@ -169,7 +169,7 @@ func (d *DetMerge) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 		}
 		tos = append(tos, q)
 	}
-	d.api.Multicast(tos, d.label, DMData{TS: ts, M: m})
+	node.Multicast(d.api, tos, d.label, DMData{TS: ts, M: m})
 	if selfAddressed {
 		d.buffer = append(d.buffer, &dmEntry{ts: ts, msg: m})
 		// Merge asynchronously: A-Delivering inside the A-MCast call would

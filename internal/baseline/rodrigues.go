@@ -115,7 +115,7 @@ func (r *Rodrigues) AMCast(payload []byte, dest types.GroupSet) types.MessageID 
 	id := types.MessageID{Origin: r.api.Self(), Seq: r.castSeq}
 	r.api.RecordCast(id)
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
-	r.api.Multicast(r.api.Topo().ProcessesIn(dest), r.label, RGData{M: m})
+	node.Multicast(r.api, r.api.Topo().ProcessesIn(dest), r.label, RGData{M: m})
 	return id
 }
 
@@ -185,7 +185,7 @@ func (r *Rodrigues) sendToDest(dest types.GroupSet, body any) {
 			tos = append(tos, q)
 		}
 	}
-	r.api.Multicast(tos, r.label, body)
+	node.Multicast(r.api, tos, r.label, body)
 }
 
 // advance moves id through the proposal → estimate → commit → final phases

@@ -115,7 +115,7 @@ func (s *SeqBcast) ABCast(payload []byte) types.MessageID {
 	s.castSeq++
 	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
 	s.api.RecordCast(id)
-	s.api.Multicast(s.api.Topo().AllProcesses(), s.label, SBData{ID: id, Payload: payload})
+	node.Multicast(s.api, s.api.Topo().AllProcesses(), s.label, SBData{ID: id, Payload: payload})
 	return id
 }
 
@@ -149,7 +149,7 @@ func (s *SeqBcast) onData(m SBData) {
 		seq := s.seqNext
 		s.seqNext++
 		s.seqOf[seq] = m.ID
-		s.api.Multicast(s.api.Topo().AllProcesses(), s.label, SBSeq{ID: m.ID, Seq: seq})
+		node.Multicast(s.api, s.api.Topo().AllProcesses(), s.label, SBSeq{ID: m.ID, Seq: seq})
 	}
 	if s.uniform {
 		// Validation echo to everyone, in parallel with the sequencing.
@@ -165,7 +165,7 @@ func (s *SeqBcast) onData(m SBData) {
 					tos = append(tos, q)
 				}
 			}
-			s.api.Multicast(tos, s.label, SBAck{ID: m.ID})
+			node.Multicast(s.api, tos, s.label, SBAck{ID: m.ID})
 		}
 	}
 	s.tryDeliver()

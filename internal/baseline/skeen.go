@@ -106,7 +106,7 @@ func (s *Skeen) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
 	s.api.RecordCast(id)
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
-	s.api.Multicast(s.api.Topo().ProcessesIn(dest), s.label, SkeenData{M: m})
+	node.Multicast(s.api, s.api.Topo().ProcessesIn(dest), s.label, SkeenData{M: m})
 	return id
 }
 
@@ -134,7 +134,7 @@ func (s *Skeen) onData(m rmcast.Message) {
 			tos = append(tos, q)
 		}
 	}
-	s.api.Multicast(tos, s.label, SkeenProp{ID: m.ID, TS: p.ts})
+	node.Multicast(s.api, tos, s.label, SkeenProp{ID: m.ID, TS: p.ts})
 	s.checkFinal(m.ID)
 }
 

@@ -81,9 +81,11 @@ func TestSteadyStateAllocsPerInstance(t *testing.T) {
 }
 
 // TestDurableAcceptAllocatesOnlyItsReply: on a log attached to group commit,
-// an acceptor's Accept costs one allocation, its AcceptedMsg boxed for the
-// wire. Appending the vote, staging the barrier, parking the reply and the
-// lane's run of the continuation that sends it allocate nothing.
+// an acceptor's Accept costs one allocation, its AcceptedMsg boxed by the
+// simulator, which passes values (a live runtime encodes it unboxed, see
+// tcp's TestSendZeroAllocs). Appending the vote, staging the barrier, parking
+// the reply and the lane's run of the continuation that sends it allocate
+// nothing.
 func TestDurableAcceptAllocatesOnlyItsReply(t *testing.T) {
 	d, err := storage.OpenDisk(t.TempDir(), storage.DiskOptions{NoFsync: true, SegmentSize: 1 << 30})
 	if err != nil {

@@ -331,7 +331,7 @@ func (c *Consensus) drive(k uint64) {
 		return
 	}
 	if !c.isLeader() {
-		c.send(c.leader(), ForwardMsg{Instance: k, Value: in.proposal})
+		node.Send(c.api, c.leader(), c.label, ForwardMsg{Instance: k, Value: in.proposal})
 		return
 	}
 	c.lead(k, in.proposal)
@@ -369,7 +369,7 @@ func (c *Consensus) lead(k uint64, v Value) {
 		return
 	}
 	in.phase1, in.phase1OK, in.bestVBallot, in.bestVValue = true, 0, -1, nil
-	c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
+	node.Multicast(c.api, c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
 }
 
 // nextBallot picks the smallest ballot owned by this process greater than
@@ -384,7 +384,7 @@ func (c *Consensus) nextBallot(in *instance) int64 {
 
 func (c *Consensus) broadcastAccept(k uint64, in *instance) {
 	in.phase2, in.phase2OK = true, 0
-	c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
+	node.Multicast(c.api, c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
 }
 
 // decideMsg is a decided instance's catch-up answer.
@@ -396,7 +396,7 @@ func (c *Consensus) onForward(from types.ProcessID, m ForwardMsg) {
 	in := c.inst(m.Instance)
 	if in.decided {
 		// Catch-up: tell the sender the decision directly.
-		c.send(from, decideMsg(m.Instance, in))
+		node.Send(c.api, from, c.label, decideMsg(m.Instance, in))
 		return
 	}
 	if !c.isLeader() {
@@ -418,7 +418,7 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, decideMsg(m.Instance, in))
+		node.Send(c.api, from, c.label, decideMsg(m.Instance, in))
 		return
 	}
 	if m.Ballot < in.promised {
@@ -446,7 +446,7 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 // the group-commit syncer's next covering fsync. A log runs continuations
 // in stage order, so each barrier's, the one bound sendParked, sends the
 // oldest. st is the sub-span: how long the reply waited.
-func (c *Consensus) afterBarrier(st trace.Stage, to types.ProcessID, reply any) {
+func (c *Consensus) afterBarrier(st trace.Stage, to types.ProcessID, reply PromiseMsg) {
 	p := parkedReply{st: st, start: -1, to: to, reply: reply} // start -1: not tracing
 	if c.api.Tracing() {
 		p.start = c.api.Now()
@@ -463,19 +463,24 @@ func (c *Consensus) afterBarrier(st trace.Stage, to types.ProcessID, reply any) 
 	c.log.CommitThen(c.sendParked)
 }
 
-// parkedReply is a Promise or Accepted reply and its sub-span's start.
+// parkedReply is a Promise reply (st StagePromise) or an Accepted one (st
+// StageAccept: the Promise's instance and ballot), and its sub-span's start.
 type parkedReply struct {
 	st    trace.Stage
 	start time.Duration
 	to    types.ProcessID
-	reply any
+	reply PromiseMsg
 }
 
 func (c *Consensus) sendTraced(p parkedReply) {
 	if p.start >= 0 {
 		c.api.Trace(p.st, types.MessageID{}, int64(c.api.Now()-p.start))
 	}
-	c.send(p.to, p.reply)
+	if p.st == trace.StageAccept {
+		node.Send(c.api, p.to, c.label, AcceptedMsg{Instance: p.reply.Instance, Ballot: p.reply.Ballot})
+		return
+	}
+	node.Send(c.api, p.to, c.label, p.reply)
 }
 
 func (c *Consensus) onPromise(from types.ProcessID, m PromiseMsg) {
@@ -505,7 +510,7 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 		in.maxSeen = m.Ballot
 	}
 	if in.decided {
-		c.send(from, decideMsg(m.Instance, in))
+		node.Send(c.api, from, c.label, decideMsg(m.Instance, in))
 		return
 	}
 	if m.Ballot < in.promised {
@@ -522,7 +527,7 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 	// The vote must survive a crash before it is cast: it waits like the
 	// Promise reply in onPrepare — and a retransmission's reply shares the
 	// original's barrier ordering, so it cannot leak an unsynced vote.
-	c.afterBarrier(trace.StageAccept, from, AcceptedMsg{Instance: m.Instance, Ballot: m.Ballot}) // m.Ballot == in.accepted by now
+	c.afterBarrier(trace.StageAccept, from, PromiseMsg{Instance: m.Instance, Ballot: m.Ballot}) // m.Ballot == in.accepted by now
 }
 
 func (c *Consensus) onAccepted(from types.ProcessID, m AcceptedMsg) {
@@ -536,7 +541,7 @@ func (c *Consensus) onAccepted(from types.ProcessID, m AcceptedMsg) {
 	}
 	// Majority accepted: the value is chosen. Announce its ballot: every
 	// acceptor that voted in it holds the value already.
-	c.api.Multicast(c.group, c.label, DecideMsg{Instance: m.Instance, Ballot: m.Ballot})
+	node.Multicast(c.api, c.group, c.label, DecideMsg{Instance: m.Instance, Ballot: m.Ballot})
 	c.learn(m.Instance, in.leadValue)
 }
 
@@ -552,7 +557,7 @@ func (c *Consensus) onDecide(from types.ProcessID, m DecideMsg) {
 		c.learn(m.Instance, in.aValue)
 	default:
 		c.api.Metrics().Add(metrics.LearnFetches, 1)
-		c.send(from, LearnMsg{Instance: m.Instance})
+		node.Send(c.api, from, c.label, LearnMsg{Instance: m.Instance})
 	}
 }
 
@@ -585,7 +590,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 // healing); unknown instances stay silent — the asker retries elsewhere.
 func (c *Consensus) onLearnReq(from types.ProcessID, m LearnMsg) {
 	if in := c.lookup(m.Instance); in != nil && in.decided {
-		c.send(from, decideMsg(m.Instance, in))
+		node.Send(c.api, from, c.label, decideMsg(m.Instance, in))
 	}
 }
 
@@ -593,7 +598,7 @@ func (c *Consensus) onLearnReq(from types.ProcessID, m LearnMsg) {
 func (c *Consensus) requestDecision(k uint64) {
 	for _, q := range c.group {
 		if q != c.api.Self() {
-			c.send(q, LearnMsg{Instance: k})
+			node.Send(c.api, q, c.label, LearnMsg{Instance: k})
 		}
 	}
 }
@@ -652,15 +657,11 @@ func (c *Consensus) redrive(k uint64, in *instance) {
 		// re-promised, so this converges even when the retry
 		// period is shorter than the group's round-trip time —
 		// bumping the ballot here instead would livelock.
-		c.api.Multicast(c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
+		node.Multicast(c.api, c.group, c.label, PrepareMsg{Instance: k, Ballot: in.ballot})
 	case in.phase2:
 		// Phase 2 in flight: retransmit the Accept likewise.
-		c.api.Multicast(c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
+		node.Multicast(c.api, c.group, c.label, AcceptMsg{Instance: k, Ballot: in.ballot, Value: in.leadValue})
 	default:
 		c.lead(k, in.leadValue)
 	}
-}
-
-func (c *Consensus) send(to types.ProcessID, body any) {
-	c.api.Send(to, c.label, body)
 }

@@ -211,11 +211,11 @@ func (e *Endpoint[T, R, Tail]) Due(since uint64) uint64 {
 	return 0
 }
 
-// Ask sends msg, the n-th ask, to a member of group g: the next in rank on
-// each ask, from an offset of this process's ID.
-func (e *Endpoint[T, R, Tail]) Ask(g types.GroupID, n uint64, msg any) {
+// Ask returns the member of group g the n-th ask goes to: the next in rank
+// on each ask, from an offset of this process's ID.
+func (e *Endpoint[T, R, Tail]) Ask(g types.GroupID, n uint64) types.ProcessID {
 	ms := e.api.Topo().Members(g)
-	e.api.Send(ms[(n+uint64(e.api.Self()))%uint64(len(ms))], e.rule.Label, msg)
+	return ms[(n+uint64(e.api.Self()))%uint64(len(ms))]
 }
 
 // AppendSnapshot encodes the endpoint's replicated state for the host's

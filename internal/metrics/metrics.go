@@ -515,7 +515,7 @@ type Stats struct {
 	// LearnFetches counts decisions an acceptor fetched by LearnMsg: the
 	// AcceptMsg carrying the value never reached it. SendQueueDrops and
 	// HoldDrops count, per sending process, the frames the live transport
-	// dropped on a full send queue and on a full partition or pacing hold
+	// dropped on a full send queue (a paced link's too) and partition hold
 	// (nil on the simulator); the protocols' retries recover them.
 	LearnFetches              uint64
 	SendQueueDrops, HoldDrops []uint64

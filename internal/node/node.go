@@ -105,7 +105,8 @@ type API interface {
 	// Send transmits body to process to under the given protocol label.
 	// Sending to self is delivered locally without touching the network
 	// (and without counting as a message). Sends from a crashed process
-	// are dropped.
+	// are dropped. Protocols call it through Send, which does not box body
+	// on a live runtime.
 	Send(to types.ProcessID, proto string, body any)
 	// Multicast transmits body to every process in tos as ONE logical
 	// send event: the §2.3 clock ticks once if any destination lies
@@ -113,7 +114,8 @@ type API interface {
 	// timestamp. This mirrors the paper's "send m to {q | ...}"
 	// statements, whose proofs treat the fan-out as one event (e.g.
 	// Theorem 4.1: all (TS, m) copies share one timestamp). Message
-	// accounting still counts every copy individually.
+	// accounting still counts every copy individually. Protocols call it
+	// through Multicast, which on a live runtime encodes body once, unboxed.
 	Multicast(tos []types.ProcessID, proto string, body any)
 	// After schedules fn on this process after delay d. The callback does
 	// not run if the process has crashed by then.
@@ -174,8 +176,8 @@ type Env interface {
 	// clock; the env applies network delay, accounting and crash filtering
 	// per receiver, and keeps no reference to tos. The simulator schedules
 	// each run of consecutive IDs sharing an arrival instant and priority
-	// class as one entry (internal/sim); the live runtime queues a frame
-	// per receiver.
+	// class as one entry (internal/sim); a Proc hands a WireEnv only its
+	// self-sends here.
 	Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64)
 	// Later schedules fn on process owner after d. The env MUST drop the
 	// callback if the owner crashed by fire time — Proc.After relies on
@@ -187,6 +189,19 @@ type Env interface {
 	// TraceOn reports whether a Tracef sink is attached.
 	TraceOn() bool
 }
+
+// WireEnv is an Env that takes a message already encoded: the live runtime.
+type WireEnv interface {
+	Env
+	// TransmitEncoded is Transmit of sub, one message as wire.AppendSub
+	// encoded it, to every process in tos but from. It copies sub for the
+	// caller to reuse — unless sub holds OwnLen bytes or more: then the
+	// receivers share sub, which the caller never writes again.
+	TransmitEncoded(from types.ProcessID, tos []types.ProcessID, proto string, sub []byte)
+}
+
+// OwnLen is the size from which a WireEnv keeps an encoded message.
+const OwnLen = 16 << 10
 
 // Proc is one process: a Lamport clock, a crash flag, and a protocol
 // registry. Construct with NewProc.
@@ -201,6 +216,8 @@ type Proc struct {
 	handlers   map[string]route   // by proto label
 	order      []Protocol         // registration order, for deterministic Start
 	one        [1]types.ProcessID // Send's destination list: Transmit retains none
+	wire       WireEnv            // env, when it takes encoded messages
+	enc        []byte             // the encode buffer of a WireEnv's sends
 
 	tracer *trace.Tracer // nil = lifecycle tracing off
 	lane   int           // tracer ring the process records into
@@ -216,11 +233,13 @@ type route struct {
 
 // NewProc creates a process bound to env.
 func NewProc(id types.ProcessID, topo *types.Topology, env Env) *Proc {
+	w, _ := env.(WireEnv)
 	return &Proc{
 		id:       id,
 		group:    topo.GroupOf(id),
 		topo:     topo,
 		env:      env,
+		wire:     w,
 		handlers: make(map[string]route),
 	}
 }
@@ -281,32 +300,67 @@ func (p *Proc) Recovering() bool { return p.recovering }
 
 // Send implements API. It applies the §2.3 clock rule for send events:
 // inter-group sends tick the clock; intra-group sends do not.
-func (p *Proc) Send(to types.ProcessID, proto string, body any) {
-	p.one[0] = to
-	p.Multicast(p.one[:], proto, body)
-}
+func (p *Proc) Send(to types.ProcessID, proto string, body any) { Send(p, to, proto, body) }
 
 // Multicast implements API.
-func (p *Proc) Multicast(tos []types.ProcessID, proto string, body any) {
+func (p *Proc) Multicast(tos []types.ProcessID, proto string, body any) { send(p, tos, proto, body) }
+
+// Send is api.Send of a message of static type T: on a live Proc it is
+// encoded once, from T, and not boxed.
+func Send[T any](api API, to types.ProcessID, proto string, m T) {
+	if p, ok := api.(*Proc); ok {
+		p.one[0] = to
+		send(p, p.one[:], proto, m)
+		return
+	}
+	api.Send(to, proto, m)
+}
+
+// Multicast is api.Multicast of a message of static type T: on a live Proc
+// it is encoded once, from T, for all of tos, and boxed only for a copy to
+// self. The simulator, and an API that is not a Proc, get api.Multicast.
+func Multicast[T any](api API, tos []types.ProcessID, proto string, m T) {
+	if p, ok := api.(*Proc); ok {
+		send(p, tos, proto, m)
+		return
+	}
+	api.Multicast(tos, proto, m)
+}
+
+func send[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	if p.crashed || p.recovering || len(tos) == 0 {
 		return
 	}
-	interGroup := false
+	ts, self := p.clock, false
 	for _, q := range tos {
+		self = self || q == p.id
 		if q != p.id && p.topo.GroupOf(q) != p.group {
-			interGroup = true
-			break
+			ts = p.clock + 1
 		}
 	}
-	ts := p.clock
-	if interGroup {
-		ts = p.clock + 1
-		p.clock = ts
-	}
+	p.clock = ts
 	// Self-sends also go through Transmit: the env delivers them with the
 	// intra-group delay (keeping group members symmetric) but does not
 	// count them as network messages.
-	p.env.Transmit(p.id, tos, proto, body, ts)
+	if p.wire == nil {
+		p.env.Transmit(p.id, tos, proto, m, ts)
+		return
+	}
+	if self {
+		p.one[0] = p.id // tos is p.one only if it holds just p.id
+		if p.env.Transmit(p.id, p.one[:], proto, m, ts); len(tos) == 1 {
+			return
+		}
+	}
+	sub, err := wire.AppendSub(p.enc[:0], proto, ts, m)
+	if err != nil {
+		p.Tracef("encode error %s: %v", proto, err)
+		return
+	}
+	if p.enc = sub[:0]; len(sub) >= OwnLen {
+		p.enc = nil // the env keeps sub
+	}
+	p.wire.TransmitEncoded(p.id, tos, proto, sub)
 }
 
 // After implements API. The crashed-owner drop is the env's job (both

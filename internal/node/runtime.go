@@ -243,7 +243,8 @@ func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sen
 		rt.bwCounters[l] = c
 	}
 	c.Count(n)
-	rt.rec.OnWireSend(byte(wire.KindOf(body)), n)
+	_, value, _ := wire.FrameValue(buf[4:])
+	rt.rec.OnWireSend(value[0], n)
 	rt.rec.OnWireFlush(n, 0, 0)
 	rate := rt.fabric.Bandwidth(from, to)
 	if rate <= 0 {

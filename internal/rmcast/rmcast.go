@@ -84,7 +84,7 @@ type RMcast struct {
 	onDeliver func(Message)
 	label     string
 	delivered map[types.MessageID]bool
-	tos       []types.ProcessID // MCast's destination list, reused: Multicast keeps none
+	tos       []types.ProcessID // MCast's and the relay's destination list, reused: Multicast keeps none
 }
 
 var _ node.Protocol = (*RMcast)(nil)
@@ -124,7 +124,7 @@ func (r *RMcast) MCast(m Message) {
 	}
 	r.api.Trace(trace.StageRMSend, m.ID, 0)
 	r.tos = r.api.Topo().AppendProcessesIn(r.tos[:0], m.Dest, -1)
-	r.api.Multicast(r.tos, r.label, DataMsg{M: m})
+	node.Multicast(r.api, r.tos, r.label, DataMsg{M: m})
 }
 
 // Handlers implements node.Protocol.
@@ -139,8 +139,9 @@ func (r *RMcast) onData(from types.ProcessID, dm DataMsg) {
 	}
 	if !m.Dest.Contains(r.api.Group()) {
 		// Uniform integrity: R-Deliver only if addressed. A misrouted
-		// message is a wiring bug.
-		panic(fmt.Sprintf("rmcast: %v received %v not addressed to its group", r.api.Self(), m.ID))
+		// message came from a broken peer: it is dropped, not relayed.
+		r.api.Tracef("rmcast: dropped %v from %v, not addressed to group %v", m.ID, from, r.api.Group())
+		return
 	}
 	r.delivered[m.ID] = true
 	r.api.Trace(trace.StageRMAdmit, m.ID, 0)
@@ -148,13 +149,13 @@ func (r *RMcast) onData(from types.ProcessID, dm DataMsg) {
 		// Relay to our own group's destinations before delivering: if any
 		// member of the group receives m, every correct member does.
 		self := r.api.Self()
-		var relay []types.ProcessID
+		r.tos = r.tos[:0]
 		for _, q := range r.api.Topo().Members(r.api.Group()) {
 			if q != self && q != from {
-				relay = append(relay, q)
+				r.tos = append(r.tos, q)
 			}
 		}
-		r.api.Multicast(relay, r.label, DataMsg{M: m})
+		node.Multicast(r.api, r.tos, r.label, DataMsg{M: m})
 	}
 	if r.onDeliver != nil {
 		r.onDeliver(m)

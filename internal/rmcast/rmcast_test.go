@@ -220,3 +220,47 @@ func TestMCastReusesItsDestinationList(t *testing.T) {
 		t.Errorf("a cast to two groups: %.1f allocations, want at most 1", n)
 	}
 }
+
+// TestRelayReusesItsDestinationList: an eager relay costs the boxing of its
+// message and nothing else: its destination list is the endpoint's own, like
+// MCast's. (Building a fresh list cost two allocations per relayed message.)
+func TestRelayReusesItsDestinationList(t *testing.T) {
+	rt := node.NewRuntime(types.NewTopology(2, 3), network.Model{IntraGroup: time.Millisecond, InterGroup: time.Millisecond}, 1, nil)
+	ep := New(Config{API: rt.Proc(0), Mode: ModeEager})
+	rt.Proc(0).Register(ep)
+	rt.Start()
+	m := msg(3, 0, 0, 1)
+	relay := func() {
+		m.ID.Seq++
+		ep.onData(3, DataMsg{M: m}) // relayed to p1 and p2
+	}
+	for range 1024 { // warm the delivered set and the scheduler's queue
+		relay()
+	}
+	if n := testing.AllocsPerRun(100, relay); n > 1 {
+		t.Errorf("a relayed message: %.1f allocations, want at most 1", n)
+	}
+}
+
+// TestMisroutedMessageIsDropped: a DataMsg for a group the receiver is not in
+// came from a broken peer: the receiver neither delivers nor relays it, and
+// carries on.
+func TestMisroutedMessageIsDropped(t *testing.T) {
+	rt := node.NewRuntime(types.NewTopology(2, 3), network.Model{IntraGroup: time.Millisecond, InterGroup: time.Millisecond}, 1, nil)
+	got := map[types.ProcessID][]uint64{}
+	eps := make([]*RMcast, 3)
+	for i := range eps {
+		p := types.ProcessID(i)
+		eps[i] = New(Config{API: rt.Proc(p), Mode: ModeEager, OnDeliver: func(m Message) { got[p] = append(got[p], m.ID.Seq) }})
+		rt.Proc(p).Register(eps[i])
+	}
+	rt.Start()
+	eps[0].onData(3, DataMsg{M: msg(3, 1, 1)})
+	eps[0].onData(3, DataMsg{M: msg(3, 2, 0)})
+	rt.Run()
+	for p := range eps {
+		if seqs := got[types.ProcessID(p)]; len(seqs) != 1 || seqs[0] != 2 {
+			t.Fatalf("p%d delivered casts %v, want only cast 2", p, seqs)
+		}
+	}
+}

@@ -175,7 +175,7 @@ func (e *Engine[R, T]) Start() {
 }
 
 func (e *Engine[R, T]) sendReq() {
-	e.cfg.API.Multicast(e.peers, e.cfg.Label, Req{From: e.cfg.Pos()})
+	node.Multicast(e.cfg.API, e.peers, e.cfg.Label, Req{From: e.cfg.Pos()})
 }
 
 // retry asks the peers, and again every retryEvery until the transfer ends.
@@ -214,7 +214,7 @@ func (e *Engine[R, T]) serve(from types.ProcessID, m Req) {
 			resp.Tail = &tail
 		}
 	}
-	e.cfg.API.Send(from, e.cfg.Label, resp)
+	node.Send(e.cfg.API, from, e.cfg.Label, resp)
 }
 
 // onResp consumes one answer. Stale, repeated and reordered answers are

@@ -32,15 +32,22 @@ func envelopeOf[T any](t testing.TB, proto string, bodies ...T) []byte {
 	var bw wire.BatchWriter
 	bw.Begin(1)
 	for i, b := range bodies {
-		if _, err := bw.Add(proto, int64(i), b); err != nil {
-			t.Fatal(err)
-		}
+		bw.Add(sub(t, proto, int64(i), b))
 	}
 	frame, _, _, _, err := bw.Finish(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// sub encodes one message as its sender does.
+func sub[T any](t testing.TB, proto string, ts int64, body T) []byte {
+	b, err := wire.AppendSub(nil, proto, ts, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // receiver is an unstarted runtime whose p0 hosts a typedSink, and a way to
@@ -124,14 +131,10 @@ func TestLaneCountsEveryFrame(t *testing.T) {
 	var bw wire.BatchWriter
 	bw.Begin(1)
 	for i, m := range accepteds {
-		if _, err := bw.Add("sink", int64(i), m); err != nil {
-			t.Fatal(err)
-		}
+		bw.Add(sub(t, "sink", int64(i), m))
 	}
 	desc := amcast.Descriptor{ID: types.MessageID{Origin: 1, Seq: 9}, Dest: types.NewGroupSet(0, 1), Payload: []byte("payload")}
-	if _, err := bw.Add("sink", 16, amcast.TSMsg{Desc: desc}); err != nil {
-		t.Fatal(err)
-	}
+	bw.Add(sub(t, "sink", 16, amcast.TSMsg{Desc: desc}))
 	frame, rawLen, _, _, err := bw.Finish(nil, 0)
 	if err != nil {
 		t.Fatal(err)

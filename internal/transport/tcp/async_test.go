@@ -98,20 +98,20 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 		if time.Now().After(warmDeadline) {
 			t.Fatal("could not establish the p0→p1 link")
 		}
-		rtA.Run(0, func() { rtA.Transmit(0, []types.ProcessID{1}, "t", "warm", 0) })
+		rtA.Run(0, func() { rtA.Proc(0).Send(1, "t", "warm") })
 		time.Sleep(5 * time.Millisecond)
 	}
 	warm := sink.count()
 
 	// Burst enough bytes at the wedged and dead peers to exhaust any
 	// kernel buffering many times over, all from p0's event loop. The loop
-	// must come back essentially immediately: encodes, dials, and writes
-	// all happen on writer goroutines.
+	// must come back essentially immediately: it encodes each send once,
+	// and dials and writes happen on writer goroutines.
 	payload := make([]byte, 64<<10)
 	start := time.Now()
 	rtA.Run(0, func() {
 		for i := 0; i < 300; i++ {
-			rtA.Transmit(0, []types.ProcessID{2, 3}, "t", payload, 0)
+			rtA.Proc(0).Multicast([]types.ProcessID{2, 3}, "t", payload)
 		}
 	})
 	if stall := time.Since(start); stall > 500*time.Millisecond {
@@ -121,7 +121,7 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	// Sends to the live peer keep flowing while p2 stays wedged and p3
 	// stays dead.
 	sent := time.Now()
-	rtA.Run(0, func() { rtA.Transmit(0, []types.ProcessID{1}, "t", "alive?", 0) })
+	rtA.Run(0, func() { rtA.Proc(0).Send(1, "t", "alive?") })
 	deadline := time.Now().Add(2 * time.Second)
 	for sink.count() <= warm && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -116,7 +116,7 @@ func (h *heartbeatFD) Start() {
 func (h *heartbeatFD) tick() {
 	self := h.api.Self()
 	now := h.api.Now()
-	h.api.Multicast(h.peers, "fd", heartbeatMsg{Beat: int64(now)})
+	node.Multicast(h.api, h.peers, fdProto, heartbeatMsg{Beat: int64(now)})
 	if h.leaseDur > 0 && h.leader == self && h.canGrantTo(self, now) {
 		// Self-grant through the same fencing path followers use: our own
 		// vote counts toward the majority only while no other candidate
@@ -167,7 +167,7 @@ func (h *heartbeatFD) maybeGrant(from types.ProcessID, beat int64) {
 		return
 	}
 	h.promiseEnd[from] = now + h.leaseDur + h.skew
-	h.api.Send(from, "fd", leaseGrantMsg{Beat: beat})
+	node.Send(h.api, from, fdProto, leaseGrantMsg{Beat: beat})
 }
 
 // canGrantTo reports whether every outstanding promise to a candidate

@@ -127,3 +127,18 @@ func TestFrameFailingMidEnvelope(t *testing.T) {
 	send(t, port, dataFrame(t, "rm", 3, nil))
 	await(t, "a redial", got, 3)
 }
+
+// TestMisroutedCastIsDropped: a well-formed rmcast DataMsg for a group the
+// receiver is not in decodes fine, so it reaches rmcast, which drops it: not
+// R-Delivered, and no panic (it used to call it a wiring bug and crash the
+// process). Later traffic on the same connection is delivered.
+func TestMisroutedCastIsDropped(t *testing.T) {
+	const port = 22770
+	got := rmServer(t, port)
+	misrouted := rmcast.DataMsg{M: rmcast.Message{ID: types.MessageID{Origin: 1, Seq: 1}, Dest: types.NewGroupSet(1), Payload: []byte("x")}}
+	conn := send(t, port, dataFrame(t, "rm", 0, misrouted))
+	if _, err := conn.Write(dataFrame(t, "rm", 2, nil)); err != nil {
+		t.Fatal(err)
+	}
+	await(t, "the cast after a misrouted one", got, 2)
+}

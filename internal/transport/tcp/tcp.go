@@ -29,18 +29,16 @@
 // drops are protocol-retry-safe (rmcast data and consensus rounds both
 // retransmit toward live peers).
 //
-// The transport is asynchronous and buffered. Transmit runs on the
-// sender's process loop and does nothing but enqueue one frame per
-// receiver onto a bounded per-connection send queue; a writer goroutine
-// per (from, to) pair dials, encodes, and writes. The writer coalesces every
-// frame it can take within flushEvery into one buffered write, so many
-// frames share a syscall, and it reuses one encode buffer, so the
-// steady-state encode path allocates nothing. A dead or wedged peer
-// therefore never stalls a process loop: dials happen off-loop with a
-// timeout, writes block only the writer goroutine, and when a queue fills
-// the frame is dropped — quasi-reliable links guarantee nothing to crashed
-// processes, and the protocols' retry timers recover any frame dropped
-// toward a live one.
+// The transport is asynchronous and buffered. A send is encoded once, on the
+// sender's process loop (node.Multicast, TransmitEncoded), and its bytes
+// copied into each receiver connection's bounded pending buffer; a writer
+// goroutine per (from, to) pair swaps that buffer out when woken, dials, and
+// writes it in batch envelopes with one syscall. No value is boxed, no link
+// encodes, and nothing allocates in steady state. A dead or wedged peer never
+// stalls a process loop: dials happen off-loop with a timeout, writes block
+// only the writer goroutine, and a frame for a full buffer is dropped —
+// quasi-reliable links guarantee nothing to crashed processes, and the
+// protocols' retry timers recover any frame dropped toward a live one.
 //
 // The wire format is the zero-allocation internal/wire codec. Every
 // protocol message has a registered codec there, and an application payload
@@ -132,7 +130,7 @@ type Runtime struct {
 	leases []*fd.Lease // indexed by ProcessID; outlive detector restarts
 	local  []types.ProcessID
 	// The transport's only drops, counted per sending process: frames
-	// refused by a full send queue, and by a full partition or pacing hold.
+	// refused by a full send queue (a paced link's too) and partition hold.
 	queueDrops, holdDrops []atomic.Uint64
 
 	listeners []net.Listener
@@ -193,10 +191,7 @@ func New(cfg Config) *Runtime {
 		lk := rt.links[connKey{l.From, l.To}]
 		rt.connMu.Unlock()
 		if lk != nil {
-			select {
-			case lk.wake <- struct{}{}:
-			default: // a wake is already pending
-			}
+			lk.signal()
 		}
 	})
 	n := cfg.Topo.N()
@@ -248,7 +243,7 @@ func (rt *Runtime) newLane() *lane {
 }
 
 // Drops snapshots the frames dropped so far on a full send queue and on a
-// full partition or pacing hold, indexed by sending process.
+// full partition hold, indexed by sending process.
 func (rt *Runtime) Drops() (queue, hold []uint64) {
 	for i := range rt.queueDrops {
 		queue, hold = append(queue, rt.queueDrops[i].Load()), append(hold, rt.holdDrops[i].Load())
@@ -845,38 +840,37 @@ func (rt *Runtime) Later(owner *node.Proc, d time.Duration, fn func()) {
 	ln.delay(ev, time.Now().Add(d))
 }
 
-// Transmit implements node.Env. It runs on the sender's loop and never
-// blocks: for each receiver in list order, a self-send short-circuits
-// through the inbox and a remote send is enqueued to the connection's
-// writer goroutine (dropping if the bounded queue is full).
+// Transmit implements node.Env. A Proc hands a node.WireEnv only its
+// self-sends (its remote copies go out encoded, TransmitEncoded): each is
+// posted to the lane with its value.
 func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64) {
 	for _, to := range tos {
-		if from == to {
-			rt.laneOf[to].post(laneEvent{from: from, to: to, proto: proto, ts: sendTS, body: body})
+		rt.laneOf[to].post(laneEvent{from: from, to: to, proto: proto, ts: sendTS, body: body})
+	}
+}
+
+// TransmitEncoded implements node.WireEnv. It runs on the sender's loop and
+// never blocks: it adds sub to the pending frames of each remote receiver's
+// link, a copy (or sub itself, from node.OwnLen bytes), or drops it there if
+// the link already holds its bound.
+func (rt *Runtime) TransmitEncoded(from types.ProcessID, tos []types.ProcessID, proto string, sub []byte) {
+	for _, to := range tos {
+		if to == from {
 			continue
 		}
 		l := rt.link(from, to)
 		if l == nil {
 			return // runtime stopped
 		}
-		// fd frames ride their own small queue: a protocol backlog
-		// (bandwidth pacing, slow peer) filling l.queue must never drop or
-		// delay the liveness signals, or congestion would masquerade as a
-		// crash.
-		q := l.queue
-		if proto == fdProto {
-			q = l.fdq
-		}
-		select {
-		case q <- outFrame{proto: proto, ts: sendTS, body: body}:
-			// Record only frames actually handed to a writer: counting
-			// drops as sends would skew message statistics in exactly the
-			// overload regime the queue bound exists for.
-			rt.rec.OnSend(proto, from, to, !rt.topo.SameGroup(from, to), rt.Now())
-		default:
+		if !l.queue(sub, proto == fdProto) {
 			rt.queueDrops[from].Add(1)
 			rt.Tracef("send queue full: drop %v->%v %s", from, to, proto)
+			continue
 		}
+		// Record only frames actually handed to a writer: counting drops as
+		// sends would skew message statistics in exactly the overload
+		// regime the queue bound exists for.
+		rt.rec.OnSend(proto, from, to, !rt.topo.SameGroup(from, to), rt.Now())
 	}
 }
 
@@ -895,13 +889,11 @@ func (rt *Runtime) link(from, to types.ProcessID) *link {
 	default:
 	}
 	l := &link{
-		rt:    rt,
-		from:  from,
-		to:    to,
-		queue: make(chan outFrame, sendQueue),
-		fdq:   make(chan outFrame, 16),
-		wake:  make(chan struct{}, 1),
-		ctr:   rt.fabric.Counter(from, to),
+		rt:   rt,
+		from: from,
+		to:   to,
+		wake: make(chan struct{}, 1),
+		ctr:  rt.fabric.Counter(from, to),
 	}
 	rt.links[key] = l
 	rt.wg.Add(1)
@@ -909,21 +901,12 @@ func (rt *Runtime) link(from, to types.ProcessID) *link {
 	return l
 }
 
-// outFrame is one queued send; the sender's identity lives on the link.
-type outFrame struct {
-	proto string
-	ts    int64
-	body  any
-	// encSize is writePending scratch: the frame's encoded size inside the
-	// envelope being built (-1 when the body failed to encode).
-	encSize int
-}
-
 // fdProto is the failure detector's proto label. fd frames get transport
-// privileges: they are never folded into batch envelopes, never compressed,
-// and exempt from bandwidth pacing — a saturated or compressed link must
-// keep carrying the liveness signals, or congestion would masquerade as
-// crashes.
+// privileges: they are queued apart from the protocols' (a protocol backlog
+// never drops or delays them), never folded into batch envelopes, never
+// compressed, and exempt from bandwidth pacing — a saturated or compressed
+// link must keep carrying the liveness signals, or congestion would
+// masquerade as crashes.
 const fdProto = "fd"
 
 // The transport's sizes and periods. No workload varies them, so they are
@@ -934,55 +917,103 @@ const (
 	// replies, timers, deliveries) are never dropped, unlike a send queue's
 	// frames, whose loss is retry-safe.
 	inboxSize = 4096
-	// sendQueue bounds each connection's outbound frame queue, and the
-	// frames a severed or paced link holds. A full queue drops frames
-	// instead of blocking a process loop; protocol retry timers recover
-	// drops toward live peers.
+	// sendQueue bounds the protocol frames each connection has pending, and
+	// those a severed link holds. A full queue drops frames instead of
+	// blocking a process loop; protocol retry timers recover drops toward
+	// live peers. fdQueue bounds its pending fd frames.
 	sendQueue = 4096
-	// flushEvery caps how long a writer coalesces frames before flushing
-	// them in one syscall.
-	flushEvery = 200 * time.Microsecond
+	fdQueue   = 16
 	// dialTimeout bounds each connect attempt. Dials run on writer
 	// goroutines, never on process loops; after a failed dial the link backs
 	// off for as long before trying again, dropping frames meanwhile.
 	dialTimeout = time.Second
 	// A lane keeps walked envelopes to lend again: 256 covers what lan-sat
-	// and wan-mix hold queued or delayed at once; none above keepEnvelope.
+	// and wan-mix hold queued or delayed at once; none above keepEnvelope,
+	// which also bounds the pending buffers a link keeps.
 	freeEnvelopes = 256
 	keepEnvelope  = 64 << 10
 )
 
-// maxEnvelopeFrames caps how many additional frames the writer pulls off
-// its queue into one flush cycle, bounding a single batch envelope.
+// maxEnvelopeFrames caps the frames of one batch envelope.
 const maxEnvelopeFrames = 512
 
-// paceChunkBytes caps one write burst on a bandwidth-capped link. Without
-// it the writer would hand a whole coalesced cycle — potentially megabytes —
-// to the kernel at memory speed and then sit silent through the transmission
-// debt, so the peer would see an instantaneous flood followed by a gap. The
-// flood is the dangerous half: hundreds of frames land on the receiver's
-// lane at once and heartbeat processing queues behind them past
-// SuspectAfter. Chunking the burst and paying the debt between chunks makes
-// the peer receive at the modeled rate instead.
+// paceChunkBytes caps one write burst on a bandwidth-capped link, so that the
+// peer receives at the modeled rate: a whole cycle — potentially megabytes —
+// handed to the kernel at once would land hundreds of frames on its lane at
+// once, and its heartbeat processing would queue behind them past SuspectAfter.
 const paceChunkBytes = 128 << 10
 
-// link owns one outbound TCP connection: a bounded frame queue drained by a
-// single writer goroutine that dials, encodes, and writes with coalesced
-// flushes. While the fabric severs the link, the writer kills the
-// connection, refuses to dial, and parks protocol frames in held until the
-// link heals — the heal wakes it through wake.
+// link owns one outbound TCP connection and its pending frames, which senders
+// add under mu (fd frames apart) and its writer swaps for the ones it wrote
+// last, woken when they were empty. While the fabric severs the link, the
+// writer kills the connection, refuses to dial, and holds the protocol
+// frames until the link heals — the heal wakes it through wake.
 type link struct {
 	rt       *Runtime
 	from, to types.ProcessID
-	queue    chan outFrame
-	fdq      chan outFrame        // fd frames only: immune to protocol backlog
-	wake     chan struct{}        // fabric transition signal, capacity 1
+	wake     chan struct{}        // capacity 1: frames queued, or a fabric transition
 	ctr      *network.LinkCounter // the fabric's independent per-link byte count
 
-	// Writer-goroutine state, reused across flush cycles.
+	mu      sync.Mutex
+	out, fd frames // pending since the writer's last swap
+
+	// Writer-goroutine state, reused across cycles.
 	bat      wire.BatchWriter
-	pend     []outFrame
+	buf      []byte    // the envelope or plain frame being written
 	nextFree time.Time // bandwidth pacing: when the written bytes have drained
+}
+
+// frames holds messages in order, as wire.AppendSub encoded them: each a
+// copy in b, back to back, or one of node.OwnLen bytes or more, kept whole.
+type frames struct {
+	b    []byte
+	subs [][]byte
+}
+
+func (f *frames) add(sub []byte) {
+	if len(sub) < node.OwnLen {
+		at := len(f.b)
+		f.b = append(f.b, sub...)
+		sub = f.b[at:]
+	}
+	f.subs = append(f.subs, sub)
+}
+
+// reset empties f, keeping its storage unless it grew past keepEnvelope.
+func (f *frames) reset() {
+	clear(f.subs)
+	if cap(f.b) > keepEnvelope {
+		*f = frames{}
+	}
+	f.b, f.subs = f.b[:0], f.subs[:0]
+}
+
+// queue appends sub to the link's pending frames, fd's or the protocols',
+// unless they hold their bound already, waking the writer if they were
+// empty.
+func (l *link) queue(sub []byte, fd bool) bool {
+	l.mu.Lock()
+	q, bound := &l.out, sendQueue
+	if fd {
+		q, bound = &l.fd, fdQueue
+	}
+	ok := len(q.subs) < bound
+	if ok {
+		q.add(sub)
+	}
+	first := len(q.subs) == 1
+	l.mu.Unlock()
+	if ok && first {
+		l.signal()
+	}
+	return ok
+}
+
+func (l *link) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default: // a wake is already pending
+	}
 }
 
 func (l *link) writeLoop() {
@@ -991,9 +1022,9 @@ func (l *link) writeLoop() {
 	var (
 		conn     net.Conn
 		bw       *bufio.Writer
-		buf      []byte // reused wire-encode buffer; zero-alloc steady state
 		nextDial time.Time
-		held     []outFrame // frames parked while the fabric severs the link
+		out, fd  frames // what the last swap took
+		held     frames // protocol frames parked while the fabric severs the link
 	)
 	// teardown closes the connection after a write error. It does NOT arm
 	// the dial backoff: a transient error on an established connection
@@ -1007,246 +1038,168 @@ func (l *link) writeLoop() {
 		}
 		conn, bw = nil, nil
 	}
-	defer func() {
-		if conn != nil {
-			_ = conn.Close()
-			rt.untrack(conn)
-		}
-	}()
+	defer teardown()
 	for {
-		var f outFrame
-		var got bool
 		select {
-		case f = <-l.fdq:
-			got = true
-		case f = <-l.queue:
-			got = true
 		case <-l.wake:
-			// Fabric transition on this link: fall through to re-check the
-			// severed state — killing the connection on a sever, flushing
-			// held on a heal.
 		case <-rt.done:
 			return
 		}
-		if rt.fabric.Severed(l.from, l.to) {
-			// Partition: kill the connection, reject dials, and park the
-			// frame — the transport-level stand-in for the TCP retransmit
-			// buffer that carries unacked data across a real partition, so
-			// the severed link stays a quasi-reliable (arbitrarily slow)
-			// channel. Heartbeats are NOT parked: they are ephemeral
-			// liveness signals, and withholding them is the whole point —
-			// the peer must suspect us until the link heals. The park
-			// buffer is bounded by sendQueue; beyond it frames drop, as a
-			// full send queue always has (protocol retries recover).
-			if conn != nil {
+		l.mu.Lock()
+		l.out, out = out, l.out
+		l.fd, fd = fd, l.fd
+		l.mu.Unlock()
+		switch {
+		case rt.fabric.Severed(l.from, l.to):
+			// Partition: kill the connection, refuse to dial, and park the
+			// protocol frames, up to sendQueue (protocol retries recover the
+			// rest) — the stand-in for the TCP retransmit buffer that carries
+			// unacked data across a real partition, so the link stays a
+			// quasi-reliable (arbitrarily slow) channel. Heartbeats are not
+			// parked: the peer must suspect us until the link heals.
+			teardown()
+			for i := range out.subs {
+				if len(held.subs) == sendQueue {
+					rt.holdDrops[l.from].Add(uint64(len(out.subs) - i))
+					rt.Tracef("partition hold full: drop %d frames %v->%v", len(out.subs)-i, l.from, l.to)
+					break
+				}
+				held.add(out.subs[i])
+			}
+		case len(held.subs)+len(out.subs)+len(fd.subs) == 0:
+		case conn == nil && time.Now().Before(nextDial):
+			held.reset() // peer presumed dead: drop until the backoff expires
+		default:
+			if conn == nil {
+				c, err := net.DialTimeout("tcp", rt.addr(l.to), dialTimeout)
+				if err != nil {
+					rt.Tracef("dial error %v->%v: %v", l.from, l.to, err)
+					nextDial = time.Now().Add(dialTimeout)
+					held.reset() // unreachable peer: quasi-reliable links lose nothing between correct processes
+					break
+				}
+				conn = c
+				rt.track(conn)
+				bw = bufio.NewWriterSize(conn, 64<<10)
+			}
+			if err := l.flush(bw, &held, &out, &fd); err != nil {
+				rt.Tracef("write error %v->%v: %v", l.from, l.to, err)
 				teardown()
 			}
-			if got && f.proto != "fd" {
-				if len(held) < sendQueue {
-					held = append(held, f)
-				} else {
-					rt.holdDrops[l.from].Add(1)
-					rt.Tracef("partition hold full: drop %v->%v %s", l.from, l.to, f.proto)
-				}
-			}
-			continue
 		}
-		if got {
-			held = append(held, f)
-		}
-		if len(held) == 0 {
-			continue
-		}
-		if conn == nil {
-			if time.Now().Before(nextDial) {
-				held = nil
-				continue // peer presumed dead: drop until the backoff expires
-			}
-			c, err := net.DialTimeout("tcp", rt.addr(l.to), dialTimeout)
-			if err != nil {
-				rt.Tracef("dial error %v->%v: %v", l.from, l.to, err)
-				nextDial = time.Now().Add(dialTimeout)
-				held = nil
-				continue // unreachable peer: quasi-reliable links lose nothing between correct processes
-			}
-			conn = c
-			rt.track(conn)
-			bw = bufio.NewWriterSize(conn, 64<<10)
-		}
-		// Coalesce: gather the held frames (usually just the one received
-		// above; more after a heal) plus whatever the queue yields within
-		// flushEvery, and write them as one flush. The gathered protocol
-		// frames pack into a single batch envelope — one length header and
-		// one sender preamble for the whole burst, one syscall — while fd
-		// frames are written immediately as plain frames (see fdProto).
-		deadline := time.Now().Add(flushEvery)
-		var err error
-		pend := l.pend[:0]
-		take := func(f outFrame) {
-			if f.proto == fdProto {
-				_, err = l.writePlain(bw, &buf, f)
-			} else {
-				pend = append(pend, f)
-			}
-		}
-		n := 0
-		for n < len(held) && err == nil {
-			if take(held[n]); err == nil {
-				n++
-			}
-		}
-		held = slices.Delete(held, 0, n) // keeps the backing array for the next cycle
-		for err == nil && len(pend) < maxEnvelopeFrames && time.Now().Before(deadline) {
-			var more bool
-			select {
-			case f = <-l.fdq:
-				more = true
-			default:
-				select {
-				case f = <-l.queue:
-					more = true
-				default:
-				}
-			}
-			if !more {
-				break
-			}
-			take(f)
-		}
-		// Write the gathered protocol frames. On an uncapped link the whole
-		// cycle goes out as one burst (one envelope). On a
-		// bandwidth-capped link it goes out in paceChunkBytes chunks with the
-		// transmission debt paid between them — modeling the burst draining
-		// through a rate-limited pipe, and keeping the peer's receive rate at
-		// the modeled rate (see paceChunkBytes).
-		rate := rt.fabric.Bandwidth(l.from, l.to)
-		limit := 0
-		if rate > 0 {
-			limit = paceChunkBytes
-		}
-		for off := 0; err == nil && off < len(pend); {
-			var payBytes, used int
-			payBytes, used, err = l.writePending(bw, &buf, pend[off:], limit)
-			off += used
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err == nil && payBytes > 0 && rate > 0 {
-				now := time.Now()
-				if l.nextFree.Before(now) {
-					l.nextFree = now
-				}
-				l.nextFree = l.nextFree.Add(network.TransmitTime(rate, payBytes))
-				err = l.pace(&held, bw, &buf)
-			}
-		}
-		for i := range pend {
-			pend[i] = outFrame{} // drop body references
-		}
-		l.pend = pend[:0]
-		if err == nil {
-			err = bw.Flush() // fd frames written outside writePending
-		}
-		if err != nil {
-			// Unwritten held frames stay parked for the next attempt (a
-			// heal racing a broken connection must not lose them).
-			rt.Tracef("write error %v->%v: %v", l.from, l.to, err)
-			teardown()
-			continue
+		out.reset()
+		fd.reset()
+		// A wake pace took may have been for protocol frames still pending.
+		l.mu.Lock()
+		more := len(l.out.subs)+len(l.fd.subs) > 0
+		l.mu.Unlock()
+		if more {
+			l.signal()
 		}
 	}
 }
 
-// writePending encodes the cycle's gathered protocol frames: one batch
-// envelope when two or more coalesced, and also when a lone frame reaches the
-// compression threshold — the envelope is the unit of compression, and on a
-// payload that size its preamble is noise next to the deflate win. A lone
-// frame below the threshold goes out plain: there the preamble costs more
-// than it saves. It consumes frames from the front of pend — all of them
-// when limit is zero, otherwise stopping once the payload reaches limit
-// bytes (always at least one frame) — and returns the pacing-liable wire
-// bytes written plus how many frames it consumed.
-func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limit int) (payBytes, used int, err error) {
-	rt := l.rt
-	if len(pend) == 0 {
-		return 0, 0, nil
+// flush writes a cycle's frames, the fd frames first, then the held protocol
+// frames and out's, in order, in envelopes, and flushes them: in one burst,
+// or on a bandwidth-capped link in paceChunkBytes chunks with the
+// transmission debt paid between them, the burst draining through the
+// modeled pipe. Held frames are written or lost.
+func (l *link) flush(bw *bufio.Writer, held, out, fd *frames) error {
+	defer held.reset()
+	if err := l.writeFD(bw, fd); err != nil {
+		return err
 	}
-	l.bat.Begin(l.from)
-	solo := -1
-	for i := range pend {
-		f := &pend[i]
-		n, aerr := l.bat.Add(f.proto, f.ts, f.body)
-		used = i + 1
-		if aerr != nil {
-			// The body itself is unencodable (e.g. an unregistered exotic
-			// payload): drop this frame, keep the rest of the envelope.
-			rt.Tracef("encode error %v->%v %s: %v", l.from, l.to, f.proto, aerr)
-			f.encSize = -1
+	subs := out.subs
+	if len(held.subs) > 0 {
+		for _, sub := range out.subs {
+			held.add(sub)
+		}
+		subs = held.subs
+	}
+	rate := l.rt.fabric.Bandwidth(l.from, l.to)
+	for len(subs) > 0 {
+		n, payBytes, err := l.writeEnvelope(bw, subs, rate > 0)
+		if err != nil {
+			return err
+		}
+		if subs = subs[n:]; payBytes == 0 || rate <= 0 {
 			continue
 		}
-		f.encSize = n
-		solo = i
-		if limit > 0 && l.bat.Len() >= limit {
-			break
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		if now := time.Now(); l.nextFree.Before(now) {
+			l.nextFree = now
+		}
+		l.nextFree = l.nextFree.Add(network.TransmitTime(rate, payBytes))
+		if err := l.pace(bw, fd); err != nil {
+			return err
 		}
 	}
-	if l.bat.Count() == 0 {
-		return 0, used, nil
+	return bw.Flush()
+}
+
+// writeEnvelope writes the first n of subs, as many as one envelope takes (up
+// to maxEnvelopeFrames; when paced, until paceChunkBytes), and returns n and
+// the bytes written. The envelope is a batch, deflated from wire.MinCompress
+// on, unless it is one frame below that: that goes out plain, where the batch
+// preamble costs more than it saves.
+func (l *link) writeEnvelope(bw *bufio.Writer, subs [][]byte, paced bool) (n, payBytes int, err error) {
+	rt := l.rt
+	l.bat.Begin(l.from)
+	for ; n < len(subs) && n < maxEnvelopeFrames && (!paced || l.bat.Len() < paceChunkBytes); n++ {
+		l.bat.Add(subs[n])
 	}
-	if l.bat.Count() == 1 && l.bat.Len() < wire.MinCompress {
-		n, werr := l.writePlain(bw, buf, pend[solo])
-		return n, used, werr
+	if n == 1 && l.bat.Len() < wire.MinCompress {
+		payBytes, err = l.writePlain(bw, subs[0])
+		return n, payBytes, err
 	}
-	if rt.rec != nil {
-		for i := 0; i < used; i++ {
-			if pend[i].encSize >= 0 {
-				rt.rec.OnWireSend(byte(wire.KindOf(pend[i].body)), pend[i].encSize)
-			}
-		}
+	for _, sub := range subs[:n] {
+		rt.rec.OnWireSend(byte(wire.SubKind(sub)), len(sub))
 	}
-	b, rawLen, compLen, wireLen, ferr := l.bat.Finish((*buf)[:0], wire.MinCompress)
-	if ferr != nil {
-		rt.Tracef("encode error %v->%v batch: %v", l.from, l.to, ferr)
-		return 0, used, nil
+	b, rawLen, compLen, wireLen, err := l.bat.Finish(l.buf[:0], wire.MinCompress)
+	if err != nil {
+		rt.Tracef("encode error %v->%v batch: %v", l.from, l.to, err)
+		return n, 0, nil
 	}
-	*buf = b
+	l.buf = b
 	l.ctr.Count(wireLen)
 	rt.rec.OnWireFlush(wireLen, rawLen, compLen)
-	_, werr := bw.Write(b)
-	return wireLen, used, werr
+	_, err = bw.Write(b)
+	return n, wireLen, err
 }
 
-// writePlain encodes one frame in the plain (non-envelope) wire format and
-// counts its bytes. It returns the frame's pacing-liable wire bytes: zero
-// for fd frames, which are exempt from bandwidth pacing. Encode failures
-// drop the frame but keep the connection; only write failures return error.
-func (l *link) writePlain(bw *bufio.Writer, buf *[]byte, f outFrame) (int, error) {
+// writeFD writes fd's frames and empties it. fd frames go out at once, each
+// plain, and owe no bandwidth debt (see fdProto).
+func (l *link) writeFD(bw *bufio.Writer, fd *frames) error {
+	defer fd.reset()
+	for _, sub := range fd.subs {
+		if _, err := l.writePlain(bw, sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writePlain writes sub as one plain frame, counts it, and returns its size.
+func (l *link) writePlain(bw *bufio.Writer, sub []byte) (int, error) {
 	rt := l.rt
-	b, err := wire.AppendFrame((*buf)[:0], l.from, f.proto, f.ts, f.body)
-	if err != nil {
-		rt.Tracef("encode error %v->%v %s: %v", l.from, l.to, f.proto, err)
-		return 0, nil
-	}
-	*buf = b
-	l.ctr.Count(len(b))
-	rt.rec.OnWireSend(byte(wire.KindOf(f.body)), len(b))
-	rt.rec.OnWireFlush(len(b), 0, 0)
-	_, err = bw.Write(b)
-	if f.proto == fdProto {
-		return 0, err
-	}
-	return len(b), err
+	l.buf = wire.AppendPlain(l.buf[:0], l.from, sub)
+	l.ctr.Count(len(l.buf))
+	rt.rec.OnWireSend(byte(wire.SubKind(sub)), len(l.buf))
+	rt.rec.OnWireFlush(len(l.buf), 0, 0)
+	_, err := bw.Write(l.buf)
+	return len(l.buf), err
 }
 
 // pace blocks until the link's transmission-debt clock (nextFree) passes:
 // after a burst of n bytes on a link capped at rate bytes/s the writer
-// accepts no further protocol frames for TransmitTime(rate, n) — the
-// written bytes draining through the modeled pipe. fd frames are exempt:
-// they are written and flushed immediately during the wait, so a saturated
-// link keeps carrying heartbeats and congestion cannot masquerade as a
-// crash. Other frames arriving mid-wait park in held for the next cycle,
-// bounded by sendQueue exactly like the partition hold.
-func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
+// takes no further protocol frames for TransmitTime(rate, n) — the written
+// bytes draining through the modeled pipe; they wait in the link's queue,
+// bounded by sendQueue. fd frames are exempt: each wake swaps them out and
+// writes and flushes them during the wait, so a saturated link keeps
+// carrying heartbeats and congestion cannot masquerade as a crash.
+func (l *link) pace(bw *bufio.Writer, fd *frames) error {
 	rt := l.rt
 	for {
 		d := time.Until(l.nextFree)
@@ -1255,42 +1208,24 @@ func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 		}
 		t := time.NewTimer(d)
 		select {
-		case f := <-l.fdq:
-			// fd frames are exempt from pacing: write and flush them
-			// through the capped window so the wait cannot starve the
-			// failure detector.
-			t.Stop()
-			if rt.fabric.Severed(l.from, l.to) {
-				continue // heartbeats never cross a severed link
-			}
-			if _, err := l.writePlain(bw, buf, f); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		case f := <-l.queue:
-			t.Stop()
-			if len(*held) < sendQueue {
-				*held = append(*held, f)
-			} else {
-				rt.holdDrops[l.from].Add(1)
-				rt.Tracef("pacing hold full: drop %v->%v %s", l.from, l.to, f.proto)
-			}
 		case <-l.wake:
 			t.Stop()
 			if rt.fabric.Severed(l.from, l.to) {
 				// A sever must kill the connection now: hand control back
 				// to the main loop with the wake re-armed so it sees the
 				// transition. Remaining debt stays on nextFree.
-				select {
-				case l.wake <- struct{}{}:
-				default:
-				}
+				l.signal()
 				return nil
 			}
-			// A heal or reverse-link transition changes nothing for an
-			// unsevered writer: keep pacing.
+			l.mu.Lock()
+			l.fd, *fd = *fd, l.fd
+			l.mu.Unlock()
+			if err := l.writeFD(bw, fd); err != nil {
+				return err
+			}
+			if err := bw.Flush(); err != nil {
+				return err
+			}
 		case <-rt.done:
 			t.Stop()
 			return nil

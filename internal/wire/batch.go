@@ -1,11 +1,11 @@
 // Batch envelopes: the WAN byte- and syscall-efficiency layer of the wire
 // codec.
 //
-// A batch envelope packs every frame a transport writer coalesces in one
-// flush window into a single outer frame: one 4-byte length header and one
-// (from, proto, ts) preamble on the wire instead of one per message. Inside
-// the envelope each sub-message carries only its own proto label, timestamp
-// and tagged value — the shared `from` is hoisted into the preamble. Above a
+// A batch envelope packs the frames a transport writer takes in one cycle
+// into a single outer frame: one 4-byte length header and one (from, proto,
+// ts) preamble on the wire instead of one per message. Inside the envelope
+// each sub-message carries only its own proto label, timestamp and tagged
+// value (AppendSub) — the shared `from` is hoisted into the preamble. Above a
 // size threshold the sub-message payload is deflated (compress/flate,
 // BestSpeed) behind a strict decoded-size bound: the uncompressed length is
 // declared up front, capped at MaxFrame, and the inflater reads exactly that
@@ -19,9 +19,11 @@
 // (drop the connection, peers redial). Batches never nest: a KindBatch value
 // inside an envelope is corruption by definition.
 //
-// The transport opens an envelope (OpenEnvelope) and walks its frames
-// (NextFrame) without decoding a value: the receiving process decodes each
-// straight into its handler's type. The registry codec (*Batch) and
+// A sender encodes each message once, as a sub-message (AppendSub), and the
+// transport's writers copy those bytes into envelopes (BatchWriter.Add): no
+// link encodes. The transport opens an envelope (OpenEnvelope) and walks its
+// frames (NextFrame) without decoding a value: the receiving process decodes
+// each straight into its handler's type. The registry codec (*Batch) and
 // DecodeFrameOrBatch decode every sub-message into an interface, for
 // AppendValue/DecodeValue round trips and the fuzz oracle.
 package wire
@@ -33,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 
 	"wanamcast/internal/types"
@@ -68,18 +69,6 @@ type Batch struct {
 
 func init() {
 	Register[*Batch](KindBatch, appendBatchBody, decodeBatchBody)
-}
-
-// KindOf reports the Kind byte AppendValue would tag v with: KindNil, the
-// registered codec's kind, or KindGob for the fallback.
-func KindOf(v any) Kind {
-	if v == nil {
-		return KindNil
-	}
-	if c := lookupType(reflect.TypeOf(v)); c != nil {
-		return c.kind
-	}
-	return KindGob
 }
 
 // --- pooled helpers -------------------------------------------------------
@@ -175,9 +164,12 @@ func inflateInto(comp []byte, rawLen int, scratch *[]byte) ([]byte, error) {
 func appendBatchBody(buf []byte, b *Batch) []byte {
 	var w BatchWriter
 	for i := range b.Msgs {
-		if _, err := w.Add(b.Msgs[i].Proto, b.Msgs[i].TS, b.Msgs[i].Body); err != nil {
+		sub, err := AppendSub(w.sub, b.Msgs[i].Proto, b.Msgs[i].TS, b.Msgs[i].Body)
+		if err != nil {
 			panic(encodeError{err})
 		}
+		w.sub = sub
+		w.count++
 	}
 	if !b.Flate {
 		return w.appendRaw(buf)
@@ -355,9 +347,9 @@ func OpenEnvelope(data []byte, inflate *[]byte) (from types.ProcessID, frames []
 	return f.From, frames, n, err
 }
 
-// BatchWriter accumulates sub-messages and emits one batch envelope frame.
-// All storage is reused across Begin/Finish cycles, so a transport writer
-// that owns one BatchWriter encodes envelopes without allocating.
+// BatchWriter accumulates encoded sub-messages and emits one batch envelope
+// frame. All storage is reused across Begin/Finish cycles, so a transport
+// writer that owns one BatchWriter builds envelopes without allocating.
 type BatchWriter struct {
 	from  types.ProcessID
 	sub   []byte
@@ -373,34 +365,13 @@ func (w *BatchWriter) Begin(from types.ProcessID) {
 	w.count = 0
 }
 
-// Count reports how many sub-messages have been added since Begin.
-func (w *BatchWriter) Count() int { return w.count }
-
 // Len reports the encoded sub-message bytes accumulated since Begin.
 func (w *BatchWriter) Len() int { return len(w.sub) }
 
-// Add encodes one sub-message into the envelope and returns its encoded
-// size. On encode failure (gob fallback rejection) the envelope is left as
-// it was before the call.
-func (w *BatchWriter) Add(proto string, ts int64, body any) (n int, err error) {
-	start := len(w.sub)
-	defer func() {
-		if r := recover(); r != nil {
-			ee, ok := r.(encodeError)
-			if !ok {
-				panic(r)
-			}
-			w.sub, n, err = w.sub[:start], 0, ee.err
-		}
-	}()
-	if _, nested := body.(*Batch); nested {
-		return 0, errors.New("wire: batch envelopes do not nest")
-	}
-	w.sub = AppendString(w.sub, proto)
-	w.sub = AppendVarint(w.sub, ts)
-	w.sub = AppendValue(w.sub, body)
+// Add appends sub, one message as AppendSub encoded it, to the envelope.
+func (w *BatchWriter) Add(sub []byte) {
+	w.sub = append(w.sub, sub...)
 	w.count++
-	return len(w.sub) - start, nil
 }
 
 // Finish appends the completed envelope to buf as one length-prefixed wire

@@ -18,15 +18,24 @@ func buildBatch(t *testing.T, compressMin int, bodies ...any) (frame []byte, raw
 	var bw wire.BatchWriter
 	bw.Begin(7)
 	for i, b := range bodies {
-		if _, err := bw.Add("t", int64(i), b); err != nil {
-			t.Fatalf("add %#v: %v", b, err)
-		}
+		add(t, &bw, "t", int64(i), b)
 	}
 	frame, rawLen, compLen, wireLen, err := bw.Finish(nil, compressMin)
 	if err != nil {
 		t.Fatalf("finish: %v", err)
 	}
 	return frame, rawLen, compLen, wireLen
+}
+
+// add encodes one message and adds it to bw, as a link's writer adds the
+// messages its senders encoded.
+func add(t testing.TB, bw *wire.BatchWriter, proto string, ts int64, body any) {
+	t.Helper()
+	sub, err := wire.AppendSub(nil, proto, ts, body)
+	if err != nil {
+		t.Fatalf("encode %#v: %v", body, err)
+	}
+	bw.Add(sub)
 }
 
 // decodeBatch runs a wire frame through the transport's streaming decode
@@ -165,12 +174,8 @@ func TestBatchWriterReuse(t *testing.T) {
 		var fresh wire.BatchWriter
 		fresh.Begin(9)
 		for i, b := range bodies {
-			if _, err := reused.Add("p", int64(i), b); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fresh.Add("p", int64(i), b); err != nil {
-				t.Fatal(err)
-			}
+			add(t, &reused, "p", int64(i), b)
+			add(t, &fresh, "p", int64(i), b)
 		}
 		got, _, _, _, err := reused.Finish(nil, 0)
 		if err != nil {
@@ -187,10 +192,11 @@ func TestBatchWriterReuse(t *testing.T) {
 }
 
 // TestBatchWriterZeroAllocs pins the send side of an envelope: with the
-// writer's and the caller's buffers warm, Begin, Add and Finish allocate
-// nothing, whether the envelope goes out raw or deflated.
+// writer's and the caller's buffers warm, encoding the messages (AppendSub),
+// Begin, Add and Finish allocate nothing, whether the envelope goes out raw
+// or deflated.
 func TestBatchWriterZeroAllocs(t *testing.T) {
-	var body any = strings.Repeat("wan bandwidth ", 40) // boxed once, as a queued frame's body is
+	body := strings.Repeat("wan bandwidth ", 40)
 	for _, tc := range []struct {
 		name        string
 		compressMin int
@@ -201,13 +207,15 @@ func TestBatchWriterZeroAllocs(t *testing.T) {
 				t.Skip("deflate state comes from a sync.Pool, which drops items under the race detector")
 			}
 			var bw wire.BatchWriter
-			var buf []byte
+			var buf, sub []byte
 			envelope := func() {
 				bw.Begin(3)
 				for i := 0; i < 8; i++ {
-					if _, err := bw.Add("t", int64(i), body); err != nil {
+					var err error
+					if sub, err = wire.AppendSub(sub[:0], "t", int64(i), body); err != nil {
 						t.Fatal(err)
 					}
+					bw.Add(sub)
 				}
 				out, _, compLen, _, err := bw.Finish(buf[:0], tc.compressMin)
 				if err != nil {
@@ -229,16 +237,15 @@ func TestBatchWriterZeroAllocs(t *testing.T) {
 }
 
 // TestBatchRejectsNesting: a batch body inside an envelope is corruption by
-// definition — the writer refuses to encode one and the decoder refuses to
-// accept a crafted one.
+// definition — a sender refuses to encode one as a message, statically typed
+// or boxed, and leaves its buffer as it was.
 func TestBatchRejectsNesting(t *testing.T) {
-	var bw wire.BatchWriter
-	bw.Begin(1)
-	if _, err := bw.Add("p", 0, &wire.Batch{}); err == nil {
-		t.Fatal("writer accepted a nested batch")
+	buf := []byte("kept")
+	if out, err := wire.AppendSub(buf, "p", 0, &wire.Batch{}); err == nil || string(out) != "kept" {
+		t.Fatalf("encoded a nested batch: %q, %v", out, err)
 	}
-	if bw.Count() != 0 || bw.Len() != 0 {
-		t.Fatalf("failed Add left state behind: count=%d len=%d", bw.Count(), bw.Len())
+	if out, err := wire.AppendSub(buf, "p", 0, any(&wire.Batch{})); err == nil || string(out) != "kept" {
+		t.Fatalf("encoded a boxed nested batch: %q, %v", out, err)
 	}
 }
 

@@ -39,9 +39,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, compressMin := range []int{0, 1} {
 		bw.Begin(2)
 		for _, name := range names {
-			if _, err := bw.Add("a1.cons", 11, vals[name]); err != nil {
-				f.Fatal(err)
-			}
+			add(f, &bw, "a1.cons", 11, vals[name])
 		}
 		frame, _, _, _, err := bw.Finish(nil, compressMin)
 		if err != nil {

@@ -496,15 +496,7 @@ func AppendFrame[T any](buf []byte, from types.ProcessID, proto string, ts int64
 			out = buf[:start]
 		}
 	}()
-	buf = append(buf, 0, 0, 0, 0)
-	buf = binary.AppendVarint(buf, int64(from))
-	buf = AppendString(buf, proto)
-	buf = binary.AppendVarint(buf, ts)
-	if c := lookupType(reflect.TypeFor[T]()); c != nil {
-		buf = c.enc.(func([]byte, T) []byte)(append(buf, byte(c.kind)), body)
-	} else {
-		buf = AppendValue(buf, body)
-	}
+	buf = appendSub(binary.AppendVarint(append(buf, 0, 0, 0, 0), int64(from)), proto, ts, body)
 	n := len(buf) - start - 4
 	if n > MaxFrame {
 		// A frame no reader would accept (and, past 4 GiB, one whose
@@ -514,6 +506,51 @@ func AppendFrame[T any](buf []byte, from types.ProcessID, proto string, ts int64
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(n))
 	return buf, nil
+}
+
+// AppendSub appends one message as an envelope carries it: its proto label,
+// timestamp and tagged value, the sender left to the envelope (AppendPlain,
+// or a batch's preamble). A body of a registered static type T is encoded by
+// its codec without being boxed. On error, a body even gob cannot encode or a
+// batch (envelopes do not nest), buf is unchanged.
+func AppendSub[T any](buf []byte, proto string, ts int64, body T) (out []byte, err error) {
+	start := len(buf)
+	defer func() {
+		if caught(recover(), &err) {
+			out = buf[:start]
+		}
+	}()
+	if buf = appendSub(buf, proto, ts, body); SubKind(buf[start:]) == KindBatch {
+		return buf[:start], errors.New("wire: batch envelopes do not nest")
+	}
+	return buf, nil
+}
+
+func appendSub[T any](buf []byte, proto string, ts int64, body T) []byte {
+	buf = binary.AppendVarint(AppendString(buf, proto), ts)
+	if c := lookupType(reflect.TypeFor[T]()); c != nil {
+		return c.enc.(func([]byte, T) []byte)(append(buf, byte(c.kind)), body)
+	}
+	return AppendValue(buf, body)
+}
+
+// SubKind reports the kind of the value in sub, a message AppendSub encoded.
+func SubKind(sub []byte) Kind {
+	d := Decoder{Data: sub}
+	Read(&d, Bytes)
+	if Read(&d, Varint); d.Err != nil || len(d.Data) == 0 {
+		return KindInvalid
+	}
+	return Kind(d.Data[0])
+}
+
+// AppendPlain appends sub, a message of from as AppendSub encoded it, as one
+// plain frame: the bytes AppendFrame writes for the same message.
+func AppendPlain(buf []byte, from types.ProcessID, sub []byte) []byte {
+	start := len(buf)
+	buf = append(binary.AppendVarint(append(buf, 0, 0, 0, 0), int64(from)), sub...)
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf
 }
 
 // FrameValue splits one frame payload (the bytes after the length prefix)
