@@ -120,7 +120,7 @@ type Config = group.Config
 // Bcast is the per-process Algorithm A2 endpoint: A2's rule on a group's.
 type Bcast struct {
 	*group.Endpoint[Record, RoundSet, SyncTail]
-	api       node.API
+	api       *node.Proc
 	onDeliver func(types.MessageID, []byte)
 	// outside lists every process of the other groups, line 15's addressees,
 	// from the first ship on: an endpoint that never ships (an idle A2 beside

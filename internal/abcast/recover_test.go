@@ -76,27 +76,6 @@ func TestRecoveredEndpointIsGated(t *testing.T) {
 	}
 }
 
-// tapReg registers a process's protocols behind a function that sees every
-// message they receive, before they do.
-type tapReg struct {
-	node.Registrar
-	tap func(to, from types.ProcessID, body any)
-}
-
-func (h tapReg) Register(p node.Protocol) { h.Registrar.Register(tapped{p, h}) }
-
-type tapped struct {
-	node.Protocol
-	h tapReg
-}
-
-func (t tapped) Handlers() []node.Handler {
-	return node.Tap(t.Protocol, t.Protocol.Handlers(), func(from types.ProcessID, body any, deliver func()) {
-		t.h.tap(t.h.Self(), from, body)
-		deliver()
-	})
-}
-
 // TestDurableBytesPinned is amcast's test of the same name for A2, at the
 // paper's Pipeline 1: every process's snapshot at TestSnapshotRoundTrip's
 // instant and at the end, p1's WAL (consensus records, remote bundles), every
@@ -115,9 +94,7 @@ func TestDurableBytesPinned(t *testing.T) {
 			lg = storage.NewLog(store)
 		}
 		eps[id] = New(Config{
-			Host: tapReg{rt.Proc(id), func(to, from types.ProcessID, body any) {
-				frames.Write(wire.AppendValue(fmt.Appendf(nil, "%d>%d ", from, to), body))
-			}},
+			Host:     rt.Proc(id),
 			Detector: rt.Oracle(),
 			Log:      lg,
 			OnDeliver: func(mid types.MessageID, payload []byte) {
@@ -131,6 +108,10 @@ func TestDurableBytesPinned(t *testing.T) {
 				rs := &rounds[len(rounds)-1]
 				rs.Set = append(rs.Set, Record{ID: mid, Payload: payload})
 			},
+		})
+		rt.Proc(id).Tap(func(from types.ProcessID, body any, deliver func()) {
+			frames.Write(wire.AppendValue(fmt.Appendf(nil, "%d>%d ", from, id), body))
+			deliver()
 		})
 	}
 	rt.Start()

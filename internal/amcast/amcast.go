@@ -34,7 +34,7 @@
 // the cast: the message then queues at its own caster behind every later
 // local cast still in s1, up to a second WAN round trip. Here an s0 item
 // carries its proposer's hint — the process's physical clock in µs
-// (node.API.Micros) when it admitted m — and the decision fixes a
+// (node.Proc.Micros) when it admitted m — and the decision fixes a
 // multi-group message's proposal as max(K, hint), a function of the decision
 // sequence still. A proposer in the group that cast m adds a lead to its
 // hint: how far, lately, the remote destination groups' proposals for this
@@ -206,7 +206,7 @@ func cmpPend(p, q *pend) int {
 // Mcast is the per-process Algorithm A1 endpoint: A1's rule on a group's.
 type Mcast struct {
 	*group.Endpoint[Descriptor, DeliverRec, SyncTail]
-	api       node.API
+	api       *node.Proc
 	onDeliver func(types.MessageID, []byte)
 	skip      bool // stage skipping: false only in NewFritzke's [5] pipeline
 
@@ -284,10 +284,16 @@ func build(cfg Config, fritzke bool) *Mcast {
 func (a *Mcast) Handlers() []node.Handler { return handlers }
 
 var handlers = append([]node.Handler{
-	node.On(func(a *Mcast, from types.ProcessID, m TSMsg) { a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false) }),
+	node.On(func(a *Mcast, from types.ProcessID, m TSMsg) {
+		if g, ok := a.senderGroup(from, m.Desc); ok {
+			a.handleTS(g, m.Desc, false)
+		}
+	}),
 	node.On(func(a *Mcast, from types.ProcessID, m PullMsg) { // a pull carries the asker's (TS, m) too
-		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
-		a.answerPull(from, m.Desc.ID)
+		if g, ok := a.senderGroup(from, m.Desc); ok {
+			a.handleTS(g, m.Desc, false)
+			a.answerPull(from, m.Desc.ID)
+		}
 	})},
 	statesync.Handlers(func(a *Mcast) *statesync.Engine[DeliverRec, SyncTail] { return a.Sync })...)
 
@@ -303,6 +309,20 @@ func (a *Mcast) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 
 // K returns the process's copy of its group's clock (for tests).
 func (a *Mcast) K() uint64 { return a.k }
+
+// senderGroup returns the group of from, the sender of a (TS, m) or a pull,
+// and whether m is addressed to both that group and this process's. A message
+// that is not came from a broken peer: admitting it would let this group
+// order and deliver an m not addressed to it (§2.2 uniform integrity), so it
+// is dropped, as rmcast drops a misrouted DataMsg.
+func (a *Mcast) senderGroup(from types.ProcessID, d Descriptor) (types.GroupID, bool) {
+	g := a.api.Topo().GroupOf(from)
+	if d.Dest.Contains(g) && d.Dest.Contains(a.api.Group()) {
+		return g, true
+	}
+	a.api.Tracef("a1: dropped (TS, %v) from %v, not addressed to groups %v and %v", d.ID, from, g, a.api.Group())
+	return g, false
+}
 
 // handleTS processes one (TS, m) proposal from group g. replay marks WAL
 // replay: state advances identically but nothing is re-logged.

@@ -54,25 +54,6 @@ type rigOpts struct {
 	tap func(to, from types.ProcessID, body any, deliver func())
 }
 
-// tapHost registers a process's protocols behind rigOpts.tap.
-type tapHost struct {
-	node.Registrar
-	tap func(to, from types.ProcessID, body any, deliver func())
-}
-
-func (h tapHost) Register(p node.Protocol) { h.Registrar.Register(tapped{p, h}) }
-
-type tapped struct {
-	node.Protocol
-	h tapHost
-}
-
-func (t tapped) Handlers() []node.Handler {
-	return node.Tap(t.Protocol, t.Protocol.Handlers(), func(from types.ProcessID, body any, deliver func()) {
-		t.h.tap(t.h.Self(), from, body, deliver)
-	})
-}
-
 func newRig(t *testing.T, o rigOpts) *rig {
 	t.Helper()
 	topo := types.NewTopology(o.groups, o.per)
@@ -103,16 +84,12 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		if id == o.logged {
 			lg = storage.NewLog(o.store)
 		}
-		var host node.Registrar = rt.Proc(id)
-		if o.tap != nil {
-			host = tapHost{host, o.tap}
-		}
 		var det fd.Detector = rt.Oracle()
 		if o.views != nil {
 			det = o.views[id]
 		}
 		cfg := Config{
-			Host:     host,
+			Host:     rt.Proc(id),
 			Detector: det,
 			MaxBatch: o.maxBatch,
 			Pipeline: o.pipeline,
@@ -129,6 +106,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 			build = NewFritzke
 		}
 		r.eps[id] = build(cfg)
+		if o.tap != nil {
+			rt.Proc(id).Tap(func(from types.ProcessID, body any, deliver func()) { o.tap(id, from, body, deliver) })
+		}
 	}
 	rt.Start()
 	return r
@@ -540,4 +520,41 @@ func TestSmallDestinationProposalsLiveInTheEntry(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMisroutedTSIsDropped: a (TS, m) or a pull whose m is not addressed to
+// both the receiver's group and the sender's came from a broken peer. It is
+// dropped: m is never admitted, so no group orders or delivers it (§2.2
+// uniform integrity), and later casts still deliver.
+func TestMisroutedTSIsDropped(t *testing.T) {
+	r := newRig(t, rigOpts{groups: 2, per: 3})
+	forged := func(seq uint64, dest types.GroupID) Descriptor {
+		return Descriptor{ID: types.MessageID{Origin: 3, Seq: 1<<30 + seq}, Dest: types.NewGroupSet(dest),
+			TS: 1, Payload: wire.AppendValue(nil, "forged"), Stage: Stage1}
+	}
+	label := r.eps[0].Proto()
+	node.Send(r.rt.Proc(3), 0, label, TSMsg{Desc: forged(0, 1)})   // not addressed to the receiver's group
+	node.Send(r.rt.Proc(4), 1, label, PullMsg{Desc: forged(1, 1)}) // the same, as a pull
+	node.Send(r.rt.Proc(3), 0, label, TSMsg{Desc: forged(2, 0)})   // not addressed to the sender's group
+	node.Send(r.rt.Proc(5), 2, label, PullMsg{Desc: forged(3, 0)}) // the same, as a pull
+	r.rt.Run()
+	for _, p := range r.topo.AllProcesses() {
+		if n := len(r.eps[p].pending); n != 0 {
+			t.Fatalf("p%v holds %d forged messages in PENDING", p, n)
+		}
+	}
+	r.verify(t) // a forged m delivered anywhere breaks integrity
+	r.cast(0, 0, 1)
+	r.cast(3, 0)
+	r.rt.Run()
+	for _, p := range r.topo.AllProcesses() {
+		want := 1
+		if r.topo.GroupOf(p) == 0 {
+			want = 2
+		}
+		if n := len(r.checker.Sequence(p)); n != want {
+			t.Fatalf("p%v delivered %d later casts, want %d", p, n, want)
+		}
+	}
+	r.verify(t)
 }

@@ -27,7 +27,7 @@ type rig struct {
 	cast    []mcaster
 }
 
-func newRig(t *testing.T, groups, per int, build func(host node.Registrar, rt *node.Runtime, onDeliver func(rmcast.Message)) mcaster) *rig {
+func newRig(t *testing.T, groups, per int, build func(host *node.Proc, rt *node.Runtime, onDeliver func(rmcast.Message)) mcaster) *rig {
 	t.Helper()
 	topo := types.NewTopology(groups, per)
 	col := &metrics.Collector{}
@@ -57,23 +57,23 @@ func (r *rig) verify(t *testing.T) {
 	}
 }
 
-func buildSkeen(host node.Registrar, _ *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
+func buildSkeen(host *node.Proc, _ *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
 	return NewSkeen(SkeenConfig{Host: host, OnDeliver: onDeliver})
 }
 
-func buildDelporte(host node.Registrar, rt *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
+func buildDelporte(host *node.Proc, rt *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
 	return NewDelporte(DelporteConfig{Host: host, Detector: rt.Oracle(), OnDeliver: onDeliver})
 }
 
-func buildRodrigues(host node.Registrar, _ *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
+func buildRodrigues(host *node.Proc, _ *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
 	return NewRodrigues(RodriguesConfig{Host: host, OnDeliver: onDeliver})
 }
 
-func buildDetMerge(host node.Registrar, _ *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
+func buildDetMerge(host *node.Proc, _ *node.Runtime, onDeliver func(rmcast.Message)) mcaster {
 	return NewDetMerge(DetMergeConfig{Host: host, OnDeliver: onDeliver, Interval: 20 * time.Millisecond, StopAfter: 2 * time.Second})
 }
 
-var multicastBuilders = map[string]func(node.Registrar, *node.Runtime, func(rmcast.Message)) mcaster{
+var multicastBuilders = map[string]func(*node.Proc, *node.Runtime, func(rmcast.Message)) mcaster{
 	"skeen":     buildSkeen,
 	"delporte":  buildDelporte,
 	"rodrigues": buildRodrigues,

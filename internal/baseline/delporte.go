@@ -26,7 +26,7 @@ import (
 // of the fault-tolerant multicasts, which is exactly the latency/bandwidth
 // trade-off the paper's §6 discusses.
 type Delporte struct {
-	api       node.API
+	api       *node.Proc
 	onDeliver func(rmcast.Message)
 	label     string
 	cons      *consensus.Consensus
@@ -73,7 +73,7 @@ type (
 
 // DelporteConfig configures a Delporte endpoint.
 type DelporteConfig struct {
-	Host      node.Registrar
+	Host      *node.Proc
 	Detector  fd.Detector
 	OnDeliver func(rmcast.Message)
 	// ConsensusRetry overrides the consensus retry interval.

@@ -26,7 +26,7 @@ import (
 // mirroring the paper's accounting (whose model assumes the stream exists
 // anyway).
 type DetMerge struct {
-	api       node.API
+	api       *node.Proc
 	onDeliver func(rmcast.Message)
 	label     string
 	interval  time.Duration
@@ -58,7 +58,7 @@ type (
 
 // DetMergeConfig configures a DetMerge endpoint.
 type DetMergeConfig struct {
-	Host      node.Registrar
+	Host      *node.Proc
 	OnDeliver func(rmcast.Message)
 	// Interval is the heartbeat period (default 10 ms). All processes beat
 	// at the same virtual instants, as [1]'s synchronized publishers do.

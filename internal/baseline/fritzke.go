@@ -17,6 +17,6 @@ import (
 // intra-group and do not add inter-group delays. The cost shows up in the
 // message and consensus-instance counts instead (see the stage-skipping
 // ablation benchmark).
-func NewFritzke(host node.Registrar, det fd.Detector, onDeliver func(types.MessageID, []byte), retry time.Duration) *amcast.Mcast {
+func NewFritzke(host *node.Proc, det fd.Detector, onDeliver func(types.MessageID, []byte), retry time.Duration) *amcast.Mcast {
 	return amcast.NewFritzke(amcast.Config{Host: host, Detector: det, OnDeliver: onDeliver, ConsensusRetry: retry})
 }

@@ -23,7 +23,7 @@ import (
 // (the spanning consensus completes when every destination responds, which
 // is the best case the paper's accounting assumes).
 type Rodrigues struct {
-	api       node.API
+	api       *node.Proc
 	onDeliver func(rmcast.Message)
 	label     string
 
@@ -72,7 +72,7 @@ type (
 
 // RodriguesConfig configures a Rodrigues endpoint.
 type RodriguesConfig struct {
-	Host      node.Registrar
+	Host      *node.Proc
 	OnDeliver func(rmcast.Message)
 	// ProtoLabel overrides the wire label (default "rg").
 	ProtoLabel string

@@ -26,7 +26,7 @@ import (
 // Figure 1 compares, and reports the optimistic event through OnOptimistic
 // for completeness.
 type SeqBcast struct {
-	api       node.API
+	api       *node.Proc
 	onDeliver func(id types.MessageID, payload []byte)
 	onOpt     func(id types.MessageID, payload []byte)
 	label     string
@@ -65,7 +65,7 @@ const sequencer types.ProcessID = 0
 
 // SeqBcastConfig configures a sequencer-broadcast endpoint.
 type SeqBcastConfig struct {
-	Host      node.Registrar
+	Host      *node.Proc
 	OnDeliver func(id types.MessageID, payload []byte)
 	// OnOptimistic, if set, receives the optimistic delivery events.
 	OnOptimistic func(id types.MessageID, payload []byte)

@@ -25,7 +25,7 @@ import (
 // optimal by the paper's Proposition 3.1, a fact §1 points out went
 // unnoticed for twenty years. Inter-group messages: O(k²d²).
 type Skeen struct {
-	api       node.API
+	api       *node.Proc
 	onDeliver func(rmcast.Message)
 	label     string
 
@@ -62,7 +62,7 @@ type (
 
 // SkeenConfig configures a Skeen endpoint.
 type SkeenConfig struct {
-	Host      node.Registrar
+	Host      *node.Proc
 	OnDeliver func(rmcast.Message)
 	// ProtoLabel overrides the wire label (default "skeen").
 	ProtoLabel string

@@ -11,19 +11,6 @@ import (
 	"wanamcast/internal/types"
 )
 
-// metered counts the heap allocations made while one process's engine
-// handles a message, so that a group's mallocs can be split by role.
-type metered struct {
-	*Consensus
-	mallocs *uint64
-}
-
-func (m metered) Handlers() []node.Handler {
-	return node.Tap(m.Consensus, m.Consensus.Handlers(), func(_ types.ProcessID, _ any, deliver func()) {
-		*m.mallocs += mallocsDuring(deliver)
-	})
-}
-
 func mallocsDuring(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -53,7 +40,10 @@ func TestSteadyStateAllocsPerInstance(t *testing.T) {
 	for i := range cons {
 		proc := rt.Proc(types.ProcessID(i))
 		cons[i] = New(Config{API: proc, Detector: rt.Oracle(), OnDecide: func(uint64, Value) {}})
-		proc.Register(metered{cons[i], &mallocs[i]})
+		proc.Register(cons[i])
+		proc.Tap(func(_ types.ProcessID, _ any, deliver func()) { // split the group's mallocs by role
+			mallocs[i] += mallocsDuring(deliver)
+		})
 	}
 	rt.Start()
 	var v Value = "v"

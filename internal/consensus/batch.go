@@ -55,7 +55,7 @@ type Item interface {
 type BatcherConfig[T Item] struct {
 	// API and Detector wire the underlying consensus engine; both are
 	// required.
-	API      node.API
+	API      *node.Proc
 	Detector fd.Detector
 	// RetryInterval, ProtoLabel, and Log are passed to the consensus
 	// engine (Log makes the acceptor durable; see consensus.Config.Log).
@@ -104,7 +104,7 @@ type BatcherConfig[T Item] struct {
 // the client protocol.
 type Batcher[T Item] struct {
 	cons     *Consensus
-	api      node.API
+	api      *node.Proc
 	maxBatch int
 	pipeline uint64
 

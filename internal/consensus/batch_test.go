@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"wanamcast/internal/metrics"
-	"wanamcast/internal/trace"
+	"wanamcast/internal/node"
 	"wanamcast/internal/types"
 )
 
@@ -20,40 +20,18 @@ func (it testItem) ItemID() types.MessageID { return it.ID }
 
 func mid(seq uint64) types.MessageID { return types.MessageID{Origin: 0, Seq: seq} }
 
-// fakeAPI satisfies node.API without a runtime: sends are recorded, timers
-// are captured (never fired), and the clock stands still. Enough for
-// white-box Batcher tests that drive decisions by hand.
-type fakeAPI struct {
-	topo   *types.Topology
-	self   types.ProcessID
-	sends  []string
-	timers []func()
-	col    metrics.Collector
-}
+// fakeEnv runs a real Proc without a runtime: sends and timers go nowhere
+// and the clock stands still. Enough for white-box Batcher tests that drive
+// decisions by hand.
+type fakeEnv struct{ col metrics.Collector }
 
-func (f *fakeAPI) Self() types.ProcessID { return f.self }
-func (f *fakeAPI) Group() types.GroupID  { return f.topo.GroupOf(f.self) }
-func (f *fakeAPI) Topo() *types.Topology { return f.topo }
-func (f *fakeAPI) Now() time.Duration    { return 0 }
-func (f *fakeAPI) Clock() int64          { return 0 }
-func (f *fakeAPI) Crashed() bool         { return false }
-func (f *fakeAPI) Send(to types.ProcessID, proto string, body any) {
-	f.sends = append(f.sends, fmt.Sprintf("%v/%s/%T", to, proto, body))
-}
-func (f *fakeAPI) Multicast(tos []types.ProcessID, proto string, body any) {
-	for _, q := range tos {
-		f.Send(q, proto, body)
-	}
-}
-func (f *fakeAPI) After(d time.Duration, fn func())          { f.timers = append(f.timers, fn) }
-func (f *fakeAPI) RecordCast(types.MessageID)                {}
-func (f *fakeAPI) RecordDeliver(types.MessageID)             {}
-func (f *fakeAPI) Metrics() *metrics.Collector               { return &f.col }
-func (f *fakeAPI) Tracef(string, ...any)                     {}
-func (f *fakeAPI) TraceOn() bool                             { return false }
-func (f *fakeAPI) Trace(trace.Stage, types.MessageID, int64) {}
-func (f *fakeAPI) Tracing() bool                             { return false }
-func (f *fakeAPI) Micros() uint64                            { return 0 }
+func (*fakeEnv) Now() time.Duration                                              { return 0 }
+func (*fakeEnv) Micros(types.ProcessID) uint64                                   { return 0 }
+func (*fakeEnv) Transmit(types.ProcessID, []types.ProcessID, string, any, int64) {}
+func (*fakeEnv) Later(*node.Proc, time.Duration, func())                         {}
+func (e *fakeEnv) Recorder() *metrics.Collector                                  { return &e.col }
+func (*fakeEnv) Tracef(string, ...any)                                           {}
+func (*fakeEnv) TraceOn() bool                                                   { return false }
 
 // fakeDet is an Ω stub whose leader never changes.
 type fakeDet struct{ leader types.ProcessID }
@@ -63,7 +41,7 @@ func (d fakeDet) Subscribe(func(types.GroupID, types.ProcessID)) {}
 
 // batchRig is one Batcher over a scripted queue of proposable items.
 type batchRig struct {
-	api     *fakeAPI
+	env     *fakeEnv
 	b       *Batcher[testItem]
 	queue   []testItem
 	applied [][]testItem
@@ -74,9 +52,9 @@ type batchRig struct {
 }
 
 func newBatchRig(maxBatch, pipeline int) *batchRig {
-	r := &batchRig{api: &fakeAPI{topo: types.NewTopology(1, 3), self: 0}}
+	r := &batchRig{env: &fakeEnv{}}
 	r.b = NewBatcher(BatcherConfig[testItem]{
-		API:      r.api,
+		API:      node.NewProc(0, types.NewTopology(1, 3), r.env),
 		Detector: fakeDet{leader: 0},
 		MaxBatch: maxBatch,
 		Pipeline: pipeline,
@@ -369,9 +347,9 @@ func TestBatcherEmptyBatchesNeedAGate(t *testing.T) {
 		t.Fatalf("NextInstance = %d, want 1 (nothing to propose)", got)
 	}
 
-	gated := &batchRig{api: &fakeAPI{topo: types.NewTopology(1, 3), self: 0}}
+	gated := &batchRig{env: &fakeEnv{}}
 	gated.b = NewBatcher(BatcherConfig[testItem]{
-		API:      gated.api,
+		API:      node.NewProc(0, types.NewTopology(1, 3), gated.env),
 		Detector: fakeDet{leader: 0},
 		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
 		Gate:     func(inst uint64, batch []testItem) bool { return inst <= 2 },
@@ -391,7 +369,7 @@ func TestBatcherRecordsBatchSizes(t *testing.T) {
 	r.b.Pump()
 	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}, {ID: mid(3)}})
 	r.b.decided(2, nil)
-	if st := r.api.col.Snapshot(); st.BatchesDecided != 2 || st.BatchedMessages != 3 || st.MaxBatchSize != 3 {
+	if st := r.env.col.Snapshot(); st.BatchesDecided != 2 || st.BatchedMessages != 3 || st.MaxBatchSize != 3 {
 		t.Fatalf("recorded %d batches of %d messages, largest %d; want 2, 3 and 3",
 			st.BatchesDecided, st.BatchedMessages, st.MaxBatchSize)
 	}

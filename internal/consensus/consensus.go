@@ -139,7 +139,7 @@ const DefaultRetry = 40 * time.Millisecond
 
 // Config configures a Consensus engine for one process.
 type Config struct {
-	API      node.API
+	API      *node.Proc
 	Detector fd.Detector
 	// OnDecide is invoked exactly once per instance, in arrival order (not
 	// necessarily instance order; clients consume decisions by their own
@@ -164,7 +164,7 @@ type Config struct {
 // Consensus is the per-process consensus engine. Register it on the
 // process's node.Proc; it is driven entirely by Start, its handlers and timers.
 type Consensus struct {
-	api   node.API
+	api   *node.Proc
 	det   fd.Detector
 	onDec func(uint64, Value)
 	retry time.Duration

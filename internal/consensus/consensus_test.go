@@ -22,21 +22,6 @@ type rig struct {
 
 func newRig(t *testing.T, d int) *rig { return newTappedRig(t, d, nil) }
 
-// tap sits in front of one process's engine: filter sees every message
-// first and drops it by returning false.
-type tap struct {
-	*Consensus
-	filter func(from types.ProcessID, body any) bool
-}
-
-func (p tap) Handlers() []node.Handler {
-	return node.Tap(p.Consensus, p.Consensus.Handlers(), func(from types.ProcessID, body any, deliver func()) {
-		if p.filter(from, body) {
-			deliver()
-		}
-	})
-}
-
 // newTappedRig is newRig with filter(i, from, body) in front of process
 // i's engine (nil: no tap).
 func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, body any) bool) *rig {
@@ -58,10 +43,13 @@ func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, 
 				r.order[i] = append(r.order[i], inst)
 			},
 		})
+		rt.Proc(types.ProcessID(i)).Register(c)
 		if filter != nil {
-			rt.Proc(types.ProcessID(i)).Register(tap{c, func(from types.ProcessID, body any) bool { return filter(i, from, body) }})
-		} else {
-			rt.Proc(types.ProcessID(i)).Register(c)
+			rt.Proc(types.ProcessID(i)).Tap(func(from types.ProcessID, body any, deliver func()) {
+				if filter(i, from, body) {
+					deliver()
+				}
+			})
 		}
 		r.cons[i] = c
 	}

@@ -57,7 +57,7 @@ const PullAfter = 8
 // Config configures an A1 or A2 endpoint on one process (amcast.Config and
 // abcast.Config are this type).
 type Config struct {
-	Host     node.Registrar
+	Host     *node.Proc
 	Detector fd.Detector
 	// OnDeliver is invoked on every A-Deliver, in delivery order, with the
 	// payload bytes the caster handed to Cast (read them, never write). May
@@ -116,7 +116,7 @@ type Endpoint[T consensus.Item, R, Tail any] struct {
 	Log    *storage.Log
 
 	rule    Rule
-	api     node.API
+	api     *node.Proc
 	nextID  func() types.MessageID
 	rm      *rmcast.RMcast
 	senders fd.Senders

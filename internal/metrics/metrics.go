@@ -55,7 +55,7 @@ import (
 // Collector accumulates statistics for one run. It is the one measurement
 // sink of both runtimes, called concretely: the simulator, the live lane
 // loops, the transport's reader and writer goroutines, the failure detectors
-// and the protocols (through node.API.Metrics) all bump the same value.
+// and the protocols (through node.Proc.Metrics) all bump the same value.
 //
 // A Collector is safe for concurrent use — every method takes its one mutex,
 // Snapshot included, so a mid-run scrape is consistent — and every recording

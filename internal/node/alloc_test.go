@@ -79,8 +79,8 @@ func TestTransmitDeliverZeroAllocs(t *testing.T) {
 	rt.Start()
 	p := rt.Proc(4)
 	cast := func() {
-		p.Multicast(all, "sink", body)
-		p.Send(0, "sink", body)
+		Multicast(p, all, "sink", body)
+		Send(p, 0, "sink", body)
 		for rt.Scheduler().Step() {
 		}
 	}
@@ -143,7 +143,7 @@ func TestTracefDisarmedCostsNothing(t *testing.T) {
 // has looked for a sink. An armed sink still gets the prefixed line.
 func TestProcTracefOffZeroAllocs(t *testing.T) {
 	rt := NewRuntime(types.NewTopology(1, 1), network.Model{}, 1, nil)
-	var api API = rt.Proc(0)
+	api := rt.Proc(0)
 	id := types.MessageID{Origin: 0, Seq: 1 << 40}
 	round := uint64(1 << 40)
 	if allocs := testing.AllocsPerRun(1000, func() {

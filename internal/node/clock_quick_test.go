@@ -18,7 +18,7 @@ import (
 //     neither sends inter-group nor receives stays at zero);
 //  3. causality: a receive's clock is ≥ the carried send timestamp.
 type clockProbe struct {
-	api     API
+	api     *Proc
 	label   string
 	maxSeen int64
 	bad     bool
@@ -59,7 +59,7 @@ func TestClockLawsQuick(t *testing.T) {
 			rt.Scheduler().At(at, func() {
 				p := rt.Proc(from)
 				before := p.Clock()
-				p.Send(to, "probe", before+boolToInt(!topo.SameGroup(from, to)))
+				Send(p, to, "probe", before+boolToInt(!topo.SameGroup(from, to)))
 				// law 2 (send side): inter-group send ticks exactly once.
 				if !topo.SameGroup(from, to) && from != to {
 					interSends[from]++

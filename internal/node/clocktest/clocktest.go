@@ -1,5 +1,5 @@
 // Package clocktest holds physical clocks that lie (node.Runtime.Skew), for
-// the tests of what reads node.API.Micros. A hint off such a clock is only a
+// the tests of what reads node.Proc.Micros. A hint off such a clock is only a
 // hint: under each of them every property must hold, and only latency may
 // suffer.
 package clocktest

@@ -2,13 +2,14 @@
 // simulated and the live transports.
 //
 // Every protocol in this repository (consensus, reliable multicast, the
-// paper's A1 and A2, and all baselines) is written as an event-driven state
-// machine against the API interface: it reacts to Start, incoming messages,
-// and timers, and emits point-to-point sends. The runtime guarantees the
-// paper's "each line is executed atomically" semantics by executing all
-// events of a process sequentially, and it maintains the modified Lamport
-// clock of §2.3 (ticking only on inter-group sends) used to measure latency
-// degrees.
+// paper's A1 and A2, and all baselines) is an event-driven state machine
+// that holds the *Proc it runs on: it reacts to Start, incoming messages,
+// and timers, and emits sends through Send and Multicast. The Proc
+// guarantees the paper's "each line is executed atomically" semantics by
+// executing all events of a process sequentially, and it maintains the
+// modified Lamport clock of §2.3 (ticking only on inter-group sends) used to
+// measure latency degrees. What differs between the simulator and the live
+// runtime lies behind Env.
 package node
 
 import (
@@ -82,94 +83,11 @@ func On[P Protocol, T any](fn func(p P, from types.ProcessID, m T)) Handler {
 	return h
 }
 
-// Tap returns hs, p's handlers, for a test protocol that wraps p: tap sees
-// every message first and calls deliver to let it through, or does not.
-func Tap(p Protocol, hs []Handler, tap func(from types.ProcessID, body any, deliver func())) []Handler {
-	out := make([]Handler, len(hs))
-	for i, h := range hs {
-		out[i] = Handler{typ: h.typ, call: func(_ Protocol, from types.ProcessID, body any) {
-			tap(from, body, func() { h.call(p, from, body) })
-		}}
-	}
-	return out
-}
-
-// API is the environment a protocol sees. It is implemented by *Proc.
-type API interface {
-	// Self returns the identity of the hosting process.
-	Self() types.ProcessID
-	// Group returns group(Self()).
-	Group() types.GroupID
-	// Topo returns the immutable system topology.
-	Topo() *types.Topology
-	// Send transmits body to process to under the given protocol label.
-	// Sending to self is delivered locally without touching the network
-	// (and without counting as a message). Sends from a crashed process
-	// are dropped. Protocols call it through Send, which does not box body
-	// on a live runtime.
-	Send(to types.ProcessID, proto string, body any)
-	// Multicast transmits body to every process in tos as ONE logical
-	// send event: the §2.3 clock ticks once if any destination lies
-	// outside the sender's group, and every copy carries that single
-	// timestamp. This mirrors the paper's "send m to {q | ...}"
-	// statements, whose proofs treat the fan-out as one event (e.g.
-	// Theorem 4.1: all (TS, m) copies share one timestamp). Message
-	// accounting still counts every copy individually. Protocols call it
-	// through Multicast, which on a live runtime encodes body once, unboxed.
-	Multicast(tos []types.ProcessID, proto string, body any)
-	// After schedules fn on this process after delay d. The callback does
-	// not run if the process has crashed by then.
-	After(d time.Duration, fn func())
-	// Now returns the current (virtual or wall) time of the run.
-	Now() time.Duration
-	// Micros reads the process's physical clock in µs: virtual time on the
-	// simulator, Unix time on a live runtime — comparable across the
-	// processes of a cluster up to their clocks' skew, which Now (time since
-	// this runtime started) is not. Nothing may depend on it for safety.
-	Micros() uint64
-	// Clock returns the process's current modified Lamport clock (§2.3).
-	Clock() int64
-	// Crashed reports whether the hosting process has crashed.
-	Crashed() bool
-	// RecordCast reports an A-XCast event for metrics; the event is local,
-	// so its timestamp is the current clock.
-	RecordCast(id types.MessageID)
-	// RecordDeliver reports an A-Deliver event for metrics.
-	RecordDeliver(id types.MessageID)
-	// Metrics returns the run's collector, for the protocols' own counters
-	// (consensus instances, batch sizes, A2 rounds and bundles). It is nil
-	// while the process replays its log — every recording method of a nil
-	// collector discards — so callers bump it without a check.
-	Metrics() *metrics.Collector
-	// Tracef emits a debug trace line when tracing is enabled.
-	Tracef(format string, args ...any)
-	// TraceOn reports whether Tracef lines go anywhere. Call sites that run
-	// per message check it first: building Tracef's args boxes every operand.
-	TraceOn() bool
-	// Trace records a lifecycle span for message id at the given stage
-	// when a tracer is attached (see internal/trace). aux carries the
-	// stage-specific payload: the Lamport clock at cast/deliver, a
-	// duration in nanoseconds for barrier stages, a consensus instance
-	// for propose/learn. Costs one nil check when no tracer is attached.
-	Trace(st trace.Stage, id types.MessageID, aux int64)
-	// Tracing reports whether lifecycle spans are being recorded, so call
-	// sites can skip clock reads and other span bookkeeping when off.
-	Tracing() bool
-}
-
-// Registrar is the registration surface protocol constructors use to attach
-// themselves (and their sub-protocols) to a process. *Proc implements it.
-type Registrar interface {
-	API
-	// Register attaches a protocol to the process's dispatch table.
-	Register(proto Protocol)
-}
-
 // Env is the transport/scheduling backend a Proc runs on. The simulated
 // runtime (this package) and the live TCP runtime implement it.
 type Env interface {
 	Now() time.Duration
-	// Micros is the clock behind API.Micros, as process p reads it.
+	// Micros is the clock behind Proc.Micros, as process p reads it.
 	Micros(p types.ProcessID) uint64
 	// Transmit delivers body, stamped sendTS, to every process in tos in
 	// list order: one call per send event. from has already updated its
@@ -223,8 +141,6 @@ type Proc struct {
 	lane   int           // tracer ring the process records into
 }
 
-var _ API = (*Proc)(nil)
-
 // route is one registered protocol and its handlers.
 type route struct {
 	p  Protocol
@@ -262,25 +178,44 @@ func (p *Proc) StartAll() {
 	}
 }
 
-// Self implements API.
+// Tap puts tap in front of every protocol registered on p so far, for a
+// test: tap sees each message first and calls deliver to let it through, or
+// does not. A tapped handler is found by the value's type (Deliver), so a
+// live runtime hands it a value decoded through DecodeValue.
+func (p *Proc) Tap(tap func(from types.ProcessID, body any, deliver func())) {
+	for name, r := range p.handlers {
+		hs := make([]Handler, len(r.hs))
+		for i, h := range r.hs {
+			hs[i] = Handler{typ: h.typ, call: func(q Protocol, from types.ProcessID, body any) {
+				tap(from, body, func() { h.call(q, from, body) })
+			}}
+		}
+		p.handlers[name] = route{r.p, hs}
+	}
+}
+
+// Self returns the identity of the process.
 func (p *Proc) Self() types.ProcessID { return p.id }
 
-// Group implements API.
+// Group returns group(Self()).
 func (p *Proc) Group() types.GroupID { return p.group }
 
-// Topo implements API.
+// Topo returns the immutable system topology.
 func (p *Proc) Topo() *types.Topology { return p.topo }
 
-// Now implements API.
+// Now returns the current (virtual or wall) time of the run.
 func (p *Proc) Now() time.Duration { return p.env.Now() }
 
-// Micros implements API.
+// Micros reads the process's physical clock in µs: virtual time on the
+// simulator, Unix time on a live runtime — comparable across the processes
+// of a cluster up to their clocks' skew, which Now (time since this runtime
+// started) is not. Nothing may depend on it for safety.
 func (p *Proc) Micros() uint64 { return p.env.Micros(p.id) }
 
-// Clock implements API.
+// Clock returns the process's current modified Lamport clock (§2.3).
 func (p *Proc) Clock() int64 { return p.clock }
 
-// Crashed implements API.
+// Crashed reports whether the process has crashed.
 func (p *Proc) Crashed() bool { return p.crashed }
 
 // Crash marks the process as crashed: it stops sending, receiving, and
@@ -298,36 +233,24 @@ func (p *Proc) SetRecovering(r bool) { p.recovering = r }
 // Recovering reports whether the process is replaying durable state.
 func (p *Proc) Recovering() bool { return p.recovering }
 
-// Send implements API. It applies the §2.3 clock rule for send events:
-// inter-group sends tick the clock; intra-group sends do not.
-func (p *Proc) Send(to types.ProcessID, proto string, body any) { Send(p, to, proto, body) }
-
-// Multicast implements API.
-func (p *Proc) Multicast(tos []types.ProcessID, proto string, body any) { send(p, tos, proto, body) }
-
-// Send is api.Send of a message of static type T: on a live Proc it is
-// encoded once, from T, and not boxed.
-func Send[T any](api API, to types.ProcessID, proto string, m T) {
-	if p, ok := api.(*Proc); ok {
-		p.one[0] = to
-		send(p, p.one[:], proto, m)
-		return
-	}
-	api.Send(to, proto, m)
+// Send transmits m to process to under the given protocol label: on a live
+// runtime it is encoded once, from T, and not boxed. Sending to self is
+// delivered locally without touching the network (and without counting as a
+// message). Sends from a crashed or recovering process are dropped.
+func Send[T any](p *Proc, to types.ProcessID, proto string, m T) {
+	p.one[0] = to
+	Multicast(p, p.one[:], proto, m)
 }
 
-// Multicast is api.Multicast of a message of static type T: on a live Proc
-// it is encoded once, from T, for all of tos, and boxed only for a copy to
-// self. The simulator, and an API that is not a Proc, get api.Multicast.
-func Multicast[T any](api API, tos []types.ProcessID, proto string, m T) {
-	if p, ok := api.(*Proc); ok {
-		send(p, tos, proto, m)
-		return
-	}
-	api.Multicast(tos, proto, m)
-}
-
-func send[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
+// Multicast transmits m to every process in tos as ONE logical send event:
+// the §2.3 clock ticks once if any destination lies outside the sender's
+// group, and every copy carries that single timestamp. This mirrors the
+// paper's "send m to {q | ...}" statements, whose proofs treat the fan-out
+// as one event (e.g. Theorem 4.1: all (TS, m) copies share one timestamp).
+// Message accounting still counts every copy individually. On a live runtime
+// m is encoded once, from T, for all of tos, and boxed only for a copy to
+// self; the simulator passes the value.
+func Multicast[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	if p.crashed || p.recovering || len(tos) == 0 {
 		return
 	}
@@ -363,14 +286,16 @@ func send[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	p.wire.TransmitEncoded(p.id, tos, proto, sub)
 }
 
-// After implements API. The crashed-owner drop is the env's job (both
+// After schedules fn on this process after delay d. The callback does not
+// run if the process has crashed by then: that drop is the env's job (both
 // runtimes check at fire time), so no wrapper closure is allocated here.
 func (p *Proc) After(d time.Duration, fn func()) {
 	p.env.Later(p, d, fn)
 }
 
-// RecordCast implements API. With a tracer attached it also opens the
-// message's span chain: a StageCast event carrying the caster's clock,
+// RecordCast reports an A-XCast event for metrics; the event is local, so
+// its timestamp is the current clock. With a tracer attached it also opens
+// the message's span chain: a StageCast event carrying the caster's clock,
 // which the trace-based latency-degree measurements pair with the
 // StageDeliver clocks.
 func (p *Proc) RecordCast(id types.MessageID) {
@@ -383,8 +308,8 @@ func (p *Proc) RecordCast(id types.MessageID) {
 	}
 }
 
-// RecordDeliver implements API. With a tracer attached it also records
-// the StageDeliver span with the deliverer's clock.
+// RecordDeliver reports an A-Deliver event for metrics. With a tracer
+// attached it also records the StageDeliver span with the deliverer's clock.
 func (p *Proc) RecordDeliver(id types.MessageID) {
 	if p.recovering {
 		return
@@ -395,7 +320,10 @@ func (p *Proc) RecordDeliver(id types.MessageID) {
 	}
 }
 
-// Metrics implements API.
+// Metrics returns the run's collector, for the protocols' own counters
+// (consensus instances, batch sizes, A2 rounds and bundles). It is nil while
+// the process replays its log — every recording method of a nil collector
+// discards — so callers bump it without a check.
 func (p *Proc) Metrics() *metrics.Collector {
 	if p.recovering {
 		return nil
@@ -411,8 +339,11 @@ func (p *Proc) SetTracer(t *trace.Tracer, lane int) {
 	p.lane = lane
 }
 
-// Trace implements API. Recovering processes record nothing: replaying a
-// WAL must not re-trace the past.
+// Trace records a lifecycle span for message id at the given stage when a
+// tracer is attached (see internal/trace). aux carries the stage-specific
+// payload: the Lamport clock at cast/deliver, a duration in nanoseconds for
+// barrier stages, a consensus instance for propose/learn. Recovering
+// processes record nothing: replaying a WAL must not re-trace the past.
 func (p *Proc) Trace(st trace.Stage, id types.MessageID, aux int64) {
 	if p.tracer == nil || p.recovering {
 		return
@@ -420,15 +351,17 @@ func (p *Proc) Trace(st trace.Stage, id types.MessageID, aux int64) {
 	p.tracer.Record(p.lane, st, id, p.id, aux)
 }
 
-// Tracing implements API.
+// Tracing reports whether lifecycle spans are being recorded, so call sites
+// can skip clock reads and other span bookkeeping when off.
 func (p *Proc) Tracing() bool {
 	return p.tracer.Enabled() && !p.recovering
 }
 
-// TraceOn implements API.
+// TraceOn reports whether Tracef lines go anywhere. Call sites that run per
+// message check it first: building Tracef's args boxes every operand.
 func (p *Proc) TraceOn() bool { return p.env.TraceOn() }
 
-// Tracef implements API.
+// Tracef emits a debug trace line when tracing is enabled.
 func (p *Proc) Tracef(format string, args ...any) {
 	if !p.env.TraceOn() {
 		return

@@ -12,7 +12,7 @@ import (
 
 // echo is a test protocol that records receptions and can send on demand.
 type echo struct {
-	api      API
+	api      *Proc
 	label    string
 	received []recv
 }
@@ -53,7 +53,7 @@ func register(rt *Runtime) []*echo {
 func TestClockRulesIntraGroup(t *testing.T) {
 	rt, _ := newTestRT(2, 2)
 	es := register(rt)
-	rt.Proc(0).Send(1, "echo", "x")
+	Send(rt.Proc(0), 1, "echo", "x")
 	rt.Run()
 	if rt.Proc(0).Clock() != 0 {
 		t.Errorf("sender clock = %d, want 0 (intra-group send)", rt.Proc(0).Clock())
@@ -71,7 +71,7 @@ func TestClockRulesIntraGroup(t *testing.T) {
 func TestClockRulesInterGroup(t *testing.T) {
 	rt, _ := newTestRT(2, 2)
 	register(rt)
-	rt.Proc(0).Send(2, "echo", "x")
+	Send(rt.Proc(0), 2, "echo", "x")
 	rt.Run()
 	if rt.Proc(0).Clock() != 1 {
 		t.Errorf("sender clock = %d, want 1", rt.Proc(0).Clock())
@@ -86,7 +86,7 @@ func TestClockRulesInterGroup(t *testing.T) {
 func TestMulticastTicksOnce(t *testing.T) {
 	rt, _ := newTestRT(2, 2)
 	register(rt)
-	rt.Proc(0).Multicast([]types.ProcessID{1, 2, 3}, "echo", "x")
+	Multicast(rt.Proc(0), []types.ProcessID{1, 2, 3}, "echo", "x")
 	rt.Run()
 	if rt.Proc(0).Clock() != 1 {
 		t.Errorf("sender clock = %d, want 1 (single tick for the fan-out)", rt.Proc(0).Clock())
@@ -102,7 +102,7 @@ func TestMulticastTicksOnce(t *testing.T) {
 func TestMulticastIntraOnlyNoTick(t *testing.T) {
 	rt, _ := newTestRT(2, 3)
 	register(rt)
-	rt.Proc(0).Multicast([]types.ProcessID{1, 2}, "echo", "x")
+	Multicast(rt.Proc(0), []types.ProcessID{1, 2}, "echo", "x")
 	rt.Run()
 	if rt.Proc(0).Clock() != 0 {
 		t.Errorf("sender clock = %d, want 0", rt.Proc(0).Clock())
@@ -138,7 +138,7 @@ func TestMulticastArrivalOrder(t *testing.T) {
 		{[]types.ProcessID{8, 0, 1, 5, 4, 3, 6}, []types.ProcessID{5, 4, 3, 8, 0, 1, 6}},
 	} {
 		got = got[:0]
-		rt.Proc(4).Multicast(tc.tos, "arr", "x")
+		Multicast(rt.Proc(4), tc.tos, "arr", "x")
 		rt.Run()
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("Multicast to %v arrived in order %v, want %v", tc.tos, got, tc.want)
@@ -152,9 +152,9 @@ func TestReceiveTakesMax(t *testing.T) {
 	rt, _ := newTestRT(3, 1)
 	register(rt)
 	// p0 sends to p2 twice with ticks in between; p2's clock is the max.
-	rt.Proc(0).Send(2, "echo", "a") // ts 1
-	rt.Proc(0).Send(2, "echo", "b") // ts 2
-	rt.Proc(1).Send(2, "echo", "c") // ts 1 (older)
+	Send(rt.Proc(0), 2, "echo", "a") // ts 1
+	Send(rt.Proc(0), 2, "echo", "b") // ts 2
+	Send(rt.Proc(1), 2, "echo", "c") // ts 1 (older)
 	rt.Run()
 	if rt.Proc(2).Clock() != 2 {
 		t.Errorf("receiver clock = %d, want 2", rt.Proc(2).Clock())
@@ -164,7 +164,7 @@ func TestReceiveTakesMax(t *testing.T) {
 func TestSelfSendDeliversWithoutCounting(t *testing.T) {
 	rt, col := newTestRT(1, 2)
 	es := register(rt)
-	rt.Proc(0).Send(0, "echo", "self")
+	Send(rt.Proc(0), 0, "echo", "self")
 	rt.Run()
 	if len(es[0].received) != 1 || es[0].received[0].from != 0 {
 		t.Fatalf("self-send not delivered: %+v", es[0].received)
@@ -184,7 +184,7 @@ func TestSelfSendTakesIntraDelay(t *testing.T) {
 	rt.Proc(1).Register(&echo{label: "echo"})
 	rt.Proc(1).Register(&hook{label: "t", fn: func() {}})
 	rt.Start()
-	p.Send(0, "echo", "x")
+	Send(p, 0, "echo", "x")
 	rt.Scheduler().At(0, func() {})
 	rt.Run()
 	_ = at
@@ -211,9 +211,9 @@ func (h *hook) Receive(types.ProcessID, any) {}
 func TestCrashedProcessStopsSendingAndReceiving(t *testing.T) {
 	rt, col := newTestRT(2, 1)
 	es := register(rt)
-	rt.Proc(0).Send(1, "echo", "pre") // in flight
+	Send(rt.Proc(0), 1, "echo", "pre") // in flight
 	rt.Crash(1)
-	rt.Proc(1).Send(0, "echo", "from-crashed")
+	Send(rt.Proc(1), 0, "echo", "from-crashed")
 	rt.Run()
 	if len(es[1].received) != 0 {
 		t.Error("crashed process received a message")
@@ -291,7 +291,7 @@ func TestDuplicateProtocolPanics(t *testing.T) {
 func TestUnknownProtocolPanics(t *testing.T) {
 	rt, _ := newTestRT(1, 2)
 	register(rt)
-	rt.Proc(0).Send(1, "nope", "x")
+	Send(rt.Proc(0), 1, "nope", "x")
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on unknown protocol")
@@ -326,7 +326,7 @@ func TestStartOrderIsRegistrationOrder(t *testing.T) {
 func TestInterGroupDeliveryDelay(t *testing.T) {
 	rt, _ := newTestRT(2, 1)
 	es := register(rt)
-	rt.Proc(0).Send(1, "echo", "x")
+	Send(rt.Proc(0), 1, "echo", "x")
 	rt.RunUntil(99 * time.Millisecond)
 	if len(es[1].received) != 0 {
 		t.Error("inter-group message arrived before the WAN delay")
@@ -342,8 +342,8 @@ func TestRecordersReceiveCastAndDeliver(t *testing.T) {
 	register(rt)
 	id := types.MessageID{Origin: 0, Seq: 1}
 	rt.Proc(0).RecordCast(id)
-	rt.Proc(0).Send(1, "echo", "x") // tick
-	rt.Proc(1).RecordDeliver(id)    // receiver clock still 0 until delivery...
+	Send(rt.Proc(0), 1, "echo", "x") // tick
+	rt.Proc(1).RecordDeliver(id)     // receiver clock still 0 until delivery...
 	rt.Run()
 	deg, ok := col.LatencyDegree(id)
 	if !ok || deg != 0 {
@@ -354,7 +354,7 @@ func TestRecordersReceiveCastAndDeliver(t *testing.T) {
 func TestEmptyMulticastIsNoop(t *testing.T) {
 	rt, col := newTestRT(2, 1)
 	register(rt)
-	rt.Proc(0).Multicast(nil, "echo", "x")
+	Multicast(rt.Proc(0), nil, "echo", "x")
 	rt.Run()
 	if rt.Proc(0).Clock() != 0 {
 		t.Error("empty multicast ticked the clock")

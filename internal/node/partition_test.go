@@ -32,7 +32,7 @@ func TestSeveredLinkHoldsAndReleases(t *testing.T) {
 	rt.Start()
 
 	rt.Fabric().Sever(0, 1)
-	rt.Proc(0).Send(1, "echo", "during-partition")
+	Send(rt.Proc(0), 1, "echo", "during-partition")
 	rt.RunUntil(50 * time.Millisecond)
 	if len(e.got) != 0 {
 		t.Fatalf("message crossed a severed link: %v", e.got)
@@ -58,8 +58,8 @@ func TestSeveredLinkIsDirectional(t *testing.T) {
 	rt.Start()
 
 	rt.Fabric().Sever(0, 1)
-	rt.Proc(0).Send(1, "echo", "blocked")
-	rt.Proc(1).Send(0, "echo", "reverse-ok")
+	Send(rt.Proc(0), 1, "echo", "blocked")
+	Send(rt.Proc(1), 0, "echo", "reverse-ok")
 	rt.Run()
 	if len(e1.got) != 0 {
 		t.Fatalf("0→1 delivered despite sever: %v", e1.got)
@@ -80,7 +80,7 @@ func TestHeldOrderPreserved(t *testing.T) {
 
 	rt.Fabric().Sever(0, 1)
 	for _, m := range []string{"a", "b", "c"} {
-		rt.Proc(0).Send(1, "echo", m)
+		Send(rt.Proc(0), 1, "echo", m)
 	}
 	rt.Scheduler().At(10*time.Millisecond, func() { rt.Fabric().Heal(0, 1) })
 	rt.Run()

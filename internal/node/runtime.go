@@ -54,10 +54,6 @@ type Runtime struct {
 	bwCounters map[network.Link]*network.LinkCounter
 	bwScratch  []byte
 
-	// suspectFn is the crash-suspicion notifier, built once so every
-	// Crash schedules a typed evCall event instead of a fresh closure.
-	suspectFn func(int32)
-
 	// SuspicionDelay is how long after a crash (or a full intra-group
 	// isolation) the Ω oracle starts suspecting the process. It models
 	// failure-detection lag.
@@ -98,7 +94,6 @@ func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec *metr
 		rt.procs[id] = NewProc(id, topo, rt)
 	}
 	rt.sched.OnDeliver(rt.execDeliver)
-	rt.suspectFn = func(p int32) { rt.oracle.Suspect(types.ProcessID(p)) }
 	rt.fabric.OnTransition(rt.onLinkTransition)
 	return rt
 }
@@ -338,8 +333,7 @@ func (rt *Runtime) Later(owner *Proc, d time.Duration, fn func()) {
 }
 
 // Crash crashes process id now: it stops sending and receiving immediately,
-// and the Ω oracle suspects it after SuspicionDelay (a typed call event on
-// the runtime's one pre-built notifier — no closure per crash).
+// and the Ω oracle suspects it after SuspicionDelay.
 func (rt *Runtime) Crash(id types.ProcessID) {
 	p := rt.procs[id]
 	if p.Crashed() {
@@ -348,7 +342,7 @@ func (rt *Runtime) Crash(id types.ProcessID) {
 	p.Crash()
 	delete(rt.isoSuspected, id) // a crash suspicion is permanent
 	rt.Tracef("CRASH %v at %v", id, rt.sched.Now())
-	rt.sched.CallAfter(rt.SuspicionDelay, rt.suspectFn, int32(id))
+	rt.sched.After(rt.SuspicionDelay, func() { rt.oracle.Suspect(id) })
 }
 
 // CrashAt schedules a crash of id at virtual time at.

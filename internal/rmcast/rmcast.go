@@ -68,7 +68,7 @@ type DataMsg struct {
 
 // Config configures an RMcast instance for one process.
 type Config struct {
-	API  node.API
+	API  *node.Proc
 	Mode Mode
 	// OnDeliver is invoked on R-Deliver. May be nil for processes that
 	// only cast.
@@ -79,7 +79,7 @@ type Config struct {
 
 // RMcast is the per-process reliable multicast endpoint.
 type RMcast struct {
-	api       node.API
+	api       *node.Proc
 	mode      Mode
 	onDeliver func(Message)
 	label     string

@@ -55,7 +55,6 @@ const (
 	evFn      = iota // fn()
 	evDeliver        // deliver(from, to, proto, body, sendTS) for each receiver of a run
 	evTimer          // fn() unless owner.Crashed()
-	evCall           // call(arg) — a pre-bound func applied to a small arg
 )
 
 // Crasher lets typed timer events drop callbacks of crashed owners without
@@ -103,12 +102,6 @@ type deliverPayload struct {
 type timerPayload struct {
 	fn    func()
 	owner Crasher // skip fn if owner.Crashed()
-}
-
-// callPayload is the body of an evCall event.
-type callPayload struct {
-	call func(int32) // pre-bound handler
-	arg  int32
 }
 
 // slab holds one event kind's payloads by value; vacated slots are
@@ -165,7 +158,6 @@ type Scheduler struct {
 	delivers slab[deliverPayload]
 	fns      slab[func()]
 	timers   slab[timerPayload]
-	calls    slab[callPayload]
 
 	now     time.Duration
 	seq     uint64
@@ -337,16 +329,6 @@ func (s *Scheduler) TimerAfter(d time.Duration, owner Crasher, fn func()) {
 	s.push(s.now+d, 0, evTimer, s.timers.put(timerPayload{fn: fn, owner: owner}), 1)
 }
 
-// CallAfter schedules call(arg) d from now (class 0). call is typically a
-// func the runtime constructed ONCE and reuses for every such event (e.g.
-// the crash-suspicion notifier), so the schedule itself allocates nothing.
-func (s *Scheduler) CallAfter(d time.Duration, call func(int32), arg int32) {
-	if call == nil {
-		panic("sim: nil call function")
-	}
-	s.push(s.now+d, 0, evCall, s.calls.put(callPayload{call: call, arg: arg}), 1)
-}
-
 // Step executes the single earliest pending event — one receiver of a run —
 // and returns true, or returns false if the queue is empty.
 func (s *Scheduler) Step() bool {
@@ -395,9 +377,6 @@ func (s *Scheduler) Step() bool {
 		if p := s.timers.take(e.slot); p.owner == nil || !p.owner.Crashed() {
 			p.fn()
 		}
-	case evCall:
-		p := s.calls.take(e.slot)
-		p.call(p.arg)
 	}
 	return true
 }
@@ -452,8 +431,6 @@ func (s *Scheduler) maxStepsDiagnosis() string {
 				counts["proto "+p.proto] += int(p.last-p.to) + 1
 			case evTimer:
 				counts["timers"]++
-			case evCall:
-				counts["calls"]++
 			default:
 				counts["closures"]++
 			}

@@ -46,7 +46,7 @@ type Codec[R, T any] struct {
 
 // Config plugs one algorithm endpoint into the engine.
 type Config[R, T any] struct {
-	API node.API
+	API *node.Proc
 	// Label is the protocol label the frames travel under: the owning
 	// endpoint's, whose handlers include the engine's (Handlers).
 	Label string

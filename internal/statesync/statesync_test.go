@@ -43,21 +43,24 @@ func (t *toy) Proto() string { return "toy" }
 func (t *toy) Start()        {}
 
 func (t *toy) Handlers() []node.Handler {
-	hs := Handlers(func(t *toy) *Engine[uint64, string] { return t.eng })
-	return node.Tap(t, hs, func(_ types.ProcessID, body any, deliver func()) {
-		switch m := body.(type) {
-		case Req:
-			t.reqs = append(t.reqs, m.From)
-			if t.mute {
-				return
-			}
-		case toyResp:
-			if t.drop != nil && t.drop() {
-				return
-			}
+	return Handlers(func(t *toy) *Engine[uint64, string] { return t.eng })
+}
+
+// tap sees every message before t's engine: it counts the requests and
+// drops what t is set to drop.
+func (t *toy) tap(_ types.ProcessID, body any, deliver func()) {
+	switch m := body.(type) {
+	case Req:
+		t.reqs = append(t.reqs, m.From)
+		if t.mute {
+			return
 		}
-		deliver()
-	})
+	case toyResp:
+		if t.drop != nil && t.drop() {
+			return
+		}
+	}
+	deliver()
 }
 
 // apply appends the next record, as the algorithm's own delivery would.
@@ -100,6 +103,7 @@ func newRig(per, batch, archive int, have ...int) *rig {
 			t.apply(uint64(i))
 		}
 		r.rt.Proc(p).Register(t)
+		r.rt.Proc(p).Tap(t.tap)
 		r.toys = append(r.toys, t)
 	}
 	r.rt.Start()

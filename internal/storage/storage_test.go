@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -111,53 +112,71 @@ func TestDiskReopenContinues(t *testing.T) {
 }
 
 func TestDiskTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := testRecords()
-	for _, rec := range recs {
-		if err := d.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the tail: chop bytes off the single segment.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v", err)
-	}
-	raw, err := os.ReadFile(segs[len(segs)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(segs[len(segs)-1], raw[:len(raw)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	// The last record is gone; a fresh append continues past the tear and
-	// replays after it.
-	extra := Record{Kind: KindDecide, Proto: "x", Inst: 99}
-	if err := d2.Append(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	var got []Record
-	if err := d2.Replay(0, func(rec Record) error { got = append(got, rec); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	want := append(append([]Record(nil), recs[:len(recs)-1]...), extra)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-tear replay mismatch:\n got %+v\nwant %+v", got, want)
+	for _, c := range []struct {
+		name    string
+		corrupt func(raw []byte) []byte
+		kept    int // the records before the damage
+	}{
+		{"chopped tail", func(raw []byte) []byte { return raw[:len(raw)-5] }, len(recs) - 1},
+		{"bad CRC mid-segment", func(raw []byte) []byte {
+			off := len(segMagic)
+			for range 3 {
+				off += frameHeader + int(binary.LittleEndian.Uint32(raw[off:]))
+			}
+			raw[off+4] ^= 0xff // the fourth frame's CRC
+			return raw
+		}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir, DiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if err := d.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Corrupt the single segment.
+			segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no segments: %v", err)
+			}
+			raw, err := os.ReadFile(segs[len(segs)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segs[len(segs)-1], c.corrupt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := OpenDisk(dir, DiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			// The damaged record and all after it are gone; a fresh append
+			// continues past the tear and replays after it.
+			extra := Record{Kind: KindDecide, Proto: "x", Inst: 99}
+			if err := d2.Append(extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := d2.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			var got []Record
+			if err := d2.Replay(0, func(rec Record) error { got = append(got, rec); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]Record(nil), recs[:c.kept]...), extra)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("post-tear replay mismatch:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 

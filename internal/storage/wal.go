@@ -467,37 +467,46 @@ func replaySegment(path string, first, from uint64, fn func(rec Record) error) (
 	if err != nil {
 		return false, fmt.Errorf("storage: %w", err)
 	}
+	idx := first - 1
+	_, whole := walkFrames(raw, func(body []byte) bool {
+		if idx++; idx < from {
+			return true
+		}
+		rec, rest, derr := DecodeRecord(body)
+		if derr != nil || len(rest) != 0 {
+			return false // framed but unparseable: corrupt tail
+		}
+		err = fn(rec)
+		return err == nil
+	})
+	return !whole && err == nil, err
+}
+
+// walkFrames calls fn with the body of each intact frame of raw, a segment's
+// bytes, in order, until fn returns false. A bad magic (an unreadable
+// segment) or a short, oversized or CRC-failing frame (a torn tail) ends the
+// walk. It returns the byte length of the intact prefix walked and whether
+// that is all of raw.
+func walkFrames(raw []byte, fn func(body []byte) bool) (goodLen int, whole bool) {
 	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != string(segMagic) {
-		return true, nil // unreadable segment: treat as torn
+		return 0, false
 	}
-	raw = raw[len(segMagic):]
-	idx := first
-	for len(raw) > 0 {
-		if len(raw) < frameHeader {
-			return true, nil
+	off := len(segMagic)
+	for rest := raw[off:]; len(rest) > 0; rest = raw[off:] {
+		if len(rest) < frameHeader {
+			return off, false
 		}
-		n := binary.LittleEndian.Uint32(raw[0:4])
-		want := binary.LittleEndian.Uint32(raw[4:8])
-		if n > maxRecord || int(n) > len(raw)-frameHeader {
-			return true, nil
+		n := binary.LittleEndian.Uint32(rest[0:4])
+		if n > maxRecord || int(n) > len(rest)-frameHeader {
+			return off, false
 		}
-		body := raw[frameHeader : frameHeader+int(n)]
-		if crc32.Checksum(body, crcTable) != want {
-			return true, nil
+		body := rest[frameHeader : frameHeader+int(n)]
+		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) || !fn(body) {
+			return off, false
 		}
-		if idx >= from {
-			rec, rest, derr := DecodeRecord(body)
-			if derr != nil || len(rest) != 0 {
-				return true, nil // framed but unparseable: corrupt tail
-			}
-			if err := fn(rec); err != nil {
-				return false, err
-			}
-		}
-		idx++
-		raw = raw[frameHeader+int(n):]
+		off += frameHeader + int(n)
 	}
-	return false, nil
+	return off, true
 }
 
 // Close implements Store.
@@ -526,22 +535,7 @@ func scanSegment(path string) (n uint64, goodLen int64, err error) {
 		}
 		return 0, 0, fmt.Errorf("storage: %w", err)
 	}
-	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != string(segMagic) {
-		return 0, 0, nil
-	}
-	off := len(segMagic)
-	for len(raw)-off >= frameHeader {
-		l := binary.LittleEndian.Uint32(raw[off : off+4])
-		want := binary.LittleEndian.Uint32(raw[off+4 : off+8])
-		if l > maxRecord || int(l) > len(raw)-off-frameHeader {
-			break
-		}
-		if crc32.Checksum(raw[off+frameHeader:off+frameHeader+int(l)], crcTable) != want {
-			break
-		}
-		n++
-		off += frameHeader + int(l)
-	}
+	off, _ := walkFrames(raw, func([]byte) bool { n++; return true })
 	return n, int64(off), nil
 }
 

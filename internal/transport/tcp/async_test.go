@@ -98,7 +98,7 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 		if time.Now().After(warmDeadline) {
 			t.Fatal("could not establish the p0→p1 link")
 		}
-		rtA.Run(0, func() { rtA.Proc(0).Send(1, "t", "warm") })
+		rtA.Run(0, func() { node.Send(rtA.Proc(0), 1, "t", "warm") })
 		time.Sleep(5 * time.Millisecond)
 	}
 	warm := sink.count()
@@ -111,7 +111,7 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	start := time.Now()
 	rtA.Run(0, func() {
 		for i := 0; i < 300; i++ {
-			rtA.Proc(0).Multicast([]types.ProcessID{2, 3}, "t", payload)
+			node.Multicast(rtA.Proc(0), []types.ProcessID{2, 3}, "t", payload)
 		}
 	})
 	if stall := time.Since(start); stall > 500*time.Millisecond {
@@ -121,7 +121,7 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	// Sends to the live peer keep flowing while p2 stays wedged and p3
 	// stays dead.
 	sent := time.Now()
-	rtA.Run(0, func() { rtA.Proc(0).Send(1, "t", "alive?") })
+	rtA.Run(0, func() { node.Send(rtA.Proc(0), 1, "t", "alive?") })
 	deadline := time.Now().Add(2 * time.Second)
 	for sink.count() <= warm && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

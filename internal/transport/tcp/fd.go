@@ -50,7 +50,7 @@ type leaseGrantMsg struct {
 // targets, and exactly the trust-restoring behavior partitions need: one
 // transient outage demotes a leader only until its heartbeats resume.
 type heartbeatFD struct {
-	api          node.API
+	api          *node.Proc
 	obs          *metrics.Collector // nil discards
 	every        time.Duration
 	suspectAfter time.Duration
@@ -79,7 +79,7 @@ type heartbeatFD struct {
 var _ fd.Detector = (*heartbeatFD)(nil)
 var _ node.Protocol = (*heartbeatFD)(nil)
 
-func newHeartbeatFD(api node.API, every, suspectAfter time.Duration, obs *metrics.Collector, lease *fd.Lease, leaseDur, skew time.Duration) *heartbeatFD {
+func newHeartbeatFD(api *node.Proc, every, suspectAfter time.Duration, obs *metrics.Collector, lease *fd.Lease, leaseDur, skew time.Duration) *heartbeatFD {
 	h := &heartbeatFD{
 		api:          api,
 		obs:          obs,

@@ -47,7 +47,7 @@ func TestPartitionHoldsFramesUntilHeal(t *testing.T) {
 	defer rt.Stop()
 
 	rt.Fabric().Sever(0, 1)
-	rt.Run(0, func() { rt.Proc(0).Send(1, "sink", "across-the-partition") })
+	rt.Run(0, func() { node.Send(rt.Proc(0), 1, "sink", "across-the-partition") })
 	time.Sleep(200 * time.Millisecond)
 	if got := s.snapshot(); len(got) != 0 {
 		t.Fatalf("frame crossed a severed link: %v", got)
@@ -73,7 +73,7 @@ func TestPartitionIsDirectional(t *testing.T) {
 	defer rt.Stop()
 
 	rt.Fabric().Sever(0, 1)
-	rt.Run(1, func() { rt.Proc(1).Send(0, "sink", "reverse-ok") })
+	rt.Run(1, func() { node.Send(rt.Proc(1), 0, "sink", "reverse-ok") })
 	waitFor(t, 5*time.Second, func() bool { return len(s0.snapshot()) == 1 })
 }
 
@@ -139,7 +139,7 @@ func TestDelaySpikeOverride(t *testing.T) {
 
 	rt.Fabric().SetDelay(0, 1, 400*time.Millisecond)
 	begin := time.Now()
-	rt.Run(0, func() { rt.Proc(0).Send(1, "sink", "slow") })
+	rt.Run(0, func() { node.Send(rt.Proc(0), 1, "sink", "slow") })
 	time.Sleep(150 * time.Millisecond)
 	if got := s.snapshot(); len(got) != 0 {
 		t.Fatalf("frame beat the delay spike: %v", got)
@@ -151,7 +151,7 @@ func TestDelaySpikeOverride(t *testing.T) {
 
 	// Clearing the override restores the base delay.
 	rt.Fabric().ClearDelay(0, 1)
-	rt.Run(0, func() { rt.Proc(0).Send(1, "sink", "fast") })
+	rt.Run(0, func() { node.Send(rt.Proc(0), 1, "sink", "fast") })
 	waitFor(t, 2*time.Second, func() bool { return len(s.snapshot()) == 2 })
 }
 

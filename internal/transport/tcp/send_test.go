@@ -171,14 +171,14 @@ func TestSendZeroAllocs(t *testing.T) {
 	records := []abcast.Record{{ID: types.MessageID{Origin: 0, Seq: 1}, Payload: []byte("one")}, {ID: types.MessageID{Origin: 2, Seq: 5}, Payload: []byte("two")}}
 	for i, c := range []struct {
 		name string
-		send func(api node.API, tos []types.ProcessID)
+		send func(p *node.Proc, tos []types.ProcessID)
 	}{
-		{"an AcceptedMsg", func(api node.API, tos []types.ProcessID) {
-			node.Multicast(api, tos, "sink", consensus.AcceptedMsg{Instance: 7, Ballot: 2})
+		{"an AcceptedMsg", func(p *node.Proc, tos []types.ProcessID) {
+			node.Multicast(p, tos, "sink", consensus.AcceptedMsg{Instance: 7, Ballot: 2})
 		}},
-		{"a TSMsg", func(api node.API, tos []types.ProcessID) { node.Multicast(api, tos, "sink", amcast.TSMsg{Desc: desc}) }},
-		{"a BundleMsg", func(api node.API, tos []types.ProcessID) {
-			node.Multicast(api, tos, "sink", abcast.BundleMsg{Round: 3, Set: records})
+		{"a TSMsg", func(p *node.Proc, tos []types.ProcessID) { node.Multicast(p, tos, "sink", amcast.TSMsg{Desc: desc}) }},
+		{"a BundleMsg", func(p *node.Proc, tos []types.ProcessID) {
+			node.Multicast(p, tos, "sink", abcast.BundleMsg{Round: 3, Set: records})
 		}},
 	} {
 		// The lane: links without writers, emptied after each send.
@@ -409,14 +409,14 @@ func TestUnencodableBodyDroppedAtSender(t *testing.T) {
 	}
 	from.Run(0, func() {
 		p := from.Proc(0)
-		p.Send(1, "count", int64(1))
-		p.Send(1, "count", make(chan int))
-		p.Send(1, "count", int64(3))
+		node.Send(p, 1, "count", int64(1))
+		node.Send(p, 1, "count", make(chan int))
+		node.Send(p, 1, "count", int64(3))
 	})
 	if seen := c.await(t, 2); !slices.Equal(seen, []int64{1, 3}) {
 		t.Fatalf("delivered %v, want [1 3]", seen)
 	}
-	from.Run(0, func() { from.Proc(0).Send(1, "count", int64(4)) })
+	from.Run(0, func() { node.Send(from.Proc(0), 1, "count", int64(4)) })
 	if seen := c.await(t, 3); !slices.Equal(seen, []int64{1, 3, 4}) {
 		t.Fatalf("delivered %v, want [1 3 4]", seen)
 	}
