@@ -88,6 +88,7 @@ import (
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // Record is one broadcast message as it travels in bundles: A2 reads its ID
@@ -135,6 +136,8 @@ type Bcast struct {
 	ring       []roundSlot                   // Msgs: the uncompleted rounds' bundles, round r in ring[r%len] (see slot)
 	inDecided  map[types.MessageID]bool      // decided into a bundle, not yet delivered
 	rdAt       map[types.MessageID]orderSpan // own-group messages being ordered, kept only while tracing
+	bundle     []Record                      // the slice fillBundle returns: the engine encodes it at once
+	enc        []byte                        // a WAL record's value is encoded here
 
 	// Round pacing (Pipeline > 1; see mayPropose). Soft state, reset by state
 	// transfer: a restarted endpoint runs unpaced until it has timed a round.
@@ -197,6 +200,7 @@ func New(cfg Config) *Bcast {
 		Replay:     b.replay,
 	}, consensus.BatcherConfig[Record]{
 		Fill:     b.fillBundle,
+		Decode:   decodeRecordsInto,
 		Gate:     b.mayPropose,
 		Base:     func() uint64 { return b.k },
 		OnDecide: b.shipBundle,
@@ -320,8 +324,9 @@ func (b *Bcast) storeBundle(g types.GroupID, round uint64, set []Record, replay 
 			if !replay && b.Log != nil {
 				// Unsynced: a lost tail bundle is re-fetched from peers by the
 				// next restart's state transfer.
+				b.enc = wire.AppendTagged(b.enc[:0], set)
 				b.Log.Append(storage.Record{Kind: storage.KindBundle, Proto: b.Proto(),
-					Inst: round, Aux: uint64(g), Value: set})
+					Inst: round, Aux: uint64(g), Value: string(b.enc)})
 			}
 		}
 	}
@@ -344,7 +349,7 @@ func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int, full b
 	if full && len(b.rdOrder) < limit {
 		return nil
 	}
-	var out []Record
+	out := b.bundle[:0]
 	n := 0
 	for _, id := range b.rdOrder {
 		if b.adelivered[id] || b.inDecided[id] || exclude(id) {
@@ -360,6 +365,7 @@ func (b *Bcast) fillBundle(exclude func(types.MessageID) bool, limit int, full b
 	if full && n == limit {
 		return b.fillBundle(exclude, limit, false)
 	}
+	b.bundle = out
 	return out
 }
 
@@ -616,7 +622,7 @@ const syncBatch = 128
 // replay is the group's Replay hook: remote bundles and rounds adopted by a
 // state transfer.
 func (b *Bcast) replay(rec storage.Record) bool {
-	set, _ := rec.Value.([]Record)
+	set, _ := wire.DecodeTagged[[]Record]([]byte(rec.Value))
 	switch rec.Kind {
 	case storage.KindBundle:
 		b.handleBundle(types.GroupID(rec.Aux), rec.Inst, set, true)
@@ -656,7 +662,8 @@ func (b *Bcast) applySyncRound(rs RoundSet, replay bool) {
 		return
 	}
 	if !replay {
-		b.Log.Append(storage.Record{Kind: storage.KindRound, Proto: b.Proto(), Inst: rs.Round, Value: rs.Set})
+		b.enc = wire.AppendTagged(b.enc[:0], rs.Set)
+		b.Log.Append(storage.Record{Kind: storage.KindRound, Proto: b.Proto(), Inst: rs.Round, Value: string(b.enc)})
 	}
 	b.deliverRound(rs.Set, " (state transfer)")
 }

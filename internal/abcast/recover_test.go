@@ -168,12 +168,15 @@ func TestDurableBytesPinned(t *testing.T) {
 	// slot); with them undone the bytes hash to the previous pins, old → new:
 	//	6166f554… → 87c1c971…, 53e1fbe7… → 417167f9…, 3528ae5f… → 5500dc64…,
 	//	30263d6f… → 11d5e6e6…, b119fcc3… → 0d2d27dd….
+	// The frames re-pinned when a consensus value became its batch's bytes,
+	// as amcast's were (a value's length prefix); with it undone they hash to
+	// the previous pin: 0d2d27dd… → 09ed6960….
 	want := [5]string{
 		"87c1c9716201ea6e8e56d3c93a73032b0732837621ae08e3fa08c1b971c58f9a",
 		"417167f9d024c051ad1cb930391782191070dd49fba79dcbf57a47dfb7e6fc08",
 		"5500dc642982353d6a3d949b29ee68a9cbe6fa94cad49e8690088e020cdb6ab0",
 		"11d5e6e6303d20551a34d8966132fa0cd96f99931571ed6b38b0df7221feeffd",
-		"0d2d27dd92c8425449f768dfe46078a508f151c9dbc72fa4e2aff5d8d5ca5100",
+		"09ed6960f399fd1449f5c46a30e5ed40dff09ab77026bf484a0fde93976c3d66",
 	}
 	for i, what := range []string{"snapshots at 300 ms", "final snapshots", "p1's WAL", "the adopting WAL", "frames"} {
 		if got[i] != want[i] {

@@ -115,11 +115,23 @@ func AppendRecords(buf []byte, rs []Record) []byte {
 // DecodeRecords decodes a record batch and returns the remainder. The
 // payloads share one copy of their bytes.
 func DecodeRecords(data []byte) ([]Record, []byte, error) {
+	rs, rest, err := decodeRecordsInto(nil, data)
+	wire.Own(rs, func(r *Record) *[]byte { return &r.Payload })
+	return rs, rest, err
+}
+
+// decodeRecordsInto decodes a record batch into into[:0], reusing its
+// storage, with the payloads aliasing data: the engine's Decode hook, which
+// hands it a decided value's bytes.
+func decodeRecordsInto(into []Record, data []byte) ([]Record, []byte, error) {
 	n, data, err := wire.SliceLen(data)
-	if err != nil || n == 0 {
-		return nil, data, err
+	if err != nil {
+		return nil, nil, err
 	}
-	rs := make([]Record, n)
+	if cap(into) < n {
+		into = make([]Record, n)
+	}
+	rs := into[:n]
 	for i := range rs {
 		r := &rs[i]
 		if i == 0 {
@@ -139,7 +151,6 @@ func DecodeRecords(data []byte) ([]Record, []byte, error) {
 			return nil, nil, err
 		}
 	}
-	wire.Own(rs, func(r *Record) *[]byte { return &r.Payload })
 	return rs, data, nil
 }
 

@@ -94,8 +94,8 @@
 // framed by length and never parsed here. Its owner parses it — the service
 // layer applies nothing it cannot parse. A1 checking it on receipt would buy
 // nothing: channels are reliable (§2.1), and a per-kind parse never caught a
-// corruption that still parses. Per-frame integrity is item 13(a) of
-// ROADMAP.md, out of scope here.
+// corruption that still parses. Per-frame integrity is item 5 of ROADMAP.md,
+// out of scope here.
 //
 // Recovery is the group endpoint's (package group). A1 snapshots its clock,
 // PENDING, received proposals and delivered set (save, load), and replays
@@ -121,6 +121,7 @@ import (
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // Stage is a message's position in the s0–s3 pipeline.
@@ -221,11 +222,14 @@ type Mcast struct {
 	// the s0 entries in admission order (one that left s0 is dropped at the
 	// next fill), held what decisions released while delivery was gated, in
 	// release order. cand, stage1 and tos are scratch (fillBatch,
-	// processDecision, sendTS). A received (TS, m) proposal lives in its
-	// message's entry: handleTS admits the message it names first, so there
-	// is no proposal without one.
+	// processDecision, sendTS); so are batch, the slice fillBatch returns (the
+	// engine encodes it at once), and enc, a (TS, m) receipt's WAL value. A
+	// received (TS, m) proposal lives in its message's entry: handleTS admits
+	// the message it names first, so there is no proposal without one.
 	order, fresh, held, cand, stage1 []*pend
 	tos                              []types.ProcessID
+	batch                            []Descriptor
+	enc                              []byte
 	adelivered                       map[types.MessageID]bool
 	admitSeq                         uint64
 	delivered                        uint64 // total A-Deliveries at this process: the sync position
@@ -266,7 +270,7 @@ func build(cfg Config, fritzke bool) *Mcast {
 	if fritzke {
 		rule.Label, rule.Mode = "fritzke", rmcast.ModeEager
 	}
-	a.Endpoint = group.New(cfg, rule, consensus.BatcherConfig[Descriptor]{Fill: a.fillBatch, OnApply: a.processDecision},
+	a.Endpoint = group.New(cfg, rule, consensus.BatcherConfig[Descriptor]{Fill: a.fillBatch, Decode: decodeDescriptorsInto, OnApply: a.processDecision},
 		statesync.Config[DeliverRec, SyncTail]{
 			Batch:  syncBatch,
 			Codec:  syncCodec,
@@ -344,8 +348,8 @@ func (a *Mcast) handleTS(g types.GroupID, d Descriptor, replay bool) {
 			// Unsynced: a lost tail proposal is re-fetched from peers by the
 			// next restart's state transfer, exactly like a proposal that
 			// never arrived.
-			a.Log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.Proto(),
-				Aux: uint64(g), Value: TSMsg{Desc: d}})
+			a.enc = wire.AppendTagged(a.enc[:0], TSMsg{Desc: d})
+			a.Log.Append(storage.Record{Kind: storage.KindTSProp, Proto: a.Proto(), Aux: uint64(g), Value: string(a.enc)})
 		}
 	}
 	a.checkStage1(p)
@@ -439,7 +443,7 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int, full bo
 	if limit > 0 && len(cand) > limit {
 		cand = cand[:limit]
 	}
-	set := make([]Descriptor, len(cand))
+	set := slices.Grow(a.batch[:0], len(cand))[:len(cand)]
 	for i, p := range cand {
 		if p.stage == Stage2 {
 			// Every process that applies an s2 item has applied or adopted
@@ -455,6 +459,7 @@ func (a *Mcast) fillBatch(exclude func(types.MessageID) bool, limit int, full bo
 	clear(cand)
 	a.cand = cand
 	sortDescriptors(set)
+	a.batch = set
 	return set
 }
 
@@ -798,7 +803,7 @@ func (a *Mcast) replay(rec storage.Record) bool {
 	case storage.KindAdmit:
 		a.admit(rec.ID, rec.Dest, rec.Payload, 0, false)
 	case storage.KindTSProp:
-		if tm, ok := rec.Value.(TSMsg); ok {
+		if tm, err := wire.DecodeTagged[TSMsg]([]byte(rec.Value)); err == nil {
 			a.handleTS(types.GroupID(rec.Aux), tm.Desc, true)
 		}
 	case storage.KindDeliver:

@@ -101,7 +101,7 @@ func TestPayloadsOutliveTheReceiveBuffer(t *testing.T) {
 		"a2 records":       rs,
 		"a1 state answer":  a1,
 		"a2 state answer":  a2,
-		"wal batch record": storage.Record{Kind: storage.KindAccept, Proto: "a1.cons", Inst: 1, Value: ds},
+		"wal batch record": storage.Record{Kind: storage.KindAccept, Proto: "a1.cons", Inst: 1, Value: string(wire.AppendTagged(nil, ds))},
 		"wal admit record": storage.Record{Kind: storage.KindAdmit, Proto: "a1", ID: ds[6].ID, Dest: ds[6].Dest, Payload: ds[6].Payload},
 	}
 	for name, v := range vals {
@@ -146,11 +146,11 @@ func TestPayloadsOutliveTheReceiveBuffer(t *testing.T) {
 	defer disk.Close()
 	wal := []storage.Record{
 		{Kind: storage.KindAdmit, Proto: "a1", ID: ds[0].ID, Dest: ds[0].Dest, Payload: ds[0].Payload},
-		{Kind: storage.KindTSProp, Proto: "a1", Aux: 1, Value: TSMsg{Desc: ds[1]}},
-		{Kind: storage.KindDecide, Proto: "a1.cons", Inst: 2, Value: ds},
+		{Kind: storage.KindTSProp, Proto: "a1", Aux: 1, Value: string(wire.AppendTagged(nil, TSMsg{Desc: ds[1]}))},
+		{Kind: storage.KindDecide, Proto: "a1.cons", Inst: 2, Value: string(wire.AppendTagged(nil, ds))},
 		{Kind: storage.KindDeliver, Proto: "a1", Inst: 7, ID: ds[2].ID, Dest: ds[2].Dest, Payload: ds[2].Payload},
-		{Kind: storage.KindBundle, Proto: "a2", Inst: 3, Aux: 1, Value: rs},
-		{Kind: storage.KindRound, Proto: "a2", Inst: 4, Value: rs[:3]},
+		{Kind: storage.KindBundle, Proto: "a2", Inst: 3, Aux: 1, Value: string(wire.AppendTagged(nil, rs))},
+		{Kind: storage.KindRound, Proto: "a2", Inst: 4, Value: string(wire.AppendTagged(nil, rs[:3]))},
 	}
 	for _, rec := range wal {
 		if err := disk.Append(rec); err != nil {
@@ -265,17 +265,13 @@ func TestRawReencodesByteIdentically(t *testing.T) {
 }
 
 // TestRawBatchReplaysFromTheWAL: an acceptor logs the batch it accepted and
-// then the decision, both as they came off the wire. Replayed from a memory
-// store (the values as logged) and from a disk store (encoded, decoded
-// again), the decision delivers the commands that were cast.
+// then the decision, both as they came off the wire: the bytes its proposer
+// encoded. Replayed from a memory store and from a disk store, the decision
+// delivers the commands that were cast.
 func TestRawBatchReplaysFromTheWAL(t *testing.T) {
 	topo := types.NewTopology(1, 3)
 	want := commandBatch(4, types.NewGroupSet(0))
-	got, _, err := wire.DecodeValue(wire.AppendValue(nil, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := got.([]Descriptor)
+	accepted := string(wire.AppendTagged(nil, want)) // the value as its proposer encoded it
 	for name, open := range map[string]func() storage.Store{
 		"mem": func() storage.Store { return storage.NewMem() },
 		"disk": func() storage.Store {

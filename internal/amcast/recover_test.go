@@ -129,12 +129,17 @@ func TestDurableBytesPinned(t *testing.T) {
 	// pins, the old hash on the left:
 	//	3749e601… → 8e2d3ab7…, fda9fb46… → 9aed98e4…, f12b1106… → 4daa26c6…,
 	//	8fad98e5… → f91ef188…, b2ea41f3… → fff9668a….
+	// The frames re-pinned when a consensus value became its batch's bytes:
+	// a Forward, Promise, Accept or by-value Decide carries it behind a
+	// uvarint length. With the length undone — the value appended bare, an
+	// empty one as the nil kind — they hash to the previous pin again:
+	// fff9668a… → ea1e0cd5….
 	want := [5]string{
 		"8e2d3ab738373e10d1fe229331d21a4fa2cc4706683aa892a87127dcfaa13a42",
 		"9aed98e457c45ac19818972e3415227664fc16c3603cd43ed03d9d53c6276b55",
 		"4daa26c6bbd63f6634f0bb6ecdf95089fc92ffcebca9d6fca00f7cac46a2d106",
 		"f91ef188ab7121678b4bd5c4f4acabf9d5a0fc1172a101f7be0fb9766df3816d",
-		"fff9668a28bab61c3a593624ce52b0bd3bdf3a497ad5fb43e673d17952b5a4a5",
+		"ea1e0cd52e3f8a08b9bd381973dc2d841a9b4d5743b48d82db8a7b013a2456ae",
 	}
 	for i, what := range []string{"snapshots at 180 ms", "final snapshots", "p1's WAL", "the adopting WAL", "frames"} {
 		if got[i] != want[i] {

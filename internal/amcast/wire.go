@@ -207,11 +207,23 @@ func AppendDescriptors(buf []byte, ds []Descriptor) []byte {
 // DecodeDescriptors decodes a descriptor batch and returns the remainder. The
 // payloads share one copy of their bytes.
 func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
+	ds, rest, err := decodeDescriptorsInto(nil, data)
+	wire.Own(ds, func(d *Descriptor) *[]byte { return &d.Payload })
+	return ds, rest, err
+}
+
+// decodeDescriptorsInto decodes a descriptor batch into into[:0], reusing its
+// storage, with the payloads aliasing data: the engine's Decode hook, which
+// hands it a decided value's bytes.
+func decodeDescriptorsInto(into []Descriptor, data []byte) ([]Descriptor, []byte, error) {
 	n, rest, err := wire.SliceLen(data)
-	if err != nil || n == 0 {
-		return nil, rest, err
+	if err != nil {
+		return nil, nil, err
 	}
-	ds := make([]Descriptor, n)
+	if cap(into) < n {
+		into = make([]Descriptor, n)
+	}
+	ds := into[:n]
 	for i := range ds {
 		var prev *Descriptor
 		if i > 0 {
@@ -221,7 +233,6 @@ func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 			return nil, nil, err
 		}
 	}
-	wire.Own(ds, func(d *Descriptor) *[]byte { return &d.Payload })
 	return ds, rest, nil
 }
 

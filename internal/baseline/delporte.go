@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"wanamcast/internal/amcast"
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // Delporte is the Delporte-Gallet & Fauconnier [4] genuine atomic
@@ -35,26 +37,18 @@ type Delporte struct {
 	propK     uint64
 	castSeqN  uint64
 	busy      *types.MessageID // multi-group message being processed, if any
-	queue     []*dgPend        // admitted, not yet timestamped by this group
+	queue     []DGItem         // admitted, not yet timestamped by this group
 	queued    map[types.MessageID]bool
 	processed map[types.MessageID]bool // timestamped (or delivered) by this group
 	decisions map[uint64][]DGItem
 	delivered map[types.MessageID]bool
 }
 
-type dgPend struct {
-	msg rmcast.Message
-	ts  uint64 // timestamp carried from previous groups
-}
-
 // DGItem is the consensus value element: one message picked for
-// timestamping by this group.
-type DGItem struct {
-	ID      types.MessageID
-	Dest    types.GroupSet
-	Payload []byte
-	TS      uint64 // carried timestamp
-}
+// timestamping by this group, with the timestamp carried from the previous
+// groups in TS. It is A1's descriptor, whose batch codec encodes the group's
+// proposals.
+type DGItem = amcast.Descriptor
 
 // Delporte wire messages, exported for gob registration.
 type (
@@ -158,10 +152,7 @@ func (d *Delporte) admit(item DGItem) {
 		return
 	}
 	d.queued[item.ID] = true
-	d.queue = append(d.queue, &dgPend{
-		msg: rmcast.Message{ID: item.ID, Dest: item.Dest, Payload: item.Payload},
-		ts:  item.TS,
-	})
+	d.queue = append(d.queue, item)
 	d.tryPropose()
 }
 
@@ -172,21 +163,12 @@ func (d *Delporte) tryPropose() {
 	if d.propK > d.k || d.busy != nil || len(d.queue) == 0 {
 		return
 	}
-	head := d.queue[0]
-	d.cons.Propose(d.k, []DGItem{{
-		ID:      head.msg.ID,
-		Dest:    head.msg.Dest,
-		Payload: head.msg.Payload,
-		TS:      head.ts,
-	}})
+	d.cons.Propose(d.k, wire.AppendTagged(nil, d.queue[:1]))
 	d.propK = d.k + 1
 }
 
 func (d *Delporte) onDecide(inst uint64, v consensus.Value) {
-	set, ok := v.([]DGItem)
-	if !ok {
-		panic(fmt.Sprintf("baseline: delporte consensus decided unexpected value %T", v))
-	}
+	set, _ := wire.DecodeTagged[[]DGItem](v) // a value of another kind decides nothing
 	d.decisions[inst] = set
 	for {
 		cur, ok := d.decisions[d.k]
@@ -244,7 +226,7 @@ func (d *Delporte) processDecision(set []DGItem) {
 
 func (d *Delporte) dropFromQueue(id types.MessageID) {
 	for i, p := range d.queue {
-		if p.msg.ID == id {
+		if p.ID == id {
 			d.queue = append(d.queue[:i], d.queue[i+1:]...)
 			break
 		}

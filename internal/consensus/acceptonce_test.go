@@ -44,7 +44,7 @@ func TestBallotZeroAcceptsOnce(t *testing.T) {
 		const instances = 4
 		for k := uint64(1); k <= instances; k++ {
 			for i, c := range r.cons {
-				c.Propose(k, i)
+				c.Propose(k, Value{byte(i)})
 			}
 		}
 		r.rt.Run()
@@ -60,11 +60,11 @@ func TestBallotZeroAcceptsOnce(t *testing.T) {
 		// A second and a third ForwardMsg into an open phase 2, head on: the
 		// leader of a fresh instance with no quorum yet stays silent.
 		lead := r.cons[0]
-		lead.onForward(1, ForwardMsg{Instance: 9, Value: "a"})
+		lead.onForward(1, ForwardMsg{Instance: 9, Value: Value("a")})
 		before := *n
-		lead.onForward(2, ForwardMsg{Instance: 9, Value: "b"})
+		lead.onForward(2, ForwardMsg{Instance: 9, Value: Value("b")})
 		if d > 3 {
-			lead.onForward(3, ForwardMsg{Instance: 9, Value: "c"})
+			lead.onForward(3, ForwardMsg{Instance: 9, Value: Value("c")})
 		}
 		r.rt.RunUntil(r.rt.Scheduler().Now() + time.Millisecond) // what the first one's Accept is owed, nothing else
 		if n.accepts != before.accepts+d {
@@ -89,7 +89,7 @@ func TestLostAcceptRecoveredByTick(t *testing.T) {
 			}
 			return false
 		})
-		r.cons[proposer].Propose(1, "v")
+		r.cons[proposer].Propose(1, Value("v"))
 		r.rt.RunUntil(30 * time.Millisecond)
 		if lost != 2 || len(r.decs[0]) != 0 {
 			t.Fatalf("proposer p%d: %d Accepts lost, p0 decided %v before any retry: the loss was not exercised", proposer, lost, r.decs[0])

@@ -9,6 +9,7 @@ import (
 	"wanamcast/internal/node"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 func mallocsDuring(f func()) uint64 {
@@ -46,7 +47,7 @@ func TestSteadyStateAllocsPerInstance(t *testing.T) {
 		})
 	}
 	rt.Start()
-	var v Value = "v"
+	v := Value("v")
 	for k := uint64(1); k <= warm+n; k++ {
 		if k == warm+1 {
 			clear(mallocs)
@@ -88,7 +89,7 @@ func TestDurableAcceptAllocatesOnlyItsReply(t *testing.T) {
 	lane := make(chan func(), 1)
 	log.AttachGroupCommit(gc, func(fn func()) { lane <- fn })
 	c := newAcceptor(t, log)
-	var v Value = "v"
+	v := Value("v")
 	ballot := int64(0)
 	accept := func() {
 		ballot++ // a higher ballot each time: every Accept appends a vote
@@ -130,7 +131,7 @@ func TestDeferredPumpAllocatesNothing(t *testing.T) {
 func TestDecidedInstanceDropsItsProposals(t *testing.T) {
 	r := newRig(t, 3)
 	for i, c := range r.cons {
-		c.Propose(1, []int{i})
+		c.Propose(1, Value{byte(i)})
 	}
 	r.rt.Run()
 	for i, c := range r.cons {
@@ -141,9 +142,63 @@ func TestDecidedInstanceDropsItsProposals(t *testing.T) {
 		if in.proposal != nil || in.leadValue != nil || in.bestVValue != nil {
 			t.Errorf("p%d: decided instance still holds proposal=%v leadValue=%v", i, in.proposal, in.leadValue)
 		}
-		dec, acc := in.decision.([]int), in.aValue.([]int)
+		dec, acc := in.decision, in.aValue
 		if &dec[0] != &acc[0] {
 			t.Errorf("p%d: decision %v and accepted value %v are two batches, want one shared", i, dec, acc)
 		}
+	}
+}
+
+// decodeAllocs is how many allocations decoding m's body costs.
+func decodeAllocs[T any](m T) float64 {
+	_, dec := wire.DecoderOf[T]()
+	body := wire.AppendTagged(nil, m)[1:]
+	return testing.AllocsPerRun(200, func() { _, _, _ = dec(body) })
+}
+
+// TestValueDecodeCostsItsBytes: a Forward, an Accept or a by-value Decide
+// with a 4-item value decodes at one allocation, the value's bytes copied
+// out of the receive buffer, for the engine parses no value; a by-reference
+// Decide decodes at none. While a value was decoded in full on receipt, each
+// cost a box, a slice and a payload copy.
+func TestValueDecodeCostsItsBytes(t *testing.T) {
+	v := enc(testItem{ID: mid(1), V: 1}, testItem{ID: mid(2)}, testItem{ID: mid(3)}, testItem{ID: mid(4), V: -4})
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Forward", decodeAllocs(ForwardMsg{Instance: 9, Value: v}), 1},
+		{"Accept", decodeAllocs(AcceptMsg{Instance: 9, Ballot: 3, Value: v}), 1},
+		{"Decide by value", decodeAllocs(DecideMsg{Instance: 9, Ballot: -1, Value: v}), 1},
+		{"Decide by reference", decodeAllocs(DecideMsg{Instance: 9, Ballot: 3}), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("decoding a %s made %.1f allocations, want %.0f", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestAppliedDecisionZeroAllocs: an engine without OnDecide, as A1's,
+// applies a decided 4-item value at no allocation — it decodes it into a
+// buffer it reuses, the items' bytes aliasing the value's.
+func TestAppliedDecisionZeroAllocs(t *testing.T) {
+	b := NewBatcher(BatcherConfig[testItem]{
+		API:      node.NewProc(0, types.NewTopology(1, 3), &fakeEnv{}),
+		Detector: fakeDet{},
+		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
+		Decode:   decodeTestItems,
+		OnApply:  func(uint64, []testItem) {},
+	})
+	v := enc(testItem{ID: mid(1)}, testItem{ID: mid(2)}, testItem{ID: mid(3)}, testItem{ID: mid(4)})
+	k := uint64(0)
+	apply := func() { k++; b.decided(k, v) }
+	for range 64 {
+		apply()
+	}
+	if n := testing.AllocsPerRun(200, apply); n != 0 {
+		t.Errorf("applying a decision made %.1f allocations, want 0", n)
+	}
+	if b.AppliedInstances() != k {
+		t.Fatalf("applied %d of %d decisions", b.AppliedInstances(), k)
 	}
 }

@@ -33,20 +33,21 @@
 package consensus
 
 import (
+	"bytes"
 	"cmp"
-	"fmt"
 	"time"
 
 	"wanamcast/internal/fd"
 	"wanamcast/internal/node"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // Item is one element of a batched proposal. Items travel inside consensus
-// values, so they must be self-contained; the identity is used to keep an
-// item out of later proposals while an earlier instance holding it is
-// still in flight.
+// values — a batch's tagged encoding, through []T's wire codec — so they
+// must be self-contained; the identity is used to keep an item out of later
+// proposals while an earlier instance holding it is still in flight.
 type Item interface {
 	ItemID() types.MessageID
 }
@@ -78,8 +79,15 @@ type BatcherConfig[T Item] struct {
 	// at most limit items when limit > 0. With full set (limit > 0 then),
 	// it returns nil unless it has limit items, and should allocate
 	// nothing to say so: the engine asks that on every event while an own
-	// instance is undecided. Required.
+	// instance is undecided. The engine encodes a batch before it asks
+	// again, so Fill may return the same slice every time. Required.
 	Fill func(exclude func(types.MessageID) bool, limit int, full bool) []T
+	// Decode decodes the body of a batch's tagged encoding (the bytes after
+	// its kind) into into[:0], reusing its storage, and returns the batch and
+	// the bytes after it. Items may alias data: a consensus value's bytes are
+	// never written. A body leads with its item count, which the engine reads
+	// to count a decision it has not decoded yet. Required.
+	Decode func(into []T, data []byte) ([]T, []byte, error)
 	// Gate, when non-nil, decides whether instance inst may be proposed
 	// with the given batch; returning false stops the propose loop. A nil
 	// Gate admits only non-empty batches. A2 uses it to run empty
@@ -96,6 +104,12 @@ type BatcherConfig[T Item] struct {
 	OnDecide func(inst uint64, batch []T)
 	// OnApply fires exactly once per instance, in dense instance order.
 	// Required: it is where clients advance their replicated state.
+	//
+	// A hook's batch is valid until the hook returns, and a hook that keeps
+	// it copies it: the engine decodes each decision once, when it applies
+	// it, into a buffer it reuses. An engine with OnDecide decodes a decision
+	// when it learns it instead, into a slice of its own that OnDecide and
+	// then OnApply receive and may keep (A2 ships and stores its bundles).
 	OnApply func(inst uint64, batch []T)
 }
 
@@ -110,45 +124,62 @@ type Batcher[T Item] struct {
 
 	fill     func(exclude func(types.MessageID) bool, limit int, full bool) []T
 	exclude  func(types.MessageID) bool // b.InFlight, bound once: Pump runs per event
+	decode   func(into []T, data []byte) ([]T, []byte, error)
 	gate     func(inst uint64, batch []T) bool
 	base     func() uint64
 	onDecide func(inst uint64, batch []T)
 	onApply  func(inst uint64, batch []T)
 
+	kind     wire.Kind // []T's: the kind of every batch
+	enc      []byte    // a proposal is encoded here, then copied out
+	empty    Value     // the empty batch's encoding, which every empty proposal shares
+	dec, rel []T       // decode buffers: a decision's when no hook keeps it, an own proposal's
+
 	next      uint64                     // next instance to propose
 	applyNext uint64                     // next instance to apply, in dense order
-	buffered  map[uint64][]T             // decided but not yet applied (out-of-order)
+	buffered  map[uint64]decision[T]     // decided but not yet applied (out-of-order)
 	inFlight  map[types.MessageID]uint64 // item → undecided/unapplied instance
-	proposed  map[uint64][]T             // the reverse: instance → the batch proposed to it
+	proposed  map[uint64]Value           // the reverse: instance → the batch proposed to it
 
 	healEvery time.Duration // gap-healing re-check period
 	healing   bool          // gap-healing timer armed
 	healFn    func()        // b.heal, bound at the first gap
 }
 
+// decision is a decided instance's value and, with OnDecide, its batch.
+type decision[T any] struct {
+	v     Value
+	batch []T
+}
+
 // NewBatcher builds a batched ordering engine. It panics on missing API,
-// Detector, Fill, or OnApply: those are wiring bugs.
+// Detector, Fill, Decode or OnApply, or a []T without a wire codec: those
+// are wiring bugs.
 func NewBatcher[T Item](cfg BatcherConfig[T]) *Batcher[T] {
 	if cfg.API == nil || cfg.Detector == nil {
 		panic("consensus: BatcherConfig.API and Detector are required")
 	}
-	if cfg.Fill == nil || cfg.OnApply == nil {
-		panic("consensus: BatcherConfig.Fill and OnApply are required")
+	kind, dec := wire.DecoderOf[[]T]()
+	if cfg.Fill == nil || cfg.Decode == nil || cfg.OnApply == nil || dec == nil {
+		panic("consensus: BatcherConfig.Fill, Decode and OnApply, and a wire codec for []T, are required")
 	}
 	b := &Batcher[T]{
 		api:       cfg.API,
 		maxBatch:  max(cfg.MaxBatch, 0),
 		pipeline:  uint64(max(cfg.Pipeline, 1)),
 		fill:      cfg.Fill,
+		decode:    cfg.Decode,
+		kind:      kind,
+		empty:     wire.AppendTagged(nil, []T(nil)),
 		gate:      cfg.Gate,
 		base:      cfg.Base,
 		onDecide:  cfg.OnDecide,
 		onApply:   cfg.OnApply,
 		next:      1,
 		applyNext: 1,
-		buffered:  make(map[uint64][]T),
+		buffered:  make(map[uint64]decision[T]),
 		inFlight:  make(map[types.MessageID]uint64),
-		proposed:  make(map[uint64][]T),
+		proposed:  make(map[uint64]Value),
 		healEvery: cmp.Or(max(cfg.RetryInterval, 0), DefaultRetry),
 	}
 	b.exclude = b.InFlight
@@ -176,11 +207,14 @@ func (b *Batcher[T]) NextInstance() uint64 { return b.next }
 // AppliedInstances returns how many instances have been applied.
 func (b *Batcher[T]) AppliedInstances() uint64 { return b.applyNext - 1 }
 
-// Decided returns the batch decided for inst, if this process has learned it.
+// Decided returns the batch decided for inst, if this process has learned
+// it, decoded into a slice of its own.
 func (b *Batcher[T]) Decided(inst uint64) ([]T, bool) {
 	v, ok := b.cons.Decided(inst)
-	batch, _ := v.([]T)
-	return batch, ok
+	if !ok {
+		return nil, false
+	}
+	return b.batchOf(inst, v, nil), true
 }
 
 // InFlight reports whether id is held by a proposed instance that has not
@@ -209,12 +243,23 @@ func (b *Batcher[T]) Pump() {
 		for _, it := range batch {
 			b.inFlight[it.ItemID()] = b.next
 		}
+		v := b.encode(batch)
 		if len(batch) > 0 {
-			b.proposed[b.next] = batch
+			b.proposed[b.next] = v
 		}
-		b.cons.Propose(b.next, batch)
+		b.cons.Propose(b.next, v)
 		b.next++
 	}
+}
+
+// encode returns batch's tagged encoding in bytes of its own: the one copy a
+// proposal costs its proposer.
+func (b *Batcher[T]) encode(batch []T) Value {
+	if len(batch) == 0 {
+		return b.empty
+	}
+	b.enc = wire.AppendTagged(b.enc[:0], batch)
+	return append(Value(nil), b.enc...)
 }
 
 // undecided reports whether an instance this process proposed — every one
@@ -228,31 +273,57 @@ func (b *Batcher[T]) undecided() bool {
 	return false
 }
 
-// decided is the consensus OnDecide hook: it records the batch, fires the
-// early hook, and drains the apply queue in dense instance order.
+// decided is the consensus OnDecide hook: it records the decision, fires
+// the early hook, and drains the apply queue in dense instance order.
 func (b *Batcher[T]) decided(inst uint64, v Value) {
-	batch, ok := v.([]T)
-	if !ok && v != nil {
-		panic(fmt.Sprintf("consensus: batcher decided unexpected value %T", v))
+	n := 0 // the batch's size, which its body leads with: no decode for a metric
+	if len(v) > 0 && wire.Kind(v[0]) == b.kind {
+		n, _, _ = wire.SliceLen(v[1:])
 	}
-	b.api.Metrics().OnBatchDecided(len(batch))
+	b.api.Metrics().OnBatchDecided(n)
+	d := b.learn(inst, v)
 	if b.onDecide != nil {
-		b.onDecide(inst, batch)
+		b.onDecide(inst, d.batch)
 	}
-	b.buffered[inst] = batch
-	for {
-		cur, ok := b.buffered[b.applyNext]
-		if !ok {
-			break
-		}
-		b.applyOne(b.applyNext, cur)
-	}
+	b.buffered[inst] = d
+	b.drain()
 	b.Pump()
 	b.checkGap()
 }
 
+// learn is instance k's decision v as it waits to apply. An engine with
+// OnDecide decodes it now, into a slice its hooks keep; one without, when it
+// applies.
+func (b *Batcher[T]) learn(k uint64, v Value) decision[T] {
+	if b.onDecide == nil {
+		return decision[T]{v: v}
+	}
+	return decision[T]{v, b.batchOf(k, v, nil)}
+}
+
+// batchOf decodes instance k's value v into into's storage (nil: a slice of
+// its own). A value that is not a batch of the engine's kind, or does not
+// decode as one, is an empty batch, alike at every member, and a trace line
+// names its instance.
+func (b *Batcher[T]) batchOf(k uint64, v Value, into []T) []T {
+	if len(v) > 0 && wire.Kind(v[0]) == b.kind {
+		if batch, rest, err := b.decode(into[:0], v[1:]); err == nil && len(rest) == 0 {
+			return batch
+		}
+	}
+	b.api.Tracef("%s: instance %d decided %d bytes that are no batch of kind %d: applied empty", b.cons.label, k, len(v), b.kind)
+	return into[:0]
+}
+
+// drain applies the buffered decisions from the apply horizon on.
+func (b *Batcher[T]) drain() {
+	for d, ok := b.buffered[b.applyNext]; ok; d, ok = b.buffered[b.applyNext] {
+		b.applyOne(b.applyNext, d)
+	}
+}
+
 // applyOne consumes the decision of the apply horizon's instance.
-func (b *Batcher[T]) applyOne(k uint64, cur []T) {
+func (b *Batcher[T]) applyOne(k uint64, d decision[T]) {
 	delete(b.buffered, k)
 	b.applyNext++
 	// Never propose at or below an applied instance: a process whose
@@ -265,13 +336,28 @@ func (b *Batcher[T]) applyOne(k uint64, cur []T) {
 	// Items of this instance are no longer in flight. Items the
 	// decision dropped become proposable again; items it kept are the
 	// client's to track from OnApply onward.
-	b.release(k)
-	b.onApply(k, cur)
+	if b.onDecide == nil {
+		b.dec = b.batchOf(k, d.v, b.dec)
+		d.batch = b.dec
+	}
+	b.release(k, d)
+	b.onApply(k, d.batch)
 }
 
-// release takes the items this process proposed to instance k out of flight.
-func (b *Batcher[T]) release(k uint64) {
-	for _, it := range b.proposed[k] {
+// release takes the items this process proposed to instance k out of
+// flight, reading their IDs back from the proposal's bytes — or from d, k's
+// decision, when that is the proposal.
+func (b *Batcher[T]) release(k uint64, d decision[T]) {
+	v, ok := b.proposed[k]
+	if !ok {
+		return
+	}
+	batch := d.batch
+	if !bytes.Equal(v, d.v) {
+		b.rel = b.batchOf(k, v, b.rel)
+		batch = b.rel
+	}
+	for _, it := range batch {
 		if id := it.ItemID(); b.inFlight[id] == k {
 			delete(b.inFlight, id)
 		}

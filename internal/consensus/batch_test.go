@@ -8,6 +8,7 @@ import (
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // testItem is a minimal batch element.
@@ -17,6 +18,36 @@ type testItem struct {
 }
 
 func (it testItem) ItemID() types.MessageID { return it.ID }
+
+// kindTestItems is []testItem's wire kind, one no package registers.
+const kindTestItems wire.Kind = 250
+
+func init() {
+	wire.Register(kindTestItems, appendTestItems, func(data []byte) ([]testItem, []byte, error) { return decodeTestItems(nil, data) })
+}
+
+// appendTestItems encodes a batch as the real ones are: its count, then
+// each item.
+func appendTestItems(buf []byte, items []testItem) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(items)))
+	for _, it := range items {
+		buf = wire.AppendVarint(it.ID.AppendTo(buf), int64(it.V))
+	}
+	return buf
+}
+
+// decodeTestItems is a testItem engine's Decode hook.
+func decodeTestItems(into []testItem, data []byte) ([]testItem, []byte, error) {
+	d := wire.Decoder{Data: data}
+	out := into[:0]
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		out = append(out, testItem{ID: wire.Read(&d, types.DecodeMessageID), V: int(wire.Read(&d, wire.Varint))})
+	}
+	return out, d.Data, d.Err
+}
+
+// enc is a decided value: items' tagged encoding.
+func enc(items ...testItem) Value { return wire.AppendTagged(nil, items) }
 
 func mid(seq uint64) types.MessageID { return types.MessageID{Origin: 0, Seq: seq} }
 
@@ -58,6 +89,7 @@ func newBatchRig(maxBatch, pipeline int) *batchRig {
 		Detector: fakeDet{leader: 0},
 		MaxBatch: maxBatch,
 		Pipeline: pipeline,
+		Decode:   decodeTestItems,
 		Fill: func(exclude func(types.MessageID) bool, limit int, full bool) []testItem {
 			r.fills++
 			if full { // count first, as A1 and A2 do: a short batch is never built
@@ -109,6 +141,12 @@ func newBatchRig(maxBatch, pipeline int) *batchRig {
 	return r
 }
 
+// proposal decodes the batch this process proposed to instance k.
+func (r *batchRig) proposal(k uint64) []testItem {
+	batch, _ := wire.DecodeTagged[[]testItem](r.b.proposed[k])
+	return batch
+}
+
 func (r *batchRig) enqueue(n int) {
 	for i := 0; i < n; i++ {
 		r.queue = append(r.queue, testItem{ID: mid(uint64(len(r.queue) + 1))})
@@ -135,11 +173,11 @@ func TestBatcherWindowAndCap(t *testing.T) {
 	if r.b.InFlight(mid(5)) {
 		t.Error("item 5 should wait for the window")
 	}
-	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}})
+	r.b.decided(1, enc(testItem{ID: mid(1)}, testItem{ID: mid(2)}))
 	if got := r.b.NextInstance(); got != 3 || r.b.InFlight(mid(5)) {
 		t.Fatalf("NextInstance = %d after instance 1 applied, want 3: item 5 is a partial batch and instance 2 is undecided", got)
 	}
-	r.b.decided(2, []testItem{{ID: mid(3)}, {ID: mid(4)}})
+	r.b.decided(2, enc(testItem{ID: mid(3)}, testItem{ID: mid(4)}))
 	if got := r.b.NextInstance(); got != 4 || !r.b.InFlight(mid(5)) {
 		t.Fatalf("NextInstance = %d after instance 2 decided, want 4 with item 5 in flight", got)
 	}
@@ -157,8 +195,8 @@ func TestBatcherPartialBatchWaitsForOwnDecision(t *testing.T) {
 	if got := r.b.NextInstance(); got != 2 || r.b.InFlight(mid(2)) || r.b.InFlight(mid(3)) {
 		t.Fatalf("NextInstance = %d, want 2 with items 2 and 3 waiting", got)
 	}
-	r.b.decided(1, []testItem{{ID: mid(1)}})
-	if got, batch := r.b.NextInstance(), r.b.proposed[2]; got != 3 || len(batch) != 2 || batch[0].ID != mid(2) || batch[1].ID != mid(3) {
+	r.b.decided(1, enc(testItem{ID: mid(1)}))
+	if got, batch := r.b.NextInstance(), r.proposal(2); got != 3 || len(batch) != 2 || batch[0].ID != mid(2) || batch[1].ID != mid(3) {
 		t.Fatalf("after instance 1 decided: NextInstance = %d, instance 2 holds %v; want 3 and items 2 and 3", got, batch)
 	}
 }
@@ -197,9 +235,9 @@ func TestBatcherUnboundedBatchNeverOpensASecond(t *testing.T) {
 	if got := r.b.NextInstance(); got != 2 || r.fills != fills {
 		t.Fatalf("NextInstance = %d with %d Fill calls while instance 1 was undecided, want 2 and none", got, r.fills-fills)
 	}
-	r.b.decided(1, []testItem{{ID: mid(1)}})
-	if got := r.b.NextInstance(); got != 3 || len(r.b.proposed[2]) != 100 {
-		t.Fatalf("NextInstance = %d with %d items in instance 2, want 3 and 100", got, len(r.b.proposed[2]))
+	r.b.decided(1, enc(testItem{ID: mid(1)}))
+	if got := r.b.NextInstance(); got != 3 || len(r.proposal(2)) != 100 {
+		t.Fatalf("NextInstance = %d with %d items in instance 2, want 3 and 100", got, len(r.proposal(2)))
 	}
 }
 
@@ -213,7 +251,7 @@ func TestBatcherOutOfOrderDecisionDefers(t *testing.T) {
 	r.b.Pump() // instances 1 and 2, both full
 	r.enqueue(1)
 	r.b.Pump()
-	r.b.decided(2, []testItem{{ID: mid(3)}, {ID: mid(4)}})
+	r.b.decided(2, enc(testItem{ID: mid(3)}, testItem{ID: mid(4)}))
 	if got := r.b.NextInstance(); got != 3 || r.b.InFlight(mid(5)) {
 		t.Fatalf("NextInstance = %d, want 3: instance 1 is undecided, so item 5 waits", got)
 	}
@@ -224,7 +262,7 @@ func TestBatcherOutOfOrderDecisionDefers(t *testing.T) {
 			inCascade = r.b.InFlight(mid(5))
 		}
 	}
-	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}})
+	r.b.decided(1, enc(testItem{ID: mid(1)}, testItem{ID: mid(2)}))
 	if !inCascade {
 		t.Error("a Pump from instance 1's OnApply held item 5 back: instance 2 is decided, if not yet applied")
 	}
@@ -249,7 +287,7 @@ func TestBatcherKeepaliveRoundsLoseNone(t *testing.T) {
 		if got := r.b.NextInstance(); got != k+1 {
 			t.Fatalf("NextInstance = %d before instance %d decided, want %d", got, k, k+1)
 		}
-		r.b.decided(k, nil)
+		r.b.decided(k, enc())
 	}
 	if got := r.b.NextInstance(); got != 4 || fmt.Sprint(asked) != "[1 2 3 4]" {
 		t.Fatalf("NextInstance = %d, gate asked about %v; want 4 and [1 2 3 4]", got, asked)
@@ -265,9 +303,9 @@ func TestBatcherOutOfOrderApply(t *testing.T) {
 	if got := r.b.NextInstance(); got != 4 {
 		t.Fatalf("NextInstance = %d, want 4 (three in flight)", got)
 	}
-	r.b.decided(3, []testItem{{ID: mid(3)}})
-	r.b.decided(1, []testItem{{ID: mid(1)}})
-	r.b.decided(2, []testItem{{ID: mid(2)}})
+	r.b.decided(3, enc(testItem{ID: mid(3)}))
+	r.b.decided(1, enc(testItem{ID: mid(1)}))
+	r.b.decided(2, enc(testItem{ID: mid(2)}))
 	wantDec := []uint64{3, 1, 2}
 	wantApp := []uint64{1, 2, 3}
 	for i, w := range wantDec {
@@ -296,7 +334,7 @@ func TestBatcherDroppedItemsReproposed(t *testing.T) {
 		t.Fatalf("NextInstance = %d, want 2", got)
 	}
 	rival := types.MessageID{Origin: 2, Seq: 9}
-	r.b.decided(1, []testItem{{ID: rival}}) // rival won instance 1
+	r.b.decided(1, enc(testItem{ID: rival})) // rival won instance 1
 	// Applying instance 1 released the dropped items and the engine's own
 	// re-pump immediately proposed them again in instance 2.
 	if got := r.b.NextInstance(); got != 3 {
@@ -306,7 +344,7 @@ func TestBatcherDroppedItemsReproposed(t *testing.T) {
 		t.Fatal("dropped items must be re-proposed")
 	}
 	// Winning instance 2 releases them for good.
-	r.b.decided(2, []testItem{{ID: mid(1)}, {ID: mid(2)}})
+	r.b.decided(2, enc(testItem{ID: mid(1)}, testItem{ID: mid(2)}))
 	if r.b.InFlight(mid(1)) || r.b.InFlight(mid(2)) {
 		t.Fatal("items stuck in flight after their instance applied")
 	}
@@ -317,8 +355,8 @@ func TestBatcherDroppedItemsReproposed(t *testing.T) {
 // already-decided instance (which would strand its items in flight).
 func TestBatcherNextSyncsPastAppliedInstances(t *testing.T) {
 	r := newBatchRig(0, 1)
-	r.b.decided(1, []testItem{{ID: types.MessageID{Origin: 1, Seq: 1}}})
-	r.b.decided(2, []testItem{{ID: types.MessageID{Origin: 1, Seq: 2}}})
+	r.b.decided(1, enc(testItem{ID: types.MessageID{Origin: 1, Seq: 1}}))
+	r.b.decided(2, enc(testItem{ID: types.MessageID{Origin: 1, Seq: 2}}))
 	if got := r.b.AppliedInstances(); got != 2 {
 		t.Fatalf("AppliedInstances = %d, want 2", got)
 	}
@@ -331,7 +369,7 @@ func TestBatcherNextSyncsPastAppliedInstances(t *testing.T) {
 		t.Fatal("fresh item should be in flight in instance 3")
 	}
 	// Deciding instance 3 releases it.
-	r.b.decided(3, []testItem{{ID: mid(1)}})
+	r.b.decided(3, enc(testItem{ID: mid(1)}))
 	if r.b.InFlight(mid(1)) {
 		t.Fatal("item stuck in flight after its instance applied")
 	}
@@ -352,6 +390,7 @@ func TestBatcherEmptyBatchesNeedAGate(t *testing.T) {
 		API:      node.NewProc(0, types.NewTopology(1, 3), gated.env),
 		Detector: fakeDet{leader: 0},
 		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
+		Decode:   decodeTestItems,
 		Gate:     func(inst uint64, batch []testItem) bool { return inst <= 2 },
 		OnApply:  func(uint64, []testItem) {},
 	})
@@ -367,8 +406,8 @@ func TestBatcherRecordsBatchSizes(t *testing.T) {
 	r := newBatchRig(0, 2)
 	r.enqueue(3)
 	r.b.Pump()
-	r.b.decided(1, []testItem{{ID: mid(1)}, {ID: mid(2)}, {ID: mid(3)}})
-	r.b.decided(2, nil)
+	r.b.decided(1, enc(testItem{ID: mid(1)}, testItem{ID: mid(2)}, testItem{ID: mid(3)}))
+	r.b.decided(2, enc())
 	if st := r.env.col.Snapshot(); st.BatchesDecided != 2 || st.BatchedMessages != 3 || st.MaxBatchSize != 3 {
 		t.Fatalf("recorded %d batches of %d messages, largest %d; want 2, 3 and 3",
 			st.BatchesDecided, st.BatchedMessages, st.MaxBatchSize)

@@ -47,11 +47,15 @@ import (
 	"wanamcast/internal/storage"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
-// Value is an opaque consensus value. Implementations treat it as a black
-// box; clients of this package propose message sets.
-type Value any
+// Value is a consensus value: the bytes of a batch's tagged encoding
+// (wire.AppendTagged), made once by its proposer. The engine agrees on it as
+// a black box (§2.1, §6): messages, WAL records and snapshots copy it, a
+// receiver copies it out of its receive buffer once, and only the process
+// that applies a decision decodes it (Batcher). Nobody writes its bytes.
+type Value = wire.Tagged
 
 // Wire message bodies; wire.go registers their codecs.
 type (
@@ -414,9 +418,7 @@ func (c *Consensus) onForward(from types.ProcessID, m ForwardMsg) {
 
 func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 	in := c.inst(m.Instance)
-	if m.Ballot > in.maxSeen {
-		in.maxSeen = m.Ballot
-	}
+	in.maxSeen = max(in.maxSeen, m.Ballot)
 	if in.decided {
 		node.Send(c.api, from, c.label, decideMsg(m.Instance, in))
 		return
@@ -506,9 +508,7 @@ func (c *Consensus) onPromise(from types.ProcessID, m PromiseMsg) {
 
 func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 	in := c.inst(m.Instance)
-	if m.Ballot > in.maxSeen {
-		in.maxSeen = m.Ballot
-	}
+	in.maxSeen = max(in.maxSeen, m.Ballot)
 	if in.decided {
 		node.Send(c.api, from, c.label, decideMsg(m.Instance, in))
 		return
@@ -519,10 +519,8 @@ func (c *Consensus) onAccept(from types.ProcessID, m AcceptMsg) {
 	// A retransmitted Accept for the ballot already voted (one ballot
 	// carries one value) restates durable state: nothing new is appended.
 	if m.Ballot > in.accepted {
-		in.promised = m.Ballot
-		in.accepted = m.Ballot
-		in.aValue = m.Value
-		c.log.Append(storage.Record{Kind: storage.KindAccept, Proto: c.label, Inst: m.Instance, Ballot: m.Ballot, Value: m.Value})
+		in.promised, in.accepted, in.aValue = m.Ballot, m.Ballot, m.Value
+		c.log.Append(storage.Record{Kind: storage.KindAccept, Proto: c.label, Inst: m.Instance, Ballot: m.Ballot, Value: storage.View(m.Value)})
 	}
 	// The vote must survive a crash before it is cast: it waits like the
 	// Promise reply in onPrepare — and a retransmission's reply shares the
@@ -579,7 +577,7 @@ func (c *Consensus) learn(k uint64, v Value) {
 	// would pin every member's own batch for as long as the instance lives.
 	in.proposal, in.leadValue, in.bestVValue = nil, nil, nil
 	if !c.recovering {
-		c.log.Append(storage.Record{Kind: storage.KindDecide, Proto: c.label, Inst: k, Value: v})
+		c.log.Append(storage.Record{Kind: storage.KindDecide, Proto: c.label, Inst: k, Value: storage.View(v)})
 	}
 	c.api.Metrics().Add(metrics.ConsensusInstances, 1)
 	c.api.Trace(trace.StageLearn, types.MessageID{}, int64(k))

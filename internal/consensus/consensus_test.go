@@ -16,8 +16,8 @@ import (
 type rig struct {
 	rt    *node.Runtime
 	cons  []*Consensus
-	decs  []map[uint64]Value // per process: instance -> decided value
-	order [][]uint64         // per process: decision arrival order
+	decs  []map[uint64]string // per process: instance -> decided value
+	order [][]uint64          // per process: decision arrival order
 }
 
 func newRig(t *testing.T, d int) *rig { return newTappedRig(t, d, nil) }
@@ -28,10 +28,10 @@ func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, 
 	t.Helper()
 	topo := types.NewTopology(1, d)
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond}, 1, nil)
-	r := &rig{rt: rt, cons: make([]*Consensus, d), decs: make([]map[uint64]Value, d), order: make([][]uint64, d)}
+	r := &rig{rt: rt, cons: make([]*Consensus, d), decs: make([]map[uint64]string, d), order: make([][]uint64, d)}
 	for i := 0; i < d; i++ {
 		i := i
-		r.decs[i] = make(map[uint64]Value)
+		r.decs[i] = make(map[uint64]string)
 		c := New(Config{
 			API:      rt.Proc(types.ProcessID(i)),
 			Detector: rt.Oracle(),
@@ -39,7 +39,7 @@ func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, 
 				if _, dup := r.decs[i][inst]; dup {
 					t.Errorf("p%d decided instance %d twice", i, inst)
 				}
-				r.decs[i][inst] = v
+				r.decs[i][inst] = string(v)
 				r.order[i] = append(r.order[i], inst)
 			},
 		})
@@ -62,7 +62,7 @@ func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, 
 func TestSingleProposerAllDecide(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5} {
 		r := newRig(t, d)
-		r.cons[0].Propose(1, "v")
+		r.cons[0].Propose(1, Value("v"))
 		r.rt.Run()
 		for i := 0; i < d; i++ {
 			v, ok := r.decs[i][1]
@@ -79,9 +79,9 @@ func TestSingleProposerAllDecide(t *testing.T) {
 // TestUniformIntegrity: the decided value was proposed by someone.
 func TestUniformIntegrity(t *testing.T) {
 	r := newRig(t, 3)
-	r.cons[0].Propose(1, "a")
-	r.cons[1].Propose(1, "b")
-	r.cons[2].Propose(1, "c")
+	r.cons[0].Propose(1, Value("a"))
+	r.cons[1].Propose(1, Value("b"))
+	r.cons[2].Propose(1, Value("c"))
 	r.rt.Run()
 	v := r.decs[0][1]
 	if v != "a" && v != "b" && v != "c" {
@@ -98,7 +98,7 @@ func TestUniformIntegrity(t *testing.T) {
 func TestManyInstances(t *testing.T) {
 	r := newRig(t, 3)
 	for k := uint64(1); k <= 20; k++ {
-		r.cons[int(k)%3].Propose(k, fmt.Sprintf("v%d", k))
+		r.cons[int(k)%3].Propose(k, Value(fmt.Sprintf("v%d", k)))
 	}
 	r.rt.Run()
 	for i := 0; i < 3; i++ {
@@ -115,12 +115,12 @@ func TestManyInstances(t *testing.T) {
 func TestSparseInstanceNumbers(t *testing.T) {
 	r := newRig(t, 3)
 	for _, k := range []uint64{1, 5, 100, 7} {
-		r.cons[0].Propose(k, k)
+		r.cons[0].Propose(k, Value(fmt.Sprint(k)))
 	}
 	r.rt.Run()
 	for _, k := range []uint64{1, 5, 100, 7} {
 		for i := 0; i < 3; i++ {
-			if r.decs[i][k] != k {
+			if r.decs[i][k] != fmt.Sprint(k) {
 				t.Fatalf("p%d instance %d: %v", i, k, r.decs[i][k])
 			}
 		}
@@ -130,8 +130,8 @@ func TestSparseInstanceNumbers(t *testing.T) {
 // TestReproposalIgnored: at most one proposal per instance per process.
 func TestReproposalIgnored(t *testing.T) {
 	r := newRig(t, 2)
-	r.cons[0].Propose(1, "first")
-	r.cons[0].Propose(1, "second")
+	r.cons[0].Propose(1, Value("first"))
+	r.cons[0].Propose(1, Value("second"))
 	r.rt.Run()
 	if r.decs[0][1] != "first" {
 		t.Fatalf("decided %v, want the first local proposal", r.decs[0][1])
@@ -143,7 +143,7 @@ func TestReproposalIgnored(t *testing.T) {
 func TestLeaderCrashBeforePropose(t *testing.T) {
 	r := newRig(t, 3)
 	r.rt.Crash(0) // leader gone; suspicion after 20ms
-	r.cons[1].Propose(1, "survivor")
+	r.cons[1].Propose(1, Value("survivor"))
 	r.rt.Run()
 	for _, i := range []int{1, 2} {
 		if r.decs[i][1] != "survivor" {
@@ -156,8 +156,8 @@ func TestLeaderCrashBeforePropose(t *testing.T) {
 // new leader finishes the instance.
 func TestLeaderCrashMidInstance(t *testing.T) {
 	r := newRig(t, 3)
-	r.cons[0].Propose(1, "from-leader")
-	r.cons[1].Propose(1, "from-follower")
+	r.cons[0].Propose(1, Value("from-leader"))
+	r.cons[1].Propose(1, Value("from-follower"))
 	r.rt.CrashAt(0, 500*time.Microsecond) // before Accepted quorum returns
 	r.rt.Run()
 	v1, ok1 := r.decs[1][1]
@@ -174,13 +174,13 @@ func TestLeaderCrashMidInstance(t *testing.T) {
 // the new leader must decide the same value (Paxos safety).
 func TestSafetyAcrossLeaderChange(t *testing.T) {
 	r := newRig(t, 3)
-	r.cons[0].Propose(1, "chosen")
+	r.cons[0].Propose(1, Value("chosen"))
 	// Let the accept round land (quorum reached ~3ms in), then crash the
 	// leader before everyone hears the Decide... decide messages go out in
 	// the same handler, so instead crash just after proposing at another
 	// process to force the new leader through phase 1.
 	r.rt.CrashAt(0, 2500*time.Microsecond)
-	r.cons[1].Propose(1, "other")
+	r.cons[1].Propose(1, Value("other"))
 	r.rt.Run()
 	v1 := r.decs[1][1]
 	v2 := r.decs[2][1]
@@ -195,12 +195,12 @@ func TestMinorityCrashStillLive(t *testing.T) {
 	r.rt.Crash(3)
 	r.rt.CrashAt(4, 10*time.Millisecond)
 	for k := uint64(1); k <= 5; k++ {
-		r.cons[1].Propose(k, k*10)
+		r.cons[1].Propose(k, Value(fmt.Sprint(k*10)))
 	}
 	r.rt.Run()
 	for i := 0; i < 3; i++ {
 		for k := uint64(1); k <= 5; k++ {
-			if r.decs[i][k] != k*10 {
+			if r.decs[i][k] != fmt.Sprint(k*10) {
 				t.Fatalf("p%d instance %d: %v", i, k, r.decs[i][k])
 			}
 		}
@@ -211,10 +211,10 @@ func TestMinorityCrashStillLive(t *testing.T) {
 // instance learns the decision.
 func TestLateProposerCatchesUp(t *testing.T) {
 	r := newRig(t, 3)
-	r.cons[0].Propose(1, "early")
+	r.cons[0].Propose(1, Value("early"))
 	r.rt.Run()
 	// Everyone has decided. Now p2 proposes the same instance late.
-	r.cons[2].Propose(1, "late")
+	r.cons[2].Propose(1, Value("late"))
 	r.rt.Run()
 	if r.decs[2][1] != "early" {
 		t.Fatalf("late proposer decided %v", r.decs[2][1])
@@ -242,7 +242,7 @@ func TestQuiescentWhenIdle(t *testing.T) {
 	if n := col.Snapshot().TotalMessages; n != 0 {
 		t.Fatalf("idle consensus sent %d messages", n)
 	}
-	cs[0].Propose(1, "x")
+	cs[0].Propose(1, Value("x"))
 	rt.Run() // must drain: decided, timers stopped
 	after := col.Snapshot().TotalMessages
 	rt.RunUntil(rt.Now() + time.Second)
@@ -257,10 +257,10 @@ func TestDecidedAccessor(t *testing.T) {
 	if _, ok := r.cons[0].Decided(1); ok {
 		t.Error("Decided before any proposal")
 	}
-	r.cons[0].Propose(1, "v")
+	r.cons[0].Propose(1, Value("v"))
 	r.rt.Run()
 	v, ok := r.cons[1].Decided(1)
-	if !ok || v != "v" {
+	if !ok || string(v) != "v" {
 		t.Errorf("Decided = %v ok=%v", v, ok)
 	}
 }
@@ -280,22 +280,22 @@ func TestConfigValidation(t *testing.T) {
 func TestTwoGroupsIndependent(t *testing.T) {
 	topo := types.NewTopology(2, 2)
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 50 * time.Millisecond}, 1, nil)
-	decs := make([]map[uint64]Value, 4)
+	decs := make([]map[uint64]string, 4)
 	var cons []*Consensus
 	for i := 0; i < 4; i++ {
 		i := i
-		decs[i] = make(map[uint64]Value)
+		decs[i] = make(map[uint64]string)
 		c := New(Config{
 			API:      rt.Proc(types.ProcessID(i)),
 			Detector: rt.Oracle(),
-			OnDecide: func(inst uint64, v Value) { decs[i][inst] = v },
+			OnDecide: func(inst uint64, v Value) { decs[i][inst] = string(v) },
 		})
 		rt.Proc(types.ProcessID(i)).Register(c)
 		cons = append(cons, c)
 	}
 	rt.Start()
-	cons[0].Propose(1, "group0")
-	cons[2].Propose(1, "group1")
+	cons[0].Propose(1, Value("group0"))
+	cons[2].Propose(1, Value("group1"))
 	rt.Run()
 	if decs[0][1] != "group0" || decs[1][1] != "group0" {
 		t.Errorf("group 0 decisions: %v %v", decs[0][1], decs[1][1])

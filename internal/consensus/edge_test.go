@@ -13,7 +13,7 @@ import (
 // acceptor already knows decided gets the decision straight back.
 func TestCatchUpViaPrepare(t *testing.T) {
 	r := newRig(t, 3)
-	r.cons[0].Propose(1, "v")
+	r.cons[0].Propose(1, Value("v"))
 	r.rt.Run() // decided everywhere
 	// Force p1 to lead instance 1 afresh (as if it had missed the
 	// decision): feed it a Prepare-triggering proposal path by having it
@@ -22,9 +22,9 @@ func TestCatchUpViaPrepare(t *testing.T) {
 	r.rt.Run() // suspicion propagates
 	// A late proposal at p2 routes to the new leader p1, which already
 	// decided: the catch-up reply path answers immediately.
-	r.cons[2].Propose(1, "late")
+	r.cons[2].Propose(1, Value("late"))
 	r.rt.Run()
-	if v, ok := r.cons[2].Decided(1); !ok || v != "v" {
+	if v, ok := r.cons[2].Decided(1); !ok || string(v) != "v" {
 		t.Fatalf("late proposer after leader change got %v ok=%v", v, ok)
 	}
 }
@@ -38,22 +38,22 @@ func TestSuccessiveLeaderCrashes(t *testing.T) {
 	topo := types.NewTopology(1, 5)
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond}, 1, nil)
 	var cons []*Consensus
-	decs := make([]map[uint64]Value, 5)
+	decs := make([]map[uint64]string, 5)
 	for i := 0; i < 5; i++ {
 		i := i
-		decs[i] = make(map[uint64]Value)
+		decs[i] = make(map[uint64]string)
 		c := New(Config{
 			API:      rt.Proc(types.ProcessID(i)),
 			Detector: rt.Oracle(),
-			OnDecide: func(k uint64, v Value) { decs[i][k] = v },
+			OnDecide: func(k uint64, v Value) { decs[i][k] = string(v) },
 		})
 		rt.Proc(types.ProcessID(i)).Register(c)
 		cons = append(cons, c)
 	}
 	rt.Start()
 	rt.Crash(0)
-	cons[1].Propose(1, "from-1")
-	cons[2].Propose(1, "from-2")
+	cons[1].Propose(1, Value("from-1"))
+	cons[2].Propose(1, Value("from-2"))
 	// p1 becomes leader when p0's suspicion lands (~20ms) and starts
 	// phase 1; kill it just after its Prepares go out.
 	rt.CrashAt(1, 21*time.Millisecond)
@@ -76,27 +76,27 @@ func TestRetryTimerRefreshesBallot(t *testing.T) {
 	// Make intra-group delay longer than the retry interval so the first
 	// retry fires while phase messages are still in flight.
 	rt := node.NewRuntime(topo, network.Model{IntraGroup: 30 * time.Millisecond}, 1, nil)
-	decs := make([]map[uint64]Value, 3)
+	decs := make([]map[uint64]string, 3)
 	var cons []*Consensus
 	for i := 0; i < 3; i++ {
 		i := i
-		decs[i] = make(map[uint64]Value)
+		decs[i] = make(map[uint64]string)
 		c := New(Config{
 			API:           rt.Proc(types.ProcessID(i)),
 			Detector:      rt.Oracle(),
 			RetryInterval: 20 * time.Millisecond,
-			OnDecide:      func(k uint64, v Value) { decs[i][k] = v },
+			OnDecide:      func(k uint64, v Value) { decs[i][k] = string(v) },
 		})
 		rt.Proc(types.ProcessID(i)).Register(c)
 		cons = append(cons, c)
 	}
 	rt.Start()
-	cons[0].Propose(1, "slow")
-	cons[1].Propose(1, "other")
+	cons[0].Propose(1, Value("slow"))
+	cons[1].Propose(1, Value("other"))
 	rt.Scheduler().MaxSteps = 500_000
 	rt.Run()
 	for i := 0; i < 3; i++ {
-		if decs[i][1] == nil {
+		if decs[i][1] == "" {
 			t.Fatalf("p%d never decided under aggressive retries", i)
 		}
 		if decs[i][1] != decs[0][1] {

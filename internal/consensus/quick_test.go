@@ -24,11 +24,11 @@ func TestConsensusPropertiesQuick(t *testing.T) {
 		}
 		topo := types.NewTopology(1, d)
 		rt := node.NewRuntime(topo, network.Model{IntraGroup: time.Millisecond}, seed, nil)
-		decs := make([]map[uint64]Value, d)
+		decs := make([]map[uint64]string, d)
 		cons := make([]*Consensus, d)
 		for i := 0; i < d; i++ {
 			i := i
-			decs[i] = make(map[uint64]Value)
+			decs[i] = make(map[uint64]string)
 			cons[i] = New(Config{
 				API:      rt.Proc(types.ProcessID(i)),
 				Detector: rt.Oracle(),
@@ -36,7 +36,7 @@ func TestConsensusPropertiesQuick(t *testing.T) {
 					if _, dup := decs[i][k]; dup {
 						t.Errorf("p%d decided %d twice", i, k)
 					}
-					decs[i][k] = v
+					decs[i][k] = string(v)
 				},
 			})
 			rt.Proc(types.ProcessID(i)).Register(cons[i])
@@ -54,7 +54,7 @@ func TestConsensusPropertiesQuick(t *testing.T) {
 				proposed[inst] = make(map[string]bool)
 			}
 			rt.Scheduler().At(at, func() {
-				cons[proposer].Propose(inst, val)
+				cons[proposer].Propose(inst, Value(val))
 			})
 			// Record the value as potentially proposed; Propose dedups
 			// locally, but the first call per (proposer, inst) wins and
@@ -81,7 +81,7 @@ func TestConsensusPropertiesQuick(t *testing.T) {
 		for inst := range planned {
 			// A crashed sole proposer may legally leave an instance
 			// undecided; skip instances only the crashed process proposed.
-			var ref Value
+			var ref string
 			decidedBy := 0
 			for i := 0; i < d; i++ {
 				if i == crashed {
@@ -99,7 +99,7 @@ func TestConsensusPropertiesQuick(t *testing.T) {
 				decidedBy++
 			}
 			if decidedBy > 0 {
-				if !proposed[inst][ref.(string)] {
+				if !proposed[inst][ref] {
 					return false // uniform integrity broken
 				}
 				// Termination: all correct processes decided.

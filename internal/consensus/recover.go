@@ -25,9 +25,9 @@ func (c *Consensus) appendSnap(buf []byte, from uint64) []byte {
 		buf = wire.AppendUvarint(buf, k)
 		buf = wire.AppendVarint(buf, in.promised)
 		buf = wire.AppendVarint(buf, in.accepted)
-		buf = wire.AppendValue(buf, in.aValue)
+		buf = wire.AppendBytes(buf, in.aValue)
 		buf = wire.AppendBool(buf, in.decided)
-		buf = wire.AppendValue(buf, in.decision)
+		buf = wire.AppendBytes(buf, in.decision)
 		buf = wire.AppendVarint(buf, in.maxSeen)
 	})
 	return buf
@@ -37,36 +37,13 @@ func (c *Consensus) appendSnap(buf []byte, from uint64) []byte {
 // Decided instances are restored silently: the batcher re-fires their
 // apply cascade itself, in order.
 func (c *Consensus) restoreSnap(data []byte) ([]byte, error) {
-	n, data, err := wire.SliceLen(data)
-	if err != nil {
-		return nil, err
+	d := wire.Decoder{Data: data}
+	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
+		in := c.inst(wire.Read(&d, wire.Uvarint))
+		in.promised, in.accepted, in.aValue = wire.Read(&d, wire.Varint), wire.Read(&d, wire.Varint), wire.Read(&d, value)
+		in.decided, in.decision, in.maxSeen = wire.Read(&d, wire.Bool), wire.Read(&d, value), wire.Read(&d, wire.Varint)
 	}
-	for i := 0; i < n; i++ {
-		var k uint64
-		if k, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
-		}
-		in := c.inst(k)
-		if in.promised, data, err = wire.Varint(data); err != nil {
-			return nil, err
-		}
-		if in.accepted, data, err = wire.Varint(data); err != nil {
-			return nil, err
-		}
-		if in.aValue, data, err = wire.DecodeValue(data); err != nil {
-			return nil, err
-		}
-		if in.decided, data, err = wire.Bool(data); err != nil {
-			return nil, err
-		}
-		if in.decision, data, err = wire.DecodeValue(data); err != nil {
-			return nil, err
-		}
-		if in.maxSeen, data, err = wire.Varint(data); err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
+	return d.Data, d.Err
 }
 
 // restoreRecord replays one WAL record into the acceptor/learner state.
@@ -77,24 +54,16 @@ func (c *Consensus) restoreRecord(rec storage.Record) error {
 	switch rec.Kind {
 	case storage.KindPromise:
 		in := c.inst(rec.Inst)
-		if rec.Ballot > in.promised {
-			in.promised = rec.Ballot
-		}
-		if rec.Ballot > in.maxSeen {
-			in.maxSeen = rec.Ballot
-		}
+		in.promised = max(in.promised, rec.Ballot)
+		in.maxSeen = max(in.maxSeen, rec.Ballot)
 	case storage.KindAccept:
 		in := c.inst(rec.Inst)
 		if rec.Ballot > in.accepted {
-			in.promised = rec.Ballot
-			in.accepted = rec.Ballot
-			in.aValue = rec.Value
+			in.promised, in.accepted, in.aValue = rec.Ballot, rec.Ballot, Value(rec.Value)
 		}
-		if rec.Ballot > in.maxSeen {
-			in.maxSeen = rec.Ballot
-		}
+		in.maxSeen = max(in.maxSeen, rec.Ballot)
 	case storage.KindDecide:
-		c.learn(rec.Inst, rec.Value)
+		c.learn(rec.Inst, Value(rec.Value))
 	default:
 		return fmt.Errorf("consensus: unexpected %s record kind %d", c.label, rec.Kind)
 	}
@@ -127,20 +96,11 @@ func (b *Batcher[T]) AppendSnapshot(buf []byte) []byte {
 // does not fire apply callbacks; call Recover once every layer's snapshot
 // state is in place.
 func (b *Batcher[T]) RestoreSnapshot(data []byte) error {
-	var err error
-	if b.next, data, err = wire.Uvarint(data); err != nil {
-		return err
-	}
-	if b.applyNext, data, err = wire.Uvarint(data); err != nil {
-		return err
-	}
-	if b.next < b.applyNext {
-		b.next = b.applyNext
-	}
-	if _, err := b.cons.restoreSnap(data); err != nil {
-		return err
-	}
-	return nil
+	d := wire.Decoder{Data: data}
+	b.next, b.applyNext = wire.Read(&d, wire.Uvarint), wire.Read(&d, wire.Uvarint)
+	b.next = max(b.next, b.applyNext)
+	d.Step(b.cons.restoreSnap)
+	return d.Err
 }
 
 // Recover re-fires the apply cascade for every instance the restored
@@ -154,20 +114,11 @@ func (b *Batcher[T]) RestoreSnapshot(data []byte) error {
 // every layer restored its snapshot section.
 func (b *Batcher[T]) Recover() {
 	b.cons.each(b.applyNext, func(k uint64, in *instance) {
-		if !in.decided {
-			return
-		}
-		if batch, ok := in.decision.([]T); ok || in.decision == nil {
-			b.buffered[k] = batch
+		if in.decided {
+			b.buffered[k] = b.learn(k, in.decision)
 		}
 	})
-	for {
-		cur, ok := b.buffered[b.applyNext]
-		if !ok {
-			break
-		}
-		b.applyOne(b.applyNext, cur)
-	}
+	b.drain()
 	b.checkGap()
 }
 
@@ -197,17 +148,11 @@ func (b *Batcher[T]) SkipTo(next uint64) {
 	}
 	for k := range b.proposed {
 		if k < next {
-			b.release(k)
+			b.release(k, decision[T]{})
 		}
 	}
 	// A decision buffered beyond the new horizon may now be applicable.
-	for {
-		cur, ok := b.buffered[b.applyNext]
-		if !ok {
-			break
-		}
-		b.applyOne(b.applyNext, cur)
-	}
+	b.drain()
 	b.Pump()
 	b.checkGap()
 }

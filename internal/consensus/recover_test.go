@@ -30,7 +30,7 @@ func TestRestartedAcceptorKeepsPromise(t *testing.T) {
 	mem := storage.NewMem()
 	c0 := newAcceptor(t, storage.NewLog(mem))
 	c0.onPrepare(1, PrepareMsg{Instance: 1, Ballot: 5})
-	c0.onAccept(1, AcceptMsg{Instance: 1, Ballot: 5, Value: "chosen"})
+	c0.onAccept(1, AcceptMsg{Instance: 1, Ballot: 5, Value: Value("chosen")})
 	c0.onPrepare(2, PrepareMsg{Instance: 2, Ballot: 7})
 
 	// "Restart": a fresh engine fed only the durable records.
@@ -42,7 +42,7 @@ func TestRestartedAcceptorKeepsPromise(t *testing.T) {
 	c1.recovering = false
 
 	in := c1.inst(1)
-	if in.promised != 5 || in.accepted != 5 || in.aValue != "chosen" {
+	if in.promised != 5 || in.accepted != 5 || string(in.aValue) != "chosen" {
 		t.Fatalf("restored acceptor state: promised=%d accepted=%d value=%v, want 5/5/chosen",
 			in.promised, in.accepted, in.aValue)
 	}
@@ -52,8 +52,8 @@ func TestRestartedAcceptorKeepsPromise(t *testing.T) {
 
 	// A stale leader's lower-ballot messages must not regress the state.
 	c1.onPrepare(1, PrepareMsg{Instance: 1, Ballot: 3})
-	c1.onAccept(1, AcceptMsg{Instance: 1, Ballot: 3, Value: "usurper"})
-	if in.promised != 5 || in.accepted != 5 || in.aValue != "chosen" {
+	c1.onAccept(1, AcceptMsg{Instance: 1, Ballot: 3, Value: Value("usurper")})
+	if in.promised != 5 || in.accepted != 5 || string(in.aValue) != "chosen" {
 		t.Fatalf("restored acceptor broke its promise: promised=%d accepted=%d value=%v",
 			in.promised, in.accepted, in.aValue)
 	}
@@ -64,9 +64,7 @@ func TestRestartedAcceptorKeepsPromise(t *testing.T) {
 func TestDecideRecordsReplayInOrder(t *testing.T) {
 	mem := storage.NewMem()
 	c0 := newAcceptor(t, storage.NewLog(mem))
-	batch := func(seq uint64) []fakeItem {
-		return []fakeItem{{id: types.MessageID{Origin: 0, Seq: seq}}}
-	}
+	batch := func(seq uint64) Value { return enc(testItem{ID: mid(seq)}) }
 	c0.learn(2, batch(2)) // decisions can be learned out of order
 	c0.learn(1, batch(1))
 	c0.learn(3, batch(3))
@@ -74,11 +72,12 @@ func TestDecideRecordsReplayInOrder(t *testing.T) {
 	var applied []uint64
 	c1Topo := types.NewTopology(1, 3)
 	rt := node.NewRuntime(c1Topo, network.Model{IntraGroup: time.Millisecond}, 1, nil)
-	b := NewBatcher(BatcherConfig[fakeItem]{
+	b := NewBatcher(BatcherConfig[testItem]{
 		API:      rt.Proc(0),
 		Detector: rt.Oracle(),
-		Fill:     func(func(types.MessageID) bool, int, bool) []fakeItem { return nil },
-		OnApply:  func(inst uint64, _ []fakeItem) { applied = append(applied, inst) },
+		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
+		Decode:   decodeTestItems,
+		OnApply:  func(inst uint64, _ []testItem) { applied = append(applied, inst) },
 	})
 	b.BeginRecovery()
 	if err := mem.Replay(0, b.ReplayRecord); err != nil {
@@ -89,7 +88,3 @@ func TestDecideRecordsReplayInOrder(t *testing.T) {
 		t.Fatalf("replayed apply order %v, want [1 2 3]", applied)
 	}
 }
-
-type fakeItem struct{ id types.MessageID }
-
-func (f fakeItem) ItemID() types.MessageID { return f.id }

@@ -35,7 +35,7 @@ func TestFalseSuspicionMidInstance(t *testing.T) {
 		us := us
 		t.Run(fmt.Sprintf("suspectAt=%dus", us), func(t *testing.T) {
 			r := newRig(t, 3)
-			r.cons[2].Propose(1, "v-from-p2")
+			r.cons[2].Propose(1, Value("v-from-p2"))
 			r.flap(0, time.Duration(us)*time.Microsecond, 10*time.Millisecond)
 			r.rt.Scheduler().MaxSteps = 1_000_000
 			r.rt.Run()
@@ -73,7 +73,7 @@ func TestLeaderFlapStorm(t *testing.T) {
 				proposer := int(k) % 3
 				at := time.Duration(k) * 700 * time.Microsecond
 				r.rt.Scheduler().At(at, func() {
-					r.cons[proposer].Propose(k, fmt.Sprintf("v%d", k))
+					r.cons[proposer].Propose(k, Value(fmt.Sprintf("v%d", k)))
 				})
 			}
 			// Three flaps spread across the proposal window; offsets vary
@@ -108,7 +108,7 @@ func TestDemotedAndReelectedLeaderSequence(t *testing.T) {
 	r.rt.Oracle().Subscribe(func(_ types.GroupID, l types.ProcessID) {
 		leaders = append(leaders, l)
 	})
-	r.cons[1].Propose(1, "survives-the-flap")
+	r.cons[1].Propose(1, Value("survives-the-flap"))
 	r.flap(0, 500*time.Microsecond, 5*time.Millisecond)
 	r.rt.Scheduler().MaxSteps = 1_000_000
 	r.rt.Run()
@@ -129,7 +129,7 @@ func TestDemotedAndReelectedLeaderSequence(t *testing.T) {
 // not disturb a running instance at all.
 func TestSuspicionOfNonLeaderHarmless(t *testing.T) {
 	r := newRig(t, 3)
-	r.cons[0].Propose(1, "steady")
+	r.cons[0].Propose(1, Value("steady"))
 	r.flap(2, 300*time.Microsecond, 2*time.Millisecond)
 	r.rt.Scheduler().MaxSteps = 1_000_000
 	r.rt.Run()

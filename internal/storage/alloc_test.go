@@ -8,7 +8,7 @@ import (
 
 // walRecord builds the hot-path record shape: an acceptor vote carrying a
 // whole ordering batch as its value (the per-batch durability unit).
-func walRecord(value any) Record {
+func walRecord(value string) Record {
 	return Record{
 		Kind:   KindAccept,
 		Proto:  "a1.cons",
@@ -30,7 +30,7 @@ func TestWALAppendZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	rec := walRecord("payload-string") // a registered scalar kind: no gob
+	rec := walRecord("payload-string")
 	// Warm the scratch and write buffers past what the measured runs will
 	// need, so buffer growth cannot masquerade as per-record allocation.
 	for i := 0; i < 512; i++ {

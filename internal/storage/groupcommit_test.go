@@ -205,7 +205,7 @@ func TestDiskSyncStore(t *testing.T) {
 	// Outgrow the 1 KiB segment, then Maintain must rotate.
 	big := make([]byte, 600)
 	for i := 0; i < 3; i++ {
-		if err := d.Append(Record{Kind: KindAccept, Proto: "t", Inst: uint64(10 + i), Ballot: 1, Value: big}); err != nil {
+		if err := d.Append(Record{Kind: KindAccept, Proto: "t", Inst: uint64(10 + i), Ballot: 1, Value: string(big)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Flush(); err != nil {

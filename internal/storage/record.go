@@ -1,15 +1,16 @@
 // WAL record encoding. A Record is the unit every durable layer appends:
 // a kind byte, the owning protocol's wire label, a handful of numeric
 // fields whose meaning is kind-specific, an application payload's bytes, and
-// an optional value encoded through the internal/wire codec registry — so
-// batched consensus values ([]amcast.Descriptor, []abcast.Record) reuse their
-// zero-allocation encoders on the log path exactly as they do on the network
-// path.
+// an optional value's bytes — a consensus value as its proposer encoded it,
+// or a protocol value its layer encoded (wire.AppendTagged). The log copies
+// a value and never parses it: it is the record's last field, so a frame of
+// the log delimits it.
 package storage
 
 import (
 	"bytes"
 	"fmt"
+	"unsafe"
 
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
@@ -70,11 +71,18 @@ type Record struct {
 	ID      types.MessageID
 	Dest    types.GroupSet
 	Payload []byte // a message's payload (KindAdmit, KindDeliver)
-	Value   any    // wire-encodable protocol value; nil allowed
+	// Value is a value's tagged wire encoding, empty if none (written as the
+	// nil kind): a string, so a store may keep it, and View makes one of a
+	// consensus value's bytes without a copy.
+	Value string
 }
 
+// View returns b as a Record.Value without copying it. b must never be
+// written again, as a consensus value's bytes never are.
+func View(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // AppendTo appends rec's body (without framing) to buf. It allocates
-// nothing for records whose Value has a registered wire codec.
+// nothing.
 func (rec Record) AppendTo(buf []byte) []byte {
 	buf = append(buf, byte(rec.Kind))
 	buf = wire.AppendString(buf, rec.Proto)
@@ -84,11 +92,14 @@ func (rec Record) AppendTo(buf []byte) []byte {
 	buf = rec.ID.AppendTo(buf)
 	buf = rec.Dest.AppendTo(buf)
 	buf = wire.AppendBytes(buf, rec.Payload)
-	return wire.AppendValue(buf, rec.Value)
+	if rec.Value == "" {
+		return append(buf, byte(wire.KindNil)) // the tagged encoding of no value
+	}
+	return append(buf, rec.Value...)
 }
 
-// DecodeRecord decodes one record body and returns the remainder. It never
-// panics on malformed input.
+// DecodeRecord decodes one record body, whose value runs to its end, so the
+// remainder is always empty. It never panics on malformed input.
 func DecodeRecord(data []byte) (rec Record, rest []byte, err error) {
 	if len(data) == 0 {
 		return rec, nil, fmt.Errorf("%w: empty record", wire.ErrCorrupt)
@@ -104,6 +115,8 @@ func DecodeRecord(data []byte) (rec Record, rest []byte, err error) {
 	if p := wire.Read(&d, wire.Bytes); len(p) > 0 {
 		rec.Payload = bytes.Clone(p) // the replay buffer is a whole segment
 	}
-	rec.Value = wire.Read(&d, wire.DecodeValue)
-	return rec, d.Data, d.Err
+	if len(d.Data) != 1 || wire.Kind(d.Data[0]) != wire.KindNil {
+		rec.Value = string(d.Data)
+	}
+	return rec, nil, d.Err
 }

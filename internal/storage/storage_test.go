@@ -8,18 +8,19 @@ import (
 	"testing"
 
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 func testRecords() []Record {
 	return []Record{
 		{Kind: KindPromise, Proto: "a1.cons", Inst: 3, Ballot: 7},
 		{Kind: KindAccept, Proto: "a1.cons", Inst: 3, Ballot: 7, Value: "batch"},
-		{Kind: KindDecide, Proto: "a2.cons", Inst: 9, Value: int64(42)},
+		{Kind: KindDecide, Proto: "a2.cons", Inst: 9, Value: string(wire.AppendTagged(nil, int64(42)))},
 		{Kind: KindTSProp, Proto: "a1", Inst: 12, Aux: 2,
 			ID: types.MessageID{Origin: 4, Seq: 9}, Dest: types.NewGroupSet(0, 2)},
 		{Kind: KindDeliver, Proto: "a1", Inst: 5,
 			ID: types.MessageID{Origin: 1, Seq: 2}, Dest: types.NewGroupSet(1), Payload: []byte{1, 2, 3}},
-		{Kind: KindRound, Proto: "a2", Inst: 4, Value: nil},
+		{Kind: KindRound, Proto: "a2", Inst: 4},
 	}
 }
 

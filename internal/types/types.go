@@ -169,22 +169,28 @@ func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 // sets is internSet's table: immutable, replaced whole under setsMu by each
 // new entry, so that a lookup is a pointer load and a map read. It holds the
 // first maxSets encodings of at most maxSetKey bytes; any other decodes to a
-// fresh set every time.
+// fresh set every time. Filling it copies O(maxSets²) entries, which a
+// simulation of hundreds of groups pays once per process: A1's decisions
+// decode their sets there too.
 var (
 	setsMu sync.Mutex
 	sets   atomic.Pointer[map[string]GroupSet]
 )
 
-const maxSets, maxSetKey = 1024, 64
+const maxSets, maxSetKey = 256, 64
 
 func init() { sets.Store(&map[string]GroupSet{}) }
 
 // internSet returns the set that enc, which decoded to groups, encodes.
 func internSet(enc []byte, groups []GroupID) GroupSet {
-	if s, ok := (*sets.Load())[string(enc)]; ok {
+	cur := *sets.Load()
+	if s, ok := cur[string(enc)]; ok {
 		return s
 	}
 	s := NewGroupSet(groups...)
+	if len(cur) >= maxSets || len(enc) > maxSetKey {
+		return s
+	}
 	setsMu.Lock()
 	defer setsMu.Unlock()
 	if cur := *sets.Load(); len(cur) < maxSets && len(enc) <= maxSetKey {

@@ -18,9 +18,10 @@
 // decodes it; gob lives at the edges only. The payload's owner validates it
 // (the service layer applies no Command it cannot parse). The core parsing it
 // would buy nothing: channels are reliable (§2.1), and a per-kind parse never
-// caught a corruption that still parses. Per-frame integrity is item 13(a) of
+// caught a corruption that still parses. Per-frame integrity is item 5 of
 // ROADMAP.md, out of scope here. A payload length that is truncated or runs
-// past the input still fails the decode.
+// past the input still fails the decode. A consensus value is bytes the same
+// way (Tagged).
 //
 // Wire layout of one frame:
 //
@@ -449,6 +450,41 @@ func caught(r any, err *error) bool {
 	return true
 }
 
+// AppendTagged appends v as AppendValue does — its kind, then its body —
+// through T's codec, without boxing v; a T without one goes through
+// AppendValue.
+func AppendTagged[T any](buf []byte, v T) []byte {
+	if c := lookupType(reflect.TypeFor[T]()); c != nil {
+		return c.enc.(func([]byte, T) []byte)(append(buf, byte(c.kind)), v)
+	}
+	return AppendValue(buf, v)
+}
+
+// DecodeTagged decodes data, one tagged value of T's kind and nothing after
+// it, through T's codec.
+func DecodeTagged[T any](data []byte) (v T, err error) {
+	kind, dec := DecoderOf[T]()
+	if dec == nil || len(data) == 0 || Kind(data[0]) != kind {
+		return v, corrupt(fmt.Sprintf("not a tagged %v", reflect.TypeFor[T]()))
+	}
+	if v, data, err = dec(data[1:]); err == nil && len(data) > 0 {
+		err = corrupt("bytes after a tagged value")
+	}
+	return v, err
+}
+
+// Tagged is one value's tagged encoding, carried unparsed: a consensus value
+// is its batch's. It prints as the value it encodes, decoded for that alone,
+// so a trace line reads as it did when values travelled decoded (bytes that
+// do not decode print as nil).
+type Tagged []byte
+
+// Format implements fmt.Formatter.
+func (t Tagged) Format(f fmt.State, verb rune) {
+	v, _, _ := DecodeValue(t)
+	fmt.Fprintf(f, fmt.FormatString(f, verb), v)
+}
+
 // DecodeValue consumes one tagged value and returns the remainder.
 func DecodeValue(data []byte) (any, []byte, error) {
 	if len(data) == 0 {
@@ -527,11 +563,7 @@ func AppendSub[T any](buf []byte, proto string, ts int64, body T) (out []byte, e
 }
 
 func appendSub[T any](buf []byte, proto string, ts int64, body T) []byte {
-	buf = binary.AppendVarint(AppendString(buf, proto), ts)
-	if c := lookupType(reflect.TypeFor[T]()); c != nil {
-		return c.enc.(func([]byte, T) []byte)(append(buf, byte(c.kind)), body)
-	}
-	return AppendValue(buf, body)
+	return AppendTagged(binary.AppendVarint(AppendString(buf, proto), ts), body)
 }
 
 // SubKind reports the kind of the value in sub, a message AppendSub encoded.

@@ -62,12 +62,12 @@ func roundTripValues() map[string]any {
 			Name: "fallback",
 			N:    7,
 		},
-		"consensus.ForwardMsg":  consensus.ForwardMsg{Instance: 4, Value: descs},
+		"consensus.ForwardMsg":  consensus.ForwardMsg{Instance: 4, Value: wire.AppendTagged(nil, descs)},
 		"consensus.PrepareMsg":  consensus.PrepareMsg{Instance: 5, Ballot: 9},
 		"consensus.PromiseMsg":  consensus.PromiseMsg{Instance: 5, Ballot: 9, VBallot: -1, VValue: nil},
-		"consensus.AcceptMsg":   consensus.AcceptMsg{Instance: 6, Ballot: 3, Value: recs},
+		"consensus.AcceptMsg":   consensus.AcceptMsg{Instance: 6, Ballot: 3, Value: wire.AppendTagged(nil, recs)},
 		"consensus.AcceptedMsg": consensus.AcceptedMsg{Instance: 6, Ballot: 3},
-		"consensus.DecideMsg":   consensus.DecideMsg{Instance: 7, Ballot: -1, Value: descs},
+		"consensus.DecideMsg":   consensus.DecideMsg{Instance: 7, Ballot: -1, Value: wire.AppendTagged(nil, descs)},
 		"consensus.DecideByRef": consensus.DecideMsg{Instance: 7, Ballot: 3},
 		"rmcast.Message":        msg,
 		"rmcast.DataMsg":        rmcast.DataMsg{M: msg},
