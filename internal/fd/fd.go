@@ -21,8 +21,6 @@
 package fd
 
 import (
-	"sort"
-
 	"wanamcast/internal/types"
 )
 
@@ -144,9 +142,10 @@ func (o *Oracle) recomputeLeader(g types.GroupID) {
 	}
 }
 
+// computeLeader returns g's lowest-ranked unsuspected member: Members is
+// ascending.
 func (o *Oracle) computeLeader(g types.GroupID) types.ProcessID {
-	members := append([]types.ProcessID(nil), o.topo.Members(g)...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	members := o.topo.Members(g)
 	for _, p := range members {
 		if !o.suspected[p] {
 			return p

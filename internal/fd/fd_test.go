@@ -184,3 +184,37 @@ func TestAllSuspectedFallsBackToLowest(t *testing.T) {
 		t.Errorf("all-suspected leader = %v, want p0 fallback", got)
 	}
 }
+
+// TestIrregularTopologyLeaders: on groups of 1, 4 and 2 members (p0 | p1–p4 |
+// p5–p6), a group's leader is its lowest-ranked unsuspected member through a
+// run of suspicions and trust restorations, and no other group's moves.
+func TestIrregularTopologyLeaders(t *testing.T) {
+	o := NewOracle(types.NewIrregularTopology([]int{1, 4, 2}))
+	leaders := func() [3]types.ProcessID { return [3]types.ProcessID{o.Leader(0), o.Leader(1), o.Leader(2)} }
+	for _, step := range []struct {
+		suspect bool
+		p       types.ProcessID
+		want    [3]types.ProcessID
+	}{
+		{true, 1, [3]types.ProcessID{0, 2, 5}},
+		{true, 3, [3]types.ProcessID{0, 2, 5}},
+		{true, 2, [3]types.ProcessID{0, 4, 5}},
+		{true, 6, [3]types.ProcessID{0, 4, 5}},
+		{true, 5, [3]types.ProcessID{0, 4, 5}}, // every member suspected: the lowest ID
+		{false, 6, [3]types.ProcessID{0, 4, 6}},
+		{false, 3, [3]types.ProcessID{0, 3, 6}},
+		{true, 0, [3]types.ProcessID{0, 3, 6}}, // a group of one keeps its only member
+		{false, 1, [3]types.ProcessID{0, 1, 6}},
+		{true, 4, [3]types.ProcessID{0, 1, 6}},
+		{false, 5, [3]types.ProcessID{0, 1, 5}},
+	} {
+		if step.suspect {
+			o.Suspect(step.p)
+		} else {
+			o.Unsuspect(step.p)
+		}
+		if got := leaders(); got != step.want {
+			t.Fatalf("after suspect=%v p%d: leaders %v, want %v", step.suspect, step.p, got, step.want)
+		}
+	}
+}

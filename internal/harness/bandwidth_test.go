@@ -63,6 +63,11 @@ func TestSimWireByteAccounting(t *testing.T) {
 	if int64(w.BytesOut) != linkSum {
 		t.Fatalf("metrics counted %d wire bytes, fabric counted %d", w.BytesOut, linkSum)
 	}
+	// Each copy is sized as the plain frame the live wire would carry: the
+	// total the simulator counted when it encoded a whole frame per receiver.
+	if w.BytesOut != 24094 {
+		t.Fatalf("counted %d wire bytes, want 24094", w.BytesOut)
+	}
 	if w.FramesOut != w.EnvelopesOut {
 		// The simulator models each message as its own envelope.
 		t.Fatalf("sim accounting: %d frames vs %d envelopes", w.FramesOut, w.EnvelopesOut)
@@ -94,6 +99,28 @@ func TestSimWireByteAccounting(t *testing.T) {
 	}
 	if len(off.Deliveries) != len(s.Deliveries) {
 		t.Fatalf("bandwidth modeling changed delivery count: %d vs %d", len(s.Deliveries), len(off.Deliveries))
+	}
+}
+
+// TestSimParkedSendsAreSized: sends parked on a severed link are sized when
+// the link heals and they leave, as the plain frames the wire would carry.
+func TestSimParkedSendsAreSized(t *testing.T) {
+	s := Build(AlgoA1, Options{Groups: 3, PerGroup: 3, Inter: 20 * time.Millisecond, Intra: time.Millisecond,
+		Seed: 11, MaxBatch: 4, Pipeline: 2, Bandwidth: 1_000_000})
+	s.RT.Fabric().SeverBidi(0, 3)
+	for i := 0; i < 10; i++ {
+		s.CastAt(time.Duration(i+1)*5*time.Millisecond, 0, fmt.Sprintf("m%d", i), s.Topo.AllGroups())
+	}
+	s.RunUntil(40 * time.Millisecond)
+	s.RT.Fabric().HealBidi(0, 3)
+	s.Run()
+	if v := s.Check(); len(v) != 0 {
+		t.Fatalf("§2.2 violations: %v", v)
+	}
+	w := s.Col.Snapshot().Wire
+	if w.BytesOut != 17954 || int64(w.BytesOut) != s.RT.Fabric().TotalBytes() || len(s.Deliveries) != 90 {
+		t.Fatalf("counted %d wire bytes (fabric %d) and %d deliveries, want 17954 and 90",
+			w.BytesOut, s.RT.Fabric().TotalBytes(), len(s.Deliveries))
 	}
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -45,8 +46,8 @@ type Runtime struct {
 	// bandwidth-capped (Fabric.BandwidthOn). Each capped link is a FIFO
 	// transmission queue: a message occupies the link for its transmit
 	// time and queues behind earlier traffic, so sized messages convert
-	// directly into latency. bwScratch is the reusable encode buffer that
-	// sizes each message exactly as the live wire codec would; bwNextFree
+	// directly into latency. bwScratch is the reusable buffer a send is
+	// encoded into once, as a live sender encodes it, to size it; bwNextFree
 	// is each link's earliest free instant; bwCounters caches the fabric's
 	// per-link byte counters. An uncapped run never touches any of this —
 	// its event stream is byte-identical to one without the machinery.
@@ -184,6 +185,7 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 		n        int // receivers first..first+n-1 wait to be scheduled
 		runDelay time.Duration
 		runPrio  int
+		sub      = rt.sized(proto, body, sendTS)
 	)
 	for _, to := range tos {
 		if from != to {
@@ -201,7 +203,7 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 		if rt.Trace != nil {
 			rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, body)
 		}
-		delay, prio := rt.arrival(from, to, delay, proto, body, sendTS)
+		delay, prio := rt.arrival(from, to, delay, sub)
 		if n > 0 && to == first+types.ProcessID(n) && delay == runDelay && prio == runPrio {
 			n++
 			continue
@@ -216,18 +218,29 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 	}
 }
 
-// bwDelay sizes one message the way the live wire codec would and returns
-// its transmission + queueing delay on the (possibly capped) link, counting
-// the bytes against the fabric's per-link counter and the wire metrics.
-// Called only on bandwidth-modeled runs.
-func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sendTS int64) time.Duration {
-	buf, err := wire.AppendFrame(rt.bwScratch[:0], from, proto, sendTS, body)
-	if err != nil {
-		// Unencodable body (a test's gob rejection): nothing sized, nothing owed.
-		return 0
+// sized returns body encoded once as a live sender encodes it
+// (wire.AppendSub, a view of bwScratch) on a bandwidth-modeled run, and nil on
+// any other or for a body that cannot be encoded (a test's gob rejection:
+// nothing sized, nothing owed).
+func (rt *Runtime) sized(proto string, body any, sendTS int64) []byte {
+	if !rt.fabric.BandwidthOn() {
+		return nil
 	}
-	rt.bwScratch = buf[:0]
-	n := len(buf)
+	sub, err := wire.AppendSub(rt.bwScratch[:0], proto, sendTS, body)
+	if err != nil {
+		return nil
+	}
+	rt.bwScratch = sub[:0]
+	return sub
+}
+
+// bwDelay sizes one copy of sub as the plain frame the live wire carries to
+// one receiver (length prefix, sender, sub) and returns its transmission +
+// queueing delay on the (possibly capped) link, counting the bytes against
+// the fabric's per-link counter and the wire metrics.
+func (rt *Runtime) bwDelay(from, to types.ProcessID, sub []byte) time.Duration {
+	var v [binary.MaxVarintLen64]byte
+	n := 4 + binary.PutVarint(v[:], int64(from)) + len(sub)
 	l := network.Link{From: from, To: to}
 	c := rt.bwCounters[l]
 	if c == nil {
@@ -238,8 +251,7 @@ func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sen
 		rt.bwCounters[l] = c
 	}
 	c.Count(n)
-	_, value, _ := wire.FrameValue(buf[4:])
-	rt.rec.OnWireSend(value[0], n)
+	rt.rec.OnWireSend(byte(wire.SubKind(sub)), n)
 	rt.rec.OnWireFlush(n, 0, 0)
 	rate := rt.fabric.Bandwidth(from, to)
 	if rate <= 0 {
@@ -257,12 +269,12 @@ func (rt *Runtime) bwDelay(from, to types.ProcessID, proto string, body any, sen
 	return finish - now
 }
 
-// arrival adds the bandwidth queue to the delay of one copy on an unsevered
-// link and picks its priority class: at equal instants, local events
-// precede WAN arrivals.
-func (rt *Runtime) arrival(from, to types.ProcessID, delay time.Duration, proto string, body any, sendTS int64) (time.Duration, int) {
-	if from != to && rt.fabric.BandwidthOn() {
-		delay += rt.bwDelay(from, to, proto, body, sendTS)
+// arrival adds the bandwidth queue to the delay of one copy of sub (sized)
+// on an unsevered link and picks its priority class: at equal instants,
+// local events precede WAN arrivals.
+func (rt *Runtime) arrival(from, to types.ProcessID, delay time.Duration, sub []byte) (time.Duration, int) {
+	if from != to && sub != nil {
+		delay += rt.bwDelay(from, to, sub)
 	}
 	if rt.topo.SameGroup(from, to) {
 		return delay, 0
@@ -295,7 +307,7 @@ func (rt *Runtime) onLinkTransition(l network.Link, severed bool) {
 		rt.Tracef("RELEASE %d held msgs %v->%v at %v", len(msgs), l.From, l.To, rt.sched.Now())
 		for _, m := range msgs {
 			d := rt.fabric.Delay(l.From, l.To, rt.sched.Rand())
-			delay, prio := rt.arrival(l.From, l.To, d, m.proto, m.body, m.sendTS)
+			delay, prio := rt.arrival(l.From, l.To, d, rt.sized(m.proto, m.body, m.sendTS))
 			rt.sched.DeliverAfter(delay, prio, int32(l.From), int32(l.To), int32(l.To), m.proto, m.body, m.sendTS)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // ClientConfig configures one client session.
@@ -193,20 +194,21 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 		req.Session, req.Seq, c.cfg.MaxAttempts, lastErr)
 }
 
-// awaitReply reads until the matching reply, a redirect, or the deadline.
-// retry=true means resend the same request (possibly elsewhere).
+// awaitReply reads until the matching reply, a redirect, or the deadline,
+// decoding only those two kinds. retry=true means resend the same request
+// (possibly elsewhere).
 func (c *Client) awaitReply(conn *tcp.SvcConn, req Request, deadline time.Time) (res []byte, retry bool, err error) {
 	for {
 		_ = conn.SetReadDeadline(deadline)
-		v, rerr := conn.ReadMsg()
-		if rerr != nil {
-			// Timeout or broken connection: drop it so a late reply cannot
-			// leak into the next exchange, and retry under the same seq.
-			c.dropConn()
-			return nil, true, fmt.Errorf("svc: awaiting (session %d, seq %d): %w", req.Session, req.Seq, rerr)
-		}
-		switch m := v.(type) { // any other frame is ignored
-		case Reply:
+		kind, body, rerr := conn.Next()
+		switch {
+		case rerr != nil:
+		case kind == wire.KindSvcReply:
+			m, ok := view(body, decodeReply)
+			if !ok {
+				rerr = corruptFrame(kind)
+				break
+			}
 			if m.Session != req.Session || m.Seq != req.Seq {
 				continue // stale reply from an earlier retry round
 			}
@@ -220,7 +222,12 @@ func (c *Client) awaitReply(conn *tcp.SvcConn, req Request, deadline time.Time) 
 				c.wm[g] = m.Order
 			}
 			return m.Result, false, nil
-		case Redirect:
+		case kind == wire.KindSvcRedirect:
+			m, ok := view(body, decodeRedirect)
+			if !ok {
+				rerr = corruptFrame(kind)
+				break
+			}
 			if m.Session != req.Session || m.Seq != req.Seq {
 				continue
 			}
@@ -229,9 +236,19 @@ func (c *Client) awaitReply(conn *tcp.SvcConn, req Request, deadline time.Time) 
 			}
 			c.dropConn() // re-route to a redirected address
 			return nil, true, fmt.Errorf("svc: redirected to %v", m.Groups)
+		default:
+			continue // any other frame is ignored
 		}
+		// Timeout, broken connection or corrupt frame: drop it so a late
+		// reply cannot leak into the next exchange, and retry under the
+		// same seq.
+		c.dropConn()
+		return nil, true, fmt.Errorf("svc: awaiting (session %d, seq %d): %w", req.Session, req.Seq, rerr)
 	}
 }
+
+// corruptFrame is the error of a frame of kind whose body does not decode.
+func corruptFrame(kind wire.Kind) error { return fmt.Errorf("svc: corrupt frame of kind %d", kind) }
 
 // routeCandidates orders coordinator addresses: servers of the destination
 // groups first (in GroupSet order), then — when the address map knows none
@@ -417,7 +434,8 @@ func (c *Client) Certify(g types.GroupID, seq uint64) (Certificate, error) {
 
 // ask sends req to the replica at addr on its cached connection and returns
 // the first T that mine accepts — frames of an abandoned earlier request are
-// skipped — dropping the connection on a transport error.
+// skipped, and only T's kind is decoded — dropping the connection on a
+// transport error or a T that does not decode.
 func ask[T any](c *Client, addr string, req any, mine func(T) bool) (T, error) {
 	var m T
 	conn, err := c.readConn(addr)
@@ -430,16 +448,24 @@ func ask[T any](c *Client, addr string, req any, mine func(T) bool) (T, error) {
 		c.dropReadConn(addr)
 		return m, err
 	}
+	want, decode := wire.DecoderOf[T]()
 	for {
 		_ = conn.SetReadDeadline(deadline)
-		v, err := conn.ReadMsg()
-		if err != nil {
-			c.dropReadConn(addr)
-			return m, err
+		kind, body, err := conn.Next()
+		if err == nil && kind != want {
+			continue
 		}
-		if m, ok := v.(T); ok && mine(m) {
-			return m, nil
+		if err == nil {
+			v, ok := view(body, decode)
+			if ok && mine(v) {
+				return v, nil
+			} else if ok {
+				continue // an answer to an abandoned request
+			}
+			err = corruptFrame(kind)
 		}
+		c.dropReadConn(addr)
+		return m, err
 	}
 }
 

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"wanamcast/internal/amcast"
@@ -108,8 +109,8 @@ func TestCorruptCommandAppliesNothing(t *testing.T) {
 					func() []byte { b := bytes.Clone(body); b[k] = 0; return b },
 					func() []byte { b := bytes.Clone(body); b[k] = 0xFF; return b },
 				} {
-					f, err := wire.DecodeFrame(corrupt())
-					if err != nil || !appliedAnywhere(t, payloadsOf(f.Body)[i]) {
+					v, err := frameValue(corrupt())
+					if err != nil || !appliedAnywhere(t, payloadsOf(v)[i]) {
 						mask = append(mask, 'x')
 					} else {
 						mask = append(mask, '.')
@@ -122,6 +123,20 @@ func TestCorruptCommandAppliesNothing(t *testing.T) {
 			t.Errorf("%s: rejection mask\n got %q\nwant %q", name, got, want[name])
 		}
 	}
+}
+
+// frameValue decodes a plain frame payload's value as a reader without a type
+// does: the frame, its value (DecodeValue), and nothing after it.
+func frameValue(data []byte) (any, error) {
+	_, value, err := wire.FrameValue(data)
+	if err != nil {
+		return nil, err
+	}
+	v, rest, err := wire.DecodeValue(value)
+	if err == nil && len(rest) != 0 {
+		err = errors.New("bytes after the value")
+	}
+	return v, err
 }
 
 // TestDeliverParsesWithoutAllocating: a replica reads its commands straight

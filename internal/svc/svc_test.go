@@ -2,7 +2,9 @@ package svc_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"wanamcast/internal/svc"
 	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // kvFixture is one live cluster fronted by the KV service.
@@ -334,5 +337,66 @@ func TestServerRejectsBadDest(t *testing.T) {
 	if r := roundTrip(svc.Request{Session: 1, Seq: 3, Dest: types.NewGroupSet(0),
 		Op: svc.EncodePut(map[string]string{"g0/x": "1"})}); !r.OK {
 		t.Fatalf("valid request after rejections failed: %s", r.Err)
+	}
+}
+
+// TestClientSkipsOtherFramesAndRetriesCorrupt: awaiting its reply, a client
+// skips a frame of another kind and a stale reply without failing, and takes
+// a reply that does not decode as a broken connection: it redials and resends
+// under the same seq.
+func TestClientSkipsOtherFramesAndRetriesCorrupt(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frame := func(v any) []byte {
+		b, err := wire.AppendFrame(nil, 0, tcp.SvcProto, 0, v)
+		if err != nil {
+			t.Error(err)
+		}
+		return b
+	}
+	seqs := make(chan uint64, 2)
+	go func() {
+		for attempt := 0; attempt < 2; attempt++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			v, err := tcp.NewSvcConn(c).ReadMsg()
+			req, ok := v.(svc.Request)
+			if err != nil || !ok {
+				t.Errorf("server read %#v, %v", v, err)
+				return
+			}
+			seqs <- req.Seq
+			reply := frame(svc.Reply{Session: req.Session, Seq: req.Seq, OK: true, Result: []byte("r")})
+			if attempt == 0 {
+				corrupt := reply[:len(reply)-1] // the reply's order cut off
+				binary.BigEndian.PutUint32(corrupt, uint32(len(corrupt)-4))
+				reply = append(append(frame(svc.ReadResp{Session: req.Session, Seq: req.Seq, OK: true}),
+					frame(svc.Reply{Session: req.Session, Seq: req.Seq - 1, OK: true})...), corrupt...)
+			}
+			if _, err := c.Write(reply); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	client := svc.NewClient(svc.ClientConfig{Session: 5, Addrs: map[types.GroupID][]string{0: {ln.Addr().String()}}, Timeout: 2 * time.Second})
+	defer client.Close()
+	res, err := client.Invoke(types.NewGroupSet(0), []byte("op"))
+	if err != nil || string(res) != "r" {
+		t.Fatalf("Invoke = %q, %v; want the second attempt's reply", res, err)
+	}
+	first := <-seqs
+	select {
+	case second := <-seqs:
+		if second != first {
+			t.Fatalf("the retry went out under seq %d, the first attempt under %d", second, first)
+		}
+	default:
+		t.Fatal("the client took the corrupt reply: no second attempt")
 	}
 }

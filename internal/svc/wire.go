@@ -122,7 +122,7 @@ func owning[T any](read func([]byte) (T, []byte, error), op func(*T) *[]byte) fu
 }
 
 // view parses a frame's body, read in place, with read: the value may alias
-// body. Like SvcConn.ReadMsg it refuses a body with bytes left over.
+// body. It refuses a body with bytes left over, as SvcConn.ReadMsg does.
 func view[T any](body []byte, read func([]byte) (T, []byte, error)) (T, bool) {
 	v, rest, err := read(body)
 	return v, err == nil && len(rest) == 0

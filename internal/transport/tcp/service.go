@@ -139,26 +139,38 @@ func (s *SvcConn) WriteLoop(timeout time.Duration, wrote func()) {
 // the connection's read buffer that stays valid until the next read. Errors
 // (including corruption and deadline expiry) are terminal for the connection.
 func (s *SvcConn) Next() (wire.Kind, []byte, error) {
-	buf, err := wire.ReadFrameBytes(s.br, &s.rbuf)
-	var value []byte
-	if err == nil {
-		_, value, err = wire.FrameValue(buf)
-	}
+	value, err := s.value()
 	if err != nil {
 		return 0, nil, err
 	}
 	return wire.Kind(value[0]), value[1:], nil
 }
 
-// ReadMsg reads the next frame as Next does and returns its value, decoded by
-// its registered codec into memory of its own.
-func (s *SvcConn) ReadMsg() (any, error) {
+// value reads the next frame and returns its value, kind first: a view of the
+// read buffer.
+func (s *SvcConn) value() ([]byte, error) {
 	buf, err := wire.ReadFrameBytes(s.br, &s.rbuf)
 	if err != nil {
 		return nil, err
 	}
-	f, err := wire.DecodeFrame(buf)
-	return f.Body, err
+	_, value, err := wire.FrameValue(buf)
+	return value, err
+}
+
+// ReadMsg reads the next frame as Next does and returns its value, decoded by
+// its registered codec into memory of its own (DecodeValue). A frame with
+// bytes after its value, or a batch envelope, is an error: a service
+// connection carries plain frames.
+func (s *SvcConn) ReadMsg() (any, error) {
+	value, err := s.value()
+	if err != nil {
+		return nil, err
+	}
+	v, rest, err := wire.DecodeValue(value)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("tcp: %d bytes after a service frame's value", len(rest))
+	}
+	return v, err
 }
 
 // FrameBuffered reports, without blocking, whether the next frame is already

@@ -1,12 +1,14 @@
 package tcp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"testing"
 	"time"
 
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // TestSvcConnRoundTrip: values written on one end come out the other, over
@@ -123,6 +125,38 @@ func TestSvcConnCorruptFrame(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not reject the corrupt frame")
+	}
+}
+
+// TestSvcConnReadsPlainFramesOnly: ReadMsg decodes a plain frame's value and
+// refuses a batch envelope and a frame with bytes after its value.
+func TestSvcConnReadsPlainFramesOnly(t *testing.T) {
+	plain, err := wire.AppendFrame(nil, 1, SvcProto, 0, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := append(bytes.Clone(plain), 0)
+	binary.BigEndian.PutUint32(trailing, uint32(len(trailing)-4))
+	var bw wire.BatchWriter
+	bw.Begin(1)
+	sub, _ := wire.AppendSub(nil, SvcProto, 0, "x")
+	bw.Add(sub)
+	envelope, _, _, _, err := bw.Finish(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		frame []byte
+		ok    bool
+	}{"plain": {plain, true}, "trailing": {trailing, false}, "envelope": {envelope, false}} {
+		a, b := net.Pipe()
+		go func() { _, _ = a.Write(c.frame) }()
+		v, err := NewSvcConn(b).ReadMsg()
+		if ok := err == nil && v == "x"; ok != c.ok {
+			t.Errorf("%s: ReadMsg = %v, %v", name, v, err)
+		}
+		a.Close()
+		b.Close()
 	}
 }
 

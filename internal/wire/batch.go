@@ -23,9 +23,7 @@
 // transport's writers copy those bytes into envelopes (BatchWriter.Add): no
 // link encodes. The transport opens an envelope (OpenEnvelope) and walks its
 // frames (NextFrame) without decoding a value: the receiving process decodes
-// each straight into its handler's type. The registry codec (*Batch) and
-// DecodeFrameOrBatch decode every sub-message into an interface, for
-// AppendValue/DecodeValue round trips and the fuzz oracle.
+// each straight into its handler's type. That is the one way a frame is read.
 package wire
 
 import (
@@ -59,16 +57,11 @@ type BatchMsg struct {
 	Body  any
 }
 
-// Batch is a decoded batch envelope. Msgs storage is reused across decodes
-// when the caller reuses the Batch.
+// Batch is what DecodeFrameOrBatch decodes an envelope into. Msgs storage is
+// reused across decodes when the caller reuses the Batch.
 type Batch struct {
-	From  types.ProcessID
-	Flate bool
-	Msgs  []BatchMsg
-}
-
-func init() {
-	Register[*Batch](KindBatch, appendBatchBody, decodeBatchBody)
+	From types.ProcessID
+	Msgs []BatchMsg
 }
 
 // --- pooled helpers -------------------------------------------------------
@@ -155,42 +148,6 @@ func inflateInto(comp []byte, rawLen int, scratch *[]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// --- registry codec (alloc path) ------------------------------------------
-
-// appendBatchBody re-encodes a decoded Batch. Production senders use
-// BatchWriter; this codec keeps *Batch a first-class value so generic round
-// trips (fuzzing, tests) work. The body is deflated exactly when b.Flate is
-// set, whatever the size, so that a decoded batch re-encodes as it came.
-func appendBatchBody(buf []byte, b *Batch) []byte {
-	var w BatchWriter
-	for i := range b.Msgs {
-		sub, err := AppendSub(w.sub, b.Msgs[i].Proto, b.Msgs[i].TS, b.Msgs[i].Body)
-		if err != nil {
-			panic(encodeError{err})
-		}
-		w.sub = sub
-		w.count++
-	}
-	if !b.Flate {
-		return w.appendRaw(buf)
-	}
-	buf, _, err := w.appendFlate(buf)
-	if err != nil {
-		panic(encodeError{err})
-	}
-	return buf
-}
-
-func decodeBatchBody(data []byte) (*Batch, []byte, error) {
-	b := &Batch{}
-	var scratch []byte
-	rest, err := decodeBatchInto(b, data, &scratch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, rest, nil
-}
-
 // batchFrames opens a batch value body (after the KindBatch tag): its frames,
 // inflated into *inflate if compressed, and their count. rest follows a
 // compressed body; an uncompressed one's end shows once its frames are walked.
@@ -235,42 +192,6 @@ func NextFrame(frames []byte) (proto string, ts int64, value []byte, err error) 
 	return Intern(p), ts, d.Data, nil
 }
 
-// decodeBatchInto fills b from a batch value body (the bytes after the
-// KindBatch tag), reusing b.Msgs and *inflate. It returns the unconsumed
-// remainder.
-func decodeBatchInto(b *Batch, data []byte, inflate *[]byte) ([]byte, error) {
-	var count int
-	var raw, rest []byte
-	var err error
-	if b.Flate, raw, count, rest, err = batchFrames(data, inflate); err != nil {
-		return nil, err
-	}
-	if cap(b.Msgs) < count {
-		b.Msgs = make([]BatchMsg, count)
-	} else {
-		b.Msgs = b.Msgs[:count]
-	}
-	for i := range b.Msgs {
-		proto, ts, value, err := NextFrame(raw)
-		if err != nil {
-			return nil, err
-		}
-		body, d, err := DecodeValue(value)
-		if err != nil {
-			return nil, err
-		}
-		b.Msgs[i] = BatchMsg{Proto: proto, TS: ts, Body: body}
-		raw = d
-	}
-	if !b.Flate {
-		return raw, nil
-	}
-	if len(raw) != 0 {
-		return nil, corrupt("trailing bytes in compressed batch")
-	}
-	return rest, nil
-}
-
 // --- transport surfaces ---------------------------------------------------
 
 // ReadFrameBytes reads one length-prefixed frame payload from r into
@@ -302,28 +223,35 @@ func ReadFrameBytes(r io.Reader, scratch *[]byte) ([]byte, error) {
 }
 
 // DecodeFrameOrBatch decodes one frame payload (the bytes after the length
-// prefix). A batch envelope is decoded into b, reusing its storage and
-// *inflate as decompression scratch, and reported with isBatch=true (the
-// returned Frame has no Body; b.From carries the sender too). A regular frame
-// is returned directly with its value kind. It never panics on malformed
-// input.
+// prefix) as the transport reads it — OpenEnvelope, NextFrame, DecodeValue —
+// boxing each value into b.Msgs and reusing *inflate. A batch envelope is
+// reported with isBatch=true, its sender in b.From; a plain frame returns its
+// value in f.Body, with its kind. It never panics on malformed input.
+//
+// It and Batch are an adapter that only bench/ calls: the next change to the
+// benchmark times the transport's read path itself and deletes both.
 func DecodeFrameOrBatch(data []byte, b *Batch, inflate *[]byte) (f Frame, kind Kind, isBatch bool, err error) {
 	f, value, err := FrameValue(data)
 	if err != nil {
 		return Frame{}, 0, false, err
 	}
-	var rest []byte
-	if kind = Kind(value[0]); kind == KindBatch {
-		rest, err = decodeBatchInto(b, value[1:], inflate)
-		b.From = f.From
-	} else {
-		f.Body, rest, err = DecodeValue(value)
+	kind, b.From, b.Msgs = Kind(value[0]), f.From, b.Msgs[:0]
+	_, frames, n, err := OpenEnvelope(data, inflate)
+	for ; err == nil && n > 0; n-- {
+		var m BatchMsg
+		if m.Proto, m.TS, value, err = NextFrame(frames); err == nil {
+			m.Body, frames, err = DecodeValue(value)
+			b.Msgs = append(b.Msgs, m)
+		}
 	}
-	if err == nil && len(rest) != 0 {
+	if err == nil && len(frames) != 0 {
 		err = corrupt("trailing bytes after frame body")
 	}
 	if err != nil {
 		return Frame{}, 0, false, err
+	}
+	if kind != KindBatch {
+		f.Body = b.Msgs[0].Body
 	}
 	return f, kind, kind == KindBatch, nil
 }

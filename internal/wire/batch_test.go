@@ -2,11 +2,13 @@ package wire_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
@@ -38,22 +40,50 @@ func add(t testing.TB, bw *wire.BatchWriter, proto string, ts int64, body any) {
 	bw.Add(sub)
 }
 
-// decodeBatch runs a wire frame through the transport's streaming decode
-// surface (ReadFrameBytes + DecodeFrameOrBatch) into b.
-func decodeBatch(t *testing.T, frame []byte, b *wire.Batch) {
+// msg is one frame of an envelope, its value decoded.
+type msg struct {
+	proto string
+	ts    int64
+	body  any
+}
+
+// walk reads one frame payload (the bytes after the length prefix) the way a
+// lane does: it opens the envelope (a plain frame is an envelope of one),
+// walks its frames and decodes each value, and refuses bytes after the last.
+func walk(data []byte) (from types.ProcessID, msgs []msg, err error) {
+	var inflate []byte
+	from, frames, n, err := wire.OpenEnvelope(data, &inflate)
+	for ; err == nil && n > 0; n-- {
+		var m msg
+		var value []byte
+		if m.proto, m.ts, value, err = wire.NextFrame(frames); err == nil {
+			m.body, frames, err = wire.DecodeValue(value)
+			msgs = append(msgs, m)
+		}
+	}
+	if err == nil && len(frames) != 0 {
+		err = fmt.Errorf("%d bytes after the last frame", len(frames))
+	}
+	return from, msgs, err
+}
+
+// decodeBatch reads a wire frame through the transport's read path
+// (ReadFrameBytes, then walk) and reports whether it was deflated.
+func decodeBatch(t *testing.T, frame []byte) (from types.ProcessID, msgs []msg, flated bool) {
 	t.Helper()
-	var scratch, inflate []byte
+	var scratch []byte
 	data, err := wire.ReadFrameBytes(bytes.NewReader(frame), &scratch)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	_, kind, isBatch, err := wire.DecodeFrameOrBatch(data, b, &inflate)
-	if err != nil {
+	f, value, err := wire.FrameValue(data)
+	if err != nil || f.Proto != wire.BatchProto || wire.Kind(value[0]) != wire.KindBatch {
+		t.Fatalf("frame %+v of kind %d (%v), want a batch", f, value[0], err)
+	}
+	if from, msgs, err = walk(data); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !isBatch || kind != wire.KindBatch {
-		t.Fatalf("decoded as kind %d isBatch=%v, want a batch", kind, isBatch)
-	}
+	return from, msgs, value[1] != 0 // the flags byte
 }
 
 // TestBatchEnvelopeRoundTrip: raw and compressed envelopes carry every
@@ -75,16 +105,15 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			frame, rawLen, compLen, wireLen := buildBatch(t, tc.compressMin, bodies...)
-			var b wire.Batch
-			decodeBatch(t, frame, &b)
+			from, msgs, flated := decodeBatch(t, frame)
 			if wireLen != len(frame) {
 				t.Fatalf("Finish reported %d wire bytes, produced %d", wireLen, len(frame))
 			}
-			if b.From != 7 {
-				t.Fatalf("From = %v, want 7", b.From)
+			if from != 7 {
+				t.Fatalf("From = %v, want 7", from)
 			}
-			if b.Flate != tc.wantFlate {
-				t.Fatalf("Flate = %v, want %v", b.Flate, tc.wantFlate)
+			if flated != tc.wantFlate {
+				t.Fatalf("deflated = %v, want %v", flated, tc.wantFlate)
 			}
 			if tc.wantFlate {
 				if compLen <= 0 || compLen >= rawLen {
@@ -93,52 +122,30 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 			} else if compLen != 0 {
 				t.Fatalf("raw envelope reported compLen %d", compLen)
 			}
-			if len(b.Msgs) != len(bodies) {
-				t.Fatalf("decoded %d sub-messages, want %d", len(b.Msgs), len(bodies))
+			if len(msgs) != len(bodies) {
+				t.Fatalf("decoded %d sub-messages, want %d", len(msgs), len(bodies))
 			}
-			for i, m := range b.Msgs {
-				if m.Proto != "t" || m.TS != int64(i) {
+			for i, m := range msgs {
+				if m.proto != "t" || m.ts != int64(i) {
 					t.Fatalf("msg %d envelope: %+v", i, m)
 				}
-				if !reflect.DeepEqual(m.Body, bodies[i]) {
-					t.Fatalf("msg %d body:\n got %#v\nwant %#v", i, m.Body, bodies[i])
+				if !reflect.DeepEqual(m.body, bodies[i]) {
+					t.Fatalf("msg %d body:\n got %#v\nwant %#v", i, m.body, bodies[i])
 				}
 			}
 		})
 	}
 }
 
-// TestBatchRegistryRoundTrip: *Batch is a first-class wire value, so the
-// generic AppendValue/DecodeValue path (and with it the fuzz oracle and any
-// WAL payload) round-trips envelopes too, in both forms.
-func TestBatchRegistryRoundTrip(t *testing.T) {
-	for _, flate := range []bool{false, true} {
-		in := &wire.Batch{From: 3, Flate: flate, Msgs: []wire.BatchMsg{
-			{Proto: "a", TS: 1, Body: "x"},
-			{Proto: "b", TS: -2, Body: []byte{5}},
-		}}
-		buf := wire.AppendValue(nil, in)
-		got, rest, err := wire.DecodeValue(buf)
-		if err != nil {
-			t.Fatalf("flate=%v: decode: %v", flate, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("flate=%v: %d trailing bytes", flate, len(rest))
-		}
-		out := got.(*wire.Batch)
-		if out.From != 0 {
-			// The value codec carries no preamble; From rides the frame.
-			t.Fatalf("value round trip invented From %v", out.From)
-		}
-		if out.Flate != flate || len(out.Msgs) != len(in.Msgs) {
-			t.Fatalf("flate=%v: got %+v", flate, out)
-		}
-		for i := range in.Msgs {
-			if out.Msgs[i].Proto != in.Msgs[i].Proto || out.Msgs[i].TS != in.Msgs[i].TS ||
-				!reflect.DeepEqual(out.Msgs[i].Body, in.Msgs[i].Body) {
-				t.Fatalf("flate=%v msg %d: got %+v want %+v", flate, i, out.Msgs[i], in.Msgs[i])
-			}
-		}
+// TestBatchIsNoValue: an envelope is read only as a frame, never as a value.
+func TestBatchIsNoValue(t *testing.T) {
+	frame, _, _, _ := buildBatch(t, 0, "x")
+	_, value, err := wire.FrameValue(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err := wire.DecodeValue(value); err == nil {
+		t.Fatalf("a KindBatch value decoded: %#v", v)
 	}
 }
 
@@ -153,12 +160,11 @@ func TestBatchIncompressibleFallsBackToRaw(t *testing.T) {
 	if compLen != 0 {
 		t.Fatalf("incompressible payload reported compLen %d (rawLen %d)", compLen, rawLen)
 	}
-	var b wire.Batch
-	decodeBatch(t, frame, &b)
-	if b.Flate {
+	_, msgs, flated := decodeBatch(t, frame)
+	if flated {
 		t.Fatal("incompressible envelope went out compressed")
 	}
-	if !bytes.Equal(b.Msgs[0].Body.([]byte), noise) {
+	if !bytes.Equal(msgs[0].body.([]byte), noise) {
 		t.Fatal("payload corrupted by the raw fallback")
 	}
 }
@@ -236,16 +242,23 @@ func TestBatchWriterZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsNesting: a batch body inside an envelope is corruption by
-// definition — a sender refuses to encode one as a message, statically typed
-// or boxed, and leaves its buffer as it was.
+// TestBatchRejectsNesting: a batch inside an envelope is corruption by
+// definition. The walk refuses a frame whose value is one.
 func TestBatchRejectsNesting(t *testing.T) {
-	buf := []byte("kept")
-	if out, err := wire.AppendSub(buf, "p", 0, &wire.Batch{}); err == nil || string(out) != "kept" {
-		t.Fatalf("encoded a nested batch: %q, %v", out, err)
+	inner, _, _, _ := buildBatch(t, 0, "x")
+	_, value, err := wire.FrameValue(inner[4:])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out, err := wire.AppendSub(buf, "p", 0, any(&wire.Batch{})); err == nil || string(out) != "kept" {
-		t.Fatalf("encoded a boxed nested batch: %q, %v", out, err)
+	var bw wire.BatchWriter
+	bw.Begin(7)
+	bw.Add(append(wire.AppendVarint(wire.AppendString(nil, "p"), 0), value...))
+	frame, _, _, _, err := bw.Finish(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := walk(frame[4:]); err == nil {
+		t.Fatal("walked a batch nested in a batch")
 	}
 }
 
@@ -259,20 +272,16 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 
 	reject := func(name string, data []byte) {
 		t.Helper()
-		var b wire.Batch
-		var inflate []byte
-		if _, _, _, err := wire.DecodeFrameOrBatch(data, &b, &inflate); err == nil {
+		if _, _, err := walk(data); err == nil {
 			t.Errorf("%s: accepted corrupt envelope", name)
 		}
 	}
 
 	for cut := 0; cut < len(body); cut++ {
-		var b wire.Batch
-		var inflate []byte
 		// Truncations must never panic; most must error. A cut inside the
 		// preamble can accidentally parse as a non-batch frame, so only the
 		// error-free full decode is checked for equality elsewhere.
-		wire.DecodeFrameOrBatch(body[:cut], &b, &inflate)
+		walk(body[:cut])
 	}
 
 	corrupt := append([]byte(nil), body...)

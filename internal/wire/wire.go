@@ -110,7 +110,7 @@ const (
 	KindSvcReadResp       Kind = 56 // svc.ReadResp (server → client)
 	KindSvcCertReq        Kind = 57 // svc.CertReq (client → server, delivery certificate)
 	KindSvcCertShare      Kind = 58 // svc.CertShare (server → client, one HMAC countersignature)
-	KindBatch             Kind = 60 // batch envelope: many frames, one header (batch.go)
+	KindBatch             Kind = 60 // batch envelope: many frames, one header (batch.go); no value has it
 )
 
 // MaxFrame bounds one frame on the wire. A larger length prefix is treated
@@ -547,8 +547,8 @@ func AppendFrame[T any](buf []byte, from types.ProcessID, proto string, ts int64
 // AppendSub appends one message as an envelope carries it: its proto label,
 // timestamp and tagged value, the sender left to the envelope (AppendPlain,
 // or a batch's preamble). A body of a registered static type T is encoded by
-// its codec without being boxed. On error, a body even gob cannot encode or a
-// batch (envelopes do not nest), buf is unchanged.
+// its codec without being boxed. On error, a body even gob cannot encode, buf
+// is unchanged.
 func AppendSub[T any](buf []byte, proto string, ts int64, body T) (out []byte, err error) {
 	start := len(buf)
 	defer func() {
@@ -556,10 +556,7 @@ func AppendSub[T any](buf []byte, proto string, ts int64, body T) (out []byte, e
 			out = buf[:start]
 		}
 	}()
-	if buf = appendSub(buf, proto, ts, body); SubKind(buf[start:]) == KindBatch {
-		return buf[:start], errors.New("wire: batch envelopes do not nest")
-	}
-	return buf, nil
+	return appendSub(buf, proto, ts, body), nil
 }
 
 func appendSub[T any](buf []byte, proto string, ts int64, body T) []byte {
@@ -598,15 +595,4 @@ func FrameValue(data []byte) (Frame, []byte, error) {
 		return Frame{}, nil, d.Err
 	}
 	return Frame{From: types.ProcessID(from), Proto: Intern(proto), TS: ts}, d.Data, nil
-}
-
-// DecodeFrame decodes one frame body (the bytes AFTER the length prefix), a
-// batch envelope into a *Batch of its own. It never panics on malformed input.
-func DecodeFrame(data []byte) (Frame, error) {
-	var b Batch
-	f, _, isBatch, err := DecodeFrameOrBatch(data, &b, new([]byte))
-	if isBatch {
-		f.Body = &Batch{From: b.From, Flate: b.Flate, Msgs: b.Msgs}
-	}
-	return f, err
 }

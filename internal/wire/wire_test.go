@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"maps"
 	"reflect"
@@ -132,13 +133,13 @@ func TestPayloadLengthMustFitTheFrame(t *testing.T) {
 		body := frame[4:]
 		at := bytes.LastIndex(body, p) // the last payload ends the frame
 		for cut := at; cut < len(body); cut++ {
-			if _, err := wire.DecodeFrame(body[:cut]); err == nil {
+			if _, _, err := walk(body[:cut]); err == nil {
 				t.Errorf("%s: a frame cut at %d of %d decoded", name, cut, len(body))
 			}
 		}
 		long := bytes.Clone(body)
 		long[at-1]++ // the last payload's one-byte length prefix
-		if _, err := wire.DecodeFrame(long); err == nil {
+		if _, _, err := walk(long); err == nil {
 			t.Errorf("%s: a payload length past the frame decoded", name)
 		}
 	}
@@ -232,7 +233,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 		}(),
 	}
 	for name, data := range cases {
-		if _, err := wire.DecodeFrame(data); err == nil {
+		if _, _, err := walk(data); err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
 		}
 	}
@@ -284,12 +285,19 @@ func TestInternReturnsCanonical(t *testing.T) {
 	}
 }
 
-// readFrame reads one frame from r as a transport reader does: its bytes
-// into *scratch, then the decode.
+// readFrame reads one plain frame from r as a transport reader does: its
+// bytes into *scratch, then walk.
 func readFrame(r io.Reader, scratch *[]byte) (wire.Frame, error) {
 	buf, err := wire.ReadFrameBytes(r, scratch)
 	if err != nil {
 		return wire.Frame{}, err
 	}
-	return wire.DecodeFrame(buf)
+	from, msgs, err := walk(buf)
+	if err == nil && len(msgs) != 1 {
+		err = fmt.Errorf("%d frames, want 1", len(msgs))
+	}
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return wire.Frame{From: from, Proto: msgs[0].proto, TS: msgs[0].ts, Body: msgs[0].body}, nil
 }
