@@ -44,7 +44,6 @@ type flags struct {
 	cfg       config.Config
 	startProf func() (func(), error) // starts the -*profile outputs
 	algo      string
-	procs     int
 	shapes    []harness.Shape // -sweep
 	jitter    time.Duration
 	casts     int
@@ -70,9 +69,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	f.cfg.Bind(fs, "port", "heartbeat", "suspectafter", "leasems", "skewms", "lanes",
 		"datadir", "nofsync", "snapevery", "spanbuf", "flightdump")
 	f.startProf = harness.ProfileFlags(fs)
-	fs.Var(fs.Lookup("wan").Value, "inter", "inter-group one-way delay (alias of -wan)")
-	fs.Var(fs.Lookup("lan").Value, "intra", "intra-group one-way delay (alias of -lan)")
-	fs.IntVar(&f.procs, "procs", 0, "processes per group (alias of -d; 0 defers to -d)")
 	fs.StringVar(&f.algo, "algo", "a1", "algorithm: a1, a2, skeen, fritzke, delporte, rodrigues, detmerge, sousa, vicente, or all for one comparison table")
 	fs.Func("sweep", "run a scale sweep over these topology `shapes` instead of one run, e.g. 50x3,100x3,200x5",
 		func(s string) (err error) { f.shapes, err = harness.ParseSweep(s); return err })
@@ -82,20 +78,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (*flags, error) {
 	fs.IntVar(&f.spread, "spread", 2, "destination groups per multicast (ignored by broadcasts)")
 	fs.IntVar(&f.crash, "crash", 0, "crash this many processes (one per group, minority) mid-run")
 	fs.Int64Var(&f.seed, "seed", 1, "simulation seed")
-	fs.BoolVar(&f.figures, "figures", false, "regenerate every table and figure of the paper's evaluation (reads -d and -inter only)")
+	fs.BoolVar(&f.figures, "figures", false, "regenerate every table and figure of the paper's evaluation (reads -d and -wan only)")
 	fs.StringVar(&f.scenario, "scenario", "", "chaos scenario to run under the workload ("+strings.Join(scenario.Names(), ", ")+")")
 	fs.DurationVar(&f.unit, "unit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 	fs.BoolVar(&f.verbose, "v", false, "print every delivery")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if f.procs != 0 {
-		dSet := false
-		fs.Visit(func(fl *flag.Flag) { dSet = dSet || fl.Name == "d" })
-		if dSet && f.cfg.PerGroup != f.procs {
-			return nil, fmt.Errorf("-procs is an alias of -d; got conflicting values %d and %d", f.procs, f.cfg.PerGroup)
-		}
-		f.cfg.PerGroup = f.procs
 	}
 	// The simulator opens no socket: a 15000x3 shape must not be refused for
 	// want of 45000 ports.

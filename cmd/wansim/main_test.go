@@ -24,12 +24,16 @@ func TestCIInvocations(t *testing.T) {
 // topology may be far larger than the port space — and what only a live
 // cluster has (-live itself, the retired -benchjson, sockets, ordering
 // lanes, stores, the tracer's outputs) is unknown to it, not accepted and
-// ignored.
+// ignored. The retired aliases -inter, -intra and -procs are unknown too:
+// -wan, -lan and -d are the one name of each.
 func TestSimNeedsNoPorts(t *testing.T) {
 	for args, ok := range map[string]bool{
 		"-algo a1 -sweep 15000x3 -casts 1":  true,
-		"-groups 30000 -procs 2 -casts 0":   true,
-		"-figures -d 5 -inter 50ms":         true,
+		"-groups 30000 -d 2 -casts 0":       true,
+		"-figures -d 5 -wan 50ms":           true,
+		"-inter 50ms":                       false,
+		"-intra 1ms":                        false,
+		"-procs 2":                          false,
 		"-groups 0":                         false,
 		"-pipeline -1":                      false,
 		"-live":                             false,

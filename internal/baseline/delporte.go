@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"time"
 
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/consensus"
@@ -30,7 +29,6 @@ import (
 type Delporte struct {
 	api       *node.Proc
 	onDeliver func(rmcast.Message)
-	label     string
 	cons      *consensus.Consensus
 
 	k         uint64
@@ -65,15 +63,14 @@ type (
 	}
 )
 
+// dgLabel is the wire label of Delporte's messages.
+const dgLabel = "dg"
+
 // DelporteConfig configures a Delporte endpoint.
 type DelporteConfig struct {
 	Host      *node.Proc
 	Detector  fd.Detector
 	OnDeliver func(rmcast.Message)
-	// ConsensusRetry overrides the consensus retry interval.
-	ConsensusRetry time.Duration
-	// ProtoLabel overrides the wire label (default "dg").
-	ProtoLabel string
 }
 
 var _ node.Protocol = (*Delporte)(nil)
@@ -83,14 +80,9 @@ func NewDelporte(cfg DelporteConfig) *Delporte {
 	if cfg.Host == nil || cfg.Detector == nil {
 		panic("baseline: DelporteConfig.Host and Detector are required")
 	}
-	label := cfg.ProtoLabel
-	if label == "" {
-		label = "dg"
-	}
 	d := &Delporte{
 		api:       cfg.Host,
 		onDeliver: cfg.OnDeliver,
-		label:     label,
 		k:         1,
 		propK:     1,
 		queued:    make(map[types.MessageID]bool),
@@ -99,11 +91,10 @@ func NewDelporte(cfg DelporteConfig) *Delporte {
 		delivered: make(map[types.MessageID]bool),
 	}
 	d.cons = consensus.New(consensus.Config{
-		API:           cfg.Host,
-		Detector:      cfg.Detector,
-		OnDecide:      d.onDecide,
-		RetryInterval: cfg.ConsensusRetry,
-		ProtoLabel:    label + ".cons",
+		API:        cfg.Host,
+		Detector:   cfg.Detector,
+		OnDecide:   d.onDecide,
+		ProtoLabel: dgLabel + ".cons",
 	})
 	cfg.Host.Register(d.cons)
 	cfg.Host.Register(d)
@@ -111,7 +102,7 @@ func NewDelporte(cfg DelporteConfig) *Delporte {
 }
 
 // Proto implements node.Protocol.
-func (d *Delporte) Proto() string { return d.label }
+func (d *Delporte) Proto() string { return dgLabel }
 
 // Start implements node.Protocol.
 func (d *Delporte) Start() {}
@@ -126,7 +117,7 @@ func (d *Delporte) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	d.api.RecordCast(id)
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
 	first := dest.Groups()[0]
-	node.Multicast(d.api, d.api.Topo().Members(first), d.label, DGData{M: m})
+	node.Multicast(d.api, d.api.Topo().Members(first), dgLabel, DGData{M: m})
 	return id
 }
 
@@ -210,14 +201,14 @@ func (d *Delporte) processDecision(set []DGItem) {
 			d.deliver(item)
 		case myIdx == len(groups)-1:
 			// Last group: announce the final timestamp everywhere.
-			node.Multicast(d.api, d.api.Topo().ProcessesIn(item.Dest), d.label, DGFinal{Item: item})
+			node.Multicast(d.api, d.api.Topo().ProcessesIn(item.Dest), dgLabel, DGFinal{Item: item})
 		default:
 			// Hand over to the next group and serialize until the final
 			// announcement returns.
 			id := item.ID
 			d.busy = &id
 			next := groups[myIdx+1]
-			node.Multicast(d.api, d.api.Topo().Members(next), d.label, DGHandover{Item: item})
+			node.Multicast(d.api, d.api.Topo().Members(next), dgLabel, DGHandover{Item: item})
 		}
 	}
 	d.propK = d.k // allow proposing the new instance

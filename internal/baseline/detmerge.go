@@ -28,7 +28,6 @@ import (
 type DetMerge struct {
 	api       *node.Proc
 	onDeliver func(rmcast.Message)
-	label     string
 	interval  time.Duration
 	stopAfter time.Duration
 
@@ -56,6 +55,9 @@ type (
 	}
 )
 
+// dmLabel is the wire label of DetMerge's messages.
+const dmLabel = "dm"
+
 // DetMergeConfig configures a DetMerge endpoint.
 type DetMergeConfig struct {
 	Host      *node.Proc
@@ -66,8 +68,6 @@ type DetMergeConfig struct {
 	// StopAfter, if positive, stops the heartbeat stream after that time so
 	// finite simulations drain; [1]'s model runs it forever.
 	StopAfter time.Duration
-	// ProtoLabel overrides the wire label (default "dm").
-	ProtoLabel string
 }
 
 var _ node.Protocol = (*DetMerge)(nil)
@@ -77,10 +77,6 @@ func NewDetMerge(cfg DetMergeConfig) *DetMerge {
 	if cfg.Host == nil {
 		panic("baseline: DetMergeConfig.Host is required")
 	}
-	label := cfg.ProtoLabel
-	if label == "" {
-		label = "dm"
-	}
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
@@ -88,7 +84,6 @@ func NewDetMerge(cfg DetMergeConfig) *DetMerge {
 	d := &DetMerge{
 		api:       cfg.Host,
 		onDeliver: cfg.OnDeliver,
-		label:     label,
 		interval:  interval,
 		stopAfter: cfg.StopAfter,
 		streams:   make(map[types.ProcessID]uint64),
@@ -104,7 +99,7 @@ func NewDetMerge(cfg DetMergeConfig) *DetMerge {
 // stream apart from per-cast traffic.
 type dmHeartbeats struct{ d *DetMerge }
 
-func (h dmHeartbeats) Proto() string            { return h.d.label + ".hb" }
+func (h dmHeartbeats) Proto() string            { return dmLabel + ".hb" }
 func (h dmHeartbeats) Start()                   {}
 func (h dmHeartbeats) Handlers() []node.Handler { return dmHeartbeatHandlers }
 
@@ -113,7 +108,7 @@ var dmHeartbeatHandlers = []node.Handler{
 }
 
 // Proto implements node.Protocol.
-func (d *DetMerge) Proto() string { return d.label }
+func (d *DetMerge) Proto() string { return dmLabel }
 
 // Start implements node.Protocol: it begins the heartbeat stream.
 func (d *DetMerge) Start() {
@@ -134,7 +129,7 @@ func (d *DetMerge) beat() {
 			tos = append(tos, q)
 		}
 	}
-	node.Multicast(d.api, tos, d.label+".hb", DMHeartbeat{TS: ts})
+	node.Multicast(d.api, tos, dmLabel+".hb", DMHeartbeat{TS: ts})
 	d.tryDeliver()
 	d.api.After(d.interval, d.beat)
 }
@@ -169,7 +164,7 @@ func (d *DetMerge) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 		}
 		tos = append(tos, q)
 	}
-	node.Multicast(d.api, tos, d.label, DMData{TS: ts, M: m})
+	node.Multicast(d.api, tos, dmLabel, DMData{TS: ts, M: m})
 	if selfAddressed {
 		d.buffer = append(d.buffer, &dmEntry{ts: ts, msg: m})
 		// Merge asynchronously: A-Delivering inside the A-MCast call would

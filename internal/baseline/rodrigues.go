@@ -25,7 +25,6 @@ import (
 type Rodrigues struct {
 	api       *node.Proc
 	onDeliver func(rmcast.Message)
-	label     string
 
 	lc        uint64
 	castSeq   uint64
@@ -70,12 +69,13 @@ type (
 	}
 )
 
+// rgLabel is the wire label of Rodrigues's messages.
+const rgLabel = "rg"
+
 // RodriguesConfig configures a Rodrigues endpoint.
 type RodriguesConfig struct {
 	Host      *node.Proc
 	OnDeliver func(rmcast.Message)
-	// ProtoLabel overrides the wire label (default "rg").
-	ProtoLabel string
 }
 
 var _ node.Protocol = (*Rodrigues)(nil)
@@ -85,14 +85,9 @@ func NewRodrigues(cfg RodriguesConfig) *Rodrigues {
 	if cfg.Host == nil {
 		panic("baseline: RodriguesConfig.Host is required")
 	}
-	label := cfg.ProtoLabel
-	if label == "" {
-		label = "rg"
-	}
 	r := &Rodrigues{
 		api:       cfg.Host,
 		onDeliver: cfg.OnDeliver,
-		label:     label,
 		pending:   make(map[types.MessageID]*rgPend),
 		delivered: make(map[types.MessageID]bool),
 	}
@@ -101,7 +96,7 @@ func NewRodrigues(cfg RodriguesConfig) *Rodrigues {
 }
 
 // Proto implements node.Protocol.
-func (r *Rodrigues) Proto() string { return r.label }
+func (r *Rodrigues) Proto() string { return rgLabel }
 
 // Start implements node.Protocol.
 func (r *Rodrigues) Start() {}
@@ -115,7 +110,7 @@ func (r *Rodrigues) AMCast(payload []byte, dest types.GroupSet) types.MessageID 
 	id := types.MessageID{Origin: r.api.Self(), Seq: r.castSeq}
 	r.api.RecordCast(id)
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
-	node.Multicast(r.api, r.api.Topo().ProcessesIn(dest), r.label, RGData{M: m})
+	node.Multicast(r.api, r.api.Topo().ProcessesIn(dest), rgLabel, RGData{M: m})
 	return id
 }
 
@@ -185,7 +180,7 @@ func (r *Rodrigues) sendToDest(dest types.GroupSet, body any) {
 			tos = append(tos, q)
 		}
 	}
-	node.Multicast(r.api, tos, r.label, body)
+	node.Multicast(r.api, tos, rgLabel, body)
 }
 
 // advance moves id through the proposal → estimate → commit → final phases

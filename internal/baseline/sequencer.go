@@ -29,7 +29,6 @@ type SeqBcast struct {
 	api       *node.Proc
 	onDeliver func(id types.MessageID, payload []byte)
 	onOpt     func(id types.MessageID, payload []byte)
-	label     string
 	uniform   bool
 
 	castSeq  uint64
@@ -63,6 +62,9 @@ type (
 // sequencer is the fixed sequencer process.
 const sequencer types.ProcessID = 0
 
+// sbLabel is the wire label of SeqBcast's messages.
+const sbLabel = "sb"
+
 // SeqBcastConfig configures a sequencer-broadcast endpoint.
 type SeqBcastConfig struct {
 	Host      *node.Proc
@@ -71,8 +73,6 @@ type SeqBcastConfig struct {
 	OnOptimistic func(id types.MessageID, payload []byte)
 	// Uniform selects the Vicente & Rodrigues [13] validation variant.
 	Uniform bool
-	// ProtoLabel overrides the wire label (default "sb").
-	ProtoLabel string
 }
 
 var _ node.Protocol = (*SeqBcast)(nil)
@@ -82,15 +82,10 @@ func NewSeqBcast(cfg SeqBcastConfig) *SeqBcast {
 	if cfg.Host == nil {
 		panic("baseline: SeqBcastConfig.Host is required")
 	}
-	label := cfg.ProtoLabel
-	if label == "" {
-		label = "sb"
-	}
 	s := &SeqBcast{
 		api:       cfg.Host,
 		onDeliver: cfg.OnDeliver,
 		onOpt:     cfg.OnOptimistic,
-		label:     label,
 		uniform:   cfg.Uniform,
 		seqNext:   1,
 		deliverN:  1,
@@ -105,7 +100,7 @@ func NewSeqBcast(cfg SeqBcastConfig) *SeqBcast {
 }
 
 // Proto implements node.Protocol.
-func (s *SeqBcast) Proto() string { return s.label }
+func (s *SeqBcast) Proto() string { return sbLabel }
 
 // Start implements node.Protocol.
 func (s *SeqBcast) Start() {}
@@ -115,7 +110,7 @@ func (s *SeqBcast) ABCast(payload []byte) types.MessageID {
 	s.castSeq++
 	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
 	s.api.RecordCast(id)
-	node.Multicast(s.api, s.api.Topo().AllProcesses(), s.label, SBData{ID: id, Payload: payload})
+	node.Multicast(s.api, s.api.Topo().AllProcesses(), sbLabel, SBData{ID: id, Payload: payload})
 	return id
 }
 
@@ -149,7 +144,7 @@ func (s *SeqBcast) onData(m SBData) {
 		seq := s.seqNext
 		s.seqNext++
 		s.seqOf[seq] = m.ID
-		node.Multicast(s.api, s.api.Topo().AllProcesses(), s.label, SBSeq{ID: m.ID, Seq: seq})
+		node.Multicast(s.api, s.api.Topo().AllProcesses(), sbLabel, SBSeq{ID: m.ID, Seq: seq})
 	}
 	if s.uniform {
 		// Validation echo to everyone, in parallel with the sequencing.
@@ -165,7 +160,7 @@ func (s *SeqBcast) onData(m SBData) {
 					tos = append(tos, q)
 				}
 			}
-			node.Multicast(s.api, tos, s.label, SBAck{ID: m.ID})
+			node.Multicast(s.api, tos, sbLabel, SBAck{ID: m.ID})
 		}
 	}
 	s.tryDeliver()

@@ -27,7 +27,6 @@ import (
 type Skeen struct {
 	api       *node.Proc
 	onDeliver func(rmcast.Message)
-	label     string
 
 	lc        uint64
 	castSeq   uint64
@@ -60,12 +59,13 @@ type (
 	}
 )
 
+// skeenLabel is the wire label of Skeen's messages.
+const skeenLabel = "skeen"
+
 // SkeenConfig configures a Skeen endpoint.
 type SkeenConfig struct {
 	Host      *node.Proc
 	OnDeliver func(rmcast.Message)
-	// ProtoLabel overrides the wire label (default "skeen").
-	ProtoLabel string
 }
 
 var _ node.Protocol = (*Skeen)(nil)
@@ -75,14 +75,9 @@ func NewSkeen(cfg SkeenConfig) *Skeen {
 	if cfg.Host == nil {
 		panic("baseline: SkeenConfig.Host is required")
 	}
-	label := cfg.ProtoLabel
-	if label == "" {
-		label = "skeen"
-	}
 	s := &Skeen{
 		api:       cfg.Host,
 		onDeliver: cfg.OnDeliver,
-		label:     label,
 		pending:   make(map[types.MessageID]*skPend),
 		props:     make(map[types.MessageID]map[types.ProcessID]uint64),
 		delivered: make(map[types.MessageID]bool),
@@ -92,7 +87,7 @@ func NewSkeen(cfg SkeenConfig) *Skeen {
 }
 
 // Proto implements node.Protocol.
-func (s *Skeen) Proto() string { return s.label }
+func (s *Skeen) Proto() string { return skeenLabel }
 
 // Start implements node.Protocol.
 func (s *Skeen) Start() {}
@@ -106,7 +101,7 @@ func (s *Skeen) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
 	s.api.RecordCast(id)
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
-	node.Multicast(s.api, s.api.Topo().ProcessesIn(dest), s.label, SkeenData{M: m})
+	node.Multicast(s.api, s.api.Topo().ProcessesIn(dest), skeenLabel, SkeenData{M: m})
 	return id
 }
 
@@ -134,7 +129,7 @@ func (s *Skeen) onData(m rmcast.Message) {
 			tos = append(tos, q)
 		}
 	}
-	node.Multicast(s.api, tos, s.label, SkeenProp{ID: m.ID, TS: p.ts})
+	node.Multicast(s.api, tos, skeenLabel, SkeenProp{ID: m.ID, TS: p.ts})
 	s.checkFinal(m.ID)
 }
 

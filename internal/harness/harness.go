@@ -88,8 +88,6 @@ type Options struct {
 	Jitter   time.Duration // uniform per-message extra delay in [0, Jitter)
 	Seed     int64         // makes the run reproducible; zero is a valid seed
 	LogSends bool          // retain a per-send log (genuineness checks need it)
-	// ConsensusRetry tunes the consensus engines (where applicable).
-	ConsensusRetry time.Duration
 	// DetMergeInterval is the [1] heartbeat period (default 10 ms). It and
 	// DetMergeStop apply to AlgoDetMerge only.
 	DetMergeInterval time.Duration
@@ -193,7 +191,7 @@ func Build(algo Algo, opts Options) *System {
 		case AlgoA1, AlgoA2:
 			h := durable.New(durable.Config{
 				Proc: proc, Detector: rt.Oracle(),
-				Knobs:   config.Config{MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline, ConsensusRetry: opts.ConsensusRetry},
+				Knobs:   config.Config{MaxBatch: opts.MaxBatch, Pipeline: opts.Pipeline},
 				Deliver: func(_ string, mid types.MessageID, payload []byte) { onDeliverKV(mid, payload) },
 			})
 			s.Hosts = append(s.Hosts, h)
@@ -202,16 +200,13 @@ func Build(algo Algo, opts Options) *System {
 				s.casters[id] = func(payload []byte, _ types.GroupSet) types.MessageID { return h.A2.ABCast(payload) }
 			}
 		case AlgoFritzke:
-			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliverKV, opts.ConsensusRetry)
+			a := baseline.NewFritzke(proc, rt.Oracle(), onDeliverKV)
 			s.casters[id] = a.AMCast
 		case AlgoSkeen:
 			a := baseline.NewSkeen(baseline.SkeenConfig{Host: proc, OnDeliver: onDeliver})
 			s.casters[id] = a.AMCast
 		case AlgoDelporte:
-			a := baseline.NewDelporte(baseline.DelporteConfig{
-				Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliver,
-				ConsensusRetry: opts.ConsensusRetry,
-			})
+			a := baseline.NewDelporte(baseline.DelporteConfig{Host: proc, Detector: rt.Oracle(), OnDeliver: onDeliver})
 			s.casters[id] = a.AMCast
 		case AlgoRodrigues:
 			a := baseline.NewRodrigues(baseline.RodriguesConfig{Host: proc, OnDeliver: onDeliver})

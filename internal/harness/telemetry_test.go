@@ -220,8 +220,6 @@ func TestMetricsGolden(t *testing.T) {
 	times(50, func(i int) { svc.RecordOutcome(1+i%2, time.Duration(i)*time.Millisecond, i >= 47) })
 	times(48, func(int) { svc.RecordStaleRead() })
 	times(49, func(int) { svc.RecordLeaseDenied() })
-	times(51, func(int) { svc.RecordCertVerify(true) })
-	times(52, func(int) { svc.RecordCertVerify(false) })
 	times(53, func(int) { svc.RecordReplyWrite() })
 	times(54, func(int) { svc.RecordCast() })
 	src := Telemetry{
@@ -238,7 +236,6 @@ func TestMetricsGolden(t *testing.T) {
 	writeMetrics(&b, src)
 	added := map[string]bool{
 		"wanamcast_retries_total 44": true, "wanamcast_failures_total 47": true, "wanamcast_ops_total 50": true,
-		"wanamcast_cert_verifies_total 51": true, "wanamcast_cert_failures_total 52": true,
 	}
 	var got []string
 	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {

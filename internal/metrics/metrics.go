@@ -720,27 +720,23 @@ const (
 	svcOps
 	svcStaleReads
 	svcLeaseDenied
-	svcCertVerifies
-	svcCertFailures
 	numServiceCounters
 )
 
 // serviceCounters is the Service's table: Snapshot fills ServiceStats from it
 // and ServiceStats.Series exports it.
 var serviceCounters = [numServiceCounters]row[ServiceStats]{
-	svcRequests:     {func(s *ServiceStats) *uint64 { return &s.Requests }, "wanamcast_requests_total"},
-	svcCasts:        {func(s *ServiceStats) *uint64 { return &s.Casts }, "wanamcast_svc_casts_total"},
-	svcReplies:      {func(s *ServiceStats) *uint64 { return &s.Replies }, "wanamcast_replies_total"},
-	svcReplyWrites:  {func(s *ServiceStats) *uint64 { return &s.ReplyWrites }, "wanamcast_svc_reply_writes_total"},
-	svcRedirects:    {func(s *ServiceStats) *uint64 { return &s.Redirects }, "wanamcast_redirects_total"},
-	svcRetries:      {func(s *ServiceStats) *uint64 { return &s.Retries }, "wanamcast_retries_total"},
-	svcDuplicates:   {func(s *ServiceStats) *uint64 { return &s.Duplicates }, "wanamcast_duplicates_total"},
-	svcFailures:     {func(s *ServiceStats) *uint64 { return &s.Failures }, "wanamcast_failures_total"},
-	svcOps:          {func(s *ServiceStats) *uint64 { return &s.Ops }, "wanamcast_ops_total"},
-	svcStaleReads:   {func(s *ServiceStats) *uint64 { return &s.StaleReads }, "wanamcast_stale_reads_total"},
-	svcLeaseDenied:  {func(s *ServiceStats) *uint64 { return &s.LeaseDenied }, "wanamcast_lease_denied_total"},
-	svcCertVerifies: {func(s *ServiceStats) *uint64 { return &s.CertVerifies }, "wanamcast_cert_verifies_total"},
-	svcCertFailures: {func(s *ServiceStats) *uint64 { return &s.CertFailures }, "wanamcast_cert_failures_total"},
+	svcRequests:    {func(s *ServiceStats) *uint64 { return &s.Requests }, "wanamcast_requests_total"},
+	svcCasts:       {func(s *ServiceStats) *uint64 { return &s.Casts }, "wanamcast_svc_casts_total"},
+	svcReplies:     {func(s *ServiceStats) *uint64 { return &s.Replies }, "wanamcast_replies_total"},
+	svcReplyWrites: {func(s *ServiceStats) *uint64 { return &s.ReplyWrites }, "wanamcast_svc_reply_writes_total"},
+	svcRedirects:   {func(s *ServiceStats) *uint64 { return &s.Redirects }, "wanamcast_redirects_total"},
+	svcRetries:     {func(s *ServiceStats) *uint64 { return &s.Retries }, "wanamcast_retries_total"},
+	svcDuplicates:  {func(s *ServiceStats) *uint64 { return &s.Duplicates }, "wanamcast_duplicates_total"},
+	svcFailures:    {func(s *ServiceStats) *uint64 { return &s.Failures }, "wanamcast_failures_total"},
+	svcOps:         {func(s *ServiceStats) *uint64 { return &s.Ops }, "wanamcast_ops_total"},
+	svcStaleReads:  {func(s *ServiceStats) *uint64 { return &s.StaleReads }, "wanamcast_stale_reads_total"},
+	svcLeaseDenied: {func(s *ServiceStats) *uint64 { return &s.LeaseDenied }, "wanamcast_lease_denied_total"},
 }
 
 // RecordRequest counts one request received by a server.
@@ -837,15 +833,6 @@ func (s *Service) RecordStaleRead() { s.bump(svcStaleReads) }
 // did not hold (or lost mid-read) its group's leader lease.
 func (s *Service) RecordLeaseDenied() { s.bump(svcLeaseDenied) }
 
-// RecordCertVerify counts one client-side certificate verification.
-func (s *Service) RecordCertVerify(ok bool) {
-	if ok {
-		s.bump(svcCertVerifies)
-	} else {
-		s.bump(svcCertFailures)
-	}
-}
-
 // LatencySummary condenses one fan-out bucket's latency distribution.
 type LatencySummary struct {
 	Count int
@@ -875,12 +862,10 @@ type ServiceStats struct {
 	// ClassFailures counts the failed operations per class.
 	ByClass       map[string]LatencySummary
 	ClassFailures map[string]uint64
-	// Read-tier counters: stale responses clients rejected, lease reads
-	// replicas refused, and client-side certificate verifications.
-	StaleReads   uint64
-	LeaseDenied  uint64
-	CertVerifies uint64
-	CertFailures uint64
+	// Read-tier counters: stale responses clients rejected and lease reads
+	// replicas refused.
+	StaleReads  uint64
+	LeaseDenied uint64
 }
 
 // Snapshot computes a ServiceStats from everything recorded so far. It holds
@@ -936,9 +921,8 @@ func (st ServiceStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "requests=%d casts=%d replies=%d redirects=%d retries=%d duplicates=%d failures=%d",
 		st.Requests, st.Casts, st.Replies, st.Redirects, st.Retries, st.Duplicates, st.Failures)
-	if st.StaleReads > 0 || st.LeaseDenied > 0 || st.CertVerifies > 0 || st.CertFailures > 0 {
-		fmt.Fprintf(&b, "\n  read tier: stale-reads=%d lease-denied=%d cert-ok=%d cert-bad=%d",
-			st.StaleReads, st.LeaseDenied, st.CertVerifies, st.CertFailures)
+	if st.StaleReads > 0 || st.LeaseDenied > 0 {
+		fmt.Fprintf(&b, "\n  read tier: stale-reads=%d lease-denied=%d", st.StaleReads, st.LeaseDenied)
 	}
 	fanouts := make([]int, 0, len(st.ByFanout))
 	for f := range st.ByFanout {

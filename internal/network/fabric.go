@@ -12,7 +12,7 @@ import (
 )
 
 // Link is one directed (from, to) channel of the fabric. Every override —
-// severing, delay, jitter — is directional: a symmetric fault is two links.
+// severing, delay — is directional: a symmetric fault is two links.
 type Link struct {
 	From, To types.ProcessID
 }
@@ -25,14 +25,12 @@ type Link struct {
 type overrides struct {
 	severed map[Link]bool
 	delays  map[Link]time.Duration
-	jitters map[Link]time.Duration
 }
 
 func (o *overrides) clone() *overrides {
 	c := &overrides{
 		severed: make(map[Link]bool, len(o.severed)),
 		delays:  make(map[Link]time.Duration, len(o.delays)),
-		jitters: make(map[Link]time.Duration, len(o.jitters)),
 	}
 	for l, v := range o.severed {
 		c.severed[l] = v
@@ -40,36 +38,24 @@ func (o *overrides) clone() *overrides {
 	for l, v := range o.delays {
 		c.delays[l] = v
 	}
-	for l, v := range o.jitters {
-		c.jitters[l] = v
-	}
 	return c
 }
 
-// delay applies the snapshot's per-link overrides over the base model.
+// delay applies the snapshot's per-link delay override over the base model.
 func (o *overrides) delay(m Model, topo *types.Topology, from, to types.ProcessID, rng *rand.Rand) time.Duration {
-	l := Link{from, to}
-	d, hasD := o.delays[l]
-	j, hasJ := o.jitters[l]
-	if !hasD && !hasJ {
-		return m.Delay(topo, from, to, rng)
-	}
-	if hasD {
-		// A per-link delay override replaces the base delay but keeps the
-		// base jitter unless that is overridden too.
+	if d, ok := o.delays[Link{from, to}]; ok {
 		m.IntraGroup, m.InterGroup = d, d
-	}
-	if hasJ {
-		m.Jitter = j
 	}
 	return m.Delay(topo, from, to, rng)
 }
 
 // Fabric is a mutable, runtime-controllable link table layered over a base
-// Model: the chaos surface of the repository. The base model answers for
-// every link the fabric holds no override for; Sever/Heal, SetDelay, and
-// SetJitter install per-link overrides at runtime, per (from, to) pair or
-// per group-pair, symmetric or asymmetric.
+// Model: the chaos surface of the repository. It does two things to a link:
+// withhold its traffic (Sever/Heal and the partitions built on them) and
+// change its delay (SetDelay/SetGroupDelay). The base model answers for
+// every link the fabric holds no override for; overrides install at
+// runtime, per (from, to) pair or per group-pair, symmetric or asymmetric.
+// A delay override replaces the base delay and keeps the base jitter.
 //
 // A severed link is still a quasi-reliable channel (§2.1): the runtimes do
 // not LOSE messages sent across it, they withhold them — the simulator
@@ -120,15 +106,6 @@ func NewFabric(topo *types.Topology, base Model) *Fabric {
 	return &Fabric{topo: topo, model: base}
 }
 
-// Topo returns the topology the fabric spans.
-func (f *Fabric) Topo() *types.Topology { return f.topo }
-
-// Active reports whether any override was ever installed. A false answer
-// means Severed is false and Delay equals the base model for every link —
-// hot paths use it to skip per-message bookkeeping the untouched fabric
-// never needs.
-func (f *Fabric) Active() bool { return f.snap.Load() != nil }
-
 // Base returns the underlying static model.
 func (f *Fabric) Base() Model { return f.model }
 
@@ -146,10 +123,10 @@ func (f *Fabric) Severed(from, to types.ProcessID) bool {
 	return st != nil && st.severed[Link{from, to}]
 }
 
-// Delay returns the current one-way delay for a message on from→to,
-// applying the per-link delay/jitter overrides over the base model. rng
-// feeds jitter draws; the Model.Delay contract applies (a jittered link
-// needs an rng).
+// Delay returns the current one-way delay for a message on from→to: the
+// link's delay override if one is installed, else the base model's. rng
+// feeds the base model's jitter draws; the Model.Delay contract applies (a
+// jittered base model needs an rng, an unjittered one takes nil).
 func (f *Fabric) Delay(from, to types.ProcessID, rng *rand.Rand) time.Duration {
 	st := f.snap.Load()
 	if st == nil {
@@ -264,29 +241,6 @@ func (f *Fabric) SetGroupDelay(a, b []types.GroupID, d time.Duration, symmetric 
 // ClearGroupDelay removes the overrides SetGroupDelay installed.
 func (f *Fabric) ClearGroupDelay(a, b []types.GroupID, symmetric bool) {
 	f.clearDelay(f.crossLinks(a, b, symmetric))
-}
-
-// SetJitter overrides the jitter of the directed link from→to.
-func (f *Fabric) SetJitter(from, to types.ProcessID, j time.Duration) {
-	if j < 0 {
-		panic(fmt.Sprintf("network: negative jitter %v", j))
-	}
-	f.mutate(func(st *overrides) {
-		st.jitters[Link{from, to}] = j
-	})
-}
-
-// ClearJitter removes the jitter override of from→to.
-func (f *Fabric) ClearJitter(from, to types.ProcessID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.snap.Load()
-	if cur == nil {
-		return
-	}
-	next := cur.clone()
-	delete(next.jitters, Link{from, to})
-	f.snap.Store(next)
 }
 
 // BandwidthOn reports whether the fabric's links are bandwidth-capped. Hot

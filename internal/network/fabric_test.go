@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -114,29 +113,6 @@ func TestFabricDelayOverrides(t *testing.T) {
 	f.ClearGroupDelay([]types.GroupID{0}, []types.GroupID{1}, true)
 	if d := f.Delay(1, 3, nil); d != 100*time.Millisecond {
 		t.Fatalf("cleared spike still applies: %v", d)
-	}
-}
-
-func TestFabricJitterOverride(t *testing.T) {
-	f := newTestFabric()
-	f.SetJitter(0, 2, 5*time.Millisecond)
-	rng := rand.New(rand.NewSource(1))
-	sawNonBase := false
-	for i := 0; i < 100; i++ {
-		d := f.Delay(0, 2, rng)
-		if d < 100*time.Millisecond || d >= 105*time.Millisecond {
-			t.Fatalf("jittered delay %v out of [100ms,105ms)", d)
-		}
-		if d != 100*time.Millisecond {
-			sawNonBase = true
-		}
-	}
-	if !sawNonBase {
-		t.Fatal("jitter override never moved the delay")
-	}
-	f.ClearJitter(0, 2)
-	if d := f.Delay(0, 2, nil); d != 100*time.Millisecond {
-		t.Fatalf("cleared jitter still applies: %v", d)
 	}
 }
 

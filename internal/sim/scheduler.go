@@ -302,9 +302,6 @@ func (s *Scheduler) AtPrio(at time.Duration, prio int, fn func()) {
 // After schedules fn to run d from the current virtual time (class 0).
 func (s *Scheduler) After(d time.Duration, fn func()) { s.AtPrio(s.now+d, 0, fn) }
 
-// AfterPrio schedules fn to run d from now with the given priority class.
-func (s *Scheduler) AfterPrio(d time.Duration, prio int, fn func()) { s.AtPrio(s.now+d, prio, fn) }
-
 // DeliverAfter schedules a send to each receiver first..last, d from now:
 // at the virtual arrival the installed OnDeliver handler receives the
 // payload once per receiver, in order, one step each — exactly as

@@ -170,8 +170,9 @@ func New(lanes, perLane int) *Tracer {
 	return t
 }
 
-// SetClock replaces the event clock — the simulated runtime installs its
-// virtual clock so traces stay deterministic across runs.
+// SetClock replaces the event clock (wall nanoseconds by default). A caller
+// that traces a simulated run installs the virtual clock, so the trace is a
+// function of the seed; no runtime installs one itself.
 func (t *Tracer) SetClock(now func() int64) {
 	if t != nil && now != nil {
 		t.now = now

@@ -50,7 +50,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"slices"
@@ -115,11 +114,7 @@ type Runtime struct {
 	topo   *types.Topology
 	rec    *metrics.Collector // cfg.Recorder; nil discards
 	fabric *network.Fabric
-	base   network.Model // the fabric's base, for the override-free fast path
 	start  time.Time
-
-	rngMu sync.Mutex
-	jrng  *rand.Rand // feeds fabric jitter overrides; dispatch goroutines share it
 
 	tracer *trace.Tracer // nil-safe; nil means lifecycle tracing is off
 
@@ -175,8 +170,6 @@ func New(cfg Config) *Runtime {
 		topo:   cfg.Topo,
 		rec:    cfg.Recorder,
 		fabric: fabric,
-		base:   fabric.Base(),
-		jrng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 		links:  make(map[connKey]*link),
 		trace:  tracef,
 		tracer: cfg.Tracer,
@@ -774,19 +767,9 @@ func (rt *Runtime) read(r io.Reader, ln *lane, src *inConn) (types.ProcessID, *e
 // deliver: they are in flight, and in-flight traffic draining during a
 // partition is just delay — the sender stopped writing at the sever.
 func (rt *Runtime) dispatch(from, to types.ProcessID, env *envelope) {
-	// Read loops run concurrently, and the shared jitter rng needs a lock —
-	// but only an ACTIVE fabric can have jitter overrides, so the common
-	// case (no chaos this run) stays lock-free: every envelope taking a
-	// runtime-global mutex here would serialise all receive paths for a
-	// knob that is usually untouched.
-	var delay time.Duration
-	if rt.fabric.Active() {
-		rt.rngMu.Lock()
-		delay = rt.fabric.Delay(from, to, rt.jrng)
-		rt.rngMu.Unlock()
-	} else {
-		delay = rt.base.Delay(rt.topo, from, to, nil)
-	}
+	// The live base model has no jitter, so the delay draws nothing from an
+	// rng and read loops share the fabric lock-free.
+	delay := rt.fabric.Delay(from, to, nil)
 	ev := laneEvent{from: from, to: to, env: env}
 	if rt.tracer.Enabled() {
 		ev.at = time.Now().UnixNano()
