@@ -93,7 +93,7 @@ func main() {
 	kinds := map[string]string{"a1": "mcast", "a2": "bcast"}
 	host := durable.New(durable.Config{
 		Proc:     proc,
-		Detector: rt.Detector(self),
+		Detector: rt.Detector(self).Oracle,
 		Store:    store,
 		Knobs:    cfg.WithDefaults(),
 		Async:    func(fn func()) { rt.Async(self, fn) },

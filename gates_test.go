@@ -87,6 +87,12 @@ var gates = []gate{
 	{what: "sim.Scheduler.AfterPrio, which had no caller", pattern: `AfterPrio`, paths: []string{"."}},
 	{what: "the simulator's copies of ConsensusRetry: only the live config.Config sets it", pattern: `ConsensusRetry`, paths: []string{"internal/harness", "internal/baseline"}},
 	{what: "wansim's alias flags: -wan, -lan and -d are the one name of each", pattern: `fs\.\w+\(.*"(inter|intra|procs)"`, paths: []string{"cmd/wansim"}},
+
+	// One copy of each fact: one Ω type, one wire byte count, one send record.
+	{what: "fd.Detector: *fd.Oracle is the one Ω type, under both runtimes", pattern: `type Detector interface|fd\.Detector`, paths: []string{"."}, tests: true},
+	{what: "the fabric's per-link byte counters: metrics' Wire.BytesOut is the one count", pattern: `LinkCounter|BytesByLink|TotalBytes|bwCounters|\.ctr\b`, paths: []string{"."}, tests: true},
+	{what: "check.SendRecord: the genuineness check reads metrics.SendEvent", pattern: `SendRecord|func hasPrefix`, paths: []string{"."}, tests: true},
+	{what: "a suspicion set, leader rule or subscriber list of the heartbeat detector's own: it embeds an fd.Oracle", pattern: `suspected +map|recomputeLeader|subs +\[\]func`, paths: []string{"internal/transport/tcp/fd.go"}},
 }
 
 // TestDeletedSurfacesStayDeleted fails on a gate whose count moved, with the

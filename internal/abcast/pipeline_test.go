@@ -37,7 +37,7 @@ func newRigViews(t *testing.T, groups, per, pipeline int, views []*fd.Oracle) *r
 	}
 	for _, id := range topo.AllProcesses() {
 		id := id
-		var det fd.Detector = rt.Oracle()
+		det := rt.Oracle()
 		if views != nil {
 			det = views[id]
 		}

@@ -84,7 +84,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		if id == o.logged {
 			lg = storage.NewLog(o.store)
 		}
-		var det fd.Detector = rt.Oracle()
+		det := rt.Oracle()
 		if o.views != nil {
 			det = o.views[id]
 		}
@@ -297,11 +297,7 @@ func TestGenuineness(t *testing.T) {
 	r.cast(4, 0, 1)
 	r.rt.Run()
 	r.verify(t)
-	var recs []check.SendRecord
-	for _, s := range r.col.Sends() {
-		recs = append(recs, check.SendRecord{Proto: s.Proto, From: s.From, To: s.To})
-	}
-	if v := r.checker.GenuinenessViolations(recs, "a1"); len(v) != 0 {
+	if v := r.checker.GenuinenessViolations(r.col.Sends(), "a1"); len(v) != 0 {
 		t.Fatalf("genuineness violations: %v", v)
 	}
 	for _, s := range r.col.Sends() {

@@ -69,7 +69,7 @@ const dgLabel = "dg"
 // DelporteConfig configures a Delporte endpoint.
 type DelporteConfig struct {
 	Host      *node.Proc
-	Detector  fd.Detector
+	Detector  *fd.Oracle
 	OnDeliver func(rmcast.Message)
 }
 

@@ -15,6 +15,6 @@ import (
 // intra-group and do not add inter-group delays. The cost shows up in the
 // message and consensus-instance counts instead (see the stage-skipping
 // ablation benchmark).
-func NewFritzke(host *node.Proc, det fd.Detector, onDeliver func(types.MessageID, []byte)) *amcast.Mcast {
+func NewFritzke(host *node.Proc, det *fd.Oracle, onDeliver func(types.MessageID, []byte)) *amcast.Mcast {
 	return amcast.NewFritzke(amcast.Config{Host: host, Detector: det, OnDeliver: onDeliver})
 }

@@ -34,7 +34,9 @@ package check
 
 import (
 	"fmt"
+	"strings"
 
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/types"
 )
 
@@ -229,7 +231,7 @@ func (c *Checker) Check(correct func(types.ProcessID) bool, correctCaster func(t
 // cast message, or sends to such a process. protoPrefix selects the
 // protocol family under scrutiny (e.g. "a1"); consensus and rmcast
 // sub-protocol labels share the prefix.
-func (c *Checker) GenuinenessViolations(sends []SendRecord, protoPrefix string) []string {
+func (c *Checker) GenuinenessViolations(sends []metrics.SendEvent, protoPrefix string) []string {
 	// A process is involved if it cast some message or belongs to the
 	// destination of some cast message.
 	involved := make(map[types.ProcessID]bool)
@@ -241,7 +243,7 @@ func (c *Checker) GenuinenessViolations(sends []SendRecord, protoPrefix string) 
 	}
 	var out []string
 	for _, s := range sends {
-		if !hasPrefix(s.Proto, protoPrefix) {
+		if !strings.HasPrefix(s.Proto, protoPrefix) {
 			continue
 		}
 		if !involved[s.From] {
@@ -252,15 +254,4 @@ func (c *Checker) GenuinenessViolations(sends []SendRecord, protoPrefix string) 
 		}
 	}
 	return out
-}
-
-// SendRecord mirrors metrics.SendEvent without importing metrics (keeping
-// this package dependency-light for reuse by the live harness).
-type SendRecord struct {
-	Proto    string
-	From, To types.ProcessID
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/types"
 )
 
@@ -206,7 +207,7 @@ func TestGenuinenessViolations(t *testing.T) {
 	c := New(topo)
 	m := id(0, 1)
 	c.RecordCast(m, types.NewGroupSet(0, 1)) // g2 (p4, p5) uninvolved
-	sends := []SendRecord{
+	sends := []metrics.SendEvent{
 		{Proto: "a1.cons", From: 0, To: 1}, // fine
 		{Proto: "a1", From: 4, To: 0},      // violation: p4 sends
 		{Proto: "a1.rm", From: 0, To: 5},   // violation: p5 receives

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/fd"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/storage"
@@ -184,7 +185,7 @@ func TestValueDecodeCostsItsBytes(t *testing.T) {
 func TestAppliedDecisionZeroAllocs(t *testing.T) {
 	b := NewBatcher(BatcherConfig[testItem]{
 		API:      node.NewProc(0, types.NewTopology(1, 3), &fakeEnv{}),
-		Detector: fakeDet{},
+		Detector: fd.NewOracle(types.NewTopology(1, 3)),
 		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
 		Decode:   decodeTestItems,
 		OnApply:  func(uint64, []testItem) {},

@@ -57,7 +57,7 @@ type BatcherConfig[T Item] struct {
 	// API and Detector wire the underlying consensus engine; both are
 	// required.
 	API      *node.Proc
-	Detector fd.Detector
+	Detector *fd.Oracle
 	// RetryInterval, ProtoLabel, and Log are passed to the consensus
 	// engine (Log makes the acceptor durable; see consensus.Config.Log).
 	RetryInterval time.Duration

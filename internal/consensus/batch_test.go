@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/fd"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
@@ -64,12 +65,6 @@ func (e *fakeEnv) Recorder() *metrics.Collector                                 
 func (*fakeEnv) Tracef(string, ...any)                                           {}
 func (*fakeEnv) TraceOn() bool                                                   { return false }
 
-// fakeDet is an Ω stub whose leader never changes.
-type fakeDet struct{ leader types.ProcessID }
-
-func (d fakeDet) Leader(types.GroupID) types.ProcessID           { return d.leader }
-func (d fakeDet) Subscribe(func(types.GroupID, types.ProcessID)) {}
-
 // batchRig is one Batcher over a scripted queue of proposable items.
 type batchRig struct {
 	env     *fakeEnv
@@ -86,7 +81,7 @@ func newBatchRig(maxBatch, pipeline int) *batchRig {
 	r := &batchRig{env: &fakeEnv{}}
 	r.b = NewBatcher(BatcherConfig[testItem]{
 		API:      node.NewProc(0, types.NewTopology(1, 3), r.env),
-		Detector: fakeDet{leader: 0},
+		Detector: fd.NewOracle(types.NewTopology(1, 3)),
 		MaxBatch: maxBatch,
 		Pipeline: pipeline,
 		Decode:   decodeTestItems,
@@ -388,7 +383,7 @@ func TestBatcherEmptyBatchesNeedAGate(t *testing.T) {
 	gated := &batchRig{env: &fakeEnv{}}
 	gated.b = NewBatcher(BatcherConfig[testItem]{
 		API:      node.NewProc(0, types.NewTopology(1, 3), gated.env),
-		Detector: fakeDet{leader: 0},
+		Detector: fd.NewOracle(types.NewTopology(1, 3)),
 		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
 		Decode:   decodeTestItems,
 		Gate:     func(inst uint64, batch []testItem) bool { return inst <= 2 },

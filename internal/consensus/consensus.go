@@ -144,7 +144,7 @@ const DefaultRetry = 40 * time.Millisecond
 // Config configures a Consensus engine for one process.
 type Config struct {
 	API      *node.Proc
-	Detector fd.Detector
+	Detector *fd.Oracle
 	// OnDecide is invoked exactly once per instance, in arrival order (not
 	// necessarily instance order; clients consume decisions by their own
 	// instance counter, as Algorithms A1/A2 do with K).
@@ -169,7 +169,7 @@ type Config struct {
 // process's node.Proc; it is driven entirely by Start, its handlers and timers.
 type Consensus struct {
 	api   *node.Proc
-	det   fd.Detector
+	det   *fd.Oracle
 	onDec func(uint64, Value)
 	retry time.Duration
 	label string

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/fd"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/types"
@@ -128,7 +129,7 @@ func FuzzConsensusFrames(f *testing.F) {
 		for _, shape := range []string{"a1", "a2"} {
 			proc := node.NewProc(0, types.NewTopology(1, 3), &fakeEnv{})
 			var applied []testItem
-			cfg := BatcherConfig[testItem]{API: proc, Detector: fakeDet{}, Decode: decodeTestItems,
+			cfg := BatcherConfig[testItem]{API: proc, Detector: fd.NewOracle(types.NewTopology(1, 3)), Decode: decodeTestItems,
 				Fill:    func(func(types.MessageID) bool, int, bool) []testItem { return nil },
 				OnApply: func(_ uint64, batch []testItem) { applied = slices.Clone(batch) },
 			}

@@ -50,7 +50,7 @@ type Section struct {
 // Config describes one process.
 type Config struct {
 	Proc     *node.Proc
-	Detector fd.Detector
+	Detector *fd.Oracle
 	// Store makes the process durable; nil runs it volatile (Snapshot and
 	// Recover are then no-ops).
 	Store storage.Store

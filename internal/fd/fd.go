@@ -1,40 +1,29 @@
 // Package fd provides the leader oracle (Ω) each group relies on to solve
 // consensus. The paper assumes consensus is solvable within every group
-// (§2.1); Ω is the weakest failure detector for that, so protocols in this
-// repository depend only on the Detector interface below.
+// (§2.1); Ω is the weakest failure detector for that, and Oracle below is
+// the one Ω type: protocols in this repository take an *Oracle.
 //
 // Ω is allowed arbitrary mistakes for arbitrary finite prefixes of a run:
 // it may falsely suspect a correct process (demoting a leader) and later
-// restore trust in it (re-electing it). Detectors here are therefore NOT
+// restore trust in it (re-electing it). The oracle is therefore NOT
 // monotone — suspicion is a revocable judgement, and every leader change,
 // in either direction, re-notifies subscribers. Only eventual accuracy is
 // promised: eventually the same correct process leads forever at every
 // correct process, which is all the consensus layer needs for liveness
 // (safety never depends on Ω).
 //
-// Two implementations exist: the simulation oracle in this package, driven
-// by the simulated runtime's knowledge of crashes and partitions (made
-// imperfect by a configurable suspicion delay, and made wrong on demand by
-// chaos scenarios forcing false suspicions), and the heartbeat detector in
-// internal/transport/tcp for live runs, which restores trust whenever a
-// suspect's heartbeats resume.
+// Two runtimes call Suspect and Unsuspect. The simulated runtime holds one
+// oracle for the whole system and drives it from its crash and isolation
+// hooks (made imperfect by a configurable suspicion delay, and made wrong
+// on demand by chaos scenarios forcing false suspicions). The live runtime
+// gives every process an oracle of its own, driven by that process's
+// heartbeat detector in internal/transport/tcp, which suspects a silent
+// peer and restores trust whenever its heartbeats resume.
 package fd
 
 import (
 	"wanamcast/internal/types"
 )
-
-// Detector is the Ω leader oracle. Leader returns the current leader of a
-// group; eventually it returns the same correct process forever at every
-// correct process, which is all the consensus layer needs for liveness.
-type Detector interface {
-	// Leader returns the current leader of group g.
-	Leader(g types.GroupID) types.ProcessID
-	// Subscribe registers fn to run whenever the leader of any group
-	// changes — including a change BACK to a previously demoted leader
-	// after trust is restored. Registration order is preserved.
-	Subscribe(fn func(g types.GroupID, leader types.ProcessID))
-}
 
 // Observer receives failure-detector lifecycle events for metrics: new
 // suspicions, trust restorations (a suspicion revoked), and leader
@@ -47,13 +36,13 @@ type Observer interface {
 	OnLeaderChange(g types.GroupID, leader types.ProcessID)
 }
 
-// Oracle is the simulation Ω: the leader of a group is its lowest-ID member
-// not currently suspected. The simulated runtime calls Suspect when a
-// crashed process's suspicion delay elapses, or when a partition cuts a
-// process off from its whole group; it calls Unsuspect when the partition
-// heals (simulated heartbeats resume). Chaos scenarios call both directly
-// to inject false suspicions and leader flaps. The zero value is not
-// usable; construct with NewOracle.
+// Oracle is Ω: the leader of a group is its lowest-ID member not currently
+// suspected. Its runtime calls Suspect when a process falls silent — on the
+// simulator, when a crashed process's suspicion delay elapses or a
+// partition cuts it off from its whole group; live, when its heartbeats
+// stop — and Unsuspect when trust is restored. Chaos scenarios call both
+// directly to inject false suspicions and leader flaps. The zero value is
+// not usable; construct with NewOracle.
 type Oracle struct {
 	topo      *types.Topology
 	suspected map[types.ProcessID]bool
@@ -64,8 +53,6 @@ type Oracle struct {
 	// it before the run starts.
 	Observer Observer
 }
-
-var _ Detector = (*Oracle)(nil)
 
 // NewOracle returns an oracle for topo with no process suspected.
 func NewOracle(topo *types.Topology) *Oracle {
@@ -80,26 +67,32 @@ func NewOracle(topo *types.Topology) *Oracle {
 	return o
 }
 
-// Leader implements Detector.
+// Leader returns the current leader of group g.
 func (o *Oracle) Leader(g types.GroupID) types.ProcessID { return o.leaders[g] }
 
-// Subscribe implements Detector.
+// Subscribe registers fn to run whenever the leader of any group changes —
+// including a change BACK to a previously demoted leader after trust is
+// restored. Subscribers run in registration order.
 func (o *Oracle) Subscribe(fn func(types.GroupID, types.ProcessID)) {
 	o.subs = append(o.subs, fn)
 }
 
-// Suspect marks p as suspected and, if that changes p's group's leader,
-// notifies subscribers. Suspecting an already-suspected process is a no-op.
-func (o *Oracle) Suspect(p types.ProcessID) {
-	if o.suspected[p] {
-		return
+// Suspect marks every process in ps as suspected, then notifies
+// subscribers once per group whose leader that changed. Suspecting an
+// already-suspected process is a no-op.
+func (o *Oracle) Suspect(ps ...types.ProcessID) {
+	for _, p := range ps {
+		if o.suspected[p] {
+			continue
+		}
+		o.suspected[p] = true
+		if o.Observer != nil {
+			o.Observer.OnSuspect(o.topo.GroupOf(p), p)
+		}
 	}
-	o.suspected[p] = true
-	g := o.topo.GroupOf(p)
-	if o.Observer != nil {
-		o.Observer.OnSuspect(g, p)
+	for _, p := range ps {
+		o.recomputeLeader(o.topo.GroupOf(p))
 	}
-	o.recomputeLeader(g)
 }
 
 // Unsuspect revokes the suspicion of p — trust restored (Ω is allowed
@@ -127,7 +120,8 @@ func (o *Oracle) Unsuspect(p types.ProcessID) {
 func (o *Oracle) Suspected(p types.ProcessID) bool { return o.suspected[p] }
 
 // recomputeLeader refreshes g's leader after a suspicion change, notifying
-// subscribers and the observer if it moved.
+// the observer and then the subscribers if it moved. A second call for the
+// same change finds the leader already moved and does nothing.
 func (o *Oracle) recomputeLeader(g types.GroupID) {
 	newLeader := o.computeLeader(g)
 	if newLeader == o.leaders[g] {

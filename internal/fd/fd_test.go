@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"testing"
 
 	"wanamcast/internal/types"
@@ -172,6 +173,25 @@ func TestObserverEvents(t *testing.T) {
 		if log.events[i] != want[i] {
 			t.Fatalf("observer events = %v, want %v", log.events, want)
 		}
+	}
+}
+
+// TestSuspectSeveralNotifiesOnce: suspecting p0 and p1 of one group in one
+// call moves its leader straight to p2 — one leader change, to subscribers
+// and observer alike — while the observer sees both suspicions.
+func TestSuspectSeveralNotifiesOnce(t *testing.T) {
+	o := NewOracle(types.NewTopology(2, 3))
+	log := &obsLog{}
+	o.Observer = log
+	var leaders []types.ProcessID
+	o.Subscribe(func(_ types.GroupID, l types.ProcessID) { leaders = append(leaders, l) })
+	o.Suspect(0, 1)
+	if len(leaders) != 1 || leaders[0] != 2 || o.Leader(0) != 2 || o.Leader(1) != 3 {
+		t.Fatalf("leader notifications %v, leaders (%v, %v); want [p2], (p2, p3)", leaders, o.Leader(0), o.Leader(1))
+	}
+	want := []string{"suspect", "suspect", "leader"}
+	if !slices.Equal(log.events, want) {
+		t.Fatalf("observer events = %v, want %v", log.events, want)
 	}
 }
 

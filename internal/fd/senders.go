@@ -13,7 +13,7 @@ import (
 // copies, not d. Views may disagree and senders crash, so whoever uses a
 // reduced set re-sends what the group still owes whenever Ω moves (OnChange).
 type Senders struct {
-	det    Detector
+	det    *Oracle
 	self   types.ProcessID
 	group  types.GroupID
 	ranks  []types.ProcessID // the group's members in rank order
@@ -21,7 +21,7 @@ type Senders struct {
 }
 
 // NewSenders returns self's view of its group's sender set.
-func NewSenders(det Detector, topo *types.Topology, self types.ProcessID, copies int) Senders {
+func NewSenders(det *Oracle, topo *types.Topology, self types.ProcessID, copies int) Senders {
 	g := topo.GroupOf(self)
 	return Senders{det: det, self: self, group: g, ranks: topo.Members(g), copies: copies}
 }

@@ -58,7 +58,7 @@ const PullAfter = 8
 // abcast.Config are this type).
 type Config struct {
 	Host     *node.Proc
-	Detector fd.Detector
+	Detector *fd.Oracle
 	// OnDeliver is invoked on every A-Deliver, in delivery order, with the
 	// payload bytes the caster handed to Cast (read them, never write). May
 	// be nil.

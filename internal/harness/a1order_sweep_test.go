@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"wanamcast/internal/amcast"
-	"wanamcast/internal/check"
 	"wanamcast/internal/node/clocktest"
 	"wanamcast/internal/types"
 	"wanamcast/internal/workload"
@@ -81,11 +80,7 @@ func sweepSeed(t *testing.T, seed int64, clock clocktest.Clock) {
 	for p, h := range s.Hosts {
 		v = append(v, timestampOrderViolations(types.ProcessID(p), h.A1.Archive())...)
 	}
-	var sends []check.SendRecord
-	for _, e := range s.Col.Sends() {
-		sends = append(sends, check.SendRecord{Proto: e.Proto, From: e.From, To: e.To})
-	}
-	v = append(v, s.Checker.GenuinenessViolations(sends, "a1")...)
+	v = append(v, s.Checker.GenuinenessViolations(s.Col.Sends(), "a1")...)
 	if len(v) != 0 {
 		t.Fatalf("%s: %d violations, first: %v", name, len(v), v[0])
 	}

@@ -212,6 +212,16 @@ func (c *Collector) Add(k Counter, n int) {
 	}
 }
 
+// Count returns counter k's value without a snapshot's allocations; a nil
+// Collector counts nothing.
+func (c *Collector) Count(k Counter) uint64 {
+	if !c.lock() {
+		return 0
+	}
+	defer c.mu.Unlock()
+	return c.counts[k]
+}
+
 // AddGroup adds n to group g's counter k.
 func (c *Collector) AddGroup(g types.GroupID, k GroupCounter, n int) {
 	if c.lock() {

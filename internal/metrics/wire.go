@@ -3,8 +3,8 @@ package metrics
 // Wire-traffic accounting: how many bytes and frames a run actually pushed
 // onto (and read off) its links, broken down by value kind, plus the
 // envelope coalescing and compression wins of the batched wire codec. The
-// transports report here, under the collector's mutex; the fabric keeps its
-// own independent per-link counters, and the two are cross-checked by tests.
+// transports report here, under the collector's mutex: this is the one
+// count of wire bytes.
 
 // OnWireSend attributes one encoded protocol message of n pre-compression
 // body bytes to its value kind. It counts frames and per-kind bytes only;

@@ -55,7 +55,9 @@ func (o *overrides) delay(m Model, topo *types.Topology, from, to types.ProcessI
 // change its delay (SetDelay/SetGroupDelay). The base model answers for
 // every link the fabric holds no override for; overrides install at
 // runtime, per (from, to) pair or per group-pair, symmetric or asymmetric.
-// A delay override replaces the base delay and keeps the base jitter.
+// A delay override replaces the base delay and keeps the base jitter. It
+// counts no traffic: the wire bytes a runtime sends are counted once, by
+// the runtime's metrics.Collector.
 //
 // A severed link is still a quasi-reliable channel (§2.1): the runtimes do
 // not LOSE messages sent across it, they withhold them — the simulator
@@ -80,24 +82,6 @@ type Fabric struct {
 
 	mu   sync.Mutex // serializes mutations (clone-edit-swap of snap)
 	subs []func(l Link, severed bool)
-
-	cmu      sync.Mutex // guards counters (creation only; counting is atomic)
-	counters map[Link]*LinkCounter
-}
-
-// LinkCounter accumulates the traffic a runtime pushed onto one directed
-// link: wire bytes (including frame length prefixes) and envelope count.
-// Counting is atomic so writer goroutines share a counter lock-free; the
-// fabric only locks to create one.
-type LinkCounter struct {
-	Bytes  atomic.Int64
-	Frames atomic.Int64
-}
-
-// Count records one envelope of n wire bytes.
-func (c *LinkCounter) Count(n int) {
-	c.Bytes.Add(int64(n))
-	c.Frames.Add(1)
 }
 
 // NewFabric returns a fabric over topo whose every link initially behaves
@@ -251,45 +235,6 @@ func (f *Fabric) BandwidthOn() bool { return f.model.Bandwidth > 0 }
 // Bandwidth returns the bytes/s cap of the directed link from→to (the base
 // model's: every link has the same), or 0 when links are uncapped.
 func (f *Fabric) Bandwidth(from, to types.ProcessID) int64 { return f.model.Bandwidth }
-
-// Counter returns the byte counter of the directed link from→to, creating
-// it on first use. Callers cache the pointer and count lock-free.
-func (f *Fabric) Counter(from, to types.ProcessID) *LinkCounter {
-	l := Link{from, to}
-	f.cmu.Lock()
-	defer f.cmu.Unlock()
-	if f.counters == nil {
-		f.counters = make(map[Link]*LinkCounter)
-	}
-	c := f.counters[l]
-	if c == nil {
-		c = &LinkCounter{}
-		f.counters[l] = c
-	}
-	return c
-}
-
-// BytesByLink snapshots every link counter: wire bytes by directed link.
-func (f *Fabric) BytesByLink() map[Link]int64 {
-	f.cmu.Lock()
-	defer f.cmu.Unlock()
-	out := make(map[Link]int64, len(f.counters))
-	for l, c := range f.counters {
-		out[l] = c.Bytes.Load()
-	}
-	return out
-}
-
-// TotalBytes sums the wire bytes counted across every link of the fabric.
-func (f *Fabric) TotalBytes() int64 {
-	f.cmu.Lock()
-	defer f.cmu.Unlock()
-	var n int64
-	for _, c := range f.counters {
-		n += c.Bytes.Load()
-	}
-	return n
-}
 
 // crossLinks enumerates the directed links crossing from group set a to
 // group set b (and back when symmetric), excluding self-links.

@@ -48,11 +48,10 @@ type Runtime struct {
 	// time and queues behind earlier traffic, so sized messages convert
 	// directly into latency. bwScratch is the reusable buffer a send is
 	// encoded into once, as a live sender encodes it, to size it; bwNextFree
-	// is each link's earliest free instant; bwCounters caches the fabric's
-	// per-link byte counters. An uncapped run never touches any of this —
-	// its event stream is byte-identical to one without the machinery.
+	// is each link's earliest free instant. An uncapped run never touches
+	// any of this — its event stream is byte-identical to one without the
+	// machinery.
 	bwNextFree map[network.Link]time.Duration
-	bwCounters map[network.Link]*network.LinkCounter
 	bwScratch  []byte
 
 	// SuspicionDelay is how long after a crash (or a full intra-group
@@ -236,27 +235,18 @@ func (rt *Runtime) sized(proto string, body any, sendTS int64) []byte {
 
 // bwDelay sizes one copy of sub as the plain frame the live wire carries to
 // one receiver (length prefix, sender, sub) and returns its transmission +
-// queueing delay on the (possibly capped) link, counting the bytes against
-// the fabric's per-link counter and the wire metrics.
+// queueing delay on the (possibly capped) link, counting the bytes in the
+// wire metrics.
 func (rt *Runtime) bwDelay(from, to types.ProcessID, sub []byte) time.Duration {
 	var v [binary.MaxVarintLen64]byte
 	n := 4 + binary.PutVarint(v[:], int64(from)) + len(sub)
-	l := network.Link{From: from, To: to}
-	c := rt.bwCounters[l]
-	if c == nil {
-		if rt.bwCounters == nil {
-			rt.bwCounters = make(map[network.Link]*network.LinkCounter)
-		}
-		c = rt.fabric.Counter(from, to)
-		rt.bwCounters[l] = c
-	}
-	c.Count(n)
 	rt.rec.OnWireSend(byte(wire.SubKind(sub)), n)
 	rt.rec.OnWireFlush(n, 0, 0)
 	rate := rt.fabric.Bandwidth(from, to)
 	if rate <= 0 {
 		return 0
 	}
+	l := network.Link{From: from, To: to}
 	now := rt.sched.Now()
 	start := now
 	if rt.bwNextFree == nil {

@@ -156,10 +156,9 @@ func (s Scenario) String() string {
 }
 
 // Funcs is the control surface a scenario drives — the seams where the
-// simulated and the live runtime differ. Topo, Net, Schedule, and CrashFn
-// are required; the rest degrade gracefully (a nil RestartFn leaves
-// crashes permanent, nil Suspect/UnsuspectFn skip flap events, a nil Logf
-// is silent).
+// simulated and the live runtime differ. Topo, Net, Schedule, CrashFn,
+// SuspectFn and UnsuspectFn are required; a nil RestartFn leaves crashes
+// permanent and a nil Logf is silent.
 type Funcs struct {
 	Topo *types.Topology
 	// Net is the runtime's link fabric.
@@ -196,8 +195,8 @@ func SimFuncs(rt *node.Runtime) Funcs {
 // events fire at their offsets through t.Schedule. Apply panics on a
 // missing required Func — that is a wiring bug, not a runtime condition.
 func Apply(t Funcs, sc Scenario) {
-	if t.Topo == nil || t.Net == nil || t.Schedule == nil || t.CrashFn == nil {
-		panic("scenario: Funcs.Topo, Net, Schedule, and CrashFn are required")
+	if t.Topo == nil || t.Net == nil || t.Schedule == nil || t.CrashFn == nil || t.SuspectFn == nil || t.UnsuspectFn == nil {
+		panic("scenario: Funcs.Topo, Net, Schedule, CrashFn, SuspectFn and UnsuspectFn are required")
 	}
 	for _, e := range sc.Events {
 		e := e
@@ -245,18 +244,11 @@ func applyEvent(t Funcs, name string, e Event) {
 		t.Net.ClearGroupDelay(e.A, e.B, !e.Asym)
 	case Suspect:
 		for _, p := range e.Procs {
-			if t.SuspectFn == nil {
-				logf("%s t=%v: suspect %v skipped (no suspicion surface)", name, e.At, p)
-				continue
-			}
 			logf("%s t=%v: force-suspect %v", name, e.At, p)
 			t.SuspectFn(p)
 		}
 	case Unsuspect:
 		for _, p := range e.Procs {
-			if t.UnsuspectFn == nil {
-				continue
-			}
 			logf("%s t=%v: unsuspect %v", name, e.At, p)
 			t.UnsuspectFn(p)
 		}

@@ -35,34 +35,35 @@ type leaseGrantMsg struct {
 	Beat int64
 }
 
-// heartbeatFD is the live Ω: every process beats to its group peers; a
-// peer silent for SuspectAfter is suspected; the leader is the lowest
-// unsuspected member. Silence is judged when it reaches SuspectAfter, by a
-// check armed for that moment (tick), not at the observer's next beat: a
-// crash is then noticed SuspectAfter after the victim's last beat arrived,
-// and how long an outage lasts depends on where in the victim's beat period
-// the crash fell, not also on where in the observer's. Suspicion is
-// revocable: the moment a suspect's beat arrives again — after a partition
-// heals, or after a chaos scenario's forced false suspicion — trust is
-// restored, the leader is recomputed, and subscribers are re-notified. Ω's
-// eventual accuracy holds as long as the loopback eventually delivers beats
-// within the timeout — adequate for the localhost deployments this runtime
-// targets, and exactly the trust-restoring behavior partitions need: one
-// transient outage demotes a leader only until its heartbeats resume.
+// heartbeatFD drives one process's Ω (the embedded fd.Oracle, which holds
+// the suspicion set, the leader and the subscribers) from heartbeats:
+// every process beats to its group peers, and a peer silent for
+// SuspectAfter is suspected. Silence is judged when it reaches
+// SuspectAfter, by a check armed for that moment (tick), not at the
+// observer's next beat: a crash is then noticed SuspectAfter after the
+// victim's last beat arrived, and how long an outage lasts depends on where
+// in the victim's beat period the crash fell, not also on where in the
+// observer's. Suspicion is revocable: the moment a suspect's beat arrives
+// again — after a partition heals, or after a chaos scenario's forced false
+// suspicion — trust is restored and the oracle re-notifies its subscribers.
+// Ω's eventual accuracy holds as long as the loopback eventually delivers
+// beats within the timeout — adequate for the localhost deployments this
+// runtime targets, and exactly the trust-restoring behavior partitions
+// need: one transient outage demotes a leader only until its heartbeats
+// resume. On top of Ω it runs the leader-lease grant protocol, and its
+// first subscription revokes the lease the moment its own view stops
+// leading.
 type heartbeatFD struct {
+	*fd.Oracle
 	api          *node.Proc
-	obs          *metrics.Collector // nil discards
 	every        time.Duration
 	suspectAfter time.Duration
 
-	group     []types.ProcessID
-	peers     []types.ProcessID // group minus self: every beat's addressees
-	lastSeen  map[types.ProcessID]time.Duration
-	suspected map[types.ProcessID]bool
-	leader    types.ProcessID
-	subs      []func(types.GroupID, types.ProcessID)
-	checkFn   func() // checkSuspicions, bound once
-	tickFn    func() // tick, bound once
+	group    []types.ProcessID // the group's members, ascending
+	peers    []types.ProcessID // group minus self: every beat's addressees
+	lastSeen map[types.ProcessID]time.Duration
+	checkFn  func() // checkSuspicions, bound once
+	tickFn   func() // tick, bound once
 
 	// Leader-lease state (inert when leaseDur == 0). lease is owned by the
 	// Runtime and outlives detector restarts; grants holds, per group
@@ -76,28 +77,38 @@ type heartbeatFD struct {
 	promiseEnd map[types.ProcessID]time.Duration
 }
 
-var _ fd.Detector = (*heartbeatFD)(nil)
 var _ node.Protocol = (*heartbeatFD)(nil)
 
 func newHeartbeatFD(api *node.Proc, every, suspectAfter time.Duration, obs *metrics.Collector, lease *fd.Lease, leaseDur, skew time.Duration) *heartbeatFD {
 	h := &heartbeatFD{
+		Oracle:       fd.NewOracle(api.Topo()),
 		api:          api,
-		obs:          obs,
 		every:        every,
 		suspectAfter: suspectAfter,
+		group:        api.Topo().Members(api.Group()),
 		lastSeen:     make(map[types.ProcessID]time.Duration),
-		suspected:    make(map[types.ProcessID]bool),
 		lease:        lease,
 		leaseDur:     leaseDur,
 		skew:         skew,
 		grants:       make(map[types.ProcessID]int64),
 		promiseEnd:   make(map[types.ProcessID]time.Duration),
 	}
-	h.group = append(h.group, api.Topo().Members(api.Group())...)
-	sort.Slice(h.group, func(i, j int) bool { return h.group[i] < h.group[j] })
+	h.Oracle.Observer = obs
 	h.peers = slices.DeleteFunc(slices.Clone(h.group), func(q types.ProcessID) bool { return q == api.Self() })
-	h.leader = h.group[0]
 	h.checkFn, h.tickFn = h.checkSuspicions, h.tick
+	// Registered before any protocol subscribes, so it runs first.
+	h.Subscribe(func(g types.GroupID, leader types.ProcessID) {
+		if g == api.Group() && leader != api.Self() && lease != nil {
+			// Conservative revocation: the moment our own view stops
+			// leading — a suspicion of us propagating, or us suspecting a
+			// lower rank back to life — we stop serving lease reads,
+			// without waiting for the grants to age out. (A partitioned
+			// holder never runs this; the wall-clock window in the grant
+			// protocol fences it instead.)
+			lease.Revoke()
+			clear(h.grants)
+		}
+	})
 	return h
 }
 
@@ -107,7 +118,7 @@ func (h *heartbeatFD) Proto() string { return "fd" }
 // Start implements node.Protocol: it launches the beat/check cycle.
 func (h *heartbeatFD) Start() {
 	now := h.api.Now()
-	for _, q := range h.group {
+	for _, q := range h.peers {
 		h.lastSeen[q] = now
 	}
 	h.tick()
@@ -117,7 +128,7 @@ func (h *heartbeatFD) tick() {
 	self := h.api.Self()
 	now := h.api.Now()
 	node.Multicast(h.api, h.peers, fdProto, heartbeatMsg{Beat: int64(now)})
-	if h.leaseDur > 0 && h.leader == self && h.canGrantTo(self, now) {
+	if h.leaseDur > 0 && h.Leader(h.api.Group()) == self && h.canGrantTo(self, now) {
 		// Self-grant through the same fencing path followers use: our own
 		// vote counts toward the majority only while no other candidate
 		// holds our promise.
@@ -129,8 +140,8 @@ func (h *heartbeatFD) tick() {
 	// A peer whose silence will reach SuspectAfter before the next beat is
 	// judged at that moment, not up to a period later. In a healthy group
 	// every peer was heard within the last period and nothing is armed.
-	for _, q := range h.group {
-		if q == self || h.suspected[q] {
+	for _, q := range h.peers {
+		if h.Suspected(q) {
 			continue
 		}
 		if wait := h.lastSeen[q] + h.suspectAfter - now; wait < h.every {
@@ -159,7 +170,7 @@ var fdHandlers = []node.Handler{
 // beat of the replica we currently believe leads — unless an earlier
 // promise to a DIFFERENT candidate still fences us, or leases are off.
 func (h *heartbeatFD) maybeGrant(from types.ProcessID, beat int64) {
-	if from != h.leader || h.leaseDur == 0 {
+	if from != h.Leader(h.api.Group()) || h.leaseDur == 0 {
 		return
 	}
 	now := h.api.Now()
@@ -187,7 +198,7 @@ func (h *heartbeatFD) canGrantTo(to types.ProcessID, now time.Duration) bool {
 // extend the published lease if a majority of the group (including self)
 // still countersigns a recent enough beat.
 func (h *heartbeatFD) acceptGrant(from types.ProcessID, beat int64) {
-	if h.leader != h.api.Self() || h.leaseDur == 0 {
+	if h.Leader(h.api.Group()) != h.api.Self() || h.leaseDur == 0 {
 		return // demoted since the beat went out (grants were cleared), or leases are off
 	}
 	now := h.api.Now()
@@ -224,93 +235,24 @@ func (h *heartbeatFD) recomputeLease(now time.Duration) {
 	h.lease.Extend(time.Now().Add(untilRel - now))
 }
 
-// Suspect forces a (false) suspicion of q, as a chaos scenario does to flap
-// a leader: q is treated exactly like a timed-out peer, so the leader is
-// recomputed and subscribers notified — and trust restores itself the
-// moment q's next heartbeat lands. Run it on the owning process's loop.
-// Suspecting self or an already-suspected peer is a no-op.
-func (h *heartbeatFD) Suspect(q types.ProcessID) {
-	if q == h.api.Self() || h.suspected[q] {
-		return
-	}
-	h.suspected[q] = true
-	h.obs.OnSuspect(h.api.Group(), q)
-	h.recomputeLeader()
-}
-
-// Unsuspect explicitly restores trust in q (scenarios use it to end a
+// Unsuspect restores trust in q (a beat from it, or a scenario ending a
 // forced suspicion without waiting for the next beat). It also refreshes
 // q's lastSeen so the next suspicion check does not immediately re-suspect
 // a peer whose beats are still in flight.
 func (h *heartbeatFD) Unsuspect(q types.ProcessID) {
 	h.lastSeen[q] = h.api.Now()
-	if h.suspected[q] {
-		h.restore(q)
-	}
+	h.Oracle.Unsuspect(q)
 }
 
-// restore revokes q's suspicion and recomputes the leadership.
-func (h *heartbeatFD) restore(q types.ProcessID) {
-	delete(h.suspected, q)
-	h.obs.OnTrustRestored(h.api.Group(), q)
-	h.recomputeLeader()
-}
-
+// checkSuspicions suspects, in one Oracle.Suspect, every peer silent for
+// SuspectAfter: two found together notify the subscribers once.
 func (h *heartbeatFD) checkSuspicions() {
 	now := h.api.Now()
-	changed := false
-	for _, q := range h.group {
-		if q == h.api.Self() || h.suspected[q] {
-			continue
-		}
-		if now-h.lastSeen[q] >= h.suspectAfter {
-			h.suspected[q] = true
-			h.obs.OnSuspect(h.api.Group(), q)
-			changed = true
+	var silent []types.ProcessID
+	for _, q := range h.peers {
+		if !h.Suspected(q) && now-h.lastSeen[q] >= h.suspectAfter {
+			silent = append(silent, q)
 		}
 	}
-	if changed {
-		h.recomputeLeader()
-	}
-}
-
-func (h *heartbeatFD) recomputeLeader() {
-	leader := h.group[0]
-	for _, q := range h.group {
-		if !h.suspected[q] {
-			leader = q
-			break
-		}
-	}
-	if leader == h.leader {
-		return
-	}
-	h.leader = leader
-	if leader != h.api.Self() && h.lease != nil {
-		// Conservative revocation: the moment our own view stops leading —
-		// a suspicion of us propagating, or us suspecting a lower rank back
-		// to life — we stop serving lease reads, without waiting for the
-		// grants to age out. (A partitioned holder never runs this; the
-		// wall-clock window in the grant protocol fences it instead.)
-		h.lease.Revoke()
-		clear(h.grants)
-	}
-	h.obs.OnLeaderChange(h.api.Group(), leader)
-	for _, fn := range h.subs {
-		fn(h.api.Group(), leader)
-	}
-}
-
-// Leader implements fd.Detector. Only the local group's view is
-// maintained; protocols in this repository never ask about other groups.
-func (h *heartbeatFD) Leader(g types.GroupID) types.ProcessID {
-	if g != h.api.Group() {
-		return h.api.Topo().Members(g)[0]
-	}
-	return h.leader
-}
-
-// Subscribe implements fd.Detector.
-func (h *heartbeatFD) Subscribe(fn func(types.GroupID, types.ProcessID)) {
-	h.subs = append(h.subs, fn)
+	h.Suspect(silent...)
 }

@@ -28,7 +28,7 @@ func TestMultiRuntimeBroadcast(t *testing.T) {
 			id := id
 			eps[id] = abcast.New(abcast.Config{
 				Host:     rt.Proc(id),
-				Detector: rt.Detector(id),
+				Detector: rt.Detector(id).Oracle,
 				OnDeliver: func(mid types.MessageID, _ []byte) {
 					log.add(id, mid)
 				},

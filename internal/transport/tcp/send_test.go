@@ -17,6 +17,7 @@ import (
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/config"
 	"wanamcast/internal/consensus"
+	"wanamcast/internal/metrics"
 	"wanamcast/internal/node"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/types"
@@ -210,18 +211,20 @@ func TestSendZeroAllocs(t *testing.T) {
 		// The writer: an envelope of the sixteen, queued at once, to a peer
 		// that reads and discards.
 		port := 22720 + 2*i
-		wrt, _ := sendRig(t, port)
+		col := &metrics.Collector{}
+		wrt := New(Config{Topo: types.NewTopology(2, 1), Local: []types.ProcessID{0}, Recorder: col, Config: config.Config{BasePort: port}})
+		t.Cleanup(wrt.Stop)
 		discard(t, wrt.addr(1))
 		l := wrt.link(0, 1)
 		envelope := func() {
-			want := l.ctr.Frames.Load() + 1
+			want := col.Count(metrics.WireEnvelopesOut) + 1
 			l.mu.Lock()
 			for _, sub := range subs {
 				l.out.add(sub)
 			}
 			l.mu.Unlock()
 			l.signal()
-			for deadline := time.Now().Add(5 * time.Second); l.ctr.Frames.Load() < want; runtime.Gosched() {
+			for deadline := time.Now().Add(5 * time.Second); col.Count(metrics.WireEnvelopesOut) < want; runtime.Gosched() {
 				if time.Now().After(deadline) {
 					t.Fatalf("%s: the writer wrote nothing", c.name)
 				}
@@ -272,12 +275,13 @@ func (c *counter) await(t *testing.T, n int) []int64 {
 	return nil
 }
 
-// pair starts a runtime hosting p0, which the test sends from by hand, and
-// one hosting p1, which counts what it receives, of two groups of one.
+// pair starts a runtime hosting p0, which the test sends from by hand and
+// whose collector counts the wire, and one hosting p1, which counts what it
+// receives, of two groups of one.
 func pair(t *testing.T, port int, bandwidth int64) (*Runtime, *counter) {
 	cfg := config.Config{BasePort: port, Bandwidth: bandwidth}
 	topo := types.NewTopology(2, 1)
-	from := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: cfg})
+	from := New(Config{Topo: topo, Local: []types.ProcessID{0}, Recorder: &metrics.Collector{}, Config: cfg})
 	to := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: cfg})
 	c := &counter{}
 	to.Proc(1).Register(c)
@@ -374,7 +378,7 @@ func TestFullLinkCountsSendQueueDrops(t *testing.T) {
 	rand.New(rand.NewSource(1)).Read(ballast) // incompressible
 	rt.Run(0, func() { node.Send(rt.Proc(0), 1, "count", ballast) })
 	l := rt.link(0, 1)
-	waitFor(t, 5*time.Second, func() bool { return l.ctr.Frames.Load() == 2 && l.pending() == 0 })
+	waitFor(t, 5*time.Second, func() bool { return rt.rec.Count(metrics.WireEnvelopesOut) == 2 && l.pending() == 0 })
 	rt.Run(0, func() {
 		for i := range int64(sendQueue + 10) {
 			node.Send(rt.Proc(0), 1, "count", i)

@@ -406,7 +406,7 @@ func (rt *Runtime) Crash(id types.ProcessID) {
 // nothing is swapped in: the half-restored incarnation is crashed (the
 // timers its replay armed die with it) and the old one stays in place, so
 // the process answers nobody from partial state and can be restarted again.
-func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det fd.Detector) error) error {
+func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det *fd.Oracle) error) error {
 	var err error
 	rt.Run(id, func() {
 		old := rt.procs[id]
@@ -428,7 +428,7 @@ func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det
 			rt.leases[id], rt.cfg.LeaseDuration, rt.cfg.MaxClockSkew)
 		proc.Register(hfd)
 		proc.SetRecovering(true)
-		if err = rebuild(proc, hfd); err != nil {
+		if err = rebuild(proc, hfd.Oracle); err != nil {
 			proc.Crash()
 			return
 		}
@@ -876,7 +876,6 @@ func (rt *Runtime) link(from, to types.ProcessID) *link {
 		from: from,
 		to:   to,
 		wake: make(chan struct{}, 1),
-		ctr:  rt.fabric.Counter(from, to),
 	}
 	rt.links[key] = l
 	rt.wg.Add(1)
@@ -934,8 +933,7 @@ const paceChunkBytes = 128 << 10
 type link struct {
 	rt       *Runtime
 	from, to types.ProcessID
-	wake     chan struct{}        // capacity 1: frames queued, or a fabric transition
-	ctr      *network.LinkCounter // the fabric's independent per-link byte count
+	wake     chan struct{} // capacity 1: frames queued, or a fabric transition
 
 	mu      sync.Mutex
 	out, fd frames // pending since the writer's last swap
@@ -1146,7 +1144,6 @@ func (l *link) writeEnvelope(bw *bufio.Writer, subs [][]byte, paced bool) (n, pa
 		return n, 0, nil
 	}
 	l.buf = b
-	l.ctr.Count(wireLen)
 	rt.rec.OnWireFlush(wireLen, rawLen, compLen)
 	_, err = bw.Write(b)
 	return n, wireLen, err
@@ -1168,7 +1165,6 @@ func (l *link) writeFD(bw *bufio.Writer, fd *frames) error {
 func (l *link) writePlain(bw *bufio.Writer, sub []byte) (int, error) {
 	rt := l.rt
 	l.buf = wire.AppendPlain(l.buf[:0], l.from, sub)
-	l.ctr.Count(len(l.buf))
 	rt.rec.OnWireSend(byte(wire.SubKind(sub)), len(l.buf))
 	rt.rec.OnWireFlush(len(l.buf), 0, 0)
 	_, err := bw.Write(l.buf)

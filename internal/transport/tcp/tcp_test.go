@@ -60,7 +60,7 @@ func TestLiveBroadcastTotalOrder(t *testing.T) {
 		id := id
 		eps[id] = abcast.New(abcast.Config{
 			Host:     rt.Proc(id),
-			Detector: rt.Detector(id),
+			Detector: rt.Detector(id).Oracle,
 			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},
@@ -111,7 +111,7 @@ func TestLiveMulticastGenuine(t *testing.T) {
 		id := id
 		eps[id] = amcast.New(amcast.Config{
 			Host:     rt.Proc(id),
-			Detector: rt.Detector(id),
+			Detector: rt.Detector(id).Oracle,
 			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},
@@ -160,7 +160,7 @@ func TestLiveLeaderCrashRecovers(t *testing.T) {
 		id := id
 		eps[id] = abcast.New(abcast.Config{
 			Host:     rt.Proc(id),
-			Detector: rt.Detector(id),
+			Detector: rt.Detector(id).Oracle,
 			OnDeliver: func(mid types.MessageID, _ []byte) {
 				log.add(id, mid)
 			},

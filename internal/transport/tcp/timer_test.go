@@ -94,7 +94,7 @@ func TestLaterNeverReachesARestartedProcess(t *testing.T) {
 	var old, fresh atomic.Bool
 	rt.Later(rt.Proc(0), 50*time.Millisecond, func() { old.Store(true) })
 	rt.Crash(0)
-	if err := rt.Restart(0, func(*node.Proc, fd.Detector) error { return nil }); err != nil {
+	if err := rt.Restart(0, func(*node.Proc, *fd.Oracle) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Armed later with the same delay, so due later: once it has fired, the

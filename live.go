@@ -111,7 +111,7 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		}
 	}
 	for _, id := range topo.AllProcesses() {
-		l.hosts[id] = l.newHost(id, rt.Proc(id), rt.Detector(id))
+		l.hosts[id] = l.newHost(id, rt.Proc(id), rt.Detector(id).Oracle)
 	}
 	return l
 }
@@ -136,7 +136,7 @@ func (l *LiveCluster) openStore(id ProcessID) storage.Store {
 // newHost builds one incarnation of process id on proc. It runs at
 // construction and again, on the process's own event loop, when Restart
 // builds a fresh incarnation.
-func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det fd.Detector) *durable.Node {
+func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det *fd.Oracle) *durable.Node {
 	return durable.New(durable.Config{
 		Proc:        proc,
 		Detector:    det,
@@ -479,21 +479,20 @@ func (l *LiveCluster) ReadLease(p ProcessID) *fd.Lease { return l.rt.Lease(p) }
 // itself as soon as p's next heartbeats land (within ~HeartbeatEvery), or
 // explicitly via Unsuspect.
 func (l *LiveCluster) ForceSuspect(p ProcessID) {
-	for _, q := range l.topo.Members(l.topo.GroupOf(p)) {
-		if q == p {
-			continue
-		}
-		l.rt.Run(q, func() { l.rt.Detector(q).Suspect(p) })
-	}
+	l.atPeers(p, func(q ProcessID) { l.rt.Detector(q).Suspect(p) })
 }
 
 // Unsuspect restores every group peer's trust in p immediately.
 func (l *LiveCluster) Unsuspect(p ProcessID) {
+	l.atPeers(p, func(q ProcessID) { l.rt.Detector(q).Unsuspect(p) })
+}
+
+// atPeers runs fn(q) on the event loop of every group peer q of p, in turn.
+func (l *LiveCluster) atPeers(p ProcessID, fn func(q ProcessID)) {
 	for _, q := range l.topo.Members(l.topo.GroupOf(p)) {
-		if q == p {
-			continue
+		if q != p {
+			l.rt.Run(q, func() { fn(q) })
 		}
-		l.rt.Run(q, func() { l.rt.Detector(q).Unsuspect(p) })
 	}
 }
 
@@ -569,7 +568,7 @@ func (l *LiveCluster) Restart(p ProcessID) error {
 	// whatever led to the crash is about to age out.
 	l.flightRecord(fmt.Sprintf("restart %v", p))
 
-	err := l.rt.Restart(p, func(proc *node.Proc, det fd.Detector) error {
+	err := l.rt.Restart(p, func(proc *node.Proc, det *fd.Oracle) error {
 		h := l.newHost(p, proc, det)
 		if err := h.Recover(); err != nil {
 			return err

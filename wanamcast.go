@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"time"
 
-	"wanamcast/internal/check"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
@@ -139,7 +138,7 @@ func (c *Cluster) CrashAt(p ProcessID, at time.Duration) { c.sys.CrashAt(p, at) 
 // Fabric exposes the simulated network's mutable link table: sever and
 // heal links (messages on severed links are withheld, not lost, so a
 // partition-then-heal is an admissible quasi-reliable run), override
-// per-link delays and jitter, or partition whole group sets. Mutate it
+// per-link delays, or partition whole group sets. Mutate it
 // only from scheduled events (or before Run) — the simulation is
 // single-threaded.
 func (c *Cluster) Fabric() *network.Fabric { return c.sys.RT.Fabric() }
@@ -194,11 +193,7 @@ func (c *Cluster) CheckGenuineness() []string {
 	if !c.sys.Opts.LogSends {
 		panic("wanamcast: CheckGenuineness requires Config.LogSends")
 	}
-	sends := make([]check.SendRecord, 0, len(c.sys.Col.Sends()))
-	for _, s := range c.sys.Col.Sends() {
-		sends = append(sends, check.SendRecord{Proto: s.Proto, From: s.From, To: s.To})
-	}
-	return c.sys.Checker.GenuinenessViolations(sends, "a1")
+	return c.sys.Checker.GenuinenessViolations(c.sys.Col.Sends(), "a1")
 }
 
 // String describes the cluster configuration.
