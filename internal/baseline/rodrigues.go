@@ -167,12 +167,12 @@ func (r *Rodrigues) onData(m rmcast.Message) {
 	r.lc++
 	p.ts = r.lc
 	p.props[r.api.Self()] = p.ts
-	r.sendToDest(m.Dest, RGProp{ID: m.ID, TS: p.ts})
+	sendToDest(r, m.Dest, RGProp{ID: m.ID, TS: p.ts})
 	r.advance(m.ID)
 }
 
 // sendToDest multisends body to every destination process but self.
-func (r *Rodrigues) sendToDest(dest types.GroupSet, body any) {
+func sendToDest[T any](r *Rodrigues, dest types.GroupSet, body T) {
 	self := r.api.Self()
 	var tos []types.ProcessID
 	for _, q := range r.api.Topo().ProcessesIn(dest) {
@@ -216,14 +216,14 @@ func (r *Rodrigues) advance(id types.MessageID) {
 		p.ts = est
 		p.phase = 1
 		p.ests[r.api.Self()] = est
-		r.sendToDest(p.msg.Dest, RGEst{ID: id, TS: est})
+		sendToDest(r, p.msg.Dest, RGEst{ID: id, TS: est})
 	}
 	if p.phase == 1 && complete(p.ests) {
 		commit := maxOf(p.ests, p.ts)
 		p.ts = commit
 		p.phase = 2
 		p.commits[r.api.Self()] = commit
-		r.sendToDest(p.msg.Dest, RGCommit{ID: id, TS: commit})
+		sendToDest(r, p.msg.Dest, RGCommit{ID: id, TS: commit})
 	}
 	if p.phase == 2 && complete(p.commits) {
 		p.ts = maxOf(p.commits, p.ts)

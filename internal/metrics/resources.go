@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"runtime"
-	"sync"
+	rtmetrics "runtime/metrics"
 	"time"
 )
 
@@ -11,10 +11,9 @@ import (
 // The scale sweeps report these per topology shape so a scheduler or
 // fast-path regression shows up as a number, not a feeling.
 type ResourceSample struct {
-	Wall       time.Duration // wall-clock elapsed
-	Mallocs    uint64        // heap allocations performed by fn
-	AllocBytes uint64        // heap bytes allocated by fn (cumulative, not live)
-	PeakHeap   uint64        // max observed live-heap bytes during fn
+	Wall     time.Duration // wall-clock elapsed
+	Mallocs  uint64        // heap allocations performed by fn
+	PeakHeap uint64        // max observed live-heap bytes during fn
 }
 
 // AllocsPer divides the allocation count over n events (0 on an empty run).
@@ -35,34 +34,30 @@ func (r ResourceSample) PerSec(n uint64) float64 {
 
 // MeasureResources runs fn and samples its resource footprint. Allocation
 // counts come from runtime.MemStats deltas around the call; the peak heap
-// is tracked by a background sampler polling HeapAlloc every few
-// milliseconds (plus one final post-run reading), so it is a close lower
-// bound on the true maximum, not an exact one. The caller should be the
-// only significant allocator while fn runs — the sweeps run one simulated
-// system at a time.
+// is tracked by a background sampler reading the live-heap bytes (HeapAlloc,
+// from runtime/metrics, which stops no world) every few milliseconds, plus
+// one final post-run reading, so it is a close lower bound on the true
+// maximum, not an exact one. The caller should be the only significant
+// allocator while fn runs — the sweeps run one simulated system at a time.
 func MeasureResources(fn func()) ResourceSample {
 	var before runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	peak := before.HeapAlloc
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	heap := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	stop, peak := make(chan struct{}), make(chan uint64)
 	go func() {
-		defer wg.Done()
 		tick := time.NewTicker(5 * time.Millisecond)
 		defer tick.Stop()
-		var ms runtime.MemStats
+		hi := before.HeapAlloc
 		for {
 			select {
 			case <-stop:
+				peak <- hi
 				return
 			case <-tick.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
+				rtmetrics.Read(heap)
+				hi = max(hi, heap[0].Value.Uint64())
 			}
 		}
 	}()
@@ -71,17 +66,12 @@ func MeasureResources(fn func()) ResourceSample {
 	fn()
 	wall := time.Since(start)
 	close(stop)
-	wg.Wait()
 
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > peak {
-		peak = after.HeapAlloc
-	}
 	return ResourceSample{
-		Wall:       wall,
-		Mallocs:    after.Mallocs - before.Mallocs,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		PeakHeap:   peak,
+		Wall:     wall,
+		Mallocs:  after.Mallocs - before.Mallocs,
+		PeakHeap: max(<-peak, after.HeapAlloc),
 	}
 }

@@ -47,11 +47,12 @@ type Protocol interface {
 }
 
 // A Handler runs a protocol's step for the messages of one type: on the
-// simulator it takes the value sent, on a live runtime it decodes the value
-// off the receive buffer straight into a local of its type, unboxed.
+// simulator it takes the value sent, unboxed; on a live runtime it decodes
+// the value off the receive buffer straight into a local of its type.
 type Handler struct {
-	typ  reflect.Type // nil: every type, On[any]
-	call func(p Protocol, from types.ProcessID, body any)
+	typ   reflect.Type // nil: every type, On[any]
+	call  func(p Protocol, from types.ProcessID, body any)
+	typed any // func(Protocol, types.ProcessID, T), the simulator's unboxed call; nil: call
 	// codec reports the kind of the type's codec, if it has one; decode
 	// decodes a value and handles it. Both nil: DecodeValue, then call.
 	codec  func() (wire.Kind, bool)
@@ -69,6 +70,7 @@ func On[P Protocol, T any](fn func(p P, from types.ProcessID, m T)) Handler {
 		h.typ = nil
 		return h
 	}
+	h.typed = func(p Protocol, from types.ProcessID, m T) { fn(p.(P), from, m) }
 	// Looked up on first use: a package's tables precede its codecs' init.
 	codec := sync.OnceValues(wire.DecoderOf[T])
 	h.codec = func() (wire.Kind, bool) { k, dec := codec(); return k, dec != nil }
@@ -94,12 +96,12 @@ type Env interface {
 	// clock; the env applies network delay, accounting and crash filtering
 	// per receiver, and keeps no reference to tos. The simulator schedules
 	// each run of consecutive IDs sharing an arrival instant and priority
-	// class as one entry (internal/sim); a Proc hands a WireEnv only its
+	// class as one entry (internal/sim), and gets a value of a concrete type
+	// unboxed, in a recycled slot of its own; a Proc hands a WireEnv only its
 	// self-sends here.
 	Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64)
 	// Later schedules fn on process owner after d. The env MUST drop the
-	// callback if the owner crashed by fire time — Proc.After relies on
-	// it (it no longer wraps fn in a re-checking closure).
+	// callback if the owner crashed by fire time: Proc.After relies on it.
 	Later(owner *Proc, d time.Duration, fn func())
 	// Recorder returns the run's measurement sink; nil discards.
 	Recorder() *metrics.Collector
@@ -249,7 +251,7 @@ func Send[T any](p *Proc, to types.ProcessID, proto string, m T) {
 // as one event (e.g. Theorem 4.1: all (TS, m) copies share one timestamp).
 // Message accounting still counts every copy individually. On a live runtime
 // m is encoded once, from T, for all of tos, and boxed only for a copy to
-// self; the simulator passes the value.
+// self; the simulator carries the value unboxed, in a slot its copies share.
 func Multicast[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	if p.crashed || p.recovering || len(tos) == 0 {
 		return
@@ -266,7 +268,7 @@ func Multicast[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	// intra-group delay (keeping group members symmetric) but does not
 	// count them as network messages.
 	if p.wire == nil {
-		p.env.Transmit(p.id, tos, proto, m, ts)
+		p.env.Transmit(p.id, tos, proto, carry(p, m, len(tos)), ts)
 		return
 	}
 	if self {
@@ -379,17 +381,26 @@ func (p *Proc) Deliver(from types.ProcessID, proto string, body any, sendTS int6
 }
 
 func (p *Proc) deliver(from types.ProcessID, proto string, body any, sendTS int64) error {
-	r, t := p.handlers[proto], reflect.TypeOf(body)
+	r, h := p.handler(proto, reflect.TypeOf(body))
+	if h == nil {
+		return fmt.Errorf("node: %v has no %q handler for %T", p.id, proto, body)
+	}
+	if !p.crashed {
+		p.clock = max(p.clock, sendTS)
+		h.call(r, from, body)
+	}
+	return nil
+}
+
+// handler returns proto's protocol and first handler of type t, or nil.
+func (p *Proc) handler(proto string, t reflect.Type) (Protocol, *Handler) {
+	r := p.handlers[proto]
 	for i := range r.hs {
-		if r.hs[i].typ == t || r.hs[i].typ == nil {
-			if !p.crashed {
-				p.clock = max(p.clock, sendTS)
-				r.hs[i].call(r.p, from, body)
-			}
-			return nil
+		if h := &r.hs[i]; h.typ == t || h.typ == nil {
+			return r.p, h
 		}
 	}
-	return fmt.Errorf("node: %v has no %q handler for %T", p.id, proto, body)
+	return nil, nil
 }
 
 // DeliverValue is Deliver for a value still encoded, as a live runtime reads

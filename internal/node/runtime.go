@@ -2,7 +2,7 @@ package node
 
 import (
 	"encoding/binary"
-	"fmt"
+	"reflect"
 	"time"
 
 	"wanamcast/internal/fd"
@@ -41,6 +41,7 @@ type Runtime struct {
 
 	held         map[network.Link][]heldMsg // parked sends of severed links
 	isoSuspected map[types.ProcessID]bool   // suspected due to isolation, not crash
+	pools        map[reflect.Type]any       // a *cellPool[T] per type sent
 
 	// Bandwidth modeling state, touched only when the fabric is
 	// bandwidth-capped (Fabric.BandwidthOn). Each capped link is a FIFO
@@ -86,6 +87,7 @@ func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec *metr
 		oracle:         fd.NewOracle(topo),
 		held:           make(map[network.Link][]heldMsg),
 		isoSuspected:   make(map[types.ProcessID]bool),
+		pools:          make(map[reflect.Type]any),
 		SuspicionDelay: 20 * time.Millisecond,
 	}
 	rt.oracle.Observer = rec
@@ -102,7 +104,86 @@ func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec *metr
 // the receiver. This is the single delivery handler the scheduler invokes
 // for every network arrival — no closure per send.
 func (rt *Runtime) execDeliver(from, to int32, proto string, body any, sendTS int64) {
+	if c, ok := body.(parcel); ok {
+		c.deliver(rt.procs[to], types.ProcessID(from), proto, sendTS)
+		return
+	}
 	rt.procs[to].Deliver(types.ProcessID(from), proto, body, sendTS)
+}
+
+// parcel is a sent value carried unboxed: a *cell[T], which a scheduler
+// entry holds in its body at no allocation.
+type parcel interface {
+	deliver(p *Proc, from types.ProcessID, proto string, sendTS int64) // one copy
+	value() any                                                        // boxed: a trace line, a sized encode
+}
+
+// cell holds a sent value for its copies, one reference per scheduled
+// receiver and per copy parked on a severed link; the last one delivered
+// clears it and frees it to its pool, which carves cells from chunks.
+type cell[T any] struct {
+	v    T
+	refs int
+	pool *cellPool[T]
+}
+
+type cellPool[T any] struct {
+	chunk []cell[T]
+	free  []*cell[T]
+}
+
+// carry returns what p's env carries for a send of m to refs receivers: on
+// the simulator a cell of m, unless T is an interface type (the value's own
+// type picks its handler); m itself elsewhere.
+func carry[T any](p *Proc, m T, refs int) any {
+	rt, sim := p.env.(*Runtime)
+	t := reflect.TypeFor[T]()
+	if !sim || t.Kind() == reflect.Interface {
+		return m
+	}
+	pl, _ := rt.pools[t].(*cellPool[T])
+	if pl == nil {
+		pl = new(cellPool[T])
+		rt.pools[t] = pl
+	}
+	var c *cell[T]
+	if n := len(pl.free); n > 0 {
+		c, pl.free = pl.free[n-1], pl.free[:n-1]
+	} else {
+		if len(pl.chunk) == 0 {
+			pl.chunk = make([]cell[T], 64)
+		}
+		c, pl.chunk = &pl.chunk[0], pl.chunk[1:]
+		c.pool = pl
+	}
+	c.v, c.refs = m, refs
+	return c
+}
+
+func (c *cell[T]) value() any { return c.v }
+
+func (c *cell[T]) deliver(p *Proc, from types.ProcessID, proto string, sendTS int64) {
+	m := c.v
+	if c.refs--; c.refs == 0 {
+		var zero T
+		c.v = zero
+		c.pool.free = append(c.pool.free, c)
+	}
+	r, h := p.handler(proto, reflect.TypeFor[T]())
+	if h == nil || h.typed == nil {
+		p.Deliver(from, proto, m, sendTS) // boxed: an On[P, any] or tapped handler, or none
+	} else if !p.crashed {
+		p.clock = max(p.clock, sendTS)
+		h.typed.(func(Protocol, types.ProcessID, T))(r, from, m)
+	}
+}
+
+// unboxed returns the value body carries, boxed.
+func unboxed(body any) any {
+	if c, ok := body.(parcel); ok {
+		return c.value()
+	}
+	return body
 }
 
 // Proc returns the process with the given ID.
@@ -200,7 +281,7 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 			continue
 		}
 		if rt.Trace != nil {
-			rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, body)
+			rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, unboxed(body))
 		}
 		delay, prio := rt.arrival(from, to, delay, sub)
 		if n > 0 && to == first+types.ProcessID(n) && delay == runDelay && prio == runPrio {
@@ -225,7 +306,7 @@ func (rt *Runtime) sized(proto string, body any, sendTS int64) []byte {
 	if !rt.fabric.BandwidthOn() {
 		return nil
 	}
-	sub, err := wire.AppendSub(rt.bwScratch[:0], proto, sendTS, body)
+	sub, err := wire.AppendSub(rt.bwScratch[:0], proto, sendTS, unboxed(body))
 	if err != nil {
 		return nil
 	}
@@ -364,11 +445,4 @@ func (rt *Runtime) Unsuspect(id types.ProcessID) {
 	}
 	delete(rt.isoSuspected, id)
 	rt.oracle.Unsuspect(id)
-}
-
-// String summarises the runtime configuration.
-func (rt *Runtime) String() string {
-	base := rt.fabric.Base()
-	return fmt.Sprintf("sim runtime: %d groups, %d processes, intra=%v inter=%v",
-		rt.topo.NumGroups(), rt.topo.N(), base.IntraGroup, base.InterGroup)
 }

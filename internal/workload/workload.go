@@ -59,20 +59,7 @@ func Generate(topo *types.Topology, spec Spec) []Cast {
 	if spec.Casts <= 0 || spec.MeanPeriod <= 0 {
 		panic(fmt.Sprintf("workload: invalid spec %+v", spec))
 	}
-	mix := spec.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
-	var total float64
-	for _, e := range mix {
-		if e.Weight < 0 || e.Groups < 0 || e.Groups > topo.NumGroups() {
-			panic(fmt.Sprintf("workload: invalid mix entry %+v", e))
-		}
-		total += e.Weight
-	}
-	if total <= 0 {
-		panic("workload: mix has no weight")
-	}
+	mix, total := checkMix(topo, spec.Mix)
 	rng := rand.New(rand.NewSource(spec.Seed))
 	at := spec.Start
 	casts := make([]Cast, 0, spec.Casts)
@@ -126,20 +113,7 @@ func ClientPlans(topo *types.Topology, spec ClientSpec) [][]ClientOp {
 	if spec.Clients <= 0 || spec.Ops <= 0 || spec.ReadFraction < 0 || spec.ReadFraction > 1 {
 		panic(fmt.Sprintf("workload: invalid client spec %+v", spec))
 	}
-	mix := spec.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
-	var total float64
-	for _, e := range mix {
-		if e.Weight < 0 || e.Groups < 0 || e.Groups > topo.NumGroups() {
-			panic(fmt.Sprintf("workload: invalid mix entry %+v", e))
-		}
-		total += e.Weight
-	}
-	if total <= 0 {
-		panic("workload: mix has no weight")
-	}
+	mix, total := checkMix(topo, spec.Mix)
 	rng := rand.New(rand.NewSource(spec.Seed))
 	plans := make([][]ClientOp, spec.Clients)
 	for i := range plans {
@@ -156,6 +130,25 @@ func ClientPlans(topo *types.Topology, spec ClientSpec) [][]ClientOp {
 		plans[i] = ops
 	}
 	return plans
+}
+
+// checkMix returns mix (DefaultMix if nil) and its total weight. It panics on
+// an invalid entry or a mix without weight.
+func checkMix(topo *types.Topology, mix []MixEntry) ([]MixEntry, float64) {
+	if mix == nil {
+		mix = DefaultMix()
+	}
+	var total float64
+	for _, e := range mix {
+		if e.Weight < 0 || e.Groups < 0 || e.Groups > topo.NumGroups() {
+			panic(fmt.Sprintf("workload: invalid mix entry %+v", e))
+		}
+		total += e.Weight
+	}
+	if total <= 0 {
+		panic("workload: mix has no weight")
+	}
+	return mix, total
 }
 
 // pickDest draws a destination set from the mix. Sets of size ≥ 1 always
