@@ -49,9 +49,9 @@ var gates = []gate{
 	{what: "the live cluster's count table, svc's three attach methods and second cluster interface, the optional store interface", pattern: `countOrder|countBound|OnDeliverAt|SetDeliverAt|RegisterSnapshot|DurableCluster|SyncStore`, paths: []string{"."}},
 	{what: "svc's ReadTimeout: it is the readTimeout constant", pattern: `ReadTimeout`, paths: []string{"internal/svc"}},
 	{what: "a session's dedup window held in a map: it is a ring", pattern: `applied map\[`, paths: []string{"internal/svc"}},
-	{what: "a boxed receive method: a protocol lists typed handlers", pattern: `Receive\(from types\.ProcessID, body any\)`, paths: []string{"."}},
+	{what: "a boxed receive method: a protocol, a test's too, lists typed handlers", pattern: `Receive\(from types\.ProcessID, body any\)`, paths: []string{"."}, tests: true},
 	{what: "the deleted heartbeat and lease-grant pools", pattern: `hbPool|lgPool`, paths: []string{"."}},
-	{what: "body any fields in tcp: the lane's self-send value, the one copy still boxed", pattern: `^\s+body +any`, paths: []string{"internal/transport/tcp"}, want: 1},
+	{what: "body any fields in tcp: a self-send rides a node.Slot, no copy is boxed", pattern: `^\s+body +any`, paths: []string{"internal/transport/tcp"}},
 	{what: "a per-frame send queue: a link holds encoded frames", pattern: `outFrame`, paths: []string{"internal/transport/tcp"}},
 	{what: "node.API and node.Registrar: a protocol holds the *node.Proc it runs on", pattern: `type (API|Registrar) interface`, paths: []string{"internal/node"}, tests: true},
 	{what: "node.API and node.Registrar, named", pattern: `node\.(API|Registrar)\b`, paths: []string{"."}},
@@ -93,6 +93,10 @@ var gates = []gate{
 	{what: "the fabric's per-link byte counters: metrics' Wire.BytesOut is the one count", pattern: `LinkCounter|BytesByLink|TotalBytes|bwCounters|\.ctr\b`, paths: []string{"."}, tests: true},
 	{what: "check.SendRecord: the genuineness check reads metrics.SendEvent", pattern: `SendRecord|func hasPrefix`, paths: []string{"."}, tests: true},
 	{what: "a suspicion set, leader rule or subscriber list of the heartbeat detector's own: it embeds an fd.Oracle", pattern: `suspected +map|recomputeLeader|subs +\[\]func`, paths: []string{"internal/transport/tcp/fd.go"}},
+
+	// One delivery path: a typed step under both runtimes.
+	{what: "Proc.Tap and the boxed by-type dispatch: node.Deliver is the one step, Runtime.Hook the one test seam", pattern: `\.Tap\(|func \(p \*Proc\) (Tap|Deliver|deliver|handler)\(`, paths: []string{"."}, tests: true},
+	{what: "a boxed decode or a dynamic-type lookup in node: a handler is found by its static type", pattern: `DecodeValue|reflect\.TypeOf`, paths: []string{"internal/node"}, tests: true},
 }
 
 // TestDeletedSurfacesStayDeleted fails on a gate whose count moved, with the

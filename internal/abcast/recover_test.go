@@ -109,10 +109,10 @@ func TestDurableBytesPinned(t *testing.T) {
 				rs.Set = append(rs.Set, Record{ID: mid, Payload: payload})
 			},
 		})
-		rt.Proc(id).Tap(func(from types.ProcessID, body any, deliver func()) {
-			frames.Write(wire.AppendValue(fmt.Appendf(nil, "%d>%d ", from, id), body))
-			deliver()
-		})
+	}
+	rt.Hook = func(from, to types.ProcessID, _ string, body any, _ int64, deliver func()) {
+		frames.Write(wire.AppendValue(fmt.Appendf(nil, "%d>%d ", from, to), body))
+		deliver()
 	}
 	rt.Start()
 	cast := func(from types.ProcessID) {
@@ -150,7 +150,7 @@ func TestDurableBytesPinned(t *testing.T) {
 	adopted := storage.NewMem()
 	fresh := New(Config{Host: rt2.Proc(victim), Detector: rt2.Oracle(), Log: storage.NewLog(adopted)})
 	fresh.StartSync()
-	rt2.Proc(victim).Deliver(0, fresh.Proto(), resp, 0)
+	node.Deliver(rt2.Proc(victim), 0, fresh.Proto(), resp, 0)
 	if fresh.Round() != eps[0].Round() || len(checker.Sequence(0)) != 16 {
 		t.Fatalf("the fresh endpoint adopted up to round %d, p0 reached %d after %d deliveries (want 16)",
 			fresh.Round(), eps[0].Round(), len(checker.Sequence(0)))

@@ -48,9 +48,9 @@ type rigOpts struct {
 	// views, if non-nil, gives process p its own Ω (views[p]) in place of the
 	// runtime's shared oracle, so a test can make the views disagree.
 	views []*fd.Oracle
-	// tap, if non-nil, sits in front of every protocol of every process: it
-	// sees each message first and calls deliver to let it through — or does
-	// not (a frame a full send queue dropped), or acts once it has returned.
+	// tap, if non-nil, is the runtime's Hook: it sees each message to a live
+	// process first and calls deliver to let it through — or does not (a
+	// frame a full send queue dropped), or acts once it has returned.
 	tap func(to, from types.ProcessID, body any, deliver func())
 }
 
@@ -106,8 +106,10 @@ func newRig(t *testing.T, o rigOpts) *rig {
 			build = NewFritzke
 		}
 		r.eps[id] = build(cfg)
-		if o.tap != nil {
-			rt.Proc(id).Tap(func(from types.ProcessID, body any, deliver func()) { o.tap(id, from, body, deliver) })
+	}
+	if o.tap != nil {
+		rt.Hook = func(from, to types.ProcessID, _ string, body any, _ int64, deliver func()) {
+			o.tap(to, from, body, deliver)
 		}
 	}
 	rt.Start()

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"wanamcast/internal/node"
 	"wanamcast/internal/statesync"
 	"wanamcast/internal/types"
 )
@@ -36,7 +37,7 @@ func TestGatedDecisionsDeliverInReleaseOrder(t *testing.T) {
 	// The transfer delivers s1 (the group's first delivery) and brings the
 	// process level: the tail adopts nothing new and the gate lifts.
 	a.StartSync()
-	r.rt.Proc(0).Deliver(1, a.Proto(), statesync.Resp[DeliverRec, SyncTail]{
+	node.Deliver(r.rt.Proc(0), 1, a.Proto(), statesync.Resp[DeliverRec, SyncTail]{
 		Recs: []DeliverRec{{ID: s1, Dest: local, TS: 1}}, Next: 1, Tail: &SyncTail{},
 	}, 0)
 	if a.Syncing() {

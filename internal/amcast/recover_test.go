@@ -109,7 +109,7 @@ func TestDurableBytesPinned(t *testing.T) {
 	adopted := storage.NewMem()
 	fresh := New(Config{Host: rt2.Proc(victim), Detector: rt2.Oracle(), Log: storage.NewLog(adopted)})
 	fresh.StartSync()
-	rt2.Proc(victim).Deliver(0, fresh.Proto(), resp, 0)
+	node.Deliver(rt2.Proc(victim), 0, fresh.Proto(), resp, 0)
 	if len(arch) != 14 || fresh.Delivered() != 14 {
 		t.Fatalf("p0 archived %d deliveries, the fresh endpoint adopted %d; want 14", len(arch), fresh.Delivered())
 	}

@@ -46,9 +46,9 @@ func TestSteadyStateAllocsPerInstance(t *testing.T) {
 		proc := rt.Proc(types.ProcessID(i))
 		cons[i] = New(Config{API: proc, Detector: rt.Oracle(), OnDecide: func(uint64, Value) {}})
 		proc.Register(cons[i])
-		proc.Tap(func(_ types.ProcessID, _ any, deliver func()) { // split the group's mallocs by role
-			mallocs[i] += mallocsDuring(deliver)
-		})
+	}
+	rt.Hook = func(_, to types.ProcessID, _ string, _ any, _ int64, deliver func()) { // split the group's mallocs by role
+		mallocs[to] += mallocsDuring(deliver)
 	}
 	rt.Start()
 	v := Value("v")

@@ -57,13 +57,13 @@ func mid(seq uint64) types.MessageID { return types.MessageID{Origin: 0, Seq: se
 // decisions by hand.
 type fakeEnv struct{ col metrics.Collector }
 
-func (*fakeEnv) Now() time.Duration                                              { return 0 }
-func (*fakeEnv) Micros(types.ProcessID) uint64                                   { return 0 }
-func (*fakeEnv) Transmit(types.ProcessID, []types.ProcessID, string, any, int64) {}
-func (*fakeEnv) Later(*node.Proc, time.Duration, func())                         {}
-func (e *fakeEnv) Recorder() *metrics.Collector                                  { return &e.col }
-func (*fakeEnv) Tracef(string, ...any)                                           {}
-func (*fakeEnv) TraceOn() bool                                                   { return false }
+func (*fakeEnv) Now() time.Duration                                                    { return 0 }
+func (*fakeEnv) Micros(types.ProcessID) uint64                                         { return 0 }
+func (*fakeEnv) Transmit(types.ProcessID, []types.ProcessID, string, node.Slot, int64) {}
+func (*fakeEnv) Later(*node.Proc, time.Duration, func())                               {}
+func (e *fakeEnv) Recorder() *metrics.Collector                                        { return &e.col }
+func (*fakeEnv) Tracef(string, ...any)                                                 {}
+func (*fakeEnv) TraceOn() bool                                                         { return false }
 
 // batchRig is one Batcher over a scripted queue of proposable items.
 type batchRig struct {

@@ -23,7 +23,7 @@ type rig struct {
 func newRig(t *testing.T, d int) *rig { return newTappedRig(t, d, nil) }
 
 // newTappedRig is newRig with filter(i, from, body) in front of process
-// i's engine (nil: no tap).
+// i's engine (nil: no filter): a copy it refuses is lost.
 func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, body any) bool) *rig {
 	t.Helper()
 	topo := types.NewTopology(1, d)
@@ -44,14 +44,14 @@ func newTappedRig(t *testing.T, d int, filter func(i int, from types.ProcessID, 
 			},
 		})
 		rt.Proc(types.ProcessID(i)).Register(c)
-		if filter != nil {
-			rt.Proc(types.ProcessID(i)).Tap(func(from types.ProcessID, body any, deliver func()) {
-				if filter(i, from, body) {
-					deliver()
-				}
-			})
-		}
 		r.cons[i] = c
+	}
+	if filter != nil {
+		rt.Hook = func(from, to types.ProcessID, _ string, body any, _ int64, deliver func()) {
+			if filter(int(to), from, body) {
+				deliver()
+			}
+		}
 	}
 	rt.Start()
 	return r

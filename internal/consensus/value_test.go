@@ -88,7 +88,7 @@ func TestForeignDecisionAppliesEmpty(t *testing.T) {
 
 	r = newForeignRig(t)
 	for i, b := range r.bs {
-		r.rt.Proc(types.ProcessID(i)).Deliver(types.ProcessID((i+1)%3), b.Label(), DecideMsg{Instance: 1, Ballot: -1, Value: foreign}, 0)
+		node.Deliver(r.rt.Proc(types.ProcessID(i)), types.ProcessID((i+1)%3), b.Label(), DecideMsg{Instance: 1, Ballot: -1, Value: foreign}, 0)
 	}
 	r.check(t, "decide by value")
 

@@ -17,10 +17,13 @@ type sinkProto struct {
 	got int
 }
 
-func (s *sinkProto) Proto() string                { return "sink" }
-func (s *sinkProto) Start()                       {}
-func (s *sinkProto) Handlers() []Handler          { return []Handler{On((*sinkProto).Receive)} }
-func (s *sinkProto) Receive(types.ProcessID, any) { s.got++ }
+// token is what the pins below send: a pointer, carried in its slot as is.
+type token struct{ x int }
+
+func (s *sinkProto) Proto() string                   { return "sink" }
+func (s *sinkProto) Start()                          {}
+func (s *sinkProto) Handlers() []Handler             { return []Handler{On((*sinkProto).Receive)} }
+func (s *sinkProto) Receive(types.ProcessID, *token) { s.got++ }
 
 // TestTransmitDeliverZeroAllocs pins the simulated runtime's hot path: with
 // tracing disarmed (rt.Trace == nil) and metrics discarded, one
@@ -31,9 +34,8 @@ func (s *sinkProto) Receive(types.ProcessID, any) { s.got++ }
 // tracing off, and the per-copy delivery closure. A Send and a
 // k-receiver Multicast on a jitter-free network, whose copies the
 // scheduler holds as runs, drain at 0 allocs too. Every send here carries one
-// box made outside the measured loop, so this pins the path below the box:
-// what a value of a concrete type costs, carried unboxed, is
-// TestMulticastValueZeroAllocs's.
+// pointer made outside the measured loop, in a slot as Multicast takes it:
+// what a struct value costs, carried unboxed, is TestMulticastValueZeroAllocs's.
 func TestTransmitDeliverZeroAllocs(t *testing.T) {
 	topo := types.NewTopology(3, 3)
 	model := network.Model{
@@ -49,20 +51,21 @@ func TestTransmitDeliverZeroAllocs(t *testing.T) {
 	}
 	rt.Start()
 
-	// body is boxed once, here; a send of an interface type, as the
-	// Multicast below, is carried in its box.
-	var body any = &struct{ x int }{x: 7}
+	body := &token{x: 7}
+	transmit := func(from types.ProcessID, to []types.ProcessID) {
+		rt.Transmit(from, to, "sink", slotOf(rt.Proc(from), body, len(to)), 1)
+	}
 
 	// Warm the scheduler's slabs and bucket ring past steady state.
 	all := topo.AllProcesses()
 	for i := 0; i < 4096; i++ {
-		rt.Transmit(0, all[i%len(all):i%len(all)+1], "sink", body, 1)
+		transmit(0, all[i%len(all):i%len(all)+1])
 	}
 	rt.Run()
 
 	from, to := types.ProcessID(0), all[4:5] // inter-group: WAN prio path
 	allocs := testing.AllocsPerRun(2000, func() {
-		rt.Transmit(from, to, "sink", body, 1)
+		transmit(from, to)
 		for rt.Scheduler().Step() {
 		}
 	})
@@ -135,7 +138,9 @@ func (q *pairProto) Receive(from types.ProcessID, m pair) {
 // unboxed. A copy parked on a severed link keeps its slot until the heal
 // delivers it, and a copy to a crashed receiver gives its slot back: each
 // receiver sees its sender's values in order and intact, and the slots end
-// where they began.
+// where they began. So do they under a Hook that drops every copy to one
+// receiver and holds one copy to another until the run is over; the hook
+// never sees a copy to the crashed receiver.
 func TestMulticastValueZeroAllocs(t *testing.T) {
 	topo := types.NewTopology(3, 3)
 	rt := NewRuntime(topo, network.Model{IntraGroup: time.Millisecond, InterGroup: 40 * time.Millisecond}, 1, nil)
@@ -162,7 +167,7 @@ func TestMulticastValueZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2000, cast); allocs != 0 {
 		t.Fatalf("a %d-receiver Multicast of a %T allocated %.2f allocs each, want 0", len(all), pair{}, allocs)
 	}
-	slots := rt.pools[reflect.TypeFor[pair]()].(*cellPool[pair])
+	slots := p.pools[reflect.TypeFor[pair]()].(*cellPool[pair])
 	idle := len(slots.free) + len(slots.chunk) // every slot not in use
 
 	rt.Fabric().Sever(4, 8)
@@ -193,6 +198,33 @@ func TestMulticastValueZeroAllocs(t *testing.T) {
 			t.Errorf("p%d received %d pairs (%d out of order or torn), want %d", id, qs[id].got, qs[id].bad, want)
 		}
 	}
+
+	var held func()
+	rt.Hook = func(from, to types.ProcessID, proto string, m any, sendTS int64, deliver func()) {
+		switch {
+		case to == 2:
+			t.Errorf("the hook was handed a copy to p2, which has crashed")
+		case to == 8:
+		case to == 7 && held == nil:
+			held = deliver
+		default:
+			deliver()
+		}
+	}
+	got7, got8 := qs[7].got, qs[8].got
+	for range 3 {
+		cast()
+	}
+	if held == nil || qs[7].got != got7+2 || qs[8].got != got8 {
+		t.Fatalf("under the hook p7 received %d of 3 copies and p8 %d, want 2 with one held, and 0", qs[7].got-got7, qs[8].got-got8)
+	}
+	if n := len(slots.free) + len(slots.chunk); n != idle {
+		t.Errorf("%d idle slots after copies dropped and held, want the %d before", n, idle)
+	}
+	held()
+	if qs[7].got != got7+3 || qs[7].bad != 2 { // the copy after the held one, and the held one, arrive out of order
+		t.Errorf("the held copy ran %d times at p7 (%d copies out of order), want once (and 2)", qs[7].got-got7-2, qs[7].bad)
+	}
 }
 
 // TestTracefDisarmedCostsNothing pins the satellite fix directly: Tracef
@@ -206,15 +238,16 @@ func TestTracefDisarmedCostsNothing(t *testing.T) {
 		rt.Proc(id).Register(&sinkProto{})
 	}
 	rt.Start()
-	var body any = "m"
+	body := &token{}
 	to := rt.Topo().Members(0)[1:2]
+	transmit := func() { rt.Transmit(0, to, "sink", slotOf(rt.Proc(0), body, 1), 1) }
 	for i := 0; i < 256; i++ {
-		rt.Transmit(0, to, "sink", body, 1)
+		transmit()
 	}
 	rt.Run()
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		rt.Transmit(0, to, "sink", body, 1)
+		transmit()
 		for rt.Scheduler().Step() {
 		}
 	})
@@ -224,7 +257,7 @@ func TestTracefDisarmedCostsNothing(t *testing.T) {
 
 	lines := 0
 	rt.Trace = func(string, ...any) { lines++ }
-	rt.Transmit(0, to, "sink", body, 1)
+	transmit()
 	rt.Run()
 	if lines == 0 {
 		t.Fatal("armed trace hook saw no SEND line; guard silenced tracing")

@@ -10,6 +10,13 @@
 // modified Lamport clock of §2.3 (ticking only on inter-group sends) used to
 // measure latency degrees. What differs between the simulator and the live
 // runtime lies behind Env.
+//
+// A message reaches its handler along one path, the typed step Deliver[T]:
+// the handler of the type T it was sent as (On) runs on the value, never
+// boxed. The simulator runs the step for every copy, from the Slot its send
+// carries; the live runtime runs it for a self-send from its Slot, and for a
+// frame off the wire after decoding it into a T (DeliverValue). A test
+// interposes on the simulator's deliveries through Runtime.Hook alone.
 package node
 
 import (
@@ -46,43 +53,39 @@ type Protocol interface {
 	Handlers() []Handler
 }
 
-// A Handler runs a protocol's step for the messages of one type: on the
-// simulator it takes the value sent, unboxed; on a live runtime it decodes
-// the value off the receive buffer straight into a local of its type.
+// A Handler runs a protocol's step for the messages of one type T: it gets
+// the value sent, unboxed, from a Slot (the simulator's copies, a live
+// runtime's self-sends), or decodes it off a live receive buffer straight
+// into a local of T (DeliverValue).
 type Handler struct {
-	typ   reflect.Type // nil: every type, On[any]
-	call  func(p Protocol, from types.ProcessID, body any)
-	typed any // func(Protocol, types.ProcessID, T), the simulator's unboxed call; nil: call
-	// codec reports the kind of the type's codec, if it has one; decode
-	// decodes a value and handles it. Both nil: DecodeValue, then call.
-	codec  func() (wire.Kind, bool)
-	decode func(p Protocol, from types.ProcessID, data []byte) ([]byte, error)
+	step any // func(Protocol, types.ProcessID, T), found by its type (Deliver)
+	// decode runs the step for value if it holds a T — it reports whether —
+	// decoding it, unless p has crashed, and returns the bytes after it.
+	decode func(p *Proc, r Protocol, from types.ProcessID, value []byte, sendTS int64) (rest []byte, ok bool, err error)
 }
 
 // On makes fn, typically a method expression of the protocol type P, the
-// handler of the messages of type T; with T = any, of every type.
+// handler of the messages of type T. T is the type a message is sent as:
+// an interface type matches no send, so On panics for one.
 func On[P Protocol, T any](fn func(p P, from types.ProcessID, m T)) Handler {
-	h := Handler{typ: reflect.TypeFor[T](), call: func(p Protocol, from types.ProcessID, body any) {
-		m, _ := body.(T) // a nil body reaches an On[P, any] handler as nil
-		fn(p.(P), from, m)
-	}}
-	if h.typ.Kind() == reflect.Interface {
-		h.typ = nil
-		return h
+	if t := reflect.TypeFor[T](); t.Kind() == reflect.Interface {
+		panic(fmt.Sprintf("node: a %v handler of interface type %v: a message reaches the handler of its sent type", reflect.TypeFor[P](), t))
 	}
-	h.typed = func(p Protocol, from types.ProcessID, m T) { fn(p.(P), from, m) }
+	step := func(p Protocol, from types.ProcessID, m T) { fn(p.(P), from, m) }
 	// Looked up on first use: a package's tables precede its codecs' init.
 	codec := sync.OnceValues(wire.DecoderOf[T])
-	h.codec = func() (wire.Kind, bool) { k, dec := codec(); return k, dec != nil }
-	h.decode = func(p Protocol, from types.ProcessID, data []byte) ([]byte, error) {
-		_, dec := codec()
-		m, rest, err := dec(data)
-		if err == nil {
-			fn(p.(P), from, m)
+	return Handler{step: step, decode: func(p *Proc, r Protocol, from types.ProcessID, value []byte, sendTS int64) ([]byte, bool, error) {
+		k, dec := codec()
+		if dec == nil || byte(k) != value[0] {
+			return nil, false, nil
 		}
-		return rest, err
-	}
-	return h
+		m, rest, err := dec(value[1:])
+		if err == nil && !p.crashed {
+			p.clock = max(p.clock, sendTS)
+			step(r, from, m)
+		}
+		return rest, true, err
+	}}
 }
 
 // Env is the transport/scheduling backend a Proc runs on. The simulated
@@ -91,15 +94,15 @@ type Env interface {
 	Now() time.Duration
 	// Micros is the clock behind Proc.Micros, as process p reads it.
 	Micros(p types.ProcessID) uint64
-	// Transmit delivers body, stamped sendTS, to every process in tos in
-	// list order: one call per send event. from has already updated its
-	// clock; the env applies network delay, accounting and crash filtering
-	// per receiver, and keeps no reference to tos. The simulator schedules
-	// each run of consecutive IDs sharing an arrival instant and priority
-	// class as one entry (internal/sim), and gets a value of a concrete type
-	// unboxed, in a recycled slot of its own; a Proc hands a WireEnv only its
-	// self-sends here.
-	Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64)
+	// Transmit delivers s's value, stamped sendTS, to every process in tos
+	// in list order: one call per send event, and one s.Deliver per copy,
+	// crashed receivers' included. from has already updated its clock; the
+	// env applies network delay, accounting and crash filtering per
+	// receiver, and keeps no reference to tos. The simulator schedules each
+	// run of consecutive IDs sharing an arrival instant and priority class as
+	// one entry (internal/sim); a Proc hands a WireEnv only its self-sends
+	// here, which the env posts to the sender's own loop.
+	Transmit(from types.ProcessID, tos []types.ProcessID, proto string, s Slot, sendTS int64)
 	// Later schedules fn on process owner after d. The env MUST drop the
 	// callback if the owner crashed by fire time: Proc.After relies on it.
 	Later(owner *Proc, d time.Duration, fn func())
@@ -133,11 +136,12 @@ type Proc struct {
 	clock      int64
 	crashed    bool
 	recovering bool
-	handlers   map[string]route   // by proto label
-	order      []Protocol         // registration order, for deterministic Start
-	one        [1]types.ProcessID // Send's destination list: Transmit retains none
-	wire       WireEnv            // env, when it takes encoded messages
-	enc        []byte             // the encode buffer of a WireEnv's sends
+	handlers   map[string]route     // by proto label
+	order      []Protocol           // registration order, for deterministic Start
+	one        [1]types.ProcessID   // Send's destination list: Transmit retains none
+	wire       WireEnv              // env, when it takes encoded messages
+	enc        []byte               // the encode buffer of a WireEnv's sends
+	pools      map[reflect.Type]any // a *cellPool[T] per type sent through Transmit; the simulator's Procs share one
 
 	tracer *trace.Tracer // nil = lifecycle tracing off
 	lane   int           // tracer ring the process records into
@@ -177,22 +181,6 @@ func (p *Proc) Register(proto Protocol) {
 func (p *Proc) StartAll() {
 	for _, proto := range p.order {
 		proto.Start()
-	}
-}
-
-// Tap puts tap in front of every protocol registered on p so far, for a
-// test: tap sees each message first and calls deliver to let it through, or
-// does not. A tapped handler is found by the value's type (Deliver), so a
-// live runtime hands it a value decoded through DecodeValue.
-func (p *Proc) Tap(tap func(from types.ProcessID, body any, deliver func())) {
-	for name, r := range p.handlers {
-		hs := make([]Handler, len(r.hs))
-		for i, h := range r.hs {
-			hs[i] = Handler{typ: h.typ, call: func(q Protocol, from types.ProcessID, body any) {
-				tap(from, body, func() { h.call(q, from, body) })
-			}}
-		}
-		p.handlers[name] = route{r.p, hs}
 	}
 }
 
@@ -250,8 +238,8 @@ func Send[T any](p *Proc, to types.ProcessID, proto string, m T) {
 // paper's "send m to {q | ...}" statements, whose proofs treat the fan-out
 // as one event (e.g. Theorem 4.1: all (TS, m) copies share one timestamp).
 // Message accounting still counts every copy individually. On a live runtime
-// m is encoded once, from T, for all of tos, and boxed only for a copy to
-// self; the simulator carries the value unboxed, in a slot its copies share.
+// m is encoded once, from T, for all of tos, and a copy to self rides a Slot;
+// the simulator carries every copy in one Slot. Nothing is boxed.
 func Multicast[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	if p.crashed || p.recovering || len(tos) == 0 {
 		return
@@ -268,12 +256,12 @@ func Multicast[T any](p *Proc, tos []types.ProcessID, proto string, m T) {
 	// intra-group delay (keeping group members symmetric) but does not
 	// count them as network messages.
 	if p.wire == nil {
-		p.env.Transmit(p.id, tos, proto, carry(p, m, len(tos)), ts)
+		p.env.Transmit(p.id, tos, proto, slotOf(p, m, len(tos)), ts)
 		return
 	}
 	if self {
 		p.one[0] = p.id // tos is p.one only if it holds just p.id
-		if p.env.Transmit(p.id, p.one[:], proto, m, ts); len(tos) == 1 {
+		if p.env.Transmit(p.id, p.one[:], proto, slotOf(p, m, 1), ts); len(tos) == 1 {
 			return
 		}
 	}
@@ -371,56 +359,104 @@ func (p *Proc) Tracef(format string, args ...any) {
 	p.env.Tracef("%v t=%v lc=%d "+format, append([]any{p.id, p.env.Now(), p.clock}, args...)...)
 }
 
-// Deliver hands an incoming message to the process: it applies the receive
-// clock rule and runs proto's first handler of the body's type (simulator:
-// every message; live runtime: self-sends). No handler is a wiring bug: panic.
-func (p *Proc) Deliver(from types.ProcessID, proto string, body any, sendTS int64) {
-	if err := p.deliver(from, proto, body, sendTS); err != nil {
-		panic(err)
-	}
-}
-
-func (p *Proc) deliver(from types.ProcessID, proto string, body any, sendTS int64) error {
-	r, h := p.handler(proto, reflect.TypeOf(body))
-	if h == nil {
-		return fmt.Errorf("node: %v has no %q handler for %T", p.id, proto, body)
-	}
-	if !p.crashed {
-		p.clock = max(p.clock, sendTS)
-		h.call(r, from, body)
-	}
-	return nil
-}
-
-// handler returns proto's protocol and first handler of type t, or nil.
-func (p *Proc) handler(proto string, t reflect.Type) (Protocol, *Handler) {
+// Deliver is the typed step of one copy of m, sent by from under proto and
+// stamped sendTS: unless p has crashed, it applies the receive clock rule and
+// runs proto's handler of T. Both runtimes run it, through a Slot; a test
+// calls it to hand p a message. No such handler is a wiring bug: panic.
+func Deliver[T any](p *Proc, from types.ProcessID, proto string, m T, sendTS int64) {
 	r := p.handlers[proto]
-	for i := range r.hs {
-		if h := &r.hs[i]; h.typ == t || h.typ == nil {
-			return r.p, h
+	for _, h := range r.hs {
+		if step, ok := h.step.(func(Protocol, types.ProcessID, T)); ok {
+			if !p.crashed {
+				p.clock = max(p.clock, sendTS)
+				step(r.p, from, m)
+			}
+			return
 		}
 	}
-	return nil, nil
+	panic(fmt.Sprintf("node: %v has no %q handler for %v", p.id, proto, reflect.TypeFor[T]()))
 }
 
 // DeliverValue is Deliver for a value still encoded, as a live runtime reads
 // it: proto's handler of the value's kind decodes it into a local of its type
-// and runs. It returns the bytes after the value. A value no handler takes or
-// that fails to decode came from a broken peer: an error, never a panic.
+// and, unless p has crashed, runs. It returns the bytes after the value. A
+// value no handler takes or that fails to decode came from a broken peer: an
+// error, never a panic.
 func (p *Proc) DeliverValue(from types.ProcessID, proto string, value []byte, sendTS int64) ([]byte, error) {
 	r := p.handlers[proto]
-	for i := range r.hs {
-		if h := &r.hs[i]; h.codec != nil && !p.crashed {
-			if k, ok := h.codec(); ok && byte(k) == value[0] {
-				p.clock = max(p.clock, sendTS)
-				return h.decode(r.p, from, value[1:])
-			}
+	for _, h := range r.hs {
+		if rest, ok, err := h.decode(p, r.p, from, value, sendTS); ok {
+			return rest, err
 		}
 	}
-	// A gob value, one for an On[P, any] or tapped handler, or a crashed one.
-	body, rest, err := wire.DecodeValue(value)
-	if err == nil {
-		err = p.deliver(from, proto, body, sendTS)
-	}
-	return rest, err
+	return nil, fmt.Errorf("node: %v has no %q handler for kind %d", p.id, proto, value[0])
 }
+
+// A Slot holds one sent value, unboxed, for the copies of its send still to
+// be delivered; the last one frees it to the pool it came from. Only
+// Multicast makes one, and a pool is touched only by the goroutine that runs
+// both a send and its copies' delivery: the simulator's, or on a live
+// runtime the sender's own loop, to which its self-sends are posted.
+type Slot interface {
+	// Deliver runs the typed step (Deliver) of one copy at p.
+	Deliver(p *Proc, from types.ProcessID, proto string, sendTS int64)
+	// Value returns the value, boxed: for a trace line or a sized encode.
+	Value() any
+	// intercept hands one copy to the simulator's Hook instead.
+	intercept(h Hook, p *Proc, from types.ProcessID, proto string, sendTS int64)
+}
+
+// cell is the Slot of a value of type T, with one reference per copy still
+// to be delivered; a pool carves cells from chunks.
+type cell[T any] struct {
+	v    T
+	refs int
+	pool *cellPool[T]
+}
+
+type cellPool[T any] struct {
+	chunk []cell[T]
+	free  []*cell[T]
+}
+
+// slotOf returns a slot of m for refs copies, from p's pool of T's slots.
+func slotOf[T any](p *Proc, m T, refs int) *cell[T] {
+	t := reflect.TypeFor[T]()
+	pl, _ := p.pools[t].(*cellPool[T])
+	if pl == nil {
+		if p.pools == nil {
+			p.pools = make(map[reflect.Type]any)
+		}
+		pl = new(cellPool[T])
+		p.pools[t] = pl
+	}
+	var c *cell[T]
+	if n := len(pl.free); n > 0 {
+		c, pl.free = pl.free[n-1], pl.free[:n-1]
+	} else {
+		if len(pl.chunk) == 0 {
+			pl.chunk = make([]cell[T], 64)
+		}
+		c, pl.chunk = &pl.chunk[0], pl.chunk[1:]
+		c.pool = pl
+	}
+	c.v, c.refs = m, refs
+	return c
+}
+
+// take returns the value for one copy, freeing the cell after the last.
+func (c *cell[T]) take() T {
+	m := c.v
+	if c.refs--; c.refs == 0 {
+		var zero T
+		c.v = zero
+		c.pool.free = append(c.pool.free, c)
+	}
+	return m
+}
+
+func (c *cell[T]) Deliver(p *Proc, from types.ProcessID, proto string, sendTS int64) {
+	Deliver(p, from, proto, c.take(), sendTS)
+}
+
+func (c *cell[T]) Value() any { return c.v }

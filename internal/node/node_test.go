@@ -2,12 +2,14 @@ package node
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"wanamcast/internal/metrics"
 	"wanamcast/internal/network"
 	"wanamcast/internal/types"
+	"wanamcast/internal/wire"
 )
 
 // echo is a test protocol that records receptions and can send on demand.
@@ -19,13 +21,13 @@ type echo struct {
 
 type recv struct {
 	from types.ProcessID
-	body any
+	body string
 }
 
 func (e *echo) Proto() string       { return e.label }
 func (e *echo) Start()              {}
 func (e *echo) Handlers() []Handler { return []Handler{On((*echo).Receive)} }
-func (e *echo) Receive(from types.ProcessID, body any) {
+func (e *echo) Receive(from types.ProcessID, body string) {
 	e.received = append(e.received, recv{from, body})
 }
 
@@ -115,10 +117,10 @@ type arrivals struct {
 	log  *[]types.ProcessID
 }
 
-func (a arrivals) Proto() string                { return "arr" }
-func (a arrivals) Start()                       {}
-func (a arrivals) Handlers() []Handler          { return []Handler{On(arrivals.Receive)} }
-func (a arrivals) Receive(types.ProcessID, any) { *a.log = append(*a.log, a.self) }
+func (a arrivals) Proto() string                   { return "arr" }
+func (a arrivals) Start()                          {}
+func (a arrivals) Handlers() []Handler             { return []Handler{On(arrivals.Receive)} }
+func (a arrivals) Receive(types.ProcessID, string) { *a.log = append(*a.log, a.self) }
 
 // TestMulticastArrivalOrder: the copies of one Multicast arrive in the
 // order one entry per receiver gives them, however the simulator groups
@@ -203,10 +205,10 @@ type hook struct {
 	fn    func()
 }
 
-func (h *hook) Proto() string                { return h.label }
-func (h *hook) Start()                       { h.fn() }
-func (h *hook) Handlers() []Handler          { return []Handler{On((*hook).Receive)} }
-func (h *hook) Receive(types.ProcessID, any) {}
+func (h *hook) Proto() string                   { return h.label }
+func (h *hook) Start()                          { h.fn() }
+func (h *hook) Handlers() []Handler             { return []Handler{On((*hook).Receive)} }
+func (h *hook) Receive(types.ProcessID, string) {}
 
 func TestCrashedProcessStopsSendingAndReceiving(t *testing.T) {
 	rt, col := newTestRT(2, 1)
@@ -396,5 +398,42 @@ func TestRecoveringProcessRecordsNothing(t *testing.T) {
 	if st.CastTotal != 1 || st.DeliveredTotal != 1 || st.ConsensusInstances != 1 || st.BatchedMessages != 2 ||
 		st.LearnFetches != 1 || st.RoundsOnPace != 1 || st.BundleCopiesSent != 1 || st.BundleRepeatsDropped != 1 {
 		t.Fatalf("after recovery the process recorded %v, want one of each", st)
+	}
+}
+
+// TestOnInterfaceTypePanics: a handler of an interface type could never be
+// reached — a copy reaches the handler of the type it was sent as — so On
+// refuses it when the table is built, naming the protocol and the type.
+func TestOnInterfaceTypePanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "*node.echo") || !strings.Contains(msg, "interface {}") {
+			t.Errorf("On of an interface type panicked with %q, want one naming *node.echo and interface {}", msg)
+		}
+	}()
+	On(func(*echo, types.ProcessID, any) {})
+}
+
+// TestDeliverValueOnCrashedProc: a frame for a crashed process is decoded by
+// its handler's typed decoder, so that the frames after it are found, and
+// nothing runs: no handler, no clock update, no allocation.
+func TestDeliverValueOnCrashedProc(t *testing.T) {
+	rt, _ := newTestRT(1, 1)
+	probe := &clockProbe{api: rt.Proc(0), label: "probe"}
+	p := rt.Proc(0)
+	p.Register(probe)
+	rt.Start()
+	p.Crash()
+	frame := append(wire.AppendTagged(nil, int64(1<<40)), "next frame"...) // boxed, a value this large would cost an allocation
+	var rest []byte
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { rest, err = p.DeliverValue(1, "probe", frame, 9) }); allocs != 0 {
+		t.Errorf("DeliverValue on a crashed process allocated %.1f, want 0", allocs)
+	}
+	if err != nil || string(rest) != "next frame" {
+		t.Fatalf("DeliverValue returned %q, %v; want the bytes after the value", rest, err)
+	}
+	if probe.maxSeen != 0 || p.Clock() != 0 {
+		t.Fatalf("a crashed process ran its handler (clock %d)", p.Clock())
 	}
 }

@@ -16,8 +16,8 @@ type echoProto struct {
 func (e *echoProto) Proto() string       { return "echo" }
 func (e *echoProto) Start()              {}
 func (e *echoProto) Handlers() []Handler { return []Handler{On((*echoProto).Receive)} }
-func (e *echoProto) Receive(from types.ProcessID, body any) {
-	e.got = append(e.got, body.(string))
+func (e *echoProto) Receive(from types.ProcessID, body string) {
+	e.got = append(e.got, body)
 }
 
 // TestSeveredLinkHoldsAndReleases: a message sent over a severed link is

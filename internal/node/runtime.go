@@ -39,9 +39,14 @@ type Runtime struct {
 	// (virtual µs) reads now. Nothing may depend on that clock for safety.
 	Skew func(now uint64, p types.ProcessID) uint64
 
+	// Hook, when non-nil, is handed each copy for a receiver that has not
+	// crashed in place of its step, for a test: m is the value, boxed, and
+	// deliver runs the step — now, later, or never (the copy is lost). The
+	// copy's slot is freed either way.
+	Hook Hook
+
 	held         map[network.Link][]heldMsg // parked sends of severed links
 	isoSuspected map[types.ProcessID]bool   // suspected due to isolation, not crash
-	pools        map[reflect.Type]any       // a *cellPool[T] per type sent
 
 	// Bandwidth modeling state, touched only when the fabric is
 	// bandwidth-capped (Fabric.BandwidthOn). Each capped link is a FIFO
@@ -66,10 +71,13 @@ type Runtime struct {
 	started bool
 }
 
+// Hook is the type of Runtime.Hook.
+type Hook func(from, to types.ProcessID, proto string, m any, sendTS int64, deliver func())
+
 // heldMsg is one send parked on a severed link until it heals.
 type heldMsg struct {
 	proto  string
-	body   any
+	slot   Slot
 	sendTS int64
 }
 
@@ -87,103 +95,36 @@ func NewRuntime(topo *types.Topology, model network.Model, seed int64, rec *metr
 		oracle:         fd.NewOracle(topo),
 		held:           make(map[network.Link][]heldMsg),
 		isoSuspected:   make(map[types.ProcessID]bool),
-		pools:          make(map[reflect.Type]any),
 		SuspicionDelay: 20 * time.Millisecond,
 	}
 	rt.oracle.Observer = rec
 	rt.procs = make([]*Proc, topo.N())
+	pools := make(map[reflect.Type]any) // every send and delivery runs on the scheduler's goroutine
 	for _, id := range topo.AllProcesses() {
 		rt.procs[id] = NewProc(id, topo, rt)
+		rt.procs[id].pools = pools
 	}
 	rt.sched.OnDeliver(rt.execDeliver)
 	rt.fabric.OnTransition(rt.onLinkTransition)
 	return rt
 }
 
-// execDeliver executes one typed delivery event: it hands the message to
-// the receiver. This is the single delivery handler the scheduler invokes
-// for every network arrival — no closure per send.
+// execDeliver executes one delivery event: it runs the copy's typed step
+// at the receiver, or hands the copy to Hook. This is the single delivery
+// handler the scheduler invokes for every network arrival — no closure per
+// send.
 func (rt *Runtime) execDeliver(from, to int32, proto string, body any, sendTS int64) {
-	if c, ok := body.(parcel); ok {
-		c.deliver(rt.procs[to], types.ProcessID(from), proto, sendTS)
+	s, p := body.(Slot), rt.procs[to]
+	if rt.Hook == nil || p.crashed {
+		s.Deliver(p, types.ProcessID(from), proto, sendTS)
 		return
 	}
-	rt.procs[to].Deliver(types.ProcessID(from), proto, body, sendTS)
+	s.intercept(rt.Hook, p, types.ProcessID(from), proto, sendTS)
 }
 
-// parcel is a sent value carried unboxed: a *cell[T], which a scheduler
-// entry holds in its body at no allocation.
-type parcel interface {
-	deliver(p *Proc, from types.ProcessID, proto string, sendTS int64) // one copy
-	value() any                                                        // boxed: a trace line, a sized encode
-}
-
-// cell holds a sent value for its copies, one reference per scheduled
-// receiver and per copy parked on a severed link; the last one delivered
-// clears it and frees it to its pool, which carves cells from chunks.
-type cell[T any] struct {
-	v    T
-	refs int
-	pool *cellPool[T]
-}
-
-type cellPool[T any] struct {
-	chunk []cell[T]
-	free  []*cell[T]
-}
-
-// carry returns what p's env carries for a send of m to refs receivers: on
-// the simulator a cell of m, unless T is an interface type (the value's own
-// type picks its handler); m itself elsewhere.
-func carry[T any](p *Proc, m T, refs int) any {
-	rt, sim := p.env.(*Runtime)
-	t := reflect.TypeFor[T]()
-	if !sim || t.Kind() == reflect.Interface {
-		return m
-	}
-	pl, _ := rt.pools[t].(*cellPool[T])
-	if pl == nil {
-		pl = new(cellPool[T])
-		rt.pools[t] = pl
-	}
-	var c *cell[T]
-	if n := len(pl.free); n > 0 {
-		c, pl.free = pl.free[n-1], pl.free[:n-1]
-	} else {
-		if len(pl.chunk) == 0 {
-			pl.chunk = make([]cell[T], 64)
-		}
-		c, pl.chunk = &pl.chunk[0], pl.chunk[1:]
-		c.pool = pl
-	}
-	c.v, c.refs = m, refs
-	return c
-}
-
-func (c *cell[T]) value() any { return c.v }
-
-func (c *cell[T]) deliver(p *Proc, from types.ProcessID, proto string, sendTS int64) {
-	m := c.v
-	if c.refs--; c.refs == 0 {
-		var zero T
-		c.v = zero
-		c.pool.free = append(c.pool.free, c)
-	}
-	r, h := p.handler(proto, reflect.TypeFor[T]())
-	if h == nil || h.typed == nil {
-		p.Deliver(from, proto, m, sendTS) // boxed: an On[P, any] or tapped handler, or none
-	} else if !p.crashed {
-		p.clock = max(p.clock, sendTS)
-		h.typed.(func(Protocol, types.ProcessID, T))(r, from, m)
-	}
-}
-
-// unboxed returns the value body carries, boxed.
-func unboxed(body any) any {
-	if c, ok := body.(parcel); ok {
-		return c.value()
-	}
-	return body
+func (c *cell[T]) intercept(h Hook, p *Proc, from types.ProcessID, proto string, sendTS int64) {
+	m := c.take()
+	h(from, p.id, proto, m, sendTS, func() { Deliver(p, from, proto, m, sendTS) })
 }
 
 // Proc returns the process with the given ID.
@@ -259,13 +200,13 @@ func (rt *Runtime) Tracef(format string, args ...any) {
 // delay and priority class. Routing, tracing and counting stay per
 // receiver — the rng draws, SEND/HOLD lines and Stats of one send each —
 // so a held send, a jittered delay or a bandwidth queue ends a run.
-func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64) {
+func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, s Slot, sendTS int64) {
 	var (
 		first    types.ProcessID
 		n        int // receivers first..first+n-1 wait to be scheduled
 		runDelay time.Duration
 		runPrio  int
-		sub      = rt.sized(proto, body, sendTS)
+		sub      = rt.sized(proto, s, sendTS)
 	)
 	for _, to := range tos {
 		if from != to {
@@ -277,11 +218,11 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 				rt.Tracef("HOLD %v->%v %s ts=%d (link severed)", from, to, proto, sendTS)
 			}
 			l := network.Link{From: from, To: to}
-			rt.held[l] = append(rt.held[l], heldMsg{proto: proto, body: body, sendTS: sendTS})
+			rt.held[l] = append(rt.held[l], heldMsg{proto: proto, slot: s, sendTS: sendTS})
 			continue
 		}
 		if rt.Trace != nil {
-			rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, unboxed(body))
+			rt.Tracef("SEND %v->%v %s ts=%d %+v", from, to, proto, sendTS, s.Value())
 		}
 		delay, prio := rt.arrival(from, to, delay, sub)
 		if n > 0 && to == first+types.ProcessID(n) && delay == runDelay && prio == runPrio {
@@ -289,24 +230,24 @@ func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto s
 			continue
 		}
 		if n > 0 {
-			rt.sched.DeliverAfter(runDelay, runPrio, int32(from), int32(first), int32(first)+int32(n)-1, proto, body, sendTS)
+			rt.sched.DeliverAfter(runDelay, runPrio, int32(from), int32(first), int32(first)+int32(n)-1, proto, s, sendTS)
 		}
 		first, n, runDelay, runPrio = to, 1, delay, prio
 	}
 	if n > 0 {
-		rt.sched.DeliverAfter(runDelay, runPrio, int32(from), int32(first), int32(first)+int32(n)-1, proto, body, sendTS)
+		rt.sched.DeliverAfter(runDelay, runPrio, int32(from), int32(first), int32(first)+int32(n)-1, proto, s, sendTS)
 	}
 }
 
-// sized returns body encoded once as a live sender encodes it
+// sized returns s's value encoded once as a live sender encodes it
 // (wire.AppendSub, a view of bwScratch) on a bandwidth-modeled run, and nil on
-// any other or for a body that cannot be encoded (a test's gob rejection:
+// any other or for a value that cannot be encoded (a test's gob rejection:
 // nothing sized, nothing owed).
-func (rt *Runtime) sized(proto string, body any, sendTS int64) []byte {
+func (rt *Runtime) sized(proto string, s Slot, sendTS int64) []byte {
 	if !rt.fabric.BandwidthOn() {
 		return nil
 	}
-	sub, err := wire.AppendSub(rt.bwScratch[:0], proto, sendTS, unboxed(body))
+	sub, err := wire.AppendSub(rt.bwScratch[:0], proto, sendTS, s.Value())
 	if err != nil {
 		return nil
 	}
@@ -378,8 +319,8 @@ func (rt *Runtime) onLinkTransition(l network.Link, severed bool) {
 		rt.Tracef("RELEASE %d held msgs %v->%v at %v", len(msgs), l.From, l.To, rt.sched.Now())
 		for _, m := range msgs {
 			d := rt.fabric.Delay(l.From, l.To, rt.sched.Rand())
-			delay, prio := rt.arrival(l.From, l.To, d, rt.sized(m.proto, m.body, m.sendTS))
-			rt.sched.DeliverAfter(delay, prio, int32(l.From), int32(l.To), int32(l.To), m.proto, m.body, m.sendTS)
+			delay, prio := rt.arrival(l.From, l.To, d, rt.sized(m.proto, m.slot, m.sendTS))
+			rt.sched.DeliverAfter(delay, prio, int32(l.From), int32(l.To), int32(l.To), m.proto, m.slot, m.sendTS)
 		}
 	}
 	// Trust restored: simulated heartbeats resume the moment any

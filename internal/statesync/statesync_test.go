@@ -48,7 +48,7 @@ func (t *toy) Handlers() []node.Handler {
 
 // tap sees every message before t's engine: it counts the requests and
 // drops what t is set to drop.
-func (t *toy) tap(_ types.ProcessID, body any, deliver func()) {
+func (t *toy) tap(body any, deliver func()) {
 	switch m := body.(type) {
 	case Req:
 		t.reqs = append(t.reqs, m.From)
@@ -103,8 +103,10 @@ func newRig(per, batch, archive int, have ...int) *rig {
 			t.apply(uint64(i))
 		}
 		r.rt.Proc(p).Register(t)
-		r.rt.Proc(p).Tap(t.tap)
 		r.toys = append(r.toys, t)
+	}
+	r.rt.Hook = func(_, to types.ProcessID, _ string, body any, _ int64, deliver func()) {
+		r.toys[to].tap(body, deliver)
 	}
 	r.rt.Start()
 	return r
@@ -239,7 +241,7 @@ func TestEngine(t *testing.T) {
 			req, peer := r.toys[0], r.toys[1]
 			peer.mute = true
 			feed := func(at time.Duration, m toyResp) {
-				r.at(at, func() { r.rt.Proc(0).Deliver(1, req.Proto(), m, 0) })
+				r.at(at, func() { node.Deliver(r.rt.Proc(0), 1, req.Proto(), m, 0) })
 			}
 			tail := "late tail"
 			feed(0, toyResp{Base: 2, Recs: []uint64{2, 3}, Next: 4, Tail: &tail}) // before Start

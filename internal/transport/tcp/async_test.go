@@ -20,14 +20,14 @@ import (
 // sinkProto records every receive for one process.
 type sinkProto struct {
 	mu   sync.Mutex
-	got  []any
+	got  []string
 	name string
 }
 
 func (s *sinkProto) Proto() string            { return s.name }
 func (s *sinkProto) Start()                   {}
 func (s *sinkProto) Handlers() []node.Handler { return []node.Handler{node.On((*sinkProto).Receive)} }
-func (s *sinkProto) Receive(_ types.ProcessID, body any) {
+func (s *sinkProto) Receive(_ types.ProcessID, body string) {
 	s.mu.Lock()
 	s.got = append(s.got, body)
 	s.mu.Unlock()

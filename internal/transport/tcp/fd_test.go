@@ -15,13 +15,13 @@ import (
 // the test makes, at the instants it chooses.
 type stepEnv struct{ now time.Duration }
 
-func (e *stepEnv) Now() time.Duration                                            { return e.now }
-func (*stepEnv) Micros(types.ProcessID) uint64                                   { return 0 }
-func (*stepEnv) Transmit(types.ProcessID, []types.ProcessID, string, any, int64) {}
-func (*stepEnv) Later(*node.Proc, time.Duration, func())                         {}
-func (*stepEnv) Recorder() *metrics.Collector                                    { return nil }
-func (*stepEnv) Tracef(string, ...any)                                           {}
-func (*stepEnv) TraceOn() bool                                                   { return false }
+func (e *stepEnv) Now() time.Duration                                                  { return e.now }
+func (*stepEnv) Micros(types.ProcessID) uint64                                         { return 0 }
+func (*stepEnv) Transmit(types.ProcessID, []types.ProcessID, string, node.Slot, int64) {}
+func (*stepEnv) Later(*node.Proc, time.Duration, func())                               {}
+func (*stepEnv) Recorder() *metrics.Collector                                          { return nil }
+func (*stepEnv) Tracef(string, ...any)                                                 {}
+func (*stepEnv) TraceOn() bool                                                         { return false }
 
 // stepFD is process self's heartbeat detector in one group of three on a
 // stepEnv, started at 1 s, with leases of an hour: none lapses in a test.

@@ -19,10 +19,10 @@ type sink struct {
 func (s *sink) Proto() string            { return "sink" }
 func (s *sink) Start()                   {}
 func (s *sink) Handlers() []node.Handler { return []node.Handler{node.On((*sink).Receive)} }
-func (s *sink) Receive(from types.ProcessID, body any) {
+func (s *sink) Receive(from types.ProcessID, body string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.got = append(s.got, body.(string))
+	s.got = append(s.got, body)
 }
 
 func (s *sink) snapshot() []string {

@@ -240,6 +240,54 @@ func TestSendZeroAllocs(t *testing.T) {
 	}
 }
 
+// selfSink counts the AcceptedMsgs its process sends itself.
+type selfSink struct{ n int }
+
+func (*selfSink) Proto() string            { return "sink" }
+func (*selfSink) Start()                   {}
+func (*selfSink) Handlers() []node.Handler { return selfSinkHandlers }
+
+var selfSinkHandlers = []node.Handler{node.On(func(s *selfSink, _ types.ProcessID, _ consensus.AcceptedMsg) { s.n++ })}
+
+// TestSelfSendZeroAllocs pins a Multicast whose destinations include the
+// sender: the copy to self rides a slot of the sender's pool, posted to its
+// own lane, and the lane runs it by handing the handler the value unboxed.
+// Encode, post and self-delivery together allocate nothing. (Before, the lane
+// carried the copy boxed: 1 allocation.)
+func TestSelfSendZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin holds without it")
+	}
+	rt := New(Config{Topo: types.NewTopology(2, 3), Config: config.Config{BasePort: 22710}})
+	tos := []types.ProcessID{0, 1, 2, 3, 4, 5}
+	for _, q := range tos[1:] {
+		rt.links[connKey{0, q}] = &link{rt: rt, from: 0, to: q, wake: make(chan struct{}, 1)}
+	}
+	sink := &selfSink{}
+	rt.Proc(0).Register(sink)
+	ln := rt.laneOf[0]
+	send := func() {
+		node.Multicast(rt.Proc(0), tos, "sink", consensus.AcceptedMsg{Instance: 7, Ballot: 2})
+		for _, q := range tos[1:] {
+			rt.links[connKey{0, q}].out.reset()
+		}
+		ev, ok := ln.in.TryPop()
+		if !ok {
+			t.Fatal("the copy to self was not posted to the sender's lane")
+		}
+		ln.exec(ev)
+	}
+	for range 16 {
+		send()
+	}
+	if n := testing.AllocsPerRun(200, send); n != 0 {
+		t.Errorf("a Multicast to self and five peers, its self-copy run: %.1f allocations, want 0", n)
+	}
+	if sink.n != 16+201 {
+		t.Fatalf("the sender ran %d of its %d copies to self", sink.n, 16+201)
+	}
+}
+
 // counter records the int64 bodies it receives, in order.
 type counter struct {
 	mu   sync.Mutex

@@ -449,8 +449,8 @@ func (rt *Runtime) enqueue(id types.ProcessID, fn func()) {
 }
 
 // laneEvent is one unit of lane work: a received envelope (env), a self-send
-// (proto, ts, body), or a timer or Run/Async hand-off (fn, with a timer's
-// owner); none costs a closure. While lifecycle tracing is enabled an
+// (proto, ts, slot), or a timer or Run/Async hand-off (fn, with a timer's
+// owner); none costs a closure or a box. While lifecycle tracing is enabled an
 // envelope carries the time it was read, so the lane can attribute queueing
 // delay to each of its frames (at == 0: untimed).
 type laneEvent struct {
@@ -460,7 +460,7 @@ type laneEvent struct {
 	to    types.ProcessID
 	proto string
 	ts    int64
-	body  any
+	slot  node.Slot
 	env   *envelope
 	at    int64 // read time, ns; 0 = untimed
 }
@@ -623,7 +623,7 @@ func (ln *lane) exec(ev laneEvent) {
 		ln.walk(ev)
 		return
 	}
-	rt.procs[ev.to].Deliver(ev.from, ev.proto, ev.body, ev.ts) // a self-send
+	ev.slot.Deliver(rt.procs[ev.to], ev.from, ev.proto, ev.ts) // a self-send
 }
 
 // walk runs an envelope's frames in order, each with its own wire count and
@@ -825,10 +825,10 @@ func (rt *Runtime) Later(owner *node.Proc, d time.Duration, fn func()) {
 
 // Transmit implements node.Env. A Proc hands a node.WireEnv only its
 // self-sends (its remote copies go out encoded, TransmitEncoded): each is
-// posted to the lane with its value.
-func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, body any, sendTS int64) {
+// posted with its slot to the sender's own lane, the one that sent it.
+func (rt *Runtime) Transmit(from types.ProcessID, tos []types.ProcessID, proto string, s node.Slot, sendTS int64) {
 	for _, to := range tos {
-		rt.laneOf[to].post(laneEvent{from: from, to: to, proto: proto, ts: sendTS, body: body})
+		rt.laneOf[to].post(laneEvent{from: from, to: to, proto: proto, ts: sendTS, slot: s})
 	}
 }
 
