@@ -97,6 +97,12 @@ var gates = []gate{
 	// One delivery path: a typed step under both runtimes.
 	{what: "Proc.Tap and the boxed by-type dispatch: node.Deliver is the one step, Runtime.Hook the one test seam", pattern: `\.Tap\(|func \(p \*Proc\) (Tap|Deliver|deliver|handler)\(`, paths: []string{"."}, tests: true},
 	{what: "a boxed decode or a dynamic-type lookup in node: a handler is found by its static type", pattern: `DecodeValue|reflect\.TypeOf`, paths: []string{"internal/node"}, tests: true},
+
+	// One durability barrier: Flush, Sync, Maintain, and Sync a store's one fsync.
+	{what: "Store.Commit, a second fsync path beside Sync", pattern: `Commit\(\) error`, paths: []string{"internal/storage"}, tests: true},
+	{what: "Log.Deferred and Log.Enabled: no layer asks how a log syncs", pattern: `func \(l \*Log\) (Deferred|Enabled)\(|\.Deferred\(\)`, paths: []string{"."}, tests: true},
+	{what: "an inline barrier in consensus: afterBarrier parks every reply behind CommitThen", pattern: `c\.log\.Commit\(\)`, paths: []string{"internal/consensus"}},
+	{what: "the simulator's closure event: At/After schedule a timer with no owner", pattern: `\bevFn\b|fns +slab`, paths: []string{"internal/sim"}, tests: true},
 }
 
 // TestDeletedSurfacesStayDeleted fails on a gate whose count moved, with the

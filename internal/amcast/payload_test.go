@@ -157,9 +157,7 @@ func TestPayloadsOutliveTheReceiveBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := disk.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	storage.NewLog(disk).Commit()
 	var replayed []storage.Record
 	if err := disk.Replay(0, func(rec storage.Record) error { replayed = append(replayed, rec); return nil }); err != nil {
 		t.Fatal(err)
@@ -295,9 +293,7 @@ func TestRawBatchReplaysFromTheWAL(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := store.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		storage.NewLog(store).Commit()
 		a, delivered := replayLog(t, topo, 0, store, rigOpts{}, everyRecord)
 		if len(delivered) != len(want) {
 			t.Fatalf("%s: replay delivered %v, want %d messages", name, delivered, len(want))

@@ -108,9 +108,10 @@ type Config struct {
 	// (tests use storage.NewMem). When it returns nil for a process, that
 	// process runs without persistence.
 	StoreFor func(p types.ProcessID) storage.Store
-	// NoFsync makes Commit barriers flush without fsyncing: crashes of
-	// the whole OS process lose the tail, in-process Crash/Restart does
-	// not. The "fsync=off" benchmark knob; needs DataDir. [-nofsync]
+	// NoFsync makes each store's Sync a no-op, so a durability barrier
+	// only flushes: crashes of the whole OS process lose the tail,
+	// in-process Crash/Restart does not. The "fsync=off" benchmark knob;
+	// needs DataDir. [-nofsync]
 	NoFsync bool
 	// SnapshotEvery is how many A-Deliveries a process accumulates before
 	// its state is snapshotted and the WAL truncated (default 512;
@@ -262,7 +263,7 @@ func (c *Config) Bind(fs *flag.FlagSet, except ...string) {
 	all.IntVar(&c.Lanes, "lanes", c.Lanes, "ordering lane goroutines, processes sharded across them by group (0 = one per group)")
 	all.Var((*bandwidth)(&c.Bandwidth), "bandwidth", "per-link bandwidth cap `rate`, e.g. 50mbit, 6.25MB, 1gbit (0 = uncapped; heartbeats are exempt)")
 	all.StringVar(&c.DataDir, "datadir", c.DataDir, "persist each process's WAL+snapshots under this directory (empty = volatile)")
-	all.BoolVar(&c.NoFsync, "nofsync", c.NoFsync, "with -datadir: write WALs without fsync barriers (benchmark knob)")
+	all.BoolVar(&c.NoFsync, "nofsync", c.NoFsync, "with -datadir: durability barriers flush the WAL but never fsync it (benchmark knob)")
 	all.IntVar(&c.SnapshotEvery, "snapevery", c.SnapshotEvery, "with -datadir: snapshot every N deliveries per process (0 = default 512, negative = never)")
 	// Asking for a tracing output turns the tracer on.
 	all.Func("spanbuf", "per-lane lifecycle span ring size `n` (0 = default 4096); enables lifecycle tracing",

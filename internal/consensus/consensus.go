@@ -188,8 +188,8 @@ type Consensus struct {
 
 	log        *storage.Log
 	recovering bool                   // replaying the log: no re-persisting
-	parked     ring.FIFO[parkedReply] // replies waiting on a group-commit barrier, oldest first
-	sendParked func()                 // sends the oldest parked reply; built at the first one
+	parked     ring.FIFO[parkedReply] // replies waiting on their durability barrier, oldest first
+	sendParked func()                 // sends the oldest parked reply; bound once
 }
 
 var _ node.Protocol = (*Consensus)(nil)
@@ -218,6 +218,7 @@ func New(cfg Config) *Consensus {
 		log:   cfg.Log,
 	}
 	c.tickFn = c.tick
+	c.sendParked = func() { c.sendTraced(c.parked.Pop()) }
 	c.group = cfg.API.Topo().Members(cfg.API.Group())
 	c.d = len(c.group)
 	if c.d > 64 {
@@ -443,23 +444,15 @@ func (c *Consensus) onPrepare(from types.ProcessID, m PrepareMsg) {
 		PromiseMsg{Instance: m.Instance, Ballot: m.Ballot, VBallot: in.accepted, VValue: in.aValue})
 }
 
-// afterBarrier sends reply once every record appended so far is durable:
-// after an inline fsync on a synchronous log, or parked in c.parked until
-// the group-commit syncer's next covering fsync. A log runs continuations
-// in stage order, so each barrier's, the one bound sendParked, sends the
+// afterBarrier parks reply in c.parked and sends it once every record
+// appended so far is durable: the log's barrier runs the bound sendParked
+// when it has synced, inline or after the group-commit syncer's covering
+// fsync. A log runs continuations in stage order, so each sends the
 // oldest. st is the sub-span: how long the reply waited.
 func (c *Consensus) afterBarrier(st trace.Stage, to types.ProcessID, reply PromiseMsg) {
 	p := parkedReply{st: st, start: -1, to: to, reply: reply} // start -1: not tracing
 	if c.api.Tracing() {
 		p.start = c.api.Now()
-	}
-	if !c.log.Deferred() {
-		c.log.Commit()
-		c.sendTraced(p)
-		return
-	}
-	if c.sendParked == nil {
-		c.sendParked = func() { c.sendTraced(c.parked.Pop()) }
 	}
 	c.parked.Push(p)
 	c.log.CommitThen(c.sendParked)

@@ -26,8 +26,8 @@
 //     delivery carries (from, proto, body, sendTS) and its receivers
 //     [to, last] and executes through a single handler installed with
 //     OnDeliver; a timer carries its owner and callback, dropped inline
-//     when the owner has crashed. Only cold-path scheduling (At/After)
-//     takes a closure. All slices recycle, so steady-state scheduling
+//     when the owner has crashed. Cold-path scheduling (At/After) is a
+//     timer with no owner. All slices recycle, so steady-state scheduling
 //     allocates nothing.
 //
 //   - One delivery entry stands for a run: the copies of one send to
@@ -49,11 +49,10 @@ import (
 	"time"
 )
 
-// Event kinds. evFn runs a plain closure; the rest are typed, closure-free
-// representations of the hot-path events.
+// Event kinds: a delivery runs the installed handler with a typed payload;
+// a timer runs a callback, an At/After closure being a timer with no owner.
 const (
-	evFn      = iota // fn()
-	evDeliver        // deliver(from, to, proto, body, sendTS) for each receiver of a run
+	evDeliver = iota // deliver(from, to, proto, body, sendTS) for each receiver of a run
 	evTimer          // fn() unless owner.Crashed()
 )
 
@@ -156,7 +155,6 @@ type Scheduler struct {
 	pending   int
 
 	delivers slab[deliverPayload]
-	fns      slab[func()]
 	timers   slab[timerPayload]
 
 	now     time.Duration
@@ -296,7 +294,7 @@ func (s *Scheduler) AtPrio(at time.Duration, prio int, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	s.push(at, prio, evFn, s.fns.put(fn), 1)
+	s.push(at, prio, evTimer, s.timers.put(timerPayload{fn: fn}), 1)
 }
 
 // After schedules fn to run d from the current virtual time (class 0).
@@ -368,8 +366,6 @@ func (s *Scheduler) Step() bool {
 	case evDeliver:
 		d := s.delivers.take(e.slot)
 		s.deliver(d.from, d.to, d.proto, d.body, d.sendTS)
-	case evFn:
-		s.fns.take(e.slot)()
 	case evTimer:
 		if p := s.timers.take(e.slot); p.owner == nil || !p.owner.Crashed() {
 			p.fn()
@@ -416,21 +412,19 @@ func (s *Scheduler) RunUntil(deadline time.Duration) uint64 {
 
 // maxStepsDiagnosis renders the livelock panic message: virtual time,
 // pending-queue depth, and the hottest pending event classes — delivery
-// events by proto, plus timer/closure counts — so a thousand-process
-// livelock names its runaway protocol instead of just dying.
+// events by proto, plus the timer count, At/After closures included — so a
+// thousand-process livelock names its runaway protocol instead of just
+// dying.
 func (s *Scheduler) maxStepsDiagnosis() string {
 	counts := make(map[string]int)
 	tally := func(entries []heapEntry) {
 		for _, e := range entries {
-			switch e.kind {
-			case evDeliver:
-				p := s.delivers.items[e.slot]
-				counts["proto "+p.proto] += int(p.last-p.to) + 1
-			case evTimer:
+			if e.kind == evTimer {
 				counts["timers"]++
-			default:
-				counts["closures"]++
+				continue
 			}
+			p := s.delivers.items[e.slot]
+			counts["proto "+p.proto] += int(p.last-p.to) + 1
 		}
 	}
 	tally(s.sorted[s.sortedIdx:])

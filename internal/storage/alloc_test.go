@@ -38,7 +38,7 @@ func TestWALAppendZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Commit(); err != nil {
+	if err := barrier(d); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -75,7 +75,7 @@ func BenchmarkWALAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 				if cfg.commit {
-					if err := d.Commit(); err != nil {
+					if err := barrier(d); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,9 +4,12 @@
 // ordering engines, and the service layer's replicated state).
 //
 // One process owns one Store. Layers append Records tagged with their
-// protocol label and call Commit at their durability barriers (an acceptor
-// must not ack a Promise or Accept it could forget); Commit flushes the
-// write buffer and fsyncs unless the store was opened with NoFsync.
+// protocol label and pass the reply a record guards to Log.CommitThen, the
+// one durability barrier (an acceptor must not ack a Promise or Accept it
+// could forget). The barrier is Flush, then Sync, then Maintain: inline on
+// the calling lane, or with Sync left to the group-commit syncer when the
+// log is attached to one. Sync is the one place a store fsyncs its log,
+// unless the store was opened with NoFsync.
 // Because consensus values are whole ordering batches, the steady-state
 // cost is one fsync per decided batch per acceptor, not one per message —
 // and the encode path reuses the internal/wire zero-allocation codecs, so
@@ -32,18 +35,15 @@ import (
 )
 
 // Store is one process's durable state: an appendable record log and a
-// replaceable snapshot. Flush and Sync split the Commit barrier in two, so
-// many lanes' barriers can share one fsync (see GroupCommit): Sync is the
-// one method called from the group-commit syncer goroutine, concurrently
-// with lane-side appends; every other method runs on the store's owning
-// lane.
+// replaceable snapshot. The durability barrier is Flush, Sync, Maintain,
+// in that order; with group commit many lanes' barriers share one Sync
+// (see GroupCommit). Sync is the one method called from the group-commit
+// syncer goroutine, concurrently with lane-side appends; every other
+// method runs on the store's owning lane.
 type Store interface {
 	// Append adds one record to the log. It is buffered: the record is
-	// durable only after the next Commit.
+	// durable only after the next barrier's Sync.
 	Append(rec Record) error
-	// Commit is the durability barrier: flush buffered appends and fsync
-	// (unless the store runs fsync-off).
-	Commit() error
 	// Flush pushes buffered appends to the OS. No durability yet.
 	Flush() error
 	// Sync makes everything previously flushed durable (fsync unless the
@@ -71,13 +71,13 @@ type Store interface {
 
 // Log is the nil-safe append handle layers hold. A nil *Log discards
 // everything, so protocols need no durability branches on their hot
-// paths. Append and Commit panic on store errors: a process that cannot
-// persist the state it is about to promise must fail-stop (§2.1's
+// paths. Append and CommitThen panic on store errors: a process that
+// cannot persist the state it is about to promise must fail-stop (§2.1's
 // crash-stop model), not carry on with amnesia.
 type Log struct {
 	store Store
-	// Group-commit attachment (nil = synchronous barriers): CommitThen
-	// stages its continuation here instead of fsyncing inline.
+	// Group-commit attachment (nil = inline barriers): CommitThen stages
+	// its continuation here instead of syncing on the calling lane.
 	q *gcQueue
 }
 
@@ -99,29 +99,20 @@ func (l *Log) Append(rec Record) {
 	}
 }
 
-// Commit is the durability barrier; see Store.Commit.
-func (l *Log) Commit() {
-	if l == nil {
-		return
-	}
-	if err := l.store.Commit(); err != nil {
-		panic(fmt.Sprintf("storage: commit failed, cannot continue without durability: %v", err))
-	}
-}
+// Commit is CommitThen(nil): the barrier with nothing to run after it,
+// which the storage layer's benchmark driver times.
+func (l *Log) Commit() { l.CommitThen(nil) }
 
-// Enabled reports whether records appended here are actually retained.
-func (l *Log) Enabled() bool { return l != nil }
-
-// AttachGroupCommit routes this log's CommitThen barriers through gc:
-// the barrier's continuation is parked until the syncer's next fsync of
-// this store completes, and one fsync covers every barrier staged across
-// all lanes in the window. post must run its argument on the store's
-// owning lane, as its own event (e.g. tcp.Runtime.Async) — the parked
-// continuations live in a lane-local queue and touch loop-confined
-// protocol state. The syncer posts one function, bound once, per window.
+// AttachGroupCommit routes this log's barriers through gc: CommitThen
+// flushes on the calling lane and parks its continuation until the
+// syncer's next Sync of this store completes, and one Sync covers every
+// barrier staged across all lanes in the window. post must run its
+// argument on the store's owning lane, as its own event (e.g.
+// tcp.Runtime.Async) — the parked continuations live in a lane-local
+// queue and touch loop-confined protocol state. The syncer posts one
+// function, bound once, per window.
 //
-// A nil log or a nil gc leave the log synchronous: CommitThen then degrades
-// to Commit-then-call.
+// A nil log or a nil gc leave the log's barriers inline.
 func (l *Log) AttachGroupCommit(gc *GroupCommit, post func(func())) {
 	if l == nil || gc == nil {
 		return
@@ -129,39 +120,43 @@ func (l *Log) AttachGroupCommit(gc *GroupCommit, post func(func())) {
 	l.q = gc.register(l.store, post)
 }
 
-// Deferred reports whether CommitThen parks its continuation behind the
-// group-commit syncer; when it does not, a caller may Commit and carry on
-// inline, building no continuation.
-func (l *Log) Deferred() bool { return l != nil && l.q != nil }
-
-// CommitThen is the asynchronous durability barrier: then runs strictly
-// after every record appended so far is durable. Without a group-commit
-// attachment it is Commit() followed by then() — synchronous, today's
-// behavior to the byte. With one, the appends are flushed to the OS on
-// the calling lane and then is parked until the group-commit syncer's
-// covering fsync completes; it then runs on the owning lane via the
-// attachment's post hook, after every continuation staged on this log
-// before it. Either way the caller must not touch
-// loop-confined state between CommitThen and then running — the reply a
-// barrier guards belongs inside then.
+// CommitThen is the durability barrier: then runs strictly after every
+// record appended so far is durable. Without a group-commit attachment the
+// barrier runs inline — Flush, Sync, Maintain — and then runs before
+// CommitThen returns. With one, the appends are flushed on the calling
+// lane and then is parked until the syncer's covering Sync completes; it
+// then runs on the owning lane via the attachment's post hook, after
+// every continuation staged on this log before it. Either way the caller
+// must not touch loop-confined state between CommitThen and then running
+// — the reply a barrier guards belongs inside then.
 func (l *Log) CommitThen(then func()) {
-	if l == nil {
-		if then != nil {
-			then()
+	if l != nil && l.q != nil {
+		if err := l.store.Flush(); err != nil {
+			panic(fmt.Sprintf("storage: flush failed, cannot continue without durability: %v", err))
 		}
+		l.q.stage(then)
 		return
 	}
-	if l.q == nil {
-		l.Commit()
-		if then != nil {
-			then()
+	if l != nil {
+		if err := barrier(l.store); err != nil {
+			panic(fmt.Sprintf("storage: barrier failed, cannot continue without durability: %v", err))
 		}
-		return
 	}
-	if err := l.q.store.Flush(); err != nil {
-		panic(fmt.Sprintf("storage: flush failed, cannot continue without durability: %v", err))
+	if then != nil {
+		then()
 	}
-	l.q.stage(then)
+}
+
+// barrier is the inline durability barrier: push buffered appends to the
+// OS, make them durable, then run the store's post-sync maintenance.
+func barrier(s Store) error {
+	if err := s.Flush(); err != nil {
+		return err
+	}
+	if err := s.Sync(); err != nil {
+		return err
+	}
+	return s.Maintain()
 }
 
 // --- in-memory store ------------------------------------------------------
@@ -193,14 +188,12 @@ func (m *Mem) Append(rec Record) error {
 	return nil
 }
 
-// Commit implements Store (memory is always "durable").
-func (m *Mem) Commit() error { return nil }
-
 // Flush implements Store: memory has nothing to flush.
 func (m *Mem) Flush() error { return nil }
 
-// Sync implements Store. It only counts: memory is always durable,
-// but the counter lets tests observe how group commit batches barriers.
+// Sync implements Store. It only counts: memory is always durable, but
+// the counter lets tests observe how many barriers reached a Sync, inline
+// or batched by group commit.
 // Unlike the rest of Mem it is safe to call concurrently (the
 // group-commit syncer calls it from its own goroutine).
 func (m *Mem) Sync() error {
@@ -211,8 +204,8 @@ func (m *Mem) Sync() error {
 // Maintain implements Store: nothing to rotate.
 func (m *Mem) Maintain() error { return nil }
 
-// Fsyncs implements Store: for Mem it reports the number of Sync
-// barriers observed (no real fsyncs ever happen).
+// Fsyncs implements Store: for Mem it reports every Sync call, an inline
+// barrier's included (no real fsyncs ever happen).
 func (m *Mem) Fsyncs() uint64 { return m.syncs.Load() }
 
 // SaveSnapshot implements Store.

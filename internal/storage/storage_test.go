@@ -52,7 +52,7 @@ func TestDiskAppendReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Commit(); err != nil {
+	if err := barrier(d); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
@@ -100,7 +100,7 @@ func TestDiskReopenContinues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d2.Commit(); err != nil {
+	if err := barrier(d2); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
@@ -166,7 +166,7 @@ func TestDiskTornTailTruncated(t *testing.T) {
 			if err := d2.Append(extra); err != nil {
 				t.Fatal(err)
 			}
-			if err := d2.Commit(); err != nil {
+			if err := barrier(d2); err != nil {
 				t.Fatal(err)
 			}
 			var got []Record
@@ -192,7 +192,7 @@ func TestDiskSnapshotPrunesAndLoads(t *testing.T) {
 		if err := d.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Commit(); err != nil {
+		if err := barrier(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,9 +278,6 @@ func TestNilLogIsInert(t *testing.T) {
 	var l *Log
 	l.Append(Record{Kind: KindDecide, Proto: "x"})
 	l.Commit()
-	if l.Enabled() {
-		t.Fatal("nil log reports enabled")
-	}
 	if NewLog(nil) != nil {
 		t.Fatal("NewLog(nil) should be nil")
 	}

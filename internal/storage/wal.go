@@ -44,14 +44,15 @@ const (
 type DiskOptions struct {
 	// SegmentSize is the rotation threshold in bytes (default 8 MiB).
 	SegmentSize int64
-	// NoFsync makes Commit flush to the OS without fsyncing: crash
-	// recovery of the OS process is then best-effort, but an in-process
-	// restart still sees every record. The "fsync=off" benchmark knob.
+	// NoFsync makes Sync a no-op, so a barrier only flushes to the OS:
+	// crash recovery of the OS process is then best-effort, but an
+	// in-process restart still sees every record. The "fsync=off"
+	// benchmark knob.
 	NoFsync bool
 }
 
 // Disk is the file-backed Store. Under group commit it is shared
-// between its owning lane (Append/Flush/Commit/Maintain) and the syncer
+// between its owning lane (Append/Flush/Maintain) and the syncer
 // goroutine (Sync): fmu guards the segment file handle against a
 // rotation or Close racing an in-flight fsync, and the dirty flag and
 // fsync counter are atomic. All other methods stay lane-confined.
@@ -198,7 +199,7 @@ func (d *Disk) Append(rec Record) error {
 	d.wbuf = append(d.wbuf, body...)
 	d.next++
 	// Flush opportunistically so wbuf stays small; durability still waits
-	// for Commit.
+	// for the next Sync.
 	if len(d.wbuf) >= 256<<10 {
 		if err := d.flush(); err != nil {
 			return err
@@ -229,12 +230,13 @@ func (d *Disk) Flush() error {
 	return d.flush()
 }
 
-// Sync implements Store: fsync everything flushed so far. This is
-// the one method the group-commit syncer calls from its own goroutine;
-// it holds the file-handle lock so a concurrent rotation or Close cannot
-// pull the file out from under the fsync. Flushes that complete before a
-// barrier is staged are covered by construction (flush happens-before
-// stage happens-before the syncer's read of it happens-before this call).
+// Sync implements Store: fsync everything flushed so far. Every barrier's
+// fsync is this one, inline or from the group-commit syncer's goroutine
+// (rotate seals a full segment with its own). It holds the file-handle
+// lock so a concurrent rotation or Close cannot pull the file out from
+// under the fsync. Flushes that complete before a barrier is staged are
+// covered by construction (flush happens-before stage happens-before the
+// syncer's read of it happens-before this call).
 func (d *Disk) Sync() error {
 	d.fmu.RLock()
 	defer d.fmu.RUnlock()
@@ -263,30 +265,6 @@ func (d *Disk) Maintain() error {
 // Fsyncs implements Store.
 func (d *Disk) Fsyncs() uint64 { return d.fsyncs.Load() }
 
-// Commit implements Store: flush and (unless NoFsync) fsync, then rotate
-// the segment if it outgrew the threshold.
-func (d *Disk) Commit() error {
-	if d.closed {
-		return fmt.Errorf("storage: commit on closed store")
-	}
-	if err := d.flush(); err != nil {
-		return err
-	}
-	if d.dirty.Load() && !d.opts.NoFsync {
-		if err := d.f.Sync(); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		d.fsyncs.Add(1)
-	}
-	d.dirty.Store(false)
-	if d.segLen >= d.opts.SegmentSize {
-		if err := d.rotate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (d *Disk) rotate() error {
 	// The whole swap runs under the file-handle lock: a group-commit Sync
 	// in flight must finish against the old segment before it closes, and
@@ -312,7 +290,7 @@ func (d *Disk) SaveSnapshot(data []byte) error {
 	}
 	// The snapshot covers every record appended so far; make sure they are
 	// all in their segments before pruning anything.
-	if err := d.Commit(); err != nil {
+	if err := barrier(d); err != nil {
 		return err
 	}
 	upTo := d.next
@@ -514,7 +492,7 @@ func (d *Disk) Close() error {
 	if d.closed {
 		return nil
 	}
-	err := d.Commit()
+	err := barrier(d)
 	d.fmu.Lock()
 	d.closed = true
 	if cerr := d.f.Close(); err == nil {

@@ -100,8 +100,8 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	for _, id := range topo.AllProcesses() {
 		l.stores[id] = l.openStore(id)
 	}
-	// Lanes share goroutines, so Commit barriers batch through one
-	// group-commit syncer instead of fsyncing inline (see
+	// Lanes share goroutines, so durability barriers batch through one
+	// group-commit syncer instead of syncing inline (see
 	// storage.GroupCommit). Only worth starting with a store to sync.
 	for _, s := range l.stores {
 		if s != nil {
