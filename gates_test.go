@@ -103,6 +103,10 @@ var gates = []gate{
 	{what: "Log.Deferred and Log.Enabled: no layer asks how a log syncs", pattern: `func \(l \*Log\) (Deferred|Enabled)\(|\.Deferred\(\)`, paths: []string{"."}, tests: true},
 	{what: "an inline barrier in consensus: afterBarrier parks every reply behind CommitThen", pattern: `c\.log\.Commit\(\)`, paths: []string{"internal/consensus"}},
 	{what: "the simulator's closure event: At/After schedule a timer with no owner", pattern: `\bevFn\b|fns +slab`, paths: []string{"internal/sim"}, tests: true},
+
+	// A simulated cast at its allocation floor.
+	{what: "the GroupSet intern table, state every process shared: a set of a few groups is a value", pattern: `intern[S]et|sets[M]u|max[S]ets|max[S]etKey`, paths: []string{"."}, tests: true},
+	{what: "a proposal copied out of a scratch encoding: the Batcher carves it from its slab", pattern: `append\(Value\(nil\), b\.enc`, paths: []string{"internal/consensus"}},
 }
 
 // TestDeletedSurfacesStayDeleted fails on a gate whose count moved, with the

@@ -227,6 +227,7 @@ type Mcast struct {
 	// received (TS, m) proposal lives in its message's entry: handleTS admits
 	// the message it names first, so there is no proposal without one.
 	order, fresh, held, cand, stage1 []*pend
+	pends                            []pend // the chunk newPend carves entries from
 	tos                              []types.ProcessID
 	batch                            []Descriptor
 	enc                              []byte
@@ -391,10 +392,17 @@ func (a *Mcast) admit(id types.MessageID, dest types.GroupSet, payload []byte, a
 	a.Engine.Pump()
 }
 
-// newPend enters m into PENDING at stage s0.
+// newPend enters m into PENDING at stage s0, carved from a chunk of 64 and
+// never reused (a delivered entry may sit in fresh until the next fill), so a
+// delivered one lets go of its payload: the chunk lives while any entry does.
 func (a *Mcast) newPend(id types.MessageID, dest types.GroupSet, payload []byte, at uint64) *pend {
 	a.admitSeq++
-	p := &pend{id: id, dest: dest, payload: payload, at: at, seq: a.admitSeq}
+	if len(a.pends) == 0 {
+		a.pends = make([]pend, 64)
+	}
+	p := &a.pends[0]
+	a.pends = a.pends[1:]
+	*p = pend{id: id, dest: dest, payload: payload, at: at, seq: a.admitSeq}
 	if a.api.Tracing() {
 		p.adm = a.api.Now()
 	}
@@ -746,6 +754,7 @@ func (a *Mcast) release(p *pend) {
 	}
 	delete(a.pending, p.id)
 	a.deliver(DeliverRec{ID: p.id, Dest: p.dest, TS: p.ts, Payload: p.payload}, "")
+	p.payload = nil // see newPend
 }
 
 // deliver A-Delivers one message: ADELIVERED, the delivery count and the
@@ -842,7 +851,7 @@ func (a *Mcast) applySyncDeliver(dr DeliverRec, replay bool) {
 	}
 	if p := a.pending[dr.ID]; p != nil {
 		a.orderRemove(p)
-		p.stage = Stage3 // so that the s0 list forgets it
+		p.stage, p.payload = Stage3, nil // so that the s0 list forgets it; see newPend
 		delete(a.pending, dr.ID)
 	}
 	if !replay {

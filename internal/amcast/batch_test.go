@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/network"
+	"wanamcast/internal/node"
 	"wanamcast/internal/types"
 )
 
@@ -212,5 +214,34 @@ func TestRandomWorkloadWithBatchingKnobs(t *testing.T) {
 				r.verify(t)
 			})
 		}
+	}
+}
+
+// TestPendingEntriesComeInChunks: a single-group message admitted to PENDING
+// and A-Delivered in the decision that orders it costs less than one
+// allocation: its entry is carved from a chunk of 64, not allocated alone.
+// Delivered entries never come back (a fill may still hold one), and drop
+// their payloads.
+func TestPendingEntriesComeInChunks(t *testing.T) {
+	rt := node.NewRuntime(types.NewTopology(1, 1), network.Model{IntraGroup: time.Millisecond}, 1, nil)
+	a := New(Config{Host: rt.Proc(0), Detector: rt.Oracle()})
+	rt.Start()
+	dest, payload, set := types.NewGroupSet(0), []byte("op"), make([]Descriptor, 1)
+	var seq uint64
+	var last *pend
+	cycle := func() {
+		seq++
+		set[0] = Descriptor{ID: types.MessageID{Origin: 0, Seq: seq}, Dest: dest, Payload: payload}
+		last = a.newPend(set[0].ID, dest, set[0].Payload, 0)
+		a.processDecision(seq, set)
+	}
+	if n := testing.AllocsPerRun(640, cycle); n >= 1 {
+		t.Errorf("admit to delivery made %.0f allocations a message, want less than 1", n)
+	}
+	if a.Delivered() != seq || len(a.pending) != 0 {
+		t.Fatalf("delivered %d of %d messages, %d still pending", a.Delivered(), seq, len(a.pending))
+	}
+	if last.payload != nil {
+		t.Errorf("a delivered entry still holds its payload %q", last.payload)
 	}
 }

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -214,5 +215,47 @@ func TestAppliedDecisionZeroAllocs(t *testing.T) {
 	}
 	if b.AppliedInstances() != k {
 		t.Fatalf("applied %d of %d decisions", b.AppliedInstances(), k)
+	}
+}
+
+// TestProposalsComeFromTheSlab: a Batcher that proposes N non-empty batches
+// allocates at most N/16 times for their encodings: each is written once
+// into the engine's slab, capped, and never overwritten by a later one. A
+// batch larger than a chunk gets an array of its own. While each
+// proposal was encoded into a scratch buffer and copied out, this cost N.
+func TestProposalsComeFromTheSlab(t *testing.T) {
+	b := NewBatcher(BatcherConfig[testItem]{
+		API:      node.NewProc(0, types.NewTopology(1, 3), &fakeEnv{}),
+		Detector: fd.NewOracle(types.NewTopology(1, 3)),
+		Fill:     func(func(types.MessageID) bool, int, bool) []testItem { return nil },
+		Decode:   decodeTestItems,
+		OnApply:  func(uint64, []testItem) {},
+	})
+	const n = 1024
+	batch, vs := make([]testItem, 4), make([]Value, n)
+	for i := range batch {
+		batch[i].ID = mid(uint64(i + 1))
+	}
+	if m := mallocsDuring(func() {
+		for i := range vs {
+			batch[0].V = i
+			vs[i] = b.encode(batch)
+		}
+	}); m > n/16 {
+		t.Errorf("%d proposals made %d allocations, want at most %d", n, m, n/16)
+	}
+	for i, v := range vs {
+		batch[0].V = i
+		if !bytes.Equal(v, enc(batch...)) || cap(v) != len(v) {
+			t.Fatalf("proposal %d reads %x (capacity %d), want %x capped", i, v, cap(v), enc(batch...))
+		}
+	}
+	big := make([]testItem, slabChunk)
+	for i := range big {
+		big[i].ID = mid(uint64(i + 1))
+	}
+	at := len(b.slab)
+	if v := b.encode(big); !bytes.Equal(v, enc(big...)) || cap(v) != len(v) || len(b.slab) != at {
+		t.Fatalf("a batch of %d bytes moved the slab from %d to %d, or was misencoded", len(v), at, len(b.slab))
 	}
 }

@@ -131,7 +131,7 @@ type Batcher[T Item] struct {
 	onApply  func(inst uint64, batch []T)
 
 	kind     wire.Kind // []T's: the kind of every batch
-	enc      []byte    // a proposal is encoded here, then copied out
+	slab     []byte    // the append-only chunk proposals are carved from (see encode)
 	empty    Value     // the empty batch's encoding, which every empty proposal shares
 	dec, rel []T       // decode buffers: a decision's when no hook keeps it, an own proposal's
 
@@ -252,14 +252,26 @@ func (b *Batcher[T]) Pump() {
 	}
 }
 
-// encode returns batch's tagged encoding in bytes of its own: the one copy a
-// proposal costs its proposer.
+// slabChunk is the size of a Batcher's proposal slab chunk.
+const slabChunk = 8 << 10
+
+// encode returns batch's tagged encoding, written once at the slab's end and
+// capped so that no append reaches the next: no allocation of its own. The
+// slab is never rewound; a chunk with less than a quarter left is dropped
+// first, and a proposal that still does not fit outgrows it into its own.
 func (b *Batcher[T]) encode(batch []T) Value {
 	if len(batch) == 0 {
 		return b.empty
 	}
-	b.enc = wire.AppendTagged(b.enc[:0], batch)
-	return append(Value(nil), b.enc...)
+	if cap(b.slab)-len(b.slab) < slabChunk/4 {
+		b.slab = make([]byte, 0, slabChunk)
+	}
+	at := len(b.slab)
+	v := wire.AppendTagged(b.slab[at:], batch)
+	if len(v) <= cap(b.slab)-at {
+		b.slab = b.slab[:at+len(v)]
+	}
+	return v[:len(v):len(v)]
 }
 
 // undecided reports whether an instance this process proposed — every one

@@ -71,6 +71,28 @@ func TestRunScaleSweepMeasures(t *testing.T) {
 	}
 }
 
+// TestSimScaleCountsPinned pins the runs of bench's sim-scale workload at
+// seed 1, event for event: A1 at 200 groups of 5 with 10 000 casts, then A2
+// at 50 groups of 3 with 1 500, 4 986 498 events together, each run clean
+// under the §2.2 checker. The counts are virtual-time behaviour: a change to
+// CPU work or allocations alone leaves them as they are.
+func TestSimScaleCountsPinned(t *testing.T) {
+	for _, c := range []struct {
+		algo   Algo
+		shape  Shape
+		casts  int
+		events uint64
+	}{
+		{AlgoA1, Shape{200, 5}, 10000, 1561598},
+		{AlgoA2, Shape{50, 3}, 1500, 3424900},
+	} {
+		p := RunScaleSweep(c.algo, Options{Seed: 1}, []Shape{c.shape}, c.casts)[0]
+		if p.Events != c.events || p.Violations != 0 {
+			t.Errorf("%s %v, %d casts: %d events, %d violations; want %d, 0", c.algo, c.shape, c.casts, p.Events, p.Violations, c.events)
+		}
+	}
+}
+
 // TestJitterFreeSweepPinned pins the event count and the delivery log of
 // small sweep runs at sim-scale's delays (no jitter): the runs in which the
 // simulator schedules a multicast as runs of receivers sharing an arrival

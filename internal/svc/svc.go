@@ -670,7 +670,8 @@ func (s *Server) submit(b *burst) {
 	for i, c := range b.casts {
 		b.casts[i] = outCast{} // the payload is the ordering layer's now
 		s.cfg.Stats.RecordCast()
-		s.cfg.Submit(c.payload, c.dest, func(id types.MessageID) { s.submitted(id, c.reqs) })
+		reqs := c.reqs // the callback holds the requests alone, by value: no c on the heap
+		s.cfg.Submit(c.payload, c.dest, func(id types.MessageID) { s.submitted(id, reqs) })
 	}
 	b.casts = b.casts[:0]
 }

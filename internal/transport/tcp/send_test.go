@@ -437,6 +437,44 @@ func TestFullLinkCountsSendQueueDrops(t *testing.T) {
 	}
 }
 
+// TestPacedLinkPassesHeartbeatsAndGrants: a bandwidth-capped link owing ten
+// seconds of debt still writes heartbeats and a lease grant at once, each a
+// plain frame, while a protocol frame queued before them waits out the debt.
+// Routed through the pacing queue, they would reach the peer after that frame
+// and inside its envelope, ten seconds late: congestion would read as a crash
+// to Ω and to the lease. This is the property the live saturation run of the
+// root package exercises, asserted on frame order rather than on wall-clock
+// suspicion counts.
+func TestPacedLinkPassesHeartbeatsAndGrants(t *testing.T) {
+	const port = 22780
+	log := listenLog(t, "127.0.0.1:22781")
+	rt := New(Config{Topo: types.NewTopology(2, 1), Local: []types.ProcessID{0}, Config: config.Config{BasePort: port, Bandwidth: 1000}})
+	t.Cleanup(rt.Stop)
+	p := rt.Proc(0)
+	ballast := make([]byte, 10_000) // 1000 B/s: ten seconds of debt
+	rand.New(rand.NewSource(1)).Read(ballast)
+	node.Send(p, 1, "a1.rm", ballast)
+	log.frames(t, 1)
+	l := rt.link(0, 1)
+	node.Send(p, 1, "a1.cons", consensus.LearnMsg{Instance: 7})
+	node.Send(p, 1, fdProto, heartbeatMsg{Beat: 99})
+	log.frames(t, 2) // the writer has taken the heartbeat: the grant needs a wake of its own
+	node.Send(p, 1, fdProto, leaseGrantMsg{Beat: 99})
+	node.Send(p, 1, fdProto, heartbeatMsg{Beat: 100})
+	got := log.frames(t, 4)
+	if n := l.pending(); n != 1 {
+		t.Fatalf("%d protocol frames pending, want the one queued before the fd frames", n)
+	}
+	for _, want := range []wire.Kind{wire.KindBatch, wire.KindHeartbeat, wire.KindLeaseGrant, wire.KindHeartbeat} {
+		size := binary.BigEndian.Uint32(got)
+		f, value, err := wire.FrameValue(got[4 : 4+size])
+		if err != nil || wire.Kind(value[0]) != want || want != wire.KindBatch && f.Proto != fdProto {
+			t.Fatalf("frame %v of kind %d, %v; want a plain %q frame of kind %d", f, value[0], err, fdProto, want)
+		}
+		got = got[4+size:]
+	}
+}
+
 // TestUnencodableBodyDroppedAtSender: a body even gob cannot encode is
 // dropped by its sender, with a trace line; the frames either side of it are
 // delivered, no frame fails at the receiver, and the link carries on.

@@ -12,11 +12,8 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // ProcessID identifies a process in Π. IDs are dense, starting at 0, and
@@ -87,39 +84,58 @@ func DecodeMessageID(data []byte) (MessageID, []byte, error) {
 	return MessageID{Origin: ProcessID(origin), Seq: seq}, data[n:], nil
 }
 
-// GroupSet is an immutable set of destination groups (m.dest in the paper).
-// The zero value is the empty set. Construct with NewGroupSet.
+// GroupSet is an immutable set of destination groups (m.dest in the paper),
+// a value: up to inlineGroups groups are held in place, so building or
+// decoding such a set allocates nothing. The zero value is the empty set.
 type GroupSet struct {
-	groups []GroupID // sorted, deduplicated
+	n     int                   // the set's size
+	small [inlineGroups]GroupID // the groups, sorted, while n <= inlineGroups
+	big   []GroupID             // the groups, sorted, past that
 }
+
+const inlineGroups = 3 // every workload addresses at most three shards
 
 // NewGroupSet builds a set from the given groups, deduplicating and sorting.
 func NewGroupSet(groups ...GroupID) GroupSet {
-	gs := append(make([]GroupID, 0, len(groups)), groups...)
+	return canonical(append(make([]GroupID, 0, 8), groups...)) // on the stack up to 8
+}
+
+// canonical returns the set of gs, which it sorts and deduplicates in place.
+func canonical(gs []GroupID) GroupSet {
 	slices.Sort(gs)
-	return GroupSet{groups: slices.Compact(gs)}
+	gs = slices.Compact(gs)
+	s := GroupSet{n: len(gs)}
+	if copy(s.small[:], gs) < s.n {
+		s.big = slices.Clone(gs)
+	}
+	return s
 }
 
 // Contains reports whether g is in the set.
 func (s GroupSet) Contains(g GroupID) bool {
-	_, ok := slices.BinarySearch(s.groups, g)
+	_, ok := slices.BinarySearch(s.Groups(), g)
 	return ok
 }
 
 // Size returns the number of groups in the set.
-func (s GroupSet) Size() int { return len(s.groups) }
+func (s GroupSet) Size() int { return s.n }
 
-// Groups returns the member groups in ascending order. The caller must not
-// modify the returned slice.
-func (s GroupSet) Groups() []GroupID { return s.groups }
+// Groups returns the member groups in ascending order, which the caller must
+// not modify. It inlines: the slice points into the caller's copy of s.
+func (s GroupSet) Groups() []GroupID {
+	if s.n > inlineGroups {
+		return s.big
+	}
+	return s.small[:s.n]
+}
 
 // Equal reports whether both sets contain exactly the same groups.
-func (s GroupSet) Equal(other GroupSet) bool { return slices.Equal(s.groups, other.groups) }
+func (s GroupSet) Equal(other GroupSet) bool { return slices.Equal(s.Groups(), other.Groups()) }
 
 // String implements fmt.Stringer.
 func (s GroupSet) String() string {
-	parts := make([]string, len(s.groups))
-	for i, g := range s.groups {
+	parts := make([]string, s.n)
+	for i, g := range s.Groups() {
 		parts[i] = g.String()
 	}
 	return "{" + strings.Join(parts, ",") + "}"
@@ -128,8 +144,8 @@ func (s GroupSet) String() string {
 // AppendTo appends the set's wire encoding: a uvarint count followed by one
 // varint per group, in ascending order.
 func (s GroupSet) AppendTo(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s.groups)))
-	for _, g := range s.groups {
+	buf = binary.AppendUvarint(buf, uint64(s.n))
+	for _, g := range s.Groups() {
 		buf = binary.AppendVarint(buf, int64(g))
 	}
 	return buf
@@ -138,9 +154,8 @@ func (s GroupSet) AppendTo(buf []byte) []byte {
 // DecodeGroupSet consumes one GroupSet and returns the remainder. Input that
 // is not sorted and deduplicated (which AppendTo never produces) is
 // re-canonicalised rather than rejected, so a decoded set always upholds the
-// GroupSet invariant even on hostile bytes. A system addresses a handful of
-// destination sets, so the set of an encoding seen before comes shared out of
-// a bounded table, without allocating (internSet).
+// GroupSet invariant even on hostile bytes. A set of up to inlineGroups
+// groups decodes without allocating.
 func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 	n, read := binary.Uvarint(data)
 	if read <= 0 {
@@ -150,11 +165,7 @@ func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 	if n > uint64(len(rest)) { // each element takes at least one byte
 		return GroupSet{}, nil, fmt.Errorf("types: GroupSet length %d exceeds input", n)
 	}
-	if n == 0 {
-		return GroupSet{}, rest, nil
-	}
-	var buf [8]GroupID
-	groups := buf[:0]
+	groups := make([]GroupID, 0, 8) // on the stack up to 8
 	for i := uint64(0); i < n; i++ {
 		v, read := binary.Varint(rest)
 		if read <= 0 {
@@ -163,49 +174,14 @@ func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 		rest = rest[read:]
 		groups = append(groups, GroupID(v))
 	}
-	return internSet(data[:len(data)-len(rest)], groups), rest, nil
-}
-
-// sets is internSet's table: immutable, replaced whole under setsMu by each
-// new entry, so that a lookup is a pointer load and a map read. It holds the
-// first maxSets encodings of at most maxSetKey bytes; any other decodes to a
-// fresh set every time. Filling it copies O(maxSets²) entries, which a
-// simulation of hundreds of groups pays once per process: A1's decisions
-// decode their sets there too.
-var (
-	setsMu sync.Mutex
-	sets   atomic.Pointer[map[string]GroupSet]
-)
-
-const maxSets, maxSetKey = 256, 64
-
-func init() { sets.Store(&map[string]GroupSet{}) }
-
-// internSet returns the set that enc, which decoded to groups, encodes.
-func internSet(enc []byte, groups []GroupID) GroupSet {
-	cur := *sets.Load()
-	if s, ok := cur[string(enc)]; ok {
-		return s
-	}
-	s := NewGroupSet(groups...)
-	if len(cur) >= maxSets || len(enc) > maxSetKey {
-		return s
-	}
-	setsMu.Lock()
-	defer setsMu.Unlock()
-	if cur := *sets.Load(); len(cur) < maxSets && len(enc) <= maxSetKey {
-		next := maps.Clone(cur)
-		next[string(enc)] = s
-		sets.Store(&next)
-	}
-	return s
+	return canonical(groups), rest, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler so a GroupSet inside
 // an application payload survives the wire codec's gob fallback despite the
-// unexported field.
+// unexported fields.
 func (s GroupSet) MarshalBinary() ([]byte, error) {
-	return s.AppendTo(make([]byte, 0, 2+4*len(s.groups))), nil
+	return s.AppendTo(make([]byte, 0, 2+4*s.n)), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -280,7 +256,7 @@ func NewIrregularTopology(sizes []int) *Topology {
 	for i := range gs {
 		gs[i] = GroupID(i)
 	}
-	t.allGroups = GroupSet{groups: gs}
+	t.allGroups = canonical(gs)
 	return t
 }
 

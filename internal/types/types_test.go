@@ -1,13 +1,15 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMessageIDLessIsStrictTotalOrder(t *testing.T) {
@@ -82,7 +84,8 @@ func TestNewGroupSetDeduplicatesAndSorts(t *testing.T) {
 
 // TestNewGroupSetMatchesMapAndSort checks NewGroupSet against the map-and-
 // sort.Slice construction it replaced, on random inputs with repeats and
-// negative IDs, and the empty input; and that it costs one allocation.
+// negative IDs, and the empty input; and that a set of three groups built
+// from four costs no allocation.
 func TestNewGroupSetMatchesMapAndSort(t *testing.T) {
 	reference := func(groups []GroupID) []GroupID {
 		gs := make([]GroupID, 0, len(groups))
@@ -115,14 +118,14 @@ func TestNewGroupSetMatchesMapAndSort(t *testing.T) {
 		t.Fatalf("NewGroupSet() = %#v, want an empty set", got)
 	}
 	in := []GroupID{4, 1, 4, 2}
-	if n := testing.AllocsPerRun(100, func() { _ = NewGroupSet(in...) }); n != 1 {
-		t.Errorf("NewGroupSet: %.1f allocs, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { _ = NewGroupSet(in...) }); n != 0 {
+		t.Errorf("NewGroupSet: %.1f allocs, want 0", n)
 	}
 }
 
-// TestDecodeGroupSetSeenBeforeIsFree: the set of an encoding decoded before
-// comes out of the intern table, shared and without an allocation; a
-// non-canonical encoding still decodes to its canonical set.
+// TestDecodeGroupSetSeenBeforeIsFree: decoding a set's encoding again
+// decodes the same set, without an allocation; a non-canonical encoding still
+// decodes to its canonical set.
 func TestDecodeGroupSetSeenBeforeIsFree(t *testing.T) {
 	enc := NewGroupSet(7, 3, 11).AppendTo(nil)
 	first, _, err := DecodeGroupSet(enc)
@@ -132,8 +135,8 @@ func TestDecodeGroupSetSeenBeforeIsFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = DecodeGroupSet(enc) }); n != 0 {
 		t.Errorf("DecodeGroupSet of a set seen before: %.1f allocs, want 0", n)
 	}
-	if again, _, _ := DecodeGroupSet(enc); &again.Groups()[0] != &first.Groups()[0] {
-		t.Error("DecodeGroupSet of a set seen before built a new one")
+	if again, _, _ := DecodeGroupSet(enc); !again.Equal(first) || !slices.Equal(again.Groups(), []GroupID{3, 7, 11}) {
+		t.Errorf("DecodeGroupSet of a set seen before decoded %v, then %v", first, again)
 	}
 	odd := encodeInOrder(3, 11, 3, 7)
 	for range 2 {
@@ -143,43 +146,68 @@ func TestDecodeGroupSetSeenBeforeIsFree(t *testing.T) {
 	}
 }
 
-// TestGroupSetInternConcurrentAndBounded: readers take no lock, so sets
-// decoded from several goroutines at once must come back right (run it with
-// -race), and the table stops growing at maxSets — a set past the bound, or
-// one whose encoding is longer than maxSetKey, still decodes, uncached.
-func TestGroupSetInternConcurrentAndBounded(t *testing.T) {
-	old := sets.Load()
-	defer sets.Store(old) // the flood below must not evict the other tests' sets
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 64; i++ {
-				for _, want := range [][]GroupID{{0, 1}, {GroupID(i), 500}, {GroupID(g), GroupID(1000 + i)}} {
-					s, _, err := DecodeGroupSet(NewGroupSet(want...).AppendTo(nil))
-					if err != nil || !slices.Equal(s.Groups(), want) {
-						t.Errorf("DecodeGroupSet(%v) = %v, %v", want, s, err)
-					}
-				}
+// TestSmallGroupSetsAllocateNothing: a set of two or three groups, never
+// built or decoded before, costs no allocation either way. A simulation of
+// hundreds of groups addresses far more distinct sets than any table of seen
+// ones would hold.
+func TestSmallGroupSetsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{2, 3} {
+		in, enc := make([]GroupID, size), make([]byte, 0, 64)
+		draw := func() {
+			enc = binary.AppendUvarint(enc[:0], uint64(size))
+			for i := range in {
+				in[i] = GroupID(rng.Intn(1 << 20))
+				enc = binary.AppendVarint(enc, int64(in[i]))
 			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; len(*sets.Load()) < maxSets; i++ {
-		_, _, _ = DecodeGroupSet(NewGroupSet(GroupID(i), -1).AppendTo(nil))
-	}
-	long := make([]GroupID, maxSetKey)
-	for i := range long {
-		long[i] = GroupID(i)
-	}
-	for _, want := range [][]GroupID{{7, 1 << 30}, long} {
-		if s, _, err := DecodeGroupSet(NewGroupSet(want...).AppendTo(nil)); err != nil || !slices.Equal(s.Groups(), want) {
-			t.Errorf("past the bound DecodeGroupSet(%v) = %v, %v", want, s, err)
+		}
+		if n := testing.AllocsPerRun(200, func() { draw(); _ = NewGroupSet(in...) }); n != 0 {
+			t.Errorf("NewGroupSet of %d fresh groups: %.1f allocs, want 0", size, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { draw(); _, _, _ = DecodeGroupSet(enc) }); n != 0 {
+			t.Errorf("DecodeGroupSet of %d fresh groups: %.1f allocs, want 0", size, n)
 		}
 	}
-	if n := len(*sets.Load()); n != maxSets {
-		t.Errorf("intern table holds %d sets, bound is %d", n, maxSets)
+}
+
+// TestGroupSetMatchesMapReference checks Groups, Size, Contains, Equal,
+// AppendTo and DecodeGroupSet against a map on random sets of zero to ten
+// groups, across the size a set holds in place.
+func TestGroupSetMatchesMapReference(t *testing.T) {
+	f := func(members []uint8, probe uint8, drop uint8) bool {
+		members = members[:min(len(members), 10)]
+		ref := map[GroupID]bool{}
+		in := make([]GroupID, len(members))
+		for i, m := range members {
+			in[i] = GroupID(m % 16)
+			ref[in[i]] = true
+		}
+		want := slices.Sorted(maps.Keys(ref))
+		s := NewGroupSet(in...)
+		if !slices.Equal(s.Groups(), want) || s.Size() != len(want) || s.Contains(GroupID(probe%16)) != ref[GroupID(probe%16)] {
+			return false
+		}
+		slices.Reverse(in)
+		if !s.Equal(NewGroupSet(in...)) || !bytes.Equal(s.AppendTo(nil), encodeInOrder(want...)) {
+			return false
+		}
+		if len(want) > 0 && s.Equal(NewGroupSet(slices.Delete(slices.Clone(want), int(drop)%len(want), int(drop)%len(want)+1)...)) {
+			return false
+		}
+		back, rest, err := DecodeGroupSet(encodeInOrder(in...))
+		return err == nil && len(rest) == 0 && back.Equal(s) && slices.Equal(back.Groups(), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGroupSetSize pins a GroupSet's size: its count, inlineGroups groups in
+// place, and the slice of a larger set. A set is copied into every
+// descriptor, pending entry and delivery record, so a larger one costs there.
+func TestGroupSetSize(t *testing.T) {
+	if got := unsafe.Sizeof(GroupSet{}); got != 56 {
+		t.Errorf("a GroupSet takes %d bytes, want 56", got)
 	}
 }
 
