@@ -8,8 +8,9 @@ import (
 )
 
 // TestParseFlags: wannode validates through the shared config like every
-// command, and the knobs its hand-built endpoints cannot honour are
-// unknown flags.
+// command and, as a LiveCluster of one process, takes every shared knob;
+// the retired transport knobs and another command's -telemetry are unknown
+// flags.
 func TestParseFlags(t *testing.T) {
 	for args, ok := range map[string]bool{
 		"-id 0 -groups 2 -d 2 -datadir /var/lib/wannode-0": true,
@@ -20,9 +21,10 @@ func TestParseFlags(t *testing.T) {
 		"-heartbeat 300ms":                                 false,
 		"-compressmin 512":                                 false,
 		"-port 65535":                                      false,
-		"-maxbatch 8":                                      false,
-		"-spanbuf 64":                                      false,
+		"-maxbatch 8":                                      true,
+		"-spanbuf 64":                                      true,
 		"-telemetry :0":                                    false,
+		"-trace":                                           false,
 	} {
 		fs := flag.NewFlagSet("wannode", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -453,12 +453,12 @@ func (b *Bcast) ship(round uint64, set []Record) {
 }
 
 // reship is the group's Reship hook: the decided bundles of rounds K−Pipeline
-// to the highest open one. A group that lacks round r's bundle proposes no
-// round past r+Pipeline−1, so the window reaches every group; a member that
-// lags its own group by more pulls.
+// to the highest open one, K at least. A group that lacks round r's bundle
+// proposes no round past r+Pipeline−1, so the window reaches every group; a
+// member that lags its own group by more pulls.
 func (b *Bcast) reship() {
 	window := uint64(b.pipeline)
-	for r := max(b.k, window+1) - window; r <= b.opened; r++ {
+	for r := max(b.k, window+1) - window; r <= max(b.opened, b.k); r++ {
 		if set, ok := b.Engine.Decided(r); ok {
 			b.ship(r, set)
 		}

@@ -196,7 +196,7 @@ func (k keeper) Handlers() []node.Handler {
 // value's buffer has been overwritten.
 func lentAndOverwritten(t *testing.T, vals map[string]any) map[string]any {
 	const port = 22600
-	rt := tcp.New(tcp.Config{Topo: types.NewTopology(1, 2), Local: []types.ProcessID{0}, Config: config.Config{BasePort: port}})
+	rt := tcp.New(tcp.Config{Topo: types.NewTopology(1, 2), Config: config.Config{BasePort: port, Local: []types.ProcessID{0}}})
 	kept := make(chan any)
 	rt.Proc(0).Register(keeper{kept})
 	if err := rt.Start(); err != nil {

@@ -27,6 +27,11 @@ type Config struct {
 	PerGroup int
 	// BasePort: process p listens on BasePort+p (default 19000). [-port]
 	BasePort int
+	// Local lists the processes hosted here; nil hosts all of Π. The rest
+	// of Π runs in other OS processes on the same ports and shape (cmd/wannode
+	// hosts one process each). Check cannot go with it: the checker needs
+	// every cast and delivery of Π.
+	Local []types.ProcessID
 	// WANDelay is the injected inter-group one-way delay (default 100 ms);
 	// LANDelay applies within groups (default 0: the loopback's real
 	// latency). With an injected tcp.Config.Fabric the fabric's own base
@@ -200,6 +205,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fsync=off is meaningless without a data dir")
 	case c.SnapshotEvery != 0 && c.DataDir == "" && c.StoreFor == nil:
 		return fmt.Errorf("snapshot cadence is meaningless without a data dir")
+	case c.Check && c.Local != nil:
+		return fmt.Errorf("the property checker needs every process: it cannot run on a cluster that hosts only %v", c.Local)
 	}
 	return PortRange(e.BasePort, e.Groups*e.PerGroup)
 }

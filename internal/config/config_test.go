@@ -68,6 +68,10 @@ func TestValidate(t *testing.T) {
 		}, true},
 
 		{"negative spanbuf", func(c *Config) { c.SpanBuf = -5 }, false},
+
+		{"checked", func(c *Config) { c.Check = true }, true},
+		{"one hosted process", func(c *Config) { c.Local = []types.ProcessID{4} }, true},
+		{"checked with a hosted subset", func(c *Config) { c.Check, c.Local = true, []types.ProcessID{4} }, false},
 	}
 	for _, tc := range cases {
 		c := Config{Groups: 2, PerGroup: 3}

@@ -6,7 +6,8 @@
 // cadence and after every state transfer, crash recovery, and the restart
 // catch-up. Every process that runs the paper's algorithms is built here:
 // the simulator's (harness.System, no store — behind Cluster, wansim, its
-// -figures and the sim-scale benchmark), the live cluster's and wannode's.
+// -figures and the sim-scale benchmark) and the live cluster's, which
+// wannode runs too, hosting one process.
 //
 // Recovery order matters, and this is the one place it is written down.
 // Every snapshot section restores first — A1, A2, the allocator, then the
@@ -22,7 +23,9 @@
 // lifts the gate by catching up from the group peers (internal/statesync).
 // It must run after a cold start too — a wiped data dir on a running
 // cluster is just "very far behind", and on a cluster-wide cold start every
-// member answers Busy with nothing newer, so the group resumes at once.
+// member answers Busy with nothing newer, so the group resumes at once. The
+// live cluster runs this order for every process it starts or restarts;
+// without a store Recover and StartSync do nothing.
 package durable
 
 import (
@@ -54,6 +57,9 @@ type Config struct {
 	// Store makes the process durable; nil runs it volatile (Snapshot and
 	// Recover are then no-ops).
 	Store storage.Store
+	// ColdStart marks a process brought up with its cluster: over an empty
+	// store it is new, and counts its casts from zero (see restartSeqGap).
+	ColdStart bool
 	// GroupCommit, when non-nil, batches the store's fsync barriers with
 	// other processes' (see storage.GroupCommit).
 	GroupCommit *storage.GroupCommit
@@ -76,19 +82,18 @@ type Config struct {
 	// OnSyncFailed, when non-nil, fires when proto's state transfer is
 	// abandoned (the group's archives no longer cover this process).
 	OnSyncFailed func(proto string)
-	// Logf reports a failed automatic snapshot: it costs replay time, not
-	// correctness. Nil traces through the process.
-	Logf func(format string, args ...any)
 }
 
 // sectionAlloc names the allocator's snapshot section. (The name is the one
 // the live cluster has always written.)
 const sectionAlloc = "cluster"
 
-// restartSeqGap is how far a recovered process's cast allocator jumps past
-// its recovered value: casts made after the last snapshot are not
-// individually logged, so the jump guarantees a fresh incarnation can never
-// re-issue a MessageID the old one already used.
+// restartSeqGap is how far a recovered cast allocator jumps past its
+// recovered value, so an incarnation never re-issues its predecessor's IDs:
+// casts after the last snapshot are not logged one by one (an A1 cast that
+// skips the caster's group not at all), so it applies over an empty store
+// too, except on a cold start, which cannot tell an empty store from a wiped
+// one and counts from zero.
 const restartSeqGap = 1 << 20
 
 // endpoint is what the host needs of an ordering endpoint it built.
@@ -113,14 +118,12 @@ type Node struct {
 	eps       []endpoint
 	castSeq   uint64 // the shared cast-ID allocator
 	sinceSnap int    // deliveries since the last automatic snapshot
+	resumed   bool   // see Recovered
 }
 
 // New builds the process's endpoints and registers them on cfg.Proc.
 func New(cfg Config) *Node {
 	n := &Node{cfg: cfg}
-	if n.cfg.Logf == nil {
-		n.cfg.Logf = cfg.Proc.Tracef
-	}
 	log := storage.NewLog(cfg.Store)
 	log.AttachGroupCommit(cfg.GroupCommit, cfg.Async)
 	// One allocator per process: A1 and A2 IDs must not collide.
@@ -135,8 +138,14 @@ func New(cfg Config) *Node {
 			OnDeliver: func(id types.MessageID, payload []byte) { n.deliver(proto, id, payload) }}
 		if cfg.Store != nil {
 			// A completed state transfer is the natural snapshot point: the
-			// adopted deliveries live only in the WAL until one is taken.
-			c.Sync.OnSynced = n.snapshotSoon
+			// adopted deliveries live only in the WAL until one is taken. A
+			// new process leaves it to the delivery cadence: a cluster's
+			// cold start would spend its fsyncs snapshotting empty state.
+			c.Sync.OnSynced = func() {
+				if n.resumed {
+					n.snapshotSoon()
+				}
+			}
 		}
 		if cfg.OnSyncFailed != nil {
 			c.Sync.OnSyncFailed = func() { cfg.OnSyncFailed(proto) }
@@ -161,11 +170,12 @@ func (n *Node) deliver(proto string, id types.MessageID, payload []byte) {
 }
 
 // snapshotSoon snapshots as an event of its own: never in the middle of a
-// delivery cascade.
+// delivery cascade. A failed snapshot costs replay time, not correctness: it
+// is only traced.
 func (n *Node) snapshotSoon() {
 	n.cfg.Async(func() {
 		if err := n.Snapshot(); err != nil {
-			n.cfg.Logf("snapshot %v failed: %v", n.cfg.Proc.Self(), err)
+			n.cfg.Proc.Tracef("snapshot failed: %v", err)
 		}
 	})
 }
@@ -235,7 +245,7 @@ func (n *Node) Recover() error {
 			return err
 		}
 	}
-	n.castSeq += restartSeqGap
+	n.resumed = snap != nil || !n.cfg.ColdStart
 	byLabel := make(map[string]endpoint)
 	for _, ep := range n.eps {
 		byLabel[ep.Proto()], byLabel[ep.EngineLabel()] = ep, ep
@@ -243,6 +253,7 @@ func (n *Node) Recover() error {
 		defer ep.EndRecovery()
 	}
 	err = n.cfg.Store.Replay(from, func(rec storage.Record) error {
+		n.resumed = true
 		if ep := byLabel[rec.Proto]; ep != nil {
 			return ep.ReplayRecord(rec)
 		}
@@ -250,6 +261,9 @@ func (n *Node) Recover() error {
 	})
 	if err != nil {
 		return fmt.Errorf("durable: replay: %w", err)
+	}
+	if n.resumed {
+		n.castSeq += restartSeqGap
 	}
 	return nil
 }
@@ -286,8 +300,16 @@ func (n *Node) restore(snap []byte) error {
 	return nil
 }
 
-// StartSync begins the endpoints' catch-up from their group peers.
+// Recovered reports whether Recover resumed an earlier incarnation: the store
+// held state, or the process is not a cold start (see Config.ColdStart).
+func (n *Node) Recovered() bool { return n.resumed }
+
+// StartSync begins the endpoints' catch-up from their group peers; without a
+// store there is nothing to catch up from and it does nothing.
 func (n *Node) StartSync() {
+	if n.cfg.Store == nil {
+		return
+	}
 	for _, ep := range n.eps {
 		ep.StartSync()
 	}

@@ -146,8 +146,10 @@ func New[T consensus.Item, R, Tail any](cfg Config, rule Rule, bc consensus.Batc
 	sc.API, sc.Label, sc.Options = host, rule.Label, cfg.Sync
 	sc.Resume = func() {
 		resume()
-		if e.pullEvery > 0 && e.senders.Sends() {
-			e.rule.Reship() // what was adopted was never sent from here
+		if e.senders.Sends() {
+			// What was adopted or replayed was never sent from here, and
+			// what was in flight when the group last went down is lost.
+			e.rule.Reship()
 		}
 		e.Wait()
 	}

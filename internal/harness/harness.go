@@ -4,7 +4,7 @@
 // property-checking surfaces. The public wanamcast.Cluster, the Figure 1
 // benchmarks, wansim (its -figures tables included), and the
 // cross-algorithm tests are all built on it. A1 and A2 processes come from
-// internal/durable, the host the live cluster and wannode use too.
+// internal/durable, the host the live cluster uses too.
 package harness
 
 import (

@@ -147,9 +147,10 @@ func sweepRun(algo Algo, opts Options, sh Shape, casts int) *System {
 // destination groups (a repeat is drawn again), handed to fn with the cast's
 // index. spread must not exceed the group count.
 func RandomCasts(rng *rand.Rand, topo *types.Topology, n, spread int, fn func(i int, from types.ProcessID, dest types.GroupSet)) {
+	dest := make([]types.GroupID, 0, spread) // one buffer: NewGroupSet copies it
 	for i := 0; i < n; i++ {
 		from := types.ProcessID(rng.Intn(topo.N()))
-		dest := make([]types.GroupID, 0, spread)
+		dest = dest[:0]
 		for len(dest) < spread {
 			if g := types.GroupID(rng.Intn(topo.NumGroups())); !slices.Contains(dest, g) {
 				dest = append(dest, g)

@@ -81,6 +81,11 @@ func (s *Service) Ring() *KeyRing { return s.ring }
 // recovers them. Call after the cluster has started, and Stop the Service
 // BEFORE stopping the cluster: a request in flight is answered from the
 // cluster's event loops, and tearing those down first would strand it.
+// Attached after Start, each server begins empty, after its process's
+// recovery: a cluster started over an earlier run's data dir resumes its
+// ordering state but not the servers' (clients' session numbers do not
+// survive a run). A replica attached before Start is recovered with its
+// process instead (LiveCluster.SetReplica).
 func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service, error) {
 	if cfg.NewMachine == nil {
 		panic("svc: ServiceConfig.NewMachine is required")

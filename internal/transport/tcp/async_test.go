@@ -75,8 +75,8 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	}()
 	// p3's port is simply never opened: dials fail outright.
 
-	rtA := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: basePort}})
-	rtB := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: config.Config{BasePort: basePort}})
+	rtA := New(Config{Topo: topo, Config: config.Config{BasePort: basePort, Local: []types.ProcessID{0}}})
+	rtB := New(Config{Topo: topo, Config: config.Config{BasePort: basePort, Local: []types.ProcessID{1}}})
 	sink := &sinkProto{name: "t"}
 	rtB.Proc(1).Register(sink)
 	// Start the receiver first so p0's link to p1 connects on its first

@@ -32,7 +32,7 @@ func TestLaneLayout(t *testing.T) {
 		t.Fatal("Lanes=0: group peers must share a lane, different groups must not")
 	}
 	// Hosting a subset starts lanes for the hosted groups only.
-	part := New(Config{Topo: topo, Local: []types.ProcessID{2, 6, 7}, Config: config.Config{BasePort: 22000}})
+	part := New(Config{Topo: topo, Config: config.Config{BasePort: 22000, Local: []types.ProcessID{2, 6, 7}}})
 	if got := part.LaneCount(); got != 2 {
 		t.Fatalf("Lanes=0 hosting groups 1 and 3: %d lanes, want 2", got)
 	}

@@ -20,8 +20,7 @@ func TestMultiRuntimeBroadcast(t *testing.T) {
 	mk := func(local []types.ProcessID) (*Runtime, map[types.ProcessID]*abcast.Bcast) {
 		rt := New(Config{
 			Topo:   topo,
-			Local:  local,
-			Config: config.Config{BasePort: 21500, WANDelay: 15 * time.Millisecond},
+			Config: config.Config{BasePort: 21500, WANDelay: 15 * time.Millisecond, Local: local},
 		})
 		eps := make(map[types.ProcessID]*abcast.Bcast)
 		for _, id := range local {
@@ -76,7 +75,7 @@ func TestMultiRuntimeBroadcast(t *testing.T) {
 // is a wiring bug and must panic.
 func TestProcPanicsForRemote(t *testing.T) {
 	topo := types.NewTopology(2, 1)
-	rt := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: 21600}})
+	rt := New(Config{Topo: topo, Config: config.Config{BasePort: 21600, Local: []types.ProcessID{0}}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for non-local process")

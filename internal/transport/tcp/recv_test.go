@@ -21,7 +21,7 @@ import (
 func rmServer(t *testing.T, port int) <-chan types.MessageID {
 	t.Helper()
 	got := make(chan types.MessageID, 16)
-	rt := New(Config{Topo: types.NewTopology(1, 2), Local: []types.ProcessID{0}, Config: config.Config{BasePort: port}})
+	rt := New(Config{Topo: types.NewTopology(1, 2), Config: config.Config{BasePort: port, Local: []types.ProcessID{0}}})
 	rt.Proc(0).Register(rmcast.New(rmcast.Config{API: rt.Proc(0), Mode: rmcast.ModeDirect, ProtoLabel: "rm",
 		OnDeliver: func(m rmcast.Message) { got <- m.ID }}))
 	if err := rt.Start(); err != nil {

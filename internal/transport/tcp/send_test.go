@@ -91,7 +91,7 @@ func (w *wireLog) frames(t *testing.T, n int) []byte {
 // sends reach the rest of the test by hand: p0 sends from the test
 // goroutine, which no lane shares while the runtime is unstarted.
 func sendRig(t *testing.T, port int) (*Runtime, *node.Proc) {
-	rt := New(Config{Topo: types.NewTopology(2, 1), Local: []types.ProcessID{0}, Config: config.Config{BasePort: port}})
+	rt := New(Config{Topo: types.NewTopology(2, 1), Config: config.Config{BasePort: port, Local: []types.ProcessID{0}}})
 	t.Cleanup(rt.Stop)
 	return rt, rt.Proc(0)
 }
@@ -212,7 +212,7 @@ func TestSendZeroAllocs(t *testing.T) {
 		// that reads and discards.
 		port := 22720 + 2*i
 		col := &metrics.Collector{}
-		wrt := New(Config{Topo: types.NewTopology(2, 1), Local: []types.ProcessID{0}, Recorder: col, Config: config.Config{BasePort: port}})
+		wrt := New(Config{Topo: types.NewTopology(2, 1), Recorder: col, Config: config.Config{BasePort: port, Local: []types.ProcessID{0}}})
 		t.Cleanup(wrt.Stop)
 		discard(t, wrt.addr(1))
 		l := wrt.link(0, 1)
@@ -327,10 +327,9 @@ func (c *counter) await(t *testing.T, n int) []int64 {
 // whose collector counts the wire, and one hosting p1, which counts what it
 // receives, of two groups of one.
 func pair(t *testing.T, port int, bandwidth int64) (*Runtime, *counter) {
-	cfg := config.Config{BasePort: port, Bandwidth: bandwidth}
 	topo := types.NewTopology(2, 1)
-	from := New(Config{Topo: topo, Local: []types.ProcessID{0}, Recorder: &metrics.Collector{}, Config: cfg})
-	to := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: cfg})
+	from := New(Config{Topo: topo, Recorder: &metrics.Collector{}, Config: config.Config{BasePort: port, Bandwidth: bandwidth, Local: []types.ProcessID{0}}})
+	to := New(Config{Topo: topo, Config: config.Config{BasePort: port, Bandwidth: bandwidth, Local: []types.ProcessID{1}}})
 	c := &counter{}
 	to.Proc(1).Register(c)
 	for _, rt := range []*Runtime{to, from} {
@@ -448,7 +447,7 @@ func TestFullLinkCountsSendQueueDrops(t *testing.T) {
 func TestPacedLinkPassesHeartbeatsAndGrants(t *testing.T) {
 	const port = 22780
 	log := listenLog(t, "127.0.0.1:22781")
-	rt := New(Config{Topo: types.NewTopology(2, 1), Local: []types.ProcessID{0}, Config: config.Config{BasePort: port, Bandwidth: 1000}})
+	rt := New(Config{Topo: types.NewTopology(2, 1), Config: config.Config{BasePort: port, Bandwidth: 1000, Local: []types.ProcessID{0}}})
 	t.Cleanup(rt.Stop)
 	p := rt.Proc(0)
 	ballast := make([]byte, 10_000) // 1000 B/s: ten seconds of debt
@@ -487,8 +486,8 @@ func TestUnencodableBodyDroppedAtSender(t *testing.T) {
 		lines = append(lines, format)
 		mu.Unlock()
 	}
-	from := New(Config{Topo: topo, Local: []types.ProcessID{0}, Config: config.Config{BasePort: 22760}, Trace: trace})
-	to := New(Config{Topo: topo, Local: []types.ProcessID{1}, Config: config.Config{BasePort: 22760}, Trace: trace})
+	from := New(Config{Topo: topo, Config: config.Config{BasePort: 22760, Local: []types.ProcessID{0}}, Trace: trace})
+	to := New(Config{Topo: topo, Config: config.Config{BasePort: 22760, Local: []types.ProcessID{1}}, Trace: trace})
 	c := &counter{}
 	to.Proc(1).Register(c)
 	for _, rt := range []*Runtime{to, from} {

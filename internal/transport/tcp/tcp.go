@@ -84,16 +84,15 @@ func init() {
 }
 
 // Config configures a live runtime. By default it hosts every process of
-// topo in one OS process (each on its own localhost TCP port); set Local
-// to host only a subset and run the rest of Π in other OS processes (see
-// cmd/wannode) — the wire protocol is identical either way.
+// topo in one OS process (each on its own localhost TCP port); set
+// Config.Local to host only a subset and run the rest of Π in other OS
+// processes (see cmd/wannode) — the wire protocol is identical either way.
 type Config struct {
-	// Config holds the knobs (ports, delays, detector, lanes, …).
-	// Topo, not its Groups and PerGroup, is the authority on the shape.
+	// Config holds the knobs (ports, delays, detector, lanes, hosted
+	// processes, …). Topo, not its Groups and PerGroup, is the authority on
+	// the shape.
 	config.Config
 	Topo *types.Topology
-	// Local lists the processes this runtime hosts. Nil means all of Π.
-	Local []types.ProcessID
 	// Recorder receives measurement events from every runtime goroutine
 	// (it locks itself). Nil discards.
 	Recorder *metrics.Collector
@@ -174,6 +173,7 @@ func New(cfg Config) *Runtime {
 		trace:  tracef,
 		tracer: cfg.Tracer,
 		done:   make(chan struct{}),
+		start:  time.Now(), // before Start: recovery reads the clock too
 	}
 	// Writer goroutines block on their queues; a fabric transition must
 	// wake the affected link so a sever kills its connection immediately
@@ -211,14 +211,22 @@ func New(cfg Config) *Runtime {
 			byIdx[idx] = ln
 		}
 		rt.laneOf[id] = ln
-		rt.procs[id] = node.NewProc(id, cfg.Topo, rt)
-		rt.procs[id].SetTracer(cfg.Tracer, ln.idx)
 		rt.leases[id] = new(fd.Lease)
-		rt.fds[id] = newHeartbeatFD(rt.procs[id], cfg.HeartbeatEvery, cfg.SuspectAfter, rt.rec,
-			rt.leases[id], cfg.LeaseDuration, cfg.MaxClockSkew)
-		rt.procs[id].Register(rt.fds[id])
+		rt.procs[id], rt.fds[id] = rt.incarnate(id)
 	}
 	return rt
+}
+
+// incarnate builds one incarnation of process id on its lane: a fresh Proc
+// with the lifecycle tracer, and a fresh heartbeat detector over id's lease,
+// registered before any protocol.
+func (rt *Runtime) incarnate(id types.ProcessID) (*node.Proc, *heartbeatFD) {
+	proc := node.NewProc(id, rt.topo, rt)
+	proc.SetTracer(rt.tracer, rt.laneOf[id].idx)
+	hfd := newHeartbeatFD(proc, rt.cfg.HeartbeatEvery, rt.cfg.SuspectAfter, rt.rec,
+		rt.leases[id], rt.cfg.LeaseDuration, rt.cfg.MaxClockSkew)
+	proc.Register(hfd)
+	return proc, hfd
 }
 
 func (rt *Runtime) newLane() *lane {
@@ -280,6 +288,9 @@ func (rt *Runtime) Proc(id types.ProcessID) *node.Proc {
 	return rt.procs[id]
 }
 
+// Local lists the processes this runtime hosts.
+func (rt *Runtime) Local() []types.ProcessID { return rt.local }
+
 // Detector returns process id's failure detector.
 func (rt *Runtime) Detector(id types.ProcessID) *heartbeatFD { return rt.fds[id] }
 
@@ -297,7 +308,6 @@ func (rt *Runtime) Fabric() *network.Fabric { return rt.fabric }
 // Stop is a one-way door (otherwise the startup barrier below would wait
 // forever on loops that exit immediately).
 func (rt *Runtime) Start() error {
-	rt.start = time.Now()
 	for _, id := range rt.local {
 		addr := rt.addr(id)
 		ln, err := net.Listen("tcp", addr)
@@ -418,15 +428,11 @@ func (rt *Runtime) Restart(id types.ProcessID, rebuild func(proc *node.Proc, det
 			err = fmt.Errorf("tcp: process %v is not crashed", id)
 			return
 		}
-		proc := node.NewProc(id, rt.topo, rt)
-		proc.SetTracer(rt.tracer, rt.laneOf[id].idx)
 		// The lease object persists across incarnations (svc servers hold
 		// the pointer), but the new incarnation starts fenced: it re-earns
 		// a majority of fresh grants before serving lease reads again.
 		rt.leases[id].Revoke()
-		hfd := newHeartbeatFD(proc, rt.cfg.HeartbeatEvery, rt.cfg.SuspectAfter, rt.rec,
-			rt.leases[id], rt.cfg.LeaseDuration, rt.cfg.MaxClockSkew)
-		proc.Register(hfd)
+		proc, hfd := rt.incarnate(id)
 		proc.SetRecovering(true)
 		if err = rebuild(proc, hfd.Oracle); err != nil {
 			proc.Crash()
@@ -781,7 +787,7 @@ func (rt *Runtime) dispatch(from, to types.ProcessID, env *envelope) {
 	}
 }
 
-// Now implements node.Env: wall time since Start.
+// Now implements node.Env: wall time since New.
 func (rt *Runtime) Now() time.Duration { return time.Since(rt.start) }
 
 // Micros implements node.Env: Unix time, which processes hosted by different

@@ -32,17 +32,17 @@ type LiveConfig = config.Config
 // LiveCluster.SetReplica: the service layer's Server is one.
 type Replica = node.Replica
 
-// LiveCluster runs Algorithms A1 and A2 on every process over TCP.
-// Construct with NewLiveCluster, then Start; deliveries arrive on the
-// callback passed to OnDeliver (installed before Start). LiveCluster is
-// safe for concurrent use.
+// LiveCluster runs Algorithms A1 and A2 over TCP on every process it hosts:
+// all of Π, or LiveConfig.Local. Construct with NewLiveCluster, then Start;
+// deliveries arrive on the callback passed to OnDeliver (installed before
+// Start). LiveCluster is safe for concurrent use.
 type LiveCluster struct {
 	rt     *tcp.Runtime
 	topo   *types.Topology
 	cfg    LiveConfig
 	col    *metrics.Collector
 	tracer *trace.Tracer   // nil unless LiveConfig.TraceSpans
-	hosts  []*durable.Node // per process: its current incarnation's endpoints (loop-confined)
+	hosts  []*durable.Node // per hosted process: its current incarnation's endpoints (loop-confined), built by Start
 
 	stores []storage.Store      // per process; nil = no persistence
 	gc     *storage.GroupCommit // cross-lane fsync batcher; nil without a durable store
@@ -97,21 +97,14 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	if cfg.Check {
 		l.checker = check.New(topo)
 	}
-	for _, id := range topo.AllProcesses() {
-		l.stores[id] = l.openStore(id)
-	}
-	// Lanes share goroutines, so durability barriers batch through one
-	// group-commit syncer instead of syncing inline (see
-	// storage.GroupCommit). Only worth starting with a store to sync.
-	for _, s := range l.stores {
-		if s != nil {
+	for _, id := range rt.Local() {
+		// Lanes share goroutines, so durability barriers batch through one
+		// group-commit syncer instead of syncing inline (see
+		// storage.GroupCommit). Only worth starting with a store to sync.
+		if l.stores[id] = l.openStore(id); l.stores[id] != nil && l.gc == nil {
 			l.gc = storage.NewGroupCommit()
 			l.gc.SetTracer(tr)
-			break
 		}
-	}
-	for _, id := range topo.AllProcesses() {
-		l.hosts[id] = l.newHost(id, rt.Proc(id), rt.Detector(id).Oracle)
 	}
 	return l
 }
@@ -133,14 +126,18 @@ func (l *LiveCluster) openStore(id ProcessID) storage.Store {
 	return d
 }
 
-// newHost builds one incarnation of process id on proc. It runs at
-// construction and again, on the process's own event loop, when Restart
-// builds a fresh incarnation.
-func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det *fd.Oracle) *durable.Node {
-	return durable.New(durable.Config{
+// recoverHost builds an incarnation of a process on proc and recovers it
+// from the process's store, before it handles any live event (see package
+// durable); only a recovered incarnation becomes the process's host. Start
+// runs it for every hosted process before the transport starts (a cold
+// start: the process has no incarnation yet), Restart on its event loop.
+func (l *LiveCluster) recoverHost(proc *node.Proc, det *fd.Oracle) error {
+	id := proc.Self()
+	h := durable.New(durable.Config{
 		Proc:        proc,
 		Detector:    det,
 		Store:       l.stores[id],
+		ColdStart:   l.hosts[id] == nil,
 		GroupCommit: l.gc,
 		Knobs:       l.cfg,
 		Async:       func(fn func()) { l.rt.Async(id, fn) },
@@ -157,8 +154,12 @@ func (l *LiveCluster) newHost(id ProcessID, proc *node.Proc, det *fd.Oracle) *du
 		OnSyncFailed: func(proto string) {
 			l.flightRecord(fmt.Sprintf("%s state transfer abandoned at %v", proto, id))
 		},
-		Logf: l.rt.Tracef,
 	})
+	if err := h.Recover(); err != nil {
+		return err
+	}
+	l.hosts[id] = h
+	return nil
 }
 
 // recordDelivery hands one of p's A-Deliveries on, on p's event loop: to
@@ -199,8 +200,10 @@ func (l *LiveCluster) OnDeliver(fn func(p ProcessID, id MessageID, payload any))
 // callback, replayed ones included; a payload comes undecoded, as the
 // caster's edge encoded it, and is shared with the ordering layer (read it,
 // never write it). r's state is p's "svc" snapshot section: every snapshot
-// saves it, and Restart restores it before the ordering layers replay their
-// logs. The service layer (internal/svc) attaches each of its servers here.
+// saves it, and Start and Restart restore it and replay p's log to it before
+// p handles a live event. So a replica attached before Start resumes from an
+// earlier run's data dir, and one attached after Start begins empty, after the
+// replay. The service layer (internal/svc) attaches each of its servers here.
 func (l *LiveCluster) SetReplica(p ProcessID, r Replica) {
 	l.replicas[p].Store(&r)
 }
@@ -216,9 +219,13 @@ func (l *LiveCluster) replica(p ProcessID) Replica {
 // Topology exposes the cluster's process/group layout.
 func (l *LiveCluster) Topology() *Topology { return l.topo }
 
-// Start opens sockets and launches every process. A cluster can be
-// started at most once; Start after Stop fails rather than resurrecting
-// closed sockets.
+// Start brings every hosted process up as Restart brings one back: it
+// recovers the process from its store (its replica too, see SetReplica),
+// opens the sockets, then catches the process up from its group peers. Over
+// an earlier run's data dir the cluster resumes that run, casting above its
+// IDs; a checked one refuses, as the checker cannot know that run's casts. A
+// cluster can be started at most once; Start after Stop fails rather than
+// resurrecting closed sockets.
 func (l *LiveCluster) Start() error {
 	l.mu.Lock()
 	if l.started {
@@ -231,7 +238,24 @@ func (l *LiveCluster) Start() error {
 	}
 	l.started = true
 	l.mu.Unlock()
-	return l.rt.Start()
+	for _, p := range l.rt.Local() {
+		if err := l.recoverHost(l.rt.Proc(p), l.rt.Detector(p).Oracle); err != nil {
+			return fmt.Errorf("wanamcast: recover %v: %w", p, err)
+		}
+		if l.hosts[p].Recovered() {
+			if l.checker != nil {
+				return fmt.Errorf("wanamcast: %v's store holds an earlier run, whose casts the property checker cannot know", p)
+			}
+			l.rt.Tracef("%v recovered from its store; syncing with group peers", p)
+		}
+	}
+	if err := l.rt.Start(); err != nil {
+		return err
+	}
+	for _, p := range l.rt.Local() {
+		l.rt.Run(p, func() { l.hosts[p].StartSync() })
+	}
+	return nil
 }
 
 // Stop shuts the cluster down. It is idempotent and safe to call
@@ -568,15 +592,7 @@ func (l *LiveCluster) Restart(p ProcessID) error {
 	// whatever led to the crash is about to age out.
 	l.flightRecord(fmt.Sprintf("restart %v", p))
 
-	err := l.rt.Restart(p, func(proc *node.Proc, det *fd.Oracle) error {
-		h := l.newHost(p, proc, det)
-		if err := h.Recover(); err != nil {
-			return err
-		}
-		l.hosts[p] = h
-		return nil
-	})
-	if err != nil {
+	if err := l.rt.Restart(p, l.recoverHost); err != nil {
 		// The crashed incarnation stays in place (see tcp.Runtime.Restart).
 		return err
 	}
@@ -623,7 +639,8 @@ func (l *LiveCluster) CheckProperties() []string {
 
 // DeliveredCount returns how many processes have delivered id so far,
 // replays not counted. It answers for the collector's window of recent
-// casts (see LiveConfig.RetainDeliveries), 0 once id has aged out of it.
+// casts made here (see LiveConfig.RetainDeliveries), 0 once id has aged out
+// of it; with LiveConfig.Local only the hosted processes count.
 func (l *LiveCluster) DeliveredCount(id MessageID) int { return l.col.Delivered(id) }
 
 // WaitDelivered blocks until id has been delivered by n processes or the
