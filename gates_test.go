@@ -113,6 +113,11 @@ var gates = []gate{
 	// the two cluster wirings build a process host.
 	{what: "a command's own transport, store or process host: wannode is a LiveCluster of one process", pattern: `tcp\.New\(|storage\.OpenDisk\(|durable\.New\(`, paths: []string{"cmd"}},
 	{what: "a process host built outside the live cluster and the simulated system", pattern: `durable\.New\(`, paths: []string{"."}, skip: []string{"live.go", "internal/harness/harness.go"}},
+
+	// One queue and one flush per service connection.
+	{what: "a service connection's second write path, its exported writer loop, the server's writer goroutine and a caller's write deadline: the connection owns its writer and its write timeout, which flush alone sets", pattern: `WriteLoop|writeConn|\bwmu\b|\bwbuf\b|SetWriteDeadline`,
+		paths: []string{"internal/transport/tcp/service.go", "internal/svc", "cmd"}, want: 1},
+	{what: "a service connection's socket writes: flush's one", pattern: `\.c\.Write\(`, paths: []string{"internal/transport/tcp/service.go"}, want: 1},
 }
 
 // TestDeletedSurfacesStayDeleted fails on a gate whose count moved, with the

@@ -69,7 +69,7 @@ func TestCorruptPutAppliesNothing(t *testing.T) {
 }
 
 // frameLoop is a connection whose reads return one frame over and over, and
-// that nothing writes to: what is posted to it stays queued.
+// whose writes — the answers its connection's writer sends — are dropped.
 type frameLoop struct {
 	net.Conn
 	frame []byte
@@ -81,6 +81,9 @@ func (f *frameLoop) Read(p []byte) (int, error) {
 	f.off = (f.off + n) % len(f.frame)
 	return n, nil
 }
+
+func (f *frameLoop) Write(p []byte) (int, error)      { return len(p), nil }
+func (f *frameLoop) SetWriteDeadline(time.Time) error { return nil }
 
 // loopConn serves v's frame over and over to a burst of its own.
 func loopConn(t *testing.T, v any) *burst {

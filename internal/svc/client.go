@@ -24,7 +24,9 @@ type ClientConfig struct {
 	Addrs map[types.GroupID][]string
 	// Timeout is the first attempt's reply deadline (default 250 ms); it
 	// doubles on every retry, capped at 16× — retries resend under the SAME
-	// sequence number, so a slow command is never executed twice.
+	// sequence number, so a slow command is never executed twice. It bounds
+	// no write: a request's write may wait the dial timeout (1 s) before it
+	// costs the connection.
 	Timeout time.Duration
 	// MaxAttempts bounds send attempts per command (default 8).
 	MaxAttempts int
@@ -74,7 +76,9 @@ func ParseConsistency(s string) (Consistency, error) {
 // server of one of its destination shards, retries with the same sequence
 // number on timeout, and follows redirects. One Client is one session;
 // it is NOT safe for concurrent use (sessions are closed-loop by design —
-// run one goroutine per Client).
+// run one goroutine per Client). A request is written on the caller's
+// goroutine within the dial timeout: a wedged server (stopped reading, its
+// TCP buffer full) costs the connection after that long.
 type Client struct {
 	cfg        ClientConfig
 	seq        uint64
@@ -172,10 +176,6 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		// A write deadline keeps a wedged server (accepted, stopped
-		// reading, full TCP buffer) from blocking Invoke past the attempt
-		// budget — mirror of the server's ReplyTimeout.
-		_ = conn.SetWriteDeadline(time.Now().Add(timeout))
 		if err := conn.WriteMsg(types.NoProcess, req); err != nil {
 			lastErr = err
 			c.dropConn()
@@ -443,7 +443,6 @@ func ask[T any](c *Client, addr string, req any, mine func(T) bool) (T, error) {
 		return m, err
 	}
 	deadline := time.Now().Add(c.cfg.Timeout)
-	_ = conn.SetWriteDeadline(deadline)
 	if err := conn.WriteMsg(types.NoProcess, req); err != nil {
 		c.dropReadConn(addr)
 		return m, err

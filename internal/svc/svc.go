@@ -374,6 +374,7 @@ func (s *Server) Listen() error {
 	if err != nil {
 		return fmt.Errorf("svc: listen %s: %w", s.cfg.Addr, err)
 	}
+	ln.WriteTimeout, ln.Wrote = s.cfg.ReplyTimeout, s.cfg.Stats.RecordReplyWrite
 	s.ln = ln
 	return nil
 }
@@ -417,16 +418,9 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[conn] = true
 		s.mu.Unlock()
-		s.wg.Add(2)
+		s.wg.Add(1)
 		go s.serveConn(conn)
-		go s.writeConn(conn)
 	}
-}
-
-// writeConn runs conn's writer until the connection closes.
-func (s *Server) writeConn(conn *tcp.SvcConn) {
-	defer s.wg.Done()
-	conn.WriteLoop(s.cfg.ReplyTimeout, s.cfg.Stats.RecordReplyWrite)
 }
 
 // serveConn reads conn's requests until it ends. Writes are cast per burst:

@@ -364,8 +364,9 @@ func TestClientSkipsOtherFramesAndRetriesCorrupt(t *testing.T) {
 			if err != nil {
 				return
 			}
-			defer c.Close()
-			v, err := tcp.NewSvcConn(c).ReadMsg()
+			conn := tcp.NewSvcConn(c)
+			defer conn.Close()
+			v, err := conn.ReadMsg()
 			req, ok := v.(svc.Request)
 			if err != nil || !ok {
 				t.Errorf("server read %#v, %v", v, err)

@@ -2,6 +2,7 @@ package svc_test
 
 import (
 	"errors"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -205,4 +206,88 @@ func TestSlowClientLosesOnlyItsConnection(t *testing.T) {
 		t.Fatalf("the stalled client read all %d answers: it was never cut", got)
 	}
 	t.Logf("the stalled client read %d of %d answers before the cut", got, reads+1)
+}
+
+// TestClosingAStalledClientStallsNoDelivery: a client parks reads whose
+// answers — more than the sockets between it and the replica hold — it
+// never reads, puts once more, and half-closes. The replica closes the
+// connection while its writer is stuck on the answers, and the put's reply,
+// delivered after that, finds it closed and closes it again on the lane.
+// Neither close waits for the stuck write, so another client's puts to the
+// same replica go on as usual.
+func TestClosingAStalledClientStallsNoDelivery(t *testing.T) {
+	const replyTimeout = 2 * time.Second
+	cluster := wanamcast.NewLiveCluster(wanamcast.LiveConfig{Groups: 1, PerGroup: 3, BasePort: 25900, MaxBatch: 16, Pipeline: 2})
+	p := cluster.Process(0, 0)
+	held, release := make(chan struct{}), make(chan struct{})
+	cluster.OnDeliver(func(q types.ProcessID, _ types.MessageID, payload any) {
+		if q == p && payload == "hold the loop" {
+			close(held)
+			<-release
+		}
+	})
+	if err := cluster.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Stop)
+	route := svc.PrefixRoute(1)
+	service, err := svc.ServeCluster(cluster, cluster.Topology(), svc.ServiceConfig{
+		NewMachine:   func(types.ProcessID, types.GroupID) svc.StateMachine { return svc.NewKVMachine(0, route) },
+		ReplyTimeout: replyTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(service.Stop)
+	kv := &svc.KV{Route: route, Client: svc.NewClient(svc.ClientConfig{Session: 100,
+		Addrs: map[types.GroupID][]string{0: {service.Server(p).Addr()}}, Timeout: 2 * time.Second})}
+	defer kv.Client.Close()
+	if _, err := kv.Put(map[string]string{"g0/big": strings.Repeat("x", 128<<10)}); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := net.Dial("tcp", service.Server(p).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := tcp.NewSvcConn(raw)
+	t.Cleanup(func() { _ = slow.Close() })
+	send := func(v any) {
+		t.Helper()
+		if err := slow.WriteMsg(types.NoProcess, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putSlow := func(seq uint64) svc.Request {
+		return svc.Request{Session: 7, Seq: seq, Dest: types.NewGroupSet(0), Op: svc.EncodePut(map[string]string{"g0/slow": "1"})}
+	}
+	// 160 reads of 128 KB, answered by the delivery of the put after them,
+	// off the lane: the replica's writer gets stuck on them.
+	w := service.Server(p).Watermark()
+	for i := uint64(1); i <= 160; i++ {
+		send(svc.ReadReq{Session: 7, Seq: i, Group: 0, Mode: readModeWatermark, MinWatermark: w + 1, Op: svc.EncodeGet("g0/big")})
+	}
+	send(putSlow(1))
+	time.Sleep(50 * time.Millisecond)
+	cluster.Multicast(p, "hold the loop", 0)
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the holding cast was never delivered")
+	}
+	send(putSlow(2)) // delivered once the lane is released, to a closed connection
+	if err := raw.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // the replica reads the end and closes
+	close(release)
+	for n, start := 0, time.Now(); time.Since(start) < replyTimeout; n++ {
+		put := time.Now()
+		if _, err := kv.Put(map[string]string{"g0/other": "v"}); err != nil {
+			t.Fatalf("the other client's put %d: %v", n, err)
+		}
+		if took := time.Since(put); took > replyTimeout/2 {
+			t.Fatalf("the other client's put %d took %v after a stalled client closed", n, took)
+		}
+	}
 }

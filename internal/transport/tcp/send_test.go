@@ -518,3 +518,44 @@ func TestUnencodableBodyDroppedAtSender(t *testing.T) {
 		t.Fatalf("want an encode error at the sender and no decode error at the receiver: %q", lines)
 	}
 }
+
+// TestRefusedDialBacksOffBriefly: a peer that is not listening yet when the
+// first frame for it is sent gets the frames sent once it listens within a
+// few short backoffs — 10 ms after the first refused dial, doubling — not
+// after a dial timeout's blackout, during which every frame was dropped.
+func TestRefusedDialBacksOffBriefly(t *testing.T) {
+	const port = 22790
+	refused := make(chan struct{}, 1)
+	rt := New(Config{Topo: types.NewTopology(2, 1), Config: config.Config{BasePort: port, Local: []types.ProcessID{0}},
+		Trace: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "dial error") {
+				select {
+				case refused <- struct{}{}:
+				default:
+				}
+			}
+		}})
+	t.Cleanup(rt.Stop)
+	p := rt.Proc(0)
+	node.Send(p, 1, "sink", "refused")
+	select {
+	case <-refused:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dial to a closed port never failed")
+	}
+	log := listenLog(t, "127.0.0.1:22791")
+	t.Cleanup(rt.Stop) // before the log's cleanup waits for the connection to end
+	listening := time.Now()
+	for arrived := false; !arrived; time.Sleep(2 * time.Millisecond) {
+		if time.Since(listening) > 5*time.Second {
+			t.Fatal("no frame reached the peer in the 5 s after it listened")
+		}
+		node.Send(p, 1, "sink", "after")
+		log.mu.Lock()
+		arrived = len(log.b) > 0
+		log.mu.Unlock()
+	}
+	if took := time.Since(listening); took > 200*time.Millisecond {
+		t.Fatalf("the first frame reached the peer %v after it listened, want under 200 ms", took)
+	}
+}

@@ -911,10 +911,14 @@ const (
 	// live peers. fdQueue bounds its pending fd frames.
 	sendQueue = 4096
 	fdQueue   = 16
-	// dialTimeout bounds each connect attempt. Dials run on writer
-	// goroutines, never on process loops; after a failed dial the link backs
-	// off for as long before trying again, dropping frames meanwhile.
+	// dialTimeout bounds each connect attempt, and a service connection's
+	// writes unless its listener or dialler sets another bound. Dials run on
+	// writer goroutines, never on process loops. After a failed dial the
+	// link backs off before trying again, dropping frames meanwhile: for
+	// dialBackoff after the first failure, twice as long after each next one
+	// up to dialTimeout, and from dialBackoff again once a dial connects.
 	dialTimeout = time.Second
+	dialBackoff = 10 * time.Millisecond
 	// A lane keeps walked envelopes to lend again: 256 covers what lan-sat
 	// and wan-mix hold queued or delayed at once; none above keepEnvelope,
 	// which also bounds the pending buffers a link keeps.
@@ -1010,13 +1014,14 @@ func (l *link) writeLoop() {
 		conn     net.Conn
 		bw       *bufio.Writer
 		nextDial time.Time
-		out, fd  frames // what the last swap took
-		held     frames // protocol frames parked while the fabric severs the link
+		backoff  = dialBackoff // after the next failed dial
+		out, fd  frames        // what the last swap took
+		held     frames        // protocol frames parked while the fabric severs the link
 	)
 	// teardown closes the connection after a write error. It does NOT arm
 	// the dial backoff: a transient error on an established connection
 	// (peer restarted its listener, one RST) should redial immediately —
-	// blacking the link out for dialTimeout would drop heartbeats long
+	// blacking the link out for a backoff would drop heartbeats long
 	// enough to falsely suspect a live peer. Only failed dials back off.
 	teardown := func() {
 		if conn != nil {
@@ -1061,11 +1066,12 @@ func (l *link) writeLoop() {
 				c, err := net.DialTimeout("tcp", rt.addr(l.to), dialTimeout)
 				if err != nil {
 					rt.Tracef("dial error %v->%v: %v", l.from, l.to, err)
-					nextDial = time.Now().Add(dialTimeout)
+					nextDial = time.Now().Add(backoff)
+					backoff = min(2*backoff, dialTimeout)
 					held.reset() // unreachable peer: quasi-reliable links lose nothing between correct processes
 					break
 				}
-				conn = c
+				conn, backoff = c, dialBackoff
 				rt.track(conn)
 				bw = bufio.NewWriterSize(conn, 64<<10)
 			}

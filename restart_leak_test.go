@@ -114,9 +114,9 @@ func TestRestartDoesNotLeakOldIncarnation(t *testing.T) {
 	}
 }
 
-// replyWriters counts the goroutines running a service connection's reply
+// replyWriters counts the goroutines running a service connection's
 // writer.
 func replyWriters() int {
 	buf := make([]byte, 8<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "svc.(*Server).writeConn(")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "tcp.(*SvcConn).writeLoop(")
 }
