@@ -16,9 +16,9 @@
 //	wannode -id 3 -groups 2 -d 2
 //
 // Deliveries print as they happen; every instance prints the same order.
-// With -datadir D the process keeps its WAL and snapshots under D/p<id>, and
-// a re-run over the same D recovers from them and catches up from its group
-// peers. WANAMCAST_TCP_DEBUG=1 prints the cluster's debug lines to stderr.
+// With -datadir D the process keeps its WAL and snapshots under D/p<id>; its
+// i-th run over D casts as m(id, i<<40|n) and, from the second, recovers and
+// catches up from its group peers. WANAMCAST_TCP_DEBUG=1 prints debug lines.
 package main
 
 import (

@@ -105,6 +105,9 @@ var gates = []gate{
 	{what: "an inline barrier in consensus: afterBarrier parks every reply behind CommitThen", pattern: `c\.log\.Commit\(\)`, paths: []string{"internal/consensus"}},
 	{what: "the simulator's closure event: At/After schedule a timer with no owner", pattern: `\bevFn\b|fns +slab`, paths: []string{"internal/sim"}, tests: true},
 
+	// A cast ID is issued once: a durable incarnation keeps incarnations apart.
+	{what: "the restart gap, the cold-start flag and the snapshotted allocator: the incarnation number is the one guard against a re-issued cast ID", pattern: `restartSeqGap|ColdStart|sectionAlloc|resumed +bool`, paths: []string{"."}},
+
 	// A simulated cast at its allocation floor.
 	{what: "the GroupSet intern table, state every process shared: a set of a few groups is a value", pattern: `intern[S]et|sets[M]u|max[S]ets|max[S]etKey`, paths: []string{"."}, tests: true},
 	{what: "a proposal copied out of a scratch encoding: the Batcher carves it from its slab", pattern: `append\(Value\(nil\), b\.enc`, paths: []string{"internal/consensus"}},

@@ -9,8 +9,15 @@
 // -figures and the sim-scale benchmark) and the live cluster's, which
 // wannode runs too, hosting one process.
 //
+// A cast ID is Seq = incarnation<<40 | n, n counting from 1 and never saved.
+// Recover makes the next incarnation durable (the inline barrier: Flush,
+// Sync, Maintain) before it returns, so no two incarnations on one store
+// issue one ID, whatever they logged. A volatile host stays at incarnation 0.
+// A wiped store loses its incarnation: a process restarted over one
+// re-issues incarnation 1's IDs (a replaced disk needs a new process ID).
+//
 // Recovery order matters, and this is the one place it is written down.
-// Every snapshot section restores first — A1, A2, the allocator, then the
+// Every snapshot section restores first — A1, A2, the incarnation, then the
 // caller's sections (the service layer's state machine) — so the layers
 // agree on one consistent cut. Then the ordering engines re-fire decisions
 // the snapshot knew but had not applied: their delivery effects post-date
@@ -21,11 +28,11 @@
 // a Prepare or Accept with amnesia. Recovery leaves delivery gated;
 // StartSync, called on the live event loop once the process may send again,
 // lifts the gate by catching up from the group peers (internal/statesync).
-// It must run after a cold start too — a wiped data dir on a running
-// cluster is just "very far behind", and on a cluster-wide cold start every
-// member answers Busy with nothing newer, so the group resumes at once. The
-// live cluster runs this order for every process it starts or restarts;
-// without a store Recover and StartSync do nothing.
+// It must run after a first start too: a wiped data dir on a running cluster
+// is just "very far behind" in deliveries (not in IDs, see above), and on a
+// cluster-wide cold start every member answers Busy with nothing newer, so
+// the group resumes at once. The live cluster runs this order for each
+// process it (re)starts; Recover and StartSync do nothing without a store.
 package durable
 
 import (
@@ -43,7 +50,7 @@ import (
 )
 
 // Section is one extra named snapshot contributor (beyond A1, A2 and the
-// allocator), e.g. the service layer's replica state.
+// incarnation), e.g. the service layer's replica state.
 type Section struct {
 	Name    string
 	Save    func() ([]byte, error)
@@ -54,12 +61,9 @@ type Section struct {
 type Config struct {
 	Proc     *node.Proc
 	Detector *fd.Oracle
-	// Store makes the process durable; nil runs it volatile (Snapshot and
-	// Recover are then no-ops).
+	// Store makes the process durable and numbers its incarnations; nil
+	// runs it volatile at incarnation 0 (Snapshot and Recover do nothing).
 	Store storage.Store
-	// ColdStart marks a process brought up with its cluster: over an empty
-	// store it is new, and counts its casts from zero (see restartSeqGap).
-	ColdStart bool
 	// GroupCommit, when non-nil, batches the store's fsync barriers with
 	// other processes' (see storage.GroupCommit).
 	GroupCommit *storage.GroupCommit
@@ -84,17 +88,11 @@ type Config struct {
 	OnSyncFailed func(proto string)
 }
 
-// sectionAlloc names the allocator's snapshot section. (The name is the one
-// the live cluster has always written.)
-const sectionAlloc = "cluster"
-
-// restartSeqGap is how far a recovered cast allocator jumps past its
-// recovered value, so an incarnation never re-issues its predecessor's IDs:
-// casts after the last snapshot are not logged one by one (an A1 cast that
-// skips the caster's group not at all), so it applies over an empty store
-// too, except on a cold start, which cannot tell an empty store from a wiped
-// one and counts from zero.
-const restartSeqGap = 1 << 20
+const (
+	sectionIncarnation = "incarnation" // the snapshot section of the incarnation number
+	seqBits            = 40            // a cast ID's per-incarnation counter
+	maxIncarnation     = 1<<(64-seqBits) - 1
+)
 
 // endpoint is what the host needs of an ordering endpoint it built.
 type endpoint interface {
@@ -114,11 +112,11 @@ type Node struct {
 	A1 *amcast.Mcast
 	A2 *abcast.Bcast
 
-	cfg       Config
-	eps       []endpoint
-	castSeq   uint64 // the shared cast-ID allocator
-	sinceSnap int    // deliveries since the last automatic snapshot
-	resumed   bool   // see Recovered
+	cfg         Config
+	eps         []endpoint
+	incarnation uint64 // set by Recover; 0 on a volatile host
+	castSeq     uint64 // this incarnation's casts: the shared allocator
+	sinceSnap   int    // deliveries since the last automatic snapshot
 }
 
 // New builds the process's endpoints and registers them on cfg.Proc.
@@ -128,8 +126,10 @@ func New(cfg Config) *Node {
 	log.AttachGroupCommit(cfg.GroupCommit, cfg.Async)
 	// One allocator per process: A1 and A2 IDs must not collide.
 	nextID := func() types.MessageID {
-		n.castSeq++
-		return types.MessageID{Origin: cfg.Proc.Self(), Seq: n.castSeq}
+		if n.castSeq++; n.castSeq == 1<<seqBits {
+			panic(fmt.Sprintf("durable: %v cast 2^%d messages in one incarnation; a restart casts under the next", cfg.Proc.Self(), seqBits))
+		}
+		return types.MessageID{Origin: cfg.Proc.Self(), Seq: n.incarnation<<seqBits | n.castSeq}
 	}
 	k := cfg.Knobs
 	endpointConfig := func(proto string) group.Config {
@@ -142,7 +142,7 @@ func New(cfg Config) *Node {
 			// new process leaves it to the delivery cadence: a cluster's
 			// cold start would spend its fsyncs snapshotting empty state.
 			c.Sync.OnSynced = func() {
-				if n.resumed {
+				if n.Recovered() {
 					n.snapshotSoon()
 				}
 			}
@@ -181,7 +181,7 @@ func (n *Node) snapshotSoon() {
 }
 
 // sections lists every snapshot contributor in snapshot (and restore)
-// order: the endpoints, the allocator, then the caller's.
+// order: the endpoints, the incarnation, then the caller's.
 func (n *Node) sections() []Section {
 	var secs []Section
 	for _, ep := range n.eps {
@@ -192,10 +192,10 @@ func (n *Node) sections() []Section {
 		})
 	}
 	secs = append(secs, Section{
-		Name: sectionAlloc,
-		Save: func() ([]byte, error) { return wire.AppendUvarint(nil, n.castSeq), nil },
+		Name: sectionIncarnation,
+		Save: func() ([]byte, error) { return wire.AppendUvarint(nil, n.incarnation), nil },
 		Restore: func(data []byte) (err error) {
-			n.castSeq, _, err = wire.Uvarint(data)
+			n.incarnation, _, err = wire.Uvarint(data)
 			return err
 		},
 	})
@@ -227,9 +227,9 @@ func (n *Node) Snapshot() error {
 }
 
 // Recover rebuilds the process from its store, in the order the package
-// comment gives. Call it on a freshly built Node, before the process handles
-// any live event; on an error the Node is half-restored and must be
-// discarded.
+// comment gives, and makes the next incarnation durable. Call it on a fresh
+// Node before the process handles a live event or group-commit continuation;
+// on an error the Node is half-restored and must be discarded.
 func (n *Node) Recover() error {
 	if n.cfg.Store == nil {
 		return nil
@@ -240,12 +240,9 @@ func (n *Node) Recover() error {
 	if err != nil {
 		return fmt.Errorf("durable: load: %w", err)
 	}
-	if snap != nil {
-		if err := n.restore(snap); err != nil {
-			return err
-		}
+	if err := n.restore(snap); err != nil {
+		return err
 	}
-	n.resumed = snap != nil || !n.cfg.ColdStart
 	byLabel := make(map[string]endpoint)
 	for _, ep := range n.eps {
 		byLabel[ep.Proto()], byLabel[ep.EngineLabel()] = ep, ep
@@ -253,8 +250,9 @@ func (n *Node) Recover() error {
 		defer ep.EndRecovery()
 	}
 	err = n.cfg.Store.Replay(from, func(rec storage.Record) error {
-		n.resumed = true
-		if ep := byLabel[rec.Proto]; ep != nil {
+		if rec.Kind == storage.KindIncarnation {
+			n.incarnation = max(n.incarnation, rec.Inst)
+		} else if ep := byLabel[rec.Proto]; ep != nil {
 			return ep.ReplayRecord(rec)
 		}
 		return nil // a layer this incarnation does not run
@@ -262,8 +260,15 @@ func (n *Node) Recover() error {
 	if err != nil {
 		return fmt.Errorf("durable: replay: %w", err)
 	}
-	if n.resumed {
-		n.castSeq += restartSeqGap
+	if n.incarnation >= maxIncarnation {
+		return fmt.Errorf("durable: the store's incarnation %d is the last a cast ID can carry", n.incarnation)
+	}
+	n.incarnation++
+	if err = n.cfg.Store.Append(storage.Record{Kind: storage.KindIncarnation, Inst: n.incarnation}); err == nil {
+		err = storage.Barrier(n.cfg.Store)
+	}
+	if err != nil {
+		return fmt.Errorf("durable: make incarnation %d durable: %w", n.incarnation, err)
 	}
 	return nil
 }
@@ -289,20 +294,17 @@ func (n *Node) restore(snap []byte) error {
 			}
 		}
 	}
-	for _, ep := range n.eps {
-		if seen[ep.Proto()] && !seen[sectionAlloc] {
-			// Skipping the allocator like an unknown layer's section would
-			// restart it at zero and re-issue MessageIDs the ordering state
-			// already knows.
-			return fmt.Errorf("durable: snapshot has ordering state but no %q section (written by an older wannode?)", sectionAlloc)
-		}
+	if (seen[n.A1.Proto()] || seen[n.A2.Proto()]) && !seen[sectionIncarnation] {
+		// Skipping the incarnation like an unknown layer's section would
+		// restart it at 1 and re-issue MessageIDs the ordering state already
+		// knows.
+		return fmt.Errorf("durable: snapshot has ordering state but no %q section (a data dir written before cast IDs carried one?)", sectionIncarnation)
 	}
 	return nil
 }
 
-// Recovered reports whether Recover resumed an earlier incarnation: the store
-// held state, or the process is not a cold start (see Config.ColdStart).
-func (n *Node) Recovered() bool { return n.resumed }
+// Recovered reports whether Recover found an earlier incarnation's number.
+func (n *Node) Recovered() bool { return n.incarnation > 1 }
 
 // StartSync begins the endpoints' catch-up from their group peers; without a
 // store there is nothing to catch up from and it does nothing.

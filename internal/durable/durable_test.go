@@ -141,18 +141,200 @@ func TestVolatileHost(t *testing.T) {
 	}
 }
 
-// TestRecoverNeedsTheAllocatorSection: a snapshot with ordering state and
-// no allocator section must fail recovery, not restart the allocator at 0.
-func TestRecoverNeedsTheAllocatorSection(t *testing.T) {
+// TestRecoverNeedsTheIncarnationSection: a snapshot with ordering state
+// and no incarnation section must fail recovery, not restart the
+// incarnations at 1 and re-issue incarnation 1's IDs.
+func TestRecoverNeedsTheIncarnationSection(t *testing.T) {
 	donor := newSystem(nil).hosts[victim]
 	store := storage.NewMem()
 	blob := storage.AppendSection(nil, "a1", donor.A1.AppendSnapshot(nil))
-	blob = storage.AppendSection(blob, "wannode", binary.AppendUvarint(nil, 7))
+	blob = storage.AppendSection(blob, "cluster", binary.AppendUvarint(nil, 7))
 	if err := store.SaveSnapshot(blob); err != nil {
 		t.Fatal(err)
 	}
 	err := newSystem(store).hosts[victim].Recover()
-	if err == nil || !strings.Contains(err.Error(), sectionAlloc) {
-		t.Fatalf("Recover = %v, want an error naming the missing %q section", err, sectionAlloc)
+	if err == nil || !strings.Contains(err.Error(), sectionIncarnation) {
+		t.Fatalf("Recover = %v, want an error naming the missing %q section", err, sectionIncarnation)
+	}
+}
+
+// up builds a system over store, recovers the victim and lets it catch up
+// from its group peers, so that it can snapshot.
+func up(t *testing.T, store storage.Store) (*system, *Node) {
+	t.Helper()
+	s := newSystem(store)
+	h := s.hosts[victim]
+	if err := h.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	s.rt.Start()
+	s.rt.Scheduler().At(0, h.StartSync)
+	s.settle()
+	return s, h
+}
+
+// settle runs the system for a second of virtual time: long enough for a
+// catch-up or a few casts to run their course.
+func (s *system) settle() { s.rt.RunUntil(s.rt.Scheduler().Now() + time.Second) }
+
+// snapshot has the victim snapshot once its casts have run their course.
+func snapshot(t *testing.T, s *system) {
+	t.Helper()
+	s.settle()
+	if h := s.hosts[victim]; h.A1.Syncing() || h.A2.Syncing() {
+		t.Fatal("construction broke: the victim is still catching up and cannot snapshot")
+	} else if err := h.Snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+}
+
+// casts has the victim cast n messages, A1 to the other group only (which
+// its own store does not log) and A2 in turn, and returns their IDs.
+func casts(h *Node, n int) []types.MessageID {
+	ids := make([]types.MessageID, n)
+	for i := range ids {
+		if i%2 == 0 {
+			ids[i] = h.A1.AMCast([]byte("m"), types.NewGroupSet(1))
+		} else {
+			ids[i] = h.A2.ABCast([]byte("b"))
+		}
+	}
+	return ids
+}
+
+// TestNoIncarnationReissuesAnID: an incarnation that casts and crashes
+// before it snapshots (here: before its catch-up ends) leaves its successor
+// nothing but the snapshot its predecessor took. The successor must still
+// cast under IDs no incarnation issued: the addressees would drop a
+// re-issued one as delivered.
+func TestNoIncarnationReissuesAnID(t *testing.T) {
+	store := storage.NewMem()
+	issued := make(map[types.MessageID]int)
+	note := func(inc int, ids []types.MessageID) {
+		for _, id := range ids {
+			if was, dup := issued[id]; dup {
+				t.Errorf("incarnation %d issued %v, which incarnation %d issued before", inc, id, was)
+			}
+			issued[id] = inc
+		}
+	}
+	s, h := up(t, store)
+	note(1, casts(h, 6))
+	snapshot(t, s)
+
+	s = newSystem(store)
+	if err := s.hosts[victim].Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	s.rt.Start()
+	note(2, casts(s.hosts[victim], 6))
+	s.settle() // and crash with the catch-up not begun
+
+	_, h = up(t, store)
+	note(3, casts(h, 6))
+}
+
+// TestIncarnationSurvivesThePruning: a snapshot prunes the WAL, the
+// incarnation records included, and carries the incarnation instead.
+func TestIncarnationSurvivesThePruning(t *testing.T) {
+	store := storage.NewMem()
+	s, h := up(t, store)
+	casts(h, 2)
+	snapshot(t, s)
+	_, from, _ := store.Load()
+	left := 0
+	_ = store.Replay(from, func(storage.Record) error { left++; return nil })
+	if left != 0 {
+		t.Fatalf("construction broke: the snapshot left %d records to replay", left)
+	}
+	_, h = up(t, store)
+	if id := casts(h, 1)[0]; id.Seq>>seqBits != 2 || !h.Recovered() {
+		t.Errorf("the incarnation after a pruning snapshot cast %v (incarnation %d, recovered %v), want incarnation 2",
+			id, id.Seq>>seqBits, h.Recovered())
+	}
+}
+
+// TestCastIDsCarryTheirIncarnation: every ID of incarnation i lies in
+// [i<<40, (i+1)<<40) and counts from 1, so no number of casts in one
+// incarnation reaches the next one's IDs; the allocator and Recover fail
+// rather than wrap.
+func TestCastIDsCarryTheirIncarnation(t *testing.T) {
+	store := storage.NewMem()
+	for i := uint64(1); i <= 3; i++ {
+		_, h := up(t, store)
+		for k, id := range casts(h, 4) {
+			if id.Seq != i<<seqBits|uint64(k+1) {
+				t.Errorf("incarnation %d's cast %d is %v, want seq %d<<%d|%d", i, k+1, id, i, seqBits, k+1)
+			}
+		}
+		if h.Recovered() != (i > 1) {
+			t.Errorf("incarnation %d: Recovered() = %v", i, h.Recovered())
+		}
+	}
+
+	_, h := up(t, storage.NewMem())
+	h.castSeq = 1<<seqBits - 2
+	if id := casts(h, 1)[0]; id.Seq != 2<<seqBits-1 {
+		t.Fatalf("the last ID of incarnation 1 is %v, want seq %d", id, 2<<seqBits-1)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the allocator wrapped past 2^40 casts instead of failing")
+			}
+		}()
+		casts(h, 1)
+	}()
+
+	last := storage.NewMem()
+	blob := storage.AppendSection(nil, sectionIncarnation, binary.AppendUvarint(nil, maxIncarnation))
+	if err := last.SaveSnapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := newSystem(last).hosts[victim].Recover(); err == nil || !strings.Contains(err.Error(), "incarnation") {
+		t.Errorf("Recover over incarnation 2^24-1 = %v, want an error", err)
+	}
+}
+
+// syncs is a store that counts completed Syncs and remembers the highest
+// incarnation record that a completed Sync covered.
+type syncs struct {
+	*storage.Mem
+	n, appended, durable uint64
+}
+
+func (s *syncs) Append(rec storage.Record) error {
+	if rec.Kind == storage.KindIncarnation {
+		s.appended = max(s.appended, rec.Inst)
+	}
+	return s.Mem.Append(rec)
+}
+
+func (s *syncs) Sync() error {
+	err := s.Mem.Sync()
+	if err == nil {
+		s.n++
+		s.durable = s.appended
+	}
+	return err
+}
+
+// TestIncarnationIsDurableBeforeItsFirstCast: Recover returns only after a
+// Sync covered the new incarnation's number, so no ID of it leaves the
+// process before a restart could read it back.
+func TestIncarnationIsDurableBeforeItsFirstCast(t *testing.T) {
+	store := &syncs{Mem: storage.NewMem()}
+	for i := 0; i < 2; i++ {
+		s := newSystem(store)
+		h := s.hosts[victim]
+		before := store.n
+		if err := h.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		id := casts(h, 1)[0]
+		if store.n == before || id.Seq>>seqBits > store.durable {
+			t.Errorf("Recover completed %d Syncs, covering incarnation %d; its first cast is %v (incarnation %d)",
+				store.n-before, store.durable, id, id.Seq>>seqBits)
+		}
 	}
 }

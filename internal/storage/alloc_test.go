@@ -38,7 +38,7 @@ func TestWALAppendZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := barrier(d); err != nil {
+	if err := Barrier(d); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -75,7 +75,7 @@ func BenchmarkWALAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 				if cfg.commit {
-					if err := barrier(d); err != nil {
+					if err := Barrier(d); err != nil {
 						b.Fatal(err)
 					}
 				}

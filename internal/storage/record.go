@@ -58,6 +58,8 @@ const (
 	// arrived — the (TS, m) path or the restart state transfer re-supplies
 	// the message.
 	KindAdmit Kind = 8
+	// KindIncarnation is a process's incarnation, Inst (see internal/durable).
+	KindIncarnation Kind = 9
 )
 
 // Record is one durable event. Field meaning is kind-specific; unused

@@ -138,7 +138,7 @@ func (l *Log) CommitThen(then func()) {
 		return
 	}
 	if l != nil {
-		if err := barrier(l.store); err != nil {
+		if err := Barrier(l.store); err != nil {
 			panic(fmt.Sprintf("storage: barrier failed, cannot continue without durability: %v", err))
 		}
 	}
@@ -147,9 +147,9 @@ func (l *Log) CommitThen(then func()) {
 	}
 }
 
-// barrier is the inline durability barrier: push buffered appends to the
+// Barrier is the inline durability barrier: push buffered appends to the
 // OS, make them durable, then run the store's post-sync maintenance.
-func barrier(s Store) error {
+func Barrier(s Store) error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
@@ -238,9 +238,6 @@ func (m *Mem) Close() error {
 	m.closed = true
 	return nil
 }
-
-// Len returns the number of records appended so far (test access).
-func (m *Mem) Len() int { return len(m.recs) }
 
 // TrimTail bounds an append-only slice amortisedly: once it reaches twice
 // max, the newest max entries are copied down and the vacated tail is

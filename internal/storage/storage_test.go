@@ -52,7 +52,7 @@ func TestDiskAppendReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := barrier(d); err != nil {
+	if err := Barrier(d); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
@@ -100,7 +100,7 @@ func TestDiskReopenContinues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := barrier(d2); err != nil {
+	if err := Barrier(d2); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
@@ -166,7 +166,7 @@ func TestDiskTornTailTruncated(t *testing.T) {
 			if err := d2.Append(extra); err != nil {
 				t.Fatal(err)
 			}
-			if err := barrier(d2); err != nil {
+			if err := Barrier(d2); err != nil {
 				t.Fatal(err)
 			}
 			var got []Record
@@ -192,7 +192,7 @@ func TestDiskSnapshotPrunesAndLoads(t *testing.T) {
 		if err := d.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := barrier(d); err != nil {
+		if err := Barrier(d); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -290,7 +290,7 @@ func (d *Disk) SaveSnapshot(data []byte) error {
 	}
 	// The snapshot covers every record appended so far; make sure they are
 	// all in their segments before pruning anything.
-	if err := barrier(d); err != nil {
+	if err := Barrier(d); err != nil {
 		return err
 	}
 	upTo := d.next
@@ -492,7 +492,7 @@ func (d *Disk) Close() error {
 	if d.closed {
 		return nil
 	}
-	err := barrier(d)
+	err := Barrier(d)
 	d.fmu.Lock()
 	d.closed = true
 	if cerr := d.f.Close(); err == nil {

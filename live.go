@@ -127,17 +127,16 @@ func (l *LiveCluster) openStore(id ProcessID) storage.Store {
 }
 
 // recoverHost builds an incarnation of a process on proc and recovers it
-// from the process's store, before it handles any live event (see package
-// durable); only a recovered incarnation becomes the process's host. Start
-// runs it for every hosted process before the transport starts (a cold
-// start: the process has no incarnation yet), Restart on its event loop.
+// from the process's store before it handles any live event or casts (see
+// package durable); only a recovered incarnation becomes the process's host.
+// Start runs it for every hosted process before the transport starts,
+// Restart on the process's event loop.
 func (l *LiveCluster) recoverHost(proc *node.Proc, det *fd.Oracle) error {
 	id := proc.Self()
 	h := durable.New(durable.Config{
 		Proc:        proc,
 		Detector:    det,
 		Store:       l.stores[id],
-		ColdStart:   l.hosts[id] == nil,
 		GroupCommit: l.gc,
 		Knobs:       l.cfg,
 		Async:       func(fn func()) { l.rt.Async(id, fn) },
