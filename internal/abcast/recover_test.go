@@ -170,10 +170,14 @@ func TestDurableBytesPinned(t *testing.T) {
 	//	30263d6f… → 11d5e6e6…, b119fcc3… → 0d2d27dd….
 	// The frames re-pinned when a consensus value became its batch's bytes,
 	// as amcast's were (a value's length prefix); with it undone they hash to
-	// the previous pin: 0d2d27dd… → 09ed6960….
+	// the previous pin: 0d2d27dd… → 09ed6960…. The snapshots re-pinned when the
+	// process became the one issuer of cast IDs, as amcast's did (the cast
+	// count, a uvarint after the barrier, left the section); with the
+	// process's count written back into that slot they hash to the previous
+	// pins: 87c1c971… → ee922a7b…, 417167f9… → 751362e3….
 	want := [5]string{
-		"87c1c9716201ea6e8e56d3c93a73032b0732837621ae08e3fa08c1b971c58f9a",
-		"417167f9d024c051ad1cb930391782191070dd49fba79dcbf57a47dfb7e6fc08",
+		"ee922a7be8b0874cabb72d4f9c22061acb9b8331b77f1ac91a171cbe1d059a57",
+		"751362e3d625a38fa309502b1922c5338107fa1038ad4bab1b3be96e01337a4d",
 		"5500dc642982353d6a3d949b29ee68a9cbe6fa94cad49e8690088e020cdb6ab0",
 		"11d5e6e6303d20551a34d8966132fa0cd96f99931571ed6b38b0df7221feeffd",
 		"09ed6960f399fd1449f5c46a30e5ed40dff09ab77026bf484a0fde93976c3d66",

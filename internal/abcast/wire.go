@@ -155,10 +155,9 @@ func decodeRecordsInto(into []Record, data []byte) ([]Record, []byte, error) {
 }
 
 // save is the group's Save hook: A2's part of the snapshot section.
-func (b *Bcast) save(buf []byte, castSeq uint64) []byte {
+func (b *Bcast) save(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, b.k)
 	buf = wire.AppendUvarint(buf, b.barrier)
-	buf = wire.AppendUvarint(buf, castSeq)
 	// R-Delivered working set, in R-Delivery order.
 	buf = wire.AppendUvarint(buf, uint64(len(b.rdOrder)))
 	for _, id := range b.rdOrder {
@@ -178,11 +177,10 @@ func (b *Bcast) save(buf []byte, castSeq uint64) []byte {
 }
 
 // load is the group's Load hook: it reads what save wrote.
-func (b *Bcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
+func (b *Bcast) load(data []byte) (rest []byte, err error) {
 	d := wire.Decoder{Data: data}
 	b.k = wire.Read(&d, wire.Uvarint)
 	b.barrier = wire.Read(&d, wire.Uvarint)
-	castSeq = wire.Read(&d, wire.Uvarint)
 	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
 		var r Record
 		if d.Step(r.DecodeFrom); d.Err == nil {
@@ -200,7 +198,7 @@ func (b *Bcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
 	for _, gb := range wire.Read(&d, decodeGroupBundles) {
 		b.storeBundle(gb.Group, gb.Round, gb.Set, true)
 	}
-	return castSeq, d.Data, d.Err
+	return d.Data, d.Err
 }
 
 // inFlight lists the uncompleted rounds' bundles, each list by (round,

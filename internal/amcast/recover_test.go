@@ -133,10 +133,14 @@ func TestDurableBytesPinned(t *testing.T) {
 	// a Forward, Promise, Accept or by-value Decide carries it behind a
 	// uvarint length. With the length undone — the value appended bare, an
 	// empty one as the nil kind — they hash to the previous pin again:
-	// fff9668a… → ea1e0cd5….
+	// fff9668a… → ea1e0cd5…. The snapshots re-pinned when the process became
+	// the one issuer of cast IDs: the section lost the endpoint's cast count,
+	// a uvarint after admitSeq. With the process's count written back into
+	// that slot they hash to the previous pins: 8e2d3ab7… → 33abd202…,
+	// 9aed98e4… → f4c1948e….
 	want := [5]string{
-		"8e2d3ab738373e10d1fe229331d21a4fa2cc4706683aa892a87127dcfaa13a42",
-		"9aed98e457c45ac19818972e3415227664fc16c3603cd43ed03d9d53c6276b55",
+		"33abd202b720b1f1e5859e69d9d76a03aad0ae62eeebd38ef4bd83fe06041d7b",
+		"f4c1948e381d72e7d67e57df07648c15682cae23c816f5445b59657d7bd56ffd",
 		"4daa26c6bbd63f6634f0bb6ecdf95089fc92ffcebca9d6fca00f7cac46a2d106",
 		"f91ef188ab7121678b4bd5c4f4acabf9d5a0fc1172a101f7be0fb9766df3816d",
 		"ea1e0cd52e3f8a08b9bd381973dc2d841a9b4d5743b48d82db8a7b013a2456ae",

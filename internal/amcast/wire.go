@@ -237,10 +237,9 @@ func decodeDescriptorsInto(into []Descriptor, data []byte) ([]Descriptor, []byte
 }
 
 // save is the group's Save hook: A1's part of the snapshot section.
-func (a *Mcast) save(buf []byte, castSeq uint64) []byte {
+func (a *Mcast) save(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, a.k)
 	buf = wire.AppendUvarint(buf, a.admitSeq)
-	buf = wire.AppendUvarint(buf, castSeq)
 	buf = wire.AppendUvarint(buf, a.delivered)
 	// PENDING, in admission order.
 	pends := slices.SortedFunc(maps.Values(a.pending), func(p, q *pend) int { return cmp.Compare(p.seq, q.seq) })
@@ -277,11 +276,10 @@ func (a *Mcast) save(buf []byte, castSeq uint64) []byte {
 }
 
 // load is the group's Load hook: it reads what save wrote.
-func (a *Mcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
+func (a *Mcast) load(data []byte) (rest []byte, err error) {
 	d := wire.Decoder{Data: data}
 	a.k = wire.Read(&d, wire.Uvarint)
 	a.admitSeq = wire.Read(&d, wire.Uvarint)
-	castSeq = wire.Read(&d, wire.Uvarint)
 	a.delivered = wire.Read(&d, wire.Uvarint)
 	for n := wire.Read(&d, wire.SliceLen); n > 0 && d.Err == nil; n-- {
 		desc := wire.Read(&d, decodeDescriptor)
@@ -305,5 +303,5 @@ func (a *Mcast) load(data []byte) (castSeq uint64, rest []byte, err error) {
 		d.Err = fmt.Errorf("%w: a1 archive starts at %d, not %d", wire.ErrCorrupt, a.delivered-archived, archBase)
 	}
 	a.reindex()
-	return castSeq, d.Data, d.Err
+	return d.Data, d.Err
 }

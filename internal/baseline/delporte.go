@@ -33,7 +33,6 @@ type Delporte struct {
 
 	k         uint64
 	propK     uint64
-	castSeqN  uint64
 	busy      *types.MessageID // multi-group message being processed, if any
 	queue     []DGItem         // admitted, not yet timestamped by this group
 	queued    map[types.MessageID]bool
@@ -113,17 +112,11 @@ func (d *Delporte) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: Delporte A-MCast with empty destination")
 	}
-	id := types.MessageID{Origin: d.api.Self(), Seq: d.nextSeq()}
-	d.api.RecordCast(id)
+	id := d.api.NewCast()
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
 	first := dest.Groups()[0]
 	node.Multicast(d.api, d.api.Topo().Members(first), dgLabel, DGData{M: m})
 	return id
-}
-
-func (d *Delporte) nextSeq() uint64 {
-	d.castSeqN++
-	return d.castSeqN
 }
 
 // Handlers implements node.Protocol.

@@ -31,7 +31,6 @@ type DetMerge struct {
 	interval  time.Duration
 	stopAfter time.Duration
 
-	castSeq   uint64
 	streams   map[types.ProcessID]uint64 // latest stream ts heard per publisher
 	buffer    []*dmEntry
 	delivered map[types.MessageID]bool
@@ -146,9 +145,7 @@ func (d *DetMerge) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: DetMerge A-MCast with empty destination")
 	}
-	d.castSeq++
-	id := types.MessageID{Origin: d.api.Self(), Seq: d.castSeq}
-	d.api.RecordCast(id)
+	id := d.api.NewCast()
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
 	ts := d.now()
 	d.streams[d.api.Self()] = ts

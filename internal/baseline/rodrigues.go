@@ -27,7 +27,6 @@ type Rodrigues struct {
 	onDeliver func(rmcast.Message)
 
 	lc        uint64
-	castSeq   uint64
 	pending   map[types.MessageID]*rgPend
 	delivered map[types.MessageID]bool
 }
@@ -106,9 +105,7 @@ func (r *Rodrigues) AMCast(payload []byte, dest types.GroupSet) types.MessageID 
 	if dest.Size() == 0 {
 		panic("baseline: Rodrigues A-MCast with empty destination")
 	}
-	r.castSeq++
-	id := types.MessageID{Origin: r.api.Self(), Seq: r.castSeq}
-	r.api.RecordCast(id)
+	id := r.api.NewCast()
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
 	node.Multicast(r.api, r.api.Topo().ProcessesIn(dest), rgLabel, RGData{M: m})
 	return id

@@ -31,7 +31,6 @@ type SeqBcast struct {
 	onOpt     func(id types.MessageID, payload []byte)
 	uniform   bool
 
-	castSeq  uint64
 	seqNext  uint64 // next sequence number (sequencer only)
 	deliverN uint64 // next sequence number to deliver
 	data     map[types.MessageID][]byte
@@ -107,9 +106,7 @@ func (s *SeqBcast) Start() {}
 
 // ABCast broadcasts payload to all processes.
 func (s *SeqBcast) ABCast(payload []byte) types.MessageID {
-	s.castSeq++
-	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
-	s.api.RecordCast(id)
+	id := s.api.NewCast()
 	node.Multicast(s.api, s.api.Topo().AllProcesses(), sbLabel, SBData{ID: id, Payload: payload})
 	return id
 }

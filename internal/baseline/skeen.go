@@ -29,7 +29,6 @@ type Skeen struct {
 	onDeliver func(rmcast.Message)
 
 	lc        uint64
-	castSeq   uint64
 	pending   map[types.MessageID]*skPend
 	props     map[types.MessageID]map[types.ProcessID]uint64
 	delivered map[types.MessageID]bool
@@ -97,9 +96,7 @@ func (s *Skeen) AMCast(payload []byte, dest types.GroupSet) types.MessageID {
 	if dest.Size() == 0 {
 		panic("baseline: Skeen A-MCast with empty destination")
 	}
-	s.castSeq++
-	id := types.MessageID{Origin: s.api.Self(), Seq: s.castSeq}
-	s.api.RecordCast(id)
+	id := s.api.NewCast()
 	m := rmcast.Message{ID: id, Dest: dest, Payload: payload}
 	node.Multicast(s.api, s.api.Topo().ProcessesIn(dest), skeenLabel, SkeenData{M: m})
 	return id

@@ -1,18 +1,17 @@
 // Package durable hosts one process's ordering endpoints: it builds
 // Algorithm A1 and Algorithm A2 on a node.Proc as two group endpoints
 // (internal/group, whose recovery surface this package drives) from one
-// configuration, hands them the one cast-ID allocator they must share, and —
-// given a storage.Store — makes the process durable: snapshots on a delivery
-// cadence and after every state transfer, crash recovery, and the restart
-// catch-up. Every process that runs the paper's algorithms is built here:
-// the simulator's (harness.System, no store — behind Cluster, wansim, its
-// -figures and the sim-scale benchmark) and the live cluster's, which
-// wannode runs too, hosting one process.
+// configuration and, given a storage.Store, makes the process durable:
+// snapshots on a delivery cadence and after every state transfer, crash
+// recovery, and the restart catch-up. Every process that runs the paper's
+// algorithms is built here: the simulator's (harness.System, no store —
+// behind Cluster, wansim, its -figures and the sim-scale benchmark) and the
+// live cluster's, which wannode runs too, hosting one process.
 //
-// A cast ID is Seq = incarnation<<40 | n, n counting from 1 and never saved.
-// Recover makes the next incarnation durable (the inline barrier: Flush,
-// Sync, Maintain) before it returns, so no two incarnations on one store
-// issue one ID, whatever they logged. A volatile host stays at incarnation 0.
+// Cast IDs carry the incarnation in node.Proc.NewCast's format; this package
+// persists it. Recover makes the next incarnation durable (the inline barrier:
+// Flush, Sync, Maintain) and hands it to the process before it returns, so no
+// two incarnations on one store issue one ID. A volatile host stays at 0.
 // A wiped store loses its incarnation: a process restarted over one
 // re-issues incarnation 1's IDs (a replaced disk needs a new process ID).
 //
@@ -89,9 +88,8 @@ type Config struct {
 }
 
 const (
-	sectionIncarnation = "incarnation" // the snapshot section of the incarnation number
-	seqBits            = 40            // a cast ID's per-incarnation counter
-	maxIncarnation     = 1<<(64-seqBits) - 1
+	sectionIncarnation = "cast-ids" // the incarnation number cast IDs carry
+	maxIncarnation     = 1<<(64-node.CountBits) - 1
 )
 
 // endpoint is what the host needs of an ordering endpoint it built.
@@ -115,7 +113,6 @@ type Node struct {
 	cfg         Config
 	eps         []endpoint
 	incarnation uint64 // set by Recover; 0 on a volatile host
-	castSeq     uint64 // this incarnation's casts: the shared allocator
 	sinceSnap   int    // deliveries since the last automatic snapshot
 }
 
@@ -124,16 +121,9 @@ func New(cfg Config) *Node {
 	n := &Node{cfg: cfg}
 	log := storage.NewLog(cfg.Store)
 	log.AttachGroupCommit(cfg.GroupCommit, cfg.Async)
-	// One allocator per process: A1 and A2 IDs must not collide.
-	nextID := func() types.MessageID {
-		if n.castSeq++; n.castSeq == 1<<seqBits {
-			panic(fmt.Sprintf("durable: %v cast 2^%d messages in one incarnation; a restart casts under the next", cfg.Proc.Self(), seqBits))
-		}
-		return types.MessageID{Origin: cfg.Proc.Self(), Seq: n.incarnation<<seqBits | n.castSeq}
-	}
 	k := cfg.Knobs
 	endpointConfig := func(proto string) group.Config {
-		c := group.Config{Host: cfg.Proc, Detector: cfg.Detector, NextID: nextID, Log: log,
+		c := group.Config{Host: cfg.Proc, Detector: cfg.Detector, Log: log,
 			MaxBatch: k.MaxBatch, Pipeline: k.Pipeline, ConsensusRetry: k.ConsensusRetry,
 			OnDeliver: func(id types.MessageID, payload []byte) { n.deliver(proto, id, payload) }}
 		if cfg.Store != nil {
@@ -270,6 +260,7 @@ func (n *Node) Recover() error {
 	if err != nil {
 		return fmt.Errorf("durable: make incarnation %d durable: %w", n.incarnation, err)
 	}
+	n.cfg.Proc.SetIncarnation(n.incarnation)
 	return nil
 }
 
@@ -281,10 +272,18 @@ func (n *Node) restore(snap []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
-	owners := n.sections()
 	seen := make(map[string]bool)
 	for _, sec := range secs {
 		seen[sec.Name] = true
+	}
+	if (seen[n.A1.Proto()] || seen[n.A2.Proto()]) && !seen[sectionIncarnation] {
+		// Skipping the incarnation like an unknown layer's section would
+		// restart it at 1 and re-issue MessageIDs the ordering state already
+		// knows; and an earlier format's ordering sections read otherwise.
+		return fmt.Errorf("durable: snapshot has ordering state but no %q section (a data dir of an earlier format?)", sectionIncarnation)
+	}
+	owners := n.sections()
+	for _, sec := range secs {
 		for _, own := range owners {
 			if own.Name != sec.Name {
 				continue
@@ -293,12 +292,6 @@ func (n *Node) restore(snap []byte) error {
 				return fmt.Errorf("durable: restore section %q: %w", sec.Name, err)
 			}
 		}
-	}
-	if (seen[n.A1.Proto()] || seen[n.A2.Proto()]) && !seen[sectionIncarnation] {
-		// Skipping the incarnation like an unknown layer's section would
-		// restart it at 1 and re-issue MessageIDs the ordering state already
-		// knows.
-		return fmt.Errorf("durable: snapshot has ordering state but no %q section (a data dir written before cast IDs carried one?)", sectionIncarnation)
 	}
 	return nil
 }

@@ -158,6 +158,24 @@ func TestRecoverNeedsTheIncarnationSection(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesTheEarlierFormat: a data dir of the earlier format kept
+// the incarnation in an "incarnation" section and a cast count in its A1 and
+// A2 sections. Recovery must fail naming the section it lacks, never read
+// those ordering sections as this format's.
+func TestRecoverRefusesTheEarlierFormat(t *testing.T) {
+	donor := newSystem(nil).hosts[victim]
+	store := storage.NewMem()
+	blob := storage.AppendSection(nil, "a1", donor.A1.AppendSnapshot(nil))
+	blob = storage.AppendSection(blob, "incarnation", binary.AppendUvarint(nil, 7))
+	if err := store.SaveSnapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	err := newSystem(store).hosts[victim].Recover()
+	if err == nil || !strings.Contains(err.Error(), sectionIncarnation) {
+		t.Fatalf("Recover = %v, want an error naming the missing %q section", err, sectionIncarnation)
+	}
+}
+
 // up builds a system over store, recovers the victim and lets it catch up
 // from its group peers, so that it can snapshot.
 func up(t *testing.T, store storage.Store) (*system, *Node) {
@@ -248,43 +266,28 @@ func TestIncarnationSurvivesThePruning(t *testing.T) {
 		t.Fatalf("construction broke: the snapshot left %d records to replay", left)
 	}
 	_, h = up(t, store)
-	if id := casts(h, 1)[0]; id.Seq>>seqBits != 2 || !h.Recovered() {
+	if id := casts(h, 1)[0]; id.Seq>>node.CountBits != 2 || !h.Recovered() {
 		t.Errorf("the incarnation after a pruning snapshot cast %v (incarnation %d, recovered %v), want incarnation 2",
-			id, id.Seq>>seqBits, h.Recovered())
+			id, id.Seq>>node.CountBits, h.Recovered())
 	}
 }
 
 // TestCastIDsCarryTheirIncarnation: every ID of incarnation i lies in
-// [i<<40, (i+1)<<40) and counts from 1, so no number of casts in one
-// incarnation reaches the next one's IDs; the allocator and Recover fail
-// rather than wrap.
+// [i<<40, (i+1)<<40) and counts from 1 (node.Proc.NewCast fails rather than
+// reach the next one's IDs), and Recover fails rather than wrap.
 func TestCastIDsCarryTheirIncarnation(t *testing.T) {
 	store := storage.NewMem()
 	for i := uint64(1); i <= 3; i++ {
 		_, h := up(t, store)
 		for k, id := range casts(h, 4) {
-			if id.Seq != i<<seqBits|uint64(k+1) {
-				t.Errorf("incarnation %d's cast %d is %v, want seq %d<<%d|%d", i, k+1, id, i, seqBits, k+1)
+			if id.Seq != i<<node.CountBits|uint64(k+1) {
+				t.Errorf("incarnation %d's cast %d is %v, want seq %d<<%d|%d", i, k+1, id, i, node.CountBits, k+1)
 			}
 		}
 		if h.Recovered() != (i > 1) {
 			t.Errorf("incarnation %d: Recovered() = %v", i, h.Recovered())
 		}
 	}
-
-	_, h := up(t, storage.NewMem())
-	h.castSeq = 1<<seqBits - 2
-	if id := casts(h, 1)[0]; id.Seq != 2<<seqBits-1 {
-		t.Fatalf("the last ID of incarnation 1 is %v, want seq %d", id, 2<<seqBits-1)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("the allocator wrapped past 2^40 casts instead of failing")
-			}
-		}()
-		casts(h, 1)
-	}()
 
 	last := storage.NewMem()
 	blob := storage.AppendSection(nil, sectionIncarnation, binary.AppendUvarint(nil, maxIncarnation))
@@ -332,9 +335,9 @@ func TestIncarnationIsDurableBeforeItsFirstCast(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := casts(h, 1)[0]
-		if store.n == before || id.Seq>>seqBits > store.durable {
+		if store.n == before || id.Seq>>node.CountBits > store.durable {
 			t.Errorf("Recover completed %d Syncs, covering incarnation %d; its first cast is %v (incarnation %d)",
-				store.n-before, store.durable, id, id.Seq>>seqBits)
+				store.n-before, store.durable, id, id.Seq>>node.CountBits)
 		}
 	}
 }

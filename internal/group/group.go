@@ -3,9 +3,9 @@
 // what it has by intra-group consensus and then speaks to the other groups as
 // one party; only the rule differs (A1's timestamp stages, A2's round union),
 // and it plugs in through hooks (Rule). The endpoint owns the rest: the
-// reliable multicast a cast starts with and the cast-ID allocator, the
-// ordering engine, the sender set with its re-ship and the pull, the state
-// transfer, and the recovery surface a host drives.
+// reliable multicast a cast starts with, the ordering engine, the sender set
+// with its re-ship and the pull, the state transfer, and the recovery surface
+// a host drives. A cast's ID comes from the process (node.Proc.NewCast).
 //
 // Who speaks for the group. The paper has every member send every
 // inter-group message (A1's line 24, A2's line 15). With Pipeline > 1 only
@@ -65,9 +65,6 @@ type Config struct {
 	OnDeliver func(id types.MessageID, payload []byte)
 	// ConsensusRetry overrides the consensus retry interval.
 	ConsensusRetry time.Duration
-	// NextID overrides cast-ID allocation: both algorithms on one process
-	// must share one, or their IDs collide. Nil counts per endpoint.
-	NextID func() types.MessageID
 	// MaxBatch caps how many items one consensus instance may order. Zero
 	// means unbounded — the paper's rule; 1 degenerates to one per instance.
 	MaxBatch int
@@ -100,10 +97,10 @@ type Rule struct {
 	Reship func()
 	// Pull runs on every pull tick: Due for each waiting item, Ask if due.
 	Pull func()
-	// Save appends the rule's state, the allocator's count where its format
-	// has it; Load reads it back. The archive and the engine follow.
-	Save func(buf []byte, castSeq uint64) []byte
-	Load func(data []byte) (castSeq uint64, rest []byte, err error)
+	// Save appends the rule's state; Load reads it back. The archive and the
+	// engine follow.
+	Save func(buf []byte) []byte
+	Load func(data []byte) (rest []byte, err error)
 	// Replay replays one of the rule's WAL records, if it knows the kind.
 	Replay func(rec storage.Record) bool
 }
@@ -117,10 +114,8 @@ type Endpoint[T consensus.Item, R, Tail any] struct {
 
 	rule    Rule
 	api     *node.Proc
-	nextID  func() types.MessageID
 	rm      *rmcast.RMcast
 	senders fd.Senders
-	castSeq uint64 // the endpoint's own allocator (Config.NextID nil)
 
 	pullEvery time.Duration // the consensus retry cadence; 0 with Pipeline <= 1
 	pullOn    bool          // the pull tick is armed
@@ -135,7 +130,7 @@ func New[T consensus.Item, R, Tail any](cfg Config, rule Rule, bc consensus.Batc
 		panic(rule.Label + ": Config.Host and Detector are required")
 	}
 	host := cfg.Host
-	e := &Endpoint[T, R, Tail]{Log: cfg.Log, rule: rule, api: host, nextID: cfg.NextID}
+	e := &Endpoint[T, R, Tail]{Log: cfg.Log, rule: rule, api: host}
 	copies := 0 // every member speaks for the group
 	if cfg.Pipeline > 1 {
 		copies = rule.Copies
@@ -173,14 +168,7 @@ func (e *Endpoint[T, R, Tail]) Start() { e.senders.OnChange(e.api.Crashed, e.rul
 // The payload is the caster's encoding of its value: the endpoint carries it
 // and never reads it, and the caster must not change it afterwards.
 func (e *Endpoint[T, R, Tail]) Cast(payload []byte, dest types.GroupSet) types.MessageID {
-	var id types.MessageID
-	if e.nextID != nil {
-		id = e.nextID()
-	} else {
-		e.castSeq++
-		id = types.MessageID{Origin: e.api.Self(), Seq: e.castSeq}
-	}
-	e.api.RecordCast(id)
+	id := e.api.NewCast()
 	e.rm.MCast(rmcast.Message{ID: id, Dest: dest, Payload: payload})
 	return id
 }
@@ -223,7 +211,7 @@ func (e *Endpoint[T, R, Tail]) Ask(g types.GroupID, n uint64) types.ProcessID {
 // AppendSnapshot encodes the endpoint's replicated state for the host's
 // snapshot section: the rule's, the archive, the engine (length-prefixed).
 func (e *Endpoint[T, R, Tail]) AppendSnapshot(buf []byte) []byte {
-	buf = e.rule.Save(buf, e.castSeq)
+	buf = e.rule.Save(buf)
 	buf = e.Sync.AppendArchive(buf)
 	return wire.AppendBytes(buf, e.Engine.AppendSnapshot(nil))
 }
@@ -231,7 +219,7 @@ func (e *Endpoint[T, R, Tail]) AppendSnapshot(buf []byte) []byte {
 // RestoreSnapshot rebuilds the endpoint from AppendSnapshot's encoding.
 func (e *Endpoint[T, R, Tail]) RestoreSnapshot(data []byte) error {
 	var d wire.Decoder
-	e.castSeq, d.Data, d.Err = e.rule.Load(data)
+	d.Data, d.Err = e.rule.Load(data)
 	d.Step(e.Sync.RestoreArchive)
 	if blob := wire.Read(&d, wire.Bytes); d.Err == nil {
 		return e.Engine.RestoreSnapshot(blob)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"wanamcast/internal/abcast"
+	"wanamcast/internal/amcast"
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/group"
 	"wanamcast/internal/network"
@@ -125,5 +127,26 @@ func TestNoPullAtPipelineOne(t *testing.T) {
 		if n := r.e.Due(since); n != 0 {
 			t.Errorf("Pipeline %d: an item is due for its ask %d", pipeline, n)
 		}
+	}
+}
+
+// TestA1AndA2OnOneProcessShareItsIDs: an A1 and an A2 endpoint built on one
+// process with no host between them draw their cast IDs from the process,
+// so no two of their casts share an ID.
+func TestA1AndA2OnOneProcessShareItsIDs(t *testing.T) {
+	rt := node.NewRuntime(types.NewTopology(2, 1), network.Model{IntraGroup: time.Millisecond, InterGroup: 10 * time.Millisecond}, 1, nil)
+	cfg := group.Config{Host: rt.Proc(0), Detector: rt.Oracle()}
+	a1, a2 := amcast.New(cfg), abcast.New(cfg)
+	rt.Start()
+	seen := make(map[types.MessageID]string)
+	note := func(id types.MessageID, by string) {
+		if was, dup := seen[id]; dup {
+			t.Errorf("%s issued %v, which %s issued before", by, id, was)
+		}
+		seen[id] = by
+	}
+	for range 3 {
+		note(a1.AMCast([]byte("m"), types.NewGroupSet(0, 1)), "A1")
+		note(a2.ABCast([]byte("b")), "A2")
 	}
 }

@@ -126,8 +126,8 @@ type WireEnv interface {
 // OwnLen is the size from which a WireEnv keeps an encoded message.
 const OwnLen = 16 << 10
 
-// Proc is one process: a Lamport clock, a crash flag, and a protocol
-// registry. Construct with NewProc.
+// Proc is one process: a Lamport clock, a crash flag, a protocol registry,
+// and the one issuer of its cast IDs (NewCast). Construct with NewProc.
 type Proc struct {
 	id         types.ProcessID
 	group      types.GroupID
@@ -136,6 +136,7 @@ type Proc struct {
 	clock      int64
 	crashed    bool
 	recovering bool
+	lastCast   uint64               // the Seq of the last cast ID NewCast issued
 	handlers   map[string]route     // by proto label
 	order      []Protocol           // registration order, for deterministic Start
 	one        [1]types.ProcessID   // Send's destination list: Transmit retains none
@@ -283,20 +284,31 @@ func (p *Proc) After(d time.Duration, fn func()) {
 	p.env.Later(p, d, fn)
 }
 
-// RecordCast reports an A-XCast event for metrics; the event is local, so
-// its timestamp is the current clock. With a tracer attached it also opens
-// the message's span chain: a StageCast event carrying the caster's clock,
-// which the trace-based latency-degree measurements pair with the
-// StageDeliver clocks.
-func (p *Proc) RecordCast(id types.MessageID) {
-	if p.recovering {
-		return
+// NewCast issues the ID of an A-XCast by this process: its Seq is
+// incarnation<<CountBits | n, n counting the incarnation's casts from 1, so
+// no two casts of the process share an ID, whichever protocol makes them. It
+// records the cast for metrics at the current clock (the event is local)
+// and, with a tracer attached, opens the message's span chain: a StageCast
+// event carrying the caster's clock, which the trace-based latency-degree
+// measurements pair with the StageDeliver clocks.
+func (p *Proc) NewCast() types.MessageID {
+	if p.lastCast++; p.lastCast&(1<<CountBits-1) == 0 {
+		panic(fmt.Sprintf("node: %v cast 2^%d messages in one incarnation; a restart casts under the next", p.id, CountBits))
 	}
-	p.env.Recorder().OnCast(id, p.clock, p.env.Now())
-	if p.tracer != nil {
-		p.tracer.Record(p.lane, trace.StageCast, id, p.id, p.clock)
+	id := types.MessageID{Origin: p.id, Seq: p.lastCast}
+	if !p.recovering {
+		p.env.Recorder().OnCast(id, p.clock, p.env.Now())
 	}
+	p.Trace(trace.StageCast, id, p.clock)
+	return id
 }
+
+// CountBits is the width of n in a cast ID; the incarnation takes the rest.
+const CountBits = 40
+
+// SetIncarnation makes the casts to come those of incarnation i, which the
+// process's host has made durable; a volatile process stays at 0.
+func (p *Proc) SetIncarnation(i uint64) { p.lastCast = i << CountBits }
 
 // RecordDeliver reports an A-Deliver event for metrics. With a tracer
 // attached it also records the StageDeliver span with the deliverer's clock.

@@ -342,8 +342,7 @@ func TestInterGroupDeliveryDelay(t *testing.T) {
 func TestRecordersReceiveCastAndDeliver(t *testing.T) {
 	rt, col := newTestRT(2, 1)
 	register(rt)
-	id := types.MessageID{Origin: 0, Seq: 1}
-	rt.Proc(0).RecordCast(id)
+	id := rt.Proc(0).NewCast()
 	Send(rt.Proc(0), 1, "echo", "x") // tick
 	rt.Proc(1).RecordDeliver(id)     // receiver clock still 0 until delivery...
 	rt.Run()
@@ -351,6 +350,32 @@ func TestRecordersReceiveCastAndDeliver(t *testing.T) {
 	if !ok || deg != 0 {
 		t.Errorf("degree = %d ok=%v (deliver recorded before reception)", deg, ok)
 	}
+}
+
+// TestNewCastCarriesTheIncarnation: a process's casts count from 1 under its
+// incarnation (0 until its host sets one), count from 1 again under the
+// next, and fail rather than reach the next one's IDs after 2^40 - 1.
+func TestNewCastCarriesTheIncarnation(t *testing.T) {
+	rt, _ := newTestRT(1, 1)
+	p := rt.Proc(0)
+	if id := p.NewCast(); id != (types.MessageID{Origin: 0, Seq: 1}) {
+		t.Errorf("a volatile process's first cast is %v, want m(0,1)", id)
+	}
+	p.SetIncarnation(2)
+	if id := p.NewCast(); id.Seq != 2<<CountBits|1 {
+		t.Errorf("incarnation 2's first cast is %v, want seq 2<<%d|1", id, CountBits)
+	}
+	p.SetIncarnation(1)
+	p.lastCast += 1<<CountBits - 2
+	if id := p.NewCast(); id.Seq != 2<<CountBits-1 {
+		t.Fatalf("the last ID of incarnation 1 is %v, want seq %d", id, 2<<CountBits-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewCast wrapped past 2^40 casts instead of failing")
+		}
+	}()
+	p.NewCast()
 }
 
 func TestEmptyMulticastIsNoop(t *testing.T) {
@@ -373,9 +398,8 @@ func TestRecoveringProcessRecordsNothing(t *testing.T) {
 	rt, col := newTestRT(1, 2)
 	register(rt)
 	p := rt.Proc(0)
-	record := func(seq uint64) {
-		id := types.MessageID{Origin: 0, Seq: seq}
-		p.RecordCast(id)
+	record := func() {
+		id := p.NewCast()
 		p.RecordDeliver(id)
 		p.Metrics().Add(metrics.ConsensusInstances, 1)
 		p.Metrics().OnBatchDecided(2)
@@ -388,12 +412,12 @@ func TestRecoveringProcessRecordsNothing(t *testing.T) {
 	if p.Metrics() != nil {
 		t.Fatal("Metrics() must be nil while recovering")
 	}
-	record(1)
+	record()
 	if got := col.Snapshot(); !reflect.DeepEqual(got, new(metrics.Collector).Snapshot()) {
 		t.Fatalf("a recovering process recorded: %v", got)
 	}
 	p.SetRecovering(false)
-	record(2)
+	record()
 	st := col.Snapshot()
 	if st.CastTotal != 1 || st.DeliveredTotal != 1 || st.ConsensusInstances != 1 || st.BatchedMessages != 2 ||
 		st.LearnFetches != 1 || st.RoundsOnPace != 1 || st.BundleCopiesSent != 1 || st.BundleRepeatsDropped != 1 {

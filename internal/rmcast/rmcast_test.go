@@ -105,7 +105,7 @@ func TestEagerRelaysWithinGroup(t *testing.T) {
 func TestEagerLatencyDegreeIsOne(t *testing.T) {
 	r := newRig(t, 2, 3, ModeEager)
 	m := msg(0, 1, 0, 1)
-	r.rt.Proc(0).RecordCast(m.ID)
+	m.ID = r.rt.Proc(0).NewCast()
 	r.endpoints[0].MCast(m)
 	r.rt.Run()
 	// All deliverers' clocks must be exactly 1: relays are intra-group.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"wanamcast/internal/types"
@@ -72,6 +73,42 @@ func TestDiskAppendReplay(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSyncWaitsForTheFsync: a Sync racing another one over the
+// same flushed record returns only once an fsync covered it, as a restart's
+// inline barrier racing the group-commit syncer must.
+func TestConcurrentSyncWaitsForTheFsync(t *testing.T) {
+	d, err := OpenDisk(t.TempDir(), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for round := range 200 {
+		before := d.Fsyncs()
+		if err := d.Append(Record{Kind: KindIncarnation, Inst: uint64(round)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := d.Sync(); err != nil {
+					t.Error(err)
+				} else if d.Fsyncs() == before {
+					t.Errorf("round %d: Sync returned before the fsync of the flushed record", round)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
 	}
 }
 

@@ -53,13 +53,13 @@ type DiskOptions struct {
 
 // Disk is the file-backed Store. Under group commit it is shared
 // between its owning lane (Append/Flush/Maintain) and the syncer
-// goroutine (Sync): fmu guards the segment file handle against a
-// rotation or Close racing an in-flight fsync, and the dirty flag and
-// fsync counter are atomic. All other methods stay lane-confined.
+// goroutine (Sync): fmu serializes the Syncs and keeps a rotation or Close
+// from racing an in-flight fsync; the dirty flag and fsync counter are
+// atomic. All other methods stay lane-confined.
 type Disk struct {
 	dir     string
 	opts    DiskOptions
-	fmu     sync.RWMutex // guards f (and closed) against Sync vs rotate/Close
+	fmu     sync.Mutex // guards f (and closed) against Sync vs Sync/rotate/Close
 	f       *os.File
 	wbuf    []byte // pending (unflushed) encoded frames
 	scratch []byte // per-record encode scratch
@@ -233,13 +233,13 @@ func (d *Disk) Flush() error {
 // Sync implements Store: fsync everything flushed so far. Every barrier's
 // fsync is this one, inline or from the group-commit syncer's goroutine
 // (rotate seals a full segment with its own). It holds the file-handle
-// lock so a concurrent rotation or Close cannot pull the file out from
-// under the fsync. Flushes that complete before a barrier is staged are
+// lock: a rotation or Close cannot pull the file out from under the fsync,
+// and a second Sync, finding nothing dirty, returns after it. Flushes that complete before a barrier is staged are
 // covered by construction (flush happens-before stage happens-before the
 // syncer's read of it happens-before this call).
 func (d *Disk) Sync() error {
-	d.fmu.RLock()
-	defer d.fmu.RUnlock()
+	d.fmu.Lock()
+	defer d.fmu.Unlock()
 	if d.closed || !d.dirty.Swap(false) {
 		return nil
 	}
