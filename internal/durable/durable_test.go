@@ -163,9 +163,15 @@ func TestRecoverNeedsTheIncarnationSection(t *testing.T) {
 // A2 sections. Recovery must fail naming the section it lacks, never read
 // those ordering sections as this format's.
 func TestRecoverRefusesTheEarlierFormat(t *testing.T) {
+	earlier := func(sec []byte) []byte { // the count followed two uvarints
+		_, n1 := binary.Uvarint(sec)
+		_, n2 := binary.Uvarint(sec[n1:])
+		return append(binary.AppendUvarint(slices.Clone(sec[:n1+n2]), 6), sec[n1+n2:]...)
+	}
 	donor := newSystem(nil).hosts[victim]
 	store := storage.NewMem()
-	blob := storage.AppendSection(nil, "a1", donor.A1.AppendSnapshot(nil))
+	blob := storage.AppendSection(nil, "a1", earlier(donor.A1.AppendSnapshot(nil)))
+	blob = storage.AppendSection(blob, "a2", earlier(donor.A2.AppendSnapshot(nil)))
 	blob = storage.AppendSection(blob, "incarnation", binary.AppendUvarint(nil, 7))
 	if err := store.SaveSnapshot(blob); err != nil {
 		t.Fatal(err)
