@@ -123,6 +123,12 @@ var gates = []gate{
 	{what: "a service connection's second write path, its exported writer loop, the server's writer goroutine and a caller's write deadline: the connection owns its writer and its write timeout, which flush alone sets", pattern: `WriteLoop|writeConn|\bwmu\b|\bwbuf\b|SetWriteDeadline`,
 		paths: []string{"internal/transport/tcp/service.go", "internal/svc", "cmd"}, want: 1},
 	{what: "a service connection's socket writes: flush's one", pattern: `\.c\.Write\(`, paths: []string{"internal/transport/tcp/service.go"}, want: 1},
+
+	// One place a link's frame waits: its queue, across a partition, a dial
+	// backoff and a bandwidth debt.
+	{what: "the partition hold's drop counter: a link's frames wait in its queue, whose drops SendQueueDrops counts", pattern: `holdDrops|HoldDrops|hold_drops`, paths: []string{"."}, tests: true},
+	{what: "the writer's partition hold, a second frame list", pattern: `held +frames|held\.reset`, paths: []string{"internal/transport/tcp"}, tests: true},
+	{what: "a bandwidth debt's own wait: the writer loop's one wait pays it", pattern: `func \(l \*link\) pace\(`, paths: []string{"internal/transport/tcp"}, tests: true},
 }
 
 // TestDeletedSurfacesStayDeleted fails on a gate whose count moved, with the

@@ -523,13 +523,14 @@ type Stats struct {
 	InterGroupMessages uint64
 	ConsensusInstances uint64
 	// LearnFetches counts decisions an acceptor fetched by LearnMsg: the
-	// AcceptMsg carrying the value never reached it. SendQueueDrops and
-	// HoldDrops count, per sending process, the frames the live transport
-	// dropped on a full send queue (a paced link's too) and partition hold
-	// (nil on the simulator); the protocols' retries recover them.
-	LearnFetches              uint64
-	SendQueueDrops, HoldDrops []uint64
-	PerProtocol               map[string]ProtoCount
+	// AcceptMsg carrying the value never reached it. SendQueueDrops counts,
+	// per sending process, the frames the live transport dropped on a full
+	// send queue, where a link's frames wait also while it is severed,
+	// backing off a failed dial or paced (nil on the simulator); the
+	// protocols' retries recover them.
+	LearnFetches   uint64
+	SendQueueDrops []uint64
+	PerProtocol    map[string]ProtoCount
 
 	// Cast/delivery aggregates over all messages that were both cast and
 	// delivered at least once. With CastWindow set they cover the window

@@ -80,8 +80,8 @@ func TestDeadPeerDoesNotStallLoop(t *testing.T) {
 	sink := &sinkProto{name: "t"}
 	rtB.Proc(1).Register(sink)
 	// Start the receiver first so p0's link to p1 connects on its first
-	// dial (a frame sent during the initial dial backoff is legitimately
-	// dropped, and this test's sends are one-shot).
+	// dial: this test times its one-shot sends, and a frame sent before
+	// the peer listens waits out the dial backoff.
 	if err := rtB.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -375,14 +375,14 @@ func TestLinkFIFOAcrossSwaps(t *testing.T) {
 		}
 		next[s]++
 	}
-	if queue, hold := rt.Drops(); queue[0] != 0 || hold[0] != 0 {
-		t.Fatalf("dropped %d frames on the queue and %d on the hold", queue[0], hold[0])
+	if queue := rt.Drops(); queue[0] != 0 {
+		t.Fatalf("dropped %d frames on the queue", queue[0])
 	}
 }
 
-// TestSeveredLinkHoldsSendQueueFrames: a severed link holds at most
-// sendQueue frames, counts the excess in HoldDrops, and delivers what it
-// held once healed.
+// TestSeveredLinkHoldsSendQueueFrames: a severed link keeps at most
+// sendQueue frames in its queue, counts the excess in SendQueueDrops, and
+// delivers what it kept once healed.
 func TestSeveredLinkHoldsSendQueueFrames(t *testing.T) {
 	rt, c := pair(t, 22740, 0)
 	rt.Fabric().Sever(0, 1)
@@ -393,24 +393,24 @@ func TestSeveredLinkHoldsSendQueueFrames(t *testing.T) {
 				node.Send(rt.Proc(0), 1, "count", r*per+i)
 			}
 		})
-		l := rt.link(0, 1)
-		waitFor(t, 5*time.Second, func() bool { return l.pending() == 0 }) // the writer takes them into its hold
 	}
-	waitFor(t, 5*time.Second, func() bool { _, hold := rt.Drops(); return hold[0] == rounds*per-sendQueue })
+	l := rt.link(0, 1)
+	waitFor(t, 5*time.Second, func() bool { return l.pending() == sendQueue }) // the writer leaves them queued
+	waitFor(t, 5*time.Second, func() bool { return rt.Drops()[0] == rounds*per-sendQueue })
 	rt.Fabric().Heal(0, 1)
 	seen := c.await(t, sendQueue)
 	for i, v := range seen {
 		if v != int64(i) {
-			t.Fatalf("frame %d is %d: the hold keeps the first frames, in order", i, v)
+			t.Fatalf("frame %d is %d: the queue keeps the first frames, in order", i, v)
 		}
 	}
-	const marker = 1 << 40 // sent after the heal: FIFO puts it right after the held frames
+	const marker = 1 << 40 // sent after the heal: FIFO puts it right after the kept frames
 	rt.Run(0, func() { node.Send(rt.Proc(0), 1, "count", int64(marker)) })
 	if seen := c.await(t, sendQueue+1); len(seen) != sendQueue+1 || seen[sendQueue] != marker {
-		t.Fatalf("delivered %d frames, the last %d: want the %d held ones, then the marker", len(seen), seen[len(seen)-1], sendQueue)
+		t.Fatalf("delivered %d frames, the last %d: want the %d kept ones, then the marker", len(seen), seen[len(seen)-1], sendQueue)
 	}
-	if queue, _ := rt.Drops(); queue[0] != 0 {
-		t.Fatalf("%d frames dropped on the queue", queue[0])
+	if queue := rt.Drops(); queue[0] != rounds*per-sendQueue {
+		t.Fatalf("%d frames dropped on the queue, want the %d sent while it was full", queue[0], rounds*per-sendQueue)
 	}
 }
 
@@ -431,8 +431,8 @@ func TestFullLinkCountsSendQueueDrops(t *testing.T) {
 			node.Send(rt.Proc(0), 1, "count", i)
 		}
 	})
-	if queue, hold := rt.Drops(); queue[0] != 10 || hold[0] != 0 || l.pending() != sendQueue {
-		t.Fatalf("%d frames pending, %d dropped on the queue and %d on the hold; want %d, 10 and 0", l.pending(), queue[0], hold[0], sendQueue)
+	if queue := rt.Drops(); queue[0] != 10 || l.pending() != sendQueue {
+		t.Fatalf("%d frames pending and %d dropped on the queue; want %d and 10", l.pending(), queue[0], sendQueue)
 	}
 }
 
@@ -557,5 +557,56 @@ func TestRefusedDialBacksOffBriefly(t *testing.T) {
 	}
 	if took := time.Since(listening); took > 200*time.Millisecond {
 		t.Fatalf("the first frame reached the peer %v after it listened, want under 200 ms", took)
+	}
+}
+
+// TestFramesSurviveAFailedDial: frames sent to a peer that does not listen
+// yet, before its first dial fails and during the backoff after it, wait in
+// the link's queue. Once the peer listens, with nothing more sent, the end of
+// the backoff redials and every frame arrives, once and in order.
+func TestFramesSurviveAFailedDial(t *testing.T) {
+	const port, per = 22800, 100
+	topo := types.NewTopology(2, 1)
+	refused := make(chan struct{}, 1)
+	from := New(Config{Topo: topo, Config: config.Config{BasePort: port, Local: []types.ProcessID{0}},
+		Trace: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "dial error") {
+				select {
+				case refused <- struct{}{}:
+				default:
+				}
+			}
+		}})
+	if err := from.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(from.Stop)
+	var want []int64
+	send := func() {
+		from.Run(0, func() {
+			for range per {
+				node.Send(from.Proc(0), 1, "count", int64(len(want)))
+				want = append(want, int64(len(want)))
+			}
+		})
+	}
+	send()
+	select {
+	case <-refused:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dial to a closed port never failed")
+	}
+	send() // during the backoff
+	to := New(Config{Topo: topo, Config: config.Config{BasePort: port, Local: []types.ProcessID{1}}})
+	c := &counter{}
+	to.Proc(1).Register(c)
+	if err := to.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(to.Stop)
+	c.await(t, len(want))
+	time.Sleep(50 * time.Millisecond) // room for a duplicate to show
+	if seen := c.await(t, len(want)); !slices.Equal(seen, want) {
+		t.Fatalf("delivered %v, want %v", seen, want)
 	}
 }

@@ -123,9 +123,9 @@ type Runtime struct {
 	fds    []*heartbeatFD
 	leases []*fd.Lease // indexed by ProcessID; outlive detector restarts
 	local  []types.ProcessID
-	// The transport's only drops, counted per sending process: frames
-	// refused by a full send queue (a paced link's too) and partition hold.
-	queueDrops, holdDrops []atomic.Uint64
+	// The transport's only drops but a write error's, counted per sending
+	// process: frames refused by a full send queue.
+	queueDrops []atomic.Uint64
 
 	listeners []net.Listener
 	connMu    sync.Mutex
@@ -177,7 +177,7 @@ func New(cfg Config) *Runtime {
 	}
 	// Writer goroutines block on their queues; a fabric transition must
 	// wake the affected link so a sever kills its connection immediately
-	// (not at the next frame) and a heal flushes the parked frames even if
+	// (not at the next frame) and a heal writes the queued frames even if
 	// nothing new is being sent.
 	fabric.OnTransition(func(l network.Link, severed bool) {
 		rt.connMu.Lock()
@@ -192,7 +192,7 @@ func New(cfg Config) *Runtime {
 	rt.laneOf = make([]*lane, n)
 	rt.fds = make([]*heartbeatFD, n)
 	rt.leases = make([]*fd.Lease, n)
-	rt.queueDrops, rt.holdDrops = make([]atomic.Uint64, n), make([]atomic.Uint64, n)
+	rt.queueDrops = make([]atomic.Uint64, n)
 	local := cfg.Local
 	if local == nil {
 		local = cfg.Topo.AllProcesses()
@@ -243,13 +243,13 @@ func (rt *Runtime) newLane() *lane {
 	return ln
 }
 
-// Drops snapshots the frames dropped so far on a full send queue and on a
-// full partition hold, indexed by sending process.
-func (rt *Runtime) Drops() (queue, hold []uint64) {
+// Drops snapshots the frames dropped so far on a full send queue, indexed
+// by sending process.
+func (rt *Runtime) Drops() (queue []uint64) {
 	for i := range rt.queueDrops {
-		queue, hold = append(queue, rt.queueDrops[i].Load()), append(hold, rt.holdDrops[i].Load())
+		queue = append(queue, rt.queueDrops[i].Load())
 	}
-	return queue, hold
+	return queue
 }
 
 // ReleaseLateness sums the lanes' delay-line lateness histograms: how long
@@ -905,18 +905,19 @@ const (
 	// replies, timers, deliveries) are never dropped, unlike a send queue's
 	// frames, whose loss is retry-safe.
 	inboxSize = 4096
-	// sendQueue bounds the protocol frames each connection has pending, and
-	// those a severed link holds. A full queue drops frames instead of
-	// blocking a process loop; protocol retry timers recover drops toward
-	// live peers. fdQueue bounds its pending fd frames.
+	// sendQueue bounds the protocol frames each link has pending, also
+	// while it is severed, backs off a failed dial or owes bandwidth debt.
+	// A full queue drops frames instead of blocking a process loop; protocol
+	// retry timers recover drops toward live peers. fdQueue bounds its
+	// pending fd frames.
 	sendQueue = 4096
 	fdQueue   = 16
 	// dialTimeout bounds each connect attempt, and a service connection's
 	// writes unless its listener or dialler sets another bound. Dials run on
 	// writer goroutines, never on process loops. After a failed dial the
-	// link backs off before trying again, dropping frames meanwhile: for
-	// dialBackoff after the first failure, twice as long after each next one
-	// up to dialTimeout, and from dialBackoff again once a dial connects.
+	// link backs off before trying again, its protocol frames kept queued:
+	// for dialBackoff after the first failure, twice as long after each next
+	// one up to dialTimeout, and from dialBackoff again once a dial connects.
 	dialTimeout = time.Second
 	dialBackoff = 10 * time.Millisecond
 	// A lane keeps walked envelopes to lend again: 256 covers what lan-sat
@@ -937,9 +938,11 @@ const paceChunkBytes = 128 << 10
 
 // link owns one outbound TCP connection and its pending frames, which senders
 // add under mu (fd frames apart) and its writer swaps for the ones it wrote
-// last, woken when they were empty. While the fabric severs the link, the
-// writer kills the connection, refuses to dial, and holds the protocol
-// frames until the link heals — the heal wakes it through wake.
+// last, woken when they were empty. The queue is the one place a protocol
+// frame waits: while the fabric severs the link (the heal wakes the writer),
+// while a failed dial backs off and while the link owes bandwidth debt (a
+// timer wakes it at the end of either), the writer takes only the fd frames,
+// and writes them if it is connected.
 type link struct {
 	rt       *Runtime
 	from, to types.ProcessID
@@ -1015,9 +1018,13 @@ func (l *link) writeLoop() {
 		bw       *bufio.Writer
 		nextDial time.Time
 		backoff  = dialBackoff // after the next failed dial
-		out, fd  frames        // what the last swap took
-		held     frames        // protocol frames parked while the fabric severs the link
+		out, fd  frames        // what the last swaps took
+		rest     [][]byte      // out's frames a bandwidth debt deferred
 	)
+	// wait wakes the writer when a dial backoff or a bandwidth debt ends.
+	wait := time.AfterFunc(time.Hour, l.signal)
+	wait.Stop()
+	defer wait.Stop()
 	// teardown closes the connection after a write error. It does NOT arm
 	// the dial backoff: a transient error on an established connection
 	// (peer restarted its listener, one RST) should redial immediately —
@@ -1037,99 +1044,83 @@ func (l *link) writeLoop() {
 		case <-rt.done:
 			return
 		}
-		l.mu.Lock()
-		l.out, out = out, l.out
-		l.fd, fd = fd, l.fd
-		l.mu.Unlock()
-		switch {
-		case rt.fabric.Severed(l.from, l.to):
-			// Partition: kill the connection, refuse to dial, and park the
-			// protocol frames, up to sendQueue (protocol retries recover the
-			// rest) — the stand-in for the TCP retransmit buffer that carries
-			// unacked data across a real partition, so the link stays a
-			// quasi-reliable (arbitrarily slow) channel. Heartbeats are not
-			// parked: the peer must suspect us until the link heals.
+		if rt.fabric.Severed(l.from, l.to) {
+			// Partition: kill the connection and refuse to dial. The
+			// protocol frames wait in the queue for the heal, the stand-in
+			// for the TCP retransmit buffer that carries unacked data across
+			// a real partition, so the link stays a quasi-reliable
+			// (arbitrarily slow) channel. Heartbeats are not kept: the peer
+			// must suspect us until the link heals.
 			teardown()
-			for i := range out.subs {
-				if len(held.subs) == sendQueue {
-					rt.holdDrops[l.from].Add(uint64(len(out.subs) - i))
-					rt.Tracef("partition hold full: drop %d frames %v->%v", len(out.subs)-i, l.from, l.to)
-					break
-				}
-				held.add(out.subs[i])
-			}
-		case len(held.subs)+len(out.subs)+len(fd.subs) == 0:
-		case conn == nil && time.Now().Before(nextDial):
-			held.reset() // peer presumed dead: drop until the backoff expires
-		default:
-			if conn == nil {
-				c, err := net.DialTimeout("tcp", rt.addr(l.to), dialTimeout)
-				if err != nil {
-					rt.Tracef("dial error %v->%v: %v", l.from, l.to, err)
-					nextDial = time.Now().Add(backoff)
-					backoff = min(2*backoff, dialTimeout)
-					held.reset() // unreachable peer: quasi-reliable links lose nothing between correct processes
-					break
-				}
+		} else if conn == nil && !time.Now().Before(nextDial) && (len(rest) > 0 || l.queued()) {
+			c, err := net.DialTimeout("tcp", rt.addr(l.to), dialTimeout)
+			if err != nil {
+				rt.Tracef("dial error %v->%v: %v", l.from, l.to, err)
+				nextDial = time.Now().Add(backoff)
+				wait.Reset(backoff)
+				backoff = min(2*backoff, dialTimeout)
+			} else {
 				conn, backoff = c, dialBackoff
 				rt.track(conn)
 				bw = bufio.NewWriterSize(conn, 64<<10)
 			}
-			if err := l.flush(bw, &held, &out, &fd); err != nil {
-				rt.Tracef("write error %v->%v: %v", l.from, l.to, err)
-				teardown()
-			}
 		}
-		out.reset()
-		fd.reset()
-		// A wake pace took may have been for protocol frames still pending.
+		if !l.nextFree.IsZero() && !time.Now().Before(l.nextFree) {
+			l.nextFree = time.Time{} // the debt is paid
+		}
 		l.mu.Lock()
-		more := len(l.out.subs)+len(l.fd.subs) > 0
+		if conn != nil && l.nextFree.IsZero() && len(rest) == 0 {
+			l.out, out = out, l.out
+			rest = out.subs
+		}
+		l.fd, fd = fd, l.fd
 		l.mu.Unlock()
-		if more {
-			l.signal()
+		if conn == nil {
+			fd.reset()
+			continue
+		}
+		var err error
+		if rest, err = l.flush(bw, &fd, rest); err != nil {
+			rt.Tracef("write error %v->%v: %v", l.from, l.to, err)
+			teardown()
+			l.signal() // redial for what was queued meanwhile
+		}
+		if len(rest) == 0 {
+			out.reset()
+		}
+		if !l.nextFree.IsZero() {
+			wait.Reset(time.Until(l.nextFree))
 		}
 	}
 }
 
-// flush writes a cycle's frames, the fd frames first, then the held protocol
-// frames and out's, in order, in envelopes, and flushes them: in one burst,
-// or on a bandwidth-capped link in paceChunkBytes chunks with the
-// transmission debt paid between them, the burst draining through the
-// modeled pipe. Held frames are written or lost.
-func (l *link) flush(bw *bufio.Writer, held, out, fd *frames) error {
-	defer held.reset()
+// queued reports whether l holds frames for its writer to take.
+func (l *link) queued() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.out.subs)+len(l.fd.subs) > 0
+}
+
+// flush writes fd's frames, then subs in order, in envelopes, and flushes
+// them. It returns the frames it did not write: on a bandwidth-capped link
+// each envelope is at most paceChunkBytes and sets the transmission debt
+// (nextFree) that defers the rest, the written bytes draining through the
+// modeled pipe. fd frames owe no debt (see fdProto).
+func (l *link) flush(bw *bufio.Writer, fd *frames, subs [][]byte) ([][]byte, error) {
 	if err := l.writeFD(bw, fd); err != nil {
-		return err
-	}
-	subs := out.subs
-	if len(held.subs) > 0 {
-		for _, sub := range out.subs {
-			held.add(sub)
-		}
-		subs = held.subs
+		return nil, err
 	}
 	rate := l.rt.fabric.Bandwidth(l.from, l.to)
-	for len(subs) > 0 {
+	for len(subs) > 0 && l.nextFree.IsZero() {
 		n, payBytes, err := l.writeEnvelope(bw, subs, rate > 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if subs = subs[n:]; payBytes == 0 || rate <= 0 {
-			continue
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if now := time.Now(); l.nextFree.Before(now) {
-			l.nextFree = now
-		}
-		l.nextFree = l.nextFree.Add(network.TransmitTime(rate, payBytes))
-		if err := l.pace(bw, fd); err != nil {
-			return err
+		if subs = subs[n:]; payBytes > 0 && rate > 0 {
+			l.nextFree = time.Now().Add(network.TransmitTime(rate, payBytes))
 		}
 	}
-	return bw.Flush()
+	return subs, bw.Flush()
 }
 
 // writeEnvelope writes the first n of subs, as many as one envelope takes (up
@@ -1181,47 +1172,4 @@ func (l *link) writePlain(bw *bufio.Writer, sub []byte) (int, error) {
 	rt.rec.OnWireFlush(len(l.buf), 0, 0)
 	_, err := bw.Write(l.buf)
 	return len(l.buf), err
-}
-
-// pace blocks until the link's transmission-debt clock (nextFree) passes:
-// after a burst of n bytes on a link capped at rate bytes/s the writer
-// takes no further protocol frames for TransmitTime(rate, n) — the written
-// bytes draining through the modeled pipe; they wait in the link's queue,
-// bounded by sendQueue. fd frames are exempt: each wake swaps them out and
-// writes and flushes them during the wait, so a saturated link keeps
-// carrying heartbeats and congestion cannot masquerade as a crash.
-func (l *link) pace(bw *bufio.Writer, fd *frames) error {
-	rt := l.rt
-	for {
-		d := time.Until(l.nextFree)
-		if d <= 0 {
-			return nil
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-l.wake:
-			t.Stop()
-			if rt.fabric.Severed(l.from, l.to) {
-				// A sever must kill the connection now: hand control back
-				// to the main loop with the wake re-armed so it sees the
-				// transition. Remaining debt stays on nextFree.
-				l.signal()
-				return nil
-			}
-			l.mu.Lock()
-			l.fd, *fd = *fd, l.fd
-			l.mu.Unlock()
-			if err := l.writeFD(bw, fd); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		case <-rt.done:
-			t.Stop()
-			return nil
-		case <-t.C:
-			return nil
-		}
-	}
 }

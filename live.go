@@ -389,7 +389,7 @@ func (l *LiveCluster) Crash(p ProcessID) {
 // cluster's memory stays flat.
 func (l *LiveCluster) Stats() Stats {
 	st := l.col.Snapshot()
-	st.SendQueueDrops, st.HoldDrops = l.rt.Drops()
+	st.SendQueueDrops = l.rt.Drops()
 	st.WANReleaseLate = l.rt.ReleaseLateness()
 	return st
 }
@@ -438,7 +438,6 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 			}
 			for p := range st.SendQueueDrops {
 				g[fmt.Sprintf("wanamcast_send_queue_drops_total{proc=\"%d\"}", p)] = float64(st.SendQueueDrops[p])
-				g[fmt.Sprintf("wanamcast_hold_drops_total{proc=\"%d\"}", p)] = float64(st.HoldDrops[p])
 			}
 			return g
 		},
