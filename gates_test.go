@@ -119,6 +119,11 @@ var gates = []gate{
 	{what: "a command's own transport, store or process host: wannode is a LiveCluster of one process", pattern: `tcp\.New\(|storage\.OpenDisk\(|durable\.New\(`, paths: []string{"cmd"}},
 	{what: "a process host built outside the live cluster and the simulated system", pattern: `durable\.New\(`, paths: []string{"."}, skip: []string{"live.go", "internal/harness/harness.go"}},
 
+	// The service stops at A-Delivery: no replica certifies what it applied.
+	{what: "delivery certificates' serving side: the certificate protocol, its secret and ring, and the receipts and rolling state hash a replica kept and snapshotted", pattern: `\bCertify\b|handleCert|\bCertReq\b|\bCertShare\b|CertSecret|KindSvcCert|stateHash|\.Ring\(\)`,
+		paths: []string{"."}, tests: true, skip: []string{"bench"}},
+	{what: "the certificate verifier, an adapter only bench/ calls: outside it, its two declarations", pattern: `NewKeyRing\(|VerifyCertificate\(`, paths: []string{"."}, skip: []string{"bench"}, want: 2},
+
 	// One queue and one flush per service connection.
 	{what: "a service connection's second write path, its exported writer loop, the server's writer goroutine and a caller's write deadline: the connection owns its writer and its write timeout, which flush alone sets", pattern: `WriteLoop|writeConn|\bwmu\b|\bwbuf\b|SetWriteDeadline`,
 		paths: []string{"internal/transport/tcp/service.go", "internal/svc", "cmd"}, want: 1},

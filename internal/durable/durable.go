@@ -49,7 +49,9 @@ import (
 )
 
 // Section is one extra named snapshot contributor (beyond A1, A2 and the
-// incarnation), e.g. the service layer's replica state.
+// incarnation), e.g. the service layer's replica state. One without Save is a
+// name of an earlier format: no snapshot writes it, and its Restore refuses a
+// snapshot that holds it.
 type Section struct {
 	Name    string
 	Save    func() ([]byte, error)
@@ -207,6 +209,9 @@ func (n *Node) Snapshot() error {
 	}
 	var blob []byte
 	for _, s := range n.sections() {
+		if s.Save == nil {
+			continue
+		}
 		body, err := s.Save()
 		if err != nil {
 			return fmt.Errorf("durable: snapshot section %q: %w", s.Name, err)

@@ -1,16 +1,15 @@
-// Delivery certificates: a quorum of a shard's replicas countersigns the
-// receipt (MessageID, group, order t, state hash) of an applied command,
-// and the client can verify the bundle OFFLINE — no trust in any single
-// replica, in the spirit of pod's accountable, optimal-latency reads.
+// Delivery certificates, offline: a majority of a shard's replicas MACs the
+// receipt (MessageID, group, order t, state hash) of an applied command, and
+// anyone holding the KeyRing can verify the bundle without trusting a single
+// replica, in the spirit of pod's accountable reads.
 //
-// Each replica p holds an HMAC-SHA256 key derived from a deployment
-// secret; its CertShare MACs the canonical receipt bytes under that key.
-// A majority of matching shares proves — to anyone holding the KeyRing —
-// that a majority of the shard attests the command was A-Delivered at
-// order t leaving the shard's rolling state hash at h: forging a
-// certificate requires forging MACs, and equivocating about t or h
-// requires a majority of replicas to diverge from the replicated state
-// machine, which the §2.2 properties rule out for correct processes.
+// Each replica p holds an HMAC-SHA256 key derived from a deployment secret. A
+// majority of valid MACs over one receipt proves that a majority of the shard
+// attests it: forging a certificate requires forging MACs.
+//
+// These are an adapter that only bench/ calls: its svc.cert_verify_us driver
+// times VerifyCertificate. No replica signs a receipt and no client collects
+// one; the next change to the benchmark drops that driver and deletes them.
 package svc
 
 import (
@@ -23,34 +22,8 @@ import (
 	"wanamcast/internal/wire"
 )
 
-// CertReq asks a replica for its countersignature over the receipt of the
-// write command (Session, Seq). The command must still be inside the
-// session's dedup window at that replica.
-type CertReq struct {
-	Session uint64
-	Seq     uint64
-}
-
-// CertShare is one replica's countersignature: replica Proc of shard
-// Group attests that command (Session, Seq) — ordered as message ID —
-// A-Delivered at shard order Order, leaving the shard's rolling state
-// hash at Hash. MAC is HMAC-SHA256 over the canonical receipt bytes
-// under Proc's key.
-type CertShare struct {
-	Session uint64
-	Seq     uint64
-	OK      bool
-	Err     string
-	ID      types.MessageID
-	Group   types.GroupID
-	Order   uint64
-	Hash    []byte
-	Proc    types.ProcessID
-	MAC     []byte
-}
-
-// Certificate is a client-assembled bundle of matching shares. Verify
-// with KeyRing.VerifyCertificate — the check needs no network.
+// Certificate is a bundle of MACs over one receipt. Verify it with
+// KeyRing.VerifyCertificate: the check needs no network.
 type Certificate struct {
 	ID     types.MessageID
 	Group  types.GroupID
@@ -60,9 +33,9 @@ type Certificate struct {
 }
 
 // KeyRing derives each replica's certificate key from one deployment
-// secret: key(p) = HMAC-SHA256(secret, "cert-key" ‖ uvarint(p)). Both
-// sides of the protocol — replicas signing and clients verifying — hold
-// the same ring; it is the deployment's root of trust for receipts.
+// secret: key(p) = HMAC-SHA256(secret, "cert-key" ‖ uvarint(p)). Signers and
+// verifiers hold the same ring; it is the deployment's root of trust for
+// receipts.
 type KeyRing struct {
 	secret []byte
 }
@@ -124,42 +97,4 @@ func (r *KeyRing) VerifyCertificate(c Certificate, members []types.ProcessID) er
 		}
 	}
 	return nil
-}
-
-func init() {
-	wire.Register(wire.KindSvcCertReq, appendCertReq, decodeCertReq)
-	wire.Register(wire.KindSvcCertShare, appendCertShare, decodeCertShare)
-}
-
-func appendCertReq(buf []byte, r CertReq) []byte {
-	buf = wire.AppendUvarint(buf, r.Session)
-	return wire.AppendUvarint(buf, r.Seq)
-}
-
-func decodeCertReq(data []byte) (CertReq, []byte, error) {
-	d := wire.Decoder{Data: data}
-	r := CertReq{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint)}
-	return r, d.Data, d.Err
-}
-
-func appendCertShare(buf []byte, s CertShare) []byte {
-	buf = wire.AppendUvarint(buf, s.Session)
-	buf = wire.AppendUvarint(buf, s.Seq)
-	buf = wire.AppendBool(buf, s.OK)
-	buf = wire.AppendString(buf, s.Err)
-	buf = s.ID.AppendTo(buf)
-	buf = wire.AppendVarint(buf, int64(s.Group))
-	buf = wire.AppendUvarint(buf, s.Order)
-	buf = wire.AppendBytes(buf, s.Hash)
-	buf = wire.AppendVarint(buf, int64(s.Proc))
-	return wire.AppendBytes(buf, s.MAC)
-}
-
-func decodeCertShare(data []byte) (CertShare, []byte, error) {
-	d := wire.Decoder{Data: data}
-	s := CertShare{Session: wire.Read(&d, wire.Uvarint), Seq: wire.Read(&d, wire.Uvarint), OK: wire.Read(&d, wire.Bool)}
-	s.Err, s.ID, s.Group = wire.Read(&d, wire.String), wire.Read(&d, types.DecodeMessageID), types.GroupID(wire.Read(&d, wire.Varint))
-	s.Order, s.Hash = wire.Read(&d, wire.Uvarint), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
-	s.Proc, s.MAC = types.ProcessID(wire.Read(&d, wire.Varint)), append([]byte(nil), wire.Read(&d, wire.Bytes)...)
-	return s, d.Data, d.Err
 }

@@ -28,8 +28,6 @@ type ClientConfig struct {
 	// no write: a request's write may wait the dial timeout (1 s) before it
 	// costs the connection.
 	Timeout time.Duration
-	// MaxAttempts bounds send attempts per command (default 8).
-	MaxAttempts int
 	// Stats, when non-nil, receives client-observed latency and retry
 	// counters.
 	Stats *metrics.Service
@@ -107,7 +105,6 @@ func NewClient(cfg ClientConfig) *Client {
 		panic("svc: ClientConfig.Session is required and must be non-zero")
 	}
 	cfg.Timeout = cmp.Or(max(cfg.Timeout, 0), 250*time.Millisecond)
-	cfg.MaxAttempts = cmp.Or(max(cfg.MaxAttempts, 0), 8)
 	c := &Client{
 		cfg:       cfg,
 		readConns: make(map[string]*tcp.SvcConn),
@@ -123,10 +120,6 @@ func NewClient(cfg ClientConfig) *Client {
 	return c
 }
 
-// Seq returns the sequence number of the most recent Invoke (0 before the
-// first): the handle Certify takes to name a write.
-func (c *Client) Seq() uint64 { return c.seq }
-
 // Close drops the connections. The session's dedup state lives on at the
 // servers, so a future client reusing the session id and a higher sequence
 // continues it.
@@ -141,6 +134,10 @@ func (c *Client) Close() {
 // Watermark returns the highest delivery watermark this session has
 // observed for shard g (0 before the first write or read there).
 func (c *Client) Watermark(g types.GroupID) uint64 { return c.wm[g] }
+
+// maxAttempts bounds send attempts per command: with the reply deadline
+// doubling from Timeout to its 16× cap, they wait 79× Timeout in all.
+const maxAttempts = 8
 
 // Invoke executes op exactly once on the shards in dest and returns the
 // coordinator shard's result. It blocks until a reply or until every
@@ -166,7 +163,7 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 	start := time.Now()
 	timeout := c.cfg.Timeout
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.cfg.Stats.RecordRetry()
 			timeout = min(2*timeout, 16*c.cfg.Timeout)
@@ -191,7 +188,7 @@ func (c *Client) Invoke(dest types.GroupSet, op []byte) ([]byte, error) {
 	}
 	c.cfg.Stats.RecordOutcome(dest.Size(), time.Since(start), false)
 	return nil, fmt.Errorf("svc: no reply for (session %d, seq %d) after %d attempts: %w",
-		req.Session, req.Seq, c.cfg.MaxAttempts, lastErr)
+		req.Session, req.Seq, maxAttempts, lastErr)
 }
 
 // awaitReply reads until the matching reply, a redirect, or the deadline,
@@ -355,7 +352,7 @@ func (c *Client) readAt(addr string, g types.GroupID, op []byte, wireMode byte) 
 	c.readSeq++
 	req := ReadReq{Session: c.cfg.Session, Seq: c.readSeq, Group: g,
 		Mode: wireMode, MinWatermark: c.wm[g], Op: op}
-	resp, err := ask(c, addr, req, func(r ReadResp) bool { return r.Session == req.Session && r.Seq == req.Seq })
+	resp, err := c.ask(addr, req)
 	switch {
 	case err != nil:
 		return nil, err
@@ -373,98 +370,37 @@ func (c *Client) readAt(addr string, g types.GroupID, op []byte, wireMode byte) 
 	return resp.Result, nil
 }
 
-// Certify collects a delivery certificate for this session's write seq
-// against shard g: it asks every replica for a countersignature and
-// returns a certificate carrying a quorum of shares that agree on the
-// receipt (message ID, order, state hash). Verify it offline with
-// KeyRing.VerifyCertificate. The write must still be inside the session's
-// dedup window. A write returns once one replica has applied it, so a
-// replica that refuses a seq this session has issued may only be behind: it
-// is asked again until Timeout after the call. A seq never issued fails at
-// once.
-func (c *Client) Certify(g types.GroupID, seq uint64) (Certificate, error) {
-	addrs := c.cfg.Addrs[g]
-	if len(addrs) == 0 {
-		return Certificate{}, fmt.Errorf("svc: no known servers for group %v", g)
-	}
-	quorum := len(addrs)/2 + 1
-	deadline := time.Now().Add(c.cfg.Timeout)
-	// Bucket shares by receipt: correct replicas agree, so the biggest
-	// bucket is the shard's answer; a diverging or lying replica lands in
-	// its own bucket and simply fails to contribute.
-	buckets := make(map[string]*Certificate)
-	req := CertReq{Session: c.cfg.Session, Seq: seq}
-	var lastErr error
-	for replicas := addrs; ; time.Sleep(2 * time.Millisecond) {
-		var behind []string
-		for _, addr := range replicas {
-			share, err := ask(c, addr, req, func(s CertShare) bool { return s.Session == req.Session && s.Seq == req.Seq })
-			if err == nil && !share.OK {
-				err = fmt.Errorf("svc: certificate share at %s: %s", addr, share.Err)
-				if seq <= c.seq && time.Now().Before(deadline) {
-					behind = append(behind, addr)
-				}
-			}
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			key := string(receiptBytes(share.ID, share.Group, share.Order, share.Hash))
-			cert := buckets[key]
-			if cert == nil {
-				cert = &Certificate{
-					ID: share.ID, Group: share.Group, Order: share.Order,
-					Hash:   append([]byte(nil), share.Hash...),
-					Shares: make(map[types.ProcessID][]byte),
-				}
-				buckets[key] = cert
-			}
-			cert.Shares[share.Proc] = append([]byte(nil), share.MAC...)
-			if len(cert.Shares) >= quorum {
-				return *cert, nil
-			}
-		}
-		if replicas = behind; len(replicas) == 0 {
-			break
-		}
-	}
-	return Certificate{}, fmt.Errorf("svc: no quorum of matching certificate shares for (session %d, seq %d) on group %v (last error: %v)",
-		c.cfg.Session, seq, g, lastErr)
-}
-
 // ask sends req to the replica at addr on its cached connection and returns
-// the first T that mine accepts — frames of an abandoned earlier request are
-// skipped, and only T's kind is decoded — dropping the connection on a
-// transport error or a T that does not decode.
-func ask[T any](c *Client, addr string, req any, mine func(T) bool) (T, error) {
-	var m T
+// its answer — answers to an abandoned earlier read are skipped, and frames of
+// any other kind are not decoded — dropping the connection on a transport
+// error or an answer that does not decode.
+func (c *Client) ask(addr string, req ReadReq) (ReadResp, error) {
 	conn, err := c.readConn(addr)
 	if err != nil {
-		return m, err
+		return ReadResp{}, err
 	}
 	deadline := time.Now().Add(c.cfg.Timeout)
 	if err := conn.WriteMsg(types.NoProcess, req); err != nil {
 		c.dropReadConn(addr)
-		return m, err
+		return ReadResp{}, err
 	}
-	want, decode := wire.DecoderOf[T]()
 	for {
 		_ = conn.SetReadDeadline(deadline)
 		kind, body, err := conn.Next()
-		if err == nil && kind != want {
+		if err == nil && kind != wire.KindSvcReadResp {
 			continue
 		}
 		if err == nil {
-			v, ok := view(body, decode)
-			if ok && mine(v) {
-				return v, nil
+			resp, ok := view(body, decodeReadResp)
+			if ok && resp.Session == req.Session && resp.Seq == req.Seq {
+				return resp, nil
 			} else if ok {
-				continue // an answer to an abandoned request
+				continue // an answer to an abandoned read
 			}
 			err = corruptFrame(kind)
 		}
 		c.dropReadConn(addr)
-		return m, err
+		return ReadResp{}, err
 	}
 }
 

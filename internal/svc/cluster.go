@@ -40,17 +40,15 @@ type ServiceConfig struct {
 	NewMachine func(p types.ProcessID, g types.GroupID) StateMachine
 	// Stats, when non-nil, receives the servers' service-level counters.
 	Stats *metrics.Service
-	// ReplyTimeout bounds reply writes (see ServerConfig).
+	// ReplyTimeout bounds reply writes (see ServerConfig), a seam only
+	// the writer_test.go timeouts set.
 	ReplyTimeout time.Duration
-	// MaxSessions bounds each replica's dedup table (see ServerConfig).
+	// MaxSessions bounds each replica's dedup table (see ServerConfig), a
+	// seam only TestSessionEviction sets.
 	MaxSessions int
 	// LeaseFor, when non-nil, resolves replica p's leader lease (the live
 	// runtime's ReadLease). Nil disables lease reads on every replica.
 	LeaseFor func(p types.ProcessID) *fd.Lease
-	// CertSecret, when non-empty, enables delivery certificates: every
-	// server signs with a key derived from it, and clients verify with
-	// NewKeyRing(CertSecret).
-	CertSecret []byte
 	// Tracer, when non-nil, records each server's request lifecycle spans
 	// (submit, enqueue, reply) into the cluster-wide lifecycle tracer.
 	Tracer *trace.Tracer
@@ -63,16 +61,10 @@ type Service struct {
 	cfg     ServiceConfig
 	cluster Cluster
 
-	ring *KeyRing // nil unless CertSecret configured
-
 	mu      sync.Mutex
 	servers []*Server
 	addrs   map[types.GroupID][]string
 }
-
-// Ring returns the certificate key ring (nil when certificates are
-// disabled); clients verify certificates against it.
-func (s *Service) Ring() *KeyRing { return s.ring }
 
 // ServeCluster starts one client-facing Server per process of the cluster
 // and attaches each as its process's replica: it gets the process's
@@ -96,9 +88,6 @@ func ServeCluster(c Cluster, topo *types.Topology, cfg ServiceConfig) (*Service,
 		cluster: c,
 		servers: make([]*Server, topo.N()),
 		addrs:   make(map[types.GroupID][]string, topo.NumGroups()),
-	}
-	if len(cfg.CertSecret) > 0 {
-		svc.ring = NewKeyRing(cfg.CertSecret)
 	}
 	// Phase 1: bind every listener (learning ephemeral ports) and fill the
 	// address book — accepting no connections and attaching no replica
@@ -148,7 +137,6 @@ func (s *Service) buildServer(p types.ProcessID, g types.GroupID, addr string) *
 		Stats:        s.cfg.Stats,
 		ReplyTimeout: s.cfg.ReplyTimeout,
 		MaxSessions:  s.cfg.MaxSessions,
-		Ring:         s.ring,
 		Tracer:       s.cfg.Tracer,
 	}
 	if s.cfg.LeaseFor != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // readFixture is a live cluster with the full read tier enabled: leader
-// leases, delivery certificates, and the KV service.
+// leases and the KV service.
 type readFixture struct {
 	cluster *wanamcast.LiveCluster
 	service *svc.Service
@@ -45,9 +45,8 @@ func newReadFixture(t *testing.T, groups, perGroup, basePort int, wan time.Durat
 		NewMachine: func(p types.ProcessID, g types.GroupID) svc.StateMachine {
 			return svc.NewKVMachine(g, route)
 		},
-		LeaseFor:   func(p types.ProcessID) *fd.Lease { return cluster.ReadLease(p) },
-		CertSecret: []byte("read-tier-test-secret"),
-		Stats:      stats,
+		LeaseFor: func(p types.ProcessID) *fd.Lease { return cluster.ReadLease(p) },
+		Stats:    stats,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,60 +157,6 @@ func TestWatermarkReadsAreMonotonic(t *testing.T) {
 	}
 	if ss := f.stats.Snapshot(); ss.StaleReads != 0 {
 		t.Fatalf("%d stale reads on an undisturbed cluster", ss.StaleReads)
-	}
-}
-
-// TestCertifyQuorumAndForgery: a write's delivery certificate carries a
-// quorum of matching HMAC shares, verifies offline against the shard
-// membership, and dies on any forged byte — the negative control.
-func TestCertifyQuorumAndForgery(t *testing.T) {
-	f := newReadFixture(t, 2, 3, 25400, 10*time.Millisecond)
-	kv := f.kv(t, 73)
-
-	if _, err := kv.Put(map[string]string{"g0/c": "v"}); err != nil {
-		t.Fatal(err)
-	}
-	seq := kv.Client.Seq()
-	cert, err := kv.Client.Certify(0, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := f.topo.Members(0)
-	if len(cert.Shares) < len(members)/2+1 {
-		t.Fatalf("certificate carries %d shares, want a quorum of %d", len(cert.Shares), len(members)/2+1)
-	}
-	ring := f.service.Ring()
-	if err := ring.VerifyCertificate(cert, members); err != nil {
-		t.Fatalf("genuine certificate rejected: %v", err)
-	}
-
-	// Forge one MAC byte: verification must fail.
-	for p, mac := range cert.Shares {
-		forged := svc.Certificate{ID: cert.ID, Group: cert.Group, Order: cert.Order,
-			Hash: cert.Hash, Shares: map[types.ProcessID][]byte{}}
-		for q, m := range cert.Shares {
-			forged.Shares[q] = m
-		}
-		bad := append([]byte(nil), mac...)
-		bad[0] ^= 0x01
-		forged.Shares[p] = bad
-		if err := ring.VerifyCertificate(forged, members); err == nil {
-			t.Fatalf("certificate with a forged share from %v verified", p)
-		}
-		break
-	}
-
-	// Lying about the order or the state hash must also fail, even with
-	// genuine MACs.
-	lied := cert
-	lied.Order++
-	if err := ring.VerifyCertificate(lied, members); err == nil {
-		t.Fatal("certificate with a rewritten order verified")
-	}
-
-	// Certifying a seq outside the dedup window is an error, not a panic.
-	if _, err := kv.Client.Certify(0, seq+100); err == nil {
-		t.Fatal("certificate issued for a never-executed command")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"maps"
 	"slices"
 
-	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
@@ -30,7 +29,6 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 	}
 	buf := wire.AppendBytes(nil, machine)
 	buf = wire.AppendUvarint(buf, s.tick)
-	buf = wire.AppendBytes(buf, s.stateHash[:])
 	buf = wire.AppendUvarint(buf, uint64(len(s.sessions)))
 	for _, id := range slices.Sorted(maps.Keys(s.sessions)) {
 		sess := s.sessions[id]
@@ -45,8 +43,6 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 			buf = wire.AppendBytes(buf, sl.result)
 			buf = wire.AppendString(buf, sl.err)
 			buf = wire.AppendUvarint(buf, sl.order)
-			buf = sl.id.AppendTo(buf)
-			buf = wire.AppendBytes(buf, sl.hash[:])
 		}
 	}
 	return buf, nil
@@ -67,11 +63,6 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	defer s.mu.Unlock()
 	s.tick = wire.Read(&d, wire.Uvarint)
 	s.wm.Store(s.tick)
-	hash := wire.Read(&d, wire.Bytes)
-	if d.Err == nil && len(hash) != len(s.stateHash) {
-		return fmt.Errorf("svc: snapshot state hash is %d bytes, want %d", len(hash), len(s.stateHash))
-	}
-	copy(s.stateHash[:], hash)
 	n := wire.Read(&d, wire.SliceLen)
 	s.sessions = make(map[uint64]*session, n)
 	s.byTouch.Init()
@@ -79,16 +70,8 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 		sess := &session{id: wire.Read(&d, wire.Uvarint), maxSeq: wire.Read(&d, wire.Uvarint), touched: wire.Read(&d, wire.Uvarint), applied: make([]slot, 2)}
 		for m := wire.Read(&d, wire.SliceLen); m > 0 && d.Err == nil; m-- {
 			q := wire.Read(&d, wire.Uvarint)
-			ac := appliedCmd{result: append([]byte(nil), wire.Read(&d, wire.Bytes)...), err: wire.Read(&d, wire.String)}
-			ac.order, ac.id = wire.Read(&d, wire.Uvarint), wire.Read(&d, types.DecodeMessageID)
-			h := wire.Read(&d, wire.Bytes)
-			if d.Err == nil && len(h) != len(ac.hash) {
-				return fmt.Errorf("svc: snapshot receipt hash is %d bytes, want %d", len(h), len(ac.hash))
-			}
-			copy(ac.hash[:], h)
-			if q+sessionWindow > sess.maxSeq { // an older snapshot holds expired ones too
-				sess.put(q, ac)
-			}
+			sess.put(q, appliedCmd{result: append([]byte(nil), wire.Read(&d, wire.Bytes)...), err: wire.Read(&d, wire.String),
+				order: wire.Read(&d, wire.Uvarint)})
 		}
 		s.sessions[sess.id] = sess
 	}

@@ -160,11 +160,10 @@ func TestSnapshotHoldsTheWindowOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Machine, tick, state hash, one session: its id, maxSeq, touched, entries.
+	// Machine, tick, one session: its id, maxSeq, touched, entries.
 	d := wire.Decoder{Data: snap}
 	wire.Read(&d, wire.Bytes)
 	wire.Read(&d, wire.Uvarint)
-	wire.Read(&d, wire.Bytes)
 	sessions := wire.Read(&d, wire.Uvarint)
 	id, maxSeq, _ := wire.Read(&d, wire.Uvarint), wire.Read(&d, wire.Uvarint), wire.Read(&d, wire.Uvarint)
 	entries, first := wire.Read(&d, wire.Uvarint), wire.Read(&d, wire.Uvarint)

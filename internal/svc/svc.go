@@ -24,8 +24,6 @@
 // buffered the reader keeps reading, and then casts once per destination
 // set, in arrival order (and before it serves a read, so a connection's
 // write still precedes its later read). It never waits for more input.
-// Commands that share a cast share its message ID, but each has its own
-// delivery order, so a receipt (see cert.go) stays unique per command.
 // Answers are posted too, to one writer per connection, which sends each
 // burst of them in one write; no event loop ever touches a socket.
 //
@@ -76,7 +74,6 @@ import (
 	"bytes"
 	"cmp"
 	"container/list"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -146,14 +143,18 @@ type ServerConfig struct {
 	// the client.
 	Tracer *trace.Tracer
 	// ReplyTimeout bounds each write to a client (default 5s); a client too
-	// slow to take its replies loses the connection, not the command.
+	// slow to take its replies loses the connection, not the command. No
+	// program sets it: it is the seam TestSlowClientLosesOnlyItsConnection
+	// and TestClosingAStalledClientStallsNoDelivery shorten.
 	ReplyTimeout time.Duration
 	// MaxSessions bounds the replicated dedup table (default 65536
 	// sessions): beyond it the least-recently-delivered-to session is
 	// evicted. Eviction is driven purely by A-Delivery order, so replicas
 	// of a shard evict identically and their tables never diverge. A
 	// client idle long enough to be evicted loses exactly-once for its
-	// in-flight command and must open a fresh session.
+	// in-flight command and must open a fresh session. No program sets it:
+	// it is the seam TestSessionEviction and TestSessionEvictionOrderPinned
+	// shrink.
 	MaxSessions int
 	// Lease, when non-nil, is this replica's leader lease (the transport's
 	// per-process lease object). Lease-mode reads are served only while it
@@ -161,10 +162,6 @@ type ServerConfig struct {
 	// lapses mid-read can never leak a stale result. Nil refuses lease
 	// reads outright.
 	Lease *fd.Lease
-	// Ring, when non-nil, enables delivery certificates: the server
-	// answers CertReq with an HMAC countersignature under its own derived
-	// key. Nil refuses certificate requests.
-	Ring *KeyRing
 }
 
 // readTimeout bounds how long a read parks waiting for the replica's
@@ -179,18 +176,15 @@ const readTimeout = 2 * time.Second
 // margin; anything older answers "expired" rather than re-executing.
 const sessionWindow = 128
 
-// appliedCmd is one executed command's cached outcome, plus the receipt a
-// delivery certificate attests: the shard-local delivery order (the
-// server's tick at first apply), the message ID that carried the command,
-// and the shard's rolling state hash after the apply. All three are
-// deterministic functions of the A-Delivery sequence, so every replica of
-// the shard countersigns the same receipt.
+// appliedCmd is one executed command's cached outcome and its shard-local
+// delivery order, the server's tick at first apply. The order is Reply.Order,
+// the watermark a session carries into its reads for read-your-writes; like
+// the outcome, it is a deterministic function of the A-Delivery sequence, so
+// every replica of the shard caches the same one.
 type appliedCmd struct {
 	result []byte
 	err    string
 	order  uint64
-	id     types.MessageID
-	hash   [sha256.Size]byte
 }
 
 // session is one client session's replicated dedup state. It is identical
@@ -333,17 +327,15 @@ type Server struct {
 	// order this replica has applied.
 	wm atomic.Uint64
 
-	mu        sync.Mutex
-	sessions  map[uint64]*session
-	byTouch   list.List // the sessions, least recently touched first
-	tick      uint64    // delivery counter driving deterministic session LRU
-	stateHash [sha256.Size]byte
-	chain     []byte  // Deliver's scratch: what the next state hash is taken over
-	answers   []Reply // Deliver's scratch: the replies it posts once s.mu is free
-	pending   map[types.MessageID]pendingCast
-	waiters   []*readWaiter
-	conns     map[*tcp.SvcConn]bool
-	closed    bool
+	mu       sync.Mutex
+	sessions map[uint64]*session
+	byTouch  list.List // the sessions, least recently touched first
+	tick     uint64    // delivery counter driving deterministic session LRU
+	answers  []Reply   // Deliver's scratch: the replies it posts once s.mu is free
+	pending  map[types.MessageID]pendingCast
+	waiters  []*readWaiter
+	conns    map[*tcp.SvcConn]bool
+	closed   bool
 
 	wg sync.WaitGroup
 }
@@ -425,8 +417,8 @@ func (s *Server) acceptLoop() {
 
 // serveConn reads conn's requests until it ends. Writes are cast per burst:
 // what was read while the next frame was already wholly buffered is cast
-// once that is no longer so, or before a read or a certificate request is
-// served, or once a cast is full, or when the connection ends.
+// once that is no longer so, or before a read is served, or once a cast is
+// full, or when the connection ends.
 func (s *Server) serveConn(conn *tcp.SvcConn) {
 	defer s.wg.Done()
 	b := &burst{conn: conn}
@@ -462,12 +454,6 @@ func (s *Server) serve(b *burst, kind wire.Kind, body []byte) bool {
 		if req, ok := view(body, readReadReq); ok {
 			s.submit(b)
 			s.handleRead(b.conn, req)
-			return true
-		}
-	case wire.KindSvcCertReq:
-		if req, ok := view(body, decodeCertReq); ok {
-			s.submit(b)
-			s.handleCert(b.conn, req)
 			return true
 		}
 	}
@@ -580,33 +566,6 @@ func (s *Server) expireRead(w *readWaiter) {
 	s.mu.Unlock()
 	post(s, w.conn, ReadResp{Session: w.req.Session, Seq: w.req.Seq, Watermark: wm,
 		Err: fmt.Sprintf("replica at watermark %d, behind requested %d", wm, w.req.MinWatermark)})
-}
-
-// handleCert answers one certificate request with this replica's HMAC
-// countersignature over the command's receipt. The command must still be
-// inside the session's dedup window; the receipt (order, message ID,
-// rolling state hash) was recorded at first apply and is identical at
-// every replica of the shard.
-func (s *Server) handleCert(conn *tcp.SvcConn, req CertReq) {
-	s.cfg.Stats.RecordRequest()
-	share := CertShare{Session: req.Session, Seq: req.Seq, Proc: s.cfg.Self, Group: s.cfg.Group}
-	s.mu.Lock()
-	var ac appliedCmd
-	var ok bool
-	if sess := s.sessions[req.Session]; sess != nil {
-		ac, ok = sess.get(req.Seq)
-	}
-	s.mu.Unlock()
-	switch {
-	case s.cfg.Ring == nil:
-		share.Err = "certificates disabled (no secret configured)"
-	case !ok:
-		share.Err = fmt.Sprintf("(session %d, seq %d) not in the dedup window", req.Session, req.Seq)
-	default:
-		share.OK, share.ID, share.Order, share.Hash = true, ac.id, ac.order, append([]byte(nil), ac.hash[:]...)
-		share.MAC = s.cfg.Ring.Sign(s.cfg.Self, receiptBytes(share.ID, share.Group, share.Order, share.Hash))
-	}
-	post(s, conn, share)
 }
 
 // handle processes one request on the connection's goroutine: it answers
@@ -742,7 +701,7 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 	for len(cmds) > 0 {
 		var cmd Command
 		cmd, cmds, _ = readCommand(cmds)
-		s.apply(id, cmd)
+		s.apply(cmd)
 	}
 	// Published only now that the cast's commands have applied: a read that
 	// finds the watermark at t must find command t in the machine.
@@ -789,9 +748,8 @@ func (s *Server) Deliver(id types.MessageID, payload []byte) {
 }
 
 // apply takes one delivered command through the replicated state: the
-// delivery tick, the session window, the machine, the rolling state hash and
-// the receipt. Callers hold s.mu.
-func (s *Server) apply(id types.MessageID, cmd Command) {
+// delivery tick, the session window and the machine. Callers hold s.mu.
+func (s *Server) apply(cmd Command) {
 	s.tick++
 	sess := s.sessions[cmd.Session]
 	if sess == nil {
@@ -814,19 +772,14 @@ func (s *Server) apply(id types.MessageID, cmd Command) {
 		return
 	}
 	// First delivery of this (session, seq): the one and only state
-	// mutation, identical at every replica of every destination shard. The
-	// receipt (order, id, rolling hash) is recorded here and only here, so
-	// duplicates certify the original's receipt; order is unique per command.
+	// mutation, identical at every replica of every destination shard. Its
+	// order is recorded here and only here, so a duplicate is answered with
+	// the original's.
 	res, err := s.cfg.Machine.Apply(cmd.Op)
-	ac := appliedCmd{result: res, order: s.tick, id: id}
+	ac := appliedCmd{result: res, order: s.tick}
 	if err != nil {
 		ac.err = err.Error()
 	}
-	s.chain = append(s.chain[:0], s.stateHash[:]...)
-	s.chain = id.AppendTo(s.chain)
-	s.chain = append(s.chain, cmd.Op...)
-	s.stateHash = sha256.Sum256(s.chain)
-	ac.hash = s.stateHash
 	sess.maxSeq = max(sess.maxSeq, cmd.Seq)
 	sess.put(cmd.Seq, ac)
 }

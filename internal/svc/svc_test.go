@@ -194,11 +194,10 @@ func TestExactlyOnceDuplicateRequest(t *testing.T) {
 func TestClientRetryExactlyOnce(t *testing.T) {
 	f := newKVFixture(t, 2, 2, 25100, 120*time.Millisecond)
 	client := svc.NewClient(svc.ClientConfig{
-		Session:     11,
-		Addrs:       f.service.Addrs(),
-		Timeout:     40 * time.Millisecond, // << the ~2×WAN commit latency: forces retries
-		MaxAttempts: 10,
-		Stats:       f.stats,
+		Session: 11,
+		Addrs:   f.service.Addrs(),
+		Timeout: 40 * time.Millisecond, // << the ~2×WAN commit latency: forces retries
+		Stats:   f.stats,
 	})
 	defer client.Close()
 	kv := &svc.KV{Client: client, Route: svc.PrefixRoute(2)}

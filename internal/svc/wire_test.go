@@ -32,12 +32,6 @@ func TestServiceWireRoundTrip(t *testing.T) {
 			Result: []byte{1, 0, 3}, Watermark: 91},
 		"read-resp-err": ReadResp{Session: 9, Seq: 5, Err: "no lease",
 			Watermark: 91},
-		"cert-req": CertReq{Session: 9, Seq: 12},
-		"cert-share-ok": CertShare{Session: 9, Seq: 12, OK: true,
-			ID: types.MessageID{Origin: 4, Seq: 7}, Group: 1, Order: 33,
-			Hash: []byte("hhhh"), Proc: 5, MAC: []byte("mmmm")},
-		"cert-share-err": CertShare{Session: 9, Seq: 13,
-			Err: "not in the dedup window"},
 	}
 	for name, v := range values {
 		buf := wire.AppendValue(nil, v)
@@ -64,9 +58,6 @@ func TestServiceWireCorrupt(t *testing.T) {
 		Redirect{Session: 4, Seq: 1, Groups: types.NewGroupSet(1), Addrs: []string{"a", "b"}},
 		ReadReq{Session: 9, Seq: 4, Group: 2, Mode: readModeLease, MinWatermark: 88, Op: []byte{2, 1}},
 		ReadResp{Session: 9, Seq: 4, OK: true, Result: []byte{1, 0, 3}, Watermark: 300},
-		CertReq{Session: 9, Seq: 300},
-		CertShare{Session: 9, Seq: 12, OK: true, ID: types.MessageID{Origin: 4, Seq: 7},
-			Group: 1, Order: 300, Hash: []byte("hhhh"), Proc: 5, MAC: []byte("mmmm")},
 	}
 	for _, v := range values {
 		full := wire.AppendValue(nil, v)

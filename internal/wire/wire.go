@@ -108,8 +108,6 @@ const (
 	KindLeaseGrant        Kind = 54 // tcp leaseGrantMsg (follower → leader lease vote)
 	KindSvcReadReq        Kind = 55 // svc.ReadReq (client → server, read tier)
 	KindSvcReadResp       Kind = 56 // svc.ReadResp (server → client)
-	KindSvcCertReq        Kind = 57 // svc.CertReq (client → server, delivery certificate)
-	KindSvcCertShare      Kind = 58 // svc.CertShare (server → client, one HMAC countersignature)
 	KindBatch             Kind = 60 // batch envelope: many frames, one header (batch.go); no value has it
 )
 

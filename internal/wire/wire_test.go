@@ -83,10 +83,6 @@ func roundTripValues() map[string]any {
 			MinWatermark: 88, Op: []byte{2, 1}},
 		"svc.ReadResp": svc.ReadResp{Session: 9, Seq: 4, OK: true,
 			Result: []byte{1, 0, 3}, Watermark: 91},
-		"svc.CertReq": svc.CertReq{Session: 9, Seq: 12},
-		"svc.CertShare": svc.CertShare{Session: 9, Seq: 12, OK: true,
-			ID: types.MessageID{Origin: 4, Seq: 7}, Group: 1, Order: 33,
-			Hash: []byte("hhhh"), Proc: 5, MAC: []byte("mmmm")},
 	})
 	return vals
 }

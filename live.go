@@ -1,6 +1,7 @@
 package wanamcast
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -58,10 +59,11 @@ type LiveCluster struct {
 	closeOnce sync.Once
 }
 
-// replicaSection names a replica's snapshot section. It is the name the
-// service layer's state is stored under in existing data dirs, so it must
-// not change.
-const replicaSection = "svc"
+// replicaSection names a replica's snapshot section. earlierReplicaSection
+// is its name while the service layer's cached outcomes carried receipts for
+// delivery certificates: a snapshot that holds it is refused by name, never
+// handed to a replica that would misread it.
+const replicaSection, earlierReplicaSection = "replica", "svc"
 
 // NewLiveCluster builds (but does not start) a live cluster. A cast payload
 // travels in its wire encoding: the basic types have codecs; gob-register
@@ -148,7 +150,10 @@ func (l *LiveCluster) recoverHost(proc *node.Proc, det *fd.Oracle) error {
 			if r == nil {
 				return nil
 			}
-			return []durable.Section{{Name: replicaSection, Save: r.SaveSnapshot, Restore: r.RestoreSnapshot}}
+			return []durable.Section{{Name: replicaSection, Save: r.SaveSnapshot, Restore: r.RestoreSnapshot},
+				{Name: earlierReplicaSection, Restore: func([]byte) error {
+					return errors.New("a replica section of the earlier format, whose cached outcomes carry receipts")
+				}}}
 		},
 		OnSyncFailed: func(proto string) {
 			l.flightRecord(fmt.Sprintf("%s state transfer abandoned at %v", proto, id))
@@ -198,7 +203,7 @@ func (l *LiveCluster) OnDeliver(fn func(p ProcessID, id MessageID, payload any))
 // A-Deliveries on p's event loop, in delivery order, after the OnDeliver
 // callback, replayed ones included; a payload comes undecoded, as the
 // caster's edge encoded it, and is shared with the ordering layer (read it,
-// never write it). r's state is p's "svc" snapshot section: every snapshot
+// never write it). r's state is p's "replica" snapshot section: every snapshot
 // saves it, and Start and Restart restore it and replay p's log to it before
 // p handles a live event. So a replica attached before Start resumes from an
 // earlier run's data dir, and one attached after Start begins empty, after the
