@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"path/filepath"
+	"os/exec"
 	"regexp"
 	"testing"
 )
@@ -29,15 +29,31 @@ type record struct {
 	} `json:"result"`
 }
 
-// TestBenchRecordsStamped: every record of every committed trajectory names
-// the box it ran on (cores, GOMAXPROCS, Go version, commit), and the newest
-// sim-scale seed-1 record reads the virtual latencies TestSimScaleCountsPinned
-// pins the run to, to the µs, so a change that moves virtual time appends a
-// record.
+// TestBenchRecordsStamped: every workload BENCHMARK.json lists has a
+// committed trajectory, every record of which names the box it ran on (cores,
+// GOMAXPROCS, Go version, commit); in a git checkout, the newest ten records of
+// each name commits the repository holds; and the newest sim-scale seed-1
+// record reads the virtual latencies TestSimScaleCountsPinned pins the run to,
+// to the µs, so a change that moves virtual time appends a record.
 func TestBenchRecordsStamped(t *testing.T) {
-	files, err := filepath.Glob("BENCH_*.json")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no BENCH_*.json trajectory: %v", err)
+	spec, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var contract struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+	}
+	if err := json.Unmarshal(spec, &contract); err != nil || len(contract.Workloads) == 0 {
+		t.Fatalf("BENCHMARK.json lists no workloads: %v", err)
+	}
+	var files []string
+	for _, w := range contract.Workloads {
+		files = append(files, "BENCH_"+w.Name+".json")
+	}
+	// A shallow clone lacks the commits: CI checks out the full history.
+	inGit := exec.Command("git", "rev-parse", "--git-dir").Run() == nil
+	if !inGit {
+		t.Log("not a git checkout: the records' commits go unchecked")
 	}
 	commit := regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 	var simScale *record
@@ -49,6 +65,7 @@ func TestBenchRecordsStamped(t *testing.T) {
 		defer f.Close()
 		sc := bufio.NewScanner(f)
 		sc.Buffer(nil, 1<<20)
+		var commits []string
 		for n := 1; sc.Scan(); n++ {
 			var r record
 			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
@@ -60,9 +77,19 @@ func TestBenchRecordsStamped(t *testing.T) {
 			if r.Workload == "sim-scale" && r.Seed == 1 {
 				simScale = &r
 			}
+			commits = append(commits, r.Box.Commit)
 		}
 		if err := sc.Err(); err != nil {
 			t.Fatal(err)
+		}
+		if len(commits) < 10 {
+			t.Errorf("%s holds %d records, fewer than ten", name, len(commits))
+		}
+		for _, c := range commits[max(len(commits)-10, 0):] {
+			if inGit && exec.Command("git", "cat-file", "-e", c+"^{commit}").Run() != nil {
+				t.Errorf("%s: a newest-ten record names commit %s, which the repository lacks", name, c)
+				break
+			}
 		}
 	}
 	if simScale == nil {
